@@ -692,38 +692,55 @@ func (fe *FederatedExperiment) collectFacts(node, peer string, w *bgp.Update) (*
 	return facts, nil
 }
 
-// traceForward follows best-route provenance for p from a node toward
-// the advertising neighbor, hop by hop, until delivery (a locally
-// originated covering route), a dead end (no covering route), or a
-// forwarding loop. It models where traffic for p actually goes — the
-// multi-hop blackhole oracle's core. path lists every node visited,
-// origin first and terminal last, feeding `never reachable via`
-// property assertions.
-func (f *Fabric) traceForward(from string, p netaddr.Prefix) (terminal string, hops int, delivered bool, path []string) {
+// ForwardHop is one node's forwarding decision for a prefix: whether a
+// route covers it, whether that route is locally originated, and
+// otherwise which peer traffic is handed to ("" when the route's next
+// hop is no configured peer). The zero value is "no covering route",
+// which is also the right answer for a node the lookup doesn't know.
+type ForwardHop struct {
+	HasCovering, Local bool
+	NextPeer           string
+}
+
+// TraceForward follows best-route provenance from a node toward the
+// advertising neighbor, hop by hop, until delivery (a locally originated
+// covering route), a dead end (no covering route, or a next hop that
+// names no peer), or a forwarding loop. It models where traffic for the
+// prefix actually goes — the multi-hop blackhole oracle's core. path
+// lists every node visited, origin first and terminal last, feeding
+// `never reachable via` property assertions. Both backends walk here:
+// lookup reads shadow routers in-process and the post-wave query_oracle
+// answers in the distributed coordinator; its error aborts the walk.
+func TraceForward(from string, lookup func(node string) (ForwardHop, error)) (terminal string, hops int, delivered bool, path []string, err error) {
 	cur := from
 	visited := map[string]bool{}
 	for {
 		path = append(path, cur)
 		if visited[cur] {
-			return cur, hops, false, path // forwarding loop
+			return cur, hops, false, path, nil // forwarding loop
 		}
 		visited[cur] = true
-		r := f.Routers[cur]
-		if r == nil {
-			return cur, hops, false, path
+		hop, err := lookup(cur)
+		if err != nil || !hop.HasCovering || (!hop.Local && hop.NextPeer == "") {
+			return cur, hops, false, path, err // dead end: no covering route, or one toward no peer
 		}
-		rt := r.RIB().CoveringBest(p)
-		if rt == nil {
-			return cur, hops, false, path // dead end: no covering route
+		if hop.Local {
+			return cur, hops, true, path, nil // delivered to the originating AS
 		}
-		if rt.Local {
-			return cur, hops, true, path // delivered to the originating AS
-		}
-		next := r.PeerNameByAddr(rt.PeerRouterID)
-		if next == "" {
-			return cur, hops, false, path
-		}
-		cur = next
+		cur = hop.NextPeer
 		hops++
 	}
+}
+
+// traceForward is TraceForward over this fabric's routers.
+func (f *Fabric) traceForward(from string, p netaddr.Prefix) (terminal string, hops int, delivered bool, path []string) {
+	terminal, hops, delivered, path, _ = TraceForward(from, func(node string) (hop ForwardHop, _ error) {
+		if r := f.Routers[node]; r != nil {
+			if rt := r.RIB().CoveringBest(p); rt != nil {
+				hop = ForwardHop{HasCovering: true, Local: rt.Local, NextPeer: r.PeerNameByAddr(rt.PeerRouterID)}
+			}
+		}
+		return hop, nil
+	})
+	return terminal, hops, delivered, path
 }

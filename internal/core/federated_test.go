@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -401,5 +402,64 @@ func TestBuiltinTopologies(t *testing.T) {
 		if ran == 0 {
 			t.Errorf("%s: no target explored", topo.Name)
 		}
+	}
+}
+
+// TestTraceForward walks the shared forward trace over fake answer sets:
+// every way a walk can end, plus the lookup error both backends rely on
+// to abort it.
+func TestTraceForward(t *testing.T) {
+	fwd := func(next string) ForwardHop { return ForwardHop{HasCovering: true, NextPeer: next} }
+	local := ForwardHop{HasCovering: true, Local: true}
+	boom := errors.New("agent gone")
+	cases := []struct {
+		name      string
+		answers   map[string]ForwardHop
+		failAt    string
+		terminal  string
+		hops      int
+		delivered bool
+		path      string
+	}{
+		{name: "delivered at a local route", answers: map[string]ForwardHop{"a": fwd("b"), "b": fwd("c"), "c": local},
+			terminal: "c", hops: 2, delivered: true, path: "a b c"},
+		{name: "delivered at the origin", answers: map[string]ForwardHop{"a": local},
+			terminal: "a", delivered: true, path: "a"},
+		{name: "dead end", answers: map[string]ForwardHop{"a": fwd("b"), "b": {}},
+			terminal: "b", hops: 1, path: "a b"},
+		{name: "forwarding loop", answers: map[string]ForwardHop{"a": fwd("b"), "b": fwd("c"), "c": fwd("b")},
+			terminal: "b", hops: 3, path: "a b c b"},
+		{name: "next hop is no configured peer", answers: map[string]ForwardHop{"a": fwd("b"), "b": fwd("")},
+			terminal: "b", hops: 1, path: "a b"},
+		{name: "next peer outside the answer set", answers: map[string]ForwardHop{"a": fwd("ghost")},
+			terminal: "ghost", hops: 1, path: "a ghost"},
+		{name: "origin not in the answer set", answers: map[string]ForwardHop{"b": local},
+			terminal: "a", path: "a"},
+		{name: "lookup error aborts the walk", answers: map[string]ForwardHop{"a": fwd("b"), "b": fwd("c"), "c": local}, failAt: "b",
+			terminal: "b", hops: 1, path: "a b"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			asked := map[string]int{}
+			terminal, hops, delivered, path, err := TraceForward("a", func(node string) (ForwardHop, error) {
+				asked[node]++
+				if node == tc.failAt {
+					return ForwardHop{}, boom
+				}
+				return tc.answers[node], nil
+			})
+			if (tc.failAt != "") != (err != nil) || (err != nil && err != boom) {
+				t.Fatalf("err = %v, failAt = %q", err, tc.failAt)
+			}
+			if terminal != tc.terminal || hops != tc.hops || delivered != tc.delivered || strings.Join(path, " ") != tc.path {
+				t.Errorf("got terminal=%s hops=%d delivered=%t path=%v, want terminal=%s hops=%d delivered=%t path=[%s]",
+					terminal, hops, delivered, path, tc.terminal, tc.hops, tc.delivered, tc.path)
+			}
+			for node, n := range asked {
+				if n > 1 {
+					t.Errorf("%s looked up %d times in one walk", node, n)
+				}
+			}
+		})
 	}
 }

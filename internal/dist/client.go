@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -208,7 +209,7 @@ func (c *Client) Go(method string, params, result any) *Pending {
 	// race back before this goroutine regains the CPU.
 	c.readerOnce.Do(func() { go c.readLoop() })
 
-	payload, err := encodeRequest(id, method, params, ver)
+	frame, err := encodeRequest(id, method, params, ver)
 	if err != nil {
 		// An unencodable request is a caller bug, not stream corruption:
 		// nothing hit the wire, so the connection stays healthy.
@@ -218,9 +219,9 @@ func (c *Client) Go(method string, params, result any) *Pending {
 		p.errc <- err
 		return p
 	}
-	tm.clientSent(method, len(payload))
+	tm.clientSent(method, len(frame)-frameHeader)
 	c.writeMu.Lock()
-	werr := writePayload(c.conn, payload)
+	werr := sendFrame(c.conn, frame)
 	c.writeMu.Unlock()
 	if werr != nil {
 		// fail delivers the broken error to every pending call,
@@ -310,8 +311,9 @@ func (c *Client) fail(frameID uint64, cause error) {
 // readLoop drains response frames and completes pending calls. Any
 // framing-level problem poisons the connection and stops the loop.
 func (c *Client) readLoop() {
+	br := bufio.NewReaderSize(c.conn, frameReadBuffer)
 	for {
-		payload, err := readPayload(c.conn)
+		payload, err := readPayload(br)
 		if err != nil {
 			c.fail(0, fmt.Errorf("recv: %v", err))
 			return
@@ -405,12 +407,12 @@ func (c *Client) complete(p *Pending, errMsg string, body []byte, isV2 bool) err
 	return nil
 }
 
-// encodeRequest renders one request payload in the given protocol
-// version. v2 params must implement the binary codec. On a connection
-// negotiated down to exactly v2, params carrying v3 tail fields are
-// encoded in their legacy base layout — the v2 decoder on the far side
-// rejects trailing bytes, and an agent that old has no use for the tail
-// fields anyway.
+// encodeRequest renders one request frame (see newFrame) in the given
+// protocol version. v2 params must implement the binary codec. On a
+// connection negotiated down to exactly v2, params carrying v3 tail
+// fields are encoded in their legacy base layout — the v2 decoder on the
+// far side rejects trailing bytes, and an agent that old has no use for
+// the tail fields anyway.
 func encodeRequest(id uint64, method string, params any, version int) ([]byte, error) {
 	if version >= ProtoV2 {
 		var msg v2Message
@@ -424,7 +426,7 @@ func encodeRequest(id uint64, method string, params any, version int) ([]byte, e
 				msg = v2BaseOnly{m: tm}
 			}
 		}
-		return appendRequestV2(nil, id, method, msg)
+		return appendRequestV2(newFrame(), id, method, msg)
 	}
 	req := request{ID: id, Method: method}
 	if params != nil {
@@ -438,5 +440,5 @@ func encodeRequest(id uint64, method string, params any, version int) ([]byte, e
 	if err != nil {
 		return nil, fmt.Errorf("dist: encode %s request: %w", method, err)
 	}
-	return body, nil
+	return append(newFrame(), body...), nil
 }

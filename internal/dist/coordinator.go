@@ -1559,6 +1559,23 @@ func (c *Coordinator) collectFactsIn(shadows *shadowSet, node, peer string, w *b
 	if err != nil {
 		return nil, false, err
 	}
+	// Forward traces walk that same answer set — the shadows have not
+	// moved since the fan-out, so no agent is asked twice. Only the
+	// explored node and the sending peer, which the fan-out skips, cost
+	// one query each, the first time a trace reaches them.
+	lookup := func(name string) (hop core.ForwardHop, err error) {
+		q := post[name]
+		if _, known := c.conns[name]; q == nil && known {
+			if q, err = c.query(shadows, name, prefix, false); err != nil {
+				return hop, err
+			}
+			post[name] = q
+		}
+		if q != nil {
+			hop = core.ForwardHop{HasCovering: q.HasCovering, Local: q.CoveringLocal, NextPeer: q.CoveringNextPeer}
+		}
+		return hop, nil
+	}
 	installed := make(map[string]string) // node → witness-attributed best FP
 	for _, name := range others {
 		q := post[name]
@@ -1566,7 +1583,7 @@ func (c *Coordinator) collectFactsIn(shadows *shadowSet, node, peer string, w *b
 			continue // witness never took hold at this node
 		}
 		installed[name] = q.BestFP
-		terminal, hops, delivered, path, err := c.traceForward(shadows, name, prefix)
+		terminal, hops, delivered, path, err := core.TraceForward(name, lookup)
 		if err != nil {
 			return nil, false, err
 		}
@@ -1608,42 +1625,6 @@ func (c *Coordinator) collectFactsIn(shadows *shadowSet, node, peer string, w *b
 	}
 	sort.Strings(facts.Stale)
 	return facts, false, nil
-}
-
-// traceForward walks best-route provenance for prefix hop by hop across
-// the agents' shadows — the distributed multi-hop blackhole core. Each
-// hop is one QueryOracle call; no node reveals more than its own
-// forwarding decision. path lists every node visited, origin first and
-// terminal last, feeding `never reachable via` property assertions —
-// the same contract as the in-process Fabric.traceForward.
-func (c *Coordinator) traceForward(shadows *shadowSet, from string, prefix netaddr.Prefix) (terminal string, hops int, delivered bool, path []string, err error) {
-	cur := from
-	visited := map[string]bool{}
-	for {
-		path = append(path, cur)
-		if visited[cur] {
-			return cur, hops, false, path, nil // forwarding loop
-		}
-		visited[cur] = true
-		if _, ok := c.conns[cur]; !ok {
-			return cur, hops, false, path, nil
-		}
-		q, err := c.query(shadows, cur, prefix, false)
-		if err != nil {
-			return cur, hops, false, path, err
-		}
-		if !q.HasCovering {
-			return cur, hops, false, path, nil // dead end: no covering route
-		}
-		if q.CoveringLocal {
-			return cur, hops, true, path, nil // delivered to the originating AS
-		}
-		if q.CoveringNextPeer == "" {
-			return cur, hops, false, path, nil
-		}
-		cur = q.CoveringNextPeer
-		hops++
-	}
 }
 
 // SkippedErr converts a TargetResult's Skipped reason into an error for

@@ -219,7 +219,8 @@ func TestBrokenError(t *testing.T) {
 		if _, err := readPayload(srvConn); err != nil {
 			return
 		}
-		writeFrame(srvConn, response{ID: 99}) //nolint:errcheck // test server
+		body, _ := json.Marshal(response{ID: 99})
+		writePayload(srvConn, body) //nolint:errcheck // test server
 	}()
 	cl := NewClient(cliConn)
 	defer cl.Close()

@@ -1,15 +1,23 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dice/internal/core"
 )
+
+// writePayload frames and sends an already-encoded payload, the way the
+// hand-rolled servers in these tests answer.
+func writePayload(w io.Writer, body []byte) error {
+	return sendFrame(w, append(newFrame(), body...))
+}
 
 // versionedCoordinator builds one loopback agent per node with the
 // given protocol cap and connects a coordinator with the given options.
@@ -230,5 +238,90 @@ func TestClientPipelinedCalls(t *testing.T) {
 			t.Fatalf("call %d: shadow id %d duplicated or zero", i, outs[i].ShadowID)
 		}
 		seen[outs[i].ShadowID] = true
+	}
+}
+
+// ioCountingConn counts the Read and Write calls that reach the
+// transport — on a net.Pipe each is one rendezvous with the far side.
+type ioCountingConn struct {
+	io.ReadWriteCloser
+	reads, writes atomic.Int64
+}
+
+func (c *ioCountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.ReadWriteCloser.Read(p)
+}
+
+func (c *ioCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.ReadWriteCloser.Write(p)
+}
+
+// TestFrameCostsOneWriteOneRead: a typical frame leaves in one Write
+// built with one allocation, and arrives in one Read (header and body
+// together, through the small frame buffer) — while a frame larger than
+// that buffer still round-trips intact.
+func TestFrameCostsOneWriteOneRead(t *testing.T) {
+	ag, err := NewAgent(fatLeakTopo3(), "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := Loopback{Agent: ag}.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &ioCountingConn{ReadWriteCloser: inner}
+	cl := NewClient(conn)
+	defer cl.Close()
+	if _, err := cl.Handshake(ProtoLatest); err != nil {
+		t.Fatal(err)
+	}
+	var open ShadowOpenResult
+	if err := cl.Call(MethodShadowOpen, nil, &open); err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	reads, writes := conn.reads.Load(), conn.writes.Load()
+	q := &QueryOracleParams{ShadowID: open.ShadowID, Prefix: "10.7.0.0/16"}
+	for i := 0; i < n; i++ {
+		if err := cl.Call(MethodQueryOracle, q, &QueryOracleResult{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The read loop's next (blocked) Read may or may not have started.
+	if r, w := conn.reads.Load()-reads, conn.writes.Load()-writes; w != n || r > n+1 {
+		t.Errorf("%d calls cost %d writes and %d reads, want %d and at most %d", n, w, r, n, n+1)
+	}
+
+	// A checkpoint is far larger than frameReadBuffer.
+	var cp CheckpointResult
+	if err := cl.Call(MethodCheckpoint, nil, &cp); err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.State) <= frameReadBuffer {
+		t.Errorf("checkpoint of %d bytes does not exercise the large-frame path", len(cp.State))
+	}
+	direct, err := ag.handleV2(MethodCheckpoint, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cp.State, direct.(*CheckpointResult).State) {
+		t.Error("checkpoint mangled by the buffered reader")
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		frame, err := encodeRequest(7, MethodQueryOracle, q, ProtoLatest)
+		if err == nil {
+			err = sendFrame(io.Discard, frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("an outgoing frame costs %.0f allocations, want 1", allocs)
+	}
+	if err := sendFrame(io.Discard, make([]byte, frameHeader+maxFrame+1)); err == nil {
+		t.Error("sendFrame accepted a frame over maxFrame")
 	}
 }

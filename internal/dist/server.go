@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -88,8 +89,9 @@ func (s *rpcServer) ServeConn(conn io.ReadWriteCloser) error {
 // draining (checked between frames; Shutdown force-closes connections
 // blocked mid-read once the grace period expires).
 func (s *rpcServer) readRequests(conn io.ReadWriteCloser, reqs chan<- connReq, errc <-chan error) error {
+	br := bufio.NewReaderSize(conn, frameReadBuffer)
 	for !s.isDraining() {
-		payload, err := readPayload(conn)
+		payload, err := readPayload(br)
 		if err != nil {
 			select {
 			case werr := <-errc:
@@ -194,9 +196,9 @@ func (s *rpcServer) Shutdown(grace time.Duration) {
 // the reader to return.
 func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, errc chan<- error) {
 	for cr := range reqs {
-		payload, err := s.respond(cr)
+		frame, err := s.respond(cr)
 		if err == nil {
-			err = writePayload(conn, payload)
+			err = sendFrame(conn, frame)
 		}
 		if err != nil {
 			errc <- err
@@ -206,7 +208,7 @@ func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, 
 	}
 }
 
-// respond executes one request and renders the response payload in the
+// respond executes one request and renders the response frame in the
 // request's codec. Handler errors become error responses; only encoding
 // the envelope itself can fail.
 func (s *rpcServer) respond(cr connReq) ([]byte, error) {
@@ -220,17 +222,17 @@ func (s *rpcServer) respond(cr connReq) ([]byte, error) {
 	s.tm.noteRequest(cr.method, herr != nil)
 	if cr.isV2 {
 		if herr != nil {
-			return appendResponseV2(nil, cr.id, herr.Error(), nil), nil
+			return appendResponseV2(newFrame(), cr.id, herr.Error(), nil), nil
 		}
 		var msg v2Message
 		if result != nil {
 			m, ok := result.(v2Message)
 			if !ok {
-				return appendResponseV2(nil, cr.id, fmt.Sprintf("dist: %s result type %T has no v2 encoding", cr.method, result), nil), nil
+				return appendResponseV2(newFrame(), cr.id, fmt.Sprintf("dist: %s result type %T has no v2 encoding", cr.method, result), nil), nil
 			}
 			msg = m
 		}
-		return appendResponseV2(nil, cr.id, "", msg), nil
+		return appendResponseV2(newFrame(), cr.id, "", msg), nil
 	}
 	resp := response{ID: cr.id}
 	if herr != nil {
@@ -243,7 +245,8 @@ func (s *rpcServer) respond(cr connReq) ([]byte, error) {
 			resp.Result = body
 		}
 	}
-	return json.Marshal(resp)
+	body, err := json.Marshal(resp)
+	return append(newFrame(), body...), err
 }
 
 // ListenAndServe accepts connections until the listener closes.

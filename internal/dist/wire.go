@@ -80,24 +80,36 @@ type response struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// writePayload sends one length-prefixed payload. The header and body
-// go out in a single Write so concurrent writers (the pipelined client,
-// the agent's per-connection worker) interleave only at whole-frame
-// granularity under their write locks.
-func writePayload(w io.Writer, body []byte) error {
-	if len(body) > maxFrame {
-		return fmt.Errorf("dist: frame of %d bytes exceeds the %d byte limit", len(body), maxFrame)
+// frameHeader is the big-endian payload length that opens every frame.
+const frameHeader = 4
+
+// newFrame starts an outgoing frame: the header is reserved up front so
+// the encoders append the payload behind it and sendFrame writes the
+// slice they built — one allocation per typical (≈75 B) frame.
+func newFrame() []byte { return make([]byte, frameHeader, 128) }
+
+// sendFrame fills in a newFrame-built frame's length and sends it. The
+// header and body go out in a single Write so concurrent writers (the
+// pipelined client, the agent's per-connection worker) interleave only
+// at whole-frame granularity under their write locks.
+func sendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > maxFrame {
+		return fmt.Errorf("dist: frame of %d bytes exceeds the %d byte limit", n, maxFrame)
 	}
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(body)))
-	copy(buf[4:], body)
-	_, err := w.Write(buf)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
+// frameReadBuffer sizes the bufio.Reader client and server read frames
+// through: a typical frame then costs one pipe rendezvous / read(2), not
+// two (header, body). Small on purpose — a fleet holds two per connection.
+const frameReadBuffer = 512
+
 // readPayload receives one length-prefixed payload.
 func readPayload(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -110,24 +122,6 @@ func readPayload(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
-}
-
-// writeFrame sends one length-prefixed JSON document (v1 codec).
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return writePayload(w, body)
-}
-
-// readFrame receives one length-prefixed JSON document into v (v1 codec).
-func readFrame(r io.Reader, v any) error {
-	body, err := readPayload(r)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
 }
 
 // --- Method names ------------------------------------------------------------

@@ -180,6 +180,7 @@ func TestV2LegacyBaseLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: encode at v2: %v", msg, err)
 		}
+		legacy = legacy[frameHeader:] // encodeRequest reserves the length prefix
 		wantLegacy, err := appendRequestV2(nil, 9, MethodExplore, v2BaseOnly{m: tm})
 		if err != nil {
 			t.Fatalf("%T: base envelope: %v", msg, err)
@@ -191,7 +192,7 @@ func TestV2LegacyBaseLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: encode at v3: %v", msg, err)
 		}
-		if reflect.DeepEqual(full, legacy) {
+		if reflect.DeepEqual(full[frameHeader:], legacy) {
 			t.Errorf("%T: v3 encoding identical to legacy layout — tail fields lost", msg)
 		}
 		base := tm.appendV2Base(nil)

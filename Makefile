@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-replicas bench-telemetry bench-short
+.PHONY: build test race vet bench-short
 
 build:
 	$(GO) build ./...
@@ -14,31 +14,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench runs the S-series scheduler/solver + federated-round + wire
-# transport benchmarks and updates BENCH_PR6.json ("current" section;
-# "baseline" stays frozen — its v1-json wire modes are the pre-binary
-# protocol the v2 transport is measured against). BENCH_PR2.json,
-# BENCH_PR3.json and BENCH_PR4.json are the frozen earlier trajectories.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_PR6.json
-
-# bench-replicas measures distributed round wall-clock on the generated
-# 1k-node AS topology as the replica pool grows (1/2/4/8 workers, each
-# behind a simulated 30ms WAN RTT) and updates BENCH_PR8.json. The
-# acceptance criterion is monotone improvement 1→4 with ≥1.8× at 4.
-# Rounds are deterministic and latency-dominated, so one round per leg
-# (-benchtime 1x) measures cleanly.
-bench-replicas:
-	$(GO) run ./cmd/bench -bench '^BenchmarkReplicaScaling$$' -pkgs ./internal/dist -benchtime 1x -out BENCH_PR8.json
-
-# bench-telemetry measures the cost of full instrumentation (metrics +
-# per-RPC spans) against the nil no-op path on the line-3-dense
-# federated round and updates BENCH_PR9.json. The acceptance criterion
-# is instrumented within 5% of noop.
-bench-telemetry:
-	$(GO) run ./cmd/bench -bench '^BenchmarkTelemetryOverhead$$' -pkgs ./internal/dist -benchtime 300x -out BENCH_PR9.json
-
-# bench-short is the CI smoke variant: one iteration of every benchmark,
-# no JSON output — it only proves the benchmarks still run.
+# bench-short runs one iteration of every benchmark — it only proves the
+# benchmarks still run. Numbers come from benchmark/ (see BENCHMARK.json).
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

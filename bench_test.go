@@ -236,7 +236,7 @@ func BenchmarkS2WarmVsColdState(b *testing.B) {
 // handler records a long chain of masked-bit branches — the router shape
 // — so key construction and solving dominate the round. allocs/op is the
 // headline metric: it counts key construction + solving garbage per
-// exploration round (tracked in BENCH_PR2.json from PR 2 on).
+// exploration round.
 func BenchmarkS3NegationThroughput(b *testing.B) {
 	const depth = 24
 	handler := func(rc *concolic.RunContext) any {

@@ -35,7 +35,6 @@
 // over the dist wire protocol (see examples/distributed/README.md):
 //
 //	dice -topology topo.json -distributed 127.0.0.1:7411,127.0.0.1:7412,127.0.0.1:7413
-//	dice -topology topo.json -distributed ... -wire v1   # force the v1 JSON codec
 //	dice -topology topo.json -distributed ... -rpc-timeout 10s -dial-timeout 2s
 //
 // Distributed rounds are fault tolerant: every RPC is bounded by
@@ -120,7 +119,6 @@ func main() {
 		asgenSeed     = flag.Int64("asgen-seed", 1, "asgen: generator seed (the same seed always yields the identical topology)")
 		asgenClauses  = flag.Int("asgen-clauses", 0, "asgen: extra policy clauses per customer-import filter (deepens the concolic search space)")
 		asgenOut      = flag.String("asgen-out", "", "asgen: write the generated topology JSON here and exit (feed it to -topology and dicenode)")
-		wireVersion   = flag.String("wire", "auto", "distributed mode wire protocol: auto (negotiate, prefer the latest binary codec) or v1 (force the JSON codec)")
 		rpcTimeout    = flag.Duration("rpc-timeout", 30*time.Second, "distributed mode: per-RPC deadline (0 = none); a timed-out call retries and may trigger reconnection")
 		dialTimeout   = flag.Duration("dial-timeout", 5*time.Second, "distributed mode: how long to retry dialing each agent address")
 		replayFile    = flag.String("replay", "", "federated mode: replay this recorded trace into the fabric before rounds run (see -replay-ingress)")
@@ -157,9 +155,6 @@ func main() {
 	}
 	if *distributed != "" && *topologyFile == "" {
 		log.Fatal("-distributed requires -topology (the coordinator resolves targets and links from the topology file)")
-	}
-	if *wireVersion != "auto" && *wireVersion != "v1" {
-		log.Fatalf("-wire %q: want auto or v1", *wireVersion)
 	}
 	if (*replicasN > 0 || *replicaAddrs != "") && *distributed == "" {
 		log.Fatal("-replicas and -replica-addrs require -distributed (replicas offload the agents' exploration phase)")
@@ -263,7 +258,6 @@ func main() {
 			replayIngress:  *replayIngress,
 			goldenFile:     *goldenFile,
 			updateGolden:   *updateGolden,
-			wire:           *wireVersion,
 			rpcTimeout:     *rpcTimeout,
 			dialTimeout:    *dialTimeout,
 			replicas:       *replicasN,
@@ -417,7 +411,6 @@ type fedRun struct {
 	replayIngress   string
 	goldenFile      string
 	updateGolden    bool
-	wire            string
 	rpcTimeout      time.Duration
 	dialTimeout     time.Duration
 	replicas        int
@@ -656,9 +649,6 @@ func runDistributed(run fedRun, addrs string) {
 	if tracer != nil {
 		copts = append(copts, dist.WithTracer(tracer))
 	}
-	if run.wire == "v1" {
-		copts = append(copts, dist.WithMaxVersion(dist.ProtoV1), dist.WithCallAndWait())
-	}
 	var pool *dist.ReplicaPool
 	if run.replicas > 0 || run.replicaAddrs != "" {
 		var rdialers []dist.Dialer
@@ -683,16 +673,7 @@ func runDistributed(run fedRun, addrs string) {
 
 	fmt.Printf("distributed topology %q: %d nodes across %d agents, %d edges\n",
 		topo.Name, len(topo.Nodes), len(dialers), len(topo.Edges))
-	versions := coord.Versions()
-	byVer := map[int]int{}
-	for _, v := range versions {
-		byVer[v]++
-	}
-	for v := 1; v <= dist.ProtoLatest; v++ {
-		if n := byVer[v]; n > 0 {
-			fmt.Printf("wire protocol v%d negotiated with %d agent(s)\n", v, n)
-		}
-	}
+	fmt.Printf("wire protocol v%d with %d agent(s)\n", dist.ProtoVersion, len(dialers))
 
 	if run.replayFile != "" {
 		node, peer, err := run.ingress(topo)

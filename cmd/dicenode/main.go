@@ -10,9 +10,8 @@
 //
 //	dicenode -topology topo.json -node provider -listen 127.0.0.1:7411
 //
-// Agents negotiate the wire protocol per connection (the latest binary
-// codec, with pipelining and witness batching, by default); -max-proto
-// pins an agent to an older version for mixed-version fleets.
+// Agent and coordinator must be the same build: the hello carries one
+// wire protocol version and a mismatch is refused on the first exchange.
 //
 // The agent instantiates the topology locally (deterministic
 // convergence gives every agent the identical fabric picture) but
@@ -42,7 +41,6 @@ func main() {
 		topologyFile = flag.String("topology", "", "JSON multi-AS topology file (required)")
 		node         = flag.String("node", "", "topology node this agent administers (required)")
 		listen       = flag.String("listen", "127.0.0.1:7411", "TCP address to serve the wire protocol on")
-		maxProto     = flag.Int("max-proto", 0, "highest wire protocol version to negotiate (0 = latest; 1 forces the v1 JSON codec)")
 		grace        = flag.Duration("shutdown-grace", 5*time.Second, "on SIGTERM/SIGINT: how long to drain in-flight requests before force-closing connections")
 		metricsAddr  = flag.String("metrics-addr", "", "TCP address for the telemetry endpoint (/metrics, /healthz, /debug/pprof/); empty disables it")
 	)
@@ -50,9 +48,6 @@ func main() {
 
 	if *topologyFile == "" || *node == "" {
 		log.Fatal("both -topology and -node are required")
-	}
-	if *maxProto < 0 || *maxProto > dist.ProtoLatest {
-		log.Fatalf("-max-proto %d: supported versions are 1..%d (or 0 for latest)", *maxProto, dist.ProtoLatest)
 	}
 	topo, err := core.LoadTopology(*topologyFile)
 	if err != nil {
@@ -62,7 +57,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	agent.MaxProtoVersion = *maxProto
 
 	// Telemetry endpoint: metrics exposition, drain-aware readiness, and
 	// pprof. Readiness flips to 503 the moment the drain starts, so a

@@ -34,18 +34,13 @@ func main() {
 	log.SetPrefix("dicereplica: ")
 
 	var (
-		listen   = flag.String("listen", "127.0.0.1:7421", "TCP address to serve the wire protocol on")
-		maxProto = flag.Int("max-proto", 0, "highest wire protocol version to negotiate (0 = latest; 1 forces the v1 JSON codec)")
-		grace    = flag.Duration("shutdown-grace", 5*time.Second, "on SIGTERM/SIGINT: how long to drain in-flight requests before force-closing connections")
-		metrics  = flag.String("metrics-addr", "", "TCP address for the telemetry endpoint (/metrics, /healthz, /debug/pprof/); empty disables it")
+		listen  = flag.String("listen", "127.0.0.1:7421", "TCP address to serve the wire protocol on")
+		grace   = flag.Duration("shutdown-grace", 5*time.Second, "on SIGTERM/SIGINT: how long to drain in-flight requests before force-closing connections")
+		metrics = flag.String("metrics-addr", "", "TCP address for the telemetry endpoint (/metrics, /healthz, /debug/pprof/); empty disables it")
 	)
 	flag.Parse()
 
-	if *maxProto < 0 || *maxProto > dist.ProtoLatest {
-		log.Fatalf("-max-proto %d: supported versions are 1..%d (or 0 for latest)", *maxProto, dist.ProtoLatest)
-	}
 	replica := dist.NewReplica()
-	replica.MaxProtoVersion = *maxProto
 
 	// Telemetry endpoint, mirroring dicenode: exposition + drain-aware
 	// readiness + pprof.

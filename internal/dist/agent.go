@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -42,13 +41,6 @@ type Agent struct {
 	// shared with the topology's other agents, so fabric-mutating methods
 	// (replay) are refused.
 	sharedFabric bool
-
-	// MaxProtoVersion caps the wire protocol version this agent will
-	// negotiate (0 means ProtoLatest). Setting it to ProtoV1 makes the
-	// agent behave exactly like a pre-v2 deployment: it answers hello
-	// without a version and keeps speaking JSON — which is also how the
-	// negotiation fallback tests simulate old agents.
-	MaxProtoVersion int
 
 	states *concolic.StateMap // per-(scenario, peer) warm exploration state
 	store  *checkpoint.Store  // page-deduplicating snapshot store
@@ -236,79 +228,13 @@ func (a *Agent) SeedExploreState(scenario, peer string, data []byte) error {
 // handle dispatches one request, one at a time per agent. Requests from
 // concurrent connections serialize on reqMu — the node's routers and
 // shadow clones are single-threaded state.
-func (a *Agent) handle(method string, params json.RawMessage) (any, error) {
+func (a *Agent) handle(method string, body []byte) (any, error) {
 	a.reqMu.Lock()
 	defer a.reqMu.Unlock()
 	switch method {
 	case MethodHello:
-		var p HelloParams
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &p); err != nil {
-				return nil, err
-			}
-		}
-		return a.hello(p)
-	case MethodCheckpoint:
-		return a.checkpoint()
-	case MethodExplore:
-		var p ExploreParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return a.explore(p)
-	case MethodShadowOpen:
-		return a.shadowOpen(), nil
-	case MethodInjectWitness:
-		var p InjectParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return a.inject(p)
-	case MethodInjectWitnessBatch:
-		var p InjectBatchParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return a.injectBatch(p)
-	case MethodShadowClose:
-		var p ShadowCloseParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		a.shadowClose(p.ShadowID)
-		return struct{}{}, nil
-	case MethodQueryOracle:
-		var p QueryOracleParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return a.queryOracle(p)
-	case MethodReplay:
-		var p ReplayParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return a.replay(p)
-	case MethodSeed:
-		var p SeedParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return a.seed(p)
-	}
-	return nil, fmt.Errorf("dist: unknown method %q", method)
-}
-
-// handleV2 dispatches one binary-codec request. Same handlers, same
-// reqMu serialization as the JSON path; only the parameter decoding
-// differs.
-func (a *Agent) handleV2(method string, body []byte) (any, error) {
-	a.reqMu.Lock()
-	defer a.reqMu.Unlock()
-	switch method {
-	case MethodHello:
-		var p HelloParams
-		if err := decodeBodyV2(body, &p); err != nil {
+		p, err := decodeHello(body, "agent")
+		if err != nil {
 			return nil, err
 		}
 		return a.hello(p)
@@ -369,16 +295,11 @@ func (a *Agent) handleV2(method string, body []byte) (any, error) {
 	return nil, fmt.Errorf("dist: unknown method %q", method)
 }
 
-// hello identifies the node and negotiates the protocol version: the
-// minimum of the client's advertised maximum and this agent's own cap.
-// A v1 client sends no MaxVersion (reads as 0 → v1) and ignores the
-// Version field in the result, so both directions of version skew
-// degrade to JSON without configuration.
-//
-// The hello also scopes the idempotency memos: a new coordinator session
-// nonce invalidates the previous session's explore/replay memos, whose
-// keys are coordinator-local sequences that restart at 1 per session. A
-// zero nonce (a client predating the field) leaves the memos alone.
+// hello identifies the node (decodeHello has already checked the
+// client's protocol version) and scopes the idempotency memos: a new
+// coordinator session nonce invalidates the previous session's
+// explore/replay memos, whose keys are coordinator-local sequences that
+// restart at 1 per session. A zero nonce leaves the memos alone.
 // Shadows are untouched — their delivery memos live and die with the
 // shadow itself.
 //
@@ -398,20 +319,12 @@ func (a *Agent) hello(p HelloParams) (*HelloResult, error) {
 		}
 		a.props = props
 	}
-	agentMax := a.MaxProtoVersion
-	if agentMax <= 0 || agentMax > ProtoLatest {
-		agentMax = ProtoLatest
-	}
-	clientMax := p.MaxVersion
-	if clientMax <= 0 {
-		clientMax = ProtoV1
-	}
 	return &HelloResult{
 		Node:     a.node,
 		Topology: a.topo.Name,
 		AS:       a.self.Config().LocalAS,
 		Prefixes: a.self.RIB().Prefixes(),
-		Version:  min(clientMax, agentMax),
+		Version:  ProtoVersion,
 	}, nil
 }
 

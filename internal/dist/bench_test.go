@@ -79,21 +79,9 @@ func benchWitnessSpecs(tb testing.TB, k int) []WitnessSpec {
 }
 
 // BenchmarkWireRound measures the wire-dominated phase of a distributed
-// round — a 16-witness cross-domain check storm — in three transport
-// modes over loopback agents:
-//
-//	v1-json:   JSON framing, one call in flight, fresh shadow set per
-//	           witness (the PR4 call-and-wait transport, via
-//	           WithMaxVersion(1)+WithCallAndWait)
-//	v2-binary: binary framing, same call-and-wait discipline — isolates
-//	           the codec win
-//	v2-full:   binary framing + pipelining + relay batching + shared
-//	           shadow sets — the protocol v2 default
-//
-// Exploration is excluded on purpose: its compute is identical across
-// modes and would only dilute the transport signal. wire-B/op reports
-// bytes on the wire per checked storm; BENCH_PR6.json tracks v2-full
-// against the v1-json baseline (acceptance: ≥2× on line-3-dense).
+// round — a 16-witness cross-domain check storm — over loopback agents.
+// Exploration is excluded on purpose: it would only dilute the transport
+// signal. wire-B/op reports bytes on the wire per checked storm.
 func BenchmarkWireRound(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -102,18 +90,8 @@ func BenchmarkWireRound(b *testing.B) {
 		{"line-3-dense", core.DenseLineTopology(3, 256)},
 		{"mesh-5", core.MeshTopology(5)},
 	}
-	modes := []struct {
-		name  string
-		copts []ConnOption
-	}{
-		{"v1-json", []ConnOption{WithMaxVersion(ProtoV1), WithCallAndWait()}},
-		{"v2-binary", []ConnOption{WithCallAndWait()}},
-		{"v2-full", nil},
-	}
 	for _, sh := range shapes {
-		// Fabric build and convergence are setup; the agents are reused
-		// across modes (shadow clones are per-check state, torn down by
-		// every CheckWitnesses call).
+		// Fabric build and convergence are setup.
 		agents := make([]*Agent, 0, len(sh.topo.Nodes))
 		for _, n := range sh.topo.Nodes {
 			ag, err := NewAgent(sh.topo, n.Name)
@@ -123,44 +101,42 @@ func BenchmarkWireRound(b *testing.B) {
 			agents = append(agents, ag)
 		}
 		specs := benchWitnessSpecs(b, 16)
-		for _, mode := range modes {
-			b.Run(sh.name+"/"+mode.name, func(b *testing.B) {
-				var wireBytes int64
-				dialers := make([]Dialer, len(agents))
-				for i, ag := range agents {
-					dialers[i] = countingDialer{inner: Loopback{Agent: ag}, bytes: &wireBytes}
-				}
-				coord, err := Connect(sh.topo, core.FederatedOptions{}, dialers, mode.copts...)
+		b.Run(sh.name, func(b *testing.B) {
+			var wireBytes int64
+			dialers := make([]Dialer, len(agents))
+			for i, ag := range agents {
+				dialers[i] = countingDialer{inner: Loopback{Agent: ag}, bytes: &wireBytes}
+			}
+			coord, err := Connect(sh.topo, core.FederatedOptions{}, dialers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer coord.Close()
+			// Sanity: the witnesses must actually propagate and leak,
+			// or the storm measures nothing.
+			outs, err := coord.CheckWitnesses(specs[:1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if outs[0].Steps < 2 || len(outs[0].Violations) == 0 {
+				b.Fatalf("bench witness inert: %d steps, %d violations", outs[0].Steps, len(outs[0].Violations))
+			}
+			violations := 0
+			b.ResetTimer()
+			atomic.StoreInt64(&wireBytes, 0)
+			for i := 0; i < b.N; i++ {
+				outs, err := coord.CheckWitnesses(specs)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer coord.Close()
-				// Sanity: the witnesses must actually propagate and leak,
-				// or the storm measures nothing.
-				outs, err := coord.CheckWitnesses(specs[:1])
-				if err != nil {
-					b.Fatal(err)
+				violations = 0
+				for _, out := range outs {
+					violations += len(out.Violations)
 				}
-				if outs[0].Steps < 2 || len(outs[0].Violations) == 0 {
-					b.Fatalf("bench witness inert: %d steps, %d violations", outs[0].Steps, len(outs[0].Violations))
-				}
-				violations := 0
-				b.ResetTimer()
-				atomic.StoreInt64(&wireBytes, 0)
-				for i := 0; i < b.N; i++ {
-					outs, err := coord.CheckWitnesses(specs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					violations = 0
-					for _, out := range outs {
-						violations += len(out.Violations)
-					}
-				}
-				b.ReportMetric(float64(atomic.LoadInt64(&wireBytes))/float64(b.N), "wire-B/op")
-				b.ReportMetric(float64(violations), "violations")
-			})
-		}
+			}
+			b.ReportMetric(float64(atomic.LoadInt64(&wireBytes))/float64(b.N), "wire-B/op")
+			b.ReportMetric(float64(violations), "violations")
+		})
 	}
 }
 

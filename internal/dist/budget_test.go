@@ -25,61 +25,51 @@ func TestQueryOracleBudget(t *testing.T) {
 		name string
 		topo *core.Topology
 	}{{"federated-example", example}, {"diamond-5as", diamondTopo()}}
-	modes := []struct {
-		name  string
-		copts []ConnOption
-	}{
-		{"v2-binary", nil},
-		{"v1-json", []ConnOption{WithMaxVersion(ProtoV1)}},
-		{"call-and-wait", []ConnOption{WithCallAndWait()}},
-	}
 	for _, tc := range topos {
-		for _, mode := range modes {
-			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				leakCheck(t)
-				tm := NewMetrics(telemetry.NewRegistry())
-				c := loopbackCoordinator(t, tc.topo, fedOpts(), append(mode.copts, WithTelemetry(tm))...)
-				res, err := c.Round()
-				if err != nil {
-					t.Fatal(err)
-				}
-				queries := tm.rpcCalls.With(MethodQueryOracle)
-				others := uint64(len(c.nodes) - 2)
-				witnesses, deepest := 0, 0
-				for _, tr := range res.Targets {
-					for _, f := range tr.Findings {
-						if f.Witness == nil {
-							continue
-						}
-						witnesses++
-						shadows, err := c.openShadows()
-						if err != nil {
-							t.Fatal(err)
-						}
-						before := queries.Value()
-						facts, _, err := c.collectFactsIn(shadows, tr.Node, tr.Peer, f.Witness)
-						got := queries.Value() - before
-						c.closeShadows(shadows)
-						if err != nil {
-							t.Fatal(err)
-						}
-						// |pre| + |post| + |after| + the two skipped nodes.
-						budget := others + others + uint64(len(facts.Nodes)) + 2
-						if got > budget {
-							t.Errorf("witness %s at %s←%s: %d query_oracle calls, budget %d (%d installed nodes)",
-								f.Witness.NLRI[0], tr.Node, tr.Peer, got, budget, len(facts.Nodes))
-						}
-						visited := 0
-						for _, n := range facts.Nodes {
-							visited += len(n.Path)
-						}
-						deepest = max(deepest, visited)
+		t.Run(tc.name+"/v2-binary", func(t *testing.T) {
+			leakCheck(t)
+			tm := NewMetrics(telemetry.NewRegistry())
+			c := loopbackCoordinator(t, tc.topo, fedOpts(), WithTelemetry(tm))
+			res, err := c.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := tm.rpcCalls.With(MethodQueryOracle)
+			others := uint64(len(c.nodes) - 2)
+			witnesses, deepest := 0, 0
+			for _, tr := range res.Targets {
+				for _, f := range tr.Findings {
+					if f.Witness == nil {
+						continue
 					}
+					witnesses++
+					shadows, err := c.openShadows()
+					if err != nil {
+						t.Fatal(err)
+					}
+					before := queries.Value()
+					facts, _, err := c.collectFactsIn(shadows, tr.Node, tr.Peer, f.Witness)
+					got := queries.Value() - before
+					c.closeShadows(shadows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// |pre| + |post| + |after| + the two skipped nodes.
+					budget := others + others + uint64(len(facts.Nodes)) + 2
+					if got > budget {
+						t.Errorf("witness %s at %s←%s: %d query_oracle calls, budget %d (%d installed nodes)",
+							f.Witness.NLRI[0], tr.Node, tr.Peer, got, budget, len(facts.Nodes))
+					}
+					visited := 0
+					for _, n := range facts.Nodes {
+						visited += len(n.Path)
+					}
+					deepest = max(deepest, visited)
 				}
-				if witnesses == 0 || deepest <= 2 {
-					t.Fatalf("budget vacuous: %d witnesses, deepest trace set visits %d nodes", witnesses, deepest)
-				}
-			})
-		}
+			}
+			if witnesses == 0 || deepest <= 2 {
+				t.Fatalf("budget vacuous: %d witnesses, deepest trace set visits %d nodes", witnesses, deepest)
+			}
+		})
 	}
 }

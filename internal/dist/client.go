@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -75,11 +74,7 @@ func (p *Pending) Wait() error { return <-p.errc }
 // any number of requests may be in flight per connection, a reader
 // goroutine matches responses to callers by ID. Call gives the
 // synchronous one-at-a-time behaviour; Go/Wait overlap round trips.
-//
-// A fresh client speaks v1 JSON. Handshake negotiates the protocol
-// version with the agent and, when both sides support it, switches the
-// connection to the v2 binary codec. Raw Call without Handshake keeps
-// working in v1 for tools that poke single methods.
+// Handshake checks the peer speaks this build's ProtoVersion.
 type Client struct {
 	conn io.ReadWriteCloser
 
@@ -106,7 +101,6 @@ type Client struct {
 	pending   map[uint64]*Pending
 	abandoned map[uint64]struct{} // timed-out IDs whose late answers are discarded
 	next      uint64
-	version   int
 	broken    error
 
 	// Telemetry, attached via setTelemetry after the handshake and read
@@ -133,44 +127,24 @@ func NewClient(conn io.ReadWriteCloser) *Client {
 		conn:      conn,
 		pending:   make(map[uint64]*Pending),
 		abandoned: make(map[uint64]struct{}),
-		version:   ProtoV1,
 	}
 }
 
-// Version reports the protocol version in use: ProtoV1 until a
-// Handshake negotiates higher.
-func (c *Client) Version() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
-}
-
-// Handshake performs the hello exchange and negotiates the protocol
-// version, capped at maxVersion (values outside [1, ProtoLatest] mean
-// "latest"). It must be the only call in flight: the hello always
-// travels as v1 JSON, and both sides switch codecs between the hello
-// response and the next frame. Returns the agent's hello so the caller
-// can validate node and topology identity.
-func (c *Client) Handshake(maxVersion int) (HelloResult, error) {
-	if maxVersion <= 0 || maxVersion > ProtoLatest {
-		maxVersion = ProtoLatest
-	}
+// Handshake performs the hello exchange and returns the peer's hello so
+// the caller can validate node and topology identity. A peer speaking
+// another protocol version fails the handshake with an error naming both
+// versions — an application error, so callers do not retry it — and the
+// connection is poisoned: none of its later frames could be trusted.
+func (c *Client) Handshake() (HelloResult, error) {
 	var hr HelloResult
-	if err := c.Call(MethodHello, &HelloParams{MaxVersion: maxVersion, Session: c.Session, Properties: c.Properties}, &hr); err != nil {
+	if err := c.Call(MethodHello, &HelloParams{Version: ProtoVersion, Session: c.Session, Properties: c.Properties}, &hr); err != nil {
 		return HelloResult{}, err
 	}
-	ver := hr.Version
-	if ver == 0 {
-		ver = ProtoV1 // v1 agents don't know the field
-	}
-	if ver > maxVersion {
-		err := fmt.Errorf("dist: agent negotiated version %d above our cap %d", ver, maxVersion)
+	if hr.Version != ProtoVersion {
+		err := fmt.Errorf("dist: wire protocol v%d, peer %q answered v%d", ProtoVersion, hr.Node, hr.Version)
 		c.fail(0, err)
 		return HelloResult{}, err
 	}
-	c.mu.Lock()
-	c.version = ver
-	c.mu.Unlock()
 	return hr, nil
 }
 
@@ -182,8 +156,7 @@ func (c *Client) Call(method string, params, result any) error {
 
 // Go starts a call without waiting for the response. result (if
 // non-nil) is written before Wait returns; it must not be read until
-// then. On a v2 connection result must be one of the wire message
-// types.
+// then. params and result must be wire message types.
 func (c *Client) Go(method string, params, result any) *Pending {
 	p := &Pending{method: method, result: result, errc: make(chan error, 1)}
 	c.mu.Lock()
@@ -197,7 +170,6 @@ func (c *Client) Go(method string, params, result any) *Pending {
 	id := c.next
 	p.id = id
 	c.pending[id] = p
-	ver := c.version
 	tm := c.tm
 	if tm != nil || c.tracer != nil {
 		p.start = time.Now()
@@ -209,7 +181,7 @@ func (c *Client) Go(method string, params, result any) *Pending {
 	// race back before this goroutine regains the CPU.
 	c.readerOnce.Do(func() { go c.readLoop() })
 
-	frame, err := encodeRequest(id, method, params, ver)
+	frame, err := encodeRequest(id, method, params)
 	if err != nil {
 		// An unencodable request is a caller bug, not stream corruption:
 		// nothing hit the wire, so the connection stays healthy.
@@ -318,24 +290,7 @@ func (c *Client) readLoop() {
 			c.fail(0, fmt.Errorf("recv: %v", err))
 			return
 		}
-		// The payload's first octet discriminates the codec: v2
-		// responses lead with their kind byte, JSON documents with '{'.
-		// Decoding by inspection (rather than tracked state) makes the
-		// v1→v2 switch raceless: the frame says what it is.
-		var (
-			id     uint64
-			errMsg string
-			body   []byte
-			isV2   bool
-		)
-		if len(payload) > 0 && payload[0] == frameResponseV2 {
-			isV2 = true
-			id, errMsg, body, err = parseResponseV2(payload)
-		} else {
-			var resp response
-			err = json.Unmarshal(payload, &resp)
-			id, errMsg, body = resp.ID, resp.Error, resp.Result
-		}
+		id, errMsg, body, err := parseResponseV2(payload)
 		if err != nil {
 			c.fail(id, fmt.Errorf("garbled response: %v", err))
 			return
@@ -363,7 +318,7 @@ func (c *Client) readLoop() {
 		}
 		tm.clientDone(p.method, p.start, len(payload))
 		p.span.End()
-		callErr := c.complete(p, errMsg, body, isV2)
+		callErr := c.complete(p, errMsg, body)
 		p.errc <- callErr
 		if callErr != nil && errors.Is(callErr, ErrClientBroken) {
 			return
@@ -374,71 +329,37 @@ func (c *Client) readLoop() {
 // complete decodes one response into its pending call's result. A body
 // that fails to decode poisons the connection (the stream can no longer
 // be trusted) and returns the broken error for this call too.
-func (c *Client) complete(p *Pending, errMsg string, body []byte, isV2 bool) error {
+func (c *Client) complete(p *Pending, errMsg string, body []byte) error {
 	if errMsg != "" {
 		return fmt.Errorf("dist: %s: %s", p.method, errMsg)
 	}
 	if p.result == nil {
 		return nil
 	}
-	if isV2 {
-		msg, ok := p.result.(v2Message)
-		if !ok {
-			return fmt.Errorf("dist: %s result type %T has no v2 decoding", p.method, p.result)
-		}
-		if err := decodeBodyV2(body, msg); err != nil {
-			c.fail(p.id, fmt.Errorf("decode %s result: %v", p.method, err))
-			c.mu.Lock()
-			err = c.broken
-			c.mu.Unlock()
-			return err
-		}
-		return nil
+	msg, ok := p.result.(v2Message)
+	if !ok {
+		return fmt.Errorf("dist: %s result type %T has no wire decoding", p.method, p.result)
 	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, p.result); err != nil {
-			c.fail(p.id, fmt.Errorf("decode %s result: %v", p.method, err))
-			c.mu.Lock()
-			err = c.broken
-			c.mu.Unlock()
-			return err
-		}
+	if err := decodeBodyV2(body, msg); err != nil {
+		c.fail(p.id, fmt.Errorf("decode %s result: %v", p.method, err))
+		c.mu.Lock()
+		err = c.broken
+		c.mu.Unlock()
+		return err
 	}
 	return nil
 }
 
-// encodeRequest renders one request frame (see newFrame) in the given
-// protocol version. v2 params must implement the binary codec. On a
-// connection negotiated down to exactly v2, params carrying v3 tail
-// fields are encoded in their legacy base layout — the v2 decoder on the
-// far side rejects trailing bytes, and an agent that old has no use for
-// the tail fields anyway.
-func encodeRequest(id uint64, method string, params any, version int) ([]byte, error) {
-	if version >= ProtoV2 {
-		var msg v2Message
-		if params != nil {
-			m, ok := params.(v2Message)
-			if !ok {
-				return nil, fmt.Errorf("dist: %s params type %T has no v2 encoding", method, params)
-			}
-			msg = m
-			if tm, tail := m.(v2TailMessage); tail && version == ProtoV2 {
-				msg = v2BaseOnly{m: tm}
-			}
-		}
-		return appendRequestV2(newFrame(), id, method, msg)
-	}
-	req := request{ID: id, Method: method}
+// encodeRequest renders one request frame (see newFrame). params may be
+// nil for parameterless methods.
+func encodeRequest(id uint64, method string, params any) ([]byte, error) {
+	var msg v2Message
 	if params != nil {
-		body, err := json.Marshal(params)
-		if err != nil {
-			return nil, fmt.Errorf("dist: encode %s params: %w", method, err)
+		m, ok := params.(v2Message)
+		if !ok {
+			return nil, fmt.Errorf("dist: %s params type %T has no wire encoding", method, params)
 		}
-		req.Params = body
+		msg = m
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode %s request: %w", method, err)
-	}
-	return append(newFrame(), body...), nil
+	return appendRequestV2(newFrame(), id, method, msg)
 }

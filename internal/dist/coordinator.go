@@ -53,8 +53,7 @@ type Coordinator struct {
 	// propSrcs is the same set in canonical source form, shipped to every
 	// agent in the hello so query_oracle WantProps answers index-align
 	// with props. needsAt marks a set containing `at` route predicates,
-	// which only ≥ ProtoV4 agents can answer — Connect refuses older
-	// negotiations rather than silently skipping the clause.
+	// which the agents answer per node (WantProps).
 	props    []*prop.Compiled
 	propSrcs []string
 	needsAt  bool
@@ -63,9 +62,7 @@ type Coordinator struct {
 	// Connect, read-only afterwards.
 	nodeAS map[string]uint16
 
-	maxVersion  int  // wire protocol cap offered at handshake
-	callAndWait bool // disable pipelining, batching, shared shadow sets
-	policy      RetryPolicy
+	policy RetryPolicy
 
 	// metrics and tracer instrument the coordinator and every client it
 	// dials (WithTelemetry / WithTracer); both are nil-safe no-ops.
@@ -145,23 +142,6 @@ func (nc *nodeConn) noteFault(err error) {
 // ConnOption tunes how Connect drives the wire protocol.
 type ConnOption func(*Coordinator)
 
-// WithMaxVersion caps the protocol version the coordinator offers in
-// its handshakes. WithMaxVersion(ProtoV1) forces JSON framing even
-// against v2 agents — the compatibility escape hatch, and the baseline
-// leg of the wire benchmarks.
-func WithMaxVersion(v int) ConnOption {
-	return func(c *Coordinator) { c.maxVersion = v }
-}
-
-// WithCallAndWait disables request pipelining, relay batching, and
-// shadow-set sharing: every RPC is issued alone and awaited before the
-// next, the pre-v2 transport discipline. Useful for benchmarks
-// (isolating the codec from the scheduling wins) and for bisecting
-// transport bugs.
-func WithCallAndWait() ConnOption {
-	return func(c *Coordinator) { c.callAndWait = true }
-}
-
 // WithRetryPolicy sets the fault-handling knobs: per-call RPC deadline,
 // reconnect budget and backoff shape, degraded-fallback switch, jitter
 // seed. Zero fields take the RetryPolicy defaults.
@@ -192,17 +172,6 @@ func WithTracer(tr *telemetry.Tracer) ConnOption {
 // same way instead of failing the round.
 func WithReplicas(pool *ReplicaPool) ConnOption {
 	return func(c *Coordinator) { c.replicas = pool }
-}
-
-// Versions reports the negotiated wire protocol version per node.
-func (c *Coordinator) Versions() map[string]int {
-	v := make(map[string]int, len(c.conns))
-	for n, nc := range c.conns {
-		if cl, _ := nc.current(); cl != nil {
-			v[n] = cl.Version()
-		}
-	}
-	return v
 }
 
 // Health reports each node's fault-tolerance record: state (healthy /
@@ -275,7 +244,8 @@ func (res *RoundResult) Snapshot() []string {
 // set exactly covers the topology: every node independently
 // administered, none orphaned, none doubled. Transient dial and
 // handshake failures are retried within the RetryPolicy's reconnect
-// budget; identity errors (wrong topology, duplicate node) fail fast.
+// budget; identity errors (wrong protocol version, wrong topology,
+// duplicate node) fail fast.
 func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, copts ...ConnOption) (*Coordinator, error) {
 	if opts.DefaultScenario == "" {
 		opts.DefaultScenario = core.ScenarioRouteLeak
@@ -303,14 +273,13 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 		return nil, err
 	}
 	c := &Coordinator{
-		Topo:       topo,
-		opts:       opts,
-		conns:      make(map[string]*nodeConn, len(dialers)),
-		latency:    make(map[string]time.Duration, len(topo.Edges)),
-		boundary:   boundary,
-		props:      props,
-		nodeAS:     make(map[string]uint16, len(topo.Nodes)),
-		maxVersion: ProtoLatest,
+		Topo:     topo,
+		opts:     opts,
+		conns:    make(map[string]*nodeConn, len(dialers)),
+		latency:  make(map[string]time.Duration, len(topo.Edges)),
+		boundary: boundary,
+		props:    props,
+		nodeAS:   make(map[string]uint16, len(topo.Nodes)),
 	}
 	for _, p := range props {
 		c.propSrcs = append(c.propSrcs, p.Source())
@@ -325,7 +294,7 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 	c.session = newSessionNonce()
 	if c.replicas != nil {
 		c.replicas.setMetrics(c.metrics)
-		if err := c.replicas.bind(c.session, c.maxVersion, c.policy); err != nil {
+		if err := c.replicas.bind(c.session, c.policy); err != nil {
 			return nil, err
 		}
 		c.configs = make(map[string][]string, len(topo.Nodes))
@@ -362,13 +331,6 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 			cl.Close()
 			c.Close()
 			return nil, fmt.Errorf("dist: two agents claim node %q", hello.Node)
-		}
-		if c.needsAt && cl.Version() < ProtoV4 {
-			ver := cl.Version()
-			cl.Close()
-			c.Close()
-			return nil, fmt.Errorf("dist: properties with `at` clauses need wire protocol ≥ %d agents; node %q negotiated %d",
-				ProtoV4, hello.Node, ver)
 		}
 		c.nodeAS[hello.Node] = hello.AS
 		c.conns[hello.Node] = &nodeConn{
@@ -427,8 +389,8 @@ func newSessionNonce() uint64 {
 }
 
 // dialAndHello establishes one identified connection: dial, wrap,
-// apply the RPC deadline, run the hello negotiation, validate the
-// topology identity.
+// apply the RPC deadline, run the hello exchange, validate the topology
+// identity.
 func (c *Coordinator) dialAndHello(d Dialer) (*Client, HelloResult, error) {
 	conn, err := d.Dial()
 	if err != nil {
@@ -438,7 +400,7 @@ func (c *Coordinator) dialAndHello(d Dialer) (*Client, HelloResult, error) {
 	cl.Timeout = c.policy.RPCTimeout
 	cl.Session = c.session
 	cl.Properties = c.propSrcs
-	hello, err := cl.Handshake(c.maxVersion)
+	hello, err := cl.Handshake()
 	if err != nil {
 		cl.Close()
 		return nil, HelloResult{}, err
@@ -450,7 +412,6 @@ func (c *Coordinator) dialAndHello(d Dialer) (*Client, HelloResult, error) {
 	}
 	if c.metrics != nil || c.tracer != nil {
 		cl.setTelemetry(c.metrics, c.tracer, hello.Node)
-		c.metrics.noteWireVersion(hello.Node, cl.Version())
 	}
 	return cl, hello, nil
 }
@@ -1112,25 +1073,14 @@ func (s *shadowSet) nextKey() uint64 {
 }
 
 // openShadows opens one shadow per node; closeShadows tears them down.
-// When pipelining is on, all opens are in flight at once — the agents
-// sit on different connections, so the fan-out completes in one RTT. A
+// All opens are in flight at once — the agents sit on different
+// connections, so the fan-out completes in one RTT. A
 // transport fault on the pipelined attempt falls back to the retrying
 // call path for that node (the retry may leak one clone on an agent
 // that executed the open but lost the answer — bounded, and freed with
 // the agent's next restart).
 func (c *Coordinator) openShadows() (*shadowSet, error) {
 	shadows := &shadowSet{ids: make(map[string]uint64, len(c.nodes))}
-	if c.callAndWait {
-		for _, n := range c.nodes {
-			var out ShadowOpenResult
-			if err := c.call(n, MethodShadowOpen, nil, &out); err != nil {
-				c.closeShadows(shadows)
-				return nil, err
-			}
-			shadows.ids[n] = out.ShadowID
-		}
-		return shadows, nil
-	}
 	outs := make([]ShadowOpenResult, len(c.nodes))
 	pend := make([]*Pending, len(c.nodes))
 	for i, n := range c.nodes {
@@ -1165,12 +1115,7 @@ func (c *Coordinator) closeShadows(shadows *shadowSet) {
 	}
 	pend := make([]*Pending, 0, len(shadows.ids))
 	for n, id := range shadows.ids {
-		p := c.goNode(n, MethodShadowClose, &ShadowCloseParams{ShadowID: id}, nil)
-		if c.callAndWait {
-			_ = p.Wait()
-		} else {
-			pend = append(pend, p)
-		}
+		pend = append(pend, c.goNode(n, MethodShadowClose, &ShadowCloseParams{ShadowID: id}, nil))
 	}
 	for _, p := range pend {
 		_ = p.Wait()
@@ -1192,24 +1137,13 @@ func (c *Coordinator) query(shadows *shadowSet, node string, prefix netaddr.Pref
 }
 
 // queryMany fans the same oracle query out to several nodes and returns
-// the answers keyed by node. Under call-and-wait it degrades to the
-// sequential loop; the answers are identical either way — converged
-// shadows are read-only to queries — so callers may evaluate them in
-// any order they need for deterministic violation ordering. Queries are
+// the answers keyed by node. Converged shadows are read-only to queries,
+// so callers may evaluate the answers in any order they need for
+// deterministic violation ordering. Queries are
 // read-only and safely re-issued, so a transport fault on the pipelined
 // attempt retries through the recovery path.
 func (c *Coordinator) queryMany(shadows *shadowSet, nodes []string, prefix netaddr.Prefix, wantProps bool) (map[string]*QueryOracleResult, error) {
 	out := make(map[string]*QueryOracleResult, len(nodes))
-	if c.callAndWait {
-		for _, n := range nodes {
-			q, err := c.query(shadows, n, prefix, wantProps)
-			if err != nil {
-				return nil, err
-			}
-			out[n] = q
-		}
-		return out, nil
-	}
 	outs := make([]QueryOracleResult, len(nodes))
 	pend := make([]*Pending, len(nodes))
 	for i, n := range nodes {
@@ -1259,14 +1193,12 @@ func (c *Coordinator) relay(shadows *shadowSet, queue *relayQueue, maxSteps int)
 		// that is never zero, so nothing pushed while serving this
 		// batch could have sorted inside it.
 		batch := []*relayEvent{e}
-		if c.batchTo(e.to) {
-			for queue.Len() > 0 && steps+len(batch) < maxSteps {
-				head := (*queue)[0]
-				if head.at != e.at || head.to != e.to {
-					break
-				}
-				batch = append(batch, heap.Pop(queue).(*relayEvent))
+		for queue.Len() > 0 && steps+len(batch) < maxSteps {
+			head := (*queue)[0]
+			if head.at != e.at || head.to != e.to {
+				break
 			}
+			batch = append(batch, heap.Pop(queue).(*relayEvent))
 		}
 		if len(batch) > 1 {
 			c.metrics.noteWitnessBatch()
@@ -1297,18 +1229,6 @@ func (c *Coordinator) relay(shadows *shadowSet, queue *relayQueue, maxSteps int)
 	}
 	c.metrics.setRelayDepth(queue.Len())
 	return steps, queue.Len(), waves, nil
-}
-
-// batchTo reports whether deliveries to node may be coalesced into
-// inject_witness_batch calls: the connection must have negotiated v2
-// (a genuinely old agent doesn't know the method) and batching must not
-// be disabled.
-func (c *Coordinator) batchTo(node string) bool {
-	if c.callAndWait {
-		return false
-	}
-	cl, _ := c.conns[node].current()
-	return cl != nil && cl.Version() >= ProtoV2
 }
 
 // deliver ships a batch of deliveries to one agent — a single
@@ -1395,20 +1315,9 @@ func (c *Coordinator) CheckWitness(node, peer string, w *bgp.Update) (*core.Witn
 // (stale routes, withdrawn paths) lives entirely under prefixes the
 // later witnesses never look at. A witness that fails to converge
 // leaves its set mid-churn, so the set is retired and the remaining
-// witnesses get a fresh one. Under call-and-wait this degrades to a
-// CheckWitness loop.
+// witnesses get a fresh one.
 func (c *Coordinator) CheckWitnesses(specs []WitnessSpec) ([]*core.WitnessOutcome, error) {
 	outs := make([]*core.WitnessOutcome, 0, len(specs))
-	if c.callAndWait {
-		for _, s := range specs {
-			out, err := c.CheckWitness(s.Node, s.Peer, s.Update)
-			if err != nil {
-				return nil, err
-			}
-			outs = append(outs, out)
-		}
-		return outs, nil
-	}
 	for i := 0; i < len(specs); {
 		// Grow the group while the next witness's prefixes stay disjoint
 		// from everything already in it.

@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"dice/internal/concolic"
@@ -358,7 +359,7 @@ func TestDistributedCheckpoint(t *testing.T) {
 
 	// Restore the snapshot off-node and explore it.
 	var ex ExploreResult
-	err = cl.Call(MethodExplore, ExploreParams{
+	err = cl.Call(MethodExplore, &ExploreParams{
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, MaxRuns: 1000,
 	}, &ex)
 	if err != nil {
@@ -421,6 +422,18 @@ func TestConnectValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("Connect accepted an agent from a different topology")
+	}
+
+	// A malformed property fails Connect with the parser's line
+	// diagnostics.
+	bad := fedOpts()
+	bad.Properties = []string{"property broken {\n kind 42;\n}"}
+	_, err = Connect(topo, bad, []Dialer{
+		Loopback{Agent: agents["customer"]}, Loopback{Agent: agents["provider"]},
+		Loopback{Agent: agents["upstream"]},
+	})
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("Connect(malformed property) = %v, want a line-2 parse error", err)
 	}
 
 	// NewAgent for an unknown node fails up front.

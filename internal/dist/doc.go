@@ -28,8 +28,14 @@
 //     core.FederatedResult the in-process backend produces. A parity
 //     test (dist_test.go) holds the two backends to the same findings.
 //
-// Transports: the wire protocol (wire.go) runs over any
-// io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
+// Wire protocol: one binary format (wire.go, wirev2.go) and one call
+// discipline — pipelined requests, batched relay deliveries, shadow sets
+// shared across disjoint witnesses. Every connection opens with a hello
+// carrying ProtoVersion; agent, replica and coordinator each refuse a
+// peer whose version differs, so a fleet is one build. Changing a
+// message layout means bumping ProtoVersion, nothing else.
+//
+// Transports: the protocol runs over any io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
 // gives deterministic single-process tests; TCP gives real process
 // separation (cmd/dicenode is the agent binary, cmd/dice -distributed
 // the coordinator).

@@ -187,10 +187,8 @@ func (f *faultConn) Read(p []byte) (int, error) {
 				time.Sleep(f.delay)
 				out = frameBytes(payload)
 			case FaultGarble:
-				// Flipping the payload's first octet corrupts the codec
-				// discriminator itself: v2 responses lose their kind
-				// byte, v1 JSON loses its '{'. Either way the client
-				// must poison, not guess.
+				// Flipping the payload's first octet costs the response its
+				// kind byte: the client must poison, not guess.
 				payload[0] ^= 0xff
 				out = frameBytes(payload)
 			case FaultKill:

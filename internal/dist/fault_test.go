@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -130,7 +129,7 @@ func TestCallTimeout(t *testing.T) {
 	cl := NewClient(conn)
 	defer cl.Close()
 	cl.Timeout = 100 * time.Millisecond
-	if _, err := cl.Handshake(ProtoLatest); err != nil {
+	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,8 +218,7 @@ func TestBrokenError(t *testing.T) {
 		if _, err := readPayload(srvConn); err != nil {
 			return
 		}
-		body, _ := json.Marshal(response{ID: 99})
-		writePayload(srvConn, body) //nolint:errcheck // test server
+		writePayload(srvConn, appendResponseV2(nil, 99, "", nil)) //nolint:errcheck // test server
 	}()
 	cl := NewClient(cliConn)
 	defer cl.Close()
@@ -426,20 +424,11 @@ func (k *methodKiller) Write(p []byte) (int, error) {
 func (k *methodKiller) Read(p []byte) (int, error) { return k.inner.Read(p) }
 func (k *methodKiller) Close() error               { return k.inner.Close() }
 
-// requestMethod sniffs a request payload's method in either codec.
+// requestMethod sniffs a request payload's method ("" for anything
+// that is not a request envelope).
 func requestMethod(payload []byte) string {
-	if len(payload) > 0 && payload[0] == frameRequestV2 {
-		_, m, _, err := parseRequestV2(payload)
-		if err != nil {
-			return ""
-		}
-		return m
-	}
-	var req request
-	if json.Unmarshal(payload, &req) != nil {
-		return ""
-	}
-	return req.Method
+	_, m, _, _ := parseRequestV2(payload)
+	return m
 }
 
 // killDialer arms the first produced connection with a methodKiller;
@@ -473,14 +462,11 @@ func (d *killDialer) fired() bool {
 }
 
 // TestAgentDiesMidCall: the agent's connection dies the instant a
-// specific request has been written — mid-explore and mid-delivery, on
-// both codecs, including mid-inject_witness_batch on v2 (v1 never
-// batches, so its delivery case is the single inject). The round must
-// reconnect, retry through the idempotency memos, and land on the
-// fault-free snapshot.
+// specific request has been written — mid-explore and
+// mid-inject_witness_batch. The round must reconnect, retry through the
+// idempotency memos, and land on the fault-free snapshot.
 func TestAgentDiesMidCall(t *testing.T) {
 	leakCheck(t)
-	v1 := []ConnOption{WithMaxVersion(ProtoV1), WithCallAndWait()}
 	clean := loopbackCoordinator(t, diamondTopo(), fedOpts())
 	cleanRes, err := clean.Round()
 	if err != nil {
@@ -495,12 +481,9 @@ func TestAgentDiesMidCall(t *testing.T) {
 		name   string
 		node   string
 		method string
-		copts  []ConnOption
 	}{
-		{"v2-mid-explore", "apex", MethodExplore, nil},
-		{"v2-mid-inject-batch", "sink", MethodInjectWitnessBatch, nil},
-		{"v1-mid-explore", "apex", MethodExplore, v1},
-		{"v1-mid-inject", "sink", MethodInjectWitness, v1},
+		{"v2-mid-explore", "apex", MethodExplore},
+		{"v2-mid-inject-batch", "sink", MethodInjectWitnessBatch},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -519,8 +502,7 @@ func TestAgentDiesMidCall(t *testing.T) {
 				}
 				dialers = append(dialers, d)
 			}
-			copts := append([]ConnOption{WithRetryPolicy(chaosPolicy())}, tc.copts...)
-			coord, err := Connect(topo, fedOpts(), dialers, copts...)
+			coord, err := Connect(topo, fedOpts(), dialers, WithRetryPolicy(chaosPolicy()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -654,7 +636,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	cl := NewClient(conn)
 	defer cl.Close()
-	if _, err := cl.Handshake(ProtoLatest); err != nil {
+	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -687,7 +669,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err == nil {
 		cl2 := NewClient(conn2)
 		defer cl2.Close()
-		if _, err := cl2.Handshake(ProtoLatest); err == nil {
+		if _, err := cl2.Handshake(); err == nil {
 			t.Error("handshake succeeded against a shut-down agent")
 		}
 	}
@@ -761,36 +743,6 @@ func TestChaosParityReplay(t *testing.T) {
 				t.Errorf("seed %d: post-replay chaos snapshot diverged:\n--- in-process ---\n%s\n--- chaos ---\n%s", seed, want, got)
 			}
 		})
-	}
-}
-
-// TestChaosParityV1: one chaos pass over the v1 JSON codec with
-// pipelining and batching disabled — the fault ladder must hold on the
-// compatibility path too.
-func TestChaosParityV1(t *testing.T) {
-	leakCheck(t)
-	topo, err := core.LoadTopology("../../examples/federated/topo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := core.NewFederatedExperiment(topo, fedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join(inproc.Snapshot(), "\n")
-
-	seed := chaosSeeds()[0]
-	coord := chaosCoordinator(t, topo, fedOpts(), seed, WithMaxVersion(ProtoV1), WithCallAndWait())
-	res, err := coord.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(res.Snapshot(), "\n"); got != want {
-		t.Errorf("v1 chaos snapshot diverged:\n--- in-process ---\n%s\n--- chaos ---\n%s", want, got)
 	}
 }
 

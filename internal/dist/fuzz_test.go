@@ -68,10 +68,16 @@ func fuzzFrameSeeds(t interface{ Helper() }) [][]byte {
 	errResp := appendResponseV2(nil, 4, "dist: boom", nil)
 	badStatus := append([]byte(nil), errResp...)
 	badStatus[2] = 0x02
-	return append(seeds, full, badMethod, badKind, hugeCount, errResp, badStatus)
+	// The hello exchange as it opens every connection.
+	helloReq, err := appendRequestV2(nil, 1, MethodHello, &HelloParams{Version: ProtoVersion, Session: 0xfeedbeefcafe})
+	if err != nil {
+		panic(err)
+	}
+	helloResp := appendResponseV2(nil, 1, "", &HelloResult{Node: "as65002", Topology: "line-3", AS: 65002, Prefixes: 3, Version: ProtoVersion})
+	return append(seeds, full, badMethod, badKind, hugeCount, errResp, badStatus, helloReq, helloResp)
 }
 
-// FuzzDecodeFrame: whatever payload bytes arrive, the v2 envelope
+// FuzzDecodeFrame: whatever payload bytes arrive, the envelope
 // parsers and every typed body decode must either succeed or return an
 // error — never panic, never over-allocate on a lying count. Anything
 // that parses must re-encode and re-parse to the same value (the codec

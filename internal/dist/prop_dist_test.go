@@ -15,9 +15,9 @@ import (
 // the distributed backend: loading the bundled .prop re-expressions of
 // the route-leak and stale-route oracles as external properties must
 // leave the canonical snapshot byte-identical to the hard-coded round —
-// on both committed example topologies, over both codecs. The property
-// sources cross the wire in hello and the oracle verdicts come back
-// through the same fact-collection RPCs either way, so any drift
+// on both committed example topologies. The property sources cross the
+// wire in hello and the oracle verdicts come back through the
+// fact-collection RPCs, so any drift
 // between the declarative and the built-in oracle shows up here as a
 // snapshot diff.
 func TestDistributedPropertyGoldenParity(t *testing.T) {
@@ -43,27 +43,18 @@ func TestDistributedPropertyGoldenParity(t *testing.T) {
 			t.Fatalf("%s: parity vacuous: the hard-coded round found no violations", topo.Name)
 		}
 
-		cases := []struct {
-			name  string
-			copts []ConnOption
-		}{
-			{"binary", nil},
-			{"v1-json", []ConnOption{WithMaxVersion(ProtoV1), WithCallAndWait()}},
-		}
-		for _, tc := range cases {
-			t.Run(topo.Name+"/"+tc.name, func(t *testing.T) {
-				opts := fedOpts()
-				opts.Properties = bundled
-				coord := loopbackCoordinator(t, topo, opts, tc.copts...)
-				res, err := coord.Round()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := strings.Join(res.Snapshot(), "\n"); got != want {
-					t.Errorf("declared-property snapshot diverged from hard-coded oracles:\n--- hard-coded in-process ---\n%s\n--- declared distributed ---\n%s", want, got)
-				}
-			})
-		}
+		t.Run(topo.Name+"/binary", func(t *testing.T) {
+			opts := fedOpts()
+			opts.Properties = bundled
+			coord := loopbackCoordinator(t, topo, opts)
+			res, err := coord.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(res.Snapshot(), "\n"); got != want {
+				t.Errorf("declared-property snapshot diverged from hard-coded oracles:\n--- hard-coded in-process ---\n%s\n--- declared distributed ---\n%s", want, got)
+			}
+		})
 	}
 }
 
@@ -106,66 +97,12 @@ func TestDistributedPropertyAtParity(t *testing.T) {
 	}
 
 	coord := loopbackCoordinator(t, leakTopo3(), opts)
-	for node, v := range coord.Versions() {
-		if v < ProtoV4 {
-			t.Fatalf("node %s negotiated v%d; at-clause checking needs ≥ v%d", node, v, ProtoV4)
-		}
-	}
 	res, err := coord.Round()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(res.Snapshot(), "\n"); got != want {
 		t.Errorf("at-property snapshot diverged:\n--- in-process ---\n%s\n--- distributed ---\n%s", want, got)
-	}
-}
-
-// TestConnectAtPropertyVersionGate: a property whose `at` clause needs
-// remote verdicts cannot be checked against agents that negotiated a
-// pre-v4 protocol — Connect must fail fast instead of silently
-// evaluating the clause as a conservative match.
-func TestConnectAtPropertyVersionGate(t *testing.T) {
-	topo := leakTopo3()
-	opts := fedOpts()
-	opts.Properties = atProps()
-	var dialers []Dialer
-	for _, n := range topo.Nodes {
-		ag, err := NewAgent(topo, n.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ag.MaxProtoVersion = ProtoV3
-		dialers = append(dialers, Loopback{Agent: ag})
-	}
-	_, err := Connect(topo, opts, dialers)
-	if err == nil {
-		t.Fatal("Connect accepted at-clause properties over a v3 fleet")
-	}
-	if !strings.Contains(err.Error(), "wire protocol") {
-		t.Errorf("gate error %q does not name the wire protocol requirement", err)
-	}
-
-	// The same properties over a current fleet connect fine — the gate
-	// keys on the negotiated version, not on the properties alone.
-	coord := loopbackCoordinator(t, topo, opts)
-	if coord == nil {
-		t.Fatal("current fleet refused at-clause properties")
-	}
-
-	// And a malformed property fails Connect with the parser's line
-	// diagnostics, whichever protocol the fleet speaks.
-	bad := fedOpts()
-	bad.Properties = []string{"property broken {\n kind 42;\n}"}
-	var fresh []Dialer
-	for _, n := range topo.Nodes {
-		ag, err := NewAgent(topo, n.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh = append(fresh, Loopback{Agent: ag})
-	}
-	if _, err := Connect(topo, bad, fresh); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("Connect(malformed property) = %v, want a line-2 parse error", err)
 	}
 }
 
@@ -186,12 +123,10 @@ func fatLeakTopo3() *core.Topology {
 }
 
 // TestReplicaPageCacheWarmRounds is the paging acceptance at fleet
-// level: the same two-round ReuseState schedule runs once against a
-// paged (v4) replica and once against a v3-capped one. Both must land
-// on the unpaged fleet's snapshot, and the only wire difference between
-// the schedules is the second checkpoint shipment — full state to the
-// v3 replica, content hashes to the paged one — so the paged schedule
-// must move strictly fewer bytes.
+// level: a two-round ReuseState schedule against a replica pool must
+// land on the unpaged fleet's snapshot, and the second round — whose
+// checkpoint is unchanged, so it ships content hashes instead of pages —
+// must move fewer bytes than the first by at least half the checkpoint.
 func TestReplicaPageCacheWarmRounds(t *testing.T) {
 	opts := fedOpts()
 	opts.ReuseState = true
@@ -206,39 +141,29 @@ func TestReplicaPageCacheWarmRounds(t *testing.T) {
 	}
 	want := strings.Join(refWarm.Snapshot(), "\n")
 
-	twoRounds := func(t *testing.T, r *Replica) (snapshot string, wired int64) {
-		t.Helper()
-		var wire int64
-		pool := &ReplicaPool{Dialers: []Dialer{
-			countingDialer{inner: ReplicaLoopback{Replica: r}, bytes: &wire},
-		}}
-		coord := loopbackCoordinator(t, fatLeakTopo3(), opts, WithReplicas(pool))
-		if _, err := coord.Round(); err != nil {
-			t.Fatal(err)
-		}
-		res, err := coord.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := pool.Stats(); st.Completed != 2 {
-			t.Fatalf("pool completed %d shards over two rounds, want 2", st.Completed)
-		}
-		return strings.Join(res.Snapshot(), "\n"), atomic.LoadInt64(&wire)
+	var wire int64
+	pool := &ReplicaPool{Dialers: []Dialer{
+		countingDialer{inner: ReplicaLoopback{Replica: NewReplica()}, bytes: &wire},
+	}}
+	coord := loopbackCoordinator(t, fatLeakTopo3(), opts, WithReplicas(pool))
+	if _, err := coord.Round(); err != nil {
+		t.Fatal(err)
 	}
-
-	paged, pagedWire := twoRounds(t, NewReplica())
-	capped := NewReplica()
-	capped.MaxProtoVersion = ProtoV3
-	unpaged, unpagedWire := twoRounds(t, capped)
-
-	if paged != want {
-		t.Errorf("paged warm round diverged:\n--- no replicas ---\n%s\n--- paged ---\n%s", want, paged)
+	cold := atomic.LoadInt64(&wire)
+	res, err := coord.Round()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if unpaged != want {
-		t.Errorf("v3-replica warm round diverged:\n--- no replicas ---\n%s\n--- v3 ---\n%s", want, unpaged)
+	warm := atomic.LoadInt64(&wire) - cold
+	if st := pool.Stats(); st.Completed != 2 {
+		t.Fatalf("pool completed %d shards over two rounds, want 2", st.Completed)
 	}
-	if pagedWire >= unpagedWire {
-		t.Errorf("paged schedule moved %d bytes, v3 schedule %d — the page cache saved nothing", pagedWire, unpagedWire)
+	if got := strings.Join(res.Snapshot(), "\n"); got != want {
+		t.Errorf("paged warm round diverged:\n--- no replicas ---\n%s\n--- paged ---\n%s", want, got)
+	}
+	ck, _ := checkpointAndSeed(t, fatLeakTopo3())
+	if cold-warm < int64(len(ck))/2 {
+		t.Errorf("cold round moved %d bytes, warm round %d, checkpoint is %d — the page cache saved nothing", cold, warm, len(ck))
 	}
 }
 
@@ -275,7 +200,7 @@ func TestReplicaPageCacheWireReduction(t *testing.T) {
 	cl := NewClient(writeCountingConn{ReadWriteCloser: conn, n: &written})
 	defer cl.Close()
 	cl.Session = 32
-	if _, err := cl.Handshake(ProtoLatest); err != nil {
+	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -329,7 +254,7 @@ func TestReplicaPageMissRecovery(t *testing.T) {
 	cl := NewClient(conn)
 	defer cl.Close()
 	cl.Session = 31
-	if _, err := cl.Handshake(ProtoLatest); err != nil {
+	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,15 +2,14 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"dice/internal/core"
+	"time"
 )
 
 // writePayload frames and sends an already-encoded payload, the way the
@@ -19,130 +18,182 @@ func writePayload(w io.Writer, body []byte) error {
 	return sendFrame(w, append(newFrame(), body...))
 }
 
-// versionedCoordinator builds one loopback agent per node with the
-// given protocol cap and connects a coordinator with the given options.
-func versionedCoordinator(t *testing.T, topo *core.Topology, opts core.FederatedOptions, agentMax int, copts ...ConnOption) *Coordinator {
-	t.Helper()
-	var dialers []Dialer
-	for _, n := range topo.Nodes {
-		ag, err := NewAgent(topo, n.Name)
-		if err != nil {
-			t.Fatalf("agent %s: %v", n.Name, err)
-		}
-		ag.MaxProtoVersion = agentMax
-		dialers = append(dialers, Loopback{Agent: ag})
-	}
-	c, err := Connect(topo, opts, dialers, copts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
+// dialCounter counts the dials Connect or a replica pool spends on one
+// peer.
+type dialCounter struct {
+	Dialer
+	n atomic.Int64
 }
 
-// TestProtoNegotiationMatrix is the version-skew acceptance: current
-// coordinator against v1 JSON agents, against v2-capped binary agents
-// (exercising the legacy base-layout encoders), a capped coordinator
-// against current agents, and the call-and-wait discipline all
-// negotiate the expected version and complete a round whose canonical
-// snapshot is identical to the in-process backend's — findings,
-// witnesses, minimal witnesses, violations and step counts line by
-// line.
-func TestProtoNegotiationMatrix(t *testing.T) {
-	topo, err := core.LoadTopology("../../examples/federated/topo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := core.NewFederatedExperiment(topo, minimizeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join(inproc.Snapshot(), "\n")
+func (d *dialCounter) Dial() (io.ReadWriteCloser, error) {
+	d.n.Add(1)
+	return d.Dialer.Dial()
+}
 
-	cases := []struct {
-		name     string
-		agentMax int
-		copts    []ConnOption
-		wantVer  int
-	}{
-		{"v4-both", 0, nil, ProtoV4},
-		{"v4-coordinator-v1-agents", ProtoV1, nil, ProtoV1},
-		{"v4-coordinator-v2-agents", ProtoV2, nil, ProtoV2},
-		{"v4-coordinator-v3-agents", ProtoV3, nil, ProtoV3},
-		{"v1-coordinator-v4-agents", 0, []ConnOption{WithMaxVersion(ProtoV1)}, ProtoV1},
-		{"v2-coordinator-v4-agents", 0, []ConnOption{WithMaxVersion(ProtoV2)}, ProtoV2},
-		{"v3-coordinator-v4-agents", 0, []ConnOption{WithMaxVersion(ProtoV3)}, ProtoV3},
-		{"v4-call-and-wait", 0, []ConnOption{WithCallAndWait()}, ProtoV4},
-		{"v2-call-and-wait", ProtoV2, []ConnOption{WithCallAndWait()}, ProtoV2},
-		{"v1-call-and-wait", 0, []ConnOption{WithMaxVersion(ProtoV1), WithCallAndWait()}, ProtoV1},
+// helloStub is a peer that answers the hello claiming the given protocol
+// version, then holds the connection until the client drops it.
+type helloStub struct {
+	node, topology string
+	version        int
+}
+
+func (s helloStub) Dial() (io.ReadWriteCloser, error) {
+	cli, srv := net.Pipe()
+	go func() {
+		defer srv.Close()
+		payload, err := readPayload(srv)
+		if err != nil {
+			return
+		}
+		id, _, _, err := parseRequestV2(payload)
+		if err != nil {
+			return
+		}
+		hello := &HelloResult{Node: s.node, Topology: s.topology, Version: s.version}
+		if writePayload(srv, appendResponseV2(nil, id, "", hello)) == nil {
+			_, _ = io.Copy(io.Discard, srv)
+		}
+	}()
+	return cli, nil
+}
+
+// skewDialer shifts the version the client's hello carries by delta, so
+// a real server sees a client from another protocol version.
+type skewDialer struct {
+	inner Dialer
+	delta int
+}
+
+func (d skewDialer) Dial() (io.ReadWriteCloser, error) {
+	conn, err := d.inner.Dial()
+	if err != nil {
+		return nil, err
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			coord := versionedCoordinator(t, topo, minimizeOpts(), tc.agentMax, tc.copts...)
-			for node, v := range coord.Versions() {
-				if v != tc.wantVer {
-					t.Fatalf("node %s negotiated v%d, want v%d", node, v, tc.wantVer)
+	return &skewConn{ReadWriteCloser: conn, delta: d.delta}, nil
+}
+
+type skewConn struct {
+	io.ReadWriteCloser
+	delta int
+	done  bool
+}
+
+func (c *skewConn) Write(p []byte) (int, error) {
+	if c.done {
+		return c.ReadWriteCloser.Write(p)
+	}
+	c.done = true
+	// The hello is the connection's first frame: length prefix, kind
+	// octet, request id 1, method code, then the one-octet version.
+	q := append([]byte(nil), p...)
+	q[frameHeader+3] = byte(int(q[frameHeader+3]) + c.delta)
+	if _, err := c.ReadWriteCloser.Write(q); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestHelloVersionMismatch is the fail-fast contract that replaced
+// negotiation: a peer one protocol version off — a stub answering the
+// hello with the wrong version, or a real agent or replica receiving
+// one — fails Connect with both versions in the error after exactly one
+// dial (an application error burns no reconnect budget), and costs a
+// replica pool exactly one dial before the round degrades to its agents.
+func TestHelloVersionMismatch(t *testing.T) {
+	leakCheck(t)
+	topo := leakTopo3()
+	ag, err := NewAgent(topo, "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []int{-1, +1} {
+		mine, theirs := fmt.Sprintf("v%d", ProtoVersion), fmt.Sprintf("v%d", ProtoVersion+delta)
+		peers := []struct {
+			name string
+			d    Dialer
+			says string
+		}{
+			{"stub", helloStub{node: "provider", topology: topo.Name, version: ProtoVersion + delta}, "answered " + theirs},
+			{"agent", skewDialer{Loopback{Agent: ag}, delta}, "this agent speaks " + mine},
+			{"replica", skewDialer{ReplicaLoopback{Replica: NewReplica()}, delta}, "this replica speaks " + mine},
+		}
+		for _, p := range peers {
+			t.Run(p.name+"-"+theirs, func(t *testing.T) {
+				dials := &dialCounter{Dialer: p.d}
+				_, err := Connect(topo, fedOpts(), []Dialer{dials}, WithRetryPolicy(chaosPolicy()))
+				if err == nil {
+					t.Fatal("Connect accepted a peer on another protocol version")
 				}
-			}
-			res, err := coord.Round()
-			if err != nil {
+				for _, want := range []string{mine, theirs, p.says} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("Connect error %q does not contain %q", err, want)
+					}
+				}
+				if n := dials.n.Load(); n != 1 {
+					t.Errorf("Connect dialed the mismatched peer %d times, want 1", n)
+				}
+
+				dials = &dialCounter{Dialer: p.d}
+				pool := &ReplicaPool{Dialers: []Dialer{dials}}
+				coord := loopbackCoordinator(t, topo, fedOpts(), WithReplicas(pool), WithRetryPolicy(chaosPolicy()))
+				res, err := coord.Round()
+				if err != nil {
+					t.Fatalf("round over a refused replica pool: %v", err)
+				}
+				if len(res.Violations) == 0 {
+					t.Error("degraded round found no violations")
+				}
+				if n, st := dials.n.Load(), pool.Stats(); n != 1 || st.Completed != 0 {
+					t.Errorf("pool dialed the mismatched peer %d times and completed %d shards, want 1 and 0", n, st.Completed)
+				}
+			})
+		}
+	}
+}
+
+// TestProtoRejectsJSONFirstFrame: a pre-binary build opens with a JSON
+// document. Agent and replica must end that connection with a
+// malformed-frame error — not answer, hang or panic.
+func TestProtoRejectsJSONFirstFrame(t *testing.T) {
+	leakCheck(t)
+	ag, err := NewAgent(leakTopo3(), "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := []struct {
+		name  string
+		serve func(io.ReadWriteCloser) error
+	}{
+		{"agent", ag.ServeConn},
+		{"replica", NewReplica().ServeConn},
+	}
+	for _, srv := range servers {
+		t.Run(srv.name, func(t *testing.T) {
+			cli, far := net.Pipe()
+			defer cli.Close()
+			served := make(chan error, 1)
+			go func() { served <- srv.serve(far) }()
+			if err := writePayload(cli, []byte(`{"id":1,"method":"hello","params":{"max_version":4}}`)); err != nil {
 				t.Fatal(err)
 			}
-			got := strings.Join(res.Snapshot(), "\n")
-			if got != want {
-				t.Errorf("snapshot differs from in-process:\n--- in-process ---\n%s\n--- %s ---\n%s", want, tc.name, got)
+			select {
+			case err := <-served:
+				if !errors.Is(err, errV2Frame) {
+					t.Errorf("ServeConn returned %v, want a malformed-frame error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("ServeConn still serving a connection that opened with JSON")
+			}
+			if _, err := cli.Read(make([]byte, 1)); err == nil {
+				t.Error("server answered a JSON first frame")
 			}
 		})
 	}
 }
 
-// TestProtoNegotiationTCP runs the v1-fallback and v2 paths over real
-// sockets: same round, same violations either way.
-func TestProtoNegotiationTCP(t *testing.T) {
-	run := func(t *testing.T, copts ...ConnOption) []string {
-		topo := leakTopo3()
-		var dialers []Dialer
-		for _, n := range topo.Nodes {
-			ag, err := NewAgent(topo, n.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { ln.Close() })
-			go ag.ListenAndServe(ln) //nolint:errcheck // ends when ln closes
-			dialers = append(dialers, TCPDialer{Addr: ln.Addr().String()})
-		}
-		coord, err := Connect(topo, fedOpts(), dialers, copts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coord.Close()
-		res, err := coord.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sortedViolations(res.Violations)
-	}
-	v2 := run(t)
-	v1 := run(t, WithMaxVersion(ProtoV1), WithCallAndWait())
-	if len(v2) == 0 {
-		t.Fatal("TCP v2 round found no violations")
-	}
-	if strings.Join(v1, "\n") != strings.Join(v2, "\n") {
-		t.Errorf("TCP violations differ across protocol versions:\n v2: %v\n v1: %v", v2, v1)
-	}
-}
-
 // misbehavingServer answers every frame through respond, exercising the
 // client's protocol-error handling.
-func misbehavingServer(t *testing.T, respond func(conn io.Writer, req request)) *Client {
+func misbehavingServer(t *testing.T, respond func(conn io.Writer, id uint64)) *Client {
 	t.Helper()
 	cli, srv := net.Pipe()
 	t.Cleanup(func() { cli.Close(); srv.Close() })
@@ -152,11 +203,11 @@ func misbehavingServer(t *testing.T, respond func(conn io.Writer, req request)) 
 			if err != nil {
 				return
 			}
-			var req request
-			if err := json.Unmarshal(payload, &req); err != nil {
+			id, _, _, err := parseRequestV2(payload)
+			if err != nil {
 				return
 			}
-			respond(srv, req)
+			respond(srv, id)
 		}
 	}()
 	return NewClient(cli)
@@ -170,18 +221,18 @@ func misbehavingServer(t *testing.T, respond func(conn io.Writer, req request)) 
 func TestClientPoisonOnProtocolError(t *testing.T) {
 	cases := []struct {
 		name    string
-		respond func(conn io.Writer, req request)
+		respond func(conn io.Writer, id uint64)
 	}{
-		{"mismatched-id", func(conn io.Writer, req request) {
-			body, _ := json.Marshal(response{ID: req.ID + 7})
-			_ = writePayload(conn, body)
+		{"mismatched-id", func(conn io.Writer, id uint64) {
+			_ = writePayload(conn, appendResponseV2(nil, id+7, "", nil))
 		}},
-		{"garbled-frame", func(conn io.Writer, req request) {
+		{"garbled-frame", func(conn io.Writer, id uint64) {
 			_ = writePayload(conn, []byte("}{ not a document"))
 		}},
-		{"garbled-result", func(conn io.Writer, req request) {
-			body, _ := json.Marshal(response{ID: req.ID, Result: json.RawMessage(`{"shadow_id": "not a number"}`)})
-			_ = writePayload(conn, body)
+		{"garbled-result", func(conn io.Writer, id uint64) {
+			// A ShadowOpenResult body is one uvarint; a second octet is
+			// trailing garbage.
+			_ = writePayload(conn, append(appendResponseV2(nil, id, "", &ShadowOpenResult{ShadowID: 1}), 0x00))
 		}},
 	}
 	for _, tc := range cases {
@@ -217,11 +268,8 @@ func TestClientPipelinedCalls(t *testing.T) {
 	}
 	cl := NewClient(conn)
 	defer cl.Close()
-	if _, err := cl.Handshake(ProtoLatest); err != nil {
+	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
-	}
-	if cl.Version() != ProtoLatest {
-		t.Fatalf("negotiated v%d, want v%d", cl.Version(), ProtoLatest)
 	}
 	const n = 64
 	outs := make([]ShadowOpenResult, n)
@@ -274,7 +322,7 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	conn := &ioCountingConn{ReadWriteCloser: inner}
 	cl := NewClient(conn)
 	defer cl.Close()
-	if _, err := cl.Handshake(ProtoLatest); err != nil {
+	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
 	var open ShadowOpenResult
@@ -302,7 +350,7 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	if len(cp.State) <= frameReadBuffer {
 		t.Errorf("checkpoint of %d bytes does not exercise the large-frame path", len(cp.State))
 	}
-	direct, err := ag.handleV2(MethodCheckpoint, nil)
+	direct, err := ag.handle(MethodCheckpoint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +359,7 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	}
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		frame, err := encodeRequest(7, MethodQueryOracle, q, ProtoLatest)
+		frame, err := encodeRequest(7, MethodQueryOracle, q)
 		if err == nil {
 			err = sendFrame(io.Discard, frame)
 		}

@@ -3,7 +3,6 @@ package dist
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -27,10 +26,6 @@ import (
 // isolation over their checkpointed states" worker, as a server).
 type Replica struct {
 	rpcServer
-
-	// MaxProtoVersion caps the negotiated wire protocol version
-	// (0 = ProtoLatest), exactly as on the Agent.
-	MaxProtoVersion int
 
 	// reqMu serializes request handling: each replica explores one shard
 	// at a time (a pool's parallelism is across replicas, like the
@@ -99,38 +94,15 @@ func (r *Replica) EnableTelemetry(reg *telemetry.Registry) {
 	r.concolicM = concolic.NewMetrics(reg)
 }
 
-// handle dispatches one v1 request. Replicas answer only hello and
+// handle dispatches one request. Replicas answer only hello and
 // explore_checkpoint — they have no node to checkpoint, shadow or query.
-func (r *Replica) handle(method string, params json.RawMessage) (any, error) {
+func (r *Replica) handle(method string, body []byte) (any, error) {
 	r.reqMu.Lock()
 	defer r.reqMu.Unlock()
 	switch method {
 	case MethodHello:
-		var p HelloParams
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &p); err != nil {
-				return nil, err
-			}
-		}
-		return r.hello(p), nil
-	case MethodExploreCheckpoint:
-		var p ReplicaExploreParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return r.explore(p)
-	}
-	return nil, fmt.Errorf("dist: replica does not serve %q", method)
-}
-
-// handleV2 dispatches one binary-codec request.
-func (r *Replica) handleV2(method string, body []byte) (any, error) {
-	r.reqMu.Lock()
-	defer r.reqMu.Unlock()
-	switch method {
-	case MethodHello:
-		var p HelloParams
-		if err := decodeBodyV2(body, &p); err != nil {
+		p, err := decodeHello(body, "replica")
+		if err != nil {
 			return nil, err
 		}
 		return r.hello(p), nil
@@ -144,8 +116,8 @@ func (r *Replica) handleV2(method string, body []byte) (any, error) {
 	return nil, fmt.Errorf("dist: replica does not serve %q", method)
 }
 
-// hello negotiates the protocol version and scopes the memo to the
-// coordinator session, mirroring the Agent's hello. The Node field
+// hello scopes the memo to the coordinator session, mirroring the Agent's
+// hello. The Node field
 // carries the replica role marker instead of a topology node — a
 // coordinator cross-checking node identity fails fast if it dials a
 // replica where it expected an agent.
@@ -155,18 +127,10 @@ func (r *Replica) hello(p HelloParams) *HelloResult {
 		clear(r.memo)
 		clear(r.pages)
 	}
-	replicaMax := r.MaxProtoVersion
-	if replicaMax <= 0 || replicaMax > ProtoLatest {
-		replicaMax = ProtoLatest
-	}
-	clientMax := p.MaxVersion
-	if clientMax <= 0 {
-		clientMax = ProtoV1
-	}
 	return &HelloResult{
 		Node:     "(replica)",
 		Topology: "(replica)",
-		Version:  min(clientMax, replicaMax),
+		Version:  ProtoVersion,
 	}
 }
 

@@ -62,8 +62,7 @@ func benchASFabric(tb testing.TB, nodes, targets int) (*core.Topology, map[strin
 // generated AS-relationship topology as the replica pool grows: every
 // explore shard pays a simulated WAN round trip to its replica, and the
 // pool hides those round trips behind each other. The acceptance
-// criterion tracked in BENCH_PR8.json is monotone improvement from 1 to
-// 4 replicas with at least 1.8× at 4 — measured on the as1000 legs
+// criterion is monotone improvement from 1 to 4 replicas with at least 1.8× at 4 — measured on the as1000 legs
 // (-short runs a 200-node topology, proving only that the benchmark
 // still runs).
 func BenchmarkReplicaScaling(b *testing.B) {

@@ -43,7 +43,7 @@ func tcpReplicaPool(t *testing.T, n int) *ReplicaPool {
 // whose exploration phase runs on a replica pool — checkpoint and seed
 // shipped over the wire, findings shipped back — must reproduce the
 // 0-replica round finding for finding on both example topologies, over
-// both transports and both codecs.
+// both transports.
 func TestReplicaRoundParity(t *testing.T) {
 	for _, topoPath := range []string{
 		"../../examples/federated/topo.json",
@@ -64,20 +64,16 @@ func TestReplicaRoundParity(t *testing.T) {
 		}
 
 		cases := []struct {
-			name  string
-			pool  func(t *testing.T) *ReplicaPool
-			copts []ConnOption
+			name string
+			pool func(t *testing.T) *ReplicaPool
 		}{
-			{"v2-loopback", func(*testing.T) *ReplicaPool { return replicaPool(2) }, nil},
-			{"v1-loopback", func(*testing.T) *ReplicaPool { return replicaPool(2) },
-				[]ConnOption{WithMaxVersion(ProtoV1), WithCallAndWait()}},
-			{"v2-tcp", func(t *testing.T) *ReplicaPool { return tcpReplicaPool(t, 2) }, nil},
+			{"v2-loopback", func(*testing.T) *ReplicaPool { return replicaPool(2) }},
+			{"v2-tcp", func(t *testing.T) *ReplicaPool { return tcpReplicaPool(t, 2) }},
 		}
 		for _, tc := range cases {
 			t.Run(topo.Name+"/"+tc.name, func(t *testing.T) {
 				pool := tc.pool(t)
-				copts := append([]ConnOption{WithReplicas(pool)}, tc.copts...)
-				coord := loopbackCoordinator(t, topo, fedOpts(), copts...)
+				coord := loopbackCoordinator(t, topo, fedOpts(), WithReplicas(pool))
 				res, err := coord.Round()
 				if err != nil {
 					t.Fatal(err)
@@ -152,11 +148,11 @@ func TestReplicaPoolAutoscale(t *testing.T) {
 			RTT:   40 * time.Millisecond,
 		})
 	}
-	if err := pool.bind(7, ProtoLatest, chaosPolicy()); err != nil {
+	if err := pool.bind(7, chaosPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if err := pool.bind(7, ProtoLatest, chaosPolicy()); err == nil {
+	if err := pool.bind(7, chaosPolicy()); err == nil {
 		t.Error("pool bound twice")
 	}
 
@@ -527,7 +523,7 @@ func TestReplicaSessionScopedMemos(t *testing.T) {
 		}
 		cl := NewClient(conn)
 		cl.Session = session
-		if _, err := cl.Handshake(ProtoLatest); err != nil {
+		if _, err := cl.Handshake(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
@@ -573,7 +569,7 @@ func TestReplicaRefusesAgentMethods(t *testing.T) {
 	}
 	cl := NewClient(conn)
 	defer cl.Close()
-	if _, err := cl.Handshake(ProtoLatest); err != nil {
+	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
 	var ex ExploreResult

@@ -42,19 +42,18 @@ type ReplicaPool struct {
 	// Min=1 and Max=len(Dialers); both are clamped to len(Dialers).
 	Min, Max int
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      []*replicaTask
-	session    uint64
-	maxVersion int
-	policy     RetryPolicy
-	bound      bool
-	closed     bool
-	dead       bool // all dialers consumed, all workers gone
-	started    int  // dialers consumed (== workers ever started)
-	active     int  // workers currently alive
-	stats      ReplicaPoolStats
-	tm         *Metrics // coordinator's telemetry bundle; nil-safe
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*replicaTask
+	session uint64
+	policy  RetryPolicy
+	bound   bool
+	closed  bool
+	dead    bool // all dialers consumed, all workers gone
+	started int  // dialers consumed (== workers ever started)
+	active  int  // workers currently alive
+	stats   ReplicaPoolStats
+	tm      *Metrics // coordinator's telemetry bundle; nil-safe
 }
 
 // setMetrics attaches the coordinator's telemetry bundle. Connect calls
@@ -104,7 +103,7 @@ func (t *replicaTask) finish(out *ReplicaExploreResult, err error) {
 // handshakes with the coordinator's nonce (so replica memos share the
 // session lifecycle with agent memos) and recovers under the
 // coordinator's retry policy. Connect calls it; a pool binds once.
-func (p *ReplicaPool) bind(session uint64, maxVersion int, policy RetryPolicy) error {
+func (p *ReplicaPool) bind(session uint64, policy RetryPolicy) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.bound {
@@ -115,7 +114,6 @@ func (p *ReplicaPool) bind(session uint64, maxVersion int, policy RetryPolicy) e
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.session = session
-	p.maxVersion = maxVersion
 	p.policy = policy
 	p.bound = true
 	for i := 0; i < p.minWorkers(); i++ {
@@ -319,18 +317,17 @@ func (p *ReplicaPool) worker(idx int) {
 	}
 }
 
-// exploreCall issues one shard over the worker's connection. On ≥ v4
-// connections the checkpoint travels in page mode: the full ordered
+// exploreCall issues one shard over the worker's connection. The
+// checkpoint travels in page mode: the full ordered
 // hash list plus only the pages this replica has not acknowledged this
 // session, so warm rounds — where most of a node's checkpoint is
 // unchanged — ship a hash list instead of megabytes of state. A
 // MissingPages answer (replica restarted, cache evicted, or an ack
 // recorded from a memo hit) triggers one full re-send; the ack record
-// is rebuilt from what the replica then confirms. v3 replicas and
-// stateless (empty-State) shards take the classic full-state path, so
-// mixed fleets degrade per connection, not pool-wide.
+// is rebuilt from what the replica then confirms. Stateless (empty-State)
+// shards have no pages to split and ship as they are.
 func (p *ReplicaPool) exploreCall(cl *Client, params *ReplicaExploreParams, acked map[string]struct{}, out *ReplicaExploreResult) error {
-	if cl.Version() < ProtoV4 || len(params.State) == 0 {
+	if len(params.State) == 0 {
 		return cl.Call(MethodExploreCheckpoint, params, out)
 	}
 	pages := splitPages(params.State, checkpoint.DefaultPageSize)
@@ -406,7 +403,9 @@ func (p *ReplicaPool) noteReconnect() {
 
 // dialReplica establishes one identified replica connection within the
 // reconnect budget. first skips the pre-dial backoff pause (the initial
-// dial of a healthy replica should not wait).
+// dial of a healthy replica should not wait). A replica that answers the
+// hello with a refusal — a protocol version mismatch — would refuse every
+// redial too, so that ends the attempt at once.
 func (p *ReplicaPool) dialReplica(idx int, rng *rand.Rand, first bool) *Client {
 	for attempt := 1; attempt <= p.policy.MaxReconnects+1; attempt++ {
 		if !(first && attempt == 1) {
@@ -419,11 +418,14 @@ func (p *ReplicaPool) dialReplica(idx int, rng *rand.Rand, first bool) *Client {
 		cl := NewClient(conn)
 		cl.Timeout = p.policy.RPCTimeout
 		cl.Session = p.session
-		if _, err := cl.Handshake(p.maxVersion); err != nil {
-			cl.Close()
-			continue
+		_, err = cl.Handshake()
+		if err == nil {
+			return cl
 		}
-		return cl
+		cl.Close()
+		if !isConnFault(err) {
+			return nil
+		}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -10,18 +9,18 @@ import (
 	"time"
 )
 
-// rpcHandler executes one request in either codec. Implementations (the
-// node Agent, the exploration Replica) serialize their own state — the
-// server machinery only decodes envelopes and frames responses.
+// rpcHandler executes one request: it decodes the method's body and
+// returns the result message (nil for an empty result). Implementations
+// (the node Agent, the exploration Replica) serialize their own state —
+// the server machinery only decodes envelopes and frames responses.
 type rpcHandler interface {
-	handle(method string, params json.RawMessage) (any, error)
-	handleV2(method string, body []byte) (any, error)
+	handle(method string, body []byte) (any, error)
 }
 
 // rpcServer is the shared connection engine behind every wire-protocol
-// server: per-connection reader/worker pairs, codec-preserving responses,
-// connection tracking and graceful drain. The Agent and the Replica both
-// embed one and plug in their handler.
+// server: per-connection reader/worker pairs, connection tracking and
+// graceful drain. The Agent and the Replica both embed one and plug in
+// their handler.
 type rpcServer struct {
 	handler rpcHandler
 	// name labels shutdown errors (the agent's node, the replica's role).
@@ -40,13 +39,11 @@ type rpcServer struct {
 }
 
 // connReq is one decoded request envelope queued for the per-connection
-// worker. Exactly one of jsonParams/v2Body is meaningful, per isV2.
+// worker.
 type connReq struct {
-	id         uint64
-	method     string
-	jsonParams json.RawMessage
-	v2Body     []byte
-	isV2       bool
+	id     uint64
+	method string
+	body   []byte
 }
 
 // ServeConn answers requests on one connection until it closes. The
@@ -54,12 +51,9 @@ type connReq struct {
 // client never blocks on its sends; decoded requests queue to a
 // per-connection worker that executes them in arrival order and writes
 // responses. Concurrency across connections is the handler's business
-// (the Agent serializes on reqMu; so does the Replica).
-//
-// Each request is answered in the codec it arrived in: the first octet
-// of a v2 payload is a kind byte that can never open a JSON document,
-// so the codecs self-describe and the v1→v2 switch after hello needs no
-// shared state between reader and worker.
+// (the Agent serializes on reqMu; so does the Replica). A payload that
+// is not a request envelope — a JSON document from a pre-binary build,
+// say — ends the connection with an errV2Frame-wrapped error.
 //
 // The connection closes only after the worker has answered every
 // request already read: a clean client EOF — or a draining Shutdown —
@@ -103,22 +97,12 @@ func (s *rpcServer) readRequests(conn io.ReadWriteCloser, reqs chan<- connReq, e
 			}
 			return err
 		}
-		var cr connReq
-		if len(payload) > 0 && payload[0] == frameRequestV2 {
-			id, method, body, perr := parseRequestV2(payload)
-			if perr != nil {
-				return perr
-			}
-			cr = connReq{id: id, method: method, v2Body: body, isV2: true}
-		} else {
-			var req request
-			if err := json.Unmarshal(payload, &req); err != nil {
-				return fmt.Errorf("dist: garbled request: %w", err)
-			}
-			cr = connReq{id: req.ID, method: req.Method, jsonParams: req.Params}
+		id, method, body, err := parseRequestV2(payload)
+		if err != nil {
+			return err
 		}
 		select {
-		case reqs <- cr:
+		case reqs <- connReq{id: id, method: method, body: body}:
 		case werr := <-errc:
 			return werr
 		}
@@ -196,11 +180,7 @@ func (s *rpcServer) Shutdown(grace time.Duration) {
 // the reader to return.
 func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, errc chan<- error) {
 	for cr := range reqs {
-		frame, err := s.respond(cr)
-		if err == nil {
-			err = sendFrame(conn, frame)
-		}
-		if err != nil {
+		if err := sendFrame(conn, s.respond(cr)); err != nil {
 			errc <- err
 			conn.Close()
 			return
@@ -208,45 +188,41 @@ func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, 
 	}
 }
 
-// respond executes one request and renders the response frame in the
-// request's codec. Handler errors become error responses; only encoding
-// the envelope itself can fail.
-func (s *rpcServer) respond(cr connReq) ([]byte, error) {
-	var result any
-	var herr error
-	if cr.isV2 {
-		result, herr = s.handler.handleV2(cr.method, cr.v2Body)
-	} else {
-		result, herr = s.handler.handle(cr.method, cr.jsonParams)
-	}
+// respond executes one request and renders the response frame. Handler
+// errors become error responses.
+func (s *rpcServer) respond(cr connReq) []byte {
+	result, herr := s.handler.handle(cr.method, cr.body)
 	s.tm.noteRequest(cr.method, herr != nil)
-	if cr.isV2 {
-		if herr != nil {
-			return appendResponseV2(newFrame(), cr.id, herr.Error(), nil), nil
-		}
-		var msg v2Message
-		if result != nil {
-			m, ok := result.(v2Message)
-			if !ok {
-				return appendResponseV2(newFrame(), cr.id, fmt.Sprintf("dist: %s result type %T has no v2 encoding", cr.method, result), nil), nil
-			}
-			msg = m
-		}
-		return appendResponseV2(newFrame(), cr.id, "", msg), nil
-	}
-	resp := response{ID: cr.id}
 	if herr != nil {
-		resp.Error = herr.Error()
-	} else if result != nil {
-		body, err := json.Marshal(result)
-		if err != nil {
-			resp.Error = fmt.Sprintf("dist: encode %s result: %v", cr.method, err)
-		} else {
-			resp.Result = body
-		}
+		return appendResponseV2(newFrame(), cr.id, herr.Error(), nil)
 	}
-	body, err := json.Marshal(resp)
-	return append(newFrame(), body...), err
+	var msg v2Message
+	if result != nil {
+		m, ok := result.(v2Message)
+		if !ok {
+			return appendResponseV2(newFrame(), cr.id, fmt.Sprintf("dist: %s result type %T has no wire encoding", cr.method, result), nil)
+		}
+		msg = m
+	}
+	return appendResponseV2(newFrame(), cr.id, "", msg)
+}
+
+// decodeHello decodes a hello body for a server of the given role
+// ("agent", "replica"). The version is read first: a client speaking
+// another version gets an error naming both, and the rest of its body —
+// whose layout this build may not know — is not interpreted.
+func decodeHello(body []byte, role string) (HelloParams, error) {
+	d := newV2dec(body)
+	ver := d.uint()
+	if err := d.err(); err != nil {
+		return HelloParams{}, err
+	}
+	if ver != ProtoVersion {
+		return HelloParams{}, fmt.Errorf("dist: wire protocol v%d, this %s speaks v%d", ver, role, ProtoVersion)
+	}
+	var p HelloParams
+	err := decodeBodyV2(body, &p)
+	return p, err
 }
 
 // ListenAndServe accepts connections until the listener closes.

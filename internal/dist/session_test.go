@@ -27,7 +27,7 @@ func TestSessionScopedExploreMemos(t *testing.T) {
 		}
 		cl := NewClient(conn)
 		cl.Session = session
-		if _, err := cl.Handshake(ProtoLatest); err != nil {
+		if _, err := cl.Handshake(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })

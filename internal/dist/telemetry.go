@@ -13,13 +13,12 @@ import (
 // everywhere, so the instrumented hot paths never branch on "telemetry
 // enabled?" (the mechanism behind the <5% overhead bound).
 type Metrics struct {
-	rpcCalls    *telemetry.CounterVec   // method
-	rpcLatency  *telemetry.HistogramVec // method
-	rpcSent     *telemetry.CounterVec   // method
-	rpcRecv     *telemetry.CounterVec   // method
-	rpcErrors   *telemetry.CounterVec   // method, kind (timeout | broken)
-	reconnects  *telemetry.CounterVec   // node
-	wireVersion *telemetry.GaugeVec     // node
+	rpcCalls   *telemetry.CounterVec   // method
+	rpcLatency *telemetry.HistogramVec // method
+	rpcSent    *telemetry.CounterVec   // method
+	rpcRecv    *telemetry.CounterVec   // method
+	rpcErrors  *telemetry.CounterVec   // method, kind (timeout | broken)
+	reconnects *telemetry.CounterVec   // node
 
 	rounds            *telemetry.Counter
 	roundDuration     *telemetry.Histogram
@@ -58,8 +57,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"method", "kind"),
 		reconnects: reg.CounterVec("dice_rpc_client_reconnects_total",
 			"Successful re-dial + re-handshake cycles, by node.", "node"),
-		wireVersion: reg.GaugeVec("dice_rpc_client_wire_version",
-			"Negotiated wire protocol version, by node.", "node"),
 
 		rounds: reg.Counter("dice_coordinator_rounds_total",
 			"Distributed federated rounds completed."),
@@ -120,14 +117,6 @@ func (m *Metrics) clientError(method, kind string) {
 		return
 	}
 	m.rpcErrors.With(method, kind).Inc()
-}
-
-// noteWireVersion records a connection's negotiated protocol version.
-func (m *Metrics) noteWireVersion(node string, version int) {
-	if m == nil {
-		return
-	}
-	m.wireVersion.With(node).Set(float64(version))
 }
 
 // noteClientReconnect records one successful reconnect for node.

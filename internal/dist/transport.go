@@ -13,7 +13,7 @@ import (
 // The coordinator is transport-agnostic; everything above Dial sees
 // only an io.ReadWriteCloser.
 //
-// Protocol v2 pipelines requests, so the returned connection must
+// Clients pipeline requests, so the returned connection must
 // tolerate one goroutine writing frames while another reads responses
 // (any net.Conn does; Read and Write are never called concurrently
 // with themselves, only with each other).

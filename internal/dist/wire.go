@@ -2,7 +2,6 @@ package dist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -10,75 +9,32 @@ import (
 )
 
 // The wire protocol frames every message as a 4-byte big-endian payload
-// length followed by one payload. Two payload codecs share that outer
-// framing:
-//
-//   - v1 (the PR 4 protocol): one JSON document per frame. A request
-//     names a method and carries its parameters; the response echoes the
-//     request ID with either a result or an error string. Binary
-//     payloads (serialized router state, BGP wire messages) ride inside
-//     the JSON as base64 via encoding/json's []byte convention.
-//   - v2 (wirev2.go): a compact binary encoding in the style of the
-//     internal/bgp message codec — varint/fixed-width fields, no
-//     marshaling garbage, no base64 inflation.
-//
-// Every connection starts in v1: the codec of the `hello` exchange is
-// the lingua franca both generations speak. A v2-capable client offers
-// its maximum version in HelloParams; a v2-capable agent answers with
-// the negotiated version in HelloResult and both sides switch to binary
-// framing for every subsequent frame. Either side omitting the field
-// pins the connection to v1 JSON — a new coordinator drives an old
-// agent (and vice versa) with zero configuration.
+// length followed by one payload in the binary codec of wirev2.go —
+// varint/fixed-width fields in the style of the internal/bgp message
+// codec, so router state and BGP messages travel as raw bytes. A request
+// names a method by code and carries its parameters; the response echoes
+// the request ID with either a result or an error string. Every method,
+// hello included, travels in that one envelope.
 //
 // Requests pipeline: a client may keep many requests in flight per
 // connection, and responses are matched by ID (the agent preserves
 // per-connection order today, but clients must not rely on it).
 
-// Wire protocol versions. Version 1 is the PR 4 length-prefixed
-// JSON-RPC; version 2 is the binary codec of wirev2.go plus the
-// inject_witness_batch method; version 3 keeps v2's framing and method
-// codes but appends the fault-tolerance fields (ExploreParams.Round,
-// ReplayParams/InjectParams/InjectBatchParams.Key, HelloParams.Session)
-// as tail fields of the existing bodies. v2 decoders are strict about
-// trailing bytes, so a v3 client negotiated down to v2 encodes the
-// original layouts — the tail fields simply don't travel (see
-// v2TailMessage in wirev2.go for the evolution rule).
-//
-// Version 4 adds the declarative-property and page-cache tails:
-// HelloParams.Properties, QueryOracleParams.WantProps /
-// QueryOracleResult.PropMatch, and the ReplicaExploreParams page fields
-// with ReplicaExploreResult.MissingPages. Unlike the v3 tails these are
-// appended only when the feature is in use (a false/empty field adds no
-// bytes), so a v4 client never has to down-encode for a v3 peer — it
-// simply never turns the feature on unless the negotiated version says
-// the peer understands it. ProtoV4 is therefore purely a capability
-// signal: "this side reads the conditional tails".
-const (
-	ProtoV1     = 1
-	ProtoV2     = 2
-	ProtoV3     = 3
-	ProtoV4     = 4
-	ProtoLatest = ProtoV4
-)
+// ProtoVersion is the one wire protocol version this build speaks. The
+// hello carries it in both directions and either side refuses a peer
+// whose version differs — there is no negotiation and no down-encoding.
+// Any change to a message layout bumps it. Fields that only some calls
+// use (HelloParams.Properties, QueryOracleParams.WantProps /
+// QueryOracleResult.PropMatch, the ReplicaExploreParams page fields and
+// ReplicaExploreResult.MissingPages) are encoded as tails that are
+// absent when unused; that keeps the common frames small, it is not a
+// compatibility mechanism.
+const ProtoVersion = 5
 
 // maxFrame bounds a single frame; a full-table router checkpoint is a
 // few MB, so 64 MiB leaves ample headroom while still catching a
 // corrupted length prefix before it turns into an OOM.
 const maxFrame = 64 << 20
-
-// request is one RPC call.
-type request struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
-}
-
-// response answers one request.
-type response struct {
-	ID     uint64          `json:"id"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
 
 // frameHeader is the big-endian payload length that opens every frame.
 const frameHeader = 4
@@ -148,7 +104,7 @@ const (
 	// MethodInjectWitnessBatch delivers an ordered run of messages into
 	// one shadow clone in a single round trip, with per-delivery results
 	// — the coordinator's relay coalesces consecutive same-timestamp
-	// deliveries to one agent through it. v2 connections only.
+	// deliveries to one agent through it.
 	MethodInjectWitnessBatch = "inject_witness_batch"
 	// MethodQueryOracle is the narrow cross-domain query interface: best
 	// and covering route facts about one prefix in one shadow, enough
@@ -176,60 +132,56 @@ const (
 
 // --- Method payloads ---------------------------------------------------------
 
-// HelloParams opens version negotiation. A v1 client sends no params at
-// all; a v1 agent ignores whatever params arrive — so the field is only
-// ever honored when both generations understand it.
+// HelloParams opens a connection: the client's protocol version, its
+// session and the property set the agent should evaluate.
 type HelloParams struct {
-	// MaxVersion is the highest protocol version the client speaks.
-	MaxVersion int `json:"max_version,omitempty"`
+	// Version is the client's ProtoVersion. It is the first field of the
+	// body, and a server that speaks a different version answers an error
+	// naming both without interpreting the rest.
+	Version int
 	// Session is the coordinator's session nonce, minted fresh per
 	// Connect. Agents are long-lived servers whose idempotency memos are
 	// keyed by coordinator-local sequences (explore rounds, replay keys),
 	// so the memos are only valid within the session that minted the
 	// keys: an agent seeing a new nonce drops its memos, while reconnects
 	// of the same coordinator (same nonce) still answer retries from
-	// them. 0 — a client predating the field — leaves the memos alone.
-	Session uint64 `json:"session,omitempty"`
+	// them. 0 leaves the memos alone.
+	Session uint64
 	// Properties is the coordinator's full property set (canonical
 	// internal/prop source, one definition per entry, in evaluation
 	// order). Agents compile it at hello — a malformed property fails the
 	// handshake, before any round runs — and answer query_oracle WantProps
-	// requests against it by list index. The hello always travels v1
-	// JSON, so an old agent simply ignores the field; the coordinator
-	// version-gates the features that need agent-side evaluation
-	// (properties with `at` clauses require ≥ ProtoV4). Empty leaves the
-	// agent's previous property set untouched.
-	Properties []string `json:"properties,omitempty"`
+	// requests against it by list index. Empty leaves the agent's
+	// previous property set untouched.
+	Properties []string
 }
 
 // HelloResult describes the agent.
 type HelloResult struct {
 	// Node is the topology node this agent administers.
-	Node string `json:"node"`
+	Node string
 	// Topology echoes the agent's topology name, so a coordinator
 	// driving the wrong fabric fails fast instead of mis-propagating.
-	Topology string `json:"topology"`
-	AS       uint16 `json:"as"`
+	Topology string
+	AS       uint16
 	// Prefixes is the node's converged Loc-RIB size (a cheap liveness
 	// and convergence cross-check).
-	Prefixes int `json:"prefixes"`
-	// Version is the negotiated protocol version:
-	// min(client max, agent max), at least 1. A v1 agent never sets it
-	// (the zero value reads as v1), and the connection switches to the
-	// v2 binary codec immediately after this response when it is ≥ 2.
-	Version int `json:"version,omitempty"`
+	Prefixes int
+	// Version is the server's ProtoVersion; the client refuses any value
+	// but its own.
+	Version int
 }
 
 // CheckpointResult is one serialized node snapshot.
 type CheckpointResult struct {
 	// State is the complete serialized node state
 	// (router.EncodeState format; router.DecodeState restores it).
-	State []byte `json:"state"`
+	State []byte
 	// Pages/UniquePages account the snapshot in the agent's page store:
 	// pages it holds, and how many were new vs shared with earlier
 	// snapshots of this node (the fork-COW accounting of §4.1).
-	Pages       int `json:"pages"`
-	UniquePages int `json:"unique_pages"`
+	Pages       int
+	UniquePages int
 }
 
 // ExploreParams asks the agent to run one exploration round.
@@ -237,31 +189,29 @@ type ExploreParams struct {
 	// Peer and Scenario select the target; Explicit mirrors
 	// core.ResolvedTarget (an explicit target's seed failure is a round
 	// error; a defaulted one just reports Skipped).
-	Peer     string `json:"peer"`
-	Scenario string `json:"scenario"`
-	Explicit bool   `json:"explicit"`
+	Peer     string
+	Scenario string
+	Explicit bool
 	// Engine knobs (the serializable subset of concolic.Options —
 	// Connect rejects the process-local rest: State, Cancel,
 	// SolverCache).
-	MaxRuns      int    `json:"max_runs,omitempty"`
-	MaxDepth     int    `json:"max_depth,omitempty"`
-	Workers      int    `json:"workers,omitempty"`
-	SolverNodes  int    `json:"solver_nodes,omitempty"`
-	Strategy     string `json:"strategy,omitempty"`
-	TimeBudgetNS int64  `json:"time_budget_ns,omitempty"`
+	MaxRuns      int
+	MaxDepth     int
+	Workers      int
+	SolverNodes  int
+	Strategy     string
+	TimeBudgetNS int64
 	// ReuseState keeps per-(node, scenario, peer) exploration state on
 	// the agent across rounds — warm rounds skip known paths without the
 	// state ever crossing the wire.
-	ReuseState bool `json:"reuse_state,omitempty"`
+	ReuseState bool
 	// Round is the coordinator's round sequence number, the explore
 	// idempotency key: the agent memoizes its last result per
 	// (peer, scenario) under this key, so a retry after a reconnect
 	// returns the memoized result instead of re-exploring (which, under
 	// ReuseState, would otherwise skip the paths the lost answer already
-	// reported). 0 disables the memo. The field travels on v1 JSON and
-	// ≥v3 binary connections; a v2-negotiated binary connection omits it
-	// (the agent reads 0), since v2 decoders reject the tail bytes.
-	Round uint64 `json:"round,omitempty"`
+	// reported). 0 disables the memo.
+	Round uint64
 }
 
 // WireFinding is one local oracle finding, flattened for the wire. It
@@ -269,20 +219,20 @@ type ExploreParams struct {
 // structurally), so distributed findings lose nothing the in-process
 // backend reports.
 type WireFinding struct {
-	Kind         string            `json:"kind"`
-	Peer         string            `json:"peer"`
-	Prefix       string            `json:"prefix"`
-	LeakRange    core.RangeDesc    `json:"leak_range,omitempty"`
-	OriginAS     uint16            `json:"origin_as,omitempty"`
-	VictimAS     uint16            `json:"victim_as,omitempty"`
-	VictimPrefix string            `json:"victim_prefix,omitempty"`
-	Seq          int               `json:"seq,omitempty"`
-	Validated    bool              `json:"validated"`
-	SpreadTo     []string          `json:"spread_to,omitempty"`
-	Input        map[string]uint64 `json:"input,omitempty"`
+	Kind         string
+	Peer         string
+	Prefix       string
+	LeakRange    core.RangeDesc
+	OriginAS     uint16
+	VictimAS     uint16
+	VictimPrefix string
+	Seq          int
+	Validated    bool
+	SpreadTo     []string
+	Input        map[string]uint64
 	// Rendered is the finding's operator-facing String() — the agent
 	// formats it so the coordinator never needs the scenario's internals.
-	Rendered string `json:"rendered"`
+	Rendered string
 }
 
 // ExploreResult is the agent's share of a federated round.
@@ -290,28 +240,28 @@ type ExploreResult struct {
 	// Skipped is set (with the reason) when a defaulted target had no
 	// observed seed; the coordinator reports it like the in-process
 	// backend reports a FederatedTargetResult.Err.
-	Skipped string `json:"skipped,omitempty"`
+	Skipped string
 
-	Scenario         string `json:"scenario"`
-	Runs             int    `json:"runs"`
-	NewPaths         int    `json:"new_paths"`
-	BranchesSeen     int    `json:"branches_seen"`
-	SolverCalls      int    `json:"solver_calls"`
-	SolverSat        int    `json:"solver_sat"`
-	SolverUnsat      int    `json:"solver_unsat"`
-	CacheHits        int    `json:"cache_hits"`
-	SkippedPaths     int    `json:"skipped_paths"`
-	SkippedNegations int    `json:"skipped_negations"`
-	ElapsedNS        int64  `json:"elapsed_ns"`
+	Scenario         string
+	Runs             int
+	NewPaths         int
+	BranchesSeen     int
+	SolverCalls      int
+	SolverSat        int
+	SolverUnsat      int
+	CacheHits        int
+	SkippedPaths     int
+	SkippedNegations int
+	ElapsedNS        int64
 
-	CapturedMessages  int           `json:"captured_messages"`
-	WitnessesRejected int           `json:"witnesses_rejected"`
-	Findings          []WireFinding `json:"findings,omitempty"`
+	CapturedMessages  int
+	WitnessesRejected int
+	Findings          []WireFinding
 
 	// Witnesses are the validated findings' concrete announcements,
 	// in finding order — what the coordinator propagates between
 	// domains.
-	Witnesses []WireWitness `json:"witnesses,omitempty"`
+	Witnesses []WireWitness
 }
 
 // WireWitness is one validated finding's concrete announcement. Finding
@@ -319,15 +269,15 @@ type ExploreResult struct {
 // coordinator computes (the minimal witness) land back on the right
 // finding — the same linkage core.WitnessRef provides in-process.
 type WireWitness struct {
-	Finding int `json:"finding"`
+	Finding int
 	// Msg is the announcement in BGP wire encoding.
-	Msg []byte `json:"msg"`
+	Msg []byte
 }
 
 // SeedParams selects which target's scenario seed to derive.
 type SeedParams struct {
-	Peer     string `json:"peer"`
-	Scenario string `json:"scenario"`
+	Peer     string
+	Scenario string
 }
 
 // SeedResult is the derived seed, or why none shipped. Exactly one of
@@ -337,9 +287,9 @@ type SeedParams struct {
 // observed nothing usable yet — the same condition PrepareTarget
 // reports as SeedUnavailableError).
 type SeedResult struct {
-	Msg         []byte `json:"msg,omitempty"`
-	Unsupported bool   `json:"unsupported,omitempty"`
-	Missing     string `json:"missing,omitempty"`
+	Msg         []byte
+	Unsupported bool
+	Missing     string
 }
 
 // ReplicaExploreParams ships one exploration target to a stateless
@@ -352,38 +302,38 @@ type ReplicaExploreParams struct {
 	// Node names the checkpointed node; Config is its topology config
 	// (one line per element, config.Parse grammar); State is the
 	// MethodCheckpoint snapshot to restore.
-	Node   string   `json:"node"`
-	Config []string `json:"config"`
-	State  []byte   `json:"state"`
+	Node   string
+	Config []string
+	State  []byte
 	// Peer/Scenario/Explicit select the target, as in ExploreParams.
-	Peer     string `json:"peer"`
-	Scenario string `json:"scenario"`
-	Explicit bool   `json:"explicit"`
+	Peer     string
+	Scenario string
+	Explicit bool
 	// Engine knobs (the serializable subset, as in ExploreParams).
-	MaxRuns      int    `json:"max_runs,omitempty"`
-	MaxDepth     int    `json:"max_depth,omitempty"`
-	Workers      int    `json:"workers,omitempty"`
-	SolverNodes  int    `json:"solver_nodes,omitempty"`
-	Strategy     string `json:"strategy,omitempty"`
-	TimeBudgetNS int64  `json:"time_budget_ns,omitempty"`
+	MaxRuns      int
+	MaxDepth     int
+	Workers      int
+	SolverNodes  int
+	Strategy     string
+	TimeBudgetNS int64
 	// Boundary is the topology's leak-boundary community (the replica
 	// has no topology to derive it from).
-	Boundary uint32 `json:"boundary"`
+	Boundary uint32
 	// Seed is the scenario seed UPDATE in BGP wire encoding (from
 	// MethodSeed).
-	Seed []byte `json:"seed"`
+	Seed []byte
 	// WarmState, when set, is serialized cross-round exploration memory
 	// (concolic ExploreState wire encoding): the replica resumes from it
 	// instead of exploring cold, which is how ReuseState survives the
 	// shard moving between replicas.
-	WarmState []byte `json:"warm_state,omitempty"`
+	WarmState []byte
 	// Round and Shard key the replica's idempotency memo: the replica
 	// memoizes its last result per Shard under Round, so a retried shard
 	// (after a replica loss mid-call) returns the memoized result
 	// instead of re-exploring. Round 0 disables the memo.
-	Round uint64 `json:"round,omitempty"`
-	Shard string `json:"shard,omitempty"`
-	// Page mode (≥ ProtoV4, feature-gated tail: none of these travel when
+	Round uint64
+	Shard string
+	// Page mode (feature-gated tail: none of these travel when
 	// PageSize is 0). Instead of shipping State, the sender splits it into
 	// PageSize-byte pages and sends the ordered content hashes in
 	// PageHash; PageData carries only the pages the sender believes the
@@ -393,9 +343,9 @@ type ReplicaExploreParams struct {
 	// session-scoped page cache and answers MissingPages for any hash it
 	// cannot resolve, at which point the sender re-sends with those pages
 	// included. Warm rounds re-ship only the pages that changed.
-	PageSize int      `json:"page_size,omitempty"`
-	PageHash []string `json:"page_hash,omitempty"`
-	PageData [][]byte `json:"page_data,omitempty"`
+	PageSize int
+	PageHash []string
+	PageData [][]byte
 }
 
 // ReplicaExploreResult is the replica's answer: the agent-shaped
@@ -406,7 +356,7 @@ type ReplicaExploreResult struct {
 	// (concolic ExploreState wire encoding) — ship it back in the next
 	// round's WarmState to explore incrementally, or seed a replacement
 	// agent with it.
-	WarmState []byte `json:"warm_state,omitempty"`
+	WarmState []byte
 	// MissingPages, when non-empty, means a page-mode request named
 	// hashes the replica's cache could not resolve (first contact, a
 	// restarted replica, or an eviction): no exploration ran, nothing was
@@ -414,76 +364,75 @@ type ReplicaExploreResult struct {
 	// PageData. It is a result field, not an error, because transport
 	// errors trigger worker failover — a cache miss must stay on the same
 	// replica connection.
-	MissingPages []string `json:"missing_pages,omitempty"`
+	MissingPages []string
 }
 
 // ReplayParams feeds a recorded trace into the agent's live fabric.
 type ReplayParams struct {
 	// Node receives the trace; Peer sends it (the ingress must be an
 	// established session of the agent's local fabric).
-	Node string `json:"node"`
-	Peer string `json:"peer"`
+	Node string
+	Peer string
 	// Trace is the recorded history in the internal/trace file encoding
 	// (dump records bulk-load, update records replay at their offsets).
-	Trace []byte `json:"trace"`
+	Trace []byte
 	// Key is the replay idempotency key: the agent remembers every key
 	// it has applied to its live fabric and answers a re-delivery (after
 	// a reconnect, or when re-establishing a replacement agent from the
 	// coordinator's replay history) from memory instead of double-feeding
-	// the fabric. 0 disables the memo. Like ExploreParams.Round, the
-	// field travels on v1 JSON and ≥v3 binary connections only.
-	Key uint64 `json:"key,omitempty"`
+	// the fabric. 0 disables the memo.
+	Key uint64
 }
 
 // ReplayResult reports one agent's replay outcome.
 type ReplayResult struct {
 	// Delivered is the number of trace records injected at the ingress.
-	Delivered int `json:"delivered"`
+	Delivered int
 	// Prefixes is the agent's own node's Loc-RIB size after replay —
 	// diagnostic only (different nodes legitimately differ; the
 	// coordinator's determinism cross-check compares Delivered).
-	Prefixes int `json:"prefixes"`
+	Prefixes int
 }
 
 // ShadowOpenResult names a fresh shadow clone.
 type ShadowOpenResult struct {
-	ShadowID uint64 `json:"shadow_id"`
+	ShadowID uint64
 }
 
 // InjectParams delivers one BGP message into a shadow clone, as if sent
 // by the named peer. The initial witness injection and every relayed
 // propagation hop use the same method: an injection IS a delivery.
 type InjectParams struct {
-	ShadowID uint64 `json:"shadow_id"`
+	ShadowID uint64
 	// From is the sending peer (must be a configured peer of the node).
-	From string `json:"from"`
+	From string
 	// Msg is the BGP wire message (bgp.Encode framing).
-	Msg []byte `json:"msg"`
+	Msg []byte
 	// Key is the delivery idempotency key, unique per delivery within
 	// the shadow's lifetime. The agent memoizes the emissions per key,
 	// so a retry after a reconnect returns the original answer instead
 	// of delivering the message twice (which would double-count route
 	// churn). 0 disables the memo.
-	Key uint64 `json:"key,omitempty"`
+	Key uint64
 }
 
 // WireEmission is one message the shadow node emitted in response.
 type WireEmission struct {
-	To  string `json:"to"`
-	Msg []byte `json:"msg"`
+	To  string
+	Msg []byte
 }
 
 // InjectResult lists what the delivery caused the node to send.
 type InjectResult struct {
-	Emitted []WireEmission `json:"emitted,omitempty"`
+	Emitted []WireEmission
 }
 
 // BatchDelivery is one delivery inside an inject_witness_batch: the
 // sending peer and the BGP wire message, exactly an InjectParams minus
 // the shared shadow ID.
 type BatchDelivery struct {
-	From string `json:"from"`
-	Msg  []byte `json:"msg"`
+	From string
+	Msg  []byte
 }
 
 // InjectBatchParams delivers an ordered run of messages into one shadow
@@ -491,36 +440,35 @@ type BatchDelivery struct {
 // byte-for-byte what the same deliveries would produce as individual
 // inject_witness calls, minus the per-delivery round trips.
 type InjectBatchParams struct {
-	ShadowID   uint64          `json:"shadow_id"`
-	Deliveries []BatchDelivery `json:"deliveries"`
+	ShadowID   uint64
+	Deliveries []BatchDelivery
 	// Key is the batch idempotency key (see InjectParams.Key): the whole
 	// batch is memoized under it, so re-delivery after a reconnect
 	// cannot double-apply any of its deliveries. 0 disables the memo.
-	Key uint64 `json:"key,omitempty"`
+	Key uint64
 }
 
 // InjectBatchResult carries one InjectResult per delivery, in delivery
 // order — per-witness attribution never coarsens just because the
 // transport batched.
 type InjectBatchResult struct {
-	Results []InjectResult `json:"results"`
+	Results []InjectResult
 }
 
 // ShadowCloseParams discards a shadow clone.
 type ShadowCloseParams struct {
-	ShadowID uint64 `json:"shadow_id"`
+	ShadowID uint64
 }
 
 // QueryOracleParams asks route facts about one prefix in one shadow.
 type QueryOracleParams struct {
-	ShadowID uint64 `json:"shadow_id"`
-	Prefix   string `json:"prefix"`
+	ShadowID uint64
+	Prefix   string
 	// WantProps asks the agent to also evaluate its hello-shipped
 	// property set's `at` route predicates against the best route and
-	// answer PropMatch (≥ ProtoV4, feature-gated tail: the field adds no
-	// bytes when false, which is also why a v4 coordinator can keep
-	// talking to a v3 agent — it just never sets it there).
-	WantProps bool `json:"want_props,omitempty"`
+	// answer PropMatch (feature-gated tail: the field adds no bytes when
+	// false).
+	WantProps bool
 }
 
 // QueryOracleResult is the narrow per-node oracle view: whether a best
@@ -529,23 +477,22 @@ type QueryOracleParams struct {
 // pre-existing ones), and the covering best route's forwarding facts
 // for the trace oracle.
 type QueryOracleResult struct {
-	HasBest bool `json:"has_best"`
+	HasBest bool
 	// BestFP is the shadow-scoped identity token of the exact-prefix
 	// best route object. Pre/post comparison carries the in-process
 	// backend's pointer-identity check across the wire: any
 	// re-installation — even of byte-identical content — yields a new
 	// token, exactly as it yields a new pointer.
-	BestFP string `json:"best_fp,omitempty"`
+	BestFP string
 	// Covering facts drive the forward trace: is traffic for the prefix
 	// routed at all, delivered locally, or handed to a neighbor?
-	HasCovering      bool   `json:"has_covering"`
-	CoveringLocal    bool   `json:"covering_local"`
-	CoveringNextPeer string `json:"covering_next_peer,omitempty"`
+	HasCovering      bool
+	CoveringLocal    bool
+	CoveringNextPeer string
 	// PropMatch answers WantProps: one verdict per property in the
 	// hello-shipped set (list order), true when the property's `at`
 	// predicate matches this node's installed best route (properties
 	// without an `at` clause are always true). Meaningful only when
-	// HasBest; empty when the request did not set WantProps, so the tail
-	// never travels to a client that would reject it.
-	PropMatch []bool `json:"prop_match,omitempty"`
+	// HasBest; empty when the request did not set WantProps.
+	PropMatch []bool
 }

@@ -9,13 +9,11 @@ import (
 	"dice/internal/netaddr"
 )
 
-// Wire protocol v2: the binary payload codec. The outer framing (4-byte
-// big-endian length prefix, wire.go) is shared with v1; only the payload
-// encoding changes. The style follows internal/bgp's message codec —
-// fixed-width fields where the domain fixes the width (AS numbers,
-// addresses), uvarints for counts and IDs, length-prefixed byte strings
-// — so a dense ExploreResult costs bytes proportional to its content,
-// not to JSON field names and base64 inflation.
+// The binary payload codec behind the length-prefixed framing of
+// wire.go. The style follows internal/bgp's message codec — fixed-width
+// fields where the domain fixes the width (AS numbers, addresses),
+// uvarints for counts and IDs, length-prefixed byte strings — so a dense
+// ExploreResult costs bytes proportional to its content.
 //
 // Payload layouts:
 //
@@ -23,102 +21,63 @@ import (
 //	response: 0xD3 | uvarint id | u8 status      | error string (status=1)
 //	                                             | method result (status=0)
 //
-// The leading kind octet can never collide with a v1 frame (JSON
-// payloads start with '{'), so a codec mismatch after a broken
-// negotiation fails loudly on the first frame instead of desynchronizing
-// the stream. Every decoder checks remaining length before consuming and
-// rejects trailing bytes — malformed input errors, it never panics, and
-// truncation at any byte offset is an error (FuzzDecodeFrame pins this).
+// The leading kind octet is not printable ASCII, so a peer speaking
+// anything else (a JSON document from a pre-binary build, say) fails
+// loudly on its first frame instead of desynchronizing the stream. Every
+// decoder checks remaining length before consuming and rejects trailing
+// bytes — malformed input errors, it never panics, and truncation at any
+// byte offset is an error (FuzzDecodeFrame pins this).
 
-// v2 payload kind octets.
+// Payload kind octets.
 const (
 	frameRequestV2  = 0xd2
 	frameResponseV2 = 0xd3
 )
 
-// v2 method codes, one per wire.go method name.
-const (
-	codeHello = iota + 1
-	codeCheckpoint
-	codeExplore
-	codeShadowOpen
-	codeInjectWitness
-	codeShadowClose
-	codeQueryOracle
-	codeReplay
-	codeInjectWitnessBatch
-	codeSeed
-	codeExploreCheckpoint
-)
+// methodTable lists every method; a method's wire code is its index plus
+// one, so new methods are appended and codes never move.
+var methodTable = [...]string{
+	MethodHello,
+	MethodCheckpoint,
+	MethodExplore,
+	MethodShadowOpen,
+	MethodInjectWitness,
+	MethodShadowClose,
+	MethodQueryOracle,
+	MethodReplay,
+	MethodInjectWitnessBatch,
+	MethodSeed,
+	MethodExploreCheckpoint,
+}
 
-// methodCode maps a method name to its v2 code.
+// methodCode maps a method name to its wire code.
 func methodCode(method string) (uint8, error) {
-	switch method {
-	case MethodHello:
-		return codeHello, nil
-	case MethodCheckpoint:
-		return codeCheckpoint, nil
-	case MethodExplore:
-		return codeExplore, nil
-	case MethodShadowOpen:
-		return codeShadowOpen, nil
-	case MethodInjectWitness:
-		return codeInjectWitness, nil
-	case MethodShadowClose:
-		return codeShadowClose, nil
-	case MethodQueryOracle:
-		return codeQueryOracle, nil
-	case MethodReplay:
-		return codeReplay, nil
-	case MethodInjectWitnessBatch:
-		return codeInjectWitnessBatch, nil
-	case MethodSeed:
-		return codeSeed, nil
-	case MethodExploreCheckpoint:
-		return codeExploreCheckpoint, nil
+	for i, name := range methodTable {
+		if name == method {
+			return uint8(i + 1), nil
+		}
 	}
-	return 0, fmt.Errorf("dist: method %q has no v2 code", method)
+	return 0, fmt.Errorf("dist: method %q has no wire code", method)
 }
 
-// methodName maps a v2 code back to its method name.
+// methodName maps a wire code back to its method name.
 func methodName(code uint8) (string, error) {
-	switch code {
-	case codeHello:
-		return MethodHello, nil
-	case codeCheckpoint:
-		return MethodCheckpoint, nil
-	case codeExplore:
-		return MethodExplore, nil
-	case codeShadowOpen:
-		return MethodShadowOpen, nil
-	case codeInjectWitness:
-		return MethodInjectWitness, nil
-	case codeShadowClose:
-		return MethodShadowClose, nil
-	case codeQueryOracle:
-		return MethodQueryOracle, nil
-	case codeReplay:
-		return MethodReplay, nil
-	case codeInjectWitnessBatch:
-		return MethodInjectWitnessBatch, nil
-	case codeSeed:
-		return MethodSeed, nil
-	case codeExploreCheckpoint:
-		return MethodExploreCheckpoint, nil
+	if code == 0 || int(code) > len(methodTable) {
+		return "", v2err("unknown method code %d", code)
 	}
-	return "", fmt.Errorf("dist: unknown v2 method code %d", code)
+	return methodTable[code-1], nil
 }
 
-// errV2Frame is the malformed-v2-payload error class; every decode
+// errV2Frame is the malformed-payload error class; every decode
 // failure wraps it so transports can distinguish protocol corruption
 // from application errors.
-var errV2Frame = errors.New("dist: malformed v2 frame")
+var errV2Frame = errors.New("dist: malformed frame")
 
 func v2err(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errV2Frame, fmt.Sprintf(format, args...))
 }
 
-// v2Message is any payload the binary codec carries: params and results
+// v2Message is any payload the codec carries: params and results
 // append themselves to a buffer and decode from a v2dec. decodeV2 must
 // leave the struct fully populated or record an error on the decoder;
 // the codec layer enforces that the message consumed its entire body.
@@ -126,28 +85,6 @@ type v2Message interface {
 	appendV2(dst []byte) []byte
 	decodeV2(d *v2dec)
 }
-
-// v2TailMessage marks a message that gained append-only tail fields
-// after the v2 codec shipped. This is the binary codec's one evolution
-// rule: new fields may ONLY be appended to the end of an existing body,
-// guarded by a protocol version bump. appendV2 renders the full current
-// (v3) layout; appendV2Base renders the original v2 layout without the
-// tail, for connections negotiated down to v2 — a strict v2 decoder
-// would reject the tail as trailing bytes. Decoders read the tail only
-// when bytes remain past the base fields, so one decoder accepts both
-// layouts (a missing tail reads as zero values, which every tail field
-// defines as "feature off").
-type v2TailMessage interface {
-	v2Message
-	appendV2Base(dst []byte) []byte
-}
-
-// v2BaseOnly adapts a v2TailMessage to the plain v2Message the request
-// encoder consumes, selecting the tail-free v2 layout.
-type v2BaseOnly struct{ m v2TailMessage }
-
-func (b v2BaseOnly) appendV2(dst []byte) []byte { return b.m.appendV2Base(dst) }
-func (b v2BaseOnly) decodeV2(d *v2dec)          { b.m.decodeV2(d) }
 
 // --- primitive append helpers ------------------------------------------------
 
@@ -184,7 +121,7 @@ func appendBoolV2(dst []byte, b bool) []byte {
 
 // --- sticky-error decoder ----------------------------------------------------
 
-// v2dec consumes a v2 payload with a sticky error: after the first
+// v2dec consumes a payload with a sticky error: after the first
 // failure every read returns zero values, so decode methods read their
 // fields straight through and the caller checks err() once. Length
 // fields are validated against the remaining payload before any
@@ -300,7 +237,7 @@ func (d *v2dec) boolean() bool {
 
 // bytes decodes a length-prefixed byte string (copied out of the frame,
 // so results outlive the read buffer). A nil slice is returned for zero
-// length, matching the JSON codec's omitempty round-trip.
+// length.
 func (d *v2dec) bytes() []byte {
 	n := d.uint()
 	if n == 0 {
@@ -368,7 +305,7 @@ func appendRequestV2(dst []byte, id uint64, method string, params v2Message) ([]
 func parseRequestV2(payload []byte) (id uint64, method string, body []byte, err error) {
 	d := newV2dec(payload)
 	if k := d.u8(); d.err() == nil && k != frameRequestV2 {
-		d.fail("payload kind %#x is not a v2 request", k)
+		d.fail("payload kind %#x is not a request", k)
 	}
 	id = d.uvarint()
 	code := d.u8()
@@ -405,7 +342,7 @@ func appendResponseV2(dst []byte, id uint64, errMsg string, result v2Message) []
 func parseResponseV2(payload []byte) (id uint64, errMsg string, body []byte, err error) {
 	d := newV2dec(payload)
 	if k := d.u8(); d.err() == nil && k != frameResponseV2 {
-		d.fail("payload kind %#x is not a v2 response", k)
+		d.fail("payload kind %#x is not a response", k)
 	}
 	id = d.uvarint()
 	status := d.u8()
@@ -439,11 +376,9 @@ func decodeBodyV2(body []byte, msg v2Message) error {
 // --- message codecs ----------------------------------------------------------
 
 func (p *HelloParams) appendV2(dst []byte) []byte {
-	dst = p.appendV2Base(dst)
+	dst = appendUint(dst, p.Version)
 	dst = appendUvarint(dst, p.Session)
-	// v4 conditional tail: the property set travels only when non-empty
-	// (and in practice the hello always travels v1 JSON anyway — the
-	// binary codec exists so the message round-trips like every other).
+	// Conditional tail: the property set travels only when non-empty.
 	if len(p.Properties) > 0 {
 		dst = appendUint(dst, len(p.Properties))
 		for _, s := range p.Properties {
@@ -453,16 +388,10 @@ func (p *HelloParams) appendV2(dst []byte) []byte {
 	return dst
 }
 
-func (p *HelloParams) appendV2Base(dst []byte) []byte {
-	return appendUint(dst, p.MaxVersion)
-}
-
 func (p *HelloParams) decodeV2(d *v2dec) {
-	p.MaxVersion = d.uint()
-	if d.remaining() > 0 {
-		p.Session = d.uvarint() // v3 tail; absent on a v2-layout body
-	}
-	if d.remaining() > 0 { // v4 tail; present only when properties ship
+	p.Version = d.uint()
+	p.Session = d.uvarint()
+	if d.remaining() > 0 { // tail; present only when properties ship
 		n := d.count(1)
 		if n == 0 && d.e == nil {
 			// The encoder omits the whole tail for an empty set, so an
@@ -507,11 +436,6 @@ func (r *CheckpointResult) decodeV2(d *v2dec) {
 }
 
 func (p *ExploreParams) appendV2(dst []byte) []byte {
-	dst = p.appendV2Base(dst)
-	return appendUvarint(dst, p.Round)
-}
-
-func (p *ExploreParams) appendV2Base(dst []byte) []byte {
 	dst = appendStringV2(dst, p.Peer)
 	dst = appendStringV2(dst, p.Scenario)
 	dst = appendBoolV2(dst, p.Explicit)
@@ -521,7 +445,8 @@ func (p *ExploreParams) appendV2Base(dst []byte) []byte {
 	dst = appendUint(dst, p.SolverNodes)
 	dst = appendStringV2(dst, p.Strategy)
 	dst = appendUvarint(dst, uint64(p.TimeBudgetNS))
-	return appendBoolV2(dst, p.ReuseState)
+	dst = appendBoolV2(dst, p.ReuseState)
+	return appendUvarint(dst, p.Round)
 }
 
 func (p *ExploreParams) decodeV2(d *v2dec) {
@@ -535,9 +460,7 @@ func (p *ExploreParams) decodeV2(d *v2dec) {
 	p.Strategy = d.str()
 	p.TimeBudgetNS = int64(d.uvarint())
 	p.ReuseState = d.boolean()
-	if d.remaining() > 0 {
-		p.Round = d.uvarint() // v3 tail; absent on a v2-layout body
-	}
+	p.Round = d.uvarint()
 }
 
 func appendFindingV2(dst []byte, f *WireFinding) []byte {
@@ -701,9 +624,8 @@ func (p *ReplicaExploreParams) appendV2(dst []byte) []byte {
 	dst = appendBytesV2(dst, p.WarmState)
 	dst = appendUvarint(dst, p.Round)
 	dst = appendStringV2(dst, p.Shard)
-	// v4 conditional tail: page mode. An unused tail (full-state
-	// shipment) adds no bytes, so the encoding stays valid for v3
-	// replicas. The hash/data guards keep decode→encode canonical for
+	// Conditional tail: page mode. An unused tail (full-state shipment)
+	// adds no bytes. The hash/data guards keep decode→encode canonical for
 	// frames a sender would never build (PageSize 0 with pages attached).
 	if p.PageSize > 0 || len(p.PageHash) > 0 || len(p.PageData) > 0 {
 		dst = appendUint(dst, p.PageSize)
@@ -742,7 +664,7 @@ func (p *ReplicaExploreParams) decodeV2(d *v2dec) {
 	p.WarmState = d.bytes()
 	p.Round = d.uvarint()
 	p.Shard = d.str()
-	if d.remaining() > 0 { // v4 tail; present only in page mode
+	if d.remaining() > 0 { // tail; present only in page mode
 		p.PageSize = d.uint()
 		if n := d.count(1); n > 0 {
 			p.PageHash = make([]string, n)
@@ -766,8 +688,8 @@ func (p *ReplicaExploreParams) decodeV2(d *v2dec) {
 func (r *ReplicaExploreResult) appendV2(dst []byte) []byte {
 	dst = r.ExploreResult.appendV2(dst)
 	dst = appendBytesV2(dst, r.WarmState)
-	// v4 conditional tail: only cache-miss answers carry it, and only
-	// page-mode (≥ v4) senders get those.
+	// Conditional tail: only cache-miss answers carry it, and only
+	// page-mode senders get those.
 	if len(r.MissingPages) > 0 {
 		dst = appendUint(dst, len(r.MissingPages))
 		for _, h := range r.MissingPages {
@@ -780,7 +702,7 @@ func (r *ReplicaExploreResult) appendV2(dst []byte) []byte {
 func (r *ReplicaExploreResult) decodeV2(d *v2dec) {
 	r.ExploreResult.decodeV2(d)
 	r.WarmState = d.bytes()
-	if d.remaining() > 0 { // v4 tail; present only on cache-miss answers
+	if d.remaining() > 0 { // tail; present only on cache-miss answers
 		n := d.count(1)
 		if n == 0 && d.e == nil {
 			d.fail("empty missing_pages tail")
@@ -795,23 +717,17 @@ func (r *ReplicaExploreResult) decodeV2(d *v2dec) {
 }
 
 func (p *ReplayParams) appendV2(dst []byte) []byte {
-	dst = p.appendV2Base(dst)
-	return appendUvarint(dst, p.Key)
-}
-
-func (p *ReplayParams) appendV2Base(dst []byte) []byte {
 	dst = appendStringV2(dst, p.Node)
 	dst = appendStringV2(dst, p.Peer)
-	return appendBytesV2(dst, p.Trace)
+	dst = appendBytesV2(dst, p.Trace)
+	return appendUvarint(dst, p.Key)
 }
 
 func (p *ReplayParams) decodeV2(d *v2dec) {
 	p.Node = d.str()
 	p.Peer = d.str()
 	p.Trace = d.bytes()
-	if d.remaining() > 0 {
-		p.Key = d.uvarint() // v3 tail; absent on a v2-layout body
-	}
+	p.Key = d.uvarint()
 }
 
 func (r *ReplayResult) appendV2(dst []byte) []byte {
@@ -833,23 +749,17 @@ func (r *ShadowOpenResult) decodeV2(d *v2dec) {
 }
 
 func (p *InjectParams) appendV2(dst []byte) []byte {
-	dst = p.appendV2Base(dst)
-	return appendUvarint(dst, p.Key)
-}
-
-func (p *InjectParams) appendV2Base(dst []byte) []byte {
 	dst = appendUvarint(dst, p.ShadowID)
 	dst = appendStringV2(dst, p.From)
-	return appendBytesV2(dst, p.Msg)
+	dst = appendBytesV2(dst, p.Msg)
+	return appendUvarint(dst, p.Key)
 }
 
 func (p *InjectParams) decodeV2(d *v2dec) {
 	p.ShadowID = d.uvarint()
 	p.From = d.str()
 	p.Msg = d.bytes()
-	if d.remaining() > 0 {
-		p.Key = d.uvarint() // v3 tail; absent on a v2-layout body
-	}
+	p.Key = d.uvarint()
 }
 
 func appendInjectResultV2(dst []byte, r *InjectResult) []byte {
@@ -875,18 +785,13 @@ func (r *InjectResult) appendV2(dst []byte) []byte { return appendInjectResultV2
 func (r *InjectResult) decodeV2(d *v2dec)          { decodeInjectResultV2(d, r) }
 
 func (p *InjectBatchParams) appendV2(dst []byte) []byte {
-	dst = p.appendV2Base(dst)
-	return appendUvarint(dst, p.Key)
-}
-
-func (p *InjectBatchParams) appendV2Base(dst []byte) []byte {
 	dst = appendUvarint(dst, p.ShadowID)
 	dst = appendUint(dst, len(p.Deliveries))
 	for _, dl := range p.Deliveries {
 		dst = appendStringV2(dst, dl.From)
 		dst = appendBytesV2(dst, dl.Msg)
 	}
-	return dst
+	return appendUvarint(dst, p.Key)
 }
 
 func (p *InjectBatchParams) decodeV2(d *v2dec) {
@@ -898,9 +803,7 @@ func (p *InjectBatchParams) decodeV2(d *v2dec) {
 			p.Deliveries[i].Msg = d.bytes()
 		}
 	}
-	if d.remaining() > 0 {
-		p.Key = d.uvarint() // v3 tail; absent on a v2-layout body
-	}
+	p.Key = d.uvarint()
 }
 
 func (r *InjectBatchResult) appendV2(dst []byte) []byte {
@@ -931,9 +834,7 @@ func (p *ShadowCloseParams) decodeV2(d *v2dec) {
 func (p *QueryOracleParams) appendV2(dst []byte) []byte {
 	dst = appendUvarint(dst, p.ShadowID)
 	dst = appendStringV2(dst, p.Prefix)
-	// v4 conditional tail: a false WantProps adds no bytes, so this
-	// encoding is valid for every peer that accepts the base layout — the
-	// coordinator only sets the flag on ≥ v4 connections.
+	// Conditional tail: a false WantProps adds no bytes.
 	if p.WantProps {
 		dst = appendBoolV2(dst, true)
 	}
@@ -943,7 +844,7 @@ func (p *QueryOracleParams) appendV2(dst []byte) []byte {
 func (p *QueryOracleParams) decodeV2(d *v2dec) {
 	p.ShadowID = d.uvarint()
 	p.Prefix = d.str()
-	if d.remaining() > 0 { // v4 tail; present only when the flag is set
+	if d.remaining() > 0 { // tail; present only when the flag is set
 		p.WantProps = d.boolean()
 		if !p.WantProps && d.e == nil {
 			// The encoder omits the tail entirely when the flag is off, so
@@ -959,8 +860,7 @@ func (r *QueryOracleResult) appendV2(dst []byte) []byte {
 	dst = appendBoolV2(dst, r.HasCovering)
 	dst = appendBoolV2(dst, r.CoveringLocal)
 	dst = appendStringV2(dst, r.CoveringNextPeer)
-	// v4 conditional tail: agents fill PropMatch only for WantProps
-	// requests, so the tail never reaches a client that would reject it.
+	// Conditional tail: agents fill PropMatch only for WantProps requests.
 	if len(r.PropMatch) > 0 {
 		dst = appendUint(dst, len(r.PropMatch))
 		for _, m := range r.PropMatch {
@@ -976,7 +876,7 @@ func (r *QueryOracleResult) decodeV2(d *v2dec) {
 	r.HasCovering = d.boolean()
 	r.CoveringLocal = d.boolean()
 	r.CoveringNextPeer = d.str()
-	if d.remaining() > 0 { // v4 tail; present only on WantProps answers
+	if d.remaining() > 0 { // tail; present only on WantProps answers
 		n := d.count(1)
 		if n == 0 && d.e == nil {
 			d.fail("empty prop_match tail")

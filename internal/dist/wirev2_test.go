@@ -8,18 +8,18 @@ import (
 	"dice/internal/netaddr"
 )
 
-// sampleMessages returns one fully-populated instance of every v2 wire
+// sampleMessages returns one fully-populated instance of every wire
 // message type. Round-trip, truncation and fuzz-seed tests iterate
 // these, so new fields belong in the samples the moment they grow a
 // codec.
 func sampleMessages() []v2Message {
 	return []v2Message{
-		&HelloParams{MaxVersion: 2, Session: 0xfeedbeefcafe,
+		&HelloParams{Version: ProtoVersion, Session: 0xfeedbeefcafe,
 			Properties: []string{
 				`property "leak" { never carries community boundary at node behind boundary }`,
 				`property "converge" { eventually converges within 64 steps }`,
 			}},
-		&HelloResult{Node: "as65002", Topology: "line-3-dense-256", AS: 65002, Prefixes: 771, Version: 2},
+		&HelloResult{Node: "as65002", Topology: "line-3-dense-256", AS: 65002, Prefixes: 771, Version: ProtoVersion},
 		&CheckpointResult{State: []byte{0xca, 0xfe, 0x00, 0x01}, Pages: 12, UniquePages: 3},
 		&ExploreParams{
 			Peer: "as65001", Scenario: "route-leak", Explicit: true,
@@ -109,7 +109,7 @@ func TestV2RoundTripProperty(t *testing.T) {
 			t.Errorf("sample %d (%T): re-encoding is not canonical:\n first: %x\n again: %x", i, msg, body, again)
 		}
 		// Value equality up to nil-vs-empty (the codec returns nil for
-		// zero-length collections, as the JSON path's omitempty does).
+		// zero-length collections).
 		reBody := got.appendV2(nil)
 		reGot := freshLike(msg)
 		if err := decodeBodyV2(reBody, reGot); err != nil {
@@ -125,33 +125,21 @@ func TestV2RoundTripProperty(t *testing.T) {
 // TestV2TruncationErrors: every strict prefix of a valid body must fail
 // to decode — the codec reads a fixed field sequence, so cutting the
 // tail starves some read, and finish() catches anything shorter still.
-// The one designed exception: versioned-tail layouts. A message whose
-// newer fields ride in optional tails decodes cleanly when truncated to
-// an older layout boundary, because that is exactly a valid frame from
-// an older-negotiated peer — and then re-encoding the decoded value
-// must reproduce the truncated bytes verbatim (the prefix is canonical
-// for what it decoded to). Clean decodes at any other cut are bugs, as
-// are degenerate tails (explicit empty/false tails the encoders never
-// emit — the trailing-garbage probe below would accept them otherwise).
+// The one designed exception: feature-gated tails. A message whose
+// optional fields ride in an absent-when-unused tail decodes cleanly
+// when cut exactly where that tail starts, because that is the valid
+// frame of a sender not using the feature — and then re-encoding the
+// decoded value must reproduce the truncated bytes verbatim (the prefix
+// is canonical for what it decoded to). Clean decodes at any other cut
+// are bugs, as are degenerate tails (explicit empty/false tails the
+// encoders never emit — the trailing-garbage probe below would accept
+// them otherwise).
 func TestV2TruncationErrors(t *testing.T) {
 	for i, msg := range sampleMessages() {
 		body := msg.appendV2(nil)
-		baseLen := -1
-		if tm, ok := msg.(v2TailMessage); ok {
-			baseLen = len(tm.appendV2Base(nil))
-		}
 		for k := 0; k < len(body); k++ {
 			got := freshLike(msg)
 			err := decodeBodyV2(body[:k], got)
-			if k == baseLen {
-				// The v2 base layout predates the canonical-prefix rule:
-				// its v3 tail re-encodes unconditionally, so only require
-				// the clean decode here.
-				if err != nil {
-					t.Errorf("sample %d (%T): legacy v2 base layout (%d bytes) failed to decode: %v", i, msg, k, err)
-				}
-				continue
-			}
 			if err == nil {
 				if re := got.appendV2(nil); !reflect.DeepEqual(re, append([]byte(nil), body[:k]...)) {
 					t.Errorf("sample %d (%T): truncation to %d of %d bytes decoded cleanly into a non-canonical frame:\n cut: %x\n  re: %x",
@@ -166,62 +154,10 @@ func TestV2TruncationErrors(t *testing.T) {
 	}
 }
 
-// TestV2LegacyBaseLayout: a client negotiated down to exactly v2 must
-// encode tail-bearing params in their legacy base layout (a strict v2
-// decoder rejects trailing bytes), while a v3 connection carries the
-// tail. Decoding a base layout leaves the tail fields zero.
-func TestV2LegacyBaseLayout(t *testing.T) {
-	for _, msg := range sampleMessages() {
-		tm, ok := msg.(v2TailMessage)
-		if !ok {
-			continue
-		}
-		legacy, err := encodeRequest(9, MethodExplore, msg, ProtoV2)
-		if err != nil {
-			t.Fatalf("%T: encode at v2: %v", msg, err)
-		}
-		legacy = legacy[frameHeader:] // encodeRequest reserves the length prefix
-		wantLegacy, err := appendRequestV2(nil, 9, MethodExplore, v2BaseOnly{m: tm})
-		if err != nil {
-			t.Fatalf("%T: base envelope: %v", msg, err)
-		}
-		if !reflect.DeepEqual(legacy, wantLegacy) {
-			t.Errorf("%T: v2-negotiated encoding carries tail fields:\n got: %x\nwant: %x", msg, legacy, wantLegacy)
-		}
-		full, err := encodeRequest(9, MethodExplore, msg, ProtoV3)
-		if err != nil {
-			t.Fatalf("%T: encode at v3: %v", msg, err)
-		}
-		if reflect.DeepEqual(full[frameHeader:], legacy) {
-			t.Errorf("%T: v3 encoding identical to legacy layout — tail fields lost", msg)
-		}
-		base := tm.appendV2Base(nil)
-		got := freshLike(msg)
-		if err := decodeBodyV2(base, got); err != nil {
-			t.Errorf("%T: decode of base layout failed: %v", msg, err)
-			continue
-		}
-		// Base fields round-trip; the tail stays zero, so the full
-		// encoding of the decoded value is exactly base + zero tail,
-		// never the sample's (nonzero-tail) encoding.
-		if gotBase := got.(v2TailMessage).appendV2Base(nil); !reflect.DeepEqual(gotBase, base) {
-			t.Errorf("%T: base fields did not round-trip:\n got: %x\nwant: %x", msg, gotBase, base)
-		}
-		if reflect.DeepEqual(got.appendV2(nil), msg.appendV2(nil)) {
-			t.Errorf("%T: base-layout decode populated tail fields: %+v", msg, got)
-		}
-	}
-}
-
 // TestV2RequestEnvelope: every method round-trips through the request
 // framing, and corrupted envelopes error.
 func TestV2RequestEnvelope(t *testing.T) {
-	methods := []string{
-		MethodHello, MethodCheckpoint, MethodExplore, MethodShadowOpen,
-		MethodInjectWitness, MethodShadowClose, MethodQueryOracle,
-		MethodReplay, MethodInjectWitnessBatch,
-	}
-	for _, m := range methods {
+	for _, m := range methodTable {
 		payload, err := appendRequestV2(nil, 42, m, &ShadowCloseParams{ShadowID: 9})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -244,7 +180,7 @@ func TestV2RequestEnvelope(t *testing.T) {
 	if _, _, _, err := parseRequestV2([]byte{frameRequestV2, 0x01, 0x7f}); err == nil {
 		t.Error("unknown method code parsed")
 	}
-	if _, _, _, err := parseRequestV2([]byte{frameResponseV2, 0x01, codeHello}); err == nil {
+	if _, _, _, err := parseRequestV2([]byte{frameResponseV2, 0x01, 0x01}); err == nil {
 		t.Error("response kind accepted as request")
 	}
 	if _, _, _, err := parseRequestV2(nil); err == nil {

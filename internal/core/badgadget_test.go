@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dice/internal/concolic"
+	"dice/internal/prop"
 )
 
 // The examples/badgadget fixture is Griffin's BAD GADGET dispute wheel:
@@ -67,8 +68,8 @@ func TestBadGadgetOscillation(t *testing.T) {
 			if v.Waves == 0 {
 				t.Errorf("oscillation carries no wave count: %s", v)
 			}
-			if len(v.WaveTail) != WaveTailLen {
-				t.Fatalf("wave tail has %d entries, want %d: %v", len(v.WaveTail), WaveTailLen, v.WaveTail)
+			if len(v.WaveTail) != prop.WaveTailLen {
+				t.Fatalf("wave tail has %d entries, want %d: %v", len(v.WaveTail), prop.WaveTailLen, v.WaveTail)
 			}
 			for i, n := range v.WaveTail {
 				if n == 0 {

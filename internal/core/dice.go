@@ -149,11 +149,11 @@ func (d *DiCE) stateFor(scenario, peer string) *concolic.ExploreState {
 	return st
 }
 
-// withLock runs fn holding the clone lock when one is configured.
-func (d *DiCE) withLock(fn func()) {
-	if d.opts.CloneLock != nil {
-		d.opts.CloneLock.Lock()
-		defer d.opts.CloneLock.Unlock()
+// withLock runs fn holding l, when there is one.
+func withLock(l sync.Locker, fn func()) {
+	if l != nil {
+		l.Lock()
+		defer l.Unlock()
 	}
 	fn()
 }
@@ -169,7 +169,7 @@ func (d *DiCE) ExploreScenario(name, peerName string) (*Result, error) {
 		seed any
 		err  error
 	)
-	d.withLock(func() { seed, err = sc.Seed(d.live, peerName) })
+	withLock(d.opts.CloneLock, func() { seed, err = sc.Seed(d.live, peerName) })
 	if err != nil {
 		return nil, err
 	}
@@ -201,103 +201,86 @@ func (d *DiCE) ExploreSeed(peerName string, seed *bgp.Update) (*Result, error) {
 	return d.exploreRound(updateScenario{}, peerName, seed)
 }
 
-// exploreRound is the scenario-independent round machinery: checkpoint,
-// clone-per-run isolated execution, optional memory accounting, optional
-// cross-round state, then the scenario's oracles.
+// exploreRound is the scenario-independent round machinery: the shared
+// checkpoint → declare pipeline (prepareSeeded — the federated backends'
+// per-target prep, here with the live node's state lock and optional
+// memory accounting), exploration, then the scenario's oracles against
+// the checkpoint-time state (witness validation included).
 func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, error) {
 	start := time.Now()
-
-	// Step 1: checkpoint the live node. Like the paper's fork(), this is
-	// the only operation that touches the live process: one clone is
-	// taken under the state lock ("the checkpoint process"), and all
-	// exploration clones fork from it, never from the live router.
-	sink := netsim.NewCaptureSink()
-	store := checkpoint.NewStore(d.opts.PageSize)
-	var ckptRouter *router.Router
-	d.withLock(func() { ckptRouter = d.live.Clone(sink) })
-	var ckpt *checkpoint.Snapshot
-	if d.opts.MeasureMemory {
-		ckpt = store.TakeChunks("checkpoint", ckptRouter.EncodeStateChunks())
-	}
-
-	var (
-		mu             sync.Mutex
-		cloneOverheads []float64
-	)
-
-	// Step 3: the instrumented handler. Every run forks a fresh clone of
-	// the checkpoint process; its messages go to the capture sink.
-	handler := func(rc *concolic.RunContext) any {
-		// COW clone: O(1) like fork(). Memory accounting needs the full
-		// serialized state, so MeasureMemory uses eager clones instead.
-		var clone *router.Router
-		if d.opts.MeasureMemory {
-			clone = ckptRouter.Clone(sink)
-		} else {
-			clone = ckptRouter.CloneCOW(sink)
-		}
-		out := sc.Execute(rc, clone, peerName, seed)
-		if d.opts.MeasureMemory {
-			snap := store.TakeChunks("clone", clone.EncodeStateChunks())
-			over := snap.OverheadFraction(ckpt)
-			snap.Release()
-			mu.Lock()
-			cloneOverheads = append(cloneOverheads, over)
-			mu.Unlock()
-		}
-		return out
-	}
-
-	// Step 2: symbolic input template from the observed message, with
-	// cross-round state attached in online (ReuseState) mode.
 	engOpts := d.opts.Engine
 	if engOpts.State == nil && d.opts.ReuseState {
 		engOpts.State = d.stateFor(sc.Name(), peerName)
 	}
-	eng := concolic.NewEngine(handler, engOpts)
-	if err := sc.Declare(eng, seed); err != nil {
+	var (
+		meter    *memoryMeter
+		decorate runDecorator
+	)
+	if d.opts.MeasureMemory {
+		meter = &memoryMeter{store: checkpoint.NewStore(d.opts.PageSize)}
+		decorate = meter.decorate
+	}
+	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: sc.Name()}
+	tp, err := prepareSeeded(d.live, tg, sc, seed, engOpts, d.opts.CloneLock, decorate)
+	if err != nil {
 		return nil, err
 	}
-
-	rep := eng.Explore()
-
-	res := &Result{
-		Scenario:         sc.Name(),
-		Report:           rep,
-		CapturedMessages: sink.Count(),
-	}
-
-	// Step 4: the scenario's oracles, run against the checkpoint-time
-	// state (witness validation included).
-	sc.Analyze(d, &Round{Peer: peerName, Seed: seed, Engine: eng, Checkpoint: ckptRouter}, res)
-
-	// Memory accounting (only in MeasureMemory mode — serializing and
-	// hashing the full state is itself costly): compare the checkpoint
-	// against the live node's current state (it kept processing while we
-	// explored).
-	if d.opts.MeasureMemory {
-		res.Memory.CheckpointPages = ckpt.Pages()
-		res.Memory.CheckpointBytes = ckpt.Size()
-		var liveNow *checkpoint.Snapshot
-		d.withLock(func() {
-			liveNow = store.TakeChunks("live-now", d.live.EncodeStateChunks())
-		})
-		res.Memory.CheckpointUniqueFraction = ckpt.UniqueFraction(liveNow)
-		liveNow.Release()
-		if n := len(cloneOverheads); n > 0 {
-			var sum, max float64
-			for _, o := range cloneOverheads {
-				sum += o
-				if o > max {
-					max = o
-				}
-			}
-			res.Memory.CloneOverheadMean = sum / float64(n)
-			res.Memory.CloneOverheadMax = max
-			res.Memory.ClonesMeasured = n
-		}
-		ckpt.Release()
+	res := tp.analyze(d, tp.Engine.Explore())
+	if meter != nil {
+		meter.finish(d, &res.Memory)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// memoryMeter is the §4.1 memory experiment (Options.MeasureMemory) as a
+// decorator on the run handler: it serializes the checkpoint and every
+// exploration clone into a page store and compares them. Serializing
+// and hashing full state is itself costly, and needs eager clones where
+// exploration otherwise forks O(1) COW ones — which is why it is opt-in.
+type memoryMeter struct {
+	store *checkpoint.Store
+	ckpt  *checkpoint.Snapshot
+
+	mu        sync.Mutex
+	overheads []float64 // per clone, extra pages relative to the checkpoint
+}
+
+func (m *memoryMeter) decorate(ckpt *router.Router, sink *netsim.CaptureSink, exec func(*concolic.RunContext, *router.Router) any) func(*concolic.RunContext) any {
+	m.ckpt = m.store.TakeChunks("checkpoint", ckpt.EncodeStateChunks())
+	return func(rc *concolic.RunContext) any {
+		clone := ckpt.Clone(sink)
+		out := exec(rc, clone)
+		snap := m.store.TakeChunks("clone", clone.EncodeStateChunks())
+		over := snap.OverheadFraction(m.ckpt)
+		snap.Release()
+		m.mu.Lock()
+		m.overheads = append(m.overheads, over)
+		m.mu.Unlock()
+		return out
+	}
+}
+
+// finish compares the checkpoint against the live node's current state
+// (it kept processing while the round explored) and folds the per-clone
+// overheads.
+func (m *memoryMeter) finish(d *DiCE, out *MemoryStats) {
+	out.CheckpointPages = m.ckpt.Pages()
+	out.CheckpointBytes = m.ckpt.Size()
+	var liveNow *checkpoint.Snapshot
+	withLock(d.opts.CloneLock, func() {
+		liveNow = m.store.TakeChunks("live-now", d.live.EncodeStateChunks())
+	})
+	out.CheckpointUniqueFraction = m.ckpt.UniqueFraction(liveNow)
+	liveNow.Release()
+	if n := len(m.overheads); n > 0 {
+		var sum float64
+		for _, o := range m.overheads {
+			sum += o
+			out.CloneOverheadMax = max(out.CloneOverheadMax, o)
+		}
+		out.CloneOverheadMean = sum / float64(n)
+		out.ClonesMeasured = n
+	}
+	m.ckpt.Release()
 }

@@ -1,0 +1,64 @@
+package core_test
+
+import (
+	"strings"
+	"testing"
+
+	"dice/internal/concolic"
+	"dice/internal/core"
+	"dice/internal/topo"
+)
+
+// TestRoundEqualsPerWitnessChecks: Round shares shadow sets between
+// disjoint-prefix witnesses; the exported CheckWitness checks one
+// witness on a fresh shadow. Recomposing a round from per-witness checks
+// must reproduce Round's snapshot exactly.
+func TestRoundEqualsPerWitnessChecks(t *testing.T) {
+	example, err := core.LoadTopology("../../examples/federated/topo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated, _, err := topo.Generate(topo.Spec{Seed: 64, Nodes: 64, ExploreTargets: 12, PolicyClauses: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []*core.Topology{example, generated} {
+		t.Run(tp.Name, func(t *testing.T) {
+			fe, err := core.NewFederatedExperiment(tp, core.FederatedOptions{
+				Engine: concolic.Options{MaxRuns: 1000}, Workers: 2, MaxWitnesses: 1 << 20,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fe.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.WitnessesInjected < 2 {
+				t.Fatalf("vacuous: %d witnesses injected", res.WitnessesInjected)
+			}
+			again := &core.FederatedResult{Targets: res.Targets}
+			for _, tr := range res.Targets {
+				if tr.Result == nil {
+					continue
+				}
+				for _, f := range tr.Result.Findings {
+					if f.Witness == nil {
+						continue
+					}
+					out, err := fe.CheckWitness(tr.Node, tr.Peer, f.Witness)
+					if err != nil {
+						t.Fatal(err)
+					}
+					again.WitnessesInjected++
+					again.PropagationSteps += out.Steps
+					again.Violations = append(again.Violations, out.Violations...)
+				}
+			}
+			want, got := strings.Join(res.Snapshot(), "\n"), strings.Join(again.Snapshot(), "\n")
+			if want != got {
+				t.Errorf("round and per-witness recomposition disagree:\n--- round ---\n%s\n--- recomposed ---\n%s", want, got)
+			}
+		})
+	}
+}

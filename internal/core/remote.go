@@ -55,9 +55,12 @@ func ShippableSeed(live *router.Router, tg ResolvedTarget) (*bgp.Update, error) 
 
 // PrepareRestored is the replica-side counterpart of the node agent's
 // explore pipeline: restore the shipped checkpoint, then run the exact
-// PrepareTarget prep over the restored router with the shipped seed —
-// same scenario lookup, checkpoint clone, COW handler, declaration. The
-// caller runs tp.Engine.Explore() and tp.Analyze(restored, ...), so a
+// PrepareTarget prep over the restored router — same scenario lookup,
+// checkpoint clone, COW handler, declaration — with the shipped seed. A
+// checkpoint-restored router has no observation history (DecodeState
+// rebuilds routes and sessions, not the last-seen UPDATE templates), so
+// the seed travels alongside the checkpoint instead of being derived.
+// The caller runs tp.Engine.Explore() and tp.Analyze(restored, ...), so a
 // replica reproduces the agent's per-target results finding for finding.
 // Warm cross-round memory (a decoded ExploreState) may be attached via
 // engOpts.State; nil explores cold.
@@ -66,7 +69,11 @@ func PrepareRestored(node string, cfg *config.Config, state []byte, tg ResolvedT
 	if err != nil {
 		return nil, nil, err
 	}
-	tp, err := PrepareTargetSeeded(restored, tg, seed, engOpts)
+	sc, ok := LookupScenario(tg.Scenario)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown scenario %q (registered: %v)", tg.Scenario, ScenarioNames())
+	}
+	tp, err := prepareSeeded(restored, tg, sc, seed, engOpts, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -75,25 +75,31 @@ func (s *blockSort) Swap(i, j int) {
 	s.blocks[i], s.blocks[j] = s.blocks[j], s.blocks[i]
 }
 
-// SnapshotTail renders the cross-node section shared by both backends:
-// sorted violations and the witness-traffic summary.
-func SnapshotTail(violations []FederatedViolation, injected, skipped, steps int) []string {
-	lines := []string{"violations"}
+// SnapshotRound renders a round canonically: the format header, the
+// targets' SnapshotTarget blocks in resolution order, then the
+// cross-node section — sorted violations and the witness-traffic
+// summary. Both backends' result types render through here, so one
+// golden file checks either.
+func SnapshotRound(targets [][]string, violations []FederatedViolation, injected, skipped, steps int) []string {
+	lines := []string{SnapshotHeader}
+	for _, block := range targets {
+		lines = append(lines, block...)
+	}
+	lines = append(lines, "violations")
 	vs := make([]string, 0, len(violations))
 	for _, v := range violations {
 		vs = append(vs, "  "+v.String())
 	}
 	sort.Strings(vs)
 	lines = append(lines, vs...)
-	lines = append(lines, fmt.Sprintf("summary witnesses_injected=%d witnesses_skipped=%d propagation_steps=%d",
+	return append(lines, fmt.Sprintf("summary witnesses_injected=%d witnesses_skipped=%d propagation_steps=%d",
 		injected, skipped, steps))
-	return lines
 }
 
 // Snapshot renders the round canonically for golden-file comparison.
 func (res *FederatedResult) Snapshot() []string {
-	lines := []string{SnapshotHeader}
-	for _, tr := range res.Targets {
+	blocks := make([][]string, len(res.Targets))
+	for i, tr := range res.Targets {
 		skipped := ""
 		if tr.Err != nil {
 			skipped = tr.Err.Error()
@@ -102,7 +108,7 @@ func (res *FederatedResult) Snapshot() []string {
 		if tr.Result != nil {
 			findings = tr.Result.Findings
 		}
-		lines = append(lines, SnapshotTarget(tr.Node, tr.Peer, tr.Scenario, skipped, findings)...)
+		blocks[i] = SnapshotTarget(tr.Node, tr.Peer, tr.Scenario, skipped, findings)
 	}
-	return append(lines, SnapshotTail(res.Violations, res.WitnessesInjected, res.WitnessesSkipped, res.PropagationSteps)...)
+	return SnapshotRound(blocks, res.Violations, res.WitnessesInjected, res.WitnessesSkipped, res.PropagationSteps)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"dice/internal/bgp"
 	"dice/internal/checkpoint"
@@ -93,7 +92,7 @@ type exploreMemoEntry struct {
 }
 
 // noShadowMarker is the stable substring of the agent's missing-shadow
-// error. The coordinator matches it (IsShadowLoss) to tell "this shadow
+// error. The coordinator matches it (shadowLost) to tell "this shadow
 // died with a replaced agent — replay the witness on fresh clones" from
 // genuine application errors.
 const noShadowMarker = "has no shadow"
@@ -368,18 +367,9 @@ func (a *Agent) explore(p ExploreParams) (*ExploreResult, error) {
 			return e.out, nil
 		}
 	}
-	strat, err := parseStrategy(p.Strategy)
+	engOpts, err := p.EngineKnobs.options(a.concolicM)
 	if err != nil {
 		return nil, err
-	}
-	engOpts := concolic.Options{
-		Strategy:    strat,
-		MaxRuns:     p.MaxRuns,
-		MaxDepth:    p.MaxDepth,
-		Workers:     p.Workers,
-		SolverNodes: p.SolverNodes,
-		TimeBudget:  time.Duration(p.TimeBudgetNS),
-		Metrics:     a.concolicM,
 	}
 	tg := core.ResolvedTarget{Node: a.node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit}
 	tp, err := core.PrepareTarget(a.self, tg, engOpts, a.states, p.ReuseState)
@@ -395,8 +385,22 @@ func (a *Agent) explore(p ExploreParams) (*ExploreResult, error) {
 		return nil, fmt.Errorf("dist: %s/%s: %w", a.node, p.Peer, err)
 	}
 	rep := tp.Engine.Explore()
-	r := tp.Analyze(a.self, engOpts, a.boundary, rep)
+	out, err := encodeExploreResult(tp, tp.Analyze(a.self, engOpts, a.boundary, rep))
+	if err != nil {
+		return nil, err
+	}
+	if p.Round != 0 {
+		a.exploreMemo[memoKey] = exploreMemoEntry{round: p.Round, out: out}
+	}
+	return out, nil
+}
 
+// encodeExploreResult flattens one explored target for the wire: the
+// report's counters, every finding, and the validated findings' concrete
+// witness announcements. Agents and replicas answer through here, so a
+// shard reads the same wherever it ran.
+func encodeExploreResult(tp *core.TargetPrep, r *core.Result) (*ExploreResult, error) {
+	rep := r.Report
 	out := &ExploreResult{
 		Scenario:          r.Scenario,
 		Runs:              rep.Runs,
@@ -434,12 +438,9 @@ func (a *Agent) explore(p ExploreParams) (*ExploreResult, error) {
 	for _, wr := range tp.WitnessRefs(r) {
 		wire, err := bgp.Encode(wr.Update)
 		if err != nil {
-			return nil, fmt.Errorf("dist: encode witness for %s: %w", wr.Update.NLRI[0], err)
+			return nil, fmt.Errorf("dist: %s/%s: encode witness for %s: %w", tp.Target.Node, tp.Target.Peer, wr.Update.NLRI[0], err)
 		}
 		out.Witnesses = append(out.Witnesses, WireWitness{Finding: wr.Finding, Msg: wire})
-	}
-	if p.Round != 0 {
-		a.exploreMemo[memoKey] = exploreMemoEntry{round: p.Round, out: out}
 	}
 	return out, nil
 }

@@ -43,14 +43,14 @@ func TestQueryOracleBudget(t *testing.T) {
 						continue
 					}
 					witnesses++
-					shadows, err := c.openShadows()
+					shadows, err := c.OpenShadows()
 					if err != nil {
 						t.Fatal(err)
 					}
 					before := queries.Value()
-					facts, _, err := c.collectFactsIn(shadows, tr.Node, tr.Peer, f.Witness)
+					facts, err := c.driver.CollectFacts(c, shadows, WitnessSpec{Node: tr.Node, Peer: tr.Peer, Update: f.Witness})
 					got := queries.Value() - before
-					c.closeShadows(shadows)
+					shadows.Close()
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -22,13 +22,15 @@ import (
 	"dice/internal/telemetry"
 )
 
-// Coordinator drives federated exploration rounds over node agents. It
-// is the distributed counterpart of core.FederatedExperiment: the same
-// target resolution, witness dedup/cap policy, propagation bounds and
-// cross-node oracles — but every per-node operation crosses the wire
-// protocol instead of touching a router in-process, and witness
-// propagation is relayed message by message between agents through a
-// latency-ordered event queue that mirrors netsim's delivery order.
+// Coordinator is the RPC Fleet: it reaches a set of node agents over the
+// wire protocol and implements core.Fleet / core.Shadows on top of
+// them, so core.Driver — the same driver that runs
+// core.FederatedExperiment in-process — runs distributed rounds. None of
+// the round algorithm lives here. What does: connections and their
+// fault-recovery ladder, the phase-1 fan-out (agents or the replica
+// pool), shadow sets, the relay that carries a witness wave between
+// agents message by message through a latency-ordered event queue that
+// mirrors netsim's delivery order, replay, and telemetry.
 //
 // Fault tolerance (health.go, fault.go): every RPC carries the client's
 // per-call deadline, a broken or timed-out connection is re-dialed with
@@ -38,25 +40,22 @@ import (
 // on the round sequence, witness deliveries on per-shadow delivery keys,
 // replays on history keys, so at-least-once delivery has exactly-once
 // effects and a faulty run converges on the identical finding snapshot.
+// The one fault the driver hears about is a shadow set that died with a
+// replaced agent (core.ErrShadowLost); it replays the witness.
 type Coordinator struct {
 	Topo *core.Topology
 
-	opts     core.FederatedOptions
-	conns    map[string]*nodeConn
-	nodes    []string // sorted node names
-	latency  map[string]time.Duration
-	boundary uint32 // no-export community, resolved once at Connect
-
-	// props is the compiled property set (builtins merged with the
-	// topology's and the options' customs, exactly as in-process) —
-	// checkWitnessIn collects prop.Facts and evaluates these over them.
-	// propSrcs is the same set in canonical source form, shipped to every
-	// agent in the hello so query_oracle WantProps answers index-align
-	// with props. needsAt marks a set containing `at` route predicates,
-	// which the agents answer per node (WantProps).
-	props    []*prop.Compiled
+	// driver holds the round's options, boundary and compiled property
+	// set, resolved exactly as in-process (core.NewDriver), and runs the
+	// rounds. propSrcs is that property set in canonical source form,
+	// shipped to every agent in the hello so query_oracle WantProps
+	// answers index-align with it.
+	driver   *core.Driver
 	propSrcs []string
-	needsAt  bool
+
+	conns   map[string]*nodeConn
+	nodes   []string // sorted node names
+	latency map[string]time.Duration
 	// nodeAS maps node name → AS number, from each agent's hello; it
 	// resolves `never reachable via AS` path checks. Written only during
 	// Connect, read-only afterwards.
@@ -90,7 +89,11 @@ type Coordinator struct {
 	// still hit the memos within the session.
 	session uint64
 
-	roundSeq uint64 // explore idempotency key; Round is not reentrant
+	// roundSeq is the explore idempotency key, minted by Explore; explored
+	// holds that Explore's raw per-target answers for Round to report.
+	// Round is not reentrant.
+	roundSeq uint64
+	explored []*ExploreResult
 
 	replayMu      sync.Mutex
 	replaySeq     uint64
@@ -166,10 +169,9 @@ func WithTracer(tr *telemetry.Tracer) ConnOption {
 // WithReplicas offloads each round's exploration phase to a pool of
 // stateless replicas over the checkpoint RPC. The pool binds to this
 // coordinator's session and retry policy at Connect and closes with it.
-// Targets whose scenario seed cannot ship (SeedResult.Unsupported, or
-// an agent predating MethodSeed) explore on their agent as before, so
-// mixed fleets keep working; a pool whose replicas all die degrades the
-// same way instead of failing the round.
+// Targets whose scenario seed cannot ship (SeedResult.Unsupported)
+// explore on their agent as before; a pool whose replicas all die
+// degrades the same way instead of failing the round.
 func WithReplicas(pool *ReplicaPool) ConnOption {
 	return func(c *Coordinator) { c.replicas = pool }
 }
@@ -229,15 +231,15 @@ type RoundResult struct {
 	Health map[string]NodeHealth
 }
 
-// Snapshot renders the round canonically for golden-file comparison —
-// the distributed counterpart of core.FederatedResult.Snapshot, built
-// from the same core helpers so one golden file checks either backend.
+// Snapshot renders the round canonically for golden-file comparison, in
+// the form core.FederatedResult.Snapshot renders the in-process one, so
+// one golden file checks either backend.
 func (res *RoundResult) Snapshot() []string {
-	lines := []string{core.SnapshotHeader}
-	for _, tr := range res.Targets {
-		lines = append(lines, core.SnapshotTarget(tr.Node, tr.Peer, tr.Scenario, tr.Skipped, tr.Findings)...)
+	blocks := make([][]string, len(res.Targets))
+	for i, tr := range res.Targets {
+		blocks[i] = core.SnapshotTarget(tr.Node, tr.Peer, tr.Scenario, tr.Skipped, tr.Findings)
 	}
-	return append(lines, core.SnapshotTail(res.Violations, res.WitnessesInjected, res.WitnessesSkipped, res.PropagationSteps)...)
+	return core.SnapshotRound(blocks, res.Violations, res.WitnessesInjected, res.WitnessesSkipped, res.PropagationSteps)
 }
 
 // Connect dials one agent per dialer, identifies each, and checks the
@@ -247,45 +249,24 @@ func (res *RoundResult) Snapshot() []string {
 // budget; identity errors (wrong protocol version, wrong topology,
 // duplicate node) fail fast.
 func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, copts ...ConnOption) (*Coordinator, error) {
-	if opts.DefaultScenario == "" {
-		opts.DefaultScenario = core.ScenarioRouteLeak
-	}
-	if opts.MaxPropagationSteps <= 0 {
-		opts.MaxPropagationSteps = 4096
-	}
-	if opts.MaxWitnesses <= 0 {
-		opts.MaxWitnesses = 16
-	}
-	if opts.Engine.State != nil {
-		return nil, fmt.Errorf("dist: Engine.State cannot be shared across nodes; set ReuseState for per-node agent state")
-	}
 	if opts.Engine.Cancel != nil || opts.Engine.SolverCache != nil {
 		// Process-local handles cannot cross the wire; refusing beats
 		// silently exploring unbounded/uncached on the agents.
 		return nil, fmt.Errorf("dist: Engine.Cancel and Engine.SolverCache are process-local and cannot be used distributed")
 	}
-	boundary, err := topo.BoundaryCommunity()
-	if err != nil {
-		return nil, err
-	}
-	props, err := core.CompileProperties(topo, opts.Properties)
+	driver, err := core.NewDriver(topo, opts)
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
-		Topo:     topo,
-		opts:     opts,
-		conns:    make(map[string]*nodeConn, len(dialers)),
-		latency:  make(map[string]time.Duration, len(topo.Edges)),
-		boundary: boundary,
-		props:    props,
-		nodeAS:   make(map[string]uint16, len(topo.Nodes)),
+		Topo:    topo,
+		driver:  driver,
+		conns:   make(map[string]*nodeConn, len(dialers)),
+		latency: make(map[string]time.Duration, len(topo.Edges)),
+		nodeAS:  make(map[string]uint16, len(topo.Nodes)),
 	}
-	for _, p := range props {
+	for _, p := range driver.Props {
 		c.propSrcs = append(c.propSrcs, p.Source())
-		if p.HasAt() {
-			c.needsAt = true
-		}
 	}
 	for _, o := range copts {
 		o(c)
@@ -584,7 +565,7 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 // without ReuseState) there is nothing cached and the replacement
 // explores cold, exactly as before.
 func (c *Coordinator) seedWarmState(local *Agent, node string) {
-	if c.replicas == nil || !c.opts.ReuseState {
+	if c.replicas == nil || !c.driver.Opts.ReuseState {
 		return
 	}
 	c.warmMu.Lock()
@@ -656,146 +637,140 @@ func (c *Coordinator) linkLatency(a, b string) (time.Duration, bool) {
 	return lat, ok
 }
 
-// Round runs one distributed federated round: parallel per-agent
-// exploration, then cross-domain witness propagation and oracles.
+// Round runs one distributed federated round: core.Driver's round over
+// this fleet, reported in the distributed result shape with the agents'
+// exploration stats and the fleet's health attached.
 func (c *Coordinator) Round() (*RoundResult, error) {
-	start := time.Now()
-	res := &RoundResult{}
-	c.roundSeq++
-	round := c.roundSeq
-	roundSpan := c.tracer.Start("coordinator", fmt.Sprintf("round %d", round))
+	// Explore mints the round key this span is named after.
+	roundSpan := c.tracer.Start("coordinator", fmt.Sprintf("round %d", c.roundSeq+1))
 	defer roundSpan.End()
-
-	// Phase 1: fan Explore out to the owning agents, one goroutine per
-	// target (calls to the same agent serialize on its connection). The
-	// round key makes retried explores exact: an agent that already ran
-	// this round's explore answers from its memo.
-	targets := c.Topo.ResolveTargets(c.opts.DefaultScenario)
-	outs := make([]*ExploreResult, len(targets))
-	errs := make([]error, len(targets))
-	ckpts := &checkpointCache{m: make(map[string]*ckptEntry)}
-	var wg sync.WaitGroup
-	for i, tg := range targets {
-		if _, ok := c.conns[tg.Node]; !ok {
-			return nil, fmt.Errorf("dist: no agent for node %q", tg.Node)
-		}
-		wg.Add(1)
-		go func(i int, tg core.ResolvedTarget) {
-			defer wg.Done()
-			sp := c.tracer.Start("explore/"+tg.Node, tg.Scenario+"/"+tg.Peer)
-			outs[i], errs[i] = c.exploreTarget(tg, round, ckpts)
-			sp.End()
-		}(i, tg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 2: collect results in target order; decode, dedup and cap
-	// the concrete witnesses exactly like the in-process backend. Each
-	// witness keeps its (target, finding) linkage so per-witness
-	// artifacts land back on the right finding.
-	type witness struct {
-		node, peer string
-		update     *bgp.Update
-		target     int // index into res.Targets
-		finding    int // index into that target's Findings
-	}
-	var witnesses []witness
-	seenWitness := map[string]bool{}
-	for i, tg := range targets {
-		out := outs[i]
-		tr := TargetResult{Node: tg.Node, Peer: tg.Peer, Scenario: tg.Scenario, Explore: out, Skipped: out.Skipped}
-		for _, wf := range out.Findings {
-			f, err := decodeFinding(wf)
-			if err != nil {
-				return nil, err
-			}
-			tr.Findings = append(tr.Findings, f)
-		}
-		res.Targets = append(res.Targets, tr)
-		for _, ww := range out.Witnesses {
-			m, err := bgp.Decode(ww.Msg)
-			if err != nil {
-				return nil, fmt.Errorf("dist: %s/%s witness: %w", tg.Node, tg.Peer, err)
-			}
-			u, ok := m.(*bgp.Update)
-			if !ok || len(u.NLRI) == 0 {
-				continue
-			}
-			if ww.Finding < 0 || ww.Finding >= len(tr.Findings) {
-				return nil, fmt.Errorf("dist: %s/%s witness references finding %d of %d", tg.Node, tg.Peer, ww.Finding, len(tr.Findings))
-			}
-			key := core.WitnessKey(tg.Node, tg.Peer, u)
-			if seenWitness[key] {
-				continue
-			}
-			seenWitness[key] = true
-			witnesses = append(witnesses, witness{
-				node: tg.Node, peer: tg.Peer, update: u,
-				target: len(res.Targets) - 1, finding: ww.Finding,
-			})
-		}
-	}
-
-	// Apply the cap, then check the surviving witnesses as one sequence:
-	// CheckWitnesses shares shadow sets across disjoint-prefix runs, and
-	// per-witness outcomes come back in order so violation order, step
-	// totals and per-finding artifacts land exactly as the one-at-a-time
-	// loop produced them.
-	var checked []witness
-	for _, w := range witnesses {
-		if len(checked) >= c.opts.MaxWitnesses {
-			res.WitnessesSkipped++
-			continue
-		}
-		checked = append(checked, w)
-	}
-	res.WitnessesInjected = len(checked)
-	specs := make([]WitnessSpec, len(checked))
-	for i, w := range checked {
-		specs[i] = WitnessSpec{Node: w.node, Peer: w.peer, Update: w.update}
-		res.Targets[w.target].Findings[w.finding].Witness = w.update
-	}
-	wsp := c.tracer.Start("coordinator", fmt.Sprintf("witnesses round %d", round))
-	outcomes, err := c.CheckWitnesses(specs)
-	wsp.End()
+	fr, err := c.driver.Round(c)
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range checked {
-		out := outcomes[i]
-		tr := &res.Targets[w.target]
-		res.PropagationSteps += out.Steps
-		res.Violations = append(res.Violations, out.Violations...)
-		if c.opts.Minimize && len(out.Violations) > 0 {
-			min, st, err := core.MinimizeWitness(c, w.node, w.peer, w.update, out.Violations, c.opts.MinimizeBudget)
-			if err != nil {
-				return nil, fmt.Errorf("dist: minimize %s/%s witness %s: %w", w.node, w.peer, w.update.NLRI[0], err)
-			}
-			tr.Findings[w.finding].MinimalWitness = min
-			if tr.Minimization == nil {
-				tr.Minimization = &minimize.Stats{}
-			}
-			tr.Minimization.Add(st)
+	res := &RoundResult{
+		Targets:           make([]TargetResult, len(fr.Targets)),
+		Violations:        fr.Violations,
+		WitnessesInjected: fr.WitnessesInjected,
+		WitnessesSkipped:  fr.WitnessesSkipped,
+		PropagationSteps:  fr.PropagationSteps,
+		Elapsed:           fr.Elapsed,
+		Health:            c.Health(),
+	}
+	for i, tr := range fr.Targets {
+		out := c.explored[i]
+		res.Targets[i] = TargetResult{Node: tr.Node, Peer: tr.Peer, Scenario: tr.Scenario, Explore: out, Skipped: out.Skipped}
+		if tr.Result != nil {
+			res.Targets[i].Findings = tr.Result.Findings
+			res.Targets[i].Minimization = tr.Result.Minimization
 		}
 	}
-
-	res.Elapsed = time.Since(start)
-	res.Health = c.Health()
 	c.metrics.noteRound(res)
 	return res, nil
+}
+
+// CheckWitnesses checks a sequence of witnesses in order on this fleet,
+// sharing shadow sets across disjoint-prefix runs (core.Driver.CheckWitnesses).
+func (c *Coordinator) CheckWitnesses(specs []WitnessSpec) ([]*core.WitnessOutcome, error) {
+	return c.driver.CheckWitnesses(c, specs)
+}
+
+// WitnessSpec names one concrete witness to check.
+type WitnessSpec = core.WitnessSpec
+
+// Nodes lists the fleet's node names, sorted (core.Fleet).
+func (c *Coordinator) Nodes() []string { return c.nodes }
+
+// NodeAS resolves a node name to the AS its agent reported (core.Fleet).
+func (c *Coordinator) NodeAS(name string) (uint16, bool) {
+	as, ok := c.nodeAS[name]
+	return as, ok
+}
+
+// Explore is phase 1 over the wire (core.Fleet): fan the targets out to
+// the owning agents — or the replica pool — one goroutine per target
+// (calls to the same agent serialize on its connection), then reassemble
+// each answer's findings and concrete witnesses. Every call mints a new
+// round key, which makes retried explores exact: an agent that already
+// ran this round's explore answers from its memo.
+func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutcome, error) {
+	c.roundSeq++
+	round := c.roundSeq
+	raw := make([]*ExploreResult, len(targets))
+	errs := make([]error, len(targets))
+	ckpts := &checkpointCache{m: make(map[string]*ckptEntry)}
+	for _, tg := range targets {
+		if _, ok := c.conns[tg.Node]; !ok {
+			return nil, fmt.Errorf("dist: no agent for node %q", tg.Node)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, tg := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := c.tracer.Start("explore/"+tg.Node, tg.Scenario+"/"+tg.Peer)
+			raw[i], errs[i] = c.exploreTarget(tg, round, ckpts)
+			sp.End()
+		}()
+	}
+	wg.Wait()
+	outs := make([]core.TargetOutcome, len(targets))
+	for i, tg := range targets {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		var err error
+		if outs[i], err = decodeOutcome(tg, raw[i]); err != nil {
+			return nil, err
+		}
+	}
+	c.explored = raw
+	return outs, nil
+}
+
+// decodeOutcome reassembles one agent answer into the driver's terms. A
+// skip is the agent's own decision (it knows whether the target was
+// explicit), reported the way the driver recognizes one.
+func decodeOutcome(tg core.ResolvedTarget, out *ExploreResult) (core.TargetOutcome, error) {
+	if out.Skipped != "" {
+		return core.TargetOutcome{Err: &core.SeedUnavailableError{Err: errors.New(out.Skipped)}}, nil
+	}
+	r := &core.Result{
+		Scenario:          out.Scenario,
+		CapturedMessages:  out.CapturedMessages,
+		WitnessesRejected: out.WitnessesRejected,
+	}
+	for _, wf := range out.Findings {
+		f, err := decodeFinding(wf)
+		if err != nil {
+			return core.TargetOutcome{}, err
+		}
+		r.Findings = append(r.Findings, f)
+	}
+	var refs []core.WitnessRef
+	for _, ww := range out.Witnesses {
+		m, err := bgp.Decode(ww.Msg)
+		if err != nil {
+			return core.TargetOutcome{}, fmt.Errorf("dist: %s/%s witness: %w", tg.Node, tg.Peer, err)
+		}
+		u, ok := m.(*bgp.Update)
+		if !ok || len(u.NLRI) == 0 {
+			continue
+		}
+		if ww.Finding < 0 || ww.Finding >= len(r.Findings) {
+			return core.TargetOutcome{}, fmt.Errorf("dist: %s/%s witness references finding %d of %d", tg.Node, tg.Peer, ww.Finding, len(r.Findings))
+		}
+		refs = append(refs, core.WitnessRef{Finding: ww.Finding, Update: u})
+	}
+	return core.TargetOutcome{Result: r, Witnesses: refs}, nil
 }
 
 // exploreTarget runs one target's phase-1 exploration: on the replica
 // pool when one is configured (checkpoint + seed shipped over the
 // wire), on the owning agent otherwise — and on the agent again as the
-// fallback when the target can't ship (unsupported seed, pre-MethodSeed
-// agent) or the pool has died. The round key makes every path
-// idempotent under retries.
+// fallback when the target's seed can't ship or the pool has died. The
+// round key makes every path idempotent under retries.
 func (c *Coordinator) exploreTarget(tg core.ResolvedTarget, round uint64, ckpts *checkpointCache) (*ExploreResult, error) {
 	if c.replicas != nil {
 		out, err := c.exploreOnReplica(tg, round, ckpts)
@@ -808,17 +783,12 @@ func (c *Coordinator) exploreTarget(tg core.ResolvedTarget, round uint64, ckpts 
 		c.metrics.notePoolFallback()
 	}
 	params := ExploreParams{
-		Peer:         tg.Peer,
-		Scenario:     tg.Scenario,
-		Explicit:     tg.Explicit,
-		MaxRuns:      c.opts.Engine.MaxRuns,
-		MaxDepth:     c.opts.Engine.MaxDepth,
-		Workers:      c.opts.Workers,
-		SolverNodes:  c.opts.Engine.SolverNodes,
-		Strategy:     c.opts.Engine.Strategy.String(),
-		TimeBudgetNS: c.opts.Engine.TimeBudget.Nanoseconds(),
-		ReuseState:   c.opts.ReuseState,
-		Round:        round,
+		Peer:        tg.Peer,
+		Scenario:    tg.Scenario,
+		Explicit:    tg.Explicit,
+		EngineKnobs: knobsOf(&c.driver.Opts),
+		ReuseState:  c.driver.Opts.ReuseState,
+		Round:       round,
 	}
 	var out ExploreResult
 	if err := c.call(tg.Node, MethodExplore, &params, &out); err != nil {
@@ -847,12 +817,7 @@ func warmKey(node, scenario, peer string) string {
 func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckpts *checkpointCache) (*ExploreResult, error) {
 	var sr SeedResult
 	if err := c.call(tg.Node, MethodSeed, &SeedParams{Peer: tg.Peer, Scenario: tg.Scenario}, &sr); err != nil {
-		if isConnFault(err) || errors.Is(err, ErrClientBroken) {
-			return nil, err
-		}
-		// An agent predating MethodSeed answers with an application
-		// error; the target explores where it always did.
-		return nil, errExploreLocally
+		return nil, err
 	}
 	if sr.Unsupported {
 		return nil, errExploreLocally
@@ -876,35 +841,30 @@ func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckp
 	}
 	key := warmKey(tg.Node, tg.Scenario, tg.Peer)
 	var warm []byte
-	if c.opts.ReuseState {
+	if c.driver.Opts.ReuseState {
 		c.warmMu.Lock()
 		warm = c.warm[key]
 		c.warmMu.Unlock()
 	}
 	params := &ReplicaExploreParams{
-		Node:         tg.Node,
-		Config:       c.configs[tg.Node],
-		State:        state,
-		Peer:         tg.Peer,
-		Scenario:     tg.Scenario,
-		Explicit:     tg.Explicit,
-		MaxRuns:      c.opts.Engine.MaxRuns,
-		MaxDepth:     c.opts.Engine.MaxDepth,
-		Workers:      c.opts.Workers,
-		SolverNodes:  c.opts.Engine.SolverNodes,
-		Strategy:     c.opts.Engine.Strategy.String(),
-		TimeBudgetNS: c.opts.Engine.TimeBudget.Nanoseconds(),
-		Boundary:     c.boundary,
-		Seed:         sr.Msg,
-		WarmState:    warm,
-		Round:        round,
-		Shard:        key,
+		Node:        tg.Node,
+		Config:      c.configs[tg.Node],
+		State:       state,
+		Peer:        tg.Peer,
+		Scenario:    tg.Scenario,
+		Explicit:    tg.Explicit,
+		EngineKnobs: knobsOf(&c.driver.Opts),
+		Boundary:    c.driver.Boundary,
+		Seed:        sr.Msg,
+		WarmState:   warm,
+		Round:       round,
+		Shard:       key,
 	}
 	out, err := c.replicas.submit(params)
 	if err != nil {
 		return nil, err
 	}
-	if c.opts.ReuseState && len(out.WarmState) > 0 {
+	if c.driver.Opts.ReuseState && len(out.WarmState) > 0 {
 		c.warmMu.Lock()
 		c.warm[key] = out.WarmState
 		c.warmMu.Unlock()
@@ -1056,13 +1016,15 @@ func (q *relayQueue) Pop() any {
 	return e
 }
 
-// shadowSet tracks one shadow clone per agent for a witness lifetime
-// (or several disjoint-prefix lifetimes), plus the delivery-key
-// sequence those lifetimes draw from: keys are unique per shadow set,
-// which is exactly the scope of the agents' memo maps.
+// shadowSet is one shadow clone per agent — the RPC core.Shadows — for
+// a witness lifetime (or several disjoint-prefix lifetimes), plus the
+// delivery-key sequence those lifetimes draw from: keys are unique per
+// shadow set, which is exactly the scope of the agents' memo maps.
 type shadowSet struct {
+	c    *Coordinator
 	ids  map[string]uint64
 	keys uint64
+	span *telemetry.Span // the set's lifetime, on the coordinator track
 }
 
 // nextKey mints the next delivery idempotency key (keys start at 1;
@@ -1072,103 +1034,127 @@ func (s *shadowSet) nextKey() uint64 {
 	return s.keys
 }
 
-// openShadows opens one shadow per node; closeShadows tears them down.
-// All opens are in flight at once — the agents sit on different
-// connections, so the fan-out completes in one RTT. A
-// transport fault on the pipelined attempt falls back to the retrying
-// call path for that node (the retry may leak one clone on an agent
-// that executed the open but lost the answer — bounded, and freed with
-// the agent's next restart).
-func (c *Coordinator) openShadows() (*shadowSet, error) {
-	shadows := &shadowSet{ids: make(map[string]uint64, len(c.nodes))}
-	outs := make([]ShadowOpenResult, len(c.nodes))
-	pend := make([]*Pending, len(c.nodes))
-	for i, n := range c.nodes {
-		pend[i] = c.goNode(n, MethodShadowOpen, nil, &outs[i])
+// shadowLost marks an agent's missing-shadow answer — the signature of a
+// mid-witness agent replacement (restart or degraded swap), whose fresh
+// process knows none of the old clones — as core.ErrShadowLost, so the
+// driver replays the witness on fresh shadows.
+func shadowLost(err error) error {
+	if err != nil && strings.Contains(err.Error(), noShadowMarker) {
+		return fmt.Errorf("%w: %w", core.ErrShadowLost, err)
+	}
+	return err
+}
+
+// fanOut issues one pipelined call per node — all in flight at once; the
+// agents sit on different connections, so the fan-out completes in one
+// RTT — and waits for every answer. A transport fault on a pipelined
+// attempt retries through the recovering call path. It returns the first
+// error; results of the nodes that answered are filled in regardless.
+func (c *Coordinator) fanOut(nodes []string, method string, params, result func(i int) any) error {
+	pend := make([]*Pending, len(nodes))
+	for i, n := range nodes {
+		pend[i] = c.goNode(n, method, params(i), result(i))
 	}
 	var firstErr error
 	for i, p := range pend {
 		err := p.Wait()
 		if err != nil && isConnFault(err) {
-			err = c.call(c.nodes[i], MethodShadowOpen, nil, &outs[i])
+			err = c.call(nodes[i], method, params(i), result(i))
 		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		shadows.ids[c.nodes[i]] = outs[i].ShadowID
 	}
-	if firstErr != nil {
-		c.closeShadows(shadows)
-		return nil, firstErr
+	return firstErr
+}
+
+// OpenShadows opens one shadow per node (core.Fleet). A retried open may
+// leak one clone on an agent that executed the first attempt but lost
+// the answer — bounded, and freed with the agent's next restart.
+func (c *Coordinator) OpenShadows() (core.Shadows, error) {
+	shadows := &shadowSet{c: c, ids: make(map[string]uint64, len(c.nodes)), span: c.tracer.Start("coordinator", "shadow set")}
+	outs := make([]ShadowOpenResult, len(c.nodes))
+	err := c.fanOut(c.nodes, MethodShadowOpen, func(int) any { return nil }, func(i int) any { return &outs[i] })
+	for i, n := range c.nodes {
+		if id := outs[i].ShadowID; id != 0 { // agents number shadows from 1
+			shadows.ids[n] = id
+		}
+	}
+	if err != nil {
+		shadows.Close()
+		return nil, err
 	}
 	return shadows, nil
 }
 
-func (c *Coordinator) closeShadows(shadows *shadowSet) {
-	// Best-effort: a failed close leaks one clone on that agent, it
-	// does not invalidate the round.
-	if shadows == nil {
-		return
-	}
-	pend := make([]*Pending, 0, len(shadows.ids))
-	for n, id := range shadows.ids {
-		pend = append(pend, c.goNode(n, MethodShadowClose, &ShadowCloseParams{ShadowID: id}, nil))
+// Close tears the set down. Best-effort: a failed close leaks one clone
+// on that agent, it does not invalidate the round.
+func (s *shadowSet) Close() {
+	pend := make([]*Pending, 0, len(s.ids))
+	for n, id := range s.ids {
+		pend = append(pend, s.c.goNode(n, MethodShadowClose, &ShadowCloseParams{ShadowID: id}, nil))
 	}
 	for _, p := range pend {
 		_ = p.Wait()
 	}
+	s.span.End()
 }
 
-// query asks one node's oracle view of prefix in its shadow. wantProps
-// additionally requests per-property `at` verdicts (PropMatch) against
-// the node's best route — only the post-installation queries need them,
-// so the flag keeps every other query's answer at its pre-property size.
-func (c *Coordinator) query(shadows *shadowSet, node string, prefix netaddr.Prefix, wantProps bool) (*QueryOracleResult, error) {
-	var out QueryOracleResult
-	err := c.call(node, MethodQueryOracle,
-		&QueryOracleParams{ShadowID: shadows.ids[node], Prefix: prefix.String(), WantProps: wantProps}, &out)
+// Query fans one oracle query out to several nodes' shadows and returns
+// the answers keyed by node (core.Shadows): the best route's
+// shadow-scoped identity token, the covering route's forwarding hop and
+// — with wantAt — the per-property `at` verdicts. Queries are read-only,
+// so re-issuing one after a transport fault is safe.
+func (s *shadowSet) Query(nodes []string, prefix netaddr.Prefix, wantAt bool) (map[string]core.RouteView, error) {
+	known := make([]string, 0, len(nodes))
+	for _, n := range nodes {
+		if _, ok := s.c.conns[n]; ok { // others are left out of the answer
+			known = append(known, n)
+		}
+	}
+	params := make([]QueryOracleParams, len(known))
+	outs := make([]QueryOracleResult, len(known))
+	wirePrefix := prefix.String()
+	for i, n := range known {
+		params[i] = QueryOracleParams{ShadowID: s.ids[n], Prefix: wirePrefix, WantProps: wantAt}
+	}
+	err := s.c.fanOut(known, MethodQueryOracle, func(i int) any { return &params[i] }, func(i int) any { return &outs[i] })
 	if err != nil {
-		return nil, err
+		return nil, shadowLost(err)
 	}
-	return &out, nil
+	views := make(map[string]core.RouteView, len(known))
+	for i, n := range known {
+		q := &outs[i]
+		v := core.RouteView{
+			Hop:     core.ForwardHop{HasCovering: q.HasCovering, Local: q.CoveringLocal, NextPeer: q.CoveringNextPeer},
+			AtMatch: q.PropMatch,
+		}
+		if q.HasBest {
+			v.Token = q.BestFP
+		}
+		views[n] = v
+	}
+	return views, nil
 }
 
-// queryMany fans the same oracle query out to several nodes and returns
-// the answers keyed by node. Converged shadows are read-only to queries,
-// so callers may evaluate the answers in any order they need for
-// deterministic violation ordering. Queries are
-// read-only and safely re-issued, so a transport fault on the pipelined
-// attempt retries through the recovery path.
-func (c *Coordinator) queryMany(shadows *shadowSet, nodes []string, prefix netaddr.Prefix, wantProps bool) (map[string]*QueryOracleResult, error) {
-	out := make(map[string]*QueryOracleResult, len(nodes))
-	outs := make([]QueryOracleResult, len(nodes))
-	pend := make([]*Pending, len(nodes))
-	for i, n := range nodes {
-		pend[i] = c.goNode(n, MethodQueryOracle,
-			&QueryOracleParams{ShadowID: shadows.ids[n], Prefix: prefix.String(), WantProps: wantProps}, &outs[i])
+// Propagate injects u at `to` as if `from` sent it and relays the
+// resulting wave between the agents' shadow clones (core.Shadows).
+func (s *shadowSet) Propagate(from, to string, u *bgp.Update, maxSteps int) (prop.Phase, error) {
+	lat, linked := s.c.linkLatency(from, to)
+	if !linked {
+		return prop.Phase{}, fmt.Errorf("dist: no %s→%s link for witness injection", from, to)
 	}
-	var firstErr error
-	for i, p := range pend {
-		err := p.Wait()
-		if err != nil && isConnFault(err) {
-			err = c.call(nodes[i], MethodQueryOracle,
-				&QueryOracleParams{ShadowID: shadows.ids[nodes[i]], Prefix: prefix.String(), WantProps: wantProps}, &outs[i])
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out[nodes[i]] = &outs[i]
+	wire, err := bgp.Encode(u)
+	if err != nil {
+		return prop.Phase{}, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	queue := &relayQueue{}
+	heap.Push(queue, &relayEvent{at: lat, seq: 1, key: s.nextKey(), from: from, to: to, msg: wire})
+	steps, pending, waves, err := s.c.relay(s, queue, maxSteps)
+	if err != nil {
+		return prop.Phase{}, shadowLost(err)
 	}
-	return out, nil
+	return prop.Phase{Steps: steps, Pending: pending, Waves: waves}, nil
 }
 
 // relay drives one message wave set through the agents: deliveries pop
@@ -1177,10 +1163,10 @@ func (c *Coordinator) queryMany(shadows *shadowSet, nodes []string, prefix netad
 // drains or the step bound hits. It returns delivered count and queue
 // backlog — the distributed Run/Pending pair — plus the per-wave
 // delivery counts (consecutive deliveries sharing one virtual timestamp
-// are one wave, mirroring the in-process runWaves over netsim).
+// are one wave, mirroring the in-process backend's waves over netsim).
 func (c *Coordinator) relay(shadows *shadowSet, queue *relayQueue, maxSteps int) (steps, pending int, waves []int, err error) {
-	// Initial events carry seqs 1..Len (both callers enqueue exactly
-	// one); relayed emissions continue the sequence from there.
+	// Initial events carry seqs 1..Len (Propagate enqueues exactly one);
+	// relayed emissions continue the sequence from there.
 	seq := uint64(queue.Len())
 	var last time.Duration
 	for queue.Len() > 0 && steps < maxSteps {
@@ -1259,288 +1245,4 @@ func (c *Coordinator) deliver(shadows *shadowSet, to string, batch []*relayEvent
 		return nil, fmt.Errorf("dist: %s answered %d results for a batch of %d", to, len(out.Results), len(batch))
 	}
 	return out.Results, nil
-}
-
-// WitnessSpec names one concrete witness to check: the update, the node
-// it was explored at, and the peer it arrives from.
-type WitnessSpec struct {
-	Node, Peer string
-	Update     *bgp.Update
-}
-
-// maxWitnessReplays bounds how many times one witness lifecycle is
-// replayed on fresh shadows after a mid-witness agent replacement.
-const maxWitnessReplays = 2
-
-// CheckWitness is the distributed form of the in-process CheckWitness:
-// inject one concrete witness at the explored node as if its peer sent
-// it, relay the resulting message waves between the agents' shadow
-// clones, and run the cross-node oracles over the converged state —
-// then withdraw it and check the retraction cleans up. Witness
-// minimization (core.MinimizeWitness over the core.WitnessChecker seam)
-// calls it for every candidate; Round's own witnesses go through
-// CheckWitnesses, which shares shadow sets where it can.
-//
-// A mid-lifecycle agent replacement (restart, degraded swap) surfaces
-// as shadow loss; the lifecycle is deterministic, so it replays in full
-// on fresh shadows — the partial run's steps are discarded, keeping
-// step totals identical to a fault-free run.
-func (c *Coordinator) CheckWitness(node, peer string, w *bgp.Update) (*core.WitnessOutcome, error) {
-	var lastErr error
-	for attempt := 0; attempt <= maxWitnessReplays; attempt++ {
-		shadows, err := c.openShadows()
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := c.checkWitnessIn(shadows, node, peer, w)
-		c.closeShadows(shadows)
-		if err == nil {
-			return out, nil
-		}
-		if !IsShadowLoss(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// CheckWitnesses checks a sequence of witnesses in order, each with
-// exactly the semantics of CheckWitness, but amortizing shadow
-// lifecycle: consecutive witnesses whose prefix footprints are pairwise
-// disjoint share one shadow set instead of opening a fresh clone per
-// node per witness. Disjointness is what makes sharing sound — BGP
-// decisions are per-prefix, every witness's full UPDATE→oracles→WITHDRAW
-// lifecycle runs contiguously, and any residue one witness leaves
-// (stale routes, withdrawn paths) lives entirely under prefixes the
-// later witnesses never look at. A witness that fails to converge
-// leaves its set mid-churn, so the set is retired and the remaining
-// witnesses get a fresh one.
-func (c *Coordinator) CheckWitnesses(specs []WitnessSpec) ([]*core.WitnessOutcome, error) {
-	outs := make([]*core.WitnessOutcome, 0, len(specs))
-	for i := 0; i < len(specs); {
-		// Grow the group while the next witness's prefixes stay disjoint
-		// from everything already in it.
-		footprint := append([]netaddr.Prefix(nil), specs[i].Update.NLRI...)
-		j := i + 1
-	grow:
-		for j < len(specs) {
-			next := specs[j].Update.NLRI
-			for _, p := range next {
-				for _, q := range footprint {
-					if p.Overlaps(q) {
-						break grow
-					}
-				}
-			}
-			footprint = append(footprint, next...)
-			j++
-		}
-		shadows, err := c.openShadows()
-		if err != nil {
-			return nil, err
-		}
-		for k := i; k < j; k++ {
-			out, dirty, err := c.checkWitnessIn(shadows, specs[k].Node, specs[k].Peer, specs[k].Update)
-			if err != nil {
-				c.closeShadows(shadows)
-				shadows = nil
-				if !IsShadowLoss(err) {
-					return nil, err
-				}
-				// Mid-witness agent replacement: the shared set died with
-				// the old agent. Replay this witness alone on fresh
-				// shadows (CheckWitness brings its own), then re-open a
-				// set for the rest of the group.
-				out, err = c.CheckWitness(specs[k].Node, specs[k].Peer, specs[k].Update)
-				if err != nil {
-					return nil, err
-				}
-				outs = append(outs, out)
-				if k+1 < j {
-					shadows, err = c.openShadows()
-					if err != nil {
-						return nil, err
-					}
-				}
-				continue
-			}
-			outs = append(outs, out)
-			if dirty && k+1 < j {
-				c.closeShadows(shadows)
-				shadows, err = c.openShadows()
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		c.closeShadows(shadows)
-		i = j
-	}
-	return outs, nil
-}
-
-// checkWitnessIn runs one witness lifecycle inside an already-open
-// shadow set: collect the witness-attributed facts over the wire, then
-// evaluate the coordinator's property set over them — the same
-// prop.Evaluate the in-process backend calls, which is what keeps the
-// two backends' violations byte-identical. dirty reports that the set
-// absorbed a non-converging wave and must not host further witnesses.
-func (c *Coordinator) checkWitnessIn(shadows *shadowSet, node, peer string, w *bgp.Update) (_ *core.WitnessOutcome, dirty bool, _ error) {
-	facts, dirty, err := c.collectFactsIn(shadows, node, peer, w)
-	if err != nil {
-		return nil, false, err
-	}
-	res := &core.WitnessOutcome{Steps: facts.Update.Steps + facts.Withdraw.Steps}
-	prefix := w.NLRI[0]
-	for _, v := range prop.Evaluate(c.props, facts) {
-		res.Violations = append(res.Violations, core.FederatedViolation{
-			Kind: v.Kind, Node: v.Node, Source: node, Peer: peer, Prefix: prefix,
-			Hops: v.Hops, Detail: v.Detail, Waves: v.Waves, WaveTail: v.WaveTail,
-		})
-	}
-	return res, dirty, nil
-}
-
-// collectFactsIn is the distributed core.collectFacts: it plays the
-// witness lifecycle over the shared shadow set and records what
-// happened without judging it. Every observation crosses the wire as a
-// narrow per-node answer — pre/post best-route identity tokens, forward
-// traces, per-property `at` verdicts (PropMatch, when the property set
-// needs them) — and lands in the same prop.Facts shape the in-process
-// backend fills, collected in the same order (sorted node names).
-// Collection stops early when a phase fails to converge, exactly as the
-// original oracles returned early; dirty reports that case.
-func (c *Coordinator) collectFactsIn(shadows *shadowSet, node, peer string, w *bgp.Update) (_ *prop.Facts, dirty bool, _ error) {
-	lat, linked := c.linkLatency(peer, node)
-	if !linked {
-		return nil, false, fmt.Errorf("dist: no %s→%s link for witness injection", peer, node)
-	}
-	prefix := w.NLRI[0]
-	facts := &prop.Facts{
-		Node: node, Peer: peer, Boundary: c.boundary,
-		MaxSteps: c.opts.MaxPropagationSteps,
-		Witness:  prop.NewEnv(prefix, &w.Attrs, c.boundary),
-		NodeAS: func(name string) (uint16, bool) {
-			as, ok := c.nodeAS[name]
-			return as, ok
-		},
-	}
-
-	// Pre-injection best routes, for witness attribution. The explored
-	// node and the sending peer are excluded from every oracle below,
-	// so their pre-state is never consulted — don't pay the RPCs.
-	others := make([]string, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		if n == node || n == peer {
-			continue
-		}
-		others = append(others, n)
-	}
-	pre, err := c.queryMany(shadows, others, prefix, false)
-	if err != nil {
-		return nil, false, err
-	}
-
-	// UPDATE wave.
-	wire, err := bgp.Encode(w)
-	if err != nil {
-		return nil, false, err
-	}
-	queue := &relayQueue{}
-	heap.Push(queue, &relayEvent{at: lat, seq: 1, key: shadows.nextKey(), from: peer, to: node, msg: wire})
-	steps, pending, waves, err := c.relay(shadows, queue, c.opts.MaxPropagationSteps)
-	if err != nil {
-		return nil, false, err
-	}
-	facts.Update = prop.Phase{Steps: steps, Pending: pending, Waves: waves}
-	if pending > 0 {
-		return facts, true, nil // oracle state below would be meaningless mid-churn
-	}
-
-	// Per-node installation facts over the converged shadows. The post
-	// queries fan out in one wave (carrying WantProps when any property
-	// has an `at` clause to answer); evaluation stays in sorted node
-	// order so the facts — and the violations derived from them — come
-	// out deterministically. installed remembers each witness-attributed
-	// best-route token for the withdraw check below.
-	post, err := c.queryMany(shadows, others, prefix, c.needsAt)
-	if err != nil {
-		return nil, false, err
-	}
-	// Forward traces walk that same answer set — the shadows have not
-	// moved since the fan-out, so no agent is asked twice. Only the
-	// explored node and the sending peer, which the fan-out skips, cost
-	// one query each, the first time a trace reaches them.
-	lookup := func(name string) (hop core.ForwardHop, err error) {
-		q := post[name]
-		if _, known := c.conns[name]; q == nil && known {
-			if q, err = c.query(shadows, name, prefix, false); err != nil {
-				return hop, err
-			}
-			post[name] = q
-		}
-		if q != nil {
-			hop = core.ForwardHop{HasCovering: q.HasCovering, Local: q.CoveringLocal, NextPeer: q.CoveringNextPeer}
-		}
-		return hop, nil
-	}
-	installed := make(map[string]string) // node → witness-attributed best FP
-	for _, name := range others {
-		q := post[name]
-		if !q.HasBest || (pre[name].HasBest && q.BestFP == pre[name].BestFP) {
-			continue // witness never took hold at this node
-		}
-		installed[name] = q.BestFP
-		terminal, hops, delivered, path, err := core.TraceForward(name, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		facts.Nodes = append(facts.Nodes, prop.NodeFacts{
-			Name: name, Hops: hops, Terminal: terminal, Delivered: delivered, Path: path,
-			AtMatch: q.PropMatch,
-		})
-	}
-
-	// WITHDRAW wave: the retraction must clean the witness out of every
-	// node it reached.
-	wdWire, err := bgp.Encode(&bgp.Update{Withdrawn: []netaddr.Prefix{prefix}})
-	if err != nil {
-		return nil, false, err
-	}
-	queue = &relayQueue{}
-	heap.Push(queue, &relayEvent{at: lat, seq: 1, key: shadows.nextKey(), from: peer, to: node, msg: wdWire})
-	steps, pending, waves, err = c.relay(shadows, queue, c.opts.MaxPropagationSteps)
-	if err != nil {
-		return nil, false, err
-	}
-	facts.Withdraw = prop.Phase{Steps: steps, Pending: pending, Waves: waves}
-	if pending > 0 {
-		return facts, true, nil
-	}
-	reached := make([]string, 0, len(installed))
-	for name := range installed {
-		reached = append(reached, name)
-	}
-	sort.Strings(reached)
-	after, err := c.queryMany(shadows, reached, prefix, false)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, name := range reached {
-		if q := after[name]; q.HasBest && q.BestFP == installed[name] {
-			facts.Stale = append(facts.Stale, name)
-		}
-	}
-	sort.Strings(facts.Stale)
-	return facts, false, nil
-}
-
-// SkippedErr converts a TargetResult's Skipped reason into an error for
-// callers that want core.FederatedTargetResult-shaped reporting.
-func (t TargetResult) SkippedErr() error {
-	if t.Skipped == "" {
-		return nil
-	}
-	return errors.New(t.Skipped)
 }

@@ -360,7 +360,7 @@ func TestDistributedCheckpoint(t *testing.T) {
 	// Restore the snapshot off-node and explore it.
 	var ex ExploreResult
 	err = cl.Call(MethodExplore, &ExploreParams{
-		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, MaxRuns: 1000,
+		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, EngineKnobs: EngineKnobs{MaxRuns: 1000},
 	}, &ex)
 	if err != nil {
 		t.Fatal(err)

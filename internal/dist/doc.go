@@ -1,7 +1,6 @@
-// Package dist is the distributed node-agent backend: federated
-// exploration rounds (see internal/core, federated.go) cut along the
-// fleet scheduler's per-node shard seam and run over a real RPC
-// boundary, so the paper's §2.4 system model — online testing across
+// Package dist is the distributed node-agent backend: the federated
+// round's Fleet seam (internal/core, fleet.go) implemented over a real
+// RPC boundary, so the paper's §2.4 system model — online testing across
 // *independently administered* nodes — exists in the process structure,
 // not just in the data model.
 //
@@ -16,21 +15,22 @@
 //     oracle queries. Nothing else about the node — its RIB, its policy
 //     configuration object, its engine — crosses the wire.
 //
-//   - A Coordinator drives multi-round federated exploration by
-//     orchestrating agents over the wire protocol: it resolves the
-//     round's explore targets (core.ResolveTargets — the same resolution
-//     the in-process backend uses), fans Explore calls out to the
-//     owning agents, dedups and caps the returned concrete
-//     UPDATE/WITHDRAW witnesses, relays witness propagation between
-//     domains message by message (a latency-ordered event queue
-//     replaces netsim as the inter-domain scheduler), and aggregates
-//     witness-attributed cross-node oracle verdicts into the same
-//     core.FederatedResult the in-process backend produces. A parity
-//     test (dist_test.go) holds the two backends to the same findings.
+//   - A Coordinator reaches the agents over the wire protocol and is a
+//     core.Fleet: Explore fans phase 1 out to the owning agents (or a
+//     replica pool), OpenShadows clones every node, and the shadow set
+//     it returns is a core.Shadows — Query is a pipelined query_oracle
+//     fan-out, Propagate relays one witness wave between domains message
+//     by message (a latency-ordered event queue replaces netsim as the
+//     inter-domain scheduler). The round itself — targets, witness
+//     dedup and cap, the witness lifecycle, property verdicts — is
+//     core.Driver's, the same code that drives the in-process
+//     core.FederatedExperiment; nothing of it is written here. What is:
+//     connections, deadlines, reconnect and degraded fallback, replay,
+//     telemetry. Parity tests (dist_test.go, fault_test.go) hold the two
+//     backends to the same snapshot.
 //
 // Wire protocol: one binary format (wire.go, wirev2.go) and one call
-// discipline — pipelined requests, batched relay deliveries, shadow sets
-// shared across disjoint witnesses. Every connection opens with a hello
+// discipline — pipelined requests, batched relay deliveries. Every connection opens with a hello
 // carrying ProtoVersion; agent, replica and coordinator each refuse a
 // peer whose version differs, so a fleet is one build. Changing a
 // message layout means bumping ProtoVersion, nothing else.

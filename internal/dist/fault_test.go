@@ -642,7 +642,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	var ex ExploreResult
 	p := cl.Go(MethodExplore, &ExploreParams{
-		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, MaxRuns: 500,
+		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, EngineKnobs: EngineKnobs{MaxRuns: 500},
 	}, &ex)
 	// Give the agent's reader time to pull the request off the wire; the
 	// drain below must answer it, however far along the handler is.

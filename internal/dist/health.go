@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"time"
 )
 
@@ -97,13 +96,4 @@ func backoffDelay(attempt int, base, cap time.Duration, rng *rand.Rand) time.Dur
 // reconnect-and-retry; application errors would just recur.
 func isConnFault(err error) bool {
 	return errors.Is(err, ErrClientBroken) || errors.Is(err, ErrCallTimeout)
-}
-
-// IsShadowLoss reports whether err is an agent telling us a shadow ID no
-// longer exists — the signature of a mid-witness agent replacement
-// (restart or degraded swap), whose fresh process knows none of the old
-// clones. The witness lifecycle is deterministic, so the caller replays
-// the whole witness on fresh shadows.
-func IsShadowLoss(err error) bool {
-	return err != nil && strings.Contains(err.Error(), noShadowMarker)
 }

@@ -207,7 +207,7 @@ func TestReplicaPageCacheWireReduction(t *testing.T) {
 	params := &ReplicaExploreParams{
 		Node: "provider", Config: topo.Nodes[1].Config, State: ck,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
-		MaxRuns: 1000, Boundary: boundary, Seed: seed,
+		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
 	}
 	pool := &ReplicaPool{}
 	acked := make(map[string]struct{})
@@ -261,7 +261,7 @@ func TestReplicaPageMissRecovery(t *testing.T) {
 	params := &ReplicaExploreParams{
 		Node: "provider", Config: topo.Nodes[1].Config, State: ck,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
-		MaxRuns: 1000, Boundary: boundary, Seed: seed,
+		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
 	}
 	// Lie: claim every page of the state is already replica-side.
 	acked := make(map[string]struct{})

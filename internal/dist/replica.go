@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
 	"dice/internal/config"
 	"dice/internal/core"
-	"dice/internal/netaddr"
 	"dice/internal/telemetry"
 )
 
@@ -158,7 +156,7 @@ func (r *Replica) explore(p ReplicaExploreParams) (*ReplicaExploreResult, error)
 		p.State = state
 	}
 	r.rm.noteExplore()
-	strat, err := parseStrategy(p.Strategy)
+	engOpts, err := p.EngineKnobs.options(r.concolicM)
 	if err != nil {
 		return nil, err
 	}
@@ -173,15 +171,6 @@ func (r *Replica) explore(p ReplicaExploreParams) (*ReplicaExploreResult, error)
 	seed, ok := msg.(*bgp.Update)
 	if !ok {
 		return nil, fmt.Errorf("dist: replica: %s/%s seed is %T, want UPDATE", p.Node, p.Peer, msg)
-	}
-	engOpts := concolic.Options{
-		Strategy:    strat,
-		MaxRuns:     p.MaxRuns,
-		MaxDepth:    p.MaxDepth,
-		Workers:     p.Workers,
-		SolverNodes: p.SolverNodes,
-		TimeBudget:  time.Duration(p.TimeBudgetNS),
-		Metrics:     r.concolicM,
 	}
 	if len(p.WarmState) > 0 {
 		st, err := concolic.DecodeExploreState(p.WarmState)
@@ -200,52 +189,11 @@ func (r *Replica) explore(p ReplicaExploreParams) (*ReplicaExploreResult, error)
 		return nil, fmt.Errorf("dist: replica: %s/%s: %w", p.Node, p.Peer, err)
 	}
 	rep := tp.Engine.Explore()
-	res := tp.Analyze(restored, engOpts, p.Boundary, rep)
-
-	out := &ReplicaExploreResult{
-		ExploreResult: ExploreResult{
-			Scenario:          res.Scenario,
-			Runs:              rep.Runs,
-			NewPaths:          len(rep.Paths),
-			BranchesSeen:      rep.BranchesSeen,
-			SolverCalls:       rep.SolverCalls,
-			SolverSat:         rep.SolverSat,
-			SolverUnsat:       rep.SolverUnsat,
-			CacheHits:         rep.CacheHits,
-			SkippedPaths:      rep.SkippedPaths,
-			SkippedNegations:  rep.SkippedNegations,
-			ElapsedNS:         rep.Elapsed.Nanoseconds(),
-			CapturedMessages:  res.CapturedMessages,
-			WitnessesRejected: res.WitnessesRejected,
-		},
-		WarmState: engOpts.State.EncodeWire(),
+	er, err := encodeExploreResult(tp, tp.Analyze(restored, engOpts, p.Boundary, rep))
+	if err != nil {
+		return nil, err
 	}
-	for _, f := range res.Findings {
-		wf := WireFinding{
-			Kind:      f.Kind,
-			Peer:      f.Peer,
-			Prefix:    f.Prefix.String(),
-			LeakRange: f.LeakRange,
-			OriginAS:  f.OriginAS,
-			VictimAS:  f.VictimAS,
-			Seq:       f.Seq,
-			Validated: f.Validated,
-			SpreadTo:  f.SpreadTo,
-			Input:     f.Input,
-			Rendered:  f.String(),
-		}
-		if f.VictimPrefix != (netaddr.Prefix{}) {
-			wf.VictimPrefix = f.VictimPrefix.String()
-		}
-		out.Findings = append(out.Findings, wf)
-	}
-	for _, wr := range tp.WitnessRefs(res) {
-		wire, err := bgp.Encode(wr.Update)
-		if err != nil {
-			return nil, fmt.Errorf("dist: replica: encode witness for %s: %w", wr.Update.NLRI[0], err)
-		}
-		out.Witnesses = append(out.Witnesses, WireWitness{Finding: wr.Finding, Msg: wire})
-	}
+	out := &ReplicaExploreResult{ExploreResult: *er, WarmState: engOpts.State.EncodeWire()}
 	if p.Round != 0 && p.Shard != "" {
 		r.memo[p.Shard] = replicaMemoEntry{round: p.Round, out: out}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dice/internal/core"
+	"dice/internal/telemetry"
 )
 
 // replicaPool builds a pool of n in-process replicas over the pipe
@@ -294,6 +295,23 @@ func TestReplicaPoolDownDegradesToAgents(t *testing.T) {
 	}
 }
 
+// TestReplicaSeedErrorFailsRound: an application error from the seed RPC
+// is the round's error. It used to be swallowed into an agent-side
+// explore, which cost a second RPC to rediscover the same failure.
+func TestReplicaSeedErrorFailsRound(t *testing.T) {
+	topo := leakTopo3()
+	topo.Explore[0].Scenario = "no-such-scenario"
+	tm := NewMetrics(telemetry.NewRegistry())
+	coord := loopbackCoordinator(t, topo, fedOpts(), WithReplicas(replicaPool(1)), WithTelemetry(tm))
+	_, err := coord.Round()
+	if err == nil || !strings.Contains(err.Error(), "unknown scenario") {
+		t.Fatalf("round err = %v, want the seed RPC's unknown-scenario error", err)
+	}
+	if n := tm.rpcCalls.With(MethodExplore).Value(); n != 0 {
+		t.Errorf("%d explore RPCs after a failed seed, want 0", n)
+	}
+}
+
 // TestAgentDiesMidCheckpointFetch kills the agent's connection the
 // instant the coordinator's checkpoint request is written: the recovery
 // ladder must reconnect and the retried fetch must answer from the
@@ -435,7 +453,7 @@ func TestSeedExploreState(t *testing.T) {
 	out, err := r.explore(ReplicaExploreParams{
 		Node: "provider", Config: topo.Nodes[1].Config, State: ck,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
-		MaxRuns: 1000, Boundary: boundary, Seed: seed,
+		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +481,7 @@ func TestSeedExploreState(t *testing.T) {
 	var ex ExploreResult
 	err = cl.Call(MethodExplore, &ExploreParams{
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
-		MaxRuns: 1000, ReuseState: true,
+		EngineKnobs: EngineKnobs{MaxRuns: 1000}, ReuseState: true,
 	}, &ex)
 	if err != nil {
 		t.Fatal(err)
@@ -535,7 +553,7 @@ func TestReplicaSessionScopedMemos(t *testing.T) {
 		err := cl.Call(MethodExploreCheckpoint, &ReplicaExploreParams{
 			Node: "provider", Config: topo.Nodes[1].Config, State: ck,
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
-			MaxRuns: maxRuns, Boundary: boundary, Seed: seed,
+			EngineKnobs: EngineKnobs{MaxRuns: maxRuns}, Boundary: boundary, Seed: seed,
 			Round: 1, Shard: warmKey("provider", core.ScenarioRouteLeak, "customer"),
 		}, &out)
 		if err != nil {

@@ -38,7 +38,7 @@ func TestSessionScopedExploreMemos(t *testing.T) {
 		var ex ExploreResult
 		err := cl.Call(MethodExplore, &ExploreParams{
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
-			MaxRuns: maxRuns, Round: 1,
+			EngineKnobs: EngineKnobs{MaxRuns: maxRuns}, Round: 1,
 		}, &ex)
 		if err != nil {
 			t.Fatal(err)

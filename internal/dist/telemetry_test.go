@@ -60,7 +60,7 @@ func TestHealthzDuringDrain(t *testing.T) {
 	}
 	var ex ExploreResult
 	p := cl.Go(MethodExplore, &ExploreParams{
-		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, MaxRuns: 500,
+		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, EngineKnobs: EngineKnobs{MaxRuns: 500},
 	}, &ex)
 	// Let the agent's reader pull the request off the wire before the
 	// drain starts; readiness must flip while this request is in flight.

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 
+	"dice/internal/concolic"
 	"dice/internal/core"
 )
 
@@ -184,6 +186,47 @@ type CheckpointResult struct {
 	UniquePages int
 }
 
+// EngineKnobs is the serializable subset of concolic.Options, embedded
+// in both explore requests (Connect rejects the process-local rest:
+// State, Cancel, SolverCache). Workers is the fleet's shared pool size.
+type EngineKnobs struct {
+	MaxRuns      int
+	MaxDepth     int
+	Workers      int
+	SolverNodes  int
+	Strategy     string
+	TimeBudgetNS int64
+}
+
+// knobsOf flattens a round's options into their wire form.
+func knobsOf(o *core.FederatedOptions) EngineKnobs {
+	return EngineKnobs{
+		MaxRuns:      o.Engine.MaxRuns,
+		MaxDepth:     o.Engine.MaxDepth,
+		Workers:      o.Workers,
+		SolverNodes:  o.Engine.SolverNodes,
+		Strategy:     o.Engine.Strategy.String(),
+		TimeBudgetNS: o.Engine.TimeBudget.Nanoseconds(),
+	}
+}
+
+// options is knobsOf's inverse, on the serving side.
+func (k EngineKnobs) options(m *concolic.Metrics) (concolic.Options, error) {
+	strat, err := parseStrategy(k.Strategy)
+	if err != nil {
+		return concolic.Options{}, err
+	}
+	return concolic.Options{
+		Strategy:    strat,
+		MaxRuns:     k.MaxRuns,
+		MaxDepth:    k.MaxDepth,
+		Workers:     k.Workers,
+		SolverNodes: k.SolverNodes,
+		TimeBudget:  time.Duration(k.TimeBudgetNS),
+		Metrics:     m,
+	}, nil
+}
+
 // ExploreParams asks the agent to run one exploration round.
 type ExploreParams struct {
 	// Peer and Scenario select the target; Explicit mirrors
@@ -192,15 +235,7 @@ type ExploreParams struct {
 	Peer     string
 	Scenario string
 	Explicit bool
-	// Engine knobs (the serializable subset of concolic.Options —
-	// Connect rejects the process-local rest: State, Cancel,
-	// SolverCache).
-	MaxRuns      int
-	MaxDepth     int
-	Workers      int
-	SolverNodes  int
-	Strategy     string
-	TimeBudgetNS int64
+	EngineKnobs
 	// ReuseState keeps per-(node, scenario, peer) exploration state on
 	// the agent across rounds — warm rounds skip known paths without the
 	// state ever crossing the wire.
@@ -309,13 +344,7 @@ type ReplicaExploreParams struct {
 	Peer     string
 	Scenario string
 	Explicit bool
-	// Engine knobs (the serializable subset, as in ExploreParams).
-	MaxRuns      int
-	MaxDepth     int
-	Workers      int
-	SolverNodes  int
-	Strategy     string
-	TimeBudgetNS int64
+	EngineKnobs
 	// Boundary is the topology's leak-boundary community (the replica
 	// has no topology to derive it from).
 	Boundary uint32

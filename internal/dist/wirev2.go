@@ -435,16 +435,29 @@ func (r *CheckpointResult) decodeV2(d *v2dec) {
 	r.UniquePages = d.uint()
 }
 
+func (k *EngineKnobs) appendV2(dst []byte) []byte {
+	dst = appendUint(dst, k.MaxRuns)
+	dst = appendUint(dst, k.MaxDepth)
+	dst = appendUint(dst, k.Workers)
+	dst = appendUint(dst, k.SolverNodes)
+	dst = appendStringV2(dst, k.Strategy)
+	return appendUvarint(dst, uint64(k.TimeBudgetNS))
+}
+
+func (k *EngineKnobs) decodeV2(d *v2dec) {
+	k.MaxRuns = d.uint()
+	k.MaxDepth = d.uint()
+	k.Workers = d.uint()
+	k.SolverNodes = d.uint()
+	k.Strategy = d.str()
+	k.TimeBudgetNS = int64(d.uvarint())
+}
+
 func (p *ExploreParams) appendV2(dst []byte) []byte {
 	dst = appendStringV2(dst, p.Peer)
 	dst = appendStringV2(dst, p.Scenario)
 	dst = appendBoolV2(dst, p.Explicit)
-	dst = appendUint(dst, p.MaxRuns)
-	dst = appendUint(dst, p.MaxDepth)
-	dst = appendUint(dst, p.Workers)
-	dst = appendUint(dst, p.SolverNodes)
-	dst = appendStringV2(dst, p.Strategy)
-	dst = appendUvarint(dst, uint64(p.TimeBudgetNS))
+	dst = p.EngineKnobs.appendV2(dst)
 	dst = appendBoolV2(dst, p.ReuseState)
 	return appendUvarint(dst, p.Round)
 }
@@ -453,12 +466,7 @@ func (p *ExploreParams) decodeV2(d *v2dec) {
 	p.Peer = d.str()
 	p.Scenario = d.str()
 	p.Explicit = d.boolean()
-	p.MaxRuns = d.uint()
-	p.MaxDepth = d.uint()
-	p.Workers = d.uint()
-	p.SolverNodes = d.uint()
-	p.Strategy = d.str()
-	p.TimeBudgetNS = int64(d.uvarint())
+	p.EngineKnobs.decodeV2(d)
 	p.ReuseState = d.boolean()
 	p.Round = d.uvarint()
 }
@@ -613,12 +621,7 @@ func (p *ReplicaExploreParams) appendV2(dst []byte) []byte {
 	dst = appendStringV2(dst, p.Peer)
 	dst = appendStringV2(dst, p.Scenario)
 	dst = appendBoolV2(dst, p.Explicit)
-	dst = appendUint(dst, p.MaxRuns)
-	dst = appendUint(dst, p.MaxDepth)
-	dst = appendUint(dst, p.Workers)
-	dst = appendUint(dst, p.SolverNodes)
-	dst = appendStringV2(dst, p.Strategy)
-	dst = appendUvarint(dst, uint64(p.TimeBudgetNS))
+	dst = p.EngineKnobs.appendV2(dst)
 	dst = binary.BigEndian.AppendUint32(dst, p.Boundary)
 	dst = appendBytesV2(dst, p.Seed)
 	dst = appendBytesV2(dst, p.WarmState)
@@ -653,12 +656,7 @@ func (p *ReplicaExploreParams) decodeV2(d *v2dec) {
 	p.Peer = d.str()
 	p.Scenario = d.str()
 	p.Explicit = d.boolean()
-	p.MaxRuns = d.uint()
-	p.MaxDepth = d.uint()
-	p.Workers = d.uint()
-	p.SolverNodes = d.uint()
-	p.Strategy = d.str()
-	p.TimeBudgetNS = int64(d.uvarint())
+	p.EngineKnobs.decodeV2(d)
 	p.Boundary = d.u32()
 	p.Seed = d.bytes()
 	p.WarmState = d.bytes()

@@ -23,9 +23,9 @@ func sampleMessages() []v2Message {
 		&CheckpointResult{State: []byte{0xca, 0xfe, 0x00, 0x01}, Pages: 12, UniquePages: 3},
 		&ExploreParams{
 			Peer: "as65001", Scenario: "route-leak", Explicit: true,
-			MaxRuns: 200, MaxDepth: 64, Workers: 4, SolverNodes: 2,
-			Strategy: "generational", TimeBudgetNS: 5_000_000_000, ReuseState: true,
-			Round: 3,
+			EngineKnobs: EngineKnobs{MaxRuns: 200, MaxDepth: 64, Workers: 4, SolverNodes: 2,
+				Strategy: "generational", TimeBudgetNS: 5_000_000_000},
+			ReuseState: true, Round: 3,
 		},
 		&ExploreResult{
 			Skipped: "", Scenario: "route-leak",
@@ -72,9 +72,10 @@ func sampleMessages() []v2Message {
 		&ReplicaExploreParams{
 			Node: "as65002", Config: []string{"router bgp 65002", " neighbor up"},
 			State: []byte{0x05, 0x00, 0xde}, Peer: "as65001", Scenario: "route-leak",
-			Explicit: true, MaxRuns: 120, MaxDepth: 48, Workers: 2, SolverNodes: 1,
-			Strategy: "generational", TimeBudgetNS: 2_000_000_000, Boundary: 0xFFFF_FF01,
-			Seed: []byte{0x02, 0x00, 0x17}, WarmState: []byte{0x7a}, Round: 4, Shard: "as65002/as65001#0",
+			Explicit: true,
+			EngineKnobs: EngineKnobs{MaxRuns: 120, MaxDepth: 48, Workers: 2, SolverNodes: 1,
+				Strategy: "generational", TimeBudgetNS: 2_000_000_000},
+			Boundary: 0xFFFF_FF01, Seed: []byte{0x02, 0x00, 0x17}, WarmState: []byte{0x7a}, Round: 4, Shard: "as65002/as65001#0",
 			PageSize: 4096,
 			PageHash: []string{"6cd5", "a001", "6cd5"},
 			PageData: [][]byte{{0xca, 0xfe}, {0x00}},

@@ -1,5 +1,6 @@
-// Benchmarks regenerating the paper's evaluation, one per experiment ID
-// in DESIGN.md §4. Run with:
+// Benchmarks regenerating the paper's own evaluation — F1, E1–E4 and the
+// A1/A2 ablations of DESIGN.md §4 — which benchmark/ does not measure
+// yet; everything benchmark/ does measure lives only there. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -9,13 +10,11 @@
 package dice
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"dice/internal/concolic"
 	"dice/internal/core"
-	"dice/internal/trace"
 )
 
 // benchScale keeps benchmark iterations fast while preserving workload
@@ -45,20 +44,6 @@ func BenchmarkFig1PathExploration(b *testing.B) {
 		rep := eng.Explore()
 		if len(rep.Paths) != 4 {
 			b.Fatalf("want 4 paths, got %d", len(rep.Paths))
-		}
-	}
-}
-
-// BenchmarkF2TopologySetup (F2) builds and converges the three-router
-// topology every experiment runs on.
-func BenchmarkF2TopologySetup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := core.NewFig2(core.Fig2Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if f.Provider.RIB().Prefixes() == 0 {
-			b.Fatal("no convergence")
 		}
 	}
 }
@@ -141,135 +126,6 @@ func BenchmarkE4RouteLeakDetection(b *testing.B) {
 	b.ReportMetric(float64(findings), "findings")
 }
 
-// benchFig2 builds the standard exploration substrate (broken filter,
-// loaded table with victims) once for the scheduler benchmarks.
-func benchFig2(b *testing.B) *core.Fig2 {
-	b.Helper()
-	f, err := core.NewFig2(core.Fig2Options{CustomerFilter: core.BrokenCustomerFilter})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := benchScale()
-	cfg := trace.DefaultGenConfig()
-	cfg.TableSize = s.TableSize
-	cfg.Seed = s.Seed
-	recs := append(trace.Generate(cfg), core.Victims()...)
-	if _, err := f.LoadTable(recs); err != nil {
-		b.Fatal(err)
-	}
-	return f
-}
-
-// BenchmarkS1WorkerScaling (S1) measures exploration-round throughput as
-// the scheduler's worker pool grows: the frontier/scheduler split must
-// let workers solve and execute concurrently instead of serializing on
-// one engine mutex.
-func BenchmarkS1WorkerScaling(b *testing.B) {
-	f := benchFig2(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var paths, queries int
-			for i := 0; i < b.N; i++ {
-				d := core.New(f.Provider, core.Options{
-					Engine: concolic.Options{
-						MaxRuns: benchScale().ExploreRuns,
-						Workers: workers,
-					},
-				})
-				res, err := d.ExplorePeer(core.NodeCustomer)
-				if err != nil {
-					b.Fatal(err)
-				}
-				paths = len(res.Report.Paths)
-				queries = res.Report.SolverCalls
-			}
-			b.ReportMetric(float64(paths), "paths")
-			b.ReportMetric(float64(queries), "solver-calls")
-		})
-	}
-}
-
-// BenchmarkS2WarmVsColdState (S2) measures what cross-round ExploreState
-// buys the continuous online mode: a cold round pays the whole
-// exploration; a warm round on the same seed skips every known path and
-// negation. solver-calls is the headline metric — warm must be ~0.
-func BenchmarkS2WarmVsColdState(b *testing.B) {
-	f := benchFig2(b)
-	engine := concolic.Options{MaxRuns: benchScale().ExploreRuns}
-
-	b.Run("cold", func(b *testing.B) {
-		var calls int
-		for i := 0; i < b.N; i++ {
-			// Fresh DiCE per round: no memory of prior rounds.
-			res, err := core.New(f.Provider, core.Options{Engine: engine}).ExplorePeer(core.NodeCustomer)
-			if err != nil {
-				b.Fatal(err)
-			}
-			calls = res.Report.SolverCalls + res.Report.CacheHits
-		}
-		b.ReportMetric(float64(calls), "solver-calls")
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		d := core.New(f.Provider, core.Options{Engine: engine, ReuseState: true})
-		if _, err := d.ExplorePeer(core.NodeCustomer); err != nil {
-			b.Fatal(err) // priming round (the cold one)
-		}
-		b.ResetTimer()
-		var calls, skipped int
-		for i := 0; i < b.N; i++ {
-			res, err := d.ExplorePeer(core.NodeCustomer)
-			if err != nil {
-				b.Fatal(err)
-			}
-			calls = res.Report.SolverCalls + res.Report.CacheHits
-			skipped = res.Report.SkippedNegations
-		}
-		b.ReportMetric(float64(calls), "solver-calls")
-		b.ReportMetric(float64(skipped), "skipped-negations")
-	})
-}
-
-// BenchmarkS3NegationThroughput (S3) measures the negation hot path end
-// to end: per-branch dedup-key construction, frontier folding, and the
-// solver queries for every suffix negation of a deep path condition. The
-// handler records a long chain of masked-bit branches — the router shape
-// — so key construction and solving dominate the round. allocs/op is the
-// headline metric: it counts key construction + solving garbage per
-// exploration round.
-func BenchmarkS3NegationThroughput(b *testing.B) {
-	const depth = 24
-	handler := func(rc *concolic.RunContext) any {
-		x := rc.Input("x")
-		y := rc.Input("y")
-		n := 0
-		for i := 0; i < depth; i++ {
-			bit := concolic.Eq(
-				concolic.And(concolic.Shr(x, concolic.Concrete(uint64(i%16), 32)), concolic.Concrete(1, 32)),
-				concolic.Concrete(1, 32))
-			if rc.Branch(bit) {
-				n++
-			}
-		}
-		if rc.Branch(concolic.Lt(y, concolic.Concrete(100, 16))) {
-			n++
-		}
-		return n
-	}
-	b.ReportAllocs()
-	var queries, paths int
-	for i := 0; i < b.N; i++ {
-		eng := concolic.NewEngine(handler, concolic.Options{MaxRuns: 200})
-		eng.Var("x", 32, 0)
-		eng.Var("y", 16, 0)
-		rep := eng.Explore()
-		queries = rep.SolverCalls + rep.CacheHits
-		paths = len(rep.Paths)
-	}
-	b.ReportMetric(float64(queries), "queries")
-	b.ReportMetric(float64(paths), "paths")
-}
-
 // BenchmarkA1SymbolicMarking (A1 ablation, §3.2) compares field-granular
 // symbolic marking with raw-byte marking.
 func BenchmarkA1SymbolicMarking(b *testing.B) {
@@ -304,57 +160,5 @@ func BenchmarkA2CheckpointVsReplay(b *testing.B) {
 		b.ReportMetric(float64(last.CheckpointTime.Microseconds()), "ckpt-µs")
 		b.ReportMetric(float64(last.ReplayTime.Microseconds()), "replay-µs")
 		b.ReportMetric(last.SpeedupFactor, "speedup-x")
-	}
-}
-
-// BenchmarkFederatedRound (S4) measures one federated exploration round
-// — per-node checkpoint/clone concolic exploration sharded over a shared
-// worker pool, plus cross-node witness propagation and oracles — on the
-// two built-in shapes: the 3-node line and the 5-node mesh (the mesh
-// explores 20 peerings vs the line's 4 over the same pool). violations
-// and peerings are the headline custom metrics.
-func BenchmarkFederatedRound(b *testing.B) {
-	shapes := []struct {
-		name string
-		topo func() *core.Topology
-	}{
-		{"line-3", func() *core.Topology { return core.LineTopology(3) }},
-		{"mesh-5", func() *core.Topology { return core.MeshTopology(5) }},
-		// line-3-dense: 256 extra /24s per node, so every shadow copies
-		// ~2300 routes — the table-scale regime where Fabric.Shadow's
-		// per-witness cost dominates and COW sharing pays.
-		{"line-3-dense", func() *core.Topology { return core.DenseLineTopology(3, 256) }},
-	}
-	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
-			// Fabric build + convergence is setup, not the round under
-			// measurement; cold rounds (no ReuseState) are identical, so
-			// one fabric serves every iteration.
-			fe, err := core.NewFederatedExperiment(sh.topo(), core.FederatedOptions{
-				Engine:  concolic.Options{MaxRuns: 200},
-				Workers: 4,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var peerings, violations, runs int
-			for i := 0; i < b.N; i++ {
-				res, err := fe.Round()
-				if err != nil {
-					b.Fatal(err)
-				}
-				peerings, violations, runs = 0, len(res.Violations), 0
-				for _, tr := range res.Targets {
-					if tr.Err == nil {
-						peerings++
-						runs += tr.Result.Report.Runs
-					}
-				}
-			}
-			b.ReportMetric(float64(peerings), "peerings")
-			b.ReportMetric(float64(runs), "runs")
-			b.ReportMetric(float64(violations), "violations")
-		})
 	}
 }

@@ -145,7 +145,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	strat, err := parseStrategy(*strategy)
+	strat, err := strategyByName(*strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -372,15 +372,15 @@ func main() {
 		for _, name := range scenarios {
 			if st := d.State(name, core.NodeCustomer); st != nil {
 				s := st.Stats()
-				fmt.Printf("%s state after %d rounds: %d paths, %d negations attempted, solver cache %d hits / %d misses\n",
-					name, s.Rounds, s.Paths, s.Negations, s.CacheHits, s.CacheMisses)
+				fmt.Printf("%s state after %d rounds: %d paths, %d negations attempted\n",
+					name, s.Rounds, s.Paths, s.Negations)
 			}
 		}
 	}
 }
 
-// parseStrategy maps the -strategy flag to the engine constant.
-func parseStrategy(name string) (concolic.Strategy, error) {
+// strategyByName maps the -strategy flag to the engine constant.
+func strategyByName(name string) (concolic.Strategy, error) {
 	switch name {
 	case "generational":
 		return concolic.Generational, nil
@@ -710,12 +710,12 @@ func runDistributed(run fedRun, addrs string) {
 			}
 			ex := tr.Explore
 			printExploreStats(label+" "+tr.Scenario, ex.Runs, ex.NewPaths, ex.BranchesSeen,
-				time.Duration(ex.ElapsedNS), ex.SolverCalls, ex.CacheHits, ex.SolverSat,
-				ex.SolverUnsat, ex.SkippedPaths, ex.SkippedNegations, ex.CapturedMessages)
-			if len(ex.Findings) > 0 {
-				fmt.Printf("%d finding(s):\n", len(ex.Findings))
-				for _, f := range ex.Findings {
-					fmt.Printf("  %s\n", f.Rendered)
+				time.Duration(ex.ElapsedNS), ex.SolverCalls, ex.SolverSat, ex.SolverUnsat,
+				ex.SkippedPaths, ex.SkippedNegations, ex.CapturedMessages)
+			if len(tr.Findings) > 0 {
+				fmt.Printf("%d finding(s):\n", len(tr.Findings))
+				for _, f := range tr.Findings {
+					fmt.Printf("  %s\n", f)
 					if run.verbose {
 						// Per-path envs stay on the agent; the concrete
 						// witness assignment is what crosses the wire.
@@ -828,11 +828,11 @@ func resolveScenarios(flagVal string, openFSM bool) ([]string, error) {
 // one copy shared by the local/federated printResult and the
 // distributed mode (whose stats arrive as wire fields, not a Report).
 func printExploreStats(label string, runs, newPaths, branches int, elapsed time.Duration,
-	solverCalls, cacheHits, sat, unsat, skippedPaths, skippedNegations, captured int) {
+	solverCalls, sat, unsat, skippedPaths, skippedNegations, captured int) {
 	fmt.Printf("\n[%s] exploration: %d runs, %d new paths, %d branches seen, %v\n",
 		label, runs, newPaths, branches, elapsed.Round(time.Millisecond))
-	fmt.Printf("[%s] solver: %d queries solved, %d cache hits (%d sat, %d unsat)\n",
-		label, solverCalls, cacheHits, sat, unsat)
+	fmt.Printf("[%s] solver: %d queries solved (%d sat, %d unsat)\n",
+		label, solverCalls, sat, unsat)
 	if skippedPaths+skippedNegations > 0 {
 		fmt.Printf("[%s] warm state: %d known paths and %d known negations skipped\n",
 			label, skippedPaths, skippedNegations)
@@ -846,7 +846,7 @@ func printExploreStats(label string, runs, newPaths, branches int, elapsed time.
 func printResult(name string, res *core.Result, verbose bool) {
 	rep := res.Report
 	printExploreStats(name, rep.Runs, len(rep.Paths), rep.BranchesSeen, rep.Elapsed,
-		rep.SolverCalls, rep.CacheHits, rep.SolverSat, rep.SolverUnsat,
+		rep.SolverCalls, rep.SolverSat, rep.SolverUnsat,
 		rep.SkippedPaths, rep.SkippedNegations, res.CapturedMessages)
 
 	if verbose {

@@ -23,7 +23,6 @@
 //     same shared pool, so a federated round costs max(node) wall-clock
 //     instead of sum(node).
 //   - state.go — cross-round memory: ExploreState makes repeated online
-//     rounds incremental (known paths and negations are skipped, repeated
-//     solver queries are answered from a memo cache). StateMap (fleet.go)
-//     shards that memory per federation node ID.
+//     rounds incremental (known paths and negations are skipped).
+//     StateMap (fleet.go) shards that memory per federation node ID.
 package concolic

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dice/internal/solver"
 	"dice/internal/sym"
 )
 
@@ -157,15 +156,11 @@ type Options struct {
 	// when the operator or an experiment ends the testing window.
 	Cancel <-chan struct{}
 	// State, when non-nil, carries exploration memory across rounds:
-	// paths and negations already explored by prior rounds are skipped,
-	// and the state's solver memo cache answers repeated queries — the
-	// paper's continuous online mode without duplicated work.
+	// paths and negations already explored by prior rounds are skipped —
+	// the paper's continuous online mode without duplicated work.
 	State *ExploreState
-	// SolverCache memoizes negation queries. Defaults to State's cache
-	// when State is set; nil otherwise (every query is solved).
-	SolverCache *solver.Cache
 	// Metrics, when non-nil, receives per-round exploration telemetry
-	// (frontier peak, paths, negations, solver cache hit ratio). It is
+	// (frontier peak, paths, solver calls). It is
 	// process-local — recorded once per round at scheduler drain, never
 	// shipped over the wire — so the hot path pays nothing for it.
 	Metrics *Metrics
@@ -221,12 +216,12 @@ func (e *Engine) Var(name string, width int, seed uint64) {
 type Report struct {
 	Paths []PathResult // paths new to this round, in discovery order
 	Runs  int          // handler executions (including duplicates)
-	// SolverCalls counts negation queries actually searched; CacheHits
-	// counts queries answered from the memo cache instead. The total
-	// number of queries issued is their sum.
-	SolverCalls  int
-	SolverSat    int
-	SolverUnsat  int
+	// SolverCalls counts the negation queries issued to the solver.
+	SolverCalls int
+	SolverSat   int
+	SolverUnsat int
+	// CacheHits is always 0: only the frozen benchmark/ reads it, and it
+	// goes with solver.cache_hit_ratio in the next benchmark issue.
 	CacheHits    int
 	BranchesSeen int // distinct oriented constraints observed
 	// SkippedPaths / SkippedNegations count work suppressed by the

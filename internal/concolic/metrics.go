@@ -10,10 +10,7 @@ import "dice/internal/telemetry"
 type Metrics struct {
 	frontierPeak *telemetry.Gauge
 	paths        *telemetry.Counter
-	negations    *telemetry.Counter
 	solverCalls  *telemetry.Counter
-	cacheHits    *telemetry.Counter
-	hitRatio     *telemetry.Gauge
 }
 
 // NewMetrics registers the dice_concolic_* families on reg. A nil
@@ -27,14 +24,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Largest pending-negation queue any round reached."),
 		paths: reg.Counter("dice_concolic_paths_total",
 			"Distinct execution paths discovered."),
-		negations: reg.Counter("dice_concolic_negations_total",
-			"Negation queries answered (solver searches + cache hits)."),
 		solverCalls: reg.Counter("dice_concolic_solver_calls_total",
 			"Negation queries answered by a solver search."),
-		cacheHits: reg.Counter("dice_concolic_solver_cache_hits_total",
-			"Negation queries answered from the memo cache."),
-		hitRatio: reg.Gauge("dice_concolic_cache_hit_ratio",
-			"Cumulative solver cache hit ratio (hits / (hits + searches))."),
 	}
 }
 
@@ -45,14 +36,8 @@ func (m *Metrics) observeRound(rep *Report, frontierPeak int) {
 		return
 	}
 	m.paths.Add(uint64(len(rep.Paths)))
-	m.negations.Add(uint64(rep.SolverCalls + rep.CacheHits))
 	m.solverCalls.Add(uint64(rep.SolverCalls))
-	m.cacheHits.Add(uint64(rep.CacheHits))
 	if peak := float64(frontierPeak); peak > m.frontierPeak.Value() {
 		m.frontierPeak.Set(peak)
-	}
-	hits := float64(m.cacheHits.Value())
-	if total := hits + float64(m.solverCalls.Value()); total > 0 {
-		m.hitRatio.Set(hits / total)
 	}
 }

@@ -18,7 +18,6 @@ type shard struct {
 	id    string // display/debug identity (node ID in federated rounds)
 	e     *Engine
 	front *frontier
-	cache *solver.Cache // memo cache for negation queries; may be nil
 
 	// Guarded by the scheduler mutex.
 	runs   int
@@ -32,7 +31,7 @@ type shard struct {
 	start    time.Time
 	finish   time.Time // when this shard's own work drained (not the fleet's)
 
-	solverCalls, solverSat, solverUnsat, cacheHits atomic.Int64
+	solverCalls, solverSat, solverUnsat atomic.Int64
 }
 
 func (sh *shard) cancelled() bool {
@@ -81,10 +80,6 @@ type scheduler struct {
 func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
 	shards := make([]*shard, len(engines))
 	for i, e := range engines {
-		cache := e.opts.SolverCache
-		if cache == nil && e.opts.State != nil {
-			cache = e.opts.State.Cache()
-		}
 		id := ""
 		if i < len(ids) {
 			id = ids[i]
@@ -93,7 +88,6 @@ func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
 			id:    id,
 			e:     e,
 			front: newFrontier(e.opts.Strategy, e.opts.MaxDepth, e.opts.State),
-			cache: cache,
 		}
 	}
 	if workers <= 0 {
@@ -239,12 +233,8 @@ func (sch *scheduler) worker(wg *sync.WaitGroup) {
 
 		// One conjunction allocation per solved item; the solver reuses
 		// its propagated snapshot of the shared prefix (prefix.go).
-		env, res, hit := solverFor(sh).SolvePrefixed(sh.cache, item.conjunction(), item.hint)
-		if hit {
-			sh.cacheHits.Add(1)
-		} else {
-			sh.solverCalls.Add(1)
-		}
+		env, res := solverFor(sh).SolvePrefixed(item.conjunction(), item.hint)
+		sh.solverCalls.Add(1)
 		switch res {
 		case solver.Sat:
 			sh.solverSat.Add(1)
@@ -264,8 +254,8 @@ func (sch *scheduler) worker(wg *sync.WaitGroup) {
 		// The negation counts as attempted for future rounds only once it
 		// was fully processed: answered, and (when Sat) its witness run
 		// executed. An item whose run a budget stop refused goes back to
-		// the state's pending frontier for the next round (its answer is
-		// memoized, so the retry costs a cache hit, not a search).
+		// the state's pending frontier for the next round, which solves it
+		// again (≈5 µs from the prefix chain) before running it.
 		if sh.e.opts.State != nil {
 			if completed {
 				sh.e.opts.State.RecordNegation(item)
@@ -335,7 +325,6 @@ func (sch *scheduler) run() []*Report {
 			SolverCalls:      int(sh.solverCalls.Load()),
 			SolverSat:        int(sh.solverSat.Load()),
 			SolverUnsat:      int(sh.solverUnsat.Load()),
-			CacheHits:        int(sh.cacheHits.Load()),
 			BranchesSeen:     sh.front.nbranches,
 			SkippedPaths:     sh.front.skippedPaths,
 			SkippedNegations: sh.front.skippedNegations,

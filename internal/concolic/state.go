@@ -3,7 +3,6 @@ package concolic
 import (
 	"sync"
 
-	"dice/internal/solver"
 	"dice/internal/sym"
 )
 
@@ -16,9 +15,7 @@ import (
 //   - path signatures explored by any prior round are not re-reported
 //     (a warm round's Report carries only genuinely new paths);
 //   - negation queries attempted by any prior round are not re-issued
-//     (counted in Report.SkippedNegations instead of hitting the solver);
-//   - a solver memo cache answers the queries that do repeat (e.g. the
-//     same sub-formula reached through a new path) without search.
+//     (counted in Report.SkippedNegations instead of hitting the solver).
 //
 // Keys are 128-bit path fingerprints (see sym.Fingerprint); every entry
 // chains the constraints it stands for and membership checks verify them
@@ -33,10 +30,9 @@ import (
 // pending when a budget stops a round is stowed here and resumed by the
 // next round, so a budget stop loses nothing. A fully processed negation
 // is never retried — including ones that returned Unknown under that
-// round's node budget. The maps and the memo cache grow monotonically
-// (one entry per distinct path, negation and query); long-lived online
-// deployments should rotate to a fresh state periodically rather than
-// keep one forever.
+// round's node budget. The maps grow monotonically (one entry per
+// distinct path and negation); long-lived online deployments should
+// rotate to a fresh state periodically rather than keep one forever.
 //
 // Safe for concurrent use; DiCE shares one ExploreState per
 // (scenario, peer) across all its rounds.
@@ -48,16 +44,13 @@ type ExploreState struct {
 	nNegations int
 	pending    []workItem // frontier left over when a budget stopped a round
 	rounds     int
-	cache      *solver.Cache
 }
 
-// NewExploreState creates empty cross-round exploration state with its
-// own solver memo cache.
+// NewExploreState creates empty cross-round exploration state.
 func NewExploreState() *ExploreState {
 	return &ExploreState{
 		seen:      make(map[PathSig][]pathRec),
 		attempted: make(map[sym.Fingerprint][]negRec),
-		cache:     solver.NewCache(),
 	}
 }
 
@@ -108,9 +101,6 @@ func (s *ExploreState) RecordNegation(it workItem) {
 	s.nNegations++
 }
 
-// Cache returns the state's solver memo cache (shared across rounds).
-func (s *ExploreState) Cache() *solver.Cache { return s.cache }
-
 // savePending stows frontier work a budget-stopped round could not
 // process, so the next round resumes it instead of losing the subtrees
 // behind it (their parent paths are recorded as seen and would never be
@@ -150,21 +140,18 @@ func (s *ExploreState) beginRound() {
 
 // ExploreStateStats summarizes accumulated cross-round state.
 type ExploreStateStats struct {
-	Rounds                 int // rounds that used this state
-	Paths                  int // distinct path signatures ever explored
-	Negations              int // distinct negation queries ever attempted
-	CacheHits, CacheMisses uint64
+	Rounds    int // rounds that used this state
+	Paths     int // distinct path signatures ever explored
+	Negations int // distinct negation queries ever attempted
 }
 
 // Stats returns a snapshot of the accumulated state.
 func (s *ExploreState) Stats() ExploreStateStats {
 	s.mu.Lock()
-	st := ExploreStateStats{
+	defer s.mu.Unlock()
+	return ExploreStateStats{
 		Rounds:    s.rounds,
 		Paths:     s.nPaths,
 		Negations: s.nNegations,
 	}
-	s.mu.Unlock()
-	st.CacheHits, st.CacheMisses = s.cache.Stats()
-	return st
 }

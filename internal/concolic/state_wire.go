@@ -30,11 +30,10 @@ import (
 // fingerprint hit (once per skipped path, never per branch), so the O(1)
 // per-branch discipline of invariant 3 is untouched.
 //
-// The solver memo cache and the stowed frontier do NOT travel: the cache
-// holds process-local expression references, and pending work items are
-// resumed by whichever round owns them. A budget-stopped replica round
-// therefore re-derives its pending queue from the shipped dedup sets —
-// pure re-solving cost, no lost coverage.
+// The stowed frontier does NOT travel: pending work items are resumed by
+// whichever round owns them. A budget-stopped replica round therefore
+// re-derives its pending queue from the shipped dedup sets — pure
+// re-solving cost, no lost coverage.
 
 // exsMagic identifies a serialized ExploreState payload.
 const exsMagic = "EXS1"
@@ -81,8 +80,8 @@ type wireStateRec struct {
 // EncodeWire serializes the state's dedup sets (paths and attempted
 // negations) into a canonical byte string: records sorted by
 // (fingerprint, rendering), so equal states encode byte-identically
-// regardless of exploration schedule. The solver cache and pending
-// frontier are intentionally omitted (see the package comment above).
+// regardless of exploration schedule. The pending frontier is
+// intentionally omitted (see the package comment above).
 func (s *ExploreState) EncodeWire() []byte {
 	if s == nil {
 		s = NewExploreState()
@@ -142,7 +141,7 @@ func appendStateRec(out []byte, r wireStateRec, withDepth bool) []byte {
 // DecodeExploreState reconstructs cross-round exploration memory from
 // EncodeWire output. The decoder is strict: truncation at any offset,
 // trailing garbage, or a malformed record is an error, never a partial
-// state. The returned state carries a fresh (empty) solver cache.
+// state.
 func DecodeExploreState(data []byte) (*ExploreState, error) {
 	if len(data) < len(exsMagic) || string(data[:len(exsMagic)]) != exsMagic {
 		return nil, errors.New("concolic: explore-state payload lacks EXS1 magic")

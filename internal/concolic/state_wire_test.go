@@ -40,8 +40,6 @@ func TestStateWireRoundTrip(t *testing.T) {
 		t.Errorf("wire-warmed round skipped nothing (%d paths / %d negations) — state lost in transit",
 			wire.SkippedPaths, wire.SkippedNegations)
 	}
-	// The solver cache deliberately does not travel: a wire-warmed round
-	// may re-solve, but must not re-run or re-report.
 }
 
 // TestStateWireCanonical: the encoding is schedule-independent — two

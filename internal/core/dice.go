@@ -38,7 +38,7 @@ type Options struct {
 	Engine concolic.Options
 	// ReuseState keeps per-(scenario, peer) exploration state across
 	// rounds on this DiCE instance: repeated online rounds skip paths
-	// and negations already explored and share a solver memo cache.
+	// and negations already explored.
 	// When false (default) every round explores from scratch, unless
 	// Engine.State is set explicitly.
 	ReuseState bool

@@ -372,8 +372,7 @@ type S1RoundStats struct {
 	Round            int
 	Runs             int
 	NewPaths         int
-	SolverQueries    int // searched + cache-answered
-	CacheHits        int
+	SolverQueries    int
 	SkippedNegations int
 }
 
@@ -413,8 +412,7 @@ func RunS1WarmState(s Scale, rounds int) (*S1Result, error) {
 				Round:            round,
 				Runs:             rep.Runs,
 				NewPaths:         len(rep.Paths),
-				SolverQueries:    rep.SolverCalls + rep.CacheHits,
-				CacheHits:        rep.CacheHits,
+				SolverQueries:    rep.SolverCalls,
 				SkippedNegations: rep.SkippedNegations,
 			})
 		}

@@ -504,8 +504,7 @@ func builtinNodeConfig(i int, peers []int, extraNets int) TopoNode {
 
 func builtinNodeName(i int) string { return fmt.Sprintf("as%d", 65001+i) }
 
-// LineTopology generates an n-node chain (as65001 — as65002 — ...): the
-// BenchmarkFederatedRound baseline shape.
+// LineTopology generates an n-node chain (as65001 — as65002 — ...).
 func LineTopology(n int) *Topology { return DenseLineTopology(n, 0) }
 
 // DenseLineTopology generates an n-node chain whose nodes each

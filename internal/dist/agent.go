@@ -10,7 +10,6 @@ import (
 	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/core"
-	"dice/internal/netaddr"
 	"dice/internal/netsim"
 	"dice/internal/prop"
 	"dice/internal/rib"
@@ -27,7 +26,10 @@ import (
 // witness messages are delivered to its node's shadow clones, and oracle
 // queries answer facts about its node alone. The other nodes' state
 // never crosses the RPC boundary; the coordinator composes the
-// cross-node picture purely from the narrow per-node answers.
+// cross-node picture purely from the narrow per-node answers. The
+// embedded rpcServer decodes each request through wire.go's method
+// table, so handle dispatches on typed params and no layout is known
+// here.
 type Agent struct {
 	rpcServer
 
@@ -113,11 +115,10 @@ type shadowClone struct {
 	routeIDs  map[*rib.Route]uint64
 	nextRoute uint64
 
-	// applied memoizes delivery results by idempotency key (the value is
-	// an *InjectResult or *InjectBatchResult), so a delivery retried
-	// after a reconnect answers from memory instead of feeding the clone
-	// twice. Freed with the shadow at shadowClose.
-	applied map[uint64]any
+	// applied memoizes delivery results by idempotency key, so a
+	// delivery retried after a reconnect answers from memory instead of
+	// feeding the clone twice. Freed with the shadow at shadowClose.
+	applied map[uint64]*InjectBatchResult
 }
 
 // routeToken returns the shadow-scoped stable token for a route object.
@@ -190,7 +191,7 @@ func newAgent(topo *core.Topology, node string, fabric *core.Fabric, boundary ui
 		exploreMemo:  make(map[string]exploreMemoEntry),
 		replayMemo:   make(map[uint64]*ReplayResult),
 	}
-	a.rpcServer = rpcServer{handler: a, name: node}
+	a.rpcServer = rpcServer{handler: a, name: node, role: "agent"}
 	return a, nil
 }
 
@@ -224,77 +225,40 @@ func (a *Agent) SeedExploreState(scenario, peer string, data []byte) error {
 	return nil
 }
 
-// handle dispatches one request, one at a time per agent. Requests from
-// concurrent connections serialize on reqMu — the node's routers and
-// shadow clones are single-threaded state.
-func (a *Agent) handle(method string, body []byte) (any, error) {
+// handle dispatches one decoded request, one at a time per agent.
+// Requests from concurrent connections serialize on reqMu — the node's
+// routers and shadow clones are single-threaded state.
+func (a *Agent) handle(method string, params message) (message, error) {
 	a.reqMu.Lock()
 	defer a.reqMu.Unlock()
-	switch method {
-	case MethodHello:
-		p, err := decodeHello(body, "agent")
-		if err != nil {
-			return nil, err
-		}
+	switch p := params.(type) {
+	case *HelloParams:
 		return a.hello(p)
-	case MethodCheckpoint:
-		if err := decodeBodyV2(body, nil); err != nil {
-			return nil, err
-		}
-		return a.checkpoint()
-	case MethodExplore:
-		var p ExploreParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
+	case *ExploreParams:
 		return a.explore(p)
-	case MethodShadowOpen:
-		if err := decodeBodyV2(body, nil); err != nil {
-			return nil, err
-		}
-		return a.shadowOpen(), nil
-	case MethodInjectWitness:
-		var p InjectParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
+	case *InjectBatchParams:
 		return a.inject(p)
-	case MethodInjectWitnessBatch:
-		var p InjectBatchParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
-		return a.injectBatch(p)
-	case MethodShadowClose:
-		var p ShadowCloseParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
+	case *ShadowCloseParams:
 		a.shadowClose(p.ShadowID)
 		return nil, nil
-	case MethodQueryOracle:
-		var p QueryOracleParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
+	case *QueryOracleParams:
 		return a.queryOracle(p)
-	case MethodReplay:
-		var p ReplayParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
+	case *ReplayParams:
 		return a.replay(p)
-	case MethodSeed:
-		var p SeedParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
+	case *SeedParams:
 		return a.seed(p)
+	case nil:
+		switch method {
+		case MethodCheckpoint:
+			return a.checkpoint()
+		case MethodShadowOpen:
+			return a.shadowOpen(), nil
+		}
 	}
-	return nil, fmt.Errorf("dist: unknown method %q", method)
+	return nil, fmt.Errorf("dist: agent does not serve %q", method)
 }
 
-// hello identifies the node (decodeHello has already checked the
+// hello identifies the node (decodeParams has already checked the
 // client's protocol version) and scopes the idempotency memos: a new
 // coordinator session nonce invalidates the previous session's
 // explore/replay memos, whose keys are coordinator-local sequences that
@@ -305,7 +269,7 @@ func (a *Agent) handle(method string, body []byte) (any, error) {
 // A hello carrying Properties replaces the agent's compiled property
 // set; a malformed property fails the handshake, so the coordinator
 // learns about it before any round runs instead of mid-witness.
-func (a *Agent) hello(p HelloParams) (*HelloResult, error) {
+func (a *Agent) hello(p *HelloParams) (*HelloResult, error) {
 	if p.Session != 0 && p.Session != a.session {
 		a.session = p.Session
 		clear(a.exploreMemo)
@@ -355,7 +319,7 @@ func (a *Agent) checkpoint() (*CheckpointResult, error) {
 // backend uses (core.PrepareTarget / Analyze / WitnessRefs — the
 // parity contract lives there), exploring the engine solo instead of
 // as a fleet member.
-func (a *Agent) explore(p ExploreParams) (*ExploreResult, error) {
+func (a *Agent) explore(p *ExploreParams) (*ExploreResult, error) {
 	// Round-keyed idempotency: a coordinator retrying after a reconnect
 	// re-sends the same round number, and must get the same answer the
 	// lost response carried — re-running under ReuseState would skip the
@@ -367,10 +331,7 @@ func (a *Agent) explore(p ExploreParams) (*ExploreResult, error) {
 			return e.out, nil
 		}
 	}
-	engOpts, err := p.EngineKnobs.options(a.concolicM)
-	if err != nil {
-		return nil, err
-	}
+	engOpts := p.EngineKnobs.options(a.concolicM)
 	tg := core.ResolvedTarget{Node: a.node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit}
 	tp, err := core.PrepareTarget(a.self, tg, engOpts, a.states, p.ReuseState)
 	if err != nil {
@@ -395,10 +356,10 @@ func (a *Agent) explore(p ExploreParams) (*ExploreResult, error) {
 	return out, nil
 }
 
-// encodeExploreResult flattens one explored target for the wire: the
-// report's counters, every finding, and the validated findings' concrete
-// witness announcements. Agents and replicas answer through here, so a
-// shard reads the same wherever it ran.
+// encodeExploreResult renders one explored target for the wire: the
+// report's counters, the findings as core reports them, and the validated
+// findings' concrete witness announcements. Agents and replicas answer
+// through here, so a shard reads the same wherever it ran.
 func encodeExploreResult(tp *core.TargetPrep, r *core.Result) (*ExploreResult, error) {
 	rep := r.Report
 	out := &ExploreResult{
@@ -409,31 +370,12 @@ func encodeExploreResult(tp *core.TargetPrep, r *core.Result) (*ExploreResult, e
 		SolverCalls:       rep.SolverCalls,
 		SolverSat:         rep.SolverSat,
 		SolverUnsat:       rep.SolverUnsat,
-		CacheHits:         rep.CacheHits,
 		SkippedPaths:      rep.SkippedPaths,
 		SkippedNegations:  rep.SkippedNegations,
 		ElapsedNS:         rep.Elapsed.Nanoseconds(),
 		CapturedMessages:  r.CapturedMessages,
 		WitnessesRejected: r.WitnessesRejected,
-	}
-	for _, f := range r.Findings {
-		wf := WireFinding{
-			Kind:      f.Kind,
-			Peer:      f.Peer,
-			Prefix:    f.Prefix.String(),
-			LeakRange: f.LeakRange,
-			OriginAS:  f.OriginAS,
-			VictimAS:  f.VictimAS,
-			Seq:       f.Seq,
-			Validated: f.Validated,
-			SpreadTo:  f.SpreadTo,
-			Input:     f.Input,
-			Rendered:  f.String(),
-		}
-		if f.VictimPrefix != (netaddr.Prefix{}) {
-			wf.VictimPrefix = f.VictimPrefix.String()
-		}
-		out.Findings = append(out.Findings, wf)
+		Findings:          r.Findings,
 	}
 	for _, wr := range tp.WitnessRefs(r) {
 		wire, err := bgp.Encode(wr.Update)
@@ -449,7 +391,7 @@ func encodeExploreResult(tp *core.TargetPrep, r *core.Result) (*ExploreResult, e
 // concrete BGP UPDATE — or reports why none ships: Missing (nothing
 // observed yet, the defaulted-target skip condition) or Unsupported (the
 // scenario's seed is not an UPDATE, so the target explores on the node).
-func (a *Agent) seed(p SeedParams) (*SeedResult, error) {
+func (a *Agent) seed(p *SeedParams) (*SeedResult, error) {
 	tg := core.ResolvedTarget{Node: a.node, Peer: p.Peer, Scenario: p.Scenario}
 	u, err := core.ShippableSeed(a.self, tg)
 	if err != nil {
@@ -474,7 +416,7 @@ func (a *Agent) seed(p SeedParams) (*SeedResult, error) {
 // the coordinator fans it to all of them — converges on the same state,
 // and subsequent explorations seed from the replayed history exactly as
 // the in-process backend's do.
-func (a *Agent) replay(p ReplayParams) (*ReplayResult, error) {
+func (a *Agent) replay(p *ReplayParams) (*ReplayResult, error) {
 	if a.sharedFabric {
 		return nil, fmt.Errorf("dist: %s shares its fabric; replay would apply the trace once per agent", a.node)
 	}
@@ -514,7 +456,7 @@ func (a *Agent) shadowOpen() *ShadowOpenResult {
 		r:        a.self.CloneCOW(sink),
 		sink:     sink,
 		routeIDs: make(map[*rib.Route]uint64),
-		applied:  make(map[uint64]any),
+		applied:  make(map[uint64]*InjectBatchResult),
 	}
 	a.am.noteShadowOpened()
 	return &ShadowOpenResult{ShadowID: a.nextID}
@@ -541,68 +483,37 @@ func (a *Agent) shadowClose(id uint64) {
 	}
 }
 
-// inject delivers one BGP message into a shadow clone as if sent by the
-// named peer, and returns the messages the node emitted in response —
-// the coordinator relays them onward, replacing netsim as the
-// inter-domain scheduler.
-func (a *Agent) inject(p InjectParams) (*InjectResult, error) {
+// inject delivers an ordered run of BGP messages into a shadow clone,
+// each as if sent by its named peer, and returns the messages the node
+// emitted in response to each — the coordinator relays them onward,
+// replacing netsim as the inter-domain scheduler. The run is all or
+// nothing: every sender is validated before the first delivery, so an
+// error never leaves a half-applied shadow behind it. The whole run is
+// the idempotency unit, memoized under its key.
+func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 	sh, err := a.shadow(p.ShadowID)
 	if err != nil {
 		return nil, err
 	}
 	if p.Key != 0 {
-		if prev, ok := sh.applied[p.Key]; ok {
-			if out, ok := prev.(*InjectResult); ok {
-				a.am.noteMemoHit("inject")
-				return out, nil
-			}
-			return nil, fmt.Errorf("dist: %s delivery key %d was a batch", a.node, p.Key)
+		if out, ok := sh.applied[p.Key]; ok {
+			a.am.noteMemoHit("inject")
+			return out, nil
 		}
 	}
-	if a.self.Session(p.From) == nil {
-		return nil, fmt.Errorf("dist: %s has no peer %q", a.node, p.From)
-	}
-	sh.r.Deliver(a.fabric.Net.Now(), p.From, p.Msg)
-	msgs := sh.sink.Messages()
-	out := &InjectResult{}
-	for _, m := range msgs[sh.read:] {
-		out.Emitted = append(out.Emitted, WireEmission{To: m.To, Msg: m.Data})
-	}
-	sh.read = len(msgs)
-	if p.Key != 0 {
-		sh.applied[p.Key] = out
-	}
-	return out, nil
-}
-
-// injectBatch delivers a run of messages into one shadow clone in
-// order, returning per-delivery emissions. Semantically identical to
-// the same sequence of inject calls — the batch exists to amortize the
-// round trip and the framing, not to change delivery order — so the
-// coordinator's relay can coalesce freely without disturbing parity.
-func (a *Agent) injectBatch(p InjectBatchParams) (*InjectBatchResult, error) {
-	sh, err := a.shadow(p.ShadowID)
-	if err != nil {
-		return nil, err
-	}
-	if p.Key != 0 {
-		if prev, ok := sh.applied[p.Key]; ok {
-			if out, ok := prev.(*InjectBatchResult); ok {
-				a.am.noteMemoHit("inject")
-				return out, nil
-			}
-			return nil, fmt.Errorf("dist: %s delivery key %d was a single inject", a.node, p.Key)
-		}
-	}
-	out := &InjectBatchResult{Results: make([]InjectResult, 0, len(p.Deliveries))}
 	for _, d := range p.Deliveries {
-		// Inner deliveries carry no key of their own: the whole batch is
-		// the idempotency unit, memoized below.
-		r, err := a.inject(InjectParams{ShadowID: p.ShadowID, From: d.From, Msg: d.Msg})
-		if err != nil {
-			return nil, err
+		if a.self.Session(d.From) == nil {
+			return nil, fmt.Errorf("dist: %s has no peer %q", a.node, d.From)
 		}
-		out.Results = append(out.Results, *r)
+	}
+	out := &InjectBatchResult{Results: make([]InjectResult, len(p.Deliveries))}
+	for i, d := range p.Deliveries {
+		sh.r.Deliver(a.fabric.Net.Now(), d.From, d.Msg)
+		msgs := sh.sink.Messages()
+		for _, m := range msgs[sh.read:] {
+			out.Results[i].Emitted = append(out.Results[i].Emitted, WireEmission{To: m.To, Msg: m.Data})
+		}
+		sh.read = len(msgs)
 	}
 	if p.Key != 0 {
 		sh.applied[p.Key] = out
@@ -614,23 +525,18 @@ func (a *Agent) injectBatch(p InjectBatchParams) (*InjectBatchResult, error) {
 // prefix in one shadow: exact-best presence with its shadow-scoped
 // route token (pointer identity over the wire — see shadowClone), and
 // the covering route's forwarding facts.
-func (a *Agent) queryOracle(p QueryOracleParams) (*QueryOracleResult, error) {
-	prefix, err := netaddr.ParsePrefix(p.Prefix)
-	if err != nil {
-		return nil, err
-	}
+func (a *Agent) queryOracle(p *QueryOracleParams) (*QueryOracleResult, error) {
 	sh, err := a.shadow(p.ShadowID)
 	if err != nil {
 		return nil, err
 	}
 	r := sh.r
 	out := &QueryOracleResult{}
-	best := r.RIB().Best(prefix)
+	best := r.RIB().Best(p.Prefix)
 	if best != nil {
-		out.HasBest = true
-		out.BestFP = fmt.Sprintf("r%d", sh.routeToken(best))
+		out.BestToken = sh.routeToken(best)
 	}
-	if cov := r.RIB().CoveringBest(prefix); cov != nil {
+	if cov := r.RIB().CoveringBest(p.Prefix); cov != nil {
 		out.HasCovering = true
 		out.CoveringLocal = cov.Local
 		if !cov.Local {
@@ -643,7 +549,7 @@ func (a *Agent) queryOracle(p QueryOracleParams) (*QueryOracleResult, error) {
 		// coordinator only consults verdicts for witness-installed nodes.
 		var env *prop.Env
 		if best != nil {
-			env = prop.NewEnv(prefix, &best.Attrs, a.boundary)
+			env = prop.NewEnv(p.Prefix, &best.Attrs, a.boundary)
 		}
 		out.PropMatch = make([]bool, len(a.props))
 		for i, c := range a.props {
@@ -651,18 +557,4 @@ func (a *Agent) queryOracle(p QueryOracleParams) (*QueryOracleResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// parseStrategy maps the wire strategy name back to the engine constant
-// ("" selects the generational default).
-func parseStrategy(s string) (concolic.Strategy, error) {
-	switch s {
-	case "", "generational":
-		return concolic.Generational, nil
-	case "dfs":
-		return concolic.DFS, nil
-	case "bfs":
-		return concolic.BFS, nil
-	}
-	return 0, fmt.Errorf("dist: unknown strategy %q", s)
 }

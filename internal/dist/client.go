@@ -290,7 +290,7 @@ func (c *Client) readLoop() {
 			c.fail(0, fmt.Errorf("recv: %v", err))
 			return
 		}
-		id, errMsg, body, err := parseResponseV2(payload)
+		id, errMsg, body, err := parseResponse(payload)
 		if err != nil {
 			c.fail(id, fmt.Errorf("garbled response: %v", err))
 			return
@@ -336,11 +336,11 @@ func (c *Client) complete(p *Pending, errMsg string, body []byte) error {
 	if p.result == nil {
 		return nil
 	}
-	msg, ok := p.result.(v2Message)
+	msg, ok := p.result.(message)
 	if !ok {
 		return fmt.Errorf("dist: %s result type %T has no wire decoding", p.method, p.result)
 	}
-	if err := decodeBodyV2(body, msg); err != nil {
+	if err := decodeBody(body, msg); err != nil {
 		c.fail(p.id, fmt.Errorf("decode %s result: %v", p.method, err))
 		c.mu.Lock()
 		err = c.broken
@@ -353,13 +353,13 @@ func (c *Client) complete(p *Pending, errMsg string, body []byte) error {
 // encodeRequest renders one request frame (see newFrame). params may be
 // nil for parameterless methods.
 func encodeRequest(id uint64, method string, params any) ([]byte, error) {
-	var msg v2Message
+	var msg message
 	if params != nil {
-		m, ok := params.(v2Message)
+		m, ok := params.(message)
 		if !ok {
 			return nil, fmt.Errorf("dist: %s params type %T has no wire encoding", method, params)
 		}
 		msg = m
 	}
-	return appendRequestV2(newFrame(), id, method, msg)
+	return appendRequest(newFrame(), id, method, msg)
 }

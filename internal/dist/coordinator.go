@@ -203,9 +203,10 @@ type TargetResult struct {
 	Skipped string
 	// Explore carries the agent's exploration stats.
 	Explore *ExploreResult
-	// Findings are the local oracle findings, reassembled from the wire.
-	// Witness/MinimalWitness land here after cross-domain propagation,
-	// exactly as on the in-process backend's Result.Findings.
+	// Findings are the local oracle findings — the same slice as
+	// Explore.Findings. Witness/MinimalWitness land here after
+	// cross-domain propagation, exactly as on the in-process backend's
+	// Result.Findings.
 	Findings []core.Finding
 	// Minimization aggregates witness-minimization work over this
 	// target's findings (nil unless the round ran with
@@ -249,10 +250,10 @@ func (res *RoundResult) Snapshot() []string {
 // budget; identity errors (wrong protocol version, wrong topology,
 // duplicate node) fail fast.
 func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, copts ...ConnOption) (*Coordinator, error) {
-	if opts.Engine.Cancel != nil || opts.Engine.SolverCache != nil {
-		// Process-local handles cannot cross the wire; refusing beats
-		// silently exploring unbounded/uncached on the agents.
-		return nil, fmt.Errorf("dist: Engine.Cancel and Engine.SolverCache are process-local and cannot be used distributed")
+	if opts.Engine.Cancel != nil {
+		// A process-local handle cannot cross the wire; refusing beats
+		// silently exploring unbounded on the agents.
+		return nil, fmt.Errorf("dist: Engine.Cancel is process-local and cannot be used distributed")
 	}
 	driver, err := core.NewDriver(topo, opts)
 	if err != nil {
@@ -740,13 +741,7 @@ func decodeOutcome(tg core.ResolvedTarget, out *ExploreResult) (core.TargetOutco
 		Scenario:          out.Scenario,
 		CapturedMessages:  out.CapturedMessages,
 		WitnessesRejected: out.WitnessesRejected,
-	}
-	for _, wf := range out.Findings {
-		f, err := decodeFinding(wf)
-		if err != nil {
-			return core.TargetOutcome{}, err
-		}
-		r.Findings = append(r.Findings, f)
+		Findings:          out.Findings,
 	}
 	var refs []core.WitnessRef
 	for _, ww := range out.Witnesses {
@@ -957,34 +952,6 @@ func (c *Coordinator) Replay(node, peer string, traceBytes []byte) (int, error) 
 	return delivered, nil
 }
 
-// decodeFinding reassembles a core.Finding from its wire form.
-func decodeFinding(wf WireFinding) (core.Finding, error) {
-	prefix, err := netaddr.ParsePrefix(wf.Prefix)
-	if err != nil {
-		return core.Finding{}, fmt.Errorf("dist: finding prefix %q: %w", wf.Prefix, err)
-	}
-	f := core.Finding{
-		Kind:      wf.Kind,
-		Peer:      wf.Peer,
-		Prefix:    prefix,
-		LeakRange: wf.LeakRange,
-		OriginAS:  wf.OriginAS,
-		VictimAS:  wf.VictimAS,
-		Seq:       wf.Seq,
-		Validated: wf.Validated,
-		SpreadTo:  wf.SpreadTo,
-		Input:     wf.Input,
-	}
-	if wf.VictimPrefix != "" {
-		vp, err := netaddr.ParsePrefix(wf.VictimPrefix)
-		if err != nil {
-			return core.Finding{}, fmt.Errorf("dist: finding victim prefix %q: %w", wf.VictimPrefix, err)
-		}
-		f.VictimPrefix = vp
-	}
-	return f, nil
-}
-
 // relayEvent is one in-flight message between domains. key is the
 // delivery idempotency key, assigned from the shadow set's sequence at
 // enqueue time so a delivery retried after a reconnect reuses its
@@ -1114,9 +1081,8 @@ func (s *shadowSet) Query(nodes []string, prefix netaddr.Prefix, wantAt bool) (m
 	}
 	params := make([]QueryOracleParams, len(known))
 	outs := make([]QueryOracleResult, len(known))
-	wirePrefix := prefix.String()
 	for i, n := range known {
-		params[i] = QueryOracleParams{ShadowID: s.ids[n], Prefix: wirePrefix, WantProps: wantAt}
+		params[i] = QueryOracleParams{ShadowID: s.ids[n], Prefix: prefix, WantProps: wantAt}
 	}
 	err := s.c.fanOut(known, MethodQueryOracle, func(i int) any { return &params[i] }, func(i int) any { return &outs[i] })
 	if err != nil {
@@ -1129,8 +1095,8 @@ func (s *shadowSet) Query(nodes []string, prefix netaddr.Prefix, wantAt bool) (m
 			Hop:     core.ForwardHop{HasCovering: q.HasCovering, Local: q.CoveringLocal, NextPeer: q.CoveringNextPeer},
 			AtMatch: q.PropMatch,
 		}
-		if q.HasBest {
-			v.Token = q.BestFP
+		if q.BestToken != 0 {
+			v.Token = q.BestToken
 		}
 		views[n] = v
 	}
@@ -1217,28 +1183,18 @@ func (c *Coordinator) relay(shadows *shadowSet, queue *relayQueue, maxSteps int)
 	return steps, queue.Len(), waves, nil
 }
 
-// deliver ships a batch of deliveries to one agent — a single
-// inject_witness for the common singleton case, one inject_witness_batch
-// otherwise — and returns per-delivery emissions in order. The head
-// event's key identifies the whole delivery (keys are unique per event,
-// and an event is delivered exactly once, alone or at the head of one
-// batch), so a retry after a transport fault replays idempotently.
+// deliver ships a batch of deliveries to one agent in one inject_witness
+// and returns per-delivery emissions in order. The head event's key
+// identifies the whole delivery (keys are unique per event, and an event
+// is delivered exactly once, alone or at the head of one batch), so a
+// retry after a transport fault replays idempotently.
 func (c *Coordinator) deliver(shadows *shadowSet, to string, batch []*relayEvent) ([]InjectResult, error) {
-	if len(batch) == 1 {
-		var out InjectResult
-		err := c.call(to, MethodInjectWitness,
-			&InjectParams{ShadowID: shadows.ids[to], From: batch[0].from, Msg: batch[0].msg, Key: batch[0].key}, &out)
-		if err != nil {
-			return nil, err
-		}
-		return []InjectResult{out}, nil
-	}
 	p := InjectBatchParams{ShadowID: shadows.ids[to], Deliveries: make([]BatchDelivery, len(batch)), Key: batch[0].key}
 	for i, ev := range batch {
 		p.Deliveries[i] = BatchDelivery{From: ev.from, Msg: ev.msg}
 	}
 	var out InjectBatchResult
-	if err := c.call(to, MethodInjectWitnessBatch, &p, &out); err != nil {
+	if err := c.call(to, MethodInjectWitness, &p, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Results) != len(batch) {

@@ -1,10 +1,7 @@
 package dist
 
 import (
-	"fmt"
 	"net"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -27,13 +24,25 @@ func fedOpts() core.FederatedOptions {
 // connects a coordinator to all of them over the pipe transport.
 func loopbackCoordinator(t *testing.T, topo *core.Topology, opts core.FederatedOptions, copts ...ConnOption) *Coordinator {
 	t.Helper()
+	return fleetCoordinator(t, topo, opts, nil, copts...)
+}
+
+// fleetCoordinator is loopbackCoordinator with a seam for misbehaving
+// connections: wrap (when non-nil) decorates each node's loopback dialer
+// — with a fault plan, a method killer — before Connect sees it.
+func fleetCoordinator(t *testing.T, topo *core.Topology, opts core.FederatedOptions, wrap func(node string, d Dialer) Dialer, copts ...ConnOption) *Coordinator {
+	t.Helper()
 	var dialers []Dialer
 	for _, n := range topo.Nodes {
 		ag, err := NewAgent(topo, n.Name)
 		if err != nil {
 			t.Fatalf("agent %s: %v", n.Name, err)
 		}
-		dialers = append(dialers, Loopback{Agent: ag})
+		var d Dialer = Loopback{Agent: ag}
+		if wrap != nil {
+			d = wrap(n.Name, d)
+		}
+		dialers = append(dialers, d)
 	}
 	c, err := Connect(topo, opts, dialers, copts...)
 	if err != nil {
@@ -41,153 +50,6 @@ func loopbackCoordinator(t *testing.T, topo *core.Topology, opts core.FederatedO
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-// findingKey reduces a finding to every wire-carried field except Seq —
-// the run sequence number depends on worker scheduling (shared fleet
-// pool in-process vs solo engine on the agent), so it is shipped for
-// operator reports but excluded from the parity contract.
-func findingKey(f core.Finding) string {
-	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%s|%t|%v",
-		f.Kind, f.Peer, f.Prefix, f.LeakRange, f.OriginAS, f.VictimAS, f.VictimPrefix, f.Validated, f.SpreadTo)
-}
-
-func sortedViolations(vs []core.FederatedViolation) []string {
-	out := make([]string, 0, len(vs))
-	for _, v := range vs {
-		out = append(out, v.String())
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestDistributedParityFederatedExample is the acceptance criterion:
-// on examples/federated/topo.json, a distributed round over loopback
-// agents must reproduce the in-process FederatedExperiment — the same
-// cross-node violations and the same per-target local findings, up to
-// ordering.
-func TestDistributedParityFederatedExample(t *testing.T) {
-	topo, err := core.LoadTopology("../../examples/federated/topo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fe, err := core.NewFederatedExperiment(topo, fedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := loopbackCoordinator(t, topo, fedOpts())
-	dist, err := coord.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same targets, in resolution order.
-	if len(dist.Targets) != len(inproc.Targets) {
-		t.Fatalf("distributed round ran %d targets, in-process %d", len(dist.Targets), len(inproc.Targets))
-	}
-	for i, dt := range dist.Targets {
-		it := inproc.Targets[i]
-		if dt.Node != it.Node || dt.Peer != it.Peer || dt.Scenario != it.Scenario {
-			t.Fatalf("target %d: distributed %s/%s/%s vs in-process %s/%s/%s",
-				i, dt.Node, dt.Peer, dt.Scenario, it.Node, it.Peer, it.Scenario)
-		}
-		if (dt.Skipped != "") != (it.Err != nil) {
-			t.Errorf("target %d: skipped mismatch: %q vs %v", i, dt.Skipped, it.Err)
-			continue
-		}
-		if it.Err != nil {
-			continue
-		}
-		var want, got []string
-		for _, f := range it.Result.Findings {
-			want = append(want, findingKey(f))
-		}
-		for _, f := range dt.Findings {
-			got = append(got, findingKey(f))
-		}
-		sort.Strings(want)
-		sort.Strings(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("target %d (%s←%s) findings differ:\n distributed: %v\n in-process:  %v",
-				i, dt.Node, dt.Peer, got, want)
-		}
-		if dt.Explore.Runs == 0 && it.Result.Report.Runs > 0 {
-			t.Errorf("target %d: distributed agent reported 0 runs, in-process %d", i, it.Result.Report.Runs)
-		}
-	}
-
-	// Same witness traffic through the same caps.
-	if dist.WitnessesInjected != inproc.WitnessesInjected || dist.WitnessesSkipped != inproc.WitnessesSkipped {
-		t.Errorf("witnesses: distributed %d injected / %d skipped, in-process %d / %d",
-			dist.WitnessesInjected, dist.WitnessesSkipped, inproc.WitnessesInjected, inproc.WitnessesSkipped)
-	}
-	if dist.PropagationSteps != inproc.PropagationSteps {
-		t.Errorf("propagation steps: distributed %d, in-process %d", dist.PropagationSteps, inproc.PropagationSteps)
-	}
-
-	// The headline: identical cross-node oracle verdicts.
-	got, want := sortedViolations(dist.Violations), sortedViolations(inproc.Violations)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("cross-node violations differ:\n distributed: %v\n in-process:  %v", got, want)
-	}
-	if len(want) == 0 {
-		t.Error("parity vacuous: the in-process round found no violations on the example topology")
-	}
-}
-
-// TestDistributedParityDefaultTargets: with no explore list the round
-// defaults to every edge in both directions, and some directions have
-// no observed seed. Both backends must report the same targets in the
-// same (resolution) order, with the same ran/skipped split.
-func TestDistributedParityDefaultTargets(t *testing.T) {
-	topoA := leakTopo3()
-	topoA.Explore = nil
-	fe, err := core.NewFederatedExperiment(topoA, fedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	topoB := leakTopo3()
-	topoB.Explore = nil
-	coord := loopbackCoordinator(t, topoB, fedOpts())
-	dist, err := coord.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(dist.Targets) != len(inproc.Targets) {
-		t.Fatalf("distributed ran %d targets, in-process %d", len(dist.Targets), len(inproc.Targets))
-	}
-	skipped := 0
-	for i, dt := range dist.Targets {
-		it := inproc.Targets[i]
-		if dt.Node != it.Node || dt.Peer != it.Peer {
-			t.Errorf("target %d: distributed %s/%s vs in-process %s/%s", i, dt.Node, dt.Peer, it.Node, it.Peer)
-		}
-		if (dt.Skipped != "") != (it.Err != nil) {
-			t.Errorf("target %d (%s←%s): skipped mismatch: %q vs %v", i, dt.Node, dt.Peer, dt.Skipped, it.Err)
-		}
-		if dt.Skipped != "" {
-			skipped++
-		}
-	}
-	if skipped == 0 {
-		t.Error("expected at least one skipped defaulted target (no observed seed)")
-	}
-	got, want := sortedViolations(dist.Violations), sortedViolations(inproc.Violations)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("violations differ:\n distributed: %v\n in-process:  %v", got, want)
-	}
 }
 
 // leakTopo3 is a 3-AS chain whose provider leaks NO_EXPORT-tagged

@@ -26,14 +26,17 @@
 //     core.Driver's, the same code that drives the in-process
 //     core.FederatedExperiment; nothing of it is written here. What is:
 //     connections, deadlines, reconnect and degraded fallback, replay,
-//     telemetry. Parity tests (dist_test.go, fault_test.go) hold the two
-//     backends to the same snapshot.
+//     telemetry. The parity table (parity_test.go) holds the two
+//     backends to the same snapshot, fleet shape by fleet shape.
 //
-// Wire protocol: one binary format (wire.go, wirev2.go) and one call
-// discipline — pipelined requests, batched relay deliveries. Every connection opens with a hello
-// carrying ProtoVersion; agent, replica and coordinator each refuse a
-// peer whose version differs, so a fleet is one build. Changing a
-// message layout means bumping ProtoVersion, nothing else.
+// Wire protocol: one binary format — wire.go holds framing, envelope,
+// the ten-row method table and every payload codec, and encodes core's
+// and netaddr's own types directly — and one call discipline: pipelined
+// requests, relay deliveries batched into one inject_witness per
+// (time, destination). Every connection opens with a hello carrying
+// ProtoVersion; agent, replica and coordinator each refuse a peer whose
+// version differs, so a fleet is one build. Changing a message layout
+// means bumping ProtoVersion, nothing else.
 //
 // Transports: the protocol runs over any io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
 // gives deterministic single-process tests; TCP gives real process

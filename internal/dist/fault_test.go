@@ -1,14 +1,11 @@
 package dist
 
 import (
-	"bytes"
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,7 +13,6 @@ import (
 	"time"
 
 	"dice/internal/core"
-	"dice/internal/trace"
 )
 
 // chaosSeedFlag lets CI run the chaos parity suites one seed at a time
@@ -68,31 +64,6 @@ func leakCheck(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		t.Errorf("goroutine leak: %d before, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
 	})
-}
-
-// chaosCoordinator wires every node's loopback agent through a
-// FaultDialer armed with its seed-derived fault plan, so each node's
-// connection misbehaves once, deterministically.
-func chaosCoordinator(t *testing.T, topo *core.Topology, opts core.FederatedOptions, seed int64, copts ...ConnOption) *Coordinator {
-	t.Helper()
-	var dialers []Dialer
-	for _, n := range topo.Nodes {
-		ag, err := NewAgent(topo, n.Name)
-		if err != nil {
-			t.Fatalf("agent %s: %v", n.Name, err)
-		}
-		dialers = append(dialers, &FaultDialer{
-			Inner: Loopback{Agent: ag},
-			Plan:  RandomFaultPlan(seed, n.Name, chaosDelay),
-		})
-	}
-	copts = append(copts, WithRetryPolicy(chaosPolicy()))
-	c, err := Connect(topo, opts, dialers, copts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
 }
 
 // totalFaults sums observed connection faults across the fleet.
@@ -218,7 +189,7 @@ func TestBrokenError(t *testing.T) {
 		if _, err := readPayload(srvConn); err != nil {
 			return
 		}
-		writePayload(srvConn, appendResponseV2(nil, 99, "", nil)) //nolint:errcheck // test server
+		writePayload(srvConn, appendResponse(nil, 99, "", nil)) //nolint:errcheck // test server
 	}()
 	cl := NewClient(cliConn)
 	defer cl.Close()
@@ -292,28 +263,7 @@ func TestReconnectMidRound(t *testing.T) {
 
 	for _, kind := range []FaultKind{FaultDrop, FaultGarble, FaultKill, FaultDelay} {
 		t.Run(kind.String(), func(t *testing.T) {
-			topo := leakTopo3()
-			var dialers []Dialer
-			for _, n := range topo.Nodes {
-				ag, err := NewAgent(topo, n.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var d Dialer = Loopback{Agent: ag}
-				if n.Name == "provider" {
-					d = &FaultDialer{Inner: d, Plan: &FaultPlan{
-						Delay:         chaosDelay,
-						Specs:         []FaultSpec{{Conn: 0, Frame: 3, Kind: kind}},
-						FailDialsFrom: -1,
-					}}
-				}
-				dialers = append(dialers, d)
-			}
-			coord, err := Connect(topo, fedOpts(), dialers, WithRetryPolicy(chaosPolicy()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
+			coord := fleetCoordinator(t, leakTopo3(), fedOpts(), faultAt("provider", 3, kind, -1), WithRetryPolicy(chaosPolicy()))
 			res, err := coord.Round()
 			if err != nil {
 				t.Fatal(err)
@@ -335,7 +285,7 @@ func TestReconnectMidRound(t *testing.T) {
 // diamondTopo is a 5-AS diamond: apex leaks src's NO_EXPORT-tagged
 // routes to left AND right at the same virtual time, whose re-emissions
 // arrive at sink simultaneously — the smallest topology where the relay
-// coalesces a genuine inject_witness_batch every round.
+// coalesces a genuine multi-delivery inject_witness every round.
 func diamondTopo() *core.Topology {
 	return &core.Topology{
 		Name: "dist-diamond-5as",
@@ -427,7 +377,7 @@ func (k *methodKiller) Close() error               { return k.inner.Close() }
 // requestMethod sniffs a request payload's method ("" for anything
 // that is not a request envelope).
 func requestMethod(payload []byte) string {
-	_, m, _, _ := parseRequestV2(payload)
+	_, m, _, _ := parseRequest(payload)
 	return m
 }
 
@@ -455,6 +405,17 @@ func (d *killDialer) Dial() (io.ReadWriteCloser, error) {
 	return conn, nil
 }
 
+// on returns a fleetCoordinator wrap that puts d in front of node's dialer.
+func (d *killDialer) on(node string) func(string, Dialer) Dialer {
+	return func(n string, inner Dialer) Dialer {
+		if n != node {
+			return inner
+		}
+		d.inner = inner
+		return d
+	}
+}
+
 func (d *killDialer) fired() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -462,9 +423,10 @@ func (d *killDialer) fired() bool {
 }
 
 // TestAgentDiesMidCall: the agent's connection dies the instant a
-// specific request has been written — mid-explore and
-// mid-inject_witness_batch. The round must reconnect, retry through the
-// idempotency memos, and land on the fault-free snapshot.
+// specific request has been written — mid-explore and mid-inject_witness
+// (on the diamond's sink, where the delivery is a genuine batch). The
+// round must reconnect, retry through the idempotency memos, and land on
+// the fault-free snapshot.
 func TestAgentDiesMidCall(t *testing.T) {
 	leakCheck(t)
 	clean := loopbackCoordinator(t, diamondTopo(), fedOpts())
@@ -483,30 +445,12 @@ func TestAgentDiesMidCall(t *testing.T) {
 		method string
 	}{
 		{"v2-mid-explore", "apex", MethodExplore},
-		{"v2-mid-inject-batch", "sink", MethodInjectWitnessBatch},
+		{"v2-mid-inject-batch", "sink", MethodInjectWitness},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			topo := diamondTopo()
-			var dialers []Dialer
-			var kd *killDialer
-			for _, n := range topo.Nodes {
-				ag, err := NewAgent(topo, n.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var d Dialer = Loopback{Agent: ag}
-				if n.Name == tc.node {
-					kd = &killDialer{inner: d, method: tc.method}
-					d = kd
-				}
-				dialers = append(dialers, d)
-			}
-			coord, err := Connect(topo, fedOpts(), dialers, WithRetryPolicy(chaosPolicy()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
+			kd := &killDialer{method: tc.method}
+			coord := fleetCoordinator(t, diamondTopo(), fedOpts(), kd.on(tc.node), WithRetryPolicy(chaosPolicy()))
 			res, err := coord.Round()
 			if err != nil {
 				t.Fatal(err)
@@ -524,93 +468,14 @@ func TestAgentDiesMidCall(t *testing.T) {
 	}
 }
 
-// TestDegradedFallbackParity: when an agent's connection dies and every
-// redial fails, the coordinator must degrade that node to an in-process
-// replacement and still produce the identical snapshot — findings never
-// depend on where the node ran. The fault is fired at several frame
-// positions so the replacement splices in during the explore phase and
-// during witness propagation (where shadow loss forces a witness
-// replay).
-func TestDegradedFallbackParity(t *testing.T) {
-	leakCheck(t)
-	clean := loopbackCoordinator(t, leakTopo3(), fedOpts())
-	cleanRes, err := clean.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join(cleanRes.Snapshot(), "\n")
-
-	for _, frame := range []int{2, 3, 4, 5, 6} {
-		t.Run(fmt.Sprintf("drop-frame-%d", frame), func(t *testing.T) {
-			topo := leakTopo3()
-			var dialers []Dialer
-			for _, n := range topo.Nodes {
-				ag, err := NewAgent(topo, n.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var d Dialer = Loopback{Agent: ag}
-				if n.Name == "provider" {
-					d = &FaultDialer{Inner: d, Plan: &FaultPlan{
-						Specs:         []FaultSpec{{Conn: 0, Frame: frame, Kind: FaultDrop}},
-						FailDialsFrom: 1, // the agent stays dead: every redial refused
-					}}
-				}
-				dialers = append(dialers, d)
-			}
-			coord, err := Connect(topo, fedOpts(), dialers, WithRetryPolicy(chaosPolicy()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
-			res, err := coord.Round()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(res.Snapshot(), "\n"); got != want {
-				t.Errorf("degraded snapshot diverged (drop at frame %d):\n--- clean ---\n%s\n--- degraded ---\n%s", frame, want, got)
-			}
-			h := res.Health["provider"]
-			if h.State != HealthDegraded {
-				t.Errorf("provider ended %q, want degraded: %+v", h.State, h)
-			}
-			for _, n := range []string{"customer", "upstream"} {
-				if h := res.Health[n]; h.State != HealthHealthy {
-					t.Errorf("%s ended %q, want healthy: %+v", n, h.State, h)
-				}
-			}
-		})
-	}
-}
-
 // TestNoFallbackFailsClosed: with the degraded fallback disabled, an
 // unreachable agent fails the round with a sticky per-node error
 // instead of silently simulating.
 func TestNoFallbackFailsClosed(t *testing.T) {
 	leakCheck(t)
-	topo := leakTopo3()
 	policy := chaosPolicy()
 	policy.NoFallback = true
-	var dialers []Dialer
-	for _, n := range topo.Nodes {
-		ag, err := NewAgent(topo, n.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var d Dialer = Loopback{Agent: ag}
-		if n.Name == "provider" {
-			d = &FaultDialer{Inner: d, Plan: &FaultPlan{
-				Specs:         []FaultSpec{{Conn: 0, Frame: 2, Kind: FaultDrop}},
-				FailDialsFrom: 1,
-			}}
-		}
-		dialers = append(dialers, d)
-	}
-	coord, err := Connect(topo, fedOpts(), dialers, WithRetryPolicy(policy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord := fleetCoordinator(t, leakTopo3(), fedOpts(), faultAt("provider", 2, FaultDrop, 1), WithRetryPolicy(policy))
 	if _, err := coord.Round(); err == nil {
 		t.Fatal("round succeeded with an unreachable agent and NoFallback set")
 	} else if !strings.Contains(err.Error(), "failed after") {
@@ -673,103 +538,6 @@ func TestGracefulShutdown(t *testing.T) {
 			t.Error("handshake succeeded against a shut-down agent")
 		}
 	}
-}
-
-// TestChaosParityFederated is the chaos acceptance on the federated
-// example: for every seed, every node's connection takes one scheduled
-// fault (drop / delay / garble / mid-frame kill), and the round —
-// including witness minimization — must converge to the identical
-// snapshot the in-process backend produces.
-func TestChaosParityFederated(t *testing.T) {
-	leakCheck(t)
-	topo, err := core.LoadTopology("../../examples/federated/topo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := core.NewFederatedExperiment(topo, minimizeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join(inproc.Snapshot(), "\n")
-
-	for _, seed := range chaosSeeds() {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			coord := chaosCoordinator(t, topo, minimizeOpts(), seed)
-			res, err := coord.Round()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(res.Snapshot(), "\n"); got != want {
-				t.Errorf("seed %d: chaos snapshot diverged:\n--- in-process ---\n%s\n--- chaos ---\n%s", seed, want, got)
-			}
-			if totalFaults(res.Health) == 0 {
-				t.Errorf("seed %d: chaos round observed no faults — plan never fired", seed)
-			}
-		})
-	}
-}
-
-// TestChaosParityReplay: the replay → round → minimize pipeline (the
-// regression harness flow) under the same per-seed chaos schedule must
-// match the in-process backend's snapshot for the committed example
-// trace.
-func TestChaosParityReplay(t *testing.T) {
-	leakCheck(t)
-	raw, err := os.ReadFile("../../examples/replay/trace.mrtl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := core.LoadTopology("../../examples/federated/topo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := replayReference(t, topo, raw)
-
-	for _, seed := range chaosSeeds() {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			coord := chaosCoordinator(t, topo, minimizeOpts(), seed)
-			if _, err := coord.Replay("transitA", "stub", raw); err != nil {
-				t.Fatal(err)
-			}
-			res, err := coord.Round()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(res.Snapshot(), "\n"); got != want {
-				t.Errorf("seed %d: post-replay chaos snapshot diverged:\n--- in-process ---\n%s\n--- chaos ---\n%s", seed, want, got)
-			}
-		})
-	}
-}
-
-// replayReference computes the in-process replay → round → minimize
-// snapshot for the example trace.
-func replayReference(t *testing.T, topo *core.Topology, raw []byte) string {
-	t.Helper()
-	records, err := traceRecords(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := core.NewFederatedExperiment(topo, minimizeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fe.Replay("transitA", "stub", records); err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.Join(inproc.Snapshot(), "\n")
-}
-
-func traceRecords(raw []byte) ([]trace.Record, error) {
-	return trace.Read(bytes.NewReader(raw))
 }
 
 func newTestRand(seed int64) *rand.Rand {

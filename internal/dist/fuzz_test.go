@@ -5,56 +5,25 @@ import (
 	"testing"
 )
 
-// v2ParamsFor maps a method to a fresh instance of its params type (nil
-// for parameterless methods); v2ResultTypes lists every result type a
-// response body may carry. The fuzzer uses both to drive full typed
-// decodes behind the envelope parse.
-func v2ParamsFor(method string) v2Message {
-	switch method {
-	case MethodHello:
-		return &HelloParams{}
-	case MethodExplore:
-		return &ExploreParams{}
-	case MethodInjectWitness:
-		return &InjectParams{}
-	case MethodInjectWitnessBatch:
-		return &InjectBatchParams{}
-	case MethodShadowClose:
-		return &ShadowCloseParams{}
-	case MethodQueryOracle:
-		return &QueryOracleParams{}
-	case MethodReplay:
-		return &ReplayParams{}
-	}
-	return nil
-}
-
-func v2ResultTypes() []v2Message {
-	return []v2Message{
-		&HelloResult{}, &CheckpointResult{}, &ExploreResult{}, &ReplayResult{},
-		&ShadowOpenResult{}, &InjectResult{}, &InjectBatchResult{}, &QueryOracleResult{},
-	}
-}
-
 // fuzzFrameSeeds covers the envelope regions and every message family:
 // valid request and response payloads, truncations at the structural
 // boundaries, corrupted kind/method/status octets, and a length field
 // far beyond the payload.
 func fuzzFrameSeeds(t interface{ Helper() }) [][]byte {
 	t.Helper()
-	seeds := [][]byte{{}, {frameRequestV2}, {frameResponseV2}, {0x7b}}
+	seeds := [][]byte{{}, {frameRequest}, {frameResponse}, {0x7b}}
 	for _, msg := range sampleMessages() {
-		body := msg.appendV2(nil)
-		req, err := appendRequestV2(nil, 99, MethodExplore, nil)
+		body := msg.appendTo(nil)
+		req, err := appendRequest(nil, 99, MethodExplore, nil)
 		if err != nil {
 			panic(err)
 		}
 		req = append(req, body...)
-		resp := appendResponseV2(nil, 99, "", msg)
+		resp := appendResponse(nil, 99, "", msg)
 		seeds = append(seeds, req, resp,
 			req[:len(req)/2], resp[:len(resp)/2])
 	}
-	full, err := appendRequestV2(nil, 7, MethodInjectWitnessBatch,
+	full, err := appendRequest(nil, 7, MethodInjectWitness,
 		&InjectBatchParams{ShadowID: 1, Deliveries: []BatchDelivery{{From: "as65001", Msg: []byte{1, 2, 3}}}})
 	if err != nil {
 		panic(err)
@@ -63,17 +32,17 @@ func fuzzFrameSeeds(t interface{ Helper() }) [][]byte {
 	badMethod[2] = 0x7f // method code nothing maps to
 	badKind := append([]byte(nil), full...)
 	badKind[0] = 0xd9
-	hugeCount := appendResponseV2(nil, 3, "", nil)
+	hugeCount := appendResponse(nil, 3, "", nil)
 	hugeCount = append(hugeCount, 0xff, 0xff, 0xff, 0xff, 0x0f) // count with no elements behind it
-	errResp := appendResponseV2(nil, 4, "dist: boom", nil)
+	errResp := appendResponse(nil, 4, "dist: boom", nil)
 	badStatus := append([]byte(nil), errResp...)
 	badStatus[2] = 0x02
 	// The hello exchange as it opens every connection.
-	helloReq, err := appendRequestV2(nil, 1, MethodHello, &HelloParams{Version: ProtoVersion, Session: 0xfeedbeefcafe})
+	helloReq, err := appendRequest(nil, 1, MethodHello, &HelloParams{Version: ProtoVersion, Session: 0xfeedbeefcafe})
 	if err != nil {
 		panic(err)
 	}
-	helloResp := appendResponseV2(nil, 1, "", &HelloResult{Node: "as65002", Topology: "line-3", AS: 65002, Prefixes: 3, Version: ProtoVersion})
+	helloResp := appendResponse(nil, 1, "", &HelloResult{Node: "as65002", Topology: "line-3", AS: 65002, Prefixes: 3, Version: ProtoVersion})
 	return append(seeds, full, badMethod, badKind, hugeCount, errResp, badStatus, helloReq, helloResp)
 }
 
@@ -87,19 +56,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if id, method, body, err := parseRequestV2(data); err == nil {
-			params := v2ParamsFor(method)
-			if derr := decodeBodyV2(body, params); derr == nil && params != nil {
-				re, err := appendRequestV2(nil, id, method, params)
+		if id, method, body, err := parseRequest(data); err == nil {
+			params := paramsFor(method)
+			if derr := decodeBody(body, params); derr == nil && params != nil {
+				re, err := appendRequest(nil, id, method, params)
 				if err != nil {
 					t.Fatalf("re-encode of parsed %s request failed: %v", method, err)
 				}
-				_, m2, body2, err := parseRequestV2(re)
+				_, m2, body2, err := parseRequest(re)
 				if err != nil || m2 != method {
 					t.Fatalf("re-parse of %s request: method %q err %v", method, m2, err)
 				}
-				again := v2ParamsFor(method)
-				if err := decodeBodyV2(body2, again); err != nil {
+				again := paramsFor(method)
+				if err := decodeBody(body2, again); err != nil {
 					t.Fatalf("re-decode of %s params: %v", method, err)
 				}
 				if !reflect.DeepEqual(params, again) {
@@ -107,18 +76,18 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
-		if id, errMsg, body, err := parseResponseV2(data); err == nil && errMsg == "" {
-			for _, result := range v2ResultTypes() {
-				if derr := decodeBodyV2(body, result); derr != nil {
+		if id, errMsg, body, err := parseResponse(data); err == nil && errMsg == "" {
+			for _, result := range resultTypes() {
+				if derr := decodeBody(body, result); derr != nil {
 					continue
 				}
-				re := appendResponseV2(nil, id, "", result)
-				_, _, body2, err := parseResponseV2(re)
+				re := appendResponse(nil, id, "", result)
+				_, _, body2, err := parseResponse(re)
 				if err != nil {
 					t.Fatalf("re-parse of %T response: %v", result, err)
 				}
 				again := freshLike(result)
-				if err := decodeBodyV2(body2, again); err != nil {
+				if err := decodeBody(body2, again); err != nil {
 					t.Fatalf("re-decode of %T result: %v", result, err)
 				}
 				if !reflect.DeepEqual(result, again) {
@@ -129,13 +98,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// TestV2RejectsSeedCorpus pins the malformed seeds as plain unit cases:
+// TestRejectsSeedCorpus pins the malformed seeds as plain unit cases:
 // each must error on at least one envelope parse without panicking,
 // even when the fuzzer is not run.
-func TestV2RejectsSeedCorpus(t *testing.T) {
+func TestRejectsSeedCorpus(t *testing.T) {
 	for i, seed := range fuzzFrameSeeds(t) {
-		_, _, _, reqErr := parseRequestV2(seed)
-		_, _, _, respErr := parseResponseV2(seed)
+		_, _, _, reqErr := parseRequest(seed)
+		_, _, _, respErr := parseResponse(seed)
 		if reqErr == nil && respErr == nil {
 			t.Errorf("seed %d parsed as both a request and a response", i)
 		}

@@ -8,55 +8,7 @@ import (
 	"testing"
 
 	"dice/internal/core"
-	"dice/internal/prop"
 )
-
-// TestDistributedPropertyGoldenParity is the tentpole acceptance for
-// the distributed backend: loading the bundled .prop re-expressions of
-// the route-leak and stale-route oracles as external properties must
-// leave the canonical snapshot byte-identical to the hard-coded round —
-// on both committed example topologies. The property sources cross the
-// wire in hello and the oracle verdicts come back through the
-// fact-collection RPCs, so any drift
-// between the declarative and the built-in oracle shows up here as a
-// snapshot diff.
-func TestDistributedPropertyGoldenParity(t *testing.T) {
-	bundled := []string{prop.BuiltinRouteLeakSource, prop.BuiltinStaleRouteSource}
-	for _, topoPath := range []string{
-		"../../examples/federated/topo.json",
-		"../../examples/routeleak/topo.json",
-	} {
-		topo, err := core.LoadTopology(topoPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fe, err := core.NewFederatedExperiment(topo, fedOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		inproc, err := fe.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := strings.Join(inproc.Snapshot(), "\n")
-		if len(inproc.Violations) == 0 {
-			t.Fatalf("%s: parity vacuous: the hard-coded round found no violations", topo.Name)
-		}
-
-		t.Run(topo.Name+"/binary", func(t *testing.T) {
-			opts := fedOpts()
-			opts.Properties = bundled
-			coord := loopbackCoordinator(t, topo, opts)
-			res, err := coord.Round()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(res.Snapshot(), "\n"); got != want {
-				t.Errorf("declared-property snapshot diverged from hard-coded oracles:\n--- hard-coded in-process ---\n%s\n--- declared distributed ---\n%s", want, got)
-			}
-		})
-	}
-}
 
 // atProps is a custom property set whose `at` clause the distributed
 // backend can only answer remotely (query_oracle WantProps): the leaked
@@ -67,42 +19,6 @@ func atProps() []string {
 	return []string{
 		`property leak_still_tagged { kind "leak-tagged"; when community boundary; at community boundary; assert never installed; }`,
 		`property avoid_upstream { kind "avoid-upstream"; when community boundary; assert never reachable via 65003; }`,
-	}
-}
-
-// TestDistributedPropertyAtParity pins the remote `at` path: a custom
-// property with an `at` route predicate must produce the same snapshot
-// distributed (agents answering per-property verdicts over the wire)
-// as in-process (the evaluator reading the installed route directly) —
-// and must actually fire, so the parity is not vacuous.
-func TestDistributedPropertyAtParity(t *testing.T) {
-	opts := fedOpts()
-	opts.Properties = atProps()
-
-	fe, err := core.NewFederatedExperiment(leakTopo3(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join(inproc.Snapshot(), "\n")
-	kinds := map[string]int{}
-	for _, v := range inproc.Violations {
-		kinds[v.Kind]++
-	}
-	if kinds["leak-tagged"] == 0 || kinds["avoid-upstream"] == 0 {
-		t.Fatalf("custom properties never fired in-process; violations: %v", inproc.Violations)
-	}
-
-	coord := loopbackCoordinator(t, leakTopo3(), opts)
-	res, err := coord.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(res.Snapshot(), "\n"); got != want {
-		t.Errorf("at-property snapshot diverged:\n--- in-process ---\n%s\n--- distributed ---\n%s", want, got)
 	}
 }
 

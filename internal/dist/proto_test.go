@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dice/internal/netaddr"
 )
 
 // writePayload frames and sends an already-encoded payload, the way the
@@ -45,12 +47,12 @@ func (s helloStub) Dial() (io.ReadWriteCloser, error) {
 		if err != nil {
 			return
 		}
-		id, _, _, err := parseRequestV2(payload)
+		id, _, _, err := parseRequest(payload)
 		if err != nil {
 			return
 		}
 		hello := &HelloResult{Node: s.node, Topology: s.topology, Version: s.version}
-		if writePayload(srv, appendResponseV2(nil, id, "", hello)) == nil {
+		if writePayload(srv, appendResponse(nil, id, "", hello)) == nil {
 			_, _ = io.Copy(io.Discard, srv)
 		}
 	}()
@@ -178,7 +180,7 @@ func TestProtoRejectsJSONFirstFrame(t *testing.T) {
 			}
 			select {
 			case err := <-served:
-				if !errors.Is(err, errV2Frame) {
+				if !errors.Is(err, errFrame) {
 					t.Errorf("ServeConn returned %v, want a malformed-frame error", err)
 				}
 			case <-time.After(5 * time.Second):
@@ -203,7 +205,7 @@ func misbehavingServer(t *testing.T, respond func(conn io.Writer, id uint64)) *C
 			if err != nil {
 				return
 			}
-			id, _, _, err := parseRequestV2(payload)
+			id, _, _, err := parseRequest(payload)
 			if err != nil {
 				return
 			}
@@ -224,7 +226,7 @@ func TestClientPoisonOnProtocolError(t *testing.T) {
 		respond func(conn io.Writer, id uint64)
 	}{
 		{"mismatched-id", func(conn io.Writer, id uint64) {
-			_ = writePayload(conn, appendResponseV2(nil, id+7, "", nil))
+			_ = writePayload(conn, appendResponse(nil, id+7, "", nil))
 		}},
 		{"garbled-frame", func(conn io.Writer, id uint64) {
 			_ = writePayload(conn, []byte("}{ not a document"))
@@ -232,7 +234,7 @@ func TestClientPoisonOnProtocolError(t *testing.T) {
 		{"garbled-result", func(conn io.Writer, id uint64) {
 			// A ShadowOpenResult body is one uvarint; a second octet is
 			// trailing garbage.
-			_ = writePayload(conn, append(appendResponseV2(nil, id, "", &ShadowOpenResult{ShadowID: 1}), 0x00))
+			_ = writePayload(conn, append(appendResponse(nil, id, "", &ShadowOpenResult{ShadowID: 1}), 0x00))
 		}},
 	}
 	for _, tc := range cases {
@@ -331,7 +333,7 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	}
 	const n = 50
 	reads, writes := conn.reads.Load(), conn.writes.Load()
-	q := &QueryOracleParams{ShadowID: open.ShadowID, Prefix: "10.7.0.0/16"}
+	q := &QueryOracleParams{ShadowID: open.ShadowID, Prefix: netaddr.MustParsePrefix("10.7.0.0/16")}
 	for i := 0; i < n; i++ {
 		if err := cl.Call(MethodQueryOracle, q, &QueryOracleResult{}); err != nil {
 			t.Fatal(err)

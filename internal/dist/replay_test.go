@@ -1,14 +1,10 @@
 package dist
 
 import (
-	"bytes"
 	"os"
-	"strings"
 	"testing"
 
 	"dice/internal/core"
-	"dice/internal/minimize"
-	"dice/internal/trace"
 )
 
 // minimizeOpts is fedOpts plus witness minimization — the configuration
@@ -17,133 +13,6 @@ func minimizeOpts() core.FederatedOptions {
 	opts := fedOpts()
 	opts.Minimize = true
 	return opts
-}
-
-// TestDistributedParityMinimization is the satellite acceptance: on
-// examples/federated/topo.json, minimization over the distributed
-// (loopback) backend — every candidate re-injected through the
-// shadow_open/inject_witness/query_oracle RPC sequence — must settle on
-// the same MinimalWitness per finding as the in-process backend. The
-// comparison is the full canonical snapshot, so witnesses, minimal
-// witnesses, violations and the step counters all have to agree line by
-// line (one golden file checks either backend).
-func TestDistributedParityMinimization(t *testing.T) {
-	topo, err := core.LoadTopology("../../examples/federated/topo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fe, err := core.NewFederatedExperiment(topo, minimizeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := loopbackCoordinator(t, topo, minimizeOpts())
-	dist, err := coord.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := strings.Join(inproc.Snapshot(), "\n")
-	got := strings.Join(dist.Snapshot(), "\n")
-	if got != want {
-		t.Errorf("snapshots differ:\n--- in-process ---\n%s\n--- distributed ---\n%s", want, got)
-	}
-	if !strings.Contains(want, "\n    minimal ") {
-		t.Fatal("parity vacuous: the in-process round minimized no witness")
-	}
-
-	// The parity is per finding, not just per sorted snapshot: zip the
-	// targets and compare each finding's minimal witness directly.
-	minimized := 0
-	for i, dt := range dist.Targets {
-		it := inproc.Targets[i]
-		if it.Err != nil || it.Result == nil {
-			continue
-		}
-		for j, df := range dt.Findings {
-			fi := it.Result.Findings[j]
-			dr, ir := "<none>", "<none>"
-			if df.MinimalWitness != nil {
-				dr = minimize.Render(df.MinimalWitness)
-			}
-			if fi.MinimalWitness != nil {
-				ir = minimize.Render(fi.MinimalWitness)
-			}
-			if dr != ir {
-				t.Errorf("target %d finding %d (%s): distributed minimal %q, in-process %q",
-					i, j, fi.Prefix, dr, ir)
-			}
-			if df.MinimalWitness != nil {
-				minimized++
-			}
-		}
-		// Reduction stats travel with the findings on both backends.
-		if (dt.Minimization == nil) != (it.Result.Minimization == nil) {
-			t.Errorf("target %d: minimization stats presence differs", i)
-		} else if dt.Minimization != nil && *dt.Minimization != *it.Result.Minimization {
-			t.Errorf("target %d: minimization stats differ:\n distributed: %+v\n in-process:  %+v",
-				i, dt.Minimization, it.Result.Minimization)
-		}
-	}
-	if minimized == 0 {
-		t.Error("distributed round carried no minimal witnesses")
-	}
-}
-
-// TestDistributedReplayParity: replaying the committed example trace
-// through every agent's local fabric must leave the distributed round
-// with exactly the finding set the in-process backend reports for the
-// same trace — the dist half of the golden-file contract (the same
-// lines are committed as examples/replay/findings.golden).
-func TestDistributedReplayParity(t *testing.T) {
-	raw, err := os.ReadFile("../../examples/replay/trace.mrtl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := trace.Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	topo, err := core.LoadTopology("../../examples/federated/topo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := core.NewFederatedExperiment(topo, minimizeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fe.Replay("transitA", "stub", records); err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := fe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := loopbackCoordinator(t, topo, minimizeOpts())
-	n, err := coord.Replay("transitA", "stub", raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(records) {
-		t.Fatalf("coordinator replayed %d of %d records", n, len(records))
-	}
-	dist, err := coord.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := strings.Join(inproc.Snapshot(), "\n")
-	got := strings.Join(dist.Snapshot(), "\n")
-	if got != want {
-		t.Errorf("post-replay snapshots differ:\n--- in-process ---\n%s\n--- distributed ---\n%s", want, got)
-	}
 }
 
 // TestDistributedReplayValidation: the replay RPC rejects bad ingress

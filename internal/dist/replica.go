@@ -78,7 +78,7 @@ func NewReplica() *Replica {
 		memo:  make(map[string]replicaMemoEntry),
 		pages: make(map[string][]byte),
 	}
-	r.rpcServer = rpcServer{handler: r, name: "replica"}
+	r.rpcServer = rpcServer{handler: r, name: "replica", role: "replica"}
 	return r
 }
 
@@ -92,23 +92,15 @@ func (r *Replica) EnableTelemetry(reg *telemetry.Registry) {
 	r.concolicM = concolic.NewMetrics(reg)
 }
 
-// handle dispatches one request. Replicas answer only hello and
+// handle dispatches one decoded request. Replicas answer only hello and
 // explore_checkpoint — they have no node to checkpoint, shadow or query.
-func (r *Replica) handle(method string, body []byte) (any, error) {
+func (r *Replica) handle(method string, params message) (message, error) {
 	r.reqMu.Lock()
 	defer r.reqMu.Unlock()
-	switch method {
-	case MethodHello:
-		p, err := decodeHello(body, "replica")
-		if err != nil {
-			return nil, err
-		}
+	switch p := params.(type) {
+	case *HelloParams:
 		return r.hello(p), nil
-	case MethodExploreCheckpoint:
-		var p ReplicaExploreParams
-		if err := decodeBodyV2(body, &p); err != nil {
-			return nil, err
-		}
+	case *ReplicaExploreParams:
 		return r.explore(p)
 	}
 	return nil, fmt.Errorf("dist: replica does not serve %q", method)
@@ -119,7 +111,7 @@ func (r *Replica) handle(method string, body []byte) (any, error) {
 // carries the replica role marker instead of a topology node — a
 // coordinator cross-checking node identity fails fast if it dials a
 // replica where it expected an agent.
-func (r *Replica) hello(p HelloParams) *HelloResult {
+func (r *Replica) hello(p *HelloParams) *HelloResult {
 	if p.Session != 0 && p.Session != r.session {
 		r.session = p.Session
 		clear(r.memo)
@@ -137,7 +129,7 @@ func (r *Replica) hello(p HelloParams) *HelloResult {
 // Analyze → WitnessRefs), so a shard explored on a replica reproduces
 // the agent's answer finding for finding. The result also carries the
 // post-round frontier memory for the coordinator's warm cache.
-func (r *Replica) explore(p ReplicaExploreParams) (*ReplicaExploreResult, error) {
+func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error) {
 	if p.Round != 0 && p.Shard != "" {
 		if e, ok := r.memo[p.Shard]; ok && e.round == p.Round {
 			r.rm.noteMemoHit()
@@ -149,17 +141,14 @@ func (r *Replica) explore(p ReplicaExploreParams) (*ReplicaExploreResult, error)
 		// plus whatever pages this request shipped. Unresolvable hashes
 		// come back as MissingPages — no exploration, no memo — and the
 		// sender retries with them included.
-		state, missing := r.assembleState(&p)
+		state, missing := r.assembleState(p)
 		if len(missing) > 0 {
 			return &ReplicaExploreResult{MissingPages: missing}, nil
 		}
 		p.State = state
 	}
 	r.rm.noteExplore()
-	engOpts, err := p.EngineKnobs.options(r.concolicM)
-	if err != nil {
-		return nil, err
-	}
+	engOpts := p.EngineKnobs.options(r.concolicM)
 	cfg, err := config.Parse(strings.Join(p.Config, "\n"))
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica: %s config: %w", p.Node, err)

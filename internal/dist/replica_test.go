@@ -40,70 +40,6 @@ func tcpReplicaPool(t *testing.T, n int) *ReplicaPool {
 	return p
 }
 
-// TestReplicaRoundParity is the replica acceptance criterion: a round
-// whose exploration phase runs on a replica pool — checkpoint and seed
-// shipped over the wire, findings shipped back — must reproduce the
-// 0-replica round finding for finding on both example topologies, over
-// both transports.
-func TestReplicaRoundParity(t *testing.T) {
-	for _, topoPath := range []string{
-		"../../examples/federated/topo.json",
-		"../../examples/routeleak/topo.json",
-	} {
-		topo, err := core.LoadTopology(topoPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clean := loopbackCoordinator(t, topo, fedOpts())
-		cleanRes, err := clean.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := strings.Join(cleanRes.Snapshot(), "\n")
-		if len(cleanRes.Violations) == 0 {
-			t.Fatalf("%s: parity vacuous: the 0-replica round found no violations", topo.Name)
-		}
-
-		cases := []struct {
-			name string
-			pool func(t *testing.T) *ReplicaPool
-		}{
-			{"v2-loopback", func(*testing.T) *ReplicaPool { return replicaPool(2) }},
-			{"v2-tcp", func(t *testing.T) *ReplicaPool { return tcpReplicaPool(t, 2) }},
-		}
-		for _, tc := range cases {
-			t.Run(topo.Name+"/"+tc.name, func(t *testing.T) {
-				pool := tc.pool(t)
-				coord := loopbackCoordinator(t, topo, fedOpts(), WithReplicas(pool))
-				res, err := coord.Round()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := strings.Join(res.Snapshot(), "\n"); got != want {
-					t.Errorf("replica round snapshot diverged:\n--- 0 replicas ---\n%s\n--- pool ---\n%s", want, got)
-				}
-				// The pool, not the agents, must have explored every
-				// non-skipped target — otherwise the parity above is the
-				// fallback path shadowing a broken replica path.
-				ran := 0
-				for _, tr := range res.Targets {
-					if tr.Skipped == "" {
-						ran++
-					}
-				}
-				if st := pool.Stats(); st.Completed != ran {
-					t.Errorf("pool completed %d shards, want %d (one per explored target)", st.Completed, ran)
-				}
-				for n, h := range res.Health {
-					if h.State != HealthHealthy {
-						t.Errorf("node %s ended %q, want healthy", n, h.State)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestReplicaWarmRounds: the frontier memory a replica returns with each
 // shard must round-trip through the coordinator's warm cache back into
 // the next round's shipment — the second round explores warm even though
@@ -325,27 +261,9 @@ func TestAgentDiesMidCheckpointFetch(t *testing.T) {
 	}
 	want := strings.Join(cleanRes.Snapshot(), "\n")
 
-	topo := leakTopo3()
-	var dialers []Dialer
-	var kd *killDialer
-	for _, n := range topo.Nodes {
-		ag, err := NewAgent(topo, n.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var d Dialer = Loopback{Agent: ag}
-		if n.Name == "provider" {
-			kd = &killDialer{inner: d, method: MethodCheckpoint}
-			d = kd
-		}
-		dialers = append(dialers, d)
-	}
-	pool := replicaPool(2)
-	coord, err := Connect(topo, fedOpts(), dialers, WithReplicas(pool), WithRetryPolicy(chaosPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	kd := &killDialer{method: MethodCheckpoint}
+	coord := fleetCoordinator(t, leakTopo3(), fedOpts(), kd.on("provider"),
+		WithReplicas(replicaPool(2)), WithRetryPolicy(chaosPolicy()))
 	res, err := coord.Round()
 	if err != nil {
 		t.Fatal(err)
@@ -383,27 +301,16 @@ func TestWarmHandoffAfterDegrade(t *testing.T) {
 	}
 	want := strings.Join(refWarm.Snapshot(), "\n")
 
-	topo := leakTopo3()
-	var dialers []Dialer
-	for _, n := range topo.Nodes {
-		ag, err := NewAgent(topo, n.Name)
-		if err != nil {
-			t.Fatal(err)
+	// Provider's connection 0 is clean; once it dies, every redial is
+	// refused — the agent stays dead.
+	providerStaysDead := func(node string, d Dialer) Dialer {
+		if node == "provider" {
+			return deadAfterFirstDial(d)
 		}
-		var d Dialer = Loopback{Agent: ag}
-		if n.Name == "provider" {
-			// Connection 0 is clean; once it dies, every redial is
-			// refused — the agent stays dead.
-			d = deadAfterFirstDial(d)
-		}
-		dialers = append(dialers, d)
+		return d
 	}
 	pool := replicaPool(1)
-	coord, err := Connect(topo, opts, dialers, WithReplicas(pool), WithRetryPolicy(chaosPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord := fleetCoordinator(t, leakTopo3(), opts, providerStaysDead, WithReplicas(pool), WithRetryPolicy(chaosPolicy()))
 	if _, err := coord.Round(); err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +357,7 @@ func TestSeedExploreState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.explore(ReplicaExploreParams{
+	out, err := r.explore(&ReplicaExploreParams{
 		Node: "provider", Config: topo.Nodes[1].Config, State: ck,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,

@@ -9,12 +9,13 @@ import (
 	"time"
 )
 
-// rpcHandler executes one request: it decodes the method's body and
+// rpcHandler executes one request whose params the server has already
+// decoded through the method table (nil for a parameterless method) and
 // returns the result message (nil for an empty result). Implementations
 // (the node Agent, the exploration Replica) serialize their own state —
-// the server machinery only decodes envelopes and frames responses.
+// the server machinery decodes and frames.
 type rpcHandler interface {
-	handle(method string, body []byte) (any, error)
+	handle(method string, params message) (message, error)
 }
 
 // rpcServer is the shared connection engine behind every wire-protocol
@@ -23,8 +24,9 @@ type rpcHandler interface {
 // their handler.
 type rpcServer struct {
 	handler rpcHandler
-	// name labels shutdown errors (the agent's node, the replica's role).
-	name string
+	// name labels shutdown errors (the agent's node, "replica"); role is
+	// how the hello's version refusal names this side ("agent", "replica").
+	name, role string
 
 	// tm instruments served requests and the drain state; nil (the
 	// default) records nothing. Set via EnableTelemetry before serving.
@@ -53,7 +55,7 @@ type connReq struct {
 // responses. Concurrency across connections is the handler's business
 // (the Agent serializes on reqMu; so does the Replica). A payload that
 // is not a request envelope — a JSON document from a pre-binary build,
-// say — ends the connection with an errV2Frame-wrapped error.
+// say — ends the connection with an errFrame-wrapped error.
 //
 // The connection closes only after the worker has answered every
 // request already read: a clean client EOF — or a draining Shutdown —
@@ -97,7 +99,7 @@ func (s *rpcServer) readRequests(conn io.ReadWriteCloser, reqs chan<- connReq, e
 			}
 			return err
 		}
-		id, method, body, err := parseRequestV2(payload)
+		id, method, body, err := parseRequest(payload)
 		if err != nil {
 			return err
 		}
@@ -188,41 +190,19 @@ func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, 
 	}
 }
 
-// respond executes one request and renders the response frame. Handler
-// errors become error responses.
+// respond decodes one request's params, executes it and renders the
+// response frame. Decode and handler errors become error responses.
 func (s *rpcServer) respond(cr connReq) []byte {
-	result, herr := s.handler.handle(cr.method, cr.body)
-	s.tm.noteRequest(cr.method, herr != nil)
-	if herr != nil {
-		return appendResponseV2(newFrame(), cr.id, herr.Error(), nil)
+	var result message
+	params, err := decodeParams(cr.method, cr.body, s.role)
+	if err == nil {
+		result, err = s.handler.handle(cr.method, params)
 	}
-	var msg v2Message
-	if result != nil {
-		m, ok := result.(v2Message)
-		if !ok {
-			return appendResponseV2(newFrame(), cr.id, fmt.Sprintf("dist: %s result type %T has no wire encoding", cr.method, result), nil)
-		}
-		msg = m
+	s.tm.noteRequest(cr.method, err != nil)
+	if err != nil {
+		return appendResponse(newFrame(), cr.id, err.Error(), nil)
 	}
-	return appendResponseV2(newFrame(), cr.id, "", msg)
-}
-
-// decodeHello decodes a hello body for a server of the given role
-// ("agent", "replica"). The version is read first: a client speaking
-// another version gets an error naming both, and the rest of its body —
-// whose layout this build may not know — is not interpreted.
-func decodeHello(body []byte, role string) (HelloParams, error) {
-	d := newV2dec(body)
-	ver := d.uint()
-	if err := d.err(); err != nil {
-		return HelloParams{}, err
-	}
-	if ver != ProtoVersion {
-		return HelloParams{}, fmt.Errorf("dist: wire protocol v%d, this %s speaks v%d", ver, role, ProtoVersion)
-	}
-	var p HelloParams
-	err := decodeBodyV2(body, &p)
-	return p, err
+	return appendResponse(newFrame(), cr.id, "", result)
 }
 
 // ListenAndServe accepts connections until the listener closes.

@@ -3,9 +3,13 @@ package dist
 import (
 	"bytes"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
+	"dice/internal/bgp"
 	"dice/internal/core"
+	"dice/internal/netaddr"
 	"dice/internal/trace"
 )
 
@@ -122,5 +126,81 @@ func TestSessionScopedReplayMemos(t *testing.T) {
 	}
 	if n2 != len(records) {
 		t.Fatalf("second session replayed %d records, want %d — the first session's key-1 memo answered instead of the fabric", n2, len(records))
+	}
+}
+
+// TestDeliverIdempotentAndAtomic pins inject_witness at the agent: a
+// delivery re-sent under its key answers from the memo without touching
+// the shadow again, and a run whose second delivery names an unknown peer
+// fails before the first is applied — an error never leaves a
+// half-applied shadow behind it.
+func TestDeliverIdempotentAndAtomic(t *testing.T) {
+	ag, err := NewAgent(leakTopo3(), "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Loopback{Agent: ag}.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(conn)
+	defer cl.Close()
+	var open ShadowOpenResult
+	if err := cl.Call(MethodShadowOpen, nil, &open); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := ag.shadow(open.ShadowID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The customer's own announcement, moved to a /24 the provider's
+	// import filter accepts and re-announces upstream.
+	u := *ag.self.LastObserved("customer")
+	u.NLRI = []netaddr.Prefix{netaddr.MustParsePrefix("10.9.9.0/24")}
+	wire, err := bgp.Encode(&u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shadowState struct {
+		updates  uint64
+		prefixes int
+		sunk     int
+	}
+	state := func() shadowState {
+		return shadowState{sh.r.Counters().UpdatesProcessed, sh.r.RIB().Prefixes(), len(sh.sink.Messages())}
+	}
+
+	before := state()
+	one := &InjectBatchParams{ShadowID: open.ShadowID, Deliveries: []BatchDelivery{{From: "customer", Msg: wire}}, Key: 1}
+	var first, again InjectBatchResult
+	if err := cl.Call(MethodInjectWitness, one, &first); err != nil {
+		t.Fatal(err)
+	}
+	applied := state()
+	if applied.updates != before.updates+1 || len(first.Results) != 1 || len(first.Results[0].Emitted) == 0 {
+		t.Fatalf("delivery processed %d updates and answered %+v, want 1 update with emissions", applied.updates-before.updates, first)
+	}
+	if err := cl.Call(MethodInjectWitness, one, &again); err != nil {
+		t.Fatal(err)
+	}
+	if state() != applied {
+		t.Errorf("re-sent key touched the shadow: %+v, was %+v", state(), applied)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("re-sent key answered %+v, first answer %+v", again, first)
+	}
+
+	u.NLRI = []netaddr.Prefix{netaddr.MustParsePrefix("10.9.8.0/24")}
+	if wire, err = bgp.Encode(&u); err != nil {
+		t.Fatal(err)
+	}
+	bad := &InjectBatchParams{ShadowID: open.ShadowID, Key: 2, Deliveries: []BatchDelivery{
+		{From: "customer", Msg: wire}, {From: "nonesuch", Msg: wire},
+	}}
+	if err := cl.Call(MethodInjectWitness, bad, &InjectBatchResult{}); err == nil || !strings.Contains(err.Error(), `no peer "nonesuch"`) {
+		t.Fatalf("run with an unknown sender returned %v", err)
+	}
+	if state() != applied {
+		t.Errorf("failed run left a half-applied shadow: %+v, was %+v", state(), applied)
 	}
 }

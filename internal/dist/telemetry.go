@@ -65,7 +65,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		relayDepth: reg.Gauge("dice_coordinator_relay_queue_depth",
 			"In-flight witness relay events awaiting delivery."),
 		witnessBatches: reg.Counter("dice_coordinator_witness_batches_total",
-			"Relay deliveries coalesced into inject_witness_batch calls."),
+			"inject_witness calls that carried more than one coalesced relay delivery."),
 		witnessesInjected: reg.Counter("dice_coordinator_witnesses_injected_total",
 			"Witnesses injected and checked across rounds."),
 		witnessesSkipped: reg.Counter("dice_coordinator_witnesses_skipped_total",

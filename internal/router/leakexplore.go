@@ -152,7 +152,7 @@ func (r *Router) HandleLeakConcolic(rc *concolic.RunContext, peerName string, se
 	subj.Communities = seed.Attrs.Communities
 
 	out := LeakOutcome{Peer: peerName, Prefix: prefix, OriginAS: uint16(originV.C), Community: comm}
-	disp, finalAttrs := r.importRouteConcolic(ps, subj, &attrs, rc)
+	disp, finalAttrs := r.importSubject(ps, subj, &attrs, rc)
 	if disp != filter.Accept {
 		return out
 	}

@@ -253,7 +253,7 @@ func (r *Router) onUpdate(peerName string, u *bgp.Update) {
 		}
 	}
 	for _, nlri := range u.NLRI {
-		disp, attrs := r.importRoute(ps, nlri, &u.Attrs, filter.ConcreteBrancher{})
+		disp, attrs := r.importRoute(ps, nlri, &u.Attrs)
 		if disp != filter.Accept {
 			r.counters.RoutesRejected++
 			// Policy rejection of a previously accepted route acts as a
@@ -278,34 +278,21 @@ func (r *Router) onUpdate(peerName string, u *bgp.Update) {
 	}
 }
 
-// importRoute runs validation + import policy for one NLRI. The Brancher
-// parameter is the instrumentation seam: ConcreteBrancher in normal
-// operation, the concolic RunContext during exploration.
-func (r *Router) importRoute(ps *peerState, nlri netaddr.Prefix, attrs *bgp.Attrs, br filter.Brancher) (filter.Disposition, bgp.Attrs) {
-	// RFC 4271 §9.1.2: drop paths containing our own AS (loop).
-	if attrs.ASPath.Contains(r.cfg.LocalAS) {
-		return filter.Reject, bgp.Attrs{}
-	}
-	f := ps.peer.Import
-	if f == nil {
-		f = filter.AcceptAll
-	}
-	subj := filter.SubjectFromRoute(nlri, attrs)
-	verdict := filter.Run(f, subj, br)
-	if verdict.Disposition != filter.Accept {
-		return filter.Reject, bgp.Attrs{}
-	}
-	out := attrs.Clone()
-	verdict.Apply(&out)
-	return filter.Accept, out
+// importRoute runs validation + import policy for one concrete NLRI —
+// the fast path: no constraint recording.
+func (r *Router) importRoute(ps *peerState, nlri netaddr.Prefix, attrs *bgp.Attrs) (filter.Disposition, bgp.Attrs) {
+	return r.importSubject(ps, filter.SubjectFromRoute(nlri, attrs), attrs, filter.ConcreteBrancher{})
 }
 
-// importRouteConcolic is importRoute with a symbolic subject: the fields
-// DiCE marked symbolic are taken from the RunContext instead of the
-// concrete message.
-func (r *Router) importRouteConcolic(ps *peerState, subj *filter.Subject, attrs *bgp.Attrs, rc *concolic.RunContext) (filter.Disposition, bgp.Attrs) {
-	// The AS-path loop check concerns the path structure, which stays
-	// concrete in the DiCE input model.
+// importSubject is the one import pipeline: loop check, import filter,
+// verdict. The Brancher is the instrumentation seam — ConcreteBrancher
+// in normal operation, the concolic RunContext during exploration, where
+// subj carries the fields DiCE marked symbolic instead of the concrete
+// message's.
+func (r *Router) importSubject(ps *peerState, subj *filter.Subject, attrs *bgp.Attrs, br filter.Brancher) (filter.Disposition, bgp.Attrs) {
+	// RFC 4271 §9.1.2: drop paths containing our own AS (loop). The check
+	// concerns the path structure, which stays concrete in the DiCE input
+	// model.
 	if attrs.ASPath.Contains(r.cfg.LocalAS) {
 		return filter.Reject, bgp.Attrs{}
 	}
@@ -313,7 +300,7 @@ func (r *Router) importRouteConcolic(ps *peerState, subj *filter.Subject, attrs 
 	if f == nil {
 		f = filter.AcceptAll
 	}
-	verdict := filter.Run(f, subj, rc)
+	verdict := filter.Run(f, subj, br)
 	if verdict.Disposition != filter.Accept {
 		return filter.Reject, bgp.Attrs{}
 	}
@@ -678,7 +665,7 @@ func (r *Router) HandleUpdateConcolic(rc *concolic.RunContext, peerName string, 
 		out.PrevOriginAS = prev.OriginAS()
 	}
 
-	disp, finalAttrs := r.importRouteConcolic(ps, subj, &attrs, rc)
+	disp, finalAttrs := r.importSubject(ps, subj, &attrs, rc)
 	if disp != filter.Accept {
 		return out
 	}
@@ -740,7 +727,7 @@ func (r *Router) HandleUpdateConcrete(peerName string, u *bgp.Update) Exploratio
 		out.PrevExisted = true
 		out.PrevOriginAS = prev.OriginAS()
 	}
-	disp, attrs := r.importRoute(ps, prefix, &u.Attrs, filter.ConcreteBrancher{})
+	disp, attrs := r.importRoute(ps, prefix, &u.Attrs)
 	if disp != filter.Accept {
 		return out
 	}

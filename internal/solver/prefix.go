@@ -37,29 +37,16 @@ const prefixCacheCap = 4096
 // shared prefix and the final element as the delta predicate: the prefix
 // is propagated once into the solver's snapshot chain and reused across
 // queries instead of re-propagating the whole conjunction from scratch.
-// cache, when non-nil, memoizes the full query exactly as SolveCached
-// does. The scheduler routes every negation query through this entry
-// point: all negations of one path hit the same chain, and sibling paths
-// share it up to their fork. cs must not be mutated after the call (the
+// The scheduler routes every negation query through this entry point:
+// all negations of one path hit the same chain, and sibling paths share
+// it up to their fork. cs must not be mutated after the call (the
 // snapshot chain keeps sub-slices of it).
-func (s *Solver) SolvePrefixed(cache *Cache, cs []sym.Expr, hint sym.Env) (env sym.Env, res Result, hit bool) {
+func (s *Solver) SolvePrefixed(cs []sym.Expr, hint sym.Env) (sym.Env, Result) {
 	if len(cs) == 0 {
-		return sym.Env{}, Sat, false
-	}
-	var key Key
-	if cache != nil {
-		key = CacheKey(cs)
-		if env, res, ok := cache.Lookup(key, cs); ok {
-			return env, res, true
-		}
+		return sym.Env{}, Sat
 	}
 	prefix, delta := cs[:len(cs)-1], cs[len(cs)-1]
-	pe := s.prefixFor(prefix)
-	env, res = s.solveFromPrefix(pe, cs, delta, hint)
-	if cache != nil {
-		cache.Store(key, cs, env, res)
-	}
-	return env, res, false
+	return s.solveFromPrefix(s.prefixFor(prefix), cs, delta, hint)
 }
 
 // prefixFor returns the propagated snapshot for prefix, building missing

@@ -124,44 +124,6 @@ func TestCollectSideConstsMasksWidth(t *testing.T) {
 	}
 }
 
-// TestCacheFingerprintCollisionVerified: a Lookup whose fingerprint
-// matches a stored entry for a *different* conjunction must miss (and be
-// counted as a collision), never return the wrong result.
-func TestCacheFingerprintCollisionVerified(t *testing.T) {
-	cache := NewCache()
-	x := v32(0, "x")
-	cs1 := []sym.Expr{sym.NewCmp(sym.OpEq, x, c32(1))}
-	cs2 := []sym.Expr{sym.NewCmp(sym.OpEq, x, c32(2))}
-	key := CacheKey(cs1)
-	cache.Store(key, cs1, sym.Env{0: 1}, Sat)
-
-	if _, _, ok := cache.Lookup(key, cs1); !ok {
-		t.Fatal("exact lookup missed")
-	}
-	// Force the collision: same key, structurally different conjunction.
-	if _, _, ok := cache.Lookup(key, cs2); ok {
-		t.Fatal("collision lookup returned a foreign entry")
-	}
-	if cache.Collisions() != 1 {
-		t.Fatalf("collisions = %d, want 1", cache.Collisions())
-	}
-}
-
-// TestCacheDistinctKeysDistinctEntries: fingerprint keys separate
-// structurally different conjunctions (no false sharing), including
-// permutations — path conditions are order-sensitive.
-func TestCacheDistinctKeysDistinctEntries(t *testing.T) {
-	x := v32(0, "x")
-	a := sym.NewCmp(sym.OpGt, x, c32(1))
-	b := sym.NewCmp(sym.OpLt, x, c32(9))
-	if CacheKey([]sym.Expr{a, b}) == CacheKey([]sym.Expr{b, a}) {
-		t.Fatal("permuted conjunctions share a fingerprint")
-	}
-	if CacheKey([]sym.Expr{a}) == CacheKey([]sym.Expr{a, b}) {
-		t.Fatal("prefix shares a fingerprint with its extension")
-	}
-}
-
 // TestSolvePrefixedMatchesSolveHinted: the incremental prefix path must
 // agree with the from-scratch path on both Sat models and Unsat proofs.
 func TestSolvePrefixedMatchesSolveHinted(t *testing.T) {
@@ -176,16 +138,16 @@ func TestSolvePrefixedMatchesSolveHinted(t *testing.T) {
 	unsat := sym.NewCmp(sym.OpGt, x, c32(200))
 
 	s := New(Options{})
-	env, res, hit := s.SolvePrefixed(nil, append(append([]sym.Expr{}, prefix...), sat), nil)
-	if res != Sat || hit {
-		t.Fatalf("sat delta: res=%v hit=%v", res, hit)
+	env, res := s.SolvePrefixed(append(append([]sym.Expr{}, prefix...), sat), nil)
+	if res != Sat {
+		t.Fatalf("sat delta: res=%v", res)
 	}
 	for _, c := range append(append([]sym.Expr{}, prefix...), sat) {
 		if !sym.EvalBool(c, env) {
 			t.Fatalf("model %v violates %v", env, c)
 		}
 	}
-	if _, res, _ := s.SolvePrefixed(nil, append(append([]sym.Expr{}, prefix...), unsat), nil); res != Unsat {
+	if _, res := s.SolvePrefixed(append(append([]sym.Expr{}, prefix...), unsat), nil); res != Unsat {
 		t.Fatalf("unsat delta: res=%v", res)
 	}
 }
@@ -201,7 +163,7 @@ func TestSolvePrefixedReusesSnapshots(t *testing.T) {
 	s := New(Options{})
 	for i := uint64(0); i < 8; i++ {
 		delta := sym.NewCmp(sym.OpNe, x, c32(20+i))
-		if _, res, _ := s.SolvePrefixed(nil, append(append([]sym.Expr{}, prefix...), delta), nil); res != Sat {
+		if _, res := s.SolvePrefixed(append(append([]sym.Expr{}, prefix...), delta), nil); res != Sat {
 			t.Fatalf("query %d: res=%v", i, res)
 		}
 	}
@@ -220,27 +182,7 @@ func TestSolvePrefixedInfeasiblePrefix(t *testing.T) {
 	}
 	s := New(Options{})
 	cs := append(append([]sym.Expr{}, prefix...), sym.NewCmp(sym.OpGe, x, c32(0)))
-	if _, res, _ := s.SolvePrefixed(nil, cs, nil); res != Unsat {
+	if _, res := s.SolvePrefixed(cs, nil); res != Unsat {
 		t.Fatalf("res = %v, want Unsat", res)
-	}
-}
-
-// TestSolvePrefixedCacheIntegration: repeated prefixed queries answer
-// from the memo cache with the model intact.
-func TestSolvePrefixedCacheIntegration(t *testing.T) {
-	cache := NewCache()
-	x := v32(0, "x")
-	cs := []sym.Expr{
-		sym.NewCmp(sym.OpGt, x, c32(10)),
-		sym.NewCmp(sym.OpEq, x, c32(42)),
-	}
-	s := New(Options{})
-	env, res, hit := s.SolvePrefixed(cache, cs, nil)
-	if res != Sat || hit || env[0] != 42 {
-		t.Fatalf("cold: env=%v res=%v hit=%v", env, res, hit)
-	}
-	env, res, hit = s.SolvePrefixed(cache, cs, nil)
-	if res != Sat || !hit || env[0] != 42 {
-		t.Fatalf("warm: env=%v res=%v hit=%v", env, res, hit)
 	}
 }

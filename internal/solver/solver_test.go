@@ -404,3 +404,54 @@ func TestKnownBitsSingleBitNe(t *testing.T) {
 		t.Fatalf("bit 3 not set: %#x", env[1])
 	}
 }
+
+// TestIntervalSizeSaturates is the regression test for the Hi-Lo+1
+// overflow: the full 64-bit domain must not report size 0 (which made the
+// widest variable look like the most constrained one and qualified a
+// 2^64-value domain for exhaustive enumeration).
+func TestIntervalSizeSaturates(t *testing.T) {
+	cases := []struct {
+		iv   Interval
+		want uint64
+	}{
+		{Interval{0, ^uint64(0)}, ^uint64(0)}, // full domain: saturates
+		{Interval{1, ^uint64(0)}, ^uint64(0)}, // 2^64-1 values: exact
+		{Interval{0, 0}, 1},
+		{Interval{5, 10}, 6},
+	}
+	for _, c := range cases {
+		if got := c.iv.size(); got != c.want {
+			t.Errorf("size(%v) = %d, want %d", c.iv, got, c.want)
+		}
+	}
+}
+
+// TestSolve64BitVariable: a full-width variable must not derail variable
+// selection; the solver still finds models over mixed-width constraints.
+func TestSolve64BitVariable(t *testing.T) {
+	x := &sym.Var{ID: 0, Name: "x", W: 64}
+	y := v8(1, "y")
+	env := requireSat(t,
+		sym.NewCmp(sym.OpNe, x, sym.NewConst(5, 64)),
+		sym.NewCmp(sym.OpEq, y, sym.NewConst(7, 8)))
+	if env[0] == 5 || env[1] != 7 {
+		t.Fatalf("bad model %v", env)
+	}
+}
+
+// TestSolveHintedReusable: one Solver serves many queries with different
+// hints (the per-worker reuse pattern) and honors each hint.
+func TestSolveHintedReusable(t *testing.T) {
+	x := v32(0, "x")
+	s := New(Options{})
+	cs := []sym.Expr{sym.NewCmp(sym.OpGt, x, c32(10))}
+	for _, want := range []uint64{11, 500, 77} {
+		env, res := s.SolveHinted(cs, sym.Env{0: want})
+		if res != Sat || env[0] != want {
+			t.Fatalf("hint %d ignored: env=%v res=%v", want, env, res)
+		}
+	}
+	if s.Calls != 3 {
+		t.Fatalf("calls = %d, want 3", s.Calls)
+	}
+}

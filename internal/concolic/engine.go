@@ -100,6 +100,9 @@ type PathResult struct {
 	Assumes []sym.Expr // non-negatable well-formedness constraints
 	Output  any        // handler return value
 	Notes   []string   // handler annotations
+	// Verdict is what the engine's judge (Engine.Judge) concluded from
+	// this path alone; nil without a judge, or when it had nothing to say.
+	Verdict any
 }
 
 // Constraints returns the full path condition (assumptions ∧ branches).
@@ -179,6 +182,7 @@ type Engine struct {
 	byName  map[string]*sym.Var
 	seed    sym.Env
 	handler Handler
+	judge   func(*PathResult) any
 	nextID  int
 }
 
@@ -211,6 +215,18 @@ func (e *Engine) Var(name string, width int, seed uint64) {
 	e.byName[name] = v
 	e.seed[v.ID] = seed & widthMask(width)
 }
+
+// Judge installs a per-path oracle: the scheduler calls j once for every
+// path new to the round (and, with cross-round state attached, to every
+// prior round), on the worker that just found it and outside the
+// scheduler's lock, and stores what it returns in PathResult.Verdict.
+// Everything an oracle can decide from one path — solver queries over its
+// path condition, witness validation through RunOnce — then overlaps
+// with the rest of the exploration instead of following it; only what
+// depends on the order of paths is left for after Explore returns. j
+// runs concurrently with itself and with the handler, must not retain or
+// modify the PathResult, and must be installed before Explore.
+func (e *Engine) Judge(j func(*PathResult) any) { e.judge = j }
 
 // Report summarizes an exploration.
 type Report struct {

@@ -25,7 +25,7 @@ type shard struct {
 	budget string
 	done   bool // budget stopped: frontier cleared, no new work accepted
 	active int  // this shard's items currently being processed
-	paths  []PathResult
+	paths  []*PathResult
 
 	deadline time.Time
 	start    time.Time
@@ -63,18 +63,30 @@ func (sh *shard) expired() (string, bool) {
 // scheduler drives one exploration round over one or more shards: a pool
 // of worker goroutines drains the shards' frontiers, each worker owning
 // reusable solvers. The frontiers and the per-shard run/seq budget
-// counters live behind a single short mutex; handler executions and
-// solver searches — the expensive parts — run outside it, and solver
-// statistics are per-shard atomics so workers never serialize on
+// counters live behind a single short mutex; handler executions, solver
+// searches and path judges — the expensive parts — run outside it, and
+// solver statistics are per-shard atomics so workers never serialize on
 // bookkeeping.
+//
+// The pool is sized to the frontier, not to Options.Workers: a worker
+// that finds nothing queued exits instead of waiting, and a worker whose
+// fold queues more than the pool can take starts the missing ones
+// (staff). A three-path round never wakes a second goroutine to tell it
+// there is nothing to do; a round whose frontier opens up late still
+// gets every worker it is allowed.
 type scheduler struct {
 	shards  []*shard
 	workers int
+	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	active int // items being processed across all shards
-	rr     int // round-robin cursor over shards for fairness
+	mu      sync.Mutex
+	queued  int // items in all live shards' frontiers
+	active  int // items being processed across all shards
+	running int // worker goroutines alive
+	rr      int // round-robin cursor over shards for fairness
+	// idle holds the solver sets of workers that exited, for the next
+	// worker started: the propagated prefix chains outlive the goroutine.
+	idle []map[int]*solver.Solver
 }
 
 func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
@@ -94,13 +106,16 @@ func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
 		workers = 1
 	}
 	sch := &scheduler{shards: shards, workers: workers}
-	sch.cond = sync.NewCond(&sch.mu)
+	for _, sh := range shards {
+		sch.queued += sh.front.pending() // work resumed from a prior round
+	}
 	return sch
 }
 
 // execute runs a shard's handler under an assignment and folds the
-// resulting path into that shard's frontier. Returns false when the
-// shard's run budget is gone.
+// resulting path into that shard's frontier; a path the fold accepts as
+// new is then judged, here, on the goroutine that found it (Engine.Judge).
+// Returns false when the shard's run budget is gone.
 func (sch *scheduler) execute(sh *shard, env map[int]uint64, bound int) bool {
 	sch.mu.Lock()
 	if sh.done {
@@ -120,17 +135,31 @@ func (sch *scheduler) execute(sh *shard, env map[int]uint64, bound int) bool {
 	rc := &RunContext{env: env, vars: sh.e.byName}
 	out := sh.e.handler(rc)
 
+	var fresh *PathResult
 	sch.mu.Lock()
-	defer sch.mu.Unlock()
+	before := sh.front.pending()
 	if sh.front.fold(rc.assumes, rc.path, env, bound) {
-		sh.paths = append(sh.paths, PathResult{
+		fresh = &PathResult{
 			Seq:     mySeq,
 			Env:     cloneEnv(env),
 			Path:    rc.path,
 			Assumes: rc.assumes,
 			Output:  out,
 			Notes:   rc.notes,
-		})
+		}
+		sh.paths = append(sh.paths, fresh) // discovery order is fold order
+	}
+	sch.queued += sh.front.pending() - before
+	if sch.running > 0 {
+		sch.staff() // not during the seed runs: the pool starts after them
+	}
+	sch.mu.Unlock()
+
+	// Only this goroutine holds fresh until the pool has drained, so the
+	// verdict needs no lock; a path some earlier round already reported
+	// is not fresh and is never judged again.
+	if fresh != nil && sh.e.judge != nil {
+		fresh.Verdict = sh.e.judge(fresh)
 	}
 	return true
 }
@@ -139,8 +168,12 @@ func (sch *scheduler) execute(sh *shard, env map[int]uint64, bound int) bool {
 // used last (solver prefix-snapshot locality), then scanning round-robin.
 // Caller holds the mutex.
 func (sch *scheduler) popLocked(prefer *shard) (*shard, workItem, bool) {
+	if sch.queued == 0 {
+		return nil, workItem{}, false
+	}
 	if prefer != nil && !prefer.done {
 		if it, ok := prefer.front.pop(); ok {
+			sch.queued--
 			return prefer, it, true
 		}
 	}
@@ -150,11 +183,35 @@ func (sch *scheduler) popLocked(prefer *shard) (*shard, workItem, bool) {
 			continue
 		}
 		if it, ok := sh.front.pop(); ok {
+			sch.queued--
 			sch.rr = (sch.rr + i + 1) % len(sch.shards)
 			return sh, it, true
 		}
 	}
 	return nil, workItem{}, false
+}
+
+// drop clears a shard's frontier (stowing it in the cross-round state,
+// when attached) and marks the shard done. Caller holds the mutex.
+func (sch *scheduler) drop(sh *shard) {
+	sch.queued -= sh.front.pending()
+	sh.front.clear()
+	sh.done = true
+	sch.noteIdle(sh)
+}
+
+// staff starts the workers the frontier can keep busy and the pool does
+// not have. Every running worker that is not mid-item is about to pop
+// one (workers never wait), so whatever is queued beyond those is work
+// for a goroutine that does not exist yet. Caller holds the mutex and is
+// either run, before it waits, or a running worker (so the WaitGroup
+// cannot reach zero under the Add).
+func (sch *scheduler) staff() {
+	for sch.running < sch.workers && sch.queued > sch.running-sch.active {
+		sch.running++
+		sch.wg.Add(1)
+		go sch.worker()
+	}
 }
 
 // retire marks a shard budget-stopped: its queued work is stowed in the
@@ -164,12 +221,10 @@ func (sch *scheduler) retire(sh *shard, item workItem) {
 	if sh.e.opts.State != nil {
 		sh.e.opts.State.savePending([]workItem{item})
 	}
-	sh.front.clear()
-	sh.done = true
 	if sh.budget == "" {
 		sh.budget, _ = sh.expired()
 	}
-	sch.noteIdle(sh)
+	sch.drop(sh)
 }
 
 // noteIdle stamps the shard's finish time once its own work has drained:
@@ -183,14 +238,19 @@ func (sch *scheduler) noteIdle(sh *shard) {
 	}
 }
 
-// worker drains the shards until every frontier is empty with no item in
-// flight. Each worker keeps one reusable solver per node budget so the
-// propagated prefix-snapshot chain (solver/prefix.go) survives across
-// queries, including when the fleet mixes engines with different
-// SolverNodes settings.
-func (sch *scheduler) worker(wg *sync.WaitGroup) {
-	defer wg.Done()
+// worker drains the shards until it finds nothing queued. Each worker
+// keeps one reusable solver per node budget so the propagated
+// prefix-snapshot chain (solver/prefix.go) survives across queries,
+// including when the fleet mixes engines with different SolverNodes
+// settings.
+func (sch *scheduler) worker() {
+	defer sch.wg.Done()
+	sch.mu.Lock()
 	solvers := map[int]*solver.Solver{}
+	if n := len(sch.idle); n > 0 {
+		solvers, sch.idle = sch.idle[n-1], sch.idle[:n-1]
+	}
+	sch.mu.Unlock()
 	solverFor := func(sh *shard) *solver.Solver {
 		sv, ok := solvers[sh.e.opts.SolverNodes]
 		if !ok {
@@ -203,13 +263,12 @@ func (sch *scheduler) worker(wg *sync.WaitGroup) {
 	for {
 		sch.mu.Lock()
 		sh, item, ok := sch.popLocked(last)
-		for !ok && sch.active > 0 {
-			sch.cond.Wait()
-			sh, item, ok = sch.popLocked(last)
-		}
 		if !ok {
+			// Nothing queued. Items still in flight belong to workers
+			// that will staff the pool again if they fold new work.
+			sch.running--
+			sch.idle = append(sch.idle, solvers)
 			sch.mu.Unlock()
-			sch.cond.Broadcast()
 			return
 		}
 		last = sh
@@ -227,7 +286,6 @@ func (sch *scheduler) worker(wg *sync.WaitGroup) {
 			}
 			sch.retire(sh, item)
 			sch.mu.Unlock()
-			sch.cond.Broadcast()
 			continue // other shards may still have work
 		}
 
@@ -269,7 +327,6 @@ func (sch *scheduler) worker(wg *sync.WaitGroup) {
 		sh.active--
 		sch.noteIdle(sh)
 		sch.mu.Unlock()
-		sch.cond.Broadcast()
 	}
 }
 
@@ -277,7 +334,6 @@ func (sch *scheduler) worker(wg *sync.WaitGroup) {
 // shared worker pool, then one report per shard (same order as the
 // engines given to newScheduler).
 func (sch *scheduler) run() []*Report {
-	anyWork := false
 	for _, sh := range sch.shards {
 		sh.start = time.Now()
 		if sh.e.opts.TimeBudget > 0 {
@@ -287,31 +343,24 @@ func (sch *scheduler) run() []*Report {
 			sh.e.opts.State.beginRound()
 		}
 		// Seed run explores from the observed input.
-		if sch.execute(sh, cloneEnv(sh.e.seed), 0) {
-			anyWork = true
-			sch.mu.Lock()
+		ran := sch.execute(sh, cloneEnv(sh.e.seed), 0)
+		sch.mu.Lock()
+		if ran {
 			sch.noteIdle(sh) // a branchless seed may already drain the shard
-			sch.mu.Unlock()
 		} else {
 			// Seed run refused (pre-cancelled / expired budget): stow any
 			// frontier work resumed from a prior round back into the state
 			// instead of silently dropping it.
-			sch.mu.Lock()
-			sh.front.clear()
-			sh.done = true
-			sch.noteIdle(sh)
-			sch.mu.Unlock()
+			sch.drop(sh)
 		}
+		sch.mu.Unlock()
 	}
 
-	if anyWork {
-		var wg sync.WaitGroup
-		wg.Add(sch.workers)
-		for i := 0; i < sch.workers; i++ {
-			go sch.worker(&wg)
-		}
-		wg.Wait()
-	}
+	// No goroutine at all for an empty frontier (a warm round).
+	sch.mu.Lock()
+	sch.staff()
+	sch.mu.Unlock()
+	sch.wg.Wait()
 
 	reports := make([]*Report, len(sch.shards))
 	for i, sh := range sch.shards {
@@ -319,8 +368,12 @@ func (sch *scheduler) run() []*Report {
 		if !sh.finish.IsZero() {
 			elapsed = sh.finish.Sub(sh.start)
 		}
+		paths := make([]PathResult, len(sh.paths))
+		for k, p := range sh.paths {
+			paths[k] = *p
+		}
 		reports[i] = &Report{
-			Paths:            sh.paths,
+			Paths:            paths,
 			Runs:             sh.runs,
 			SolverCalls:      int(sh.solverCalls.Load()),
 			SolverSat:        int(sh.solverSat.Load()),

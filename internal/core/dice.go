@@ -11,7 +11,9 @@
 //     negate one predicate, solve, repeat — while intercepting every
 //     message the clones produce so the deployed system is unaffected.
 //  4. Run the scenario's fault oracles over the explored outcomes (e.g.
-//     the origin misconfiguration / prefix-hijack detector of §4.2).
+//     the origin misconfiguration / prefix-hijack detector of §4.2) —
+//     each path judged on the worker that found it, as part of step 3;
+//     only deduplication and ordering wait for the round to end.
 //
 // The message-type-specific parts of a round live behind the Scenario
 // interface (scenario.go); DiCE provides the round machinery once and
@@ -57,14 +59,6 @@ type Options struct {
 	// well-known NO_EXPORT). Federated experiments set it from the
 	// topology file's no_export_community.
 	LeakBoundaryCommunity uint32
-}
-
-// leakBoundary resolves the routeleak oracle's boundary community.
-func (o Options) leakBoundary() uint32 {
-	if o.LeakBoundaryCommunity != 0 {
-		return o.LeakBoundaryCommunity
-	}
-	return bgp.CommunityNoExport
 }
 
 // MemoryStats reproduces the §4.1 memory measurements.
@@ -204,8 +198,9 @@ func (d *DiCE) ExploreSeed(peerName string, seed *bgp.Update) (*Result, error) {
 // exploreRound is the scenario-independent round machinery: the shared
 // checkpoint → declare pipeline (prepareSeeded — the federated backends'
 // per-target prep, here with the live node's state lock and optional
-// memory accounting), exploration, then the scenario's oracles against
-// the checkpoint-time state (witness validation included).
+// memory accounting), exploration with the scenario's per-path oracle
+// running inside it against the checkpoint-time state (witness
+// validation included), then the scenario's fold.
 func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, error) {
 	start := time.Now()
 	engOpts := d.opts.Engine
@@ -220,12 +215,12 @@ func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, er
 		meter = &memoryMeter{store: checkpoint.NewStore(d.opts.PageSize)}
 		decorate = meter.decorate
 	}
-	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: sc.Name()}
+	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: sc.Name(), Boundary: d.opts.LeakBoundaryCommunity}
 	tp, err := prepareSeeded(d.live, tg, sc, seed, engOpts, d.opts.CloneLock, decorate)
 	if err != nil {
 		return nil, err
 	}
-	res := tp.analyze(d, tp.Engine.Explore())
+	res := tp.analyze(tp.Engine.Explore())
 	if meter != nil {
 		meter.finish(d, &res.Memory)
 	}

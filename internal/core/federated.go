@@ -179,12 +179,30 @@ type ResolvedTarget struct {
 	// Explicit targets come from the topology's explore list; a seed
 	// failure on one fails the round, while defaulted targets skip.
 	Explicit bool
+	// Boundary is the community the target's routeleak oracle treats as
+	// the no-export policy boundary (0 = the RFC 1997 well-known
+	// NO_EXPORT). It travels with the target because the oracle runs
+	// while the target is explored, not after.
+	Boundary uint32
+}
+
+// leakBoundary resolves a leak boundary community setting: 0 is the RFC
+// 1997 well-known NO_EXPORT.
+func leakBoundary(community uint32) uint32 {
+	if community != 0 {
+		return community
+	}
+	return bgp.CommunityNoExport
 }
 
 // ResolveTargets resolves a round's exploration targets: the topology's
 // explore list when present, otherwise every edge in both directions.
-// Targets with an empty scenario take defaultScenario.
+// Targets with an empty scenario take defaultScenario; all of them carry
+// the topology's no-export community.
 func (t *Topology) ResolveTargets(defaultScenario string) []ResolvedTarget {
+	// A malformed no_export_community is ParseTopology's and NewDriver's
+	// error to report; here it reads as unset.
+	boundary, _ := t.BoundaryCommunity()
 	var out []ResolvedTarget
 	if len(t.Explore) > 0 {
 		for _, x := range t.Explore {
@@ -192,13 +210,13 @@ func (t *Topology) ResolveTargets(defaultScenario string) []ResolvedTarget {
 			if sc == "" {
 				sc = defaultScenario
 			}
-			out = append(out, ResolvedTarget{Node: x.Node, Peer: x.Peer, Scenario: sc, Explicit: true})
+			out = append(out, ResolvedTarget{Node: x.Node, Peer: x.Peer, Scenario: sc, Explicit: true, Boundary: boundary})
 		}
 		return out
 	}
 	for _, e := range t.Edges {
-		out = append(out, ResolvedTarget{Node: e.A, Peer: e.B, Scenario: defaultScenario})
-		out = append(out, ResolvedTarget{Node: e.B, Peer: e.A, Scenario: defaultScenario})
+		out = append(out, ResolvedTarget{Node: e.A, Peer: e.B, Scenario: defaultScenario, Boundary: boundary})
+		out = append(out, ResolvedTarget{Node: e.B, Peer: e.A, Scenario: defaultScenario, Boundary: boundary})
 	}
 	return out
 }
@@ -214,7 +232,8 @@ func (e *SeedUnavailableError) Unwrap() error { return e.Err }
 
 // TargetPrep is one resolved target's prepared exploration: the
 // checkpoint clone of the live node, the scenario seed, and a declared
-// engine whose handler executes against COW forks of the checkpoint.
+// engine whose handler executes against COW forks of the checkpoint and
+// whose judge is the scenario's per-path oracle.
 // Every Fleet's phase 1 — FederatedExperiment.Explore, the distributed
 // node agent and the replica (internal/dist) — prepares targets through
 // PrepareTarget / PrepareRestored, so the per-target pipeline lives in
@@ -226,13 +245,16 @@ type TargetPrep struct {
 	Engine     *concolic.Engine
 	Checkpoint *router.Router
 	Sink       *netsim.CaptureSink
+
+	round *Round // what the scenario's judge and fold both see
 }
 
 // PrepareTarget performs the shared per-target prep: scenario lookup,
 // seed derivation from the live node (a missing seed returns
 // *SeedUnavailableError), checkpoint clone with capture sink, handler
-// over COW clones, warm cross-round state attachment (states keyed
-// node/scenario/peer when reuse is set), and symbolic declaration.
+// over COW clones, the scenario's judge, warm cross-round state
+// attachment (states keyed node/scenario/peer when reuse is set), and
+// symbolic declaration.
 // The returned engine is ready to explore — solo (Engine.Explore, the
 // agent's path) or as a fleet member (the in-process path).
 func PrepareTarget(live *router.Router, tg ResolvedTarget, engOpts concolic.Options, states *concolic.StateMap, reuse bool) (*TargetPrep, error) {
@@ -256,8 +278,8 @@ func PrepareTarget(live *router.Router, tg ResolvedTarget, engOpts concolic.Opti
 // whatever clone the decorator hands it.
 type runDecorator func(ckpt *router.Router, sink *netsim.CaptureSink, exec func(*concolic.RunContext, *router.Router) any) func(*concolic.RunContext) any
 
-// prepareSeeded is checkpoint → handler → declare, written once for the
-// federated backends and single-node DiCE alike. Like the paper's
+// prepareSeeded is checkpoint → handler → judge → declare, written once
+// for the federated backends and single-node DiCE alike. Like the paper's
 // fork(), the checkpoint is the only operation that touches the live
 // process: one clone is taken (under lock, when the live node has a
 // state lock) and every exploration clone forks from it, never from the
@@ -274,28 +296,43 @@ func prepareSeeded(live *router.Router, tg ResolvedTarget, sc Scenario, seed any
 		handler = decorate(ckpt, sink, exec)
 	}
 	eng := concolic.NewEngine(handler, engOpts)
+	round := &Round{Peer: tg.Peer, Seed: seed, Engine: eng, Checkpoint: ckpt, Boundary: leakBoundary(tg.Boundary)}
+	if j, ok := sc.(PathJudge); ok {
+		eng.Judge(func(p *concolic.PathResult) any { return j.Judge(round, p) })
+	}
 	if err := sc.Declare(eng, seed); err != nil {
 		return nil, err
 	}
-	return &TargetPrep{Target: tg, Scenario: sc, Seed: seed, Engine: eng, Checkpoint: ckpt, Sink: sink}, nil
+	return &TargetPrep{Target: tg, Scenario: sc, Seed: seed, Engine: eng, Checkpoint: ckpt, Sink: sink, round: round}, nil
 }
 
-// Analyze runs the scenario's oracles over a finished exploration and
-// returns the target's Result — the shared tail of the per-target
-// pipeline (boundary plumbed to the routeleak oracle, checkpoint-time
-// state as the comparison baseline, witness validation inside).
-func (p *TargetPrep) Analyze(live *router.Router, engOpts concolic.Options, boundary uint32, rep *concolic.Report) *Result {
-	return p.analyze(New(live, Options{Engine: engOpts, LeakBoundaryCommunity: boundary}), rep)
+// Analyze folds a finished exploration of p.Engine into the target's
+// Result — the shared tail of the per-target pipeline. The per-path
+// oracle work already happened during the exploration, against the
+// boundary the target was prepared with (ResolvedTarget.Boundary); the
+// boundary argument is the caller's view of it, and a caller that
+// prepared with one boundary and analyzes with another has mixed two
+// topologies up — that is a bug, and Analyze panics on it rather than
+// report findings judged against the wrong community. 0 means the RFC
+// 1997 NO_EXPORT on both sides. The fold reads neither the live router
+// nor the engine options; the parameters stay because benchmark/trace.go
+// (frozen) passes them.
+func (p *TargetPrep) Analyze(_ *router.Router, _ concolic.Options, boundary uint32, rep *concolic.Report) *Result {
+	if got := leakBoundary(boundary); got != p.round.Boundary {
+		panic(fmt.Sprintf("core: %s/%s prepared with leak boundary %#x, analyzed with %#x",
+			p.Target.Node, p.Target.Peer, p.round.Boundary, got))
+	}
+	return p.analyze(rep)
 }
 
-// analyze is Analyze on behalf of an existing DiCE instance.
-func (p *TargetPrep) analyze(d *DiCE, rep *concolic.Report) *Result {
+// analyze runs the scenario's fold over a report of p.Engine.
+func (p *TargetPrep) analyze(rep *concolic.Report) *Result {
 	r := &Result{
 		Scenario:         p.Scenario.Name(),
 		Report:           rep,
 		CapturedMessages: p.Sink.Count(),
 	}
-	p.Scenario.Analyze(d, &Round{Peer: p.Target.Peer, Seed: p.Seed, Engine: p.Engine, Checkpoint: p.Checkpoint}, r)
+	p.Scenario.Analyze(p.round, r)
 	return r
 }
 

@@ -50,7 +50,7 @@ func (openScenario) Execute(rc *concolic.RunContext, clone *router.Router, peer 
 	return clone.HandleOpenConcolic(rc, peer)
 }
 
-func (openScenario) Analyze(d *DiCE, round *Round, res *Result) {
+func (openScenario) Analyze(round *Round, res *Result) {
 	out := &OpenExploration{
 		Peer:  round.Peer,
 		Paths: len(res.Report.Paths),

@@ -85,88 +85,103 @@ const (
 	lenVarID  = 1
 )
 
-// DetectHijacks implements the §4.2 origin-misconfiguration oracle.
+// judgeHijacks is the §4.2 origin-misconfiguration oracle for one
+// explored path.
 //
-// For every explored path whose route was accepted, the path condition
-// describes the *set* of announcements the peer could make down that code
-// path. The oracle intersects that region with the checkpoint-time
-// routing table: for each existing best route, it asks the constraint
-// solver whether the accepted region contains an announcement that is
-// equal to or more specific than the route's prefix — i.e. one that would
-// override ("hijack") its traffic with a different origin AS. Prefixes in
-// configured anycast space are hijackable by nature and filtered as false
-// positives.
-func DetectHijacks(cfg *config.Config, rep *concolic.Report, table rib.RouteTable) (findings []Finding, filtered int) {
-	// Collect victims once: current best routes (the routes whose traffic
-	// can be stolen).
-	victims := table.Dump()
+// The path condition of a path whose route was accepted describes the
+// *set* of announcements the peer could make down that code path. The
+// oracle intersects that region with the checkpoint-time routing table:
+// for each existing best route (victims, in prefix order), it asks the
+// constraint solver whether the accepted region contains an announcement
+// that is equal to or more specific than the route's prefix — i.e. one
+// that would override ("hijack") its traffic with a different origin AS.
+// Prefixes in configured anycast space are hijackable by nature and
+// counted as filtered false positives. It returns nil for a path that
+// threatens nothing.
+func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResult) *verdict {
+	out, ok := p.Output.(router.ExplorationOutcome)
+	if !ok || !out.Accepted {
+		return nil
+	}
+	cs := p.Constraints()
+	info, feasible := solver.Analyze(cs)
+	if !feasible {
+		return nil
+	}
+	region := regionFrom(info)
+	addrVar := sym.NewVar(addrVarID, router.StandardVars.Addr, 32)
+	lenVar := sym.NewVar(lenVarID, router.StandardVars.Len, 8)
 
+	v := &verdict{}
+	for _, vic := range victims {
+		if vic.OriginAS() == out.OriginAS {
+			continue // same origin: re-announcement, not a hijack
+		}
+		// Cheap pre-filter: the victim's address range must intersect
+		// the region's address interval, and the region must admit a
+		// length >= the victim's.
+		vLo := uint64(uint32(vic.Prefix.Addr()))
+		vHi := uint64(uint32(vic.Prefix.Addr() | ^netaddr.Mask(vic.Prefix.Bits())))
+		if vHi < uint64(uint32(region.AddrLo)) || vLo > uint64(uint32(region.AddrHi)) {
+			continue
+		}
+		if region.LenHi < vic.Prefix.Bits() {
+			continue
+		}
+
+		// Exact check: path condition ∧ (announcement ⊆ victim). The
+		// full-slice expression keeps one victim's conjuncts out of cs.
+		query := append(cs[:len(cs):len(cs)],
+			sym.NewCmp(sym.OpEq,
+				sym.NewBin(sym.OpAnd, addrVar, sym.NewConst(uint64(uint32(netaddr.Mask(vic.Prefix.Bits()))), 32)),
+				sym.NewConst(uint64(uint32(vic.Prefix.Addr())), 32)),
+			sym.NewCmp(sym.OpGe, lenVar, sym.NewConst(uint64(vic.Prefix.Bits()), 8)))
+		env, res := solver.New(solver.Options{Hint: p.Env}).Solve(query)
+		if res != solver.Sat {
+			continue
+		}
+		witness := netaddr.PrefixFrom(netaddr.Addr(uint32(env[addrVarID])), int(env[lenVarID]))
+
+		if cfg.IsAnycast(vic.Prefix) || cfg.IsAnycast(witness) {
+			v.filtered++
+			continue
+		}
+		v.findings = append(v.findings, Finding{
+			Kind:         "prefix-hijack",
+			Peer:         out.Peer,
+			Prefix:       witness,
+			LeakRange:    region,
+			OriginAS:     out.OriginAS,
+			VictimAS:     vic.OriginAS(),
+			VictimPrefix: vic.Prefix,
+			Seq:          p.Seq,
+			Input:        namedInput(env),
+		})
+	}
+	if len(v.findings) == 0 && v.filtered == 0 {
+		return nil
+	}
+	return v
+}
+
+// DetectHijacks folds the per-path hijack verdicts of a finished update
+// exploration: the first finding per (victim prefix, victim origin,
+// hijacking origin) in discovery order, sorted by victim then witness
+// prefix, and the total of anycast false positives filtered.
+func DetectHijacks(rep *concolic.Report) (findings []Finding, filtered int) {
 	seen := map[string]bool{}
 	for pi := range rep.Paths {
-		p := &rep.Paths[pi]
-		out, ok := p.Output.(router.ExplorationOutcome)
-		if !ok || !out.Accepted {
+		v := verdictOf(&rep.Paths[pi])
+		if v == nil {
 			continue
 		}
-		cs := p.Constraints()
-		info, feasible := solver.Analyze(cs)
-		if !feasible {
-			continue
-		}
-		region := regionFrom(info)
-
-		for _, v := range victims {
-			if v.OriginAS() == out.OriginAS {
-				continue // same origin: re-announcement, not a hijack
+		filtered += v.filtered
+		for _, f := range v.findings {
+			key := fmt.Sprintf("%s|%d|%d", f.VictimPrefix, f.VictimAS, f.OriginAS)
+			if !seen[key] {
+				seen[key] = true
+				findings = append(findings, f)
 			}
-			// Cheap pre-filter: the victim's address range must intersect
-			// the region's address interval, and the region must admit a
-			// length >= the victim's.
-			vLo := uint64(uint32(v.Prefix.Addr()))
-			vHi := uint64(uint32(v.Prefix.Addr() | ^netaddr.Mask(v.Prefix.Bits())))
-			if vHi < uint64(uint32(region.AddrLo)) || vLo > uint64(uint32(region.AddrHi)) {
-				continue
-			}
-			if region.LenHi < v.Prefix.Bits() {
-				continue
-			}
-
-			// Exact check: path condition ∧ (announcement ⊆ victim).
-			addrVar := sym.NewVar(addrVarID, router.StandardVars.Addr, 32)
-			lenVar := sym.NewVar(lenVarID, router.StandardVars.Len, 8)
-			contain := []sym.Expr{
-				sym.NewCmp(sym.OpEq,
-					sym.NewBin(sym.OpAnd, addrVar, sym.NewConst(uint64(uint32(netaddr.Mask(v.Prefix.Bits()))), 32)),
-					sym.NewConst(uint64(uint32(v.Prefix.Addr())), 32)),
-				sym.NewCmp(sym.OpGe, lenVar, sym.NewConst(uint64(v.Prefix.Bits()), 8)),
-			}
-			query := append(append([]sym.Expr(nil), cs...), contain...)
-			env, res := solver.New(solver.Options{Hint: p.Env}).Solve(query)
-			if res != solver.Sat {
-				continue
-			}
-			witness := netaddr.PrefixFrom(netaddr.Addr(uint32(env[addrVarID])), int(env[lenVarID]))
-
-			if cfg.IsAnycast(v.Prefix) || cfg.IsAnycast(witness) {
-				filtered++
-				continue
-			}
-			key := fmt.Sprintf("%s|%d|%d", v.Prefix, v.OriginAS(), out.OriginAS)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			findings = append(findings, Finding{
-				Kind:         "prefix-hijack",
-				Peer:         out.Peer,
-				Prefix:       witness,
-				LeakRange:    region,
-				OriginAS:     out.OriginAS,
-				VictimAS:     v.OriginAS(),
-				VictimPrefix: v.Prefix,
-				Seq:          p.Seq,
-				Input:        namedInput(env),
-			})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {

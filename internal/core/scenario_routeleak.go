@@ -56,59 +56,66 @@ func (routeleakScenario) Execute(rc *concolic.RunContext, clone *router.Router, 
 	return clone.HandleLeakConcolic(rc, peer, seed.(*bgp.Update))
 }
 
-func (routeleakScenario) Analyze(d *DiCE, round *Round, res *Result) {
-	boundary := d.opts.leakBoundary()
+// Judge is the route-leak oracle for one path: does this
+// accepting-and-exporting path admit the announcement carrying the
+// boundary community? If the export policy honored the community the
+// path condition forbids it and the query is Unsat.
+func (routeleakScenario) Judge(round *Round, p *concolic.PathResult) any {
+	out, ok := p.Output.(router.LeakOutcome)
+	if !ok || !out.Accepted || len(out.SpreadTo) == 0 {
+		return nil
+	}
 	commVar := sym.NewVar(leakCommVarID, router.StandardLeakVars.Community, 32)
-	noExport := sym.NewConst(uint64(boundary), 32)
+	cs := p.Constraints()
+	query := append(cs, sym.NewCmp(sym.OpEq, commVar, sym.NewConst(uint64(round.Boundary), 32)))
+	env, sat := solver.New(solver.Options{Hint: p.Env}).Solve(query)
+	if sat != solver.Sat {
+		return nil
+	}
 
+	// Witness validation by re-execution: the solver's assignment must
+	// concretely reproduce accept + boundary community + spread on a
+	// fresh clone.
+	pr := round.Engine.RunOnce(env)
+	vout, ok := pr.Output.(router.LeakOutcome)
+	if !ok || !vout.Accepted || vout.Community != round.Boundary || len(vout.SpreadTo) == 0 {
+		return &verdict{rejected: 1}
+	}
+
+	region := RangeDesc{AddrHi: netaddr.Addr(0xffffffff), LenHi: 32}
+	if info, feasible := solver.Analyze(cs); feasible {
+		region = regionFrom(info) // leak var IDs 0/1 match the shared helper
+	}
+	return &verdict{findings: []Finding{{
+		Kind:      "route-leak",
+		Peer:      out.Peer,
+		Prefix:    vout.Prefix,
+		LeakRange: region,
+		OriginAS:  vout.OriginAS,
+		Seq:       p.Seq,
+		Input:     leakNamedInput(pr.Env),
+		Validated: true,
+		SpreadTo:  vout.SpreadTo,
+	}}}
+}
+
+// Analyze keeps the first finding per (prefix, origin, spread) in
+// discovery order.
+func (routeleakScenario) Analyze(_ *Round, res *Result) {
 	seen := map[string]bool{}
 	for pi := range res.Report.Paths {
-		p := &res.Report.Paths[pi]
-		out, ok := p.Output.(router.LeakOutcome)
-		if !ok || !out.Accepted || len(out.SpreadTo) == 0 {
+		v := verdictOf(&res.Report.Paths[pi])
+		if v == nil {
 			continue
 		}
-		// Does this accepting-and-exporting path admit the announcement
-		// carrying NO_EXPORT? If the export policy honored the community
-		// the constraint set forbids it and the query is Unsat.
-		cs := p.Constraints()
-		query := append(append([]sym.Expr(nil), cs...), sym.NewCmp(sym.OpEq, commVar, noExport))
-		env, sat := solver.New(solver.Options{Hint: p.Env}).Solve(query)
-		if sat != solver.Sat {
-			continue
+		res.WitnessesRejected += v.rejected
+		for _, f := range v.findings {
+			key := fmt.Sprintf("%s|%d|%v", f.Prefix, f.OriginAS, f.SpreadTo)
+			if !seen[key] {
+				seen[key] = true
+				res.Findings = append(res.Findings, f)
+			}
 		}
-
-		// Witness validation by re-execution: the solver's assignment must
-		// concretely reproduce accept + boundary community + spread on a
-		// fresh clone.
-		pr := round.Engine.RunOnce(env)
-		vout, ok := pr.Output.(router.LeakOutcome)
-		if !ok || !vout.Accepted || vout.Community != boundary || len(vout.SpreadTo) == 0 {
-			res.WitnessesRejected++
-			continue
-		}
-
-		key := fmt.Sprintf("%s|%d|%v", vout.Prefix, vout.OriginAS, vout.SpreadTo)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-
-		region := RangeDesc{AddrHi: netaddr.Addr(0xffffffff), LenHi: 32}
-		if info, feasible := solver.Analyze(cs); feasible {
-			region = regionFrom(info) // leak var IDs 0/1 match the shared helper
-		}
-		res.Findings = append(res.Findings, Finding{
-			Kind:      "route-leak",
-			Peer:      out.Peer,
-			Prefix:    vout.Prefix,
-			LeakRange: region,
-			OriginAS:  vout.OriginAS,
-			Seq:       p.Seq,
-			Input:     leakNamedInput(pr.Env),
-			Validated: true,
-			SpreadTo:  vout.SpreadTo,
-		})
 	}
 }
 

@@ -40,18 +40,24 @@ func (updateScenario) Execute(rc *concolic.RunContext, clone *router.Router, pee
 	return clone.HandleUpdateConcolic(rc, peer, seed.(*bgp.Update))
 }
 
-func (updateScenario) Analyze(d *DiCE, round *Round, res *Result) {
-	// Oracles run against the checkpoint-time routing table (the "routes
-	// already in the routing table prior to starting exploration", §4.2),
-	// which is exactly the checkpoint process's RIB.
-	res.Findings, res.FalsePositivesFiltered = DetectHijacks(d.live.Config(), res.Report, round.Checkpoint.RIB())
+// Judge intersects one accepted path's announcement region with the
+// checkpoint-time routing table (the "routes already in the routing table
+// prior to starting exploration", §4.2, which is exactly the checkpoint
+// process's RIB).
+func (updateScenario) Judge(round *Round, p *concolic.PathResult) any {
+	return judgeHijacks(round.Checkpoint.Config(), round.Victims(), p)
+}
+
+func (updateScenario) Analyze(round *Round, res *Result) {
+	res.Findings, res.FalsePositivesFiltered = DetectHijacks(res.Report)
 
 	// Witness validation by re-execution. Each finding's witness input
 	// came out of the constraint solver; concretization (e.g. the mask
 	// computed from the run's concrete length) can make recorded
 	// constraints imprecise, so every witness is replayed through the
 	// instrumented handler on a fresh clone and must concretely reproduce
-	// the hijack before it is reported.
+	// the hijack before it is reported. Only the findings that survived
+	// deduplication are replayed, which is why this is not the judge's.
 	validated := res.Findings[:0]
 	for _, fd := range res.Findings {
 		pr := round.Engine.RunOnce(witnessEnv(fd.Input))

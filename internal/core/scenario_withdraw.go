@@ -43,7 +43,7 @@ func (withdrawScenario) Execute(rc *concolic.RunContext, clone *router.Router, p
 	return clone.HandleWithdrawConcolic(rc, peer, seed.(*bgp.Update))
 }
 
-func (withdrawScenario) Analyze(d *DiCE, round *Round, res *Result) {
+func (withdrawScenario) Analyze(round *Round, res *Result) {
 	out := &WithdrawExploration{
 		Peer:  round.Peer,
 		Paths: len(res.Report.Paths),

@@ -332,7 +332,7 @@ func (a *Agent) explore(p *ExploreParams) (*ExploreResult, error) {
 		}
 	}
 	engOpts := p.EngineKnobs.options(a.concolicM)
-	tg := core.ResolvedTarget{Node: a.node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit}
+	tg := core.ResolvedTarget{Node: a.node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit, Boundary: a.boundary}
 	tp, err := core.PrepareTarget(a.self, tg, engOpts, a.states, p.ReuseState)
 	if err != nil {
 		var seedErr *core.SeedUnavailableError

@@ -342,9 +342,12 @@ func diamondTopo() *core.Topology {
 
 // methodKiller closes the connection immediately after the first
 // request for a given method is written — the agent may or may not have
-// processed it, but its answer is certainly lost. This is the sharpest
-// at-least-once edge: the retried call must be answered from the
-// agent's idempotency memo, not re-applied.
+// processed it, but its answer is certainly lost: from the moment the
+// request starts going out, Read delivers nothing more. (Closing after
+// the write alone is not enough — an agent that answers before this
+// goroutine runs again gets its response through ahead of the Close.)
+// This is the sharpest at-least-once edge: the retried call must be
+// answered from the agent's idempotency memo, not re-applied.
 type methodKiller struct {
 	inner  io.ReadWriteCloser
 	method string
@@ -354,25 +357,29 @@ type methodKiller struct {
 }
 
 func (k *methodKiller) Write(p []byte) (int, error) {
-	n, err := k.inner.Write(p)
-	if err != nil {
-		return n, err
-	}
 	k.mu.Lock()
-	fire := false
-	if !k.fired && len(p) > 4 && requestMethod(p[4:]) == k.method {
-		k.fired = true
-		fire = true
-	}
+	fire := !k.fired && len(p) > 4 && requestMethod(p[4:]) == k.method
+	k.fired = k.fired || fire
 	k.mu.Unlock()
+	n, err := k.inner.Write(p)
 	if fire {
 		k.inner.Close()
 	}
-	return n, nil
+	return n, err
 }
 
-func (k *methodKiller) Read(p []byte) (int, error) { return k.inner.Read(p) }
-func (k *methodKiller) Close() error               { return k.inner.Close() }
+func (k *methodKiller) Read(p []byte) (int, error) {
+	n, err := k.inner.Read(p)
+	k.mu.Lock()
+	fired := k.fired
+	k.mu.Unlock()
+	if fired {
+		return 0, io.ErrClosedPipe
+	}
+	return n, err
+}
+
+func (k *methodKiller) Close() error { return k.inner.Close() }
 
 // requestMethod sniffs a request payload's method ("" for anything
 // that is not a request envelope).

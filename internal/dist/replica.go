@@ -172,7 +172,7 @@ func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error
 		// memory exists to ship back.
 		engOpts.State = concolic.NewExploreState()
 	}
-	tg := core.ResolvedTarget{Node: p.Node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit}
+	tg := core.ResolvedTarget{Node: p.Node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit, Boundary: p.Boundary}
 	tp, restored, err := core.PrepareRestored(p.Node, cfg, p.State, tg, seed, engOpts)
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica: %s/%s: %w", p.Node, p.Peer, err)

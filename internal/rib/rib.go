@@ -7,7 +7,6 @@ package rib
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dice/internal/bgp"
@@ -327,13 +326,15 @@ func (t *Table) WalkAll(fn func(p netaddr.Prefix, candidates []*Route) bool) {
 	walk(t.root)
 }
 
-// Dump returns all best routes sorted by prefix, for tests and the CLI.
+// Dump returns all best routes sorted by prefix. The trie walk already
+// visits them in Prefix.Compare order — pre-order is address first, and a
+// prefix sits above every longer one sharing its address — so there is
+// nothing to sort.
 func (t *Table) Dump() []*Route {
-	var out []*Route
+	out := make([]*Route, 0, t.prefixes)
 	t.Walk(func(r *Route) bool {
 		out = append(out, r)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Compare(out[j].Prefix) < 0 })
 	return out
 }

@@ -1,6 +1,7 @@
 package rib
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -336,6 +337,43 @@ func TestTrieMatchesReferenceMap(t *testing.T) {
 		return tb.Routes() == total
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: Dump needs no sort — the trie's pre-order walk is already
+// Prefix.Compare order (address, then length). Addresses are drawn from
+// a few bits so that many prefixes nest and share an address at
+// different lengths, which is where the two orders could part.
+func TestDumpWalksInCompareOrder(t *testing.T) {
+	f := func(ops []struct {
+		Addr uint32
+		Bits uint8
+	}) bool {
+		tb := New()
+		var want []netaddr.Prefix
+		seen := map[netaddr.Prefix]bool{}
+		for _, op := range ops {
+			p := netaddr.PrefixFrom(netaddr.Addr(op.Addr&0xC0C0C0C0), int(op.Bits%33))
+			tb.Insert(mkRoute(p.String(), "10.0.0.1", 65001, 65001))
+			if !seen[p] {
+				seen[p] = true
+				want = append(want, p)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
+		got := tb.Dump()
+		if len(got) != len(want) {
+			return false
+		}
+		for i, r := range got {
+			if r.Prefix != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -119,14 +119,8 @@ func (s *Solver) extendPrefix(parent *prefixEntry, cs []sym.Expr) *prefixEntry {
 func addVars(vars []*sym.Var, st *state, e sym.Expr) ([]*sym.Var, *state) {
 	nv := make([]*sym.Var, len(vars), len(vars)+2)
 	copy(nv, vars)
-	nv = sym.Vars(e, nv)
 	ns := st.clone()
-	for _, v := range nv[len(vars):] {
-		if _, ok := ns.iv[v.ID]; !ok {
-			ns.iv[v.ID] = full(v.W)
-		}
-	}
-	return nv, ns
+	return ns.declare(e, nv), ns
 }
 
 // solveFromPrefix answers cs = prefix ∧ delta starting from the prefix

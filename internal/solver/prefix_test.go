@@ -186,3 +186,103 @@ func TestSolvePrefixedInfeasiblePrefix(t *testing.T) {
 		t.Fatalf("res = %v, want Unsat", res)
 	}
 }
+
+// TestDeclareCollectsEachVarOnce: declare lists an expression's variables
+// in first-occurrence order, each once — also against variables an
+// earlier constraint already declared — and gives each its full domain.
+// The order is the search's tie-break, so it is part of every model.
+func TestDeclareCollectsEachVarOnce(t *testing.T) {
+	x, y := v32(1, "x"), v8(2, "y")
+	e := sym.NewBool(sym.OpLAnd,
+		sym.NewCmp(sym.OpEq, sym.NewBin(sym.OpAdd, y, x), c32(3)),
+		sym.NewCmp(sym.OpNe, x, c32(0)))
+	st := newState(0)
+	vars := st.declare(e, nil)
+	if len(vars) != 2 || vars[0] != y || vars[1] != x {
+		t.Fatalf("declared %v, want [y x]", vars)
+	}
+	if iv, ok := st.interval(2); !ok || iv != full(8) {
+		t.Fatalf("y declared with %v, want its full 8-bit domain", iv)
+	}
+	if _, ok := st.interval(0); ok {
+		t.Fatal("var 0 never occurred but has an interval")
+	}
+	if again := st.declare(e, vars); len(again) != 2 {
+		t.Fatalf("declaring the same expression again grew the list to %d", len(again))
+	}
+}
+
+// TestStateCloneSharesNothing: a clone and its source never see each
+// other's writes — not a narrowed interval, not new known bits, not a
+// variable declared past the end of the store.
+func TestStateCloneSharesNothing(t *testing.T) {
+	st := newState(4) // spare capacity: an append in place would alias
+	st.set(0, Interval{0, 100})
+	st.set(1, Interval{5, 5})
+	c := st.clone()
+	c.set(0, Interval{7, 7})
+	if _, ok := c.setBits(1, 8, 4, 2); !ok {
+		t.Fatal("setBits on the clone contradicted")
+	}
+	c.set(3, Interval{1, 2})
+	if iv, _ := st.interval(0); iv != (Interval{0, 100}) {
+		t.Fatalf("source var 0 = %v after the clone narrowed its own", iv)
+	}
+	if st.cells[1].bits != (bitpair{}) {
+		t.Fatalf("source var 1 learned bits %+v from the clone", st.cells[1].bits)
+	}
+	if _, ok := st.interval(3); ok || len(st.cells) != 2 {
+		t.Fatalf("source grew to %d cells when the clone declared var 3", len(st.cells))
+	}
+	st.set(1, Interval{6, 6})
+	if iv, _ := c.interval(1); iv != (Interval{5, 5}) {
+		t.Fatalf("clone var 1 = %v after the source moved on", iv)
+	}
+}
+
+// TestPrefixSnapshotsNeverObserveLaterSets: the chain stores each
+// propagated prefix once and every query works on a copy — the delta's
+// propagation, the search's trial assignments and a delta that declares a
+// new variable must all leave the stored snapshots, and the variable lists
+// beside them, what propagating that prefix alone gives (Analyze, which
+// shares no state with the chain).
+func TestPrefixSnapshotsNeverObserveLaterSets(t *testing.T) {
+	x := sym.NewVar(0, "x", 32)
+	y := sym.NewVar(1, "y", 8)
+	z := sym.NewVar(2, "z", 8)
+	prefix := []sym.Expr{
+		sym.NewCmp(sym.OpGt, x, c32(10)),
+		sym.NewCmp(sym.OpLt, x, c32(1000)),
+		sym.NewCmp(sym.OpGe, y, sym.NewConst(3, 8)),
+	}
+	s := New(Options{})
+	for _, delta := range []sym.Expr{
+		sym.NewCmp(sym.OpNe, x, c32(11)),                                     // searches: trial assignments
+		sym.NewCmp(sym.OpEq, x, c32(500)),                                    // narrows a prefix variable
+		sym.NewCmp(sym.OpEq, sym.NewBin(sym.OpAnd, x, c32(0xF0)), c32(0x30)), // sets known bits, then searches
+		sym.NewCmp(sym.OpLt, z, y),                                           // declares a variable the prefix lacks
+		sym.NewCmp(sym.OpGt, x, c32(5000)),                                   // contradicts the prefix
+	} {
+		s.SolvePrefixed(append(prefix[:len(prefix):len(prefix)], delta), sym.Env{0: 77, 1: 200})
+	}
+
+	for n := 1; n <= len(prefix); n++ {
+		e := s.prefixes[sym.FingerprintPath(prefix[:n])]
+		if e == nil || e.st == nil {
+			t.Fatalf("no feasible snapshot stored for prefix[:%d]", n)
+		}
+		want, ok := Analyze(prefix[:n])
+		if !ok {
+			t.Fatalf("prefix[:%d] infeasible", n)
+		}
+		if len(e.vars) != len(want) || len(e.st.cells) != len(want) {
+			t.Fatalf("prefix[:%d]: snapshot has %d vars / %d cells, want %d", n, len(e.vars), len(e.st.cells), len(want))
+		}
+		for id, w := range want {
+			c := e.st.cells[id]
+			if got := (VarInfo{c.iv.Lo, c.iv.Hi, c.bits.one, c.bits.zero, w.Width}); !c.has || got != w {
+				t.Fatalf("prefix[:%d] var %d: snapshot now %+v, propagating the prefix alone gives %+v", n, id, got, w)
+			}
+		}
+	}
+}

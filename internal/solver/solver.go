@@ -58,9 +58,6 @@ func (iv Interval) intersect(o Interval) Interval {
 	return Interval{lo, hi}
 }
 
-// domains maps variable IDs to their current interval.
-type domains map[int]Interval
-
 // bitpair tracks bits proven 1 (one) and proven 0 (zero) for a variable —
 // a known-bits abstract domain that captures the (x & mask) == net and
 // ((x >> k) & 1) == b predicates routers are full of, which plain
@@ -69,26 +66,77 @@ type bitpair struct {
 	one, zero uint64
 }
 
-// state is the solver's abstract store: an interval and a known-bits pair
-// per variable. The two domains are kept mutually consistent by syncVar.
+// cell is one variable's abstract value: an interval and a known-bits
+// pair, kept mutually consistent by setBits. has is false until the
+// variable is given an interval; such a variable reads as the full domain
+// of its width.
+type cell struct {
+	iv   Interval
+	bits bitpair
+	has  bool
+}
+
+// state is the solver's abstract store, dense: cells[id] belongs to the
+// variable with that ID. The concolic engine numbers its inputs from 0 in
+// declaration order, so the slice is as long as the input model is wide
+// (4–5 cells for the BGP scenarios) and a clone is one copy, which
+// matters because search clones once per trial value and the prefix chain
+// once per link. Variable IDs must be non-negative.
 type state struct {
-	iv   domains
-	bits map[int]bitpair
+	cells []cell
 }
 
 func newState(n int) *state {
-	return &state{iv: make(domains, n), bits: make(map[int]bitpair, n)}
+	return &state{cells: make([]cell, 0, n)}
 }
 
+// clone returns a copy that shares nothing with st: stored prefix
+// snapshots stay immutable whatever a query later sets on its own copy.
 func (st *state) clone() *state {
-	c := &state{iv: make(domains, len(st.iv)), bits: make(map[int]bitpair, len(st.bits))}
-	for k, v := range st.iv {
-		c.iv[k] = v
+	return &state{cells: append([]cell(nil), st.cells...)}
+}
+
+// interval returns the variable's interval, if it has one.
+func (st *state) interval(id int) (Interval, bool) {
+	if id < len(st.cells) {
+		return st.cells[id].iv, st.cells[id].has
 	}
-	for k, v := range st.bits {
-		c.bits[k] = v
+	return Interval{}, false
+}
+
+// at returns the variable's cell for writing, growing the store to reach
+// it.
+func (st *state) at(id int) *cell {
+	if id >= len(st.cells) {
+		st.cells = append(st.cells, make([]cell, id+1-len(st.cells))...)
 	}
-	return c
+	return &st.cells[id]
+}
+
+func (st *state) set(id int, iv Interval) {
+	c := st.at(id)
+	c.iv, c.has = iv, true
+}
+
+// declare appends to vars the variables of e the store has no interval
+// for yet, in first-occurrence order, giving each its full domain.
+func (st *state) declare(e sym.Expr, vars []*sym.Var) []*sym.Var {
+	switch t := e.(type) {
+	case *sym.Var:
+		if _, ok := st.interval(t.ID); !ok {
+			st.set(t.ID, full(t.W))
+			vars = append(vars, t)
+		}
+	case *sym.Bin:
+		vars = st.declare(t.Y, st.declare(t.X, vars))
+	case *sym.Cmp:
+		vars = st.declare(t.Y, st.declare(t.X, vars))
+	case *sym.BoolBin:
+		vars = st.declare(t.Y, st.declare(t.X, vars))
+	case *sym.Not:
+		vars = st.declare(t.X, vars)
+	}
+	return vars
 }
 
 // setBits merges new known bits for a var. It returns changed=false,
@@ -99,25 +147,25 @@ func (st *state) setBits(id int, w int, one, zero uint64) (changed, ok bool) {
 	m := full(w).Hi
 	one &= m
 	zero &= m
-	cur := st.bits[id]
-	nOne, nZero := cur.one|one, cur.zero|zero
+	c := st.at(id)
+	nOne, nZero := c.bits.one|one, c.bits.zero|zero
 	if nOne&nZero != 0 {
 		return false, false
 	}
-	if nOne != cur.one || nZero != cur.zero {
-		st.bits[id] = bitpair{nOne, nZero}
+	if nOne != c.bits.one || nZero != c.bits.zero {
+		c.bits = bitpair{nOne, nZero}
 		changed = true
 	}
-	iv, okIv := st.iv[id]
-	if !okIv {
-		iv = full(w)
+	iv := full(w)
+	if c.has {
+		iv = c.iv
 	}
 	niv := iv.intersect(Interval{nOne, m &^ nZero})
 	if niv.empty() {
 		return changed, false
 	}
 	if niv != iv {
-		st.iv[id] = niv
+		c.iv, c.has = niv, true
 		changed = true
 	}
 	return changed, true
@@ -125,7 +173,10 @@ func (st *state) setBits(id int, w int, one, zero uint64) (changed, ok bool) {
 
 // project forces v to agree with the known bits of var id.
 func (st *state) project(id int, v uint64) uint64 {
-	bp := st.bits[id]
+	if id >= len(st.cells) {
+		return v
+	}
+	bp := st.cells[id].bits
 	return (v &^ bp.zero) | bp.one
 }
 
@@ -201,13 +252,10 @@ func (s *Solver) Solve(constraints []sym.Expr) (sym.Env, Result) {
 func (s *Solver) SolveHinted(constraints []sym.Expr, hint sym.Env) (sym.Env, Result) {
 	s.Calls++
 
+	st := newState(8)
 	var vars []*sym.Var
 	for _, c := range constraints {
-		vars = sym.Vars(c, vars)
-	}
-	st := newState(len(vars))
-	for _, v := range vars {
-		st.iv[v.ID] = full(v.W)
+		vars = st.declare(c, vars)
 	}
 
 	if !propagateAll(constraints, st) {
@@ -242,22 +290,18 @@ type VarInfo struct {
 // region. feasible=false means the constraints are contradictory under
 // the interval/bits abstraction (definitely unsat).
 func Analyze(constraints []sym.Expr) (map[int]VarInfo, bool) {
+	st := newState(8)
 	var vars []*sym.Var
 	for _, c := range constraints {
-		vars = sym.Vars(c, vars)
-	}
-	st := newState(len(vars))
-	for _, v := range vars {
-		st.iv[v.ID] = full(v.W)
+		vars = st.declare(c, vars)
 	}
 	if !propagateAll(constraints, st) {
 		return nil, false
 	}
 	out := make(map[int]VarInfo, len(vars))
 	for _, v := range vars {
-		iv := st.iv[v.ID]
-		bp := st.bits[v.ID]
-		out[v.ID] = VarInfo{Lo: iv.Lo, Hi: iv.Hi, One: bp.one, Zero: bp.zero, Width: v.W}
+		c := st.cells[v.ID]
+		out[v.ID] = VarInfo{Lo: c.iv.Lo, Hi: c.iv.Hi, One: c.bits.one, Zero: c.bits.zero, Width: v.W}
 	}
 	return out, true
 }
@@ -510,7 +554,7 @@ func constValue(e sym.Expr, st *state) (uint64, bool) {
 		return c.V, true
 	}
 	if v, ok := e.(*sym.Var); ok {
-		if iv, ok2 := st.iv[v.ID]; ok2 && iv.single() {
+		if iv, ok2 := st.interval(v.ID); ok2 && iv.single() {
 			return iv.Lo, true
 		}
 	}
@@ -575,7 +619,7 @@ func excludeEdge(iv Interval, v uint64) Interval {
 func evalInterval(e sym.Expr, st *state) Interval {
 	switch t := e.(type) {
 	case *sym.Var:
-		if iv, ok := st.iv[t.ID]; ok {
+		if iv, ok := st.interval(t.ID); ok {
 			return iv
 		}
 		return full(t.W)
@@ -723,7 +767,7 @@ func maxU(a, b uint64) uint64 {
 func backProp(e sym.Expr, allowed Interval, st *state) (bool, bool) {
 	switch t := e.(type) {
 	case *sym.Var:
-		cur, ok := st.iv[t.ID]
+		cur, ok := st.interval(t.ID)
 		if !ok {
 			cur = full(t.W)
 		}
@@ -732,7 +776,7 @@ func backProp(e sym.Expr, allowed Interval, st *state) (bool, bool) {
 			return false, false
 		}
 		if nv != cur {
-			st.iv[t.ID] = nv
+			st.set(t.ID, nv)
 			return true, true
 		}
 		return false, true
@@ -760,7 +804,7 @@ func constOrSingle(e sym.Expr, st *state) (uint64, bool) {
 		return c.V, true
 	}
 	if v, ok := e.(*sym.Var); ok {
-		if iv, ok2 := st.iv[v.ID]; ok2 && iv.single() {
+		if iv, ok2 := st.interval(v.ID); ok2 && iv.single() {
 			return iv.Lo, true
 		}
 	}
@@ -826,8 +870,11 @@ func backPropBin(t *sym.Bin, allowed Interval, st *state) (bool, bool) {
 		}
 	case sym.OpShl:
 		if yConst && yVal < uint64(w) {
-			// x << c in [lo,hi] => x in [lo>>c, hi>>c] (for the non-wrapped part).
-			return backProp(t.X, Interval{allowed.Lo >> yVal, top.Hi >> yVal}, st)
+			// x << c in [lo,hi] => x in [lo>>c, hi>>c], but only when the
+			// shift cannot drop high bits: a wrapped x<<c lands anywhere.
+			if xi := evalInterval(t.X, st); xi.Hi <= top.Hi>>yVal {
+				return backProp(t.X, Interval{allowed.Lo >> yVal, allowed.Hi >> yVal}, st)
+			}
 		}
 	case sym.OpDiv:
 		if yConst && yVal > 0 {
@@ -854,11 +901,12 @@ func backPropBin(t *sym.Bin, allowed Interval, st *state) (bool, bool) {
 		}
 	case sym.OpMul:
 		if yConst && yVal > 0 {
-			// x * c in [lo,hi] => x in [ceil(lo/c), hi/c] (non-wrapped part only
-			// is unsound to assume in general, so only refine when the forward
-			// interval proved no overflow).
-			fwd := evalBinInterval(t, st)
-			if fwd.Hi <= top.Hi && fwd.Hi >= fwd.Lo {
+			// x * c in [lo,hi] => x in [ceil(lo/c), hi/c], but only when the
+			// product cannot wrap: otherwise values of x beyond hi/c reach
+			// [lo,hi] too. (The forward interval cannot tell: it answers a
+			// possible wrap with the full domain, which looks like a bound.)
+			xi := evalInterval(t.X, st)
+			if p, ov := mulOv(xi.Hi, yVal); !ov && p <= top.Hi {
 				lo := (allowed.Lo + yVal - 1) / yVal
 				hi := allowed.Hi / yVal
 				if lo > hi {
@@ -886,7 +934,7 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 	var pick *sym.Var
 	var pickSize uint64
 	for _, v := range vars {
-		iv := st.iv[v.ID]
+		iv := st.cells[v.ID].iv
 		if iv.single() {
 			continue
 		}
@@ -899,7 +947,7 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 		// All variables fixed: verify concretely.
 		env := make(sym.Env, len(vars))
 		for _, v := range vars {
-			env[v.ID] = st.iv[v.ID].Lo
+			env[v.ID] = st.cells[v.ID].iv.Lo
 		}
 		for _, c := range constraints {
 			if !sym.EvalBool(c, env) {
@@ -908,29 +956,53 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 		}
 		return env, true
 	}
+	iv := st.cells[pick.ID].iv
 
-	for _, val := range s.candidates(pick, st, constraints, hint) {
+	// try fixes pick to val on a copy of st and searches on. done reports
+	// that this level has its answer: a model, or an exhausted budget.
+	try := func(val uint64) (env sym.Env, ok, done bool) {
 		nd := st.clone()
-		nd.iv[pick.ID] = Interval{val, val}
+		nd.set(pick.ID, Interval{val, val})
 		if !propagateAll(constraints, nd) {
-			continue
+			return nil, false, false
 		}
 		if env, ok := s.search(constraints, vars, nd, hint, budget, complete); ok {
-			return env, true
+			return env, true, true
 		}
 		if *budget <= 0 {
 			*complete = false
-			return nil, false
+			return nil, false, true
+		}
+		return nil, false, false
+	}
+
+	// The hint goes first and alone: a negation query differs from the run
+	// that produced its hint in one predicate, so the hint usually stands
+	// for every variable but one, and the candidate list — a walk over
+	// every constraint plus a sort — is only built when it does not.
+	hv, hinted := hint[pick.ID]
+	hv = st.project(pick.ID, hv)
+	hinted = hinted && iv.contains(hv)
+	if hinted {
+		if env, ok, done := try(hv); done {
+			return env, ok
+		}
+	}
+	for _, val := range candidates(pick, st, constraints) {
+		if hinted && val == hv {
+			continue
+		}
+		if env, ok, done := try(val); done {
+			return env, ok
 		}
 	}
 
 	// Candidates failed; if the domain is small, enumerate it exhaustively
 	// so Unsat answers are exact for narrow variables (flags, lengths).
-	iv := st.iv[pick.ID]
 	if iv.size() <= 256 {
 		for val := iv.Lo; ; val++ {
 			nd := st.clone()
-			nd.iv[pick.ID] = Interval{val, val}
+			nd.set(pick.ID, Interval{val, val})
 			if propagateAll(constraints, nd) {
 				if env, ok := s.search(constraints, vars, nd, hint, budget, complete); ok {
 					return env, true
@@ -947,13 +1019,14 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 	return nil, false
 }
 
-// candidates proposes trial values for v: the hint and comparison
+// candidates proposes trial values for v after the hint: comparison
 // constants (±1) projected onto v's known bits, then domain edges and the
-// midpoint. Projection matters: with bit constraints like
-// (x>>3)&1 == 1 recorded, every candidate is made consistent with them,
-// so masked-field predicates (the common router shape) solve in one try.
-func (s *Solver) candidates(v *sym.Var, st *state, constraints []sym.Expr, hint sym.Env) []uint64 {
-	iv := st.iv[v.ID]
+// midpoint, each at most once. Projection matters: with bit constraints
+// like (x>>3)&1 == 1 recorded, every candidate is made consistent with
+// them, so masked-field predicates (the common router shape) solve in one
+// try.
+func candidates(v *sym.Var, st *state, constraints []sym.Expr) []uint64 {
+	iv := st.cells[v.ID].iv
 	seen := make(map[uint64]bool, 16)
 	var out []uint64
 	add := func(val uint64) {
@@ -961,11 +1034,6 @@ func (s *Solver) candidates(v *sym.Var, st *state, constraints []sym.Expr, hint 
 		if iv.contains(val) && !seen[val] {
 			seen[val] = true
 			out = append(out, val)
-		}
-	}
-	if hint != nil {
-		if hv, ok := hint[v.ID]; ok {
-			add(hv)
 		}
 	}
 	var consts []uint64

@@ -1,6 +1,9 @@
 package sym
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file implements hash-consing for the IR: every node carries a
 // precomputed 64-bit structural hash, constructors intern nodes in a
@@ -97,12 +100,37 @@ func hashNot(x Expr) uint64 {
 
 const (
 	internShardCount = 64      // power of two
+	internShardBits  = 6       // log2(internShardCount)
 	internShardCap   = 1 << 14 // entries per shard before reset (~1M nodes total)
+	internMinSlots   = 64      // initial slots per shard; power of two
 )
 
+// internSlot is one slot of a shard's table: an interned node under its
+// structural hash. A slot is written once, under the shard's mu — e
+// first, then h — and never changes afterwards; h is 0 (which nz keeps
+// from being any node's hash) until then. A reader that loads the hash
+// it is looking for therefore reads a complete e, with no lock.
+type internSlot struct {
+	h atomic.Uint64
+	e Expr
+}
+
+// internTable is an open-addressed (linear probing) hash table, at most
+// three quarters full. The hash sits in the slot, not behind a pointer:
+// a lookup that walks past other nodes touches nothing but the slots.
+type internTable struct {
+	slots []internSlot // len is a power of two
+}
+
+// internShard is one shard of the intern table. Hits — nearly every
+// call once a policy's constants and predicates exist — read tab without
+// taking mu: exploration workers re-intern the same filter nodes on every
+// run, so a lock on the hit path is a lock they all queue on thousands of
+// times per run. mu orders writers: slot stores, growth and reset.
 type internShard struct {
-	mu sync.Mutex
-	m  map[uint64]Expr
+	mu  sync.Mutex
+	tab atomic.Pointer[internTable]
+	n   int // nodes in tab; guarded by mu
 }
 
 var internTab [internShardCount]internShard
@@ -111,103 +139,154 @@ func internShardFor(h uint64) *internShard {
 	return &internTab[h&(internShardCount-1)]
 }
 
-// internPut stores e under h, resetting the shard at the cap. Interned
-// entries are reused by pointer, so a reset only costs future duplicate
-// allocations, never correctness.
-func (s *internShard) put(h uint64, e Expr) {
-	if s.m == nil || len(s.m) >= internShardCap {
-		s.m = make(map[uint64]Expr, 64)
+// get returns the node stored under h, or nil. Safe without mu.
+func (t *internTable) get(h uint64) Expr {
+	if t == nil {
+		return nil
 	}
-	s.m[h] = e
+	mask := uint64(len(t.slots) - 1)
+	for i := (h >> internShardBits) & mask; ; i = (i + 1) & mask {
+		switch t.slots[i].h.Load() {
+		case h:
+			return t.slots[i].e
+		case 0:
+			return nil
+		}
+	}
+}
+
+// put stores e under h in the first free slot of its probe sequence.
+// Caller holds the shard's mu and keeps the table under its load limit.
+func (t *internTable) put(h uint64, e Expr) {
+	mask := uint64(len(t.slots) - 1)
+	i := (h >> internShardBits) & mask
+	for t.slots[i].h.Load() != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i].e = e
+	t.slots[i].h.Store(h) // publishes e
+}
+
+// find looks h up, without the lock first. A miss is re-checked under
+// mu (another goroutine may have interned the node meanwhile, or swapped
+// the table) and, if it stands, returns locked=true with mu HELD: the
+// caller builds the node and hands it to commit, which stores it and
+// unlocks.
+func (s *internShard) find(h uint64) (e Expr, locked bool) {
+	if e = s.tab.Load().get(h); e != nil {
+		return e, false
+	}
+	s.mu.Lock()
+	if e = s.tab.Load().get(h); e != nil {
+		s.mu.Unlock()
+		return e, false
+	}
+	return nil, true
+}
+
+// commit ends a find. After a miss (locked) it stores e under h and
+// releases mu. After a hit that turned out to be a different node — a
+// genuine 64-bit collision — it does nothing: the slot keeps its first
+// owner and e stays un-interned, which costs duplicate allocations,
+// never correctness (Equal does not rely on pointers). A shard at its
+// cap starts over with an empty table for the same price.
+func (s *internShard) commit(h uint64, e Expr, locked bool) {
+	if !locked {
+		return
+	}
+	defer s.mu.Unlock()
+	t := s.tab.Load()
+	switch {
+	case t == nil || s.n >= internShardCap:
+		t = &internTable{slots: make([]internSlot, internMinSlots)}
+		s.n = 0
+		s.tab.Store(t)
+	case 4*(s.n+1) > 3*len(t.slots):
+		// Grow into a new table and publish it whole; readers still on
+		// the old one miss newer nodes and come back through find's
+		// locked re-check.
+		g := &internTable{slots: make([]internSlot, 2*len(t.slots))}
+		for i := range t.slots {
+			if sh := t.slots[i].h.Load(); sh != 0 {
+				g.put(sh, t.slots[i].e)
+			}
+		}
+		t = g
+		s.tab.Store(t)
+	}
+	t.put(h, e)
+	s.n++
 }
 
 func internVar(id int, name string, w int) *Var {
 	h := hashVar(id, name, w)
 	s := internShardFor(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[h]; ok {
-		if v, ok2 := e.(*Var); ok2 && v.ID == id && v.W == w && v.Name == name {
-			return v
-		}
+	e, locked := s.find(h)
+	if v, ok := e.(*Var); ok && v.ID == id && v.W == w && v.Name == name {
+		return v
 	}
 	v := &Var{ID: id, Name: name, W: w, h: h}
-	s.put(h, v)
+	s.commit(h, v, locked)
 	return v
 }
 
 func internConst(v uint64, w int) *Const {
 	h := hashConst(v, w)
 	s := internShardFor(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[h]; ok {
-		if c, ok2 := e.(*Const); ok2 && c.V == v && c.W == w {
-			return c
-		}
+	e, locked := s.find(h)
+	if c, ok := e.(*Const); ok && c.V == v && c.W == w {
+		return c
 	}
 	c := &Const{V: v, W: w, h: h}
-	s.put(h, c)
+	s.commit(h, c, locked)
 	return c
 }
 
 func internBin(op BinOp, x, y Expr, w int) *Bin {
 	h := hashBin(op, x, y, w)
 	s := internShardFor(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[h]; ok {
-		if b, ok2 := e.(*Bin); ok2 && b.Op == op && b.W == w && Equal(b.X, x) && Equal(b.Y, y) {
-			return b
-		}
+	e, locked := s.find(h)
+	if b, ok := e.(*Bin); ok && b.Op == op && b.W == w && Equal(b.X, x) && Equal(b.Y, y) {
+		return b
 	}
 	b := &Bin{Op: op, X: x, Y: y, W: w, h: h}
-	s.put(h, b)
+	s.commit(h, b, locked)
 	return b
 }
 
 func internCmp(op CmpOp, x, y Expr) *Cmp {
 	h := hashCmp(op, x, y)
 	s := internShardFor(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[h]; ok {
-		if c, ok2 := e.(*Cmp); ok2 && c.Op == op && Equal(c.X, x) && Equal(c.Y, y) {
-			return c
-		}
+	e, locked := s.find(h)
+	if c, ok := e.(*Cmp); ok && c.Op == op && Equal(c.X, x) && Equal(c.Y, y) {
+		return c
 	}
 	c := &Cmp{Op: op, X: x, Y: y, h: h}
-	s.put(h, c)
+	s.commit(h, c, locked)
 	return c
 }
 
 func internBoolBin(op BoolOp, x, y Expr) *BoolBin {
 	h := hashBoolBin(op, x, y)
 	s := internShardFor(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[h]; ok {
-		if b, ok2 := e.(*BoolBin); ok2 && b.Op == op && Equal(b.X, x) && Equal(b.Y, y) {
-			return b
-		}
+	e, locked := s.find(h)
+	if b, ok := e.(*BoolBin); ok && b.Op == op && Equal(b.X, x) && Equal(b.Y, y) {
+		return b
 	}
 	b := &BoolBin{Op: op, X: x, Y: y, h: h}
-	s.put(h, b)
+	s.commit(h, b, locked)
 	return b
 }
 
 func internNot(x Expr) *Not {
 	h := hashNot(x)
 	s := internShardFor(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[h]; ok {
-		if n, ok2 := e.(*Not); ok2 && Equal(n.X, x) {
-			return n
-		}
+	e, locked := s.find(h)
+	if n, ok := e.(*Not); ok && Equal(n.X, x) {
+		return n
 	}
 	n := &Not{X: x, h: h}
-	s.put(h, n)
+	s.commit(h, n, locked)
 	return n
 }
 
@@ -217,7 +296,7 @@ func InternedNodes() int {
 	n := 0
 	for i := range internTab {
 		internTab[i].mu.Lock()
-		n += len(internTab[i].m)
+		n += internTab[i].n
 		internTab[i].mu.Unlock()
 	}
 	return n

@@ -1,6 +1,9 @@
 package sym
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestInterningReturnsSamePointer: constructing the same expression twice
 // yields the same node, so structural equality is pointer equality on the
@@ -152,5 +155,61 @@ func TestInternShardReset(t *testing.T) {
 	}
 	if InternedNodes() > internShardCap*internShardCount {
 		t.Fatalf("intern table exceeded its cap: %d nodes", InternedNodes())
+	}
+}
+
+// TestInternConcurrentSamePointer: goroutines interning the same fresh
+// nodes at once — through the lock-free hit path, the locked re-check
+// and several table growths — must all end up holding one pointer per
+// node. Run under -race.
+func TestInternConcurrentSamePointer(t *testing.T) {
+	const goroutines, nodes = 4, 4000
+	v := NewVar(0, "concurrent-same-pointer", 32)
+	got := make([][]Expr, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]Expr, nodes)
+		wg.Add(1)
+		go func(out []Expr) {
+			defer wg.Done()
+			for i := range out {
+				out[i] = NewCmp(OpEq, NewBin(OpAnd, v, NewConst(uint64(i)<<8, 32)), NewConst(uint64(i), 32))
+			}
+		}(got[g])
+	}
+	wg.Wait()
+	for i := 0; i < nodes; i++ {
+		for g := 1; g < goroutines; g++ {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("node %d: goroutine %d holds %p, goroutine 0 holds %p", i, g, got[g][i], got[0][i])
+			}
+		}
+	}
+}
+
+// TestInternShardStartsOverAtCap: a shard pushed past its cap drops its
+// table and keeps working — old and new nodes stay structurally equal,
+// and the shard's count falls back under the cap.
+func TestInternShardStartsOverAtCap(t *testing.T) {
+	before := NewConst(0xC0FFEE, 40)
+	s := internShardFor(hashConst(0xC0FFEE, 40))
+	for v, filled := uint64(1<<32), 0; filled <= internShardCap; v++ {
+		if internShardFor(hashConst(v, 40)) == s {
+			NewConst(v, 40)
+			filled++
+		}
+	}
+	s.mu.Lock()
+	n := s.n
+	s.mu.Unlock()
+	if n > internShardCap {
+		t.Fatalf("shard holds %d nodes, cap is %d", n, internShardCap)
+	}
+	after := NewConst(0xC0FFEE, 40)
+	if !Equal(before, after) || before.Hash() != after.Hash() {
+		t.Fatal("starting a shard over broke structural equality")
+	}
+	if again := NewConst(0xC0FFEE, 40); again != after {
+		t.Fatal("node not interned after the shard started over")
 	}
 }

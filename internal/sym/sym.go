@@ -507,38 +507,6 @@ func EvalCmpOp(op CmpOp, x, y uint64, w int) bool {
 	return evalCmp(op, x&m, y&m)
 }
 
-// Vars appends the distinct variables appearing in e to out (deduplicated
-// by ID) and returns the extended slice.
-func Vars(e Expr, out []*Var) []*Var {
-	seen := make(map[int]bool, len(out))
-	for _, v := range out {
-		seen[v.ID] = true
-	}
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch t := x.(type) {
-		case *Var:
-			if !seen[t.ID] {
-				seen[t.ID] = true
-				out = append(out, t)
-			}
-		case *Bin:
-			walk(t.X)
-			walk(t.Y)
-		case *Cmp:
-			walk(t.X)
-			walk(t.Y)
-		case *BoolBin:
-			walk(t.X)
-			walk(t.Y)
-		case *Not:
-			walk(t.X)
-		}
-	}
-	walk(e)
-	return out
-}
-
 // IsConst reports whether e is a constant (bitvector or boolean) and
 // returns its value.
 func IsConst(e Expr) (uint64, bool) {

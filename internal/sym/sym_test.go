@@ -160,22 +160,6 @@ func TestEvalBoolFormulas(t *testing.T) {
 	}
 }
 
-func TestVarsCollection(t *testing.T) {
-	x, y := v32(1, "x"), v32(2, "y")
-	e := NewBool(OpLAnd,
-		NewCmp(OpEq, NewBin(OpAdd, x, y), NewConst(3, 32)),
-		NewCmp(OpNe, x, NewConst(0, 32)))
-	vs := Vars(e, nil)
-	if len(vs) != 2 {
-		t.Fatalf("want 2 vars, got %d", len(vs))
-	}
-	// Dedup against preexisting slice.
-	vs2 := Vars(e, vs)
-	if len(vs2) != 2 {
-		t.Fatalf("dedup failed: %d", len(vs2))
-	}
-}
-
 func TestConjoin(t *testing.T) {
 	if Conjoin(nil) != True {
 		t.Fatal("empty conjunction should be true")

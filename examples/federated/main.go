@@ -132,7 +132,7 @@ func main() {
 	crossFindings := 0
 	seen := map[netaddr.Prefix]bool{}
 	for _, p := range res.Report.Paths {
-		out, ok := p.Output.(router.ExplorationOutcome)
+		out, ok := p.Output.(router.Outcome)
 		if !ok || !out.Accepted || seen[out.Prefix] {
 			continue
 		}

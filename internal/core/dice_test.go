@@ -316,8 +316,8 @@ func TestFindingsAreActionable(t *testing.T) {
 		t.Skip("no findings in budget")
 	}
 	fd := res.Findings[0]
-	if _, ok := fd.Input[router.StandardVars.Addr]; !ok {
-		t.Fatalf("finding input missing %s: %v", router.StandardVars.Addr, fd.Input)
+	if _, ok := fd.Input[router.UpdateAddr]; !ok {
+		t.Fatalf("finding input missing %s: %v", router.UpdateAddr, fd.Input)
 	}
 	if fd.String() == "" {
 		t.Fatal("empty finding string")

@@ -183,7 +183,7 @@ func TestFederatedCustomBoundary(t *testing.T) {
 	}
 	want := uint64(bgp.MakeCommunity(64999, 13))
 	for _, f := range findings {
-		if got := f.Input[router.StandardLeakVars.Community]; got != want {
+		if got := f.Input[router.LeakCommunity]; got != want {
 			t.Errorf("finding community = %#x, want %#x", got, want)
 		}
 	}
@@ -235,7 +235,7 @@ func TestFederatedCommunityGatedImport(t *testing.T) {
 	// Exploration must still have discovered the community-gated accept.
 	accepted := false
 	for _, p := range r.Report.Paths {
-		if out, ok := p.Output.(router.LeakOutcome); ok && out.Accepted {
+		if out, ok := p.Output.(router.Outcome); ok && out.Accepted {
 			accepted = true
 			if out.Community != bgp.MakeCommunity(65001, 7) {
 				t.Errorf("accepting run carried community %#x, want 65001:7", out.Community)

@@ -42,8 +42,7 @@ func (openScenario) Seed(live *router.Router, peer string) (any, error) {
 }
 
 func (openScenario) Declare(eng *concolic.Engine, seed any) error {
-	router.DeclareOpenInputs(eng, seed.(*bgp.Open))
-	return nil
+	return router.OpenInputs.Declare(eng, seed.(*bgp.Open))
 }
 
 func (openScenario) Execute(rc *concolic.RunContext, clone *router.Router, peer string, seed any) any {

@@ -78,13 +78,6 @@ func (f Finding) String() string {
 		f.Kind, f.Peer, f.Prefix, f.OriginAS, f.LeakRange)
 }
 
-// addrVarID / lenVarID are the variable IDs DeclareSymbolicInputs assigns
-// (declaration order).
-const (
-	addrVarID = 0
-	lenVarID  = 1
-)
-
 // judgeHijacks is the §4.2 origin-misconfiguration oracle for one
 // explored path.
 //
@@ -99,7 +92,7 @@ const (
 // counted as filtered false positives. It returns nil for a path that
 // threatens nothing.
 func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResult) *verdict {
-	out, ok := p.Output.(router.ExplorationOutcome)
+	out, ok := p.Output.(router.Outcome)
 	if !ok || !out.Accepted {
 		return nil
 	}
@@ -108,9 +101,8 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 	if !feasible {
 		return nil
 	}
-	region := regionFrom(info)
-	addrVar := sym.NewVar(addrVarID, router.StandardVars.Addr, 32)
-	lenVar := sym.NewVar(lenVarID, router.StandardVars.Len, 8)
+	addrVar, lenVar := router.UpdateInputs.Var(router.UpdateAddr), router.UpdateInputs.Var(router.UpdateLen)
+	region := regionFrom(info, addrVar.ID, lenVar.ID)
 
 	v := &verdict{}
 	for _, vic := range victims {
@@ -140,7 +132,7 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 		if res != solver.Sat {
 			continue
 		}
-		witness := netaddr.PrefixFrom(netaddr.Addr(uint32(env[addrVarID])), int(env[lenVarID]))
+		witness := netaddr.PrefixFrom(netaddr.Addr(uint32(env[addrVar.ID])), int(env[lenVar.ID]))
 
 		if cfg.IsAnycast(vic.Prefix) || cfg.IsAnycast(witness) {
 			v.filtered++
@@ -155,7 +147,7 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 			VictimAS:     vic.OriginAS(),
 			VictimPrefix: vic.Prefix,
 			Seq:          p.Seq,
-			Input:        namedInput(env),
+			Input:        router.UpdateInputs.Named(env),
 		})
 	}
 	if len(v.findings) == 0 && v.filtered == 0 {
@@ -193,8 +185,9 @@ func DetectHijacks(rep *concolic.Report) (findings []Finding, filtered int) {
 	return findings, filtered
 }
 
-// regionFrom extracts the announcement region from analyzed variables.
-func regionFrom(info map[int]solver.VarInfo) RangeDesc {
+// regionFrom extracts the announcement region from analyzed variables:
+// the input model's address and mask-length variables.
+func regionFrom(info map[int]solver.VarInfo, addrVarID, lenVarID int) RangeDesc {
 	r := RangeDesc{AddrHi: netaddr.Addr(0xffffffff), LenHi: 32}
 	if ai, ok := info[addrVarID]; ok {
 		lo := ai.Lo
@@ -215,77 +208,4 @@ func regionFrom(info map[int]solver.VarInfo) RangeDesc {
 		}
 	}
 	return r
-}
-
-// namedInput renders an input assignment with the standard variable names
-// (IDs are assigned in declaration order by DeclareSymbolicInputs).
-func namedInput(env map[int]uint64) map[string]uint64 {
-	names := []string{
-		router.StandardVars.Addr,
-		router.StandardVars.Len,
-		router.StandardVars.Origin,
-		router.StandardVars.MED,
-		router.StandardVars.LocalPref,
-	}
-	out := make(map[string]uint64, len(env))
-	for id, v := range env {
-		if id < len(names) {
-			out[names[id]] = v
-		} else {
-			out[fmt.Sprintf("var%d", id)] = v
-		}
-	}
-	return out
-}
-
-// AcceptedOutsideSpace is a helper oracle used by examples: it reports
-// accepted explored paths whose region admits announcements not covered
-// by any allowed space (a route-leak check for a known customer address
-// plan). It queries the solver for a witness outside each allowed prefix.
-func AcceptedOutsideSpace(rep *concolic.Report, allowed []netaddr.Prefix) []Finding {
-	var findings []Finding
-	seenRange := map[string]bool{}
-	for pi := range rep.Paths {
-		p := &rep.Paths[pi]
-		out, ok := p.Output.(router.ExplorationOutcome)
-		if !ok || !out.Accepted {
-			continue
-		}
-		cs := p.Constraints()
-		// Require the announcement to avoid every allowed space.
-		addrVar := sym.NewVar(addrVarID, router.StandardVars.Addr, 32)
-		query := append([]sym.Expr(nil), cs...)
-		for _, a := range allowed {
-			query = append(query, sym.NewCmp(sym.OpNe,
-				sym.NewBin(sym.OpAnd, addrVar, sym.NewConst(uint64(uint32(netaddr.Mask(a.Bits()))), 32)),
-				sym.NewConst(uint64(uint32(a.Addr())), 32)))
-		}
-		env, res := solver.New(solver.Options{Hint: p.Env}).Solve(query)
-		if res != solver.Sat {
-			continue
-		}
-		info, feasible := solver.Analyze(cs)
-		if !feasible {
-			continue
-		}
-		region := regionFrom(info)
-		if seenRange[region.String()] {
-			continue
-		}
-		seenRange[region.String()] = true
-		witness := netaddr.PrefixFrom(netaddr.Addr(uint32(env[addrVarID])), int(env[lenVarID]))
-		findings = append(findings, Finding{
-			Kind:      "route-leak",
-			Peer:      out.Peer,
-			Prefix:    witness,
-			LeakRange: region,
-			OriginAS:  out.OriginAS,
-			Seq:       p.Seq,
-			Input:     namedInput(env),
-		})
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		return findings[i].Prefix.Compare(findings[j].Prefix) < 0
-	})
-	return findings
 }

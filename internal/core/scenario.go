@@ -107,6 +107,18 @@ func verdictOf(p *concolic.PathResult) *verdict {
 	return v
 }
 
+// announcementSeed is the seed of the scenarios that explore
+// announcements: the most recent announcement from peer, not the most
+// recent message — a replayed history ending in a withdraw must still
+// leave a usable announcement template.
+func announcementSeed(live *router.Router, peer string) (any, error) {
+	seed := live.LastAnnounced(peer)
+	if seed == nil {
+		return nil, fmt.Errorf("dice: no observed UPDATE from peer %q to explore from", peer)
+	}
+	return seed, nil
+}
+
 var (
 	scenarioMu sync.RWMutex
 	scenarios  = make(map[string]Scenario)

@@ -23,14 +23,6 @@ type routeleakScenario struct{}
 
 func init() { RegisterScenario(routeleakScenario{}) }
 
-// Variable IDs follow DeclareLeakInputs declaration order.
-const (
-	leakAddrVarID = 0
-	leakLenVarID  = 1
-	leakOrigVarID = 2
-	leakCommVarID = 3
-)
-
 func (routeleakScenario) Name() string { return ScenarioRouteLeak }
 
 func (routeleakScenario) Description() string {
@@ -38,22 +30,15 @@ func (routeleakScenario) Description() string {
 }
 
 func (routeleakScenario) Seed(live *router.Router, peer string) (any, error) {
-	// The most recent announcement, not the most recent message: a
-	// replayed history ending in a withdraw must still leave a usable
-	// announcement template.
-	seed := live.LastAnnounced(peer)
-	if seed == nil {
-		return nil, fmt.Errorf("dice: no observed UPDATE from peer %q to explore from", peer)
-	}
-	return seed, nil
+	return announcementSeed(live, peer)
 }
 
 func (routeleakScenario) Declare(eng *concolic.Engine, seed any) error {
-	return router.DeclareLeakInputs(eng, seed.(*bgp.Update))
+	return router.LeakInputs.Declare(eng, seed.(*bgp.Update))
 }
 
 func (routeleakScenario) Execute(rc *concolic.RunContext, clone *router.Router, peer string, seed any) any {
-	return clone.HandleLeakConcolic(rc, peer, seed.(*bgp.Update))
+	return clone.ExploreLeak(rc, peer, seed.(*bgp.Update))
 }
 
 // Judge is the route-leak oracle for one path: does this
@@ -61,13 +46,12 @@ func (routeleakScenario) Execute(rc *concolic.RunContext, clone *router.Router, 
 // boundary community? If the export policy honored the community the
 // path condition forbids it and the query is Unsat.
 func (routeleakScenario) Judge(round *Round, p *concolic.PathResult) any {
-	out, ok := p.Output.(router.LeakOutcome)
+	out, ok := p.Output.(router.Outcome)
 	if !ok || !out.Accepted || len(out.SpreadTo) == 0 {
 		return nil
 	}
-	commVar := sym.NewVar(leakCommVarID, router.StandardLeakVars.Community, 32)
 	cs := p.Constraints()
-	query := append(cs, sym.NewCmp(sym.OpEq, commVar, sym.NewConst(uint64(round.Boundary), 32)))
+	query := append(cs, sym.NewCmp(sym.OpEq, router.LeakInputs.Var(router.LeakCommunity), sym.NewConst(uint64(round.Boundary), 32)))
 	env, sat := solver.New(solver.Options{Hint: p.Env}).Solve(query)
 	if sat != solver.Sat {
 		return nil
@@ -77,14 +61,14 @@ func (routeleakScenario) Judge(round *Round, p *concolic.PathResult) any {
 	// concretely reproduce accept + boundary community + spread on a
 	// fresh clone.
 	pr := round.Engine.RunOnce(env)
-	vout, ok := pr.Output.(router.LeakOutcome)
+	vout, ok := pr.Output.(router.Outcome)
 	if !ok || !vout.Accepted || vout.Community != round.Boundary || len(vout.SpreadTo) == 0 {
 		return &verdict{rejected: 1}
 	}
 
 	region := RangeDesc{AddrHi: netaddr.Addr(0xffffffff), LenHi: 32}
 	if info, feasible := solver.Analyze(cs); feasible {
-		region = regionFrom(info) // leak var IDs 0/1 match the shared helper
+		region = regionFrom(info, router.LeakInputs.ID(router.LeakAddr), router.LeakInputs.ID(router.LeakLen))
 	}
 	return &verdict{findings: []Finding{{
 		Kind:      "route-leak",
@@ -93,7 +77,7 @@ func (routeleakScenario) Judge(round *Round, p *concolic.PathResult) any {
 		LeakRange: region,
 		OriginAS:  vout.OriginAS,
 		Seq:       p.Seq,
-		Input:     leakNamedInput(pr.Env),
+		Input:     router.LeakInputs.Named(pr.Env),
 		Validated: true,
 		SpreadTo:  vout.SpreadTo,
 	}}}
@@ -119,47 +103,11 @@ func (routeleakScenario) Analyze(_ *Round, res *Result) {
 	}
 }
 
-// WitnessUpdate materializes the concrete announcement behind a finding:
-// the witness prefix, presented over the peer's AS with the witness
-// origin, carrying the witness community. The federated layer injects it
-// into a shadow topology for cross-node confirmation.
+// WitnessUpdate materializes the concrete announcement behind a finding —
+// the message its validating run processed — as the peer's AS presents
+// it. The federated layer injects it into a shadow topology for
+// cross-node confirmation.
 func (routeleakScenario) WitnessUpdate(seed any, f Finding) *bgp.Update {
 	su := seed.(*bgp.Update)
-	peerAS := su.Attrs.ASPath.FirstAS()
-	origin := f.OriginAS
-	attrs := su.Attrs.Clone()
-	path := bgp.ASPath{{Type: bgp.ASSequence, ASNs: []uint16{peerAS}}}
-	if origin != 0 && origin != peerAS {
-		path[0].ASNs = append(path[0].ASNs, origin)
-	}
-	attrs.ASPath = path
-	// Keep the seed's concrete communities — the validated acceptance may
-	// have depended on them (concrete membership hits record no
-	// constraint) — and add the witness community the way
-	// HandleLeakConcolic materialized it.
-	attrs.Communities = append([]uint32(nil), su.Attrs.Communities...)
-	if c := uint32(f.Input[router.StandardLeakVars.Community]); c != 0 && !attrs.HasCommunity(c) {
-		attrs.Communities = append(attrs.Communities, c)
-	}
-	return &bgp.Update{Attrs: attrs, NLRI: []netaddr.Prefix{f.Prefix}}
-}
-
-// leakNamedInput renders a leak-scenario assignment with the standard
-// variable names (IDs follow DeclareLeakInputs declaration order).
-func leakNamedInput(env sym.Env) map[string]uint64 {
-	names := []string{
-		router.StandardLeakVars.Addr,
-		router.StandardLeakVars.Len,
-		router.StandardLeakVars.OriginAS,
-		router.StandardLeakVars.Community,
-	}
-	out := make(map[string]uint64, len(env))
-	for id, v := range env {
-		if id < len(names) {
-			out[names[id]] = v
-		} else {
-			out[fmt.Sprintf("var%d", id)] = v
-		}
-	}
-	return out
+	return router.LeakInputs.Materialize(su, su.Attrs.ASPath.FirstAS(), f.Input)
 }

@@ -95,12 +95,12 @@ func TestWithdrawScenario(t *testing.T) {
 	}
 	var hit, miss bool
 	for _, oc := range we.Outcomes {
-		if oc.Removed {
+		if oc.Accepted {
 			hit = true
 			if oc.Prefix != CustomerSpace {
 				t.Fatalf("removed an unexpected prefix: %v", oc.Prefix)
 			}
-			if !oc.Blackholed {
+			if !oc.Blackholed() {
 				t.Fatalf("customer's only route withdrawn but not blackholed: %+v", oc)
 			}
 		} else {

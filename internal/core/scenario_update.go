@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dice/internal/bgp"
 	"dice/internal/concolic"
 	"dice/internal/router"
@@ -22,22 +20,15 @@ func (updateScenario) Description() string {
 }
 
 func (updateScenario) Seed(live *router.Router, peer string) (any, error) {
-	// The most recent announcement, not the most recent message: a
-	// replayed history ending in a withdraw must still leave a usable
-	// announcement template.
-	seed := live.LastAnnounced(peer)
-	if seed == nil {
-		return nil, fmt.Errorf("dice: no observed UPDATE from peer %q to explore from", peer)
-	}
-	return seed, nil
+	return announcementSeed(live, peer)
 }
 
 func (updateScenario) Declare(eng *concolic.Engine, seed any) error {
-	return router.DeclareSymbolicInputs(eng, seed.(*bgp.Update))
+	return router.UpdateInputs.Declare(eng, seed.(*bgp.Update))
 }
 
 func (updateScenario) Execute(rc *concolic.RunContext, clone *router.Router, peer string, seed any) any {
-	return clone.HandleUpdateConcolic(rc, peer, seed.(*bgp.Update))
+	return clone.ExploreUpdate(rc, peer, seed.(*bgp.Update))
 }
 
 // Judge intersects one accepted path's announcement region with the
@@ -60,8 +51,8 @@ func (updateScenario) Analyze(round *Round, res *Result) {
 	// deduplication are replayed, which is why this is not the judge's.
 	validated := res.Findings[:0]
 	for _, fd := range res.Findings {
-		pr := round.Engine.RunOnce(witnessEnv(fd.Input))
-		out, ok := pr.Output.(router.ExplorationOutcome)
+		pr := round.Engine.RunOnce(router.UpdateInputs.Env(fd.Input))
+		out, ok := pr.Output.(router.Outcome)
 		if ok && out.Accepted && fd.VictimPrefix.Covers(out.Prefix) && out.OriginAS != fd.VictimAS {
 			fd.Validated = true
 			fd.SpreadTo = out.SpreadTo
@@ -71,23 +62,4 @@ func (updateScenario) Analyze(round *Round, res *Result) {
 		}
 	}
 	res.Findings = validated
-}
-
-// witnessEnv converts a finding's named input back into an engine
-// assignment (IDs follow DeclareSymbolicInputs declaration order).
-func witnessEnv(input map[string]uint64) map[int]uint64 {
-	names := []string{
-		router.StandardVars.Addr,
-		router.StandardVars.Len,
-		router.StandardVars.Origin,
-		router.StandardVars.MED,
-		router.StandardVars.LocalPref,
-	}
-	env := make(map[int]uint64, len(input))
-	for id, name := range names {
-		if v, ok := input[name]; ok {
-			env[id] = v
-		}
-	}
-	return env
 }

@@ -36,11 +36,11 @@ func (withdrawScenario) Seed(live *router.Router, peer string) (any, error) {
 }
 
 func (withdrawScenario) Declare(eng *concolic.Engine, seed any) error {
-	return router.DeclareWithdrawInputs(eng, seed.(*bgp.Update))
+	return router.WithdrawInputs.Declare(eng, seed.(*bgp.Update))
 }
 
 func (withdrawScenario) Execute(rc *concolic.RunContext, clone *router.Router, peer string, seed any) any {
-	return clone.HandleWithdrawConcolic(rc, peer, seed.(*bgp.Update))
+	return clone.ExploreWithdraw(rc, peer, seed.(*bgp.Update))
 }
 
 func (withdrawScenario) Analyze(round *Round, res *Result) {
@@ -51,11 +51,11 @@ func (withdrawScenario) Analyze(round *Round, res *Result) {
 	}
 	seen := map[string]bool{}
 	for _, p := range res.Report.Paths {
-		oc, ok := p.Output.(router.WithdrawOutcome)
+		oc, ok := p.Output.(router.Outcome)
 		if !ok {
 			continue
 		}
-		key := fmt.Sprintf("%v/%v/%v/%v", oc.Removed, oc.BestChanged, oc.Blackholed, oc.Prefix)
+		key := fmt.Sprintf("%v/%v/%v/%v", oc.Accepted, oc.BestChanged(), oc.Blackholed(), oc.Prefix)
 		if seen[key] {
 			continue
 		}
@@ -66,7 +66,7 @@ func (withdrawScenario) Analyze(round *Round, res *Result) {
 		// loss beyond this node is an availability incident a single
 		// flapping peer can cause. Validate the witness by re-execution
 		// before reporting, like the hijack oracle does.
-		if !(oc.Blackholed && len(oc.PropagatedTo) > 0) {
+		if !(oc.Blackholed() && len(oc.Notified) > 0) {
 			continue
 		}
 		fd := Finding{
@@ -76,15 +76,15 @@ func (withdrawScenario) Analyze(round *Round, res *Result) {
 			VictimPrefix: oc.Prefix,
 			Seq:          p.Seq,
 			Input: map[string]uint64{
-				router.StandardWithdrawVars.Addr: uint64(uint32(oc.Prefix.Addr())),
-				router.StandardWithdrawVars.Len:  uint64(oc.Prefix.Bits()),
+				router.WithdrawAddr: uint64(uint32(oc.Prefix.Addr())),
+				router.WithdrawLen:  uint64(oc.Prefix.Bits()),
 			},
 		}
-		pr := round.Engine.RunOnce(withdrawWitnessEnv(fd.Input))
-		voc, vok := pr.Output.(router.WithdrawOutcome)
-		if vok && voc.Blackholed {
+		pr := round.Engine.RunOnce(router.WithdrawInputs.Env(fd.Input))
+		voc, vok := pr.Output.(router.Outcome)
+		if vok && voc.Blackholed() {
 			fd.Validated = true
-			fd.SpreadTo = voc.PropagatedTo
+			fd.SpreadTo = voc.Notified
 			res.Findings = append(res.Findings, fd)
 		} else {
 			res.WitnessesRejected++
@@ -99,29 +99,13 @@ func (withdrawScenario) Analyze(round *Round, res *Result) {
 	res.Details = out
 }
 
-// withdrawWitnessEnv rebuilds the engine assignment for a withdraw
-// witness (IDs follow DeclareWithdrawInputs declaration order).
-func withdrawWitnessEnv(input map[string]uint64) map[int]uint64 {
-	names := []string{
-		router.StandardWithdrawVars.Addr,
-		router.StandardWithdrawVars.Len,
-	}
-	env := make(map[int]uint64, len(input))
-	for id, name := range names {
-		if v, ok := input[name]; ok {
-			env[id] = v
-		}
-	}
-	return env
-}
-
 // WithdrawExploration is the result of concolically exploring a peer's
 // route withdrawals.
 type WithdrawExploration struct {
 	Peer     string
 	Paths    int
 	Runs     int
-	Outcomes []router.WithdrawOutcome // one per distinct RIB effect
+	Outcomes []router.Outcome // one per distinct RIB effect
 }
 
 // String renders the outcome matrix.
@@ -129,14 +113,14 @@ func (w *WithdrawExploration) String() string {
 	s := fmt.Sprintf("withdraw exploration for peer %s: %d paths in %d runs\n", w.Peer, w.Paths, w.Runs)
 	for _, out := range w.Outcomes {
 		switch {
-		case !out.Removed:
+		case !out.Accepted:
 			s += fmt.Sprintf("  outcome: %s — no route from this peer; RIB unchanged\n", out.Prefix)
-		case out.Blackholed:
+		case out.Blackholed():
 			s += fmt.Sprintf("  outcome: %s withdrawn — prefix BLACKHOLED, loss propagated to %v\n",
-				out.Prefix, out.PropagatedTo)
-		case out.BestChanged:
+				out.Prefix, out.Notified)
+		case out.BestChanged():
 			s += fmt.Sprintf("  outcome: %s withdrawn — best path changed, re-announced to %v\n",
-				out.Prefix, out.PropagatedTo)
+				out.Prefix, out.Notified)
 		default:
 			s += fmt.Sprintf("  outcome: %s withdrawn — alternate path already best; no change\n", out.Prefix)
 		}

@@ -24,78 +24,78 @@ type OpenOutcome struct {
 	NotifySubcode uint8
 }
 
-// OpenVars is the symbolic input model for an OPEN message: every
-// fixed-size header field the FSM inspects.
-type OpenVars struct {
-	Version  string
-	AS       string
-	HoldTime string
-	RouterID string
-}
+// The "open" scenario's inputs: every fixed-size header field the FSM
+// inspects.
+const (
+	OpenVersion  = "open.version"
+	OpenAS       = "open.as"
+	OpenHoldTime = "open.holdtime"
+	OpenRouterID = "open.router_id"
+)
 
-// StandardOpenVars is the canonical naming.
-var StandardOpenVars = OpenVars{
-	Version:  "open.version",
-	AS:       "open.as",
-	HoldTime: "open.holdtime",
-	RouterID: "open.router_id",
-}
-
-// DeclareOpenInputs registers the OPEN input model, seeded from a
+// OpenInputs is the input model for an OPEN message, seeded from a
 // well-formed OPEN the peer would legitimately send.
-func DeclareOpenInputs(eng *concolic.Engine, seed *bgp.Open) {
-	eng.Var(StandardOpenVars.Version, 8, uint64(seed.Version))
-	eng.Var(StandardOpenVars.AS, 16, uint64(seed.AS))
-	eng.Var(StandardOpenVars.HoldTime, 16, uint64(seed.HoldTime))
-	eng.Var(StandardOpenVars.RouterID, 32, uint64(uint32(seed.RouterID)))
+var OpenInputs = InputModel[*bgp.Open]{
+	Inputs: []Input[*bgp.Open]{
+		{OpenVersion, 8, func(o *bgp.Open) uint64 { return uint64(o.Version) }},
+		{OpenAS, 16, func(o *bgp.Open) uint64 { return uint64(o.AS) }},
+		{OpenHoldTime, 16, func(o *bgp.Open) uint64 { return uint64(o.HoldTime) }},
+		{OpenRouterID, 32, func(o *bgp.Open) uint64 { return uint64(uint32(o.RouterID)) }},
+	},
+	Materialize: func(_ *bgp.Open, _ uint16, in map[string]uint64) *bgp.Open {
+		return &bgp.Open{
+			Version:  uint8(in[OpenVersion]),
+			AS:       uint16(in[OpenAS]),
+			HoldTime: uint16(in[OpenHoldTime]),
+			RouterID: netaddr.Addr(uint32(in[OpenRouterID])),
+		}
+	},
 }
 
 // HandleOpenConcolic is the instrumented OPEN handler: it mirrors the
 // session's validation pipeline (decodeOpen + handleOpen) over symbolic
 // fields, recording one constraint per check, then drives a real throwaway
-// session with the materialized message to confirm the outcome concretely
-// (the same dual concrete/instrumented structure as the UPDATE handler).
+// session with the materialized message to confirm the outcome concretely.
+// (The UPDATE scenarios need no such confirmation: they run the router's
+// own pipeline. The session FSM lives in bgp, which cannot import
+// concolic, so here the model stays beside the code and checks itself
+// against it on every run.)
 func (r *Router) HandleOpenConcolic(rc *concolic.RunContext, peerName string) OpenOutcome {
 	ps, ok := r.peers[peerName]
 	if !ok {
 		return OpenOutcome{Peer: peerName}
 	}
-
-	verV := rc.Input(StandardOpenVars.Version)
-	asV := rc.Input(StandardOpenVars.AS)
-	htV := rc.Input(StandardOpenVars.HoldTime)
-	ridV := rc.Input(StandardOpenVars.RouterID)
+	verV, asV := rc.Input(OpenVersion), rc.Input(OpenAS)
+	htV, ridV := rc.Input(OpenHoldTime), rc.Input(OpenRouterID)
+	open := OpenInputs.Materialize(nil, ps.peer.AS, OpenInputs.Named(rc.Env()))
 
 	out := OpenOutcome{Peer: peerName}
-
-	// The branch structure below mirrors the checks in bgp.decodeOpen and
+	reject := func(subcode uint8) OpenOutcome {
+		out.NotifyCode, out.NotifySubcode = bgp.ErrCodeOpenMessage, subcode
+		return r.confirmOpen(ps, open, out)
+	}
+	// The branch structure mirrors the checks in bgp.decodeOpen and
 	// Session.handleOpen, in order.
-	if rc.Branch(concolic.Ne(verV, concolic.Concrete(4, 8))) {
-		out.NotifyCode, out.NotifySubcode = bgp.ErrCodeOpenMessage, 1 // unsupported version
-		return r.confirmOpen(ps, verV, asV, htV, ridV, out)
-	}
-	if rc.Branch(concolic.BoolOr(
+	switch {
+	case rc.Branch(concolic.Ne(verV, concolic.Concrete(4, 8))):
+		return reject(1) // unsupported version
+	case rc.Branch(concolic.BoolOr(
 		concolic.Eq(htV, concolic.Concrete(1, 16)),
-		concolic.Eq(htV, concolic.Concrete(2, 16)))) {
-		out.NotifyCode, out.NotifySubcode = bgp.ErrCodeOpenMessage, 6 // unacceptable hold time
-		return r.confirmOpen(ps, verV, asV, htV, ridV, out)
-	}
-	if rc.Branch(concolic.Eq(ridV, concolic.Concrete(0, 32))) {
-		out.NotifyCode, out.NotifySubcode = bgp.ErrCodeOpenMessage, 3 // bad BGP identifier
-		return r.confirmOpen(ps, verV, asV, htV, ridV, out)
-	}
-	if rc.Branch(concolic.Ne(asV, concolic.Concrete(uint64(ps.peer.AS), 16))) {
-		out.NotifyCode, out.NotifySubcode = bgp.ErrCodeOpenMessage, 2 // bad peer AS
-		return r.confirmOpen(ps, verV, asV, htV, ridV, out)
+		concolic.Eq(htV, concolic.Concrete(2, 16)))):
+		return reject(6) // unacceptable hold time
+	case rc.Branch(concolic.Eq(ridV, concolic.Concrete(0, 32))):
+		return reject(3) // bad BGP identifier
+	case rc.Branch(concolic.Ne(asV, concolic.Concrete(uint64(ps.peer.AS), 16))):
+		return reject(2) // bad peer AS
 	}
 	out.Established = true
-	return r.confirmOpen(ps, verV, asV, htV, ridV, out)
+	return r.confirmOpen(ps, open, out)
 }
 
 // confirmOpen validates the predicted outcome by driving a real session
 // with the concrete message. A disagreement panics: it would mean the
 // instrumented model diverged from the executable FSM.
-func (r *Router) confirmOpen(ps *peerState, verV, asV, htV, ridV concolic.Value, predicted OpenOutcome) OpenOutcome {
+func (r *Router) confirmOpen(ps *peerState, open *bgp.Open, predicted OpenOutcome) OpenOutcome {
 	var gotEstablished bool
 	var gotCode, gotSub uint8
 
@@ -116,12 +116,6 @@ func (r *Router) confirmOpen(ps *peerState, verV, asV, htV, ridV concolic.Value,
 	sess.Start(now)
 	_ = sess.ConnUp(now)
 
-	open := &bgp.Open{
-		Version:  uint8(verV.C),
-		AS:       uint16(asV.C),
-		HoldTime: uint16(htV.C),
-		RouterID: netaddr.Addr(uint32(ridV.C)),
-	}
 	// Encode tolerates any field values (they are fixed-size); decoding
 	// applies the FSM-visible validation.
 	wire, err := bgp.Encode(open)

@@ -23,18 +23,7 @@ import (
 // state a forked process would be in) and its transport set to tr, which
 // is normally a capture sink so restored state stays isolated.
 func DecodeState(name string, cfg *config.Config, tr netsim.Transport, state []byte) (*Router, error) {
-	r := &Router{
-		cfg:           cfg,
-		name:          name,
-		transport:     tr,
-		loc:           rib.New(),
-		peers:         make(map[string]*peerState, len(cfg.Peers)),
-		lastObserved:  make(map[string]*bgp.Update),
-		lastAnnounced: make(map[string]*bgp.Update),
-	}
-	for _, pc := range cfg.Peers {
-		r.addPeer(pc)
-	}
+	r := newRouter(name, cfg, tr, rib.New())
 
 	// Meta chunk: magic + prefix count + per-peer counters in sorted
 	// peer-name order.

@@ -3,11 +3,14 @@
 // the wire protocol (bgp), routing tables (rib), policy filters (filter)
 // and configuration (config) over a netsim transport.
 //
-// The router carries both processing paths the paper's modified Oasis
-// provides in one executable (§3.2): the plain concrete UPDATE pipeline
-// used in normal operation (zero instrumentation overhead), and the
-// instrumented concolic pipeline (HandleUpdateConcolic) that DiCE invokes
-// on checkpoint clones during exploration.
+// Like the paper's modified BIRD, which builds the concrete and the
+// instrumented path from one source into one executable (§3.2), the
+// router has one UPDATE pipeline (process): import policy, RIB update,
+// best-path propagation, export policy. Normal operation runs it under
+// filter.ConcreteBrancher with no instrumentation; DiCE runs the same
+// code on checkpoint clones under a recording concolic.RunContext, with
+// a scenario's lift (explore.go) marking which filter-subject fields
+// carry symbolic inputs.
 package router
 
 import (
@@ -17,7 +20,6 @@ import (
 	"time"
 
 	"dice/internal/bgp"
-	"dice/internal/concolic"
 	"dice/internal/config"
 	"dice/internal/filter"
 	"dice/internal/netaddr"
@@ -67,18 +69,7 @@ type Router struct {
 // New creates a router from its configuration. name is its netsim node
 // name; peers' config names must match their node names.
 func New(name string, cfg *config.Config, tr netsim.Transport) *Router {
-	r := &Router{
-		cfg:           cfg,
-		name:          name,
-		transport:     tr,
-		loc:           rib.New(),
-		peers:         make(map[string]*peerState, len(cfg.Peers)),
-		lastObserved:  make(map[string]*bgp.Update),
-		lastAnnounced: make(map[string]*bgp.Update),
-	}
-	for _, pc := range cfg.Peers {
-		r.addPeer(pc)
-	}
+	r := newRouter(name, cfg, tr, rib.New())
 	for _, n := range cfg.Networks {
 		r.loc.Insert(&rib.Route{
 			Prefix: n,
@@ -91,6 +82,24 @@ func New(name string, cfg *config.Config, tr netsim.Transport) *Router {
 			},
 			Local: true,
 		})
+	}
+	return r
+}
+
+// newRouter builds a router over loc with a fresh (Idle) session per
+// configured peer.
+func newRouter(name string, cfg *config.Config, tr netsim.Transport, loc rib.RouteTable) *Router {
+	r := &Router{
+		cfg:           cfg,
+		name:          name,
+		transport:     tr,
+		loc:           loc,
+		peers:         make(map[string]*peerState, len(cfg.Peers)),
+		lastObserved:  make(map[string]*bgp.Update),
+		lastAnnounced: make(map[string]*bgp.Update),
+	}
+	for _, pc := range cfg.Peers {
+		r.addPeer(pc)
 	}
 	return r
 }
@@ -218,7 +227,7 @@ func (r *Router) Tick(now time.Time) {
 func (r *Router) onEstablished(peerName string) {
 	ps := r.peers[peerName]
 	r.loc.Walk(func(rt *rib.Route) bool {
-		if u := r.exportUpdate(ps, rt); u != nil {
+		if u := r.exportUpdate(ps, rt, nil, filter.ConcreteBrancher{}); u != nil {
 			_ = ps.sess.SendUpdate(u)
 		}
 		return true
@@ -232,120 +241,159 @@ func (r *Router) onDown(peerName string, reason string) {
 	}
 	changes := r.loc.WithdrawPeer(ps.peer.Addr)
 	for _, ch := range changes {
-		r.propagate(peerName, ch)
+		r.propagate(peerName, ch, nil, filter.ConcreteBrancher{}, nil)
 	}
 }
 
-// onUpdate is the concrete (fast-path) UPDATE handler.
+// onUpdate is the session's UPDATE hook: normal operation, no
+// instrumentation.
 func (r *Router) onUpdate(peerName string, u *bgp.Update) {
-	r.counters.UpdatesProcessed++
 	r.lastObserved[peerName] = u
 	if len(u.NLRI) > 0 {
 		r.lastAnnounced[peerName] = u
 	}
-	ps := r.peers[peerName]
+	r.process(peerName, u, nil, filter.ConcreteBrancher{}, nil)
+}
 
+// lift marks, on a filter subject built from a route's concrete data,
+// the fields that carry an exploration run's symbolic inputs. attrs are
+// the attributes the subject was built from; export is false before the
+// peer's import filter and true before each export filter, where the
+// route is the one import installed. nil in normal operation.
+type lift func(subj *filter.Subject, attrs *bgp.Attrs, export bool)
+
+// process is the one UPDATE pipeline — counters, import policy, RIB
+// update, propagation, export policy — for the live node and for
+// exploration alike. br is the instrumentation seam: ConcreteBrancher in
+// normal operation, the run's RunContext during exploration, where lf
+// lifts the subjects of the explored route. obs, when non-nil, receives
+// what the pipeline observed; explored messages carry one prefix.
+func (r *Router) process(from string, u *bgp.Update, lf lift, br filter.Brancher, obs *Outcome) {
+	r.counters.UpdatesProcessed++
+	ps := r.peers[from]
 	for _, w := range u.Withdrawn {
-		ch := r.loc.Withdraw(w, ps.peer.Addr)
-		if ch.Changed() {
-			r.counters.RoutesWithdrawn++
-			r.propagate(peerName, ch)
-		}
+		r.apply(ps, w, nil, lf, br, obs)
 	}
 	for _, nlri := range u.NLRI {
-		disp, attrs := r.importRoute(ps, nlri, &u.Attrs)
-		if disp != filter.Accept {
-			r.counters.RoutesRejected++
-			// Policy rejection of a previously accepted route acts as a
-			// withdraw (route becomes ineligible).
-			ch := r.loc.Withdraw(nlri, ps.peer.Addr)
-			if ch.Changed() {
-				r.propagate(peerName, ch)
-			}
-			continue
-		}
-		r.counters.RoutesAccepted++
-		ch := r.loc.Insert(&rib.Route{
-			Prefix:       nlri,
-			Attrs:        attrs,
-			PeerRouterID: ps.peer.Addr,
-			PeerAS:       ps.sess.PeerAS(),
-			EBGP:         ps.sess.PeerAS() != r.cfg.LocalAS,
-		})
-		if ch.Changed() {
-			r.propagate(peerName, ch)
-		}
+		r.apply(ps, nlri, &u.Attrs, lf, br, obs)
 	}
 }
 
-// importRoute runs validation + import policy for one concrete NLRI —
-// the fast path: no constraint recording.
-func (r *Router) importRoute(ps *peerState, nlri netaddr.Prefix, attrs *bgp.Attrs) (filter.Disposition, bgp.Attrs) {
-	return r.importSubject(ps, filter.SubjectFromRoute(nlri, attrs), attrs, filter.ConcreteBrancher{})
+// apply processes one prefix of an UPDATE from a peer: announced with
+// attrs, or withdrawn when attrs is nil.
+func (r *Router) apply(ps *peerState, prefix netaddr.Prefix, attrs *bgp.Attrs, lf lift, br filter.Brancher, obs *Outcome) {
+	var rt *rib.Route // the route to install; nil removes this peer's
+	if attrs != nil {
+		if final, ok := r.importRoute(ps, prefix, attrs, lf, br); ok {
+			r.counters.RoutesAccepted++
+			rt = &rib.Route{
+				Prefix:       prefix,
+				Attrs:        final,
+				PeerRouterID: ps.peer.Addr,
+				PeerAS:       ps.sess.PeerAS(),
+				EBGP:         ps.sess.PeerAS() != r.cfg.LocalAS,
+			}
+		} else {
+			r.counters.RoutesRejected++
+		}
+	}
+	var ch rib.Change
+	took := rt != nil // the message took effect on this peer's own route
+	if rt != nil {
+		ch = r.loc.Insert(rt)
+	} else {
+		// An explicit withdrawal — or policy rejection of a previously
+		// accepted route, which acts as one (the route became ineligible).
+		before := r.loc.Routes()
+		ch = r.loc.Withdraw(prefix, ps.peer.Addr)
+		took = attrs == nil && r.loc.Routes() < before
+	}
+	if obs != nil {
+		obs.Accepted, obs.Change = took, ch
+	}
+	if !ch.Changed() {
+		return
+	}
+	if attrs == nil {
+		r.counters.RoutesWithdrawn++
+	}
+	if ch.New != rt {
+		lf = nil // another candidate took over: its attributes are all concrete
+	}
+	r.propagate(ps.peer.Name, ch, lf, br, obs)
 }
 
-// importSubject is the one import pipeline: loop check, import filter,
-// verdict. The Brancher is the instrumentation seam — ConcreteBrancher
-// in normal operation, the concolic RunContext during exploration, where
-// subj carries the fields DiCE marked symbolic instead of the concrete
-// message's.
-func (r *Router) importSubject(ps *peerState, subj *filter.Subject, attrs *bgp.Attrs, br filter.Brancher) (filter.Disposition, bgp.Attrs) {
+// importRoute is loop check, import filter and verdict for one announced
+// prefix: the attributes to install, and whether policy accepted it.
+func (r *Router) importRoute(ps *peerState, prefix netaddr.Prefix, attrs *bgp.Attrs, lf lift, br filter.Brancher) (bgp.Attrs, bool) {
 	// RFC 4271 §9.1.2: drop paths containing our own AS (loop). The check
 	// concerns the path structure, which stays concrete in the DiCE input
-	// model.
+	// models.
 	if attrs.ASPath.Contains(r.cfg.LocalAS) {
-		return filter.Reject, bgp.Attrs{}
+		return bgp.Attrs{}, false
 	}
-	f := ps.peer.Import
-	if f == nil {
-		f = filter.AcceptAll
+	subj := filter.SubjectFromRoute(prefix, attrs)
+	if lf != nil {
+		lf(subj, attrs, false)
 	}
-	verdict := filter.Run(f, subj, br)
+	verdict := filter.Run(policy(ps.peer.Import), subj, br)
 	if verdict.Disposition != filter.Accept {
-		return filter.Reject, bgp.Attrs{}
+		return bgp.Attrs{}, false
 	}
 	out := attrs.Clone()
 	verdict.Apply(&out)
-	return filter.Accept, out
+	return out, true
+}
+
+func policy(f *filter.Filter) *filter.Filter {
+	if f == nil {
+		return filter.AcceptAll
+	}
+	return f
 }
 
 // propagate exports a best-route change to every established peer other
-// than the one it came from.
-func (r *Router) propagate(fromPeer string, ch rib.Change) {
+// than the one it came from, in peerNames order — under a recording br
+// that is also the order of the export constraints.
+func (r *Router) propagate(fromPeer string, ch rib.Change, lf lift, br filter.Brancher, obs *Outcome) {
 	for _, name := range r.peerNames() {
 		ps := r.peers[name]
 		if name == fromPeer || ps.sess.State() != bgp.StateEstablished {
 			continue
 		}
 		var u *bgp.Update
-		if ch.New == nil {
-			u = &bgp.Update{Withdrawn: []netaddr.Prefix{ch.Prefix}}
-		} else {
-			u = r.exportUpdate(ps, ch.New)
-			if u == nil {
-				// Export policy dropped it: withdraw any previous
-				// announcement of this prefix to the peer.
-				u = &bgp.Update{Withdrawn: []netaddr.Prefix{ch.Prefix}}
+		if ch.New != nil {
+			u = r.exportUpdate(ps, ch.New, lf, br)
+		}
+		if obs != nil {
+			obs.Notified = append(obs.Notified, name)
+			if u != nil {
+				obs.SpreadTo = append(obs.SpreadTo, name)
 			}
+		}
+		if u == nil {
+			// No best route left, or export policy dropped it: withdraw any
+			// previous announcement of this prefix to the peer.
+			u = &bgp.Update{Withdrawn: []netaddr.Prefix{ch.Prefix}}
 		}
 		_ = ps.sess.SendUpdate(u)
 	}
 }
 
-// exportUpdate applies export policy and eBGP attribute rewriting for one
-// route toward a peer; nil means the route is not exported.
-func (r *Router) exportUpdate(ps *peerState, rt *rib.Route) *bgp.Update {
+// exportUpdate applies export policy (under br, over the subject lf
+// lifts) and eBGP attribute rewriting for one route toward a peer; nil
+// means the route is not exported.
+func (r *Router) exportUpdate(ps *peerState, rt *rib.Route, lf lift, br filter.Brancher) *bgp.Update {
 	// Split-horizon: never export a route back toward the AS it came
 	// from (first AS in path == peer's AS).
 	if rt.Attrs.ASPath.FirstAS() == ps.peer.AS {
 		return nil
 	}
-	f := ps.peer.Export
-	if f == nil {
-		f = filter.AcceptAll
-	}
 	subj := filter.SubjectFromRoute(rt.Prefix, &rt.Attrs)
-	verdict := filter.Run(f, subj, filter.ConcreteBrancher{})
+	if lf != nil {
+		lf(subj, &rt.Attrs, true)
+	}
+	verdict := filter.Run(policy(ps.peer.Export), subj, br)
 	if verdict.Disposition != filter.Accept {
 		return nil
 	}
@@ -464,29 +512,7 @@ func (r *Router) CloneCOW(tr netsim.Transport) *Router {
 		// Already an overlay (clone of a clone): fall back to deep copy.
 		return r.Clone(tr)
 	}
-	c := &Router{
-		cfg:           r.cfg,
-		name:          r.name,
-		transport:     tr,
-		loc:           rib.NewOverlay(base),
-		peers:         make(map[string]*peerState, len(r.peers)),
-		counters:      r.counters,
-		lastObserved:  make(map[string]*bgp.Update, len(r.lastObserved)),
-		lastAnnounced: make(map[string]*bgp.Update, len(r.lastAnnounced)),
-	}
-	for _, pc := range r.cfg.Peers {
-		c.addPeer(pc)
-	}
-	for k, v := range r.lastObserved {
-		c.lastObserved[k] = v
-	}
-	for k, v := range r.lastAnnounced {
-		c.lastAnnounced[k] = v
-	}
-	for name, ps := range r.peers {
-		c.peers[name].forceEstablished(ps.sess)
-	}
-	return c
+	return r.fork(tr, rib.NewOverlay(base))
 }
 
 // Clone produces an isolated deep copy of the router over the given
@@ -496,252 +522,33 @@ func (r *Router) CloneCOW(tr netsim.Transport) *Router {
 // state with the parent; configuration is shared because it is immutable
 // after parse.
 func (r *Router) Clone(tr netsim.Transport) *Router {
-	c := &Router{
-		cfg:           r.cfg,
-		name:          r.name,
-		transport:     tr,
-		loc:           rib.New(),
-		peers:         make(map[string]*peerState, len(r.peers)),
-		counters:      r.counters,
-		lastObserved:  make(map[string]*bgp.Update, len(r.lastObserved)),
-		lastAnnounced: make(map[string]*bgp.Update, len(r.lastAnnounced)),
-	}
-	for _, pc := range r.cfg.Peers {
-		c.addPeer(pc)
-	}
-	// Deep-copy the RIB.
+	loc := rib.New()
 	r.loc.WalkAll(func(p netaddr.Prefix, candidates []*rib.Route) bool {
 		for _, rt := range candidates {
-			c.loc.Insert(&rib.Route{
-				Prefix:       rt.Prefix,
-				Attrs:        rt.Attrs.Clone(),
-				PeerRouterID: rt.PeerRouterID,
-				PeerAS:       rt.PeerAS,
-				EBGP:         rt.EBGP,
-				Local:        rt.Local,
-			})
+			cp := *rt
+			cp.Attrs = rt.Attrs.Clone()
+			loc.Insert(&cp)
 		}
 		return true
 	})
+	return r.fork(tr, loc)
+}
+
+// fork builds the clone around its RIB: counters and observed messages
+// (treated as immutable) carried over, and every session in the state a
+// forked BIRD's would be in — the clone processes exploration messages as
+// if the sessions were live, but its sends go to tr only.
+func (r *Router) fork(tr netsim.Transport, loc rib.RouteTable) *Router {
+	c := newRouter(r.name, r.cfg, tr, loc)
+	c.counters = r.counters
 	for k, v := range r.lastObserved {
-		c.lastObserved[k] = v // messages are treated as immutable
+		c.lastObserved[k] = v
 	}
 	for k, v := range r.lastAnnounced {
 		c.lastAnnounced[k] = v
 	}
-	// Clone sessions come up Established-equivalent: the clone processes
-	// exploration messages as if the sessions were live, but its sends go
-	// to the capture transport only.
 	for name, ps := range r.peers {
-		c.peers[name].forceEstablished(ps.sess)
+		c.peers[name].sess.CloneStateFrom(ps.sess)
 	}
 	return c
-}
-
-// forceEstablished puts a cloned session directly into Established with
-// counters copied from the original — the state a forked BIRD would be in.
-func (ps *peerState) forceEstablished(orig *bgp.Session) {
-	ps.sess.CloneStateFrom(orig)
-}
-
-// --- DiCE instrumentation hooks ----------------------------------------------
-
-// ExplorationOutcome is the instrumented handler's result for one
-// explored input, consumed by the DiCE oracles.
-type ExplorationOutcome struct {
-	Peer     string
-	Prefix   netaddr.Prefix
-	Accepted bool
-	OriginAS uint16
-	// BestChanged reports whether the route became the new best path in
-	// the clone's RIB (i.e. it would steer traffic).
-	BestChanged bool
-	// PrevOriginAS is the origin AS of the route previously selected for
-	// this prefix (0 if none) — the oracle's hijack comparison input.
-	PrevOriginAS uint16
-	PrevExisted  bool
-	// SpreadTo lists the peers to which the clone's export policy would
-	// re-announce the route — the condition under which a local
-	// misconfiguration becomes an Internet-wide incident (the PCCW side
-	// of the YouTube hijack). Export filters are evaluated concolically,
-	// so their branches join the explored path condition.
-	SpreadTo []string
-}
-
-// SymbolicUpdateVars declares the standard DiCE input model for a seed
-// UPDATE: NLRI address and mask length plus small attribute fields are
-// symbolic (§3.2), keeping every generated message syntactically valid.
-type SymbolicUpdateVars struct {
-	Addr      string // 32-bit NLRI network address
-	Len       string // 8-bit NLRI mask length
-	Origin    string // 8-bit ORIGIN code
-	MED       string // 32-bit MED
-	LocalPref string // 32-bit LOCAL_PREF
-}
-
-// StandardVars is the canonical naming used by the DiCE engine.
-var StandardVars = SymbolicUpdateVars{
-	Addr:      "nlri.addr",
-	Len:       "nlri.len",
-	Origin:    "attr.origin",
-	MED:       "attr.med",
-	LocalPref: "attr.local_pref",
-}
-
-// DeclareSymbolicInputs registers the input model on an engine, seeding
-// each variable from the observed UPDATE's first NLRI and attributes.
-func DeclareSymbolicInputs(eng *concolic.Engine, seed *bgp.Update) error {
-	if len(seed.NLRI) == 0 {
-		return fmt.Errorf("router: seed update has no NLRI")
-	}
-	p := seed.NLRI[0]
-	var medSeed, lpSeed uint64
-	if seed.Attrs.HasMED {
-		medSeed = uint64(seed.Attrs.MED)
-	}
-	if seed.Attrs.HasLocalPref {
-		lpSeed = uint64(seed.Attrs.LocalPref)
-	} else {
-		lpSeed = 100
-	}
-	eng.Var(StandardVars.Addr, 32, uint64(uint32(p.Addr())))
-	eng.Var(StandardVars.Len, 8, uint64(p.Bits()))
-	eng.Var(StandardVars.Origin, 8, uint64(seed.Attrs.Origin))
-	eng.Var(StandardVars.MED, 32, medSeed)
-	eng.Var(StandardVars.LocalPref, 32, lpSeed)
-	return nil
-}
-
-// HandleUpdateConcolic is the instrumented UPDATE handler: it processes a
-// single exploratory input built from the seed message with the symbolic
-// fields replaced by engine-chosen values, against this (cloned) router's
-// live state. Constraints flow through rc; outbound messages flow to the
-// clone's capture transport.
-func (r *Router) HandleUpdateConcolic(rc *concolic.RunContext, peerName string, seed *bgp.Update) ExplorationOutcome {
-	ps, ok := r.peers[peerName]
-	if !ok || len(seed.NLRI) == 0 {
-		return ExplorationOutcome{Peer: peerName}
-	}
-
-	addrV := rc.Input(StandardVars.Addr)
-	lenV := rc.Input(StandardVars.Len)
-	originV := rc.Input(StandardVars.Origin)
-	medV := rc.Input(StandardVars.MED)
-	lpV := rc.Input(StandardVars.LocalPref)
-
-	// Well-formedness the wire format guarantees: these are assumptions,
-	// not explorable branches — DiCE only generates valid messages.
-	rc.Assume(concolic.Le(lenV, concolic.Concrete(32, 8)))
-	rc.Assume(concolic.Le(originV, concolic.Concrete(bgp.OriginIncomplete, 8)))
-	// The NLRI encoding canonicalizes host bits; model that by masking.
-	maskC := concolic.Concrete(uint64(uint32(netaddr.Mask(int(lenV.C)))), 32)
-	netV := concolic.And(addrV, maskC)
-
-	// Materialize the concrete message this run processes.
-	prefix := netaddr.PrefixFrom(netaddr.Addr(uint32(netV.C)), int(lenV.C))
-	attrs := seed.Attrs.Clone()
-	attrs.Origin = uint8(originV.C)
-	attrs.HasMED, attrs.MED = true, uint32(medV.C)
-	attrs.HasLocalPref, attrs.LocalPref = true, uint32(lpV.C)
-
-	r.counters.UpdatesProcessed++
-
-	// Build the symbolic filter subject: concolic where DiCE marked
-	// fields symbolic, concrete elsewhere.
-	subj := filter.SubjectFromRoute(prefix, &attrs)
-	subj.NetAddr = netV
-	subj.NetLen = lenV
-	subj.Origin = originV
-	subj.MED = medV
-	subj.LocalPref = lpV
-
-	out := ExplorationOutcome{Peer: peerName, Prefix: prefix, OriginAS: attrs.ASPath.OriginAS()}
-	// The §4.2 oracle compares against the route currently steering this
-	// address range: the longest prefix covering the announcement. This
-	// catches both exact-prefix origin changes and the YouTube-style
-	// more-specific hijack (a /24 punched into a victim's /22).
-	if prev := r.loc.CoveringBest(prefix); prev != nil {
-		out.PrevExisted = true
-		out.PrevOriginAS = prev.OriginAS()
-	}
-
-	disp, finalAttrs := r.importSubject(ps, subj, &attrs, rc)
-	if disp != filter.Accept {
-		return out
-	}
-	out.Accepted = true
-	ch := r.loc.Insert(&rib.Route{
-		Prefix:       prefix,
-		Attrs:        finalAttrs,
-		PeerRouterID: ps.peer.Addr,
-		PeerAS:       ps.peer.AS,
-		EBGP:         ps.peer.AS != r.cfg.LocalAS,
-	})
-	out.BestChanged = ch.Changed()
-	if ch.Changed() {
-		// Consequences propagate into the capture sink, never the wire.
-		r.propagate(peerName, ch)
-		// Export policies evaluated concolically: which peers would this
-		// route spread to, and under what input conditions? The NLRI
-		// fields stay symbolic; attribute fields are concrete after the
-		// import policy's modifications.
-		exSubj := filter.SubjectFromRoute(prefix, &finalAttrs)
-		exSubj.NetAddr = subj.NetAddr
-		exSubj.NetLen = subj.NetLen
-		// Sorted: the export filters run under the recording context, so
-		// peer order becomes path-constraint order.
-		for _, name := range r.peerNames() {
-			other := r.peers[name]
-			if name == peerName {
-				continue
-			}
-			if finalAttrs.ASPath.FirstAS() == other.peer.AS {
-				continue // split horizon (the AS path stays concrete)
-			}
-			ef := other.peer.Export
-			if ef == nil {
-				ef = filter.AcceptAll
-			}
-			if v := filter.Run(ef, exSubj, rc); v.Disposition == filter.Accept {
-				out.SpreadTo = append(out.SpreadTo, name)
-			}
-		}
-		sort.Strings(out.SpreadTo)
-	}
-	return out
-}
-
-// HandleUpdateConcrete processes one UPDATE against this (cloned) router
-// with no symbolic instrumentation and reports the outcome. Used by the
-// raw-bytes-marking ablation, where generated messages are decoded from
-// mutated wire bytes and only the surviving valid ones reach policy code.
-func (r *Router) HandleUpdateConcrete(peerName string, u *bgp.Update) ExplorationOutcome {
-	ps, ok := r.peers[peerName]
-	if !ok || len(u.NLRI) == 0 {
-		return ExplorationOutcome{Peer: peerName}
-	}
-	prefix := u.NLRI[0]
-	r.counters.UpdatesProcessed++
-	out := ExplorationOutcome{Peer: peerName, Prefix: prefix, OriginAS: u.Attrs.ASPath.OriginAS()}
-	if prev := r.loc.CoveringBest(prefix); prev != nil {
-		out.PrevExisted = true
-		out.PrevOriginAS = prev.OriginAS()
-	}
-	disp, attrs := r.importRoute(ps, prefix, &u.Attrs)
-	if disp != filter.Accept {
-		return out
-	}
-	out.Accepted = true
-	ch := r.loc.Insert(&rib.Route{
-		Prefix:       prefix,
-		Attrs:        attrs,
-		PeerRouterID: ps.peer.Addr,
-		PeerAS:       ps.peer.AS,
-		EBGP:         ps.peer.AS != r.cfg.LocalAS,
-	})
-	out.BestChanged = ch.Changed()
-	if ch.Changed() {
-		r.propagate(peerName, ch)
-	}
-	return out
 }

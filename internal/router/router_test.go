@@ -284,10 +284,10 @@ func TestConcolicHandlerExploresFilter(t *testing.T) {
 	sink := netsim.NewCaptureSink()
 	handler := func(rc *concolic.RunContext) any {
 		clone := provider.Clone(sink)
-		return clone.HandleUpdateConcolic(rc, "customer", seed)
+		return clone.ExploreUpdate(rc, "customer", seed)
 	}
 	eng := concolic.NewEngine(handler, concolic.Options{MaxRuns: 500})
-	if err := DeclareSymbolicInputs(eng, seed); err != nil {
+	if err := UpdateInputs.Declare(eng, seed); err != nil {
 		t.Fatal(err)
 	}
 	rep := eng.Explore()
@@ -299,7 +299,7 @@ func TestConcolicHandlerExploresFilter(t *testing.T) {
 	// legitimate space (the leak through the net.len >= 25 hole).
 	leak := false
 	for _, p := range rep.Paths {
-		out, ok := p.Output.(ExplorationOutcome)
+		out, ok := p.Output.(Outcome)
 		if !ok || !out.Accepted {
 			continue
 		}

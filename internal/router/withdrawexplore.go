@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	"sort"
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
@@ -10,65 +9,48 @@ import (
 	"dice/internal/rib"
 )
 
-// The paper explores the announcement side of UPDATE messages; this file
-// extends the instrumented surface to the withdrawal side: which
-// WITHDRAWN-routes fields can a peer send to change the node's routing,
-// and what spreads when it does? A withdraw is the other half of the
-// YouTube incident's cleanup — and a misbehaving peer flapping withdraws
-// is a classic availability attack — so the same concolic machinery
-// applies: prefix fields become symbolic, the RIB's reaction is the
-// explored behavior.
+// The paper explores the announcement side of UPDATE messages; the
+// "withdraw" scenario extends the instrumented surface to the withdrawal
+// side: which WITHDRAWN-routes fields can a peer send to change the
+// node's routing, and what spreads when it does? A withdraw is the other
+// half of the YouTube incident's cleanup — and a misbehaving peer
+// flapping withdraws is a classic availability attack — so the same
+// concolic machinery applies: prefix fields become symbolic, the RIB's
+// reaction is the explored behavior.
+const (
+	WithdrawAddr = "wdr.addr"
+	WithdrawLen  = "wdr.len"
+)
 
-// WithdrawOutcome reports how the clone handled one explored withdraw.
-type WithdrawOutcome struct {
-	Peer   string
-	Prefix netaddr.Prefix // materialized withdrawn prefix
-	// Removed reports that a route this peer had contributed was removed.
-	Removed bool
-	// BestChanged reports that the removal changed the best path (the
-	// withdraw would steer or stop traffic).
-	BestChanged bool
-	// Blackholed reports that no alternative route remained: the prefix
-	// lost reachability entirely (vs. falling back to another path).
-	Blackholed bool
-	// PropagatedTo lists peers the resulting withdraw/update was
-	// re-announced to (captured, never sent — isolation invariant).
-	PropagatedTo []string
-}
-
-// WithdrawVars is the symbolic input model for a route withdrawal: the
-// withdrawn prefix's address and mask length.
-type WithdrawVars struct {
-	Addr string // 32-bit withdrawn network address
-	Len  string // 8-bit withdrawn mask length
-}
-
-// StandardWithdrawVars is the canonical naming.
-var StandardWithdrawVars = WithdrawVars{
-	Addr: "wdr.addr",
-	Len:  "wdr.len",
-}
-
-// DeclareWithdrawInputs registers the withdraw input model, seeded from
-// an observed UPDATE: the first withdrawn prefix if the message carried
-// one, else its first NLRI (withdrawing what was just announced).
-func DeclareWithdrawInputs(eng *concolic.Engine, seed *bgp.Update) error {
-	var p netaddr.Prefix
-	switch {
-	case len(seed.Withdrawn) > 0:
-		p = seed.Withdrawn[0]
-	case len(seed.NLRI) > 0:
-		p = seed.NLRI[0]
-	default:
-		return fmt.Errorf("router: seed update carries neither withdrawn routes nor NLRI")
+// withdrawSeed is the prefix a withdraw exploration starts from: the
+// observed UPDATE's first withdrawn prefix if it carried one, else its
+// first NLRI (withdrawing what was just announced).
+func withdrawSeed(u *bgp.Update) netaddr.Prefix {
+	if len(u.Withdrawn) > 0 {
+		return u.Withdrawn[0]
 	}
-	eng.Var(StandardWithdrawVars.Addr, 32, uint64(uint32(p.Addr())))
-	eng.Var(StandardWithdrawVars.Len, 8, uint64(p.Bits()))
-	return nil
+	return u.NLRI[0]
+}
+
+// WithdrawInputs is the input model for a route withdrawal.
+var WithdrawInputs = InputModel[*bgp.Update]{
+	Inputs: []Input[*bgp.Update]{
+		{WithdrawAddr, 32, func(u *bgp.Update) uint64 { return uint64(uint32(withdrawSeed(u).Addr())) }},
+		{WithdrawLen, 8, func(u *bgp.Update) uint64 { return uint64(withdrawSeed(u).Bits()) }},
+	},
+	Usable: func(seed *bgp.Update) error {
+		if len(seed.Withdrawn) == 0 && len(seed.NLRI) == 0 {
+			return fmt.Errorf("router: seed update carries neither withdrawn routes nor NLRI")
+		}
+		return nil
+	},
+	Materialize: func(_ *bgp.Update, _ uint16, in map[string]uint64) *bgp.Update {
+		return &bgp.Update{Withdrawn: []netaddr.Prefix{inputPrefix(in, WithdrawAddr, WithdrawLen)}}
+	},
 }
 
 // maxWithdrawTargets bounds how many of the peer's contributed routes the
-// instrumented handler enumerates as explorable withdraw targets.
+// withdraw model enumerates as explorable targets.
 const maxWithdrawTargets = 16
 
 // routesFromPeer returns up to limit prefixes this peer contributed to
@@ -87,31 +69,19 @@ func (r *Router) routesFromPeer(peerRouterID netaddr.Addr, limit int) []netaddr.
 	return out
 }
 
-// HandleWithdrawConcolic is the instrumented withdraw handler: it
-// processes a single exploratory withdrawal with the prefix fields
-// symbolic, against this (cloned) router's live state. The RIB's
-// withdraw lookup is an exact match over the peer's contributed routes,
-// so the branch structure enumerates those routes (bounded) and branches
-// on whether the symbolic prefix names each one; the concrete RIB
-// operation then confirms the prediction.
-func (r *Router) HandleWithdrawConcolic(rc *concolic.RunContext, peerName string, seed *bgp.Update) WithdrawOutcome {
-	ps, ok := r.peers[peerName]
-	if !ok {
-		return WithdrawOutcome{Peer: peerName}
+// ExploreWithdraw processes one exploratory withdrawal with the prefix
+// fields symbolic. The pipeline's withdraw is an exact-match lookup over
+// the peer's contributed routes, which records nothing; so the model
+// enumerates those routes (bounded) and branches on whether the symbolic
+// prefix names each one, and the pipeline's observed effect then has to
+// confirm the prediction.
+func (r *Router) ExploreWithdraw(rc *concolic.RunContext, peerName string, seed *bgp.Update) Outcome {
+	ps := r.peers[peerName]
+	if ps == nil {
+		return Outcome{Peer: peerName}
 	}
-
-	addrV := rc.Input(StandardWithdrawVars.Addr)
-	lenV := rc.Input(StandardWithdrawVars.Len)
-
-	// Well-formedness the wire format guarantees.
-	rc.Assume(concolic.Le(lenV, concolic.Concrete(32, 8)))
-	// The encoding canonicalizes host bits; model that by masking.
-	maskC := concolic.Concrete(uint64(uint32(netaddr.Mask(int(lenV.C)))), 32)
-	netV := concolic.And(addrV, maskC)
-
-	prefix := netaddr.PrefixFrom(netaddr.Addr(uint32(netV.C)), int(lenV.C))
-	out := WithdrawOutcome{Peer: peerName, Prefix: prefix}
-	r.counters.UpdatesProcessed++
+	netV, lenV := symbolicPrefix(rc, WithdrawAddr, WithdrawLen)
+	u := WithdrawInputs.Materialize(seed, ps.peer.AS, WithdrawInputs.Named(rc.Env()))
 
 	targets := r.routesFromPeer(ps.peer.Addr, maxWithdrawTargets+1)
 	truncated := len(targets) > maxWithdrawTargets
@@ -119,10 +89,9 @@ func (r *Router) HandleWithdrawConcolic(rc *concolic.RunContext, peerName string
 		targets = targets[:maxWithdrawTargets]
 		rc.Note("withdraw targets truncated to %d of the peer's routes", maxWithdrawTargets)
 	}
-	matched := false
-	inTargets := false
+	matched, inTargets := false, false
 	for _, target := range targets {
-		if target == prefix {
+		if target == u.Withdrawn[0] {
 			inTargets = true
 		}
 		hit := concolic.BoolAnd(
@@ -134,33 +103,14 @@ func (r *Router) HandleWithdrawConcolic(rc *concolic.RunContext, peerName string
 		}
 	}
 
-	// Concrete execution: the real RIB withdraw. Over the enumerated
-	// targets the branch prediction must agree with the RIB's effect (a
-	// divergence would mean the instrumented model lies about the
+	out := r.explore(peerName, u, nil, rc)
+	// Over the enumerated targets the branch prediction must agree with the
+	// RIB's effect (a divergence would mean the model lies about the
 	// executable behavior); a route beyond the truncation bound may still
 	// be withdrawn concretely — the path constraint then simply does not
 	// pin the prefix.
-	routesBefore := r.loc.Routes()
-	ch := r.loc.Withdraw(prefix, ps.peer.Addr)
-	out.Removed = r.loc.Routes() < routesBefore
-	if matched != inTargets || (matched && !out.Removed) || (!matched && out.Removed && !truncated) {
-		panic("router: instrumented withdraw model diverged from the RIB")
-	}
-	if !out.Removed {
-		return out
-	}
-	r.counters.RoutesWithdrawn++
-	out.BestChanged = ch.Changed()
-	out.Blackholed = ch.Changed() && ch.New == nil
-	if ch.Changed() {
-		// Consequences propagate into the capture sink, never the wire.
-		r.propagate(peerName, ch)
-		for name, other := range r.peers {
-			if name != peerName && other.sess.State() == bgp.StateEstablished {
-				out.PropagatedTo = append(out.PropagatedTo, name)
-			}
-		}
-		sort.Strings(out.PropagatedTo)
+	if matched != inTargets || (matched && !out.Accepted) || (!matched && out.Accepted && !truncated) {
+		panic("router: withdraw input model diverged from the RIB")
 	}
 	return out
 }

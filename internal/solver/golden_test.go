@@ -102,8 +102,7 @@ func TestDeepPolicyModelsPinned(t *testing.T) {
 		t.Fatalf("explored %d paths with %d findings; the policy did not open up", len(res.Report.Paths), len(res.Findings))
 	}
 
-	commVar := sym.NewVar(3, router.StandardLeakVars.Community, 32)
-	noExport := sym.NewCmp(sym.OpEq, commVar, sym.NewConst(uint64(bgp.CommunityNoExport), 32))
+	noExport := sym.NewCmp(sym.OpEq, router.LeakInputs.Var(router.LeakCommunity), sym.NewConst(uint64(bgp.CommunityNoExport), 32))
 	worker := solver.New(solver.Options{})
 	var lines []string
 	for _, p := range res.Report.Paths {

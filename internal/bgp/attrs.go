@@ -490,11 +490,6 @@ func MakeCommunity(as, value uint16) uint32 {
 	return uint32(as)<<16 | uint32(value)
 }
 
-// SplitCommunity unpacks a COMMUNITY word.
-func SplitCommunity(c uint32) (as, value uint16) {
-	return uint16(c >> 16), uint16(c)
-}
-
 // HasCommunity reports whether c is present in the set.
 func (a Attrs) HasCommunity(c uint32) bool {
 	for _, x := range a.Communities {

@@ -336,8 +336,7 @@ func TestASPathEncodingErrors(t *testing.T) {
 
 func TestCommunities(t *testing.T) {
 	c := MakeCommunity(65001, 666)
-	as, v := SplitCommunity(c)
-	if as != 65001 || v != 666 {
+	if as, v := uint16(c>>16), uint16(c); as != 65001 || v != 666 {
 		t.Fatalf("split: %d:%d", as, v)
 	}
 	a := Attrs{Communities: []uint32{c}}

@@ -11,19 +11,29 @@
 // set of pages fork's COW would share — so the §4.1 unique-page and
 // clone-overhead measurements are computed from real structural sharing,
 // not estimates.
+//
+// A Snapshot is also the one off-node form of a checkpoint. Its page
+// identity — where a page starts and what it is called — is decided once,
+// by the TakeChunks that ingested it, and every later hop keeps it: a
+// sender ships the ordered Keys plus whichever Page bodies the receiver
+// lacks, and the receiver's own Store either assembles the same snapshot
+// from them or names the keys it is missing. Because page boundaries
+// follow the node's stable regions rather than byte offsets, the pages a
+// receiver already holds stay valid when the node's state grows.
 package checkpoint
 
 import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // DefaultPageSize matches the 4 KiB pages of the paper's Linux testbed.
 const DefaultPageSize = 4096
 
-type pageKey [sha256.Size]byte
+// Key is a page's content address (SHA-256 of its bytes): the page's
+// identity in every store and on the wire.
+type Key [sha256.Size]byte
 
 type page struct {
 	data []byte
@@ -35,7 +45,8 @@ type page struct {
 type Store struct {
 	mu       sync.Mutex
 	pageSize int
-	pages    map[pageKey]*page
+	pages    map[Key]*page
+	resident int // bytes physically stored
 
 	// lifetime counters
 	ingested uint64 // pages ingested across all snapshots
@@ -47,7 +58,7 @@ func NewStore(pageSize int) *Store {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &Store{pageSize: pageSize, pages: make(map[pageKey]*page)}
+	return &Store{pageSize: pageSize, pages: make(map[Key]*page)}
 }
 
 // PageSize returns the store's page size in bytes.
@@ -57,10 +68,9 @@ func (st *Store) PageSize() int { return st.pageSize }
 // of page references plus the exact byte length.
 type Snapshot struct {
 	store *Store
-	keys  []pageKey
+	keys  []Key
 	size  int
-	when  time.Time
-	label string
+	label string // names the snapshot in the evicted-page panic
 
 	releaseOnce sync.Once
 }
@@ -88,9 +98,7 @@ func (st *Store) TakeChunks(label string, chunks [][]byte) *Snapshot {
 	}
 	snap := &Snapshot{
 		store: st,
-		keys:  make([]pageKey, 0, total/st.pageSize+len(chunks)),
-		size:  total,
-		when:  time.Now(),
+		keys:  make([]Key, 0, total/st.pageSize+len(chunks)),
 		label: label,
 	}
 	for _, state := range chunks {
@@ -99,37 +107,95 @@ func (st *Store) TakeChunks(label string, chunks [][]byte) *Snapshot {
 			if end > len(state) {
 				end = len(state)
 			}
-			chunk := state[off:end]
-			key := sha256.Sum256(chunk)
-			st.ingested++
-			if p, ok := st.pages[key]; ok {
-				p.refs++
-				st.shared++
-			} else {
-				cp := make([]byte, len(chunk))
-				copy(cp, chunk)
-				st.pages[key] = &page{data: cp, refs: 1}
-			}
-			snap.keys = append(snap.keys, key)
+			st.hold(snap, sha256.Sum256(state[off:end]), state[off:end])
 		}
 	}
 	return snap
 }
 
-// Bytes reassembles the checkpointed state.
-func (s *Snapshot) Bytes() []byte {
-	st := s.store
+// hold appends the page named key to snap, taking one reference on it;
+// data is copied in when the store does not have the page yet. Callers
+// hold st.mu.
+func (st *Store) hold(snap *Snapshot, key Key, data []byte) {
+	st.ingested++
+	p, ok := st.pages[key]
+	if ok {
+		p.refs++
+		st.shared++
+	} else {
+		p = &page{data: append([]byte(nil), data...), refs: 1}
+		st.pages[key] = p
+		st.resident += len(data)
+	}
+	snap.keys = append(snap.keys, key)
+	snap.size += len(p.data)
+}
+
+// Assemble is TakeChunks on the receiving side of a shipment: keys is a
+// snapshot's ordered manifest (Snapshot.Keys) and pages are the page
+// bodies the sender chose to ship, in any order — a page is identified by
+// its content, so no index travels with it. When every key resolves,
+// against the store or against pages, the result is a snapshot equal to
+// the sender's, holding references like any other. Otherwise nothing is
+// stored and missing names the unresolved keys, each once, in manifest
+// order, for the sender to ship. Shipped pages the manifest does not name
+// are dropped.
+func (st *Store) Assemble(label string, keys []Key, pages [][]byte) (snap *Snapshot, missing []Key) {
+	shipped := make(map[Key][]byte, len(pages))
+	for _, pg := range pages {
+		shipped[sha256.Sum256(pg)] = pg
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]byte, 0, s.size)
-	for _, k := range s.keys {
-		p, ok := st.pages[k]
-		if !ok {
-			panic(fmt.Sprintf("checkpoint: snapshot %q references evicted page", s.label))
+	var named map[Key]bool
+	for _, k := range keys {
+		_, stored := st.pages[k]
+		_, sent := shipped[k]
+		if stored || sent || named[k] {
+			continue
 		}
-		out = append(out, p.data...)
+		if named == nil {
+			named = make(map[Key]bool)
+		}
+		named[k] = true
+		missing = append(missing, k)
 	}
-	return out[:s.size]
+	if len(missing) > 0 {
+		return nil, missing
+	}
+	snap = &Snapshot{store: st, keys: make([]Key, 0, len(keys)), label: label}
+	for _, k := range keys {
+		st.hold(snap, k, shipped[k])
+	}
+	return snap, nil
+}
+
+// Bytes reassembles the checkpointed state.
+func (s *Snapshot) Bytes() []byte {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	out := make([]byte, 0, s.size)
+	for i := range s.keys {
+		out = append(out, s.page(i)...)
+	}
+	return out
+}
+
+// Page returns the body of the snapshot's i-th page. The bytes are the
+// store's own; callers must not modify them.
+func (s *Snapshot) Page(i int) []byte {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	return s.page(i)
+}
+
+// page resolves the i-th key; callers hold the store's lock.
+func (s *Snapshot) page(i int) []byte {
+	p, ok := s.store.pages[s.keys[i]]
+	if !ok {
+		panic(fmt.Sprintf("checkpoint: snapshot %q references evicted page", s.label))
+	}
+	return p.data
 }
 
 // Release drops the snapshot's page references; pages reaching zero
@@ -144,6 +210,7 @@ func (s *Snapshot) Release() {
 				p.refs--
 				if p.refs <= 0 {
 					delete(st.pages, k)
+					st.resident -= len(p.data)
 				}
 			}
 		}
@@ -156,17 +223,17 @@ func (s *Snapshot) Pages() int { return len(s.keys) }
 // Size returns the logical byte size of the snapshot.
 func (s *Snapshot) Size() int { return s.size }
 
-// Label returns the label given at Take time.
-func (s *Snapshot) Label() string { return s.label }
-
-// When returns the creation time.
-func (s *Snapshot) When() time.Time { return s.when }
+// Keys returns the snapshot's manifest: its pages' keys in state order
+// (a page that occurs twice is listed twice). Together with the page
+// bodies it is everything Store.Assemble needs. The slice is the
+// snapshot's own; callers must not modify it.
+func (s *Snapshot) Keys() []Key { return s.keys }
 
 // SharedPages counts pages of s that are physically shared with o
 // (identical content at any position). This is the set fork's COW would
 // leave shared between the two processes.
 func (s *Snapshot) SharedPages(o *Snapshot) int {
-	other := make(map[pageKey]int, len(o.keys))
+	other := make(map[Key]int, len(o.keys))
 	for _, k := range o.keys {
 		other[k]++
 	}
@@ -216,61 +283,10 @@ type StoreStats struct {
 func (st *Store) Stats() StoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var bytes int
-	for _, p := range st.pages {
-		bytes += len(p.data)
-	}
 	return StoreStats{
 		ResidentPages: len(st.pages),
-		ResidentBytes: bytes,
+		ResidentBytes: st.resident,
 		Ingested:      st.ingested,
 		SharedHits:    st.shared,
 	}
-}
-
-// Checkpointable is implemented by nodes that can serialize their full
-// state for checkpointing and be reconstructed from it. The router
-// implements this; DiCE uses it to take checkpoints and spawn clones.
-type Checkpointable interface {
-	// EncodeState serializes the node's complete mutable state.
-	EncodeState() []byte
-}
-
-// ChunkedCheckpointable is implemented by nodes that can present their
-// state as stable, independently-mutating regions (see TakeChunks);
-// Manager prefers it when available because it yields realistic COW
-// sharing.
-type ChunkedCheckpointable interface {
-	// EncodeStateChunks serializes the node's state as stable regions.
-	EncodeStateChunks() [][]byte
-}
-
-// Manager couples a store with a node, numbering checkpoints like fork
-// would number child processes.
-type Manager struct {
-	store *Store
-	next  int
-	mu    sync.Mutex
-}
-
-// NewManager creates a Manager over a fresh store.
-func NewManager(pageSize int) *Manager {
-	return &Manager{store: NewStore(pageSize)}
-}
-
-// Store exposes the underlying page store.
-func (m *Manager) Store() *Store { return m.store }
-
-// Checkpoint snapshots the node's current state, preferring the chunked
-// encoding when the node provides one.
-func (m *Manager) Checkpoint(node Checkpointable) *Snapshot {
-	m.mu.Lock()
-	id := m.next
-	m.next++
-	m.mu.Unlock()
-	label := fmt.Sprintf("ckpt-%d", id)
-	if cn, ok := node.(ChunkedCheckpointable); ok {
-		return m.store.TakeChunks(label, cn.EncodeStateChunks())
-	}
-	return m.store.Take(label, node.EncodeState())
 }

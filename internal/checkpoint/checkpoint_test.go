@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -16,9 +17,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if s.Size() != len(data) {
 		t.Fatalf("size = %d, want %d", s.Size(), len(data))
-	}
-	if s.Label() != "a" {
-		t.Fatalf("label = %q", s.Label())
 	}
 }
 
@@ -192,20 +190,121 @@ func TestDefaultPageSize(t *testing.T) {
 	}
 }
 
-type fakeNode struct{ state []byte }
-
-func (f *fakeNode) EncodeState() []byte { return f.state }
-
-func TestManagerCheckpointNumbers(t *testing.T) {
-	m := NewManager(16)
-	n := &fakeNode{state: []byte("some state bytes here")}
-	a := m.Checkpoint(n)
-	b := m.Checkpoint(n)
-	if a.Label() == b.Label() {
-		t.Fatal("checkpoints must get distinct labels")
+// shipTo assembles src in dst from its manifest plus the page bodies at
+// the given manifest positions.
+func shipTo(dst *Store, src *Snapshot, positions ...int) (*Snapshot, []Key) {
+	pages := make([][]byte, len(positions))
+	for i, at := range positions {
+		pages[i] = src.Page(at)
 	}
-	if a.SharedPages(b) != a.Pages() {
-		t.Fatal("unchanged state should share all pages")
+	return dst.Assemble("shipped", src.Keys(), pages)
+}
+
+func allPositions(s *Snapshot) []int {
+	out := make([]int, s.Pages())
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestAssembleRoundTripsTakeChunks: a manifest plus every page body,
+// assembled in another store, is the sender's snapshot byte for byte —
+// same keys, same page boundaries, same bytes — including short
+// chunk-final pages and a page that occurs twice.
+func TestAssembleRoundTripsTakeChunks(t *testing.T) {
+	chunks := [][]byte{
+		bytes.Repeat([]byte("meta"), 5), // 20 bytes: one full page + a short one
+		bytes.Repeat([]byte{7}, 16),     // one full page...
+		bytes.Repeat([]byte{7}, 16),     // ...occurring twice
+		[]byte("a 37-byte bucket of route records...."),
+	}
+	src := NewStore(16).TakeChunks("src", chunks)
+	dst := NewStore(16)
+	got, missing := shipTo(dst, src, allPositions(src)...)
+	if len(missing) != 0 {
+		t.Fatalf("full shipment left %d keys missing", len(missing))
+	}
+	if !bytes.Equal(got.Bytes(), bytes.Join(chunks, nil)) {
+		t.Fatalf("assembled state differs from the chunks:\n%q", got.Bytes())
+	}
+	if got.Size() != src.Size() || got.Pages() != src.Pages() || got.SharedPages(src) != src.Pages() {
+		t.Fatalf("assembled %d bytes in %d pages, sender had %d in %d", got.Size(), got.Pages(), src.Size(), src.Pages())
+	}
+	// A second shipment of the same snapshot needs no page bodies at all,
+	// and one whose state grew by a chunk needs only the new chunk's page.
+	if again, missing := shipTo(dst, src); again == nil {
+		t.Fatalf("manifest-only re-shipment missed %d pages the store holds", len(missing))
+	}
+	grown := NewStore(16).TakeChunks("grown", append([][]byte{[]byte("new bucket")}, chunks...))
+	if _, missing := shipTo(dst, grown); len(missing) != 1 || missing[0] != grown.Keys()[0] {
+		t.Fatalf("grown state misses %d pages, want exactly the new chunk's", len(missing))
+	}
+	if g, _ := shipTo(dst, grown, 0); g == nil || !bytes.Equal(g.Bytes(), grown.Bytes()) {
+		t.Fatal("grown state did not assemble from its one new page")
+	}
+}
+
+// TestAssembleNamesMissingKeys: unresolved keys come back once each, in
+// manifest order, and a failed assembly stores nothing — not even the
+// pages that did arrive.
+func TestAssembleNamesMissingKeys(t *testing.T) {
+	data := make([]byte, 16*6)
+	for i := range data {
+		data[i] = byte(i / 16) // six distinct pages
+	}
+	copy(data[16*4:], data[16*1:16*2]) // page 4 repeats page 1
+	src := NewStore(16).Take("src", data)
+	dst := NewStore(16)
+	snap, missing := shipTo(dst, src, 0, 3)
+	if snap != nil {
+		t.Fatal("assembled a snapshot with pages missing")
+	}
+	keys := src.Keys()
+	if want := []Key{keys[1], keys[2], keys[5]}; !reflect.DeepEqual(missing, want) {
+		t.Fatalf("missing = %x, want pages 1, 2, 5 once each in manifest order", missing)
+	}
+	if st := dst.Stats(); st.ResidentPages != 0 || st.ResidentBytes != 0 || st.Ingested != 0 {
+		t.Fatalf("failed assembly left state behind: %+v", st)
+	}
+	// The recovery shipment — every page — resolves, and a page the
+	// manifest does not name is dropped rather than stored.
+	pages := [][]byte{[]byte("not in the manifest")}
+	for i := range keys {
+		pages = append(pages, src.Page(i))
+	}
+	snap, missing = dst.Assemble("full", keys, pages)
+	if len(missing) != 0 || !bytes.Equal(snap.Bytes(), data) {
+		t.Fatalf("full re-send: %d missing, bytes equal %v", len(missing), snap != nil && bytes.Equal(snap.Bytes(), data))
+	}
+	if st := dst.Stats(); st.ResidentPages != 5 || st.ResidentBytes != 16*5 {
+		t.Fatalf("store holds %d pages / %d bytes, want the manifest's 5 distinct pages", st.ResidentPages, st.ResidentBytes)
+	}
+}
+
+// TestReleaseEvictsExactlyUnsharedPages: reference counts are the whole
+// eviction policy — releasing a snapshot frees the pages only it held, to
+// the byte, and leaves every page another snapshot names.
+func TestReleaseEvictsExactlyUnsharedPages(t *testing.T) {
+	st := NewStore(16)
+	shared := bytes.Repeat([]byte("shared-page-----"), 3)
+	a := st.TakeChunks("a", [][]byte{shared, []byte("only a, page one"), []byte("only a, short")})
+	b := st.TakeChunks("b", [][]byte{shared, []byte("only b")})
+	before := st.Stats()
+	a.Release()
+	after := st.Stats()
+	if got := before.ResidentPages - after.ResidentPages; got != 2 {
+		t.Errorf("release evicted %d pages, want a's 2 private ones", got)
+	}
+	if got, want := before.ResidentBytes-after.ResidentBytes, len("only a, page one")+len("only a, short"); got != want {
+		t.Errorf("release freed %d bytes, want %d", got, want)
+	}
+	if !bytes.Equal(b.Bytes(), append(append([]byte{}, shared...), "only b"...)) {
+		t.Error("surviving snapshot lost a page it shares with the released one")
+	}
+	b.Release()
+	if st := st.Stats(); st.ResidentPages != 0 || st.ResidentBytes != 0 {
+		t.Errorf("store not empty after every release: %+v", st)
 	}
 }
 

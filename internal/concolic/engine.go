@@ -144,16 +144,9 @@ type Options struct {
 	Strategy Strategy
 	// MaxRuns bounds the number of handler executions (0 = 10000).
 	MaxRuns int
-	// MaxDepth bounds how deep in the path condition predicates are
-	// negated (0 = unlimited).
-	MaxDepth int
 	// Workers is the number of parallel exploration goroutines (0 = 1).
 	// The paper's Oasis "can execute multiple explorations in parallel".
 	Workers int
-	// SolverNodes is the per-query solver budget (0 = solver default).
-	SolverNodes int
-	// TimeBudget stops exploration after this duration (0 = unlimited).
-	TimeBudget time.Duration
 	// Cancel, when non-nil, stops exploration as soon as it is closed
 	// (checked between runs). DiCE uses it to halt online exploration
 	// when the operator or an experiment ends the testing window.

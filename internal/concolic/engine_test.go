@@ -203,29 +203,6 @@ func TestMaxRunsBudget(t *testing.T) {
 	}
 }
 
-// TestMaxDepthLimitsNegation: only the first MaxDepth predicates are
-// negated.
-func TestMaxDepthLimitsNegation(t *testing.T) {
-	handler := func(rc *RunContext) any {
-		x := rc.Input("x")
-		n := 0
-		for i := 0; i < 8; i++ {
-			if rc.Branch(Eq(And(Shr(x, Concrete(uint64(i), 32)), Concrete(1, 32)), Concrete(1, 32))) {
-				n++
-			}
-		}
-		return n
-	}
-	eng := NewEngine(handler, Options{MaxDepth: 2})
-	eng.Var("x", 32, 0)
-	rep := eng.Explore()
-	// Depth 2 over 8 independent bits: reachable paths are those differing
-	// from some explored path in the first two bits only → exactly 4.
-	if len(rep.Paths) != 4 {
-		t.Fatalf("want 4 paths at depth 2, got %d", len(rep.Paths))
-	}
-}
-
 // TestConcretizeOpaque: dropping a hash constraint keeps exploration sound
 // (no constraint recorded, run completes).
 func TestConcretizeOpaque(t *testing.T) {

@@ -99,7 +99,6 @@ const pathSigSep = 0x70617468 // "path"
 // outside its critical sections.
 type frontier struct {
 	strategy Strategy
-	maxDepth int
 	state    *ExploreState // cross-round memory; may be nil
 
 	seen      map[PathSig][]pathRec        // path signatures executed this round
@@ -114,10 +113,9 @@ type frontier struct {
 	skippedNegations int // negations suppressed because a prior round attempted them
 }
 
-func newFrontier(strategy Strategy, maxDepth int, state *ExploreState) *frontier {
+func newFrontier(strategy Strategy, state *ExploreState) *frontier {
 	f := &frontier{
 		strategy: strategy,
-		maxDepth: maxDepth,
 		state:    state,
 		seen:     make(map[PathSig][]pathRec),
 		attempts: make(map[sym.Fingerprint][]negRec),
@@ -201,16 +199,12 @@ func (f *frontier) fold(assumes, path []sym.Expr, env sym.Env, bound int) (fresh
 		f.skippedPaths++
 		fresh = false
 	}
-	limit := len(path)
-	if f.maxDepth > 0 && limit > f.maxDepth {
-		limit = f.maxDepth
-	}
 	// pfp rolls over assumes ∧ path[:i] as i advances: O(1) per branch.
 	pfp := afp
-	for i := 0; i < bound && i < limit; i++ {
+	for i := 0; i < bound && i < len(path); i++ {
 		pfp = pfp.Extend(path[i])
 	}
-	for i := bound; i < limit; i, pfp = i+1, pfp.Extend(path[i]) {
+	for i := bound; i < len(path); i, pfp = i+1, pfp.Extend(path[i]) {
 		neg := sym.NewNot(path[i])
 		key := pfp.Extend(neg)
 		if !f.recordAttempt(key, assumes, path, i, neg) {

@@ -9,7 +9,7 @@ import (
 // foldTwoPaths folds two independent two-predicate paths into a frontier
 // and returns the negated-constraint names in pop (drain) order.
 func foldTwoPaths(strategy Strategy) []string {
-	f := newFrontier(strategy, 0, nil)
+	f := newFrontier(strategy, nil)
 	mk := func(id int, name string) sym.Expr {
 		return sym.NewCmp(sym.OpEq, &sym.Var{ID: id, Name: name, W: 8}, sym.NewConst(1, 8))
 	}
@@ -58,7 +58,7 @@ func TestFrontierDrainOrder(t *testing.T) {
 // TestFrontierDedupsAttempts: folding the same path twice schedules its
 // negations only once, and a duplicate path is not fresh.
 func TestFrontierDedupsAttempts(t *testing.T) {
-	f := newFrontier(Generational, 0, nil)
+	f := newFrontier(Generational, nil)
 	path := []sym.Expr{
 		sym.NewCmp(sym.OpEq, &sym.Var{ID: 0, Name: "x", W: 8}, sym.NewConst(1, 8)),
 	}
@@ -93,28 +93,7 @@ func BenchmarkFrontierFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := newFrontier(Generational, 0, nil)
+		f := newFrontier(Generational, nil)
 		f.fold(nil, path, env, 0)
-	}
-}
-
-// TestFrontierMaxDepth: predicates beyond MaxDepth are never scheduled.
-func TestFrontierMaxDepth(t *testing.T) {
-	f := newFrontier(Generational, 2, nil)
-	mk := func(id int) sym.Expr {
-		return sym.NewCmp(sym.OpEq, &sym.Var{ID: id, Name: "v", W: 8}, sym.NewConst(1, 8))
-	}
-	f.fold(nil, []sym.Expr{mk(0), mk(1), mk(2), mk(3)}, sym.Env{}, 0)
-	if f.pending() != 2 {
-		t.Fatalf("pending = %d, want 2 (MaxDepth)", f.pending())
-	}
-	for {
-		it, ok := f.pop()
-		if !ok {
-			break
-		}
-		if it.depth >= 2 {
-			t.Fatalf("scheduled negation at depth %d beyond MaxDepth 2", it.depth)
-		}
 	}
 }

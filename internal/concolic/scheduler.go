@@ -27,9 +27,8 @@ type shard struct {
 	active int  // this shard's items currently being processed
 	paths  []*PathResult
 
-	deadline time.Time
-	start    time.Time
-	finish   time.Time // when this shard's own work drained (not the fleet's)
+	start  time.Time
+	finish time.Time // when this shard's own work drained (not the fleet's)
 
 	solverCalls, solverSat, solverUnsat atomic.Int64
 }
@@ -54,15 +53,13 @@ func (sh *shard) expired() (string, bool) {
 		return "cancelled", true
 	case sh.runs >= sh.e.opts.MaxRuns:
 		return "max-runs", true
-	case !sh.deadline.IsZero() && time.Now().After(sh.deadline):
-		return "time", true
 	}
 	return "", false
 }
 
 // scheduler drives one exploration round over one or more shards: a pool
 // of worker goroutines drains the shards' frontiers, each worker owning
-// reusable solvers. The frontiers and the per-shard run/seq budget
+// one reusable solver. The frontiers and the per-shard run/seq budget
 // counters live behind a single short mutex; handler executions, solver
 // searches and path judges — the expensive parts — run outside it, and
 // solver statistics are per-shard atomics so workers never serialize on
@@ -84,9 +81,9 @@ type scheduler struct {
 	active  int // items being processed across all shards
 	running int // worker goroutines alive
 	rr      int // round-robin cursor over shards for fairness
-	// idle holds the solver sets of workers that exited, for the next
-	// worker started: the propagated prefix chains outlive the goroutine.
-	idle []map[int]*solver.Solver
+	// idle holds the solvers of workers that exited, for the next worker
+	// started: the propagated prefix chains outlive the goroutine.
+	idle []*solver.Solver
 }
 
 func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
@@ -99,7 +96,7 @@ func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
 		shards[i] = &shard{
 			id:    id,
 			e:     e,
-			front: newFrontier(e.opts.Strategy, e.opts.MaxDepth, e.opts.State),
+			front: newFrontier(e.opts.Strategy, e.opts.State),
 		}
 	}
 	if workers <= 0 {
@@ -239,25 +236,18 @@ func (sch *scheduler) noteIdle(sh *shard) {
 }
 
 // worker drains the shards until it finds nothing queued. Each worker
-// keeps one reusable solver per node budget so the propagated
-// prefix-snapshot chain (solver/prefix.go) survives across queries,
-// including when the fleet mixes engines with different SolverNodes
-// settings.
+// keeps one reusable solver so the propagated prefix-snapshot chain
+// (solver/prefix.go) survives across queries.
 func (sch *scheduler) worker() {
 	defer sch.wg.Done()
+	var sv *solver.Solver
 	sch.mu.Lock()
-	solvers := map[int]*solver.Solver{}
 	if n := len(sch.idle); n > 0 {
-		solvers, sch.idle = sch.idle[n-1], sch.idle[:n-1]
+		sv, sch.idle = sch.idle[n-1], sch.idle[:n-1]
 	}
 	sch.mu.Unlock()
-	solverFor := func(sh *shard) *solver.Solver {
-		sv, ok := solvers[sh.e.opts.SolverNodes]
-		if !ok {
-			sv = solver.New(solver.Options{MaxNodes: sh.e.opts.SolverNodes})
-			solvers[sh.e.opts.SolverNodes] = sv
-		}
-		return sv
+	if sv == nil {
+		sv = solver.New(solver.Options{})
 	}
 	var last *shard
 	for {
@@ -267,7 +257,7 @@ func (sch *scheduler) worker() {
 			// Nothing queued. Items still in flight belong to workers
 			// that will staff the pool again if they fold new work.
 			sch.running--
-			sch.idle = append(sch.idle, solvers)
+			sch.idle = append(sch.idle, sv)
 			sch.mu.Unlock()
 			return
 		}
@@ -291,7 +281,7 @@ func (sch *scheduler) worker() {
 
 		// One conjunction allocation per solved item; the solver reuses
 		// its propagated snapshot of the shared prefix (prefix.go).
-		env, res := solverFor(sh).SolvePrefixed(item.conjunction(), item.hint)
+		env, res := sv.SolvePrefixed(item.conjunction(), item.hint)
 		sh.solverCalls.Add(1)
 		switch res {
 		case solver.Sat:
@@ -336,9 +326,6 @@ func (sch *scheduler) worker() {
 func (sch *scheduler) run() []*Report {
 	for _, sh := range sch.shards {
 		sh.start = time.Now()
-		if sh.e.opts.TimeBudget > 0 {
-			sh.deadline = sh.start.Add(sh.e.opts.TimeBudget)
-		}
 		if sh.e.opts.State != nil {
 			sh.e.opts.State.beginRound()
 		}

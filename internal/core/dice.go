@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"dice/internal/bgp"
 	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/minimize"
@@ -52,8 +51,6 @@ type Options struct {
 	// so checkpointing serializes against message processing, as fork()
 	// serializes against the process it snapshots.
 	CloneLock sync.Locker
-	// PageSize for checkpoint accounting (0 = 4096).
-	PageSize int
 	// LeakBoundaryCommunity is the community the routeleak scenario's
 	// oracle treats as the no-export policy boundary (0 = the RFC 1997
 	// well-known NO_EXPORT). Federated experiments set it from the
@@ -170,29 +167,10 @@ func (d *DiCE) ExploreScenario(name, peerName string) (*Result, error) {
 	return d.exploreRound(sc, peerName, seed)
 }
 
-// ExploreScenarioSeed runs one round of the named scenario from an
-// explicitly provided seed (whose type must match the scenario's own).
-func (d *DiCE) ExploreScenarioSeed(name, peerName string, seed any) (*Result, error) {
-	sc, ok := LookupScenario(name)
-	if !ok {
-		return nil, fmt.Errorf("dice: unknown scenario %q (registered: %v)", name, ScenarioNames())
-	}
-	return d.exploreRound(sc, peerName, seed)
-}
-
 // ExplorePeer runs one UPDATE exploration round using the most recent
 // UPDATE observed from the named peer as the seed input.
 func (d *DiCE) ExplorePeer(peerName string) (*Result, error) {
 	return d.ExploreScenario(ScenarioUpdate, peerName)
-}
-
-// ExploreSeed runs one UPDATE exploration round from an explicitly
-// provided seed (normally ExplorePeer supplies the last observed one).
-func (d *DiCE) ExploreSeed(peerName string, seed *bgp.Update) (*Result, error) {
-	if len(seed.NLRI) == 0 {
-		return nil, fmt.Errorf("dice: seed UPDATE for %q carries no NLRI", peerName)
-	}
-	return d.exploreRound(updateScenario{}, peerName, seed)
 }
 
 // exploreRound is the scenario-independent round machinery: the shared
@@ -212,7 +190,7 @@ func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, er
 		decorate runDecorator
 	)
 	if d.opts.MeasureMemory {
-		meter = &memoryMeter{store: checkpoint.NewStore(d.opts.PageSize)}
+		meter = &memoryMeter{store: checkpoint.NewStore(0)}
 		decorate = meter.decorate
 	}
 	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: sc.Name(), Boundary: d.opts.LeakBoundaryCommunity}

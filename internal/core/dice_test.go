@@ -347,8 +347,7 @@ func TestExploreSnapshotMatchesLive(t *testing.T) {
 
 	// Ship the checkpoint, restore, explore remotely.
 	state := f.Provider.EncodeState()
-	remote, err := ExploreSnapshot(NodeProvider, f.Provider.Config(), state, NodeCustomer, seed,
-		Options{Engine: concolic.Options{MaxRuns: 2000}})
+	remote, err := exploreRestored(f, state, seed, concolic.Options{MaxRuns: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}

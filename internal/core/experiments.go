@@ -29,11 +29,6 @@ type Scale struct {
 	Seed        int64
 }
 
-// DefaultScale is a laptop-friendly configuration.
-func DefaultScale() Scale {
-	return Scale{TableSize: 20000, UpdateCount: 250, ExploreRuns: 2000, Seed: 1}
-}
-
 // genTrace builds the experiment trace at the given scale. Records inside
 // the customer's own allocation are dropped: in the non-hijacked steady
 // state the rest of the Internet does not originate routes inside a

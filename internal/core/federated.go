@@ -11,6 +11,7 @@ import (
 	"dice/internal/netaddr"
 	"dice/internal/netsim"
 	"dice/internal/prop"
+	"dice/internal/rib"
 	"dice/internal/router"
 )
 
@@ -438,39 +439,65 @@ func (fe *FederatedExperiment) OpenShadows() (Shadows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fabricShadows{shadow, fe.driver.Boundary}, nil
+	return fabricShadows{shadow, fe.driver}, nil
 }
 
 // fabricShadows is a shadow fabric as the driver's Shadows: routers are
 // read directly and netsim is the wave scheduler.
 type fabricShadows struct {
 	*Fabric
-	boundary uint32
+	driver *Driver
 }
 
 func (s fabricShadows) Query(nodes []string, p netaddr.Prefix, wantAt bool) (map[string]RouteView, error) {
+	var props []*prop.Compiled
+	if wantAt {
+		props = s.driver.Props
+	}
 	out := make(map[string]RouteView, len(nodes))
 	for _, name := range nodes {
 		r := s.Routers[name]
 		if r == nil {
 			continue
 		}
-		var v RouteView
-		if rt := r.RIB().Best(p); rt != nil {
-			v.Token = rt
-			if wantAt {
-				v.Route = prop.NewEnv(p, &rt.Attrs, s.boundary)
-			}
-		}
-		if cov := r.RIB().CoveringBest(p); cov != nil {
-			v.Hop = ForwardHop{HasCovering: true, Local: cov.Local}
-			if !cov.Local {
-				v.Hop.NextPeer = r.PeerNameByAddr(cov.PeerRouterID)
-			}
+		best, hop, atMatch := QueryRoute(r, p, props, s.driver.Boundary)
+		v := RouteView{Hop: hop, AtMatch: atMatch}
+		if best != nil {
+			v.Token = best // the route object is its own identity in process
 		}
 		out[name] = v
 	}
 	return out, nil
+}
+
+// QueryRoute is the narrow cross-domain route query, computed in one
+// place for both backends (fabricShadows.Query here, the node agent's
+// query_oracle over RPC): r's exact-prefix best route for p (nil when it
+// has none — the backend turns the object into its own identity token),
+// the covering best route's forwarding decision, and one `at` verdict
+// per property in props over the best route, by list index. A node
+// without a best route answers true throughout: the driver only consults
+// verdicts for witness-installed nodes. An empty props asks for no `at`
+// evidence.
+func QueryRoute(r *router.Router, p netaddr.Prefix, props []*prop.Compiled, boundary uint32) (best *rib.Route, hop ForwardHop, atMatch []bool) {
+	best = r.RIB().Best(p)
+	if cov := r.RIB().CoveringBest(p); cov != nil {
+		hop = ForwardHop{HasCovering: true, Local: cov.Local}
+		if !cov.Local {
+			hop.NextPeer = r.PeerNameByAddr(cov.PeerRouterID)
+		}
+	}
+	if len(props) > 0 {
+		var env *prop.Env
+		if best != nil {
+			env = prop.NewEnv(p, &best.Attrs, boundary)
+		}
+		atMatch = make([]bool, len(props))
+		for i, c := range props {
+			atMatch[i] = c.AtMatches(env)
+		}
+	}
+	return best, hop, atMatch
 }
 
 func (s fabricShadows) Propagate(from, to string, u *bgp.Update, maxSteps int) (prop.Phase, error) {

@@ -71,10 +71,8 @@ type RouteView struct {
 	Token any
 	// Hop is the covering best route's forwarding decision.
 	Hop ForwardHop
-	// `at` evidence about the best route, when asked for: the route
-	// itself where the backend can see it (in-process), per-property
-	// verdicts where it cannot (RPC). See prop.NodeFacts.
-	Route   *prop.Env
+	// AtMatch is the `at` evidence about the best route, when asked for:
+	// one verdict per property of the driver's set, by index (QueryRoute).
 	AtMatch []bool
 }
 
@@ -441,7 +439,7 @@ func (d *Driver) CollectFacts(f Fleet, sh Shadows, w WitnessSpec) (*prop.Facts, 
 		}
 		facts.Nodes = append(facts.Nodes, prop.NodeFacts{
 			Name: name, Hops: hops, Terminal: terminal, Delivered: delivered, Path: path,
-			Route: v.Route, AtMatch: v.AtMatch,
+			AtMatch: v.AtMatch,
 		})
 	}
 

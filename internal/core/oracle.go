@@ -128,7 +128,7 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 				sym.NewBin(sym.OpAnd, addrVar, sym.NewConst(uint64(uint32(netaddr.Mask(vic.Prefix.Bits()))), 32)),
 				sym.NewConst(uint64(uint32(vic.Prefix.Addr())), 32)),
 			sym.NewCmp(sym.OpGe, lenVar, sym.NewConst(uint64(vic.Prefix.Bits()), 8)))
-		env, res := solver.New(solver.Options{Hint: p.Env}).Solve(query)
+		env, res := solver.New(solver.Options{}).SolveHinted(query, p.Env)
 		if res != solver.Sat {
 			continue
 		}

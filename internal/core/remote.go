@@ -11,23 +11,6 @@ import (
 	"dice/internal/router"
 )
 
-// ExploreSnapshot restores a serialized checkpoint and runs a DiCE
-// exploration round over it — the §2.4 vision made concrete: "enable
-// remote nodes to checkpoint their state and process these messages in
-// isolation over their checkpointed states". The state bytes and the
-// node's configuration never leave the node's own administrative domain;
-// this function runs wherever the domain chooses (e.g. a testing replica),
-// and the restored router's traffic goes to a capture sink, never the
-// wire.
-func ExploreSnapshot(name string, cfg *config.Config, state []byte, peerName string, seed *bgp.Update, opts Options) (*Result, error) {
-	restored, err := router.DecodeState(name, cfg, netsim.NewCaptureSink(), state)
-	if err != nil {
-		return nil, err
-	}
-	d := New(restored, opts)
-	return d.ExploreSeed(peerName, seed)
-}
-
 // ErrSeedNotShippable marks a scenario whose seed is not a concrete
 // UPDATE and therefore cannot travel to an exploration replica; the
 // caller explores such targets on the node itself.
@@ -54,7 +37,12 @@ func ShippableSeed(live *router.Router, tg ResolvedTarget) (*bgp.Update, error) 
 }
 
 // PrepareRestored is the replica-side counterpart of the node agent's
-// explore pipeline: restore the shipped checkpoint, then run the exact
+// explore pipeline — the §2.4 vision made concrete: "enable remote nodes
+// to checkpoint their state and process these messages in isolation over
+// their checkpointed states". It runs wherever the node's domain chooses
+// (e.g. a testing replica), and the restored router's traffic goes to a
+// capture sink, never the wire. Restore the shipped checkpoint, then run
+// the exact
 // PrepareTarget prep over the restored router — same scenario lookup,
 // checkpoint clone, COW handler, declaration — with the shipped seed. A
 // checkpoint-restored router has no observation history (DecodeState

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dice/internal/bgp"
 	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 )
@@ -16,6 +17,18 @@ import (
 // ExploreState must compose with snapshot restoration — the agent keeps
 // state server-side across Explore calls while every round runs over a
 // freshly restored clone.
+
+// exploreRestored explores provider←customer over a shipped checkpoint
+// the way a replica does (dist.Replica.explore): PrepareRestored, then
+// the prepared engine's exploration and the scenario's fold.
+func exploreRestored(f *Fig2, state []byte, seed *bgp.Update, engOpts concolic.Options) (*Result, error) {
+	tg := ResolvedTarget{Node: NodeProvider, Peer: NodeCustomer, Scenario: ScenarioUpdate, Explicit: true}
+	tp, restored, err := PrepareRestored(NodeProvider, f.Provider.Config(), state, tg, seed, engOpts)
+	if err != nil {
+		return nil, err
+	}
+	return tp.Analyze(restored, engOpts, 0, tp.Engine.Explore()), nil
+}
 
 // TestCheckpointChunksRoundTrip: EncodeStateChunks through a checkpoint
 // store reassembles to the exact EncodeState bytes, restores to an
@@ -37,8 +50,7 @@ func TestCheckpointChunksRoundTrip(t *testing.T) {
 		t.Fatalf("chunked store round-trip differs: %d vs %d bytes", len(state), len(want))
 	}
 
-	restored, err := ExploreSnapshot(NodeProvider, f.Provider.Config(), state, NodeCustomer,
-		f.Provider.LastObserved(NodeCustomer), Options{Engine: concolic.Options{MaxRuns: 50}})
+	restored, err := exploreRestored(f, state, f.Provider.LastObserved(NodeCustomer), concolic.Options{MaxRuns: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +88,11 @@ func TestExploreSnapshotWarmState(t *testing.T) {
 	state := f.Provider.EncodeState()
 
 	warm := concolic.NewExploreState()
-	opts := func() Options {
-		return Options{Engine: concolic.Options{MaxRuns: 2000, State: warm}}
+	opts := func() concolic.Options {
+		return concolic.Options{MaxRuns: 2000, State: warm}
 	}
 
-	cold, err := ExploreSnapshot(NodeProvider, f.Provider.Config(), state, NodeCustomer, seed, opts())
+	cold, err := exploreRestored(f, state, seed, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +100,7 @@ func TestExploreSnapshotWarmState(t *testing.T) {
 		t.Fatal("cold snapshot round explored no paths")
 	}
 
-	rewarmed, err := ExploreSnapshot(NodeProvider, f.Provider.Config(), state, NodeCustomer, seed, opts())
+	rewarmed, err := exploreRestored(f, state, seed, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +137,7 @@ func TestExploreSnapshotRejectsCorruptState(t *testing.T) {
 		"extra prefix": append(append([]byte{}, state...), 0xde, 0xad),
 	}
 	for name, corrupt := range cases {
-		if _, err := ExploreSnapshot(NodeProvider, f.Provider.Config(), corrupt, NodeCustomer, seed,
-			Options{Engine: concolic.Options{MaxRuns: 10}}); err == nil {
+		if _, err := exploreRestored(f, corrupt, seed, concolic.Options{MaxRuns: 10}); err == nil {
 			t.Errorf("%s state restored without error", name)
 		}
 	}

@@ -24,6 +24,13 @@ import (
 // virtual clock advanced between them, and the fabric is converged at
 // the end. It returns the number of records injected.
 func (f *Fabric) ReplayTrace(node, peer string, records []trace.Record) (int, error) {
+	dump, updates := trace.Split(records)
+	return f.replay(node, peer, dump, updates)
+}
+
+// replay is ReplayTrace over an already split trace; the Fig. 2 table
+// load and update replay are its dump-only and updates-only callers.
+func (f *Fabric) replay(node, peer string, dump, updates []trace.Record) (int, error) {
 	sender := f.Routers[peer]
 	if sender == nil {
 		return 0, fmt.Errorf("replay: unknown ingress peer %q", peer)
@@ -36,7 +43,6 @@ func (f *Fabric) ReplayTrace(node, peer string, records []trace.Record) (int, er
 		return 0, fmt.Errorf("replay: %s→%s session not established", peer, node)
 	}
 
-	dump, updates := trace.Split(records)
 	n := 0
 	for _, rec := range dump {
 		if err := sess.SendUpdate(trace.ToUpdate(rec)); err != nil {

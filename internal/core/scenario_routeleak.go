@@ -52,7 +52,7 @@ func (routeleakScenario) Judge(round *Round, p *concolic.PathResult) any {
 	}
 	cs := p.Constraints()
 	query := append(cs, sym.NewCmp(sym.OpEq, router.LeakInputs.Var(router.LeakCommunity), sym.NewConst(uint64(round.Boundary), 32)))
-	env, sat := solver.New(solver.Options{Hint: p.Env}).Solve(query)
+	env, sat := solver.New(solver.Options{}).SolveHinted(query, p.Env)
 	if sat != solver.Sat {
 		return nil
 	}

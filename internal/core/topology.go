@@ -92,12 +92,15 @@ filter customer_in {
     accept;
 }`
 
-// Fig2 is the instantiated experimental topology.
+// Fig2 is the instantiated experimental topology: a three-node Topology
+// built by Topology.Build, with the roles named.
 type Fig2 struct {
 	Net      *netsim.Network
 	Customer *router.Router
 	Provider *router.Router
 	Internet *router.Router
+
+	fabric *Fabric
 }
 
 // Fig2Options parameterizes the topology.
@@ -107,16 +110,6 @@ type Fig2Options struct {
 	CustomerFilter string
 	// Anycast space configured at the provider (FP suppression).
 	Anycast []netaddr.Prefix
-	// LinkLatency between nodes (0 = 1ms).
-	LinkLatency time.Duration
-}
-
-// newFig2WithProviderConfig builds the topology with a fully custom
-// provider configuration (filters, peers, export policies); customer and
-// internet keep their standard roles. Used by tests exercising export
-// policy variations.
-func newFig2WithProviderConfig(providerSrc string) (*Fig2, error) {
-	return buildFig2(providerSrc, time.Millisecond)
 }
 
 // NewFig2 builds and converges the three-router topology.
@@ -124,32 +117,28 @@ func NewFig2(opts Fig2Options) (*Fig2, error) {
 	if opts.CustomerFilter == "" {
 		opts.CustomerFilter = CorrectCustomerFilter
 	}
-	if opts.LinkLatency == 0 {
-		opts.LinkLatency = time.Millisecond
-	}
 
 	anycast := ""
 	for _, a := range opts.Anycast {
 		anycast += fmt.Sprintf("anycast %s;\n", a)
 	}
 
-	providerSrc := fmt.Sprintf(`
+	return newFig2WithProviderConfig(fmt.Sprintf(`
 		router id 10.0.0.2;
 		local as %d;
 		%s
 		%s
 		peer %s { remote 10.0.0.1 as %d; import filter customer_in; }
 		peer %s { remote 10.0.0.3 as %d; }
-	`, ProviderAS, opts.CustomerFilter, anycast, NodeCustomer, CustomerAS, NodeInternet, InternetAS)
-
-	return buildFig2(providerSrc, opts.LinkLatency)
+	`, ProviderAS, opts.CustomerFilter, anycast, NodeCustomer, CustomerAS, NodeInternet, InternetAS))
 }
 
-// buildFig2 assembles the three-router topology around a provider config.
-func buildFig2(providerSrc string, latency time.Duration) (*Fig2, error) {
-	if latency == 0 {
-		latency = time.Millisecond
-	}
+// newFig2WithProviderConfig builds the topology around a fully custom
+// provider configuration (filters, peers, export policies); customer and
+// internet keep their standard roles. Node, link and start order are
+// Build's — customer, provider, internet — which netsim's same-timestamp
+// tie-breaks, and so every golden, depend on.
+func newFig2WithProviderConfig(providerSrc string) (*Fig2, error) {
 	customerSrc := fmt.Sprintf(`
 		router id 10.0.0.1;
 		local as %d;
@@ -163,94 +152,42 @@ func buildFig2(providerSrc string, latency time.Duration) (*Fig2, error) {
 		peer %s { remote 10.0.0.2 as %d; }
 	`, InternetAS, NodeProvider, ProviderAS)
 
-	net := netsim.New(time.Unix(1_300_000_000, 0)) // roughly the paper's epoch
-
-	build := func(name, src string) (*router.Router, error) {
-		cfg, err := config.Parse(src)
-		if err != nil {
-			return nil, fmt.Errorf("fig2: %s config: %w", name, err)
-		}
-		r := router.New(name, cfg, net)
-		if err := net.AddNode(name, r); err != nil {
-			return nil, err
-		}
-		return r, nil
+	topo := &Topology{
+		Name: "fig2",
+		Nodes: []TopoNode{
+			{Name: NodeCustomer, Config: []string{customerSrc}},
+			{Name: NodeProvider, Config: []string{providerSrc}},
+			{Name: NodeInternet, Config: []string{internetSrc}},
+		},
+		Edges: []TopoEdge{{A: NodeCustomer, B: NodeProvider}, {A: NodeProvider, B: NodeInternet}},
 	}
-
-	f := &Fig2{Net: net}
-	var err error
-	if f.Customer, err = build(NodeCustomer, customerSrc); err != nil {
+	fabric, err := topo.Build()
+	if err != nil {
 		return nil, err
 	}
-	if f.Provider, err = build(NodeProvider, providerSrc); err != nil {
-		return nil, err
-	}
-	if f.Internet, err = build(NodeInternet, internetSrc); err != nil {
-		return nil, err
-	}
-	if err := net.Connect(NodeCustomer, NodeProvider, latency); err != nil {
-		return nil, err
-	}
-	if err := net.Connect(NodeProvider, NodeInternet, latency); err != nil {
-		return nil, err
-	}
-	for _, r := range []*router.Router{f.Customer, f.Provider, f.Internet} {
-		if err := r.Start(net.Now()); err != nil {
-			return nil, err
-		}
-	}
-	net.Run(0) // converge sessions and initial announcements
-	return f, nil
+	return &Fig2{
+		Net:      fabric.Net,
+		Customer: fabric.Routers[NodeCustomer],
+		Provider: fabric.Routers[NodeProvider],
+		Internet: fabric.Routers[NodeInternet],
+		fabric:   fabric,
+	}, nil
 }
 
 // LoadTable replays trace dump records into the provider from the
 // Internet side ("the DiCE-enabled router loads N prefixes from the rest
 // of the Internet"). Returns the number of updates delivered.
 func (f *Fig2) LoadTable(records []trace.Record) (int, error) {
-	sess := f.Internet.Session(NodeProvider)
-	if sess == nil || sess.State() != bgp.StateEstablished {
-		return 0, fmt.Errorf("fig2: internet-provider session not established")
-	}
-	n := 0
-	for _, rec := range records {
-		if rec.Kind != trace.KindDump {
-			continue
-		}
-		if err := sess.SendUpdate(trace.ToUpdate(rec)); err != nil {
-			return n, err
-		}
-		n++
-		// Drain periodically so the netsim queue stays small.
-		if n%1024 == 0 {
-			f.Net.Run(0)
-		}
-	}
-	f.Net.Run(0)
-	return n, nil
+	dump, _ := trace.Split(records)
+	return f.fabric.replay(NodeProvider, NodeInternet, dump, nil)
 }
 
 // ReplayUpdates replays incremental trace records through the
 // internet→provider session, advancing virtual time to each record's
 // offset. Returns the number of updates delivered.
 func (f *Fig2) ReplayUpdates(records []trace.Record) (int, error) {
-	sess := f.Internet.Session(NodeProvider)
-	if sess == nil || sess.State() != bgp.StateEstablished {
-		return 0, fmt.Errorf("fig2: internet-provider session not established")
-	}
-	start := f.Net.Now()
-	n := 0
-	for _, rec := range records {
-		if rec.Kind == trace.KindDump {
-			continue
-		}
-		f.Net.RunUntil(start.Add(rec.At))
-		if err := sess.SendUpdate(trace.ToUpdate(rec)); err != nil {
-			return n, err
-		}
-		n++
-	}
-	f.Net.Run(0)
-	return n, nil
+	_, updates := trace.Split(records)
+	return f.fabric.replay(NodeProvider, NodeInternet, nil, updates)
 }
 
 // --- Federated topology files ------------------------------------------------

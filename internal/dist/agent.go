@@ -291,27 +291,25 @@ func (a *Agent) hello(p *HelloParams) (*HelloResult, error) {
 	}, nil
 }
 
-// checkpoint serializes the node's state into the page store and returns
-// the bytes. Successive checkpoints share unchanged pages; only the
-// latest snapshot is retained.
+// checkpoint serializes the node's state as its stable regions, pages
+// them into the agent's store for the §4.1 accounting and returns the
+// regions; the receiver pages them the same way (CheckpointResult.Chunks).
+// Successive checkpoints share unchanged pages; only the latest snapshot
+// is retained.
 func (a *Agent) checkpoint() (*CheckpointResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	before := a.store.Stats()
-	snap := a.store.TakeChunks(fmt.Sprintf("%s-ckpt", a.node), a.self.EncodeStateChunks())
+	chunks := a.self.EncodeStateChunks()
+	snap := a.store.TakeChunks(a.node, chunks)
 	after := a.store.Stats()
 	if a.lastSnap != nil {
 		a.lastSnap.Release()
 	}
 	a.lastSnap = snap
-	ingested := int(after.Ingested - before.Ingested)
-	shared := int(after.SharedHits - before.SharedHits)
-	a.am.noteCheckpoint(snap.Pages(), ingested-shared)
-	return &CheckpointResult{
-		State:       snap.Bytes(),
-		Pages:       snap.Pages(),
-		UniquePages: ingested - shared,
-	}, nil
+	unique := int(after.Ingested-before.Ingested) - int(after.SharedHits-before.SharedHits)
+	a.am.noteCheckpoint(snap.Pages(), unique)
+	return &CheckpointResult{Chunks: chunks, Pages: snap.Pages(), UniquePages: unique}, nil
 }
 
 // explore runs one concolic exploration round on the agent's node
@@ -530,31 +528,19 @@ func (a *Agent) queryOracle(p *QueryOracleParams) (*QueryOracleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := sh.r
-	out := &QueryOracleResult{}
-	best := r.RIB().Best(p.Prefix)
+	var props []*prop.Compiled
+	if p.WantProps {
+		// Per-property `at` verdicts over the installed best route, by
+		// hello list index.
+		props = a.props
+	}
+	best, hop, atMatch := core.QueryRoute(sh.r, p.Prefix, props, a.boundary)
+	out := &QueryOracleResult{
+		HasCovering: hop.HasCovering, CoveringLocal: hop.Local, CoveringNextPeer: hop.NextPeer,
+		PropMatch: atMatch,
+	}
 	if best != nil {
 		out.BestToken = sh.routeToken(best)
-	}
-	if cov := r.RIB().CoveringBest(p.Prefix); cov != nil {
-		out.HasCovering = true
-		out.CoveringLocal = cov.Local
-		if !cov.Local {
-			out.CoveringNextPeer = r.PeerNameByAddr(cov.PeerRouterID)
-		}
-	}
-	if p.WantProps && len(a.props) > 0 {
-		// Per-property `at` verdicts over the installed best route, by
-		// hello list index. Nodes without a best route answer true — the
-		// coordinator only consults verdicts for witness-installed nodes.
-		var env *prop.Env
-		if best != nil {
-			env = prop.NewEnv(p.Prefix, &best.Attrs, a.boundary)
-		}
-		out.PropMatch = make([]bool, len(a.props))
-		for i, c := range a.props {
-			out.PropMatch[i] = c.AtMatches(env)
-		}
 	}
 	return out, nil
 }

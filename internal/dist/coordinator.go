@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dice/internal/bgp"
+	"dice/internal/checkpoint"
 	"dice/internal/core"
 	"dice/internal/minimize"
 	"dice/internal/netaddr"
@@ -699,7 +700,7 @@ func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutco
 	round := c.roundSeq
 	raw := make([]*ExploreResult, len(targets))
 	errs := make([]error, len(targets))
-	ckpts := &checkpointCache{m: make(map[string]*ckptEntry)}
+	ckpts := newCheckpointCache()
 	for _, tg := range targets {
 		if _, ok := c.conns[tg.Node]; !ok {
 			return nil, fmt.Errorf("dist: no agent for node %q", tg.Node)
@@ -804,11 +805,12 @@ func warmKey(node, scenario, peer string) string {
 }
 
 // exploreOnReplica ships one target to the replica pool: the node's
-// checkpoint (fetched once per node per round over MethodCheckpoint),
-// its scenario seed (MethodSeed), config lines, engine knobs and — under
-// ReuseState — the shard's cached frontier memory. The replica's answer
-// is the agent-shaped ExploreResult; the frontier memory it returns
-// refreshes the warm cache.
+// checkpoint (fetched once per node per round over MethodCheckpoint and
+// paged once in the round's checkpointCache), its scenario seed
+// (MethodSeed), config lines, engine knobs and — under ReuseState — the
+// shard's cached frontier memory. The replica's answer is the
+// agent-shaped ExploreResult; the frontier memory it returns refreshes
+// the warm cache.
 func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckpts *checkpointCache) (*ExploreResult, error) {
 	var sr SeedResult
 	if err := c.call(tg.Node, MethodSeed, &SeedParams{Peer: tg.Peer, Scenario: tg.Scenario}, &sr); err != nil {
@@ -824,12 +826,12 @@ func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckp
 		}
 		return &ExploreResult{Skipped: sr.Missing, Scenario: tg.Scenario}, nil
 	}
-	state, err := ckpts.get(tg.Node, func() ([]byte, error) {
+	snap, err := ckpts.get(tg.Node, func() ([][]byte, error) {
 		var ck CheckpointResult
 		if err := c.call(tg.Node, MethodCheckpoint, nil, &ck); err != nil {
 			return nil, err
 		}
-		return ck.State, nil
+		return ck.Chunks, nil
 	})
 	if err != nil {
 		return nil, err
@@ -844,7 +846,6 @@ func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckp
 	params := &ReplicaExploreParams{
 		Node:        tg.Node,
 		Config:      c.configs[tg.Node],
-		State:       state,
 		Peer:        tg.Peer,
 		Scenario:    tg.Scenario,
 		Explicit:    tg.Explicit,
@@ -855,7 +856,7 @@ func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckp
 		Round:       round,
 		Shard:       key,
 	}
-	out, err := c.replicas.submit(params)
+	out, err := c.replicas.submit(params, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -868,19 +869,26 @@ func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckp
 }
 
 // checkpointCache deduplicates per-node checkpoint fetches within one
-// round: targets sharing a node ship the identical snapshot.
+// round: targets sharing a node ship the identical snapshot, fetched and
+// paged — so hashed — once, in the round's own store, exactly as the
+// node's agent paged it.
 type checkpointCache struct {
-	mu sync.Mutex
-	m  map[string]*ckptEntry
+	store *checkpoint.Store
+	mu    sync.Mutex
+	m     map[string]*ckptEntry
 }
 
 type ckptEntry struct {
-	once  sync.Once
-	state []byte
-	err   error
+	once sync.Once
+	snap *checkpoint.Snapshot
+	err  error
 }
 
-func (cc *checkpointCache) get(node string, fetch func() ([]byte, error)) ([]byte, error) {
+func newCheckpointCache() *checkpointCache {
+	return &checkpointCache{store: checkpoint.NewStore(0), m: make(map[string]*ckptEntry)}
+}
+
+func (cc *checkpointCache) get(node string, fetch func() ([][]byte, error)) (*checkpoint.Snapshot, error) {
 	cc.mu.Lock()
 	e, ok := cc.m[node]
 	if !ok {
@@ -888,8 +896,13 @@ func (cc *checkpointCache) get(node string, fetch func() ([]byte, error)) ([]byt
 		cc.m[node] = e
 	}
 	cc.mu.Unlock()
-	e.once.Do(func() { e.state, e.err = fetch() })
-	return e.state, e.err
+	e.once.Do(func() {
+		var chunks [][]byte
+		if chunks, e.err = fetch(); e.err == nil {
+			e.snap = cc.store.TakeChunks(node, chunks)
+		}
+	})
+	return e.snap, e.err
 }
 
 // Replay feeds a recorded trace (internal/trace file bytes) into every

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -185,8 +186,8 @@ func TestDistributedWarmRounds(t *testing.T) {
 }
 
 // TestDistributedCheckpoint: the Checkpoint RPC's serialized state must
-// round-trip through core.ExploreSnapshot — restore off-node and explore
-// to the same findings the owning agent reports. This is the §2.4
+// round-trip through core.PrepareRestored — restore off-node and explore
+// as a replica does. This is the §2.4
 // "process these messages in isolation over their checkpointed states"
 // surface of the protocol.
 func TestDistributedCheckpoint(t *testing.T) {
@@ -206,8 +207,9 @@ func TestDistributedCheckpoint(t *testing.T) {
 	if err := cl.Call(MethodCheckpoint, nil, &ck); err != nil {
 		t.Fatal(err)
 	}
-	if len(ck.State) == 0 || ck.Pages == 0 {
-		t.Fatalf("empty checkpoint: %d bytes, %d pages", len(ck.State), ck.Pages)
+	state := bytes.Join(ck.Chunks, nil)
+	if len(state) == 0 || ck.Pages == 0 {
+		t.Fatalf("empty checkpoint: %d bytes, %d pages", len(state), ck.Pages)
 	}
 
 	// A second checkpoint of unchanged state must share every page.
@@ -231,12 +233,12 @@ func TestDistributedCheckpoint(t *testing.T) {
 	if seed == nil {
 		t.Fatal("no observed seed on the provider←customer peering")
 	}
-	res, err := core.ExploreSnapshot("provider", ag.self.Config(), ck.State, "customer",
-		seed, core.Options{Engine: concolic.Options{MaxRuns: 1000}})
+	tg := core.ResolvedTarget{Node: "provider", Peer: "customer", Scenario: core.ScenarioUpdate, Explicit: true}
+	tp, _, err := core.PrepareRestored("provider", ag.self.Config(), state, tg, seed, concolic.Options{MaxRuns: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Runs == 0 {
+	if tp.Engine.Explore().Runs == 0 {
 		t.Error("snapshot exploration ran nothing")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dice/internal/checkpoint"
 	"dice/internal/core"
 )
 
@@ -41,7 +42,7 @@ func fatLeakTopo3() *core.Topology {
 // TestReplicaPageCacheWarmRounds is the paging acceptance at fleet
 // level: a two-round ReuseState schedule against a replica pool must
 // land on the unpaged fleet's snapshot, and the second round — whose
-// checkpoint is unchanged, so it ships content hashes instead of pages —
+// checkpoint is unchanged, so it ships the key manifest and no pages —
 // must move fewer bytes than the first by at least half the checkpoint.
 func TestReplicaPageCacheWarmRounds(t *testing.T) {
 	opts := fedOpts()
@@ -78,8 +79,8 @@ func TestReplicaPageCacheWarmRounds(t *testing.T) {
 		t.Errorf("paged warm round diverged:\n--- no replicas ---\n%s\n--- paged ---\n%s", want, got)
 	}
 	ck, _ := checkpointAndSeed(t, fatLeakTopo3())
-	if cold-warm < int64(len(ck))/2 {
-		t.Errorf("cold round moved %d bytes, warm round %d, checkpoint is %d — the page cache saved nothing", cold, warm, len(ck))
+	if cold-warm < int64(ck.Size())/2 {
+		t.Errorf("cold round moved %d bytes, warm round %d, checkpoint is %d — warm shipping saved nothing", cold, warm, ck.Size())
 	}
 }
 
@@ -96,10 +97,28 @@ func (w writeCountingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// replicaClient dials r over the pipe transport and handshakes under
+// session, as a pool worker does; the request bytes it writes are counted
+// into written. The connection closes with the test.
+func replicaClient(t *testing.T, r *Replica, session uint64, written *int64) *Client {
+	t.Helper()
+	conn, err := (ReplicaLoopback{Replica: r}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(writeCountingConn{ReadWriteCloser: conn, n: written})
+	t.Cleanup(func() { cl.Close() })
+	cl.Session = session
+	if _, err := cl.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 // TestReplicaPageCacheWireReduction is the counting-dialer acceptance
 // in its sharpest form: two identical exploreCalls on one connection
 // differ only in page shipment — the first carries every page of the
-// checkpoint, the second only their hashes — so the second call's
+// checkpoint, the second only their keys — so the second call's
 // request bytes must drop by at least half the state size.
 func TestReplicaPageCacheWireReduction(t *testing.T) {
 	topo := leakTopo3()
@@ -108,35 +127,26 @@ func TestReplicaPageCacheWireReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := (ReplicaLoopback{Replica: NewReplica()}).Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var written int64
-	cl := NewClient(writeCountingConn{ReadWriteCloser: conn, n: &written})
-	defer cl.Close()
-	cl.Session = 32
-	if _, err := cl.Handshake(); err != nil {
-		t.Fatal(err)
-	}
+	cl := replicaClient(t, NewReplica(), 32, &written)
 
 	params := &ReplicaExploreParams{
-		Node: "provider", Config: topo.Nodes[1].Config, State: ck,
+		Node: "provider", Config: topo.Nodes[1].Config,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
 	}
 	pool := &ReplicaPool{}
-	acked := make(map[string]struct{})
+	acked := make(map[checkpoint.Key]struct{})
 	atomic.StoreInt64(&written, 0)
 	var out ReplicaExploreResult
-	if err := pool.exploreCall(cl, params, acked, &out); err != nil {
+	if err := pool.exploreCall(cl, params, ck, acked, &out); err != nil {
 		t.Fatal(err)
 	}
 	first := atomic.LoadInt64(&written)
 
 	atomic.StoreInt64(&written, 0)
 	var again ReplicaExploreResult
-	if err := pool.exploreCall(cl, params, acked, &again); err != nil {
+	if err := pool.exploreCall(cl, params, ck, acked, &again); err != nil {
 		t.Fatal(err)
 	}
 	second := atomic.LoadInt64(&written)
@@ -144,18 +154,18 @@ func TestReplicaPageCacheWireReduction(t *testing.T) {
 	if len(out.Findings) == 0 || len(again.Findings) != len(out.Findings) {
 		t.Fatalf("explores disagree: %d then %d findings", len(out.Findings), len(again.Findings))
 	}
-	if saved := first - second; saved < int64(len(ck))/2 {
+	if saved := first - second; saved < int64(ck.Size())/2 {
 		t.Errorf("repeat shipment saved %d bytes of a %d-byte state; first call wrote %d, second %d",
-			saved, len(ck), first, second)
+			saved, ck.Size(), first, second)
 	}
 }
 
 // TestReplicaPageMissRecovery drives exploreCall against a replica
-// whose cache cannot honor the sender's ack assumptions: every page is
+// whose store cannot honor the sender's ack assumptions: every page is
 // marked acked without ever being shipped. The first call must come
 // back as MissingPages (a result, not an error), and exploreCall must
 // recover with one full re-send on the same connection — the
-// self-healing path for replica cache pruning.
+// self-healing path for a replica that released the shard's snapshot.
 func TestReplicaPageMissRecovery(t *testing.T) {
 	topo := leakTopo3()
 	ck, seed := checkpointAndSeed(t, topo)
@@ -163,45 +173,36 @@ func TestReplicaPageMissRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := (ReplicaLoopback{Replica: NewReplica()}).Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := NewClient(conn)
-	defer cl.Close()
-	cl.Session = 31
-	if _, err := cl.Handshake(); err != nil {
-		t.Fatal(err)
-	}
+	cl := replicaClient(t, NewReplica(), 31, new(int64))
 
 	params := &ReplicaExploreParams{
-		Node: "provider", Config: topo.Nodes[1].Config, State: ck,
+		Node: "provider", Config: topo.Nodes[1].Config,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
 	}
 	// Lie: claim every page of the state is already replica-side.
-	acked := make(map[string]struct{})
-	for _, pg := range splitPages(ck, 64) {
-		acked[pageHash(pg)] = struct{}{}
+	acked := make(map[checkpoint.Key]struct{})
+	for _, k := range ck.Keys() {
+		acked[k] = struct{}{}
 	}
 	pool := &ReplicaPool{}
 	var out ReplicaExploreResult
-	if err := pool.exploreCall(cl, params, acked, &out); err != nil {
+	if err := pool.exploreCall(cl, params, ck, acked, &out); err != nil {
 		t.Fatalf("exploreCall did not recover from the cache miss: %v", err)
 	}
 	if len(out.MissingPages) != 0 {
 		t.Fatalf("recovered result still reports missing pages: %v", out.MissingPages)
 	}
 	if len(out.Findings) == 0 {
-		t.Error("page-mode explore over the recovered state found nothing")
+		t.Error("explore over the recovered state found nothing")
 	}
 	// After recovery the acks are truthful: a repeat call ships no page
-	// data and still explores (the replica cache now holds every page).
+	// data and still explores (the replica's store now holds every page).
 	var again ReplicaExploreResult
-	if err := pool.exploreCall(cl, params, acked, &again); err != nil {
+	if err := pool.exploreCall(cl, params, ck, acked, &again); err != nil {
 		t.Fatal(err)
 	}
 	if len(again.Findings) != len(out.Findings) {
-		t.Errorf("hash-only re-send found %d findings, first call %d", len(again.Findings), len(out.Findings))
+		t.Errorf("manifest-only re-send found %d findings, first call %d", len(again.Findings), len(out.Findings))
 	}
 }

@@ -120,7 +120,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 			{"replica", skewDialer{ReplicaLoopback{Replica: NewReplica()}, delta}, "this replica speaks " + mine},
 		}
 		for _, p := range peers {
-			t.Run(p.name+"-"+theirs, func(t *testing.T) {
+			t.Run(p.name+map[int]string{-1: "-older", +1: "-newer"}[delta], func(t *testing.T) {
 				dials := &dialCounter{Dialer: p.d}
 				_, err := Connect(topo, fedOpts(), []Dialer{dials}, WithRetryPolicy(chaosPolicy()))
 				if err == nil {
@@ -349,14 +349,15 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	if err := cl.Call(MethodCheckpoint, nil, &cp); err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.State) <= frameReadBuffer {
-		t.Errorf("checkpoint of %d bytes does not exercise the large-frame path", len(cp.State))
+	state := bytes.Join(cp.Chunks, nil)
+	if len(state) <= frameReadBuffer {
+		t.Errorf("checkpoint of %d bytes does not exercise the large-frame path", len(state))
 	}
 	direct, err := ag.handle(MethodCheckpoint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cp.State, direct.(*CheckpointResult).State) {
+	if !bytes.Equal(state, bytes.Join(direct.(*CheckpointResult).Chunks, nil)) {
 		t.Error("checkpoint mangled by the buffered reader")
 	}
 

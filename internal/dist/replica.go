@@ -1,13 +1,12 @@
 package dist
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
 
 	"dice/internal/bgp"
+	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/config"
 	"dice/internal/core"
@@ -39,32 +38,35 @@ type Replica struct {
 	session uint64
 	memo    map[string]replicaMemoEntry
 
-	// pages is the session-scoped content-addressed page cache behind
-	// ReplicaExploreParams page mode: checkpoint state arrives as ordered
-	// content hashes plus only the pages the sender has not shipped this
-	// session, and the replica reassembles the full state from here.
-	// Hashes the cache cannot resolve come back as MissingPages (a
-	// result, not an error) so the sender re-ships them. Scoped like the
-	// memo: a new coordinator session drops it.
-	pages map[string][]byte
+	// store holds the checkpoints this session shipped, assembled from
+	// manifest + pages exactly as the node's agent paged them; shards keeps
+	// the latest snapshot per shard so the next round's manifest resolves
+	// against it and only changed pages travel. Keys the store cannot
+	// resolve come back as MissingPages (a result, not an error) so the
+	// sender re-ships them. Scoped like the memo: a new coordinator session
+	// releases everything.
+	store  *checkpoint.Store
+	shards map[string]*heldCheckpoint
+	tick   uint64 // recency clock for heldCheckpoint.used
 
 	// Telemetry (nil unless EnableTelemetry ran).
 	rm        *replicaMetrics
 	concolicM *concolic.Metrics
 }
 
-// maxCachedPages bounds the page cache (32 MiB at the coordinator's
-// 4 KiB page size). When an assembly pushes the cache past the bound,
-// everything but the pages of the state just assembled is dropped — the
-// sender's next shard re-ships what it needs via the miss protocol.
-const maxCachedPages = 8192
-
-// pageHash is the content address of one page: hex SHA-256, matching
-// what page-mode senders put in ReplicaExploreParams.PageHash.
-func pageHash(page []byte) string {
-	sum := sha256.Sum256(page)
-	return hex.EncodeToString(sum[:])
+// heldCheckpoint is one shard's retained snapshot and when it was last
+// shipped or named.
+type heldCheckpoint struct {
+	snap *checkpoint.Snapshot
+	used uint64
 }
+
+// checkpointBudget bounds the bytes the replica's store keeps resident.
+// Past it the least-recently-used shards' snapshots are released —
+// reference counts then evict exactly the pages no retained snapshot
+// shares — and a sender that still believes those pages acknowledged
+// heals through the MissingPages re-send.
+const checkpointBudget = 32 << 20
 
 // replicaMemoEntry is one memoized shard answer, valid for one round.
 type replicaMemoEntry struct {
@@ -75,8 +77,9 @@ type replicaMemoEntry struct {
 // NewReplica builds an idle exploration replica.
 func NewReplica() *Replica {
 	r := &Replica{
-		memo:  make(map[string]replicaMemoEntry),
-		pages: make(map[string][]byte),
+		memo:   make(map[string]replicaMemoEntry),
+		store:  checkpoint.NewStore(0),
+		shards: make(map[string]*heldCheckpoint),
 	}
 	r.rpcServer = rpcServer{handler: r, name: "replica", role: "replica"}
 	return r
@@ -115,7 +118,10 @@ func (r *Replica) hello(p *HelloParams) *HelloResult {
 	if p.Session != 0 && p.Session != r.session {
 		r.session = p.Session
 		clear(r.memo)
-		clear(r.pages)
+		for shard, h := range r.shards {
+			h.snap.Release()
+			delete(r.shards, shard)
+		}
 	}
 	return &HelloResult{
 		Node:     "(replica)",
@@ -136,17 +142,13 @@ func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error
 			return e.out, nil
 		}
 	}
-	if len(p.PageHash) > 0 {
-		// Page mode: reassemble the checkpoint from the session cache
-		// plus whatever pages this request shipped. Unresolvable hashes
-		// come back as MissingPages — no exploration, no memo — and the
-		// sender retries with them included.
-		state, missing := r.assembleState(p)
-		if len(missing) > 0 {
-			return &ReplicaExploreResult{MissingPages: missing}, nil
-		}
-		p.State = state
+	// Unresolvable keys come back as MissingPages — no exploration, no
+	// memo — and the sender retries with every page included.
+	snap, missing := r.store.Assemble(p.Shard, p.Keys, p.Pages)
+	if len(missing) > 0 {
+		return &ReplicaExploreResult{MissingPages: missing}, nil
 	}
+	r.retain(p.Shard, snap)
 	r.rm.noteExplore()
 	engOpts := p.EngineKnobs.options(r.concolicM)
 	cfg, err := config.Parse(strings.Join(p.Config, "\n"))
@@ -173,7 +175,7 @@ func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error
 		engOpts.State = concolic.NewExploreState()
 	}
 	tg := core.ResolvedTarget{Node: p.Node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit, Boundary: p.Boundary}
-	tp, restored, err := core.PrepareRestored(p.Node, cfg, p.State, tg, seed, engOpts)
+	tp, restored, err := core.PrepareRestored(p.Node, cfg, snap.Bytes(), tg, seed, engOpts)
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica: %s/%s: %w", p.Node, p.Peer, err)
 	}
@@ -189,44 +191,25 @@ func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error
 	return out, nil
 }
 
-// assembleState ingests a page-mode request's shipped pages into the
-// session cache and reassembles the checkpoint state named by the
-// ordered hash list. The shipped pages carry no index mapping — the
-// content hash IS the identity — so ingestion is just "hash and store".
-// Hashes still unresolved after ingestion are returned (deduplicated, in
-// hash-list order) for the sender's retry.
-func (r *Replica) assembleState(p *ReplicaExploreParams) (state []byte, missing []string) {
-	for _, pg := range p.PageData {
-		r.pages[pageHash(pg)] = pg
+// retain makes snap the shard's held checkpoint, releasing the one it
+// replaces, then releases other shards' snapshots, least recently used
+// first, until the store fits checkpointBudget. The snapshot just
+// assembled always stays: it is about to be explored.
+func (r *Replica) retain(shard string, snap *checkpoint.Snapshot) {
+	if old, ok := r.shards[shard]; ok {
+		old.snap.Release()
 	}
-	seen := make(map[string]bool)
-	size := 0
-	for _, h := range p.PageHash {
-		pg, ok := r.pages[h]
-		if !ok {
-			if !seen[h] {
-				seen[h] = true
-				missing = append(missing, h)
+	r.tick++
+	r.shards[shard] = &heldCheckpoint{snap: snap, used: r.tick}
+	for len(r.shards) > 1 && r.store.Stats().ResidentBytes > checkpointBudget {
+		var lru string
+		var oldest *heldCheckpoint
+		for name, h := range r.shards {
+			if h.snap != snap && (oldest == nil || h.used < oldest.used) {
+				lru, oldest = name, h
 			}
-			continue
 		}
-		size += len(pg)
+		oldest.snap.Release()
+		delete(r.shards, lru)
 	}
-	if len(missing) > 0 {
-		return nil, missing
-	}
-	state = make([]byte, 0, size)
-	for _, h := range p.PageHash {
-		state = append(state, r.pages[h]...)
-	}
-	if len(r.pages) > maxCachedPages {
-		// Keep only the live set just assembled; the miss protocol
-		// restores anything else on demand.
-		live := make(map[string][]byte, len(p.PageHash))
-		for _, h := range p.PageHash {
-			live[h] = r.pages[h]
-		}
-		r.pages = live
-	}
-	return state, nil
 }

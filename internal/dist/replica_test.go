@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dice/internal/checkpoint"
 	"dice/internal/core"
 	"dice/internal/telemetry"
 )
@@ -74,7 +75,7 @@ func TestReplicaWarmRounds(t *testing.T) {
 // to accept work at all.
 func TestReplicaPoolAutoscale(t *testing.T) {
 	leakCheck(t)
-	if _, err := (&ReplicaPool{Dialers: []Dialer{ReplicaLoopback{Replica: NewReplica()}}}).submit(nil); err == nil {
+	if _, err := (&ReplicaPool{Dialers: []Dialer{ReplicaLoopback{Replica: NewReplica()}}}).submit(nil, nil); err == nil {
 		t.Error("unbound pool accepted a shard")
 	}
 
@@ -105,7 +106,7 @@ func TestReplicaPoolAutoscale(t *testing.T) {
 			defer wg.Done()
 			_, errs[i] = pool.submit(&ReplicaExploreParams{
 				Node: "bogus", Config: []string{"not a router config"},
-			})
+			}, checkpoint.NewStore(0).Take("empty", nil))
 		}(i)
 	}
 	wg.Wait()
@@ -357,11 +358,13 @@ func TestSeedExploreState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.explore(&ReplicaExploreParams{
-		Node: "provider", Config: topo.Nodes[1].Config, State: ck,
+	params := &ReplicaExploreParams{
+		Node: "provider", Config: topo.Nodes[1].Config,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
-	})
+	}
+	params.ship(ck, nil)
+	out, err := r.explore(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +403,9 @@ func TestSeedExploreState(t *testing.T) {
 
 // checkpointAndSeed fetches a provider checkpoint and its
 // provider←customer scenario seed over the wire, for tests that build
-// ReplicaExploreParams by hand.
-func checkpointAndSeed(t *testing.T, topo *core.Topology) (state, seed []byte) {
+// ReplicaExploreParams by hand. The checkpoint comes back paged as the
+// coordinator pages it.
+func checkpointAndSeed(t *testing.T, topo *core.Topology) (*checkpoint.Snapshot, []byte) {
 	t.Helper()
 	ag, err := NewAgent(topo, "provider")
 	if err != nil {
@@ -424,7 +428,7 @@ func checkpointAndSeed(t *testing.T, topo *core.Topology) (state, seed []byte) {
 	if sr.Missing != "" || sr.Unsupported || len(sr.Msg) == 0 {
 		t.Fatalf("no shippable seed: %+v", sr)
 	}
-	return ck.State, sr.Msg
+	return checkpoint.NewStore(0).TakeChunks("provider", ck.Chunks), sr.Msg
 }
 
 // TestReplicaSessionScopedMemos mirrors TestSessionScopedExploreMemos on
@@ -457,13 +461,14 @@ func TestReplicaSessionScopedMemos(t *testing.T) {
 	explore := func(cl *Client, maxRuns int) ReplicaExploreResult {
 		t.Helper()
 		var out ReplicaExploreResult
-		err := cl.Call(MethodExploreCheckpoint, &ReplicaExploreParams{
-			Node: "provider", Config: topo.Nodes[1].Config, State: ck,
+		params := &ReplicaExploreParams{
+			Node: "provider", Config: topo.Nodes[1].Config,
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 			EngineKnobs: EngineKnobs{MaxRuns: maxRuns}, Boundary: boundary, Seed: seed,
 			Round: 1, Shard: warmKey("provider", core.ScenarioRouteLeak, "customer"),
-		}, &out)
-		if err != nil {
+		}
+		params.ship(ck, nil)
+		if err := cl.Call(MethodExploreCheckpoint, params, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out

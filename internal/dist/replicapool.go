@@ -24,12 +24,11 @@ var ErrReplicaPoolDown = errors.New("dist: replica pool has no live replicas")
 // slow replica naturally takes fewer shards and a dead one takes none:
 // the queue IS the work-stealing mechanism.
 //
-// The pool is elastic between Min and Max workers. It starts Min
-// workers at Connect and dials another replica whenever the backlog
-// exceeds the live worker count (up to Max, and never more than one
-// worker per dialer). A worker whose replica dies past the reconnect
-// budget re-enqueues its in-flight shard for the survivors and exits;
-// replica-side memos keyed on (Shard, Round) make the re-run
+// The pool is elastic between Min workers and one per dialer. It starts
+// Min workers at Connect and dials another replica whenever the backlog
+// exceeds the live worker count. A worker whose replica dies past the
+// reconnect budget re-enqueues its in-flight shard for the survivors and
+// exits; replica-side memos keyed on (Shard, Round) make the re-run
 // idempotent even when the lost replica had already answered.
 type ReplicaPool struct {
 	// Dialers produce connections to the replicas, one replica per
@@ -37,10 +36,10 @@ type ReplicaPool struct {
 	// redialed after that worker dies past its reconnect budget — a
 	// replica that stays down stays out of the pool.
 	Dialers []Dialer
-	// Min and Max bound the live worker count: Min workers start at
-	// bind time, autoscaling adds more up to Max. Zero values mean
-	// Min=1 and Max=len(Dialers); both are clamped to len(Dialers).
-	Min, Max int
+	// Min is how many workers start at bind time; autoscaling adds more,
+	// up to one per dialer. Zero means 1; values above len(Dialers) are
+	// clamped to it.
+	Min int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -85,10 +84,11 @@ type ReplicaPoolStats struct {
 	Completed int
 }
 
-// replicaTask is one queued shard: the request, and the slot its waiter
-// blocks on.
+// replicaTask is one queued shard: the request, the checkpoint it ships,
+// and the slot its waiter blocks on.
 type replicaTask struct {
 	params *ReplicaExploreParams
+	snap   *checkpoint.Snapshot
 	out    *ReplicaExploreResult
 	err    error
 	done   chan struct{}
@@ -127,22 +127,14 @@ func (p *ReplicaPool) minWorkers() int {
 	if n <= 0 {
 		n = 1
 	}
-	if max := p.maxWorkers(); n > max {
-		n = max
-	}
-	return n
-}
-
-func (p *ReplicaPool) maxWorkers() int {
-	n := p.Max
-	if n <= 0 || n > len(p.Dialers) {
+	if n > len(p.Dialers) {
 		n = len(p.Dialers)
 	}
 	return n
 }
 
 // startWorkerLocked consumes the next dialer and launches its worker.
-// Callers hold p.mu and have checked started < maxWorkers().
+// Callers hold p.mu and have checked started < len(p.Dialers).
 func (p *ReplicaPool) startWorkerLocked() {
 	idx := p.started
 	p.started++
@@ -161,11 +153,12 @@ func (p *ReplicaPool) Stats() ReplicaPoolStats {
 	return s
 }
 
-// submit queues one shard and blocks until a replica answers it (or the
-// pool proves it never can). Safe for concurrent use — Round fans one
-// goroutine out per target.
-func (p *ReplicaPool) submit(params *ReplicaExploreParams) (*ReplicaExploreResult, error) {
-	t := &replicaTask{params: params, done: make(chan struct{})}
+// submit queues one shard — the request and the checkpoint snapshot it
+// explores — and blocks until a replica answers it (or the pool proves it
+// never can). Safe for concurrent use — Round fans one goroutine out per
+// target.
+func (p *ReplicaPool) submit(params *ReplicaExploreParams, snap *checkpoint.Snapshot) (*ReplicaExploreResult, error) {
+	t := &replicaTask{params: params, snap: snap, done: make(chan struct{})}
 	p.mu.Lock()
 	if !p.bound {
 		p.mu.Unlock()
@@ -179,7 +172,7 @@ func (p *ReplicaPool) submit(params *ReplicaExploreParams) (*ReplicaExploreResul
 	p.tm.setPoolDepth(len(p.queue))
 	// Autoscale: a backlog deeper than the live worker set means shards
 	// are waiting while dialers sit idle — bring another replica in.
-	if len(p.queue) > p.active && p.started < p.maxWorkers() {
+	if len(p.queue) > p.active && p.started < len(p.Dialers) {
 		p.stats.Scaled++
 		p.startWorkerLocked()
 	}
@@ -226,7 +219,7 @@ func (p *ReplicaPool) workerExit() {
 	p.active--
 	p.tm.setPoolWorkers(p.active)
 	if p.active == 0 {
-		if !p.closed && p.started < p.maxWorkers() {
+		if !p.closed && p.started < len(p.Dialers) {
 			p.startWorkerLocked()
 		} else if !p.dead {
 			p.dead = true
@@ -279,11 +272,11 @@ func (p *ReplicaPool) worker(idx int) {
 		}
 	}()
 	// acked tracks the checkpoint pages this replica has confirmed
-	// caching within the session (see exploreCall). It is per-connection
+	// holding within the session (see exploreCall). It is per-connection
 	// state: a reconnect may mean a restarted replica with an empty
-	// cache, so the record resets with the dial and warm shipping
+	// store, so the record resets with the dial and warm shipping
 	// restarts conservatively.
-	acked := make(map[string]struct{})
+	acked := make(map[checkpoint.Key]struct{})
 	for {
 		t := p.pop()
 		if t == nil {
@@ -291,7 +284,7 @@ func (p *ReplicaPool) worker(idx int) {
 		}
 		for {
 			var out ReplicaExploreResult
-			err := p.exploreCall(cl, t.params, acked, &out)
+			err := p.exploreCall(cl, t.params, t.snap, acked, &out)
 			if err == nil {
 				p.noteCompleted()
 				t.finish(&out, nil)
@@ -312,80 +305,59 @@ func (p *ReplicaPool) worker(idx int) {
 				return
 			}
 			p.noteReconnect()
-			acked = make(map[string]struct{})
+			clear(acked)
 		}
 	}
 }
 
-// exploreCall issues one shard over the worker's connection. The
-// checkpoint travels in page mode: the full ordered
-// hash list plus only the pages this replica has not acknowledged this
-// session, so warm rounds — where most of a node's checkpoint is
-// unchanged — ship a hash list instead of megabytes of state. A
-// MissingPages answer (replica restarted, cache evicted, or an ack
-// recorded from a memo hit) triggers one full re-send; the ack record
-// is rebuilt from what the replica then confirms. Stateless (empty-State)
-// shards have no pages to split and ship as they are.
-func (p *ReplicaPool) exploreCall(cl *Client, params *ReplicaExploreParams, acked map[string]struct{}, out *ReplicaExploreResult) error {
-	if len(params.State) == 0 {
-		return cl.Call(MethodExploreCheckpoint, params, out)
-	}
-	pages := splitPages(params.State, checkpoint.DefaultPageSize)
+// exploreCall issues one shard over the worker's connection: snap's
+// manifest plus only the pages this replica has not acknowledged this
+// session, so a warm round ships a key list and whatever the node's live
+// traffic changed instead of megabytes of state. A MissingPages answer
+// (replica restarted, snapshot released under its byte budget, or an ack
+// recorded from a memo hit) triggers one full re-send; the ack record is
+// rebuilt from what the replica then confirms.
+func (p *ReplicaPool) exploreCall(cl *Client, params *ReplicaExploreParams, snap *checkpoint.Snapshot, acked map[checkpoint.Key]struct{}, out *ReplicaExploreResult) error {
 	wp := *params
-	wp.State = nil
-	wp.PageSize = checkpoint.DefaultPageSize
-	wp.PageHash = make([]string, len(pages))
-	sent := make(map[string]bool)
-	for i, pg := range pages {
-		h := pageHash(pg)
-		wp.PageHash[i] = h
-		if _, ok := acked[h]; !ok && !sent[h] {
-			sent[h] = true
-			wp.PageData = append(wp.PageData, pg)
-		}
-	}
+	wp.ship(snap, acked)
 	if err := cl.Call(MethodExploreCheckpoint, &wp, out); err != nil {
 		return err
 	}
 	if len(out.MissingPages) > 0 {
 		clear(acked)
-		wp.PageData = wp.PageData[:0]
-		clear(sent)
-		for i, pg := range pages {
-			if h := wp.PageHash[i]; !sent[h] {
-				sent[h] = true
-				wp.PageData = append(wp.PageData, pg)
-			}
-		}
+		wp.ship(snap, nil)
 		*out = ReplicaExploreResult{}
 		if err := cl.Call(MethodExploreCheckpoint, &wp, out); err != nil {
 			return err
 		}
 		if len(out.MissingPages) > 0 {
 			// Unreachable with a conforming replica — a full send
-			// resolves every hash it names. Surface it as an application
+			// resolves every key it names. Surface it as an application
 			// error so the shard falls back instead of looping.
 			return fmt.Errorf("dist: replica still missing %d pages after a full page send", len(out.MissingPages))
 		}
 	}
-	for _, h := range wp.PageHash {
-		acked[h] = struct{}{}
+	for _, k := range wp.Keys {
+		acked[k] = struct{}{}
 	}
 	return nil
 }
 
-// splitPages cuts state into size-byte pages (the last one may be
-// short), matching the checkpoint store's page discipline.
-func splitPages(state []byte, size int) [][]byte {
-	pages := make([][]byte, 0, (len(state)+size-1)/size)
-	for off := 0; off < len(state); off += size {
-		end := off + size
-		if end > len(state) {
-			end = len(state)
+// ship fills in the checkpoint: snap's manifest, and the body of every
+// page acked does not hold (each once). A nil acked ships every page.
+func (p *ReplicaExploreParams) ship(snap *checkpoint.Snapshot, acked map[checkpoint.Key]struct{}) {
+	p.Keys = snap.Keys()
+	p.Pages = p.Pages[:0]
+	sent := make(map[checkpoint.Key]struct{})
+	for i, k := range p.Keys {
+		if _, ok := acked[k]; ok {
+			continue
 		}
-		pages = append(pages, state[off:end])
+		if _, ok := sent[k]; !ok {
+			sent[k] = struct{}{}
+			p.Pages = append(p.Pages, snap.Page(i))
+		}
 	}
-	return pages
 }
 
 func (p *ReplicaPool) noteCompleted() {

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
+	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/core"
 	"dice/internal/netaddr"
@@ -47,11 +47,10 @@ import (
 // whose version differs — there is no negotiation and no down-encoding.
 // Any change to a message layout bumps it. Fields that only some calls
 // use (HelloParams.Properties, QueryOracleParams.WantProps /
-// QueryOracleResult.PropMatch, the ReplicaExploreParams page fields and
-// ReplicaExploreResult.MissingPages) are encoded as tails that are
-// absent when unused; that keeps the common frames small, it is not a
-// compatibility mechanism.
-const ProtoVersion = 6
+// QueryOracleResult.PropMatch, ReplicaExploreResult.MissingPages) are
+// encoded as tails that are absent when unused; that keeps the common
+// frames small, it is not a compatibility mechanism.
+const ProtoVersion = 7
 
 // --- Framing -----------------------------------------------------------------
 
@@ -152,6 +151,25 @@ func appendStrings(dst []byte, ss []string) []byte {
 	dst = appendUint(dst, len(ss))
 	for _, s := range ss {
 		dst = appendString(dst, s)
+	}
+	return dst
+}
+
+// appendBlobs appends a counted list of byte strings (checkpoint chunks
+// and pages).
+func appendBlobs(dst []byte, bs [][]byte) []byte {
+	dst = appendUint(dst, len(bs))
+	for _, b := range bs {
+		dst = appendBytes(dst, b)
+	}
+	return dst
+}
+
+// appendKeys appends a counted list of page keys, 32 raw octets each.
+func appendKeys(dst []byte, ks []checkpoint.Key) []byte {
+	dst = appendUint(dst, len(ks))
+	for i := range ks {
+		dst = append(dst, ks[i][:]...)
 	}
 	return dst
 }
@@ -332,6 +350,32 @@ func (d *dec) strs() []string {
 	return out
 }
 
+// blobs decodes appendBlobs' list; nil for an empty one.
+func (d *dec) blobs() [][]byte {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = d.bytes()
+	}
+	return out
+}
+
+// keys decodes appendKeys' list; nil for an empty one.
+func (d *dec) keys() []checkpoint.Key {
+	n := d.count(len(checkpoint.Key{}))
+	if n == 0 {
+		return nil
+	}
+	out := make([]checkpoint.Key, n)
+	for i := range out {
+		copy(out[i][:], d.take(len(out[i])))
+	}
+	return out
+}
+
 // tailStrs decodes a string list that travels as a conditional tail: the
 // encoder omits the whole tail for an empty list, so an explicit zero
 // count is trailing garbage, not a layout.
@@ -470,10 +514,11 @@ func decodeBody(body []byte, msg message) error {
 const (
 	// MethodHello identifies the agent: which node it administers.
 	MethodHello = "hello"
-	// MethodCheckpoint snapshots the agent's node state (serialized,
-	// page-deduplicated) and returns the bytes — the §2.4 "checkpoint
-	// their state and process these messages in isolation" surface; the
-	// returned state round-trips through core.ExploreSnapshot.
+	// MethodCheckpoint snapshots the agent's node state (serialized as
+	// stable regions, page-deduplicated in the agent's store) and returns
+	// the regions — the §2.4 "checkpoint their state and process these
+	// messages in isolation" surface; their concatenation restores through
+	// router.DecodeState.
 	MethodCheckpoint = "checkpoint"
 	// MethodExplore runs one concolic exploration round on the agent's
 	// node (checkpoint clone, scenario seed, per-node warm state) and
@@ -657,9 +702,12 @@ func (r *HelloResult) decodeFrom(d *dec) {
 
 // CheckpointResult is one serialized node snapshot.
 type CheckpointResult struct {
-	// State is the complete serialized node state
-	// (router.EncodeState format; router.DecodeState restores it).
-	State []byte
+	// Chunks is the complete serialized node state as the node's stable
+	// regions (router.EncodeStateChunks; their concatenation is the
+	// router.EncodeState format router.DecodeState restores). The receiver
+	// pages them with checkpoint.Store.TakeChunks — the discipline the
+	// agent's own store used — so both sides name the same pages.
+	Chunks [][]byte
 	// Pages/UniquePages account the snapshot in the agent's page store:
 	// pages it holds, and how many were new vs shared with earlier
 	// snapshots of this node (the fork-COW accounting of §4.1).
@@ -668,13 +716,13 @@ type CheckpointResult struct {
 }
 
 func (r *CheckpointResult) appendTo(dst []byte) []byte {
-	dst = appendBytes(dst, r.State)
+	dst = appendBlobs(dst, r.Chunks)
 	dst = appendUint(dst, r.Pages)
 	return appendUint(dst, r.UniquePages)
 }
 
 func (r *CheckpointResult) decodeFrom(d *dec) {
-	r.State = d.bytes()
+	r.Chunks = d.blobs()
 	r.Pages = d.uint()
 	r.UniquePages = d.uint()
 }
@@ -685,59 +733,35 @@ func (r *CheckpointResult) decodeFrom(d *dec) {
 // in both explore requests (Connect rejects the process-local rest:
 // State, Cancel). Workers is the fleet's shared pool size.
 type EngineKnobs struct {
-	MaxRuns      int
-	MaxDepth     int
-	Workers      int
-	SolverNodes  int
-	Strategy     concolic.Strategy
-	TimeBudgetNS int64
+	MaxRuns  int
+	Workers  int
+	Strategy concolic.Strategy
 }
 
 // knobsOf flattens a round's options into their wire form.
 func knobsOf(o *core.FederatedOptions) EngineKnobs {
-	return EngineKnobs{
-		MaxRuns:      o.Engine.MaxRuns,
-		MaxDepth:     o.Engine.MaxDepth,
-		Workers:      o.Workers,
-		SolverNodes:  o.Engine.SolverNodes,
-		Strategy:     o.Engine.Strategy,
-		TimeBudgetNS: o.Engine.TimeBudget.Nanoseconds(),
-	}
+	return EngineKnobs{MaxRuns: o.Engine.MaxRuns, Workers: o.Workers, Strategy: o.Engine.Strategy}
 }
 
 // options is knobsOf's inverse, on the serving side.
 func (k EngineKnobs) options(m *concolic.Metrics) concolic.Options {
-	return concolic.Options{
-		Strategy:    k.Strategy,
-		MaxRuns:     k.MaxRuns,
-		MaxDepth:    k.MaxDepth,
-		Workers:     k.Workers,
-		SolverNodes: k.SolverNodes,
-		TimeBudget:  time.Duration(k.TimeBudgetNS),
-		Metrics:     m,
-	}
+	return concolic.Options{Strategy: k.Strategy, MaxRuns: k.MaxRuns, Workers: k.Workers, Metrics: m}
 }
 
 func (k *EngineKnobs) appendTo(dst []byte) []byte {
 	dst = appendUint(dst, k.MaxRuns)
-	dst = appendUint(dst, k.MaxDepth)
 	dst = appendUint(dst, k.Workers)
-	dst = appendUint(dst, k.SolverNodes)
-	dst = append(dst, uint8(k.Strategy))
-	return appendUvarint(dst, uint64(k.TimeBudgetNS))
+	return append(dst, uint8(k.Strategy))
 }
 
 func (k *EngineKnobs) decodeFrom(d *dec) {
 	k.MaxRuns = d.uint()
-	k.MaxDepth = d.uint()
 	k.Workers = d.uint()
-	k.SolverNodes = d.uint()
 	if s := d.u8(); s > uint8(concolic.BFS) {
 		d.fail("unknown strategy %d", s)
 	} else {
 		k.Strategy = concolic.Strategy(s)
 	}
-	k.TimeBudgetNS = int64(d.uvarint())
 }
 
 // ExploreParams asks the agent to run one exploration round.
@@ -978,18 +1002,27 @@ func (r *SeedResult) decodeFrom(d *dec) {
 }
 
 // ReplicaExploreParams ships one exploration target to a stateless
-// replica: the node's identity and configuration, its checkpointed
-// state, the scenario seed, the engine knobs, and the round/shard keys
-// that make the call idempotent. Nothing here refers back to the
-// coordinator's fabric — the replica reconstructs the target entirely
-// from the message.
+// replica: the node's identity and configuration, its checkpoint, the
+// scenario seed, the engine knobs, and the round/shard keys that make the
+// call idempotent. Nothing here refers back to the coordinator's fabric —
+// the replica reconstructs the target entirely from the message.
+//
+// The checkpoint travels in its one off-node form, a checkpoint.Snapshot:
+// Keys is the snapshot's manifest (every page's 32-byte content key, in
+// state order, paged as the node's own agent paged it) and Pages carries
+// the bodies of the pages this connection's replica has not acknowledged
+// — all of them on first contact, on a warm round only those the node's
+// live traffic changed, because a page's boundaries follow the node's
+// stable regions and do not move when another region grows. A page body
+// is identified by its content, so no index travels with it. The replica
+// assembles the snapshot in its own checkpoint.Store and answers
+// MissingPages for any key it cannot resolve, at which point the sender
+// re-sends once with every page.
 type ReplicaExploreParams struct {
 	// Node names the checkpointed node; Config is its topology config
-	// (one line per element, config.Parse grammar); State is the
-	// MethodCheckpoint snapshot to restore.
+	// (one line per element, config.Parse grammar).
 	Node   string
 	Config []string
-	State  []byte
 	// Peer/Scenario/Explicit select the target, as in ExploreParams.
 	Peer     string
 	Scenario string
@@ -1009,28 +1042,18 @@ type ReplicaExploreParams struct {
 	// Round and Shard key the replica's idempotency memo: the replica
 	// memoizes its last result per Shard under Round, so a retried shard
 	// (after a replica loss mid-call) returns the memoized result
-	// instead of re-exploring. Round 0 disables the memo.
+	// instead of re-exploring. Round 0 disables the memo. Shard also names
+	// the slot the replica retains the assembled snapshot under.
 	Round uint64
 	Shard string
-	// Page mode (feature-gated tail: none of these travel when
-	// PageSize is 0). Instead of shipping State, the sender splits it into
-	// PageSize-byte pages and sends the ordered content hashes in
-	// PageHash; PageData carries only the pages the sender believes the
-	// replica has not cached this session (each entry hashes to one of the
-	// PageHash entries — the hash IS the page identity, so no index
-	// mapping travels). The replica reassembles State from its
-	// session-scoped page cache and answers MissingPages for any hash it
-	// cannot resolve, at which point the sender re-sends with those pages
-	// included. Warm rounds re-ship only the pages that changed.
-	PageSize int
-	PageHash []string
-	PageData [][]byte
+	// Keys and Pages are the checkpoint (see above).
+	Keys  []checkpoint.Key
+	Pages [][]byte
 }
 
 func (p *ReplicaExploreParams) appendTo(dst []byte) []byte {
 	dst = appendString(dst, p.Node)
 	dst = appendStrings(dst, p.Config)
-	dst = appendBytes(dst, p.State)
 	dst = appendString(dst, p.Peer)
 	dst = appendString(dst, p.Scenario)
 	dst = appendBool(dst, p.Explicit)
@@ -1040,24 +1063,13 @@ func (p *ReplicaExploreParams) appendTo(dst []byte) []byte {
 	dst = appendBytes(dst, p.WarmState)
 	dst = appendUvarint(dst, p.Round)
 	dst = appendString(dst, p.Shard)
-	// Conditional tail: page mode. An unused tail (full-state shipment)
-	// adds no bytes. The hash/data guards keep decode→encode canonical for
-	// frames a sender would never build (PageSize 0 with pages attached).
-	if p.PageSize > 0 || len(p.PageHash) > 0 || len(p.PageData) > 0 {
-		dst = appendUint(dst, p.PageSize)
-		dst = appendStrings(dst, p.PageHash)
-		dst = appendUint(dst, len(p.PageData))
-		for _, pg := range p.PageData {
-			dst = appendBytes(dst, pg)
-		}
-	}
-	return dst
+	dst = appendKeys(dst, p.Keys)
+	return appendBlobs(dst, p.Pages)
 }
 
 func (p *ReplicaExploreParams) decodeFrom(d *dec) {
 	p.Node = d.str()
 	p.Config = d.strs()
-	p.State = d.bytes()
 	p.Peer = d.str()
 	p.Scenario = d.str()
 	p.Explicit = d.boolean()
@@ -1067,20 +1079,8 @@ func (p *ReplicaExploreParams) decodeFrom(d *dec) {
 	p.WarmState = d.bytes()
 	p.Round = d.uvarint()
 	p.Shard = d.str()
-	if d.remaining() > 0 { // tail; present only in page mode
-		p.PageSize = d.uint()
-		p.PageHash = d.strs()
-		if n := d.count(1); n > 0 {
-			p.PageData = make([][]byte, n)
-			for i := range p.PageData {
-				p.PageData[i] = d.bytes()
-			}
-		}
-		if p.PageSize == 0 && p.PageHash == nil && p.PageData == nil && d.e == nil {
-			// The encoder omits an all-zero tail, so one here is garbage.
-			d.fail("empty page-mode tail")
-		}
-	}
+	p.Keys = d.keys()
+	p.Pages = d.blobs()
 }
 
 // ReplicaExploreResult is the replica's answer: the agent-shaped
@@ -1092,23 +1092,22 @@ type ReplicaExploreResult struct {
 	// round's WarmState to explore incrementally, or seed a replacement
 	// agent with it.
 	WarmState []byte
-	// MissingPages, when non-empty, means a page-mode request named
-	// hashes the replica's cache could not resolve (first contact, a
-	// restarted replica, or an eviction): no exploration ran, nothing was
-	// memoized, and the sender must retry with the named pages in
-	// PageData. It is a result field, not an error, because transport
-	// errors trigger worker failover — a cache miss must stay on the same
-	// replica connection.
-	MissingPages []string
+	// MissingPages, when non-empty, means the request's Keys named pages
+	// the replica's store could not resolve (a restarted replica, or a
+	// snapshot released to stay under the byte budget): no exploration
+	// ran, nothing was memoized, and the sender must retry with the named
+	// pages in Pages. It is a result field, not an error, because
+	// transport errors trigger worker failover — a miss must stay on the
+	// same replica connection.
+	MissingPages []checkpoint.Key
 }
 
 func (r *ReplicaExploreResult) appendTo(dst []byte) []byte {
 	dst = r.ExploreResult.appendTo(dst)
 	dst = appendBytes(dst, r.WarmState)
-	// Conditional tail: only cache-miss answers carry it, and only
-	// page-mode senders get those.
+	// Conditional tail: only miss answers carry it.
 	if len(r.MissingPages) > 0 {
-		dst = appendStrings(dst, r.MissingPages)
+		dst = appendKeys(dst, r.MissingPages)
 	}
 	return dst
 }
@@ -1116,7 +1115,12 @@ func (r *ReplicaExploreResult) appendTo(dst []byte) []byte {
 func (r *ReplicaExploreResult) decodeFrom(d *dec) {
 	r.ExploreResult.decodeFrom(d)
 	r.WarmState = d.bytes()
-	r.MissingPages = d.tailStrs("missing_pages")
+	if d.remaining() > 0 { // tail; present only on miss answers
+		if r.MissingPages = d.keys(); r.MissingPages == nil && d.e == nil {
+			// The encoder omits an empty tail, so one here is garbage.
+			d.fail("empty missing_pages tail")
+		}
+	}
 }
 
 // --- replay ------------------------------------------------------------------

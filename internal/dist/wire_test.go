@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/core"
 	"dice/internal/netaddr"
@@ -48,12 +49,11 @@ func sampleMessages() []message {
 				`property "converge" { eventually converges within 64 steps }`,
 			}},
 		&HelloResult{Node: "as65002", Topology: "line-3-dense-256", AS: 65002, Prefixes: 771, Version: ProtoVersion},
-		&CheckpointResult{State: []byte{0xca, 0xfe, 0x00, 0x01}, Pages: 12, UniquePages: 3},
+		&CheckpointResult{Chunks: [][]byte{{'R', 'T', 'R', '1'}, {0xca, 0xfe, 0x00, 0x01}}, Pages: 12, UniquePages: 3},
 		&ExploreParams{
 			Peer: "as65001", Scenario: "route-leak", Explicit: true,
-			EngineKnobs: EngineKnobs{MaxRuns: 200, MaxDepth: 64, Workers: 4, SolverNodes: 2,
-				Strategy: concolic.DFS, TimeBudgetNS: 5_000_000_000},
-			ReuseState: true, Round: 3,
+			EngineKnobs: EngineKnobs{MaxRuns: 200, Workers: 4, Strategy: concolic.DFS},
+			ReuseState:  true, Round: 3,
 		},
 		&ExploreResult{
 			Skipped: "", Scenario: "route-leak",
@@ -93,19 +93,17 @@ func sampleMessages() []message {
 			PropMatch: []bool{true, false, true}},
 		&ReplicaExploreParams{
 			Node: "as65002", Config: []string{"router bgp 65002", " neighbor up"},
-			State: []byte{0x05, 0x00, 0xde}, Peer: "as65001", Scenario: "route-leak",
-			Explicit: true,
-			EngineKnobs: EngineKnobs{MaxRuns: 120, MaxDepth: 48, Workers: 2, SolverNodes: 1,
-				Strategy: concolic.BFS, TimeBudgetNS: 2_000_000_000},
-			Boundary: 0xFFFF_FF01, Seed: []byte{0x02, 0x00, 0x17}, WarmState: []byte{0x7a}, Round: 4, Shard: "as65002/as65001#0",
-			PageSize: 4096,
-			PageHash: []string{"6cd5", "a001", "6cd5"},
-			PageData: [][]byte{{0xca, 0xfe}, {0x00}},
+			Peer: "as65001", Scenario: "route-leak",
+			Explicit:    true,
+			EngineKnobs: EngineKnobs{MaxRuns: 120, Workers: 2, Strategy: concolic.BFS},
+			Boundary:    0xFFFF_FF01, Seed: []byte{0x02, 0x00, 0x17}, WarmState: []byte{0x7a}, Round: 4, Shard: "as65002/as65001#0",
+			Keys:  []checkpoint.Key{{0x6c, 0xd5}, {0xa0, 0x01}, {0x6c, 0xd5}},
+			Pages: [][]byte{{0xca, 0xfe}, {0x00}},
 		},
 		&ReplicaExploreResult{
 			ExploreResult: ExploreResult{Scenario: "route-leak", Runs: 17, ElapsedNS: 99},
 			WarmState:     []byte{0x7b, 0x7c},
-			MissingPages:  []string{"a001", "6cd5"},
+			MissingPages:  []checkpoint.Key{{0xa0, 0x01}, {0x6c, 0xd5}},
 		},
 		&SeedParams{Peer: "as65001", Scenario: "route-leak"},
 		&SeedResult{Msg: []byte{0x02, 0x00, 0x17}, Missing: "no observed seed"},
@@ -303,7 +301,7 @@ func TestDecodeRejections(t *testing.T) {
 		{"prefix-host-bits", flip(query, len(query)-2, 0, 1), &QueryOracleParams{}},
 		{"finding-prefix-bits-33", flip(explore, findingAt+4, 8, 33), &ExploreResult{}},
 		{"leak-range-lenhi-33", flip(explore, findingAt+5+8+1, 32, 33), &ExploreResult{}},
-		{"strategy-3", flip(knobs, 2+2+1+4, uint8(concolic.BFS), 3), &ExploreParams{}},
+		{"strategy-3", flip(knobs, 2+2+1+2, uint8(concolic.BFS), 3), &ExploreParams{}},
 	}
 	for _, tc := range cases {
 		if err := decodeBody(tc.body, tc.into); !errors.Is(err, errFrame) {

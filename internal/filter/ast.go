@@ -33,14 +33,6 @@ var fieldNames = map[string]Field{
 	"med":             FieldMED,
 }
 
-// FieldByName resolves a source-level field name ("net.len", "med", ...)
-// to its Field. The property language (internal/prop) shares the filter
-// field vocabulary through this lookup.
-func FieldByName(name string) (Field, bool) {
-	f, ok := fieldNames[name]
-	return f, ok
-}
-
 func (f Field) String() string {
 	for name, v := range fieldNames {
 		if v == f {
@@ -72,6 +64,12 @@ type Expr interface {
 	exprNode()
 	String() string
 }
+
+// Leaf is embedded by leaf predicates another language adds to the
+// expression grammar (see LeafParser); it is what makes them an Expr.
+type Leaf struct{}
+
+func (Leaf) exprNode() {}
 
 // CmpExpr compares a numeric field with a constant.
 type CmpExpr struct {

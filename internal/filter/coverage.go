@@ -106,7 +106,7 @@ func runStmtsCov(stmts []Stmt, subj *Subject, br Brancher, v *Verdict, cov *Cove
 			v.AddCommunities = append(v.AddCommunities, bgp.MakeCommunity(st.AS, st.Value))
 		case *IfStmt:
 			site := fmt.Sprintf("%s%d", prefix, i)
-			cond := evalExpr(st.Cond, subj)
+			cond := evalExpr(st.Cond, subj, nil)
 			v.BranchesTaken++
 			taken := br.Branch(cond)
 			cov.record(site, st.Cond.String(), taken)

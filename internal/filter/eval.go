@@ -137,7 +137,7 @@ func runStmts(stmts []Stmt, subj *Subject, br Brancher, v *Verdict) bool {
 		case *AddCommunityStmt:
 			v.AddCommunities = append(v.AddCommunities, bgp.MakeCommunity(st.AS, st.Value))
 		case *IfStmt:
-			cond := evalExpr(st.Cond, subj)
+			cond := evalExpr(st.Cond, subj, nil)
 			v.BranchesTaken++
 			if br.Branch(cond) {
 				if runStmts(st.Then, subj, br, v) {
@@ -156,16 +156,18 @@ func runStmts(stmts []Stmt, subj *Subject, br Brancher, v *Verdict) bool {
 // evalExpr computes a boolean concolic Value for an expression. The whole
 // condition of an `if` becomes one recorded branch predicate, mirroring
 // how BIRD's interpreter evaluates a parsed condition then branches once.
-func evalExpr(e Expr, subj *Subject) concolic.Value {
+// leaf answers the nodes this evaluator does not know (a LeafParser's);
+// filter programs have none and pass nil.
+func evalExpr(e Expr, subj *Subject, leaf func(Expr) bool) concolic.Value {
 	switch t := e.(type) {
 	case BoolLit:
 		return concolic.Bool(bool(t))
 	case *NotExpr:
-		return concolic.BoolNot(evalExpr(t.X, subj))
+		return concolic.BoolNot(evalExpr(t.X, subj, leaf))
 	case *AndExpr:
-		return concolic.BoolAnd(evalExpr(t.X, subj), evalExpr(t.Y, subj))
+		return concolic.BoolAnd(evalExpr(t.X, subj, leaf), evalExpr(t.Y, subj, leaf))
 	case *OrExpr:
-		return concolic.BoolOr(evalExpr(t.X, subj), evalExpr(t.Y, subj))
+		return concolic.BoolOr(evalExpr(t.X, subj, leaf), evalExpr(t.Y, subj, leaf))
 	case *CmpExpr:
 		lhs := fieldValue(t.Field, subj)
 		rhs := concolic.Concrete(t.Value, lhs.W)
@@ -209,19 +211,23 @@ func evalExpr(e Expr, subj *Subject) concolic.Value {
 		}
 		return concolic.Bool(false)
 	}
+	if leaf != nil {
+		return concolic.Bool(leaf(e))
+	}
 	// An expression node the evaluator does not know is AST drift: a new
 	// node type was added without a case here. Evaluating it as `false`
 	// would silently miscompile every policy using it, so fail loudly.
 	panic(fmt.Sprintf("filter: unhandled expression node %T", e))
 }
 
-// EvalConcrete evaluates one filter expression over a fully concrete
-// subject with no constraint recording. The property language
-// (internal/prop) evaluates its witness and route predicates through
-// here, so both languages share a single evaluator — and its
-// unknown-node drift guards.
-func EvalConcrete(e Expr, subj *Subject) bool {
-	return evalExpr(e, subj).NonZero()
+// EvalConcrete evaluates one expression over a fully concrete subject
+// with no constraint recording. The property language (internal/prop)
+// evaluates its witness and route predicates through here, so both
+// languages share a single evaluator — and its unknown-node drift guards;
+// leaf evaluates the nodes that language's LeafParser added (and owns
+// the drift guard for them).
+func EvalConcrete(e Expr, subj *Subject, leaf func(Expr) bool) bool {
+	return evalExpr(e, subj, leaf).NonZero()
 }
 
 func fieldValue(f Field, subj *Subject) concolic.Value {

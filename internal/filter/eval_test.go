@@ -41,7 +41,7 @@ func TestUnknownFieldPanics(t *testing.T) {
 	})
 	// The same drift reached through a full expression evaluation.
 	mustPanic(t, "unhandled field", func() {
-		evalExpr(&CmpExpr{Field: future, Op: CmpEq, Value: 0}, s)
+		evalExpr(&CmpExpr{Field: future, Op: CmpEq, Value: 0}, s, nil)
 	})
 }
 
@@ -50,7 +50,7 @@ func TestUnknownFieldPanics(t *testing.T) {
 func TestUnknownExprPanics(t *testing.T) {
 	s := subj("10.0.0.0/24", 65001)
 	mustPanic(t, "unhandled expression node", func() {
-		evalExpr(bogusExpr{}, s)
+		evalExpr(bogusExpr{}, s, nil)
 	})
 }
 
@@ -59,7 +59,7 @@ func TestUnknownExprPanics(t *testing.T) {
 func TestUnknownCmpOpPanics(t *testing.T) {
 	s := subj("10.0.0.0/24", 65001)
 	mustPanic(t, "unhandled comparison operator", func() {
-		evalExpr(&CmpExpr{Field: FieldMED, Op: CmpKind(42), Value: 1}, s)
+		evalExpr(&CmpExpr{Field: FieldMED, Op: CmpKind(42), Value: 1}, s, nil)
 	})
 }
 

@@ -4,10 +4,9 @@
 // the paper's testbed (Figure 2).
 //
 // Isolation for DiCE (§2.3: "DiCE intercepts the messages generated
-// during exploration") is provided two ways: exploration clones are simply
-// never attached to the network (their transport is a CaptureSink), and a
-// live node can additionally be switched into intercept mode, which
-// diverts its outbound traffic into a sink instead of the wire.
+// during exploration") is structural: exploration clones are never
+// attached to the network — their transport is a CaptureSink, so whatever
+// they send is recorded for the oracles and goes nowhere else.
 package netsim
 
 import (
@@ -80,13 +79,12 @@ type link struct {
 // Network is the virtual network. Safe for concurrent Send; Run/Step must
 // be called from one goroutine.
 type Network struct {
-	mu        sync.Mutex
-	nodes     map[string]Receiver
-	links     map[linkKey]*link
-	queue     eventQueue
-	seq       uint64
-	now       time.Time
-	intercept map[string]*CaptureSink
+	mu    sync.Mutex
+	nodes map[string]Receiver
+	links map[linkKey]*link
+	queue eventQueue
+	seq   uint64
+	now   time.Time
 
 	// Delivered counts total deliveries (for tests).
 	Delivered uint64
@@ -95,10 +93,9 @@ type Network struct {
 // New creates an empty network with the virtual clock at start.
 func New(start time.Time) *Network {
 	return &Network{
-		nodes:     make(map[string]Receiver),
-		links:     make(map[linkKey]*link),
-		now:       start,
-		intercept: make(map[string]*CaptureSink),
+		nodes: make(map[string]Receiver),
+		links: make(map[linkKey]*link),
+		now:   start,
 	}
 }
 
@@ -148,14 +145,6 @@ func (n *Network) Connect(a, b string, latency time.Duration) error {
 	return nil
 }
 
-// Linked reports whether a and b share a link.
-func (n *Network) Linked(a, b string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.links[key(a, b)]
-	return ok
-}
-
 // Stats returns the traffic counters for the a→b direction.
 func (n *Network) Stats(from, to string) LinkStats {
 	n.mu.Lock()
@@ -168,15 +157,11 @@ func (n *Network) Stats(from, to string) LinkStats {
 }
 
 // Send implements Transport: it enqueues a delivery across the link.
-// Sends from an intercepted node are captured instead. Sends over missing
-// links are dropped (like an unplugged cable), keeping exploration safe.
+// Sends over missing links are dropped (like an unplugged cable), keeping
+// exploration safe.
 func (n *Network) Send(from, to string, data []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if sink, ok := n.intercept[from]; ok {
-		sink.capture(from, to, data)
-		return
-	}
 	l, ok := n.links[key(from, to)]
 	if !ok {
 		return
@@ -194,23 +179,6 @@ func (n *Network) Send(from, to string, data []byte) {
 		to:   to,
 		data: cp,
 	})
-}
-
-// Intercept diverts all future sends from node into the returned sink —
-// the live-system isolation switch.
-func (n *Network) Intercept(node string) *CaptureSink {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sink := NewCaptureSink()
-	n.intercept[node] = sink
-	return sink
-}
-
-// Release removes an interception.
-func (n *Network) Release(node string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.intercept, node)
 }
 
 // Step delivers the next queued event, advancing the virtual clock.
@@ -270,15 +238,6 @@ func (n *Network) RunUntil(deadline time.Time) int {
 	}
 }
 
-// Advance moves the virtual clock forward without delivering anything
-// (for timer-driven protocol ticks).
-func (n *Network) Advance(d time.Duration) time.Time {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.now = n.now.Add(d)
-	return n.now
-}
-
 // Pending returns the number of queued deliveries.
 func (n *Network) Pending() int {
 	n.mu.Lock()
@@ -292,9 +251,9 @@ type CapturedMessage struct {
 	Data     []byte
 }
 
-// CaptureSink collects messages that exploration clones (or intercepted
-// live nodes) attempt to send. It implements Transport so a cloned router
-// can be wired to it transparently.
+// CaptureSink collects messages that exploration clones attempt to send.
+// It implements Transport so a cloned router can be wired to it
+// transparently.
 type CaptureSink struct {
 	mu   sync.Mutex
 	msgs []CapturedMessage
@@ -307,10 +266,6 @@ func NewCaptureSink() *CaptureSink {
 
 // Send implements Transport by capturing.
 func (s *CaptureSink) Send(from, to string, data []byte) {
-	s.capture(from, to, data)
-}
-
-func (s *CaptureSink) capture(from, to string, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.mu.Lock()

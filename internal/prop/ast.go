@@ -7,10 +7,12 @@
 // reachable via AS`) or temporal over the per-wave delivery tail
 // (`eventually converges within N steps`, `always quiet after wave W`).
 //
-// The language is lexed by internal/filter's exported token machinery
-// and its route predicates are internal/filter expressions evaluated by
-// the same evaluator the routing policies use, so the two languages
-// share one vocabulary, one set of line-numbered errors, and one set of
+// The language is parsed over internal/filter's exported token cursor
+// and its route predicates ARE internal/filter expressions — parsed by
+// filter's expression grammar and evaluated by the evaluator the routing
+// policies use; this package adds two leaves (`community boundary`,
+// `via N`) through the grammar's one hook. So the two languages share
+// one vocabulary, one set of line-numbered errors, and one set of
 // unknown-node drift guards. Compiled properties evaluate over Facts —
 // the witness-attributed pre/post observations both backends collect —
 // producing the exact violations the previously hard-coded oracles did.
@@ -27,63 +29,26 @@ import (
 // is the filter package's error type with Lang set to "property".
 type ParseError = filter.ParseError
 
-// Expr is a boolean property predicate. FilterPred wraps a filter
-// expression (shared vocabulary); BoundaryPred and ViaPred are
-// property-only leaves that need topology context (the resolved
-// no-export boundary community, the forwarding path).
-type Expr interface {
-	propExpr()
-	String() string
-}
-
-// FilterPred embeds one filter-language expression, evaluated over the
-// witness or installed route via filter.EvalConcrete.
-type FilterPred struct{ E filter.Expr }
-
-func (*FilterPred) propExpr()        {}
-func (e *FilterPred) String() string { return e.E.String() }
+// Expr is a boolean property predicate: a filter expression (the two
+// languages share one grammar, one AST and one evaluator) whose leaves
+// may also be BoundaryPred and ViaPred, the property-only predicates
+// that need topology context (the resolved no-export boundary community,
+// the forwarding path).
+type Expr = filter.Expr
 
 // BoundaryPred is `community boundary`: the subject carries the
 // topology's resolved no-export boundary community, whatever its value.
-type BoundaryPred struct{}
+type BoundaryPred struct{ filter.Leaf }
 
-func (*BoundaryPred) propExpr()        {}
 func (e *BoundaryPred) String() string { return "community boundary" }
 
 // ViaPred is `via N`: the subject's AS path contains AS N.
-type ViaPred struct{ AS uint16 }
-
-func (*ViaPred) propExpr()        {}
-func (e *ViaPred) String() string { return fmt.Sprintf("via %d", e.AS) }
-
-// NotPred negates a predicate.
-type NotPred struct{ X Expr }
-
-func (*NotPred) propExpr()        {}
-func (e *NotPred) String() string { return "! " + e.X.String() }
-
-// AndPred is conjunction.
-type AndPred struct{ X, Y Expr }
-
-func (*AndPred) propExpr()        {}
-func (e *AndPred) String() string { return "(" + e.X.String() + " && " + e.Y.String() + ")" }
-
-// OrPred is disjunction.
-type OrPred struct{ X, Y Expr }
-
-func (*OrPred) propExpr()        {}
-func (e *OrPred) String() string { return "(" + e.X.String() + " || " + e.Y.String() + ")" }
-
-// BoolPred is a literal true/false.
-type BoolPred bool
-
-func (BoolPred) propExpr() {}
-func (b BoolPred) String() string {
-	if bool(b) {
-		return "true"
-	}
-	return "false"
+type ViaPred struct {
+	filter.Leaf
+	AS uint16
 }
+
+func (e *ViaPred) String() string { return fmt.Sprintf("via %d", e.AS) }
 
 // Assertion is the invariant a property states.
 type Assertion interface {

@@ -5,11 +5,8 @@ import (
 	"fmt"
 )
 
-// Compiled is a validated, evaluable property. Compilation walks the
-// AST once, rejecting node types the evaluator does not know (the same
-// drift rule the filter evaluator enforces by panic — here it is a
-// config error, because property sources arrive from topo.json and
-// operator files).
+// Compiled is a validated, evaluable property: the assertion is one the
+// evaluator handles, and an `at` clause sits only on a node-scoped one.
 type Compiled struct {
 	Name   string
 	Kind   string
@@ -42,14 +39,6 @@ func Compile(p *Property) (*Compiled, error) {
 	if p.Assert == nil {
 		return nil, fmt.Errorf("property %s: no assertion", p.Name)
 	}
-	for _, e := range []Expr{p.When, p.At} {
-		if e == nil {
-			continue
-		}
-		if err := checkExpr(e); err != nil {
-			return nil, fmt.Errorf("property %s: %w", p.Name, err)
-		}
-	}
 	switch p.Assert.(type) {
 	case *ConvergesAssertion, *NeverInstalledAssertion, *NeverBlackholedAssertion,
 		*NeverStaleAssertion, *NeverViaAssertion, *QuietAfterAssertion:
@@ -71,27 +60,6 @@ func Compile(p *Property) (*Compiled, error) {
 	}, nil
 }
 
-// checkExpr rejects predicate nodes the evaluator does not handle.
-func checkExpr(e Expr) error {
-	switch t := e.(type) {
-	case BoolPred, *FilterPred, *BoundaryPred, *ViaPred:
-		return nil
-	case *NotPred:
-		return checkExpr(t.X)
-	case *AndPred:
-		if err := checkExpr(t.X); err != nil {
-			return err
-		}
-		return checkExpr(t.Y)
-	case *OrPred:
-		if err := checkExpr(t.X); err != nil {
-			return err
-		}
-		return checkExpr(t.Y)
-	}
-	return fmt.Errorf("unhandled predicate node %T", e)
-}
-
 // WhenHolds evaluates the property's witness guard; properties without
 // one always apply.
 func (c *Compiled) WhenHolds(witness *Env) bool {
@@ -101,7 +69,7 @@ func (c *Compiled) WhenHolds(witness *Env) bool {
 	if witness == nil {
 		return true
 	}
-	return evalExpr(c.When, witness)
+	return witness.holds(c.When)
 }
 
 // AtMatches evaluates the property's `at` route predicate over env;
@@ -111,7 +79,7 @@ func (c *Compiled) AtMatches(env *Env) bool {
 	if c.At == nil || env == nil {
 		return true
 	}
-	return evalExpr(c.At, env)
+	return env.holds(c.At)
 }
 
 // CompileSources parses and compiles a list of property sources (each

@@ -28,20 +28,14 @@ func NewEnv(prefix netaddr.Prefix, attrs *bgp.Attrs, boundary uint32) *Env {
 	return &Env{Subject: filter.SubjectFromRoute(prefix, attrs), ASNs: asns, Boundary: boundary}
 }
 
-// evalExpr evaluates a property predicate over env. Filter leaves go
-// through filter.EvalConcrete so both languages share one evaluator.
-func evalExpr(e Expr, env *Env) bool {
+// holds evaluates a property predicate over env through filter's
+// evaluator, answering the two property-only leaves here.
+func (env *Env) holds(e Expr) bool {
+	return filter.EvalConcrete(e, env.Subject, env.leaf)
+}
+
+func (env *Env) leaf(e filter.Expr) bool {
 	switch t := e.(type) {
-	case BoolPred:
-		return bool(t)
-	case *NotPred:
-		return !evalExpr(t.X, env)
-	case *AndPred:
-		return evalExpr(t.X, env) && evalExpr(t.Y, env)
-	case *OrPred:
-		return evalExpr(t.X, env) || evalExpr(t.Y, env)
-	case *FilterPred:
-		return filter.EvalConcrete(t.E, env.Subject)
 	case *BoundaryPred:
 		for _, c := range env.Subject.Communities {
 			if c == env.Boundary {
@@ -57,9 +51,9 @@ func evalExpr(e Expr, env *Env) bool {
 		}
 		return false
 	}
-	// Compile rejects unknown nodes up front; reaching here means AST
-	// drift inside this package. Same loud-failure rule as the filter
-	// evaluator: never miscompile a predicate to false.
+	// Neither parser produces any other node; reaching here means AST
+	// drift. Same loud-failure rule as the filter evaluator: never
+	// miscompile a predicate to false.
 	panic(fmt.Sprintf("prop: unhandled predicate node %T", e))
 }
 
@@ -75,18 +69,16 @@ type Phase struct {
 
 // NodeFacts describes one node (beyond the injection pair) that
 // installed the witness as its best route, plus its forward trace.
-// Route carries the installed route for `at` predicates when the
-// backend observes it directly (in-process); AtMatch carries per-
-// property `at` verdicts answered remotely (distributed query_oracle),
-// indexed like the property list passed to Evaluate. With neither, `at`
-// clauses conservatively match.
+// AtMatch carries the per-property `at` verdicts about the installed
+// route, answered where the route lives (Compiled.AtMatches, on the node
+// itself when distributed) and indexed like the property list passed to
+// Evaluate. Without them, `at` clauses conservatively match.
 type NodeFacts struct {
 	Name      string
 	Hops      int
 	Terminal  string
 	Delivered bool
 	Path      []string // forward-trace node names, origin first, terminal last
-	Route     *Env
 	AtMatch   []bool
 }
 
@@ -296,18 +288,11 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 	return out
 }
 
-// atMatches evaluates a property's `at` predicate over one node's
-// installed route, preferring the directly observed route, then the
-// remotely answered verdict, then a conservative match.
+// atMatches reads a property's `at` verdict about one node's installed
+// route; a node that carries no verdicts matches conservatively.
 func atMatches(c *Compiled, idx int, n *NodeFacts) bool {
-	if c.At == nil {
+	if c.At == nil || idx >= len(n.AtMatch) {
 		return true
 	}
-	if n.Route != nil {
-		return evalExpr(c.At, n.Route)
-	}
-	if idx < len(n.AtMatch) {
-		return n.AtMatch[idx]
-	}
-	return true
+	return n.AtMatch[idx]
 }

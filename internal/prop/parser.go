@@ -2,10 +2,8 @@ package prop
 
 import (
 	"fmt"
-	"strconv"
 
 	"dice/internal/filter"
-	"dice/internal/netaddr"
 )
 
 // Parse parses exactly one `property name { ... }` definition.
@@ -23,17 +21,13 @@ func Parse(src string) (*Property, error) {
 
 // ParseAll parses a sequence of property definitions.
 func ParseAll(src string) ([]*Property, error) {
-	toks, err := filter.Lex(src)
+	p, err := filter.NewCursor(src, "property", leaf)
 	if err != nil {
-		if pe, ok := err.(*ParseError); ok && pe.Lang == "" {
-			pe.Lang = "property"
-		}
 		return nil, err
 	}
-	p := &parser{toks: toks}
 	var out []*Property
-	for p.peek().Kind != filter.TokEOF {
-		pr, err := p.property()
+	for p.Peek().Kind != filter.TokEOF {
+		pr, err := property(p)
 		if err != nil {
 			return nil, err
 		}
@@ -42,88 +36,39 @@ func ParseAll(src string) ([]*Property, error) {
 	return out, nil
 }
 
-type parser struct {
-	toks []filter.Token
-	pos  int
-}
-
-func (p *parser) peek() filter.Token { return p.toks[p.pos] }
-
-func (p *parser) next() filter.Token {
-	t := p.toks[p.pos]
-	if t.Kind != filter.TokEOF {
-		p.pos++
-	}
-	return t
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.peek().Line, Lang: "property", Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) expect(k filter.TokenKind, what string) (filter.Token, error) {
-	t := p.peek()
-	if t.Kind != k {
-		return t, p.errf("expected %s, found %s", what, t)
-	}
-	return p.next(), nil
-}
-
-func (p *parser) expectKeyword(kw string) error {
-	t := p.peek()
-	if t.Kind != filter.TokIdent || t.Text != kw {
-		return p.errf("expected %q, found %s", kw, t)
-	}
-	p.next()
-	return nil
-}
-
-func (p *parser) number(bits int) (uint64, error) {
-	t, err := p.expect(filter.TokNumber, "number")
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseUint(t.Text, 10, bits)
-	if err != nil {
-		return 0, &ParseError{Line: t.Line, Lang: "property",
-			Msg: fmt.Sprintf("bad number %q: %v", t.Text, err)}
-	}
-	return v, nil
-}
-
 // property := "property" IDENT "{" clause* "}"
 // clause   := "kind" STRING ";" | "when" expr ";" | "at" expr ";"
 //
 //	| "assert" assertion ";"
-func (p *parser) property() (*Property, error) {
-	if err := p.expectKeyword("property"); err != nil {
+func property(p *filter.Cursor) (*Property, error) {
+	if err := p.ExpectKeyword("property"); err != nil {
 		return nil, err
 	}
-	name, err := p.expect(filter.TokIdent, "property name")
+	name, err := p.Expect(filter.TokIdent, "property name")
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(filter.TokLBrace, "'{'"); err != nil {
+	if _, err := p.Expect(filter.TokLBrace, "'{'"); err != nil {
 		return nil, err
 	}
 	pr := &Property{Name: name.Text}
-	for p.peek().Kind != filter.TokRBrace {
-		t := p.peek()
+	for p.Peek().Kind != filter.TokRBrace {
+		t := p.Peek()
 		if t.Kind == filter.TokEOF {
-			return nil, p.errf("unterminated property %q", pr.Name)
+			return nil, p.Errf("unterminated property %q", pr.Name)
 		}
 		if t.Kind != filter.TokIdent {
-			return nil, p.errf("expected clause, found %s", t)
+			return nil, p.Errf("expected clause, found %s", t)
 		}
 		switch t.Text {
 		case "kind":
-			p.next()
-			ks, err := p.expect(filter.TokString, "kind string")
+			p.Next()
+			ks, err := p.Expect(filter.TokString, "kind string")
 			if err != nil {
 				return nil, err
 			}
 			if pr.Kind != "" {
-				return nil, p.errf("duplicate kind clause")
+				return nil, p.Errf("duplicate kind clause")
 			}
 			if !validKind(ks.Text) {
 				return nil, &ParseError{Line: ks.Line, Lang: "property",
@@ -131,49 +76,49 @@ func (p *parser) property() (*Property, error) {
 			}
 			pr.Kind = ks.Text
 		case "when":
-			p.next()
+			p.Next()
 			if pr.When != nil {
-				return nil, p.errf("duplicate when clause")
+				return nil, p.Errf("duplicate when clause")
 			}
-			e, err := p.expr()
+			e, err := p.Expr()
 			if err != nil {
 				return nil, err
 			}
 			pr.When = e
 		case "at":
-			p.next()
+			p.Next()
 			if pr.At != nil {
-				return nil, p.errf("duplicate at clause")
+				return nil, p.Errf("duplicate at clause")
 			}
-			e, err := p.expr()
+			e, err := p.Expr()
 			if err != nil {
 				return nil, err
 			}
 			pr.At = e
 		case "assert":
-			p.next()
+			p.Next()
 			if pr.Assert != nil {
-				return nil, p.errf("duplicate assert clause")
+				return nil, p.Errf("duplicate assert clause")
 			}
-			a, err := p.assertion()
+			a, err := assertion(p)
 			if err != nil {
 				return nil, err
 			}
 			pr.Assert = a
 		default:
-			return nil, p.errf("unknown clause %q", t.Text)
+			return nil, p.Errf("unknown clause %q", t.Text)
 		}
-		if _, err := p.expect(filter.TokSemi, "';'"); err != nil {
+		if _, err := p.Expect(filter.TokSemi, "';'"); err != nil {
 			return nil, err
 		}
 	}
 	if pr.Kind == "" {
-		return nil, p.errf("property %q has no kind clause", pr.Name)
+		return nil, p.Errf("property %q has no kind clause", pr.Name)
 	}
 	if pr.Assert == nil {
-		return nil, p.errf("property %q has no assert clause", pr.Name)
+		return nil, p.Errf("property %q has no assert clause", pr.Name)
 	}
-	p.next() // consume }
+	p.Next() // consume }
 	return pr, nil
 }
 
@@ -198,272 +143,117 @@ func validKind(s string) bool {
 //
 //	| "never" ("installed" | "blackholed" | "stale" | "reachable" "via" N)
 //	| "always" "quiet" "after" "wave" N
-func (p *parser) assertion() (Assertion, error) {
-	t := p.peek()
+func assertion(p *filter.Cursor) (Assertion, error) {
+	t := p.Peek()
 	if t.Kind != filter.TokIdent {
-		return nil, p.errf("expected assertion, found %s", t)
+		return nil, p.Errf("expected assertion, found %s", t)
 	}
 	switch t.Text {
 	case "eventually":
-		p.next()
-		if err := p.expectKeyword("converges"); err != nil {
+		p.Next()
+		if err := p.ExpectKeyword("converges"); err != nil {
 			return nil, err
 		}
 		a := &ConvergesAssertion{}
-		if w := p.peek(); w.Kind == filter.TokIdent && w.Text == "within" {
-			p.next()
-			n, err := p.number(31)
+		if w := p.Peek(); w.Kind == filter.TokIdent && w.Text == "within" {
+			p.Next()
+			n, err := p.Number(31)
 			if err != nil {
 				return nil, err
 			}
 			if n == 0 {
-				return nil, p.errf("within bound must be positive")
+				return nil, p.Errf("within bound must be positive")
 			}
-			if err := p.expectKeyword("steps"); err != nil {
+			if err := p.ExpectKeyword("steps"); err != nil {
 				return nil, err
 			}
 			a.Within = int(n)
 		}
 		return a, nil
 	case "never":
-		p.next()
-		t2 := p.peek()
+		p.Next()
+		t2 := p.Peek()
 		if t2.Kind != filter.TokIdent {
-			return nil, p.errf("expected assertion after never, found %s", t2)
+			return nil, p.Errf("expected assertion after never, found %s", t2)
 		}
 		switch t2.Text {
 		case "installed":
-			p.next()
+			p.Next()
 			return &NeverInstalledAssertion{}, nil
 		case "blackholed":
-			p.next()
+			p.Next()
 			return &NeverBlackholedAssertion{}, nil
 		case "stale":
-			p.next()
+			p.Next()
 			return &NeverStaleAssertion{}, nil
 		case "reachable":
-			p.next()
-			if err := p.expectKeyword("via"); err != nil {
+			p.Next()
+			if err := p.ExpectKeyword("via"); err != nil {
 				return nil, err
 			}
-			n, err := p.number(16)
+			n, err := p.Number(16)
 			if err != nil {
 				return nil, err
 			}
 			return &NeverViaAssertion{AS: uint16(n)}, nil
 		}
-		return nil, p.errf("unknown assertion %q after never", t2.Text)
+		return nil, p.Errf("unknown assertion %q after never", t2.Text)
 	case "always":
-		p.next()
-		if err := p.expectKeyword("quiet"); err != nil {
+		p.Next()
+		if err := p.ExpectKeyword("quiet"); err != nil {
 			return nil, err
 		}
-		if err := p.expectKeyword("after"); err != nil {
+		if err := p.ExpectKeyword("after"); err != nil {
 			return nil, err
 		}
-		if err := p.expectKeyword("wave"); err != nil {
+		if err := p.ExpectKeyword("wave"); err != nil {
 			return nil, err
 		}
-		n, err := p.number(31)
+		n, err := p.Number(31)
 		if err != nil {
 			return nil, err
 		}
 		return &QuietAfterAssertion{Wave: int(n)}, nil
 	}
-	return nil, p.errf("unknown assertion %q", t.Text)
+	return nil, p.Errf("unknown assertion %q", t.Text)
 }
 
-// expr := andExpr ("||" andExpr)*
-func (p *parser) expr() (Expr, error) {
-	x, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Kind == filter.TokOr {
-		p.next()
-		y, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &OrPred{X: x, Y: y}
-	}
-	return x, nil
-}
-
-// andExpr := unary ("&&" unary)*
-func (p *parser) andExpr() (Expr, error) {
-	x, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Kind == filter.TokAnd {
-		p.next()
-		y, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		x = &AndPred{X: x, Y: y}
-	}
-	return x, nil
-}
-
-// unary := "!" unary | primary
-func (p *parser) unary() (Expr, error) {
-	if p.peek().Kind == filter.TokNot {
-		p.next()
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &NotPred{X: x}, nil
-	}
-	return p.primary()
-}
-
-// primary := "(" expr ")" | "true" | "false"
+// leaf is the property language's addition to filter's expression
+// grammar (a filter.LeafParser): the two predicates that need topology
+// context. Everything else in a `when` or `at` clause — connectives,
+// parentheses, literals, field comparisons, `net ~`, `community (a,b)` —
+// is filter's own grammar.
 //
-//	| "community" "boundary" | "community" "(" n "," n ")"
-//	| "via" N
-//	| "net" "~" CIDR ("{" n "," n "}")?
-//	| field cmpOp value
-func (p *parser) primary() (Expr, error) {
-	t := p.peek()
-	switch {
-	case t.Kind == filter.TokLParen:
-		p.next()
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
+//	leaf := "community" "boundary" | "via" N
+func leaf(p *filter.Cursor) (filter.Expr, error) {
+	t := p.Peek()
+	if t.Kind != filter.TokIdent {
+		if t.Kind != filter.TokLParen {
+			// No primary of either grammar starts here; say so in this
+			// language's word for it.
+			return nil, p.Errf("expected predicate, found %s", t)
 		}
-		if _, err := p.expect(filter.TokRParen, "')'"); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case t.Kind == filter.TokIdent && t.Text == "true":
-		p.next()
-		return BoolPred(true), nil
-	case t.Kind == filter.TokIdent && t.Text == "false":
-		p.next()
-		return BoolPred(false), nil
-	case t.Kind == filter.TokIdent && t.Text == "community":
-		p.next()
-		if b := p.peek(); b.Kind == filter.TokIdent && b.Text == "boundary" {
-			p.next()
+		return nil, nil
+	}
+	switch t.Text {
+	case "community":
+		switch n := p.PeekAt(1); {
+		case n.Kind == filter.TokIdent && n.Text == "boundary":
+			p.Next()
+			p.Next()
 			return &BoundaryPred{}, nil
-		}
-		if _, err := p.expect(filter.TokLParen, "'(' or 'boundary'"); err != nil {
+		case n.Kind != filter.TokLParen:
+			p.Next()
+			_, err := p.Expect(filter.TokLParen, "'(' or 'boundary'")
 			return nil, err
 		}
-		as, err := p.number(16)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(filter.TokComma, "','"); err != nil {
-			return nil, err
-		}
-		val, err := p.number(16)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(filter.TokRParen, "')'"); err != nil {
-			return nil, err
-		}
-		return &FilterPred{E: &filter.CommunityExpr{AS: uint16(as), Value: uint16(val)}}, nil
-	case t.Kind == filter.TokIdent && t.Text == "via":
-		p.next()
-		n, err := p.number(16)
+	case "via":
+		p.Next()
+		n, err := p.Number(16)
 		if err != nil {
 			return nil, err
 		}
 		return &ViaPred{AS: uint16(n)}, nil
-	case t.Kind == filter.TokIdent:
-		field, ok := filter.FieldByName(t.Text)
-		if !ok {
-			return nil, p.errf("unknown field %q", t.Text)
-		}
-		p.next()
-		op := p.peek()
-		if field == filter.FieldNet {
-			if op.Kind != filter.TokTilde {
-				return nil, p.errf("net supports only '~', found %s", op)
-			}
-			p.next()
-			return p.matchExpr()
-		}
-		var cmp filter.CmpKind
-		switch op.Kind {
-		case filter.TokEq:
-			cmp = filter.CmpEq
-		case filter.TokNe:
-			cmp = filter.CmpNe
-		case filter.TokLt:
-			cmp = filter.CmpLt
-		case filter.TokLe:
-			cmp = filter.CmpLe
-		case filter.TokGt:
-			cmp = filter.CmpGt
-		case filter.TokGe:
-			cmp = filter.CmpGe
-		default:
-			return nil, p.errf("expected comparison operator, found %s", op)
-		}
-		p.next()
-		// Origin comparisons accept symbolic names, like filter programs.
-		if field == filter.FieldOrigin && p.peek().Kind == filter.TokIdent {
-			name := p.next().Text
-			var v uint64
-			switch name {
-			case "igp":
-				v = 0
-			case "egp":
-				v = 1
-			case "incomplete":
-				v = 2
-			default:
-				return nil, p.errf("unknown origin %q", name)
-			}
-			return &FilterPred{E: &filter.CmpExpr{Field: field, Op: cmp, Value: v}}, nil
-		}
-		v, err := p.number(32)
-		if err != nil {
-			return nil, err
-		}
-		return &FilterPred{E: &filter.CmpExpr{Field: field, Op: cmp, Value: v}}, nil
 	}
-	return nil, p.errf("expected predicate, found %s", t)
-}
-
-// matchExpr parses the right side of `net ~`: CIDR with optional {lo,hi}.
-func (p *parser) matchExpr() (Expr, error) {
-	t, err := p.expect(filter.TokCIDR, "prefix literal")
-	if err != nil {
-		return nil, err
-	}
-	pref, perr := netaddr.ParsePrefix(t.Text)
-	if perr != nil {
-		return nil, &ParseError{Line: t.Line, Lang: "property", Msg: perr.Error()}
-	}
-	lo, hi := pref.Bits(), 32
-	if p.peek().Kind == filter.TokLBrace {
-		p.next()
-		loV, err := p.number(8)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(filter.TokComma, "','"); err != nil {
-			return nil, err
-		}
-		hiV, err := p.number(8)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(filter.TokRBrace, "'}'"); err != nil {
-			return nil, err
-		}
-		lo, hi = int(loV), int(hiV)
-		if lo < pref.Bits() || hi > 32 || lo > hi {
-			return nil, p.errf("bad length range {%d,%d} for %s", lo, hi, pref)
-		}
-	}
-	return &FilterPred{E: &filter.MatchExpr{Prefix: pref, LoLen: lo, HiLen: hi}}, nil
+	return nil, nil
 }

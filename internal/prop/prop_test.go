@@ -1,10 +1,13 @@
 package prop
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dice/internal/bgp"
+	"dice/internal/filter"
 	"dice/internal/netaddr"
 )
 
@@ -105,12 +108,58 @@ func TestCompileRejects(t *testing.T) {
 	if _, err := Compile(p); err == nil || !strings.Contains(err.Error(), "node-scoped") {
 		t.Fatalf("Compile accepted at+stale: %v", err)
 	}
-	// Unknown predicate nodes are config errors, not silent false.
+}
+
+// TestUnknownLeafPanics: a predicate node neither parser produces is AST
+// drift, and evaluating it fails as loudly as it does in a filter program
+// — never as a silent false.
+func TestUnknownLeafPanics(t *testing.T) {
 	type bogus struct{ Expr }
-	p = mustParse(t, `property p { kind "x"; when true; assert never installed; }`)
-	p.When = bogus{}
-	if _, err := Compile(p); err == nil || !strings.Contains(err.Error(), "unhandled predicate node") {
-		t.Fatalf("Compile accepted bogus predicate: %v", err)
+	c := mustCompile(t, `property p { kind "x"; when true; assert never installed; }`)
+	c.When = &filter.NotExpr{X: bogus{}}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unhandled predicate node") {
+			t.Fatalf("evaluating an unknown leaf: recovered %v, want the drift panic", r)
+		}
+	}()
+	c.WhenHolds(witnessEnv(t, nil, []uint16{65001}))
+}
+
+// TestSharedGrammar: the route predicates of a `when` / `at` clause and
+// the condition of a filter `if` are one grammar — the same source parses
+// to equal filter.Expr trees in both languages — while the two
+// property-only leaves stay out of filter programs, which reject them
+// with a line-numbered error.
+func TestSharedGrammar(t *testing.T) {
+	for _, src := range []string{
+		`true`,
+		`! false`,
+		`net ~ 10.0.0.0/8`,
+		`net ~ 10.0.0.0/8{16,24}`,
+		`net.len >= 24 && bgp_path.len < 5`,
+		`(med = 3 || local_pref != 100) && ! community (65000,7)`,
+		`origin = igp || origin = incomplete || origin = 1`,
+		`bgp_path.origin = 65001 && bgp_path.first > 64512 && ! (net ~ 192.168.0.0/16 || med <= 9)`,
+	} {
+		f, err := filter.Parse("filter f { if " + src + " then accept; }")
+		if err != nil {
+			t.Fatalf("filter rejects %q: %v", src, err)
+		}
+		p := mustParse(t, `property p { kind "k"; when `+src+`; at `+src+`; assert never installed; }`)
+		cond := f.Stmts[0].(*filter.IfStmt).Cond
+		if !reflect.DeepEqual(p.When, cond) || !reflect.DeepEqual(p.At, cond) {
+			t.Errorf("%q parses to %s in a filter, %s / %s in a property", src, cond, p.When, p.At)
+		}
+	}
+	for src, want := range map[string]string{
+		"filter f {\n if via 65003 then accept;\n}":            `unknown field "via"`,
+		"filter f {\n\n if community boundary then accept;\n}": "expected '('",
+	} {
+		_, err := filter.Parse(src)
+		pe, ok := err.(*filter.ParseError)
+		if !ok || !strings.Contains(pe.Msg, want) || pe.Line != strings.Count(src[:strings.Index(src, "if")], "\n")+1 {
+			t.Errorf("filter.Parse(%q) = %v, want a line-numbered %q", src, err, want)
+		}
 	}
 }
 
@@ -270,18 +319,18 @@ func TestEvaluateViaAndAt(t *testing.T) {
 	}
 
 	// `at` over the installed route: only nodes whose route matches fire.
-	f.Nodes[0].Route = witnessEnv(t, []uint32{bgp.MakeCommunity(2, 2)}, []uint16{65002})
-	f.Nodes[1].Route = witnessEnv(t, nil, []uint16{65002})
+	// The verdicts are answered where the route lives (AtMatches) and
+	// travel as AtMatch, indexed like the property list.
 	props = []*Compiled{
 		mustCompile(t, `property tagged { kind "tagged-install"; at community (2,2); assert never installed; }`),
 	}
+	f.Nodes[0].AtMatch = []bool{props[0].AtMatches(witnessEnv(t, []uint32{bgp.MakeCommunity(2, 2)}, []uint16{65002}))}
+	f.Nodes[1].AtMatch = []bool{props[0].AtMatches(witnessEnv(t, nil, []uint16{65002}))}
 	vs = Evaluate(props, f)
 	if len(vs) != 1 || vs[0].Node != "r2" {
 		t.Fatalf("at: got %+v", vs)
 	}
 
-	// Remote AtMatch verdicts substitute when the route is not local.
-	f.Nodes[0].Route, f.Nodes[1].Route = nil, nil
 	f.Nodes[0].AtMatch = []bool{false}
 	f.Nodes[1].AtMatch = []bool{true}
 	vs = Evaluate(props, f)

@@ -16,10 +16,8 @@ type RouteTable interface {
 	Best(p netaddr.Prefix) *Route
 	Candidates(p netaddr.Prefix) []*Route
 	CoveringBest(p netaddr.Prefix) *Route
-	LongestMatch(a netaddr.Addr) *Route
 	Walk(fn func(*Route) bool)
 	WalkAll(fn func(p netaddr.Prefix, candidates []*Route) bool)
-	WalkCovered(p netaddr.Prefix, fn func(*Route) bool)
 	Dump() []*Route
 	Prefixes() int
 	Routes() int
@@ -137,11 +135,6 @@ func (o *Overlay) CoveringBest(p netaddr.Prefix) *Route {
 	return nil
 }
 
-// LongestMatch implements RouteTable.
-func (o *Overlay) LongestMatch(a netaddr.Addr) *Route {
-	return o.CoveringBest(netaddr.PrefixFrom(a, 32))
-}
-
 // WalkAll implements RouteTable: base entries (minus owned) merged with
 // local entries, in prefix order.
 func (o *Overlay) WalkAll(fn func(p netaddr.Prefix, candidates []*Route) bool) {
@@ -184,16 +177,6 @@ func (o *Overlay) Walk(fn func(*Route) bool) {
 	})
 }
 
-// WalkCovered implements RouteTable.
-func (o *Overlay) WalkCovered(p netaddr.Prefix, fn func(*Route) bool) {
-	o.Walk(func(r *Route) bool {
-		if p.Covers(r.Prefix) {
-			return fn(r)
-		}
-		return true
-	})
-}
-
 // Dump implements RouteTable.
 func (o *Overlay) Dump() []*Route {
 	var out []*Route
@@ -209,7 +192,3 @@ func (o *Overlay) Prefixes() int { return o.base.Prefixes() + o.dPrefixes }
 
 // Routes implements RouteTable.
 func (o *Overlay) Routes() int { return o.base.Routes() + o.dRoutes }
-
-// OwnedPrefixes reports how many prefixes the overlay privately owns —
-// the COW "dirtied pages" analogue, used by memory accounting.
-func (o *Overlay) OwnedPrefixes() int { return len(o.owned) }

@@ -28,7 +28,7 @@ func TestOverlayReadsFallThrough(t *testing.T) {
 	if o.CoveringBest(pfx("10.1.2.0/24")) != base.Best(pfx("10.1.0.0/16")) {
 		t.Fatal("covering lookup wrong")
 	}
-	if o.LongestMatch(ip("10.1.2.3")) != base.Best(pfx("10.1.0.0/16")) {
+	if o.CoveringBest(pfx("10.1.2.3/32")) != base.Best(pfx("10.1.0.0/16")) {
 		t.Fatal("longest match wrong")
 	}
 }
@@ -52,8 +52,8 @@ func TestOverlayWriteDoesNotTouchBase(t *testing.T) {
 	if o.Routes() != beforeRoutes+1 {
 		t.Fatalf("overlay route count %d, want %d", o.Routes(), beforeRoutes+1)
 	}
-	if o.OwnedPrefixes() != 1 {
-		t.Fatalf("owned = %d", o.OwnedPrefixes())
+	if got := len(o.owned); got != 1 {
+		t.Fatalf("owned = %d", got)
 	}
 }
 

@@ -226,27 +226,6 @@ func (t *Table) Candidates(p netaddr.Prefix) []*Route {
 	return append([]*Route(nil), n.entry.candidates...)
 }
 
-// LongestMatch returns the best route of the most specific prefix
-// containing addr, or nil if none.
-func (t *Table) LongestMatch(a netaddr.Addr) *Route {
-	n := t.root
-	var last *Route
-	for i := 0; ; i++ {
-		if n.entry != nil && n.entry.best != nil {
-			last = n.entry.best
-		}
-		if i >= 32 {
-			break
-		}
-		b := int(a>>(31-uint(i))) & 1
-		if n.children[b] == nil {
-			break
-		}
-		n = n.children[b]
-	}
-	return last
-}
-
 // CoveringBest returns the best route for the longest prefix that covers p
 // (including p itself), or nil.
 func (t *Table) CoveringBest(p netaddr.Prefix) *Route {
@@ -283,28 +262,6 @@ func (t *Table) Walk(fn func(*Route) bool) {
 		return walk(n.children[0]) && walk(n.children[1])
 	}
 	walk(t.root)
-}
-
-// WalkCovered visits best routes of prefixes covered by p (p itself and
-// more-specifics).
-func (t *Table) WalkCovered(p netaddr.Prefix, fn func(*Route) bool) {
-	n := t.find(p, false)
-	if n == nil {
-		return
-	}
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n == nil {
-			return true
-		}
-		if n.entry != nil && n.entry.best != nil {
-			if !fn(n.entry.best) {
-				return false
-			}
-		}
-		return walk(n.children[0]) && walk(n.children[1])
-	}
-	walk(n)
 }
 
 // WalkAll visits every prefix with its full candidate set in trie

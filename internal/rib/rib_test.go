@@ -182,6 +182,8 @@ func TestDecisionLocalWins(t *testing.T) {
 	}
 }
 
+// TestLongestMatch: an address's route is CoveringBest of its /32 — the
+// most specific of the nested prefixes containing it.
 func TestLongestMatch(t *testing.T) {
 	tb := New()
 	r8 := mkRoute("10.0.0.0/8", "10.0.0.1", 65001, 65001)
@@ -201,8 +203,8 @@ func TestLongestMatch(t *testing.T) {
 		{"11.0.0.1", nil},
 	}
 	for _, c := range cases {
-		if got := tb.LongestMatch(ip(c.addr)); got != c.want {
-			t.Errorf("LongestMatch(%s) = %v, want %v", c.addr, got, c.want)
+		if got := tb.CoveringBest(netaddr.PrefixFrom(ip(c.addr), 32)); got != c.want {
+			t.Errorf("CoveringBest(%s/32) = %v, want %v", c.addr, got, c.want)
 		}
 	}
 }
@@ -219,21 +221,6 @@ func TestCoveringBest(t *testing.T) {
 	}
 	if got := tb.CoveringBest(pfx("10.0.0.0/8")); got != nil {
 		t.Fatalf("CoveringBest(less specific) = %v, want nil", got)
-	}
-}
-
-func TestWalkCovered(t *testing.T) {
-	tb := New()
-	tb.Insert(mkRoute("10.1.0.0/16", "10.0.0.1", 65001, 65001))
-	tb.Insert(mkRoute("10.1.2.0/24", "10.0.0.1", 65001, 65001))
-	tb.Insert(mkRoute("192.168.0.0/16", "10.0.0.1", 65001, 65001))
-	var got []string
-	tb.WalkCovered(pfx("10.0.0.0/8"), func(r *Route) bool {
-		got = append(got, r.Prefix.String())
-		return true
-	})
-	if len(got) != 2 {
-		t.Fatalf("covered walk found %v", got)
 	}
 }
 
@@ -436,6 +423,6 @@ func BenchmarkLongestMatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.LongestMatch(netaddr.Addr(uint32(i) * 2654435761))
+		tb.CoveringBest(netaddr.PrefixFrom(netaddr.Addr(uint32(i)*2654435761), 32))
 	}
 }

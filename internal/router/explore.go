@@ -107,11 +107,6 @@ type Outcome struct {
 	// peer's candidate; a withdrawal removed a route the peer had
 	// contributed.
 	Accepted bool
-	// Prev is the route that steered the prefix's address range before the
-	// message: the best route of the longest prefix covering it. This
-	// catches both exact-prefix origin changes and the YouTube-style
-	// more-specific hijack (a /24 punched into a victim's /22).
-	Prev *rib.Route
 	// Change is the best-path change the message caused for Prefix.
 	Change rib.Change
 	// SpreadTo lists the peers the new best route (Change.New) was
@@ -143,7 +138,6 @@ func (r *Router) explore(peerName string, u *bgp.Update, lf lift, br filter.Bran
 	} else {
 		out.Prefix = u.Withdrawn[0]
 	}
-	out.Prev = r.loc.CoveringBest(out.Prefix)
 	r.process(peerName, u, lf, br, &out)
 	return out
 }

@@ -112,7 +112,7 @@ func TestDeepPolicyModelsPinned(t *testing.T) {
 			env, r := worker.SolvePrefixed(append(q, sym.NewNot(p.Path[i])), p.Env)
 			lines = append(lines, fmt.Sprintf("path %d negate %d: %s", p.Seq, i, renderModel(env, r)))
 		}
-		env, r := solver.New(solver.Options{Hint: p.Env}).Solve(append(p.Constraints(), noExport))
+		env, r := solver.New(solver.Options{}).SolveHinted(append(p.Constraints(), noExport), p.Env)
 		lines = append(lines, fmt.Sprintf("path %d oracle: %s", p.Seq, renderModel(env, r)))
 	}
 	got := strings.Join(lines, "\n") + "\n"

@@ -184,9 +184,6 @@ func (st *state) project(id int, v uint64) uint64 {
 type Options struct {
 	// MaxNodes bounds backtracking search nodes; 0 means DefaultMaxNodes.
 	MaxNodes int
-	// Hint suggests preferred values for variables (the concolic engine
-	// passes the current concrete input so solutions stay close to it).
-	Hint sym.Env
 }
 
 // DefaultMaxNodes is the default backtracking budget.
@@ -243,12 +240,13 @@ func New(opts Options) *Solver {
 // Solve searches for an assignment satisfying every constraint. On Sat the
 // returned env binds every variable occurring in the constraints.
 func (s *Solver) Solve(constraints []sym.Expr) (sym.Env, Result) {
-	return s.SolveHinted(constraints, s.opts.Hint)
+	return s.SolveHinted(constraints, nil)
 }
 
-// SolveHinted is Solve with a per-call hint (overriding Options.Hint), so
-// one Solver can be reused across queries — the concolic scheduler keeps
-// one per worker and passes each negation's parent assignment as the hint.
+// SolveHinted is Solve with a hint: preferred values for variables, tried
+// first so solutions stay close to them (the oracles pass the path's
+// concrete input; the concolic scheduler, through SolvePrefixed, each
+// negation's parent assignment).
 func (s *Solver) SolveHinted(constraints []sym.Expr, hint sym.Env) (sym.Env, Result) {
 	s.Calls++
 

@@ -174,8 +174,7 @@ func TestNegatedDisjunction(t *testing.T) {
 
 func TestHintPreferred(t *testing.T) {
 	x := v32(1, "x")
-	s := New(Options{Hint: sym.Env{1: 77}})
-	env, res := s.Solve([]sym.Expr{sym.NewCmp(sym.OpGt, x, c32(10))})
+	env, res := New(Options{}).SolveHinted([]sym.Expr{sym.NewCmp(sym.OpGt, x, c32(10))}, sym.Env{1: 77})
 	if res != Sat {
 		t.Fatalf("expected sat, got %v", res)
 	}
@@ -186,8 +185,7 @@ func TestHintPreferred(t *testing.T) {
 
 func TestHintInfeasibleStillSolves(t *testing.T) {
 	x := v32(1, "x")
-	s := New(Options{Hint: sym.Env{1: 3}})
-	env, res := s.Solve([]sym.Expr{sym.NewCmp(sym.OpGt, x, c32(10))})
+	env, res := New(Options{}).SolveHinted([]sym.Expr{sym.NewCmp(sym.OpGt, x, c32(10))}, sym.Env{1: 3})
 	if res != Sat || env[1] <= 10 {
 		t.Fatalf("got %v env=%v", res, env)
 	}

@@ -1,7 +1,6 @@
 // Package stats provides the small measurement toolkit the experiment
-// harness uses: counters, rate meters over a wall-clock window, and
-// streaming summaries (min/mean/max/percentiles) without external
-// dependencies.
+// harness uses: counters and streaming summaries
+// (min/mean/max/percentiles) without external dependencies.
 package stats
 
 import (
@@ -10,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count, safe for concurrent
@@ -27,74 +25,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
-
-// Rate measures events per second over explicit start/stop windows.
-type Rate struct {
-	mu      sync.Mutex
-	started time.Time
-	events  uint64
-	elapsed time.Duration
-	running bool
-}
-
-// Start begins (or resumes) the measurement window.
-func (r *Rate) Start(now time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.running {
-		r.started = now
-		r.running = true
-	}
-}
-
-// Record adds events to the window.
-func (r *Rate) Record(n uint64) {
-	r.mu.Lock()
-	r.events += n
-	r.mu.Unlock()
-}
-
-// Stop ends the window, accumulating elapsed time.
-func (r *Rate) Stop(now time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.running {
-		r.elapsed += now.Sub(r.started)
-		r.running = false
-	}
-}
-
-// PerSecond returns events per second across all windows, including an
-// in-progress one measured up to time.Now.
-func (r *Rate) PerSecond() float64 { return r.PerSecondAt(time.Now()) }
-
-// PerSecondAt is PerSecond against an explicit clock. A running window
-// contributes its events AND its elapsed time up to now: a live read
-// landing mid-window (a /metrics scrape mid-round) previously counted
-// the window's events against only the completed windows' elapsed,
-// overstating the rate — and read 0 during a first, still-running
-// window.
-func (r *Rate) PerSecondAt(now time.Time) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	elapsed := r.elapsed
-	if r.running {
-		if d := now.Sub(r.started); d > 0 {
-			elapsed += d
-		}
-	}
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(r.events) / elapsed.Seconds()
-}
-
-// Events returns the total recorded events.
-func (r *Rate) Events() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.events
-}
 
 // Summary accumulates samples and reports order statistics. It stores
 // samples (the experiments record at most tens of thousands), trading
@@ -211,18 +141,4 @@ func (s *Summary) ensureSorted() {
 		sort.Float64s(s.samples)
 		s.sorted = true
 	}
-}
-
-// Timer measures durations into a Summary.
-type Timer struct {
-	Summary
-}
-
-// Time runs fn and records its duration in milliseconds.
-func (t *Timer) Time(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	t.Observe(float64(d) / float64(time.Millisecond))
-	return d
 }

@@ -507,30 +507,6 @@ func EvalCmpOp(op CmpOp, x, y uint64, w int) bool {
 	return evalCmp(op, x&m, y&m)
 }
 
-// IsConst reports whether e is a constant (bitvector or boolean) and
-// returns its value.
-func IsConst(e Expr) (uint64, bool) {
-	switch t := e.(type) {
-	case *Const:
-		return t.V, true
-	case BoolConst:
-		if bool(t) {
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
-// Conjoin folds a list of boolean formulas into a single conjunction.
-func Conjoin(cs []Expr) Expr {
-	acc := Expr(True)
-	for _, c := range cs {
-		acc = NewBool(OpLAnd, acc, c)
-	}
-	return acc
-}
-
 // FormatPath renders a path-constraint list compactly. Rendering is
 // O(total size) and allocates: it is for logs and debug output only —
 // dedup and memo keys use FingerprintPath.

@@ -160,19 +160,6 @@ func TestEvalBoolFormulas(t *testing.T) {
 	}
 }
 
-func TestConjoin(t *testing.T) {
-	if Conjoin(nil) != True {
-		t.Fatal("empty conjunction should be true")
-	}
-	x := v32(1, "x")
-	c1 := NewCmp(OpGt, x, NewConst(1, 32))
-	c2 := NewCmp(OpLt, x, NewConst(5, 32))
-	e := Conjoin([]Expr{c1, c2})
-	if !EvalBool(e, Env{1: 3}) || EvalBool(e, Env{1: 7}) {
-		t.Fatal("conjunction semantics wrong")
-	}
-}
-
 // Property: NewNot is a semantic complement for arbitrary comparisons.
 func TestNegationIsComplement(t *testing.T) {
 	f := func(xv, yv uint32, opRaw uint8) bool {

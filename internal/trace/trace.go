@@ -363,6 +363,13 @@ func ToUpdate(r Record) *bgp.Update {
 
 // Split separates a trace into the initial dump and the update stream.
 func Split(records []Record) (dump, updates []Record) {
+	n := 0
+	for _, r := range records {
+		if r.Kind == KindDump {
+			n++
+		}
+	}
+	dump, updates = make([]Record, 0, n), make([]Record, 0, len(records)-n)
 	for _, r := range records {
 		if r.Kind == KindDump {
 			dump = append(dump, r)
@@ -372,31 +379,3 @@ func Split(records []Record) (dump, updates []Record) {
 	}
 	return dump, updates
 }
-
-// Replayer iterates a trace against a callback in timestamp order,
-// reporting virtual time offsets so callers can drive netsim clocks.
-type Replayer struct {
-	records []Record
-	pos     int
-}
-
-// NewReplayer creates a replayer over records (assumed time-ordered).
-func NewReplayer(records []Record) *Replayer {
-	return &Replayer{records: records}
-}
-
-// Next returns the next record, or false at end of trace.
-func (rp *Replayer) Next() (Record, bool) {
-	if rp.pos >= len(rp.records) {
-		return Record{}, false
-	}
-	r := rp.records[rp.pos]
-	rp.pos++
-	return r, true
-}
-
-// Remaining reports how many records are left.
-func (rp *Replayer) Remaining() int { return len(rp.records) - rp.pos }
-
-// Rewind restarts the replayer.
-func (rp *Replayer) Rewind() { rp.pos = 0 }

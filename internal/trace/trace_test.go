@@ -172,29 +172,6 @@ func TestToUpdate(t *testing.T) {
 	}
 }
 
-func TestReplayer(t *testing.T) {
-	recs := genSmall(t)
-	rp := NewReplayer(recs)
-	if rp.Remaining() != len(recs) {
-		t.Fatal("remaining wrong")
-	}
-	n := 0
-	for {
-		_, ok := rp.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != len(recs) {
-		t.Fatalf("replayed %d of %d", n, len(recs))
-	}
-	rp.Rewind()
-	if _, ok := rp.Next(); !ok {
-		t.Fatal("rewind failed")
-	}
-}
-
 func BenchmarkGenerate10k(b *testing.B) {
 	cfg := DefaultGenConfig()
 	cfg.TableSize = 10000

@@ -449,30 +449,29 @@ type fabricShadows struct {
 	driver *Driver
 }
 
-func (s fabricShadows) Query(nodes []string, p netaddr.Prefix, wantAt bool) (map[string]RouteView, error) {
-	var props []*prop.Compiled
-	if wantAt {
-		props = s.driver.Props
+func (s fabricShadows) Query(node string, p netaddr.Prefix) (RouteView, error) {
+	return s.view(node, p, nil), nil
+}
+
+// view reads one router's answer about p; the route object is its own
+// identity token in process.
+func (s fabricShadows) view(node string, p netaddr.Prefix, props []*prop.Compiled) RouteView {
+	r := s.Routers[node]
+	if r == nil {
+		return RouteView{}
 	}
-	out := make(map[string]RouteView, len(nodes))
-	for _, name := range nodes {
-		r := s.Routers[name]
-		if r == nil {
-			continue
-		}
-		best, hop, atMatch := QueryRoute(r, p, props, s.driver.Boundary)
-		v := RouteView{Hop: hop, AtMatch: atMatch}
-		if best != nil {
-			v.Token = best // the route object is its own identity in process
-		}
-		out[name] = v
+	best, hop, atMatch := QueryRoute(r, p, props, s.driver.Boundary)
+	v := RouteView{Hop: hop, AtMatch: atMatch}
+	if best != nil {
+		v.Token = best
 	}
-	return out, nil
+	return v
 }
 
 // QueryRoute is the narrow cross-domain route query, computed in one
-// place for both backends (fabricShadows.Query here, the node agent's
-// query_oracle over RPC): r's exact-prefix best route for p (nil when it
+// place for both backends (fabricShadows.view here; the node agent's
+// query_oracle and its inject_witness after-views over RPC): r's
+// exact-prefix best route for p (nil when it
 // has none — the backend turns the object into its own identity token),
 // the covering best route's forwarding decision, and one `at` verdict
 // per property in props over the best route, by list index. A node
@@ -500,20 +499,49 @@ func QueryRoute(r *router.Router, p netaddr.Prefix, props []*prop.Compiled, boun
 	return best, hop, atMatch
 }
 
-func (s fabricShadows) Propagate(from, to string, u *bgp.Update, maxSteps int) (prop.Phase, error) {
-	sender := s.Routers[from]
-	if sender == nil {
-		return prop.Phase{}, fmt.Errorf("federated: witness peer %q missing from shadow", from)
+// Propagate runs the group's injections one after another on the shared
+// fabric: netsim delivers the same messages merged or not, and disjoint
+// prefixes make the results equal. A wave that does not converge leaves
+// its deliveries queued, so the waves after it are not run.
+func (s fabricShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error) {
+	var props []*prop.Compiled
+	if wantAt {
+		props = s.driver.Props
 	}
-	sess := sender.Session(to)
-	if sess == nil {
-		return prop.Phase{}, fmt.Errorf("federated: no %s→%s session for witness injection", from, to)
+	waves := make([]Wave, len(group))
+	for i, in := range group {
+		sender := s.Routers[in.From]
+		if sender == nil {
+			return nil, fmt.Errorf("federated: witness peer %q missing from shadow", in.From)
+		}
+		sess := sender.Session(in.To)
+		if sess == nil {
+			return nil, fmt.Errorf("federated: no %s→%s session for witness injection", in.From, in.To)
+		}
+		if err := sess.SendUpdate(in.Update); err != nil {
+			return nil, err
+		}
+		touched := make(map[string]RouteChange)
+		steps, counts := runWaves(s.Net, maxSteps, func(to string) {
+			if _, seen := touched[to]; seen {
+				return
+			}
+			var ch RouteChange
+			if best := s.Routers[to].RIB().Best(in.Watch); best != nil {
+				ch.Before = best
+			}
+			touched[to] = ch
+		})
+		for name, ch := range touched {
+			ch.After = s.view(name, in.Watch, props)
+			touched[name] = ch
+		}
+		waves[i] = Wave{Phase: prop.Phase{Steps: steps, Pending: s.Net.Pending(), Waves: counts}, Touched: touched}
+		if waves[i].Pending > 0 {
+			break
+		}
 	}
-	if err := sess.SendUpdate(u); err != nil {
-		return prop.Phase{}, err
-	}
-	steps, waves := runWaves(s.Net, maxSteps)
-	return prop.Phase{Steps: steps, Pending: s.Net.Pending(), Waves: waves}, nil
+	return waves, nil
 }
 
 func (fabricShadows) Close() {}
@@ -575,12 +603,16 @@ func MinimizeWitness(check func(*bgp.Update) (*WitnessOutcome, error), w *bgp.Up
 // groups the deliveries into virtual-time waves: consecutive deliveries
 // sharing one virtual timestamp are one wave. The per-wave counts feed
 // the oscillation oracle's diverges-vs-converges-slowly telemetry.
-func runWaves(net *netsim.Network, limit int) (steps int, waves []int) {
+// before sees each delivery's destination ahead of the delivery.
+func runWaves(net *netsim.Network, limit int, before func(to string)) (steps int, waves []int) {
 	var last time.Time
 	for limit <= 0 || steps < limit {
-		if !net.Step() {
+		to, ok := net.Next()
+		if !ok {
 			break
 		}
+		before(to)
+		net.Step()
 		steps++
 		now := net.Now()
 		if len(waves) == 0 || !now.Equal(last) {
@@ -608,9 +640,9 @@ type ForwardHop struct {
 // names no peer), or a forwarding loop. It models where traffic for the
 // prefix actually goes — the multi-hop blackhole oracle's core. path
 // lists every node visited, origin first and terminal last, feeding
-// `never reachable via` property assertions. lookup reads the witness
-// lifecycle's post-wave Query answers (Driver.CollectFacts); its error
-// aborts the walk.
+// `never reachable via` property assertions. lookup reads what the UPDATE
+// wave reported about each node it touched (Driver.CollectFacts); its
+// error aborts the walk.
 func TraceForward(from string, lookup func(node string) (ForwardHop, error)) (terminal string, hops int, delivered bool, path []string, err error) {
 	cur := from
 	visited := map[string]bool{}

@@ -17,12 +17,13 @@ import (
 // explore in isolation, deliver a message, answer a route query — and
 // Fleet / Shadows are that interface. Everything above it lives in
 // Driver: target bookkeeping, the witness dedup / cap / minimize policy,
-// shadow-set sharing and replay, the witness lifecycle (pre-query →
-// UPDATE wave → attribution → forward traces → WITHDRAW wave → stale
-// check) and the property evaluation. Two backends sit below it:
-// FederatedExperiment (direct calls on a Fabric, federated.go) and
-// dist.Coordinator (RPCs to node agents). Neither contains any of the
-// algorithm, and the driver never asks which one it is driving.
+// disjoint-prefix grouping, the solo fallback and replay, the witness
+// lifecycle (UPDATE wave → attribution → forward traces → WITHDRAW wave →
+// stale check, a whole group at a time) and the property evaluation. Two
+// backends sit below it: FederatedExperiment (direct calls on a Fabric,
+// federated.go) and dist.Coordinator (RPCs to node agents). Neither
+// contains any of the algorithm, and the driver never asks which one it
+// is driving.
 
 // Fleet is a set of independently administered nodes, as the round
 // driver sees it.
@@ -44,20 +45,55 @@ type Fleet interface {
 }
 
 // Shadows is one shadow copy of the fleet. The seam is at the wave, not
-// the delivery: a backend runs a whole message wave to quiescence by
-// whatever scheduler it has (netsim in-process, the coordinator's relay
-// queue over RPC) and reports only what the wave did.
+// the delivery: a backend runs the message waves of a whole
+// disjoint-prefix witness group to quiescence by whatever scheduler it
+// has (netsim in-process, the coordinator's relay queue over RPC) and
+// reports what each wave did — including what it changed, so the driver
+// polls nobody before or after.
 type Shadows interface {
-	// Query answers, per node, the route facts about p the witness
-	// lifecycle consumes. Nodes the fleet does not have are left out of
-	// the answer. wantAt additionally asks for `at` predicate evidence
-	// about each best route.
-	Query(nodes []string, p netaddr.Prefix, wantAt bool) (map[string]RouteView, error)
-	// Propagate injects u on the from→to session and runs the resulting
-	// wave until nothing is in flight or maxSteps deliveries have run.
-	Propagate(from, to string, u *bgp.Update, maxSteps int) (prop.Phase, error)
+	// Query answers one node's route facts about p: the forward trace's
+	// lookup for a hop no wave touched. A node the fleet does not have
+	// answers the zero view (no covering route).
+	Query(node string, p netaddr.Prefix) (RouteView, error)
+	// Propagate runs one wave per injection, all of them together, each
+	// until nothing of it is in flight or maxSteps of its deliveries have
+	// run, and returns the waves in injection order. The injections'
+	// prefixes are pairwise disjoint, so the waves cannot see each other
+	// and each reads exactly as if it had run alone. A wave that ends with
+	// deliveries pending leaves the set mid-churn: the waves beside it are
+	// not to be trusted, and the caller discards the set. wantAt asks for
+	// `at` predicate evidence in every RouteChange.After.
+	Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error)
 	// Close discards the clones.
 	Close()
+}
+
+// Injection starts one wave: u arrives at To as if From had sent it.
+// Watch is the prefix the wave is about — the one its RouteChanges report.
+type Injection struct {
+	From, To string
+	Update   *bgp.Update
+	Watch    netaddr.Prefix
+}
+
+// Wave is what one injection did to the shadows: the propagation
+// telemetry, and per node that received at least one of the wave's
+// deliveries how its route for the watched prefix changed. A node absent
+// from Touched has, by construction, not changed.
+type Wave struct {
+	prop.Phase
+	Touched map[string]RouteChange
+}
+
+// churning reports a wave that hit its step budget with deliveries pending.
+func (w Wave) churning() bool { return w.Pending > 0 }
+
+// RouteChange brackets one node's share of a wave: the watched prefix's
+// best-route token before the node's first delivery of the wave (nil for
+// none) and the node's view after its last.
+type RouteChange struct {
+	Before any
+	After  RouteView
 }
 
 // RouteView is one node's answer about one prefix in one shadow.
@@ -71,8 +107,9 @@ type RouteView struct {
 	Token any
 	// Hop is the covering best route's forwarding decision.
 	Hop ForwardHop
-	// AtMatch is the `at` evidence about the best route, when asked for:
-	// one verdict per property of the driver's set, by index (QueryRoute).
+	// AtMatch is the `at` evidence about the best route, when a wave was
+	// asked for it: one verdict per property of the driver's set, by index
+	// (QueryRoute). Query never fills it.
 	AtMatch []bool
 }
 
@@ -251,81 +288,73 @@ func (d *Driver) Round(f Fleet) (*FederatedResult, error) {
 
 // CheckWitness re-executes one concrete witness end to end on fresh
 // shadows — injection, bounded propagation, the property set, withdraw
-// check — and reports what it triggered. Witness minimization calls it
-// for every candidate. A lost shadow set replays the lifecycle in full;
-// the partial run's steps are discarded, so step totals match a
-// fault-free run.
+// check — and reports what it triggered: a group of one. Witness
+// minimization calls it for every candidate. A lost shadow set replays
+// the lifecycle in full; the partial run's steps are discarded, so step
+// totals match a fault-free run.
 func (d *Driver) CheckWitness(f Fleet, w WitnessSpec) (*WitnessOutcome, error) {
-	var lastErr error
+	var err error
 	for attempt := 0; attempt <= maxWitnessReplays; attempt++ {
-		sh, err := f.OpenShadows()
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := d.checkWitnessIn(f, sh, w)
-		sh.Close()
-		if err == nil {
-			return out, nil
+		var outs []*WitnessOutcome
+		if outs, err = d.checkGroup(f, []WitnessSpec{w}); err == nil {
+			return outs[0], nil
 		}
 		if !errors.Is(err, ErrShadowLost) {
 			return nil, err
 		}
-		lastErr = err
 	}
-	return nil, lastErr
+	return nil, err
 }
 
-// CheckWitnesses checks a sequence of witnesses in order, each with
-// exactly the semantics of CheckWitness, but amortizing shadow
-// lifecycle: consecutive witnesses whose prefix footprints are pairwise
-// disjoint share one shadow set. Disjointness is what makes sharing
-// sound — BGP decisions are per-prefix, every witness's full
-// UPDATE→oracles→WITHDRAW lifecycle runs contiguously, and any residue
-// one witness leaves (stale routes, withdrawn paths) lives entirely
-// under prefixes the later witnesses never look at. A witness that fails
-// to converge leaves its set mid-churn, so the set is retired and the
-// rest of the group gets a fresh one; so does the rest of a group whose
-// set was lost, after the witness that lost it replayed alone.
+// CheckWitnesses checks a sequence of witnesses, each with exactly the
+// semantics of CheckWitness and reported in the order given, but one
+// group at a time: witnesses whose prefix footprints are pairwise disjoint
+// share one shadow set and one wave. Disjointness is what makes sharing
+// sound — BGP decisions are per-prefix, so the members' deliveries
+// interleave without seeing each other, and any residue one leaves
+// (stale routes, withdrawn paths) lives entirely under prefixes the
+// others never look at. When a member fails to converge, or the set is
+// lost, the merged attempt is discarded whole and each member runs alone
+// through CheckWitness: the rare path stays the audited one.
 func (d *Driver) CheckWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome, error) {
-	outs := make([]*WitnessOutcome, 0, len(specs))
-	for i := 0; i < len(specs); {
-		// Grow the group while the next witness's prefixes stay disjoint
-		// from everything already in it.
-		footprint := slices.Clone(specs[i].Update.NLRI)
-		j := i + 1
-		for ; j < len(specs) && disjoint(footprint, specs[j].Update.NLRI); j++ {
-			footprint = append(footprint, specs[j].Update.NLRI...)
+	// First fit: a witness joins the first group whose footprint its
+	// prefixes are disjoint from, so the groups come out as few and as
+	// wide as the prefixes allow whatever order the witnesses arrive in.
+	var (
+		groups     [][]int            // indices into specs, ascending
+		footprints [][]netaddr.Prefix // each group's prefixes
+	)
+	for i, w := range specs {
+		g := 0
+		for g < len(groups) && !disjoint(footprints[g], w.Update.NLRI) {
+			g++
 		}
-		var sh Shadows // nil between sets
-		for _, w := range specs[i:j] {
-			if sh == nil {
-				var err error
-				if sh, err = f.OpenShadows(); err != nil {
+		if g == len(groups) {
+			groups, footprints = append(groups, nil), append(footprints, nil)
+		}
+		groups[g] = append(groups[g], i)
+		footprints[g] = append(footprints[g], w.Update.NLRI...)
+	}
+	outs := make([]*WitnessOutcome, len(specs))
+	for _, group := range groups {
+		members := make([]WitnessSpec, len(group))
+		for k, i := range group {
+			members[k] = specs[i]
+		}
+		got, err := d.checkGroup(f, members)
+		if errors.Is(err, ErrShadowLost) || errors.Is(err, errGroupChurn) {
+			got = make([]*WitnessOutcome, len(members))
+			for k, w := range members {
+				if got[k], err = d.CheckWitness(f, w); err != nil {
 					return nil, err
 				}
 			}
-			out, dirty, err := d.checkWitnessIn(f, sh, w)
-			if errors.Is(err, ErrShadowLost) {
-				sh.Close()
-				sh = nil
-				out, err = d.CheckWitness(f, w)
-			}
-			if err != nil {
-				if sh != nil {
-					sh.Close()
-				}
-				return nil, err
-			}
-			outs = append(outs, out)
-			if dirty {
-				sh.Close()
-				sh = nil
-			}
+		} else if err != nil {
+			return nil, err
 		}
-		if sh != nil {
-			sh.Close()
+		for k, i := range group {
+			outs[i] = got[k]
 		}
-		i = j
 	}
 	return outs, nil
 }
@@ -342,124 +371,141 @@ func disjoint(a, b []netaddr.Prefix) bool {
 	return true
 }
 
-// checkWitnessIn runs one witness lifecycle inside an open shadow set
-// and judges it: the collected facts go through prop.Evaluate, which is
-// the entire oracle logic. dirty reports that the set absorbed a
-// non-converging wave and must not host further witnesses.
-func (d *Driver) checkWitnessIn(f Fleet, sh Shadows, w WitnessSpec) (_ *WitnessOutcome, dirty bool, _ error) {
-	facts, err := d.CollectFacts(f, sh, w)
+// errGroupChurn reports a merged group one of whose members did not
+// converge: the set is mid-churn, so nothing collected beside that member
+// can be trusted.
+var errGroupChurn = errors.New("federated: a group member did not converge")
+
+// checkGroup runs one group's lifecycle on a fresh shadow set and judges
+// each member: the collected facts go through prop.Evaluate, which is the
+// entire oracle logic. The set never hosts a second group, so a
+// non-converging wave retires it by construction.
+func (d *Driver) checkGroup(f Fleet, group []WitnessSpec) ([]*WitnessOutcome, error) {
+	sh, err := f.OpenShadows()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	out := &WitnessOutcome{Steps: facts.Update.Steps + facts.Withdraw.Steps}
-	prefix := w.Update.NLRI[0]
-	for _, v := range prop.Evaluate(d.Props, facts) {
-		out.Violations = append(out.Violations, FederatedViolation{
-			Kind: v.Kind, Node: v.Node, Source: w.Node, Peer: w.Peer, Prefix: prefix,
-			Hops: v.Hops, Detail: v.Detail, Waves: v.Waves, WaveTail: v.WaveTail,
-		})
+	defer sh.Close()
+	facts, err := d.CollectFacts(f, sh, group)
+	if err != nil {
+		return nil, err
 	}
-	return out, facts.Update.Pending > 0 || facts.Withdraw.Pending > 0, nil
+	outs := make([]*WitnessOutcome, len(group))
+	for i, w := range group {
+		fa := facts[i]
+		if len(group) > 1 && fa.Update.Pending+fa.Withdraw.Pending > 0 {
+			return nil, errGroupChurn
+		}
+		out := &WitnessOutcome{Steps: fa.Update.Steps + fa.Withdraw.Steps}
+		for _, v := range prop.Evaluate(d.Props, fa) {
+			out.Violations = append(out.Violations, FederatedViolation{
+				Kind: v.Kind, Node: v.Node, Source: w.Node, Peer: w.Peer, Prefix: w.Update.NLRI[0],
+				Hops: v.Hops, Detail: v.Detail, Waves: v.Waves, WaveTail: v.WaveTail,
+			})
+		}
+		outs[i] = out
+	}
+	return outs, nil
 }
 
-// CollectFacts plays the witness lifecycle over sh and records what
-// happened, without judging it: UPDATE propagation, which nodes
-// installed the witness (with forward traces), WITHDRAW propagation,
-// which installations survived. Collection stops early when a phase
-// fails to converge — the remaining facts would be mid-churn noise.
+// CollectFacts plays a disjoint-prefix group's witness lifecycle over sh
+// and records, per member, what happened, without judging it: the UPDATE
+// waves, which nodes installed each witness (with forward traces), the
+// WITHDRAW waves, which installations survived. Collection stops early
+// when a wave fails to converge — the remaining facts would be mid-churn
+// noise.
 //
-// Every node is asked at most once per phase. The explored node and the
-// sending peer are excluded from every oracle, so they are asked only
-// if a forward trace reaches them.
-func (d *Driver) CollectFacts(f Fleet, sh Shadows, w WitnessSpec) (*prop.Facts, error) {
-	prefix := w.Update.NLRI[0]
+// No node is polled before or between the waves: a wave reports the
+// before / after of every node it touched, and an untouched node has not
+// changed. Only a forward trace that walks into an untouched node asks —
+// once — through Shadows.Query.
+func (d *Driver) CollectFacts(f Fleet, sh Shadows, group []WitnessSpec) ([]*prop.Facts, error) {
 	maxSteps := d.Opts.MaxPropagationSteps
-	facts := &prop.Facts{
-		Node: w.Node, Peer: w.Peer, Boundary: d.Boundary, MaxSteps: maxSteps,
-		Witness: prop.NewEnv(prefix, &w.Update.Attrs, d.Boundary),
-		NodeAS:  f.NodeAS,
-	}
-	nodes := f.Nodes()
-	others := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		if n != w.Node && n != w.Peer {
-			others = append(others, n)
+	facts := make([]*prop.Facts, len(group))
+	inject := make([]Injection, len(group))
+	for i, w := range group {
+		prefix := w.Update.NLRI[0]
+		facts[i] = &prop.Facts{
+			Node: w.Node, Peer: w.Peer, Boundary: d.Boundary, MaxSteps: maxSteps,
+			Witness: prop.NewEnv(prefix, &w.Update.Attrs, d.Boundary),
+			NodeAS:  f.NodeAS,
 		}
+		inject[i] = Injection{From: w.Peer, To: w.Node, Update: w.Update, Watch: prefix}
 	}
 
-	// Pre-injection best routes. The facts must attribute installations
-	// to the *witness*, not to a pre-existing legitimate route for the
-	// same prefix (the witness often shares the seed's prefix): a node is
-	// affected only if its best route changed when the witness propagated.
-	pre, err := sh.Query(others, prefix, false)
+	// UPDATE waves.
+	waves, err := sh.Propagate(inject, maxSteps, d.needsAt)
 	if err != nil {
 		return nil, err
 	}
-
-	// UPDATE wave.
-	if facts.Update, err = sh.Propagate(w.Peer, w.Node, w.Update, maxSteps); err != nil {
-		return nil, err
+	for i := range group {
+		facts[i].Update = waves[i].Phase
 	}
-	if facts.Update.Pending > 0 {
+	if slices.ContainsFunc(waves, Wave.churning) {
 		return facts, nil
 	}
 
 	// Per-node installation facts over the converged shadows, in sorted
 	// node order so the facts — and the violations derived from them —
-	// come out deterministically. Forward traces walk the same answer
-	// set: the shadows have not moved since the query.
-	post, err := sh.Query(others, prefix, d.needsAt)
-	if err != nil {
-		return nil, err
-	}
-	lookup := func(name string) (ForwardHop, error) {
-		v, asked := post[name]
-		if !asked {
-			one, err := sh.Query([]string{name}, prefix, false)
-			if err != nil {
-				return ForwardHop{}, err
+	// come out deterministically. The facts must attribute installations
+	// to the *witness*, not to a pre-existing legitimate route for the same
+	// prefix (the witness often shares the seed's prefix): a node is
+	// affected only if its best route changed while the wave ran. The
+	// explored node and the sending peer are excluded from every oracle.
+	nodes := f.Nodes()
+	reached := make([][]string, len(group)) // witness-installed nodes, sorted
+	installed := make([][]any, len(group))  // their best-route tokens
+	for i, w := range group {
+		touched := waves[i].Touched
+		lookup := func(name string) (ForwardHop, error) {
+			ch, known := touched[name]
+			if !known {
+				v, err := sh.Query(name, inject[i].Watch)
+				if err != nil {
+					return ForwardHop{}, err
+				}
+				ch = RouteChange{Before: v.Token, After: v} // asked once; unchanged
+				touched[name] = ch
 			}
-			v = one[name] // zero — no covering route — for a node the fleet lacks
-			post[name] = v
+			return ch.After.Hop, nil
 		}
-		return v.Hop, nil
-	}
-	var reached []string // witness-installed nodes, sorted
-	var installed []any  // their best-route tokens
-	for _, name := range others {
-		v := post[name]
-		if v.Token == nil || v.Token == pre[name].Token {
-			continue // witness never took hold at this node
+		for _, name := range nodes {
+			ch := touched[name]
+			if name == w.Node || name == w.Peer || ch.After.Token == nil || ch.After.Token == ch.Before {
+				continue // excluded, or the witness never took hold here
+			}
+			reached[i] = append(reached[i], name)
+			installed[i] = append(installed[i], ch.After.Token)
+			terminal, hops, delivered, path, err := TraceForward(name, lookup)
+			if err != nil {
+				return nil, err
+			}
+			facts[i].Nodes = append(facts[i].Nodes, prop.NodeFacts{
+				Name: name, Hops: hops, Terminal: terminal, Delivered: delivered, Path: path,
+				AtMatch: ch.After.AtMatch,
+			})
 		}
-		reached = append(reached, name)
-		installed = append(installed, v.Token)
-		terminal, hops, delivered, path, err := TraceForward(name, lookup)
-		if err != nil {
-			return nil, err
-		}
-		facts.Nodes = append(facts.Nodes, prop.NodeFacts{
-			Name: name, Hops: hops, Terminal: terminal, Delivered: delivered, Path: path,
-			AtMatch: v.AtMatch,
-		})
+		inject[i].Update = &bgp.Update{Withdrawn: []netaddr.Prefix{inject[i].Watch}}
 	}
 
-	// WITHDRAW wave: the retraction must clean the witness out of every
+	// WITHDRAW waves: the retraction must clean the witness out of every
 	// node it reached. Only witness-installed routes count — a node
-	// falling back to (or keeping) a legitimate route is correct.
-	withdraw := &bgp.Update{Withdrawn: []netaddr.Prefix{prefix}}
-	if facts.Withdraw, err = sh.Propagate(w.Peer, w.Node, withdraw, maxSteps); err != nil {
+	// falling back to (or keeping) a legitimate route is correct — and a
+	// node the retraction never touched still holds what it installed.
+	if waves, err = sh.Propagate(inject, maxSteps, false); err != nil {
 		return nil, err
 	}
-	if facts.Withdraw.Pending > 0 {
+	for i := range group {
+		facts[i].Withdraw = waves[i].Phase
+	}
+	if slices.ContainsFunc(waves, Wave.churning) {
 		return facts, nil
 	}
-	after, err := sh.Query(reached, prefix, false)
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range reached {
-		if after[name].Token == installed[i] {
-			facts.Stale = append(facts.Stale, name)
+	for i := range group {
+		for k, name := range reached[i] {
+			if ch, touched := waves[i].Touched[name]; !touched || ch.After.Token == installed[i][k] {
+				facts[i].Stale = append(facts[i].Stale, name)
+			}
 		}
 	}
 	return facts, nil

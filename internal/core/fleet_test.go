@@ -71,52 +71,66 @@ type fakeShadows struct {
 	best   map[string]map[string]int // node → prefix → route token
 }
 
-func (s *fakeShadows) Query(nodes []string, p netaddr.Prefix, wantAt bool) (map[string]RouteView, error) {
-	s.f.logf("query %d %s %s", s.id, p, strings.Join(nodes, ","))
-	out := map[string]RouteView{}
-	for _, n := range nodes {
-		var v RouteView
-		if tok, ok := s.best[n][p.String()]; ok {
-			v.Token = tok
-		}
-		switch next, ok := s.f.next[n]; {
-		case !ok:
-		case next == "local":
-			v.Hop = ForwardHop{HasCovering: true, Local: true}
-		default:
-			v.Hop = ForwardHop{HasCovering: true, NextPeer: next}
-		}
-		out[n] = v
+func (s *fakeShadows) view(n, p string) RouteView {
+	var v RouteView
+	if tok, ok := s.best[n][p]; ok {
+		v.Token = tok
 	}
-	return out, nil
+	switch next, ok := s.f.next[n]; {
+	case !ok:
+	case next == "local":
+		v.Hop = ForwardHop{HasCovering: true, Local: true}
+	default:
+		v.Hop = ForwardHop{HasCovering: true, NextPeer: next}
+	}
+	return v
 }
 
-func (s *fakeShadows) Propagate(from, to string, u *bgp.Update, maxSteps int) (prop.Phase, error) {
-	withdraw := len(u.NLRI) == 0
-	p := append(append([]netaddr.Prefix{}, u.NLRI...), u.Withdrawn...)[0].String()
-	s.f.logf("propagate %d %s %s→%s withdraw=%t", s.id, p, from, to, withdraw)
-	if key := fmt.Sprintf("%s withdraw=%t", p, withdraw); s.f.lose[key] > 0 {
-		s.f.lose[key]--
-		return prop.Phase{}, fmt.Errorf("agent restarted: %w", ErrShadowLost)
-	}
-	w := s.f.waves[p]
-	for _, n := range w.reach {
-		if s.best[n] == nil {
-			s.best[n] = map[string]int{}
+func (s *fakeShadows) Query(node string, p netaddr.Prefix) (RouteView, error) {
+	s.f.logf("query %d %s %s", s.id, p, node)
+	return s.view(node, p.String()), nil
+}
+
+// Propagate plays each member's scripted wave: the injection target and
+// every scripted reach node are touched. A member scripted to lose its
+// shadows fails the whole call, as a lost set does.
+func (s *fakeShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error) {
+	waves := make([]Wave, len(group))
+	for i, in := range group {
+		withdraw := len(in.Update.NLRI) == 0
+		p := in.Watch.String()
+		s.f.logf("propagate %d %s %s→%s withdraw=%t", s.id, p, in.From, in.To, withdraw)
+		if key := fmt.Sprintf("%s withdraw=%t", p, withdraw); s.f.lose[key] > 0 {
+			s.f.lose[key]--
+			return nil, fmt.Errorf("agent restarted: %w", ErrShadowLost)
 		}
-		switch {
-		case !withdraw:
-			s.tokens++
-			s.best[n][p] = s.tokens
-		case !slices.Contains(w.sticky, n):
-			delete(s.best[n], p)
+		w := s.f.waves[p]
+		touched := map[string]RouteChange{}
+		for _, n := range append([]string{in.To}, w.reach...) {
+			touched[n] = RouteChange{Before: s.view(n, p).Token}
+		}
+		for _, n := range w.reach {
+			if s.best[n] == nil {
+				s.best[n] = map[string]int{}
+			}
+			switch {
+			case !withdraw:
+				s.tokens++
+				s.best[n][p] = s.tokens
+			case !slices.Contains(w.sticky, n):
+				delete(s.best[n], p)
+			}
+		}
+		for n, ch := range touched {
+			ch.After = s.view(n, p)
+			touched[n] = ch
+		}
+		waves[i] = Wave{Phase: prop.Phase{Steps: w.steps, Waves: []int{w.steps}}, Touched: touched}
+		if !withdraw {
+			waves[i].Pending = w.pending
 		}
 	}
-	ph := prop.Phase{Steps: w.steps, Waves: []int{w.steps}}
-	if !withdraw {
-		ph.Pending = w.pending
-	}
-	return ph, nil
+	return waves, nil
 }
 
 func (s *fakeShadows) Close() {
@@ -245,13 +259,25 @@ func TestDriverSeedSkipVsFail(t *testing.T) {
 	}
 }
 
-// TestDriverGroupsDisjointPrefixes: consecutive pairwise-disjoint
-// witnesses share one shadow set; an overlapping prefix starts the next.
+// TestDriverGroupsDisjointPrefixes: a witness joins the first group its
+// prefixes are disjoint from — one shadow set and one wave per group —
+// and the outcomes still come back in spec order.
 func TestDriverGroupsDisjointPrefixes(t *testing.T) {
-	d, f := fakeRound(t, FederatedOptions{},
-		[]string{"10.1.0.0/16", "10.2.0.0/16", "10.1.5.0/24", "10.3.0.0/16"})
-	if _, err := d.Round(f); err != nil {
+	prefixes := []string{"10.1.0.0/16", "10.2.0.0/16", "10.1.5.0/24", "10.3.0.0/16"}
+	d, f := fakeRound(t, FederatedOptions{}, prefixes)
+	var specs []WitnessSpec
+	for i, p := range prefixes {
+		f.waves[p] = fakeWave{reach: []string{"b", "c"}, steps: i + 1}
+		specs = append(specs, WitnessSpec{Node: "x", Peer: "p", Update: witnessFor(p)})
+	}
+	outs, err := d.CheckWitnesses(f, specs)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i, out := range outs {
+		if out.Steps != 2*(i+1) {
+			t.Errorf("outcome %d reports %d steps, want %d: outcomes out of spec order", i, out.Steps, 2*(i+1))
+		}
 	}
 	var got []string
 	for _, l := range f.log {
@@ -264,10 +290,10 @@ func TestDriverGroupsDisjointPrefixes(t *testing.T) {
 		"open 0",
 		"propagate 0 10.1.0.0/16 p→x withdraw=false",
 		"propagate 0 10.2.0.0/16 p→x withdraw=false",
+		"propagate 0 10.3.0.0/16 p→x withdraw=false",
 		"close 0",
 		"open 1",
 		"propagate 1 10.1.5.0/24 p→x withdraw=false",
-		"propagate 1 10.3.0.0/16 p→x withdraw=false",
 		"close 1",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -275,9 +301,10 @@ func TestDriverGroupsDisjointPrefixes(t *testing.T) {
 	}
 }
 
-// TestDriverRetiresDirtySet: a wave that does not converge stops that
-// witness's collection, flags oscillation, retires the set, and the
-// next witness of the group gets a fresh one.
+// TestDriverRetiresDirtySet: a member that does not converge spoils the
+// merged attempt — its set is retired and every member re-runs alone, in
+// spec order, the non-converging one flagged there. A group of one is its
+// own solo run: flagged on the spot, nothing re-run.
 func TestDriverRetiresDirtySet(t *testing.T) {
 	d, f := fakeRound(t, FederatedOptions{}, []string{"10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"})
 	f.waves["10.2.0.0/16"] = fakeWave{reach: []string{"b"}, steps: 7, pending: 4}
@@ -285,17 +312,17 @@ func TestDriverRetiresDirtySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.sets) != 2 {
-		t.Fatalf("opened %d shadow sets, want 2 (the dirty one retired)", len(f.sets))
+	if len(f.sets) != 4 {
+		t.Fatalf("opened %d shadow sets, want 4 (the merged attempt, then one per member)", len(f.sets))
 	}
-	if n := f.count("query 0 10.2.0.0/16"); n != 1 {
-		t.Errorf("non-converging witness was queried %d times, want only the pre-query", n)
+	if n := f.count("propagate 0 "); n != 3 {
+		t.Errorf("the merged attempt ran %d waves, want the three UPDATE waves alone:\n%s", n, strings.Join(f.log, "\n"))
 	}
-	if n := f.count("propagate 0 10.2.0.0/16"); n != 1 {
-		t.Errorf("non-converging witness ran %d waves, want the UPDATE wave alone", n)
+	if f.count("propagate 1 10.1.0.0/16") != 2 || f.count("propagate 2 10.2.0.0/16") != 1 || f.count("propagate 3 10.3.0.0/16") != 2 {
+		t.Errorf("members must re-run alone in spec order, the non-converging one stopping after its UPDATE wave:\n%s", strings.Join(f.log, "\n"))
 	}
-	if f.count("propagate 0 10.3.0.0/16") != 0 || f.count("propagate 1 10.3.0.0/16") != 2 {
-		t.Errorf("the witness after a dirty set must run on a fresh one:\n%s", strings.Join(f.log, "\n"))
+	if n := f.count("query"); n != 2 {
+		t.Errorf("%d queries, want 2: untouched a, once per converging solo run's traces", n)
 	}
 	osc := 0
 	for _, v := range res.Violations {
@@ -307,29 +334,41 @@ func TestDriverRetiresDirtySet(t *testing.T) {
 		t.Errorf("%d persistent-oscillation violations for the non-converging witness, want 1", osc)
 	}
 	if want := 3 + 3 + 7 + 3 + 3; res.PropagationSteps != want {
-		t.Errorf("propagation steps = %d, want %d", res.PropagationSteps, want)
+		t.Errorf("propagation steps = %d, want %d — the discarded attempt's steps must not count", res.PropagationSteps, want)
+	}
+	f.allClosed(t)
+
+	d, f = fakeRound(t, FederatedOptions{}, []string{"10.2.0.0/16"})
+	f.waves["10.2.0.0/16"] = fakeWave{reach: []string{"b"}, steps: 7, pending: 4}
+	outs, err := d.CheckWitnesses(f, []WitnessSpec{{Node: "x", Peer: "p", Update: witnessFor("10.2.0.0/16")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.sets) != 1 || f.count("propagate") != 1 || outs[0].Steps != 7 {
+		t.Errorf("a group of one is its own solo run: %d sets, %d waves, %d steps; want 1, 1, 7", len(f.sets), f.count("propagate"), outs[0].Steps)
 	}
 	f.allClosed(t)
 }
 
-// TestDriverReplaysLostShadows: ErrShadowLost replays the witness alone
-// on fresh shadows, discards the partial run's steps, gives the rest of
-// the group a fresh set — and gives up after maxWitnessReplays.
+// TestDriverReplaysLostShadows: ErrShadowLost discards the merged attempt
+// and every member re-runs alone on fresh shadows, each within
+// maxWitnessReplays; the lost attempts' steps are discarded.
 func TestDriverReplaysLostShadows(t *testing.T) {
 	d, f := fakeRound(t, FederatedOptions{}, []string{"10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"})
-	f.lose["10.2.0.0/16 withdraw=true"] = 1 // after its UPDATE wave already ran 3 steps
+	f.lose["10.2.0.0/16 withdraw=true"] = 2 // once merged, after the UPDATE waves ran; once more alone
 	res, err := d.Round(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.sets) != 3 {
-		t.Errorf("opened %d shadow sets, want 3 (shared, the replay's own, the rest of the group)", len(f.sets))
+	if len(f.sets) != 5 {
+		t.Errorf("opened %d shadow sets, want 5 (merged, 10.1 alone, 10.2 alone twice, 10.3 alone)", len(f.sets))
 	}
 	if want := 3 * 2 * 3; res.PropagationSteps != want {
-		t.Errorf("propagation steps = %d, want %d — the lost attempt's steps must not count", res.PropagationSteps, want)
+		t.Errorf("propagation steps = %d, want %d — the lost attempts' steps must not count", res.PropagationSteps, want)
 	}
-	if f.count("propagate 0 10.2.0.0/16") != 2 || f.count("propagate 1 10.2.0.0/16") != 2 || f.count("propagate 2 10.3.0.0/16") != 2 {
-		t.Errorf("replay or regroup ran on the wrong set:\n%s", strings.Join(f.log, "\n"))
+	if f.count("propagate 1 10.1.0.0/16") != 2 || f.count("propagate 2 10.2.0.0/16") != 2 ||
+		f.count("propagate 3 10.2.0.0/16") != 2 || f.count("propagate 4 10.3.0.0/16") != 2 {
+		t.Errorf("replays ran on the wrong sets:\n%s", strings.Join(f.log, "\n"))
 	}
 	f.allClosed(t)
 
@@ -345,17 +384,16 @@ func TestDriverReplaysLostShadows(t *testing.T) {
 	f.allClosed(t)
 }
 
-// TestDriverAsksExcludedNodesOnlyOnTrace: the explored node and the
-// sending peer are in no fan-out; each is asked once, and only when a
-// forward trace walks into it.
+// TestDriverAsksExcludedNodesOnlyOnTrace: nobody is polled around the
+// waves. A node the wave touched — the explored node always is — answers
+// from the wave's own report; an untouched one, the sending peer
+// included, is asked once, and only when a forward trace walks into it.
 func TestDriverAsksExcludedNodesOnlyOnTrace(t *testing.T) {
 	asked := func(f *fakeFleet) map[string]int {
 		n := map[string]int{}
 		for _, l := range f.log {
 			if strings.HasPrefix(l, "query") {
-				for _, node := range strings.Split(l[strings.LastIndex(l, " ")+1:], ",") {
-					n[node]++
-				}
+				n[l[strings.LastIndex(l, " ")+1:]]++
 			}
 		}
 		return n
@@ -364,47 +402,66 @@ func TestDriverAsksExcludedNodesOnlyOnTrace(t *testing.T) {
 	if _, err := d.Round(f); err != nil {
 		t.Fatal(err)
 	}
-	if n := asked(f); n["x"] != 0 || n["p"] != 0 {
-		t.Errorf("no trace reaches x or p, yet they were asked %d and %d times", n["x"], n["p"])
+	if n := asked(f); !reflect.DeepEqual(n, map[string]int{"a": 1}) {
+		t.Errorf("both traces end at untouched a and reach neither x nor p; asked %v, want a once", n)
 	}
 
 	// Now c forwards into the explored node, which forwards to the peer.
 	d, f = fakeRound(t, FederatedOptions{}, []string{"10.1.0.0/16"})
 	f.next["b"], f.next["c"], f.next["x"], f.next["p"] = "x", "x", "p", "local"
 	sh, _ := f.OpenShadows()
-	facts, err := d.CollectFacts(f, sh, WitnessSpec{Node: "x", Peer: "p", Update: witnessFor("10.1.0.0/16")})
+	facts, err := d.CollectFacts(f, sh, []WitnessSpec{{Node: "x", Peer: "p", Update: witnessFor("10.1.0.0/16")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := asked(f); n["x"] != 1 || n["p"] != 1 {
-		t.Errorf("two traces walk through x and p; asked %d and %d times, want once each", n["x"], n["p"])
+	if n := asked(f); !reflect.DeepEqual(n, map[string]int{"p": 1}) {
+		t.Errorf("two traces walk through touched x into untouched p; asked %v, want p once", n)
 	}
 	var paths []string
-	for _, n := range facts.Nodes {
+	for _, n := range facts[0].Nodes {
 		paths = append(paths, strings.Join(n.Path, ">"))
 	}
 	sort.Strings(paths)
 	if want := []string{"b>x>p", "c>x>p"}; !reflect.DeepEqual(paths, want) {
 		t.Errorf("trace paths = %v, want %v", paths, want)
 	}
-	// a,b,c are asked in each of the three fan-outs at most; a installed
-	// nothing, so the after-withdraw fan-out leaves it out.
-	if n := asked(f); n["a"] != 2 || n["b"] != 3 || n["c"] != 3 {
-		t.Errorf("fan-out counts a=%d b=%d c=%d, want 2, 3, 3", n["a"], n["b"], n["c"])
-	}
 }
 
 // TestDriverStaleAfterWithdraw: a witness route that survives its own
-// retraction is the stale-route fact, attributed by route identity.
+// retraction is the stale-route fact, attributed by route identity —
+// whether the retraction reached the node and left the route (c) or never
+// reached it at all (b).
 func TestDriverStaleAfterWithdraw(t *testing.T) {
-	d, f := fakeRound(t, FederatedOptions{}, []string{"10.1.0.0/16"})
+	d, f := fakeRound(t, FederatedOptions{}, []string{"10.1.0.0/16", "10.2.0.0/16"})
 	f.waves["10.1.0.0/16"] = fakeWave{reach: []string{"b", "c"}, sticky: []string{"c"}, steps: 2}
 	sh, _ := f.OpenShadows()
-	facts, err := d.CollectFacts(f, sh, WitnessSpec{Node: "x", Peer: "p", Update: witnessFor("10.1.0.0/16")})
+	facts, err := d.CollectFacts(f, &untouchedOnWithdraw{sh.(*fakeShadows), "b"}, []WitnessSpec{
+		{Node: "x", Peer: "p", Update: witnessFor("10.1.0.0/16")},
+		{Node: "x", Peer: "p", Update: witnessFor("10.2.0.0/16")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(facts.Stale, []string{"c"}) {
-		t.Errorf("stale = %v, want [c]", facts.Stale)
+	if !reflect.DeepEqual(facts[0].Stale, []string{"b", "c"}) || facts[1].Stale != nil {
+		t.Errorf("stale = %v and %v, want [b c] and none", facts[0].Stale, facts[1].Stale)
 	}
+}
+
+// untouchedOnWithdraw drops one node from the first member's WITHDRAW
+// wave report, and keeps that node's route: a retraction that never got
+// there.
+type untouchedOnWithdraw struct {
+	*fakeShadows
+	node string
+}
+
+func (s *untouchedOnWithdraw) Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error) {
+	p := group[0].Watch.String()
+	kept, had := s.best[s.node][p]
+	waves, err := s.fakeShadows.Propagate(group, maxSteps, wantAt)
+	if err == nil && len(group[0].Update.NLRI) == 0 && had {
+		s.best[s.node][p] = kept
+		delete(waves[0].Touched, s.node)
+	}
+	return waves, err
 }

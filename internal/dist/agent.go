@@ -10,6 +10,7 @@ import (
 	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/core"
+	"dice/internal/netaddr"
 	"dice/internal/netsim"
 	"dice/internal/prop"
 	"dice/internal/rib"
@@ -78,7 +79,7 @@ type Agent struct {
 
 	// props is the property set the coordinator shipped in its hello
 	// (compiled from HelloParams.Properties, list order preserved).
-	// queryOracle answers WantProps requests against it by index.
+	// inject answers WantProps requests against it by index.
 	props []*prop.Compiled
 
 	mu       sync.Mutex
@@ -102,15 +103,14 @@ const noShadowMarker = "has no shadow"
 // shadowClone is one witness-propagation clone of the agent's node: a
 // COW copy whose outbound traffic lands in a capture sink the agent
 // drains back to the coordinator per delivery. routeIDs tokenizes the
-// *rib.Route pointers returned by oracle queries, so the coordinator's
-// pre/post comparisons carry the in-process backend's exact
+// *rib.Route pointers its answers name, so the coordinator's
+// before/after comparisons carry the in-process backend's exact
 // pointer-identity semantics across the wire (a byte-identical
 // reinstall still changes the token, exactly as it changes the
 // pointer).
 type shadowClone struct {
 	r    *router.Router
 	sink *netsim.CaptureSink
-	read int // sink messages already returned
 
 	routeIDs  map[*rib.Route]uint64
 	nextRoute uint64
@@ -121,8 +121,12 @@ type shadowClone struct {
 	applied map[uint64]*InjectBatchResult
 }
 
-// routeToken returns the shadow-scoped stable token for a route object.
+// routeToken returns the shadow-scoped stable token for a route object
+// (0 for none).
 func (sh *shadowClone) routeToken(rt *rib.Route) uint64 {
+	if rt == nil {
+		return 0
+	}
 	id, ok := sh.routeIDs[rt]
 	if !ok {
 		sh.nextRoute++
@@ -482,12 +486,13 @@ func (a *Agent) shadowClose(id uint64) {
 }
 
 // inject delivers an ordered run of BGP messages into a shadow clone,
-// each as if sent by its named peer, and returns the messages the node
-// emitted in response to each — the coordinator relays them onward,
-// replacing netsim as the inter-domain scheduler. The run is all or
-// nothing: every sender is validated before the first delivery, so an
-// error never leaves a half-applied shadow behind it. The whole run is
-// the idempotency unit, memoized under its key.
+// each as if sent by its named peer, and returns per delivery the
+// messages the node emitted in response — the coordinator relays them
+// onward, replacing netsim as the inter-domain scheduler — and the
+// node's route for the delivery's watched prefix before and after it.
+// The run is all or nothing: every sender is validated before the first
+// delivery, so an error never leaves a half-applied shadow behind it.
+// The whole run is the idempotency unit, memoized under its key.
 func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 	sh, err := a.shadow(p.ShadowID)
 	if err != nil {
@@ -504,14 +509,24 @@ func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 			return nil, fmt.Errorf("dist: %s has no peer %q", a.node, d.From)
 		}
 	}
+	var props []*prop.Compiled
+	if p.WantProps {
+		// Per-property `at` verdicts over the installed best route, by
+		// hello list index.
+		props = a.props
+	}
 	out := &InjectBatchResult{Results: make([]InjectResult, len(p.Deliveries))}
 	for i, d := range p.Deliveries {
+		res := &out.Results[i]
+		res.Before = sh.routeToken(sh.r.RIB().Best(d.Watch))
 		sh.r.Deliver(a.fabric.Net.Now(), d.From, d.Msg)
-		msgs := sh.sink.Messages()
-		for _, m := range msgs[sh.read:] {
-			out.Results[i].Emitted = append(out.Results[i].Emitted, WireEmission{To: m.To, Msg: m.Data})
+		if msgs := sh.sink.Drain(); len(msgs) > 0 {
+			res.Emitted = make([]WireEmission, len(msgs))
+			for k, m := range msgs {
+				res.Emitted[k] = WireEmission{To: m.To, Msg: m.Data}
+			}
 		}
-		sh.read = len(msgs)
+		res.After = sh.view(d.Watch, props, a.boundary)
 	}
 	if p.Key != 0 {
 		sh.applied[p.Key] = out
@@ -519,28 +534,25 @@ func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 	return out, nil
 }
 
-// queryOracle answers the narrow cross-domain route questions about one
-// prefix in one shadow: exact-best presence with its shadow-scoped
-// route token (pointer identity over the wire — see shadowClone), and
-// the covering route's forwarding facts.
+// view answers the narrow cross-domain route questions about one prefix
+// in this shadow, from the one core.QueryRoute: exact-best presence as a
+// shadow-scoped route token (pointer identity over the wire — see
+// shadowClone), the covering route's forwarding facts, `at` verdicts.
+func (sh *shadowClone) view(p netaddr.Prefix, props []*prop.Compiled, boundary uint32) QueryOracleResult {
+	best, hop, atMatch := core.QueryRoute(sh.r, p, props, boundary)
+	return QueryOracleResult{
+		BestToken:   sh.routeToken(best),
+		HasCovering: hop.HasCovering, CoveringLocal: hop.Local, CoveringNextPeer: hop.NextPeer,
+		PropMatch: atMatch,
+	}
+}
+
+// queryOracle answers a forward trace's lookup of a node no wave touched.
 func (a *Agent) queryOracle(p *QueryOracleParams) (*QueryOracleResult, error) {
 	sh, err := a.shadow(p.ShadowID)
 	if err != nil {
 		return nil, err
 	}
-	var props []*prop.Compiled
-	if p.WantProps {
-		// Per-property `at` verdicts over the installed best route, by
-		// hello list index.
-		props = a.props
-	}
-	best, hop, atMatch := core.QueryRoute(sh.r, p.Prefix, props, a.boundary)
-	out := &QueryOracleResult{
-		HasCovering: hop.HasCovering, CoveringLocal: hop.Local, CoveringNextPeer: hop.NextPeer,
-		PropMatch: atMatch,
-	}
-	if best != nil {
-		out.BestToken = sh.routeToken(best)
-	}
-	return out, nil
+	out := sh.view(p.Prefix, nil, a.boundary)
+	return &out, nil
 }

@@ -91,7 +91,7 @@ type Client struct {
 
 	// Properties is the coordinator's property set in canonical source
 	// form, forwarded in the hello so the agent can compile it and answer
-	// query_oracle WantProps requests (see HelloParams.Properties). Set
+	// inject_witness WantProps requests (see HelloParams.Properties). Set
 	// it before Handshake; empty ships nothing.
 	Properties []string
 

@@ -29,9 +29,10 @@ import (
 // core.FederatedExperiment in-process — runs distributed rounds. None of
 // the round algorithm lives here. What does: connections and their
 // fault-recovery ladder, the phase-1 fan-out (agents or the replica
-// pool), shadow sets, the relay that carries a witness wave between
-// agents message by message through a latency-ordered event queue that
-// mirrors netsim's delivery order, replay, and telemetry.
+// pool), shadow sets, the relay that carries a witness group's waves
+// between agents one virtual time step at a time through a
+// latency-ordered event queue that mirrors netsim's delivery order,
+// replay, and telemetry.
 //
 // Fault tolerance (health.go, fault.go): every RPC carries the client's
 // per-call deadline, a broken or timed-out connection is re-dialed with
@@ -49,7 +50,7 @@ type Coordinator struct {
 	// driver holds the round's options, boundary and compiled property
 	// set, resolved exactly as in-process (core.NewDriver), and runs the
 	// rounds. propSrcs is that property set in canonical source form,
-	// shipped to every agent in the hello so query_oracle WantProps
+	// shipped to every agent in the hello so inject_witness WantProps
 	// answers index-align with it.
 	driver   *core.Driver
 	propSrcs []string
@@ -57,6 +58,10 @@ type Coordinator struct {
 	conns   map[string]*nodeConn
 	nodes   []string // sorted node names
 	latency map[string]time.Duration
+	// lookahead is the smallest link latency: nothing a delivery causes
+	// lands sooner than that after it, which is how far ahead of the
+	// earliest queued delivery the relay may safely reach in one step.
+	lookahead time.Duration
 	// nodeAS maps node name → AS number, from each agent's hello; it
 	// resolves `never reachable via AS` path checks. Written only during
 	// Connect, read-only afterwards.
@@ -292,6 +297,9 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 			lat = time.Millisecond // netsim's 0-means-1ms default
 		}
 		c.latency[edgeKey(e.A, e.B)] = lat
+		if c.lookahead == 0 || lat < c.lookahead {
+			c.lookahead = lat
+		}
 	}
 	crng := rand.New(rand.NewSource(c.policy.Seed))
 	for _, d := range dialers {
@@ -968,11 +976,13 @@ func (c *Coordinator) Replay(node, peer string, traceBytes []byte) (int, error) 
 // relayEvent is one in-flight message between domains. key is the
 // delivery idempotency key, assigned from the shadow set's sequence at
 // enqueue time so a delivery retried after a reconnect reuses its
-// original key and the agent's memo answers it.
+// original key and the agent's memo answers it. wave tags the event with
+// the group member whose injection caused it; emissions inherit the tag.
 type relayEvent struct {
 	at       time.Duration // virtual delivery time from injection
 	seq      uint64        // FIFO tiebreak, mirroring netsim
 	key      uint64        // delivery idempotency key
+	wave     int           // index into the group
 	from, to string
 	msg      []byte
 }
@@ -997,9 +1007,9 @@ func (q *relayQueue) Pop() any {
 }
 
 // shadowSet is one shadow clone per agent — the RPC core.Shadows — for
-// a witness lifetime (or several disjoint-prefix lifetimes), plus the
-// delivery-key sequence those lifetimes draw from: keys are unique per
-// shadow set, which is exactly the scope of the agents' memo maps.
+// one disjoint-prefix witness group's lifetime, plus the delivery-key
+// sequence its waves draw from: keys are unique per shadow set, which is
+// exactly the scope of the agents' memo maps.
 type shadowSet struct {
 	c    *Coordinator
 	ids  map[string]uint64
@@ -1080,138 +1090,158 @@ func (s *shadowSet) Close() {
 	s.span.End()
 }
 
-// Query fans one oracle query out to several nodes' shadows and returns
-// the answers keyed by node (core.Shadows): the best route's
-// shadow-scoped identity token, the covering route's forwarding hop and
-// — with wantAt — the per-property `at` verdicts. Queries are read-only,
-// so re-issuing one after a transport fault is safe.
-func (s *shadowSet) Query(nodes []string, prefix netaddr.Prefix, wantAt bool) (map[string]core.RouteView, error) {
-	known := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		if _, ok := s.c.conns[n]; ok { // others are left out of the answer
-			known = append(known, n)
-		}
+// Query asks one node's shadow about one prefix (core.Shadows): the best
+// route's shadow-scoped identity token and the covering route's
+// forwarding hop. Queries are read-only, so re-issuing one after a
+// transport fault is safe.
+func (s *shadowSet) Query(node string, prefix netaddr.Prefix) (core.RouteView, error) {
+	if _, ok := s.c.conns[node]; !ok {
+		return core.RouteView{}, nil
 	}
-	params := make([]QueryOracleParams, len(known))
-	outs := make([]QueryOracleResult, len(known))
-	for i, n := range known {
-		params[i] = QueryOracleParams{ShadowID: s.ids[n], Prefix: prefix, WantProps: wantAt}
+	var out QueryOracleResult
+	if err := s.c.call(node, MethodQueryOracle, &QueryOracleParams{ShadowID: s.ids[node], Prefix: prefix}, &out); err != nil {
+		return core.RouteView{}, shadowLost(err)
 	}
-	err := s.c.fanOut(known, MethodQueryOracle, func(i int) any { return &params[i] }, func(i int) any { return &outs[i] })
-	if err != nil {
-		return nil, shadowLost(err)
-	}
-	views := make(map[string]core.RouteView, len(known))
-	for i, n := range known {
-		q := &outs[i]
-		v := core.RouteView{
-			Hop:     core.ForwardHop{HasCovering: q.HasCovering, Local: q.CoveringLocal, NextPeer: q.CoveringNextPeer},
-			AtMatch: q.PropMatch,
-		}
-		if q.BestToken != 0 {
-			v.Token = q.BestToken
-		}
-		views[n] = v
-	}
-	return views, nil
+	return s.c.routeView(&out)
 }
 
-// Propagate injects u at `to` as if `from` sent it and relays the
-// resulting wave between the agents' shadow clones (core.Shadows).
-func (s *shadowSet) Propagate(from, to string, u *bgp.Update, maxSteps int) (prop.Phase, error) {
-	lat, linked := s.c.linkLatency(from, to)
-	if !linked {
-		return prop.Phase{}, fmt.Errorf("dist: no %s→%s link for witness injection", from, to)
+// routeView renders an agent's answer in the driver's terms.
+func (c *Coordinator) routeView(q *QueryOracleResult) (core.RouteView, error) {
+	if len(q.PropMatch) > len(c.propSrcs) {
+		return core.RouteView{}, frameErr("%d prop_match verdicts for %d properties", len(q.PropMatch), len(c.propSrcs))
 	}
-	wire, err := bgp.Encode(u)
-	if err != nil {
-		return prop.Phase{}, err
+	v := core.RouteView{
+		Hop:     core.ForwardHop{HasCovering: q.HasCovering, Local: q.CoveringLocal, NextPeer: q.CoveringNextPeer},
+		AtMatch: q.PropMatch,
 	}
-	queue := &relayQueue{}
-	heap.Push(queue, &relayEvent{at: lat, seq: 1, key: s.nextKey(), from: from, to: to, msg: wire})
-	steps, pending, waves, err := s.c.relay(s, queue, maxSteps)
-	if err != nil {
-		return prop.Phase{}, shadowLost(err)
+	if q.BestToken != 0 {
+		v.Token = q.BestToken
 	}
-	return prop.Phase{Steps: steps, Pending: pending, Waves: waves}, nil
+	return v, nil
 }
 
-// relay drives one message wave set through the agents: deliveries pop
-// in (virtual-latency, FIFO) order, each delivery's emissions are
-// enqueued with their link latency, and the run ends when the queue
-// drains or the step bound hits. It returns delivered count and queue
-// backlog — the distributed Run/Pending pair — plus the per-wave
-// delivery counts (consecutive deliveries sharing one virtual timestamp
-// are one wave, mirroring the in-process backend's waves over netsim).
-func (c *Coordinator) relay(shadows *shadowSet, queue *relayQueue, maxSteps int) (steps, pending int, waves []int, err error) {
-	// Initial events carry seqs 1..Len (Propagate enqueues exactly one);
-	// relayed emissions continue the sequence from there.
-	seq := uint64(queue.Len())
-	var last time.Duration
-	for queue.Len() > 0 && steps < maxSteps {
-		c.metrics.setRelayDepth(queue.Len())
-		e := heap.Pop(queue).(*relayEvent)
-		// Coalesce the run of deliveries sharing this event's virtual
-		// timestamp and destination into one batch. The coalesced pops
-		// are exactly the pops the one-at-a-time loop would have made:
-		// an emission lands at its cause's time plus a link latency
-		// that is never zero, so nothing pushed while serving this
-		// batch could have sorted inside it.
-		batch := []*relayEvent{e}
-		for queue.Len() > 0 && steps+len(batch) < maxSteps {
-			head := (*queue)[0]
-			if head.at != e.at || head.to != e.to {
-				break
-			}
-			batch = append(batch, heap.Pop(queue).(*relayEvent))
+// Propagate injects every member of the group at its target as if its
+// peer had sent it and relays the resulting waves, together, between the
+// agents' shadow clones (core.Shadows).
+func (s *shadowSet) Propagate(group []core.Injection, maxSteps int, wantAt bool) ([]core.Wave, error) {
+	queue := make(relayQueue, len(group))
+	for i, in := range group {
+		lat, linked := s.c.linkLatency(in.From, in.To)
+		if !linked {
+			return nil, fmt.Errorf("dist: no %s→%s link for witness injection", in.From, in.To)
 		}
-		if len(batch) > 1 {
-			c.metrics.noteWitnessBatch()
-		}
-		results, err := c.deliver(shadows, e.to, batch)
+		wire, err := bgp.Encode(in.Update)
 		if err != nil {
-			return steps, queue.Len(), waves, err
+			return nil, err
 		}
-		for bi, ev := range batch {
-			steps++
-			if len(waves) == 0 || ev.at != last {
-				waves = append(waves, 0)
-				last = ev.at
+		queue[i] = &relayEvent{at: lat, seq: uint64(i + 1), key: s.nextKey(), wave: i, from: in.From, to: in.To, msg: wire}
+	}
+	heap.Init(&queue)
+	waves, err := s.c.relay(s, &queue, group, maxSteps, wantAt)
+	return waves, shadowLost(err)
+}
+
+// relay drives a group's waves through the agents, one step at a time. A
+// step is every queued delivery within the lookahead of the earliest: an
+// emission lands at its cause's time plus a link latency that is never
+// less than the lookahead, with a later sequence number than anything
+// already queued, so nothing a step causes can sort inside it, and two
+// agents cannot see each other before a later step. The whole step goes
+// out at once, one pipelined inject_witness per agent addressed, and the
+// answers fold back in (virtual-latency, FIFO) order — netsim's delivery
+// order — so emission sequence numbers and delivery keys come out as if
+// the deliveries had run one at a time. Steps, per-timestamp wave counts,
+// the maxSteps budget and the pending count are kept per wave: a wave
+// that has spent its budget stops being delivered, what is queued for it
+// stays counted as pending, and the waves beside it run on.
+func (c *Coordinator) relay(shadows *shadowSet, queue *relayQueue, group []core.Injection, maxSteps int, wantAt bool) ([]core.Wave, error) {
+	waves := make([]core.Wave, len(group))
+	last := make([]time.Duration, len(group)) // each wave's current timestamp
+	for i := range waves {
+		waves[i] = core.Wave{Phase: prop.Phase{Pending: 1}, Touched: make(map[string]core.RouteChange, len(c.nodes))}
+	}
+	// Initial events carry seqs 1..Len; relayed emissions continue the
+	// sequence from there.
+	seq := uint64(queue.Len())
+	var (
+		step   []*relayEvent
+		agents []string
+		params []*InjectBatchParams
+		slot   = make(map[string]int, len(c.nodes)) // agent → index into agents, params
+	)
+	for queue.Len() > 0 {
+		c.metrics.setRelayDepth(queue.Len())
+		// Pop the step and split it per agent, in delivery order.
+		step, agents, params = step[:0], agents[:0], params[:0]
+		clear(slot)
+		for horizon := (*queue)[0].at + c.lookahead; queue.Len() > 0 && (*queue)[0].at <= horizon; {
+			e := heap.Pop(queue).(*relayEvent)
+			w := &waves[e.wave]
+			if w.Steps == maxSteps {
+				continue // budget spent: stays pending, like the solo run's backlog
 			}
-			waves[len(waves)-1]++
-			for _, em := range results[bi].Emitted {
-				lat, linked := c.linkLatency(ev.to, em.To)
+			w.Steps++
+			w.Pending--
+			if len(w.Waves) == 0 || e.at != last[e.wave] {
+				w.Waves = append(w.Waves, 0)
+				last[e.wave] = e.at
+			}
+			w.Waves[len(w.Waves)-1]++
+			i, ok := slot[e.to]
+			if !ok {
+				// The first event's key identifies the whole call: keys are
+				// unique per event and an event is delivered exactly once, so
+				// a retry after a transport fault replays idempotently.
+				i = len(agents)
+				slot[e.to] = i
+				agents = append(agents, e.to)
+				params = append(params, &InjectBatchParams{ShadowID: shadows.ids[e.to], Key: e.key, WantProps: wantAt})
+			}
+			params[i].Deliveries = append(params[i].Deliveries, BatchDelivery{From: e.from, Msg: e.msg, Watch: group[e.wave].Watch})
+			step = append(step, e)
+		}
+		if len(step) == 0 {
+			continue
+		}
+		c.metrics.noteRelayStep(params)
+		outs := make([]InjectBatchResult, len(agents))
+		err := c.fanOut(agents, MethodInjectWitness, func(i int) any { return params[i] }, func(i int) any { return &outs[i] })
+		if err != nil {
+			return nil, err
+		}
+		for i, out := range outs {
+			if len(out.Results) != len(params[i].Deliveries) {
+				return nil, fmt.Errorf("dist: %s answered %d results for a batch of %d", agents[i], len(out.Results), len(params[i].Deliveries))
+			}
+		}
+		// Fold the answers back in delivery order.
+		for _, e := range step {
+			out := &outs[slot[e.to]]
+			res := out.Results[0]
+			out.Results = out.Results[1:]
+			w := &waves[e.wave]
+			ch, seen := w.Touched[e.to]
+			if !seen && res.Before != 0 {
+				ch.Before = res.Before
+			}
+			if ch.After, err = c.routeView(&res.After); err != nil {
+				return nil, err
+			}
+			w.Touched[e.to] = ch
+			for _, em := range res.Emitted {
+				lat, linked := c.linkLatency(e.to, em.To)
 				if !linked {
 					continue // no link: dropped, like netsim's unplugged cable
 				}
 				seq++
+				w.Pending++
 				heap.Push(queue, &relayEvent{
-					at: ev.at + lat, seq: seq, key: shadows.nextKey(),
-					from: ev.to, to: em.To, msg: em.Msg,
+					at: e.at + lat, seq: seq, key: shadows.nextKey(), wave: e.wave,
+					from: e.to, to: em.To, msg: em.Msg,
 				})
 			}
 		}
 	}
-	c.metrics.setRelayDepth(queue.Len())
-	return steps, queue.Len(), waves, nil
-}
-
-// deliver ships a batch of deliveries to one agent in one inject_witness
-// and returns per-delivery emissions in order. The head event's key
-// identifies the whole delivery (keys are unique per event, and an event
-// is delivered exactly once, alone or at the head of one batch), so a
-// retry after a transport fault replays idempotently.
-func (c *Coordinator) deliver(shadows *shadowSet, to string, batch []*relayEvent) ([]InjectResult, error) {
-	p := InjectBatchParams{ShadowID: shadows.ids[to], Deliveries: make([]BatchDelivery, len(batch)), Key: batch[0].key}
-	for i, ev := range batch {
-		p.Deliveries[i] = BatchDelivery{From: ev.from, Msg: ev.msg}
-	}
-	var out InjectBatchResult
-	if err := c.call(to, MethodInjectWitness, &p, &out); err != nil {
-		return nil, err
-	}
-	if len(out.Results) != len(batch) {
-		return nil, fmt.Errorf("dist: %s answered %d results for a batch of %d", to, len(out.Results), len(batch))
-	}
-	return out.Results, nil
+	c.metrics.setRelayDepth(0)
+	return waves, nil
 }

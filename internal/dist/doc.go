@@ -18,12 +18,13 @@
 //   - A Coordinator reaches the agents over the wire protocol and is a
 //     core.Fleet: Explore fans phase 1 out to the owning agents (or a
 //     replica pool), OpenShadows clones every node, and the shadow set
-//     it returns is a core.Shadows — Query is a pipelined query_oracle
-//     fan-out, Propagate relays one witness wave between domains message
-//     by message (a latency-ordered event queue replaces netsim as the
-//     inter-domain scheduler). The round itself — targets, witness
-//     dedup and cap, the witness lifecycle, property verdicts — is
-//     core.Driver's, the same code that drives the in-process
+//     it returns is a core.Shadows — Propagate relays a witness group's
+//     waves between domains one virtual time step at a time (a
+//     latency-ordered event queue replaces netsim as the inter-domain
+//     scheduler) and reports what each wave changed, Query is the one
+//     query_oracle a forward trace may still need. The round itself —
+//     targets, witness dedup, cap and grouping, the witness lifecycle,
+//     property verdicts — is core.Driver's, the code that also drives
 //     core.FederatedExperiment; nothing of it is written here. What is:
 //     connections, deadlines, reconnect and degraded fallback, replay,
 //     telemetry. The parity table (parity_test.go) holds the two
@@ -32,11 +33,11 @@
 // Wire protocol: one binary format — wire.go holds framing, envelope,
 // the ten-row method table and every payload codec, and encodes core's
 // and netaddr's own types directly — and one call discipline: pipelined
-// requests, relay deliveries batched into one inject_witness per
-// (time, destination). Every connection opens with a hello carrying
-// ProtoVersion; agent, replica and coordinator each refuse a peer whose
-// version differs, so a fleet is one build. Changing a message layout
-// means bumping ProtoVersion, nothing else.
+// requests, each relay step's deliveries batched into one inject_witness
+// per agent, all in flight at once. Every connection opens with a hello
+// carrying ProtoVersion; agent, replica and coordinator each refuse a
+// peer whose version differs, so a fleet is one build. Changing a message
+// layout means bumping ProtoVersion, nothing else.
 //
 // Transports: the protocol runs over any io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
 // gives deterministic single-process tests; TCP gives real process

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dice/internal/core"
+	"dice/internal/telemetry"
 )
 
 // chaosSeedFlag lets CI run the chaos parity suites one seed at a time
@@ -472,6 +473,81 @@ func TestAgentDiesMidCall(t *testing.T) {
 				t.Errorf("%s health records no reconnect: %+v", tc.node, h)
 			}
 		})
+	}
+}
+
+// TestAgentDiesInsideRelayStep: the kill lands inside a pipelined relay
+// step. The diamond's apex re-advertises to left and right at one virtual
+// time, so the two go out together; left's connection dies the instant
+// its request is written — right applied and answered, left applied and
+// its answer is lost. The step's retry reaches left on a fresh
+// connection under the same key and is answered from the memo (counted
+// on the agent), no delivery is applied twice — left's agent executed
+// exactly the injects a fault-free round makes — and the round lands on
+// the in-process backend's snapshot.
+func TestAgentDiesInsideRelayStep(t *testing.T) {
+	leakCheck(t)
+	fe, err := core.NewFederatedExperiment(diamondTopo(), fedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc, err := fe.Round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// round runs one distributed round with a telemetry registry on left's
+	// agent and returns left's executed (non-memo) injects and memo hits.
+	round := func(wrap func(string, Dialer) Dialer) (res *RoundResult, tm *Metrics, executed, memoHits uint64) {
+		topo := diamondTopo()
+		var left *Agent
+		var dialers []Dialer
+		for _, n := range topo.Nodes {
+			ag, err := NewAgent(topo, n.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Name == "left" {
+				left = ag
+				left.EnableTelemetry(telemetry.NewRegistry())
+			}
+			var d Dialer = Loopback{Agent: ag}
+			if wrap != nil {
+				d = wrap(n.Name, d)
+			}
+			dialers = append(dialers, d)
+		}
+		tm = NewMetrics(telemetry.NewRegistry())
+		c, err := Connect(topo, fedOpts(), dialers, WithRetryPolicy(chaosPolicy()), WithTelemetry(tm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if res, err = c.Round(); err != nil {
+			t.Fatal(err)
+		}
+		memoHits = left.am.memoHits.With("inject").Value()
+		return res, tm, left.rpcServer.tm.requests.With(MethodInjectWitness).Value() - memoHits, memoHits
+	}
+	_, _, cleanExecuted, cleanHits := round(nil)
+	kd := &killDialer{method: MethodInjectWitness}
+	res, tm, executed, hits := round(kd.on("left"))
+	if !kd.fired() {
+		t.Fatal("the round never injected into left — kill case vacuous")
+	}
+	if tm.relayStepWidth.Sum() <= float64(tm.relayStepWidth.Count()) {
+		t.Fatal("no relay step addressed two agents — the kill was not inside a pipelined step")
+	}
+	if cleanHits != 0 || hits != 1 {
+		t.Errorf("left answered %d injects from its memo (fault-free: %d), want exactly the one retried call", hits, cleanHits)
+	}
+	if executed != cleanExecuted {
+		t.Errorf("left executed %d injects, a fault-free round %d: a delivery was applied twice or lost", executed, cleanExecuted)
+	}
+	if got, want := strings.Join(res.Snapshot(), "\n"), strings.Join(inproc.Snapshot(), "\n"); got != want {
+		t.Errorf("snapshot diverged from the in-process backend:\n--- in-process ---\n%s\n--- faulty ---\n%s", want, got)
+	}
+	if h := res.Health["left"]; h.Reconnects == 0 {
+		t.Errorf("left health records no reconnect: %+v", h)
 	}
 }
 

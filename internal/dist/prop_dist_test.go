@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -204,5 +205,20 @@ func TestReplicaPageMissRecovery(t *testing.T) {
 	}
 	if len(again.Findings) != len(out.Findings) {
 		t.Errorf("manifest-only re-send found %d findings, first call %d", len(again.Findings), len(out.Findings))
+	}
+}
+
+// TestPropMatchBoundedByHello: an agent's `at` verdicts index the
+// property list the coordinator shipped in its hello, so an answer longer
+// than that list is a malformed frame, not evidence.
+func TestPropMatchBoundedByHello(t *testing.T) {
+	opts := fedOpts()
+	opts.Properties = atProps()
+	c := loopbackCoordinator(t, leakTopo3(), opts)
+	if _, err := c.routeView(&QueryOracleResult{PropMatch: make([]bool, len(c.propSrcs))}); err != nil {
+		t.Errorf("a verdict per shipped property: %v", err)
+	}
+	if _, err := c.routeView(&QueryOracleResult{PropMatch: make([]bool, len(c.propSrcs)+1)}); !errors.Is(err, errFrame) {
+		t.Errorf("one verdict too many returned %v, want a malformed-frame error", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -130,10 +131,11 @@ func TestSessionScopedReplayMemos(t *testing.T) {
 }
 
 // TestDeliverIdempotentAndAtomic pins inject_witness at the agent: a
-// delivery re-sent under its key answers from the memo without touching
-// the shadow again, and a run whose second delivery names an unknown peer
-// fails before the first is applied — an error never leaves a
-// half-applied shadow behind it.
+// delivery reports the watched prefix's route before and after it, a
+// delivery re-sent under its key answers from the memo — the same pair —
+// without touching the shadow again, and a run whose second delivery
+// names an unknown peer fails before the first is applied — an error
+// never leaves a half-applied shadow behind it.
 func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	ag, err := NewAgent(leakTopo3(), "provider")
 	if err != nil {
@@ -167,11 +169,11 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 		sunk     int
 	}
 	state := func() shadowState {
-		return shadowState{sh.r.Counters().UpdatesProcessed, sh.r.RIB().Prefixes(), len(sh.sink.Messages())}
+		return shadowState{sh.r.Counters().UpdatesProcessed, sh.r.RIB().Prefixes(), sh.sink.Count()}
 	}
 
 	before := state()
-	one := &InjectBatchParams{ShadowID: open.ShadowID, Deliveries: []BatchDelivery{{From: "customer", Msg: wire}}, Key: 1}
+	one := &InjectBatchParams{ShadowID: open.ShadowID, Deliveries: []BatchDelivery{{From: "customer", Msg: wire, Watch: u.NLRI[0]}}, Key: 1}
 	var first, again InjectBatchResult
 	if err := cl.Call(MethodInjectWitness, one, &first); err != nil {
 		t.Fatal(err)
@@ -179,6 +181,9 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	applied := state()
 	if applied.updates != before.updates+1 || len(first.Results) != 1 || len(first.Results[0].Emitted) == 0 {
 		t.Fatalf("delivery processed %d updates and answered %+v, want 1 update with emissions", applied.updates-before.updates, first)
+	}
+	if r := first.Results[0]; r.Before != 0 || r.After.BestToken == 0 || !r.After.HasCovering || r.After.CoveringNextPeer != "customer" {
+		t.Errorf("delivery installed 10.9.9.0/24 from customer but reported before=%d after=%+v", r.Before, r.After)
 	}
 	if err := cl.Call(MethodInjectWitness, one, &again); err != nil {
 		t.Fatal(err)
@@ -202,5 +207,45 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	}
 	if state() != applied {
 		t.Errorf("failed run left a half-applied shadow: %+v, was %+v", state(), applied)
+	}
+}
+
+// TestInjectAllocatesPerEmission: a batch of n deliveries into one shadow
+// allocates in proportion to what it emits, not to n × everything the
+// clone ever sent — the sink is drained per delivery, never re-copied.
+// Per-delivery bytes must not grow with the batch.
+func TestInjectAllocatesPerEmission(t *testing.T) {
+	ag, err := NewAgent(leakTopo3(), "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := *ag.self.LastObserved("customer")
+	perDelivery := func(n int) float64 {
+		p := &InjectBatchParams{ShadowID: ag.shadowOpen().ShadowID, Deliveries: make([]BatchDelivery, n)}
+		for i := range p.Deliveries {
+			u.NLRI = []netaddr.Prefix{netaddr.PrefixFrom(netaddr.AddrFrom4(10, 9, byte(i>>8), byte(i)), 32)}
+			wire, err := bgp.Encode(&u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Deliveries[i] = BatchDelivery{From: "customer", Msg: wire, Watch: u.NLRI[0]}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := ag.inject(p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range out.Results {
+			if len(r.Emitted) == 0 {
+				t.Fatalf("delivery %d of %d emitted nothing — the history this test is about never grew", i, n)
+			}
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := perDelivery(64), perDelivery(1024)
+	if large > 1.5*small {
+		t.Errorf("a delivery costs %.0f B in a batch of 64 and %.0f B in a batch of 1024: allocation grows with the shadow's history", small, large)
 	}
 }

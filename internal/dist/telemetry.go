@@ -23,6 +23,8 @@ type Metrics struct {
 	rounds            *telemetry.Counter
 	roundDuration     *telemetry.Histogram
 	relayDepth        *telemetry.Gauge
+	relaySteps        *telemetry.Counter
+	relayStepWidth    *telemetry.Histogram
 	witnessBatches    *telemetry.Counter
 	witnessesInjected *telemetry.Counter
 	witnessesSkipped  *telemetry.Counter
@@ -63,9 +65,14 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		roundDuration: reg.Histogram("dice_coordinator_round_duration_seconds",
 			"Wall-clock duration of completed rounds.", nil),
 		relayDepth: reg.Gauge("dice_coordinator_relay_queue_depth",
-			"In-flight witness relay events awaiting delivery."),
+			"In-flight witness relay events awaiting delivery, as of the last relay step."),
+		relaySteps: reg.Counter("dice_coordinator_relay_steps_total",
+			"Virtual time steps relayed: one pipelined inject_witness fan-out each."),
+		relayStepWidth: reg.Histogram("dice_coordinator_relay_step_width",
+			"Agents addressed per relay step (the fan-out's pipelining width).",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		witnessBatches: reg.Counter("dice_coordinator_witness_batches_total",
-			"inject_witness calls that carried more than one coalesced relay delivery."),
+			"inject_witness calls that carried more than one delivery: one agent's share of a relay step."),
 		witnessesInjected: reg.Counter("dice_coordinator_witnesses_injected_total",
 			"Witnesses injected and checked across rounds."),
 		witnessesSkipped: reg.Counter("dice_coordinator_witnesses_skipped_total",
@@ -164,11 +171,20 @@ func (m *Metrics) setRelayDepth(depth int) {
 	m.relayDepth.Set(float64(depth))
 }
 
-func (m *Metrics) noteWitnessBatch() {
+// noteRelayStep records one relay time step: its width is the number of
+// agents addressed, and each agent handed more than one delivery counts
+// as a batch.
+func (m *Metrics) noteRelayStep(calls []*InjectBatchParams) {
 	if m == nil {
 		return
 	}
-	m.witnessBatches.Inc()
+	m.relaySteps.Inc()
+	m.relayStepWidth.Observe(float64(len(calls)))
+	for _, p := range calls {
+		if len(p.Deliveries) > 1 {
+			m.witnessBatches.Inc()
+		}
+	}
 }
 
 func (m *Metrics) setPoolDepth(depth int) {

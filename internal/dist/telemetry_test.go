@@ -170,6 +170,10 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 		"dice_coordinator_rounds_total 1",
 		"dice_coordinator_round_duration_seconds_count 1",
 		"dice_coordinator_witnesses_injected_total",
+		"dice_coordinator_witness_batches_total",
+		"dice_coordinator_relay_steps_total",
+		"dice_coordinator_relay_step_width_bucket",
+		"dice_coordinator_relay_queue_depth 0",
 		"dice_replica_pool_workers",
 		"dice_agent_checkpoint_pages_total",
 		"dice_replica_explores_total",

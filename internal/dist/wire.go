@@ -46,11 +46,11 @@ import (
 // hello carries it in both directions and either side refuses a peer
 // whose version differs — there is no negotiation and no down-encoding.
 // Any change to a message layout bumps it. Fields that only some calls
-// use (HelloParams.Properties, QueryOracleParams.WantProps /
-// QueryOracleResult.PropMatch, ReplicaExploreResult.MissingPages) are
-// encoded as tails that are absent when unused; that keeps the common
-// frames small, it is not a compatibility mechanism.
-const ProtoVersion = 7
+// use (HelloParams.Properties, InjectBatchParams.WantProps,
+// ReplicaExploreResult.MissingPages) are encoded as tails that are absent
+// when unused; that keeps the common frames small, it is not a
+// compatibility mechanism.
+const ProtoVersion = 8
 
 // --- Framing -----------------------------------------------------------------
 
@@ -526,15 +526,15 @@ const (
 	MethodExplore = "explore"
 	// MethodShadowOpen clones the agent's node for witness propagation;
 	// MethodInjectWitness delivers an ordered run of messages into a
-	// shadow clone and returns what the node would emit in response to
-	// each; MethodShadowClose discards the clone.
+	// shadow clone and returns, for each, what the node would emit in
+	// response and how its route for the delivery's watched prefix
+	// changed; MethodShadowClose discards the clone.
 	MethodShadowOpen    = "shadow_open"
 	MethodInjectWitness = "inject_witness"
 	MethodShadowClose   = "shadow_close"
 	// MethodQueryOracle is the narrow cross-domain query interface: best
-	// and covering route facts about one prefix in one shadow, enough
-	// for the coordinator's cross-node oracles and forward tracing —
-	// and nothing more.
+	// and covering route facts about one prefix in one shadow — what a
+	// forward trace needs of a node no wave touched, and nothing more.
 	MethodQueryOracle = "query_oracle"
 	// MethodReplay feeds a recorded trace (internal/trace encoding) into
 	// the agent's live local fabric through a node←peer ingress session.
@@ -644,8 +644,8 @@ type HelloParams struct {
 	// Properties is the coordinator's full property set (canonical
 	// internal/prop source, one definition per entry, in evaluation
 	// order). Agents compile it at hello — a malformed property fails the
-	// handshake, before any round runs — and answer query_oracle WantProps
-	// requests against it by list index. Empty leaves the agent's
+	// handshake, before any round runs — and answer inject_witness
+	// WantProps requests against it by list index. Empty leaves the agent's
 	// previous property set untouched.
 	Properties []string
 }
@@ -1194,13 +1194,18 @@ type BatchDelivery struct {
 	From string
 	// Msg is the BGP wire message (bgp.Encode framing).
 	Msg []byte
+	// Watch is the prefix the delivery is about — its wave's witness
+	// prefix. The agent reports the node's best route for it before and
+	// after applying the delivery (InjectResult). Every delivery watches
+	// one: the zero value is 0.0.0.0/0, not "none".
+	Watch netaddr.Prefix
 }
 
 // InjectBatchParams delivers an ordered run of messages into one shadow
-// clone — the coordinator's relay coalesces consecutive same-timestamp
-// deliveries to one agent into a run; most runs are a single delivery.
-// The agent injects them strictly in order, all or nothing: an unknown
-// shadow or sending peer fails the call before the first delivery.
+// clone: everything one relay time step holds for this agent, across the
+// witnesses sharing the wave. The agent injects them strictly in order,
+// all or nothing: an unknown shadow or sending peer fails the call before
+// the first delivery.
 type InjectBatchParams struct {
 	ShadowID   uint64
 	Deliveries []BatchDelivery
@@ -1210,6 +1215,11 @@ type InjectBatchParams struct {
 	// delivering any message twice (which would double-count route
 	// churn). 0 disables the memo.
 	Key uint64
+	// WantProps asks the agent to also evaluate its hello-shipped property
+	// set's `at` route predicates against each delivery's after-view
+	// (InjectResult.After.PropMatch). Conditional tail: the field adds no
+	// bytes when false.
+	WantProps bool
 }
 
 func (p *InjectBatchParams) appendTo(dst []byte) []byte {
@@ -1218,20 +1228,34 @@ func (p *InjectBatchParams) appendTo(dst []byte) []byte {
 	for _, dl := range p.Deliveries {
 		dst = appendString(dst, dl.From)
 		dst = appendBytes(dst, dl.Msg)
+		dst = appendPrefix(dst, dl.Watch)
 	}
-	return appendUvarint(dst, p.Key)
+	dst = appendUvarint(dst, p.Key)
+	if p.WantProps {
+		dst = appendBool(dst, true)
+	}
+	return dst
 }
 
 func (p *InjectBatchParams) decodeFrom(d *dec) {
 	p.ShadowID = d.uvarint()
-	if n := d.count(2); n > 0 {
+	if n := d.count(7); n > 0 {
 		p.Deliveries = make([]BatchDelivery, n)
 		for i := range p.Deliveries {
 			p.Deliveries[i].From = d.str()
 			p.Deliveries[i].Msg = d.bytes()
+			p.Deliveries[i].Watch = d.prefix()
 		}
 	}
 	p.Key = d.uvarint()
+	if d.remaining() > 0 { // tail; present only when the flag is set
+		p.WantProps = d.boolean()
+		if !p.WantProps && d.e == nil {
+			// The encoder omits the tail entirely when the flag is off, so
+			// an explicit false octet is trailing garbage, not a layout.
+			d.fail("false want_props tail")
+		}
+	}
 }
 
 // WireEmission is one message the shadow node emitted in response.
@@ -1240,42 +1264,56 @@ type WireEmission struct {
 	Msg []byte
 }
 
-// InjectResult lists what one delivery caused the node to send.
+// InjectResult is what one delivery did: the messages it caused the node
+// to send, and how it changed the node's route for the watched prefix.
 type InjectResult struct {
 	Emitted []WireEmission
+	// Before is the watched prefix's best-route token just before the
+	// delivery was applied (0 = none); After is the node's full view of it
+	// just after. The coordinator keeps the first Before and the last
+	// After per node and wave, which is why it polls nobody.
+	Before uint64
+	After  QueryOracleResult
 }
 
 // InjectBatchResult carries one InjectResult per delivery, in delivery
 // order — per-witness attribution never coarsens just because the
-// transport batched.
+// transport batched. It is what the agent memoizes under the call's key,
+// so a retried delivery reports the same before / after it reported the
+// first time.
 type InjectBatchResult struct {
 	Results []InjectResult
 }
 
 func (r *InjectBatchResult) appendTo(dst []byte) []byte {
 	dst = appendUint(dst, len(r.Results))
-	for _, res := range r.Results {
+	for i := range r.Results {
+		res := &r.Results[i]
 		dst = appendUint(dst, len(res.Emitted))
 		for _, e := range res.Emitted {
 			dst = appendString(dst, e.To)
 			dst = appendBytes(dst, e.Msg)
 		}
+		dst = appendUvarint(dst, res.Before)
+		dst = res.After.appendTo(dst)
 	}
 	return dst
 }
 
 func (r *InjectBatchResult) decodeFrom(d *dec) {
-	if n := d.count(1); n > 0 {
+	if n := d.count(7); n > 0 {
 		r.Results = make([]InjectResult, n)
 		for i := range r.Results {
+			res := &r.Results[i]
 			if m := d.count(2); m > 0 {
-				em := make([]WireEmission, m)
-				for j := range em {
-					em[j].To = d.str()
-					em[j].Msg = d.bytes()
+				res.Emitted = make([]WireEmission, m)
+				for j := range res.Emitted {
+					res.Emitted[j].To = d.str()
+					res.Emitted[j].Msg = d.bytes()
 				}
-				r.Results[i].Emitted = em
 			}
+			res.Before = d.uvarint()
+			res.After.decodeFrom(d)
 		}
 	}
 }
@@ -1292,45 +1330,28 @@ func (p *ShadowCloseParams) decodeFrom(d *dec)          { p.ShadowID = d.uvarint
 type QueryOracleParams struct {
 	ShadowID uint64
 	Prefix   netaddr.Prefix
-	// WantProps asks the agent to also evaluate its hello-shipped
-	// property set's `at` route predicates against the best route and
-	// answer PropMatch (feature-gated tail: the field adds no bytes when
-	// false).
-	WantProps bool
 }
 
 func (p *QueryOracleParams) appendTo(dst []byte) []byte {
 	dst = appendUvarint(dst, p.ShadowID)
-	dst = appendPrefix(dst, p.Prefix)
-	// Conditional tail: a false WantProps adds no bytes.
-	if p.WantProps {
-		dst = appendBool(dst, true)
-	}
-	return dst
+	return appendPrefix(dst, p.Prefix)
 }
 
 func (p *QueryOracleParams) decodeFrom(d *dec) {
 	p.ShadowID = d.uvarint()
 	p.Prefix = d.prefix()
-	if d.remaining() > 0 { // tail; present only when the flag is set
-		p.WantProps = d.boolean()
-		if !p.WantProps && d.e == nil {
-			// The encoder omits the tail entirely when the flag is off, so
-			// an explicit false octet is trailing garbage, not a layout.
-			d.fail("false want_props tail")
-		}
-	}
 }
 
 // QueryOracleResult is the narrow per-node oracle view: whether a best
 // route exists for the exact prefix (with a shadow-scoped identity
 // token so the coordinator can tell witness-installed routes from
 // pre-existing ones), and the covering best route's forwarding facts
-// for the trace oracle.
+// for the trace oracle. It answers query_oracle, and rides in every
+// InjectResult as the delivery's after-view.
 type QueryOracleResult struct {
 	// BestToken is the shadow-scoped identity token of the exact-prefix
 	// best route object; tokens start at 1 and 0 means the node has no
-	// best route for the prefix. Pre/post comparison carries the
+	// best route for the prefix. Before/after comparison carries the
 	// in-process backend's pointer-identity check across the wire: any
 	// re-installation — even of byte-identical content — yields a new
 	// token, exactly as it yields a new pointer.
@@ -1340,11 +1361,12 @@ type QueryOracleResult struct {
 	HasCovering      bool
 	CoveringLocal    bool
 	CoveringNextPeer string
-	// PropMatch answers WantProps: one verdict per property in the
-	// hello-shipped set (list order), true when the property's `at`
-	// predicate matches this node's installed best route (properties
-	// without an `at` clause are always true). Meaningful only with a
-	// best route; empty when the request did not set WantProps.
+	// PropMatch answers an inject_witness WantProps: one verdict per
+	// property in the hello-shipped set (list order), true when the
+	// property's `at` predicate matches this node's installed best route
+	// (properties without an `at` clause are always true). Meaningful only
+	// with a best route; empty when nobody asked. The coordinator refuses,
+	// as a malformed frame, one longer than the list it shipped.
 	PropMatch []bool
 }
 
@@ -1353,12 +1375,9 @@ func (r *QueryOracleResult) appendTo(dst []byte) []byte {
 	dst = appendBool(dst, r.HasCovering)
 	dst = appendBool(dst, r.CoveringLocal)
 	dst = appendString(dst, r.CoveringNextPeer)
-	// Conditional tail: agents fill PropMatch only for WantProps requests.
-	if len(r.PropMatch) > 0 {
-		dst = appendUint(dst, len(r.PropMatch))
-		for _, m := range r.PropMatch {
-			dst = appendBool(dst, m)
-		}
+	dst = appendUint(dst, len(r.PropMatch))
+	for _, m := range r.PropMatch {
+		dst = appendBool(dst, m)
 	}
 	return dst
 }
@@ -1368,16 +1387,10 @@ func (r *QueryOracleResult) decodeFrom(d *dec) {
 	r.HasCovering = d.boolean()
 	r.CoveringLocal = d.boolean()
 	r.CoveringNextPeer = d.str()
-	if d.remaining() > 0 { // tail; present only on WantProps answers
-		n := d.count(1)
-		if n == 0 && d.e == nil {
-			d.fail("empty prop_match tail")
-		}
-		if n > 0 {
-			r.PropMatch = make([]bool, n)
-			for i := range r.PropMatch {
-				r.PropMatch[i] = d.boolean()
-			}
+	if n := d.count(1); n > 0 {
+		r.PropMatch = make([]bool, n)
+		for i := range r.PropMatch {
+			r.PropMatch[i] = d.boolean()
 		}
 	}
 }

@@ -80,15 +80,19 @@ func sampleMessages() []message {
 		&ReplayResult{Delivered: 250, Prefixes: 771},
 		&ShadowOpenResult{ShadowID: 7},
 		&InjectBatchParams{ShadowID: 7, Deliveries: []BatchDelivery{
-			{From: "as65001", Msg: []byte{0x01, 0x02}},
-			{From: "as65003", Msg: []byte{0x03}},
-		}, Key: 6},
+			{From: "as65001", Msg: []byte{0x01, 0x02}, Watch: netaddr.MustParsePrefix("10.200.0.0/24")},
+			{From: "as65003", Msg: []byte{0x03}, Watch: netaddr.MustParsePrefix("10.80.3.0/24")},
+		}, Key: 6, WantProps: true},
+		&InjectBatchParams{ShadowID: 8, Deliveries: []BatchDelivery{{From: "as65001", Msg: []byte{0x04}}}, Key: 7},
 		&InjectBatchResult{Results: []InjectResult{
-			{Emitted: []WireEmission{{To: "as65003", Msg: []byte{0xbb, 0xcc}}, {To: "as65001", Msg: nil}}},
+			{Emitted: []WireEmission{{To: "as65003", Msg: []byte{0xbb, 0xcc}}, {To: "as65001", Msg: nil}},
+				Before: 41, After: QueryOracleResult{BestToken: 42, HasCovering: true, CoveringNextPeer: "as65002",
+					PropMatch: []bool{true, false, true}}},
+			{After: QueryOracleResult{HasCovering: true, CoveringLocal: true}},
 			{},
 		}},
 		&ShadowCloseParams{ShadowID: 7},
-		&QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24"), WantProps: true},
+		&QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")},
 		&QueryOracleResult{BestToken: 42, HasCovering: true, CoveringLocal: false, CoveringNextPeer: "as65002",
 			PropMatch: []bool{true, false, true}},
 		&ReplicaExploreParams{
@@ -268,11 +272,14 @@ func TestResponseEnvelope(t *testing.T) {
 
 // TestDecodeRejections: out-of-range values from the peer are errors in
 // the malformed-frame class, each pinned by corrupting one octet of a
-// valid encoding — a prefix longer than /32 or with host bits set, a
-// leak range's LenHi over 32, a strategy past BFS, and the eleventh
-// method code, retired with inject_witness_batch.
+// valid encoding — a prefix (a query's, a delivery's watch) longer than
+// /32 or with host bits set, a leak range's LenHi over 32, a strategy
+// past BFS, and the eleventh method code, retired with
+// inject_witness_batch.
 func TestDecodeRejections(t *testing.T) {
 	query := (&QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")}).appendTo(nil)
+	inject := (&InjectBatchParams{ShadowID: 7, Key: 6, Deliveries: []BatchDelivery{
+		{From: "p", Msg: []byte{1}, Watch: netaddr.MustParsePrefix("10.200.0.0/24")}}}).appendTo(nil)
 	finding := core.Finding{Kind: "k", Peer: "p", Prefix: netaddr.MustParsePrefix("10.0.0.0/8"),
 		LeakRange: core.RangeDesc{LenLo: 8, LenHi: 32}}
 	explore := (&ExploreResult{Findings: []core.Finding{finding}}).appendTo(nil)
@@ -299,6 +306,8 @@ func TestDecodeRejections(t *testing.T) {
 	}{
 		{"prefix-bits-33", flip(query, len(query)-1, 24, 33), &QueryOracleParams{}},
 		{"prefix-host-bits", flip(query, len(query)-2, 0, 1), &QueryOracleParams{}},
+		{"watch-bits-33", flip(inject, len(inject)-2, 24, 33), &InjectBatchParams{}},
+		{"watch-host-bits", flip(inject, len(inject)-3, 0, 1), &InjectBatchParams{}},
 		{"finding-prefix-bits-33", flip(explore, findingAt+4, 8, 33), &ExploreResult{}},
 		{"leak-range-lenhi-33", flip(explore, findingAt+5+8+1, 32, 33), &ExploreResult{}},
 		{"strategy-3", flip(knobs, 2+2+1+2, uint8(concolic.BFS), 3), &ExploreParams{}},

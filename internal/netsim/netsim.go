@@ -204,6 +204,18 @@ func (n *Network) Step() bool {
 	return true
 }
 
+// Next reports which node the next Step delivers to, without delivering:
+// a caller that must read the receiver's state before the delivery lands
+// looks here first. ok is false when the queue is empty.
+func (n *Network) Next() (to string, ok bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.queue) == 0 {
+		return "", false
+	}
+	return n.queue[0].to, true
+}
+
 // Run processes events until the queue drains or limit deliveries occur
 // (limit <= 0 means no limit). It returns the number of deliveries.
 func (n *Network) Run(limit int) int {
@@ -278,6 +290,17 @@ func (s *CaptureSink) Messages() []CapturedMessage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]CapturedMessage(nil), s.msgs...)
+}
+
+// Drain returns the captured messages and clears the sink, under one
+// lock: a clone that is fed many deliveries hands each one's emissions on
+// without ever copying what it sent before.
+func (s *CaptureSink) Drain() []CapturedMessage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	msgs := s.msgs
+	s.msgs = nil
+	return msgs
 }
 
 // Count returns the number of captured messages.

@@ -167,6 +167,56 @@ func TestCaptureSinkStandalone(t *testing.T) {
 	}
 }
 
+// TestCaptureSinkDrain: Drain hands over what was captured since the
+// last Drain and leaves the sink empty, so a long-lived clone never
+// re-copies its history.
+func TestCaptureSinkDrain(t *testing.T) {
+	sink := NewCaptureSink()
+	sink.Send("clone", "p", []byte("one"))
+	sink.Send("clone", "q", []byte("two"))
+	first := sink.Drain()
+	if len(first) != 2 || first[0].To != "p" || string(first[1].Data) != "two" {
+		t.Fatalf("first drain: %+v", first)
+	}
+	if sink.Count() != 0 || sink.Drain() != nil {
+		t.Fatal("a drained sink still holds messages")
+	}
+	sink.Send("clone", "r", []byte("three"))
+	if next := sink.Drain(); len(next) != 1 || next[0].To != "r" {
+		t.Fatalf("second drain: %+v", next)
+	}
+	if string(first[0].Data) != "one" {
+		t.Fatal("a later capture overwrote a drained message")
+	}
+}
+
+// TestNextPeeksWithoutDelivering: Next names the receiver of the delivery
+// Step makes next, in queue order, and moves nothing.
+func TestNextPeeksWithoutDelivering(t *testing.T) {
+	n := New(start())
+	b := &recorder{}
+	n.AddNode("a", &recorder{})
+	n.AddNode("b", b)
+	n.AddNode("c", &recorder{})
+	n.Connect("a", "b", 2*time.Millisecond)
+	n.Connect("a", "c", time.Millisecond)
+	if _, ok := n.Next(); ok {
+		t.Fatal("an empty queue has a next delivery")
+	}
+	n.Send("a", "b", []byte("x"))
+	n.Send("a", "c", []byte("y"))
+	if to, ok := n.Next(); !ok || to != "c" {
+		t.Fatalf("Next = %q, %v; the 1 ms link delivers first", to, ok)
+	}
+	if n.Pending() != 2 || len(b.got) != 0 {
+		t.Fatal("Next delivered something")
+	}
+	n.Step()
+	if to, _ := n.Next(); to != "b" {
+		t.Fatalf("Next after one step = %q, want b", to)
+	}
+}
+
 func TestDataIsolation(t *testing.T) {
 	// The network must copy payloads: sender reuse of the buffer must not
 	// corrupt in-flight messages.

@@ -3,7 +3,7 @@ package bgp
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dice/internal/netaddr"
@@ -233,74 +233,86 @@ func (a Attrs) Clone() Attrs {
 	return out
 }
 
-// appendAttr writes one attribute with correct flags and length form.
-func appendAttr(dst []byte, flags, code uint8, val []byte) []byte {
-	if len(val) > 255 {
+// appendAttrHeader writes an attribute's flags, code and the length of
+// an n-octet value, in the extended form when n needs it.
+func appendAttrHeader(dst []byte, flags, code uint8, n int) []byte {
+	if n > 255 {
 		flags |= FlagExtLen
 	}
 	dst = append(dst, flags, code)
 	if flags&FlagExtLen != 0 {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(val)))
-	} else {
-		dst = append(dst, uint8(len(val)))
+		return binary.BigEndian.AppendUint16(dst, uint16(n))
 	}
-	return append(dst, val...)
+	return append(dst, uint8(n))
 }
 
-// encode serializes the attribute set in canonical (ascending type code)
-// order.
-func (a Attrs) encode(dst []byte) ([]byte, error) {
+// appendAttr writes one attribute with correct flags and length form.
+func appendAttr(dst []byte, flags, code uint8, val []byte) []byte {
+	return append(appendAttrHeader(dst, flags, code, len(val)), val...)
+}
+
+// sortOnStack bounds the community lists encode sorts in a stack array;
+// a longer unsorted list is sorted in a heap copy.
+const sortOnStack = 32
+
+// encode appends the attribute set to dst in canonical (ascending type
+// code) order, every value written in place: the AS_PATH length is
+// computed before its segments are written, and communities go out in
+// ascending order without copying a list that is already sorted.
+func (a *Attrs) encode(dst []byte) ([]byte, error) {
 	if a.HasOrigin {
 		if a.Origin > OriginIncomplete {
 			return nil, protoErr(ErrCodeUpdateMessage, ErrSubInvalidOrigin, "origin %d", a.Origin)
 		}
-		dst = appendAttr(dst, FlagTransitive, AttrOrigin, []byte{a.Origin})
+		dst = append(appendAttrHeader(dst, FlagTransitive, AttrOrigin, 1), a.Origin)
 	}
 	if a.ASPath != nil {
-		var v []byte
+		n := 0
 		for _, seg := range a.ASPath {
 			if len(seg.ASNs) == 0 || len(seg.ASNs) > 255 {
 				return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedASPath, "segment with %d ASNs", len(seg.ASNs))
 			}
-			v = append(v, seg.Type, uint8(len(seg.ASNs)))
+			n += 2 + 2*len(seg.ASNs)
+		}
+		dst = appendAttrHeader(dst, FlagTransitive, AttrASPath, n)
+		for _, seg := range a.ASPath {
+			dst = append(dst, seg.Type, uint8(len(seg.ASNs)))
 			for _, as := range seg.ASNs {
-				v = binary.BigEndian.AppendUint16(v, as)
+				dst = binary.BigEndian.AppendUint16(dst, as)
 			}
 		}
-		dst = appendAttr(dst, FlagTransitive, AttrASPath, v)
 	}
 	if a.HasNextHop {
-		var v [4]byte
-		binary.BigEndian.PutUint32(v[:], uint32(a.NextHop))
-		dst = appendAttr(dst, FlagTransitive, AttrNextHop, v[:])
+		dst = binary.BigEndian.AppendUint32(appendAttrHeader(dst, FlagTransitive, AttrNextHop, 4), uint32(a.NextHop))
 	}
 	if a.HasMED {
-		var v [4]byte
-		binary.BigEndian.PutUint32(v[:], a.MED)
-		dst = appendAttr(dst, FlagOptional, AttrMED, v[:])
+		dst = binary.BigEndian.AppendUint32(appendAttrHeader(dst, FlagOptional, AttrMED, 4), a.MED)
 	}
 	if a.HasLocalPref {
-		var v [4]byte
-		binary.BigEndian.PutUint32(v[:], a.LocalPref)
-		dst = appendAttr(dst, FlagTransitive, AttrLocalPref, v[:])
+		dst = binary.BigEndian.AppendUint32(appendAttrHeader(dst, FlagTransitive, AttrLocalPref, 4), a.LocalPref)
 	}
 	if a.AtomicAggregate {
-		dst = appendAttr(dst, FlagTransitive, AttrAtomicAggregate, nil)
+		dst = appendAttrHeader(dst, FlagTransitive, AttrAtomicAggregate, 0)
 	}
 	if a.Aggregator != nil {
-		var v [6]byte
-		binary.BigEndian.PutUint16(v[0:2], a.Aggregator.AS)
-		binary.BigEndian.PutUint32(v[2:6], uint32(a.Aggregator.Router))
-		dst = appendAttr(dst, FlagOptional|FlagTransitive, AttrAggregator, v[:])
+		dst = appendAttrHeader(dst, FlagOptional|FlagTransitive, AttrAggregator, 6)
+		dst = binary.BigEndian.AppendUint16(dst, a.Aggregator.AS)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(a.Aggregator.Router))
 	}
-	if len(a.Communities) > 0 {
-		comms := append([]uint32(nil), a.Communities...)
-		sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
-		var v []byte
-		for _, c := range comms {
-			v = binary.BigEndian.AppendUint32(v, c)
+	if comms := a.Communities; len(comms) > 0 {
+		if !slices.IsSorted(comms) {
+			var buf [sortOnStack]uint32
+			if len(comms) <= len(buf) {
+				comms = buf[:copy(buf[:], comms)]
+			} else {
+				comms = slices.Clone(comms)
+			}
+			slices.Sort(comms)
 		}
-		dst = appendAttr(dst, FlagOptional|FlagTransitive, AttrCommunity, v)
+		dst = appendAttrHeader(dst, FlagOptional|FlagTransitive, AttrCommunity, 4*len(comms))
+		for _, c := range comms {
+			dst = binary.BigEndian.AppendUint32(dst, c)
+		}
 	}
 	for _, u := range a.Unknown {
 		dst = appendAttr(dst, u.Flags, u.Code, u.Value)
@@ -313,7 +325,7 @@ func (a Attrs) encode(dst []byte) ([]byte, error) {
 // attribute type, and duplicate detection.
 func decodeAttrs(b []byte) (Attrs, error) {
 	var a Attrs
-	seen := map[uint8]bool{}
+	var seen [4]uint64 // one bit per attribute type code
 	for len(b) > 0 {
 		if len(b) < 3 {
 			return a, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "truncated attribute header")
@@ -337,10 +349,10 @@ func decodeAttrs(b []byte) (Attrs, error) {
 		val := b[hdr : hdr+alen]
 		b = b[hdr+alen:]
 
-		if seen[code] {
+		if seen[code/64]&(1<<(code%64)) != 0 {
 			return a, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "duplicate attribute %d", code)
 		}
-		seen[code] = true
+		seen[code/64] |= 1 << (code % 64)
 
 		switch code {
 		case AttrOrigin:
@@ -417,8 +429,11 @@ func decodeAttrs(b []byte) (Attrs, error) {
 			if len(val)%4 != 0 {
 				return a, protoErr(ErrCodeUpdateMessage, ErrSubAttrLength, "COMMUNITY length %d", len(val))
 			}
-			for i := 0; i < len(val); i += 4 {
-				a.Communities = append(a.Communities, binary.BigEndian.Uint32(val[i:i+4]))
+			if len(val) > 0 {
+				a.Communities = make([]uint32, len(val)/4)
+				for i := range a.Communities {
+					a.Communities[i] = binary.BigEndian.Uint32(val[4*i:])
+				}
 			}
 		default:
 			if flags&FlagOptional == 0 {

@@ -37,13 +37,18 @@ type SessionConfig struct {
 	HoldTime time.Duration // proposed hold time; 0 = 90s default
 }
 
-// SessionHooks are the callbacks a Session invokes. Send must deliver a
-// wire-encoded message to the peer; the others notify the owner (router).
-type SessionHooks struct {
-	Send          func(wire []byte)
-	OnEstablished func()
-	OnUpdate      func(*Update)
-	OnDown        func(reason string)
+// SessionHooks is what a Session calls on its owner: one value per
+// peering (the router's per-peer state implements it), so a session costs
+// no closures. Send must deliver a complete wire-encoded message to the
+// peer; the bytes may be shared with other sessions and must be treated
+// as read-only, so a transport that keeps them copies them. OnEstablished,
+// OnUpdate and OnDown notify the owner. A nil SessionHooks discards
+// everything.
+type SessionHooks interface {
+	Send(wire []byte)
+	OnEstablished()
+	OnUpdate(*Update)
+	OnDown(reason string)
 }
 
 // Session is one BGP peering's finite-state machine. It is deliberately
@@ -56,7 +61,8 @@ type Session struct {
 
 	state    State
 	peerOpen *Open
-	inbuf    []byte
+	inbuf    []byte // a partial message carried over to the next Recv
+	resets   uint64 // bumped by reset: Recv drops the rest of a delivery after one
 
 	holdTime      time.Duration // negotiated
 	holdDeadline  time.Time
@@ -124,27 +130,38 @@ func (s *Session) ConnDown(reason string) {
 	}
 	prev := s.state
 	s.reset()
-	if prev == StateEstablished && s.hooks.OnDown != nil {
+	if prev == StateEstablished && s.hooks != nil {
 		s.hooks.OnDown("connection down: " + reason)
 	}
 }
 
 // Recv feeds raw bytes from the transport. Complete messages are framed
-// and processed; partial data is buffered.
+// and processed; a trailing partial message is buffered. data is only
+// read: when nothing is buffered, messages are framed straight from it
+// and only a partial tail is copied. A message that resets the session (a
+// NOTIFICATION, a protocol error) drops the rest of the delivery.
 func (s *Session) Recv(now time.Time, data []byte) error {
-	s.inbuf = append(s.inbuf, data...)
+	if len(s.inbuf) > 0 {
+		s.inbuf = append(s.inbuf, data...)
+		data = s.inbuf
+	}
+	resets := s.resets
 	for {
-		msg, rest, err := Frame(s.inbuf)
+		msg, rest, err := Frame(data)
 		if err == ErrTruncated {
+			s.inbuf = append(s.inbuf[:0], rest...)
 			return nil
 		}
 		if err != nil {
 			s.notifyAndClose(err)
 			return err
 		}
-		s.inbuf = rest
+		data = rest
 		if err := s.handleWire(now, msg); err != nil {
 			return err
+		}
+		if s.resets != resets {
+			return nil
 		}
 	}
 }
@@ -166,7 +183,7 @@ func (s *Session) handleWire(now time.Time, wire []byte) error {
 	case *Notification:
 		prev := s.state
 		s.reset()
-		if s.hooks.OnDown != nil && prev != StateIdle {
+		if s.hooks != nil && prev != StateIdle {
 			s.hooks.OnDown(fmt.Sprintf("notification received: code %d subcode %d", msg.Code, msg.Subcode))
 		}
 		return nil
@@ -224,7 +241,7 @@ func (s *Session) handleKeepalive(now time.Time) error {
 		if s.holdTime > 0 {
 			s.holdDeadline = now.Add(s.holdTime)
 		}
-		if s.hooks.OnEstablished != nil {
+		if s.hooks != nil {
 			s.hooks.OnEstablished()
 		}
 	case StateEstablished:
@@ -249,19 +266,36 @@ func (s *Session) handleUpdate(now time.Time, u *Update) error {
 	if s.holdTime > 0 {
 		s.holdDeadline = now.Add(s.holdTime)
 	}
-	if s.hooks.OnUpdate != nil {
+	if s.hooks != nil {
 		s.hooks.OnUpdate(u)
 	}
 	return nil
 }
 
-// SendUpdate transmits an UPDATE on an established session.
+// SendUpdate encodes an UPDATE and transmits it on an established
+// session through SendUpdateWire.
 func (s *Session) SendUpdate(u *Update) error {
+	wire, err := Encode(u)
+	if err != nil {
+		return err
+	}
+	return s.SendUpdateWire(wire)
+}
+
+// SendUpdateWire transmits an already-encoded UPDATE on an established
+// session and counts it. The bytes are handed to the transport as they
+// are, so one encoding can go to every peer that receives the same
+// UPDATE; neither the session nor the transport may modify them.
+func (s *Session) SendUpdateWire(wire []byte) error {
 	if s.state != StateEstablished {
 		return protoErr(ErrCodeFSM, 0, "SendUpdate in state %v", s.state)
 	}
+	if len(wire) < HeaderLen || wire[18] != MsgUpdate {
+		return fmt.Errorf("bgp: SendUpdateWire given a non-UPDATE message")
+	}
 	s.UpdatesOut++
-	return s.send(u)
+	s.transmit(wire)
+	return nil
 }
 
 // Tick advances timers: expires the hold timer (sending the mandated
@@ -286,11 +320,16 @@ func (s *Session) send(m Message) error {
 	if err != nil {
 		return err
 	}
+	s.transmit(wire)
+	return nil
+}
+
+// transmit counts and hands one encoded message to the transport.
+func (s *Session) transmit(wire []byte) {
 	s.MsgsOut++
-	if s.hooks.Send != nil {
+	if s.hooks != nil {
 		s.hooks.Send(wire)
 	}
-	return nil
 }
 
 // CloneStateFrom copies the observable session state of orig into s: FSM
@@ -333,12 +372,13 @@ func (s *Session) notifyAndClose(err error) {
 	_ = s.send(&Notification{Code: code, Subcode: subcode})
 	prev := s.state
 	s.reset()
-	if s.hooks.OnDown != nil && prev != StateIdle {
+	if s.hooks != nil && prev != StateIdle {
 		s.hooks.OnDown(err.Error())
 	}
 }
 
 func (s *Session) reset() {
+	s.resets++
 	s.state = StateIdle
 	s.peerOpen = nil
 	s.inbuf = nil

@@ -1,11 +1,25 @@
 package bgp
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"dice/internal/netaddr"
 )
+
+// hookFuncs adapts four closures to SessionHooks for tests.
+type hookFuncs struct {
+	send        func([]byte)
+	established func()
+	update      func(*Update)
+	down        func(string)
+}
+
+func (h hookFuncs) Send(w []byte)      { h.send(w) }
+func (h hookFuncs) OnEstablished()     { h.established() }
+func (h hookFuncs) OnUpdate(u *Update) { h.update(u) }
+func (h hookFuncs) OnDown(r string)    { h.down(r) }
 
 // pipePair wires two sessions back-to-back through in-memory buffers,
 // simulating the netsim transport.
@@ -27,19 +41,19 @@ func newPipePair(t *testing.T) *pipePair {
 	p := &pipePair{now: time.Unix(1e9, 0)}
 	p.a = NewSession(SessionConfig{
 		LocalAS: 65001, PeerAS: 65002, RouterID: addr("10.0.0.1"), HoldTime: 90 * time.Second,
-	}, SessionHooks{
-		Send:          func(w []byte) { p.aOut = append(p.aOut, w) },
-		OnEstablished: func() { p.aEstab = true },
-		OnUpdate:      func(u *Update) { p.aUpdates = append(p.aUpdates, u) },
-		OnDown:        func(r string) { p.aDown = append(p.aDown, r) },
+	}, hookFuncs{
+		send:        func(w []byte) { p.aOut = append(p.aOut, w) },
+		established: func() { p.aEstab = true },
+		update:      func(u *Update) { p.aUpdates = append(p.aUpdates, u) },
+		down:        func(r string) { p.aDown = append(p.aDown, r) },
 	})
 	p.b = NewSession(SessionConfig{
 		LocalAS: 65002, PeerAS: 65001, RouterID: addr("10.0.0.2"), HoldTime: 30 * time.Second,
-	}, SessionHooks{
-		Send:          func(w []byte) { p.bOut = append(p.bOut, w) },
-		OnEstablished: func() { p.bEstab = true },
-		OnUpdate:      func(u *Update) { p.bUpdates = append(p.bUpdates, u) },
-		OnDown:        func(r string) { p.bDown = append(p.bDown, r) },
+	}, hookFuncs{
+		send:        func(w []byte) { p.bOut = append(p.bOut, w) },
+		established: func() { p.bEstab = true },
+		update:      func(u *Update) { p.bUpdates = append(p.bUpdates, u) },
+		down:        func(r string) { p.bDown = append(p.bDown, r) },
 	})
 	return p
 }
@@ -240,7 +254,7 @@ func TestPartialRecv(t *testing.T) {
 }
 
 func TestSendUpdateRequiresEstablished(t *testing.T) {
-	s := NewSession(SessionConfig{LocalAS: 1, RouterID: addr("1.1.1.1")}, SessionHooks{})
+	s := NewSession(SessionConfig{LocalAS: 1, RouterID: addr("1.1.1.1")}, nil)
 	if err := s.SendUpdate(&Update{}); err == nil {
 		t.Fatal("SendUpdate in Idle accepted")
 	}
@@ -284,5 +298,142 @@ func TestSessionRestartAfterDown(t *testing.T) {
 	p.pump(t)
 	if p.a.State() != StateEstablished || p.b.State() != StateEstablished {
 		t.Fatalf("restart failed: a=%v b=%v", p.a.State(), p.b.State())
+	}
+}
+
+func mustEncode(t *testing.T, m Message) []byte {
+	t.Helper()
+	wire, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// TestRecvFraming: however the transport cuts the byte stream, Recv
+// processes exactly the whole messages in it, keeps a partial tail for
+// the next delivery, and drops the rest of a delivery once a message has
+// reset the session. The delivered bytes are never written to.
+func TestRecvFraming(t *testing.T) {
+	announce := func(p string) []byte {
+		return mustEncode(t, &Update{Attrs: baseAttrs(), NLRI: []netaddr.Prefix{pfx(p)}})
+	}
+	u1, u2 := announce("203.0.113.0/24"), announce("198.51.100.0/24")
+	notif := mustEncode(t, &Notification{Code: ErrCodeCease})
+	badHeader := append(append([]byte(nil), marker[:]...), 0, 5, MsgUpdate) // length 5 < HeaderLen
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	cases := []struct {
+		name       string
+		deliveries [][]byte
+		updates    int
+		state      State
+		downs      int
+		err        bool // the last Recv reports an error
+		notifies   bool // the session sent a NOTIFICATION
+	}{
+		{"two messages in one delivery", [][]byte{cat(u1, u2)}, 2, StateEstablished, 0, false, false},
+		{"one message over three deliveries", [][]byte{u1[:5], u1[5:30], u1[30:]}, 1, StateEstablished, 0, false, false},
+		{"a whole message and a partial one, then the rest", [][]byte{cat(u1, u2[:10]), u2[10:]}, 2, StateEstablished, 0, false, false},
+		{"notification then update in one delivery", [][]byte{cat(notif, u1)}, 0, StateIdle, 1, false, false},
+		{"buffered notification completed beside an update", [][]byte{notif[:7], cat(notif[7:], u1)}, 0, StateIdle, 1, false, false},
+		{"bad header after a good message", [][]byte{cat(u1, badHeader)}, 1, StateIdle, 1, true, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := newPipePair(t)
+			p.establish(t)
+			p.bOut = nil
+			var err error
+			for _, d := range c.deliveries {
+				before := append([]byte(nil), d...)
+				err = p.b.Recv(p.now, d)
+				if !bytes.Equal(d, before) {
+					t.Fatal("Recv wrote to the delivered bytes")
+				}
+			}
+			if len(p.bUpdates) != c.updates || p.b.State() != c.state || len(p.bDown) != c.downs || (err != nil) != c.err {
+				t.Fatalf("updates %d, state %v, downs %v, err %v; want %d, %v, %d downs, err %v",
+					len(p.bUpdates), p.b.State(), p.bDown, err, c.updates, c.state, c.downs, c.err)
+			}
+			if c.updates == 2 && p.bUpdates[1].NLRI[0] != pfx("198.51.100.0/24") {
+				t.Fatalf("second update announces %v", p.bUpdates[1].NLRI)
+			}
+			sentNotification := false
+			for _, w := range p.bOut {
+				sentNotification = sentNotification || w[18] == MsgNotification
+			}
+			if sentNotification != c.notifies {
+				t.Fatalf("sent a NOTIFICATION: %v, want %v", sentNotification, c.notifies)
+			}
+			if c.state == StateEstablished && len(p.b.inbuf) != 0 {
+				t.Fatalf("%d bytes left buffered after whole messages", len(p.b.inbuf))
+			}
+		})
+	}
+}
+
+// TestSendCountsOnlyWhatWentOut: UpdatesOut and MsgsOut count messages
+// handed to the transport, so an UPDATE that cannot be encoded, or bytes
+// that are not an UPDATE, leave them (and the transport) untouched.
+func TestSendCountsOnlyWhatWentOut(t *testing.T) {
+	good := &Update{Attrs: baseAttrs(), NLRI: []netaddr.Prefix{pfx("203.0.113.0/24")}}
+	oversized := &Update{Attrs: baseAttrs(), NLRI: good.NLRI}
+	oversized.Attrs.ASPath = ASPath{{Type: ASSequence, ASNs: asns(256, 1)}}
+	cases := []struct {
+		name string
+		send func(*Session) error
+		sent uint64
+	}{
+		{"encodable UPDATE", func(s *Session) error { return s.SendUpdate(good) }, 1},
+		{"AS_PATH segment of 256 ASNs", func(s *Session) error { return s.SendUpdate(oversized) }, 0},
+		{"KEEPALIVE bytes as an UPDATE", func(s *Session) error { return s.SendUpdateWire(mustEncode(t, &Keepalive{})) }, 0},
+		{"truncated bytes as an UPDATE", func(s *Session) error { return s.SendUpdateWire(mustEncode(t, good)[:10]) }, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := newPipePair(t)
+			p.establish(t)
+			p.aOut = nil
+			updatesOut, msgsOut := p.a.UpdatesOut, p.a.MsgsOut
+			err := c.send(p.a)
+			if (err == nil) != (c.sent == 1) {
+				t.Fatalf("err = %v", err)
+			}
+			if p.a.UpdatesOut != updatesOut+c.sent || p.a.MsgsOut != msgsOut+c.sent || uint64(len(p.aOut)) != c.sent {
+				t.Fatalf("UpdatesOut +%d, MsgsOut +%d, transport got %d; want +%d each",
+					p.a.UpdatesOut-updatesOut, p.a.MsgsOut-msgsOut, len(p.aOut), c.sent)
+			}
+		})
+	}
+}
+
+// nopHooks is a SessionHooks that ignores everything.
+type nopHooks struct{}
+
+func (nopHooks) Send([]byte)      {}
+func (nopHooks) OnEstablished()   {}
+func (nopHooks) OnUpdate(*Update) {}
+func (nopHooks) OnDown(string)    {}
+
+// TestRecvAllocatesNoMoreThanDecode: a whole UPDATE delivered to an idle
+// buffer is framed where it lies — Recv costs what decoding it costs.
+func TestRecvAllocatesNoMoreThanDecode(t *testing.T) {
+	s := NewSession(SessionConfig{LocalAS: 65002, PeerAS: 65001, RouterID: addr("10.0.0.2")}, nopHooks{})
+	s.RestoreEstablished(0, 0)
+	wire := mustEncode(t, &Update{Attrs: baseAttrs(), NLRI: []netaddr.Prefix{pfx("203.0.113.0/24")}})
+	decode := testing.AllocsPerRun(200, func() { _, _ = Decode(wire) })
+	recv := testing.AllocsPerRun(200, func() {
+		if err := s.Recv(time.Time{}, wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if recv > decode {
+		t.Fatalf("Recv allocates %v objects per UPDATE, Decode %v", recv, decode)
 	}
 }

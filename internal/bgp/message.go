@@ -251,32 +251,38 @@ type Update struct {
 // Type implements Message.
 func (*Update) Type() uint8 { return MsgUpdate }
 
+// encodeBody writes the withdrawn routes and the attribute block straight
+// into dst behind a placeholder length each, then back-patches the
+// lengths: nothing is built in a temporary and copied.
 func (u *Update) encodeBody(dst []byte) ([]byte, error) {
-	wd, err := encodePrefixes(nil, u.Withdrawn)
+	at := len(dst)
+	dst, err := encodePrefixes(append(dst, 0, 0), u.Withdrawn)
 	if err != nil {
 		return nil, err
 	}
-	if len(wd) > 0xffff {
-		return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "withdrawn routes too long")
+	if err := patchLen(dst, at, "withdrawn routes too long"); err != nil {
+		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(wd)))
-	dst = append(dst, wd...)
 
-	at, err := u.Attrs.encode(nil)
-	if err != nil {
+	at = len(dst)
+	if dst, err = u.Attrs.encode(append(dst, 0, 0)); err != nil {
 		return nil, err
 	}
-	if len(at) > 0xffff {
-		return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "attributes too long")
+	if err := patchLen(dst, at, "attributes too long"); err != nil {
+		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(at)))
-	dst = append(dst, at...)
+	return encodePrefixes(dst, u.NLRI)
+}
 
-	nl, err := encodePrefixes(nil, u.NLRI)
-	if err != nil {
-		return nil, err
+// patchLen writes the length of the block that follows the two-octet
+// length field at dst[at:] into that field.
+func patchLen(dst []byte, at int, tooLong string) error {
+	n := len(dst) - at - 2
+	if n > 0xffff {
+		return protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "%s", tooLong)
 	}
-	return append(dst, nl...), nil
+	binary.BigEndian.PutUint16(dst[at:], uint16(n))
+	return nil
 }
 
 func decodeUpdate(body []byte) (*Update, error) {
@@ -347,29 +353,49 @@ func encodePrefixes(dst []byte, ps []netaddr.Prefix) ([]byte, error) {
 
 // decodePrefixes parses NLRI-encoded prefixes, rejecting lengths > 32,
 // truncated prefixes, and non-zero host bits (non-canonical encodings).
+// A first pass validates and counts, so the result is allocated once;
+// an empty block decodes to nil.
 func decodePrefixes(b []byte) ([]netaddr.Prefix, error) {
-	var out []netaddr.Prefix
-	for len(b) > 0 {
-		bits := int(b[0])
-		if bits > 32 {
-			return nil, protoErr(ErrCodeUpdateMessage, ErrSubInvalidNetwork, "prefix length %d", bits)
+	n := 0
+	for rest := b; len(rest) > 0; n++ {
+		_, size, err := decodePrefix(rest)
+		if err != nil {
+			return nil, err
 		}
-		nb := (bits + 7) / 8
-		if len(b) < 1+nb {
-			return nil, protoErr(ErrCodeUpdateMessage, ErrSubInvalidNetwork, "truncated prefix")
-		}
-		var a uint32
-		for i := 0; i < nb; i++ {
-			a |= uint32(b[1+i]) << (24 - 8*i)
-		}
-		addr := netaddr.Addr(a)
-		if addr&^netaddr.Mask(bits) != 0 {
-			return nil, protoErr(ErrCodeUpdateMessage, ErrSubInvalidNetwork, "host bits set in %s/%d", addr, bits)
-		}
-		out = append(out, netaddr.PrefixFrom(addr, bits))
-		b = b[1+nb:]
+		rest = rest[size:]
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]netaddr.Prefix, n)
+	for i := range out {
+		p, size, _ := decodePrefix(b)
+		out[i] = p
+		b = b[size:]
 	}
 	return out, nil
+}
+
+// decodePrefix reads the first NLRI-encoded prefix of b and the number of
+// octets it occupies.
+func decodePrefix(b []byte) (p netaddr.Prefix, size int, err error) {
+	bits := int(b[0])
+	if bits > 32 {
+		return p, 0, protoErr(ErrCodeUpdateMessage, ErrSubInvalidNetwork, "prefix length %d", bits)
+	}
+	nb := (bits + 7) / 8
+	if len(b) < 1+nb {
+		return p, 0, protoErr(ErrCodeUpdateMessage, ErrSubInvalidNetwork, "truncated prefix")
+	}
+	var a uint32
+	for i := 0; i < nb; i++ {
+		a |= uint32(b[1+i]) << (24 - 8*i)
+	}
+	addr := netaddr.Addr(a)
+	if addr&^netaddr.Mask(bits) != 0 {
+		return p, 0, protoErr(ErrCodeUpdateMessage, ErrSubInvalidNetwork, "host bits set in %s/%d", addr, bits)
+	}
+	return netaddr.PrefixFrom(addr, bits), 1 + nb, nil
 }
 
 // ErrTruncated reports an incomplete message when framing from a stream.

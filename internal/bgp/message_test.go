@@ -393,21 +393,8 @@ func TestAttrsClone(t *testing.T) {
 // Property: Update encode/decode round-trips for arbitrary valid prefixes.
 func TestUpdateRoundTripProperty(t *testing.T) {
 	f := func(addrs []uint32, lens []uint8) bool {
-		n := len(addrs)
-		if len(lens) < n {
-			n = len(lens)
-		}
-		if n > 50 {
-			n = 50
-		}
-		var nlri []netaddr.Prefix
-		for i := 0; i < n; i++ {
-			nlri = append(nlri, netaddr.PrefixFrom(netaddr.Addr(addrs[i]), int(lens[i]%33)))
-		}
-		u := &Update{Attrs: baseAttrs(), NLRI: nlri}
-		if len(nlri) == 0 {
-			u.Attrs = Attrs{}
-		}
+		u := propertyUpdate(addrs, lens)
+		nlri := u.NLRI
 		wire, err := Encode(u)
 		if err != nil {
 			return false

@@ -77,3 +77,49 @@ func TestRoundEqualsPerWitnessChecks(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkWitnessWave is one round's witness checking on its own: a
+// 64-AS generated topology, its round's witnesses collected once, then
+// one CheckWitnesses over them per iteration — the shadow delivery path
+// (netsim → session → codec → router pipeline → RIB overlay) with
+// allocations reported.
+func BenchmarkWitnessWave(b *testing.B) {
+	tp, _, err := topo.Generate(topo.Spec{Seed: 64, Nodes: 64, ExploreTargets: 12, PolicyClauses: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.FederatedOptions{Engine: concolic.Options{MaxRuns: 1000}, Workers: 1, MaxWitnesses: 1 << 20}
+	fe, err := core.NewFederatedExperiment(tp, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := core.NewDriver(tp, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := fe.Round()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var specs []core.WitnessSpec
+	for _, tr := range res.Targets {
+		if tr.Result == nil {
+			continue
+		}
+		for _, f := range tr.Result.Findings {
+			if f.Witness != nil {
+				specs = append(specs, core.WitnessSpec{Node: tr.Node, Peer: tr.Peer, Update: f.Witness})
+			}
+		}
+	}
+	if len(specs) == 0 {
+		b.Fatal("the round confirmed no witness to check")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.CheckWitnesses(fe, specs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -50,8 +50,18 @@ type Subject struct {
 	SymCommunity concolic.Value
 }
 
-// SubjectFromRoute lifts concrete route data into a Subject.
+// SubjectFromRoute lifts concrete route data into a new Subject.
 func SubjectFromRoute(prefix netaddr.Prefix, attrs *bgp.Attrs) *Subject {
+	s := new(Subject)
+	s.Lift(prefix, attrs)
+	return s
+}
+
+// Lift overwrites every field of s with the concrete data of a route, so
+// one Subject can be reused for filter run after filter run without an
+// allocation each. Nothing of a previous lift survives: SymCommunity is
+// cleared, and Communities aliases attrs' (filters only read it).
+func (s *Subject) Lift(prefix netaddr.Prefix, attrs *bgp.Attrs) {
 	var lp, med uint64
 	if attrs.HasLocalPref {
 		lp = uint64(attrs.LocalPref)
@@ -61,7 +71,7 @@ func SubjectFromRoute(prefix netaddr.Prefix, attrs *bgp.Attrs) *Subject {
 	if attrs.HasMED {
 		med = uint64(attrs.MED)
 	}
-	return &Subject{
+	*s = Subject{
 		NetAddr:     concolic.Concrete(uint64(uint32(prefix.Addr())), 32),
 		NetLen:      concolic.Concrete(uint64(prefix.Bits()), 8),
 		PathLen:     concolic.Concrete(uint64(attrs.ASPath.Length()), 16),
@@ -86,6 +96,13 @@ type Verdict struct {
 
 	// Stats for the harness.
 	BranchesTaken int
+}
+
+// Modifies reports whether Apply would touch the attributes at all. An
+// accepting verdict that does not leaves a route's export identical for
+// every peer of the same kind, so a speaker can encode it once.
+func (v *Verdict) Modifies() bool {
+	return v.SetLocalPref != nil || v.SetMED != nil || v.SetOrigin != nil || len(v.AddCommunities) > 0
 }
 
 // Apply writes the verdict's modifications into attrs.

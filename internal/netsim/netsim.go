@@ -10,14 +10,15 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
 )
 
 // Transport lets a protocol stack send bytes toward a named peer. Both
-// the Network (live) and CaptureSink (exploration) implement it.
+// the Network (live) and CaptureSink (exploration) implement it. Send
+// copies data before it returns: a sender may hand the same bytes to
+// several peers, or reuse them, without affecting what was sent.
 type Transport interface {
 	Send(from, to string, data []byte)
 }
@@ -25,7 +26,8 @@ type Transport interface {
 // Receiver is implemented by node protocol stacks.
 type Receiver interface {
 	// Deliver hands the node bytes that arrived from a peer at virtual
-	// time now.
+	// time now. The receiver treats them as read-only and copies what it
+	// keeps past the call.
 	Deliver(now time.Time, from string, data []byte)
 }
 
@@ -44,22 +46,57 @@ type event struct {
 	data []byte
 }
 
-type eventQueue []*event
+// eventQueue is a binary min-heap of event values ordered by (at, seq).
+// seq is unique, so the order is total and the delivery sequence does not
+// depend on how the heap is laid out. Events are stored by value: a send
+// allocates nothing here beyond amortized growth of the slice.
+type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+func (q eventQueue) less(i, j int) bool {
+	if c := q[i].at.Compare(q[j].at); c != 0 {
+		return c < 0
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+
+// push adds e and sifts it up to its place.
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event. The queue must not be
+// empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	last := len(h) - 1
+	e := h[0]
+	h[0] = h[last]
+	h[last] = event{} // the vacated slot must not keep the payload alive
+	h = h[:last]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && h.less(r, child) {
+			child = r
+		}
+		if !h.less(child, i) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	*q = h
 	return e
 }
 
@@ -73,7 +110,16 @@ type linkKey struct{ a, b string }
 
 type link struct {
 	latency time.Duration
-	stats   map[string]*LinkStats // keyed by sender
+	stats   [2]LinkStats // by sender: [0] the endpoint key puts first, [1] the other
+}
+
+// from returns the counters for traffic sent by node from over l, which
+// is keyed k.
+func (l *link) from(k linkKey, from string) *LinkStats {
+	if from == k.a {
+		return &l.stats[0]
+	}
+	return &l.stats[1]
 }
 
 // Network is the virtual network. Safe for concurrent Send; Run/Step must
@@ -138,10 +184,7 @@ func (n *Network) Connect(a, b string, latency time.Duration) error {
 	if _, dup := n.links[k]; dup {
 		return fmt.Errorf("netsim: duplicate link %s-%s", a, b)
 	}
-	n.links[k] = &link{
-		latency: latency,
-		stats:   map[string]*LinkStats{a: {}, b: {}},
-	}
+	n.links[k] = &link{latency: latency}
 	return nil
 }
 
@@ -149,11 +192,12 @@ func (n *Network) Connect(a, b string, latency time.Duration) error {
 func (n *Network) Stats(from, to string) LinkStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	l, ok := n.links[key(from, to)]
+	k := key(from, to)
+	l, ok := n.links[k]
 	if !ok {
 		return LinkStats{}
 	}
-	return *l.stats[from]
+	return *l.from(k, from)
 }
 
 // Send implements Transport: it enqueues a delivery across the link.
@@ -162,23 +206,18 @@ func (n *Network) Stats(from, to string) LinkStats {
 func (n *Network) Send(from, to string, data []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	l, ok := n.links[key(from, to)]
+	k := key(from, to)
+	l, ok := n.links[k]
 	if !ok {
 		return
 	}
-	st := l.stats[from]
+	st := l.from(k, from)
 	st.Messages++
 	st.Bytes += uint64(len(data))
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	n.seq++
-	heap.Push(&n.queue, &event{
-		at:   n.now.Add(l.latency),
-		seq:  n.seq,
-		from: from,
-		to:   to,
-		data: cp,
-	})
+	n.queue.push(event{at: n.now.Add(l.latency), seq: n.seq, from: from, to: to, data: cp})
 }
 
 // Step delivers the next queued event, advancing the virtual clock.
@@ -189,7 +228,7 @@ func (n *Network) Step() bool {
 		n.mu.Unlock()
 		return false
 	}
-	e := heap.Pop(&n.queue).(*event)
+	e := n.queue.pop()
 	if e.at.After(n.now) {
 		n.now = e.at
 	}

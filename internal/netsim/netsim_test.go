@@ -256,3 +256,92 @@ func BenchmarkSendDeliver(b *testing.B) {
 		n.Step()
 	}
 }
+
+// TestSendStepAllocatesOnlyTheCopy: a message through the queue costs the
+// isolation copy Send makes and nothing else — events are heap values,
+// not one allocation each.
+func TestSendStepAllocatesOnlyTheCopy(t *testing.T) {
+	n := New(start())
+	sinkNode := ReceiverFunc(func(time.Time, string, []byte) {})
+	n.AddNode("a", sinkNode)
+	n.AddNode("b", sinkNode)
+	n.Connect("a", "b", time.Microsecond)
+	payload := make([]byte, 64)
+	if got := testing.AllocsPerRun(100, func() {
+		n.Send("a", "b", payload)
+		n.Step()
+	}); got != 1 {
+		t.Fatalf("Send + Step allocates %v objects, want exactly the 1 copy", got)
+	}
+}
+
+// TestQueueOrderUnderInterleaving: deliveries come out by (time, send
+// order) however sends and steps interleave.
+func TestQueueOrderUnderInterleaving(t *testing.T) {
+	n := New(start())
+	c := &recorder{}
+	for _, name := range []string{"a", "b", "c"} {
+		if name == "c" {
+			n.AddNode(name, c)
+		} else {
+			n.AddNode(name, &recorder{})
+		}
+	}
+	n.Connect("a", "c", 3*time.Millisecond)
+	n.Connect("b", "c", time.Millisecond)
+	var want []string
+	for i := 0; i < 40; i++ {
+		from := "a"
+		if i%3 == 0 {
+			from = "b"
+		}
+		n.Send(from, "c", []byte{byte('A' + i)})
+		if i%7 == 6 {
+			n.Step()
+		}
+	}
+	n.Run(0)
+	if len(c.got) != 40 {
+		t.Fatalf("delivered %d, want 40", len(c.got))
+	}
+	// Replay the schedule by hand: each step takes the earliest pending
+	// (due time, send sequence).
+	type pend struct {
+		due time.Duration
+		seq int
+		msg string
+	}
+	var queue []pend
+	var now time.Duration
+	take := func() {
+		best := 0
+		for i, p := range queue {
+			if p.due < queue[best].due || p.due == queue[best].due && p.seq < queue[best].seq {
+				best = i
+			}
+		}
+		if queue[best].due > now {
+			now = queue[best].due
+		}
+		want = append(want, queue[best].msg)
+		queue = append(queue[:best], queue[best+1:]...)
+	}
+	for i := 0; i < 40; i++ {
+		from, lat := "a", 3*time.Millisecond
+		if i%3 == 0 {
+			from, lat = "b", time.Millisecond
+		}
+		queue = append(queue, pend{now + lat, i, fmt.Sprintf("%s:%c", from, 'A'+i)})
+		if i%7 == 6 {
+			take()
+		}
+	}
+	for len(queue) > 0 {
+		take()
+	}
+	for i := range want {
+		if c.got[i] != want[i] {
+			t.Fatalf("delivery %d = %s, want %s\ngot  %v\nwant %v", i, c.got[i], want[i], c.got, want)
+		}
+	}
+}

@@ -52,8 +52,8 @@ func TestOverlayWriteDoesNotTouchBase(t *testing.T) {
 	if o.Routes() != beforeRoutes+1 {
 		t.Fatalf("overlay route count %d, want %d", o.Routes(), beforeRoutes+1)
 	}
-	if got := len(o.owned); got != 1 {
-		t.Fatalf("owned = %d", got)
+	if got := len(o.entries); got != 1 {
+		t.Fatalf("private entries = %d, want 1", got)
 	}
 }
 
@@ -199,6 +199,17 @@ func TestOverlayEquivalentToDeepCopy(t *testing.T) {
 				return false
 			}
 		}
+		same := func(a, b *Route) bool {
+			return a == nil && b == nil || a != nil && b != nil && a.Prefix == b.Prefix && a.PeerRouterID == b.PeerRouterID
+		}
+		for _, op := range ops {
+			for _, bits := range []int{int(op.Bits % 33), 32, 8} {
+				q := netaddr.PrefixFrom(netaddr.Addr(op.Addr), bits)
+				if !same(ref.CoveringBest(q), o.CoveringBest(q)) {
+					return false
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -228,5 +239,62 @@ func BenchmarkOverlayInsertOne(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := NewOverlay(base)
 		o.Insert(r)
+	}
+}
+
+// TestOverlayFirstWriteCostIndependentOfLength: an overlay's first write
+// to a prefix allocates the same objects for a /8 as for a /32 — the
+// private store is keyed by prefix, not a second trie walked bit by bit.
+func TestOverlayFirstWriteCostIndependentOfLength(t *testing.T) {
+	base := baseWithRoutes(t)
+	firstWrite := func(p string) float64 {
+		r := mkRoute(p, "10.0.0.9", 65009, 65009)
+		return testing.AllocsPerRun(100, func() { NewOverlay(base).Insert(r) })
+	}
+	short, long := firstWrite("11.0.0.0/8"), firstWrite("11.22.33.44/32")
+	if short != long {
+		t.Fatalf("first write allocates %v objects for a /8 and %v for a /32", short, long)
+	}
+}
+
+// TestOverlayWithdrawPeerMatchesDeepCopy: a session drop on an overlay
+// reports the changes, in the order, a deep copy of the base reports, and
+// leaves the same table behind.
+func TestOverlayWithdrawPeerMatchesDeepCopy(t *testing.T) {
+	base := baseWithRoutes(t)
+	base.Insert(mkRoute("10.1.0.0/16", "10.0.0.2", 65002, 65002))
+	ref := New()
+	base.WalkAll(func(_ netaddr.Prefix, cs []*Route) bool {
+		for _, c := range cs {
+			ref.Insert(c)
+		}
+		return true
+	})
+	o := NewOverlay(base)
+	added := mkRoute("10.9.0.0/16", "10.0.0.1", 65001, 65001)
+	for _, tb := range []RouteTable{ref, o} {
+		tb.Insert(added)
+		tb.Withdraw(pfx("192.168.0.0/16"), ip("10.0.0.2"))
+	}
+	want, got := ref.WithdrawPeer(ip("10.0.0.1")), o.WithdrawPeer(ip("10.0.0.1"))
+	if len(got) != len(want) {
+		t.Fatalf("overlay reports %d changes, the deep copy %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Prefix != want[i].Prefix || got[i].Old != want[i].Old || got[i].New != want[i].New {
+			t.Fatalf("change %d: overlay %+v, deep copy %+v", i, got[i], want[i])
+		}
+	}
+	if o.Prefixes() != ref.Prefixes() || o.Routes() != ref.Routes() {
+		t.Fatalf("counts: overlay %d/%d, deep copy %d/%d", o.Prefixes(), o.Routes(), ref.Prefixes(), ref.Routes())
+	}
+	rd, od := ref.Dump(), o.Dump()
+	if len(rd) != len(od) {
+		t.Fatalf("dump: overlay %v, deep copy %v", od, rd)
+	}
+	for i := range rd {
+		if rd[i] != od[i] {
+			t.Fatalf("dump %d: overlay %v, deep copy %v", i, od[i], rd[i])
+		}
 	}
 }

@@ -56,10 +56,46 @@ type node struct {
 }
 
 // entry keeps all candidate routes for one prefix plus the selected best.
+// Table stores entries in its trie and Overlay in its map; both mutate
+// them only through insert and withdraw.
 type entry struct {
 	prefix     netaddr.Prefix
 	candidates []*Route
 	best       *Route
+}
+
+// insert adds r — or replaces the candidate from the same source, the
+// implicit withdraw of RFC 4271 §3.1 — and reruns selection. It reports
+// whether the candidate count grew.
+func (e *entry) insert(r *Route) (added bool) {
+	added = true
+	for i, c := range e.candidates {
+		if sameSource(c, r) {
+			e.candidates[i] = r
+			added = false
+			break
+		}
+	}
+	if added {
+		e.candidates = append(e.candidates, r)
+	}
+	e.selectBest()
+	return added
+}
+
+// withdraw removes the route learned from the peer, if any, and reruns
+// selection (best is nil once no candidate is left). It reports whether a
+// candidate was removed.
+func (e *entry) withdraw(peerRouterID netaddr.Addr) (removed bool) {
+	for i, c := range e.candidates {
+		if c.PeerRouterID == peerRouterID && !c.Local {
+			e.candidates = append(e.candidates[:i], e.candidates[i+1:]...)
+			removed = true
+			break
+		}
+	}
+	e.selectBest()
+	return removed
 }
 
 // Table is a Loc-RIB: all candidate routes per prefix with best-path
@@ -116,19 +152,9 @@ func (t *Table) Insert(r *Route) Change {
 	}
 	e := n.entry
 	old := e.best
-	replaced := false
-	for i, c := range e.candidates {
-		if sameSource(c, r) {
-			e.candidates[i] = r
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		e.candidates = append(e.candidates, r)
+	if e.insert(r) {
 		t.routes++
 	}
-	e.selectBest()
 	return Change{Prefix: r.Prefix, Old: old, New: e.best}
 }
 
@@ -140,19 +166,13 @@ func (t *Table) Withdraw(p netaddr.Prefix, peerRouterID netaddr.Addr) Change {
 	}
 	e := n.entry
 	old := e.best
-	for i, c := range e.candidates {
-		if c.PeerRouterID == peerRouterID && !c.Local {
-			e.candidates = append(e.candidates[:i], e.candidates[i+1:]...)
-			t.routes--
-			break
-		}
+	if e.withdraw(peerRouterID) {
+		t.routes--
 	}
 	if len(e.candidates) == 0 {
 		n.entry = nil
 		t.prefixes--
-		return Change{Prefix: p, Old: old, New: nil}
 	}
-	e.selectBest()
 	return Change{Prefix: p, Old: old, New: e.best}
 }
 
@@ -167,26 +187,15 @@ func (t *Table) WithdrawPeer(peerRouterID netaddr.Addr) []Change {
 		}
 		if e := n.entry; e != nil {
 			old := e.best
-			kept := e.candidates[:0]
-			for _, c := range e.candidates {
-				if c.PeerRouterID == peerRouterID && !c.Local {
-					t.routes--
-				} else {
-					kept = append(kept, c)
-				}
+			if e.withdraw(peerRouterID) {
+				t.routes--
 			}
-			e.candidates = kept
 			if len(e.candidates) == 0 {
 				n.entry = nil
 				t.prefixes--
-				if old != nil {
-					changes = append(changes, Change{Prefix: e.prefix, Old: old})
-				}
-			} else {
-				e.selectBest()
-				if e.best != old {
-					changes = append(changes, Change{Prefix: e.prefix, Old: old, New: e.best})
-				}
+			}
+			if e.best != old {
+				changes = append(changes, Change{Prefix: e.prefix, Old: old, New: e.best})
 			}
 		}
 		walk(n.children[0])
@@ -245,6 +254,23 @@ func (t *Table) CoveringBest(p netaddr.Prefix) *Route {
 		n = n.children[b]
 	}
 	return last
+}
+
+// bestsAlong sets along[i] to the best route of p's covering /i, for
+// every i ≤ p.Bits() at which the table holds one.
+func (t *Table) bestsAlong(p netaddr.Prefix, along *[33]*Route) {
+	n := t.root
+	for i := 0; ; i++ {
+		if n.entry != nil {
+			along[i] = n.entry.best
+		}
+		if i >= p.Bits() {
+			return
+		}
+		if n = n.children[p.Bit(i)]; n == nil {
+			return
+		}
+	}
 }
 
 // Walk visits the best route of every prefix in address order.

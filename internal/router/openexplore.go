@@ -96,22 +96,12 @@ func (r *Router) HandleOpenConcolic(rc *concolic.RunContext, peerName string) Op
 // with the concrete message. A disagreement panics: it would mean the
 // instrumented model diverged from the executable FSM.
 func (r *Router) confirmOpen(ps *peerState, open *bgp.Open, predicted OpenOutcome) OpenOutcome {
-	var gotEstablished bool
-	var gotCode, gotSub uint8
-
+	var notified notificationCatcher
 	sess := bgp.NewSession(bgp.SessionConfig{
 		LocalAS:  r.cfg.LocalAS,
 		PeerAS:   ps.peer.AS,
 		RouterID: r.cfg.RouterID,
-	}, bgp.SessionHooks{
-		Send: func(wire []byte) {
-			if m, err := bgp.Decode(wire); err == nil {
-				if n, ok := m.(*bgp.Notification); ok {
-					gotCode, gotSub = n.Code, n.Subcode
-				}
-			}
-		},
-	})
+	}, &notified)
 	now := time.Unix(0, 0)
 	sess.Start(now)
 	_ = sess.ConnUp(now)
@@ -129,13 +119,30 @@ func (r *Router) confirmOpen(ps *peerState, open *bgp.Open, predicted OpenOutcom
 		ka, _ := bgp.Encode(&bgp.Keepalive{})
 		_ = sess.Recv(now, ka)
 	}
-	gotEstablished = sess.State() == bgp.StateEstablished
+	gotEstablished := sess.State() == bgp.StateEstablished
 
 	if gotEstablished != predicted.Established {
 		panic("router: instrumented OPEN model diverged from the session FSM")
 	}
-	if !gotEstablished && (gotCode != predicted.NotifyCode || gotSub != predicted.NotifySubcode) {
+	if !gotEstablished && (notified.code != predicted.NotifyCode || notified.subcode != predicted.NotifySubcode) {
 		panic("router: instrumented OPEN model predicted the wrong notification")
 	}
 	return predicted
 }
+
+// notificationCatcher is the throwaway session's SessionHooks: it keeps
+// the code and subcode of the last NOTIFICATION the session sent and
+// ignores everything else.
+type notificationCatcher struct{ code, subcode uint8 }
+
+func (c *notificationCatcher) Send(wire []byte) {
+	if m, err := bgp.Decode(wire); err == nil {
+		if n, ok := m.(*bgp.Notification); ok {
+			c.code, c.subcode = n.Code, n.Subcode
+		}
+	}
+}
+
+func (*notificationCatcher) OnEstablished()       {}
+func (*notificationCatcher) OnUpdate(*bgp.Update) {}
+func (*notificationCatcher) OnDown(string)        {}

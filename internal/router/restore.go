@@ -3,7 +3,6 @@ package router
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"dice/internal/bgp"
 	"dice/internal/config"
@@ -33,12 +32,8 @@ func DecodeState(name string, cfg *config.Config, tr netsim.Transport, state []b
 	wantPrefixes := int(binary.BigEndian.Uint32(state[4:8]))
 	off := 8
 
-	names := make([]string, 0, len(r.peers))
-	for n := range r.peers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, ps := range r.order {
+		n := ps.peer.Name
 		// name bytes + NUL + 2 x u64
 		if len(state) < off+len(n)+1+16 {
 			return nil, fmt.Errorf("router: truncated session block for %q", n)
@@ -47,8 +42,7 @@ func DecodeState(name string, cfg *config.Config, tr netsim.Transport, state []b
 			return nil, fmt.Errorf("router: checkpoint peer mismatch at %q (config drift?)", n)
 		}
 		off += len(n) + 1
-		sess := r.peers[n].sess
-		sess.RestoreEstablished(
+		ps.sess.RestoreEstablished(
 			binary.BigEndian.Uint64(state[off:off+8]),
 			binary.BigEndian.Uint64(state[off+8:off+16]),
 		)

@@ -16,7 +16,9 @@ package router
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"dice/internal/bgp"
@@ -37,11 +39,30 @@ type Counters struct {
 	UpdatesSent      uint64
 }
 
-// peerState couples a configured peer with its live session.
+// peerState couples a configured peer with its live session, and is the
+// session's bgp.SessionHooks: one value per peer carries everything the
+// session calls back with.
 type peerState struct {
+	r    *Router
 	peer *config.Peer
 	sess *bgp.Session
 }
+
+// Send implements bgp.SessionHooks: the wire goes to the peer's node.
+func (ps *peerState) Send(wire []byte) {
+	r := ps.r
+	r.counters.UpdatesSent += boolToU64(wire[18] == bgp.MsgUpdate)
+	r.transport.Send(r.name, ps.peer.Name, wire)
+}
+
+// OnEstablished implements bgp.SessionHooks.
+func (ps *peerState) OnEstablished() { ps.r.onEstablished(ps) }
+
+// OnUpdate implements bgp.SessionHooks.
+func (ps *peerState) OnUpdate(u *bgp.Update) { ps.r.onUpdate(ps, u) }
+
+// OnDown implements bgp.SessionHooks.
+func (ps *peerState) OnDown(string) { ps.r.onDown(ps) }
 
 // Router is one BGP speaker on the virtual network. Methods must be
 // called from the netsim event loop goroutine (the simulator is the
@@ -52,8 +73,23 @@ type Router struct {
 	transport netsim.Transport
 	loc       rib.RouteTable
 	peers     map[string]*peerState // keyed by peer (node) name
-	peerOrder []string              // keys of peers, sorted; maintained by addPeer
 	counters  Counters
+
+	// order holds the peers sorted by name. Every loop whose body sends
+	// messages walks peers through it instead of the map: map iteration
+	// order would leak into the netsim enqueue sequence — the tie-break
+	// between same-timestamp deliveries — and the same witness injected
+	// into the same fabric could take a different number of deliveries to
+	// converge run to run, which the trace-replay golden harness (and the
+	// distributed parity contract on PropagationSteps) cannot tolerate.
+	// The peer set is fixed at construction, so the hot callers —
+	// propagate on every best-route change, Tick on every timer advance —
+	// pay no per-call sort or allocation.
+	order []*peerState
+
+	// subj is the filter subject every import and export run lifts the
+	// route into (filter.Subject.Lift): one per router, not one per run.
+	subj filter.Subject
 
 	// LastObserved retains the most recent UPDATE per peer; DiCE derives
 	// its symbolic input templates from these (§2.3 "feeds it with a
@@ -87,45 +123,36 @@ func New(name string, cfg *config.Config, tr netsim.Transport) *Router {
 }
 
 // newRouter builds a router over loc with a fresh (Idle) session per
-// configured peer.
+// configured peer. Checkpoint clones are built here too, hundreds per
+// round, so every map is sized up front and the peer states share one
+// allocation.
 func newRouter(name string, cfg *config.Config, tr netsim.Transport, loc rib.RouteTable) *Router {
+	n := len(cfg.Peers)
 	r := &Router{
 		cfg:           cfg,
 		name:          name,
 		transport:     tr,
 		loc:           loc,
-		peers:         make(map[string]*peerState, len(cfg.Peers)),
-		lastObserved:  make(map[string]*bgp.Update),
-		lastAnnounced: make(map[string]*bgp.Update),
+		peers:         make(map[string]*peerState, n),
+		order:         make([]*peerState, n),
+		lastObserved:  make(map[string]*bgp.Update, n),
+		lastAnnounced: make(map[string]*bgp.Update, n),
 	}
-	for _, pc := range cfg.Peers {
-		r.addPeer(pc)
+	states := make([]peerState, n)
+	for i, pc := range cfg.Peers {
+		ps := &states[i]
+		ps.r, ps.peer = r, pc
+		ps.sess = bgp.NewSession(bgp.SessionConfig{
+			LocalAS:  cfg.LocalAS,
+			PeerAS:   pc.AS,
+			RouterID: cfg.RouterID,
+			HoldTime: pc.HoldTime,
+		}, ps)
+		r.peers[pc.Name] = ps
+		r.order[i] = ps
 	}
+	slices.SortFunc(r.order, func(a, b *peerState) int { return strings.Compare(a.peer.Name, b.peer.Name) })
 	return r
-}
-
-func (r *Router) addPeer(pc *config.Peer) {
-	ps := &peerState{peer: pc}
-	peerName := pc.Name
-	ps.sess = bgp.NewSession(bgp.SessionConfig{
-		LocalAS:  r.cfg.LocalAS,
-		PeerAS:   pc.AS,
-		RouterID: r.cfg.RouterID,
-		HoldTime: pc.HoldTime,
-	}, bgp.SessionHooks{
-		Send: func(wire []byte) {
-			r.counters.UpdatesSent += boolToU64(wire[18] == bgp.MsgUpdate)
-			r.transport.Send(r.name, peerName, wire)
-		},
-		OnEstablished: func() { r.onEstablished(peerName) },
-		OnUpdate:      func(u *bgp.Update) { r.onUpdate(peerName, u) },
-		OnDown:        func(reason string) { r.onDown(peerName, reason) },
-	})
-	r.peers[peerName] = ps
-	at := sort.SearchStrings(r.peerOrder, peerName)
-	r.peerOrder = append(r.peerOrder, "")
-	copy(r.peerOrder[at+1:], r.peerOrder[at:])
-	r.peerOrder[at] = peerName
 }
 
 func boolToU64(b bool) uint64 {
@@ -179,28 +206,12 @@ func (r *Router) PeerNameByAddr(a netaddr.Addr) string {
 	return ""
 }
 
-// peerNames returns the configured peer names sorted. Every loop whose
-// body sends messages walks peers through this instead of the map: map
-// iteration order would leak into the netsim enqueue sequence — the
-// tie-break between same-timestamp deliveries — and the same witness
-// injected into the same fabric could take a different number of
-// deliveries to converge run to run, which the trace-replay golden
-// harness (and the distributed parity contract on PropagationSteps)
-// cannot tolerate. The order is maintained by addPeer (the peer set is
-// fixed after construction), so the hot callers — propagate on every
-// best-route change, Tick on every timer advance — pay no per-call sort
-// or allocation.
-func (r *Router) peerNames() []string {
-	return r.peerOrder
-}
-
 // Start begins all peering sessions at virtual time now.
 func (r *Router) Start(now time.Time) error {
-	for _, name := range r.peerNames() {
-		ps := r.peers[name]
+	for _, ps := range r.order {
 		ps.sess.Start(now)
 		if err := ps.sess.ConnUp(now); err != nil {
-			return fmt.Errorf("router %s: peer %s: %w", r.name, name, err)
+			return fmt.Errorf("router %s: peer %s: %w", r.name, ps.peer.Name, err)
 		}
 	}
 	return nil
@@ -218,41 +229,36 @@ func (r *Router) Deliver(now time.Time, from string, data []byte) {
 // Tick advances all session timers (sorted: a timer firing can emit a
 // KEEPALIVE, and emission order is part of the deterministic contract).
 func (r *Router) Tick(now time.Time) {
-	for _, name := range r.peerNames() {
-		r.peers[name].sess.Tick(now)
+	for _, ps := range r.order {
+		ps.sess.Tick(now)
 	}
 }
 
 // onEstablished announces the current table to the new peer.
-func (r *Router) onEstablished(peerName string) {
-	ps := r.peers[peerName]
+func (r *Router) onEstablished(ps *peerState) {
 	r.loc.Walk(func(rt *rib.Route) bool {
-		if u := r.exportUpdate(ps, rt, nil, filter.ConcreteBrancher{}); u != nil {
-			_ = ps.sess.SendUpdate(u)
+		var shared [2][]byte
+		if wire, ok := r.exportWire(ps, rt, nil, filter.ConcreteBrancher{}, &shared); ok && wire != nil {
+			_ = ps.sess.SendUpdateWire(wire)
 		}
 		return true
 	})
 }
 
-func (r *Router) onDown(peerName string, reason string) {
-	ps, ok := r.peers[peerName]
-	if !ok {
-		return
-	}
-	changes := r.loc.WithdrawPeer(ps.peer.Addr)
-	for _, ch := range changes {
-		r.propagate(peerName, ch, nil, filter.ConcreteBrancher{}, nil)
+func (r *Router) onDown(ps *peerState) {
+	for _, ch := range r.loc.WithdrawPeer(ps.peer.Addr) {
+		r.propagate(ps.peer.Name, ch, nil, filter.ConcreteBrancher{}, nil)
 	}
 }
 
 // onUpdate is the session's UPDATE hook: normal operation, no
 // instrumentation.
-func (r *Router) onUpdate(peerName string, u *bgp.Update) {
-	r.lastObserved[peerName] = u
+func (r *Router) onUpdate(ps *peerState, u *bgp.Update) {
+	r.lastObserved[ps.peer.Name] = u
 	if len(u.NLRI) > 0 {
-		r.lastAnnounced[peerName] = u
+		r.lastAnnounced[ps.peer.Name] = u
 	}
-	r.process(peerName, u, nil, filter.ConcreteBrancher{}, nil)
+	r.process(ps.peer.Name, u, nil, filter.ConcreteBrancher{}, nil)
 }
 
 // lift marks, on a filter subject built from a route's concrete data,
@@ -332,11 +338,11 @@ func (r *Router) importRoute(ps *peerState, prefix netaddr.Prefix, attrs *bgp.At
 	if attrs.ASPath.Contains(r.cfg.LocalAS) {
 		return bgp.Attrs{}, false
 	}
-	subj := filter.SubjectFromRoute(prefix, attrs)
+	r.subj.Lift(prefix, attrs)
 	if lf != nil {
-		lf(subj, attrs, false)
+		lf(&r.subj, attrs, false)
 	}
-	verdict := filter.Run(policy(ps.peer.Import), subj, br)
+	verdict := filter.Run(policy(ps.peer.Import), &r.subj, br)
 	if verdict.Disposition != filter.Accept {
 		return bgp.Attrs{}, false
 	}
@@ -353,54 +359,87 @@ func policy(f *filter.Filter) *filter.Filter {
 }
 
 // propagate exports a best-route change to every established peer other
-// than the one it came from, in peerNames order — under a recording br
-// that is also the order of the export constraints.
+// than the one it came from, in peer-name order — under a recording br
+// that is also the order of the export constraints. Every peer gets its
+// own export verdict, but the bytes are encoded once per change and
+// session kind: all peers whose verdict modifies nothing share one
+// encoded announcement, and all peers that get a withdrawal share one.
 func (r *Router) propagate(fromPeer string, ch rib.Change, lf lift, br filter.Brancher, obs *Outcome) {
-	for _, name := range r.peerNames() {
-		ps := r.peers[name]
+	var shared [2][]byte // ch.New as exported unmodified: iBGP, eBGP
+	var withdrawal []byte
+	for _, ps := range r.order {
+		name := ps.peer.Name
 		if name == fromPeer || ps.sess.State() != bgp.StateEstablished {
 			continue
 		}
-		var u *bgp.Update
+		var wire []byte
+		exported := false
 		if ch.New != nil {
-			u = r.exportUpdate(ps, ch.New, lf, br)
+			wire, exported = r.exportWire(ps, ch.New, lf, br, &shared)
 		}
 		if obs != nil {
 			obs.Notified = append(obs.Notified, name)
-			if u != nil {
+			if exported {
 				obs.SpreadTo = append(obs.SpreadTo, name)
 			}
 		}
-		if u == nil {
+		if !exported {
 			// No best route left, or export policy dropped it: withdraw any
 			// previous announcement of this prefix to the peer.
-			u = &bgp.Update{Withdrawn: []netaddr.Prefix{ch.Prefix}}
+			if withdrawal == nil {
+				withdrawal, _ = bgp.Encode(&bgp.Update{Withdrawn: []netaddr.Prefix{ch.Prefix}})
+			}
+			wire = withdrawal
 		}
-		_ = ps.sess.SendUpdate(u)
+		if wire != nil {
+			_ = ps.sess.SendUpdateWire(wire)
+		}
 	}
 }
 
-// exportUpdate applies export policy (under br, over the subject lf
-// lifts) and eBGP attribute rewriting for one route toward a peer; nil
-// means the route is not exported.
-func (r *Router) exportUpdate(ps *peerState, rt *rib.Route, lf lift, br filter.Brancher) *bgp.Update {
+// exportWire is export policy (under br, over the subject lf lifts) for
+// one route toward a peer, and the encoded UPDATE the peer receives.
+// exported is false when the route is not exported to the peer. A verdict
+// that modifies nothing takes the encoding in shared for the peer's
+// session kind ([0] iBGP, [1] eBGP), encoding it on first use; wire is
+// nil only when the export cannot be encoded.
+func (r *Router) exportWire(ps *peerState, rt *rib.Route, lf lift, br filter.Brancher, shared *[2][]byte) (wire []byte, exported bool) {
 	// Split-horizon: never export a route back toward the AS it came
 	// from (first AS in path == peer's AS).
 	if rt.Attrs.ASPath.FirstAS() == ps.peer.AS {
-		return nil
+		return nil, false
 	}
-	subj := filter.SubjectFromRoute(rt.Prefix, &rt.Attrs)
+	r.subj.Lift(rt.Prefix, &rt.Attrs)
 	if lf != nil {
-		lf(subj, &rt.Attrs, true)
+		lf(&r.subj, &rt.Attrs, true)
 	}
-	verdict := filter.Run(policy(ps.peer.Export), subj, br)
+	verdict := filter.Run(policy(ps.peer.Export), &r.subj, br)
 	if verdict.Disposition != filter.Accept {
-		return nil
+		return nil, false
 	}
-	attrs := rt.Attrs.Clone()
-	verdict.Apply(&attrs)
-
 	ebgp := ps.peer.AS != r.cfg.LocalAS
+	if verdict.Modifies() {
+		return r.encodeExport(rt, &verdict, ebgp), true
+	}
+	kind := boolToU64(ebgp)
+	if shared[kind] == nil {
+		shared[kind] = r.encodeExport(rt, nil, ebgp)
+	}
+	return shared[kind], true
+}
+
+// encodeExport encodes the UPDATE announcing rt with the verdict's
+// modifications (none when v is nil) and, toward an eBGP peer, the
+// RFC 4271 rewrite. The route's attributes are copied shallowly: its
+// slices are only read, the AS_PATH prepend copies what it changes, and
+// the community list is clipped so an added community is appended to a
+// copy. nil means the result cannot be encoded.
+func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byte {
+	attrs := rt.Attrs
+	if v != nil {
+		attrs.Communities = slices.Clip(attrs.Communities)
+		v.Apply(&attrs)
+	}
 	if ebgp {
 		attrs.ASPath = attrs.ASPath.Prepend(r.cfg.LocalAS)
 		attrs.HasLocalPref = false // LOCAL_PREF is intra-AS only
@@ -411,7 +450,11 @@ func (r *Router) exportUpdate(ps *peerState, rt *rib.Route, lf lift, br filter.B
 	if !attrs.HasOrigin {
 		attrs.HasOrigin, attrs.Origin = true, bgp.OriginIGP
 	}
-	return &bgp.Update{Attrs: attrs, NLRI: []netaddr.Prefix{rt.Prefix}}
+	wire, err := bgp.Encode(&bgp.Update{Attrs: attrs, NLRI: []netaddr.Prefix{rt.Prefix}})
+	if err != nil {
+		return nil
+	}
+	return wire
 }
 
 // --- Checkpoint support ------------------------------------------------------
@@ -467,14 +510,9 @@ func (r *Router) EncodeStateChunks() [][]byte {
 	var meta []byte
 	meta = append(meta, 'R', 'T', 'R', '1')
 	meta = binary.BigEndian.AppendUint32(meta, uint32(r.loc.Prefixes()))
-	names := make([]string, 0, len(r.peers))
-	for name := range r.peers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s := r.peers[name].sess
-		meta = append(meta, []byte(name)...)
+	for _, ps := range r.order {
+		s := ps.sess
+		meta = append(meta, ps.peer.Name...)
 		meta = append(meta, 0)
 		meta = binary.BigEndian.AppendUint64(meta, s.UpdatesIn)
 		meta = binary.BigEndian.AppendUint64(meta, s.UpdatesOut)

@@ -16,13 +16,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"dice/internal/concolic"
-	"dice/internal/config"
 	"dice/internal/core"
 	"dice/internal/netaddr"
-	"dice/internal/netsim"
 	"dice/internal/router"
 )
 
@@ -72,37 +69,24 @@ func main() {
 			network 10.153.112.0/22;
 			peer transitB { remote 10.9.0.3 as 64920; }`,
 	}
-	links := [][2]string{{"stub", "transitA"}, {"transitA", "transitB"}, {"transitB", "content"}}
-
-	net := netsim.New(time.Now())
-	routers := map[string]*router.Router{}
-	for name, src := range configs {
-		cfg, err := config.Parse(src)
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		r := router.New(name, cfg, net)
-		if err := net.AddNode(name, r); err != nil {
-			log.Fatal(err)
-		}
-		routers[name] = r
+	topo := &core.Topology{Name: "federated-demo"}
+	for _, name := range []string{"stub", "transitA", "transitB", "content"} {
+		topo.Nodes = append(topo.Nodes, core.TopoNode{Name: name, Config: []string{configs[name]}})
 	}
-	for _, l := range links {
-		if err := net.Connect(l[0], l[1], time.Millisecond); err != nil {
-			log.Fatal(err)
-		}
+	for _, l := range [][2]string{{"stub", "transitA"}, {"transitA", "transitB"}, {"transitB", "content"}} {
+		topo.Edges = append(topo.Edges, core.TopoEdge{A: l[0], B: l[1]})
 	}
-	for _, r := range routers {
-		if err := r.Start(net.Now()); err != nil {
-			log.Fatal(err)
-		}
+	fabric, err := topo.Build()
+	if err != nil {
+		log.Fatal(err)
 	}
-	net.Run(0)
+	routers := fabric.Routers
 
 	fmt.Println("federated topology converged:")
-	for name, r := range routers {
+	for _, n := range topo.Nodes {
+		r := routers[n.Name]
 		fmt.Printf("  %-9s AS%d, %d prefixes (policies private to this AS)\n",
-			name, r.Config().LocalAS, r.RIB().Prefixes())
+			n.Name, r.Config().LocalAS, r.RIB().Prefixes())
 	}
 	fmt.Println()
 

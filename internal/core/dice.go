@@ -102,42 +102,20 @@ type Result struct {
 
 // DiCE drives exploration for one live router.
 type DiCE struct {
-	live *router.Router
-	opts Options
-
-	mu     sync.Mutex
-	states map[string]*concolic.ExploreState // keyed scenario + "/" + peer
+	live   *router.Router
+	opts   Options
+	states *concolic.StateMap // keyed by WarmKey
 }
 
 // New creates a DiCE instance attached to a live router.
 func New(live *router.Router, opts Options) *DiCE {
-	return &DiCE{
-		live:   live,
-		opts:   opts,
-		states: make(map[string]*concolic.ExploreState),
-	}
+	return &DiCE{live: live, opts: opts, states: concolic.NewStateMap()}
 }
 
 // State returns the cross-round exploration state accumulated for a
 // scenario and peer, or nil if no round has run with ReuseState set.
 func (d *DiCE) State(scenario, peer string) *concolic.ExploreState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.states[scenario+"/"+peer]
-}
-
-// stateFor returns (allocating on first use) the shared state for a
-// scenario and peer.
-func (d *DiCE) stateFor(scenario, peer string) *concolic.ExploreState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := scenario + "/" + peer
-	st, ok := d.states[key]
-	if !ok {
-		st = concolic.NewExploreState()
-		d.states[key] = st
-	}
-	return st
+	return d.states.Peek(WarmKey(d.live.Name(), scenario, peer))
 }
 
 // withLock runs fn holding l, when there is one.
@@ -183,7 +161,7 @@ func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, er
 	start := time.Now()
 	engOpts := d.opts.Engine
 	if engOpts.State == nil && d.opts.ReuseState {
-		engOpts.State = d.stateFor(sc.Name(), peerName)
+		engOpts.State = d.states.For(WarmKey(d.live.Name(), sc.Name(), peerName))
 	}
 	var (
 		meter    *memoryMeter

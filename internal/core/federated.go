@@ -37,7 +37,8 @@ import (
 // pipeline every backend's phase 1 runs (PrepareTarget → explore →
 // Analyze → WitnessRefs), and FederatedExperiment, the Fleet that is a
 // Fabric in this process: exploration is a direct ExploreFleet call, a
-// shadow set is Fabric.Shadow, a query reads a router, a wave is netsim.
+// shadow set is Fabric.Shadow, a query reads a router, and a relay step
+// (relay.go) is a run of direct router deliveries.
 
 // FederatedScenario is the optional Scenario extension federated rounds
 // use for cross-node confirmation: scenarios that can materialize a
@@ -254,7 +255,7 @@ type TargetPrep struct {
 // seed derivation from the live node (a missing seed returns
 // *SeedUnavailableError), checkpoint clone with capture sink, handler
 // over COW clones, the scenario's judge, warm cross-round state
-// attachment (states keyed node/scenario/peer when reuse is set), and
+// attachment (states keyed by WarmKey when reuse is set), and
 // symbolic declaration.
 // The returned engine is ready to explore — solo (Engine.Explore, the
 // agent's path) or as a fleet member (the in-process path).
@@ -268,9 +269,16 @@ func PrepareTarget(live *router.Router, tg ResolvedTarget, engOpts concolic.Opti
 		return nil, &SeedUnavailableError{Err: err}
 	}
 	if reuse {
-		engOpts.State = states.For(tg.Node + "/" + tg.Scenario + "/" + tg.Peer)
+		engOpts.State = states.For(WarmKey(tg.Node, tg.Scenario, tg.Peer))
 	}
 	return prepareSeeded(live, tg, sc, seed, engOpts, nil, nil)
+}
+
+// WarmKey names one target's cross-round exploration state wherever it
+// is kept: a concolic.StateMap in process or on an agent, the
+// coordinator's warm cache of replica shards.
+func WarmKey(node, scenario, peer string) string {
+	return node + "/" + scenario + "/" + peer
 }
 
 // runDecorator replaces a target's default run handler — fork an O(1)
@@ -433,29 +441,30 @@ func (fe *FederatedExperiment) Explore(targets []ResolvedTarget) ([]TargetOutcom
 	return outs, nil
 }
 
-// OpenShadows is Fabric.Shadow (Fleet).
+// OpenShadows is Fabric.Shadow with a relay of its own (Fleet).
 func (fe *FederatedExperiment) OpenShadows() (Shadows, error) {
 	shadow, err := fe.Fabric.Shadow()
 	if err != nil {
 		return nil, err
 	}
-	return fabricShadows{shadow, fe.driver}, nil
+	return &fabricShadows{shadow, fe.driver, fe.driver.NewRelay()}, nil
 }
 
 // fabricShadows is a shadow fabric as the driver's Shadows: routers are
-// read directly and netsim is the wave scheduler.
+// read directly, and the relay runs the waves over them.
 type fabricShadows struct {
-	*Fabric
+	*ShadowFabric
 	driver *Driver
+	relay  *Relay
 }
 
-func (s fabricShadows) Query(node string, p netaddr.Prefix) (RouteView, error) {
+func (s *fabricShadows) Query(node string, p netaddr.Prefix) (RouteView, error) {
 	return s.view(node, p, nil), nil
 }
 
 // view reads one router's answer about p; the route object is its own
 // identity token in process.
-func (s fabricShadows) view(node string, p netaddr.Prefix, props []*prop.Compiled) RouteView {
+func (s *fabricShadows) view(node string, p netaddr.Prefix, props []*prop.Compiled) RouteView {
 	r := s.Routers[node]
 	if r == nil {
 		return RouteView{}
@@ -499,52 +508,27 @@ func QueryRoute(r *router.Router, p netaddr.Prefix, props []*prop.Compiled, boun
 	return best, hop, atMatch
 }
 
-// Propagate runs the group's injections one after another on the shared
-// fabric: netsim delivers the same messages merged or not, and disjoint
-// prefixes make the results equal. A wave that does not converge leaves
-// its deliveries queued, so the waves after it are not run.
-func (s fabricShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error) {
+// Propagate relays the group's waves through the shadow routers, then
+// reads each touched node's view of its wave's prefix once.
+func (s *fabricShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error) {
+	waves, err := s.relay.Run(group, maxSteps, s.Deliver)
+	if err != nil {
+		return nil, err
+	}
 	var props []*prop.Compiled
 	if wantAt {
 		props = s.driver.Props
 	}
-	waves := make([]Wave, len(group))
-	for i, in := range group {
-		sender := s.Routers[in.From]
-		if sender == nil {
-			return nil, fmt.Errorf("federated: witness peer %q missing from shadow", in.From)
-		}
-		sess := sender.Session(in.To)
-		if sess == nil {
-			return nil, fmt.Errorf("federated: no %s→%s session for witness injection", in.From, in.To)
-		}
-		if err := sess.SendUpdate(in.Update); err != nil {
-			return nil, err
-		}
-		touched := make(map[string]RouteChange)
-		steps, counts := runWaves(s.Net, maxSteps, func(to string) {
-			if _, seen := touched[to]; seen {
-				return
-			}
-			var ch RouteChange
-			if best := s.Routers[to].RIB().Best(in.Watch); best != nil {
-				ch.Before = best
-			}
-			touched[to] = ch
-		})
-		for name, ch := range touched {
-			ch.After = s.view(name, in.Watch, props)
-			touched[name] = ch
-		}
-		waves[i] = Wave{Phase: prop.Phase{Steps: steps, Pending: s.Net.Pending(), Waves: counts}, Touched: touched}
-		if waves[i].Pending > 0 {
-			break
+	for i, w := range waves {
+		for name, ch := range w.Touched {
+			ch.After = s.view(name, group[i].Watch, props)
+			w.Touched[name] = ch
 		}
 	}
 	return waves, nil
 }
 
-func (fabricShadows) Close() {}
+func (*fabricShadows) Close() {}
 
 // WitnessOutcome is one candidate injection's verdict.
 type WitnessOutcome struct {
@@ -597,31 +581,6 @@ func MinimizeWitness(check func(*bgp.Update) (*WitnessOutcome, error), w *bgp.Up
 		return CoversFingerprints(out.Violations, want), nil
 	}
 	return minimize.Witness(w, oracle, minimize.Options{MaxCandidates: budget})
-}
-
-// runWaves drains the shadow network like netsim's Run(limit), but
-// groups the deliveries into virtual-time waves: consecutive deliveries
-// sharing one virtual timestamp are one wave. The per-wave counts feed
-// the oscillation oracle's diverges-vs-converges-slowly telemetry.
-// before sees each delivery's destination ahead of the delivery.
-func runWaves(net *netsim.Network, limit int, before func(to string)) (steps int, waves []int) {
-	var last time.Time
-	for limit <= 0 || steps < limit {
-		to, ok := net.Next()
-		if !ok {
-			break
-		}
-		before(to)
-		net.Step()
-		steps++
-		now := net.Now()
-		if len(waves) == 0 || !now.Equal(last) {
-			waves = append(waves, 0)
-			last = now
-		}
-		waves[len(waves)-1]++
-	}
-	return steps, waves
 }
 
 // ForwardHop is one node's forwarding decision for a prefix: whether a

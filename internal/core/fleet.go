@@ -46,10 +46,10 @@ type Fleet interface {
 
 // Shadows is one shadow copy of the fleet. The seam is at the wave, not
 // the delivery: a backend runs the message waves of a whole
-// disjoint-prefix witness group to quiescence by whatever scheduler it
-// has (netsim in-process, the coordinator's relay queue over RPC) and
-// reports what each wave did — including what it changed, so the driver
-// polls nobody before or after.
+// disjoint-prefix witness group to quiescence — both backends through a
+// Relay, each executing its steps its own way — and reports what each
+// wave did, including what it changed, so the driver polls nobody before
+// or after.
 type Shadows interface {
 	// Query answers one node's route facts about p: the forward trace's
 	// lookup for a hop no wave touched. A node the fleet does not have
@@ -160,6 +160,11 @@ type Driver struct {
 
 	topo    *Topology
 	needsAt bool // some property has an `at` clause
+	// latency holds every link's latency under both orders of its
+	// endpoints, and lookahead the smallest: nothing a delivery causes
+	// lands sooner than that after it (Relay).
+	latency   map[[2]string]time.Duration
+	lookahead time.Duration
 }
 
 // NewDriver resolves a topology and options into a round driver.
@@ -190,7 +195,14 @@ func NewDriver(t *Topology, opts FederatedOptions) (*Driver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("federated: %w", err)
 	}
-	d := &Driver{Opts: opts, Boundary: boundary, Props: prop.Merge(custom), topo: t}
+	d := &Driver{Opts: opts, Boundary: boundary, Props: prop.Merge(custom), topo: t, latency: make(map[[2]string]time.Duration, 2*len(t.Edges))}
+	for _, e := range t.Edges {
+		lat := e.latency()
+		d.latency[[2]string{e.A, e.B}], d.latency[[2]string{e.B, e.A}] = lat, lat
+		if d.lookahead == 0 || lat < d.lookahead {
+			d.lookahead = lat
+		}
+	}
 	for _, p := range d.Props {
 		d.needsAt = d.needsAt || p.HasAt()
 	}

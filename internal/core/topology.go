@@ -214,6 +214,16 @@ type TopoEdge struct {
 	LatencyMS int    `json:"latency_ms,omitempty"` // 0 = 1ms
 }
 
+// latency is the link's one-way delivery latency. Build wires it into the
+// live network and NewDriver into the relay's link table, so live fabric
+// and shadows agree on it.
+func (e TopoEdge) latency() time.Duration {
+	if e.LatencyMS == 0 {
+		return time.Millisecond
+	}
+	return time.Duration(e.LatencyMS) * time.Millisecond
+}
+
 // ExploreTarget names one per-node exploration: which node explores
 // which of its peerings, under which scenario. An empty Scenario takes
 // the experiment's default.
@@ -336,8 +346,10 @@ func (t *Topology) Build() (*Fabric, error) {
 		}
 		f.Routers[n.Name] = r
 	}
-	if err := t.connectEdges(net); err != nil {
-		return nil, err
+	for _, e := range t.Edges {
+		if err := net.Connect(e.A, e.B, e.latency()); err != nil {
+			return nil, err
+		}
 	}
 	for _, n := range t.Nodes {
 		if err := f.Routers[n.Name].Start(net.Now()); err != nil {
@@ -348,46 +360,59 @@ func (t *Topology) Build() (*Fabric, error) {
 	return f, nil
 }
 
-// connectEdges wires the topology's links into a network — shared by
-// Build and Shadow so live fabric and shadow always agree on link
-// semantics (including the 0-means-1ms latency default).
-func (t *Topology) connectEdges(net *netsim.Network) error {
-	for _, e := range t.Edges {
-		lat := time.Duration(e.LatencyMS) * time.Millisecond
-		if lat == 0 {
-			lat = time.Millisecond
+// ShadowFabric is an isolated copy of a fabric for witness propagation:
+// every router cloned (sessions established, tables shared copy-on-write
+// through rib.Overlay) onto one capture sink. It has no network of its
+// own — Deliver is a Relay step — so concrete witness messages run
+// through it on the scheduler the distributed backend uses, without
+// perturbing the live fabric: the federated analogue of exploring on
+// checkpoint clones.
+type ShadowFabric struct {
+	Routers map[string]*router.Router
+	sink    *netsim.CaptureSink
+	now     time.Time                // the live clock, as an agent delivers at
+	emitted []netsim.CapturedMessage // Deliver's drain buffer
+}
+
+// Shadow clones the fabric for witness propagation. Creation is O(peers)
+// per node instead of O(table): a witness only dirties the prefixes it
+// touches, so at full-table scale a shadow costs what fork()'s COW would.
+// The live fabric must stay quiescent while shadows are alive (it does:
+// nothing runs the live network during witness propagation). The error
+// is always nil.
+func (f *Fabric) Shadow() (*ShadowFabric, error) {
+	s := &ShadowFabric{Routers: make(map[string]*router.Router, len(f.Routers)), sink: netsim.NewCaptureSink(), now: f.Net.Now()}
+	for name, r := range f.Routers {
+		s.Routers[name] = r.CloneCOW(s.sink)
+	}
+	return s, nil
+}
+
+// Deliver is the in-process relay step (StepFunc): each delivery, in
+// order, straight into its router — after the check the node agent's
+// inject_witness makes, that the sender is one of the node's peers —
+// reading the watched prefix's best route first where the relay asks for
+// it, and handing on what the router sent. After-views are not read here:
+// the backend reads one per touched node once the waves are done.
+func (s *ShadowFabric) Deliver(step []Delivery, _ int, emit func(d *Delivery, to string, msg []byte)) error {
+	for i := range step {
+		d := &step[i]
+		r := s.Routers[d.To]
+		if r == nil || r.Session(d.From) == nil {
+			return NoPeerError(d.To, d.From)
 		}
-		if err := net.Connect(e.A, e.B, lat); err != nil {
-			return err
+		if d.First {
+			if best := r.RIB().Best(d.Watch); best != nil {
+				d.Before = best
+			}
+		}
+		r.Deliver(s.now, d.From, d.Data)
+		s.emitted = s.sink.Drain(s.emitted[:0])
+		for _, m := range s.emitted {
+			emit(d, m.To, m.Data)
 		}
 	}
 	return nil
-}
-
-// Shadow builds an isolated copy of the fabric: every router cloned
-// (sessions established, tables shared copy-on-write through
-// rib.Overlay) onto a fresh virtual network with the same links.
-// Concrete witness messages propagate over the shadow exactly as they
-// would over the live fabric, without perturbing it — the federated
-// analogue of exploring on checkpoint clones. Creation is O(peers) per
-// node instead of O(table): a witness only dirties the prefixes it
-// touches, so at full-table scale a shadow costs what fork()'s COW
-// would. The live fabric must stay quiescent while shadows are alive
-// (it does: nothing runs the live network during witness propagation).
-func (f *Fabric) Shadow() (*Fabric, error) {
-	net := netsim.New(f.Net.Now())
-	s := &Fabric{Topo: f.Topo, Net: net, Routers: make(map[string]*router.Router, len(f.Routers))}
-	for _, n := range f.Topo.Nodes {
-		clone := f.Routers[n.Name].CloneCOW(net)
-		if err := net.AddNode(n.Name, clone); err != nil {
-			return nil, err
-		}
-		s.Routers[n.Name] = clone
-	}
-	if err := f.Topo.connectEdges(net); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // NodeNames returns the fabric's node names, sorted.

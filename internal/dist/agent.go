@@ -109,8 +109,9 @@ const noShadowMarker = "has no shadow"
 // reinstall still changes the token, exactly as it changes the
 // pointer).
 type shadowClone struct {
-	r    *router.Router
-	sink *netsim.CaptureSink
+	r       *router.Router
+	sink    *netsim.CaptureSink
+	emitted []netsim.CapturedMessage // inject's drain buffer
 
 	routeIDs  map[*rib.Route]uint64
 	nextRoute uint64
@@ -225,7 +226,7 @@ func (a *Agent) SeedExploreState(scenario, peer string, data []byte) error {
 	}
 	a.reqMu.Lock()
 	defer a.reqMu.Unlock()
-	a.states.Attach(a.node+"/"+scenario+"/"+peer, st)
+	a.states.Attach(core.WarmKey(a.node, scenario, peer), st)
 	return nil
 }
 
@@ -487,9 +488,9 @@ func (a *Agent) shadowClose(id uint64) {
 
 // inject delivers an ordered run of BGP messages into a shadow clone,
 // each as if sent by its named peer, and returns per delivery the
-// messages the node emitted in response — the coordinator relays them
-// onward, replacing netsim as the inter-domain scheduler — and the
-// node's route for the delivery's watched prefix before and after it.
+// messages the node emitted in response — core.Relay queues them onward
+// for the coordinator's next relay steps — and the node's route for the
+// delivery's watched prefix before and after it.
 // The run is all or nothing: every sender is validated before the first
 // delivery, so an error never leaves a half-applied shadow behind it.
 // The whole run is the idempotency unit, memoized under its key.
@@ -506,7 +507,7 @@ func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 	}
 	for _, d := range p.Deliveries {
 		if a.self.Session(d.From) == nil {
-			return nil, fmt.Errorf("dist: %s has no peer %q", a.node, d.From)
+			return nil, fmt.Errorf("dist: %w", core.NoPeerError(a.node, d.From))
 		}
 	}
 	var props []*prop.Compiled
@@ -520,9 +521,9 @@ func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 		res := &out.Results[i]
 		res.Before = sh.routeToken(sh.r.RIB().Best(d.Watch))
 		sh.r.Deliver(a.fabric.Net.Now(), d.From, d.Msg)
-		if msgs := sh.sink.Drain(); len(msgs) > 0 {
-			res.Emitted = make([]WireEmission, len(msgs))
-			for k, m := range msgs {
+		if sh.emitted = sh.sink.Drain(sh.emitted[:0]); len(sh.emitted) > 0 {
+			res.Emitted = make([]WireEmission, len(sh.emitted))
+			for k, m := range sh.emitted {
 				res.Emitted[k] = WireEmission{To: m.To, Msg: m.Data}
 			}
 		}

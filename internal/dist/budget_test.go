@@ -5,9 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dice/internal/bgp"
 	"dice/internal/core"
-	"dice/internal/netaddr"
 	"dice/internal/telemetry"
 	"dice/internal/topo"
 )
@@ -98,34 +96,18 @@ func TestQueryOracleBudget(t *testing.T) {
 	}
 }
 
-// witnessSlots replays one witness lifecycle alone on an in-process shadow
-// fabric and returns the (phase, virtual time since the phase's injection,
-// destination) slot of every delivery — the reference the relay's call
-// count is held against.
-func witnessSlots(t *testing.T, fe *core.FederatedExperiment, w WitnessSpec) (slots map[string]bool, deliveries int) {
+// witnessSlots replays one witness lifecycle alone on a live fabric of
+// its own (netsimWaves) and returns the (phase, virtual time since the
+// phase's injection, destination) slot of every delivery — the reference
+// the relay's call count is held against.
+func witnessSlots(t *testing.T, tp *core.Topology, w WitnessSpec) (slots map[string]bool, deliveries int) {
 	t.Helper()
-	sh, err := fe.Fabric.Shadow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := netsimWaves(t, tp, w, 0)
 	slots = map[string]bool{}
-	withdraw := &bgp.Update{Withdrawn: []netaddr.Prefix{w.Update.NLRI[0]}}
-	for phase, u := range []*bgp.Update{w.Update, withdraw} {
-		start := sh.Net.Now()
-		if err := sh.Routers[w.Peer].Session(w.Node).SendUpdate(u); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			to, ok := sh.Net.Next()
-			if !ok {
-				break
-			}
-			sh.Net.Step()
-			slots[fmt.Sprintf("%d %v %s", phase, sh.Net.Now().Sub(start), to)] = true
-			deliveries++
-		}
+	for _, d := range ref {
+		slots[fmt.Sprintf("%d %v %s", d.phase, d.at, d.to)] = true
 	}
-	return slots, deliveries
+	return slots, len(ref)
 }
 
 // TestInjectBudget pins the relay's call discipline. Per round,
@@ -158,13 +140,9 @@ func TestInjectBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fe, err := core.NewFederatedExperiment(tc.topo, fedOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
 			slots, deliveries := 0, 0
 			for _, w := range roundWitnesses(res) {
-				s, n := witnessSlots(t, fe, w)
+				s, n := witnessSlots(t, tc.topo, w)
 				slots += len(s)
 				deliveries += n
 			}

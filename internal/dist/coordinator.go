@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"container/heap"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,7 +19,6 @@ import (
 	"dice/internal/core"
 	"dice/internal/minimize"
 	"dice/internal/netaddr"
-	"dice/internal/prop"
 	"dice/internal/telemetry"
 )
 
@@ -29,10 +28,9 @@ import (
 // core.FederatedExperiment in-process — runs distributed rounds. None of
 // the round algorithm lives here. What does: connections and their
 // fault-recovery ladder, the phase-1 fan-out (agents or the replica
-// pool), shadow sets, the relay that carries a witness group's waves
-// between agents one virtual time step at a time through a
-// latency-ordered event queue that mirrors netsim's delivery order,
-// replay, and telemetry.
+// pool), shadow sets and their relay step — core.Relay schedules a
+// witness group's waves, and a step here is one pipelined inject_witness
+// per agent — replay, and telemetry.
 //
 // Fault tolerance (health.go, fault.go): every RPC carries the client's
 // per-call deadline, a broken or timed-out connection is re-dialed with
@@ -55,13 +53,8 @@ type Coordinator struct {
 	driver   *core.Driver
 	propSrcs []string
 
-	conns   map[string]*nodeConn
-	nodes   []string // sorted node names
-	latency map[string]time.Duration
-	// lookahead is the smallest link latency: nothing a delivery causes
-	// lands sooner than that after it, which is how far ahead of the
-	// earliest queued delivery the relay may safely reach in one step.
-	lookahead time.Duration
+	conns map[string]*nodeConn
+	nodes []string // sorted node names
 	// nodeAS maps node name → AS number, from each agent's hello; it
 	// resolves `never reachable via AS` path checks. Written only during
 	// Connect, read-only afterwards.
@@ -85,7 +78,7 @@ type Coordinator struct {
 	replicas *ReplicaPool
 	configs  map[string][]string
 	warmMu   sync.Mutex
-	warm     map[string][]byte // node/scenario/peer → ExploreState wire encoding
+	warm     map[string][]byte // core.WarmKey → ExploreState wire encoding
 
 	// session is a random nonce minted once per Connect and sent in every
 	// hello. Agents scope their explore/replay memos to it: the keys below
@@ -266,11 +259,10 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 		return nil, err
 	}
 	c := &Coordinator{
-		Topo:    topo,
-		driver:  driver,
-		conns:   make(map[string]*nodeConn, len(dialers)),
-		latency: make(map[string]time.Duration, len(topo.Edges)),
-		nodeAS:  make(map[string]uint16, len(topo.Nodes)),
+		Topo:   topo,
+		driver: driver,
+		conns:  make(map[string]*nodeConn, len(dialers)),
+		nodeAS: make(map[string]uint16, len(topo.Nodes)),
 	}
 	for _, p := range driver.Props {
 		c.propSrcs = append(c.propSrcs, p.Source())
@@ -291,29 +283,16 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 		}
 		c.warm = make(map[string][]byte)
 	}
-	for _, e := range topo.Edges {
-		lat := time.Duration(e.LatencyMS) * time.Millisecond
-		if lat == 0 {
-			lat = time.Millisecond // netsim's 0-means-1ms default
-		}
-		c.latency[edgeKey(e.A, e.B)] = lat
-		if c.lookahead == 0 || lat < c.lookahead {
-			c.lookahead = lat
-		}
-	}
 	crng := rand.New(rand.NewSource(c.policy.Seed))
 	for _, d := range dialers {
 		var (
 			cl    *Client
 			hello HelloResult
 		)
-		for attempt := 0; ; attempt++ {
+		err := c.policy.redial(crng, true, func() (err error) {
 			cl, hello, err = c.dialAndHello(d)
-			if err == nil || attempt >= c.policy.MaxReconnects || !transientConnectErr(err) {
-				break
-			}
-			time.Sleep(backoffDelay(attempt+1, c.policy.BackoffBase, c.policy.BackoffCap, crng))
-		}
+			return err
+		}, identityErr)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -350,17 +329,6 @@ func nodeHash(node string) uint64 {
 	return h.Sum64()
 }
 
-// transientConnectErr reports whether a Connect-time failure is worth
-// retrying: dial-level and stream-level faults are (the agent may just
-// be starting, or a fault injector hit the handshake); identity
-// mismatches are not.
-func transientConnectErr(err error) bool {
-	return isConnFault(err) || errors.Is(err, errDial)
-}
-
-// errDial classifies Dial-level failures for the retry decision.
-var errDial = errors.New("dist: dial failed")
-
 // newSessionNonce mints the coordinator's session nonce. It comes from
 // crypto/rand — not the RetryPolicy's seeded jitter rng — because two
 // coordinator processes configured with the same seed must still get
@@ -379,21 +347,11 @@ func newSessionNonce() uint64 {
 	}
 }
 
-// dialAndHello establishes one identified connection: dial, wrap,
-// apply the RPC deadline, run the hello exchange, validate the topology
-// identity.
+// dialAndHello establishes one identified connection: the handshake, then
+// the topology identity and the connection's telemetry.
 func (c *Coordinator) dialAndHello(d Dialer) (*Client, HelloResult, error) {
-	conn, err := d.Dial()
+	cl, hello, err := c.policy.handshake(d, c.session, c.propSrcs)
 	if err != nil {
-		return nil, HelloResult{}, fmt.Errorf("%w: %v", errDial, err)
-	}
-	cl := NewClient(conn)
-	cl.Timeout = c.policy.RPCTimeout
-	cl.Session = c.session
-	cl.Properties = c.propSrcs
-	hello, err := cl.Handshake()
-	if err != nil {
-		cl.Close()
 		return nil, HelloResult{}, err
 	}
 	if hello.Topology != c.Topo.Name {
@@ -497,33 +455,28 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 		return nc.failErr
 	}
 	failed.Close()
-	var lastErr error
-	for attempt := 1; attempt <= c.policy.MaxReconnects; attempt++ {
-		time.Sleep(backoffDelay(attempt, c.policy.BackoffBase, c.policy.BackoffCap, nc.rng))
+	lastErr := c.policy.redial(nc.rng, false, func() error {
 		cl, hello, err := c.dialAndHello(nc.dialer)
 		if err != nil {
-			lastErr = err
-			continue
+			return err
 		}
 		if hello.Node != nc.node {
 			cl.Close()
-			lastErr = fmt.Errorf("dist: reconnect for %q reached agent for %q", nc.node, hello.Node)
-			continue
+			return fmt.Errorf("dist: reconnect for %q reached agent for %q", nc.node, hello.Node)
 		}
 		if err := c.reestablish(cl); err != nil {
 			cl.Close()
-			lastErr = err
-			continue
+			return err
 		}
 		nc.client = cl
+		return nil
+	}, nil)
+	if lastErr == nil {
 		nc.gen++
 		nc.health.Reconnects++
 		nc.health.State = HealthHealthy
 		c.metrics.noteClientReconnect(nc.node)
 		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("dist: reconnect budget exhausted")
 	}
 	if c.policy.NoFallback {
 		nc.client = nil
@@ -580,17 +533,11 @@ func (c *Coordinator) seedWarmState(local *Agent, node string) {
 	}
 	c.warmMu.Lock()
 	defer c.warmMu.Unlock()
-	for key, data := range c.warm {
-		rest, ok := strings.CutPrefix(key, node+"/")
-		if !ok {
-			continue
+	for _, tg := range c.Topo.ResolveTargets(c.driver.Opts.DefaultScenario) {
+		if data, ok := c.warm[core.WarmKey(tg.Node, tg.Scenario, tg.Peer)]; ok && tg.Node == node {
+			// Best effort: an undecodable entry just leaves that shard cold.
+			_ = local.SeedExploreState(tg.Scenario, tg.Peer, data)
 		}
-		scenario, peer, ok := strings.Cut(rest, "/")
-		if !ok {
-			continue
-		}
-		// Best effort: an undecodable entry just leaves that shard cold.
-		_ = local.SeedExploreState(scenario, peer, data)
 	}
 }
 
@@ -630,21 +577,6 @@ func zeroResult(v any) {
 	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		rv.Elem().SetZero()
 	}
-}
-
-func edgeKey(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "|" + b
-}
-
-// linkLatency returns the edge's latency, or ok=false when the two
-// nodes share no link (sends between them are dropped, like netsim's
-// unplugged cable).
-func (c *Coordinator) linkLatency(a, b string) (time.Duration, bool) {
-	lat, ok := c.latency[edgeKey(a, b)]
-	return lat, ok
 }
 
 // Round runs one distributed federated round: core.Driver's round over
@@ -805,13 +737,6 @@ func (c *Coordinator) exploreTarget(tg core.ResolvedTarget, round uint64, ckpts 
 // ship to a replica, but the agent-side explore is exactly equivalent.
 var errExploreLocally = errors.New("dist: target explores on its agent")
 
-// warmKey matches the agent-side StateMap key for the shard, so warm
-// state cached from replicas seeds exactly the state a degraded
-// replacement agent would consult.
-func warmKey(node, scenario, peer string) string {
-	return node + "/" + scenario + "/" + peer
-}
-
 // exploreOnReplica ships one target to the replica pool: the node's
 // checkpoint (fetched once per node per round over MethodCheckpoint and
 // paged once in the round's checkpointCache), its scenario seed
@@ -844,7 +769,7 @@ func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckp
 	if err != nil {
 		return nil, err
 	}
-	key := warmKey(tg.Node, tg.Scenario, tg.Peer)
+	key := core.WarmKey(tg.Node, tg.Scenario, tg.Peer)
 	var warm []byte
 	if c.driver.Opts.ReuseState {
 		c.warmMu.Lock()
@@ -973,55 +898,21 @@ func (c *Coordinator) Replay(node, peer string, traceBytes []byte) (int, error) 
 	return delivered, nil
 }
 
-// relayEvent is one in-flight message between domains. key is the
-// delivery idempotency key, assigned from the shadow set's sequence at
-// enqueue time so a delivery retried after a reconnect reuses its
-// original key and the agent's memo answers it. wave tags the event with
-// the group member whose injection caused it; emissions inherit the tag.
-type relayEvent struct {
-	at       time.Duration // virtual delivery time from injection
-	seq      uint64        // FIFO tiebreak, mirroring netsim
-	key      uint64        // delivery idempotency key
-	wave     int           // index into the group
-	from, to string
-	msg      []byte
-}
-
-type relayQueue []*relayEvent
-
-func (q relayQueue) Len() int { return len(q) }
-func (q relayQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q relayQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *relayQueue) Push(x any)   { *q = append(*q, x.(*relayEvent)) }
-func (q *relayQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
 // shadowSet is one shadow clone per agent — the RPC core.Shadows — for
-// one disjoint-prefix witness group's lifetime, plus the delivery-key
-// sequence its waves draw from: keys are unique per shadow set, which is
-// exactly the scope of the agents' memo maps.
+// one disjoint-prefix witness group's lifetime: the agents' shadow ids,
+// the relay that schedules the group's waves, its step scratch, and the
+// delivery-key sequence the steps draw from — keys are unique per shadow
+// set, which is exactly the scope of the agents' memo maps.
 type shadowSet struct {
-	c    *Coordinator
-	ids  map[string]uint64
-	keys uint64
-	span *telemetry.Span // the set's lifetime, on the coordinator track
-}
+	c     *Coordinator
+	ids   map[string]uint64
+	keys  uint64
+	span  *telemetry.Span // the set's lifetime, on the coordinator track
+	relay *core.Relay
 
-// nextKey mints the next delivery idempotency key (keys start at 1;
-// 0 on the wire means "no memo").
-func (s *shadowSet) nextKey() uint64 {
-	s.keys++
-	return s.keys
+	agents []string         // a step's agents, in first-delivery order
+	slot   map[string]int   // agent → index into agents
+	views  []core.RouteView // a step's after-views, one per delivery
 }
 
 // shadowLost marks an agent's missing-shadow answer — the signature of a
@@ -1062,7 +953,10 @@ func (c *Coordinator) fanOut(nodes []string, method string, params, result func(
 // leak one clone on an agent that executed the first attempt but lost
 // the answer — bounded, and freed with the agent's next restart.
 func (c *Coordinator) OpenShadows() (core.Shadows, error) {
-	shadows := &shadowSet{c: c, ids: make(map[string]uint64, len(c.nodes)), span: c.tracer.Start("coordinator", "shadow set")}
+	shadows := &shadowSet{
+		c: c, ids: make(map[string]uint64, len(c.nodes)), span: c.tracer.Start("coordinator", "shadow set"),
+		relay: c.driver.NewRelay(), slot: make(map[string]int, len(c.nodes)),
+	}
 	outs := make([]ShadowOpenResult, len(c.nodes))
 	err := c.fanOut(c.nodes, MethodShadowOpen, func(int) any { return nil }, func(i int) any { return &outs[i] })
 	for i, n := range c.nodes {
@@ -1120,128 +1014,65 @@ func (c *Coordinator) routeView(q *QueryOracleResult) (core.RouteView, error) {
 	return v, nil
 }
 
-// Propagate injects every member of the group at its target as if its
-// peer had sent it and relays the resulting waves, together, between the
-// agents' shadow clones (core.Shadows).
+// Propagate runs the group's waves through the relay, each step one
+// pipelined inject_witness per agent it addresses (core.Shadows).
 func (s *shadowSet) Propagate(group []core.Injection, maxSteps int, wantAt bool) ([]core.Wave, error) {
-	queue := make(relayQueue, len(group))
-	for i, in := range group {
-		lat, linked := s.c.linkLatency(in.From, in.To)
-		if !linked {
-			return nil, fmt.Errorf("dist: no %s→%s link for witness injection", in.From, in.To)
-		}
-		wire, err := bgp.Encode(in.Update)
-		if err != nil {
-			return nil, err
-		}
-		queue[i] = &relayEvent{at: lat, seq: uint64(i + 1), key: s.nextKey(), wave: i, from: in.From, to: in.To, msg: wire}
-	}
-	heap.Init(&queue)
-	waves, err := s.c.relay(s, &queue, group, maxSteps, wantAt)
+	waves, err := s.relay.Run(group, maxSteps, func(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte)) error {
+		return s.step(step, depth, emit, wantAt)
+	})
+	s.c.metrics.setRelayDepth(0)
 	return waves, shadowLost(err)
 }
 
-// relay drives a group's waves through the agents, one step at a time. A
-// step is every queued delivery within the lookahead of the earliest: an
-// emission lands at its cause's time plus a link latency that is never
-// less than the lookahead, with a later sequence number than anything
-// already queued, so nothing a step causes can sort inside it, and two
-// agents cannot see each other before a later step. The whole step goes
-// out at once, one pipelined inject_witness per agent addressed, and the
-// answers fold back in (virtual-latency, FIFO) order — netsim's delivery
-// order — so emission sequence numbers and delivery keys come out as if
-// the deliveries had run one at a time. Steps, per-timestamp wave counts,
-// the maxSteps budget and the pending count are kept per wave: a wave
-// that has spent its budget stops being delivered, what is queued for it
-// stays counted as pending, and the waves beside it run on.
-func (c *Coordinator) relay(shadows *shadowSet, queue *relayQueue, group []core.Injection, maxSteps int, wantAt bool) ([]core.Wave, error) {
-	waves := make([]core.Wave, len(group))
-	last := make([]time.Duration, len(group)) // each wave's current timestamp
-	for i := range waves {
-		waves[i] = core.Wave{Phase: prop.Phase{Pending: 1}, Touched: make(map[string]core.RouteChange, len(c.nodes))}
+// step is the RPC relay step: the step split per agent in delivery order,
+// one pipelined inject_witness per agent (fanOut; a transport fault
+// retries through the recovering call with the same params, so under the
+// same key, and the agent's memo answers it), and the answers mapped back
+// onto the deliveries in order.
+func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte), wantAt bool) error {
+	s.c.metrics.setRelayDepth(depth)
+	s.agents = s.agents[:0]
+	clear(s.slot)
+	var params []*InjectBatchParams
+	for i := range step {
+		d := &step[i]
+		k, ok := s.slot[d.To]
+		if !ok {
+			k = len(s.agents)
+			s.slot[d.To] = k
+			s.agents = append(s.agents, d.To)
+			s.keys++ // keys start at 1; 0 on the wire means "no memo"
+			params = append(params, &InjectBatchParams{ShadowID: s.ids[d.To], Key: s.keys, WantProps: wantAt})
+		}
+		params[k].Deliveries = append(params[k].Deliveries, BatchDelivery{From: d.From, Msg: d.Data, Watch: d.Watch})
 	}
-	// Initial events carry seqs 1..Len; relayed emissions continue the
-	// sequence from there.
-	seq := uint64(queue.Len())
-	var (
-		step   []*relayEvent
-		agents []string
-		params []*InjectBatchParams
-		slot   = make(map[string]int, len(c.nodes)) // agent → index into agents, params
-	)
-	for queue.Len() > 0 {
-		c.metrics.setRelayDepth(queue.Len())
-		// Pop the step and split it per agent, in delivery order.
-		step, agents, params = step[:0], agents[:0], params[:0]
-		clear(slot)
-		for horizon := (*queue)[0].at + c.lookahead; queue.Len() > 0 && (*queue)[0].at <= horizon; {
-			e := heap.Pop(queue).(*relayEvent)
-			w := &waves[e.wave]
-			if w.Steps == maxSteps {
-				continue // budget spent: stays pending, like the solo run's backlog
-			}
-			w.Steps++
-			w.Pending--
-			if len(w.Waves) == 0 || e.at != last[e.wave] {
-				w.Waves = append(w.Waves, 0)
-				last[e.wave] = e.at
-			}
-			w.Waves[len(w.Waves)-1]++
-			i, ok := slot[e.to]
-			if !ok {
-				// The first event's key identifies the whole call: keys are
-				// unique per event and an event is delivered exactly once, so
-				// a retry after a transport fault replays idempotently.
-				i = len(agents)
-				slot[e.to] = i
-				agents = append(agents, e.to)
-				params = append(params, &InjectBatchParams{ShadowID: shadows.ids[e.to], Key: e.key, WantProps: wantAt})
-			}
-			params[i].Deliveries = append(params[i].Deliveries, BatchDelivery{From: e.from, Msg: e.msg, Watch: group[e.wave].Watch})
-			step = append(step, e)
-		}
-		if len(step) == 0 {
-			continue
-		}
-		c.metrics.noteRelayStep(params)
-		outs := make([]InjectBatchResult, len(agents))
-		err := c.fanOut(agents, MethodInjectWitness, func(i int) any { return params[i] }, func(i int) any { return &outs[i] })
-		if err != nil {
-			return nil, err
-		}
-		for i, out := range outs {
-			if len(out.Results) != len(params[i].Deliveries) {
-				return nil, fmt.Errorf("dist: %s answered %d results for a batch of %d", agents[i], len(out.Results), len(params[i].Deliveries))
-			}
-		}
-		// Fold the answers back in delivery order.
-		for _, e := range step {
-			out := &outs[slot[e.to]]
-			res := out.Results[0]
-			out.Results = out.Results[1:]
-			w := &waves[e.wave]
-			ch, seen := w.Touched[e.to]
-			if !seen && res.Before != 0 {
-				ch.Before = res.Before
-			}
-			if ch.After, err = c.routeView(&res.After); err != nil {
-				return nil, err
-			}
-			w.Touched[e.to] = ch
-			for _, em := range res.Emitted {
-				lat, linked := c.linkLatency(e.to, em.To)
-				if !linked {
-					continue // no link: dropped, like netsim's unplugged cable
-				}
-				seq++
-				w.Pending++
-				heap.Push(queue, &relayEvent{
-					at: e.at + lat, seq: seq, key: shadows.nextKey(), wave: e.wave,
-					from: e.to, to: em.To, msg: em.Msg,
-				})
-			}
+	s.c.metrics.noteRelayStep(params)
+	outs := make([]InjectBatchResult, len(s.agents))
+	if err := s.c.fanOut(s.agents, MethodInjectWitness, func(i int) any { return params[i] }, func(i int) any { return &outs[i] }); err != nil {
+		return err
+	}
+	for i, out := range outs {
+		if len(out.Results) != len(params[i].Deliveries) {
+			return fmt.Errorf("dist: %s answered %d results for a batch of %d", s.agents[i], len(out.Results), len(params[i].Deliveries))
 		}
 	}
-	c.metrics.setRelayDepth(0)
-	return waves, nil
+	s.views = slices.Grow(s.views[:0], len(step))[:len(step)]
+	for i := range step {
+		d := &step[i]
+		out := &outs[s.slot[d.To]]
+		res := &out.Results[0]
+		out.Results = out.Results[1:]
+		if d.First && res.Before != 0 {
+			d.Before = res.Before
+		}
+		var err error
+		if s.views[i], err = s.c.routeView(&res.After); err != nil {
+			return err
+		}
+		d.After = &s.views[i]
+		for _, em := range res.Emitted {
+			emit(d, em.To, em.Msg)
+		}
+	}
+	return nil
 }

@@ -18,11 +18,11 @@
 //   - A Coordinator reaches the agents over the wire protocol and is a
 //     core.Fleet: Explore fans phase 1 out to the owning agents (or a
 //     replica pool), OpenShadows clones every node, and the shadow set
-//     it returns is a core.Shadows — Propagate relays a witness group's
-//     waves between domains one virtual time step at a time (a
-//     latency-ordered event queue replaces netsim as the inter-domain
-//     scheduler) and reports what each wave changed, Query is the one
-//     query_oracle a forward trace may still need. The round itself —
+//     it returns is a core.Shadows — Propagate hands a witness group to
+//     core.Relay, the wave scheduler the in-process backend runs too, and
+//     executes each of its virtual time steps as one inject_witness per
+//     agent addressed; Query is the one query_oracle a forward trace may
+//     still need. The round itself —
 //     targets, witness dedup, cap and grouping, the witness lifecycle,
 //     property verdicts — is core.Driver's, the code that also drives
 //     core.FederatedExperiment; nothing of it is written here. What is:

@@ -551,6 +551,41 @@ func TestAgentDiesInsideRelayStep(t *testing.T) {
 	}
 }
 
+// TestRedialBudgetPerEpisode: one recovery episode re-dials at most
+// RetryPolicy.MaxReconnects times, on an agent connection and on a
+// replica connection alike. Each doomed dialer lets its first dial
+// through, drops that connection at its first answer after the hello and
+// refuses every dial after it, so each episode spends its whole budget
+// (the agent then degrades, the replica pool dies and its shard explores
+// on the agent).
+func TestRedialBudgetPerEpisode(t *testing.T) {
+	leakCheck(t)
+	policy := chaosPolicy()
+	doomed := func(inner Dialer) *FaultDialer {
+		return &FaultDialer{Inner: inner, Plan: &FaultPlan{
+			Specs:         []FaultSpec{{Conn: 0, Frame: 2, Kind: FaultDrop}},
+			FailDialsFrom: 1,
+		}}
+	}
+	var agent *FaultDialer
+	replica := doomed(ReplicaLoopback{Replica: NewReplica()})
+	coord := fleetCoordinator(t, leakTopo3(), fedOpts(), func(node string, d Dialer) Dialer {
+		if node != "provider" {
+			return d
+		}
+		agent = doomed(d)
+		return agent
+	}, WithReplicas(&ReplicaPool{Dialers: []Dialer{replica}}), WithRetryPolicy(policy))
+	if _, err := coord.Round(); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*FaultDialer{"agent": agent, "replica": replica} {
+		if redials := d.Dials() - 1; redials != policy.MaxReconnects {
+			t.Errorf("%s: %d re-dials in one recovery episode, budget %d", name, redials, policy.MaxReconnects)
+		}
+	}
+}
+
 // TestNoFallbackFailsClosed: with the degraded fallback disabled, an
 // unreachable agent fails the round with a sticky per-node error
 // instead of silently simulating.

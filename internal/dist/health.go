@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"time"
 )
@@ -88,6 +89,59 @@ func backoffDelay(attempt int, base, cap time.Duration, rng *rand.Rand) time.Dur
 	}
 	half := d / 2
 	return half + time.Duration(rng.Int63n(int64(half)+1))
+}
+
+// redial runs try — one dial through hello and the caller's checks —
+// under the one attempt rule every connection the coordinator owns
+// follows: an initial dial goes out at once, and after it (or from the
+// start, for a recovery) come at most MaxReconnects re-dials, re-dial n
+// after backoffDelay(n). An error fatal reports ends the sequence at
+// once; nil fatal retries everything. It returns try's last error.
+func (p RetryPolicy) redial(rng *rand.Rand, initial bool, try func() error, fatal func(error) bool) error {
+	n := 1
+	if initial {
+		n = 0
+	}
+	err := errors.New("dist: reconnect budget exhausted")
+	for ; n <= p.MaxReconnects; n++ {
+		if n > 0 {
+			time.Sleep(backoffDelay(n, p.BackoffBase, p.BackoffCap, rng))
+		}
+		if err = try(); err == nil || fatal != nil && fatal(err) {
+			break
+		}
+	}
+	return err
+}
+
+// handshake is the one dial sequence: dial, a client under the policy's
+// call deadline and the session nonce, and the hello carrying props. A
+// dial failure is errDial.
+func (p RetryPolicy) handshake(d Dialer, session uint64, props []string) (*Client, HelloResult, error) {
+	conn, err := d.Dial()
+	if err != nil {
+		return nil, HelloResult{}, fmt.Errorf("%w: %v", errDial, err)
+	}
+	cl := NewClient(conn)
+	cl.Timeout = p.RPCTimeout
+	cl.Session = session
+	cl.Properties = props
+	hello, err := cl.Handshake()
+	if err != nil {
+		cl.Close()
+		return nil, HelloResult{}, err
+	}
+	return cl, hello, nil
+}
+
+// errDial classifies Dial-level failures for the retry decision.
+var errDial = errors.New("dist: dial failed")
+
+// identityErr reports a failure no re-dial can fix: the far end answered,
+// and refused — a protocol version it does not speak, another topology —
+// rather than a dial or the stream failing.
+func identityErr(err error) bool {
+	return !isConnFault(err) && !errors.Is(err, errDial)
 }
 
 // isConnFault reports whether err is a transport-level failure — a

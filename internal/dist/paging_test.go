@@ -76,7 +76,7 @@ func TestReplicaShipsOnlyChangedPages(t *testing.T) {
 			Node: "provider", Config: topo.Nodes[1].Config,
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 			EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: sr.Msg,
-			Round: round, Shard: warmKey("provider", core.ScenarioRouteLeak, "customer"),
+			Round: round, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
 		}
 		atomic.StoreInt64(&written, 0)
 		var out ReplicaExploreResult
@@ -153,7 +153,7 @@ func TestReplicaStoreBudget(t *testing.T) {
 		Node: "provider", Config: topo.Nodes[1].Config,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
-		Round: 1, Shard: warmKey("provider", core.ScenarioRouteLeak, "customer"),
+		Round: 1, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
 	}
 	var first ReplicaExploreResult
 	if err := pool.exploreCall(cl, real, ck, acked, &first); err != nil {
@@ -177,7 +177,7 @@ func TestReplicaStoreBudget(t *testing.T) {
 		node := fmt.Sprintf("as%d", 65100+i)
 		snap := src.Take(node, state)
 		params := *real
-		params.Node, params.Shard = node, warmKey(node, core.ScenarioRouteLeak, "customer")
+		params.Node, params.Shard = node, core.WarmKey(node, core.ScenarioRouteLeak, "customer")
 		var out ReplicaExploreResult
 		if err := pool.exploreCall(cl, &params, snap, acked, &out); err == nil || isConnFault(err) {
 			t.Fatalf("shard %d: err = %v, want the restore's application error", i, err)

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"dice/internal/bgp"
 	"dice/internal/core"
 	"dice/internal/minimize"
+	"dice/internal/netaddr"
 	"dice/internal/prop"
 	"dice/internal/trace"
 )
@@ -34,6 +36,11 @@ type parityCase struct {
 	// replay feeds examples/replay/trace.mrtl into both backends at
 	// transitA←stub before the round.
 	replay bool
+	// refused, when set, is a witness whose injection crosses a link with
+	// no session on it: before the round, both backends must fail to check
+	// it with core.NoPeerError, and no agent may keep a shadow from the
+	// attempt.
+	refused *WitnessSpec
 
 	// wrap decorates one node's loopback dialer (a fault plan); connOpts
 	// builds the row's connection options (replica pool, retry policy).
@@ -82,6 +89,19 @@ func assertParity(t *testing.T, pc parityCase) {
 			t.Fatalf("coordinator replayed %d of %d records", n, len(records))
 		}
 	}
+	if w := pc.refused; w != nil {
+		want := core.NoPeerError(w.Node, w.Peer).Error()
+		_, inErr := fe.CheckWitness(w.Node, w.Peer, w.Update)
+		_, distErr := coord.CheckWitnesses([]WitnessSpec{*w})
+		for backend, err := range map[string]error{"in-process": inErr, "distributed": distErr} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s check of a witness across an unpeered link: %v, want %q", backend, err, want)
+			}
+		}
+		if n := agentShadows(coord); n != 0 {
+			t.Errorf("%d agent shadows survived the refused check", n)
+		}
+	}
 	inproc, err := fe.Round()
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +124,39 @@ func assertParity(t *testing.T, pc parityCase) {
 		pc.extra(t, inproc, dist)
 	}
 }
+
+// agentShadows counts the shadow clones the coordinator's loopback agents
+// hold open.
+func agentShadows(c *Coordinator) int {
+	n := 0
+	for _, nc := range c.conns {
+		if lb, ok := nc.dialer.(Loopback); ok {
+			lb.Agent.mu.Lock()
+			n += len(lb.Agent.shadows)
+			lb.Agent.mu.Unlock()
+		}
+	}
+	return n
+}
+
+// unpeeredTopo is leakTopo3 with a customer–upstream link neither config
+// peers over, and unpeeredWitness a customer announcement injected at
+// upstream across it.
+func unpeeredTopo(*testing.T) *core.Topology {
+	topo := leakTopo3()
+	topo.Edges = append(topo.Edges, core.TopoEdge{A: "customer", B: "upstream"})
+	return topo
+}
+
+var unpeeredWitness = WitnessSpec{Node: "upstream", Peer: "customer", Update: &bgp.Update{
+	Attrs: bgp.Attrs{
+		HasOrigin:  true,
+		ASPath:     bgp.ASPath{{Type: bgp.ASSequence, ASNs: []uint16{65001}}},
+		HasNextHop: true,
+		NextHop:    netaddr.AddrFrom4(10, 0, 0, 1),
+	},
+	NLRI: []netaddr.Prefix{netaddr.MustParsePrefix("10.7.1.0/24")},
+}}
 
 // exampleRef names a committed example: its directory under examples/
 // and the name its topo.json declares (subtests are named after it).
@@ -280,6 +333,10 @@ func parityTable() []parityCase {
 			extra: minimalWitnessPerFinding},
 		// Replay: the lines committed as examples/replay/findings.golden.
 		{test: "TestDistributedReplayParity", topo: federated, opts: minimizeOpts(), replay: true},
+		// A witness across a link whose configs do not peer fails the same
+		// way on both backends, and the round beside it is unaffected.
+		{test: "TestUnpeeredLinkParity", topo: unpeeredTopo, opts: fedOpts(), refused: &unpeeredWitness,
+			nonVacuous: hasViolations},
 		// A custom `at` property the agents answer over the wire
 		// (query_oracle WantProps) — and it must actually fire.
 		{test: "TestDistributedPropertyAtParity", topo: leak3, opts: atOpts,
@@ -375,3 +432,4 @@ func TestReplicaRoundParity(t *testing.T)                { runParity(t) }
 func TestDegradedFallbackParity(t *testing.T)            { runParity(t) }
 func TestChaosParityFederated(t *testing.T)              { runParity(t) }
 func TestChaosParityReplay(t *testing.T)                 { runParity(t) }
+func TestUnpeeredLinkParity(t *testing.T)                { runParity(t) }

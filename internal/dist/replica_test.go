@@ -465,7 +465,7 @@ func TestReplicaSessionScopedMemos(t *testing.T) {
 			Node: "provider", Config: topo.Nodes[1].Config,
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 			EngineKnobs: EngineKnobs{MaxRuns: maxRuns}, Boundary: boundary, Seed: seed,
-			Round: 1, Shard: warmKey("provider", core.ScenarioRouteLeak, "customer"),
+			Round: 1, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
 		}
 		params.ship(ck, nil)
 		if err := cl.Call(MethodExploreCheckpoint, params, &out); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"dice/internal/checkpoint"
 )
@@ -373,31 +372,20 @@ func (p *ReplicaPool) noteReconnect() {
 	p.mu.Unlock()
 }
 
-// dialReplica establishes one identified replica connection within the
-// reconnect budget. first skips the pre-dial backoff pause (the initial
-// dial of a healthy replica should not wait). A replica that answers the
-// hello with a refusal — a protocol version mismatch — would refuse every
-// redial too, so that ends the attempt at once.
+// dialReplica establishes one identified replica connection under the
+// retry policy's attempt rule. first marks the worker's initial dial,
+// which goes out without a backoff pause (a healthy replica should not
+// wait). A replica that answers the hello with a refusal — a protocol
+// version mismatch — would refuse every redial too, so that ends the
+// attempt at once.
 func (p *ReplicaPool) dialReplica(idx int, rng *rand.Rand, first bool) *Client {
-	for attempt := 1; attempt <= p.policy.MaxReconnects+1; attempt++ {
-		if !(first && attempt == 1) {
-			time.Sleep(backoffDelay(attempt, p.policy.BackoffBase, p.policy.BackoffCap, rng))
-		}
-		conn, err := p.Dialers[idx].Dial()
-		if err != nil {
-			continue
-		}
-		cl := NewClient(conn)
-		cl.Timeout = p.policy.RPCTimeout
-		cl.Session = p.session
-		_, err = cl.Handshake()
-		if err == nil {
-			return cl
-		}
-		cl.Close()
-		if !isConnFault(err) {
-			return nil
-		}
+	var cl *Client
+	err := p.policy.redial(rng, first, func() (err error) {
+		cl, _, err = p.policy.handshake(p.Dialers[idx], p.session, nil)
+		return err
+	}, identityErr)
+	if err != nil {
+		return nil
 	}
-	return nil
+	return cl
 }

@@ -37,30 +37,33 @@ type ReceiverFunc func(now time.Time, from string, data []byte)
 // Deliver implements Receiver.
 func (f ReceiverFunc) Deliver(now time.Time, from string, data []byte) { f(now, from, data) }
 
-// event is one scheduled delivery.
-type event struct {
-	at   time.Time
-	seq  uint64 // FIFO tiebreak for identical timestamps
-	from string
-	to   string
-	data []byte
+// Event is one scheduled delivery: Data from From arrives at To at virtual
+// time At. Seq orders events with the same At first in, first out. Tag is
+// the scheduler's own label — a relay marks the wave an event belongs to;
+// the Network leaves it 0.
+type Event struct {
+	At       time.Duration
+	Seq      uint64
+	Tag      int
+	From, To string
+	Data     []byte
 }
 
-// eventQueue is a binary min-heap of event values ordered by (at, seq).
-// seq is unique, so the order is total and the delivery sequence does not
-// depend on how the heap is laid out. Events are stored by value: a send
-// allocates nothing here beyond amortized growth of the slice.
-type eventQueue []event
+// Queue is a binary min-heap of Event values ordered by (At, Seq). Seq is
+// unique per scheduler, so the order is total and the delivery sequence
+// does not depend on how the heap is laid out. Events are stored by value:
+// a push allocates nothing beyond amortized growth of the slice.
+type Queue []Event
 
-func (q eventQueue) less(i, j int) bool {
-	if c := q[i].at.Compare(q[j].at); c != 0 {
-		return c < 0
+func (q Queue) less(i, j int) bool {
+	if q[i].At != q[j].At {
+		return q[i].At < q[j].At
 	}
-	return q[i].seq < q[j].seq
+	return q[i].Seq < q[j].Seq
 }
 
-// push adds e and sifts it up to its place.
-func (q *eventQueue) push(e event) {
+// Push adds e and sifts it up to its place.
+func (q *Queue) Push(e Event) {
 	*q = append(*q, e)
 	h := *q
 	for i := len(h) - 1; i > 0; {
@@ -73,14 +76,14 @@ func (q *eventQueue) push(e event) {
 	}
 }
 
-// pop removes and returns the earliest event. The queue must not be
+// Pop removes and returns the earliest event. The queue must not be
 // empty.
-func (q *eventQueue) pop() event {
+func (q *Queue) Pop() Event {
 	h := *q
 	last := len(h) - 1
 	e := h[0]
 	h[0] = h[last]
-	h[last] = event{} // the vacated slot must not keep the payload alive
+	h[last] = Event{} // the vacated slot must not keep the payload alive
 	h = h[:last]
 	for i := 0; ; {
 		child := 2*i + 1
@@ -123,17 +126,16 @@ func (l *link) from(k linkKey, from string) *LinkStats {
 }
 
 // Network is the virtual network. Safe for concurrent Send; Run/Step must
-// be called from one goroutine.
+// be called from one goroutine. Virtual time runs from the epoch New was
+// given; queued events carry it as an offset from there.
 type Network struct {
 	mu    sync.Mutex
 	nodes map[string]Receiver
 	links map[linkKey]*link
-	queue eventQueue
+	queue Queue
 	seq   uint64
-	now   time.Time
-
-	// Delivered counts total deliveries (for tests).
-	Delivered uint64
+	epoch time.Time
+	now   time.Duration // since epoch
 }
 
 // New creates an empty network with the virtual clock at start.
@@ -141,7 +143,7 @@ func New(start time.Time) *Network {
 	return &Network{
 		nodes: make(map[string]Receiver),
 		links: make(map[linkKey]*link),
-		now:   start,
+		epoch: start,
 	}
 }
 
@@ -149,7 +151,7 @@ func New(start time.Time) *Network {
 func (n *Network) Now() time.Time {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.now
+	return n.epoch.Add(n.now)
 }
 
 // AddNode attaches a receiver under a unique name.
@@ -217,7 +219,7 @@ func (n *Network) Send(from, to string, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	n.seq++
-	n.queue.push(event{at: n.now.Add(l.latency), seq: n.seq, from: from, to: to, data: cp})
+	n.queue.Push(Event{At: n.now + l.latency, Seq: n.seq, From: from, To: to, Data: cp})
 }
 
 // Step delivers the next queued event, advancing the virtual clock.
@@ -228,31 +230,27 @@ func (n *Network) Step() bool {
 		n.mu.Unlock()
 		return false
 	}
-	e := n.queue.pop()
-	if e.at.After(n.now) {
-		n.now = e.at
-	}
-	r, ok := n.nodes[e.to]
-	now := n.now
-	n.Delivered++
+	e := n.queue.Pop()
+	n.now = max(n.now, e.At)
+	r, ok := n.nodes[e.To]
+	now := n.epoch.Add(n.now)
 	n.mu.Unlock()
 
 	if ok {
-		r.Deliver(now, e.from, e.data)
+		r.Deliver(now, e.From, e.Data)
 	}
 	return true
 }
 
-// Next reports which node the next Step delivers to, without delivering:
-// a caller that must read the receiver's state before the delivery lands
-// looks here first. ok is false when the queue is empty.
-func (n *Network) Next() (to string, ok bool) {
+// Next reports the delivery the next Step makes, without making it. ok is
+// false when the queue is empty.
+func (n *Network) Next() (e Event, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.queue) == 0 {
-		return "", false
+		return Event{}, false
 	}
-	return n.queue[0].to, true
+	return n.queue[0], true
 }
 
 // Run processes events until the queue drains or limit deliveries occur
@@ -274,10 +272,8 @@ func (n *Network) RunUntil(deadline time.Time) int {
 	count := 0
 	for {
 		n.mu.Lock()
-		if len(n.queue) == 0 || n.queue[0].at.After(deadline) {
-			if deadline.After(n.now) {
-				n.now = deadline
-			}
+		if until := deadline.Sub(n.epoch); len(n.queue) == 0 || n.queue[0].At > until {
+			n.now = max(n.now, until)
 			n.mu.Unlock()
 			return count
 		}
@@ -331,15 +327,17 @@ func (s *CaptureSink) Messages() []CapturedMessage {
 	return append([]CapturedMessage(nil), s.msgs...)
 }
 
-// Drain returns the captured messages and clears the sink, under one
-// lock: a clone that is fed many deliveries hands each one's emissions on
-// without ever copying what it sent before.
-func (s *CaptureSink) Drain() []CapturedMessage {
+// Drain appends the captured messages to dst and clears the sink, under
+// one lock: a clone that is fed many deliveries hands each one's emissions
+// on without ever copying what it sent before, into a buffer the caller
+// reuses. The sink keeps its own buffer too.
+func (s *CaptureSink) Drain(dst []CapturedMessage) []CapturedMessage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	msgs := s.msgs
-	s.msgs = nil
-	return msgs
+	dst = append(dst, s.msgs...)
+	clear(s.msgs)
+	s.msgs = s.msgs[:0]
+	return dst
 }
 
 // Count returns the number of captured messages.
@@ -347,11 +345,4 @@ func (s *CaptureSink) Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.msgs)
-}
-
-// Reset clears the sink.
-func (s *CaptureSink) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.msgs = nil
 }

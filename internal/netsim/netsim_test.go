@@ -161,37 +161,38 @@ func TestCaptureSinkStandalone(t *testing.T) {
 		// Data is shared per message (documented snapshot of slice, not
 		// deep copy) — the sink captured its own copy of the original.
 	}
-	sink.Reset()
-	if sink.Count() != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 // TestCaptureSinkDrain: Drain hands over what was captured since the
 // last Drain and leaves the sink empty, so a long-lived clone never
-// re-copies its history.
+// re-copies its history; a drained buffer is the caller's, and the sink
+// reusing its own never reaches into it.
 func TestCaptureSinkDrain(t *testing.T) {
 	sink := NewCaptureSink()
 	sink.Send("clone", "p", []byte("one"))
 	sink.Send("clone", "q", []byte("two"))
-	first := sink.Drain()
+	first := sink.Drain(nil)
 	if len(first) != 2 || first[0].To != "p" || string(first[1].Data) != "two" {
 		t.Fatalf("first drain: %+v", first)
 	}
-	if sink.Count() != 0 || sink.Drain() != nil {
+	if sink.Count() != 0 || len(sink.Drain(nil)) != 0 {
 		t.Fatal("a drained sink still holds messages")
 	}
 	sink.Send("clone", "r", []byte("three"))
-	if next := sink.Drain(); len(next) != 1 || next[0].To != "r" {
+	if next := sink.Drain(nil); len(next) != 1 || next[0].To != "r" {
 		t.Fatalf("second drain: %+v", next)
 	}
-	if string(first[0].Data) != "one" {
+	if first[0].To != "p" || string(first[0].Data) != "one" {
 		t.Fatal("a later capture overwrote a drained message")
+	}
+	sink.Send("clone", "s", []byte("four"))
+	if again := sink.Drain(first[:0]); len(again) != 1 || again[0].To != "s" || &again[0] != &first[0] {
+		t.Fatalf("drain into a reused buffer: %+v", again)
 	}
 }
 
-// TestNextPeeksWithoutDelivering: Next names the receiver of the delivery
-// Step makes next, in queue order, and moves nothing.
+// TestNextPeeksWithoutDelivering: Next reports the delivery Step makes
+// next, in queue order, and moves nothing.
 func TestNextPeeksWithoutDelivering(t *testing.T) {
 	n := New(start())
 	b := &recorder{}
@@ -205,15 +206,15 @@ func TestNextPeeksWithoutDelivering(t *testing.T) {
 	}
 	n.Send("a", "b", []byte("x"))
 	n.Send("a", "c", []byte("y"))
-	if to, ok := n.Next(); !ok || to != "c" {
-		t.Fatalf("Next = %q, %v; the 1 ms link delivers first", to, ok)
+	if e, ok := n.Next(); !ok || e.To != "c" || e.From != "a" || string(e.Data) != "y" || e.At != time.Millisecond {
+		t.Fatalf("Next = %+v, %v; the 1 ms link delivers first", e, ok)
 	}
 	if n.Pending() != 2 || len(b.got) != 0 {
 		t.Fatal("Next delivered something")
 	}
 	n.Step()
-	if to, _ := n.Next(); to != "b" {
-		t.Fatalf("Next after one step = %q, want b", to)
+	if e, _ := n.Next(); e.To != "b" {
+		t.Fatalf("Next after one step = %+v, want b", e)
 	}
 }
 

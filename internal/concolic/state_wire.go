@@ -1,12 +1,11 @@
 package concolic
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 
+	"dice/internal/codec"
 	"dice/internal/sym"
 )
 
@@ -34,6 +33,16 @@ import (
 // whichever round owns them. A budget-stopped replica round therefore
 // re-derives its pending queue from the shipped dedup sets — pure
 // re-solving cost, no lost coverage.
+//
+// The payload is the magic "EXS1", then the path records and the
+// negation records, each list a uvarint count followed by its records: a
+// 16-octet big-endian fingerprint, a uvarint depth (negation records
+// only) and the length-prefixed rendering. The layout is stated once, in
+// wireState over a codec.C, and serves both directions: EncodeWire
+// gathers and sorts the records, then runs it as an encoder;
+// DecodeExploreState runs it as a strict decoder, then inserts the
+// records. A replica sends these bytes back, so the decoder is a trust
+// boundary (FuzzDecodeExploreState).
 
 // exsMagic identifies a serialized ExploreState payload.
 const exsMagic = "EXS1"
@@ -71,15 +80,47 @@ func renderNegRec(assumes, prefix []sym.Expr, neg sym.Expr) string {
 	return renderChain(assumes) + sectionSep + renderChain(prefix) + sectionSep + neg.String()
 }
 
+// wireStateRec is one dedup record on the wire: its fingerprint, the
+// query depth (negation records only) and its canonical rendering.
 type wireStateRec struct {
 	fp       sym.Fingerprint
-	depth    uint64 // negation records only
+	depth    int
 	rendered string
 }
 
+// wire is a record's layout, both directions.
+func (r *wireStateRec) wire(c *codec.C, withDepth bool) {
+	c.U64(&r.fp.Hi)
+	c.U64(&r.fp.Lo)
+	if withDepth {
+		c.Uint(&r.depth)
+	}
+	c.Str(&r.rendered)
+	if c.Decoding() && !strings.Contains(r.rendered, sectionSep) {
+		c.Fail("record lacks a section separator")
+	}
+}
+
+// wireState is the payload's layout, both directions: the magic, the
+// path records, the negation records. A record costs at least its 16
+// fingerprint octets and a length octet, and a negation record a depth
+// octet more.
+func wireState(c *codec.C, paths, negs *[]wireStateRec) {
+	magic := []byte(exsMagic)
+	c.Fixed(magic)
+	if string(magic) != exsMagic {
+		c.Fail("payload lacks %s magic", exsMagic)
+	}
+	codec.List(c, paths, 17, func(r *wireStateRec) { r.wire(c, false) })
+	codec.List(c, negs, 18, func(r *wireStateRec) { r.wire(c, true) })
+}
+
+// errExploreState is the class of every DecodeExploreState error.
+var errExploreState = errors.New("concolic: malformed explore-state payload")
+
 // EncodeWire serializes the state's dedup sets (paths and attempted
 // negations) into a canonical byte string: records sorted by
-// (fingerprint, rendering), so equal states encode byte-identically
+// (fingerprint, rendering, depth), so equal states encode byte-identically
 // regardless of exploration schedule. The pending frontier is
 // intentionally omitted (see the package comment above).
 func (s *ExploreState) EncodeWire() []byte {
@@ -96,7 +137,7 @@ func (s *ExploreState) EncodeWire() []byte {
 	negs := make([]wireStateRec, 0, s.nNegations)
 	for key, chain := range s.attempted {
 		for _, r := range chain {
-			negs = append(negs, wireStateRec{fp: key, depth: uint64(r.depth), rendered: r.render()})
+			negs = append(negs, wireStateRec{fp: key, depth: r.depth, rendered: r.render()})
 		}
 	}
 	s.mu.Unlock()
@@ -110,83 +151,47 @@ func (s *ExploreState) EncodeWire() []byte {
 			if a.fp.Lo != b.fp.Lo {
 				return a.fp.Lo < b.fp.Lo
 			}
-			return a.rendered < b.rendered
+			if a.rendered != b.rendered {
+				return a.rendered < b.rendered
+			}
+			return a.depth < b.depth
 		})
 	}
 	order(paths)
 	order(negs)
 
-	out := []byte(exsMagic)
-	out = binary.AppendUvarint(out, uint64(len(paths)))
-	for _, r := range paths {
-		out = appendStateRec(out, r, false)
-	}
-	out = binary.AppendUvarint(out, uint64(len(negs)))
-	for _, r := range negs {
-		out = appendStateRec(out, r, true)
-	}
-	return out
-}
-
-func appendStateRec(out []byte, r wireStateRec, withDepth bool) []byte {
-	out = binary.BigEndian.AppendUint64(out, r.fp.Hi)
-	out = binary.BigEndian.AppendUint64(out, r.fp.Lo)
-	if withDepth {
-		out = binary.AppendUvarint(out, r.depth)
-	}
-	out = binary.AppendUvarint(out, uint64(len(r.rendered)))
-	return append(out, r.rendered...)
+	c := codec.Encoder(nil)
+	wireState(&c, &paths, &negs)
+	return c.Buf()
 }
 
 // DecodeExploreState reconstructs cross-round exploration memory from
 // EncodeWire output. The decoder is strict: truncation at any offset,
 // trailing garbage, or a malformed record is an error, never a partial
-// state.
+// state. Duplicate records collapse into one.
 func DecodeExploreState(data []byte) (*ExploreState, error) {
-	if len(data) < len(exsMagic) || string(data[:len(exsMagic)]) != exsMagic {
-		return nil, errors.New("concolic: explore-state payload lacks EXS1 magic")
+	var paths, negs []wireStateRec
+	c := codec.Decoder(data, errExploreState)
+	wireState(&c, &paths, &negs)
+	if err := c.Finish(); err != nil {
+		return nil, err
 	}
-	d := stateDecoder{buf: data[len(exsMagic):]}
 	st := NewExploreState()
-
-	nPaths := d.uvarint("path count")
-	for i := uint64(0); i < nPaths && d.err == nil; i++ {
-		fp, _, rendered := d.rec(false)
-		if d.err != nil {
-			break
-		}
-		chain := st.seen[fp]
-		if containsRendered(chain, rendered) {
+	for _, r := range paths {
+		chain := st.seen[r.fp]
+		if containsRendered(chain, r.rendered) {
 			continue
 		}
-		st.seen[fp] = append(chain, pathRec{rendered: rendered})
+		st.seen[r.fp] = append(chain, pathRec{rendered: r.rendered})
 		st.nPaths++
 	}
-	nNegs := d.uvarint("negation count")
-	for i := uint64(0); i < nNegs && d.err == nil; i++ {
-		fp, depth, rendered := d.rec(true)
-		if d.err != nil {
-			break
-		}
-		chain := st.attempted[fp]
-		dup := false
-		for _, r := range chain {
-			if r.depth == int(depth) && r.rendered != "" && r.rendered == rendered {
-				dup = true
-				break
-			}
-		}
-		if dup {
+	for _, r := range negs {
+		chain := st.attempted[r.fp]
+		if containsNeg(chain, r.depth, r.rendered) {
 			continue
 		}
-		st.attempted[fp] = append(chain, negRec{depth: int(depth), rendered: rendered})
+		st.attempted[r.fp] = append(chain, negRec{depth: r.depth, rendered: r.rendered})
 		st.nNegations++
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("concolic: %d trailing bytes after explore-state payload", len(d.buf))
 	}
 	return st, nil
 }
@@ -200,51 +205,11 @@ func containsRendered(chain []pathRec, rendered string) bool {
 	return false
 }
 
-type stateDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *stateDecoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
+func containsNeg(chain []negRec, depth int, rendered string) bool {
+	for _, r := range chain {
+		if r.depth == depth && r.rendered != "" && r.rendered == rendered {
+			return true
+		}
 	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("concolic: truncated explore-state %s", what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *stateDecoder) rec(withDepth bool) (fp sym.Fingerprint, depth uint64, rendered string) {
-	if d.err != nil {
-		return
-	}
-	if len(d.buf) < 16 {
-		d.err = errors.New("concolic: truncated explore-state fingerprint")
-		return
-	}
-	fp.Hi = binary.BigEndian.Uint64(d.buf)
-	fp.Lo = binary.BigEndian.Uint64(d.buf[8:])
-	d.buf = d.buf[16:]
-	if withDepth {
-		depth = d.uvarint("negation depth")
-	}
-	n := d.uvarint("record length")
-	if d.err != nil {
-		return
-	}
-	if uint64(len(d.buf)) < n {
-		d.err = errors.New("concolic: truncated explore-state record")
-		return
-	}
-	rendered = string(d.buf[:n])
-	d.buf = d.buf[n:]
-	if !strings.Contains(rendered, sectionSep) {
-		d.err = errors.New("concolic: explore-state record lacks a section separator")
-		return
-	}
-	return
+	return false
 }

@@ -2,8 +2,87 @@ package concolic
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 )
+
+// goldenStates are the states the TestStateWire* tests build, by name:
+// empty, one cold exploration (with one and with four workers), and a
+// decoded state after a warm round from another seed.
+func goldenStates(t testing.TB) []struct {
+	name string
+	st   *ExploreState
+} {
+	t.Helper()
+	explored := NewExploreState()
+	exploreWith(Options{State: explored})
+	wide := NewExploreState()
+	exploreWith(Options{State: wide, Workers: 4})
+	restored, err := DecodeExploreState(explored.EncodeWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(twoPredicateHandler, Options{State: restored})
+	eng.Var("x", 32, 9)
+	eng.Explore()
+	return []struct {
+		name string
+		st   *ExploreState
+	}{
+		{"empty", NewExploreState()},
+		{"explored", explored},
+		{"explored-4-workers", wide},
+		{"restored-then-warm", restored},
+	}
+}
+
+// TestStateWireGolden pins the EXS1 bytes: testdata/state_wire.golden
+// holds each golden state's encoding, one "name hex" line each. There is
+// no update flag — a moved byte is a format change.
+func TestStateWireGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/state_wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, g := range goldenStates(t) {
+		lines = append(lines, g.name+" "+hex.EncodeToString(g.st.EncodeWire()))
+	}
+	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
+		t.Errorf("EXS1 encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// FuzzDecodeExploreState: whatever bytes a replica sends back, the
+// decoder errors or yields a state — never panics, never over-allocates
+// on a lying count — and a decoded state re-encodes to a fixpoint.
+func FuzzDecodeExploreState(f *testing.F) {
+	for _, g := range goldenStates(f) {
+		enc := g.st.EncodeWire()
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
+	f.Add([]byte("EXS1\xff\xff\xff\xff\x0f"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeExploreState(data)
+		if err != nil {
+			return
+		}
+		enc := st.EncodeWire()
+		again, err := DecodeExploreState(enc)
+		if err != nil {
+			t.Fatalf("re-decode of a decoded state's encoding: %v", err)
+		}
+		if re := again.EncodeWire(); !bytes.Equal(re, enc) {
+			t.Fatalf("encoding is not a fixpoint:\n first: %x\n again: %x", enc, re)
+		}
+		if got, want := again.Stats(), st.Stats(); got.Paths != want.Paths || got.Negations != want.Negations {
+			t.Fatalf("re-decoded stats %+v, want %+v", got, want)
+		}
+	})
+}
 
 // TestStateWireRoundTrip: a round warmed by a decoded state must skip
 // exactly the work a round warmed by the original in-process state

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"dice/internal/bgp"
@@ -346,7 +347,7 @@ func TestExploreSnapshotMatchesLive(t *testing.T) {
 	}
 
 	// Ship the checkpoint, restore, explore remotely.
-	state := f.Provider.EncodeState()
+	state := bytes.Join(f.Provider.EncodeStateChunks(), nil)
 	remote, err := exploreRestored(f, state, seed, concolic.Options{MaxRuns: 2000})
 	if err != nil {
 		t.Fatal(err)

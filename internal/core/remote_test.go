@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func exploreRestored(f *Fig2, state []byte, seed *bgp.Update, engOpts concolic.O
 }
 
 // TestCheckpointChunksRoundTrip: EncodeStateChunks through a checkpoint
-// store reassembles to the exact EncodeState bytes, restores to an
+// store reassembles to the exact concatenated chunks, restores to an
 // equivalent router, and re-encodes identically (a stable fixpoint —
 // what lets snapshots be shipped, stored and compared by content).
 func TestCheckpointChunksRoundTrip(t *testing.T) {
@@ -46,7 +47,7 @@ func TestCheckpointChunksRoundTrip(t *testing.T) {
 	store := checkpoint.NewStore(0)
 	snap := store.TakeChunks("provider", f.Provider.EncodeStateChunks())
 	state := snap.Bytes()
-	if want := f.Provider.EncodeState(); string(state) != string(want) {
+	if want := bytes.Join(f.Provider.EncodeStateChunks(), nil); string(state) != string(want) {
 		t.Fatalf("chunked store round-trip differs: %d vs %d bytes", len(state), len(want))
 	}
 
@@ -85,7 +86,7 @@ func TestExploreSnapshotWarmState(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := f.Provider.LastObserved(NodeCustomer)
-	state := f.Provider.EncodeState()
+	state := bytes.Join(f.Provider.EncodeStateChunks(), nil)
 
 	warm := concolic.NewExploreState()
 	opts := func() concolic.Options {
@@ -128,7 +129,7 @@ func TestExploreSnapshotRejectsCorruptState(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := f.Provider.LastObserved(NodeCustomer)
-	state := f.Provider.EncodeState()
+	state := bytes.Join(f.Provider.EncodeStateChunks(), nil)
 
 	cases := map[string][]byte{
 		"empty":        nil,

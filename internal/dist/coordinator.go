@@ -289,7 +289,7 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 			cl    *Client
 			hello HelloResult
 		)
-		err := c.policy.redial(crng, true, func() (err error) {
+		err := c.policy.redial(crng, true, nil, func() (err error) {
 			cl, hello, err = c.dialAndHello(d)
 			return err
 		}, identityErr)
@@ -455,7 +455,7 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 		return nc.failErr
 	}
 	failed.Close()
-	lastErr := c.policy.redial(nc.rng, false, func() error {
+	lastErr := c.policy.redial(nc.rng, false, nil, func() error {
 		cl, hello, err := c.dialAndHello(nc.dialer)
 		if err != nil {
 			return err

@@ -31,8 +31,9 @@
 //     backends to the same snapshot, fleet shape by fleet shape.
 //
 // Wire protocol: one binary format — wire.go holds framing, envelope,
-// the ten-row method table and every payload codec, and encodes core's
-// and netaddr's own types directly — and one call discipline: pipelined
+// the ten-row method table and every payload's layout, each stated once
+// over internal/codec's pass, and encodes core's and netaddr's own types
+// directly — and one call discipline: pipelined
 // requests, each relay step's deliveries batched into one inject_witness
 // per agent, all in flight at once. Every connection opens with a hello
 // carrying ProtoVersion; agent, replica and coordinator each refuse a

@@ -13,7 +13,7 @@ func fuzzFrameSeeds(t interface{ Helper() }) [][]byte {
 	t.Helper()
 	seeds := [][]byte{{}, {frameRequest}, {frameResponse}, {0x7b}}
 	for _, msg := range sampleMessages() {
-		body := msg.appendTo(nil)
+		body := encodeBody(nil, msg)
 		req, err := appendRequest(nil, 99, MethodExplore, nil)
 		if err != nil {
 			panic(err)

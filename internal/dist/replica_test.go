@@ -2,9 +2,11 @@ package dist
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,6 +130,86 @@ func TestReplicaPoolAutoscale(t *testing.T) {
 	if st.Started != st.Scaled+1 {
 		t.Errorf("started %d workers with 1 initial and %d scaled", st.Started, st.Scaled)
 	}
+}
+
+// gatedDialer is a replica Dialer that reports each Dial on dialed,
+// waits for release when it is set, and then returns conn — or, when conn
+// is nil, a refusal.
+type gatedDialer struct {
+	dialed  chan struct{}
+	release chan struct{}
+	conn    io.ReadWriteCloser
+	dials   atomic.Int32
+}
+
+func (d *gatedDialer) Dial() (io.ReadWriteCloser, error) {
+	d.dials.Add(1)
+	d.dialed <- struct{}{}
+	if d.release != nil {
+		<-d.release
+	}
+	if d.conn == nil {
+		return nil, errors.New("connection refused")
+	}
+	return d.conn, nil
+}
+
+// TestReplicaPoolCloseJoinsWorkers: Close stops a worker that is backing
+// off between dials or blocked inside one, and returns only once it has
+// exited — a closed coordinator leaves no goroutine dialing behind it.
+func TestReplicaPoolCloseJoinsWorkers(t *testing.T) {
+	leakCheck(t)
+	policy := RetryPolicy{BackoffBase: 10 * time.Second, BackoffCap: 10 * time.Second}.withDefaults()
+
+	t.Run("in-backoff", func(t *testing.T) {
+		d := &gatedDialer{dialed: make(chan struct{}, 1)}
+		pool := &ReplicaPool{Dialers: []Dialer{d}}
+		if err := pool.bind(1, policy); err != nil {
+			t.Fatal(err)
+		}
+		<-d.dialed // refused: the worker now pauses 5–10 s before redialing
+		start := time.Now()
+		pool.Close()
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("Close took %v with the worker in backoff", took)
+		}
+		if st := pool.Stats(); st.Active != 0 {
+			t.Errorf("%d workers alive after Close", st.Active)
+		}
+		if n := d.dials.Load(); n != 1 {
+			t.Errorf("%d dials, want the first one only", n)
+		}
+	})
+
+	t.Run("in-dial", func(t *testing.T) {
+		client, server := net.Pipe()
+		defer server.Close()
+		d := &gatedDialer{dialed: make(chan struct{}, 1), release: make(chan struct{}), conn: client}
+		pool := &ReplicaPool{Dialers: []Dialer{d}}
+		if err := pool.bind(1, policy); err != nil {
+			t.Fatal(err)
+		}
+		<-d.dialed
+		closed := make(chan struct{})
+		go func() {
+			pool.Close()
+			close(closed)
+		}()
+		<-pool.stop // Close has begun
+		close(d.release)
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not return after the dial was released")
+		}
+		if st := pool.Stats(); st.Active != 0 {
+			t.Errorf("%d workers alive after Close", st.Active)
+		}
+		// The dial that completed after Close is closed, never handshaken.
+		if n, err := server.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("the late connection is open: read %d bytes, err %v", n, err)
+		}
+	})
 }
 
 // deadAfterFirstDial passes one dial through and refuses the rest — the

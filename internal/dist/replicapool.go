@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 
@@ -52,6 +53,9 @@ type ReplicaPool struct {
 	active  int  // workers currently alive
 	stats   ReplicaPoolStats
 	tm      *Metrics // coordinator's telemetry bundle; nil-safe
+	// stop is closed by Close: a worker dialing or backing off gives up.
+	stop    chan struct{}
+	workers sync.WaitGroup
 }
 
 // setMetrics attaches the coordinator's telemetry bundle. Connect calls
@@ -112,6 +116,7 @@ func (p *ReplicaPool) bind(session uint64, policy RetryPolicy) error {
 		return fmt.Errorf("dist: replica pool has no dialers")
 	}
 	p.cond = sync.NewCond(&p.mu)
+	p.stop = make(chan struct{})
 	p.session = session
 	p.policy = policy
 	p.bound = true
@@ -140,6 +145,7 @@ func (p *ReplicaPool) startWorkerLocked() {
 	p.active++
 	p.stats.Started++
 	p.tm.setPoolWorkers(p.active)
+	p.workers.Add(1)
 	go p.worker(idx)
 }
 
@@ -198,9 +204,14 @@ func (p *ReplicaPool) pop() *replicaTask {
 }
 
 // requeue steals a dying worker's in-flight shard back for the
-// survivors.
+// survivors; a closed pool has none, so the shard fails.
 func (p *ReplicaPool) requeue(t *replicaTask) {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		t.finish(nil, ErrReplicaPoolDown)
+		return
+	}
 	p.stats.Requeues++
 	p.queue = append(p.queue, t)
 	p.tm.notePoolSteal()
@@ -235,22 +246,27 @@ func (p *ReplicaPool) workerExit() {
 	p.mu.Unlock()
 }
 
-// Close shuts the pool down: queued shards fail with ErrReplicaPoolDown
-// and workers exit after their current shard.
+// Close shuts the pool down: queued shards fail with ErrReplicaPoolDown,
+// a worker dialing or backing off gives up, a worker with a shard in
+// flight exits after it, and Close returns once every worker has exited.
 func (p *ReplicaPool) Close() {
 	p.mu.Lock()
-	if !p.bound || p.closed {
+	if !p.bound {
 		p.mu.Unlock()
 		return
 	}
-	p.closed = true
-	failed := p.queue
-	p.queue = nil
-	p.cond.Broadcast()
+	var failed []*replicaTask
+	if !p.closed {
+		p.closed = true
+		close(p.stop)
+		failed, p.queue = p.queue, nil
+		p.cond.Broadcast()
+	}
 	p.mu.Unlock()
 	for _, t := range failed {
 		t.finish(nil, ErrReplicaPoolDown)
 	}
+	p.workers.Wait()
 }
 
 // worker owns one replica connection for its lifetime: dial and
@@ -259,6 +275,7 @@ func (p *ReplicaPool) Close() {
 // budget. A shard in flight when the replica dies is re-enqueued, not
 // failed: the memo keys make the surviving replicas' re-run exact.
 func (p *ReplicaPool) worker(idx int) {
+	defer p.workers.Done()
 	defer p.workerExit()
 	rng := rand.New(rand.NewSource(p.policy.Seed ^ int64(nodeHash(fmt.Sprintf("replica-%d", idx)))))
 	cl := p.dialReplica(idx, rng, true)
@@ -377,15 +394,36 @@ func (p *ReplicaPool) noteReconnect() {
 // which goes out without a backoff pause (a healthy replica should not
 // wait). A replica that answers the hello with a refusal — a protocol
 // version mismatch — would refuse every redial too, so that ends the
-// attempt at once.
+// attempt at once, and so does Close.
 func (p *ReplicaPool) dialReplica(idx int, rng *rand.Rand, first bool) *Client {
 	var cl *Client
-	err := p.policy.redial(rng, first, func() (err error) {
-		cl, _, err = p.policy.handshake(p.Dialers[idx], p.session, nil)
+	d := stoppableDialer{Dialer: p.Dialers[idx], stop: p.stop}
+	err := p.policy.redial(rng, first, p.stop, func() (err error) {
+		cl, _, err = p.policy.handshake(d, p.session, nil)
 		return err
 	}, identityErr)
 	if err != nil {
 		return nil
 	}
 	return cl
+}
+
+// stoppableDialer closes, unused, a connection whose dial completes
+// after stop closed, so a pool closed mid-dial never handshakes.
+type stoppableDialer struct {
+	Dialer
+	stop <-chan struct{}
+}
+
+func (d stoppableDialer) Dial() (io.ReadWriteCloser, error) {
+	conn, err := d.Dialer.Dial()
+	select {
+	case <-d.stop:
+		if err == nil {
+			conn.Close()
+		}
+		return nil, errStopped
+	default:
+		return conn, err
+	}
 }

@@ -5,16 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"dice/internal/checkpoint"
+	"dice/internal/codec"
 	"dice/internal/concolic"
 	"dice/internal/core"
 	"dice/internal/netaddr"
 )
 
-// The wire protocol, whole: framing, envelope, primitives, the method
-// table and every payload codec live in this file and nowhere else.
+// The wire protocol, whole: framing, envelope, the protocol's domain
+// types, the method table and every payload layout live in this file and
+// nowhere else; the bounded primitives under them are internal/codec's.
 //
 // A frame is a 4-byte big-endian payload length followed by one payload:
 //
@@ -28,11 +31,12 @@ import (
 // search strategy as one), uvarints for counts, IDs and route tokens,
 // length-prefixed byte strings — router state and BGP messages travel as
 // raw bytes, and a dense ExploreResult costs bytes proportional to its
-// content. Each payload struct below sits next to its codec.
+// content. Each payload struct below sits next to its layout: one wire
+// method that encodes or decodes, depending on the pass it is handed.
 //
 // The leading kind octet is not printable ASCII, so a peer speaking
 // anything else (a JSON document from a pre-binary build, say) fails
-// loudly on its first frame instead of desynchronizing the stream. Every
+// loudly on its first frame instead of desynchronizing the stream. The
 // decoder checks remaining length before consuming, rejects out-of-range
 // values (prefix lengths over 32, unknown strategies, lying counts) and
 // rejects trailing bytes — malformed input errors, it never panics, and
@@ -103,7 +107,7 @@ func readPayload(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// --- Primitives --------------------------------------------------------------
+// --- The pass ----------------------------------------------------------------
 
 // errFrame is the malformed-payload error class; every decode failure
 // wraps it so transports can distinguish protocol corruption from
@@ -114,302 +118,105 @@ func frameErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errFrame, fmt.Sprintf(format, args...))
 }
 
-// message is any payload the codec carries: params and results append
-// themselves to a buffer and decode from a dec. decodeFrom must leave the
-// struct fully populated or record an error on the decoder; decodeBody
-// enforces that the message consumed its entire body.
+// message is any payload the codec carries. wire states the payload's
+// layout once, over a pass that encodes or decodes it (internal/codec):
+// decoding must leave the struct fully populated or record an error on
+// the pass, and decodeBody enforces that the message consumed its entire
+// body. The pass goes in and comes back by value — a pointer would escape
+// through this interface and cost every frame an allocation.
 type message interface {
-	appendTo(dst []byte) []byte
-	decodeFrom(d *dec)
+	wire(c coder) coder
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
+// coder is the wire pass: codec.C plus the protocol's domain types.
+type coder struct{ codec.C }
 
-// appendUint appends a non-negative int as a uvarint. Negative values
-// would wrap to 2^64-ish uvarints and come back as overflow errors on
-// decode; the wire structs only carry counters, so clamp defensively.
-func appendUint(dst []byte, v int) []byte {
-	if v < 0 {
-		v = 0
+func encoder(dst []byte) coder { return coder{codec.Encoder(dst)} }
+func decoder(src []byte) coder { return coder{codec.Decoder(src, errFrame)} }
+
+// decodeBody decodes a full method body into msg, rejecting trailing
+// bytes. A nil msg accepts only an empty body.
+func decodeBody(body []byte, msg message) error {
+	c := decoder(body)
+	if msg != nil {
+		c = msg.wire(c)
 	}
-	return appendUvarint(dst, uint64(v))
+	return c.Finish()
 }
 
-func appendBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendStrings(dst []byte, ss []string) []byte {
-	dst = appendUint(dst, len(ss))
-	for _, s := range ss {
-		dst = appendString(dst, s)
-	}
-	return dst
-}
-
-// appendBlobs appends a counted list of byte strings (checkpoint chunks
-// and pages).
-func appendBlobs(dst []byte, bs [][]byte) []byte {
-	dst = appendUint(dst, len(bs))
-	for _, b := range bs {
-		dst = appendBytes(dst, b)
-	}
-	return dst
-}
-
-// appendKeys appends a counted list of page keys, 32 raw octets each.
-func appendKeys(dst []byte, ks []checkpoint.Key) []byte {
-	dst = appendUint(dst, len(ks))
-	for i := range ks {
-		dst = append(dst, ks[i][:]...)
-	}
-	return dst
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// appendPrefix appends a prefix as its 4 address octets and its length.
-func appendPrefix(dst []byte, p netaddr.Prefix) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(p.Addr()))
-	return append(dst, uint8(p.Bits()))
-}
-
-// dec consumes a payload with a sticky error: after the first failure
-// every read returns zero values, so decode methods read their fields
-// straight through and the caller checks err() once. Length fields are
-// validated against the remaining payload before any allocation, so a
-// corrupted count can never balloon memory.
-type dec struct {
-	b   []byte
-	e   error
-	off int // consumed so far, for error messages
-}
-
-func newDec(b []byte) *dec { return &dec{b: b} }
-
-func (d *dec) err() error { return d.e }
-
-func (d *dec) fail(format string, args ...any) {
-	if d.e == nil {
-		d.e = frameErr("at offset %d: %s", d.off, fmt.Sprintf(format, args...))
+// maskLen is one prefix-length octet, 0..32.
+func (c *coder) maskLen(n *int) {
+	b := uint8(*n)
+	c.U8(&b)
+	if b > 32 {
+		c.Fail("prefix length %d exceeds 32", b)
+	} else if c.Decoding() {
+		*n = int(b)
 	}
 }
 
-func (d *dec) remaining() int { return len(d.b) }
-
-// finish rejects trailing bytes: a well-formed message consumes its
-// whole body, so leftovers mean a codec mismatch or corruption.
-func (d *dec) finish() error {
-	if d.e == nil && len(d.b) != 0 {
-		d.fail("%d trailing bytes", len(d.b))
-	}
-	return d.e
-}
-
-func (d *dec) take(n int) []byte {
-	if d.e != nil {
-		return nil
-	}
-	if n < 0 || n > len(d.b) {
-		d.fail("need %d bytes, have %d", n, len(d.b))
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	d.off += n
-	return out
-}
-
-func (d *dec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *dec) uvarint() uint64 {
-	if d.e != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	d.off += n
-	return v
-}
-
-// uint decodes a uvarint that must fit a non-negative int.
-func (d *dec) uint() int {
-	v := d.uvarint()
-	if v > uint64(int(^uint(0)>>1)) {
-		d.fail("uvarint %d overflows int", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *dec) boolean() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("bad bool octet")
-		return false
+// prefix is a prefix as its 4 address octets and its length. The
+// encoding is canonical, so host bits set beyond the mask are rejected.
+func (c *coder) prefix(p *netaddr.Prefix) {
+	addr, bits := p.Addr(), p.Bits()
+	c.U32((*uint32)(&addr))
+	c.maskLen(&bits)
+	if q := netaddr.PrefixFrom(addr, bits); q.Addr() != addr {
+		c.Fail("prefix %s has host bits set", addr)
+	} else if c.Decoding() {
+		*p = q
 	}
 }
 
-// bytes decodes a length-prefixed byte string (copied out of the frame,
-// so results outlive the read buffer). A nil slice is returned for zero
-// length.
-func (d *dec) bytes() []byte {
-	n := d.uint()
-	if n == 0 {
-		return nil
+// key is a checkpoint page key, its 32 raw octets.
+func (c *coder) key(k *checkpoint.Key) { c.Fixed(k[:]) }
+
+// input is a finding's name→value map, entries in sorted name order: the
+// encoding is canonical, so encode→decode→encode is byte-stable (the
+// fuzz harness leans on this the way internal/trace's does).
+func (c *coder) input(m *map[string]uint64) {
+	type entry struct {
+		name  string
+		value uint64
 	}
-	b := d.take(n)
-	if b == nil {
-		return nil
+	var es []entry
+	if !c.Decoding() {
+		es = make([]entry, 0, len(*m))
+		for k, v := range *m {
+			es = append(es, entry{k, v})
+		}
+		slices.SortFunc(es, func(a, b entry) int { return strings.Compare(a.name, b.name) })
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	codec.List(&c.C, &es, 2, func(e *entry) {
+		c.Str(&e.name)
+		c.Uvarint(&e.value)
+	})
+	if c.Decoding() && len(es) > 0 {
+		*m = make(map[string]uint64, len(es))
+		for _, e := range es {
+			(*m)[e.name] = e.value
+		}
+	}
 }
 
-func (d *dec) str() string {
-	n := d.uint()
-	if n == 0 {
-		return ""
-	}
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// count decodes a collection length and sanity-checks it against the
-// bytes left: every element costs ≥ min bytes, so a count the payload
-// cannot possibly hold is rejected before any allocation.
-func (d *dec) count(min int) int {
-	n := d.uint()
-	if d.e != nil {
-		return 0
-	}
-	if n > d.remaining()/min+1 {
-		d.fail("count %d exceeds remaining payload", n)
-		return 0
-	}
-	return n
-}
-
-// strs decodes a counted string list; nil for an empty one.
-func (d *dec) strs() []string {
-	n := d.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.str()
-	}
-	return out
-}
-
-// blobs decodes appendBlobs' list; nil for an empty one.
-func (d *dec) blobs() [][]byte {
-	n := d.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = d.bytes()
-	}
-	return out
-}
-
-// keys decodes appendKeys' list; nil for an empty one.
-func (d *dec) keys() []checkpoint.Key {
-	n := d.count(len(checkpoint.Key{}))
-	if n == 0 {
-		return nil
-	}
-	out := make([]checkpoint.Key, n)
-	for i := range out {
-		copy(out[i][:], d.take(len(out[i])))
-	}
-	return out
-}
-
-// tailStrs decodes a string list that travels as a conditional tail: the
-// encoder omits the whole tail for an empty list, so an explicit zero
-// count is trailing garbage, not a layout.
-func (d *dec) tailStrs(what string) []string {
-	if d.remaining() == 0 {
-		return nil
-	}
-	out := d.strs()
-	if out == nil && d.e == nil {
-		d.fail("empty %s tail", what)
-	}
-	return out
-}
-
-// maskLen decodes one prefix-length octet, 0..32.
-func (d *dec) maskLen() int {
-	n := d.u8()
-	if n > 32 {
-		d.fail("prefix length %d exceeds 32", n)
-		return 0
-	}
-	return int(n)
-}
-
-// prefix decodes appendPrefix's 4+1 octets, rejecting lengths over 32 and
-// host bits set beyond the mask (the encoding is canonical).
-func (d *dec) prefix() netaddr.Prefix {
-	addr := netaddr.Addr(d.u32())
-	p := netaddr.PrefixFrom(addr, d.maskLen())
-	if p.Addr() != addr {
-		d.fail("prefix %s has host bits set", addr)
-		return netaddr.Prefix{}
-	}
-	return p
+// finding is a core.Finding's local-oracle fields. Witness and
+// MinimalWitness are the coordinator's (it attaches them after cross-
+// domain propagation) and never travel; a zero VictimPrefix is "none".
+func (c *coder) finding(f *core.Finding) {
+	c.Str(&f.Kind)
+	c.Str(&f.Peer)
+	c.prefix(&f.Prefix)
+	c.U32((*uint32)(&f.LeakRange.AddrLo))
+	c.U32((*uint32)(&f.LeakRange.AddrHi))
+	c.maskLen(&f.LeakRange.LenLo)
+	c.maskLen(&f.LeakRange.LenHi)
+	c.U16(&f.OriginAS)
+	c.U16(&f.VictimAS)
+	c.prefix(&f.VictimPrefix)
+	c.Uint(&f.Seq)
+	c.Bool(&f.Validated)
+	codec.List(&c.C, &f.SpreadTo, 1, c.Str)
+	c.input(&f.Input)
 }
 
 // --- Envelope ----------------------------------------------------------------
@@ -420,6 +227,22 @@ const (
 	frameResponse = 0xd3
 )
 
+// envelope is a payload's header: its kind octet, the call id, and the
+// method code (a request) or the status (a response).
+func (c *coder) envelope(kind uint8, id *uint64, code *uint8) {
+	k := kind
+	c.U8(&k)
+	if k != kind {
+		what := "request"
+		if kind == frameResponse {
+			what = "response"
+		}
+		c.Fail("payload kind %#x is not a %s", k, what)
+	}
+	c.Uvarint(id)
+	c.U8(code)
+}
+
 // appendRequest encodes one request payload. params may be nil for
 // parameterless methods.
 func appendRequest(dst []byte, id uint64, method string, params message) ([]byte, error) {
@@ -427,48 +250,44 @@ func appendRequest(dst []byte, id uint64, method string, params message) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	dst = append(dst, frameRequest)
-	dst = appendUvarint(dst, id)
-	dst = append(dst, code)
+	c := encoder(dst)
+	c.envelope(frameRequest, &id, &code)
 	if params != nil {
-		dst = params.appendTo(dst)
+		c = params.wire(c)
 	}
-	return dst, nil
+	return c.Buf(), nil
 }
 
 // parseRequest splits a request payload into its envelope; the method
 // body is returned raw for decodeParams.
 func parseRequest(payload []byte) (id uint64, method string, body []byte, err error) {
-	d := newDec(payload)
-	if k := d.u8(); d.err() == nil && k != frameRequest {
-		d.fail("payload kind %#x is not a request", k)
-	}
-	id = d.uvarint()
-	code := d.u8()
-	if d.err() != nil {
-		return 0, "", nil, d.err()
-	}
-	method, err = methodName(code)
-	if err != nil {
+	var code uint8
+	c := decoder(payload)
+	c.envelope(frameRequest, &id, &code)
+	if err := c.Err(); err != nil {
 		return 0, "", nil, err
 	}
-	return id, method, d.b, nil
+	if method, err = methodName(code); err != nil {
+		return 0, "", nil, err
+	}
+	return id, method, c.Buf(), nil
 }
 
 // appendResponse encodes one response payload: an error string, or the
 // method result (nil for empty results).
 func appendResponse(dst []byte, id uint64, errMsg string, result message) []byte {
-	dst = append(dst, frameResponse)
-	dst = appendUvarint(dst, id)
+	var status uint8
 	if errMsg != "" {
-		dst = append(dst, 1)
-		return appendString(dst, errMsg)
+		status = 1
 	}
-	dst = append(dst, 0)
-	if result != nil {
-		dst = result.appendTo(dst)
+	c := encoder(dst)
+	c.envelope(frameResponse, &id, &status)
+	if errMsg != "" {
+		c.Str(&errMsg)
+	} else if result != nil {
+		c = result.wire(c)
 	}
-	return dst
+	return c.Buf()
 }
 
 // parseResponse splits a response payload into its envelope. On
@@ -476,37 +295,24 @@ func appendResponse(dst []byte, id uint64, errMsg string, result message) []byte
 // which method it answers) to decode; on status=error the error string
 // is decoded here and body is nil.
 func parseResponse(payload []byte) (id uint64, errMsg string, body []byte, err error) {
-	d := newDec(payload)
-	if k := d.u8(); d.err() == nil && k != frameResponse {
-		d.fail("payload kind %#x is not a response", k)
-	}
-	id = d.uvarint()
-	status := d.u8()
-	if d.err() != nil {
-		return 0, "", nil, d.err()
+	var status uint8
+	c := decoder(payload)
+	c.envelope(frameResponse, &id, &status)
+	if err := c.Err(); err != nil {
+		return 0, "", nil, err
 	}
 	switch status {
 	case 0:
-		return id, "", d.b, nil
+		return id, "", c.Buf(), nil
 	case 1:
-		msg := d.str()
-		if err := d.finish(); err != nil {
+		c.Str(&errMsg)
+		if err := c.Finish(); err != nil {
 			return 0, "", nil, err
 		}
-		return id, msg, nil, nil
+		return id, errMsg, nil, nil
 	default:
 		return 0, "", nil, frameErr("bad response status %d", status)
 	}
-}
-
-// decodeBody decodes a full method body into msg, rejecting trailing
-// bytes. A nil msg accepts only an empty body.
-func decodeBody(body []byte, msg message) error {
-	d := newDec(body)
-	if msg != nil {
-		msg.decodeFrom(d)
-	}
-	return d.finish()
 }
 
 // --- Methods -----------------------------------------------------------------
@@ -607,9 +413,10 @@ func decodeParams(method string, body []byte, role string) (message, error) {
 		return nil, err
 	}
 	if method == MethodHello {
-		d := newDec(body)
-		ver := d.uint()
-		if err := d.err(); err != nil {
+		var ver int
+		c := decoder(body)
+		c.Uint(&ver)
+		if err := c.Err(); err != nil {
 			return nil, err
 		}
 		if ver != ProtoVersion {
@@ -650,20 +457,14 @@ type HelloParams struct {
 	Properties []string
 }
 
-func (p *HelloParams) appendTo(dst []byte) []byte {
-	dst = appendUint(dst, p.Version)
-	dst = appendUvarint(dst, p.Session)
+func (p *HelloParams) wire(c coder) coder {
+	c.Uint(&p.Version)
+	c.Uvarint(&p.Session)
 	// Conditional tail: the property set travels only when non-empty.
-	if len(p.Properties) > 0 {
-		dst = appendStrings(dst, p.Properties)
-	}
-	return dst
-}
-
-func (p *HelloParams) decodeFrom(d *dec) {
-	p.Version = d.uint()
-	p.Session = d.uvarint()
-	p.Properties = d.tailStrs("properties")
+	c.Tail(func() bool { return len(p.Properties) > 0 }, "properties", func() {
+		codec.List(&c.C, &p.Properties, 1, c.Str)
+	})
+	return c
 }
 
 // HelloResult describes the agent.
@@ -682,20 +483,13 @@ type HelloResult struct {
 	Version int
 }
 
-func (r *HelloResult) appendTo(dst []byte) []byte {
-	dst = appendString(dst, r.Node)
-	dst = appendString(dst, r.Topology)
-	dst = binary.BigEndian.AppendUint16(dst, r.AS)
-	dst = appendUint(dst, r.Prefixes)
-	return appendUint(dst, r.Version)
-}
-
-func (r *HelloResult) decodeFrom(d *dec) {
-	r.Node = d.str()
-	r.Topology = d.str()
-	r.AS = d.u16()
-	r.Prefixes = d.uint()
-	r.Version = d.uint()
+func (r *HelloResult) wire(c coder) coder {
+	c.Str(&r.Node)
+	c.Str(&r.Topology)
+	c.U16(&r.AS)
+	c.Uint(&r.Prefixes)
+	c.Uint(&r.Version)
+	return c
 }
 
 // --- checkpoint --------------------------------------------------------------
@@ -703,8 +497,8 @@ func (r *HelloResult) decodeFrom(d *dec) {
 // CheckpointResult is one serialized node snapshot.
 type CheckpointResult struct {
 	// Chunks is the complete serialized node state as the node's stable
-	// regions (router.EncodeStateChunks; their concatenation is the
-	// router.EncodeState format router.DecodeState restores). The receiver
+	// regions (router.EncodeStateChunks; their concatenation is what
+	// router.DecodeState restores). The receiver
 	// pages them with checkpoint.Store.TakeChunks — the discipline the
 	// agent's own store used — so both sides name the same pages.
 	Chunks [][]byte
@@ -715,16 +509,11 @@ type CheckpointResult struct {
 	UniquePages int
 }
 
-func (r *CheckpointResult) appendTo(dst []byte) []byte {
-	dst = appendBlobs(dst, r.Chunks)
-	dst = appendUint(dst, r.Pages)
-	return appendUint(dst, r.UniquePages)
-}
-
-func (r *CheckpointResult) decodeFrom(d *dec) {
-	r.Chunks = d.blobs()
-	r.Pages = d.uint()
-	r.UniquePages = d.uint()
+func (r *CheckpointResult) wire(c coder) coder {
+	codec.List(&c.C, &r.Chunks, 1, c.Bytes)
+	c.Uint(&r.Pages)
+	c.Uint(&r.UniquePages)
+	return c
 }
 
 // --- explore -----------------------------------------------------------------
@@ -748,20 +537,17 @@ func (k EngineKnobs) options(m *concolic.Metrics) concolic.Options {
 	return concolic.Options{Strategy: k.Strategy, MaxRuns: k.MaxRuns, Workers: k.Workers, Metrics: m}
 }
 
-func (k *EngineKnobs) appendTo(dst []byte) []byte {
-	dst = appendUint(dst, k.MaxRuns)
-	dst = appendUint(dst, k.Workers)
-	return append(dst, uint8(k.Strategy))
-}
-
-func (k *EngineKnobs) decodeFrom(d *dec) {
-	k.MaxRuns = d.uint()
-	k.Workers = d.uint()
-	if s := d.u8(); s > uint8(concolic.BFS) {
-		d.fail("unknown strategy %d", s)
-	} else {
+func (k *EngineKnobs) wire(c coder) coder {
+	c.Uint(&k.MaxRuns)
+	c.Uint(&k.Workers)
+	s := uint8(k.Strategy)
+	c.U8(&s)
+	if s > uint8(concolic.BFS) {
+		c.Fail("unknown strategy %d", s)
+	} else if c.Decoding() {
 		k.Strategy = concolic.Strategy(s)
 	}
+	return c
 }
 
 // ExploreParams asks the agent to run one exploration round.
@@ -786,77 +572,14 @@ type ExploreParams struct {
 	Round uint64
 }
 
-func (p *ExploreParams) appendTo(dst []byte) []byte {
-	dst = appendString(dst, p.Peer)
-	dst = appendString(dst, p.Scenario)
-	dst = appendBool(dst, p.Explicit)
-	dst = p.EngineKnobs.appendTo(dst)
-	dst = appendBool(dst, p.ReuseState)
-	return appendUvarint(dst, p.Round)
-}
-
-func (p *ExploreParams) decodeFrom(d *dec) {
-	p.Peer = d.str()
-	p.Scenario = d.str()
-	p.Explicit = d.boolean()
-	p.EngineKnobs.decodeFrom(d)
-	p.ReuseState = d.boolean()
-	p.Round = d.uvarint()
-}
-
-// appendFinding encodes a core.Finding's local-oracle fields. Witness and
-// MinimalWitness are the coordinator's (it attaches them after cross-
-// domain propagation) and never travel; a zero VictimPrefix is "none".
-func appendFinding(dst []byte, f *core.Finding) []byte {
-	dst = appendString(dst, f.Kind)
-	dst = appendString(dst, f.Peer)
-	dst = appendPrefix(dst, f.Prefix)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f.LeakRange.AddrLo))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f.LeakRange.AddrHi))
-	dst = append(dst, uint8(f.LeakRange.LenLo), uint8(f.LeakRange.LenHi))
-	dst = binary.BigEndian.AppendUint16(dst, f.OriginAS)
-	dst = binary.BigEndian.AppendUint16(dst, f.VictimAS)
-	dst = appendPrefix(dst, f.VictimPrefix)
-	dst = appendUint(dst, f.Seq)
-	dst = appendBool(dst, f.Validated)
-	dst = appendStrings(dst, f.SpreadTo)
-	// Map entries in sorted key order: the encoding is canonical, so
-	// encode→decode→encode is byte-stable (the fuzz harness leans on
-	// this the way internal/trace's does).
-	keys := make([]string, 0, len(f.Input))
-	for k := range f.Input {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = appendUint(dst, len(keys))
-	for _, k := range keys {
-		dst = appendString(dst, k)
-		dst = appendUvarint(dst, f.Input[k])
-	}
-	return dst
-}
-
-func decodeFinding(d *dec, f *core.Finding) {
-	f.Kind = d.str()
-	f.Peer = d.str()
-	f.Prefix = d.prefix()
-	f.LeakRange.AddrLo = netaddr.Addr(d.u32())
-	f.LeakRange.AddrHi = netaddr.Addr(d.u32())
-	f.LeakRange.LenLo = d.maskLen()
-	f.LeakRange.LenHi = d.maskLen()
-	f.OriginAS = d.u16()
-	f.VictimAS = d.u16()
-	f.VictimPrefix = d.prefix()
-	f.Seq = d.uint()
-	f.Validated = d.boolean()
-	f.SpreadTo = d.strs()
-	if n := d.count(2); n > 0 {
-		f.Input = make(map[string]uint64, n)
-		for i := 0; i < n; i++ {
-			k := d.str()
-			f.Input[k] = d.uvarint()
-		}
-	}
+func (p *ExploreParams) wire(c coder) coder {
+	c.Str(&p.Peer)
+	c.Str(&p.Scenario)
+	c.Bool(&p.Explicit)
+	c = p.EngineKnobs.wire(c)
+	c.Bool(&p.ReuseState)
+	c.Uvarint(&p.Round)
+	return c
 }
 
 // ExploreResult is the agent's share of a federated round.
@@ -904,59 +627,31 @@ type WireWitness struct {
 	Msg []byte
 }
 
-func (r *ExploreResult) appendTo(dst []byte) []byte {
-	dst = appendString(dst, r.Skipped)
-	dst = appendString(dst, r.Scenario)
-	dst = appendUint(dst, r.Runs)
-	dst = appendUint(dst, r.NewPaths)
-	dst = appendUint(dst, r.BranchesSeen)
-	dst = appendUint(dst, r.SolverCalls)
-	dst = appendUint(dst, r.SolverSat)
-	dst = appendUint(dst, r.SolverUnsat)
-	dst = appendUint(dst, r.SkippedPaths)
-	dst = appendUint(dst, r.SkippedNegations)
-	dst = appendUvarint(dst, uint64(r.ElapsedNS))
-	dst = appendUint(dst, r.CapturedMessages)
-	dst = appendUint(dst, r.WitnessesRejected)
-	dst = appendUint(dst, len(r.Findings))
-	for i := range r.Findings {
-		dst = appendFinding(dst, &r.Findings[i])
+func (r *ExploreResult) wire(c coder) coder {
+	c.Str(&r.Skipped)
+	c.Str(&r.Scenario)
+	c.Uint(&r.Runs)
+	c.Uint(&r.NewPaths)
+	c.Uint(&r.BranchesSeen)
+	c.Uint(&r.SolverCalls)
+	c.Uint(&r.SolverSat)
+	c.Uint(&r.SolverUnsat)
+	c.Uint(&r.SkippedPaths)
+	c.Uint(&r.SkippedNegations)
+	ns := uint64(r.ElapsedNS)
+	c.Uvarint(&ns)
+	if c.Decoding() {
+		r.ElapsedNS = int64(ns)
 	}
-	dst = appendUint(dst, len(r.Witnesses))
-	for _, w := range r.Witnesses {
-		dst = appendUint(dst, w.Finding)
-		dst = appendBytes(dst, w.Msg)
-	}
-	return dst
-}
-
-func (r *ExploreResult) decodeFrom(d *dec) {
-	r.Skipped = d.str()
-	r.Scenario = d.str()
-	r.Runs = d.uint()
-	r.NewPaths = d.uint()
-	r.BranchesSeen = d.uint()
-	r.SolverCalls = d.uint()
-	r.SolverSat = d.uint()
-	r.SolverUnsat = d.uint()
-	r.SkippedPaths = d.uint()
-	r.SkippedNegations = d.uint()
-	r.ElapsedNS = int64(d.uvarint())
-	r.CapturedMessages = d.uint()
-	r.WitnessesRejected = d.uint()
-	if n := d.count(25); n > 0 { // a finding's fixed-width fields alone are 25 octets
-		r.Findings = make([]core.Finding, n)
-		for i := range r.Findings {
-			decodeFinding(d, &r.Findings[i])
-		}
-	}
-	if n := d.count(2); n > 0 {
-		r.Witnesses = make([]WireWitness, n)
-		for i := range r.Witnesses {
-			r.Witnesses[i].Finding = d.uint()
-			r.Witnesses[i].Msg = d.bytes()
-		}
-	}
+	c.Uint(&r.CapturedMessages)
+	c.Uint(&r.WitnessesRejected)
+	// A finding's fixed-width fields alone are 25 octets.
+	codec.List(&c.C, &r.Findings, 25, c.finding)
+	codec.List(&c.C, &r.Witnesses, 2, func(w *WireWitness) {
+		c.Uint(&w.Finding)
+		c.Bytes(&w.Msg)
+	})
+	return c
 }
 
 // --- seed / explore_checkpoint -----------------------------------------------
@@ -967,14 +662,10 @@ type SeedParams struct {
 	Scenario string
 }
 
-func (p *SeedParams) appendTo(dst []byte) []byte {
-	dst = appendString(dst, p.Peer)
-	return appendString(dst, p.Scenario)
-}
-
-func (p *SeedParams) decodeFrom(d *dec) {
-	p.Peer = d.str()
-	p.Scenario = d.str()
+func (p *SeedParams) wire(c coder) coder {
+	c.Str(&p.Peer)
+	c.Str(&p.Scenario)
+	return c
 }
 
 // SeedResult is the derived seed, or why none shipped. Exactly one of
@@ -989,16 +680,11 @@ type SeedResult struct {
 	Missing     string
 }
 
-func (r *SeedResult) appendTo(dst []byte) []byte {
-	dst = appendBytes(dst, r.Msg)
-	dst = appendBool(dst, r.Unsupported)
-	return appendString(dst, r.Missing)
-}
-
-func (r *SeedResult) decodeFrom(d *dec) {
-	r.Msg = d.bytes()
-	r.Unsupported = d.boolean()
-	r.Missing = d.str()
+func (r *SeedResult) wire(c coder) coder {
+	c.Bytes(&r.Msg)
+	c.Bool(&r.Unsupported)
+	c.Str(&r.Missing)
+	return c
 }
 
 // ReplicaExploreParams ships one exploration target to a stateless
@@ -1051,36 +737,21 @@ type ReplicaExploreParams struct {
 	Pages [][]byte
 }
 
-func (p *ReplicaExploreParams) appendTo(dst []byte) []byte {
-	dst = appendString(dst, p.Node)
-	dst = appendStrings(dst, p.Config)
-	dst = appendString(dst, p.Peer)
-	dst = appendString(dst, p.Scenario)
-	dst = appendBool(dst, p.Explicit)
-	dst = p.EngineKnobs.appendTo(dst)
-	dst = binary.BigEndian.AppendUint32(dst, p.Boundary)
-	dst = appendBytes(dst, p.Seed)
-	dst = appendBytes(dst, p.WarmState)
-	dst = appendUvarint(dst, p.Round)
-	dst = appendString(dst, p.Shard)
-	dst = appendKeys(dst, p.Keys)
-	return appendBlobs(dst, p.Pages)
-}
-
-func (p *ReplicaExploreParams) decodeFrom(d *dec) {
-	p.Node = d.str()
-	p.Config = d.strs()
-	p.Peer = d.str()
-	p.Scenario = d.str()
-	p.Explicit = d.boolean()
-	p.EngineKnobs.decodeFrom(d)
-	p.Boundary = d.u32()
-	p.Seed = d.bytes()
-	p.WarmState = d.bytes()
-	p.Round = d.uvarint()
-	p.Shard = d.str()
-	p.Keys = d.keys()
-	p.Pages = d.blobs()
+func (p *ReplicaExploreParams) wire(c coder) coder {
+	c.Str(&p.Node)
+	codec.List(&c.C, &p.Config, 1, c.Str)
+	c.Str(&p.Peer)
+	c.Str(&p.Scenario)
+	c.Bool(&p.Explicit)
+	c = p.EngineKnobs.wire(c)
+	c.U32(&p.Boundary)
+	c.Bytes(&p.Seed)
+	c.Bytes(&p.WarmState)
+	c.Uvarint(&p.Round)
+	c.Str(&p.Shard)
+	codec.List(&c.C, &p.Keys, len(checkpoint.Key{}), c.key)
+	codec.List(&c.C, &p.Pages, 1, c.Bytes)
+	return c
 }
 
 // ReplicaExploreResult is the replica's answer: the agent-shaped
@@ -1102,25 +773,14 @@ type ReplicaExploreResult struct {
 	MissingPages []checkpoint.Key
 }
 
-func (r *ReplicaExploreResult) appendTo(dst []byte) []byte {
-	dst = r.ExploreResult.appendTo(dst)
-	dst = appendBytes(dst, r.WarmState)
+func (r *ReplicaExploreResult) wire(c coder) coder {
+	c = r.ExploreResult.wire(c)
+	c.Bytes(&r.WarmState)
 	// Conditional tail: only miss answers carry it.
-	if len(r.MissingPages) > 0 {
-		dst = appendKeys(dst, r.MissingPages)
-	}
-	return dst
-}
-
-func (r *ReplicaExploreResult) decodeFrom(d *dec) {
-	r.ExploreResult.decodeFrom(d)
-	r.WarmState = d.bytes()
-	if d.remaining() > 0 { // tail; present only on miss answers
-		if r.MissingPages = d.keys(); r.MissingPages == nil && d.e == nil {
-			// The encoder omits an empty tail, so one here is garbage.
-			d.fail("empty missing_pages tail")
-		}
-	}
+	c.Tail(func() bool { return len(r.MissingPages) > 0 }, "missing_pages", func() {
+		codec.List(&c.C, &r.MissingPages, len(checkpoint.Key{}), c.key)
+	})
+	return c
 }
 
 // --- replay ------------------------------------------------------------------
@@ -1142,18 +802,12 @@ type ReplayParams struct {
 	Key uint64
 }
 
-func (p *ReplayParams) appendTo(dst []byte) []byte {
-	dst = appendString(dst, p.Node)
-	dst = appendString(dst, p.Peer)
-	dst = appendBytes(dst, p.Trace)
-	return appendUvarint(dst, p.Key)
-}
-
-func (p *ReplayParams) decodeFrom(d *dec) {
-	p.Node = d.str()
-	p.Peer = d.str()
-	p.Trace = d.bytes()
-	p.Key = d.uvarint()
+func (p *ReplayParams) wire(c coder) coder {
+	c.Str(&p.Node)
+	c.Str(&p.Peer)
+	c.Bytes(&p.Trace)
+	c.Uvarint(&p.Key)
+	return c
 }
 
 // ReplayResult reports one agent's replay outcome.
@@ -1166,14 +820,10 @@ type ReplayResult struct {
 	Prefixes int
 }
 
-func (r *ReplayResult) appendTo(dst []byte) []byte {
-	dst = appendUint(dst, r.Delivered)
-	return appendUint(dst, r.Prefixes)
-}
-
-func (r *ReplayResult) decodeFrom(d *dec) {
-	r.Delivered = d.uint()
-	r.Prefixes = d.uint()
+func (r *ReplayResult) wire(c coder) coder {
+	c.Uint(&r.Delivered)
+	c.Uint(&r.Prefixes)
+	return c
 }
 
 // --- shadows: open, inject_witness, close, query_oracle ----------------------
@@ -1183,8 +833,10 @@ type ShadowOpenResult struct {
 	ShadowID uint64
 }
 
-func (r *ShadowOpenResult) appendTo(dst []byte) []byte { return appendUvarint(dst, r.ShadowID) }
-func (r *ShadowOpenResult) decodeFrom(d *dec)          { r.ShadowID = d.uvarint() }
+func (r *ShadowOpenResult) wire(c coder) coder {
+	c.Uvarint(&r.ShadowID)
+	return c
+}
 
 // BatchDelivery is one BGP message delivered into a shadow clone as if
 // sent by the named peer. The initial witness injection and every relayed
@@ -1222,40 +874,17 @@ type InjectBatchParams struct {
 	WantProps bool
 }
 
-func (p *InjectBatchParams) appendTo(dst []byte) []byte {
-	dst = appendUvarint(dst, p.ShadowID)
-	dst = appendUint(dst, len(p.Deliveries))
-	for _, dl := range p.Deliveries {
-		dst = appendString(dst, dl.From)
-		dst = appendBytes(dst, dl.Msg)
-		dst = appendPrefix(dst, dl.Watch)
-	}
-	dst = appendUvarint(dst, p.Key)
-	if p.WantProps {
-		dst = appendBool(dst, true)
-	}
-	return dst
-}
-
-func (p *InjectBatchParams) decodeFrom(d *dec) {
-	p.ShadowID = d.uvarint()
-	if n := d.count(7); n > 0 {
-		p.Deliveries = make([]BatchDelivery, n)
-		for i := range p.Deliveries {
-			p.Deliveries[i].From = d.str()
-			p.Deliveries[i].Msg = d.bytes()
-			p.Deliveries[i].Watch = d.prefix()
-		}
-	}
-	p.Key = d.uvarint()
-	if d.remaining() > 0 { // tail; present only when the flag is set
-		p.WantProps = d.boolean()
-		if !p.WantProps && d.e == nil {
-			// The encoder omits the tail entirely when the flag is off, so
-			// an explicit false octet is trailing garbage, not a layout.
-			d.fail("false want_props tail")
-		}
-	}
+func (p *InjectBatchParams) wire(c coder) coder {
+	c.Uvarint(&p.ShadowID)
+	codec.List(&c.C, &p.Deliveries, 7, func(dl *BatchDelivery) {
+		c.Str(&dl.From)
+		c.Bytes(&dl.Msg)
+		c.prefix(&dl.Watch)
+	})
+	c.Uvarint(&p.Key)
+	// Conditional tail: present only when the flag is set.
+	c.Tail(func() bool { return p.WantProps }, "want_props", func() { c.Bool(&p.WantProps) })
+	return c
 }
 
 // WireEmission is one message the shadow node emitted in response.
@@ -1285,37 +914,16 @@ type InjectBatchResult struct {
 	Results []InjectResult
 }
 
-func (r *InjectBatchResult) appendTo(dst []byte) []byte {
-	dst = appendUint(dst, len(r.Results))
-	for i := range r.Results {
-		res := &r.Results[i]
-		dst = appendUint(dst, len(res.Emitted))
-		for _, e := range res.Emitted {
-			dst = appendString(dst, e.To)
-			dst = appendBytes(dst, e.Msg)
-		}
-		dst = appendUvarint(dst, res.Before)
-		dst = res.After.appendTo(dst)
-	}
-	return dst
-}
-
-func (r *InjectBatchResult) decodeFrom(d *dec) {
-	if n := d.count(7); n > 0 {
-		r.Results = make([]InjectResult, n)
-		for i := range r.Results {
-			res := &r.Results[i]
-			if m := d.count(2); m > 0 {
-				res.Emitted = make([]WireEmission, m)
-				for j := range res.Emitted {
-					res.Emitted[j].To = d.str()
-					res.Emitted[j].Msg = d.bytes()
-				}
-			}
-			res.Before = d.uvarint()
-			res.After.decodeFrom(d)
-		}
-	}
+func (r *InjectBatchResult) wire(c coder) coder {
+	codec.List(&c.C, &r.Results, 7, func(res *InjectResult) {
+		codec.List(&c.C, &res.Emitted, 2, func(e *WireEmission) {
+			c.Str(&e.To)
+			c.Bytes(&e.Msg)
+		})
+		c.Uvarint(&res.Before)
+		c = res.After.wire(c)
+	})
+	return c
 }
 
 // ShadowCloseParams discards a shadow clone.
@@ -1323,8 +931,10 @@ type ShadowCloseParams struct {
 	ShadowID uint64
 }
 
-func (p *ShadowCloseParams) appendTo(dst []byte) []byte { return appendUvarint(dst, p.ShadowID) }
-func (p *ShadowCloseParams) decodeFrom(d *dec)          { p.ShadowID = d.uvarint() }
+func (p *ShadowCloseParams) wire(c coder) coder {
+	c.Uvarint(&p.ShadowID)
+	return c
+}
 
 // QueryOracleParams asks route facts about one prefix in one shadow.
 type QueryOracleParams struct {
@@ -1332,14 +942,10 @@ type QueryOracleParams struct {
 	Prefix   netaddr.Prefix
 }
 
-func (p *QueryOracleParams) appendTo(dst []byte) []byte {
-	dst = appendUvarint(dst, p.ShadowID)
-	return appendPrefix(dst, p.Prefix)
-}
-
-func (p *QueryOracleParams) decodeFrom(d *dec) {
-	p.ShadowID = d.uvarint()
-	p.Prefix = d.prefix()
+func (p *QueryOracleParams) wire(c coder) coder {
+	c.Uvarint(&p.ShadowID)
+	c.prefix(&p.Prefix)
+	return c
 }
 
 // QueryOracleResult is the narrow per-node oracle view: whether a best
@@ -1370,27 +976,11 @@ type QueryOracleResult struct {
 	PropMatch []bool
 }
 
-func (r *QueryOracleResult) appendTo(dst []byte) []byte {
-	dst = appendUvarint(dst, r.BestToken)
-	dst = appendBool(dst, r.HasCovering)
-	dst = appendBool(dst, r.CoveringLocal)
-	dst = appendString(dst, r.CoveringNextPeer)
-	dst = appendUint(dst, len(r.PropMatch))
-	for _, m := range r.PropMatch {
-		dst = appendBool(dst, m)
-	}
-	return dst
-}
-
-func (r *QueryOracleResult) decodeFrom(d *dec) {
-	r.BestToken = d.uvarint()
-	r.HasCovering = d.boolean()
-	r.CoveringLocal = d.boolean()
-	r.CoveringNextPeer = d.str()
-	if n := d.count(1); n > 0 {
-		r.PropMatch = make([]bool, n)
-		for i := range r.PropMatch {
-			r.PropMatch[i] = d.boolean()
-		}
-	}
+func (r *QueryOracleResult) wire(c coder) coder {
+	c.Uvarint(&r.BestToken)
+	c.Bool(&r.HasCovering)
+	c.Bool(&r.CoveringLocal)
+	c.Str(&r.CoveringNextPeer)
+	codec.List(&c.C, &r.PropMatch, 1, c.Bool)
+	return c
 }

@@ -1,8 +1,14 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"dice/internal/checkpoint"
@@ -114,6 +120,12 @@ func sampleMessages() []message {
 	}
 }
 
+// encodeBody appends msg's body to dst.
+func encodeBody(dst []byte, msg message) []byte {
+	c := msg.wire(encoder(dst))
+	return c.Buf()
+}
+
 // freshLike returns a zero-valued instance of the same concrete message
 // type, for decoding into.
 func freshLike(msg message) message {
@@ -150,18 +162,18 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 	}
 	for i, msg := range sampleMessages() {
-		body := msg.appendTo(nil)
+		body := encodeBody(nil, msg)
 		got := freshLike(msg)
 		if err := decodeBody(body, got); err != nil {
 			t.Errorf("sample %d (%T): decode of own encoding failed: %v", i, msg, err)
 			continue
 		}
-		if again := got.appendTo(nil); !reflect.DeepEqual(again, body) {
+		if again := encodeBody(nil, got); !reflect.DeepEqual(again, body) {
 			t.Errorf("sample %d (%T): re-encoding is not canonical:\n first: %x\n again: %x", i, msg, body, again)
 		}
 		// Value equality up to nil-vs-empty (the codec returns nil for
 		// zero-length collections).
-		reBody := got.appendTo(nil)
+		reBody := encodeBody(nil, got)
 		reGot := freshLike(msg)
 		if err := decodeBody(reBody, reGot); err != nil {
 			t.Errorf("sample %d (%T): second decode failed: %v", i, msg, err)
@@ -173,9 +185,79 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// methodOf names the method whose params or result type msg is.
+func methodOf(msg message) string {
+	ty := reflect.TypeOf(msg)
+	for _, m := range methodTable {
+		if m.newParams != nil && reflect.TypeOf(m.newParams()) == ty ||
+			m.newResult != nil && reflect.TypeOf(m.newResult()) == ty {
+			return m.name
+		}
+	}
+	panic(fmt.Sprintf("%v is in no method table row", ty))
+}
+
+// TestWireGolden pins the bytes of every layout: testdata/wire.golden
+// holds each sample's body and the whole frame (length header included)
+// of the request and of the ok response carrying it, one hex line each.
+// There is no update flag — a moved byte is a wire change, which bumps
+// ProtoVersion.
+func TestWireGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for i, msg := range sampleMessages() {
+		req, err := appendRequest(newFrame(), 99, methodOf(msg), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reqFrame, respFrame bytes.Buffer
+		if err := sendFrame(&reqFrame, req); err != nil {
+			t.Fatal(err)
+		}
+		if err := sendFrame(&respFrame, appendResponse(newFrame(), 99, "", msg)); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%02d %T", i, msg)
+		lines = append(lines,
+			name+" body "+hex.EncodeToString(encodeBody(nil, msg)),
+			name+" request "+hex.EncodeToString(reqFrame.Bytes()),
+			name+" response "+hex.EncodeToString(respFrame.Bytes()))
+	}
+	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
+		t.Errorf("wire encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if ProtoVersion != 8 {
+		t.Errorf("ProtoVersion %d: the golden was written at 8", ProtoVersion)
+	}
+}
+
+// TestEncodeIsReadOnly: an agent may encode one memoized answer on
+// several connections at once, so a layout only reads the value it
+// encodes. Under -race, a layout that writes a field while encoding
+// fails here.
+func TestEncodeIsReadOnly(t *testing.T) {
+	for i, msg := range sampleMessages() {
+		want := encodeBody(nil, msg)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := encodeBody(nil, msg); !bytes.Equal(got, want) {
+					t.Errorf("sample %d (%T): concurrent encoding differs", i, msg)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // TestTruncationErrors: every strict prefix of a valid body must fail
 // to decode — the codec reads a fixed field sequence, so cutting the
-// tail starves some read, and finish() catches anything shorter still.
+// tail starves some read, and Finish catches anything shorter still.
 // The one designed exception: feature-gated tails. A message whose
 // optional fields ride in an absent-when-unused tail decodes cleanly
 // when cut exactly where that tail starts, because that is the valid
@@ -187,12 +269,12 @@ func TestRoundTripProperty(t *testing.T) {
 // them otherwise).
 func TestTruncationErrors(t *testing.T) {
 	for i, msg := range sampleMessages() {
-		body := msg.appendTo(nil)
+		body := encodeBody(nil, msg)
 		for k := 0; k < len(body); k++ {
 			got := freshLike(msg)
 			err := decodeBody(body[:k], got)
 			if err == nil {
-				if re := got.appendTo(nil); !reflect.DeepEqual(re, append([]byte(nil), body[:k]...)) {
+				if re := encodeBody(nil, got); !reflect.DeepEqual(re, append([]byte(nil), body[:k]...)) {
 					t.Errorf("sample %d (%T): truncation to %d of %d bytes decoded cleanly into a non-canonical frame:\n cut: %x\n  re: %x",
 						i, msg, k, len(body), body[:k], re)
 				}
@@ -277,13 +359,13 @@ func TestResponseEnvelope(t *testing.T) {
 // past BFS, and the eleventh method code, retired with
 // inject_witness_batch.
 func TestDecodeRejections(t *testing.T) {
-	query := (&QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")}).appendTo(nil)
-	inject := (&InjectBatchParams{ShadowID: 7, Key: 6, Deliveries: []BatchDelivery{
-		{From: "p", Msg: []byte{1}, Watch: netaddr.MustParsePrefix("10.200.0.0/24")}}}).appendTo(nil)
+	query := encodeBody(nil, &QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")})
+	inject := encodeBody(nil, &InjectBatchParams{ShadowID: 7, Key: 6, Deliveries: []BatchDelivery{
+		{From: "p", Msg: []byte{1}, Watch: netaddr.MustParsePrefix("10.200.0.0/24")}}})
 	finding := core.Finding{Kind: "k", Peer: "p", Prefix: netaddr.MustParsePrefix("10.0.0.0/8"),
 		LeakRange: core.RangeDesc{LenLo: 8, LenHi: 32}}
-	explore := (&ExploreResult{Findings: []core.Finding{finding}}).appendTo(nil)
-	knobs := (&ExploreParams{Peer: "p", Scenario: "s", EngineKnobs: EngineKnobs{Strategy: concolic.BFS}}).appendTo(nil)
+	explore := encodeBody(nil, &ExploreResult{Findings: []core.Finding{finding}})
+	knobs := encodeBody(nil, &ExploreParams{Peer: "p", Scenario: "s", EngineKnobs: EngineKnobs{Strategy: concolic.BFS}})
 
 	// flip returns body with octet at, which must hold from, set to to.
 	flip := func(body []byte, at int, from, to byte) []byte {

@@ -11,8 +11,8 @@ import (
 	"dice/internal/rib"
 )
 
-// DecodeState reconstructs a router from a checkpoint produced by
-// EncodeState (or by concatenating EncodeStateChunks). This is what makes
+// DecodeState reconstructs a router from a checkpoint: the concatenation
+// of EncodeStateChunks' regions. This is what makes
 // the §2.4 vision concrete: a remote node can checkpoint its state, ship
 // the (self-contained) bytes, and exploration can "process these messages
 // in isolation over their checkpointed states" on another machine —

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"testing"
 
 	"dice/internal/bgp"
@@ -12,7 +13,7 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 	tn := newTestNet(t, twoRouterConfigs(), [][2]string{{"a", "b"}})
 	b := tn.routers["b"]
 
-	state := b.EncodeState()
+	state := bytes.Join(b.EncodeStateChunks(), nil)
 	restored, err := DecodeState("b", b.Config(), netsim.NewCaptureSink(), state)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +41,7 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 		t.Fatal("session counters lost")
 	}
 	// Re-encoding the restored router reproduces the checkpoint exactly.
-	if string(restored.EncodeState()) != string(state) {
+	if string(bytes.Join(restored.EncodeStateChunks(), nil)) != string(state) {
 		t.Fatal("restore is not a fixed point of encode")
 	}
 }
@@ -50,7 +51,7 @@ func TestDecodeStateWithLocalRoutes(t *testing.T) {
 	// encoding must round-trip it.
 	tn := newTestNet(t, twoRouterConfigs(), [][2]string{{"a", "b"}})
 	a := tn.routers["a"]
-	state := a.EncodeState()
+	state := bytes.Join(a.EncodeStateChunks(), nil)
 	restored, err := DecodeState("a", a.Config(), netsim.NewCaptureSink(), state)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestDecodeStateWithLocalRoutes(t *testing.T) {
 func TestDecodeStateRejectsGarbage(t *testing.T) {
 	tn := newTestNet(t, twoRouterConfigs(), [][2]string{{"a", "b"}})
 	b := tn.routers["b"]
-	state := b.EncodeState()
+	state := bytes.Join(b.EncodeStateChunks(), nil)
 
 	cases := map[string][]byte{
 		"empty":         {},
@@ -84,7 +85,7 @@ func TestRestoredRouterIsolated(t *testing.T) {
 	tn := newTestNet(t, twoRouterConfigs(), [][2]string{{"a", "b"}})
 	b := tn.routers["b"]
 	sink := netsim.NewCaptureSink()
-	restored, err := DecodeState("b", b.Config(), sink, b.EncodeState())
+	restored, err := DecodeState("b", b.Config(), sink, bytes.Join(b.EncodeStateChunks(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -528,16 +528,6 @@ func (r *Router) EncodeStateChunks() [][]byte {
 	return chunks
 }
 
-// EncodeState implements checkpoint.Checkpointable by concatenating the
-// chunked encoding.
-func (r *Router) EncodeState() []byte {
-	var out []byte
-	for _, c := range r.EncodeStateChunks() {
-		out = append(out, c...)
-	}
-	return out
-}
-
 // CloneCOW produces an isolated copy-on-write clone: the RIB is an
 // overlay over this router's table, so creation is O(peers), independent
 // of table size — exactly fork()'s cost model, which the §4.1 overhead

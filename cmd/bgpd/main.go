@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -87,29 +88,25 @@ func main() {
 	}
 	delivered := net.Run(0)
 	fmt.Printf("converged: %d routers, %d messages delivered\n", len(routers), delivered)
+	report(os.Stdout, order, routers, *dump)
+}
 
+// report prints every router, in the order given: its sessions, one per
+// configured peer in config order, and with dump its routing table.
+func report(w io.Writer, order []string, routers map[string]*router.Router, dump bool) {
 	for _, name := range order {
 		r := routers[name]
-		fmt.Printf("\n=== %s (AS%d, router-id %s): %d prefixes, %d routes ===\n",
+		fmt.Fprintf(w, "\n=== %s (AS%d, router-id %s): %d prefixes, %d routes ===\n",
 			name, r.Config().LocalAS, r.Config().RouterID, r.RIB().Prefixes(), r.RIB().Routes())
-		for peer := range peersOf(r) {
-			sess := r.Session(peer)
-			fmt.Printf("  peer %-12s state %-12v in %d out %d\n",
-				peer, sess.State(), sess.UpdatesIn, sess.UpdatesOut)
+		for _, p := range r.Config().Peers {
+			sess := r.Session(p.Name)
+			fmt.Fprintf(w, "  peer %-12s state %-12v in %d out %d\n",
+				p.Name, sess.State(), sess.UpdatesIn, sess.UpdatesOut)
 		}
-		if *dump {
+		if dump {
 			for _, rt := range r.RIB().Dump() {
-				fmt.Printf("  %s\n", rt)
+				fmt.Fprintf(w, "  %s\n", rt)
 			}
 		}
 	}
-}
-
-// peersOf lists a router's configured peer names.
-func peersOf(r *router.Router) map[string]struct{} {
-	out := map[string]struct{}{}
-	for _, p := range r.Config().Peers {
-		out[p.Name] = struct{}{}
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"dice/internal/bgp"
 	"dice/internal/minimize"
 	"dice/internal/netaddr"
+	"dice/internal/netsim"
 	"dice/internal/prop"
 )
 
@@ -159,12 +160,8 @@ type Driver struct {
 	Props []*prop.Compiled
 
 	topo    *Topology
-	needsAt bool // some property has an `at` clause
-	// latency holds every link's latency under both orders of its
-	// endpoints, and lookahead the smallest: nothing a delivery causes
-	// lands sooner than that after it (Relay).
-	latency   map[[2]string]time.Duration
-	lookahead time.Duration
+	needsAt bool          // some property has an `at` clause
+	links   *netsim.Links // the topology's links, for every Relay
 }
 
 // NewDriver resolves a topology and options into a round driver.
@@ -195,13 +192,9 @@ func NewDriver(t *Topology, opts FederatedOptions) (*Driver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("federated: %w", err)
 	}
-	d := &Driver{Opts: opts, Boundary: boundary, Props: prop.Merge(custom), topo: t, latency: make(map[[2]string]time.Duration, 2*len(t.Edges))}
-	for _, e := range t.Edges {
-		lat := e.latency()
-		d.latency[[2]string{e.A, e.B}], d.latency[[2]string{e.B, e.A}] = lat, lat
-		if d.lookahead == 0 || lat < d.lookahead {
-			d.lookahead = lat
-		}
+	d := &Driver{Opts: opts, Boundary: boundary, Props: prop.Merge(custom), topo: t, links: &netsim.Links{}}
+	if err := t.Link(d.links); err != nil {
+		return nil, fmt.Errorf("federated: %w", err)
 	}
 	for _, p := range d.Props {
 		d.needsAt = d.needsAt || p.HasAt()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dice/internal/bgp"
@@ -9,13 +10,6 @@ import (
 	"dice/internal/netsim"
 	"dice/internal/prop"
 )
-
-// This file is the wave scheduler, written once. Both backends'
-// Shadows.Propagate hand a witness group to a Relay, and a backend
-// supplies only how one relay step is executed: direct router deliveries
-// in process (ShadowFabric.Deliver), one pipelined inject_witness per
-// agent over RPC. Either way the waves run in the same (virtual time,
-// FIFO) order netsim would deliver them in, with the same telemetry.
 
 // Delivery is one message of a relay step as the backend executes it: the
 // event (Data from From arrives at To, At after the group's injection, in
@@ -48,28 +42,24 @@ func NoPeerError(node, from string) error {
 	return fmt.Errorf("%s has no peer %q", node, from)
 }
 
-// Relay runs a witness group's waves for one shadow set. Its queue and
-// step buffer are reused across the set's Propagate calls.
+// Relay is the wave scheduler, written once: both backends'
+// Shadows.Propagate hand it a witness group and supply only how a step is
+// executed — direct router deliveries in process (ShadowFabric.Deliver),
+// one pipelined inject_witness per agent over RPC. It keeps the per-wave
+// books on a netsim.Loop over the topology's links, reused across calls.
 type Relay struct {
-	d     *Driver // the topology's link latencies
-	queue netsim.Queue
-	step  []Delivery
-	last  []time.Duration // each wave's current timestamp
+	loop   *netsim.Loop
+	events []netsim.Event
+	step   []Delivery
 }
 
 // NewRelay returns a relay over the driver's topology links.
-func (d *Driver) NewRelay() *Relay { return &Relay{d: d} }
+func (d *Driver) NewRelay() *Relay { return &Relay{loop: netsim.NewLoop(d.links)} }
 
 // Run injects every member of the group at To as if From had sent it and
-// relays the resulting waves to quiescence, together, one step at a time
-// through exec. A step is every queued delivery within the lookahead of
-// the earliest: an emission lands at its cause's time plus a link latency
-// that is never less than the lookahead, with a later sequence number
-// than anything already queued, so nothing a step causes can sort inside
-// it, and no node hears from another within one step. The step's
-// emissions are queued in delivery order, so sequence numbers come out as
-// if the deliveries had run one at a time: netsim's delivery order. A send
-// over a missing link is dropped, like netsim's unplugged cable.
+// relays the resulting waves to quiescence, together, one loop step at a
+// time through exec, emissions queued in delivery order: the Network's
+// order, as netsim's package doc argues. A send over no link is dropped.
 //
 // Steps, per-timestamp wave counts, the maxSteps budget and the pending
 // count are kept per wave: a wave that has spent its budget stops being
@@ -77,48 +67,38 @@ func (d *Driver) NewRelay() *Relay { return &Relay{d: d} }
 // waves beside it run on. Touched keeps, per wave and node, the first
 // delivery's Before and the last one's After.
 func (r *Relay) Run(group []Injection, maxSteps int, exec StepFunc) ([]Wave, error) {
-	clear(r.queue) // what a wave that hit its budget left queued
-	r.queue, r.last = r.queue[:0], r.last[:0]
+	r.loop.Reset() // what a wave that hit its budget left queued
 	waves := make([]Wave, len(group))
+	last := make([]time.Duration, len(group)) // each wave's current timestamp
 	for i, in := range group {
-		lat, linked := r.d.latency[[2]string{in.From, in.To}]
-		if !linked {
-			return nil, fmt.Errorf("federated: no %s→%s link for witness injection", in.From, in.To)
-		}
 		wire, err := bgp.Encode(in.Update)
 		if err != nil {
 			return nil, err
 		}
-		r.queue.Push(netsim.Event{At: lat, Seq: uint64(i + 1), Tag: i, From: in.From, To: in.To, Data: wire})
-		waves[i] = Wave{Phase: prop.Phase{Pending: 1}, Touched: make(map[string]RouteChange)}
-		r.last = append(r.last, 0)
-	}
-	// Injections carry sequence numbers 1..len(group); emissions continue
-	// from there.
-	seq := uint64(len(group))
-	emit := func(d *Delivery, to string, msg []byte) {
-		lat, linked := r.d.latency[[2]string{d.To, to}]
-		if !linked {
-			return
+		if !r.loop.Send(0, i, in.From, in.To, wire) {
+			return nil, fmt.Errorf("federated: no %s→%s link for witness injection", in.From, in.To)
 		}
-		seq++
-		waves[d.Tag].Pending++
-		r.queue.Push(netsim.Event{At: d.At + lat, Seq: seq, Tag: d.Tag, From: d.To, To: to, Data: msg})
+		waves[i] = Wave{Phase: prop.Phase{Pending: 1}, Touched: make(map[string]RouteChange)}
 	}
-	for len(r.queue) > 0 {
-		depth := len(r.queue)
+	emit := func(d *Delivery, to string, msg []byte) {
+		if r.loop.Send(d.At, d.Tag, d.To, to, msg) {
+			waves[d.Tag].Pending++
+		}
+	}
+	for r.loop.Len() > 0 {
+		depth := r.loop.Len()
+		r.events = r.loop.Step(r.events[:0], math.MaxInt64)
 		r.step = r.step[:0]
-		for horizon := r.queue[0].At + r.d.lookahead; len(r.queue) > 0 && r.queue[0].At <= horizon; {
-			e := r.queue.Pop()
+		for _, e := range r.events {
 			w := &waves[e.Tag]
 			if w.Steps == maxSteps {
 				continue // budget spent: stays pending, like a solo run's backlog
 			}
 			w.Steps++
 			w.Pending--
-			if len(w.Waves) == 0 || e.At != r.last[e.Tag] {
+			if len(w.Waves) == 0 || e.At != last[e.Tag] {
 				w.Waves = append(w.Waves, 0)
-				r.last[e.Tag] = e.At
+				last[e.Tag] = e.At
 			}
 			w.Waves[len(w.Waves)-1]++
 			_, seen := w.Touched[e.To]

@@ -146,8 +146,8 @@ func TestExploreSnapshotRejectsCorruptState(t *testing.T) {
 
 // TestTopologyParseErrorPaths: the validation classes TestParseTopology
 // doesn't reach — empty node names, empty configs, dangling explore
-// targets, out-of-range boundary communities, unreadable files and
-// config-source errors surfacing from Build.
+// targets, out-of-range boundary communities and link latencies,
+// unreadable files and config-source errors surfacing from Build.
 func TestTopologyParseErrorPaths(t *testing.T) {
 	bad := map[string]string{
 		"empty node name": `{"name":"x","nodes":[{"name":"","config":["x"]},{"name":"b","config":["x"]}],"edges":[{"a":"","b":"b"}]}`,
@@ -163,6 +163,14 @@ func TestTopologyParseErrorPaths(t *testing.T) {
 	for name, src := range bad {
 		if _, err := ParseTopology([]byte(src)); err == nil {
 			t.Errorf("%s: parsed without error", name)
+		}
+	}
+	// A latency the loop cannot schedule: negative, or past what a
+	// time.Duration holds. The error names the edge.
+	for _, ms := range []string{"-2", "9223372036855"} {
+		src := `{"name":"x","nodes":[{"name":"a","config":["x"]},{"name":"b","config":["x"]}],"edges":[{"a":"a","b":"b","latency_ms":` + ms + `}]}`
+		if _, err := ParseTopology([]byte(src)); err == nil || !strings.Contains(err.Error(), "edge a-b") {
+			t.Errorf("latency_ms %s: err = %v, want one naming edge a-b", ms, err)
 		}
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -214,9 +215,7 @@ type TopoEdge struct {
 	LatencyMS int    `json:"latency_ms,omitempty"` // 0 = 1ms
 }
 
-// latency is the link's one-way delivery latency. Build wires it into the
-// live network and NewDriver into the relay's link table, so live fabric
-// and shadows agree on it.
+// latency is the link's one-way delivery latency, read by Topology.Link.
 func (e TopoEdge) latency() time.Duration {
 	if e.LatencyMS == 0 {
 		return time.Millisecond
@@ -282,6 +281,9 @@ func ParseTopology(data []byte) (*Topology, error) {
 		if !names[e.A] || !names[e.B] {
 			return nil, fmt.Errorf("topology %q: edge %s-%s references unknown node", t.Name, e.A, e.B)
 		}
+		if e.LatencyMS < 0 || time.Duration(e.LatencyMS) > math.MaxInt64/time.Millisecond {
+			return nil, fmt.Errorf("topology %q: edge %s-%s: latency_ms %d out of range", t.Name, e.A, e.B, e.LatencyMS)
+		}
 	}
 	for _, x := range t.Explore {
 		if !names[x.Node] || !names[x.Peer] {
@@ -323,6 +325,18 @@ func (t *Topology) BoundaryCommunity() (uint32, error) {
 	return 0, fmt.Errorf("topology %q: bad no_export_community %q (want \"AS:value\")", t.Name, t.NoExportCommunity)
 }
 
+// Link connects the edges on net: Build's network, NewDriver's link table.
+func (t *Topology) Link(net interface {
+	Connect(string, string, time.Duration) error
+}) error {
+	for _, e := range t.Edges {
+		if err := net.Connect(e.A, e.B, e.latency()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Fabric is an instantiated topology: live routers on a virtual network.
 type Fabric struct {
 	Topo    *Topology
@@ -346,10 +360,8 @@ func (t *Topology) Build() (*Fabric, error) {
 		}
 		f.Routers[n.Name] = r
 	}
-	for _, e := range t.Edges {
-		if err := net.Connect(e.A, e.B, e.latency()); err != nil {
-			return nil, err
-		}
+	if err := t.Link(net); err != nil {
+		return nil, err
 	}
 	for _, n := range t.Nodes {
 		if err := f.Routers[n.Name].Start(net.Now()); err != nil {

@@ -96,13 +96,13 @@ func TestQueryOracleBudget(t *testing.T) {
 	}
 }
 
-// witnessSlots replays one witness lifecycle alone on a live fabric of
-// its own (netsimWaves) and returns the (phase, virtual time since the
+// witnessSlots replays one witness lifecycle alone on the reference model
+// (netsimWaves) and returns the (phase, virtual time since the
 // phase's injection, destination) slot of every delivery — the reference
 // the relay's call count is held against.
-func witnessSlots(t *testing.T, tp *core.Topology, w WitnessSpec) (slots map[string]bool, deliveries int) {
+func witnessSlots(t *testing.T, base modelFabric, w WitnessSpec) (slots map[string]bool, deliveries int) {
 	t.Helper()
-	ref, _ := netsimWaves(t, tp, w, 0)
+	ref, _ := netsimWaves(t, base, w, 0)
 	slots = map[string]bool{}
 	for _, d := range ref {
 		slots[fmt.Sprintf("%d %v %s", d.phase, d.at, d.to)] = true
@@ -141,8 +141,9 @@ func TestInjectBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			slots, deliveries := 0, 0
+			base := newModelFabric(t, tc.topo)
 			for _, w := range roundWitnesses(res) {
-				s, n := witnessSlots(t, tc.topo, w)
+				s, n := witnessSlots(t, base, w)
 				slots += len(s)
 				deliveries += n
 			}

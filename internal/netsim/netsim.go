@@ -1,7 +1,15 @@
 // Package netsim is an in-memory virtual network: named nodes joined by
-// duplex links with configurable latency, a virtual clock, and a
-// deterministic event queue. It replaces the Linux virtual interfaces of
+// duplex links with configurable latency, a virtual clock, and one
+// deterministic event loop. It replaces the Linux virtual interfaces of
 // the paper's testbed (Figure 2).
+//
+// The Loop schedules every BGP message, live (Network) and shadow (core's
+// relay), a step at a time: every queued event within the lookahead, the
+// smallest link latency, of the earliest. A delivery's sends land a
+// lookahead or more after it, behind everything queued, so delivering a
+// step in order, each event at its own time, is delivering one at a time
+// in (time, FIFO) order. That needs latencies ≥ 0, which Connect
+// enforces; a 0 lookahead still ends, with steps of one timestamp each.
 //
 // Isolation for DiCE (§2.3: "DiCE intercepts the messages generated
 // during exploration") is structural: exploration clones are never
@@ -10,7 +18,9 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -49,21 +59,19 @@ type Event struct {
 	Data     []byte
 }
 
-// Queue is a binary min-heap of Event values ordered by (At, Seq). Seq is
-// unique per scheduler, so the order is total and the delivery sequence
-// does not depend on how the heap is laid out. Events are stored by value:
-// a push allocates nothing beyond amortized growth of the slice.
-type Queue []Event
+// queue is a binary min-heap of Event values in (At, Seq) order, total
+// because Seq is unique per loop. Events are stored by value: a push
+// allocates nothing beyond amortized growth of the slice.
+type queue []Event
 
-func (q Queue) less(i, j int) bool {
+func (q queue) less(i, j int) bool {
 	if q[i].At != q[j].At {
 		return q[i].At < q[j].At
 	}
 	return q[i].Seq < q[j].Seq
 }
 
-// Push adds e and sifts it up to its place.
-func (q *Queue) Push(e Event) {
+func (q *queue) push(e Event) {
 	*q = append(*q, e)
 	h := *q
 	for i := len(h) - 1; i > 0; {
@@ -76,9 +84,8 @@ func (q *Queue) Push(e Event) {
 	}
 }
 
-// Pop removes and returns the earliest event. The queue must not be
-// empty.
-func (q *Queue) Pop() Event {
+// pop removes and returns the earliest event of a non-empty queue.
+func (q *queue) pop() Event {
 	h := *q
 	last := len(h) - 1
 	e := h[0]
@@ -103,48 +110,96 @@ func (q *Queue) Pop() Event {
 	return e
 }
 
+// Links is a link table: each link's latency under both orders of its
+// endpoints, and the lookahead, the smallest. The zero value is empty.
+type Links struct {
+	latency   map[[2]string]time.Duration
+	lookahead time.Duration
+}
+
+// Connect adds a duplex link; its latency must not be negative.
+func (l *Links) Connect(a, b string, latency time.Duration) error {
+	if _, dup := l.latency[[2]string{a, b}]; dup {
+		return fmt.Errorf("netsim: duplicate link %s-%s", a, b)
+	}
+	if latency < 0 {
+		return fmt.Errorf("netsim: link %s-%s has negative latency %v", a, b, latency)
+	}
+	if l.latency == nil {
+		l.latency, l.lookahead = map[[2]string]time.Duration{}, latency
+	}
+	l.latency[[2]string{a, b}], l.latency[[2]string{b, a}] = latency, latency
+	l.lookahead = min(l.lookahead, latency)
+	return nil
+}
+
+// Loop is the event loop: a queue of events over a link table it only
+// reads, and the sequence numbers that order them.
+type Loop struct {
+	links *Links
+	queue queue
+	seq   uint64
+}
+
+// NewLoop returns an empty loop over links.
+func NewLoop(links *Links) *Loop { return &Loop{links: links} }
+
+// Send queues data from→to, tagged, at time at plus the link's latency,
+// and reports whether the link exists; a send over none is dropped.
+func (l *Loop) Send(at time.Duration, tag int, from, to string, data []byte) bool {
+	lat, ok := l.links.latency[[2]string{from, to}]
+	if ok {
+		l.seq++
+		l.queue.push(Event{At: at + lat, Seq: l.seq, Tag: tag, From: from, To: to, Data: data})
+	}
+	return ok
+}
+
+// Step appends the next step to buf in delivery order: every event within
+// the lookahead of the earliest, none later than until.
+func (l *Loop) Step(buf []Event, until time.Duration) []Event {
+	if len(l.queue) == 0 || l.queue[0].At > until {
+		return buf
+	}
+	horizon := l.queue[0].At + min(l.links.lookahead, until-l.queue[0].At)
+	for len(l.queue) > 0 && l.queue[0].At <= horizon {
+		buf = append(buf, l.queue.pop())
+	}
+	return buf
+}
+
+// Len returns the number of queued events.
+func (l *Loop) Len() int { return len(l.queue) }
+
+// Reset empties the queue and restarts the sequence numbers.
+func (l *Loop) Reset() {
+	clear(l.queue)
+	l.queue, l.seq = l.queue[:0], 0
+}
+
 // LinkStats counts traffic over one direction of a link.
 type LinkStats struct {
 	Messages uint64
 	Bytes    uint64
 }
 
-type linkKey struct{ a, b string }
-
-type link struct {
-	latency time.Duration
-	stats   [2]LinkStats // by sender: [0] the endpoint key puts first, [1] the other
-}
-
-// from returns the counters for traffic sent by node from over l, which
-// is keyed k.
-func (l *link) from(k linkKey, from string) *LinkStats {
-	if from == k.a {
-		return &l.stats[0]
-	}
-	return &l.stats[1]
-}
-
-// Network is the virtual network. Safe for concurrent Send; Run/Step must
-// be called from one goroutine. Virtual time runs from the epoch New was
+// Network is the virtual network: a Loop and an executor delivering its
+// steps to the nodes. Safe for concurrent Send; Run and RunUntil must be
+// called from one goroutine. Virtual time runs from the epoch New was
 // given; queued events carry it as an offset from there.
 type Network struct {
 	mu    sync.Mutex
 	nodes map[string]Receiver
-	links map[linkKey]*link
-	queue Queue
-	seq   uint64
+	stats map[[2]string]*LinkStats // by sender, receiver
+	loop  Loop
+	step  []Event // the step being delivered
 	epoch time.Time
 	now   time.Duration // since epoch
 }
 
 // New creates an empty network with the virtual clock at start.
 func New(start time.Time) *Network {
-	return &Network{
-		nodes: make(map[string]Receiver),
-		links: make(map[linkKey]*link),
-		epoch: start,
-	}
+	return &Network{nodes: map[string]Receiver{}, stats: map[[2]string]*LinkStats{}, loop: Loop{links: &Links{}}, epoch: start}
 }
 
 // Now returns the current virtual time.
@@ -165,14 +220,7 @@ func (n *Network) AddNode(name string, r Receiver) error {
 	return nil
 }
 
-func key(a, b string) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a, b}
-}
-
-// Connect creates a duplex link between two existing nodes.
+// Connect links two existing nodes; the latency must not be negative.
 func (n *Network) Connect(a, b string, latency time.Duration) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -182,114 +230,86 @@ func (n *Network) Connect(a, b string, latency time.Duration) error {
 	if _, ok := n.nodes[b]; !ok {
 		return fmt.Errorf("netsim: unknown node %q", b)
 	}
-	k := key(a, b)
-	if _, dup := n.links[k]; dup {
-		return fmt.Errorf("netsim: duplicate link %s-%s", a, b)
+	if err := n.loop.links.Connect(a, b, latency); err != nil {
+		return err
 	}
-	n.links[k] = &link{latency: latency}
+	st := new([2]LinkStats)
+	n.stats[[2]string{a, b}], n.stats[[2]string{b, a}] = &st[0], &st[1]
 	return nil
 }
 
-// Stats returns the traffic counters for the a→b direction.
+// Stats returns the traffic counters for the from→to direction.
 func (n *Network) Stats(from, to string) LinkStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	k := key(from, to)
-	l, ok := n.links[k]
-	if !ok {
-		return LinkStats{}
+	if st := n.stats[[2]string{from, to}]; st != nil {
+		return *st
 	}
-	return *l.from(k, from)
+	return LinkStats{}
 }
 
-// Send implements Transport: it enqueues a delivery across the link.
-// Sends over missing links are dropped (like an unplugged cable), keeping
-// exploration safe.
+// Send implements Transport: it queues a copy of data for delivery across
+// the link. Sends over missing links are dropped (like an unplugged
+// cable), keeping exploration safe.
 func (n *Network) Send(from, to string, data []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	k := key(from, to)
-	l, ok := n.links[k]
-	if !ok {
-		return
+	if st := n.stats[[2]string{from, to}]; st != nil {
+		st.Messages++
+		st.Bytes += uint64(len(data))
+		n.loop.Send(n.now, 0, from, to, bytes.Clone(data))
 	}
-	st := l.from(k, from)
-	st.Messages++
-	st.Bytes += uint64(len(data))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	n.seq++
-	n.queue.Push(Event{At: n.now + l.latency, Seq: n.seq, From: from, To: to, Data: cp})
-}
-
-// Step delivers the next queued event, advancing the virtual clock.
-// It returns false when the queue is empty.
-func (n *Network) Step() bool {
-	n.mu.Lock()
-	if len(n.queue) == 0 {
-		n.mu.Unlock()
-		return false
-	}
-	e := n.queue.Pop()
-	n.now = max(n.now, e.At)
-	r, ok := n.nodes[e.To]
-	now := n.epoch.Add(n.now)
-	n.mu.Unlock()
-
-	if ok {
-		r.Deliver(now, e.From, e.Data)
-	}
-	return true
-}
-
-// Next reports the delivery the next Step makes, without making it. ok is
-// false when the queue is empty.
-func (n *Network) Next() (e Event, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.queue) == 0 {
-		return Event{}, false
-	}
-	return n.queue[0], true
 }
 
 // Run processes events until the queue drains or limit deliveries occur
 // (limit <= 0 means no limit). It returns the number of deliveries.
-func (n *Network) Run(limit int) int {
-	count := 0
-	for limit <= 0 || count < limit {
-		if !n.Step() {
-			break
-		}
-		count++
-	}
-	return count
-}
+func (n *Network) Run(limit int) int { return n.run(limit, math.MaxInt64) }
 
 // RunUntil processes events with timestamps <= deadline, then advances the
 // clock to the deadline.
-func (n *Network) RunUntil(deadline time.Time) int {
-	count := 0
-	for {
-		n.mu.Lock()
-		if until := deadline.Sub(n.epoch); len(n.queue) == 0 || n.queue[0].At > until {
-			n.now = max(n.now, until)
+func (n *Network) RunUntil(deadline time.Time) int { return n.run(0, deadline.Sub(n.epoch)) }
+
+// run is the executor: it delivers the loop's steps, none later than
+// until, each event at its own time and without the lock, for a delivery
+// sends. After limit deliveries (<= 0: no limit) it requeues the rest;
+// having run dry by a deadline (until < MaxInt64), it moves the clock
+// there.
+func (n *Network) run(limit int, until time.Duration) (count int) {
+	n.mu.Lock()
+	for limit <= 0 || count < limit {
+		if n.step = n.loop.Step(n.step[:0], until); len(n.step) == 0 {
+			if until < math.MaxInt64 {
+				n.now = max(n.now, until)
+			}
+			break
+		}
+		for i, e := range n.step {
+			if limit > 0 && count == limit {
+				for _, rest := range n.step[i:] {
+					n.loop.queue.push(rest)
+				}
+				break
+			}
+			n.now = max(n.now, e.At)
+			r, now := n.nodes[e.To], n.epoch.Add(n.now)
 			n.mu.Unlock()
-			return count
+			if r != nil {
+				r.Deliver(now, e.From, e.Data)
+			}
+			count++
+			n.mu.Lock()
 		}
-		n.mu.Unlock()
-		if !n.Step() {
-			return count
-		}
-		count++
+		clear(n.step) // the payloads are not the buffer's to keep
 	}
+	n.mu.Unlock()
+	return count
 }
 
 // Pending returns the number of queued deliveries.
 func (n *Network) Pending() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.queue)
+	return n.loop.Len()
 }
 
 // CapturedMessage is one message diverted during exploration.
@@ -318,13 +338,6 @@ func (s *CaptureSink) Send(from, to string, data []byte) {
 	s.mu.Lock()
 	s.msgs = append(s.msgs, CapturedMessage{From: from, To: to, Data: cp})
 	s.mu.Unlock()
-}
-
-// Messages returns a snapshot of captured messages.
-func (s *CaptureSink) Messages() []CapturedMessage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]CapturedMessage(nil), s.msgs...)
 }
 
 // Drain appends the captured messages to dst and clears the sink, under

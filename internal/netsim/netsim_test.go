@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -57,6 +59,10 @@ func TestDuplicateNodeAndLink(t *testing.T) {
 	}
 	if err := n.Connect("a", "zzz", 0); err == nil {
 		t.Error("link to unknown node accepted")
+	}
+	n.AddNode("c", &recorder{})
+	if err := n.Connect("a", "c", -time.Millisecond); err == nil {
+		t.Error("negative latency accepted")
 	}
 }
 
@@ -147,19 +153,17 @@ func TestStats(t *testing.T) {
 func TestCaptureSinkStandalone(t *testing.T) {
 	sink := NewCaptureSink()
 	var tr Transport = sink
-	tr.Send("clone", "peer", []byte("explore"))
+	buf := []byte("explore")
+	tr.Send("clone", "peer", buf)
 	if sink.Count() != 1 {
 		t.Fatal("capture failed")
 	}
-	msgs := sink.Messages()
-	if msgs[0].From != "clone" || msgs[0].To != "peer" {
-		t.Fatalf("capture meta: %+v", msgs[0])
-	}
-	// Mutating the returned slice's data must not corrupt the sink copy...
-	msgs[0].Data[0] = 'X'
-	if string(sink.Messages()[0].Data) != "Xxplore" {
-		// Data is shared per message (documented snapshot of slice, not
-		// deep copy) — the sink captured its own copy of the original.
+	// Transport's contract: a sender that reuses its buffer after Send
+	// does not change what was sent.
+	buf[0] = 'X'
+	msgs := sink.Drain(nil)
+	if len(msgs) != 1 || msgs[0].From != "clone" || msgs[0].To != "peer" || string(msgs[0].Data) != "explore" {
+		t.Fatalf("captured %+v, want clone→peer \"explore\"", msgs)
 	}
 }
 
@@ -188,33 +192,6 @@ func TestCaptureSinkDrain(t *testing.T) {
 	sink.Send("clone", "s", []byte("four"))
 	if again := sink.Drain(first[:0]); len(again) != 1 || again[0].To != "s" || &again[0] != &first[0] {
 		t.Fatalf("drain into a reused buffer: %+v", again)
-	}
-}
-
-// TestNextPeeksWithoutDelivering: Next reports the delivery Step makes
-// next, in queue order, and moves nothing.
-func TestNextPeeksWithoutDelivering(t *testing.T) {
-	n := New(start())
-	b := &recorder{}
-	n.AddNode("a", &recorder{})
-	n.AddNode("b", b)
-	n.AddNode("c", &recorder{})
-	n.Connect("a", "b", 2*time.Millisecond)
-	n.Connect("a", "c", time.Millisecond)
-	if _, ok := n.Next(); ok {
-		t.Fatal("an empty queue has a next delivery")
-	}
-	n.Send("a", "b", []byte("x"))
-	n.Send("a", "c", []byte("y"))
-	if e, ok := n.Next(); !ok || e.To != "c" || e.From != "a" || string(e.Data) != "y" || e.At != time.Millisecond {
-		t.Fatalf("Next = %+v, %v; the 1 ms link delivers first", e, ok)
-	}
-	if n.Pending() != 2 || len(b.got) != 0 {
-		t.Fatal("Next delivered something")
-	}
-	n.Step()
-	if e, _ := n.Next(); e.To != "b" {
-		t.Fatalf("Next after one step = %+v, want b", e)
 	}
 }
 
@@ -254,13 +231,13 @@ func BenchmarkSendDeliver(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Send("a", "b", payload)
-		n.Step()
+		n.Run(0)
 	}
 }
 
-// TestSendStepAllocatesOnlyTheCopy: a message through the queue costs the
+// TestSendStepAllocatesOnlyTheCopy: a message through the loop costs the
 // isolation copy Send makes and nothing else — events are heap values,
-// not one allocation each.
+// not one allocation each, and the step buffer is reused.
 func TestSendStepAllocatesOnlyTheCopy(t *testing.T) {
 	n := New(start())
 	sinkNode := ReceiverFunc(func(time.Time, string, []byte) {})
@@ -270,79 +247,65 @@ func TestSendStepAllocatesOnlyTheCopy(t *testing.T) {
 	payload := make([]byte, 64)
 	if got := testing.AllocsPerRun(100, func() {
 		n.Send("a", "b", payload)
-		n.Step()
+		n.Run(0)
 	}); got != 1 {
-		t.Fatalf("Send + Step allocates %v objects, want exactly the 1 copy", got)
+		t.Fatalf("Send + Run allocates %v objects, want exactly the 1 copy", got)
 	}
 }
 
-// TestQueueOrderUnderInterleaving: deliveries come out by (time, send
-// order) however sends and steps interleave.
-func TestQueueOrderUnderInterleaving(t *testing.T) {
-	n := New(start())
-	c := &recorder{}
-	for _, name := range []string{"a", "b", "c"} {
-		if name == "c" {
-			n.AddNode(name, c)
-		} else {
-			n.AddNode(name, &recorder{})
-		}
+// TestZeroLatencyLoopEnds: a 0 ms link is legal and its lookahead is 0,
+// so a step holds only events of one timestamp, and the loop still ends.
+func TestZeroLatencyLoopEnds(t *testing.T) {
+	links := &Links{}
+	if err := links.Connect("a", "b", 0); err != nil {
+		t.Fatal(err)
 	}
-	n.Connect("a", "c", 3*time.Millisecond)
-	n.Connect("b", "c", time.Millisecond)
-	var want []string
-	for i := 0; i < 40; i++ {
-		from := "a"
-		if i%3 == 0 {
-			from = "b"
-		}
-		n.Send(from, "c", []byte{byte('A' + i)})
-		if i%7 == 6 {
-			n.Step()
-		}
+	if err := links.Connect("b", "c", time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
-	n.Run(0)
-	if len(c.got) != 40 {
-		t.Fatalf("delivered %d, want 40", len(c.got))
-	}
-	// Replay the schedule by hand: each step takes the earliest pending
-	// (due time, send sequence).
-	type pend struct {
-		due time.Duration
-		seq int
-		msg string
-	}
-	var queue []pend
-	var now time.Duration
-	take := func() {
-		best := 0
-		for i, p := range queue {
-			if p.due < queue[best].due || p.due == queue[best].due && p.seq < queue[best].seq {
-				best = i
+	l := NewLoop(links)
+	l.Send(0, 0, "a", "b", nil)
+	l.Send(0, 0, "b", "c", nil)
+	l.Send(0, 0, "b", "a", nil)
+	var steps [][]time.Duration
+	for l.Len() > 0 {
+		var at []time.Duration
+		for _, e := range l.Step(nil, math.MaxInt64) {
+			at = append(at, e.At)
+			if e.To == "b" && e.At == 0 {
+				l.Send(e.At, 0, "b", "a", nil) // a 0 ms echo joins the next step
 			}
 		}
-		if queue[best].due > now {
-			now = queue[best].due
-		}
-		want = append(want, queue[best].msg)
-		queue = append(queue[:best], queue[best+1:]...)
+		steps = append(steps, at)
 	}
-	for i := 0; i < 40; i++ {
-		from, lat := "a", 3*time.Millisecond
-		if i%3 == 0 {
-			from, lat = "b", time.Millisecond
-		}
-		queue = append(queue, pend{now + lat, i, fmt.Sprintf("%s:%c", from, 'A'+i)})
-		if i%7 == 6 {
-			take()
-		}
+	want := [][]time.Duration{{0, 0}, {0}, {time.Millisecond}}
+	if !reflect.DeepEqual(steps, want) {
+		t.Fatalf("steps %v, want %v", steps, want)
 	}
-	for len(queue) > 0 {
-		take()
+}
+
+// TestLoopStepWindow: a step is every event within the lookahead of the
+// earliest, clipped to the deadline, and nothing past either.
+func TestLoopStepWindow(t *testing.T) {
+	links := &Links{}
+	links.Connect("a", "b", 2*time.Millisecond)
+	links.Connect("a", "c", 3*time.Millisecond)
+	l := NewLoop(links)
+	for _, at := range []time.Duration{0, 1, 2, 3} {
+		l.Send(at*time.Millisecond, 0, "a", "b", nil)
 	}
-	for i := range want {
-		if c.got[i] != want[i] {
-			t.Fatalf("delivery %d = %s, want %s\ngot  %v\nwant %v", i, c.got[i], want[i], c.got, want)
-		}
+	l.Send(0, 0, "a", "c", nil)
+	var got []time.Duration
+	for _, e := range l.Step(nil, 3*time.Millisecond) {
+		got = append(got, e.At)
+	}
+	if want := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("step clipped to 3 ms = %v, want %v", got, want)
+	}
+	if got := l.Step(nil, 3*time.Millisecond); len(got) != 0 {
+		t.Fatalf("a step past the deadline: %v", got)
+	}
+	if got := l.Step(nil, math.MaxInt64); len(got) != 2 || l.Len() != 0 {
+		t.Fatalf("last step = %v, %d left; want the 4 and 5 ms events", got, l.Len())
 	}
 }

@@ -225,9 +225,9 @@ func firstDiff(got, want string) string {
 	return ""
 }
 
-func sinkImage(s *netsim.CaptureSink) string {
+func sinkImage(sent []netsim.CapturedMessage) string {
 	var b strings.Builder
-	for _, m := range s.Messages() {
+	for _, m := range sent {
 		fmt.Fprintf(&b, "%s>%s %x\n", m.From, m.To, m.Data)
 	}
 	return b.String()
@@ -235,9 +235,9 @@ func sinkImage(s *netsim.CaptureSink) string {
 
 // sinkRecipients lists the peers a sink saw an NLRI-carrying UPDATE go
 // to, and every peer it saw any UPDATE go to, both sorted.
-func sinkRecipients(t *testing.T, s *netsim.CaptureSink) (announcedTo, notified []string) {
+func sinkRecipients(t *testing.T, sent []netsim.CapturedMessage) (announcedTo, notified []string) {
 	t.Helper()
-	for _, m := range s.Messages() {
+	for _, m := range sent {
 		msg, err := bgp.Decode(m.Data)
 		if err != nil {
 			t.Fatalf("clone emitted an undecodable message: %v", err)
@@ -294,6 +294,7 @@ func checkHandlerParity(t *testing.T, ckpt *Router, in parityInput) {
 
 		live, liveSink := fork()
 		live.Deliver(parityNow, in.peer, wire)
+		liveSent := liveSink.Drain(nil)
 
 		tag := fmt.Sprintf("%s model, peer %s, %+v", m.name, in.peer, in)
 		if out.Prefix != in.prefix() {
@@ -305,7 +306,7 @@ func checkHandlerParity(t *testing.T, ckpt *Router, in parityInput) {
 		if d := firstDiff(ribImage(explored), ribImage(live)); d != "" {
 			t.Errorf("%s: RIB after the explored run differs from the live node's: %s", tag, d)
 		}
-		if d := firstDiff(sinkImage(exploredSink), sinkImage(liveSink)); d != "" {
+		if d := firstDiff(sinkImage(exploredSink.Drain(nil)), sinkImage(liveSent)); d != "" {
 			t.Errorf("%s: emissions differ: %s", tag, d)
 		}
 		if got, want := explored.Counters(), live.Counters(); got != want {
@@ -323,7 +324,7 @@ func checkHandlerParity(t *testing.T, ckpt *Router, in parityInput) {
 		if got, want := out.Change.New, live.RIB().Best(in.prefix()); (got == nil) != (want == nil) || got != nil && got.PeerRouterID != want.PeerRouterID {
 			t.Errorf("%s: explored run reports new best %v, the live node selects %v", tag, got, want)
 		}
-		announcedTo, notified := sinkRecipients(t, liveSink)
+		announcedTo, notified := sinkRecipients(t, liveSent)
 		if !reflect.DeepEqual(out.SpreadTo, announcedTo) || !reflect.DeepEqual(out.Notified, notified) {
 			t.Errorf("%s: explored run reports spread to %v and %v notified, the live node announced to %v and sent to %v",
 				tag, out.SpreadTo, out.Notified, announcedTo, notified)
@@ -335,7 +336,7 @@ func checkHandlerParity(t *testing.T, ckpt *Router, in parityInput) {
 			if d := firstDiff(ribImage(concrete), ribImage(live)); d != "" {
 				t.Errorf("%s: RIB after HandleUpdateConcrete differs from the live node's: %s", tag, d)
 			}
-			if d := firstDiff(sinkImage(concreteSink), sinkImage(liveSink)); d != "" {
+			if d := firstDiff(sinkImage(concreteSink.Drain(nil)), sinkImage(liveSent)); d != "" {
 				t.Errorf("%s: HandleUpdateConcrete's emissions differ: %s", tag, d)
 			}
 			if got, want := concrete.Counters(), live.Counters(); got != want {

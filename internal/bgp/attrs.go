@@ -1,11 +1,13 @@
 package bgp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
 
+	"dice/internal/codec"
 	"dice/internal/netaddr"
 )
 
@@ -450,6 +452,51 @@ func decodeAttrs(b []byte) (Attrs, error) {
 		}
 	}
 	return a, nil
+}
+
+// checkMandatory is RFC 4271 §6.3's missing-attribute rule: attributes
+// that announce a route carry ORIGIN, NEXT_HOP and AS_PATH.
+func (a *Attrs) checkMandatory() error {
+	switch {
+	case !a.HasOrigin:
+		return protoErr(ErrCodeUpdateMessage, ErrSubMissingWellKnown, "missing ORIGIN")
+	case !a.HasNextHop:
+		return protoErr(ErrCodeUpdateMessage, ErrSubMissingWellKnown, "missing NEXT_HOP")
+	case a.ASPath == nil:
+		return protoErr(ErrCodeUpdateMessage, ErrSubMissingWellKnown, "missing AS_PATH")
+	}
+	return nil
+}
+
+// AttrBlock is an announced route's attributes in a stored format's codec
+// layout (router checkpoint, replay trace): the attribute block exactly as
+// an UPDATE carries it, behind a uvarint length. Decoding applies the
+// UPDATE decoder's validation and the mandatory-attribute rule, and
+// accepts only the block encoding writes, so a decoded record re-encodes
+// byte-identically. Encoding returns the error of attributes that have
+// no encoding, and writes nothing; decoding records its errors on c.
+func AttrBlock(c *codec.C, a *Attrs) error {
+	if !c.Decoding() {
+		b, err := a.encode(make([]byte, 0, 64))
+		if err == nil {
+			c.Bytes(&b)
+		}
+		return err
+	}
+	var b []byte
+	c.Bytes(&b) // after an earlier error b is empty, and fails below
+	got, err := decodeAttrs(b)
+	if err == nil {
+		err = got.checkMandatory()
+	}
+	if err != nil {
+		c.Fail("attribute block: %v", err)
+	} else if again, _ := got.encode(nil); !bytes.Equal(again, b) {
+		c.Fail("attribute block is not in canonical form")
+	} else {
+		*a = got
+	}
+	return nil
 }
 
 // checkFlags validates the Optional/Transitive bits against the expected

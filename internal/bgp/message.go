@@ -317,17 +317,9 @@ func decodeUpdate(body []byte) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	// RFC 4271 §6.3: an UPDATE announcing NLRI must carry the mandatory
-	// well-known attributes.
 	if len(u.NLRI) > 0 {
-		if !u.Attrs.HasOrigin {
-			return nil, protoErr(ErrCodeUpdateMessage, ErrSubMissingWellKnown, "missing ORIGIN")
-		}
-		if !u.Attrs.HasNextHop {
-			return nil, protoErr(ErrCodeUpdateMessage, ErrSubMissingWellKnown, "missing NEXT_HOP")
-		}
-		if u.Attrs.ASPath == nil {
-			return nil, protoErr(ErrCodeUpdateMessage, ErrSubMissingWellKnown, "missing AS_PATH")
+		if err := u.Attrs.checkMandatory(); err != nil {
+			return nil, err
 		}
 	}
 	return u, nil

@@ -22,6 +22,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"dice/internal/netaddr"
 )
 
 // C is one encoding or decoding pass.
@@ -138,8 +140,8 @@ func (c *C) Uvarint(v *uint64) {
 		return
 	}
 	x, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.Fail("bad uvarint")
+	if n <= 0 || n > 1 && c.b[n-1] == 0 {
+		c.Fail("bad uvarint") // truncated, overflowing or not minimal
 		return
 	}
 	c.b = c.b[n:]
@@ -178,6 +180,30 @@ func (c *C) Bool(v *bool) {
 		c.Fail("bad bool octet %d", b[0])
 	} else if b != nil {
 		*v = b[0] == 1
+	}
+}
+
+// MaskLen is one prefix-length octet, 0..32.
+func (c *C) MaskLen(n *int) {
+	b := uint8(*n)
+	c.U8(&b)
+	if b > 32 {
+		c.Fail("prefix length %d exceeds 32", b)
+	} else if c.dec {
+		*n = int(b)
+	}
+}
+
+// Prefix is an IPv4 prefix as its 4 address octets and its length. The
+// encoding is canonical, so host bits set beyond the mask are rejected.
+func (c *C) Prefix(p *netaddr.Prefix) {
+	addr, bits := p.Addr(), p.Bits()
+	c.U32((*uint32)(&addr))
+	c.MaskLen(&bits)
+	if q := netaddr.PrefixFrom(addr, bits); q.Addr() != addr {
+		c.Fail("prefix %s/%d has host bits set", addr, bits)
+	} else if c.dec {
+		*p = q
 	}
 }
 

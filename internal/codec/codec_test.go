@@ -1,9 +1,12 @@
 package codec
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
+
+	"dice/internal/netaddr"
 )
 
 var errTest = errors.New("test: malformed")
@@ -85,9 +88,39 @@ func TestDecodeRejects(t *testing.T) {
 		"lying count":    append(append([]byte(nil), base[:len(base)-1]...), 0xff, 0x01),
 		"int overflow":   append(append([]byte(nil), base[:boolAt-1]...), append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, base[boolAt:]...)...),
 		"empty opt tail": append(append([]byte(nil), base...), 0),
+		"long uvarint":   append(append(append([]byte(nil), base[:boolAt-2]...), 0x80, 0x00), base[boolAt-1:]...),
 	} {
 		if _, err := decode(b); !errors.Is(err, errTest) {
 			t.Errorf("%s: decoded, err %v", name, err)
+		}
+	}
+}
+
+// TestPrefix: a prefix is its address and length octets, and decoding
+// rejects a length over 32 and host bits past the mask, so one prefix
+// has one encoding.
+func TestPrefix(t *testing.T) {
+	in := netaddr.MustParsePrefix("10.128.0.0/9")
+	enc := Encoder(nil)
+	enc.Prefix(&in)
+	if got := enc.Buf(); !bytes.Equal(got, []byte{10, 128, 0, 0, 9}) {
+		t.Fatalf("encoding %x", got)
+	}
+	var out netaddr.Prefix
+	dec := Decoder(enc.Buf(), errTest)
+	dec.Prefix(&out)
+	if err := dec.Finish(); err != nil || out != in {
+		t.Fatalf("round trip: %s, %v", out, err)
+	}
+	for name, b := range map[string][]byte{
+		"length 33": {10, 128, 0, 0, 33},
+		"host bits": {10, 129, 0, 0, 9},
+		"truncated": {10, 128, 0, 0},
+	} {
+		dec := Decoder(b, errTest)
+		dec.Prefix(&out)
+		if err := dec.Finish(); !errors.Is(err, errTest) {
+			t.Errorf("%s: decoded %s, err %v", name, out, err)
 		}
 	}
 }

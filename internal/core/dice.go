@@ -172,7 +172,8 @@ func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, er
 		decorate = meter.decorate
 	}
 	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: sc.Name(), Boundary: d.opts.LeakBoundaryCommunity}
-	tp, err := prepareSeeded(d.live, tg, sc, seed, engOpts, d.opts.CloneLock, decorate)
+	ckpt, sink := checkpointOf(d.live, d.opts.CloneLock)
+	tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, decorate)
 	if err != nil {
 		return nil, err
 	}

@@ -271,7 +271,8 @@ func PrepareTarget(live *router.Router, tg ResolvedTarget, engOpts concolic.Opti
 	if reuse {
 		engOpts.State = states.For(WarmKey(tg.Node, tg.Scenario, tg.Peer))
 	}
-	return prepareSeeded(live, tg, sc, seed, engOpts, nil, nil)
+	ckpt, sink := checkpointOf(live, nil)
+	return prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, nil)
 }
 
 // WarmKey names one target's cross-round exploration state wherever it
@@ -287,16 +288,23 @@ func WarmKey(node, scenario, peer string) string {
 // whatever clone the decorator hands it.
 type runDecorator func(ckpt *router.Router, sink *netsim.CaptureSink, exec func(*concolic.RunContext, *router.Router) any) func(*concolic.RunContext) any
 
-// prepareSeeded is checkpoint → handler → judge → declare, written once
-// for the federated backends and single-node DiCE alike. Like the paper's
-// fork(), the checkpoint is the only operation that touches the live
-// process: one clone is taken (under lock, when the live node has a
-// state lock) and every exploration clone forks from it, never from the
-// live router. Cross-round state, when any, arrives on engOpts.State.
-func prepareSeeded(live *router.Router, tg ResolvedTarget, sc Scenario, seed any, engOpts concolic.Options, lock sync.Locker, decorate runDecorator) (*TargetPrep, error) {
+// checkpointOf takes the checkpoint exploration forks from. Like the
+// paper's fork(), it is the only operation that touches the live process:
+// one deep clone onto a fresh capture sink, under lock when the live node
+// has a state lock.
+func checkpointOf(live *router.Router, lock sync.Locker) (*router.Router, *netsim.CaptureSink) {
 	sink := netsim.NewCaptureSink()
 	var ckpt *router.Router
 	withLock(lock, func() { ckpt = live.Clone(sink) })
+	return ckpt, sink
+}
+
+// prepareSeeded is handler → judge → declare over a checkpoint whose
+// sends go to sink, written once for the federated backends, single-node
+// DiCE and the replica alike. Every exploration clone forks from ckpt,
+// never from a live router. Cross-round state, when any, arrives on
+// engOpts.State.
+func prepareSeeded(ckpt *router.Router, sink *netsim.CaptureSink, tg ResolvedTarget, sc Scenario, seed any, engOpts concolic.Options, decorate runDecorator) (*TargetPrep, error) {
 	exec := func(rc *concolic.RunContext, clone *router.Router) any {
 		return sc.Execute(rc, clone, tg.Peer, seed)
 	}

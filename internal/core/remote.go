@@ -40,30 +40,26 @@ func ShippableSeed(live *router.Router, tg ResolvedTarget) (*bgp.Update, error) 
 // explore pipeline — the §2.4 vision made concrete: "enable remote nodes
 // to checkpoint their state and process these messages in isolation over
 // their checkpointed states". It runs wherever the node's domain chooses
-// (e.g. a testing replica), and the restored router's traffic goes to a
-// capture sink, never the wire. Restore the shipped checkpoint, then run
-// the exact
-// PrepareTarget prep over the restored router — same scenario lookup,
-// checkpoint clone, COW handler, declaration — with the shipped seed. A
+// (e.g. a testing replica). The shipped checkpoint is restored onto a
+// capture sink, never the wire, and the restored router is the
+// checkpoint: the exact PrepareTarget prep (same scenario lookup, COW
+// handler, declaration) runs over it with the shipped seed. A
 // checkpoint-restored router has no observation history (DecodeState
 // rebuilds routes and sessions, not the last-seen UPDATE templates), so
 // the seed travels alongside the checkpoint instead of being derived.
-// The caller runs tp.Engine.Explore() and tp.Analyze(restored, ...), so a
-// replica reproduces the agent's per-target results finding for finding.
-// Warm cross-round memory (a decoded ExploreState) may be attached via
+// The caller runs tp.Engine.Explore() and tp.Analyze, so a replica
+// reproduces the agent's per-target results finding for finding. Warm
+// cross-round memory (a decoded ExploreState) may be attached via
 // engOpts.State; nil explores cold.
-func PrepareRestored(node string, cfg *config.Config, state []byte, tg ResolvedTarget, seed *bgp.Update, engOpts concolic.Options) (*TargetPrep, *router.Router, error) {
-	restored, err := router.DecodeState(node, cfg, netsim.NewCaptureSink(), state)
-	if err != nil {
-		return nil, nil, err
-	}
+func PrepareRestored(node string, cfg *config.Config, state []byte, tg ResolvedTarget, seed *bgp.Update, engOpts concolic.Options) (*TargetPrep, error) {
 	sc, ok := LookupScenario(tg.Scenario)
 	if !ok {
-		return nil, nil, fmt.Errorf("unknown scenario %q (registered: %v)", tg.Scenario, ScenarioNames())
+		return nil, fmt.Errorf("unknown scenario %q (registered: %v)", tg.Scenario, ScenarioNames())
 	}
-	tp, err := prepareSeeded(restored, tg, sc, seed, engOpts, nil, nil)
+	sink := netsim.NewCaptureSink()
+	ckpt, err := router.DecodeState(node, cfg, sink, state)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return tp, restored, nil
+	return prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, nil)
 }

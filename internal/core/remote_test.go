@@ -24,11 +24,11 @@ import (
 // the prepared engine's exploration and the scenario's fold.
 func exploreRestored(f *Fig2, state []byte, seed *bgp.Update, engOpts concolic.Options) (*Result, error) {
 	tg := ResolvedTarget{Node: NodeProvider, Peer: NodeCustomer, Scenario: ScenarioUpdate, Explicit: true}
-	tp, restored, err := PrepareRestored(NodeProvider, f.Provider.Config(), state, tg, seed, engOpts)
+	tp, err := PrepareRestored(NodeProvider, f.Provider.Config(), state, tg, seed, engOpts)
 	if err != nil {
 		return nil, err
 	}
-	return tp.Analyze(restored, engOpts, 0, tp.Engine.Explore()), nil
+	return tp.Analyze(nil, engOpts, 0, tp.Engine.Explore()), nil
 }
 
 // TestCheckpointChunksRoundTrip: EncodeStateChunks through a checkpoint

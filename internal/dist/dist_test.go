@@ -234,7 +234,7 @@ func TestDistributedCheckpoint(t *testing.T) {
 		t.Fatal("no observed seed on the provider←customer peering")
 	}
 	tg := core.ResolvedTarget{Node: "provider", Peer: "customer", Scenario: core.ScenarioUpdate, Explicit: true}
-	tp, _, err := core.PrepareRestored("provider", ag.self.Config(), state, tg, seed, concolic.Options{MaxRuns: 1000})
+	tp, err := core.PrepareRestored("provider", ag.self.Config(), state, tg, seed, concolic.Options{MaxRuns: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,7 @@ func fuzzFrameSeeds(t interface{ Helper() }) [][]byte {
 // FuzzDecodeFrame: whatever payload bytes arrive, the envelope
 // parsers and every typed body decode must either succeed or return an
 // error — never panic, never over-allocate on a lying count. Anything
-// that parses must re-encode and re-parse to the same value (the codec
-// is canonical up to varint minimality, which decode restores).
+// that parses must re-encode and re-parse to the same value.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range fuzzFrameSeeds(f) {
 		f.Add(seed)

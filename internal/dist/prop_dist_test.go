@@ -24,15 +24,15 @@ func atProps() []string {
 	}
 }
 
-// fatLeakTopo3 is leakTopo3 with the customer announcing 48 extra /24
+// fatLeakTopo3 is leakTopo3 with the customer announcing 128 extra /24
 // networks: the provider's RIB — and so its shipped checkpoint — grows
 // to a few KiB, enough that page-versus-hash shipment differences
 // dominate protocol framing. (The committed example topologies
 // checkpoint in ~200 bytes, below one page hash's own cost.)
 func fatLeakTopo3() *core.Topology {
 	topo := leakTopo3()
-	nets := make([]string, 0, 48)
-	for i := 0; i < 48; i++ {
+	nets := make([]string, 0, 128)
+	for i := 0; i < 128; i++ {
 		nets = append(nets, fmt.Sprintf("network 10.0.%d.0/24;", i))
 	}
 	cfg := topo.Nodes[0].Config

@@ -175,12 +175,12 @@ func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error
 		engOpts.State = concolic.NewExploreState()
 	}
 	tg := core.ResolvedTarget{Node: p.Node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit, Boundary: p.Boundary}
-	tp, restored, err := core.PrepareRestored(p.Node, cfg, snap.Bytes(), tg, seed, engOpts)
+	tp, err := core.PrepareRestored(p.Node, cfg, snap.Bytes(), tg, seed, engOpts)
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica: %s/%s: %w", p.Node, p.Peer, err)
 	}
 	rep := tp.Engine.Explore()
-	er, err := encodeExploreResult(tp, tp.Analyze(restored, engOpts, p.Boundary, rep))
+	er, err := encodeExploreResult(tp, tp.Analyze(nil, engOpts, p.Boundary, rep))
 	if err != nil {
 		return nil, err
 	}

@@ -49,12 +49,13 @@ import (
 // ProtoVersion is the one wire protocol version this build speaks. The
 // hello carries it in both directions and either side refuses a peer
 // whose version differs — there is no negotiation and no down-encoding.
-// Any change to a message layout bumps it. Fields that only some calls
-// use (HelloParams.Properties, InjectBatchParams.WantProps,
+// Any change to a message layout bumps it, and so does one to the raw
+// bytes payloads carry (router checkpoints, replay traces). Fields that
+// only some calls use (HelloParams.Properties, InjectBatchParams.WantProps,
 // ReplicaExploreResult.MissingPages) are encoded as tails that are absent
 // when unused; that keeps the common frames small, it is not a
 // compatibility mechanism.
-const ProtoVersion = 8
+const ProtoVersion = 9
 
 // --- Framing -----------------------------------------------------------------
 
@@ -144,30 +145,6 @@ func decodeBody(body []byte, msg message) error {
 	return c.Finish()
 }
 
-// maskLen is one prefix-length octet, 0..32.
-func (c *coder) maskLen(n *int) {
-	b := uint8(*n)
-	c.U8(&b)
-	if b > 32 {
-		c.Fail("prefix length %d exceeds 32", b)
-	} else if c.Decoding() {
-		*n = int(b)
-	}
-}
-
-// prefix is a prefix as its 4 address octets and its length. The
-// encoding is canonical, so host bits set beyond the mask are rejected.
-func (c *coder) prefix(p *netaddr.Prefix) {
-	addr, bits := p.Addr(), p.Bits()
-	c.U32((*uint32)(&addr))
-	c.maskLen(&bits)
-	if q := netaddr.PrefixFrom(addr, bits); q.Addr() != addr {
-		c.Fail("prefix %s has host bits set", addr)
-	} else if c.Decoding() {
-		*p = q
-	}
-}
-
 // key is a checkpoint page key, its 32 raw octets.
 func (c *coder) key(k *checkpoint.Key) { c.Fixed(k[:]) }
 
@@ -205,14 +182,14 @@ func (c *coder) input(m *map[string]uint64) {
 func (c *coder) finding(f *core.Finding) {
 	c.Str(&f.Kind)
 	c.Str(&f.Peer)
-	c.prefix(&f.Prefix)
+	c.Prefix(&f.Prefix)
 	c.U32((*uint32)(&f.LeakRange.AddrLo))
 	c.U32((*uint32)(&f.LeakRange.AddrHi))
-	c.maskLen(&f.LeakRange.LenLo)
-	c.maskLen(&f.LeakRange.LenHi)
+	c.MaskLen(&f.LeakRange.LenLo)
+	c.MaskLen(&f.LeakRange.LenHi)
 	c.U16(&f.OriginAS)
 	c.U16(&f.VictimAS)
-	c.prefix(&f.VictimPrefix)
+	c.Prefix(&f.VictimPrefix)
 	c.Uint(&f.Seq)
 	c.Bool(&f.Validated)
 	codec.List(&c.C, &f.SpreadTo, 1, c.Str)
@@ -879,7 +856,7 @@ func (p *InjectBatchParams) wire(c coder) coder {
 	codec.List(&c.C, &p.Deliveries, 7, func(dl *BatchDelivery) {
 		c.Str(&dl.From)
 		c.Bytes(&dl.Msg)
-		c.prefix(&dl.Watch)
+		c.Prefix(&dl.Watch)
 	})
 	c.Uvarint(&p.Key)
 	// Conditional tail: present only when the flag is set.
@@ -944,7 +921,7 @@ type QueryOracleParams struct {
 
 func (p *QueryOracleParams) wire(c coder) coder {
 	c.Uvarint(&p.ShadowID)
-	c.prefix(&p.Prefix)
+	c.Prefix(&p.Prefix)
 	return c
 }
 

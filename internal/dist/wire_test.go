@@ -229,8 +229,8 @@ func TestWireGolden(t *testing.T) {
 	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
 		t.Errorf("wire encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if ProtoVersion != 8 {
-		t.Errorf("ProtoVersion %d: the golden was written at 8", ProtoVersion)
+	if ProtoVersion != 9 {
+		t.Errorf("ProtoVersion %d: the golden was written at 9", ProtoVersion)
 	}
 }
 

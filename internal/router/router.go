@@ -14,10 +14,8 @@
 package router
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -458,75 +456,6 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 }
 
 // --- Checkpoint support ------------------------------------------------------
-
-// EncodeStateChunks serializes the router's complete mutable state (the
-// Loc-RIB with all candidates, plus session counters) as stable regions:
-// one chunk per /12 address bucket of the RIB and one metadata chunk.
-// Mutating routes in one bucket leaves every other chunk byte-identical,
-// which is what makes checkpoint COW sharing behave like fork()'s — a
-// route insertion must not "shift" unrelated memory.
-func (r *Router) EncodeStateChunks() [][]byte {
-	// 4096 buckets (top 12 address bits): at full table scale each bucket
-	// holds a few dozen routes ≈ one or two 4 KiB pages, matching the
-	// granularity at which fork()'s COW dirties real heap pages.
-	buckets := make([][]byte, 4096)
-	r.loc.WalkAll(func(p netaddr.Prefix, candidates []*rib.Route) bool {
-		b := int(uint32(p.Addr()) >> 20)
-		out := buckets[b]
-		out = binary.BigEndian.AppendUint32(out, uint32(p.Addr()))
-		out = append(out, uint8(p.Bits()))
-		out = binary.BigEndian.AppendUint16(out, uint16(len(candidates)))
-		// Deterministic candidate order: by peer router ID, locals first.
-		sorted := append([]*rib.Route(nil), candidates...)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Local != sorted[j].Local {
-				return sorted[i].Local
-			}
-			return sorted[i].PeerRouterID < sorted[j].PeerRouterID
-		})
-		for _, rt := range sorted {
-			out = binary.BigEndian.AppendUint32(out, uint32(rt.PeerRouterID))
-			out = binary.BigEndian.AppendUint16(out, rt.PeerAS)
-			flags := uint8(0)
-			if rt.EBGP {
-				flags |= 1
-			}
-			if rt.Local {
-				flags |= 2
-			}
-			out = append(out, flags)
-			wire, err := bgp.Encode(&bgp.Update{Attrs: rt.Attrs, NLRI: []netaddr.Prefix{rt.Prefix}})
-			if err != nil {
-				panic(fmt.Sprintf("router: unencodable route state: %v", err))
-			}
-			out = binary.BigEndian.AppendUint32(out, uint32(len(wire)))
-			out = append(out, wire...)
-		}
-		buckets[b] = out
-		return true
-	})
-
-	// Metadata chunk: identity + session counters.
-	var meta []byte
-	meta = append(meta, 'R', 'T', 'R', '1')
-	meta = binary.BigEndian.AppendUint32(meta, uint32(r.loc.Prefixes()))
-	for _, ps := range r.order {
-		s := ps.sess
-		meta = append(meta, ps.peer.Name...)
-		meta = append(meta, 0)
-		meta = binary.BigEndian.AppendUint64(meta, s.UpdatesIn)
-		meta = binary.BigEndian.AppendUint64(meta, s.UpdatesOut)
-	}
-
-	chunks := make([][]byte, 0, 4097)
-	chunks = append(chunks, meta)
-	for _, b := range buckets {
-		if len(b) > 0 {
-			chunks = append(chunks, b)
-		}
-	}
-	return chunks
-}
 
 // CloneCOW produces an isolated copy-on-write clone: the RIB is an
 // overlay over this router's table, so creation is O(peers), independent

@@ -22,7 +22,7 @@ type testNet struct {
 	routers map[string]*Router
 }
 
-func newTestNet(t *testing.T, configs map[string]string, links [][2]string) *testNet {
+func newTestNet(t testing.TB, configs map[string]string, links [][2]string) *testNet {
 	t.Helper()
 	tn := &testNet{
 		net:     netsim.New(time.Unix(1e9, 0)),

@@ -11,7 +11,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"dice/internal/bgp"
+	"dice/internal/codec"
 	"dice/internal/netaddr"
 )
 
@@ -55,138 +55,82 @@ type Record struct {
 	Attrs  bgp.Attrs // valid for Dump and Announce
 }
 
-// magic identifies the MRT-lite file format.
-var magic = [8]byte{'D', 'I', 'C', 'E', 'T', 'R', 'C', '1'}
+// The trace file format, DICETRC2, stated once in layout over a
+// codec.C and serving both directions:
+//
+//	file:   "DICETRC2" | uvarint record count | records
+//	record: kind octet | uvarint offset (ns) | prefix (4 address octets,
+//	        length octet) | attribute block (bgp.AttrBlock; not on a
+//	        withdrawal)
+//
+// Read is strict: a record kind, prefix or attribute block the encoder
+// could not have written, or trailing bytes, is an error wrapping
+// ErrBadFormat, so whatever Read accepts Write reproduces byte for byte.
+
+// magic identifies the trace file format.
+var magic = [8]byte{'D', 'I', 'C', 'E', 'T', 'R', 'C', '2'}
 
 // ErrBadFormat reports a malformed trace file.
 var ErrBadFormat = errors.New("trace: bad format")
 
+// layout is the file's layout. Encoding returns the error of a record
+// whose attributes have no encoding.
+func layout(c *codec.C, records *[]Record) error {
+	m := magic
+	c.Fixed(m[:])
+	if m != magic {
+		c.Fail("bad magic %q", m[:])
+	}
+	var err error
+	codec.List(c, records, 1+1+5, func(r *Record) { // kind, offset, prefix at least
+		if e := r.wire(c); err == nil {
+			err = e
+		}
+	})
+	return err
+}
+
+// wire is one record's layout.
+func (r *Record) wire(c *codec.C) error {
+	kind, at := uint8(r.Kind), uint64(r.At)
+	c.U8(&kind)
+	c.Uvarint(&at)
+	c.Prefix(&r.Prefix)
+	if Kind(kind) > KindWithdraw {
+		c.Fail("record kind %d", kind)
+	} else if c.Decoding() {
+		r.Kind, r.At = Kind(kind), time.Duration(at)
+	}
+	if Kind(kind) == KindWithdraw {
+		return nil
+	}
+	return bgp.AttrBlock(c, &r.Attrs)
+}
+
 // Write serializes records to w.
 func Write(w io.Writer, records []Record) error {
-	if _, err := w.Write(magic[:]); err != nil {
+	c := codec.Encoder(nil)
+	if err := layout(&c, &records); err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(records)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 128)
-	for i := range records {
-		r := &records[i]
-		buf = buf[:0]
-		buf = append(buf, uint8(r.Kind))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.At))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Prefix.Addr()))
-		buf = append(buf, uint8(r.Prefix.Bits()))
-		if r.Kind != KindWithdraw {
-			attrBytes, err := encodeAttrsBlock(r.Attrs)
-			if err != nil {
-				return err
-			}
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(attrBytes)))
-			buf = append(buf, attrBytes...)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(c.Buf())
+	return err
 }
 
-// Read parses a trace file written by Write.
+// Read parses a trace file written by Write: it reads all of r, then
+// decodes it.
 func Read(r io.Reader) ([]Record, error) {
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	count := binary.BigEndian.Uint32(hdr[:])
-	// The count is untrusted input: a corrupt header must not size an
-	// allocation (a 12-byte file claiming 2^32 records would OOM before
-	// the first short read errored). Grow from a bounded capacity and
-	// let truncation fail record by record.
-	capHint := count
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	records := make([]Record, 0, capHint)
-	var fixed [14]byte // kind(1) + at(8) + addr(4) + bits(1)
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(r, fixed[:]); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
-		}
-		rec := Record{
-			Kind: Kind(fixed[0]),
-			At:   time.Duration(binary.BigEndian.Uint64(fixed[1:9])),
-		}
-		if rec.Kind > KindWithdraw {
-			return nil, fmt.Errorf("%w: record %d: kind %d", ErrBadFormat, i, fixed[0])
-		}
-		addr := netaddr.Addr(binary.BigEndian.Uint32(fixed[9:13]))
-		bits := int(fixed[13])
-		if !netaddr.IsValidLen(bits) {
-			return nil, fmt.Errorf("%w: record %d: prefix length %d", ErrBadFormat, i, bits)
-		}
-		rec.Prefix = netaddr.PrefixFrom(addr, bits)
-		if rec.Kind != KindWithdraw {
-			var alen [2]byte
-			if _, err := io.ReadFull(r, alen[:]); err != nil {
-				return nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
-			}
-			ab := make([]byte, binary.BigEndian.Uint16(alen[:]))
-			if _, err := io.ReadFull(r, ab); err != nil {
-				return nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
-			}
-			attrs, err := decodeAttrsBlock(ab)
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
-			}
-			rec.Attrs = attrs
-		}
-		records = append(records, rec)
-	}
-	return records, nil
-}
-
-// encodeAttrsBlock reuses the BGP wire encoding of a full UPDATE carrying
-// only attributes, stripping the fixed parts.
-func encodeAttrsBlock(a bgp.Attrs) ([]byte, error) {
-	u := &bgp.Update{Attrs: a, NLRI: []netaddr.Prefix{netaddr.PrefixFrom(0, 32)}}
-	wire, err := bgp.Encode(u)
+	data, err := io.ReadAll(r)
 	if err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
+	}
+	var records []Record
+	c := codec.Decoder(data, ErrBadFormat)
+	layout(&c, &records)
+	if err := c.Finish(); err != nil {
 		return nil, err
 	}
-	// Layout: header(19) wdlen(2) attrlen(2) attrs... nlri(5 bytes for /32)
-	attrLen := int(binary.BigEndian.Uint16(wire[21:23]))
-	return wire[23 : 23+attrLen], nil
-}
-
-func decodeAttrsBlock(b []byte) (bgp.Attrs, error) {
-	// Rebuild a minimal UPDATE around the block and decode it.
-	body := make([]byte, 0, len(b)+32)
-	body = binary.BigEndian.AppendUint16(body, 0) // no withdrawn
-	body = binary.BigEndian.AppendUint16(body, uint16(len(b)))
-	body = append(body, b...)
-	body = append(body, 32, 0, 0, 0, 0) // NLRI 0.0.0.0/32 placeholder
-	msg := make([]byte, 0, len(body)+bgp.HeaderLen)
-	for i := 0; i < 16; i++ {
-		msg = append(msg, 0xff)
-	}
-	msg = binary.BigEndian.AppendUint16(msg, uint16(bgp.HeaderLen+len(body)))
-	msg = append(msg, bgp.MsgUpdate)
-	msg = append(msg, body...)
-	m, err := bgp.Decode(msg)
-	if err != nil {
-		return bgp.Attrs{}, err
-	}
-	return m.(*bgp.Update).Attrs, nil
+	return records, nil
 }
 
 // GenConfig parameterizes the synthetic RouteViews-style generator.

@@ -107,7 +107,6 @@ func main() {
 		anycastStr    = flag.String("anycast", "", "comma-free anycast prefix to suppress as FP (repeat not supported; use config for more)")
 		verbose       = flag.Bool("v", false, "print every explored path")
 		audit         = flag.Bool("audit", false, "audit the filter for dead clauses instead of exploring the router")
-		openFSM       = flag.Bool("open", false, "also explore OPEN-message (session FSM) handling (same as adding 'open' to -scenario)")
 		listScenarios = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
 		topologyFile  = flag.String("topology", "", "federated mode: JSON multi-AS topology file to explore instead of the Fig. 2 testbed")
 		propSteps     = flag.Int("propagation-steps", 0, "federated mode: max shadow propagation steps per witness (0 = 4096)")
@@ -140,7 +139,7 @@ func main() {
 		return
 	}
 
-	scenarios, err := resolveScenarios(*scenarioFlag, *openFSM)
+	scenarios, err := resolveScenarios(*scenarioFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -789,9 +788,8 @@ func printCrossNodeSummary(header, witnessLine string, skipped int, violations [
 	return len(violations)
 }
 
-// resolveScenarios expands the -scenario flag (plus the legacy -open
-// shorthand) against the registry.
-func resolveScenarios(flagVal string, openFSM bool) ([]string, error) {
+// resolveScenarios expands the -scenario flag against the registry.
+func resolveScenarios(flagVal string) ([]string, error) {
 	var names []string
 	if flagVal == "all" {
 		names = core.ScenarioNames()
@@ -805,17 +803,6 @@ func resolveScenarios(flagVal string, openFSM bool) ([]string, error) {
 				return nil, fmt.Errorf("unknown scenario %q (registered: %v)", n, core.ScenarioNames())
 			}
 			names = append(names, n)
-		}
-	}
-	if openFSM {
-		have := false
-		for _, n := range names {
-			if n == core.ScenarioOpen {
-				have = true
-			}
-		}
-		if !have {
-			names = append(names, core.ScenarioOpen)
 		}
 	}
 	if len(names) == 0 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 
 	"dice/internal/bgp"
 	"dice/internal/checkpoint"
@@ -29,8 +28,9 @@ import (
 // never crosses the RPC boundary; the coordinator composes the
 // cross-node picture purely from the narrow per-node answers. The
 // embedded rpcServer decodes each request through wire.go's method
-// table, so handle dispatches on typed params and no layout is known
-// here.
+// table, runs one request at a time and answers retries from its memo,
+// so handle dispatches on typed params and neither a layout nor a lock
+// nor a memo is known here.
 type Agent struct {
 	rpcServer
 
@@ -52,46 +52,16 @@ type Agent struct {
 	am        *agentMetrics
 	concolicM *concolic.Metrics
 
-	// reqMu serializes request handling across connections: routers and
-	// shadow clones are not thread-safe, and one request at a time is
-	// all the coordinator ever issues per agent anyway (its parallelism
-	// is across agents, not within one).
-	reqMu sync.Mutex
-
-	// Idempotency memos (guarded by reqMu, like all handler state). The
-	// coordinator keys explores on its round sequence and replays on a
-	// delivery key, so a retry after a reconnect returns the memoized
-	// answer instead of re-executing — at-least-once delivery with
-	// exactly-once effects. exploreMemo keeps only the latest round per
-	// (peer, scenario); replayMemo keeps every applied key (one entry
-	// per distinct replayed trace, so it stays small).
-	//
-	// Round and replay keys are coordinator-local sequences, so the memos
-	// are only valid within one coordinator session: agents are long-lived
-	// servers, and a second dice run would otherwise collide with the
-	// first run's keys and read its stale answers. The coordinator mints a
-	// session nonce and sends it in the hello; when the nonce changes the
-	// memos are dropped (see hello). Reconnects of the same coordinator
-	// carry the same nonce and still hit the memos.
-	session     uint64
-	exploreMemo map[string]exploreMemoEntry
-	replayMemo  map[uint64]*ReplayResult
-
 	// props is the property set the coordinator shipped in its hello
 	// (compiled from HelloParams.Properties, list order preserved).
 	// inject answers WantProps requests against it by index.
 	props []*prop.Compiled
 
-	mu       sync.Mutex
+	// shadows are the open witness-propagation clones, by the ids the
+	// coordinator minted; lastSnap is the latest checkpoint, retained so
+	// the next one shares its unchanged pages.
 	shadows  map[uint64]*shadowClone
-	nextID   uint64
 	lastSnap *checkpoint.Snapshot
-}
-
-// exploreMemoEntry is one memoized explore answer, valid for one round.
-type exploreMemoEntry struct {
-	round uint64
-	out   *ExploreResult
 }
 
 // noShadowMarker is the stable substring of the agent's missing-shadow
@@ -115,11 +85,6 @@ type shadowClone struct {
 
 	routeIDs  map[*rib.Route]uint64
 	nextRoute uint64
-
-	// applied memoizes delivery results by idempotency key, so a
-	// delivery retried after a reconnect answers from memory instead of
-	// feeding the clone twice. Freed with the shadow at shadowClose.
-	applied map[uint64]*InjectBatchResult
 }
 
 // routeToken returns the shadow-scoped stable token for a route object
@@ -193,8 +158,6 @@ func newAgent(topo *core.Topology, node string, fabric *core.Fabric, boundary ui
 		states:       concolic.NewStateMap(),
 		store:        checkpoint.NewStore(0),
 		shadows:      make(map[uint64]*shadowClone),
-		exploreMemo:  make(map[string]exploreMemoEntry),
-		replayMemo:   make(map[uint64]*ReplayResult),
 	}
 	a.rpcServer = rpcServer{handler: a, name: node, role: "agent"}
 	return a, nil
@@ -230,17 +193,16 @@ func (a *Agent) SeedExploreState(scenario, peer string, data []byte) error {
 	return nil
 }
 
-// handle dispatches one decoded request, one at a time per agent.
-// Requests from concurrent connections serialize on reqMu — the node's
-// routers and shadow clones are single-threaded state.
+// handle dispatches one decoded request; the server runs one at a time.
 func (a *Agent) handle(method string, params message) (message, error) {
-	a.reqMu.Lock()
-	defer a.reqMu.Unlock()
 	switch p := params.(type) {
 	case *HelloParams:
 		return a.hello(p)
 	case *ExploreParams:
 		return a.explore(p)
+	case *ShadowOpenParams:
+		a.shadowOpen(p.ShadowID)
+		return nil, nil
 	case *InjectBatchParams:
 		return a.inject(p)
 	case *ShadowCloseParams:
@@ -256,30 +218,18 @@ func (a *Agent) handle(method string, params message) (message, error) {
 		switch method {
 		case MethodCheckpoint:
 			return a.checkpoint()
-		case MethodShadowOpen:
-			return a.shadowOpen(), nil
 		}
 	}
 	return nil, fmt.Errorf("dist: agent does not serve %q", method)
 }
 
 // hello identifies the node (decodeParams has already checked the
-// client's protocol version) and scopes the idempotency memos: a new
-// coordinator session nonce invalidates the previous session's
-// explore/replay memos, whose keys are coordinator-local sequences that
-// restart at 1 per session. A zero nonce leaves the memos alone.
-// Shadows are untouched — their delivery memos live and die with the
-// shadow itself.
-//
-// A hello carrying Properties replaces the agent's compiled property
-// set; a malformed property fails the handshake, so the coordinator
-// learns about it before any round runs instead of mid-witness.
+// client's protocol version; the server has scoped its memo to the
+// session). A hello carrying Properties replaces the agent's compiled
+// property set; a malformed property fails the handshake, so the
+// coordinator learns about it before any round runs instead of
+// mid-witness.
 func (a *Agent) hello(p *HelloParams) (*HelloResult, error) {
-	if p.Session != 0 && p.Session != a.session {
-		a.session = p.Session
-		clear(a.exploreMemo)
-		clear(a.replayMemo)
-	}
 	if len(p.Properties) > 0 {
 		props, err := prop.CompileSources(p.Properties)
 		if err != nil {
@@ -296,14 +246,30 @@ func (a *Agent) hello(p *HelloParams) (*HelloResult, error) {
 	}, nil
 }
 
+// newSession closes the previous session's shadows: their ids came from
+// that session's sequence, and the new one will mint the same ids again.
+func (a *Agent) newSession() {
+	for id := range a.shadows {
+		a.shadowClose(id)
+	}
+}
+
+// memoHit counts a memo answer under the kind label its method has on
+// dice_agent_memo_hits_total.
+func (a *Agent) memoHit(method string) {
+	kind := method
+	if method == MethodInjectWitness {
+		kind = "inject"
+	}
+	a.am.noteMemoHit(kind)
+}
+
 // checkpoint serializes the node's state as its stable regions, pages
 // them into the agent's store for the §4.1 accounting and returns the
 // regions; the receiver pages them the same way (CheckpointResult.Chunks).
 // Successive checkpoints share unchanged pages; only the latest snapshot
 // is retained.
 func (a *Agent) checkpoint() (*CheckpointResult, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	before := a.store.Stats()
 	chunks := a.self.EncodeStateChunks()
 	snap := a.store.TakeChunks(a.node, chunks)
@@ -323,40 +289,18 @@ func (a *Agent) checkpoint() (*CheckpointResult, error) {
 // parity contract lives there), exploring the engine solo instead of
 // as a fleet member.
 func (a *Agent) explore(p *ExploreParams) (*ExploreResult, error) {
-	// Round-keyed idempotency: a coordinator retrying after a reconnect
-	// re-sends the same round number, and must get the same answer the
-	// lost response carried — re-running under ReuseState would skip the
-	// already-reported paths and answer differently.
-	memoKey := p.Peer + "|" + p.Scenario
-	if p.Round != 0 {
-		if e, ok := a.exploreMemo[memoKey]; ok && e.round == p.Round {
-			a.am.noteMemoHit("explore")
-			return e.out, nil
-		}
-	}
 	engOpts := p.EngineKnobs.options(a.concolicM)
 	tg := core.ResolvedTarget{Node: a.node, Peer: p.Peer, Scenario: p.Scenario, Explicit: p.Explicit, Boundary: a.boundary}
 	tp, err := core.PrepareTarget(a.self, tg, engOpts, a.states, p.ReuseState)
 	if err != nil {
 		var seedErr *core.SeedUnavailableError
 		if errors.As(err, &seedErr) && !p.Explicit {
-			skipped := &ExploreResult{Skipped: seedErr.Err.Error(), Scenario: p.Scenario}
-			if p.Round != 0 {
-				a.exploreMemo[memoKey] = exploreMemoEntry{round: p.Round, out: skipped}
-			}
-			return skipped, nil
+			return &ExploreResult{Skipped: seedErr.Err.Error(), Scenario: p.Scenario}, nil
 		}
 		return nil, fmt.Errorf("dist: %s/%s: %w", a.node, p.Peer, err)
 	}
 	rep := tp.Engine.Explore()
-	out, err := encodeExploreResult(tp, tp.Analyze(a.self, engOpts, a.boundary, rep))
-	if err != nil {
-		return nil, err
-	}
-	if p.Round != 0 {
-		a.exploreMemo[memoKey] = exploreMemoEntry{round: p.Round, out: out}
-	}
-	return out, nil
+	return encodeExploreResult(tp, tp.Analyze(a.self, engOpts, a.boundary, rep))
 }
 
 // encodeExploreResult renders one explored target for the wire: the
@@ -418,20 +362,13 @@ func (a *Agent) seed(p *SeedParams) (*SeedResult, error) {
 // fabric is deterministic, so every agent replaying the same trace —
 // the coordinator fans it to all of them — converges on the same state,
 // and subsequent explorations seed from the replayed history exactly as
-// the in-process backend's do.
+// the in-process backend's do. The coordinator re-ships its whole replay
+// history when (re-)establishing an agent: a surviving agent's server
+// answers every key from its memo, a fresh replacement applies the lot
+// and converges onto the fleet's state.
 func (a *Agent) replay(p *ReplayParams) (*ReplayResult, error) {
 	if a.sharedFabric {
 		return nil, fmt.Errorf("dist: %s shares its fabric; replay would apply the trace once per agent", a.node)
-	}
-	// Key-based idempotency: the coordinator re-ships its whole replay
-	// history when (re-)establishing an agent. A surviving agent has
-	// every key memoized and applies nothing twice; a fresh replacement
-	// applies the lot and converges onto the fleet's state.
-	if p.Key != 0 {
-		if out, ok := a.replayMemo[p.Key]; ok {
-			a.am.noteMemoHit("replay")
-			return out, nil
-		}
 	}
 	records, err := trace.Read(bytes.NewReader(p.Trace))
 	if err != nil {
@@ -441,33 +378,27 @@ func (a *Agent) replay(p *ReplayParams) (*ReplayResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: %s replay: %w", a.node, err)
 	}
-	out := &ReplayResult{Delivered: n, Prefixes: a.self.RIB().Prefixes()}
-	if p.Key != 0 {
-		a.replayMemo[p.Key] = out
-	}
-	return out, nil
+	return &ReplayResult{Delivered: n, Prefixes: a.self.RIB().Prefixes()}, nil
 }
 
-// shadowOpen clones the node for witness propagation. The clone is COW
-// (O(peers) creation) and its traffic lands in a private capture sink.
-func (a *Agent) shadowOpen() *ShadowOpenResult {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.nextID++
+// shadowOpen clones the node for witness propagation under the
+// coordinator's id, unless that shadow is already open — a retried open
+// finds it and clones nothing. The clone is COW (O(peers) creation) and
+// its traffic lands in a private capture sink.
+func (a *Agent) shadowOpen(id uint64) {
+	if _, ok := a.shadows[id]; ok {
+		return
+	}
 	sink := netsim.NewCaptureSink()
-	a.shadows[a.nextID] = &shadowClone{
+	a.shadows[id] = &shadowClone{
 		r:        a.self.CloneCOW(sink),
 		sink:     sink,
 		routeIDs: make(map[*rib.Route]uint64),
-		applied:  make(map[uint64]*InjectBatchResult),
 	}
 	a.am.noteShadowOpened()
-	return &ShadowOpenResult{ShadowID: a.nextID}
 }
 
 func (a *Agent) shadow(id uint64) (*shadowClone, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	sh, ok := a.shadows[id]
 	if !ok {
 		return nil, fmt.Errorf("dist: %s %s %d", a.node, noShadowMarker, id)
@@ -476,8 +407,6 @@ func (a *Agent) shadow(id uint64) (*shadowClone, error) {
 }
 
 func (a *Agent) shadowClose(id uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if _, ok := a.shadows[id]; ok {
 		delete(a.shadows, id)
 		// Gauge decrement only for shadows that existed: a re-sent close
@@ -493,17 +422,10 @@ func (a *Agent) shadowClose(id uint64) {
 // delivery's watched prefix before and after it.
 // The run is all or nothing: every sender is validated before the first
 // delivery, so an error never leaves a half-applied shadow behind it.
-// The whole run is the idempotency unit, memoized under its key.
 func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 	sh, err := a.shadow(p.ShadowID)
 	if err != nil {
 		return nil, err
-	}
-	if p.Key != 0 {
-		if out, ok := sh.applied[p.Key]; ok {
-			a.am.noteMemoHit("inject")
-			return out, nil
-		}
 	}
 	for _, d := range p.Deliveries {
 		if a.self.Session(d.From) == nil {
@@ -528,9 +450,6 @@ func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 			}
 		}
 		res.After = sh.view(d.Watch, props, a.boundary)
-	}
-	if p.Key != 0 {
-		sh.applied[p.Key] = out
 	}
 	return out, nil
 }

@@ -84,9 +84,9 @@ type Client struct {
 	Timeout time.Duration
 
 	// Session is the coordinator's session nonce, forwarded in the hello
-	// so the agent can scope its idempotency memos to one coordinator
+	// so the server can scope its idempotency memo to one coordinator
 	// session (see HelloParams.Session). Set it before Handshake; 0 sends
-	// no nonce and leaves the agent's memos alone.
+	// no nonce and leaves the server's memo alone.
 	Session uint64
 
 	// Properties is the coordinator's property set in canonical source

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dice/internal/bgp"
@@ -36,10 +37,11 @@ import (
 // per-call deadline, a broken or timed-out connection is re-dialed with
 // capped exponential backoff, and when the reconnect budget runs out the
 // node transparently degrades to an in-process replacement agent — the
-// mixed-fleet fallback. Retried RPCs are idempotent: explores are keyed
-// on the round sequence, witness deliveries on per-shadow delivery keys,
-// replays on history keys, so at-least-once delivery has exactly-once
-// effects and a faulty run converges on the identical finding snapshot.
+// mixed-fleet fallback. Retried RPCs are idempotent: every effectful call
+// carries a key from the session's one sequence (keys) and a retry
+// resends it, so the servers' memos give at-least-once delivery
+// exactly-once effects and a faulty run converges on the identical
+// finding snapshot.
 // The one fault the driver hears about is a shadow set that died with a
 // replaced agent (core.ErrShadowLost); it replays the witness.
 type Coordinator struct {
@@ -81,21 +83,25 @@ type Coordinator struct {
 	warm     map[string][]byte // core.WarmKey → ExploreState wire encoding
 
 	// session is a random nonce minted once per Connect and sent in every
-	// hello. Agents scope their explore/replay memos to it: the keys below
-	// are coordinator-local sequences restarting at 1, so without the
-	// nonce a long-lived agent would answer a fresh run's round 1 with a
-	// previous run's memo. Reconnects reuse the nonce, so retried RPCs
-	// still hit the memos within the session.
+	// hello. Servers scope their memos to it: keys restart at 1 per
+	// session, so without the nonce a long-lived agent would answer a
+	// fresh run's key 1 with a previous run's answer. Reconnects reuse the
+	// nonce, so retried RPCs still hit the memos within the session.
 	session uint64
+	// keys is the session's one sequence: it mints the idempotency key of
+	// every explore, explore_checkpoint (the replica pool draws from it
+	// too), inject_witness and replay call, and every shadow id, from 1 —
+	// 0 on the wire means unkeyed. A retry resends its call's key; no new
+	// call reuses one.
+	keys atomic.Uint64
 
-	// roundSeq is the explore idempotency key, minted by Explore; explored
-	// holds that Explore's raw per-target answers for Round to report.
-	// Round is not reentrant.
-	roundSeq uint64
+	// explored holds the latest Explore's raw per-target answers for Round
+	// to report; rounds counts Rounds, naming their spans. Round is not
+	// reentrant.
 	explored []*ExploreResult
+	rounds   int
 
 	replayMu      sync.Mutex
-	replaySeq     uint64
 	replayHistory []ReplayParams // keyed, successful replays; re-shipped to replacement agents
 }
 
@@ -274,7 +280,7 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 	c.session = newSessionNonce()
 	if c.replicas != nil {
 		c.replicas.setMetrics(c.metrics)
-		if err := c.replicas.bind(c.session, c.policy); err != nil {
+		if err := c.replicas.bind(c.session, &c.keys, c.policy); err != nil {
 			return nil, err
 		}
 		c.configs = make(map[string][]string, len(topo.Nodes))
@@ -332,7 +338,7 @@ func nodeHash(node string) uint64 {
 // newSessionNonce mints the coordinator's session nonce. It comes from
 // crypto/rand — not the RetryPolicy's seeded jitter rng — because two
 // coordinator processes configured with the same seed must still get
-// distinct sessions. Never 0: agents treat 0 as "no nonce sent".
+// distinct sessions. Never 0: servers treat 0 as "no nonce sent".
 func newSessionNonce() uint64 {
 	var b [8]byte
 	for {
@@ -551,8 +557,8 @@ func (c *Coordinator) seedWarmState(local *Agent, node string) {
 // onto the fleet's deterministic post-replay state. Exploration warm
 // state (ReuseState) is the one thing a replacement cannot recover —
 // its next explore runs cold, which is correct but may re-report known
-// paths; the memoized explore round keys keep retries of the *current*
-// round exact either way.
+// paths; the explore keys keep retries of the *current* round exact
+// either way.
 func (c *Coordinator) reestablish(cl *Client) error {
 	c.replayMu.Lock()
 	history := append([]ReplayParams(nil), c.replayHistory...)
@@ -583,8 +589,8 @@ func zeroResult(v any) {
 // this fleet, reported in the distributed result shape with the agents'
 // exploration stats and the fleet's health attached.
 func (c *Coordinator) Round() (*RoundResult, error) {
-	// Explore mints the round key this span is named after.
-	roundSpan := c.tracer.Start("coordinator", fmt.Sprintf("round %d", c.roundSeq+1))
+	c.rounds++
+	roundSpan := c.tracer.Start("coordinator", fmt.Sprintf("round %d", c.rounds))
 	defer roundSpan.End()
 	fr, err := c.driver.Round(c)
 	if err != nil {
@@ -632,12 +638,10 @@ func (c *Coordinator) NodeAS(name string) (uint16, bool) {
 // Explore is phase 1 over the wire (core.Fleet): fan the targets out to
 // the owning agents — or the replica pool — one goroutine per target
 // (calls to the same agent serialize on its connection), then reassemble
-// each answer's findings and concrete witnesses. Every call mints a new
-// round key, which makes retried explores exact: an agent that already
-// ran this round's explore answers from its memo.
+// each answer's findings and concrete witnesses. Every target's call
+// carries its own key, which makes retried explores exact: a server that
+// already ran it answers from its memo.
 func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutcome, error) {
-	c.roundSeq++
-	round := c.roundSeq
 	raw := make([]*ExploreResult, len(targets))
 	errs := make([]error, len(targets))
 	ckpts := newCheckpointCache()
@@ -652,7 +656,7 @@ func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutco
 		go func() {
 			defer wg.Done()
 			sp := c.tracer.Start("explore/"+tg.Node, tg.Scenario+"/"+tg.Peer)
-			raw[i], errs[i] = c.exploreTarget(tg, round, ckpts)
+			raw[i], errs[i] = c.exploreTarget(tg, ckpts)
 			sp.End()
 		}()
 	}
@@ -705,11 +709,11 @@ func decodeOutcome(tg core.ResolvedTarget, out *ExploreResult) (core.TargetOutco
 // exploreTarget runs one target's phase-1 exploration: on the replica
 // pool when one is configured (checkpoint + seed shipped over the
 // wire), on the owning agent otherwise — and on the agent again as the
-// fallback when the target's seed can't ship or the pool has died. The
-// round key makes every path idempotent under retries.
-func (c *Coordinator) exploreTarget(tg core.ResolvedTarget, round uint64, ckpts *checkpointCache) (*ExploreResult, error) {
+// fallback when the target's seed can't ship or the pool has died. Each
+// call's key makes it idempotent under retries.
+func (c *Coordinator) exploreTarget(tg core.ResolvedTarget, ckpts *checkpointCache) (*ExploreResult, error) {
 	if c.replicas != nil {
-		out, err := c.exploreOnReplica(tg, round, ckpts)
+		out, err := c.exploreOnReplica(tg, ckpts)
 		if err == nil {
 			return out, nil
 		}
@@ -724,7 +728,7 @@ func (c *Coordinator) exploreTarget(tg core.ResolvedTarget, round uint64, ckpts 
 		Explicit:    tg.Explicit,
 		EngineKnobs: knobsOf(&c.driver.Opts),
 		ReuseState:  c.driver.Opts.ReuseState,
-		Round:       round,
+		Key:         c.keys.Add(1),
 	}
 	var out ExploreResult
 	if err := c.call(tg.Node, MethodExplore, &params, &out); err != nil {
@@ -744,7 +748,7 @@ var errExploreLocally = errors.New("dist: target explores on its agent")
 // shard's cached frontier memory. The replica's answer is the
 // agent-shaped ExploreResult; the frontier memory it returns refreshes
 // the warm cache.
-func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckpts *checkpointCache) (*ExploreResult, error) {
+func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, ckpts *checkpointCache) (*ExploreResult, error) {
 	var sr SeedResult
 	if err := c.call(tg.Node, MethodSeed, &SeedParams{Peer: tg.Peer, Scenario: tg.Scenario}, &sr); err != nil {
 		return nil, err
@@ -786,7 +790,7 @@ func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, round uint64, ckp
 		Boundary:    c.driver.Boundary,
 		Seed:        sr.Msg,
 		WarmState:   warm,
-		Round:       round,
+		Key:         c.keys.Add(1),
 		Shard:       key,
 	}
 	out, err := c.replicas.submit(params, snap)
@@ -856,17 +860,13 @@ func (cc *checkpointCache) get(node string, fetch func() ([][]byte, error)) (*ch
 // replay (unreadable trace, divergence) must not haunt the history:
 // reestablish re-runs the whole history on every reconnect, and a
 // permanently failing entry would turn each recovery into a failure.
-// The key itself is never reused even when a replay fails — an agent
-// that applied the failed replay has the key memoized, and a different
-// trace under the same key would read that stale memo.
+// Like every key, a failed replay's is never reused: an agent that
+// applied it remembers the answer.
 func (c *Coordinator) Replay(node, peer string, traceBytes []byte) (int, error) {
 	if _, ok := c.conns[node]; !ok {
 		return 0, fmt.Errorf("dist: replay ingress node %q has no agent", node)
 	}
-	c.replayMu.Lock()
-	c.replaySeq++
-	params := ReplayParams{Node: node, Peer: peer, Trace: traceBytes, Key: c.replaySeq}
-	c.replayMu.Unlock()
+	params := ReplayParams{Node: node, Peer: peer, Trace: traceBytes, Key: c.keys.Add(1)}
 	outs := make([]ReplayResult, len(c.nodes))
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
@@ -899,14 +899,12 @@ func (c *Coordinator) Replay(node, peer string, traceBytes []byte) (int, error) 
 }
 
 // shadowSet is one shadow clone per agent — the RPC core.Shadows — for
-// one disjoint-prefix witness group's lifetime: the agents' shadow ids,
-// the relay that schedules the group's waves, its step scratch, and the
-// delivery-key sequence the steps draw from — keys are unique per shadow
-// set, which is exactly the scope of the agents' memo maps.
+// one disjoint-prefix witness group's lifetime: the set's shadow id (the
+// same on every agent), the relay that schedules the group's waves, and
+// its step scratch.
 type shadowSet struct {
 	c     *Coordinator
-	ids   map[string]uint64
-	keys  uint64
+	id    uint64
 	span  *telemetry.Span // the set's lifetime, on the coordinator track
 	relay *core.Relay
 
@@ -949,21 +947,15 @@ func (c *Coordinator) fanOut(nodes []string, method string, params, result func(
 	return firstErr
 }
 
-// OpenShadows opens one shadow per node (core.Fleet). A retried open may
-// leak one clone on an agent that executed the first attempt but lost
-// the answer — bounded, and freed with the agent's next restart.
+// OpenShadows opens one shadow per node under one fresh id (core.Fleet).
+// An agent opens an id at most once, so a retried open clones nothing.
 func (c *Coordinator) OpenShadows() (core.Shadows, error) {
 	shadows := &shadowSet{
-		c: c, ids: make(map[string]uint64, len(c.nodes)), span: c.tracer.Start("coordinator", "shadow set"),
+		c: c, id: c.keys.Add(1), span: c.tracer.Start("coordinator", "shadow set"),
 		relay: c.driver.NewRelay(), slot: make(map[string]int, len(c.nodes)),
 	}
-	outs := make([]ShadowOpenResult, len(c.nodes))
-	err := c.fanOut(c.nodes, MethodShadowOpen, func(int) any { return nil }, func(i int) any { return &outs[i] })
-	for i, n := range c.nodes {
-		if id := outs[i].ShadowID; id != 0 { // agents number shadows from 1
-			shadows.ids[n] = id
-		}
-	}
+	open := &ShadowOpenParams{ShadowID: shadows.id}
+	err := c.fanOut(c.nodes, MethodShadowOpen, func(int) any { return open }, func(int) any { return nil })
 	if err != nil {
 		shadows.Close()
 		return nil, err
@@ -971,12 +963,14 @@ func (c *Coordinator) OpenShadows() (core.Shadows, error) {
 	return shadows, nil
 }
 
-// Close tears the set down. Best-effort: a failed close leaks one clone
-// on that agent, it does not invalidate the round.
+// Close tears the set down on every agent; closing an id an agent never
+// opened is a no-op. Best-effort: a failed close leaks one clone on that
+// agent until its next session, it does not invalidate the round.
 func (s *shadowSet) Close() {
-	pend := make([]*Pending, 0, len(s.ids))
-	for n, id := range s.ids {
-		pend = append(pend, s.c.goNode(n, MethodShadowClose, &ShadowCloseParams{ShadowID: id}, nil))
+	pend := make([]*Pending, 0, len(s.c.nodes))
+	params := &ShadowCloseParams{ShadowID: s.id}
+	for _, n := range s.c.nodes {
+		pend = append(pend, s.c.goNode(n, MethodShadowClose, params, nil))
 	}
 	for _, p := range pend {
 		_ = p.Wait()
@@ -993,7 +987,7 @@ func (s *shadowSet) Query(node string, prefix netaddr.Prefix) (core.RouteView, e
 		return core.RouteView{}, nil
 	}
 	var out QueryOracleResult
-	if err := s.c.call(node, MethodQueryOracle, &QueryOracleParams{ShadowID: s.ids[node], Prefix: prefix}, &out); err != nil {
+	if err := s.c.call(node, MethodQueryOracle, &QueryOracleParams{ShadowID: s.id, Prefix: prefix}, &out); err != nil {
 		return core.RouteView{}, shadowLost(err)
 	}
 	return s.c.routeView(&out)
@@ -1025,10 +1019,10 @@ func (s *shadowSet) Propagate(group []core.Injection, maxSteps int, wantAt bool)
 }
 
 // step is the RPC relay step: the step split per agent in delivery order,
-// one pipelined inject_witness per agent (fanOut; a transport fault
-// retries through the recovering call with the same params, so under the
-// same key, and the agent's memo answers it), and the answers mapped back
-// onto the deliveries in order.
+// one pipelined inject_witness per agent under a fresh key (fanOut; a
+// transport fault retries through the recovering call with the same
+// params, so under the same key, and the agent's memo answers it), and the
+// answers mapped back onto the deliveries in order.
 func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte), wantAt bool) error {
 	s.c.metrics.setRelayDepth(depth)
 	s.agents = s.agents[:0]
@@ -1041,8 +1035,7 @@ func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delive
 			k = len(s.agents)
 			s.slot[d.To] = k
 			s.agents = append(s.agents, d.To)
-			s.keys++ // keys start at 1; 0 on the wire means "no memo"
-			params = append(params, &InjectBatchParams{ShadowID: s.ids[d.To], Key: s.keys, WantProps: wantAt})
+			params = append(params, &InjectBatchParams{ShadowID: s.id, Key: s.c.keys.Add(1), WantProps: wantAt})
 		}
 		params[k].Deliveries = append(params[k].Deliveries, BatchDelivery{From: d.From, Msg: d.Data, Watch: d.Watch})
 	}

@@ -40,6 +40,29 @@
 // peer whose version differs, so a fleet is one build. Changing a message
 // layout means bumping ProtoVersion, nothing else.
 //
+// Exactly once: delivery is at least once — a call that timed out or
+// lost its connection is sent again, on a new connection if need be —
+// and every effect happens once. One rule in rpcServer (server.go), the
+// engine both servers embed, keeps that promise: requests execute one at
+// a time; a hello with a new session nonce clears the memo; a keyed
+// request (wire.go) names a slot and a key, and one whose key is its
+// slot's latest answered key gets that answer again instead of running.
+// The coordinator mints every key, and every shadow id, from one
+// sequence per session. Each method's row (TestExactlyOnceTable holds
+// the method table to it):
+//
+//	method              slot              key
+//	hello               none              read-only; a new session nonce clears the memo
+//	checkpoint          none              read-only
+//	explore             peer, scenario    the call's key
+//	shadow_open         none              idempotent: opens the shadow id unless it exists
+//	inject_witness      shadow id         the call's key
+//	shadow_close        none              idempotent: closes the shadow id if it exists, retiring its slot
+//	query_oracle        none              read-only
+//	replay              its key           the call's key
+//	seed                none              read-only
+//	explore_checkpoint  shard             the call's key
+//
 // Transports: the protocol runs over any io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
 // gives deterministic single-process tests; TCP gives real process
 // separation (cmd/dicenode is the agent binary, cmd/dice -distributed

@@ -105,8 +105,7 @@ func TestCallTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var so ShadowOpenResult
-	err = cl.Call(MethodShadowOpen, nil, &so)
+	err = cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: 1}, nil)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("delayed call returned %v, want ErrCallTimeout", err)
 	}
@@ -117,14 +116,15 @@ func TestCallTimeout(t *testing.T) {
 	// Let the delayed frame drain, then reuse the connection: the late
 	// answer must have been discarded, not matched to the next call.
 	time.Sleep(400 * time.Millisecond)
-	var so2 ShadowOpenResult
-	if err := cl.Call(MethodShadowOpen, nil, &so2); err != nil {
+	if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: 2}, nil); err != nil {
 		t.Fatalf("call after a timeout failed: %v", err)
 	}
 	// The timed-out open DID execute on the agent (the timeout fired on
-	// the answer, not the work) — the second open gets the next ID.
-	if so2.ShadowID != 2 {
-		t.Errorf("second shadow_open returned ID %d, want 2 (first open executed, answer discarded)", so2.ShadowID)
+	// the answer, not the work): both shadows are open.
+	for id := uint64(1); id <= 2; id++ {
+		if _, err := ag.shadow(id); err != nil {
+			t.Errorf("shadow %d: %v (first open executed, answer discarded)", id, err)
+		}
 	}
 }
 
@@ -280,6 +280,35 @@ func TestReconnectMidRound(t *testing.T) {
 				t.Errorf("provider ended %q, want healthy after recovery: %+v", h.State, h)
 			}
 		})
+	}
+}
+
+// TestRetriedShadowOpenLeaksNothing: the answer to upstream's
+// shadow_open is delayed past the deadline, so the coordinator reconnects
+// and sends the open again after the agent has already opened the
+// shadow. The agent finds the shadow by its id and clones nothing more:
+// the round lands on the fault-free snapshot with no clone left open.
+func TestRetriedShadowOpenLeaksNothing(t *testing.T) {
+	leakCheck(t)
+	clean, err := loopbackCoordinator(t, leakTopo3(), fedOpts()).Round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// upstream is no explore target, so its second inbound frame, the
+	// first after the hello, answers the round's first shadow_open.
+	coord := fleetCoordinator(t, leakTopo3(), fedOpts(), faultAt("upstream", 2, FaultDelay, -1), withChaosPolicy(t)...)
+	res, err := coord.Round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(res.Snapshot(), "\n"), strings.Join(clean.Snapshot(), "\n"); got != want {
+		t.Errorf("snapshot after a retried shadow_open differs:\n--- clean ---\n%s\n--- faulty ---\n%s", want, got)
+	}
+	if h := res.Health["upstream"]; h.Faults != 1 || h.Reconnects != 1 {
+		t.Fatalf("upstream health %+v, want the one delayed shadow_open answer and its reconnect", h)
+	}
+	if n := agentShadows(coord); n != 0 {
+		t.Errorf("%d shadow clones left open after the round: the retried shadow_open cloned again", n)
 	}
 }
 

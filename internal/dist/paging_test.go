@@ -76,7 +76,7 @@ func TestReplicaShipsOnlyChangedPages(t *testing.T) {
 			Node: "provider", Config: topo.Nodes[1].Config,
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 			EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: sr.Msg,
-			Round: round, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
+			Key: round, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
 		}
 		atomic.StoreInt64(&written, 0)
 		var out ReplicaExploreResult
@@ -147,13 +147,13 @@ func TestReplicaStoreBudget(t *testing.T) {
 	}
 	r := NewReplica()
 	cl := replicaClient(t, r, 34, new(int64))
-	pool := &ReplicaPool{}
+	pool := &ReplicaPool{keys: new(atomic.Uint64)}
 	acked := make(map[checkpoint.Key]struct{})
 	real := &ReplicaExploreParams{
 		Node: "provider", Config: topo.Nodes[1].Config,
 		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 		EngineKnobs: EngineKnobs{MaxRuns: 1000}, Boundary: boundary, Seed: seed,
-		Round: 1, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
+		Key: 1, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
 	}
 	var first ReplicaExploreResult
 	if err := pool.exploreCall(cl, real, ck, acked, &first); err != nil {
@@ -204,7 +204,7 @@ func TestReplicaStoreBudget(t *testing.T) {
 			t.Fatal("the reference shard's keys were never acknowledged — the heal below is vacuous")
 		}
 	}
-	real.Round = 2
+	real.Key = 2
 	var healed ReplicaExploreResult
 	if err := pool.exploreCall(cl, real, ck, acked, &healed); err != nil {
 		t.Fatalf("released shard did not heal through MissingPages: %v", err)

@@ -126,14 +126,18 @@ func assertParity(t *testing.T, pc parityCase) {
 }
 
 // agentShadows counts the shadow clones the coordinator's loopback agents
-// hold open.
+// hold open, behind a fault plan or not.
 func agentShadows(c *Coordinator) int {
 	n := 0
 	for _, nc := range c.conns {
-		if lb, ok := nc.dialer.(Loopback); ok {
-			lb.Agent.mu.Lock()
+		d := nc.dialer
+		if fd, ok := d.(*FaultDialer); ok {
+			d = fd.Inner
+		}
+		if lb, ok := d.(Loopback); ok {
+			lb.Agent.reqMu.Lock()
 			n += len(lb.Agent.shadows)
-			lb.Agent.mu.Unlock()
+			lb.Agent.reqMu.Unlock()
 		}
 	}
 	return n

@@ -232,16 +232,16 @@ func TestClientPoisonOnProtocolError(t *testing.T) {
 			_ = writePayload(conn, []byte("}{ not a document"))
 		}},
 		{"garbled-result", func(conn io.Writer, id uint64) {
-			// A ShadowOpenResult body is one uvarint; a second octet is
+			// A ReplayResult body is two uvarints; a third octet is
 			// trailing garbage.
-			_ = writePayload(conn, append(appendResponse(nil, id, "", &ShadowOpenResult{ShadowID: 1}), 0x00))
+			_ = writePayload(conn, append(appendResponse(nil, id, "", &ReplayResult{Delivered: 1}), 0x00))
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := misbehavingServer(t, tc.respond)
-			var out ShadowOpenResult
-			err := cl.Call(MethodShadowOpen, nil, &out)
+			var out ReplayResult
+			err := cl.Call(MethodReplay, &ReplayParams{}, &out)
 			if err == nil {
 				t.Fatal("call against a misbehaving server succeeded")
 			}
@@ -249,7 +249,7 @@ func TestClientPoisonOnProtocolError(t *testing.T) {
 				t.Fatalf("error %v does not wrap ErrClientBroken", err)
 			}
 			// The poison is sticky: no more frames are read or written.
-			if err := cl.Call(MethodShadowOpen, nil, &out); !errors.Is(err, ErrClientBroken) {
+			if err := cl.Call(MethodReplay, &ReplayParams{}, &out); !errors.Is(err, ErrClientBroken) {
 				t.Fatalf("second call returned %v, want ErrClientBroken", err)
 			}
 		})
@@ -273,21 +273,28 @@ func TestClientPipelinedCalls(t *testing.T) {
 	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
+	// Every other call queries a shadow that was never opened: its error
+	// names its own id, so an answer matched to the wrong call shows.
 	const n = 64
-	outs := make([]ShadowOpenResult, n)
+	for i := uint64(0); i < n; i += 2 {
+		if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: i}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outs := make([]QueryOracleResult, n)
 	pend := make([]*Pending, n)
 	for i := range pend {
-		pend[i] = cl.Go(MethodShadowOpen, nil, &outs[i])
+		q := &QueryOracleParams{ShadowID: uint64(i), Prefix: netaddr.MustParsePrefix("10.7.0.0/16")}
+		pend[i] = cl.Go(MethodQueryOracle, q, &outs[i])
 	}
-	seen := make(map[uint64]bool, n)
 	for i, p := range pend {
-		if err := p.Wait(); err != nil {
+		err := p.Wait()
+		if i%2 == 0 && err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if outs[i].ShadowID == 0 || seen[outs[i].ShadowID] {
-			t.Fatalf("call %d: shadow id %d duplicated or zero", i, outs[i].ShadowID)
+		if i%2 == 1 && (err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("%s %d", noShadowMarker, i))) {
+			t.Fatalf("call %d: %v, want the missing shadow %d", i, err, i)
 		}
-		seen[outs[i].ShadowID] = true
 	}
 }
 
@@ -327,13 +334,12 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	var open ShadowOpenResult
-	if err := cl.Call(MethodShadowOpen, nil, &open); err != nil {
+	if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	const n = 50
 	reads, writes := conn.reads.Load(), conn.writes.Load()
-	q := &QueryOracleParams{ShadowID: open.ShadowID, Prefix: netaddr.MustParsePrefix("10.7.0.0/16")}
+	q := &QueryOracleParams{ShadowID: 1, Prefix: netaddr.MustParsePrefix("10.7.0.0/16")}
 	for i := 0; i < n; i++ {
 		if err := cl.Call(MethodQueryOracle, q, &QueryOracleResult{}); err != nil {
 			t.Fatal(err)

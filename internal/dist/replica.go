@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"dice/internal/bgp"
 	"dice/internal/checkpoint"
@@ -24,27 +23,13 @@ import (
 type Replica struct {
 	rpcServer
 
-	// reqMu serializes request handling: each replica explores one shard
-	// at a time (a pool's parallelism is across replicas, like the
-	// coordinator's is across agents).
-	reqMu sync.Mutex
-
-	// Shard-keyed idempotency memo, session-scoped like the Agent's
-	// explore memo: the coordinator keys replica explores by (Shard,
-	// Round), retries after a replica reconnect answer from the memo, and
-	// a new session nonce in the hello drops it — replica memos must not
-	// outlive the coordinator-local sequences that key them, or a second
-	// dice run would read the first run's stale shard results.
-	session uint64
-	memo    map[string]replicaMemoEntry
-
 	// store holds the checkpoints this session shipped, assembled from
 	// manifest + pages exactly as the node's agent paged them; shards keeps
 	// the latest snapshot per shard so the next round's manifest resolves
 	// against it and only changed pages travel. Keys the store cannot
 	// resolve come back as MissingPages (a result, not an error) so the
-	// sender re-ships them. Scoped like the memo: a new coordinator session
-	// releases everything.
+	// sender re-ships them. A new coordinator session releases everything
+	// (newSession).
 	store  *checkpoint.Store
 	shards map[string]*heldCheckpoint
 	tick   uint64 // recency clock for heldCheckpoint.used
@@ -68,16 +53,9 @@ type heldCheckpoint struct {
 // heals through the MissingPages re-send.
 const checkpointBudget = 32 << 20
 
-// replicaMemoEntry is one memoized shard answer, valid for one round.
-type replicaMemoEntry struct {
-	round uint64
-	out   *ReplicaExploreResult
-}
-
 // NewReplica builds an idle exploration replica.
 func NewReplica() *Replica {
 	r := &Replica{
-		memo:   make(map[string]replicaMemoEntry),
 		store:  checkpoint.NewStore(0),
 		shards: make(map[string]*heldCheckpoint),
 	}
@@ -97,38 +75,31 @@ func (r *Replica) EnableTelemetry(reg *telemetry.Registry) {
 
 // handle dispatches one decoded request. Replicas answer only hello and
 // explore_checkpoint — they have no node to checkpoint, shadow or query.
+// The server runs one at a time, so a replica explores one shard at a
+// time (a pool's parallelism is across replicas).
 func (r *Replica) handle(method string, params message) (message, error) {
-	r.reqMu.Lock()
-	defer r.reqMu.Unlock()
 	switch p := params.(type) {
 	case *HelloParams:
-		return r.hello(p), nil
+		// The Node field carries the replica role marker instead of a
+		// topology node — a coordinator cross-checking node identity fails
+		// fast if it dials a replica where it expected an agent.
+		return &HelloResult{Node: "(replica)", Topology: "(replica)", Version: ProtoVersion}, nil
 	case *ReplicaExploreParams:
 		return r.explore(p)
 	}
 	return nil, fmt.Errorf("dist: replica does not serve %q", method)
 }
 
-// hello scopes the memo to the coordinator session, mirroring the Agent's
-// hello. The Node field
-// carries the replica role marker instead of a topology node — a
-// coordinator cross-checking node identity fails fast if it dials a
-// replica where it expected an agent.
-func (r *Replica) hello(p *HelloParams) *HelloResult {
-	if p.Session != 0 && p.Session != r.session {
-		r.session = p.Session
-		clear(r.memo)
-		for shard, h := range r.shards {
-			h.snap.Release()
-			delete(r.shards, shard)
-		}
-	}
-	return &HelloResult{
-		Node:     "(replica)",
-		Topology: "(replica)",
-		Version:  ProtoVersion,
+// newSession releases the checkpoints the previous coordinator session
+// shipped.
+func (r *Replica) newSession() {
+	for shard, h := range r.shards {
+		h.snap.Release()
+		delete(r.shards, shard)
 	}
 }
+
+func (r *Replica) memoHit(string) { r.rm.noteMemoHit() }
 
 // explore restores the shipped checkpoint and runs the node agent's
 // exact per-target pipeline over it (core.PrepareRestored → Explore →
@@ -136,14 +107,8 @@ func (r *Replica) hello(p *HelloParams) *HelloResult {
 // the agent's answer finding for finding. The result also carries the
 // post-round frontier memory for the coordinator's warm cache.
 func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error) {
-	if p.Round != 0 && p.Shard != "" {
-		if e, ok := r.memo[p.Shard]; ok && e.round == p.Round {
-			r.rm.noteMemoHit()
-			return e.out, nil
-		}
-	}
-	// Unresolvable keys come back as MissingPages — no exploration, no
-	// memo — and the sender retries with every page included.
+	// Unresolvable keys come back as MissingPages — no exploration — and
+	// the sender sends again, under a new key, with every page included.
 	snap, missing := r.store.Assemble(p.Shard, p.Keys, p.Pages)
 	if len(missing) > 0 {
 		return &ReplicaExploreResult{MissingPages: missing}, nil
@@ -184,11 +149,7 @@ func (r *Replica) explore(p *ReplicaExploreParams) (*ReplicaExploreResult, error
 	if err != nil {
 		return nil, err
 	}
-	out := &ReplicaExploreResult{ExploreResult: *er, WarmState: engOpts.State.EncodeWire()}
-	if p.Round != 0 && p.Shard != "" {
-		r.memo[p.Shard] = replicaMemoEntry{round: p.Round, out: out}
-	}
-	return out, nil
+	return &ReplicaExploreResult{ExploreResult: *er, WarmState: engOpts.State.EncodeWire()}, nil
 }
 
 // retain makes snap the shard's held checkpoint, releasing the one it

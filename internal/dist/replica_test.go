@@ -88,11 +88,11 @@ func TestReplicaPoolAutoscale(t *testing.T) {
 			RTT:   40 * time.Millisecond,
 		})
 	}
-	if err := pool.bind(7, chaosPolicy()); err != nil {
+	if err := pool.bind(7, new(atomic.Uint64), chaosPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if err := pool.bind(7, chaosPolicy()); err == nil {
+	if err := pool.bind(7, new(atomic.Uint64), chaosPolicy()); err == nil {
 		t.Error("pool bound twice")
 	}
 
@@ -164,7 +164,7 @@ func TestReplicaPoolCloseJoinsWorkers(t *testing.T) {
 	t.Run("in-backoff", func(t *testing.T) {
 		d := &gatedDialer{dialed: make(chan struct{}, 1)}
 		pool := &ReplicaPool{Dialers: []Dialer{d}}
-		if err := pool.bind(1, policy); err != nil {
+		if err := pool.bind(1, new(atomic.Uint64), policy); err != nil {
 			t.Fatal(err)
 		}
 		<-d.dialed // refused: the worker now pauses 5–10 s before redialing
@@ -186,7 +186,7 @@ func TestReplicaPoolCloseJoinsWorkers(t *testing.T) {
 		defer server.Close()
 		d := &gatedDialer{dialed: make(chan struct{}, 1), release: make(chan struct{}), conn: client}
 		pool := &ReplicaPool{Dialers: []Dialer{d}}
-		if err := pool.bind(1, policy); err != nil {
+		if err := pool.bind(1, new(atomic.Uint64), policy); err != nil {
 			t.Fatal(err)
 		}
 		<-d.dialed
@@ -547,7 +547,7 @@ func TestReplicaSessionScopedMemos(t *testing.T) {
 			Node: "provider", Config: topo.Nodes[1].Config,
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
 			EngineKnobs: EngineKnobs{MaxRuns: maxRuns}, Boundary: boundary, Seed: seed,
-			Round: 1, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
+			Key: 1, Shard: core.WarmKey("provider", core.ScenarioRouteLeak, "customer"),
 		}
 		params.ship(ck, nil)
 		if err := cl.Call(MethodExploreCheckpoint, params, &out); err != nil {

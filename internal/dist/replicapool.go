@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"dice/internal/checkpoint"
 )
@@ -28,8 +29,8 @@ var ErrReplicaPoolDown = errors.New("dist: replica pool has no live replicas")
 // Min workers at Connect and dials another replica whenever the backlog
 // exceeds the live worker count. A worker whose replica dies past the
 // reconnect budget re-enqueues its in-flight shard for the survivors and
-// exits; replica-side memos keyed on (Shard, Round) make the re-run
-// idempotent even when the lost replica had already answered.
+// exits; the shard's key makes the re-run idempotent even when the lost
+// replica had already answered.
 type ReplicaPool struct {
 	// Dialers produce connections to the replicas, one replica per
 	// dialer. A dialer is consumed when its worker starts and never
@@ -45,6 +46,7 @@ type ReplicaPool struct {
 	cond    *sync.Cond
 	queue   []*replicaTask
 	session uint64
+	keys    *atomic.Uint64 // the coordinator's session sequence
 	policy  RetryPolicy
 	bound   bool
 	closed  bool
@@ -103,10 +105,11 @@ func (t *replicaTask) finish(out *ReplicaExploreResult, err error) {
 }
 
 // bind attaches the pool to a coordinator session: every worker
-// handshakes with the coordinator's nonce (so replica memos share the
-// session lifecycle with agent memos) and recovers under the
+// handshakes with the coordinator's nonce (so the replicas' memos share
+// the session lifecycle with the agents'), mints the keys of its page-complete
+// resends from the coordinator's sequence, and recovers under the
 // coordinator's retry policy. Connect calls it; a pool binds once.
-func (p *ReplicaPool) bind(session uint64, policy RetryPolicy) error {
+func (p *ReplicaPool) bind(session uint64, keys *atomic.Uint64, policy RetryPolicy) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.bound {
@@ -118,6 +121,7 @@ func (p *ReplicaPool) bind(session uint64, policy RetryPolicy) error {
 	p.cond = sync.NewCond(&p.mu)
 	p.stop = make(chan struct{})
 	p.session = session
+	p.keys = keys
 	p.policy = policy
 	p.bound = true
 	for i := 0; i < p.minWorkers(); i++ {
@@ -273,7 +277,7 @@ func (p *ReplicaPool) Close() {
 // handshake (with backoff — replicas may still be starting), then pull
 // shards until the pool closes or the replica dies past the reconnect
 // budget. A shard in flight when the replica dies is re-enqueued, not
-// failed: the memo keys make the surviving replicas' re-run exact.
+// failed: its key makes the surviving replicas' re-run exact.
 func (p *ReplicaPool) worker(idx int) {
 	defer p.workers.Done()
 	defer p.workerExit()
@@ -331,8 +335,10 @@ func (p *ReplicaPool) worker(idx int) {
 // session, so a warm round ships a key list and whatever the node's live
 // traffic changed instead of megabytes of state. A MissingPages answer
 // (replica restarted, snapshot released under its byte budget, or an ack
-// recorded from a memo hit) triggers one full re-send; the ack record is
-// rebuilt from what the replica then confirms.
+// recorded from a memo hit) triggers one full re-send. That is a new
+// call: a keyed shard takes a new key, which params keeps for the shard's
+// retries, because the replica remembers the miss under the first. The
+// ack record is rebuilt from what the replica then confirms.
 func (p *ReplicaPool) exploreCall(cl *Client, params *ReplicaExploreParams, snap *checkpoint.Snapshot, acked map[checkpoint.Key]struct{}, out *ReplicaExploreResult) error {
 	wp := *params
 	wp.ship(snap, acked)
@@ -341,6 +347,10 @@ func (p *ReplicaPool) exploreCall(cl *Client, params *ReplicaExploreParams, snap
 	}
 	if len(out.MissingPages) > 0 {
 		clear(acked)
+		if params.Key != 0 {
+			params.Key = p.keys.Add(1)
+			wp.Key = params.Key
+		}
 		wp.ship(snap, nil)
 		*out = ReplicaExploreResult{}
 		if err := cl.Call(MethodExploreCheckpoint, &wp, out); err != nil {

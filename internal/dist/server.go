@@ -12,16 +12,22 @@ import (
 // rpcHandler executes one request whose params the server has already
 // decoded through the method table (nil for a parameterless method) and
 // returns the result message (nil for an empty result). Implementations
-// (the node Agent, the exploration Replica) serialize their own state —
-// the server machinery decodes and frames.
+// (the node Agent, the exploration Replica) are plain functions of their
+// state and the params: rpcServer.execute serializes them and answers
+// retries, so a handler holds no lock and no memo.
 type rpcHandler interface {
 	handle(method string, params message) (message, error)
+	// newSession drops the previous coordinator session's state.
+	newSession()
+	// memoHit counts one keyed request answered from the memo.
+	memoHit(method string)
 }
 
 // rpcServer is the shared connection engine behind every wire-protocol
-// server: per-connection reader/worker pairs, connection tracking and
-// graceful drain. The Agent and the Replica both embed one and plug in
-// their handler.
+// server: per-connection reader/worker pairs, connection tracking,
+// graceful drain, and the one exactly-once rule of the dist wire
+// (execute). The Agent and the Replica both embed one and plug in their
+// handler.
 type rpcServer struct {
 	handler rpcHandler
 	// name labels shutdown errors (the agent's node, "replica"); role is
@@ -32,12 +38,26 @@ type rpcServer struct {
 	// default) records nothing. Set via EnableTelemetry before serving.
 	tm *serverMetrics
 
+	// reqMu runs one request at a time across connections — handler
+	// state is single-threaded, and a coordinator's parallelism is across
+	// servers — and guards session and memo. session is the nonce of the
+	// latest hello that carried one; memo holds each slot's latest
+	// successfully answered key and its answer (see keyed).
+	reqMu   sync.Mutex
+	session uint64
+	memo    map[memoSlot]memoEntry
+
 	// connMu guards the drain state and the live-connection set for
 	// graceful shutdown; connWG counts connections being served.
 	connMu   sync.Mutex
 	conns    map[io.Closer]struct{}
 	connWG   sync.WaitGroup
 	draining bool
+}
+
+type memoEntry struct {
+	key    uint64
+	result message
 }
 
 // connReq is one decoded request envelope queued for the per-connection
@@ -52,8 +72,8 @@ type connReq struct {
 // reader goroutine (this one) drains frames eagerly so a pipelining
 // client never blocks on its sends; decoded requests queue to a
 // per-connection worker that executes them in arrival order and writes
-// responses. Concurrency across connections is the handler's business
-// (the Agent serializes on reqMu; so does the Replica). A payload that
+// responses. Requests from all connections execute one at a time
+// (execute). A payload that
 // is not a request envelope — a JSON document from a pre-binary build,
 // say — ends the connection with an errFrame-wrapped error.
 //
@@ -196,13 +216,52 @@ func (s *rpcServer) respond(cr connReq) []byte {
 	var result message
 	params, err := decodeParams(cr.method, cr.body, s.role)
 	if err == nil {
-		result, err = s.handler.handle(cr.method, params)
+		result, err = s.execute(cr.method, params)
 	}
 	s.tm.noteRequest(cr.method, err != nil)
 	if err != nil {
 		return appendResponse(newFrame(), cr.id, err.Error(), nil)
 	}
 	return appendResponse(newFrame(), cr.id, "", result)
+}
+
+// execute runs one decoded request under the request lock, exactly once
+// per key. A hello with a new session nonce clears the memo and the
+// handler's old session. A keyed request (wire.go) whose key is its
+// slot's latest answered key is a retry — after a timeout, a reconnect,
+// or on a second connection while the original ran — and gets the
+// remembered answer; checking under the lock the original holds is what
+// makes that last case wait for it. A shadow_close retires its slot.
+func (s *rpcServer) execute(method string, params message) (message, error) {
+	s.reqMu.Lock()
+	defer s.reqMu.Unlock()
+	switch p := params.(type) {
+	case *HelloParams:
+		if p.Session != 0 && p.Session != s.session {
+			s.session = p.Session
+			clear(s.memo)
+			s.handler.newSession()
+		}
+	case *ShadowCloseParams:
+		delete(s.memo, shadowSlot(p.ShadowID))
+	}
+	k, ok := params.(keyed)
+	if !ok {
+		return s.handler.handle(method, params)
+	}
+	slot, key := k.memo()
+	if e, hit := s.memo[slot]; hit && key != 0 && e.key == key {
+		s.handler.memoHit(method)
+		return e.result, nil
+	}
+	result, err := s.handler.handle(method, params)
+	if err == nil && key != 0 {
+		if s.memo == nil {
+			s.memo = make(map[memoSlot]memoEntry)
+		}
+		s.memo[slot] = memoEntry{key: key, result: result}
+	}
+	return result, err
 }
 
 // ListenAndServe accepts connections until the listener closes.

@@ -6,11 +6,14 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dice/internal/bgp"
 	"dice/internal/core"
 	"dice/internal/netaddr"
+	"dice/internal/telemetry"
 	"dice/internal/trace"
 )
 
@@ -43,7 +46,7 @@ func TestSessionScopedExploreMemos(t *testing.T) {
 		var ex ExploreResult
 		err := cl.Call(MethodExplore, &ExploreParams{
 			Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
-			EngineKnobs: EngineKnobs{MaxRuns: maxRuns}, Round: 1,
+			EngineKnobs: EngineKnobs{MaxRuns: maxRuns}, Key: 1,
 		}, &ex)
 		if err != nil {
 			t.Fatal(err)
@@ -65,6 +68,85 @@ func TestSessionScopedExploreMemos(t *testing.T) {
 	// multi-run memoized answer.
 	if r := explore(dial(222), 1); r.Runs == first.Runs {
 		t.Errorf("new session answered from the previous session's memo (%d runs)", r.Runs)
+	}
+}
+
+// gatedHandler holds the first explore inside its execution — under the
+// server's request lock — until the test releases it.
+type gatedHandler struct {
+	rpcHandler
+	started, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gatedHandler) handle(method string, params message) (message, error) {
+	if method == MethodExplore {
+		g.once.Do(func() {
+			close(g.started)
+			<-g.release
+		})
+	}
+	return g.rpcHandler.handle(method, params)
+}
+
+// TestDuplicateOnSecondConnection: a retry can reach the agent on a new
+// connection while its original still runs on the old one. The server
+// checks the memo under the lock the original executes under, so the
+// duplicate waits and then answers from the memo — one execution. Under
+// ReuseState a second execution would answer differently: it would skip
+// the paths the first one explored.
+func TestDuplicateOnSecondConnection(t *testing.T) {
+	ag, err := NewAgent(leakTopo3(), "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag.EnableTelemetry(telemetry.NewRegistry())
+	gate := &gatedHandler{rpcHandler: ag, started: make(chan struct{}), release: make(chan struct{})}
+	ag.handler = gate
+	dial := func() *Client {
+		t.Helper()
+		conn, err := Loopback{Agent: ag}.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := NewClient(conn)
+		cl.Session = 333
+		if _, err := cl.Handshake(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	first, second := dial(), dial()
+	params := &ExploreParams{
+		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true,
+		EngineKnobs: EngineKnobs{MaxRuns: 1000}, ReuseState: true, Key: 1,
+	}
+	hits := ag.am.memoHits.With("explore")
+	before := hits.Value()
+
+	var a, b ExploreResult
+	pa := first.Go(MethodExplore, params, &a)
+	<-gate.started
+	// The pipe hands the duplicate to the second connection's reader
+	// before Go returns; the pause lets its worker reach the lock.
+	pb := second.Go(MethodExplore, params, &b)
+	time.Sleep(20 * time.Millisecond)
+	close(gate.release)
+	if err := pa.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Runs <= 1 {
+		t.Fatalf("the original explored %d runs; the check below needs a multi-run exploration", a.Runs)
+	}
+	if b.Runs != a.Runs || b.NewPaths != a.NewPaths {
+		t.Errorf("the duplicate answered %d runs / %d paths, the original %d / %d: it executed again", b.Runs, b.NewPaths, a.Runs, a.NewPaths)
+	}
+	if got := hits.Value() - before; got != 1 {
+		t.Errorf("explore memo hits rose by %d, want 1", got)
 	}
 }
 
@@ -147,11 +229,11 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	}
 	cl := NewClient(conn)
 	defer cl.Close()
-	var open ShadowOpenResult
-	if err := cl.Call(MethodShadowOpen, nil, &open); err != nil {
+	const shadowID = 1
+	if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: shadowID}, nil); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := ag.shadow(open.ShadowID)
+	sh, err := ag.shadow(shadowID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +255,7 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	}
 
 	before := state()
-	one := &InjectBatchParams{ShadowID: open.ShadowID, Deliveries: []BatchDelivery{{From: "customer", Msg: wire, Watch: u.NLRI[0]}}, Key: 1}
+	one := &InjectBatchParams{ShadowID: shadowID, Deliveries: []BatchDelivery{{From: "customer", Msg: wire, Watch: u.NLRI[0]}}, Key: 1}
 	var first, again InjectBatchResult
 	if err := cl.Call(MethodInjectWitness, one, &first); err != nil {
 		t.Fatal(err)
@@ -199,7 +281,7 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	if wire, err = bgp.Encode(&u); err != nil {
 		t.Fatal(err)
 	}
-	bad := &InjectBatchParams{ShadowID: open.ShadowID, Key: 2, Deliveries: []BatchDelivery{
+	bad := &InjectBatchParams{ShadowID: shadowID, Key: 2, Deliveries: []BatchDelivery{
 		{From: "customer", Msg: wire}, {From: "nonesuch", Msg: wire},
 	}}
 	if err := cl.Call(MethodInjectWitness, bad, &InjectBatchResult{}); err == nil || !strings.Contains(err.Error(), `no peer "nonesuch"`) {
@@ -221,7 +303,8 @@ func TestInjectAllocatesPerEmission(t *testing.T) {
 	}
 	u := *ag.self.LastObserved("customer")
 	perDelivery := func(n int) float64 {
-		p := &InjectBatchParams{ShadowID: ag.shadowOpen().ShadowID, Deliveries: make([]BatchDelivery, n)}
+		ag.shadowOpen(uint64(n))
+		p := &InjectBatchParams{ShadowID: uint64(n), Deliveries: make([]BatchDelivery, n)}
 		for i := range p.Deliveries {
 			u.NLRI = []netaddr.Prefix{netaddr.PrefixFrom(netaddr.AddrFrom4(10, 9, byte(i>>8), byte(i)), 32)}
 			wire, err := bgp.Encode(&u)

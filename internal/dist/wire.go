@@ -55,7 +55,7 @@ import (
 // ReplicaExploreResult.MissingPages) are encoded as tails that are absent
 // when unused; that keeps the common frames small, it is not a
 // compatibility mechanism.
-const ProtoVersion = 9
+const ProtoVersion = 10
 
 // --- Framing -----------------------------------------------------------------
 
@@ -351,13 +351,51 @@ var methodTable = [...]struct {
 	{MethodHello, func() message { return new(HelloParams) }, func() message { return new(HelloResult) }},
 	{MethodCheckpoint, nil, func() message { return new(CheckpointResult) }},
 	{MethodExplore, func() message { return new(ExploreParams) }, func() message { return new(ExploreResult) }},
-	{MethodShadowOpen, nil, func() message { return new(ShadowOpenResult) }},
+	{MethodShadowOpen, func() message { return new(ShadowOpenParams) }, nil},
 	{MethodInjectWitness, func() message { return new(InjectBatchParams) }, func() message { return new(InjectBatchResult) }},
 	{MethodShadowClose, func() message { return new(ShadowCloseParams) }, nil},
 	{MethodQueryOracle, func() message { return new(QueryOracleParams) }, func() message { return new(QueryOracleResult) }},
 	{MethodReplay, func() message { return new(ReplayParams) }, func() message { return new(ReplayResult) }},
 	{MethodSeed, func() message { return new(SeedParams) }, func() message { return new(SeedResult) }},
 	{MethodExploreCheckpoint, func() message { return new(ReplicaExploreParams) }, func() message { return new(ReplicaExploreResult) }},
+}
+
+// --- Exactly once ------------------------------------------------------------
+
+// keyed is a request with an effect a retry must not repeat: memo names
+// the slot its answer is remembered in and its key (0: unkeyed, executed
+// every time), which the coordinator mints per call from one session
+// sequence (rpcServer.execute; doc.go tabulates every method).
+type keyed interface {
+	memo() (memoSlot, uint64)
+}
+
+// memoSlot names one remembered answer: the method plus a number (shadow
+// id, replay key) or names (peer and scenario, shard). It is comparable,
+// so a slot costs no allocation per call.
+type memoSlot struct {
+	method string
+	num    uint64
+	name   [2]string
+}
+
+// shadowSlot is a shadow's inject_witness slot.
+func shadowSlot(id uint64) memoSlot { return memoSlot{method: MethodInjectWitness, num: id} }
+
+func (p *ExploreParams) memo() (memoSlot, uint64) {
+	return memoSlot{method: MethodExplore, name: [2]string{p.Peer, p.Scenario}}, p.Key
+}
+
+func (p *ReplicaExploreParams) memo() (memoSlot, uint64) {
+	return memoSlot{method: MethodExploreCheckpoint, name: [2]string{p.Shard}}, p.Key
+}
+
+func (p *InjectBatchParams) memo() (memoSlot, uint64) { return shadowSlot(p.ShadowID), p.Key }
+
+// A replay's slot is its own key, so every replay of the session stays
+// remembered (see ReplayParams.Key).
+func (p *ReplayParams) memo() (memoSlot, uint64) {
+	return memoSlot{method: MethodReplay, num: p.Key}, p.Key
 }
 
 // methodCode maps a method name to its wire code.
@@ -418,12 +456,10 @@ type HelloParams struct {
 	// naming both without interpreting the rest.
 	Version int
 	// Session is the coordinator's session nonce, minted fresh per
-	// Connect. Agents are long-lived servers whose idempotency memos are
-	// keyed by coordinator-local sequences (explore rounds, replay keys),
-	// so the memos are only valid within the session that minted the
-	// keys: an agent seeing a new nonce drops its memos, while reconnects
-	// of the same coordinator (same nonce) still answer retries from
-	// them. 0 leaves the memos alone.
+	// Connect. Keys and shadow ids restart at 1 per session, so a server
+	// seeing a new nonce clears its memo (rpcServer.execute); reconnects of
+	// the same coordinator still answer retries from it. 0 leaves the memo
+	// alone.
 	Session uint64
 	// Properties is the coordinator's full property set (canonical
 	// internal/prop source, one definition per entry, in evaluation
@@ -540,13 +576,10 @@ type ExploreParams struct {
 	// the agent across rounds — warm rounds skip known paths without the
 	// state ever crossing the wire.
 	ReuseState bool
-	// Round is the coordinator's round sequence number, the explore
-	// idempotency key: the agent memoizes its last result per
-	// (peer, scenario) under this key, so a retry after a reconnect
-	// returns the memoized result instead of re-exploring (which, under
-	// ReuseState, would otherwise skip the paths the lost answer already
-	// reported). 0 disables the memo.
-	Round uint64
+	// Key is the call's idempotency key (keyed): a retry must not
+	// re-explore, which under ReuseState would skip the paths the lost
+	// answer reported.
+	Key uint64
 }
 
 func (p *ExploreParams) wire(c coder) coder {
@@ -555,7 +588,7 @@ func (p *ExploreParams) wire(c coder) coder {
 	c.Bool(&p.Explicit)
 	c = p.EngineKnobs.wire(c)
 	c.Bool(&p.ReuseState)
-	c.Uvarint(&p.Round)
+	c.Uvarint(&p.Key)
 	return c
 }
 
@@ -666,7 +699,7 @@ func (r *SeedResult) wire(c coder) coder {
 
 // ReplicaExploreParams ships one exploration target to a stateless
 // replica: the node's identity and configuration, its checkpoint, the
-// scenario seed, the engine knobs, and the round/shard keys that make the
+// scenario seed, the engine knobs, and the shard and key that make the
 // call idempotent. Nothing here refers back to the coordinator's fabric —
 // the replica reconstructs the target entirely from the message.
 //
@@ -702,12 +735,10 @@ type ReplicaExploreParams struct {
 	// instead of exploring cold, which is how ReuseState survives the
 	// shard moving between replicas.
 	WarmState []byte
-	// Round and Shard key the replica's idempotency memo: the replica
-	// memoizes its last result per Shard under Round, so a retried shard
-	// (after a replica loss mid-call) returns the memoized result
-	// instead of re-exploring. Round 0 disables the memo. Shard also names
-	// the slot the replica retains the assembled snapshot under.
-	Round uint64
+	// Key is the call's idempotency key and Shard its slot (keyed). Shard
+	// also names the slot the replica retains the assembled snapshot
+	// under.
+	Key   uint64
 	Shard string
 	// Keys and Pages are the checkpoint (see above).
 	Keys  []checkpoint.Key
@@ -724,7 +755,7 @@ func (p *ReplicaExploreParams) wire(c coder) coder {
 	c.U32(&p.Boundary)
 	c.Bytes(&p.Seed)
 	c.Bytes(&p.WarmState)
-	c.Uvarint(&p.Round)
+	c.Uvarint(&p.Key)
 	c.Str(&p.Shard)
 	codec.List(&c.C, &p.Keys, len(checkpoint.Key{}), c.key)
 	codec.List(&c.C, &p.Pages, 1, c.Bytes)
@@ -743,8 +774,8 @@ type ReplicaExploreResult struct {
 	// MissingPages, when non-empty, means the request's Keys named pages
 	// the replica's store could not resolve (a restarted replica, or a
 	// snapshot released to stay under the byte budget): no exploration
-	// ran, nothing was memoized, and the sender must retry with the named
-	// pages in Pages. It is a result field, not an error, because
+	// ran, and the sender must send again, as a new call with a new key,
+	// with the named pages in Pages. It is a result field, not an error, because
 	// transport errors trigger worker failover — a miss must stay on the
 	// same replica connection.
 	MissingPages []checkpoint.Key
@@ -771,11 +802,9 @@ type ReplayParams struct {
 	// Trace is the recorded history in the internal/trace file encoding
 	// (dump records bulk-load, update records replay at their offsets).
 	Trace []byte
-	// Key is the replay idempotency key: the agent remembers every key
-	// it has applied to its live fabric and answers a re-delivery (after
-	// a reconnect, or when re-establishing a replacement agent from the
-	// coordinator's replay history) from memory instead of double-feeding
-	// the fabric. 0 disables the memo.
+	// Key is the replay's idempotency key and slot (keyed): re-shipping
+	// the coordinator's replay history to a surviving agent double-feeds
+	// nothing.
 	Key uint64
 }
 
@@ -805,13 +834,15 @@ func (r *ReplayResult) wire(c coder) coder {
 
 // --- shadows: open, inject_witness, close, query_oracle ----------------------
 
-// ShadowOpenResult names a fresh shadow clone.
-type ShadowOpenResult struct {
+// ShadowOpenParams opens a shadow clone under an id the coordinator
+// minted. Opening an id that exists is a no-op, so a retried open never
+// clones twice.
+type ShadowOpenParams struct {
 	ShadowID uint64
 }
 
-func (r *ShadowOpenResult) wire(c coder) coder {
-	c.Uvarint(&r.ShadowID)
+func (p *ShadowOpenParams) wire(c coder) coder {
+	c.Uvarint(&p.ShadowID)
 	return c
 }
 
@@ -838,11 +869,8 @@ type BatchDelivery struct {
 type InjectBatchParams struct {
 	ShadowID   uint64
 	Deliveries []BatchDelivery
-	// Key is the delivery idempotency key, unique per call within the
-	// shadow's lifetime. The agent memoizes the whole answer under it, so
-	// a retry after a reconnect returns the original answer instead of
-	// delivering any message twice (which would double-count route
-	// churn). 0 disables the memo.
+	// Key is the call's idempotency key (keyed): a retry must not
+	// deliver twice, which would double-count route churn.
 	Key uint64
 	// WantProps asks the agent to also evaluate its hello-shipped property
 	// set's `at` route predicates against each delivery's after-view
@@ -884,9 +912,9 @@ type InjectResult struct {
 
 // InjectBatchResult carries one InjectResult per delivery, in delivery
 // order — per-witness attribution never coarsens just because the
-// transport batched. It is what the agent memoizes under the call's key,
-// so a retried delivery reports the same before / after it reported the
-// first time.
+// transport batched. It is what the server remembers under the call's
+// key, so a retried delivery reports the same before / after it reported
+// the first time.
 type InjectBatchResult struct {
 	Results []InjectResult
 }
@@ -903,7 +931,8 @@ func (r *InjectBatchResult) wire(c coder) coder {
 	return c
 }
 
-// ShadowCloseParams discards a shadow clone.
+// ShadowCloseParams discards a shadow clone; closing an id that does not
+// exist is a no-op.
 type ShadowCloseParams struct {
 	ShadowID uint64
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -59,7 +60,7 @@ func sampleMessages() []message {
 		&ExploreParams{
 			Peer: "as65001", Scenario: "route-leak", Explicit: true,
 			EngineKnobs: EngineKnobs{MaxRuns: 200, Workers: 4, Strategy: concolic.DFS},
-			ReuseState:  true, Round: 3,
+			ReuseState:  true, Key: 3,
 		},
 		&ExploreResult{
 			Skipped: "", Scenario: "route-leak",
@@ -84,7 +85,7 @@ func sampleMessages() []message {
 		&ExploreResult{Skipped: "no observed seed"},
 		&ReplayParams{Node: "as65001", Peer: "stub", Trace: []byte("MRTLfakebytes"), Key: 11},
 		&ReplayResult{Delivered: 250, Prefixes: 771},
-		&ShadowOpenResult{ShadowID: 7},
+		&ShadowOpenParams{ShadowID: 7},
 		&InjectBatchParams{ShadowID: 7, Deliveries: []BatchDelivery{
 			{From: "as65001", Msg: []byte{0x01, 0x02}, Watch: netaddr.MustParsePrefix("10.200.0.0/24")},
 			{From: "as65003", Msg: []byte{0x03}, Watch: netaddr.MustParsePrefix("10.80.3.0/24")},
@@ -106,7 +107,7 @@ func sampleMessages() []message {
 			Peer: "as65001", Scenario: "route-leak",
 			Explicit:    true,
 			EngineKnobs: EngineKnobs{MaxRuns: 120, Workers: 2, Strategy: concolic.BFS},
-			Boundary:    0xFFFF_FF01, Seed: []byte{0x02, 0x00, 0x17}, WarmState: []byte{0x7a}, Round: 4, Shard: "as65002/as65001#0",
+			Boundary:    0xFFFF_FF01, Seed: []byte{0x02, 0x00, 0x17}, WarmState: []byte{0x7a}, Key: 4, Shard: "as65002/as65001#0",
 			Keys:  []checkpoint.Key{{0x6c, 0xd5}, {0xa0, 0x01}, {0x6c, 0xd5}},
 			Pages: [][]byte{{0xca, 0xfe}, {0x00}},
 		},
@@ -229,8 +230,8 @@ func TestWireGolden(t *testing.T) {
 	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
 		t.Errorf("wire encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if ProtoVersion != 9 {
-		t.Errorf("ProtoVersion %d: the golden was written at 9", ProtoVersion)
+	if ProtoVersion != 10 {
+		t.Errorf("ProtoVersion %d: the golden was written at 10", ProtoVersion)
 	}
 }
 
@@ -325,12 +326,12 @@ func TestRequestEnvelope(t *testing.T) {
 // TestResponseEnvelope: ok and error responses round-trip; bad status
 // octets and truncated error strings are rejected.
 func TestResponseEnvelope(t *testing.T) {
-	ok := appendResponse(nil, 7, "", &ShadowOpenResult{ShadowID: 3})
+	ok := appendResponse(nil, 7, "", &ShadowOpenParams{ShadowID: 3})
 	id, errMsg, body, err := parseResponse(ok)
 	if err != nil || id != 7 || errMsg != "" {
 		t.Fatalf("ok response: id=%d err=%q parse=%v", id, errMsg, err)
 	}
-	var r ShadowOpenResult
+	var r ShadowOpenParams
 	if err := decodeBody(body, &r); err != nil || r.ShadowID != 3 {
 		t.Errorf("ok body: %+v, %v", r, err)
 	}
@@ -404,5 +405,69 @@ func TestDecodeRejections(t *testing.T) {
 	}
 	if len(methodTable) != 10 {
 		t.Errorf("method table has %d rows, want 10", len(methodTable))
+	}
+}
+
+// TestExactlyOnceTable walks the method table against doc.go's
+// exactly-once table: every method has exactly one row, a row with a
+// slot is a keyed request whose slot carries its method, and a row
+// without one is read-only or idempotent by existence and has no key. A
+// new effectful method without a key fails here until its row says why
+// it needs none.
+func TestExactlyOnceTable(t *testing.T) {
+	src, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][2]string{}
+	in := false
+	for _, line := range strings.Split(string(src), "\n") {
+		cols := regexp.MustCompile(`\s{2,}`).Split(strings.TrimSpace(strings.TrimPrefix(line, "//")), 3)
+		switch {
+		case len(cols) == 3 && cols[0] == "method" && cols[1] == "slot" && cols[2] == "key":
+			in = true
+		case in && len(cols) == 3:
+			if _, dup := rows[cols[0]]; dup {
+				t.Errorf("method %s has two rows", cols[0])
+			}
+			rows[cols[0]] = [2]string{cols[1], cols[2]}
+		case in:
+			in = false
+		}
+	}
+	samples := map[reflect.Type]message{}
+	for _, msg := range sampleMessages() {
+		samples[reflect.TypeOf(msg)] = msg
+	}
+	for _, m := range methodTable {
+		row, ok := rows[m.name]
+		if !ok {
+			t.Errorf("method %s has no row in doc.go's exactly-once table", m.name)
+			continue
+		}
+		delete(rows, m.name)
+		k, isKeyed := paramsFor(m.name).(keyed)
+		if row[0] == "none" {
+			if isKeyed {
+				t.Errorf("%s: its row names no slot, but its params are keyed", m.name)
+			}
+			if !strings.HasPrefix(row[1], "read-only") && !strings.HasPrefix(row[1], "idempotent") {
+				t.Errorf("%s: a method without a slot must be read-only or idempotent, its row says %q", m.name, row[1])
+			}
+			continue
+		}
+		if !isKeyed {
+			t.Errorf("%s: its row names slot %q, but its params are not keyed", m.name, row[0])
+			continue
+		}
+		if row[1] != "the call's key" {
+			t.Errorf("%s: a keyed row's key is the call's key, not %q", m.name, row[1])
+		}
+		if slot, key := samples[reflect.TypeOf(k)].(keyed).memo(); slot.method != m.name || key == 0 {
+			t.Errorf("%s: its sample's slot %+v and key %d", m.name, slot, key)
+		}
+	}
+	for name := range rows {
+		t.Errorf("doc.go's exactly-once table has a row for %s, which the method table lacks", name)
 	}
 }

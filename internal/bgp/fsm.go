@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dice/internal/concolic"
 	"dice/internal/netaddr"
 )
 
@@ -197,8 +198,7 @@ func (s *Session) handleOpen(now time.Time, o *Open) error {
 		s.notifyAndClose(err)
 		return err
 	}
-	if s.cfg.PeerAS != 0 && o.AS != s.cfg.PeerAS {
-		err := protoErr(ErrCodeOpenMessage, 2, "bad peer AS %d, want %d", o.AS, s.cfg.PeerAS)
+	if err := o.header().CheckPeerAS(s.cfg.PeerAS, concolic.ConcreteBrancher{}); err != nil {
 		s.notifyAndClose(err)
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dice/internal/concolic"
 	"dice/internal/netaddr"
 )
 
@@ -178,14 +179,8 @@ func decodeOpen(body []byte) (*Open, error) {
 		HoldTime: binary.BigEndian.Uint16(body[3:5]),
 		RouterID: netaddr.Addr(binary.BigEndian.Uint32(body[5:9])),
 	}
-	if o.Version != 4 {
-		return nil, protoErr(ErrCodeOpenMessage, 1, "unsupported version %d", o.Version)
-	}
-	if o.HoldTime == 1 || o.HoldTime == 2 {
-		return nil, protoErr(ErrCodeOpenMessage, 6, "unacceptable hold time %d", o.HoldTime)
-	}
-	if o.RouterID == 0 {
-		return nil, protoErr(ErrCodeOpenMessage, 3, "bad BGP identifier")
+	if err := o.header().Check(concolic.ConcreteBrancher{}); err != nil {
+		return nil, err
 	}
 	optLen := int(body[9])
 	rest := body[10:]
@@ -206,6 +201,51 @@ func decodeOpen(body []byte) (*Open, error) {
 		rest = rest[2+l:]
 	}
 	return o, nil
+}
+
+// OpenHeader is an OPEN's fixed-size fields lifted to concolic values:
+// concrete when a speaker receives a message, the run's symbolic inputs
+// when the "open" scenario explores one. RFC 4271 §6.2's OPEN checks are
+// written once, over it, and report every conditional through a Brancher,
+// so the live session and exploration run the same code.
+type OpenHeader struct {
+	Version, AS, HoldTime, RouterID concolic.Value
+}
+
+// header lifts o's fixed-size fields to concrete values.
+func (o *Open) header() OpenHeader {
+	return OpenHeader{
+		Version:  concolic.Concrete(uint64(o.Version), 8),
+		AS:       concolic.Concrete(uint64(o.AS), 16),
+		HoldTime: concolic.Concrete(uint64(o.HoldTime), 16),
+		RouterID: concolic.Concrete(uint64(uint32(o.RouterID)), 32),
+	}
+}
+
+// Check applies the checks a speaker makes while decoding an OPEN, in
+// order: version, hold time, BGP identifier.
+func (h OpenHeader) Check(br concolic.Brancher) error {
+	if br.Branch(concolic.Ne(h.Version, concolic.Concrete(4, 8))) {
+		return protoErr(ErrCodeOpenMessage, 1, "unsupported version %d", h.Version.C)
+	}
+	if br.Branch(concolic.BoolOr(
+		concolic.Eq(h.HoldTime, concolic.Concrete(1, 16)),
+		concolic.Eq(h.HoldTime, concolic.Concrete(2, 16)))) {
+		return protoErr(ErrCodeOpenMessage, 6, "unacceptable hold time %d", h.HoldTime.C)
+	}
+	if br.Branch(concolic.Eq(h.RouterID, concolic.Concrete(0, 32))) {
+		return protoErr(ErrCodeOpenMessage, 3, "bad BGP identifier")
+	}
+	return nil
+}
+
+// CheckPeerAS is the check a session makes once the OPEN has decoded:
+// its AS must be the configured peer AS want (0 accepts any).
+func (h OpenHeader) CheckPeerAS(want uint16, br concolic.Brancher) error {
+	if want != 0 && br.Branch(concolic.Ne(h.AS, concolic.Concrete(uint64(want), 16))) {
+		return protoErr(ErrCodeOpenMessage, 2, "bad peer AS %d, want %d", h.AS.C, want)
+	}
+	return nil
 }
 
 // Keepalive is the KEEPALIVE message (header only, RFC 4271 §4.4).

@@ -28,6 +28,22 @@ func Bool(b bool) Value {
 	return Value{C: 0, W: 1}
 }
 
+// Brancher is the instrumentation seam: code that branches on Values
+// reports every conditional through it. A RunContext records the path
+// constraint; ConcreteBrancher just evaluates. Instrumented code is
+// written once against Brancher and serves the live node and exploration
+// alike (filter's interpreter, bgp's OPEN checks).
+type Brancher interface {
+	Branch(cond Value) bool
+}
+
+// ConcreteBrancher evaluates conditions with no constraint recording —
+// the live node's zero-overhead path.
+type ConcreteBrancher struct{}
+
+// Branch implements Brancher.
+func (ConcreteBrancher) Branch(cond Value) bool { return cond.NonZero() }
+
 // IsSymbolic reports whether v carries a symbolic expression.
 func (v Value) IsSymbolic() bool { return v.S != nil }
 

@@ -24,10 +24,12 @@
 package config
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"dice/internal/filter"
 	"dice/internal/netaddr"
@@ -108,55 +110,47 @@ type statement struct {
 }
 
 // splitStatements cuts the source into top-level statements, keeping
-// brace-blocks (filters, peers) intact.
+// brace-blocks (filters, peers) intact. Comments are dropped and newlines
+// kept, so a statement's line is that of its first rune and a line inside
+// a block is its line plus the newlines before it in the text.
 func splitStatements(src string) []statement {
 	var out []statement
 	var buf strings.Builder
-	depth := 0
-	line := 1
-	startLine := 1
+	depth, line, start := 0, 1, 0 // start is 0 until the statement's first rune
 	flush := func() {
-		s := strings.TrimSpace(buf.String())
-		if s != "" {
-			out = append(out, statement{text: s, line: startLine})
+		if s := strings.TrimSpace(buf.String()); s != "" {
+			out = append(out, statement{text: s, line: start})
 		}
 		buf.Reset()
-		startLine = line
+		start = 0
 	}
 	inComment := false
 	for _, r := range src {
-		if r == '\n' {
+		switch {
+		case r == '\n':
 			line++
 			inComment = false
-			buf.WriteRune(' ')
+		case inComment:
 			continue
-		}
-		if inComment {
-			continue
-		}
-		switch r {
-		case '#':
+		case r == '#':
 			inComment = true
+			continue
+		case start == 0 && !unicode.IsSpace(r):
+			start = line
+		}
+		if r == ';' && depth == 0 {
+			flush()
+			continue
+		}
+		buf.WriteRune(r)
+		switch r {
 		case '{':
 			depth++
-			buf.WriteRune(r)
 		case '}':
 			depth--
-			buf.WriteRune(r)
 			if depth == 0 {
 				flush()
 			}
-		case ';':
-			if depth == 0 {
-				flush()
-			} else {
-				buf.WriteRune(r)
-			}
-		default:
-			if buf.Len() == 0 && r != ' ' && r != '\t' {
-				startLine = line
-			}
-			buf.WriteRune(r)
 		}
 	}
 	flush()
@@ -208,6 +202,11 @@ func parseStatement(cfg *Config, st statement) error {
 	case "filter":
 		f, err := filter.Parse(st.text)
 		if err != nil {
+			// One line number, the file's: the filter's text starts at st.line.
+			var perr *filter.ParseError
+			if errors.As(err, &perr) {
+				return fmt.Errorf("config: line %d: %s", st.line+perr.Line-1, perr.Msg)
+			}
 			return fmt.Errorf("config: line %d: %v", st.line, err)
 		}
 		if _, dup := cfg.Filters[f.Name]; dup {
@@ -232,9 +231,12 @@ func parsePeer(cfg *Config, st statement) error {
 		return fmt.Errorf("config: line %d: usage: peer <name> { ... }", st.line)
 	}
 	p := &Peer{Name: head[1]}
-	body := strings.TrimSpace(st.text[open+1 : strings.LastIndexByte(st.text, '}')])
-	for _, item := range strings.Split(body, ";") {
-		item = strings.TrimSpace(item)
+	body := st.text[open+1 : strings.LastIndexByte(st.text, '}')]
+	line := st.line + strings.Count(st.text[:open], "\n")
+	for _, raw := range strings.Split(body, ";") {
+		item := strings.TrimSpace(raw)
+		at := line + strings.Count(raw[:strings.Index(raw, item)], "\n")
+		line += strings.Count(raw, "\n")
 		if item == "" {
 			continue
 		}
@@ -243,33 +245,33 @@ func parsePeer(cfg *Config, st statement) error {
 		case f[0] == "remote" && len(f) == 4 && f[2] == "as":
 			a, err := netaddr.ParseAddr(f[1])
 			if err != nil {
-				return fmt.Errorf("config: line %d: %v", st.line, err)
+				return fmt.Errorf("config: line %d: %v", at, err)
 			}
 			as, err := strconv.ParseUint(f[3], 10, 16)
 			if err != nil {
-				return fmt.Errorf("config: line %d: bad AS %q", st.line, f[3])
+				return fmt.Errorf("config: line %d: bad AS %q", at, f[3])
 			}
 			p.Addr, p.AS = a, uint16(as)
 		case f[0] == "import" && len(f) == 3 && f[1] == "filter":
 			flt, ok := cfg.Filters[f[2]]
 			if !ok {
-				return fmt.Errorf("config: line %d: unknown filter %q", st.line, f[2])
+				return fmt.Errorf("config: line %d: unknown filter %q", at, f[2])
 			}
 			p.Import = flt
 		case f[0] == "export" && len(f) == 3 && f[1] == "filter":
 			flt, ok := cfg.Filters[f[2]]
 			if !ok {
-				return fmt.Errorf("config: line %d: unknown filter %q", st.line, f[2])
+				return fmt.Errorf("config: line %d: unknown filter %q", at, f[2])
 			}
 			p.Export = flt
 		case f[0] == "hold" && len(f) == 2:
 			secs, err := strconv.Atoi(f[1])
 			if err != nil || secs < 0 {
-				return fmt.Errorf("config: line %d: bad hold time %q", st.line, f[1])
+				return fmt.Errorf("config: line %d: bad hold time %q", at, f[1])
 			}
 			p.HoldTime = time.Duration(secs) * time.Second
 		default:
-			return fmt.Errorf("config: line %d: unknown peer option %q", st.line, item)
+			return fmt.Errorf("config: line %d: unknown peer option %q", at, item)
 		}
 	}
 	if p.Addr == 0 || p.AS == 0 {

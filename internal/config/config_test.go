@@ -166,3 +166,30 @@ func TestFilterBodyBracesDoNotConfuseSplitter(t *testing.T) {
 		t.Fatalf("filter content lost: %s", cfg.Filters["f"])
 	}
 }
+
+// TestErrorLines holds every error to the file line of the offending
+// token: a statement's line is that of its first rune even after blank
+// and comment lines, and an error inside a block names its own line.
+func TestErrorLines(t *testing.T) {
+	const head = "# identity\nrouter id 10.0.0.2;\nlocal as 65002;\n"
+	cases := []struct{ name, src, want string }{
+		{"statement after a blank line",
+			head + "\n# originated space\nnetwork 10.0.0.0;\n",
+			`config: line 6: netaddr: invalid prefix: "10.0.0.0" (missing '/')`},
+		{"fourth line of a filter block",
+			head + "\n# policy\nfilter f {\n  if net ~ 10.0.0.0/8 then accept;\n  # long paths\n  if med >< 5 then reject;\n  reject;\n}\n",
+			`config: line 9: expected number, found "<"`},
+		{"bad option inside a peer block",
+			head + "# peers\npeer p {\n  remote 10.0.0.1 as 65001;\n  # timers\n  hold banana;\n}\n",
+			`config: line 8: bad hold time "banana"`},
+		{"unknown statement after a block",
+			head + "filter f {\n  accept;\n}\n\n# misc\nfrobnicate;\n",
+			`config: line 9: unknown statement "frobnicate"`},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: got error %v, want %s", c.name, err, c.want)
+		}
+	}
+}

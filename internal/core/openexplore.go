@@ -13,8 +13,9 @@ import (
 // §3.2 future work ("the other state changing messages ... we leave them
 // for future work") implemented: a well-formed OPEN the peer would send
 // seeds the symbolic fields, and predicate negation enumerates every
-// acceptance/rejection path of the session FSM. Exploration uses clones
-// and throwaway sessions only; the live peering is untouched.
+// acceptance/rejection path of the session FSM. Each run puts the header
+// through the session's own OPEN checks (bgp.OpenHeader) on a clone; the
+// live peering is untouched.
 type openScenario struct{}
 
 func init() { RegisterScenario(openScenario{}) }

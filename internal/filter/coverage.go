@@ -1,11 +1,9 @@
 package filter
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
-
-	"dice/internal/bgp"
 )
 
 // Coverage accumulates, across many filter evaluations, how often each
@@ -33,20 +31,25 @@ func NewCoverage() *Coverage {
 	return &Coverage{sites: make(map[string]*SiteCount)}
 }
 
-func (c *Coverage) record(site, cond string, taken bool) {
+// record tallies the outcome of the `if` at index i of the statements
+// whose site ids start with prefix, and returns the id prefix of the arm
+// that runs.
+func (c *Coverage) record(prefix string, i int, cond Expr, taken bool) (arm string) {
+	site := prefix + strconv.Itoa(i)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sc, ok := c.sites[site]
 	if !ok {
-		sc = &SiteCount{Site: site, Cond: cond}
+		sc = &SiteCount{Site: site, Cond: cond.String()}
 		c.sites[site] = sc
 		c.order = append(c.order, site)
 	}
 	if taken {
 		sc.True++
-	} else {
-		sc.False++
+		return site + ".then."
 	}
+	sc.False++
+	return site + ".else."
 }
 
 // Sites returns the tallies in structural order.
@@ -73,53 +76,4 @@ func (c *Coverage) Dead() []SiteCount {
 		}
 	}
 	return out
-}
-
-// RunWithCoverage evaluates the filter like Run while tallying each `if`
-// site's outcome into cov (which may be shared across runs).
-func RunWithCoverage(f *Filter, subj *Subject, br Brancher, cov *Coverage) Verdict {
-	v := Verdict{Disposition: Reject}
-	runStmtsCov(f.Stmts, subj, br, &v, cov, "")
-	return v
-}
-
-// runStmtsCov mirrors runStmts with per-site accounting.
-func runStmtsCov(stmts []Stmt, subj *Subject, br Brancher, v *Verdict, cov *Coverage, prefix string) bool {
-	for i, s := range stmts {
-		switch st := s.(type) {
-		case *ActionStmt:
-			v.Disposition = st.Disposition
-			return true
-		case *SetStmt:
-			switch st.Field {
-			case FieldLocalPref:
-				val := uint32(st.Value)
-				v.SetLocalPref = &val
-			case FieldMED:
-				val := uint32(st.Value)
-				v.SetMED = &val
-			case FieldOrigin:
-				val := uint8(st.Value)
-				v.SetOrigin = &val
-			}
-		case *AddCommunityStmt:
-			v.AddCommunities = append(v.AddCommunities, bgp.MakeCommunity(st.AS, st.Value))
-		case *IfStmt:
-			site := fmt.Sprintf("%s%d", prefix, i)
-			cond := evalExpr(st.Cond, subj, nil)
-			v.BranchesTaken++
-			taken := br.Branch(cond)
-			cov.record(site, st.Cond.String(), taken)
-			if taken {
-				if runStmtsCov(st.Then, subj, br, v, cov, site+".then.") {
-					return true
-				}
-			} else if len(st.Else) > 0 {
-				if runStmtsCov(st.Else, subj, br, v, cov, site+".else.") {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

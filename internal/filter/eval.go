@@ -8,20 +8,15 @@ import (
 	"dice/internal/netaddr"
 )
 
-// Brancher reports conditional outcomes during filter evaluation. The
-// concolic engine's RunContext implements it (recording a path constraint
-// per `if`); ConcreteBrancher just evaluates. This single seam is what
-// turns the configuration interpreter into explorable code.
-type Brancher interface {
-	Branch(cond concolic.Value) bool
-}
-
-// ConcreteBrancher evaluates conditions with no constraint recording —
-// the router's zero-overhead fast path while not exploring.
-type ConcreteBrancher struct{}
-
-// Branch implements Brancher.
-func (ConcreteBrancher) Branch(cond concolic.Value) bool { return cond.NonZero() }
+// Brancher and ConcreteBrancher are concolic's instrumentation seam,
+// named here too because every filter caller passes one: a RunContext
+// records a path constraint per `if`, ConcreteBrancher just evaluates.
+// This single seam is what turns the configuration interpreter into
+// explorable code.
+type (
+	Brancher         = concolic.Brancher
+	ConcreteBrancher = concolic.ConcreteBrancher
+)
 
 // Subject is the route being filtered, lifted to concolic values. During
 // normal operation every Value is concrete; during exploration the fields
@@ -125,16 +120,29 @@ func (v *Verdict) Apply(attrs *bgp.Attrs) {
 
 // Run evaluates the filter over subj, reporting conditionals through br.
 // Falling off the end rejects, like BIRD.
+// (It calls runStmts itself rather than RunWithCoverage: that way it stays
+// cheap enough for the compiler to inline into the router's hot path.)
 func Run(f *Filter, subj *Subject, br Brancher) Verdict {
 	v := Verdict{Disposition: Reject}
-	runStmts(f.Stmts, subj, br, &v)
+	runStmts(f.Stmts, subj, br, &v, nil, "")
 	return v
 }
 
-// runStmts executes statements until a terminal action; returns true when
-// a terminal action fired.
-func runStmts(stmts []Stmt, subj *Subject, br Brancher, v *Verdict) bool {
-	for _, s := range stmts {
+// RunWithCoverage evaluates the filter like Run while tallying each `if`
+// site's outcome into cov (which may be shared across runs).
+func RunWithCoverage(f *Filter, subj *Subject, br Brancher, cov *Coverage) Verdict {
+	v := Verdict{Disposition: Reject}
+	runStmts(f.Stmts, subj, br, &v, cov, "")
+	return v
+}
+
+// runStmts is the filter's one statement interpreter. It executes
+// statements until a terminal action and returns true when one fired.
+// With a cov it tallies each `if` under its structural site id (prefix
+// plus the statement's index, e.g. "2.then.0"); without one it builds no
+// ids.
+func runStmts(stmts []Stmt, subj *Subject, br Brancher, v *Verdict, cov *Coverage, prefix string) bool {
+	for i, s := range stmts {
 		switch st := s.(type) {
 		case *ActionStmt:
 			v.Disposition = st.Disposition
@@ -156,12 +164,17 @@ func runStmts(stmts []Stmt, subj *Subject, br Brancher, v *Verdict) bool {
 		case *IfStmt:
 			cond := evalExpr(st.Cond, subj, nil)
 			v.BranchesTaken++
-			if br.Branch(cond) {
-				if runStmts(st.Then, subj, br, v) {
+			taken := br.Branch(cond)
+			var arm string
+			if cov != nil {
+				arm = cov.record(prefix, i, st.Cond, taken)
+			}
+			if taken {
+				if runStmts(st.Then, subj, br, v, cov, arm) {
 					return true
 				}
 			} else if len(st.Else) > 0 {
-				if runStmts(st.Else, subj, br, v) {
+				if runStmts(st.Else, subj, br, v, cov, arm) {
 					return true
 				}
 			}

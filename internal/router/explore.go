@@ -35,6 +35,7 @@ type InputModel[S any] struct {
 	Usable func(seed S) error
 	// Materialize writes a run's input values over the seed message: the
 	// concrete message the run processes, as presented by a peer in peerAS.
+	// The OPEN model has none: its checks read the inputs themselves.
 	Materialize func(seed S, peerAS uint16, in map[string]uint64) S
 }
 

@@ -1,11 +1,10 @@
 package router
 
 import (
-	"time"
+	"errors"
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
-	"dice/internal/netaddr"
 )
 
 // The paper explores UPDATE messages only: "the other state changing
@@ -42,107 +41,34 @@ var OpenInputs = InputModel[*bgp.Open]{
 		{OpenHoldTime, 16, func(o *bgp.Open) uint64 { return uint64(o.HoldTime) }},
 		{OpenRouterID, 32, func(o *bgp.Open) uint64 { return uint64(uint32(o.RouterID)) }},
 	},
-	Materialize: func(_ *bgp.Open, _ uint16, in map[string]uint64) *bgp.Open {
-		return &bgp.Open{
-			Version:  uint8(in[OpenVersion]),
-			AS:       uint16(in[OpenAS]),
-			HoldTime: uint16(in[OpenHoldTime]),
-			RouterID: netaddr.Addr(uint32(in[OpenRouterID])),
-		}
-	},
 }
 
-// HandleOpenConcolic is the instrumented OPEN handler: it mirrors the
-// session's validation pipeline (decodeOpen + handleOpen) over symbolic
-// fields, recording one constraint per check, then drives a real throwaway
-// session with the materialized message to confirm the outcome concretely.
-// (The UPDATE scenarios need no such confirmation: they run the router's
-// own pipeline. The session FSM lives in bgp, which cannot import
-// concolic, so here the model stays beside the code and checks itself
-// against it on every run.)
+// HandleOpenConcolic is the instrumented OPEN handler: the run's symbolic
+// header goes through the very checks a live session applies (bgp's
+// OpenHeader.Check while decoding, then CheckPeerAS against the
+// configured peer), each recording its constraint under rc. The outcome is
+// the NOTIFICATION the first failing check would send, or Established.
 func (r *Router) HandleOpenConcolic(rc *concolic.RunContext, peerName string) OpenOutcome {
+	out := OpenOutcome{Peer: peerName}
 	ps, ok := r.peers[peerName]
 	if !ok {
-		return OpenOutcome{Peer: peerName}
+		return out
 	}
-	verV, asV := rc.Input(OpenVersion), rc.Input(OpenAS)
-	htV, ridV := rc.Input(OpenHoldTime), rc.Input(OpenRouterID)
-	open := OpenInputs.Materialize(nil, ps.peer.AS, OpenInputs.Named(rc.Env()))
-
-	out := OpenOutcome{Peer: peerName}
-	reject := func(subcode uint8) OpenOutcome {
-		out.NotifyCode, out.NotifySubcode = bgp.ErrCodeOpenMessage, subcode
-		return r.confirmOpen(ps, open, out)
+	h := bgp.OpenHeader{
+		Version:  rc.Input(OpenVersion),
+		AS:       rc.Input(OpenAS),
+		HoldTime: rc.Input(OpenHoldTime),
+		RouterID: rc.Input(OpenRouterID),
 	}
-	// The branch structure mirrors the checks in bgp.decodeOpen and
-	// Session.handleOpen, in order.
-	switch {
-	case rc.Branch(concolic.Ne(verV, concolic.Concrete(4, 8))):
-		return reject(1) // unsupported version
-	case rc.Branch(concolic.BoolOr(
-		concolic.Eq(htV, concolic.Concrete(1, 16)),
-		concolic.Eq(htV, concolic.Concrete(2, 16)))):
-		return reject(6) // unacceptable hold time
-	case rc.Branch(concolic.Eq(ridV, concolic.Concrete(0, 32))):
-		return reject(3) // bad BGP identifier
-	case rc.Branch(concolic.Ne(asV, concolic.Concrete(uint64(ps.peer.AS), 16))):
-		return reject(2) // bad peer AS
-	}
-	out.Established = true
-	return r.confirmOpen(ps, open, out)
-}
-
-// confirmOpen validates the predicted outcome by driving a real session
-// with the concrete message. A disagreement panics: it would mean the
-// instrumented model diverged from the executable FSM.
-func (r *Router) confirmOpen(ps *peerState, open *bgp.Open, predicted OpenOutcome) OpenOutcome {
-	var notified notificationCatcher
-	sess := bgp.NewSession(bgp.SessionConfig{
-		LocalAS:  r.cfg.LocalAS,
-		PeerAS:   ps.peer.AS,
-		RouterID: r.cfg.RouterID,
-	}, &notified)
-	now := time.Unix(0, 0)
-	sess.Start(now)
-	_ = sess.ConnUp(now)
-
-	// Encode tolerates any field values (they are fixed-size); decoding
-	// applies the FSM-visible validation.
-	wire, err := bgp.Encode(open)
+	err := h.Check(rc)
 	if err == nil {
-		_ = sess.Recv(now, wire)
+		err = h.CheckPeerAS(ps.peer.AS, rc)
 	}
-	// After our OPEN is processed the session either reached OpenConfirm
-	// (it sent its KEEPALIVE; deliver one back to complete establishment)
-	// or dropped to Idle with a NOTIFICATION.
-	if sess.State() == bgp.StateOpenConfirm {
-		ka, _ := bgp.Encode(&bgp.Keepalive{})
-		_ = sess.Recv(now, ka)
+	var perr *bgp.Error
+	if !errors.As(err, &perr) {
+		out.Established = true
+		return out
 	}
-	gotEstablished := sess.State() == bgp.StateEstablished
-
-	if gotEstablished != predicted.Established {
-		panic("router: instrumented OPEN model diverged from the session FSM")
-	}
-	if !gotEstablished && (notified.code != predicted.NotifyCode || notified.subcode != predicted.NotifySubcode) {
-		panic("router: instrumented OPEN model predicted the wrong notification")
-	}
-	return predicted
+	out.NotifyCode, out.NotifySubcode = perr.Code, perr.Subcode
+	return out
 }
-
-// notificationCatcher is the throwaway session's SessionHooks: it keeps
-// the code and subcode of the last NOTIFICATION the session sent and
-// ignores everything else.
-type notificationCatcher struct{ code, subcode uint8 }
-
-func (c *notificationCatcher) Send(wire []byte) {
-	if m, err := bgp.Decode(wire); err == nil {
-		if n, ok := m.(*bgp.Notification); ok {
-			c.code, c.subcode = n.Code, n.Subcode
-		}
-	}
-}
-
-func (*notificationCatcher) OnEstablished()       {}
-func (*notificationCatcher) OnUpdate(*bgp.Update) {}
-func (*notificationCatcher) OnDown(string)        {}

@@ -10,7 +10,8 @@
 // filter.ConcreteBrancher with no instrumentation; DiCE runs the same
 // code on checkpoint clones under a recording concolic.RunContext, with
 // a scenario's lift (explore.go) marking which filter-subject fields
-// carry symbolic inputs.
+// carry symbolic inputs. OPEN handling is the session's own checks the
+// same way (openexplore.go).
 package router
 
 import (

@@ -100,7 +100,7 @@ func main() {
 		traceFile     = flag.String("trace", "", "MRT-lite trace to load (default: synthetic)")
 		tableSize     = flag.Int("table", 20000, "synthetic table size when no -trace given")
 		runs          = flag.Int("runs", 2000, "concolic run budget")
-		workers       = flag.Int("workers", 1, "parallel exploration workers")
+		workers       = flag.Int("workers", 1, "parallel exploration workers; also the witness groups checked at once")
 		strategy      = flag.String("strategy", "generational", "search strategy: generational|dfs|bfs")
 		scenarioFlag  = flag.String("scenario", "update", "comma-separated scenarios to explore (see -list-scenarios), or 'all'")
 		rounds        = flag.Int("rounds", 1, "exploration rounds per scenario; >1 reuses cross-round state (online mode)")

@@ -56,7 +56,9 @@ type FederatedOptions struct {
 	// Engine tunes every node's engine (budgets, strategy). Workers is
 	// ignored here: the pool is shared, sized by Workers below.
 	Engine concolic.Options
-	// Workers is the shared exploration worker pool (0 = 1).
+	// Workers is the shared exploration worker pool (0 = 1). It also
+	// bounds the witness groups checked at once, and so the shadow sets
+	// open at once.
 	Workers int
 	// DefaultScenario applies to explore targets that don't name one
 	// ("" = routeleak).

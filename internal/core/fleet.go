@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"dice/internal/bgp"
@@ -267,25 +268,42 @@ func (d *Driver) Round(f Fleet) (*FederatedResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	mins := make([]*bgp.Update, len(witnesses))
+	stats := make([]*minimize.Stats, len(witnesses))
+	if d.Opts.Minimize {
+		// Every candidate check opens shadows of its own, so witnesses
+		// minimize on the group pool. Their stats are merged below, in
+		// witness order: two witnesses of one target add to one result.
+		err := d.parallel(len(witnesses), func(i int) error {
+			w, vs := witnesses[i], outcomes[i].Violations
+			if len(vs) == 0 {
+				return nil
+			}
+			check := func(cand *bgp.Update) (*WitnessOutcome, error) {
+				return d.CheckWitness(f, WitnessSpec{Node: w.Node, Peer: w.Peer, Update: cand})
+			}
+			var err error
+			if mins[i], stats[i], err = MinimizeWitness(check, w.Update, vs, d.Opts.MinimizeBudget); err != nil {
+				return fmt.Errorf("federated: minimize %s/%s witness %s: %w", w.Node, w.Peer, w.Update.NLRI[0], err)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
 	for i, w := range witnesses {
 		out := outcomes[i]
 		res.PropagationSteps += out.Steps
 		res.Violations = append(res.Violations, out.Violations...)
-		if !d.Opts.Minimize || len(out.Violations) == 0 {
+		if stats[i] == nil {
 			continue
 		}
-		check := func(cand *bgp.Update) (*WitnessOutcome, error) {
-			return d.CheckWitness(f, WitnessSpec{Node: w.Node, Peer: w.Peer, Update: cand})
-		}
-		min, st, err := MinimizeWitness(check, w.Update, out.Violations, d.Opts.MinimizeBudget)
-		if err != nil {
-			return nil, fmt.Errorf("federated: minimize %s/%s witness %s: %w", w.Node, w.Peer, w.Update.NLRI[0], err)
-		}
-		w.finding.MinimalWitness = min
+		w.finding.MinimalWitness = mins[i]
 		if w.result.Minimization == nil {
 			w.result.Minimization = &minimize.Stats{}
 		}
-		w.result.Minimization.Add(st)
+		w.result.Minimization.Add(stats[i])
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -312,15 +330,21 @@ func (d *Driver) CheckWitness(f Fleet, w WitnessSpec) (*WitnessOutcome, error) {
 }
 
 // CheckWitnesses checks a sequence of witnesses, each with exactly the
-// semantics of CheckWitness and reported in the order given, but one
-// group at a time: witnesses whose prefix footprints are pairwise disjoint
-// share one shadow set and one wave. Disjointness is what makes sharing
-// sound — BGP decisions are per-prefix, so the members' deliveries
-// interleave without seeing each other, and any residue one leaves
-// (stale routes, withdrawn paths) lives entirely under prefixes the
-// others never look at. When a member fails to converge, or the set is
-// lost, the merged attempt is discarded whole and each member runs alone
-// through CheckWitness: the rare path stays the audited one.
+// semantics of CheckWitness and reported in the order given, a group at a
+// time: witnesses whose prefix footprints are pairwise disjoint share one
+// shadow set and one wave. Disjointness is what makes sharing sound — BGP
+// decisions are per-prefix, so the members' deliveries interleave without
+// seeing each other, and any residue one leaves (stale routes, withdrawn
+// paths) lives entirely under prefixes the others never look at. When a
+// member fails to converge, or the set is lost, the merged attempt is
+// discarded whole and each member runs alone through CheckWitness: the
+// rare path stays the audited one.
+//
+// Up to Opts.Workers groups are checked at once (parallel). Concurrency
+// cannot move a result: each group has its own shadows, relay and capture
+// sink, and every outcome is written at its witness's index. On a hard
+// error no further group starts, the running ones finish and close their
+// shadows, and the error is the lowest-index failed group's.
 func (d *Driver) CheckWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome, error) {
 	// First fit: a witness joins the first group whose footprint its
 	// prefixes are disjoint from, so the groups come out as few and as
@@ -341,9 +365,9 @@ func (d *Driver) CheckWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome
 		footprints[g] = append(footprints[g], w.Update.NLRI...)
 	}
 	outs := make([]*WitnessOutcome, len(specs))
-	for _, group := range groups {
-		members := make([]WitnessSpec, len(group))
-		for k, i := range group {
+	err := d.parallel(len(groups), func(g int) error {
+		members := make([]WitnessSpec, len(groups[g]))
+		for k, i := range groups[g] {
 			members[k] = specs[i]
 		}
 		got, err := d.checkGroup(f, members)
@@ -351,17 +375,69 @@ func (d *Driver) CheckWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome
 			got = make([]*WitnessOutcome, len(members))
 			for k, w := range members {
 				if got[k], err = d.CheckWitness(f, w); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		} else if err != nil {
-			return nil, err
+			return err
 		}
-		for k, i := range group {
+		for k, i := range groups[g] {
 			outs[i] = got[k]
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outs, nil
+}
+
+// parallel runs fn(0) … fn(n-1) on a pool of up to Opts.Workers
+// goroutines (the caller's among them) that take indices in ascending
+// order. Once an fn fails no further index is taken; the ones running
+// finish, and parallel returns the lowest failed index's error — the one
+// a sequential loop would have returned, since every lower index was
+// taken before it.
+func (d *Driver) parallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var (
+		mu     sync.Mutex
+		next   int
+		failed bool
+	)
+	work := func() {
+		for {
+			mu.Lock()
+			i := next
+			if failed || i == n {
+				mu.Unlock()
+				return
+			}
+			next++
+			mu.Unlock()
+			if errs[i] = fn(i); errs[i] != nil {
+				mu.Lock()
+				failed = true
+				mu.Unlock()
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(max(d.Opts.Workers, 1), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // disjoint reports whether no prefix of a overlaps any prefix of b.

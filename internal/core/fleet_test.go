@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"dice/internal/bgp"
@@ -464,4 +465,53 @@ func (s *untouchedOnWithdraw) Propagate(group []Injection, maxSteps int, wantAt 
 		delete(waves[0].Touched, s.node)
 	}
 	return waves, err
+}
+
+// TestDriverParallelPool: the group pool hands indices out in ascending
+// order and takes none once one has failed. Its error is the lowest
+// failed index's, even when a higher index fails first; the running
+// indices still finish.
+func TestDriverParallelPool(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		took []int
+	)
+	d := &Driver{Opts: FederatedOptions{Workers: 1}}
+	err := d.parallel(10, func(i int) error {
+		took = append(took, i)
+		if i == 3 {
+			return errors.New("three")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "three" || !reflect.DeepEqual(took, []int{0, 1, 2, 3}) {
+		t.Errorf("one worker: err %v, took %v; want three after 0 1 2 3", err, took)
+	}
+
+	d.Opts.Workers = 2
+	took = nil
+	twoFailed := make(chan struct{})
+	err = d.parallel(10, func(i int) error {
+		mu.Lock()
+		took = append(took, i)
+		mu.Unlock()
+		switch i {
+		case 0:
+			<-twoFailed // still running when the higher index fails
+			return errors.New("zero")
+		case 1:
+			return nil
+		case 2:
+			defer close(twoFailed)
+			return errors.New("two")
+		}
+		return nil
+	})
+	sort.Ints(took)
+	if err == nil || err.Error() != "zero" || !reflect.DeepEqual(took, []int{0, 1, 2}) {
+		t.Errorf("two workers: err %v, took %v; want zero after 0 1 2", err, took)
+	}
+	if got := d.parallel(0, func(int) error { return errors.New("ran") }); got != nil {
+		t.Errorf("an empty pool ran fn: %v", got)
+	}
 }

@@ -907,6 +907,7 @@ type shadowSet struct {
 	id    uint64
 	span  *telemetry.Span // the set's lifetime, on the coordinator track
 	relay *core.Relay
+	depth int // what this set adds to the relay-depth gauge
 
 	agents []string         // a step's agents, in first-delivery order
 	slot   map[string]int   // agent → index into agents
@@ -1014,8 +1015,16 @@ func (s *shadowSet) Propagate(group []core.Injection, maxSteps int, wantAt bool)
 	waves, err := s.relay.Run(group, maxSteps, func(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte)) error {
 		return s.step(step, depth, emit, wantAt)
 	})
-	s.c.metrics.setRelayDepth(0)
+	s.setDepth(0)
 	return waves, shadowLost(err)
+}
+
+// setDepth moves this set's share of the relay-depth gauge to depth.
+// Sets add their own shares, so with several in flight the gauge reads
+// their sum, and a set whose waves end takes back exactly what it added.
+func (s *shadowSet) setDepth(depth int) {
+	s.c.metrics.addRelayDepth(depth - s.depth)
+	s.depth = depth
 }
 
 // step is the RPC relay step: the step split per agent in delivery order,
@@ -1024,7 +1033,7 @@ func (s *shadowSet) Propagate(group []core.Injection, maxSteps int, wantAt bool)
 // params, so under the same key, and the agent's memo answers it), and the
 // answers mapped back onto the deliveries in order.
 func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte), wantAt bool) error {
-	s.c.metrics.setRelayDepth(depth)
+	s.setDepth(depth)
 	s.agents = s.agents[:0]
 	clear(s.slot)
 	var params []*InjectBatchParams

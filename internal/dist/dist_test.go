@@ -33,13 +33,24 @@ func loopbackCoordinator(t *testing.T, topo *core.Topology, opts core.FederatedO
 // — with a fault plan, a method killer — before Connect sees it.
 func fleetCoordinator(t *testing.T, topo *core.Topology, opts core.FederatedOptions, wrap func(node string, d Dialer) Dialer, copts ...ConnOption) *Coordinator {
 	t.Helper()
-	var dialers []Dialer
+	agents := make(map[string]*Agent, len(topo.Nodes))
 	for _, n := range topo.Nodes {
 		ag, err := NewAgent(topo, n.Name)
 		if err != nil {
 			t.Fatalf("agent %s: %v", n.Name, err)
 		}
-		var d Dialer = Loopback{Agent: ag}
+		agents[n.Name] = ag
+	}
+	return connectAgents(t, topo, agents, opts, wrap, copts...)
+}
+
+// connectAgents connects a coordinator to already built agents over the
+// pipe transport, each node's dialer decorated by wrap when non-nil.
+func connectAgents(t *testing.T, topo *core.Topology, agents map[string]*Agent, opts core.FederatedOptions, wrap func(node string, d Dialer) Dialer, copts ...ConnOption) *Coordinator {
+	t.Helper()
+	var dialers []Dialer
+	for _, n := range topo.Nodes {
+		var d Dialer = Loopback{Agent: agents[n.Name]}
 		if wrap != nil {
 			d = wrap(n.Name, d)
 		}

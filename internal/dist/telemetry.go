@@ -65,7 +65,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		roundDuration: reg.Histogram("dice_coordinator_round_duration_seconds",
 			"Wall-clock duration of completed rounds.", nil),
 		relayDepth: reg.Gauge("dice_coordinator_relay_queue_depth",
-			"In-flight witness relay events awaiting delivery, as of the last relay step."),
+			"In-flight witness relay events awaiting delivery, summed over the shadow sets relaying."),
 		relaySteps: reg.Counter("dice_coordinator_relay_steps_total",
 			"Virtual time steps relayed: one pipelined inject_witness fan-out each."),
 		relayStepWidth: reg.Histogram("dice_coordinator_relay_step_width",
@@ -164,11 +164,12 @@ func (m *Metrics) noteRound(res *RoundResult) {
 	}
 }
 
-func (m *Metrics) setRelayDepth(depth int) {
-	if m == nil {
+// addRelayDepth moves the relay-depth gauge by one shadow set's change.
+func (m *Metrics) addRelayDepth(delta int) {
+	if m == nil || delta == 0 {
 		return
 	}
-	m.relayDepth.Set(float64(depth))
+	m.relayDepth.Add(float64(delta))
 }
 
 // noteRelayStep records one relay time step: its width is the number of

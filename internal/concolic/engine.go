@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dice/internal/solver"
 	"dice/internal/sym"
 )
 
@@ -175,7 +176,7 @@ type Engine struct {
 	byName  map[string]*sym.Var
 	seed    sym.Env
 	handler Handler
-	judge   func(*PathResult) any
+	judge   func(*PathResult, *solver.Solver) any
 	nextID  int
 }
 
@@ -219,7 +220,14 @@ func (e *Engine) Var(name string, width int, seed uint64) {
 // depends on the order of paths is left for after Explore returns. j
 // runs concurrently with itself and with the handler, must not retain or
 // modify the PathResult, and must be installed before Explore.
-func (e *Engine) Judge(j func(*PathResult) any) { e.judge = j }
+//
+// j is handed the solver of the worker that found the path (the seed
+// run's is one the pool then inherits), for that call only: a query
+// whose prefix is the path condition, or one of its prefixes, starts
+// from the snapshots the path's own negations propagate, and the links j
+// builds are ones those negations reuse. No other goroutine touches the
+// solver during the call.
+func (e *Engine) Judge(j func(*PathResult, *solver.Solver) any) { e.judge = j }
 
 // Report summarizes an exploration.
 type Report struct {

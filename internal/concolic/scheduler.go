@@ -84,6 +84,10 @@ type scheduler struct {
 	// idle holds the solvers of workers that exited, for the next worker
 	// started: the propagated prefix chains outlive the goroutine.
 	idle []*solver.Solver
+	// seed is the solver the seed runs judge on, borrowed by the first
+	// seed path judged; run hands it to the pool. Only run's goroutine
+	// touches it, before any worker starts.
+	seed *solver.Solver
 }
 
 func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
@@ -111,9 +115,10 @@ func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
 
 // execute runs a shard's handler under an assignment and folds the
 // resulting path into that shard's frontier; a path the fold accepts as
-// new is then judged, here, on the goroutine that found it (Engine.Judge).
+// new is then judged, here, on the goroutine that found it and with its
+// solver, sv — nil for a seed run, which judges on sch.seed (Engine.Judge).
 // Returns false when the shard's run budget is gone.
-func (sch *scheduler) execute(sh *shard, env map[int]uint64, bound int) bool {
+func (sch *scheduler) execute(sh *shard, env map[int]uint64, bound int, sv *solver.Solver) bool {
 	sch.mu.Lock()
 	if sh.done {
 		sch.mu.Unlock()
@@ -156,7 +161,13 @@ func (sch *scheduler) execute(sh *shard, env map[int]uint64, bound int) bool {
 	// verdict needs no lock; a path some earlier round already reported
 	// is not fresh and is never judged again.
 	if fresh != nil && sh.e.judge != nil {
-		fresh.Verdict = sh.e.judge(fresh)
+		if sv == nil {
+			if sch.seed == nil {
+				sch.seed = sch.borrow()
+			}
+			sv = sch.seed
+		}
+		fresh.Verdict = sh.e.judge(fresh, sv)
 	}
 	return true
 }
@@ -235,20 +246,25 @@ func (sch *scheduler) noteIdle(sh *shard) {
 	}
 }
 
+// borrow takes an idle solver, or makes one: the propagated prefix
+// chains of a goroutine that is done with its solver outlive it.
+func (sch *scheduler) borrow() *solver.Solver {
+	sch.mu.Lock()
+	defer sch.mu.Unlock()
+	if n := len(sch.idle); n > 0 {
+		sv := sch.idle[n-1]
+		sch.idle = sch.idle[:n-1]
+		return sv
+	}
+	return solver.New(solver.Options{})
+}
+
 // worker drains the shards until it finds nothing queued. Each worker
 // keeps one reusable solver so the propagated prefix-snapshot chain
 // (solver/prefix.go) survives across queries.
 func (sch *scheduler) worker() {
 	defer sch.wg.Done()
-	var sv *solver.Solver
-	sch.mu.Lock()
-	if n := len(sch.idle); n > 0 {
-		sv, sch.idle = sch.idle[n-1], sch.idle[:n-1]
-	}
-	sch.mu.Unlock()
-	if sv == nil {
-		sv = solver.New(solver.Options{})
-	}
+	sv := sch.borrow()
 	var last *shard
 	for {
 		sch.mu.Lock()
@@ -297,7 +313,7 @@ func (sch *scheduler) worker() {
 			for id, v := range env {
 				merged[id] = v
 			}
-			completed = sch.execute(sh, merged, item.depth+1)
+			completed = sch.execute(sh, merged, item.depth+1, sv)
 		}
 		// The negation counts as attempted for future rounds only once it
 		// was fully processed: answered, and (when Sat) its witness run
@@ -330,7 +346,7 @@ func (sch *scheduler) run() []*Report {
 			sh.e.opts.State.beginRound()
 		}
 		// Seed run explores from the observed input.
-		ran := sch.execute(sh, cloneEnv(sh.e.seed), 0)
+		ran := sch.execute(sh, cloneEnv(sh.e.seed), 0, nil)
 		sch.mu.Lock()
 		if ran {
 			sch.noteIdle(sh) // a branchless seed may already drain the shard
@@ -343,8 +359,12 @@ func (sch *scheduler) run() []*Report {
 		sch.mu.Unlock()
 	}
 
-	// No goroutine at all for an empty frontier (a warm round).
+	// No goroutine at all for an empty frontier (a warm round). The pool
+	// inherits the seed judges' solver with the chains they built.
 	sch.mu.Lock()
+	if sch.seed != nil {
+		sch.idle = append(sch.idle, sch.seed)
+	}
 	sch.staff()
 	sch.mu.Unlock()
 	sch.wg.Wait()

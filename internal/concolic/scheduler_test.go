@@ -1,9 +1,13 @@
 package concolic
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dice/internal/solver"
 )
 
 // TestJudgeOncePerNewPath: the judge sees every path the round reports,
@@ -15,7 +19,7 @@ func TestJudgeOncePerNewPath(t *testing.T) {
 	round := func() (*Report, int64) {
 		var handled, judged atomic.Int64
 		e := newFleetEngine(&handled, Options{Workers: 4, State: state})
-		e.Judge(func(p *PathResult) any {
+		e.Judge(func(p *PathResult, _ *solver.Solver) any {
 			judged.Add(1)
 			return p.Output.(int) * 10
 		})
@@ -35,6 +39,62 @@ func TestJudgeOncePerNewPath(t *testing.T) {
 	warm, judged := round()
 	if len(warm.Paths) != 0 || judged != 0 {
 		t.Fatalf("warm round: %d new paths, judge called %d times, want none", len(warm.Paths), judged)
+	}
+}
+
+// TestJudgeBorrowsItsWorkersSolver: every judge call — the seed run's
+// and the pool workers' — is handed a solver, and no solver is ever
+// handed to two judges at once or used by a worker while a judge holds
+// it. The judge queries the solver it got on its path condition, so
+// under -race a solver shared between goroutines is a reported race too.
+func TestJudgeBorrowsItsWorkersSolver(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		inUse = map[*solver.Solver]bool{}
+		seed  *solver.Solver
+		seen  = map[*solver.Solver]bool{}
+	)
+	var handled atomic.Int64
+	e := newFleetEngine(&handled, Options{Workers: 4})
+	e.Judge(func(p *PathResult, sv *solver.Solver) any {
+		if sv == nil {
+			t.Errorf("path %d judged without a solver", p.Seq)
+			return nil
+		}
+		mu.Lock()
+		if inUse[sv] {
+			t.Errorf("path %d: solver handed to two judges at once", p.Seq)
+		}
+		inUse[sv], seen[sv] = true, true
+		if p.Seq == 0 {
+			seed = sv
+		}
+		mu.Unlock()
+		if _, res := sv.SolveExtended(p.Constraints(), nil, p.Env); res != solver.Sat {
+			t.Errorf("path %d: its own path condition is %v", p.Seq, res)
+		}
+		if _, ok := sv.Analyze(p.Constraints()); !ok {
+			t.Errorf("path %d: its own path condition analyzes infeasible", p.Seq)
+		}
+		mu.Lock()
+		inUse[sv] = false
+		mu.Unlock()
+		return nil
+	})
+	sch := newScheduler(nil, []*Engine{e}, 4)
+	rep := sch.run()[0]
+	if len(rep.Paths) != 8 {
+		t.Fatalf("%d paths, want 8", len(rep.Paths))
+	}
+	if seed == nil {
+		t.Fatal("the seed run was not judged")
+	}
+	// The seed run's solver went to the pool with its chains, and every
+	// solver that judged is back on the idle list once its holder exited.
+	for sv := range seen {
+		if !slices.Contains(sch.idle, sv) {
+			t.Errorf("a solver that judged (the seed run's: %v) is not idle at the end", sv == seed)
+		}
 	}
 }
 

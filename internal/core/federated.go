@@ -13,6 +13,7 @@ import (
 	"dice/internal/prop"
 	"dice/internal/rib"
 	"dice/internal/router"
+	"dice/internal/solver"
 )
 
 // This file is the federated exploration subsystem's vocabulary and its
@@ -317,7 +318,7 @@ func prepareSeeded(ckpt *router.Router, sink *netsim.CaptureSink, tg ResolvedTar
 	eng := concolic.NewEngine(handler, engOpts)
 	round := &Round{Peer: tg.Peer, Seed: seed, Engine: eng, Checkpoint: ckpt, Boundary: leakBoundary(tg.Boundary)}
 	if j, ok := sc.(PathJudge); ok {
-		eng.Judge(func(p *concolic.PathResult) any { return j.Judge(round, p) })
+		eng.Judge(func(p *concolic.PathResult, sv *solver.Solver) any { return j.Judge(round, p, sv) })
 	}
 	if err := sc.Declare(eng, seed); err != nil {
 		return nil, err

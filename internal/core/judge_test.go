@@ -10,6 +10,7 @@ import (
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
+	"dice/internal/solver"
 )
 
 // These tests pin the judge/fold seam: the per-path half of a scenario's
@@ -89,9 +90,9 @@ type countedLeak struct {
 
 func (countedLeak) Name() string { return "routeleak-counted" }
 
-func (c countedLeak) Judge(round *Round, p *concolic.PathResult) any {
+func (c countedLeak) Judge(round *Round, p *concolic.PathResult, sv *solver.Solver) any {
 	c.judged.Add(1)
-	return c.routeleakScenario.Judge(round, p)
+	return c.routeleakScenario.Judge(round, p, sv)
 }
 
 var (

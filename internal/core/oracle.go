@@ -90,14 +90,17 @@ func (f Finding) String() string {
 // that would override ("hijack") its traffic with a different origin AS.
 // Prefixes in configured anycast space are hijackable by nature and
 // counted as filtered false positives. It returns nil for a path that
-// threatens nothing.
-func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResult) *verdict {
+// threatens nothing. The region and every containment query start from
+// the path condition's snapshot on sv, the worker's solver; a victim's
+// conjuncts are never cached, so a scan of a large table leaves the
+// snapshot chain as it found it.
+func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResult, sv *solver.Solver) *verdict {
 	out, ok := p.Output.(router.Outcome)
 	if !ok || !out.Accepted {
 		return nil
 	}
 	cs := p.Constraints()
-	info, feasible := solver.Analyze(cs)
+	info, feasible := sv.Analyze(cs)
 	if !feasible {
 		return nil
 	}
@@ -121,14 +124,13 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 			continue
 		}
 
-		// Exact check: path condition ∧ (announcement ⊆ victim). The
-		// full-slice expression keeps one victim's conjuncts out of cs.
-		query := append(cs[:len(cs):len(cs)],
+		// Exact check: path condition ∧ (announcement ⊆ victim).
+		env, res := sv.SolveExtended(cs, []sym.Expr{
 			sym.NewCmp(sym.OpEq,
 				sym.NewBin(sym.OpAnd, addrVar, sym.NewConst(uint64(uint32(netaddr.Mask(vic.Prefix.Bits()))), 32)),
 				sym.NewConst(uint64(uint32(vic.Prefix.Addr())), 32)),
-			sym.NewCmp(sym.OpGe, lenVar, sym.NewConst(uint64(vic.Prefix.Bits()), 8)))
-		env, res := solver.New(solver.Options{}).SolveHinted(query, p.Env)
+			sym.NewCmp(sym.OpGe, lenVar, sym.NewConst(uint64(vic.Prefix.Bits()), 8)),
+		}, p.Env)
 		if res != solver.Sat {
 			continue
 		}

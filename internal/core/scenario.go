@@ -8,6 +8,7 @@ import (
 	"dice/internal/concolic"
 	"dice/internal/rib"
 	"dice/internal/router"
+	"dice/internal/solver"
 )
 
 // Scenario is one protocol surface DiCE can explore concolically. The
@@ -58,9 +59,13 @@ type Scenario interface {
 // once per path new to the round, concurrently from exploration workers,
 // and must depend on nothing but the path and the round's fixed
 // artifacts; what it returns reaches Analyze as PathResult.Verdict. A
-// warm round that finds no new path judges nothing.
+// warm round that finds no new path judges nothing. sv is the solver of
+// the worker that found the path, Judge's alone for the call: a query
+// over the path condition asked through its snapshot chain
+// (SolveExtended, Solver.Analyze) starts from what the path's own
+// negations propagate.
 type PathJudge interface {
-	Judge(round *Round, p *concolic.PathResult) any
+	Judge(round *Round, p *concolic.PathResult, sv *solver.Solver) any
 }
 
 // Round carries one exploration round's fixed artifacts to a scenario's

@@ -44,15 +44,17 @@ func (routeleakScenario) Execute(rc *concolic.RunContext, clone *router.Router, 
 // Judge is the route-leak oracle for one path: does this
 // accepting-and-exporting path admit the announcement carrying the
 // boundary community? If the export policy honored the community the
-// path condition forbids it and the query is Unsat.
-func (routeleakScenario) Judge(round *Round, p *concolic.PathResult) any {
+// path condition forbids it and the query is Unsat. Both the query and
+// the leakable region start from the path condition's snapshot on the
+// worker's solver; the boundary conjunct is never cached.
+func (routeleakScenario) Judge(round *Round, p *concolic.PathResult, sv *solver.Solver) any {
 	out, ok := p.Output.(router.Outcome)
 	if !ok || !out.Accepted || len(out.SpreadTo) == 0 {
 		return nil
 	}
 	cs := p.Constraints()
-	query := append(cs, sym.NewCmp(sym.OpEq, router.LeakInputs.Var(router.LeakCommunity), sym.NewConst(uint64(round.Boundary), 32)))
-	env, sat := solver.New(solver.Options{}).SolveHinted(query, p.Env)
+	boundary := sym.NewCmp(sym.OpEq, router.LeakInputs.Var(router.LeakCommunity), sym.NewConst(uint64(round.Boundary), 32))
+	env, sat := sv.SolveExtended(cs, []sym.Expr{boundary}, p.Env)
 	if sat != solver.Sat {
 		return nil
 	}
@@ -67,7 +69,7 @@ func (routeleakScenario) Judge(round *Round, p *concolic.PathResult) any {
 	}
 
 	region := RangeDesc{AddrHi: netaddr.Addr(0xffffffff), LenHi: 32}
-	if info, feasible := solver.Analyze(cs); feasible {
+	if info, feasible := sv.Analyze(cs); feasible {
 		region = regionFrom(info, router.LeakInputs.ID(router.LeakAddr), router.LeakInputs.ID(router.LeakLen))
 	}
 	return &verdict{findings: []Finding{{

@@ -4,6 +4,7 @@ import (
 	"dice/internal/bgp"
 	"dice/internal/concolic"
 	"dice/internal/router"
+	"dice/internal/solver"
 )
 
 // updateScenario is the paper's core case study: concolic exploration of
@@ -35,8 +36,8 @@ func (updateScenario) Execute(rc *concolic.RunContext, clone *router.Router, pee
 // checkpoint-time routing table (the "routes already in the routing table
 // prior to starting exploration", §4.2, which is exactly the checkpoint
 // process's RIB).
-func (updateScenario) Judge(round *Round, p *concolic.PathResult) any {
-	return judgeHijacks(round.Checkpoint.Config(), round.Victims(), p)
+func (updateScenario) Judge(round *Round, p *concolic.PathResult, sv *solver.Solver) any {
+	return judgeHijacks(round.Checkpoint.Config(), round.Victims(), p, sv)
 }
 
 func (updateScenario) Analyze(round *Round, res *Result) {

@@ -16,16 +16,35 @@
 package solver
 
 import (
+	"slices"
+
 	"dice/internal/sym"
 )
 
 // prefixEntry is one propagated prefix snapshot. st is the state after
 // propagating cs to fixpoint — treated as immutable once stored (queries
-// clone it) — and is nil when the prefix alone is infeasible.
+// clone it) — and is nil when the prefix alone is infeasible. ix is cs's
+// index (worklist.go). The live set — the constraints of cs not entailed
+// at st — is live, the live ones before index from, plus every
+// constraint from from on. A link that retires nothing shares its
+// parent's live and from; only a link that retires something stores a
+// list of its own. Nothing here is written once the entry is built.
 type prefixEntry struct {
 	cs   []sym.Expr
 	vars []*sym.Var
 	st   *state
+	ix   index
+	live []int32
+	from int
+}
+
+// liveSet appends e's live constraints to dst, in index order.
+func (e *prefixEntry) liveSet(dst []int32) []int32 {
+	dst = append(dst, e.live...)
+	for c := e.from; c < len(e.cs); c++ {
+		dst = append(dst, int32(c))
+	}
+	return dst
 }
 
 // prefixCacheCap bounds the per-solver snapshot cache. The cache is an
@@ -45,8 +64,32 @@ func (s *Solver) SolvePrefixed(cs []sym.Expr, hint sym.Env) (sym.Env, Result) {
 	if len(cs) == 0 {
 		return sym.Env{}, Sat
 	}
-	prefix, delta := cs[:len(cs)-1], cs[len(cs)-1]
-	return s.solveFromPrefix(s.prefixFor(prefix), cs, delta, hint)
+	return s.solveFromPrefix(s.prefixFor(cs[:len(cs)-1]), cs, hint)
+}
+
+// SolveExtended solves prefix ∧ extras: the prefix through the snapshot
+// chain, as SolvePrefixed does, and the extras on a copy of its snapshot
+// that is never cached — a path oracle asks one path condition many
+// different extra questions (one per victim route, say), and none of
+// them is a prefix a later query shares. It answers exactly what
+// SolveHinted(prefix ∧ extras, hint) answers. prefix must not be mutated
+// after the call; the conjunction itself is assembled in a buffer the
+// solver reuses.
+func (s *Solver) SolveExtended(prefix, extras []sym.Expr, hint sym.Env) (sym.Env, Result) {
+	cs := append(append(s.cat[:0], prefix...), extras...)
+	s.cat = cs
+	return s.solveFromPrefix(s.prefixFor(prefix), cs, hint)
+}
+
+// Analyze is the package's Analyze answered from the snapshot chain: the
+// region of every variable of prefix, read off its propagated snapshot.
+// prefix must not be mutated after the call.
+func (s *Solver) Analyze(prefix []sym.Expr) (map[int]VarInfo, bool) {
+	pe := s.prefixFor(prefix)
+	if pe.st == nil {
+		return nil, false
+	}
+	return region(pe.vars, pe.st), true
 }
 
 // prefixFor returns the propagated snapshot for prefix, building missing
@@ -94,60 +137,63 @@ func (s *Solver) prefixFor(prefix []sym.Expr) *prefixEntry {
 	return cur
 }
 
-// extendPrefix builds the snapshot for cs = parent.cs + one constraint.
+// extendPrefix builds the snapshot for cs = parent.cs + one constraint:
+// the parent's state is already a fixpoint of the shorter prefix, so
+// settling it wakes the new constraint and whatever its refinements
+// touch, not the prefix.
 func (s *Solver) extendPrefix(parent *prefixEntry, cs []sym.Expr) *prefixEntry {
 	e := &prefixEntry{cs: cs}
 	if parent.st == nil {
 		return e // ancestor already infeasible; so is every extension
 	}
-	added := cs[len(cs)-1]
-	e.vars, e.st = addVars(parent.vars, parent.st, added)
-	// Propagate the delta; the parent state is already a fixpoint of the
-	// shorter prefix, so if the delta refined nothing the extension is
-	// converged too, and otherwise the fixpoint re-run starts from a
-	// converged state (typically one cheap round, not the from-⊤ cascade).
-	ch, ok := propagate(added, true, e.st)
-	if !ok || (ch && !propagateAll(cs, e.st)) {
-		e.st = nil
+	i := int32(len(cs) - 1)
+	e.st = parent.st.clone()
+	e.vars = e.st.declare(cs[i], parent.vars[:len(parent.vars):len(parent.vars)])
+	e.ix = s.push(slices.Clone(parent.ix), cs[i], i, true)
+	s.fresh[0] = i
+	mark := len(s.arena)
+	defer func() { s.arena = s.arena[:mark] }()
+	s.arena = parent.liveSet(s.arena)
+	active := s.arena[mark:]
+	retired, ok := s.settle(cs, e.ix, e.st, active, s.fresh[:])
+	switch {
+	case !ok:
+		return &prefixEntry{cs: cs}
+	case retired == 0:
+		e.live, e.from = parent.live, parent.from
+	default:
+		e.live, e.from = s.survivors(active, s.fresh[:], make([]int32, 0, len(active))), len(cs)
 	}
 	return e
 }
 
-// addVars clones st and extends vars/domains with the variables of e not
-// already present. The parent's slices stay untouched (snapshots are
-// immutable once stored).
-func addVars(vars []*sym.Var, st *state, e sym.Expr) ([]*sym.Var, *state) {
-	nv := make([]*sym.Var, len(vars), len(vars)+2)
-	copy(nv, vars)
-	ns := st.clone()
-	return ns.declare(e, nv), ns
-}
-
-// solveFromPrefix answers cs = prefix ∧ delta starting from the prefix
-// snapshot: clone, propagate the delta, fixpoint, then search.
-func (s *Solver) solveFromPrefix(pe *prefixEntry, cs []sym.Expr, delta sym.Expr, hint sym.Env) (sym.Env, Result) {
+// solveFromPrefix answers cs = pe.cs ∧ extras starting from the prefix
+// snapshot: clone it, declare and index the extras, settle them, search.
+// The extras' state is never cached.
+func (s *Solver) solveFromPrefix(pe *prefixEntry, cs []sym.Expr, hint sym.Env) (sym.Env, Result) {
 	s.Calls++
 	if pe.st == nil {
 		// The prefix alone is contradictory; no delta can rescue it.
 		s.UnsatCount++
 		return nil, Unsat
 	}
-	vars, st := addVars(pe.vars, pe.st, delta)
-	ch, ok := propagate(delta, true, st)
-	if !ok || (ch && !propagateAll(cs, st)) {
+	mark := len(s.arena)
+	st := s.fork(pe.st)
+	defer func() { s.arena = s.arena[:mark]; s.release(st) }()
+	q := &query{cs: cs, vars: pe.vars[:len(pe.vars):len(pe.vars)], ix: slices.Clone(pe.ix)}
+	for i := len(pe.cs); i < len(cs); i++ {
+		q.vars = st.declare(cs[i], q.vars)
+		q.ix = s.push(q.ix, cs[i], int32(i), true)
+		s.arena = append(s.arena, int32(i))
+	}
+	end := len(s.arena)
+	s.arena = pe.liveSet(s.arena)
+	active := s.arena[end:]
+	if _, ok := s.settle(cs, q.ix, st, active, s.arena[mark:end]); !ok {
 		s.UnsatCount++
 		return nil, Unsat
 	}
-	budget := s.opts.MaxNodes
-	complete := true
-	env, ok := s.search(cs, vars, st, hint, &budget, &complete)
-	if ok {
-		s.SatCount++
-		return env, Sat
-	}
-	if budget <= 0 || !complete {
-		return nil, Unknown
-	}
-	s.UnsatCount++
-	return nil, Unsat
+	live := len(s.arena)
+	s.arena = s.survivors(active, s.arena[mark:end], s.arena)
+	return s.answer(q, st, s.arena[live:], hint)
 }

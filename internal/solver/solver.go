@@ -11,7 +11,8 @@
 package solver
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"dice/internal/sym"
 )
@@ -82,8 +83,12 @@ type cell struct {
 // (4–5 cells for the BGP scenarios) and a clone is one copy, which
 // matters because search clones once per trial value and the prefix chain
 // once per link. Variable IDs must be non-negative.
+//
+// moved logs the variables whose cell narrowed since the worklist last
+// woke their constraints (worklist.go); a clone starts with none.
 type state struct {
 	cells []cell
+	moved []int32
 }
 
 func newState(n int) *state {
@@ -113,9 +118,11 @@ func (st *state) at(id int) *cell {
 	return &st.cells[id]
 }
 
+// set narrows a variable's interval to iv and logs the move.
 func (st *state) set(id int, iv Interval) {
 	c := st.at(id)
 	c.iv, c.has = iv, true
+	st.moved = append(st.moved, int32(id))
 }
 
 // declare appends to vars the variables of e the store has no interval
@@ -124,7 +131,8 @@ func (st *state) declare(e sym.Expr, vars []*sym.Var) []*sym.Var {
 	switch t := e.(type) {
 	case *sym.Var:
 		if _, ok := st.interval(t.ID); !ok {
-			st.set(t.ID, full(t.W))
+			c := st.at(t.ID)
+			c.iv, c.has = full(t.W), true
 			vars = append(vars, t)
 		}
 	case *sym.Bin:
@@ -168,6 +176,9 @@ func (st *state) setBits(id int, w int, one, zero uint64) (changed, ok bool) {
 		c.iv, c.has = niv, true
 		changed = true
 	}
+	if changed {
+		st.moved = append(st.moved, int32(id))
+	}
 	return changed, true
 }
 
@@ -209,9 +220,9 @@ func (r Result) String() string {
 	return "unknown"
 }
 
-// Solver holds cross-call statistics and the propagated-prefix snapshot
-// chain; methods are not safe for concurrent use — the concolic engine
-// creates one Solver per worker.
+// Solver holds cross-call statistics, the propagated-prefix snapshot
+// chain and the worklist's scratch buffers; methods are not safe for
+// concurrent use — the concolic engine creates one Solver per worker.
 type Solver struct {
 	opts Options
 
@@ -220,11 +231,39 @@ type Solver struct {
 	prefixes  map[sym.Fingerprint]*prefixEntry
 	fpScratch []sym.Fingerprint
 
+	// Worklist propagation (worklist.go): per-constraint stamps of the
+	// current settle — live, and queued — and whether the live set is
+	// stamped yet; the queue, the moved-cell log and occurrence nodes;
+	// push's scratch (one constraint's variable IDs and constants) and
+	// extendPrefix's one fresh constraint.
+	live, queued []uint32
+	gen          uint32
+	stamped      bool
+	queue        []int32
+	moved        []int32
+	occs         []occ
+	ids          []int32
+	found        []uint64
+	fresh        [1]int32
+	capped       int // settles stopped by the work bound
+
+	// Search stacks: the live sets and candidate lists of the search
+	// nodes on the current branch, candidates' dedup scratch, the states
+	// of finished trials for the next ones to copy into, the conjunction
+	// SolveExtended assembles and the model firstModel checks.
+	arena  []int32
+	vals   []uint64
+	sorted []uint64
+	spare  []*state
+	cat    []sym.Expr
+	env    sym.Env
+
 	// Stats accumulate across Solve calls.
 	Calls        int
 	SatCount     int
 	UnsatCount   int
 	Nodes        int // total search nodes expanded
+	Propagations int // constraint propagations run
 	PrefixHits   int // queries answered from a cached prefix snapshot
 	PrefixMisses int // queries that had to extend or rebuild the chain
 }
@@ -243,27 +282,61 @@ func (s *Solver) Solve(constraints []sym.Expr) (sym.Env, Result) {
 	return s.SolveHinted(constraints, nil)
 }
 
+// query is one conjunction being solved: its constraints, its variables
+// in first-occurrence order (the search's tie-break) and its index.
+type query struct {
+	cs   []sym.Expr
+	vars []*sym.Var
+	ix   index
+}
+
+// fromScratch declares and indexes every constraint of cs — with the
+// candidates' constants when the query will search — appends their
+// indexes to the arena and propagates them to a fixpoint from ⊤. It
+// returns the query, the propagated state and the live set (an arena
+// suffix the caller truncates); ok=false means Unsat.
+func (s *Solver) fromScratch(cs []sym.Expr, search bool) (q *query, st *state, live []int32, ok bool) {
+	q = &query{cs: cs}
+	st = newState(8)
+	mark := len(s.arena)
+	for i, c := range cs {
+		q.vars = st.declare(c, q.vars)
+		q.ix = s.push(q.ix, c, int32(i), search)
+		s.arena = append(s.arena, int32(i))
+	}
+	end := len(s.arena)
+	if _, ok = s.settle(cs, q.ix, st, nil, s.arena[mark:end]); ok {
+		s.arena = s.survivors(nil, s.arena[mark:end], s.arena)
+	}
+	return q, st, s.arena[end:], ok
+}
+
 // SolveHinted is Solve with a hint: preferred values for variables, tried
 // first so solutions stay close to them (the oracles pass the path's
 // concrete input; the concolic scheduler, through SolvePrefixed, each
 // negation's parent assignment).
 func (s *Solver) SolveHinted(constraints []sym.Expr, hint sym.Env) (sym.Env, Result) {
 	s.Calls++
-
-	st := newState(8)
-	var vars []*sym.Var
-	for _, c := range constraints {
-		vars = st.declare(c, vars)
-	}
-
-	if !propagateAll(constraints, st) {
+	mark := len(s.arena)
+	defer func() { s.arena = s.arena[:mark] }()
+	q, st, live, ok := s.fromScratch(constraints, true)
+	if !ok {
 		s.UnsatCount++
 		return nil, Unsat
 	}
+	return s.answer(q, st, live, hint)
+}
 
+// answer searches the propagated state of q for a model and keeps the
+// outcome statistics.
+func (s *Solver) answer(q *query, st *state, live []int32, hint sym.Env) (sym.Env, Result) {
+	if env, ok := s.firstModel(q, st, hint); ok {
+		s.SatCount++
+		return env, Sat
+	}
 	budget := s.opts.MaxNodes
 	complete := true
-	env, ok := s.search(constraints, vars, st, hint, &budget, &complete)
+	env, ok := s.search(q, st, live, hint, &budget, &complete)
 	if ok {
 		s.SatCount++
 		return env, Sat
@@ -273,6 +346,61 @@ func (s *Solver) SolveHinted(constraints []sym.Expr, hint sym.Env) (sym.Env, Res
 	}
 	s.UnsatCount++
 	return nil, Unsat
+}
+
+// firstModel is the model search returns when its first descent reaches
+// one. Search picks the most-constrained open variable, tries its hint
+// (projected onto its known bits) when the interval holds it and else
+// its first candidate, and goes deeper trying hints first. When every
+// other open variable's projected hint lies in its interval, the values
+// of that first descent are known at the root, and if together with the
+// values propagation fixed they satisfy the whole conjunction, search
+// finds exactly them: domains are sound, so the model is never
+// projected away, excluded or refuted on the way down, and it takes one
+// node per open variable plus the leaf, which the budget covers. The
+// concrete check then answers without a single trial. That is the
+// common case: a negation's hint misses the delta in one variable, and
+// a path oracle's hint is the path's own input. The last constraints
+// are checked first, since the hint violates a negation's delta when it
+// misses at all.
+func (s *Solver) firstModel(q *query, st *state, hint sym.Env) (sym.Env, bool) {
+	if len(q.vars) >= s.opts.MaxNodes {
+		return nil, false
+	}
+	pick := pickVar(q, st)
+	if s.env == nil {
+		s.env = make(sym.Env, len(q.vars))
+	}
+	env := s.env
+	clear(env)
+	for _, v := range q.vars {
+		iv := st.cells[v.ID].iv
+		if iv.single() {
+			env[v.ID] = iv.Lo
+			continue
+		}
+		hv, ok := hint[v.ID]
+		if hv = st.project(v.ID, hv); ok && iv.contains(hv) {
+			env[v.ID] = hv
+			continue
+		}
+		if v != pick {
+			return nil, false
+		}
+		mark := len(s.vals)
+		cands := s.candidates(q, v, st)
+		s.vals = s.vals[:mark]
+		if len(cands) == 0 {
+			return nil, false
+		}
+		env[v.ID] = cands[0]
+	}
+	for i := len(q.cs) - 1; i >= 0; i-- {
+		if !sym.EvalBool(q.cs[i], env) {
+			return nil, false
+		}
+	}
+	return maps.Clone(env), true
 }
 
 // VarInfo is the abstract region of one variable after propagation: an
@@ -288,44 +416,37 @@ type VarInfo struct {
 // region. feasible=false means the constraints are contradictory under
 // the interval/bits abstraction (definitely unsat).
 func Analyze(constraints []sym.Expr) (map[int]VarInfo, bool) {
-	st := newState(8)
-	var vars []*sym.Var
-	for _, c := range constraints {
-		vars = st.declare(c, vars)
-	}
-	if !propagateAll(constraints, st) {
+	return New(Options{}).analyze(constraints)
+}
+
+// analyze is Analyze on s: propagated from scratch, never cached.
+func (s *Solver) analyze(cs []sym.Expr) (map[int]VarInfo, bool) {
+	q, st, _, ok := s.fromScratch(cs, false)
+	if !ok {
 		return nil, false
 	}
+	return region(q.vars, st), true
+}
+
+// region reads each variable's abstract region out of a propagated state.
+func region(vars []*sym.Var, st *state) map[int]VarInfo {
 	out := make(map[int]VarInfo, len(vars))
 	for _, v := range vars {
 		c := st.cells[v.ID]
 		out[v.ID] = VarInfo{Lo: c.iv.Lo, Hi: c.iv.Hi, One: c.bits.one, Zero: c.bits.zero, Width: v.W}
 	}
-	return out, true
+	return out
 }
 
-// propagateAll runs constraint propagation to a fixpoint. It returns false
-// if any domain becomes empty (definite UNSAT under interval abstraction).
-func propagateAll(constraints []sym.Expr, st *state) bool {
-	for changed, rounds := true, 0; changed && rounds < 64; rounds++ {
-		changed = false
-		for _, c := range constraints {
-			ch, ok := propagate(c, true, st)
-			if !ok {
-				return false
-			}
-			changed = changed || ch
-		}
-	}
-	return true
-}
-
-// propagate refines domains so that formula e evaluates to want. The first
-// return reports whether any domain changed; the second is false on UNSAT.
-func propagate(e sym.Expr, want bool, st *state) (bool, bool) {
+// propagate refines domains so that formula e evaluates to want. It
+// reports whether any domain changed, ok=false on UNSAT, and — meaningful
+// only when nothing changed — whether e is entailed: evalFormula decides
+// it to be want under the domains, read off the evaluations propagation
+// made anyway.
+func propagate(e sym.Expr, want bool, st *state) (changed, ok, entailed bool) {
 	switch t := e.(type) {
 	case sym.BoolConst:
-		return false, bool(t) == want
+		return false, bool(t) == want, bool(t) == want
 	case *sym.Not:
 		return propagate(t.X, !want, st)
 	case *sym.BoolBin:
@@ -334,28 +455,30 @@ func propagate(e sym.Expr, want bool, st *state) (bool, bool) {
 		return propagateCmp(t, want, st)
 	}
 	// Bitvector expression used as a condition: nonzero means true.
+	// evalFormula decides no such expression, so it is never entailed.
 	if !e.IsBool() {
 		cmp := sym.NewCmp(sym.OpNe, e, sym.NewConst(0, e.Width()))
 		if c, ok := cmp.(*sym.Cmp); ok {
-			return propagateCmp(c, want, st)
+			changed, ok, _ := propagateCmp(c, want, st)
+			return changed, ok, false
 		}
 		if bc, ok := cmp.(sym.BoolConst); ok {
-			return false, bool(bc) == want
+			return false, bool(bc) == want, false
 		}
 	}
-	return false, true
+	return false, true, false
 }
 
-func propagateBool(t *sym.BoolBin, want bool, st *state) (bool, bool) {
+func propagateBool(t *sym.BoolBin, want bool, st *state) (changed, ok, entailed bool) {
 	conjunctive := (t.Op == sym.OpLAnd && want) || (t.Op == sym.OpLOr && !want)
 	if conjunctive {
 		// Both sides are forced; propagate each.
-		c1, ok := propagate(t.X, t.Op == sym.OpLAnd, st)
+		c1, ok, e1 := propagate(t.X, t.Op == sym.OpLAnd, st)
 		if !ok {
-			return c1, false
+			return c1, false, false
 		}
-		c2, ok := propagate(t.Y, t.Op == sym.OpLAnd, st)
-		return c1 || c2, ok
+		c2, ok, e2 := propagate(t.Y, t.Op == sym.OpLAnd, st)
+		return c1 || c2, ok, e1 && e2
 	}
 	// Disjunctive case: only refine when one branch is already impossible.
 	forced := t.Op == sym.OpLOr // want=true for Or, want=false for And
@@ -367,10 +490,7 @@ func propagateBool(t *sym.BoolBin, want bool, st *state) (bool, bool) {
 	if yKnown && yv != forced {
 		return propagate(t.X, forced, st)
 	}
-	if xKnown && yKnown && xv != forced && yv != forced {
-		return false, false
-	}
-	return false, true
+	return false, true, xKnown || yKnown // a known side is one equal to forced
 }
 
 // evalFormula decides a formula under current domains if possible.
@@ -444,7 +564,7 @@ func decideCmp(op sym.CmpOp, x, y Interval) (val, known bool) {
 }
 
 // propagateCmp refines operand domains so the comparison has truth `want`.
-func propagateCmp(t *sym.Cmp, want bool, st *state) (bool, bool) {
+func propagateCmp(t *sym.Cmp, want bool, st *state) (changed, ok, entailed bool) {
 	op := t.Op
 	if !want {
 		op = op.Negated()
@@ -452,8 +572,10 @@ func propagateCmp(t *sym.Cmp, want bool, st *state) (bool, bool) {
 	ix := evalInterval(t.X, st)
 	iy := evalInterval(t.Y, st)
 	if ix.empty() || iy.empty() {
-		return false, false
+		return false, false, false
 	}
+	v, known := decideCmp(t.Op, ix, iy)
+	entailed = known && v == want
 
 	var nx, ny Interval
 	switch op {
@@ -471,7 +593,7 @@ func propagateCmp(t *sym.Cmp, want bool, st *state) (bool, bool) {
 		}
 	case sym.OpLt:
 		if iy.Hi == 0 {
-			return false, false // nothing is < 0 unsigned
+			return false, false, false // nothing is < 0 unsigned
 		}
 		nx = ix.intersect(Interval{0, iy.Hi - 1})
 		ny = iy
@@ -483,7 +605,7 @@ func propagateCmp(t *sym.Cmp, want bool, st *state) (bool, bool) {
 		ny = iy.intersect(Interval{ix.Lo, ^uint64(0)})
 	case sym.OpGt:
 		if ix.Hi == 0 {
-			return false, false
+			return false, false, false
 		}
 		ny = iy.intersect(Interval{0, ix.Hi - 1})
 		nx = ix
@@ -495,23 +617,23 @@ func propagateCmp(t *sym.Cmp, want bool, st *state) (bool, bool) {
 		ny = iy.intersect(Interval{0, ix.Hi})
 	}
 	if nx.empty() || ny.empty() {
-		return false, false
+		return false, false, false
 	}
 	c1, ok1 := backProp(t.X, nx, st)
 	if !ok1 {
-		return c1, false
+		return c1, false, false
 	}
 	c2, ok2 := backProp(t.Y, ny, st)
 	if !ok2 {
-		return c1 || c2, false
+		return c1 || c2, false, false
 	}
 	// Known-bits refinement for masked-field equalities.
 	c3, ok3 := propagateBits(t.X, t.Y, op, st)
 	if !ok3 {
-		return c1 || c2 || c3, false
+		return c1 || c2 || c3, false, false
 	}
 	c4, ok4 := propagateBits(t.Y, t.X, op, st)
-	return c1 || c2 || c3 || c4, ok4
+	return c1 || c2 || c3 || c4, ok4, entailed
 }
 
 // propagateBits refines known bits when `side` matches the masked-field
@@ -917,10 +1039,11 @@ func backPropBin(t *sym.Bin, allowed Interval, st *state) (bool, bool) {
 	return false, true
 }
 
-// search assigns remaining variables by backtracking. complete is cleared
-// whenever a subtree is pruned without exhausting it, so a failed search
-// with *complete still true is a genuine Unsat proof.
-func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint sym.Env, budget *int, complete *bool) (sym.Env, bool) {
+// search assigns remaining variables by backtracking. live is the node's
+// live set: the constraints of q not yet entailed at st. complete is
+// cleared whenever a subtree is pruned without exhausting it, so a failed
+// search with *complete still true is a genuine Unsat proof.
+func (s *Solver) search(q *query, st *state, live []int32, hint sym.Env, budget *int, complete *bool) (sym.Env, bool) {
 	if *budget <= 0 {
 		*complete = false
 		return nil, false
@@ -928,26 +1051,15 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 	*budget--
 	s.Nodes++
 
-	// Find the most-constrained unassigned variable.
-	var pick *sym.Var
-	var pickSize uint64
-	for _, v := range vars {
-		iv := st.cells[v.ID].iv
-		if iv.single() {
-			continue
-		}
-		sz := iv.size()
-		if pick == nil || sz < pickSize {
-			pick, pickSize = v, sz
-		}
-	}
+	pick := pickVar(q, st)
 	if pick == nil {
-		// All variables fixed: verify concretely.
-		env := make(sym.Env, len(vars))
-		for _, v := range vars {
+		// All variables fixed: verify concretely, against the whole
+		// conjunction — entailed constraints included.
+		env := make(sym.Env, len(q.vars))
+		for _, v := range q.vars {
 			env[v.ID] = st.cells[v.ID].iv.Lo
 		}
-		for _, c := range constraints {
+		for _, c := range q.cs {
 			if !sym.EvalBool(c, env) {
 				return nil, false
 			}
@@ -956,15 +1068,25 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 	}
 	iv := st.cells[pick.ID].iv
 
-	// try fixes pick to val on a copy of st and searches on. done reports
-	// that this level has its answer: a model, or an exhausted budget.
+	// try fixes pick to val on a copy of st, settles it and searches on
+	// from the live set left. done reports that this level has its
+	// answer: a model, or an exhausted budget.
 	try := func(val uint64) (env sym.Env, ok, done bool) {
-		nd := st.clone()
+		mark := len(s.arena)
+		nd := s.fork(st)
+		defer func() { s.arena = s.arena[:mark]; s.release(nd) }()
+		nd.moved = s.moved[:0]
 		nd.set(pick.ID, Interval{val, val})
-		if !propagateAll(constraints, nd) {
+		retired, settled := s.settle(q.cs, q.ix, nd, live, nil)
+		if !settled {
 			return nil, false, false
 		}
-		if env, ok := s.search(constraints, vars, nd, hint, budget, complete); ok {
+		next := live
+		if retired > 0 {
+			s.arena = s.survivors(live, nil, s.arena)
+			next = s.arena[mark:]
+		}
+		if env, ok := s.search(q, nd, next, hint, budget, complete); ok {
 			return env, true, true
 		}
 		if *budget <= 0 {
@@ -976,8 +1098,8 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 
 	// The hint goes first and alone: a negation query differs from the run
 	// that produced its hint in one predicate, so the hint usually stands
-	// for every variable but one, and the candidate list — a walk over
-	// every constraint plus a sort — is only built when it does not.
+	// for every variable but one, and the candidate list is only built
+	// when it does not.
 	hv, hinted := hint[pick.ID]
 	hv = st.project(pick.ID, hv)
 	hinted = hinted && iv.contains(hv)
@@ -986,7 +1108,9 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 			return env, ok
 		}
 	}
-	for _, val := range candidates(pick, st, constraints) {
+	mark := len(s.vals)
+	defer func() { s.vals = s.vals[:mark] }()
+	for _, val := range s.candidates(q, pick, st) {
 		if hinted && val == hv {
 			continue
 		}
@@ -999,12 +1123,8 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 	// so Unsat answers are exact for narrow variables (flags, lengths).
 	if iv.size() <= 256 {
 		for val := iv.Lo; ; val++ {
-			nd := st.clone()
-			nd.set(pick.ID, Interval{val, val})
-			if propagateAll(constraints, nd) {
-				if env, ok := s.search(constraints, vars, nd, hint, budget, complete); ok {
-					return env, true
-				}
+			if env, ok, _ := try(val); ok {
+				return env, true
 			}
 			if val == iv.Hi || *budget <= 0 {
 				break
@@ -1017,28 +1137,69 @@ func (s *Solver) search(constraints []sym.Expr, vars []*sym.Var, st *state, hint
 	return nil, false
 }
 
+// fork returns a copy of st to try a value on, reusing a finished
+// trial's state; release hands it back once the trial is over.
+func (s *Solver) fork(st *state) *state {
+	nd := &state{}
+	if n := len(s.spare); n > 0 {
+		nd, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
+	nd.cells = append(nd.cells[:0], st.cells...)
+	return nd
+}
+
+func (s *Solver) release(st *state) {
+	st.moved = nil
+	s.spare = append(s.spare, st)
+}
+
+// pickVar returns the variable search fixes next: the most constrained
+// open one, the first in declaration order on a tie; nil when every
+// variable is fixed.
+func pickVar(q *query, st *state) *sym.Var {
+	var pick *sym.Var
+	var pickSize uint64
+	for _, v := range q.vars {
+		iv := st.cells[v.ID].iv
+		if iv.single() {
+			continue
+		}
+		if sz := iv.size(); pick == nil || sz < pickSize {
+			pick, pickSize = v, sz
+		}
+	}
+	return pick
+}
+
 // candidates proposes trial values for v after the hint: comparison
 // constants (±1) projected onto v's known bits, then domain edges and the
 // midpoint, each at most once. Projection matters: with bit constraints
 // like (x>>3)&1 == 1 recorded, every candidate is made consistent with
 // them, so masked-field predicates (the common router shape) solve in one
-// try.
-func candidates(v *sym.Var, st *state, constraints []sym.Expr) []uint64 {
+// try. The constants are those of the whole conjunction (slot.consts) —
+// entailed constraints included, so the trial order never depends on
+// which constraints a node has dropped. The list is pushed on the
+// solver's value stack; the caller pops it.
+func (s *Solver) candidates(q *query, v *sym.Var, st *state) []uint64 {
 	iv := st.cells[v.ID].iv
-	seen := make(map[uint64]bool, 16)
-	var out []uint64
+	mark := len(s.vals)
+	seen := s.sorted[:0]
 	add := func(val uint64) {
 		val = st.project(v.ID, val)
-		if iv.contains(val) && !seen[val] {
-			seen[val] = true
-			out = append(out, val)
+		if !iv.contains(val) {
+			return
 		}
+		i, dup := slices.BinarySearch(seen, val)
+		if dup {
+			return
+		}
+		seen = slices.Insert(seen, i, val)
+		s.vals = append(s.vals, val)
 	}
 	var consts []uint64
-	for _, c := range constraints {
-		collectComparisonConsts(c, v.ID, &consts)
+	if v.ID < len(q.ix) {
+		consts = q.ix[v.ID].consts
 	}
-	sort.Slice(consts, func(i, j int) bool { return consts[i] < consts[j] })
 	for _, cv := range consts {
 		add(cv)
 		if cv > 0 {
@@ -1049,7 +1210,8 @@ func candidates(v *sym.Var, st *state, constraints []sym.Expr) []uint64 {
 	add(iv.Lo)
 	add(iv.Hi)
 	add(iv.Lo + (iv.Hi-iv.Lo)/2)
-	return out
+	s.sorted = seen[:0]
+	return s.vals[mark:]
 }
 
 // collectComparisonConsts gathers constants compared (directly or through

@@ -711,17 +711,7 @@ func runDistributed(run fedRun, addrs string) {
 			printExploreStats(label+" "+tr.Scenario, ex.Runs, ex.NewPaths, ex.BranchesSeen,
 				time.Duration(ex.ElapsedNS), ex.SolverCalls, ex.SolverSat, ex.SolverUnsat,
 				ex.SkippedPaths, ex.SkippedNegations, ex.CapturedMessages)
-			if len(tr.Findings) > 0 {
-				fmt.Printf("%d finding(s):\n", len(tr.Findings))
-				for _, f := range tr.Findings {
-					fmt.Printf("  %s\n", f)
-					if run.verbose {
-						// Per-path envs stay on the agent; the concrete
-						// witness assignment is what crosses the wire.
-						fmt.Printf("    witness input: %v\n", f.Input)
-					}
-				}
-			}
+			printFindings(tr.Findings, run.verbose)
 			printMinimization(tr.Findings, tr.Minimization)
 		}
 		confirmed += printCrossNodeSummary("cross-domain propagation",
@@ -799,8 +789,8 @@ func resolveScenarios(flagVal string) ([]string, error) {
 			if n == "" {
 				continue
 			}
-			if _, ok := core.LookupScenario(n); !ok {
-				return nil, fmt.Errorf("unknown scenario %q (registered: %v)", n, core.ScenarioNames())
+			if _, err := core.LookupScenario(n); err != nil {
+				return nil, err
 			}
 			names = append(names, n)
 		}
@@ -853,13 +843,24 @@ func printResult(name string, res *core.Result, verbose bool) {
 		fmt.Println("no NEW potential hijacks found this round (known paths skipped; see earlier rounds)")
 	case len(res.Findings) == 0 && name == core.ScenarioUpdate:
 		fmt.Println("no potential hijacks found")
-	case len(res.Findings) > 0:
-		fmt.Printf("%d finding(s):\n", len(res.Findings))
-		for _, fd := range res.Findings {
-			fmt.Printf("  %s\n", fd)
-		}
 	}
+	printFindings(res.Findings, verbose)
 	if res.FalsePositivesFiltered > 0 {
 		fmt.Printf("%d anycast false positive(s) suppressed\n", res.FalsePositivesFiltered)
+	}
+}
+
+// printFindings lists a target's findings for every mode; -v adds each
+// one's witness input, which (unlike per-path envs) crosses the wire.
+func printFindings(findings []core.Finding, verbose bool) {
+	if len(findings) == 0 {
+		return
+	}
+	fmt.Printf("%d finding(s):\n", len(findings))
+	for _, f := range findings {
+		fmt.Printf("  %s\n", f)
+		if verbose {
+			fmt.Printf("    witness input: %v\n", f.Input)
+		}
 	}
 }

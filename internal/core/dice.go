@@ -22,7 +22,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -130,19 +129,17 @@ func withLock(l sync.Locker, fn func()) {
 // ExploreScenario runs one exploration round of the named scenario
 // against peerName, seeding from the live router's observed state.
 func (d *DiCE) ExploreScenario(name, peerName string) (*Result, error) {
-	sc, ok := LookupScenario(name)
-	if !ok {
-		return nil, fmt.Errorf("dice: unknown scenario %q (registered: %v)", name, ScenarioNames())
-	}
+	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: name, Boundary: d.opts.LeakBoundaryCommunity}
 	var (
+		sc   Scenario
 		seed any
 		err  error
 	)
-	withLock(d.opts.CloneLock, func() { seed, err = sc.Seed(d.live, peerName) })
+	withLock(d.opts.CloneLock, func() { sc, seed, err = seedOf(d.live, tg) })
 	if err != nil {
 		return nil, err
 	}
-	return d.exploreRound(sc, peerName, seed)
+	return d.exploreRound(tg, sc, seed)
 }
 
 // ExplorePeer runs one UPDATE exploration round using the most recent
@@ -157,11 +154,11 @@ func (d *DiCE) ExplorePeer(peerName string) (*Result, error) {
 // memory accounting), exploration with the scenario's per-path oracle
 // running inside it against the checkpoint-time state (witness
 // validation included), then the scenario's fold.
-func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, error) {
+func (d *DiCE) exploreRound(tg ResolvedTarget, sc Scenario, seed any) (*Result, error) {
 	start := time.Now()
 	engOpts := d.opts.Engine
 	if engOpts.State == nil && d.opts.ReuseState {
-		engOpts.State = d.states.For(WarmKey(d.live.Name(), sc.Name(), peerName))
+		engOpts.State = d.states.For(WarmKey(tg.Node, tg.Scenario, tg.Peer))
 	}
 	var (
 		meter    *memoryMeter
@@ -171,7 +168,6 @@ func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, er
 		meter = &memoryMeter{store: checkpoint.NewStore(0)}
 		decorate = meter.decorate
 	}
-	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: sc.Name(), Boundary: d.opts.LeakBoundaryCommunity}
 	ckpt, sink := checkpointOf(d.live, d.opts.CloneLock)
 	tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, decorate)
 	if err != nil {

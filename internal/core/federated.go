@@ -263,19 +263,29 @@ type TargetPrep struct {
 // The returned engine is ready to explore — solo (Engine.Explore, the
 // agent's path) or as a fleet member (the in-process path).
 func PrepareTarget(live *router.Router, tg ResolvedTarget, engOpts concolic.Options, states *concolic.StateMap, reuse bool) (*TargetPrep, error) {
-	sc, ok := LookupScenario(tg.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (registered: %v)", tg.Scenario, ScenarioNames())
-	}
-	seed, err := sc.Seed(live, tg.Peer)
+	sc, seed, err := seedOf(live, tg)
 	if err != nil {
-		return nil, &SeedUnavailableError{Err: err}
+		return nil, err
 	}
 	if reuse {
 		engOpts.State = states.For(WarmKey(tg.Node, tg.Scenario, tg.Peer))
 	}
 	ckpt, sink := checkpointOf(live, nil)
 	return prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, nil)
+}
+
+// seedOf looks tg's scenario up and derives its seed from the live node;
+// a scenario with nothing to seed from returns *SeedUnavailableError.
+func seedOf(live *router.Router, tg ResolvedTarget) (Scenario, any, error) {
+	sc, err := LookupScenario(tg.Scenario)
+	if err != nil {
+		return nil, nil, err
+	}
+	seed, err := sc.Seed(live, tg.Peer)
+	if err != nil {
+		return nil, nil, &SeedUnavailableError{Err: err}
+	}
+	return sc, seed, nil
 }
 
 // WarmKey names one target's cross-round exploration state wherever it
@@ -345,7 +355,9 @@ func (p *TargetPrep) Analyze(_ *router.Router, _ concolic.Options, boundary uint
 	return p.analyze(rep)
 }
 
-// analyze runs the scenario's fold over a report of p.Engine.
+// analyze runs the scenario's fold over a report of p.Engine and puts
+// the findings in canonical order: every backend's tail, so nothing
+// downstream — witnesses, the per-round cap, snapshots — sees the schedule.
 func (p *TargetPrep) analyze(rep *concolic.Report) *Result {
 	r := &Result{
 		Scenario:         p.Scenario.Name(),
@@ -353,6 +365,7 @@ func (p *TargetPrep) analyze(rep *concolic.Report) *Result {
 		CapturedMessages: p.Sink.Count(),
 	}
 	p.Scenario.Analyze(p.round, r)
+	sortFindings(r.Findings)
 	return r
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +13,7 @@ import (
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
+	"dice/internal/router"
 	"dice/internal/solver"
 )
 
@@ -77,6 +81,70 @@ func TestSnapshotIndependentOfWorkers(t *testing.T) {
 					len(res.Report.Paths), res.WitnessesRejected, res.FalsePositivesFiltered,
 					len(one.Report.Paths), one.WitnessesRejected, one.FalsePositivesFiltered)
 			}
+		}
+	}
+}
+
+// TestFoldIgnoresPathOrder: workers hand paths to the report in whatever
+// order they finish them, so a target's analysis must come out the same
+// over any permutation of Report.Paths — which findings, every field of
+// each, their order, and the counters. Every finding-producing scenario
+// runs on Fig. 2 and on each explore edge of examples/federated, and its
+// report is analyzed again reversed and under 20 seeded shuffles.
+func TestFoldIgnoresPathOrder(t *testing.T) {
+	example, err := LoadTopology("../../examples/federated/topo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewFederatedExperiment(example, FederatedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type edge struct {
+		live       *router.Router
+		node, peer string
+	}
+	edges := []edge{{wideFig2(t).Provider, NodeProvider, NodeCustomer}}
+	for _, tg := range example.ResolveTargets(ScenarioRouteLeak) {
+		edges = append(edges, edge{fe.Fabric.Routers[tg.Node], tg.Node, tg.Peer})
+	}
+	engine := concolic.Options{MaxRuns: 2000, Workers: 2}
+	findings := map[string]int{}
+	for _, e := range edges {
+		for _, scenario := range []string{ScenarioRouteLeak, ScenarioUpdate, ScenarioWithdraw} {
+			tg := ResolvedTarget{Node: e.node, Peer: e.peer, Scenario: scenario, Explicit: true}
+			tp, err := PrepareTarget(e.live, tg, engine, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := tp.Engine.Explore()
+			want := tp.analyze(rep)
+			findings[scenario] += len(want.Findings)
+			orders := [][]concolic.PathResult{slices.Clone(rep.Paths)}
+			slices.Reverse(orders[0])
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 20; i++ {
+				ps := slices.Clone(rep.Paths)
+				rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+				orders = append(orders, ps)
+			}
+			for i, ps := range orders {
+				permuted := *rep
+				permuted.Paths = ps
+				got := tp.analyze(&permuted)
+				if !reflect.DeepEqual(got.Findings, want.Findings) ||
+					got.WitnessesRejected != want.WitnessesRejected ||
+					got.FalsePositivesFiltered != want.FalsePositivesFiltered {
+					t.Fatalf("%s<-%s %s, order %d of %d paths: %d rejected, %d filtered, findings\n%v\nin discovery order: %d, %d,\n%v",
+						e.node, e.peer, scenario, i, len(ps), got.WitnessesRejected, got.FalsePositivesFiltered, got.Findings,
+						want.WitnessesRejected, want.FalsePositivesFiltered, want.Findings)
+				}
+			}
+		}
+	}
+	for _, scenario := range []string{ScenarioRouteLeak, ScenarioUpdate, ScenarioWithdraw} {
+		if findings[scenario] < 2 {
+			t.Errorf("%s: %d findings over every edge; nothing for an order to move", scenario, findings[scenario])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
@@ -31,8 +30,6 @@ type Finding struct {
 	VictimAS uint16
 	// VictimPrefix is the existing route whose traffic is diverted.
 	VictimPrefix netaddr.Prefix
-	// Seq is the exploration run that discovered the accepting path.
-	Seq int
 	// Input is the concrete witness assignment.
 	Input map[string]uint64
 	// Validated reports that the witness was confirmed by re-executing it
@@ -76,6 +73,25 @@ func (f Finding) String() string {
 	}
 	return fmt.Sprintf("%s: peer %s can announce %s (origin AS%d); leakable range %s",
 		f.Kind, f.Peer, f.Prefix, f.OriginAS, f.LeakRange)
+}
+
+// FindingKey is a finding's identity: findings of one target with the
+// same key report one potential fault, and the fold keeps one of them.
+type FindingKey struct {
+	Kind, Peer string
+	// Prefix is a hijack's victim prefix, else the announced or withdrawn one.
+	Prefix             netaddr.Prefix
+	OriginAS, VictimAS uint16
+	Spread             string
+}
+
+// Key returns the finding's identity.
+func (f Finding) Key() FindingKey {
+	p := f.Prefix
+	if f.Kind == "prefix-hijack" {
+		p = f.VictimPrefix
+	}
+	return FindingKey{Kind: f.Kind, Peer: f.Peer, Prefix: p, OriginAS: f.OriginAS, VictimAS: f.VictimAS, Spread: fmt.Sprint(f.SpreadTo)}
 }
 
 // judgeHijacks is the §4.2 origin-misconfiguration oracle for one
@@ -148,7 +164,6 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 			OriginAS:     out.OriginAS,
 			VictimAS:     vic.OriginAS(),
 			VictimPrefix: vic.Prefix,
-			Seq:          p.Seq,
 			Input:        router.UpdateInputs.Named(env),
 		})
 	}
@@ -156,35 +171,6 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 		return nil
 	}
 	return v
-}
-
-// DetectHijacks folds the per-path hijack verdicts of a finished update
-// exploration: the first finding per (victim prefix, victim origin,
-// hijacking origin) in discovery order, sorted by victim then witness
-// prefix, and the total of anycast false positives filtered.
-func DetectHijacks(rep *concolic.Report) (findings []Finding, filtered int) {
-	seen := map[string]bool{}
-	for pi := range rep.Paths {
-		v := verdictOf(&rep.Paths[pi])
-		if v == nil {
-			continue
-		}
-		filtered += v.filtered
-		for _, f := range v.findings {
-			key := fmt.Sprintf("%s|%d|%d", f.VictimPrefix, f.VictimAS, f.OriginAS)
-			if !seen[key] {
-				seen[key] = true
-				findings = append(findings, f)
-			}
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		if c := findings[i].VictimPrefix.Compare(findings[j].VictimPrefix); c != 0 {
-			return c < 0
-		}
-		return findings[i].Prefix.Compare(findings[j].Prefix) < 0
-	})
-	return findings, filtered
 }
 
 // regionFrom extracts the announcement region from analyzed variables:

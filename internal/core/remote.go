@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
@@ -21,13 +20,9 @@ var ErrSeedNotShippable = errors.New("scenario seed is not a BGP UPDATE; explore
 // returns *SeedUnavailableError (same contract as PrepareTarget); a
 // scenario whose seed is some other type returns ErrSeedNotShippable.
 func ShippableSeed(live *router.Router, tg ResolvedTarget) (*bgp.Update, error) {
-	sc, ok := LookupScenario(tg.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (registered: %v)", tg.Scenario, ScenarioNames())
-	}
-	seed, err := sc.Seed(live, tg.Peer)
+	_, seed, err := seedOf(live, tg)
 	if err != nil {
-		return nil, &SeedUnavailableError{Err: err}
+		return nil, err
 	}
 	u, ok := seed.(*bgp.Update)
 	if !ok {
@@ -52,9 +47,9 @@ func ShippableSeed(live *router.Router, tg ResolvedTarget) (*bgp.Update, error) 
 // cross-round memory (a decoded ExploreState) may be attached via
 // engOpts.State; nil explores cold.
 func PrepareRestored(node string, cfg *config.Config, state []byte, tg ResolvedTarget, seed *bgp.Update, engOpts concolic.Options) (*TargetPrep, error) {
-	sc, ok := LookupScenario(tg.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (registered: %v)", tg.Scenario, ScenarioNames())
+	sc, err := LookupScenario(tg.Scenario)
+	if err != nil {
+		return nil, err
 	}
 	sink := netsim.NewCaptureSink()
 	ckpt, err := router.DecodeState(node, cfg, sink, state)

@@ -24,10 +24,11 @@ import (
 // path alone — solver queries over the path condition, validating a
 // witness by re-execution — a scenario does in Judge (the optional
 // PathJudge interface), which the exploration calls on the worker that
-// found the path, while the other workers keep exploring. What depends
-// on the order of paths — deduplication, counters, the final sort — is
-// Analyze, a fold over the finished report and its verdicts. Scenarios
-// with nothing to solve (open, withdraw) are folds only.
+// found the path, while the other workers keep exploring. What needs
+// every path — deduplication by FindingKey, counters — is Analyze, a
+// fold over the finished report and its verdicts; the round machinery
+// then puts the findings in canonical order. Scenarios with nothing to
+// solve (open, withdraw) are folds only.
 //
 // Implementations must be stateless values: one registered Scenario
 // serves concurrent rounds over different routers and peers. Seed values
@@ -51,7 +52,8 @@ type Scenario interface {
 	Execute(rc *concolic.RunContext, clone *router.Router, peer string, seed any) any
 	// Analyze folds the finished round into res (Findings and/or
 	// Details): res.Report.Paths in discovery order, each carrying the
-	// verdict Judge returned for it when the scenario has one.
+	// verdict Judge returned for it when the scenario has one. Which
+	// findings it reports must not depend on that order.
 	Analyze(round *Round, res *Result)
 }
 
@@ -96,20 +98,40 @@ func (r *Round) Victims() []*rib.Route {
 }
 
 // verdict is what a judge concluded from one path: the findings the path
-// supports, before any cross-path deduplication and in the order the
-// oracle met them, and its share of the round's counters. It holds what a
-// Finding needs and nothing of the re-executed run.
+// supports, before any cross-path deduplication, and its share of the
+// round's counters. It holds what a Finding needs and nothing of the
+// re-executed run.
 type verdict struct {
 	findings []Finding
 	rejected int // witnesses that failed validation by re-execution
 	filtered int // potential hijacks suppressed as anycast space
 }
 
-// verdictOf returns the verdict the scenario's judge attached to p, nil
-// when it had nothing to say.
-func verdictOf(p *concolic.PathResult) *verdict {
-	v, _ := p.Verdict.(*verdict)
-	return v
+// foldVerdicts folds the verdicts the judge attached to res.Report.Paths
+// into res: it sums their counters and keeps, per FindingKey, the finding
+// that sorts first canonically — never the first one found, so the order
+// workers delivered the paths in cannot change the result.
+func foldVerdicts(res *Result) {
+	kept := map[FindingKey]int{} // index into res.Findings
+	for pi := range res.Report.Paths {
+		v, _ := res.Report.Paths[pi].Verdict.(*verdict)
+		if v == nil {
+			continue
+		}
+		res.WitnessesRejected += v.rejected
+		res.FalsePositivesFiltered += v.filtered
+		for _, f := range v.findings {
+			k := f.Key()
+			i, ok := kept[k]
+			switch {
+			case !ok:
+				kept[k] = len(res.Findings)
+				res.Findings = append(res.Findings, f)
+			case compareFindings(f, res.Findings[i], f.line(), res.Findings[i].line()) < 0:
+				res.Findings[i] = f
+			}
+		}
+	}
 }
 
 // announcementSeed is the seed of the scenarios that explore
@@ -142,12 +164,16 @@ func RegisterScenario(s Scenario) {
 	scenarios[s.Name()] = s
 }
 
-// LookupScenario returns the registered scenario for name.
-func LookupScenario(name string) (Scenario, bool) {
+// LookupScenario returns the registered scenario for name, or an error
+// listing the registered ones.
+func LookupScenario(name string) (Scenario, error) {
 	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
 	s, ok := scenarios[name]
-	return s, ok
+	scenarioMu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("unknown scenario %q (registered: %v)", name, ScenarioNames())
+	}
+	return s, nil
 }
 
 // ScenarioNames returns all registered scenario names, sorted.

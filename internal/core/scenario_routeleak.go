@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dice/internal/bgp"
 	"dice/internal/concolic"
 	"dice/internal/netaddr"
@@ -78,32 +76,14 @@ func (routeleakScenario) Judge(round *Round, p *concolic.PathResult, sv *solver.
 		Prefix:    vout.Prefix,
 		LeakRange: region,
 		OriginAS:  vout.OriginAS,
-		Seq:       p.Seq,
 		Input:     router.LeakInputs.Named(pr.Env),
 		Validated: true,
 		SpreadTo:  vout.SpreadTo,
 	}}}
 }
 
-// Analyze keeps the first finding per (prefix, origin, spread) in
-// discovery order.
-func (routeleakScenario) Analyze(_ *Round, res *Result) {
-	seen := map[string]bool{}
-	for pi := range res.Report.Paths {
-		v := verdictOf(&res.Report.Paths[pi])
-		if v == nil {
-			continue
-		}
-		res.WitnessesRejected += v.rejected
-		for _, f := range v.findings {
-			key := fmt.Sprintf("%s|%d|%v", f.Prefix, f.OriginAS, f.SpreadTo)
-			if !seen[key] {
-				seen[key] = true
-				res.Findings = append(res.Findings, f)
-			}
-		}
-	}
-}
+// Analyze keeps one finding per (prefix, origin, spread) FindingKey.
+func (routeleakScenario) Analyze(_ *Round, res *Result) { foldVerdicts(res) }
 
 // WitnessUpdate materializes the concrete announcement behind a finding —
 // the message its validating run processed — as the peer's AS presents

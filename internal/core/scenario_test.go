@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dice/internal/concolic"
@@ -12,23 +13,24 @@ func TestScenarioRegistry(t *testing.T) {
 	want := []string{ScenarioOpen, ScenarioUpdate, ScenarioWithdraw}
 	got := ScenarioNames()
 	for _, name := range want {
-		sc, ok := LookupScenario(name)
-		if !ok {
-			t.Fatalf("scenario %q not registered; have %v", name, got)
+		sc, err := LookupScenario(name)
+		if err != nil {
+			t.Fatalf("scenario %q not registered: %v", name, err)
 		}
 		if sc.Name() != name || sc.Description() == "" {
 			t.Fatalf("scenario %q malformed: name=%q desc=%q", name, sc.Name(), sc.Description())
 		}
 	}
-	if _, ok := LookupScenario("nonsense"); ok {
-		t.Fatal("bogus scenario resolved")
+	lookupErr := fmt.Sprintf("unknown scenario %q (registered: %v)", "nonsense", got)
+	if _, err := LookupScenario("nonsense"); err == nil || err.Error() != lookupErr {
+		t.Fatalf("bogus scenario: %v, want %q", err, lookupErr)
 	}
 	f, err := NewFig2(Fig2Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(f.Provider, Options{}).ExploreScenario("nonsense", NodeCustomer); err == nil {
-		t.Fatal("exploring an unknown scenario did not error")
+	if _, err := New(f.Provider, Options{}).ExploreScenario("nonsense", NodeCustomer); err == nil || err.Error() != lookupErr {
+		t.Fatalf("exploring an unknown scenario: %v, want %q", err, lookupErr)
 	}
 }
 

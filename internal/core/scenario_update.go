@@ -40,8 +40,11 @@ func (updateScenario) Judge(round *Round, p *concolic.PathResult, sv *solver.Sol
 	return judgeHijacks(round.Checkpoint.Config(), round.Victims(), p, sv)
 }
 
+// Analyze keeps one hijack per (victim prefix, victim origin, hijacking
+// origin) FindingKey and sums the anycast false positives, then
+// re-validates what it kept.
 func (updateScenario) Analyze(round *Round, res *Result) {
-	res.Findings, res.FalsePositivesFiltered = DetectHijacks(res.Report)
+	foldVerdicts(res)
 
 	// Witness validation by re-execution. Each finding's witness input
 	// came out of the constraint solver; concretization (e.g. the mask

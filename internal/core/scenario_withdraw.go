@@ -74,7 +74,6 @@ func (withdrawScenario) Analyze(round *Round, res *Result) {
 			Peer:         round.Peer,
 			Prefix:       oc.Prefix,
 			VictimPrefix: oc.Prefix,
-			Seq:          p.Seq,
 			Input: map[string]uint64{
 				router.WithdrawAddr: uint64(uint32(oc.Prefix.Addr())),
 				router.WithdrawLen:  uint64(oc.Prefix.Bits()),
@@ -92,9 +91,6 @@ func (withdrawScenario) Analyze(round *Round, res *Result) {
 	}
 	sort.Slice(out.Outcomes, func(i, j int) bool {
 		return out.Outcomes[i].Prefix.Compare(out.Outcomes[j].Prefix) < 0
-	})
-	sort.Slice(res.Findings, func(i, j int) bool {
-		return res.Findings[i].Prefix.Compare(res.Findings[j].Prefix) < 0
 	})
 	res.Details = out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,59 +21,58 @@ import (
 // instead of a confusing content diff.
 const SnapshotHeader = "# dice finding snapshot v1"
 
-// snapshotFinding renders one finding canonically: every wire-carried,
-// schedule-independent field (Seq depends on worker scheduling and the
-// Input map has no stable order — both excluded, as in the distributed
-// parity contract), plus the injected and minimal witnesses when set.
-func snapshotFinding(f Finding) []string {
-	lines := []string{fmt.Sprintf("  finding %s|%s|%s|%s|%d|%d|%s|validated=%t|spread=%v",
-		f.Kind, f.Peer, f.Prefix, f.LeakRange, f.OriginAS, f.VictimAS, f.VictimPrefix, f.Validated, f.SpreadTo)}
-	if f.Witness != nil {
-		lines = append(lines, "    witness "+minimize.Render(f.Witness))
-	}
-	if f.MinimalWitness != nil {
-		lines = append(lines, "    minimal "+minimize.Render(f.MinimalWitness))
-	}
-	return lines
+// line renders one finding's snapshot line: every wire-carried field but
+// the Input map, whose entries have no order of their own.
+func (f Finding) line() string {
+	return fmt.Sprintf("  finding %s|%s|%s|%s|%d|%d|%s|validated=%t|spread=%v",
+		f.Kind, f.Peer, f.Prefix, f.LeakRange, f.OriginAS, f.VictimAS, f.VictimPrefix, f.Validated, f.SpreadTo)
 }
 
-// SnapshotTarget renders one target's share of a round. Findings sort
-// by their rendered line (their own order is exploration order, which
-// worker scheduling may permute); each finding's witness sub-lines stay
-// attached to it.
+// compareFindings is the canonical order of findings a and b, given
+// their snapshot lines: by line, ties broken by the witness input (fmt
+// prints a map in key order), which is rendered only for a tie.
+func compareFindings(a, b Finding, lineA, lineB string) int {
+	if c := strings.Compare(lineA, lineB); c != 0 {
+		return c
+	}
+	return strings.Compare(fmt.Sprint(a.Input), fmt.Sprint(b.Input))
+}
+
+// sortFindings puts findings in canonical order, rendering each one's
+// line once.
+func sortFindings(fs []Finding) {
+	type lined struct {
+		line string
+		f    Finding
+	}
+	ls := make([]lined, len(fs))
+	for i, f := range fs {
+		ls[i] = lined{f.line(), f}
+	}
+	slices.SortFunc(ls, func(a, b lined) int { return compareFindings(a.f, b.f, a.line, b.line) })
+	for i, l := range ls {
+		fs[i] = l.f
+	}
+}
+
+// SnapshotTarget renders one target's share of a round: its findings in
+// the order given — canonical for every analyzed Result — each followed
+// by its injected and minimal witnesses when set.
 func SnapshotTarget(node, peer, scenario, skipped string, findings []Finding) []string {
 	lines := []string{fmt.Sprintf("target %s<-%s %s", node, peer, scenario)}
 	if skipped != "" {
 		return append(lines, "  skipped: "+skipped)
 	}
-	blocks := make([][]string, 0, len(findings))
-	keys := make([]string, 0, len(findings))
 	for _, f := range findings {
-		b := snapshotFinding(f)
-		blocks = append(blocks, b)
-		// Sort by the whole block: two findings can render the same
-		// finding line (Seq/Input are excluded) yet differ in their
-		// witness sub-lines, and exploration order must not leak into
-		// the tie-break.
-		keys = append(keys, strings.Join(b, "\n"))
-	}
-	sort.Sort(&blockSort{keys: keys, blocks: blocks})
-	for _, b := range blocks {
-		lines = append(lines, b...)
+		lines = append(lines, f.line())
+		if f.Witness != nil {
+			lines = append(lines, "    witness "+minimize.Render(f.Witness))
+		}
+		if f.MinimalWitness != nil {
+			lines = append(lines, "    minimal "+minimize.Render(f.MinimalWitness))
+		}
 	}
 	return lines
-}
-
-type blockSort struct {
-	keys   []string
-	blocks [][]string
-}
-
-func (s *blockSort) Len() int           { return len(s.keys) }
-func (s *blockSort) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *blockSort) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.blocks[i], s.blocks[j] = s.blocks[j], s.blocks[i]
 }
 
 // SnapshotRound renders a round canonically: the format header, the

@@ -169,6 +169,56 @@ func TestConcurrentGroupsParity(t *testing.T) {
 	t.Run("hard-error", concurrentHardError)
 }
 
+// TestCappedRoundParity: a round with more validated witnesses than the
+// per-round cap checks the first MaxWitnesses of them, so which witnesses
+// (and which of their violations) make the round is decided by the order
+// findings come in. That order is canonical: on the 64-AS topology with
+// six policy clauses per customer filter (well over the default cap of
+// 16 witnesses), round after round, Workers 1 and 4 render one snapshot
+// in process and over loopback agents.
+func TestCappedRoundParity(t *testing.T) {
+	generated, _, err := topo.Generate(topo.Spec{Seed: 64, Nodes: 64, ExploreTargets: 12, PolicyClauses: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leakCheck(t)
+	agents, err := NewSharedAgents(generated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, workers := range []int{1, 4} {
+		opts := fedOpts()
+		opts.Workers = workers
+		fe, err := core.NewFederatedExperiment(generated, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := connectAgents(t, generated, agents, opts, nil)
+		for round := 1; round <= 3; round++ {
+			inproc, err := fe.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == "" {
+				if inproc.WitnessesSkipped == 0 {
+					t.Fatalf("parity vacuous: %d witnesses injected, none skipped by the cap", inproc.WitnessesInjected)
+				}
+				want = strings.Join(inproc.Snapshot(), "\n")
+			}
+			for backend, got := range map[string][]string{"in-process": inproc.Snapshot(), "loopback": res.Snapshot()} {
+				if s := strings.Join(got, "\n"); s != want {
+					t.Errorf("workers %d, round %d, %s: snapshot differs from workers 1 in process:\n--- want ---\n%s\n--- got ---\n%s", workers, round, backend, want, s)
+				}
+			}
+		}
+	}
+}
+
 // concurrentHardError: a group that fails hard (a witness across
 // a link no session runs on) stops dispatch, and the error returned is the
 // lowest-index failed group's even when a later group fails first: group 1

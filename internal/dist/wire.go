@@ -55,7 +55,7 @@ import (
 // ReplicaExploreResult.MissingPages) are encoded as tails that are absent
 // when unused; that keeps the common frames small, it is not a
 // compatibility mechanism.
-const ProtoVersion = 10
+const ProtoVersion = 11
 
 // --- Framing -----------------------------------------------------------------
 
@@ -190,7 +190,6 @@ func (c *coder) finding(f *core.Finding) {
 	c.U16(&f.OriginAS)
 	c.U16(&f.VictimAS)
 	c.Prefix(&f.VictimPrefix)
-	c.Uint(&f.Seq)
 	c.Bool(&f.Validated)
 	codec.List(&c.C, &f.SpreadTo, 1, c.Str)
 	c.input(&f.Input)

@@ -75,7 +75,7 @@ func sampleMessages() []message {
 						LenLo: 24, LenHi: 32,
 					},
 					OriginAS: 65001, VictimAS: 65003, VictimPrefix: netaddr.MustParsePrefix("10.18.0.0/16"),
-					Seq: 17, Validated: true, SpreadTo: []string{"as65003", "as65004"},
+					Validated: true, SpreadTo: []string{"as65003", "as65004"},
 					Input: map[string]uint64{"addr": 0x0ac80000, "community": 0xFFFFFF01, "len": 24},
 				},
 				{Kind: "blackhole", Peer: "as65003", Prefix: netaddr.MustParsePrefix("10.17.0.0/16")},
@@ -230,8 +230,8 @@ func TestWireGolden(t *testing.T) {
 	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
 		t.Errorf("wire encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if ProtoVersion != 10 {
-		t.Errorf("ProtoVersion %d: the golden was written at 10", ProtoVersion)
+	if ProtoVersion != 11 {
+		t.Errorf("ProtoVersion %d: the golden was written at 11", ProtoVersion)
 	}
 }
 

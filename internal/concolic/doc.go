@@ -12,7 +12,8 @@
 // The machinery is split into four pieces:
 //
 //   - engine.go — the public surface: declare symbolic inputs (Var),
-//     run one input (RunOnce), or explore exhaustively (Explore).
+//     replay one input concretely (RunOnce), or explore exhaustively
+//     (Explore).
 //   - frontier.go — what to try next: the strategy-ordered queue of
 //     pending predicate negations, with fingerprint-keyed dedup of paths
 //     and negation queries (collision-verified, so a fingerprint clash

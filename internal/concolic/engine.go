@@ -10,10 +10,13 @@ import (
 
 // RunContext is handed to the instrumented handler for one concrete
 // execution. It resolves symbolic inputs to their concrete values for this
-// run and records the path condition at every branch.
+// run and records the path condition at every branch. A replay context
+// (RunOnce) hands out the inputs with no symbolic half, so the run builds
+// no term and records nothing.
 type RunContext struct {
 	env     sym.Env
 	vars    map[string]*sym.Var
+	replay  bool
 	path    []sym.Expr // oriented: each conjunct is true on this run
 	assumes []sym.Expr // non-negatable well-formedness constraints
 	dropped int        // constraints suppressed via ConcretizeOpaque
@@ -26,6 +29,9 @@ func (rc *RunContext) Input(name string) Value {
 	v, ok := rc.vars[name]
 	if !ok {
 		panic(fmt.Sprintf("concolic: unknown symbolic input %q", name))
+	}
+	if rc.replay {
+		return Concrete(rc.env[v.ID], v.W)
 	}
 	return Value{C: rc.env[v.ID] & widthMask(v.W), S: v, W: v.W}
 }
@@ -249,25 +255,28 @@ type Report struct {
 	Budget           string // which budget stopped exploration, if any
 }
 
-// RunOnce executes the handler under a specific concrete assignment and
-// returns the resulting path. DiCE uses it to validate oracle witnesses
-// by re-execution: a witness produced through constraint solving is only
-// reported after the instrumented handler confirms it concretely
-// (guarding against concretization imprecision in recorded constraints).
-func (e *Engine) RunOnce(env sym.Env) PathResult {
+// Replay is one concrete re-execution (RunOnce): the full assignment it
+// ran under, the seed filling what the caller left out, and what the
+// handler returned.
+type Replay struct {
+	Env    sym.Env
+	Output any
+}
+
+// RunOnce executes the handler once under a specific concrete assignment.
+// DiCE uses it to validate oracle witnesses by re-execution: a witness
+// produced through constraint solving is only reported after the handler
+// confirms it concretely (guarding against concretization imprecision in
+// recorded constraints). The run is the same handler on the same fresh
+// state as an explored one, with every input concrete: the oracles read
+// only its output, so it interns no term and records no path.
+func (e *Engine) RunOnce(env sym.Env) Replay {
 	merged := cloneEnv(e.seed)
 	for id, v := range env {
 		merged[id] = v
 	}
-	rc := &RunContext{env: merged, vars: e.byName}
-	out := e.handler(rc)
-	return PathResult{
-		Env:     merged,
-		Path:    rc.path,
-		Assumes: rc.assumes,
-		Output:  out,
-		Notes:   rc.notes,
-	}
+	rc := &RunContext{env: merged, vars: e.byName, replay: true}
+	return Replay{Env: merged, Output: e.handler(rc)}
 }
 
 // Explore runs the concolic exploration loop — seed run, then a worker

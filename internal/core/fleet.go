@@ -292,6 +292,11 @@ func (d *Driver) Round(f Fleet) (*FederatedResult, error) {
 			return nil, err
 		}
 	}
+	total := 0
+	for _, out := range outcomes {
+		total += len(out.Violations)
+	}
+	res.Violations = slices.Grow(res.Violations, total)
 	for i, w := range witnesses {
 		out := outcomes[i]
 		res.PropagationSteps += out.Steps
@@ -477,8 +482,12 @@ func (d *Driver) checkGroup(f Fleet, group []WitnessSpec) ([]*WitnessOutcome, er
 		if len(group) > 1 && fa.Update.Pending+fa.Withdraw.Pending > 0 {
 			return nil, errGroupChurn
 		}
+		vs := prop.Evaluate(d.Props, fa)
 		out := &WitnessOutcome{Steps: fa.Update.Steps + fa.Withdraw.Steps}
-		for _, v := range prop.Evaluate(d.Props, fa) {
+		if len(vs) > 0 {
+			out.Violations = make([]FederatedViolation, 0, len(vs))
+		}
+		for _, v := range vs {
 			out.Violations = append(out.Violations, FederatedViolation{
 				Kind: v.Kind, Node: v.Node, Source: w.Node, Peer: w.Peer, Prefix: w.Update.NLRI[0],
 				Hops: v.Hops, Detail: v.Detail, Waves: v.Waves, WaveTail: v.WaveTail,

@@ -37,9 +37,13 @@ func wideCustomerFilter(clauses int) string {
 
 // wideFig2 is Fig. 2 under wideCustomerFilter with a small table and the
 // paper's hijack victims loaded.
-func wideFig2(t *testing.T) *Fig2 {
+func wideFig2(t *testing.T) *Fig2 { return loadedFig2(t, wideCustomerFilter(12)) }
+
+// loadedFig2 is Fig. 2 under the given customer filter with a small table
+// and the paper's hijack victims loaded.
+func loadedFig2(t *testing.T, customerFilter string) *Fig2 {
 	t.Helper()
-	f, err := NewFig2(Fig2Options{CustomerFilter: wideCustomerFilter(12)})
+	f, err := NewFig2(Fig2Options{CustomerFilter: customerFilter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +150,57 @@ func TestFoldIgnoresPathOrder(t *testing.T) {
 		if findings[scenario] < 2 {
 			t.Errorf("%s: %d findings over every edge; nothing for an order to move", scenario, findings[scenario])
 		}
+	}
+}
+
+// TestReplayMatchesRecordedRun: a witness replay (Engine.RunOnce) runs
+// the handler with every input concrete, recording nothing. For every
+// path a round of each finding-producing scenario explores — on Fig. 2,
+// under the 16-clause deep policy and on each explore edge of
+// examples/federated — replaying the path's assignment must return the
+// output its recording run returned.
+func TestReplayMatchesRecordedRun(t *testing.T) {
+	example, err := LoadTopology("../../examples/federated/topo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewFederatedExperiment(example, FederatedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type edge struct {
+		live       *router.Router
+		node, peer string
+	}
+	edges := []edge{
+		{loadedFig2(t, BrokenCustomerFilter).Provider, NodeProvider, NodeCustomer},
+		{loadedFig2(t, DeepCustomerFilter(1, 16)).Provider, NodeProvider, NodeCustomer},
+	}
+	for _, tg := range example.ResolveTargets(ScenarioRouteLeak) {
+		edges = append(edges, edge{fe.Fabric.Routers[tg.Node], tg.Node, tg.Peer})
+	}
+	paths := map[string]int{}
+	for _, e := range edges {
+		for _, scenario := range []string{ScenarioRouteLeak, ScenarioUpdate, ScenarioWithdraw} {
+			tg := ResolvedTarget{Node: e.node, Peer: e.peer, Scenario: scenario, Explicit: true}
+			tp, err := PrepareTarget(e.live, tg, concolic.Options{MaxRuns: 2000, Workers: 2}, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range tp.Engine.Explore().Paths {
+				if r := tp.Engine.RunOnce(p.Env); !reflect.DeepEqual(r.Output, p.Output) {
+					t.Fatalf("%s<-%s %s, path %d (%v): the replay returned\n%+v\nthe recording run\n%+v",
+						e.node, e.peer, scenario, p.Seq, p.Env, r.Output, p.Output)
+				}
+				paths[scenario]++
+			}
+		}
+	}
+	for _, scenario := range []string{ScenarioRouteLeak, ScenarioUpdate, ScenarioWithdraw} {
+		if paths[scenario] < 8 {
+			t.Errorf("%s: %d paths over every edge; too few to replay", scenario, paths[scenario])
+		}
+		t.Logf("%s: %d paths replayed", scenario, paths[scenario])
 	}
 }
 

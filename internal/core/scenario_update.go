@@ -50,8 +50,8 @@ func (updateScenario) Analyze(round *Round, res *Result) {
 	// came out of the constraint solver; concretization (e.g. the mask
 	// computed from the run's concrete length) can make recorded
 	// constraints imprecise, so every witness is replayed through the
-	// instrumented handler on a fresh clone and must concretely reproduce
-	// the hijack before it is reported. Only the findings that survived
+	// handler on a fresh clone, with every input concrete, and must
+	// reproduce the hijack before it is reported. Only the findings that survived
 	// deduplication are replayed, which is why this is not the judge's.
 	validated := res.Findings[:0]
 	for _, fd := range res.Findings {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -85,6 +86,45 @@ filter customer_in {
     if net ~ 10.0.0.0/8{24,32} then accept;
     reject;
 }`
+
+// DeepCustomerFilter is the deep-policy customer import filter: the
+// customer's own space, then `clauses` guards over distinct seeded /16s
+// of 10/8, each with a {lo,hi} length range and one extra conjunct (on
+// bgp_path.origin, local_pref, med or origin, in turn), then the Fig. 2
+// misconfigured catch-all, so there is something to find. It is the
+// generator of the deep_policy benchmark workload (benchmark/inputs.go),
+// which keeps its own copy.
+func DeepCustomerFilter(seed int64, clauses int) string {
+	rng := rand.New(rand.NewSource(seed ^ 0x706f6c696379)) // "policy"
+	var b strings.Builder
+	b.WriteString("filter customer_in {\n    if net ~ 10.7.0.0/16 then accept;\n")
+	n := 0
+	for _, oct := range rng.Perm(256) {
+		if n == clauses {
+			break
+		}
+		if oct == 7 || oct == 0 { // the customer's own /16; the peering addresses
+			continue
+		}
+		lo := 17 + rng.Intn(4)
+		hi := lo + 2 + rng.Intn(6)
+		var extra string
+		switch n % 4 {
+		case 0:
+			extra = fmt.Sprintf(" && bgp_path.origin != %d", 64512+rng.Intn(512))
+		case 1:
+			extra = " && local_pref >= 0"
+		case 2:
+			extra = fmt.Sprintf(" && med < %d", 100+rng.Intn(900))
+		case 3:
+			extra = " && origin = igp"
+		}
+		fmt.Fprintf(&b, "    if net ~ 10.%d.0.0/16{%d,%d}%s then accept;\n", oct, lo, hi, extra)
+		n++
+	}
+	b.WriteString("    if net ~ 10.0.0.0/8{24,32} then accept;\n    reject;\n}")
+	return b.String()
+}
 
 // MissingCustomerFilter models PCCW's side of the incident: no filtering
 // at all.

@@ -76,6 +76,8 @@ type CmpExpr struct {
 	Field Field
 	Op    CmpKind
 	Value uint64
+
+	memo siteMemo
 }
 
 func (*CmpExpr) exprNode() {}
@@ -90,6 +92,8 @@ type MatchExpr struct {
 	Prefix netaddr.Prefix
 	LoLen  int
 	HiLen  int
+
+	memo siteMemo
 }
 
 func (*MatchExpr) exprNode() {}
@@ -120,19 +124,31 @@ func (b BoolLit) String() string {
 }
 
 // NotExpr negates an expression.
-type NotExpr struct{ X Expr }
+type NotExpr struct {
+	X Expr
+
+	memo siteMemo
+}
 
 func (*NotExpr) exprNode()        {}
 func (e *NotExpr) String() string { return "! " + e.X.String() }
 
 // AndExpr is conjunction.
-type AndExpr struct{ X, Y Expr }
+type AndExpr struct {
+	X, Y Expr
+
+	memo siteMemo
+}
 
 func (*AndExpr) exprNode()        {}
 func (e *AndExpr) String() string { return "(" + e.X.String() + " && " + e.Y.String() + ")" }
 
 // OrExpr is disjunction.
-type OrExpr struct{ X, Y Expr }
+type OrExpr struct {
+	X, Y Expr
+
+	memo siteMemo
+}
 
 func (*OrExpr) exprNode()        {}
 func (e *OrExpr) String() string { return "(" + e.X.String() + " || " + e.Y.String() + ")" }

@@ -186,6 +186,10 @@ func runStmts(stmts []Stmt, subj *Subject, br Brancher, v *Verdict, cov *Coverag
 // evalExpr computes a boolean concolic Value for an expression. The whole
 // condition of an `if` becomes one recorded branch predicate, mirroring
 // how BIRD's interpreter evaluates a parsed condition then branches once.
+// An operator site with a symbolic operand takes its term from its memo
+// (memo.go) when it built one for the same operands before; a concrete
+// one calls its operation directly, so the live node never reaches a
+// memo.
 // leaf answers the nodes this evaluator does not know (a LeafParser's);
 // filter programs have none and pass nil.
 func evalExpr(e Expr, subj *Subject, leaf func(Expr) bool) concolic.Value {
@@ -193,38 +197,35 @@ func evalExpr(e Expr, subj *Subject, leaf func(Expr) bool) concolic.Value {
 	case BoolLit:
 		return concolic.Bool(bool(t))
 	case *NotExpr:
-		return concolic.BoolNot(evalExpr(t.X, subj, leaf))
+		x := evalExpr(t.X, subj, leaf)
+		if x.S == nil {
+			return concolic.BoolNot(x)
+		}
+		return t.memo.apply(x, concolic.Value{}, boolNot)
 	case *AndExpr:
-		return concolic.BoolAnd(evalExpr(t.X, subj, leaf), evalExpr(t.Y, subj, leaf))
+		x, y := evalExpr(t.X, subj, leaf), evalExpr(t.Y, subj, leaf)
+		if x.S == nil && y.S == nil {
+			return concolic.BoolAnd(x, y)
+		}
+		return t.memo.apply(x, y, concolic.BoolAnd)
 	case *OrExpr:
-		return concolic.BoolOr(evalExpr(t.X, subj, leaf), evalExpr(t.Y, subj, leaf))
+		x, y := evalExpr(t.X, subj, leaf), evalExpr(t.Y, subj, leaf)
+		if x.S == nil && y.S == nil {
+			return concolic.BoolOr(x, y)
+		}
+		return t.memo.apply(x, y, concolic.BoolOr)
 	case *CmpExpr:
 		lhs := fieldValue(t.Field, subj)
 		rhs := concolic.Concrete(t.Value, lhs.W)
-		switch t.Op {
-		case CmpEq:
-			return concolic.Eq(lhs, rhs)
-		case CmpNe:
-			return concolic.Ne(lhs, rhs)
-		case CmpLt:
-			return concolic.Lt(lhs, rhs)
-		case CmpLe:
-			return concolic.Le(lhs, rhs)
-		case CmpGt:
-			return concolic.Gt(lhs, rhs)
-		case CmpGe:
-			return concolic.Ge(lhs, rhs)
+		if lhs.S == nil {
+			return t.compare(lhs, rhs)
 		}
-		panic(fmt.Sprintf("filter: unhandled comparison operator %d in %T", int(t.Op), t))
+		return t.memo.apply(lhs, rhs, t.compare)
 	case *MatchExpr:
-		// net ~ P{lo,hi}:
-		//   (addr & mask(P.bits)) == P.addr && lo <= len && len <= hi
-		mask := concolic.Concrete(uint64(uint32(netaddr.Mask(t.Prefix.Bits()))), 32)
-		net := concolic.Concrete(uint64(uint32(t.Prefix.Addr())), 32)
-		inNet := concolic.Eq(concolic.And(subj.NetAddr, mask), net)
-		geLo := concolic.Ge(subj.NetLen, concolic.Concrete(uint64(t.LoLen), 8))
-		leHi := concolic.Le(subj.NetLen, concolic.Concrete(uint64(t.HiLen), 8))
-		return concolic.BoolAnd(inNet, concolic.BoolAnd(geLo, leHi))
+		if subj.NetAddr.S == nil && subj.NetLen.S == nil {
+			return t.match(subj.NetAddr, subj.NetLen)
+		}
+		return t.memo.apply(subj.NetAddr, subj.NetLen, t.match)
 	case *CommunityExpr:
 		// Concrete set membership first; a hit needs no constraint.
 		want := bgp.MakeCommunity(t.AS, t.Value)
@@ -248,6 +249,40 @@ func evalExpr(e Expr, subj *Subject, leaf func(Expr) bool) concolic.Value {
 	// node type was added without a case here. Evaluating it as `false`
 	// would silently miscompile every policy using it, so fail loudly.
 	panic(fmt.Sprintf("filter: unhandled expression node %T", e))
+}
+
+// boolNot is BoolNot in the two-operand form a site memo applies.
+func boolNot(x, _ concolic.Value) concolic.Value { return concolic.BoolNot(x) }
+
+// compare is the comparison's operation over the field and the constant.
+func (e *CmpExpr) compare(lhs, rhs concolic.Value) concolic.Value {
+	switch e.Op {
+	case CmpEq:
+		return concolic.Eq(lhs, rhs)
+	case CmpNe:
+		return concolic.Ne(lhs, rhs)
+	case CmpLt:
+		return concolic.Lt(lhs, rhs)
+	case CmpLe:
+		return concolic.Le(lhs, rhs)
+	case CmpGt:
+		return concolic.Gt(lhs, rhs)
+	case CmpGe:
+		return concolic.Ge(lhs, rhs)
+	}
+	panic(fmt.Sprintf("filter: unhandled comparison operator %d in %T", int(e.Op), e))
+}
+
+// match is `net ~ P{lo,hi}` over the route's address and length:
+//
+//	(addr & mask(P.bits)) == P.addr && lo <= len && len <= hi
+func (e *MatchExpr) match(addr, length concolic.Value) concolic.Value {
+	mask := concolic.Concrete(uint64(uint32(netaddr.Mask(e.Prefix.Bits()))), 32)
+	net := concolic.Concrete(uint64(uint32(e.Prefix.Addr())), 32)
+	inNet := concolic.Eq(concolic.And(addr, mask), net)
+	geLo := concolic.Ge(length, concolic.Concrete(uint64(e.LoLen), 8))
+	leHi := concolic.Le(length, concolic.Concrete(uint64(e.HiLen), 8))
+	return concolic.BoolAnd(inNet, concolic.BoolAnd(geLo, leHi))
 }
 
 // EvalConcrete evaluates one expression over a fully concrete subject

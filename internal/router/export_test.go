@@ -14,7 +14,6 @@ import (
 	"dice/internal/filter"
 	"dice/internal/netaddr"
 	"dice/internal/netsim"
-	"dice/internal/sym"
 )
 
 // shareHub exports every best-route change to peers of every kind: an
@@ -151,18 +150,10 @@ func TestExportSharingMatchesPerPeerEncode(t *testing.T) {
 			run: func(hub *Router, _ *bgp.Update) []string {
 				seed := hub.LastAnnounced("src")
 				var out Outcome
-				eng := concolic.NewEngine(func(rc *concolic.RunContext) any {
+				recordRun(m.model, m.env(in), func(rc *concolic.RunContext) any {
 					out = m.explore(hub, rc, "src", seed)
 					return nil
-				}, concolic.Options{})
-				if err := m.model.Declare(eng, seed); err != nil {
-					t.Fatal(err)
-				}
-				env := sym.Env{}
-				for id, v := range m.env(in) {
-					env[id] = v
-				}
-				eng.RunOnce(env)
+				})
 				return out.SpreadTo
 			},
 		})

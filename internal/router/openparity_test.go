@@ -9,7 +9,6 @@ import (
 	"dice/internal/config"
 	"dice/internal/netaddr"
 	"dice/internal/netsim"
-	"dice/internal/sym"
 )
 
 // The OPEN half of the differential net: the "open" scenario's outcome
@@ -90,16 +89,12 @@ func checkOpenParity(t *testing.T, cfg *config.Config, in openParityInput) {
 	eng := concolic.NewEngine(func(rc *concolic.RunContext) any {
 		got = explored.HandleOpenConcolic(rc, in.peer)
 		return nil
-	}, concolic.Options{})
+	}, concolic.Options{MaxRuns: 1}) // the recording seed run alone
 	msg := in.open()
 	if err := OpenInputs.Declare(eng, msg); err != nil {
 		t.Fatal(err)
 	}
-	env := sym.Env{}
-	for id, input := range OpenInputs.Inputs {
-		env[id] = input.Seed(msg)
-	}
-	eng.RunOnce(env)
+	eng.Explore()
 
 	peerAS := cfg.FindPeer(in.peer).AS
 	tag := fmt.Sprintf("peer %s (AS%d), %+v", in.peer, peerAS, *msg)

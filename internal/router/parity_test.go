@@ -256,6 +256,17 @@ func sinkRecipients(t *testing.T, sent []netsim.CapturedMessage) (announcedTo, n
 	return announcedTo, notified
 }
 
+// recordRun runs handler once under a recording RunContext, with model's
+// inputs declared at env's values: the seed run of a one-run exploration
+// (Engine.RunOnce replays concretely and records nothing).
+func recordRun[S any](model *InputModel[S], env []uint64, handler concolic.Handler) {
+	eng := concolic.NewEngine(handler, concolic.Options{MaxRuns: 1})
+	for id, in := range model.Inputs {
+		eng.Var(in.Name, in.Width, env[id])
+	}
+	eng.Explore()
+}
+
 // checkHandlerParity runs one input through every model: the
 // instrumented entry point on one clone of the checkpoint, the same
 // message through the live Deliver path on another.
@@ -279,18 +290,14 @@ func checkHandlerParity(t *testing.T, ckpt *Router, in parityInput) {
 
 		explored, exploredSink := fork()
 		var out Outcome
-		eng := concolic.NewEngine(func(rc *concolic.RunContext) any {
+		recordRun(m.model, m.env(in), func(rc *concolic.RunContext) any {
 			out = m.explore(explored, rc, in.peer, seed)
 			return nil
-		}, concolic.Options{})
-		if err := m.model.Declare(eng, seed); err != nil {
-			t.Fatal(err)
-		}
+		})
 		env := sym.Env{}
 		for id, v := range m.env(in) {
 			env[id] = v
 		}
-		eng.RunOnce(env)
 
 		live, liveSink := fork()
 		live.Deliver(parityNow, in.peer, wire)
@@ -392,7 +399,7 @@ func checkFilterParity(t *testing.T, ckpt *Router, in parityInput) {
 			}
 		}
 		return nil
-	}, concolic.Options{})
+	}, concolic.Options{MaxRuns: 1}) // the recording seed run alone
 	eng.Var("addr", 32, uint64(in.addr))
 	eng.Var("len", 8, uint64(in.bits))
 	eng.Var("origin", 8, uint64(in.origin))
@@ -400,7 +407,7 @@ func checkFilterParity(t *testing.T, ckpt *Router, in parityInput) {
 	eng.Var("lp", 32, uint64(in.lp))
 	eng.Var("origin_as", 16, uint64(in.originAS))
 	eng.Var("community", 32, uint64(in.community))
-	eng.RunOnce(nil)
+	eng.Explore()
 }
 
 // parityCorpus seeds the fuzz (and runs as a plain test): the two

@@ -3,7 +3,6 @@ package solver_test
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -20,43 +19,6 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/deep16.golden from this build's models")
 
-// deepPolicy is the benchmark's deep_policy filter generator
-// (benchmark/inputs.go, a module the root one cannot import): the
-// customer's own space, then `clauses` guards over distinct seeded /16s
-// with a length range and one extra conjunct, then the Fig. 2
-// misconfigured catch-all.
-func deepPolicy(seed int64, clauses int) string {
-	rng := rand.New(rand.NewSource(seed ^ 0x706f6c696379))
-	var b strings.Builder
-	b.WriteString("filter customer_in {\n    if net ~ 10.7.0.0/16 then accept;\n")
-	n := 0
-	for _, oct := range rng.Perm(256) {
-		if n == clauses {
-			break
-		}
-		if oct == 7 || oct == 0 {
-			continue
-		}
-		lo := 17 + rng.Intn(4)
-		hi := lo + 2 + rng.Intn(6)
-		var extra string
-		switch n % 4 {
-		case 0:
-			extra = fmt.Sprintf(" && bgp_path.origin != %d", 64512+rng.Intn(512))
-		case 1:
-			extra = " && local_pref >= 0"
-		case 2:
-			extra = fmt.Sprintf(" && med < %d", 100+rng.Intn(900))
-		case 3:
-			extra = " && origin = igp"
-		}
-		fmt.Fprintf(&b, "    if net ~ 10.%d.0.0/16{%d,%d}%s then accept;\n", oct, lo, hi, extra)
-		n++
-	}
-	b.WriteString("    if net ~ 10.0.0.0/8{24,32} then accept;\n    reject;\n}")
-	return b.String()
-}
-
 // noExport is the route-leak oracle's extra conjunct: the announcement
 // carries the RFC 1997 NO_EXPORT community.
 var noExport = sym.NewCmp(sym.OpEq, router.LeakInputs.Var(router.LeakCommunity), sym.NewConst(uint64(bgp.CommunityNoExport), 32))
@@ -66,7 +28,7 @@ var noExport = sym.NewCmp(sym.OpEq, router.LeakInputs.Var(router.LeakCommunity),
 // line of the golden — is deterministic.
 func deep16Paths(t *testing.T) []concolic.PathResult {
 	t.Helper()
-	f, err := core.NewFig2(core.Fig2Options{CustomerFilter: deepPolicy(1, 16)})
+	f, err := core.NewFig2(core.Fig2Options{CustomerFilter: core.DeepCustomerFilter(1, 16)})
 	if err != nil {
 		t.Fatal(err)
 	}

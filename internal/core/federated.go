@@ -465,13 +465,10 @@ func (fe *FederatedExperiment) Explore(targets []ResolvedTarget) ([]TargetOutcom
 	return outs, nil
 }
 
-// OpenShadows is Fabric.Shadow with a relay of its own (Fleet).
-func (fe *FederatedExperiment) OpenShadows() (Shadows, error) {
-	shadow, err := fe.Fabric.Shadow()
-	if err != nil {
-		return nil, err
-	}
-	return &fabricShadows{shadow, fe.driver, fe.driver.NewRelay()}, nil
+// OpenShadows is Fabric.Shadow (never an error) with a relay (Fleet).
+func (fe *FederatedExperiment) OpenShadows() Shadows {
+	shadow, _ := fe.Fabric.Shadow()
+	return &fabricShadows{shadow, fe.driver, fe.driver.NewRelay()}
 }
 
 // fabricShadows is a shadow fabric as the driver's Shadows: routers are

@@ -42,8 +42,9 @@ type Fleet interface {
 	Explore(targets []ResolvedTarget) ([]TargetOutcome, error)
 	// OpenShadows clones every node for witness propagation: an isolated
 	// copy of the converged fleet that concrete messages run through
-	// without perturbing the live nodes.
-	OpenShadows() (Shadows, error)
+	// without perturbing the live nodes. A backend may clone lazily; a
+	// clone lost since surfaces as ErrShadowLost.
+	OpenShadows() Shadows
 }
 
 // Shadows is one shadow copy of the fleet. The seam is at the wave, not
@@ -467,10 +468,7 @@ var errGroupChurn = errors.New("federated: a group member did not converge")
 // entire oracle logic. The set never hosts a second group, so a
 // non-converging wave retires it by construction.
 func (d *Driver) checkGroup(f Fleet, group []WitnessSpec) ([]*WitnessOutcome, error) {
-	sh, err := f.OpenShadows()
-	if err != nil {
-		return nil, err
-	}
+	sh := f.OpenShadows()
 	defer sh.Close()
 	facts, err := d.CollectFacts(f, sh, group)
 	if err != nil {

@@ -57,11 +57,11 @@ func (f *fakeFleet) Explore(targets []ResolvedTarget) ([]TargetOutcome, error) {
 	return f.explore, nil
 }
 
-func (f *fakeFleet) OpenShadows() (Shadows, error) {
+func (f *fakeFleet) OpenShadows() Shadows {
 	s := &fakeShadows{f: f, id: len(f.sets), best: map[string]map[string]int{}}
 	f.sets = append(f.sets, s)
 	f.logf("open %d", s.id)
-	return s, nil
+	return s
 }
 
 type fakeShadows struct {
@@ -410,7 +410,7 @@ func TestDriverAsksExcludedNodesOnlyOnTrace(t *testing.T) {
 	// Now c forwards into the explored node, which forwards to the peer.
 	d, f = fakeRound(t, FederatedOptions{}, []string{"10.1.0.0/16"})
 	f.next["b"], f.next["c"], f.next["x"], f.next["p"] = "x", "x", "p", "local"
-	sh, _ := f.OpenShadows()
+	sh := f.OpenShadows()
 	facts, err := d.CollectFacts(f, sh, []WitnessSpec{{Node: "x", Peer: "p", Update: witnessFor("10.1.0.0/16")}})
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestDriverAsksExcludedNodesOnlyOnTrace(t *testing.T) {
 func TestDriverStaleAfterWithdraw(t *testing.T) {
 	d, f := fakeRound(t, FederatedOptions{}, []string{"10.1.0.0/16", "10.2.0.0/16"})
 	f.waves["10.1.0.0/16"] = fakeWave{reach: []string{"b", "c"}, sticky: []string{"c"}, steps: 2}
-	sh, _ := f.OpenShadows()
+	sh := f.OpenShadows()
 	facts, err := d.CollectFacts(f, &untouchedOnWithdraw{sh.(*fakeShadows), "b"}, []WitnessSpec{
 		{Node: "x", Peer: "p", Update: witnessFor("10.1.0.0/16")},
 		{Node: "x", Peer: "p", Update: witnessFor("10.2.0.0/16")},

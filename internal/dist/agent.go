@@ -200,9 +200,6 @@ func (a *Agent) handle(method string, params message) (message, error) {
 		return a.hello(p)
 	case *ExploreParams:
 		return a.explore(p)
-	case *ShadowOpenParams:
-		a.shadowOpen(p.ShadowID)
-		return nil, nil
 	case *InjectBatchParams:
 		return a.inject(p)
 	case *ShadowCloseParams:
@@ -381,28 +378,25 @@ func (a *Agent) replay(p *ReplayParams) (*ReplayResult, error) {
 	return &ReplayResult{Delivered: n, Prefixes: a.self.RIB().Prefixes()}, nil
 }
 
-// shadowOpen clones the node for witness propagation under the
-// coordinator's id, unless that shadow is already open — a retried open
-// finds it and clones nothing. The clone is COW (O(peers) creation) and
-// its traffic lands in a private capture sink.
-func (a *Agent) shadowOpen(id uint64) {
-	if _, ok := a.shadows[id]; ok {
-		return
+// shadow finds the clone under the coordinator's id, opening it for the
+// set's first call here (open): a COW clone, O(peers) to create, whose
+// traffic lands in a private capture sink. Another call on an unknown id
+// means this process replaced the one that opened it (noShadowMarker).
+func (a *Agent) shadow(id uint64, open bool) (*shadowClone, error) {
+	if sh, ok := a.shadows[id]; ok {
+		return sh, nil
+	}
+	if !open {
+		return nil, fmt.Errorf("dist: %s %s %d", a.node, noShadowMarker, id)
 	}
 	sink := netsim.NewCaptureSink()
-	a.shadows[id] = &shadowClone{
+	sh := &shadowClone{
 		r:        a.self.CloneCOW(sink),
 		sink:     sink,
 		routeIDs: make(map[*rib.Route]uint64),
 	}
+	a.shadows[id] = sh
 	a.am.noteShadowOpened()
-}
-
-func (a *Agent) shadow(id uint64) (*shadowClone, error) {
-	sh, ok := a.shadows[id]
-	if !ok {
-		return nil, fmt.Errorf("dist: %s %s %d", a.node, noShadowMarker, id)
-	}
 	return sh, nil
 }
 
@@ -423,7 +417,7 @@ func (a *Agent) shadowClose(id uint64) {
 // The run is all or nothing: every sender is validated before the first
 // delivery, so an error never leaves a half-applied shadow behind it.
 func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
-	sh, err := a.shadow(p.ShadowID)
+	sh, err := a.shadow(p.ShadowID, p.Open)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +463,7 @@ func (sh *shadowClone) view(p netaddr.Prefix, props []*prop.Compiled, boundary u
 
 // queryOracle answers a forward trace's lookup of a node no wave touched.
 func (a *Agent) queryOracle(p *QueryOracleParams) (*QueryOracleResult, error) {
-	sh, err := a.shadow(p.ShadowID)
+	sh, err := a.shadow(p.ShadowID, p.Open)
 	if err != nil {
 		return nil, err
 	}

@@ -68,10 +68,7 @@ func TestQueryOracleBudget(t *testing.T) {
 			deepest := 0
 			specs := roundWitnesses(res)
 			for _, w := range specs {
-				shadows, err := c.OpenShadows()
-				if err != nil {
-					t.Fatal(err)
-				}
+				shadows := c.OpenShadows()
 				before := queries.Value()
 				facts, err := c.driver.CollectFacts(c, shadows, []WitnessSpec{w})
 				got := queries.Value() - before
@@ -126,7 +123,6 @@ func witnessSlots(t *testing.T, base modelFabric, w WitnessSpec) (slots map[stri
 func TestInjectBudget(t *testing.T) {
 	rpcTable := map[string]uint64{
 		MethodExplore:       2,
-		MethodShadowOpen:    4,
 		MethodInjectWitness: 6,
 		MethodShadowClose:   4,
 		MethodQueryOracle:   2,

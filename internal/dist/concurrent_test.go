@@ -160,8 +160,8 @@ func TestConcurrentGroupsParity(t *testing.T) {
 				if h := res.Health[tc.busy]; h.State != HealthDegraded {
 					t.Errorf("workers %d: %s ended %q, want degraded", workers, tc.busy, h.State)
 				}
-				if opens := tm.rpcCalls.With(MethodShadowOpen).Value(); opens <= wantRPCs[MethodShadowOpen] {
-					t.Errorf("workers %d: %d shadow_open calls, fault-free %d: no lost group replayed its members alone", workers, opens, wantRPCs[MethodShadowOpen])
+				if closes := tm.rpcCalls.With(MethodShadowClose).Value(); closes <= wantRPCs[MethodShadowClose] {
+					t.Errorf("workers %d: %d shadow_close calls, fault-free %d: no lost group replayed its members alone", workers, closes, wantRPCs[MethodShadowClose])
 				}
 			}
 		})
@@ -251,7 +251,7 @@ func concurrentHardError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opens := tm.rpcCalls.With(MethodShadowOpen).Value()
+		closes := tm.rpcCalls.With(MethodShadowClose).Value()
 		_, distErr := c.CheckWitnesses(specs)
 		_, inErr := d.CheckWitnesses(fe, specs)
 		for backend, err := range map[string]error{"in-process": inErr, "loopback": distErr} {
@@ -262,8 +262,14 @@ func concurrentHardError(t *testing.T) {
 		if n := agentShadows(c); n != 0 {
 			t.Errorf("workers %d: %d agent shadows survived the failed check", workers, n)
 		}
-		if opened := tm.rpcCalls.With(MethodShadowOpen).Value() - opens; workers == 1 && opened != uint64(len(c.Nodes())) {
-			t.Errorf("workers 1: %d shadow_open calls after the failure, want one set's %d", opened, len(c.Nodes()))
+		// Group 0's set called the agents its first step addressed — its
+		// members' injection nodes — and closes exactly those.
+		called := map[string]bool{}
+		for _, w := range disjointGroups(specs)[0] {
+			called[w.Node] = true
+		}
+		if closed := tm.rpcCalls.With(MethodShadowClose).Value() - closes; workers == 1 && closed != uint64(len(called)) {
+			t.Errorf("workers 1: %d shadow_close calls after the failure, want group 0's set's %d", closed, len(called))
 		}
 	}
 }

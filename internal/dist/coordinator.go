@@ -898,20 +898,29 @@ func (c *Coordinator) Replay(node, peer string, traceBytes []byte) (int, error) 
 	return delivered, nil
 }
 
-// shadowSet is one shadow clone per agent — the RPC core.Shadows — for
-// one disjoint-prefix witness group's lifetime: the set's shadow id (the
-// same on every agent), the relay that schedules the group's waves, and
-// its step scratch.
+// shadowSet is one shadow clone per agent it calls — the RPC
+// core.Shadows — for one disjoint-prefix witness group's lifetime: the
+// set's shadow id (the same on every agent), the agents it has called,
+// the relay that schedules the group's waves, and its step scratch. The
+// set's first call to an agent carries Open, which opens the id there.
 type shadowSet struct {
-	c     *Coordinator
-	id    uint64
-	span  *telemetry.Span // the set's lifetime, on the coordinator track
-	relay *core.Relay
-	depth int // what this set adds to the relay-depth gauge
+	c      *Coordinator
+	id     uint64
+	span   *telemetry.Span // the set's lifetime, on the coordinator track
+	relay  *core.Relay
+	depth  int             // what this set adds to the relay-depth gauge
+	called map[string]bool // agents the set has called: Close's fan-out
 
 	agents []string         // a step's agents, in first-delivery order
 	slot   map[string]int   // agent → index into agents
 	views  []core.RouteView // a step's after-views, one per delivery
+}
+
+// first records a call to node: true for the set's first, marked Open.
+func (s *shadowSet) first(node string) bool {
+	first := !s.called[node]
+	s.called[node] = true
+	return first
 }
 
 // shadowLost marks an agent's missing-shadow answer — the signature of a
@@ -925,21 +934,22 @@ func shadowLost(err error) error {
 	return err
 }
 
-// fanOut issues one pipelined call per node — all in flight at once; the
-// agents sit on different connections, so the fan-out completes in one
-// RTT — and waits for every answer. A transport fault on a pipelined
-// attempt retries through the recovering call path. It returns the first
-// error; results of the nodes that answered are filled in regardless.
-func (c *Coordinator) fanOut(nodes []string, method string, params, result func(i int) any) error {
+// fanOut issues one pipelined inject_witness per node — all in flight at
+// once; the agents sit on different connections, so the fan-out completes
+// in one RTT — and waits for every answer. A transport fault on a
+// pipelined attempt retries through the recovering call path. It returns
+// the first error; the answers of the nodes that answered are filled in
+// regardless.
+func (c *Coordinator) fanOut(nodes []string, params []*InjectBatchParams, outs []InjectBatchResult) error {
 	pend := make([]*Pending, len(nodes))
 	for i, n := range nodes {
-		pend[i] = c.goNode(n, method, params(i), result(i))
+		pend[i] = c.goNode(n, MethodInjectWitness, params[i], &outs[i])
 	}
 	var firstErr error
 	for i, p := range pend {
 		err := p.Wait()
 		if err != nil && isConnFault(err) {
-			err = c.call(nodes[i], method, params(i), result(i))
+			err = c.call(nodes[i], MethodInjectWitness, params[i], &outs[i])
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -948,30 +958,25 @@ func (c *Coordinator) fanOut(nodes []string, method string, params, result func(
 	return firstErr
 }
 
-// OpenShadows opens one shadow per node under one fresh id (core.Fleet).
-// An agent opens an id at most once, so a retried open clones nothing.
-func (c *Coordinator) OpenShadows() (core.Shadows, error) {
-	shadows := &shadowSet{
+// OpenShadows starts a shadow set under one fresh id (core.Fleet). It
+// calls no agent: each opens the id on the set's first call to it.
+func (c *Coordinator) OpenShadows() core.Shadows {
+	return &shadowSet{
 		c: c, id: c.keys.Add(1), span: c.tracer.Start("coordinator", "shadow set"),
-		relay: c.driver.NewRelay(), slot: make(map[string]int, len(c.nodes)),
+		relay: c.driver.NewRelay(), called: make(map[string]bool, len(c.nodes)), slot: make(map[string]int, len(c.nodes)),
 	}
-	open := &ShadowOpenParams{ShadowID: shadows.id}
-	err := c.fanOut(c.nodes, MethodShadowOpen, func(int) any { return open }, func(int) any { return nil })
-	if err != nil {
-		shadows.Close()
-		return nil, err
-	}
-	return shadows, nil
 }
 
-// Close tears the set down on every agent; closing an id an agent never
-// opened is a no-op. Best-effort: a failed close leaks one clone on that
-// agent until its next session, it does not invalidate the round.
+// Close tears the set down on every agent it called (an id an agent
+// never opened closes as a no-op). Best-effort: a failed close leaks one
+// clone on that agent until its next session, not the round.
 func (s *shadowSet) Close() {
-	pend := make([]*Pending, 0, len(s.c.nodes))
+	pend := make([]*Pending, 0, len(s.called))
 	params := &ShadowCloseParams{ShadowID: s.id}
 	for _, n := range s.c.nodes {
-		pend = append(pend, s.c.goNode(n, MethodShadowClose, params, nil))
+		if s.called[n] {
+			pend = append(pend, s.c.goNode(n, MethodShadowClose, params, nil))
+		}
 	}
 	for _, p := range pend {
 		_ = p.Wait()
@@ -988,7 +993,7 @@ func (s *shadowSet) Query(node string, prefix netaddr.Prefix) (core.RouteView, e
 		return core.RouteView{}, nil
 	}
 	var out QueryOracleResult
-	if err := s.c.call(node, MethodQueryOracle, &QueryOracleParams{ShadowID: s.id, Prefix: prefix}, &out); err != nil {
+	if err := s.c.call(node, MethodQueryOracle, &QueryOracleParams{ShadowID: s.id, Open: s.first(node), Prefix: prefix}, &out); err != nil {
 		return core.RouteView{}, shadowLost(err)
 	}
 	return s.c.routeView(&out)
@@ -1044,13 +1049,13 @@ func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delive
 			k = len(s.agents)
 			s.slot[d.To] = k
 			s.agents = append(s.agents, d.To)
-			params = append(params, &InjectBatchParams{ShadowID: s.id, Key: s.c.keys.Add(1), WantProps: wantAt})
+			params = append(params, &InjectBatchParams{ShadowID: s.id, Open: s.first(d.To), Key: s.c.keys.Add(1), WantProps: wantAt})
 		}
 		params[k].Deliveries = append(params[k].Deliveries, BatchDelivery{From: d.From, Msg: d.Data, Watch: d.Watch})
 	}
 	s.c.metrics.noteRelayStep(params)
 	outs := make([]InjectBatchResult, len(s.agents))
-	if err := s.c.fanOut(s.agents, MethodInjectWitness, func(i int) any { return params[i] }, func(i int) any { return &outs[i] }); err != nil {
+	if err := s.c.fanOut(s.agents, params, outs); err != nil {
 		return err
 	}
 	for i, out := range outs {

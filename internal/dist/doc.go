@@ -17,21 +17,21 @@
 //
 //   - A Coordinator reaches the agents over the wire protocol and is a
 //     core.Fleet: Explore fans phase 1 out to the owning agents (or a
-//     replica pool), OpenShadows clones every node, and the shadow set
+//     replica pool), OpenShadows mints a shadow id, and the shadow set
 //     it returns is a core.Shadows — Propagate hands a witness group to
 //     core.Relay, the wave scheduler the in-process backend runs too, and
 //     executes each of its virtual time steps as one inject_witness per
 //     agent addressed; Query is the one query_oracle a forward trace may
-//     still need. The round itself —
-//     targets, witness dedup, cap and grouping, the witness lifecycle,
-//     property verdicts — is core.Driver's, the code that also drives
+//     still need; Close closes the agents the set called. The round
+//     itself — targets, witness dedup, cap and grouping, the witness
+//     lifecycle, property verdicts — is core.Driver's, the code that also drives
 //     core.FederatedExperiment; nothing of it is written here. What is:
 //     connections, deadlines, reconnect and degraded fallback, replay,
 //     telemetry. The parity table (parity_test.go) holds the two
 //     backends to the same snapshot, fleet shape by fleet shape.
 //
 // Wire protocol: one binary format — wire.go holds framing, envelope,
-// the ten-row method table and every payload's layout, each stated once
+// the nine-row method table and every payload's layout, each stated once
 // over internal/codec's pass, and encodes core's and netaddr's own types
 // directly — and one call discipline: pipelined
 // requests, each relay step's deliveries batched into one inject_witness
@@ -48,17 +48,22 @@
 // request (wire.go) names a slot and a key, and one whose key is its
 // slot's latest answered key gets that answer again instead of running.
 // The coordinator mints every key, and every shadow id, from one
-// sequence per session. Each method's row (TestExactlyOnceTable holds
-// the method table to it):
+// sequence per session. A shadow opens on its set's first call to an
+// agent, marked Open: a call on an id the agent lacks clones the node if
+// marked, else answers the missing shadow (core.ErrShadowLost: a
+// replaced agent; the driver replays the witness). A retried opening
+// call clones once — the memo or the open id answers it on the same
+// process, and a replacement never saw the first — but a late duplicate
+// after the set's shadow_close reopens the id until the session ends.
+// Each method's row (TestExactlyOnceTable holds the method table to it):
 //
 //	method              slot              key
 //	hello               none              read-only; a new session nonce clears the memo
 //	checkpoint          none              read-only
 //	explore             peer, scenario    the call's key
-//	shadow_open         none              idempotent: opens the shadow id unless it exists
 //	inject_witness      shadow id         the call's key
 //	shadow_close        none              idempotent: closes the shadow id if it exists, retiring its slot
-//	query_oracle        none              read-only
+//	query_oracle        none              idempotent: Open opens the shadow id unless it exists; the rest is read-only
 //	replay              its key           the call's key
 //	seed                none              read-only
 //	explore_checkpoint  shard             the call's key

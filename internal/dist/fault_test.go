@@ -105,7 +105,12 @@ func TestCallTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: 1}, nil)
+	ag.reqMu.Lock()
+	for id := uint64(1); id <= 2; id++ {
+		ag.shadow(id, true) //nolint:errcheck // an opening lookup cannot fail
+	}
+	ag.reqMu.Unlock()
+	err = cl.Call(MethodShadowClose, &ShadowCloseParams{ShadowID: 1}, nil)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("delayed call returned %v, want ErrCallTimeout", err)
 	}
@@ -116,15 +121,15 @@ func TestCallTimeout(t *testing.T) {
 	// Let the delayed frame drain, then reuse the connection: the late
 	// answer must have been discarded, not matched to the next call.
 	time.Sleep(400 * time.Millisecond)
-	if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: 2}, nil); err != nil {
+	if err := cl.Call(MethodShadowClose, &ShadowCloseParams{ShadowID: 2}, nil); err != nil {
 		t.Fatalf("call after a timeout failed: %v", err)
 	}
-	// The timed-out open DID execute on the agent (the timeout fired on
-	// the answer, not the work): both shadows are open.
-	for id := uint64(1); id <= 2; id++ {
-		if _, err := ag.shadow(id); err != nil {
-			t.Errorf("shadow %d: %v (first open executed, answer discarded)", id, err)
-		}
+	// The timed-out close DID execute on the agent (the timeout fired on
+	// the answer, not the work): both shadows are closed.
+	ag.reqMu.Lock()
+	defer ag.reqMu.Unlock()
+	if n := len(ag.shadows); n != 0 {
+		t.Errorf("%d shadows still open (first close executed, answer discarded)", n)
 	}
 }
 
@@ -162,7 +167,7 @@ func TestAbandonedSetBounded(t *testing.T) {
 	const calls = maxAbandoned + 200
 	pend := make([]*Pending, calls)
 	for i := range pend {
-		pend[i] = cl.Go(MethodShadowOpen, nil, nil)
+		pend[i] = cl.Go(MethodShadowClose, nil, nil)
 	}
 	for i, p := range pend {
 		if err := p.Wait(); !errors.Is(err, ErrCallTimeout) {
@@ -195,7 +200,7 @@ func TestBrokenError(t *testing.T) {
 	cl := NewClient(cliConn)
 	defer cl.Close()
 
-	err := cl.Call(MethodShadowOpen, nil, nil)
+	err := cl.Call(MethodShadowClose, nil, nil)
 	if !errors.Is(err, ErrClientBroken) {
 		t.Fatalf("rogue response id returned %v, want ErrClientBroken", err)
 	}
@@ -215,7 +220,7 @@ func TestBrokenError(t *testing.T) {
 
 	// The poison is sticky: later calls fail immediately with the same
 	// broken error.
-	if err2 := cl.Call(MethodShadowOpen, nil, nil); !errors.Is(err2, ErrClientBroken) {
+	if err2 := cl.Call(MethodShadowClose, nil, nil); !errors.Is(err2, ErrClientBroken) {
 		t.Errorf("call on a poisoned connection returned %v", err2)
 	}
 }
@@ -283,32 +288,51 @@ func TestReconnectMidRound(t *testing.T) {
 	}
 }
 
-// TestRetriedShadowOpenLeaksNothing: the answer to upstream's
-// shadow_open is delayed past the deadline, so the coordinator reconnects
-// and sends the open again after the agent has already opened the
-// shadow. The agent finds the shadow by its id and clones nothing more:
-// the round lands on the fault-free snapshot with no clone left open.
+// TestRetriedShadowOpenLeaksNothing: the answer to upstream's opening
+// inject_witness — the call that clones its shadow — is delayed past the
+// deadline, so the coordinator reconnects and sends the call again after
+// the agent has already opened the shadow and delivered. The memo answers
+// the retry: upstream clones exactly as often as in a fault-free round,
+// the round lands on the fault-free snapshot, and no clone is left open.
 func TestRetriedShadowOpenLeaksNothing(t *testing.T) {
 	leakCheck(t)
-	clean, err := loopbackCoordinator(t, leakTopo3(), fedOpts()).Round()
-	if err != nil {
-		t.Fatal(err)
+	round := func(wrap func(string, Dialer) Dialer, copts ...ConnOption) (*RoundResult, *Coordinator, *agentMetrics) {
+		t.Helper()
+		agents := make(map[string]*Agent)
+		for _, n := range leakTopo3().Nodes {
+			ag, err := NewAgent(leakTopo3(), n.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agents[n.Name] = ag
+		}
+		agents["upstream"].EnableTelemetry(telemetry.NewRegistry())
+		c := connectAgents(t, leakTopo3(), agents, fedOpts(), wrap, copts...)
+		res, err := c.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, c, agents["upstream"].am
 	}
+	clean, _, cleanM := round(nil)
 	// upstream is no explore target, so its second inbound frame, the
-	// first after the hello, answers the round's first shadow_open.
-	coord := fleetCoordinator(t, leakTopo3(), fedOpts(), faultAt("upstream", 2, FaultDelay, -1), withChaosPolicy(t)...)
-	res, err := coord.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// first after the hello, answers the UPDATE wave's first delivery to
+	// it: the call marked Open.
+	res, coord, m := round(faultAt("upstream", 2, FaultDelay, -1), withChaosPolicy(t)...)
 	if got, want := strings.Join(res.Snapshot(), "\n"), strings.Join(clean.Snapshot(), "\n"); got != want {
-		t.Errorf("snapshot after a retried shadow_open differs:\n--- clean ---\n%s\n--- faulty ---\n%s", want, got)
+		t.Errorf("snapshot after a retried opening call differs:\n--- clean ---\n%s\n--- faulty ---\n%s", want, got)
 	}
 	if h := res.Health["upstream"]; h.Faults != 1 || h.Reconnects != 1 {
-		t.Fatalf("upstream health %+v, want the one delayed shadow_open answer and its reconnect", h)
+		t.Fatalf("upstream health %+v, want the one delayed opening answer and its reconnect", h)
+	}
+	if m.memoHits.With("inject").Value() == 0 {
+		t.Error("no inject memo hit on upstream: the retried opening call ran again")
+	}
+	if got, want := m.shadowsOpened.Value(), cleanM.shadowsOpened.Value(); got != want || want == 0 {
+		t.Errorf("upstream opened %d shadows, %d in the fault-free round: the retried opening call cloned again", got, want)
 	}
 	if n := agentShadows(coord); n != 0 {
-		t.Errorf("%d shadow clones left open after the round: the retried shadow_open cloned again", n)
+		t.Errorf("%d shadow clones left open after the round", n)
 	}
 }
 

@@ -79,10 +79,7 @@ func TestMergedWaveParity(t *testing.T) {
 				}
 				for _, b := range backends {
 					collect := func(ws []WitnessSpec) []*prop.Facts {
-						sh, err := b.fleet.OpenShadows()
-						if err != nil {
-							t.Fatal(err)
-						}
+						sh := b.fleet.OpenShadows()
 						defer sh.Close()
 						facts, err := c.driver.CollectFacts(b.fleet, sh, ws)
 						if err != nil {

@@ -12,6 +12,7 @@ import (
 	"dice/internal/minimize"
 	"dice/internal/netaddr"
 	"dice/internal/prop"
+	"dice/internal/telemetry"
 	"dice/internal/trace"
 )
 
@@ -326,8 +327,9 @@ func parityTable() []parityCase {
 				return topo
 			},
 			extra: someTargetSkipped},
-		// Minimization: every candidate re-injected through shadow_open /
-		// inject_witness / query_oracle settles on the same MinimalWitness.
+		// Minimization: every candidate re-injected through inject_witness /
+		// query_oracle on a fresh shadow set settles on the same
+		// MinimalWitness.
 		{test: "TestDistributedParityMinimization", topo: federated, opts: minimizeOpts(),
 			nonVacuous: func(t *testing.T, inproc *core.FederatedResult) {
 				if !strings.Contains(strings.Join(inproc.Snapshot(), "\n"), "\n    minimal ") {
@@ -365,25 +367,44 @@ func parityTable() []parityCase {
 			replicaRow(example, "loopback", func(*testing.T) *ReplicaPool { return replicaPool(2) }),
 			replicaRow(example, "tcp", func(t *testing.T) *ReplicaPool { return tcpReplicaPool(t, 2) }))
 	}
-	// Degraded fallback: provider's connection drops at every frame position
-	// of its round — explore (2), shadow_open (3), the UPDATE and WITHDRAW
-	// waves' inject_witness (4, 5), where shadow loss discards the merged
-	// group and replays each witness alone — and every redial is refused,
-	// so the node runs on an in-process replacement. Frame 6 is the answer
-	// to shadow_close, which is best effort: a drop there costs nothing and
-	// nobody notices within the round.
+	// Degraded fallback: provider's first connection drops at one frame of
+	// a minimized round and every redial is refused, so the node runs on an
+	// in-process replacement from then on. Provider's frames: the hello
+	// (1), explore (2), the merged group's opening inject_witness (3), its
+	// WITHDRAW wave's inject_witness (4), shadow_close (5), and the
+	// minimizer's first candidate's opening inject_witness (6). The retry
+	// of a dropped opening call (3, 6) still carries Open, so the
+	// replacement opens the shadow and serves it: nothing is replayed. A
+	// later call (4) finds the replacement without the shadow: shadow loss
+	// discards the merged group and replays each witness alone. The drop
+	// on the best-effort shadow_close (5) shows at the next call, an
+	// opening one. A replay is counted by its extra shadow_close calls
+	// against a fault-free round's.
 	for _, frame := range []int{2, 3, 4, 5, 6} {
+		var tm *Metrics
 		rows = append(rows, parityCase{test: "TestDegradedFallbackParity", name: fmt.Sprintf("drop-frame-%d", frame),
-			topo: leak3, opts: fedOpts(), wrap: faultAt("provider", frame, FaultDrop, 1), connOpts: withChaosPolicy,
+			topo: leak3, opts: minimizeOpts(), wrap: faultAt("provider", frame, FaultDrop, 1),
+			connOpts: func(t *testing.T) []ConnOption {
+				tm = NewMetrics(telemetry.NewRegistry())
+				return append(withChaosPolicy(t), WithTelemetry(tm))
+			},
 			extra: func(t *testing.T, _ *core.FederatedResult, dist *RoundResult) {
 				for n, h := range dist.Health {
 					want := HealthHealthy
-					if n == "provider" && frame < 6 {
+					if n == "provider" {
 						want = HealthDegraded
 					}
 					if h.State != want {
 						t.Errorf("%s ended %q, want %s: %+v", n, h.State, want, h)
 					}
+				}
+				clean := NewMetrics(telemetry.NewRegistry())
+				if _, err := fleetCoordinator(t, leakTopo3(), minimizeOpts(), nil, WithTelemetry(clean)).Round(); err != nil {
+					t.Fatal(err)
+				}
+				got, want := tm.rpcCalls.With(MethodShadowClose).Value(), clean.rpcCalls.With(MethodShadowClose).Value()
+				if replayed := got > want; replayed != (frame == 4) || got < want {
+					t.Errorf("%d shadow_close calls, fault-free %d: want a witness replay %v", got, want, frame == 4)
 				}
 			}})
 	}

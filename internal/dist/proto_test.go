@@ -273,18 +273,14 @@ func TestClientPipelinedCalls(t *testing.T) {
 	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	// Every other call queries a shadow that was never opened: its error
-	// names its own id, so an answer matched to the wrong call shows.
+	// Every other call queries a shadow it does not open, which was never
+	// opened: its error names its own id, so an answer matched to the
+	// wrong call shows.
 	const n = 64
-	for i := uint64(0); i < n; i += 2 {
-		if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: i}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 	outs := make([]QueryOracleResult, n)
 	pend := make([]*Pending, n)
 	for i := range pend {
-		q := &QueryOracleParams{ShadowID: uint64(i), Prefix: netaddr.MustParsePrefix("10.7.0.0/16")}
+		q := &QueryOracleParams{ShadowID: uint64(i), Open: i%2 == 0, Prefix: netaddr.MustParsePrefix("10.7.0.0/16")}
 		pend[i] = cl.Go(MethodQueryOracle, q, &outs[i])
 	}
 	for i, p := range pend {
@@ -334,7 +330,7 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	if _, err := cl.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: 1}, nil); err != nil {
+	if err := cl.Call(MethodQueryOracle, &QueryOracleParams{ShadowID: 1, Open: true}, &QueryOracleResult{}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 50

@@ -230,10 +230,7 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	cl := NewClient(conn)
 	defer cl.Close()
 	const shadowID = 1
-	if err := cl.Call(MethodShadowOpen, &ShadowOpenParams{ShadowID: shadowID}, nil); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := ag.shadow(shadowID)
+	sh, err := ag.shadow(shadowID, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +300,7 @@ func TestInjectAllocatesPerEmission(t *testing.T) {
 	}
 	u := *ag.self.LastObserved("customer")
 	perDelivery := func(n int) float64 {
-		ag.shadowOpen(uint64(n))
+		ag.shadow(uint64(n), true) //nolint:errcheck // an opening lookup cannot fail
 		p := &InjectBatchParams{ShadowID: uint64(n), Deliveries: make([]BatchDelivery, n)}
 		for i := range p.Deliveries {
 			u.NLRI = []netaddr.Prefix{netaddr.PrefixFrom(netaddr.AddrFrom4(10, 9, byte(i>>8), byte(i)), 32)}

@@ -272,6 +272,7 @@ type agentMetrics struct {
 	checkpointUnique *telemetry.Counter
 	memoHits         *telemetry.CounterVec // kind (explore | replay | inject)
 	shadowsOpen      *telemetry.Gauge
+	shadowsOpened    *telemetry.Counter
 }
 
 func newAgentMetrics(reg *telemetry.Registry) *agentMetrics {
@@ -287,6 +288,8 @@ func newAgentMetrics(reg *telemetry.Registry) *agentMetrics {
 			"Requests answered from an idempotency memo, by kind.", "kind"),
 		shadowsOpen: reg.Gauge("dice_agent_shadows_open",
 			"Shadow clones currently open."),
+		shadowsOpened: reg.Counter("dice_agent_shadows_opened_total",
+			"Shadow clones opened (one per shadow set that called the agent)."),
 	}
 }
 
@@ -310,6 +313,7 @@ func (m *agentMetrics) noteShadowOpened() {
 		return
 	}
 	m.shadowsOpen.Inc()
+	m.shadowsOpened.Inc()
 }
 
 func (m *agentMetrics) noteShadowClosed() {

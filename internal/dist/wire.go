@@ -55,7 +55,7 @@ import (
 // ReplicaExploreResult.MissingPages) are encoded as tails that are absent
 // when unused; that keeps the common frames small, it is not a
 // compatibility mechanism.
-const ProtoVersion = 11
+const ProtoVersion = 12
 
 // --- Framing -----------------------------------------------------------------
 
@@ -306,12 +306,12 @@ const (
 	// node (checkpoint clone, scenario seed, per-node warm state) and
 	// returns findings plus materialized witness announcements.
 	MethodExplore = "explore"
-	// MethodShadowOpen clones the agent's node for witness propagation;
 	// MethodInjectWitness delivers an ordered run of messages into a
-	// shadow clone and returns, for each, what the node would emit in
-	// response and how its route for the delivery's watched prefix
-	// changed; MethodShadowClose discards the clone.
-	MethodShadowOpen    = "shadow_open"
+	// shadow clone of the agent's node and returns, for each, what the
+	// node would emit in response and how its route for the delivery's
+	// watched prefix changed; MethodShadowClose discards the clone. A
+	// shadow has no open call: the set's first call to an agent opens it
+	// (InjectBatchParams.Open, QueryOracleParams.Open).
 	MethodInjectWitness = "inject_witness"
 	MethodShadowClose   = "shadow_close"
 	// MethodQueryOracle is the narrow cross-domain query interface: best
@@ -350,7 +350,6 @@ var methodTable = [...]struct {
 	{MethodHello, func() message { return new(HelloParams) }, func() message { return new(HelloResult) }},
 	{MethodCheckpoint, nil, func() message { return new(CheckpointResult) }},
 	{MethodExplore, func() message { return new(ExploreParams) }, func() message { return new(ExploreResult) }},
-	{MethodShadowOpen, func() message { return new(ShadowOpenParams) }, nil},
 	{MethodInjectWitness, func() message { return new(InjectBatchParams) }, func() message { return new(InjectBatchResult) }},
 	{MethodShadowClose, func() message { return new(ShadowCloseParams) }, nil},
 	{MethodQueryOracle, func() message { return new(QueryOracleParams) }, func() message { return new(QueryOracleResult) }},
@@ -831,19 +830,7 @@ func (r *ReplayResult) wire(c coder) coder {
 	return c
 }
 
-// --- shadows: open, inject_witness, close, query_oracle ----------------------
-
-// ShadowOpenParams opens a shadow clone under an id the coordinator
-// minted. Opening an id that exists is a no-op, so a retried open never
-// clones twice.
-type ShadowOpenParams struct {
-	ShadowID uint64
-}
-
-func (p *ShadowOpenParams) wire(c coder) coder {
-	c.Uvarint(&p.ShadowID)
-	return c
-}
+// --- shadows: inject_witness, close, query_oracle ----------------------------
 
 // BatchDelivery is one BGP message delivered into a shadow clone as if
 // sent by the named peer. The initial witness injection and every relayed
@@ -863,10 +850,14 @@ type BatchDelivery struct {
 // InjectBatchParams delivers an ordered run of messages into one shadow
 // clone: everything one relay time step holds for this agent, across the
 // witnesses sharing the wave. The agent injects them strictly in order,
-// all or nothing: an unknown shadow or sending peer fails the call before
-// the first delivery.
+// all or nothing: an unknown shadow not marked Open or an unknown sending
+// peer fails the call before the first delivery.
 type InjectBatchParams struct {
-	ShadowID   uint64
+	ShadowID uint64
+	// Open marks the set's first call to this agent: an agent that does
+	// not hold ShadowID opens it (a COW clone of its node) and then
+	// serves the call. Any other call on an unknown id is a lost shadow.
+	Open       bool
 	Deliveries []BatchDelivery
 	// Key is the call's idempotency key (keyed): a retry must not
 	// deliver twice, which would double-count route churn.
@@ -880,6 +871,7 @@ type InjectBatchParams struct {
 
 func (p *InjectBatchParams) wire(c coder) coder {
 	c.Uvarint(&p.ShadowID)
+	c.Bool(&p.Open)
 	codec.List(&c.C, &p.Deliveries, 7, func(dl *BatchDelivery) {
 		c.Str(&dl.From)
 		c.Bytes(&dl.Msg)
@@ -941,14 +933,17 @@ func (p *ShadowCloseParams) wire(c coder) coder {
 	return c
 }
 
-// QueryOracleParams asks route facts about one prefix in one shadow.
+// QueryOracleParams asks route facts about one prefix in one shadow;
+// Open is InjectBatchParams.Open.
 type QueryOracleParams struct {
 	ShadowID uint64
+	Open     bool
 	Prefix   netaddr.Prefix
 }
 
 func (p *QueryOracleParams) wire(c coder) coder {
 	c.Uvarint(&p.ShadowID)
+	c.Bool(&p.Open)
 	c.Prefix(&p.Prefix)
 	return c
 }

@@ -85,8 +85,7 @@ func sampleMessages() []message {
 		&ExploreResult{Skipped: "no observed seed"},
 		&ReplayParams{Node: "as65001", Peer: "stub", Trace: []byte("MRTLfakebytes"), Key: 11},
 		&ReplayResult{Delivered: 250, Prefixes: 771},
-		&ShadowOpenParams{ShadowID: 7},
-		&InjectBatchParams{ShadowID: 7, Deliveries: []BatchDelivery{
+		&InjectBatchParams{ShadowID: 7, Open: true, Deliveries: []BatchDelivery{
 			{From: "as65001", Msg: []byte{0x01, 0x02}, Watch: netaddr.MustParsePrefix("10.200.0.0/24")},
 			{From: "as65003", Msg: []byte{0x03}, Watch: netaddr.MustParsePrefix("10.80.3.0/24")},
 		}, Key: 6, WantProps: true},
@@ -99,7 +98,8 @@ func sampleMessages() []message {
 			{},
 		}},
 		&ShadowCloseParams{ShadowID: 7},
-		&QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")},
+		&QueryOracleParams{ShadowID: 7, Open: true, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")},
+		&QueryOracleParams{ShadowID: 8, Prefix: netaddr.MustParsePrefix("10.80.3.0/24")},
 		&QueryOracleResult{BestToken: 42, HasCovering: true, CoveringLocal: false, CoveringNextPeer: "as65002",
 			PropMatch: []bool{true, false, true}},
 		&ReplicaExploreParams{
@@ -230,8 +230,8 @@ func TestWireGolden(t *testing.T) {
 	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
 		t.Errorf("wire encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if ProtoVersion != 11 {
-		t.Errorf("ProtoVersion %d: the golden was written at 11", ProtoVersion)
+	if ProtoVersion != 12 {
+		t.Errorf("ProtoVersion %d: the golden was written at 12", ProtoVersion)
 	}
 }
 
@@ -326,12 +326,12 @@ func TestRequestEnvelope(t *testing.T) {
 // TestResponseEnvelope: ok and error responses round-trip; bad status
 // octets and truncated error strings are rejected.
 func TestResponseEnvelope(t *testing.T) {
-	ok := appendResponse(nil, 7, "", &ShadowOpenParams{ShadowID: 3})
+	ok := appendResponse(nil, 7, "", &ShadowCloseParams{ShadowID: 3})
 	id, errMsg, body, err := parseResponse(ok)
 	if err != nil || id != 7 || errMsg != "" {
 		t.Fatalf("ok response: id=%d err=%q parse=%v", id, errMsg, err)
 	}
-	var r ShadowOpenParams
+	var r ShadowCloseParams
 	if err := decodeBody(body, &r); err != nil || r.ShadowID != 3 {
 		t.Errorf("ok body: %+v, %v", r, err)
 	}
@@ -357,8 +357,7 @@ func TestResponseEnvelope(t *testing.T) {
 // the malformed-frame class, each pinned by corrupting one octet of a
 // valid encoding — a prefix (a query's, a delivery's watch) longer than
 // /32 or with host bits set, a leak range's LenHi over 32, a strategy
-// past BFS, and the eleventh method code, retired with
-// inject_witness_batch.
+// past BFS, and the method code past the table's nine rows.
 func TestDecodeRejections(t *testing.T) {
 	query := encodeBody(nil, &QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")})
 	inject := encodeBody(nil, &InjectBatchParams{ShadowID: 7, Key: 6, Deliveries: []BatchDelivery{
@@ -401,10 +400,10 @@ func TestDecodeRejections(t *testing.T) {
 		}
 	}
 	if _, _, _, err := parseRequest([]byte{frameRequest, 0x01, uint8(len(methodTable) + 1)}); !errors.Is(err, errFrame) {
-		t.Errorf("retired method code %d parsed: %v", len(methodTable)+1, err)
+		t.Errorf("method code %d past the table parsed: %v", len(methodTable)+1, err)
 	}
-	if len(methodTable) != 10 {
-		t.Errorf("method table has %d rows, want 10", len(methodTable))
+	if len(methodTable) != 9 {
+		t.Errorf("method table has %d rows, want 9", len(methodTable))
 	}
 }
 

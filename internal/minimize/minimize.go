@@ -4,7 +4,8 @@
 // widen the prefix toward the coarsest still-failing span. Every
 // candidate is re-validated by execution — the caller's Oracle re-injects
 // it end to end (a COW shadow fabric in-process, the
-// shadow_open/inject_witness/query_oracle RPC sequence distributed) and
+// inject_witness/query_oracle/shadow_close RPC sequence distributed, whose
+// first call to each agent opens its shadow) and
 // accepts the step only if the original violation still fires with the
 // same attribution fingerprint. The paper's value to operators is a
 // concrete, actionable witness; the minimal form strips everything the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dice/internal/bgp"
@@ -11,7 +12,6 @@ import (
 	"dice/internal/netaddr"
 	"dice/internal/netsim"
 	"dice/internal/prop"
-	"dice/internal/rib"
 	"dice/internal/router"
 	"dice/internal/solver"
 )
@@ -37,9 +37,8 @@ import (
 // Fleet seam. Here are the option and result types, the per-target
 // pipeline every backend's phase 1 runs (PrepareTarget → explore →
 // Analyze → WitnessRefs), and FederatedExperiment, the Fleet that is a
-// Fabric in this process: exploration is a direct ExploreFleet call, a
-// shadow set is Fabric.Shadow, a query reads a router, and a relay step
-// (relay.go) is a run of direct router deliveries.
+// Fabric in this process: exploration is a direct ExploreFleet call, and
+// a shadow set is a map of node shadows (NodeShadow) called directly.
 
 // FederatedScenario is the optional Scenario extension federated rounds
 // use for cross-node confirmation: scenarios that can materialize a
@@ -148,6 +147,8 @@ type FederatedExperiment struct {
 	states *concolic.StateMap // per-node cross-round state, keyed node/scenario/peer
 	nodes  []string           // sorted
 	nodeAS map[string]uint16  // node name → local AS, for `via` assertions
+
+	shadowsOpened atomic.Int64 // ShadowsOpened
 }
 
 // NewFederatedExperiment instantiates the topology and prepares rounds.
@@ -465,91 +466,83 @@ func (fe *FederatedExperiment) Explore(targets []ResolvedTarget) ([]TargetOutcom
 	return outs, nil
 }
 
-// OpenShadows is Fabric.Shadow (never an error) with a relay (Fleet).
+// OpenShadows starts a shadow set (Fleet): a node is cloned
+// (OpenShadow) on the set's first delivery to it or query about it, as
+// an agent clones on a set's first call.
 func (fe *FederatedExperiment) OpenShadows() Shadows {
-	shadow, _ := fe.Fabric.Shadow()
-	return &fabricShadows{shadow, fe.driver, fe.driver.NewRelay()}
+	return &FabricShadows{fe: fe, relay: fe.driver.NewRelay(), nodes: make(map[string]*NodeShadow, len(fe.nodes))}
 }
 
-// fabricShadows is a shadow fabric as the driver's Shadows: routers are
-// read directly, and the relay runs the waves over them.
-type fabricShadows struct {
-	*ShadowFabric
-	driver *Driver
-	relay  *Relay
+// ShadowsOpened counts the node shadows opened here, as the agents'
+// dice_agent_shadows_opened_total counts theirs.
+func (fe *FederatedExperiment) ShadowsOpened() int64 { return fe.shadowsOpened.Load() }
+
+// FabricShadows is the in-process Shadows: the node shadows of one set,
+// read and delivered to by direct calls.
+type FabricShadows struct {
+	fe    *FederatedExperiment
+	relay *Relay
+	nodes map[string]*NodeShadow
+	props []*prop.Compiled // the running Propagate's `at` properties
 }
 
-func (s *fabricShadows) Query(node string, p netaddr.Prefix) (RouteView, error) {
-	return s.view(node, p, nil), nil
-}
-
-// view reads one router's answer about p; the route object is its own
-// identity token in process.
-func (s *fabricShadows) view(node string, p netaddr.Prefix, props []*prop.Compiled) RouteView {
-	r := s.Routers[node]
-	if r == nil {
-		return RouteView{}
-	}
-	best, hop, atMatch := QueryRoute(r, p, props, s.driver.Boundary)
-	v := RouteView{Hop: hop, AtMatch: atMatch}
-	if best != nil {
-		v.Token = best
-	}
-	return v
-}
-
-// QueryRoute is the narrow cross-domain route query, computed in one
-// place for both backends (fabricShadows.view here; the node agent's
-// query_oracle and its inject_witness after-views over RPC): r's
-// exact-prefix best route for p (nil when it
-// has none — the backend turns the object into its own identity token),
-// the covering best route's forwarding decision, and one `at` verdict
-// per property in props over the best route, by list index. A node
-// without a best route answers true throughout: the driver only consults
-// verdicts for witness-installed nodes. An empty props asks for no `at`
-// evidence.
-func QueryRoute(r *router.Router, p netaddr.Prefix, props []*prop.Compiled, boundary uint32) (best *rib.Route, hop ForwardHop, atMatch []bool) {
-	best = r.RIB().Best(p)
-	if cov := r.RIB().CoveringBest(p); cov != nil {
-		hop = ForwardHop{HasCovering: true, Local: cov.Local}
-		if !cov.Local {
-			hop.NextPeer = r.PeerNameByAddr(cov.PeerRouterID)
+// node returns the set's shadow of name, opening it on the first call; nil
+// for a node the fabric does not have.
+func (s *FabricShadows) node(name string) *NodeShadow {
+	sh := s.nodes[name]
+	if sh == nil {
+		live := s.fe.Fabric.Routers[name]
+		if live == nil {
+			return nil
 		}
+		sh = OpenShadow(live, s.fe.Fabric.Net.Now())
+		s.nodes[name] = sh
+		s.fe.shadowsOpened.Add(1)
 	}
-	if len(props) > 0 {
-		var env *prop.Env
-		if best != nil {
-			env = prop.NewEnv(p, &best.Attrs, boundary)
-		}
-		atMatch = make([]bool, len(props))
-		for i, c := range props {
-			atMatch[i] = c.AtMatches(env)
-		}
-	}
-	return best, hop, atMatch
+	return sh
 }
 
-// Propagate relays the group's waves through the shadow routers, then
-// reads each touched node's view of its wave's prefix once.
-func (s *fabricShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error) {
-	waves, err := s.relay.Run(group, maxSteps, s.Deliver)
-	if err != nil {
-		return nil, err
+// Query answers from node's shadow (Shadows).
+func (s *FabricShadows) Query(node string, p netaddr.Prefix) (RouteView, error) {
+	sh := s.node(node)
+	if sh == nil {
+		return RouteView{}, nil
 	}
-	var props []*prop.Compiled
+	return sh.Query(p, nil, s.fe.driver.Boundary), nil
+}
+
+// Propagate relays the group's waves through the set's shadows.
+func (s *FabricShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([]Wave, error) {
+	s.props = nil
 	if wantAt {
-		props = s.driver.Props
+		s.props = s.fe.driver.Props
 	}
-	for i, w := range waves {
-		for name, ch := range w.Touched {
-			ch.After = s.view(name, group[i].Watch, props)
-			w.Touched[name] = ch
-		}
-	}
-	return waves, nil
+	return s.relay.Run(group, maxSteps, s.Step)
 }
 
-func (*fabricShadows) Close() {}
+// Step is the in-process relay step (StepFunc): each delivery, in order,
+// straight into its node's shadow, handing on what the node sent.
+func (s *FabricShadows) Step(step []Delivery, _ int, emit func(d *Delivery, to string, msg []byte)) error {
+	for i := range step {
+		d := &step[i]
+		sh := s.node(d.To)
+		if sh == nil {
+			return NoPeerError(d.To, d.From)
+		}
+		before, sent, after, err := sh.Deliver(d.From, d.Data, d.Watch, s.props, s.fe.driver.Boundary)
+		if err != nil {
+			return err
+		}
+		d.Before, d.After = before, after
+		for _, m := range sent {
+			emit(d, m.To, m.Data)
+		}
+	}
+	return nil
+}
+
+// Close releases nothing: the shadows are garbage once the set is.
+func (*FabricShadows) Close() {}
 
 // WitnessOutcome is one candidate injection's verdict.
 type WitnessOutcome struct {

@@ -40,10 +40,11 @@ type Fleet interface {
 	// reports through its outcome's Err; the returned error is for
 	// failures of the fleet itself.
 	Explore(targets []ResolvedTarget) ([]TargetOutcome, error)
-	// OpenShadows clones every node for witness propagation: an isolated
-	// copy of the converged fleet that concrete messages run through
-	// without perturbing the live nodes. A backend may clone lazily; a
-	// clone lost since surfaces as ErrShadowLost.
+	// OpenShadows starts a shadow set for witness propagation: an
+	// isolated copy of the converged fleet that concrete messages run
+	// through without perturbing the live nodes. Both backends clone a
+	// node (OpenShadow) on the set's first call to it; a clone lost since
+	// surfaces as ErrShadowLost.
 	OpenShadows() Shadows
 }
 
@@ -92,27 +93,26 @@ type Wave struct {
 func (w Wave) churning() bool { return w.Pending > 0 }
 
 // RouteChange brackets one node's share of a wave: the watched prefix's
-// best-route token before the node's first delivery of the wave (nil for
+// best-route token before the node's first delivery of the wave (0 for
 // none) and the node's view after its last.
 type RouteChange struct {
-	Before any
+	Before uint64
 	After  RouteView
 }
 
 // RouteView is one node's answer about one prefix in one shadow.
 type RouteView struct {
-	// Token identifies the exact-prefix best route object, nil when there
-	// is none. Tokens compare with ==, and only within one Shadows: a
-	// re-installation — even of byte-identical content — yields a new one
-	// (the *rib.Route itself in-process, the agent's route token over
-	// RPC). That is how a witness-installed route is told from one that
-	// was already there.
-	Token any
+	// Token identifies the exact-prefix best route object, 0 when there
+	// is none. Tokens are the node's shadow's (NodeShadow), so they compare
+	// only within one node of one Shadows: a re-installation — even of
+	// byte-identical content — yields a new one. That is how a
+	// witness-installed route is told from one that was already there.
+	Token uint64
 	// Hop is the covering best route's forwarding decision.
 	Hop ForwardHop
 	// AtMatch is the `at` evidence about the best route, when a wave was
 	// asked for it: one verdict per property of the driver's set, by index
-	// (QueryRoute). Query never fills it.
+	// (NodeShadow.Query). Shadows.Query never fills it.
 	AtMatch []bool
 }
 
@@ -542,7 +542,6 @@ func (d *Driver) CollectFacts(f Fleet, sh Shadows, group []WitnessSpec) ([]*prop
 	// explored node and the sending peer are excluded from every oracle.
 	nodes := f.Nodes()
 	reached := make([][]string, len(group)) // witness-installed nodes, sorted
-	installed := make([][]any, len(group))  // their best-route tokens
 	for i, w := range group {
 		touched := waves[i].Touched
 		lookup := func(name string) (ForwardHop, error) {
@@ -559,11 +558,10 @@ func (d *Driver) CollectFacts(f Fleet, sh Shadows, group []WitnessSpec) ([]*prop
 		}
 		for _, name := range nodes {
 			ch := touched[name]
-			if name == w.Node || name == w.Peer || ch.After.Token == nil || ch.After.Token == ch.Before {
+			if name == w.Node || name == w.Peer || ch.After.Token == 0 || ch.After.Token == ch.Before {
 				continue // excluded, or the witness never took hold here
 			}
 			reached[i] = append(reached[i], name)
-			installed[i] = append(installed[i], ch.After.Token)
 			terminal, hops, delivered, path, err := TraceForward(name, lookup)
 			if err != nil {
 				return nil, err
@@ -579,7 +577,10 @@ func (d *Driver) CollectFacts(f Fleet, sh Shadows, group []WitnessSpec) ([]*prop
 	// WITHDRAW waves: the retraction must clean the witness out of every
 	// node it reached. Only witness-installed routes count — a node
 	// falling back to (or keeping) a legitimate route is correct — and a
-	// node the retraction never touched still holds what it installed.
+	// node the retraction never touched still holds what it installed. A
+	// reached node's Before in its WITHDRAW wave is the token it
+	// installed (only its own deliveries move its route for the prefix),
+	// so a route the wave left in place reads After == Before.
 	if waves, err = sh.Propagate(inject, maxSteps, false); err != nil {
 		return nil, err
 	}
@@ -590,8 +591,8 @@ func (d *Driver) CollectFacts(f Fleet, sh Shadows, group []WitnessSpec) ([]*prop
 		return facts, nil
 	}
 	for i := range group {
-		for k, name := range reached[i] {
-			if ch, touched := waves[i].Touched[name]; !touched || ch.After.Token == installed[i][k] {
+		for _, name := range reached[i] {
+			if ch, touched := waves[i].Touched[name]; !touched || ch.After.Token == ch.Before {
 				facts[i].Stale = append(facts[i].Stale, name)
 			}
 		}

@@ -58,7 +58,7 @@ func (f *fakeFleet) Explore(targets []ResolvedTarget) ([]TargetOutcome, error) {
 }
 
 func (f *fakeFleet) OpenShadows() Shadows {
-	s := &fakeShadows{f: f, id: len(f.sets), best: map[string]map[string]int{}}
+	s := &fakeShadows{f: f, id: len(f.sets), best: map[string]map[string]uint64{}}
 	f.sets = append(f.sets, s)
 	f.logf("open %d", s.id)
 	return s
@@ -68,15 +68,12 @@ type fakeShadows struct {
 	f      *fakeFleet
 	id     int
 	closed bool
-	tokens int
-	best   map[string]map[string]int // node → prefix → route token
+	tokens uint64
+	best   map[string]map[string]uint64 // node → prefix → route token
 }
 
 func (s *fakeShadows) view(n, p string) RouteView {
-	var v RouteView
-	if tok, ok := s.best[n][p]; ok {
-		v.Token = tok
-	}
+	v := RouteView{Token: s.best[n][p]}
 	switch next, ok := s.f.next[n]; {
 	case !ok:
 	case next == "local":
@@ -112,7 +109,7 @@ func (s *fakeShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([
 		}
 		for _, n := range w.reach {
 			if s.best[n] == nil {
-				s.best[n] = map[string]int{}
+				s.best[n] = map[string]uint64{}
 			}
 			switch {
 			case !withdraw:

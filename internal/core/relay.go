@@ -13,21 +13,15 @@ import (
 
 // Delivery is one message of a relay step as the backend executes it: the
 // event (Data from From arrives at To, At after the group's injection, in
-// the wave Tag indexes), the prefix its wave is about, and what the
-// backend reports back.
+// the wave Tag indexes), the prefix its wave is about, and what To's
+// NodeShadow.Deliver reported: the watched prefix's best-route token
+// before and To's view of it after. Per wave and node, the relay keeps
+// the first delivery's Before and the last one's After.
 type Delivery struct {
 	netsim.Event
-	Watch netaddr.Prefix
-	// First marks the wave's first delivery to To: the backend sets Before
-	// to the watched prefix's best-route token just before it (nil for
-	// none). Other deliveries need no Before.
-	First  bool
-	Before any
-	// After is To's view of the watched prefix just after the delivery,
-	// for a backend that reads one per delivery (the agents answer one
-	// anyway); the relay keeps each node's last. The in-process backend
-	// leaves it nil and reads a view per touched node after the waves.
-	After *RouteView
+	Watch  netaddr.Prefix
+	Before uint64
+	After  RouteView
 }
 
 // StepFunc executes one relay step on a backend's shadows: every delivery
@@ -43,10 +37,11 @@ func NoPeerError(node, from string) error {
 }
 
 // Relay is the wave scheduler, written once: both backends'
-// Shadows.Propagate hand it a witness group and supply only how a step is
-// executed — direct router deliveries in process (ShadowFabric.Deliver),
-// one pipelined inject_witness per agent over RPC. It keeps the per-wave
-// books on a netsim.Loop over the topology's links, reused across calls.
+// Shadows.Propagate hand it a witness group and supply only how a step
+// reaches the node shadows — a direct call in process
+// (FabricShadows.Step), one pipelined inject_witness per agent over RPC.
+// It keeps the per-wave books on a netsim.Loop over the topology's
+// links, reused across calls.
 type Relay struct {
 	loop   *netsim.Loop
 	events []netsim.Event
@@ -101,11 +96,7 @@ func (r *Relay) Run(group []Injection, maxSteps int, exec StepFunc) ([]Wave, err
 				last[e.Tag] = e.At
 			}
 			w.Waves[len(w.Waves)-1]++
-			_, seen := w.Touched[e.To]
-			if !seen {
-				w.Touched[e.To] = RouteChange{}
-			}
-			r.step = append(r.step, Delivery{Event: e, Watch: group[e.Tag].Watch, First: !seen})
+			r.step = append(r.step, Delivery{Event: e, Watch: group[e.Tag].Watch})
 		}
 		if len(r.step) == 0 {
 			continue
@@ -115,17 +106,12 @@ func (r *Relay) Run(group []Injection, maxSteps int, exec StepFunc) ([]Wave, err
 		}
 		for i := range r.step {
 			d := &r.step[i]
-			if !d.First && d.After == nil {
-				continue
-			}
 			touched := waves[d.Tag].Touched
-			ch := touched[d.To]
-			if d.First {
+			ch, seen := touched[d.To]
+			if !seen { // the wave's first delivery to d.To
 				ch.Before = d.Before
 			}
-			if d.After != nil {
-				ch.After = *d.After
-			}
+			ch.After = d.After
 			touched[d.To] = ch
 		}
 	}

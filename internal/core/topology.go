@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"dice/internal/netaddr"
 	"dice/internal/netsim"
 	"dice/internal/prop"
+	"dice/internal/rib"
 	"dice/internal/router"
 	"dice/internal/trace"
 )
@@ -412,59 +414,123 @@ func (t *Topology) Build() (*Fabric, error) {
 	return f, nil
 }
 
-// ShadowFabric is an isolated copy of a fabric for witness propagation:
-// every router cloned (sessions established, tables shared copy-on-write
-// through rib.Overlay) onto one capture sink. It has no network of its
-// own — Deliver is a Relay step — so concrete witness messages run
-// through it on the scheduler the distributed backend uses, without
-// perturbing the live fabric: the federated analogue of exploring on
-// checkpoint clones.
-type ShadowFabric struct {
-	Routers map[string]*router.Router
-	sink    *netsim.CaptureSink
-	now     time.Time                // the live clock, as an agent delivers at
-	emitted []netsim.CapturedMessage // Deliver's drain buffer
+// NodeShadow is one node's shadow for witness propagation, the one both
+// backends hold: a COW clone of the live router whose transport is the
+// shadow itself, its own capture sink, so witness messages run through it
+// without perturbing the live node. It answers only narrow facts about
+// the clone: what a delivery made the node send, and views whose route
+// tokens it mints.
+type NodeShadow struct {
+	r    *router.Router
+	now  time.Time                // the live clock, which deliveries run at
+	sent []netsim.CapturedMessage // captured since the last Deliver
+	// routes are the route objects views have named: RouteView.Token is
+	// the index + 1. A shadow names a handful, usually the latest ones, so
+	// a backward scan over an inline array beats a map.
+	routes []*rib.Route
+	inline [8]*rib.Route
 }
 
-// Shadow clones the fabric for witness propagation. Creation is O(peers)
-// per node instead of O(table): a witness only dirties the prefixes it
-// touches, so at full-table scale a shadow costs what fork()'s COW would.
-// The live fabric must stay quiescent while shadows are alive (it does:
-// nothing runs the live network during witness propagation). The error
-// is always nil.
-func (f *Fabric) Shadow() (*ShadowFabric, error) {
-	s := &ShadowFabric{Routers: make(map[string]*router.Router, len(f.Routers)), sink: netsim.NewCaptureSink(), now: f.Net.Now()}
-	for name, r := range f.Routers {
-		s.Routers[name] = r.CloneCOW(s.sink)
-	}
-	return s, nil
+// OpenShadow clones live at the live clock now, in O(peers): a witness
+// only dirties the prefixes it touches. The live node must stay quiescent
+// while shadows are alive (nothing runs the live network during witness
+// propagation).
+func OpenShadow(live *router.Router, now time.Time) *NodeShadow {
+	s := &NodeShadow{now: now}
+	s.r, s.routes = live.CloneCOW(s), s.inline[:0]
+	return s
 }
 
-// Deliver is the in-process relay step (StepFunc): each delivery, in
-// order, straight into its router — after the check the node agent's
-// inject_witness makes, that the sender is one of the node's peers —
-// reading the watched prefix's best route first where the relay asks for
-// it, and handing on what the router sent. After-views are not read here:
-// the backend reads one per touched node once the waves are done.
-func (s *ShadowFabric) Deliver(step []Delivery, _ int, emit func(d *Delivery, to string, msg []byte)) error {
-	for i := range step {
-		d := &step[i]
-		r := s.Routers[d.To]
-		if r == nil || r.Session(d.From) == nil {
-			return NoPeerError(d.To, d.From)
-		}
-		if d.First {
-			if best := r.RIB().Best(d.Watch); best != nil {
-				d.Before = best
-			}
-		}
-		r.Deliver(s.now, d.From, d.Data)
-		s.emitted = s.sink.Drain(s.emitted[:0])
-		for _, m := range s.emitted {
-			emit(d, m.To, m.Data)
-		}
+// Send is the clone's transport (netsim.Transport): it captures a copy
+// of what the node sends, for Deliver to report.
+func (s *NodeShadow) Send(from, to string, data []byte) {
+	s.sent = append(s.sent, netsim.CapturedMessage{From: from, To: to, Data: bytes.Clone(data)})
+}
+
+// Router is the clone itself, for tests that inspect it; rounds go
+// through Deliver and Query.
+func (s *NodeShadow) Router() *router.Router { return s.r }
+
+// CheckSender fails with NoPeerError unless from is one of the node's
+// peers.
+func (s *NodeShadow) CheckSender(from string) error {
+	if s.r.Session(from) == nil {
+		return NoPeerError(s.r.Name(), from)
 	}
 	return nil
+}
+
+// Deliver runs msg into the shadow as if from had sent it, after
+// CheckSender, and reports the watched prefix's best-route token before
+// it, what the node sent since the last Deliver in send order (valid
+// until the next), and the node's view of watch after it (Query).
+func (s *NodeShadow) Deliver(from string, msg []byte, watch netaddr.Prefix, props []*prop.Compiled, boundary uint32) (before uint64, sent []netsim.CapturedMessage, after RouteView, err error) {
+	if err := s.CheckSender(from); err != nil {
+		return 0, nil, RouteView{}, err
+	}
+	before = s.token(s.r.RIB().Best(watch))
+	s.r.Deliver(s.now, from, msg)
+	sent, s.sent = s.sent, s.sent[:0]
+	return before, sent, s.Query(watch, props, boundary), nil
+}
+
+// Query is the narrow cross-domain route query: the token of the node's
+// exact-prefix best route for p, the covering best route's forwarding
+// decision, and one `at` verdict per property in props (none when empty)
+// over the best route's env under boundary. Without a best route every
+// verdict is true: the driver consults them only for witness-installed
+// nodes.
+func (s *NodeShadow) Query(p netaddr.Prefix, props []*prop.Compiled, boundary uint32) RouteView {
+	best := s.r.RIB().Best(p)
+	cov := best // an exact best is its own longest covering route
+	if cov == nil {
+		cov = s.r.RIB().CoveringBest(p)
+	}
+	v := RouteView{Token: s.token(best)}
+	if cov != nil {
+		v.Hop = ForwardHop{HasCovering: true, Local: cov.Local}
+		if !cov.Local {
+			v.Hop.NextPeer = s.r.PeerNameByAddr(cov.PeerRouterID)
+		}
+	}
+	if len(props) > 0 {
+		var env *prop.Env
+		if best != nil {
+			env = prop.NewEnv(p, &best.Attrs, boundary)
+		}
+		v.AtMatch = make([]bool, len(props))
+		for i, c := range props {
+			v.AtMatch[i] = c.AtMatches(env)
+		}
+	}
+	return v
+}
+
+// token returns the shadow's token for a route object (0 for none).
+func (s *NodeShadow) token(rt *rib.Route) uint64 {
+	if rt == nil {
+		return 0
+	}
+	for i := len(s.routes) - 1; i >= 0; i-- {
+		if s.routes[i] == rt {
+			return uint64(i) + 1
+		}
+	}
+	s.routes = append(s.routes, rt)
+	return uint64(len(s.routes))
+}
+
+// Shadow opens every node's shadow at once, through the one open
+// (OpenShadow). Rounds open a node on its shadow set's first call to it
+// (Fleet.OpenShadows); this eager form is only the core.shadow_ms
+// probe's entry point. The error is always nil.
+func (f *Fabric) Shadow() (map[string]*NodeShadow, error) {
+	now := f.Net.Now()
+	s := make(map[string]*NodeShadow, len(f.Routers))
+	for name, r := range f.Routers {
+		s[name] = OpenShadow(r, now)
+	}
+	return s, nil
 }
 
 // NodeNames returns the fabric's node names, sorted.
@@ -524,7 +590,7 @@ func LineTopology(n int) *Topology { return DenseLineTopology(n, 0) }
 // DenseLineTopology generates an n-node chain whose nodes each
 // originate extraNets additional /24 networks (clamped to the 256 a
 // node's /16 can hold). With non-trivial tables the per-witness
-// Fabric.Shadow cost dominates a federated round — the shape the
+// shadow cost dominates a federated round — the shape the
 // COW-sharing work is measured against.
 func DenseLineTopology(n, extraNets int) *Topology {
 	name := fmt.Sprintf("line-%d", n)

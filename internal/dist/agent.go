@@ -9,10 +9,7 @@ import (
 	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/core"
-	"dice/internal/netaddr"
-	"dice/internal/netsim"
 	"dice/internal/prop"
-	"dice/internal/rib"
 	"dice/internal/router"
 	"dice/internal/telemetry"
 	"dice/internal/trace"
@@ -60,7 +57,7 @@ type Agent struct {
 	// shadows are the open witness-propagation clones, by the ids the
 	// coordinator minted; lastSnap is the latest checkpoint, retained so
 	// the next one shares its unchanged pages.
-	shadows  map[uint64]*shadowClone
+	shadows  map[uint64]*core.NodeShadow
 	lastSnap *checkpoint.Snapshot
 }
 
@@ -69,38 +66,6 @@ type Agent struct {
 // died with a replaced agent — replay the witness on fresh clones" from
 // genuine application errors.
 const noShadowMarker = "has no shadow"
-
-// shadowClone is one witness-propagation clone of the agent's node: a
-// COW copy whose outbound traffic lands in a capture sink the agent
-// drains back to the coordinator per delivery. routeIDs tokenizes the
-// *rib.Route pointers its answers name, so the coordinator's
-// before/after comparisons carry the in-process backend's exact
-// pointer-identity semantics across the wire (a byte-identical
-// reinstall still changes the token, exactly as it changes the
-// pointer).
-type shadowClone struct {
-	r       *router.Router
-	sink    *netsim.CaptureSink
-	emitted []netsim.CapturedMessage // inject's drain buffer
-
-	routeIDs  map[*rib.Route]uint64
-	nextRoute uint64
-}
-
-// routeToken returns the shadow-scoped stable token for a route object
-// (0 for none).
-func (sh *shadowClone) routeToken(rt *rib.Route) uint64 {
-	if rt == nil {
-		return 0
-	}
-	id, ok := sh.routeIDs[rt]
-	if !ok {
-		sh.nextRoute++
-		id = sh.nextRoute
-		sh.routeIDs[rt] = id
-	}
-	return id
-}
 
 // NewAgent builds the agent's local fabric and takes ownership of node.
 func NewAgent(topo *core.Topology, node string) (*Agent, error) {
@@ -157,7 +122,7 @@ func newAgent(topo *core.Topology, node string, fabric *core.Fabric, boundary ui
 		sharedFabric: shared,
 		states:       concolic.NewStateMap(),
 		store:        checkpoint.NewStore(0),
-		shadows:      make(map[uint64]*shadowClone),
+		shadows:      make(map[uint64]*core.NodeShadow),
 	}
 	a.rpcServer = rpcServer{handler: a, name: node, role: "agent"}
 	return a, nil
@@ -379,22 +344,17 @@ func (a *Agent) replay(p *ReplayParams) (*ReplayResult, error) {
 }
 
 // shadow finds the clone under the coordinator's id, opening it for the
-// set's first call here (open): a COW clone, O(peers) to create, whose
-// traffic lands in a private capture sink. Another call on an unknown id
-// means this process replaced the one that opened it (noShadowMarker).
-func (a *Agent) shadow(id uint64, open bool) (*shadowClone, error) {
+// set's first call here (open) through the one core.OpenShadow. Another
+// call on an unknown id means this process replaced the one that opened
+// it (noShadowMarker).
+func (a *Agent) shadow(id uint64, open bool) (*core.NodeShadow, error) {
 	if sh, ok := a.shadows[id]; ok {
 		return sh, nil
 	}
 	if !open {
 		return nil, fmt.Errorf("dist: %s %s %d", a.node, noShadowMarker, id)
 	}
-	sink := netsim.NewCaptureSink()
-	sh := &shadowClone{
-		r:        a.self.CloneCOW(sink),
-		sink:     sink,
-		routeIDs: make(map[*rib.Route]uint64),
-	}
+	sh := core.OpenShadow(a.self, a.fabric.Net.Now())
 	a.shadows[id] = sh
 	a.am.noteShadowOpened()
 	return sh, nil
@@ -410,20 +370,18 @@ func (a *Agent) shadowClose(id uint64) {
 }
 
 // inject delivers an ordered run of BGP messages into a shadow clone,
-// each as if sent by its named peer, and returns per delivery the
-// messages the node emitted in response — core.Relay queues them onward
-// for the coordinator's next relay steps — and the node's route for the
-// delivery's watched prefix before and after it.
-// The run is all or nothing: every sender is validated before the first
-// delivery, so an error never leaves a half-applied shadow behind it.
+// each as if sent by its named peer, and answers per delivery what
+// core.NodeShadow.Deliver reports. The run is all or nothing: every
+// sender is checked before the first delivery, so an error never leaves
+// a half-applied shadow behind it.
 func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 	sh, err := a.shadow(p.ShadowID, p.Open)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range p.Deliveries {
-		if a.self.Session(d.From) == nil {
-			return nil, fmt.Errorf("dist: %w", core.NoPeerError(a.node, d.From))
+		if err := sh.CheckSender(d.From); err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
 		}
 	}
 	var props []*prop.Compiled
@@ -434,30 +392,28 @@ func (a *Agent) inject(p *InjectBatchParams) (*InjectBatchResult, error) {
 	}
 	out := &InjectBatchResult{Results: make([]InjectResult, len(p.Deliveries))}
 	for i, d := range p.Deliveries {
+		before, sent, after, err := sh.Deliver(d.From, d.Msg, d.Watch, props, a.boundary)
+		if err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
+		}
 		res := &out.Results[i]
-		res.Before = sh.routeToken(sh.r.RIB().Best(d.Watch))
-		sh.r.Deliver(a.fabric.Net.Now(), d.From, d.Msg)
-		if sh.emitted = sh.sink.Drain(sh.emitted[:0]); len(sh.emitted) > 0 {
-			res.Emitted = make([]WireEmission, len(sh.emitted))
-			for k, m := range sh.emitted {
+		res.Before, res.After = before, oracleResult(after)
+		if len(sent) > 0 {
+			res.Emitted = make([]WireEmission, len(sent))
+			for k, m := range sent {
 				res.Emitted[k] = WireEmission{To: m.To, Msg: m.Data}
 			}
 		}
-		res.After = sh.view(d.Watch, props, a.boundary)
 	}
 	return out, nil
 }
 
-// view answers the narrow cross-domain route questions about one prefix
-// in this shadow, from the one core.QueryRoute: exact-best presence as a
-// shadow-scoped route token (pointer identity over the wire — see
-// shadowClone), the covering route's forwarding facts, `at` verdicts.
-func (sh *shadowClone) view(p netaddr.Prefix, props []*prop.Compiled, boundary uint32) QueryOracleResult {
-	best, hop, atMatch := core.QueryRoute(sh.r, p, props, boundary)
+// oracleResult renders a shadow's view for the wire.
+func oracleResult(v core.RouteView) QueryOracleResult {
 	return QueryOracleResult{
-		BestToken:   sh.routeToken(best),
-		HasCovering: hop.HasCovering, CoveringLocal: hop.Local, CoveringNextPeer: hop.NextPeer,
-		PropMatch: atMatch,
+		BestToken:   v.Token,
+		HasCovering: v.Hop.HasCovering, CoveringLocal: v.Hop.Local, CoveringNextPeer: v.Hop.NextPeer,
+		PropMatch: v.AtMatch,
 	}
 }
 
@@ -467,6 +423,6 @@ func (a *Agent) queryOracle(p *QueryOracleParams) (*QueryOracleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := sh.view(p.Prefix, nil, a.boundary)
+	out := oracleResult(sh.Query(p.Prefix, nil, a.boundary))
 	return &out, nil
 }

@@ -56,6 +56,15 @@ func rpcCounts(tm *Metrics) map[string]uint64 {
 	return got
 }
 
+// shadowsOpened sums the agents' dice_agent_shadows_opened_total.
+func shadowsOpened(agents map[string]*Agent) uint64 {
+	var n uint64
+	for _, ag := range agents {
+		n += ag.am.shadowsOpened.Value()
+	}
+	return n
+}
+
 // slowDropPolicy retries a dropped connection fast but leaves every call
 // a generous deadline, so the only fault a row sees is the one it plans.
 func slowDropPolicy() RetryPolicy {
@@ -69,9 +78,11 @@ func slowDropPolicy() RetryPolicy {
 // and in process, a round over the 64-AS generated topology (12 groups)
 // and over the committed federated example (minimized) renders the same
 // snapshot, deliveries, violations and minimization stats, and spends the
-// same RPCs per method. Wire bytes are deliberately not compared: keys are
-// minted in scheduling order, and their uvarint widths vary by a few bytes
-// per round.
+// same RPCs per method. Both backends open a shadow on a set's first call
+// to a node, so the round opens as many in process as the agents'
+// dice_agent_shadows_opened_total adds up to, at every Workers. Wire bytes
+// are deliberately not compared: keys are minted in scheduling order, and
+// their uvarint widths vary by a few bytes per round.
 //
 // With groups in flight beside it, a connection drop mid-group on a busy
 // agent whose redials are refused replaces the agent; every set it held
@@ -106,9 +117,13 @@ func TestConcurrentGroupsParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, ag := range agents {
+				ag.EnableTelemetry(telemetry.NewRegistry())
+			}
 			var (
-				want     roundView
-				wantRPCs map[string]uint64
+				want      roundView
+				wantRPCs  map[string]uint64
+				wantOpens int64
 			)
 			for _, workers := range []int{1, 2, 4} {
 				opts.Workers = workers
@@ -121,13 +136,21 @@ func TestConcurrentGroupsParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				tm := NewMetrics(telemetry.NewRegistry())
+				opened := shadowsOpened(agents)
 				dist, err := connectAgents(t, tc.topo, agents, opts, nil, WithTelemetry(tm)).Round()
 				if err != nil {
 					t.Fatal(err)
 				}
 				rpcs := rpcCounts(tm)
+				opens := fe.ShadowsOpened()
+				if agentOpens := int64(shadowsOpened(agents) - opened); agentOpens != opens {
+					t.Errorf("workers %d: the agents opened %d shadows, the in-process round %d", workers, agentOpens, opens)
+				}
 				if workers == 1 {
-					want, wantRPCs = inprocView(inproc), rpcs
+					want, wantRPCs, wantOpens = inprocView(inproc), rpcs, opens
+					if opens == 0 {
+						t.Fatal("open parity vacuous: the round opened no shadow")
+					}
 					if len(want.violations) == 0 || (tc.minimize && len(want.minimization) == 0) {
 						t.Fatalf("parity vacuous: %d violations, %d minimized targets", len(want.violations), len(want.minimization))
 					}
@@ -143,6 +166,9 @@ func TestConcurrentGroupsParity(t *testing.T) {
 				}
 				if !reflect.DeepEqual(rpcs, wantRPCs) {
 					t.Errorf("workers %d: RPCs per method %v, workers 1 spent %v", workers, rpcs, wantRPCs)
+				}
+				if opens != wantOpens {
+					t.Errorf("workers %d: %d shadows opened in process, workers 1 opened %d", workers, opens, wantOpens)
 				}
 				if tc.busy == "" || workers == 1 {
 					continue

@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -390,57 +389,64 @@ func (c *Coordinator) Close() error {
 }
 
 // call issues one RPC against a node with the full fault-recovery
-// ladder: the client's per-call deadline bounds each attempt, a
-// transport fault (broken stream, timeout) triggers single-flight
-// recovery — reconnect with backoff, then the degraded in-process
-// fallback — and the call retries on the replacement. result is
-// re-zeroed before every attempt so a partial decode never leaks into a
-// retry. Application errors return immediately; retried methods are
-// idempotent by key, so at-least-once delivery is safe.
+// ladder (wait).
 func (c *Coordinator) call(node, method string, params, result any) error {
-	nc, ok := c.conns[node]
-	if !ok {
+	if _, ok := c.conns[node]; !ok {
 		return fmt.Errorf("dist: no agent for node %q", node)
 	}
-	var lastErr error
-	// One attempt per client generation the recovery ladder can hand us,
-	// plus the original: reconnects, then the degraded fallback.
-	attempts := c.policy.MaxReconnects + 2
-	for i := 0; i < attempts; i++ {
-		cl, gen := nc.current()
-		if cl == nil {
-			return nc.failedErr()
-		}
-		zeroResult(result)
-		err := cl.Call(method, params, result)
-		if err == nil {
-			return nil
-		}
-		if !isConnFault(err) {
-			return err
-		}
-		lastErr = err
-		nc.noteFault(err)
-		c.metrics.noteNodeFault(node)
-		if rerr := c.recover(nc, gen, cl); rerr != nil {
-			return rerr
-		}
-	}
-	return lastErr
+	return c.wait(c.start(node, method, params, result))
 }
 
-// goNode starts one pipelined call on a node's current client (no
-// retry; fan-out callers route transport faults through call for the
-// recovery ladder).
-func (c *Coordinator) goNode(node, method string, params, result any) *Pending {
+// attempt is one try of a call, on the client generation it was issued
+// on (cl nil: the node has failed).
+type attempt struct {
+	node, method   string
+	params, result any
+	cl             *Client
+	gen            uint64
+	p              *Pending
+}
+
+// start issues an attempt on node's current client, result re-zeroed
+// first so a partial decode never leaks into a retry.
+func (c *Coordinator) start(node, method string, params, result any) *attempt {
 	nc := c.conns[node]
-	cl, _ := nc.current()
-	if cl == nil {
-		p := &Pending{method: method, errc: make(chan error, 1)}
-		p.errc <- nc.failedErr()
-		return p
+	a := &attempt{node: node, method: method, params: params, result: result}
+	if a.cl, a.gen = nc.current(); a.cl == nil {
+		a.p = &Pending{method: method, errc: make(chan error, 1)}
+		a.p.errc <- nc.failedErr()
+		return a
 	}
-	return cl.Go(method, params, result)
+	zeroResult(result)
+	a.p = a.cl.Go(method, params, result)
+	return a
+}
+
+// wait finishes a call under the one attempt-and-recover discipline: a
+// transport fault (broken stream, timeout) on any attempt, pipelined or
+// not, is counted and recovers the client generation that attempt was
+// issued on (recover), and only then is the call retried, on the
+// replacement. Application errors return at once; retried methods are
+// idempotent by key, so at-least-once delivery is safe.
+func (c *Coordinator) wait(a *attempt) error {
+	nc := c.conns[a.node]
+	// One attempt per client generation the recovery ladder can hand out,
+	// plus the original: reconnects, then the degraded fallback.
+	for tries := 1; ; tries++ {
+		err := a.p.Wait()
+		if err == nil || a.cl == nil || !isConnFault(err) {
+			return err
+		}
+		nc.noteFault(err)
+		c.metrics.noteNodeFault(a.node)
+		if rerr := c.recover(nc, a.gen, a.cl); rerr != nil {
+			return rerr
+		}
+		if tries == c.policy.MaxReconnects+2 {
+			return err
+		}
+		a = c.start(a.node, a.method, a.params, a.result)
+	}
 }
 
 // recover is the single-flight recovery ladder for one node. gen is the
@@ -911,9 +917,8 @@ type shadowSet struct {
 	depth  int             // what this set adds to the relay-depth gauge
 	called map[string]bool // agents the set has called: Close's fan-out
 
-	agents []string         // a step's agents, in first-delivery order
-	slot   map[string]int   // agent → index into agents
-	views  []core.RouteView // a step's after-views, one per delivery
+	agents []string       // a step's agents, in first-delivery order
+	slot   map[string]int // agent → index into agents
 }
 
 // first records a call to node: true for the set's first, marked Open.
@@ -936,22 +941,17 @@ func shadowLost(err error) error {
 
 // fanOut issues one pipelined inject_witness per node — all in flight at
 // once; the agents sit on different connections, so the fan-out completes
-// in one RTT — and waits for every answer. A transport fault on a
-// pipelined attempt retries through the recovering call path. It returns
-// the first error; the answers of the nodes that answered are filled in
-// regardless.
+// in one RTT — and waits for every answer, each through the recovering
+// wait. It returns the first error; the answers of the nodes that
+// answered are filled in regardless.
 func (c *Coordinator) fanOut(nodes []string, params []*InjectBatchParams, outs []InjectBatchResult) error {
-	pend := make([]*Pending, len(nodes))
+	calls := make([]*attempt, len(nodes))
 	for i, n := range nodes {
-		pend[i] = c.goNode(n, MethodInjectWitness, params[i], &outs[i])
+		calls[i] = c.start(n, MethodInjectWitness, params[i], &outs[i])
 	}
 	var firstErr error
-	for i, p := range pend {
-		err := p.Wait()
-		if err != nil && isConnFault(err) {
-			err = c.call(nodes[i], MethodInjectWitness, params[i], &outs[i])
-		}
-		if err != nil && firstErr == nil {
+	for _, a := range calls {
+		if err := c.wait(a); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -968,18 +968,19 @@ func (c *Coordinator) OpenShadows() core.Shadows {
 }
 
 // Close tears the set down on every agent it called (an id an agent
-// never opened closes as a no-op). Best-effort: a failed close leaks one
-// clone on that agent until its next session, not the round.
+// never opened closes as a no-op). Best-effort, one attempt each and no
+// recovery: a failed close leaks one clone on that agent until its next
+// session, not the round.
 func (s *shadowSet) Close() {
-	pend := make([]*Pending, 0, len(s.called))
+	calls := make([]*attempt, 0, len(s.called))
 	params := &ShadowCloseParams{ShadowID: s.id}
 	for _, n := range s.c.nodes {
 		if s.called[n] {
-			pend = append(pend, s.c.goNode(n, MethodShadowClose, params, nil))
+			calls = append(calls, s.c.start(n, MethodShadowClose, params, nil))
 		}
 	}
-	for _, p := range pend {
-		_ = p.Wait()
+	for _, a := range calls {
+		_ = a.p.Wait()
 	}
 	s.span.End()
 }
@@ -1004,14 +1005,11 @@ func (c *Coordinator) routeView(q *QueryOracleResult) (core.RouteView, error) {
 	if len(q.PropMatch) > len(c.propSrcs) {
 		return core.RouteView{}, frameErr("%d prop_match verdicts for %d properties", len(q.PropMatch), len(c.propSrcs))
 	}
-	v := core.RouteView{
+	return core.RouteView{
+		Token:   q.BestToken,
 		Hop:     core.ForwardHop{HasCovering: q.HasCovering, Local: q.CoveringLocal, NextPeer: q.CoveringNextPeer},
 		AtMatch: q.PropMatch,
-	}
-	if q.BestToken != 0 {
-		v.Token = q.BestToken
-	}
-	return v, nil
+	}, nil
 }
 
 // Propagate runs the group's waves through the relay, each step one
@@ -1034,9 +1032,9 @@ func (s *shadowSet) setDepth(depth int) {
 
 // step is the RPC relay step: the step split per agent in delivery order,
 // one pipelined inject_witness per agent under a fresh key (fanOut; a
-// transport fault retries through the recovering call with the same
-// params, so under the same key, and the agent's memo answers it), and the
-// answers mapped back onto the deliveries in order.
+// retry after a transport fault resends the same params, so the same
+// key, and the agent's memo answers it), and the answers mapped back
+// onto the deliveries in order.
 func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte), wantAt bool) error {
 	s.setDepth(depth)
 	s.agents = s.agents[:0]
@@ -1063,20 +1061,16 @@ func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delive
 			return fmt.Errorf("dist: %s answered %d results for a batch of %d", s.agents[i], len(out.Results), len(params[i].Deliveries))
 		}
 	}
-	s.views = slices.Grow(s.views[:0], len(step))[:len(step)]
 	for i := range step {
 		d := &step[i]
 		out := &outs[s.slot[d.To]]
 		res := &out.Results[0]
 		out.Results = out.Results[1:]
-		if d.First && res.Before != 0 {
-			d.Before = res.Before
-		}
 		var err error
-		if s.views[i], err = s.c.routeView(&res.After); err != nil {
+		if d.After, err = s.c.routeView(&res.After); err != nil {
 			return err
 		}
-		d.After = &s.views[i]
+		d.Before = res.Before
 		for _, em := range res.Emitted {
 			emit(d, em.To, em.Msg)
 		}

@@ -41,8 +41,8 @@
 // layout means bumping ProtoVersion, nothing else.
 //
 // Exactly once: delivery is at least once — a call that timed out or
-// lost its connection is sent again, on a new connection if need be —
-// and every effect happens once. One rule in rpcServer (server.go), the
+// lost its connection is sent again once its connection is recovered
+// (Coordinator.wait) — and every effect happens once. One rule in rpcServer (server.go), the
 // engine both servers embed, keeps that promise: requests execute one at
 // a time; a hello with a new session nonce clears the memo; a keyed
 // request (wire.go) names a slot and a key, and one whose key is its

@@ -290,10 +290,11 @@ func TestReconnectMidRound(t *testing.T) {
 
 // TestRetriedShadowOpenLeaksNothing: the answer to upstream's opening
 // inject_witness — the call that clones its shadow — is delayed past the
-// deadline, so the coordinator reconnects and sends the call again after
-// the agent has already opened the shadow and delivered. The memo answers
-// the retry: upstream clones exactly as often as in a fault-free round,
-// the round lands on the fault-free snapshot, and no clone is left open.
+// deadline, so the coordinator counts the fault, reconnects and sends the
+// call again, once, after the agent has already opened the shadow and
+// delivered. The memo answers the retry: upstream clones exactly as often
+// as in a fault-free round, the round lands on the fault-free snapshot,
+// and no clone is left open.
 func TestRetriedShadowOpenLeaksNothing(t *testing.T) {
 	leakCheck(t)
 	round := func(wrap func(string, Dialer) Dialer, copts ...ConnOption) (*RoundResult, *Coordinator, *agentMetrics) {
@@ -325,8 +326,8 @@ func TestRetriedShadowOpenLeaksNothing(t *testing.T) {
 	if h := res.Health["upstream"]; h.Faults != 1 || h.Reconnects != 1 {
 		t.Fatalf("upstream health %+v, want the one delayed opening answer and its reconnect", h)
 	}
-	if m.memoHits.With("inject").Value() == 0 {
-		t.Error("no inject memo hit on upstream: the retried opening call ran again")
+	if n := m.memoHits.With("inject").Value(); n != 1 {
+		t.Errorf("%d inject memo hits on upstream, want 1: the call reaches the agent once, and its one retry, on the replacement connection, is answered from the memo", n)
 	}
 	if got, want := m.shadowsOpened.Value(), cleanM.shadowsOpened.Value(); got != want || want == 0 {
 		t.Errorf("upstream opened %d shadows, %d in the fault-free round: the retried opening call cloned again", got, want)

@@ -150,14 +150,12 @@ func netsimWaves(t *testing.T, base modelFabric, w WitnessSpec, maxSteps int) ([
 }
 
 // relayWaves runs the same lifecycle alone through a core.Relay over a
-// fresh shadow of live, recording every delivery the relay hands its
-// step.
-func relayWaves(t *testing.T, d *core.Driver, live *core.Fabric, w WitnessSpec, maxSteps int) ([]waveDelivery, [2]prop.Phase) {
+// fresh in-process shadow set of fe, recording every delivery the relay
+// hands its step.
+func relayWaves(t *testing.T, d *core.Driver, fe *core.FederatedExperiment, w WitnessSpec, maxSteps int) ([]waveDelivery, [2]prop.Phase) {
 	t.Helper()
-	sh, err := live.Shadow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := fe.OpenShadows().(*core.FabricShadows)
+	defer sh.Close()
 	var (
 		out    []waveDelivery
 		phases [2]prop.Phase
@@ -169,7 +167,7 @@ func relayWaves(t *testing.T, d *core.Driver, live *core.Fabric, w WitnessSpec, 
 			for _, d := range step {
 				out = append(out, waveDelivery{phase, d.At, d.To, string(d.Data)})
 			}
-			return sh.Deliver(step, depth, emit)
+			return sh.Step(step, depth, emit)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +227,7 @@ func TestRelayMatchesNetsim(t *testing.T) {
 					w := WitnessSpec{Node: tr.Node, Peer: tr.Peer, Update: f.Witness}
 					maxSteps := d.Opts.MaxPropagationSteps
 					want, wantPhases := netsimWaves(t, base, w, maxSteps)
-					got, gotPhases := relayWaves(t, d, fe.Fabric, w, maxSteps)
+					got, gotPhases := relayWaves(t, d, fe, w, maxSteps)
 					if i, differ := firstDifference(got, want); differ {
 						t.Fatalf("witness %s at %s←%s: relay made %d deliveries, the model %d; first difference at %d:\n relay %v\n model %v",
 							w.Update.NLRI[0], w.Node, w.Peer, len(got), len(want), i, at(got, i), at(want, i))

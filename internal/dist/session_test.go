@@ -245,10 +245,9 @@ func TestDeliverIdempotentAndAtomic(t *testing.T) {
 	type shadowState struct {
 		updates  uint64
 		prefixes int
-		sunk     int
 	}
 	state := func() shadowState {
-		return shadowState{sh.r.Counters().UpdatesProcessed, sh.r.RIB().Prefixes(), sh.sink.Count()}
+		return shadowState{sh.Router().Counters().UpdatesProcessed, sh.Router().RIB().Prefixes()}
 	}
 
 	before := state()

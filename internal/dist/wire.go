@@ -955,12 +955,11 @@ func (p *QueryOracleParams) wire(c coder) coder {
 // for the trace oracle. It answers query_oracle, and rides in every
 // InjectResult as the delivery's after-view.
 type QueryOracleResult struct {
-	// BestToken is the shadow-scoped identity token of the exact-prefix
-	// best route object; tokens start at 1 and 0 means the node has no
-	// best route for the prefix. Before/after comparison carries the
-	// in-process backend's pointer-identity check across the wire: any
+	// BestToken is core.RouteView.Token as the node's shadow minted it
+	// (core.NodeShadow, the same on both backends): tokens start at 1 and
+	// 0 means the node has no best route for the prefix. Any
 	// re-installation — even of byte-identical content — yields a new
-	// token, exactly as it yields a new pointer.
+	// token.
 	BestToken uint64
 	// Covering facts drive the forward trace: is traffic for the prefix
 	// routed at all, delivered locally, or handed to a neighbor?

@@ -197,9 +197,9 @@ func (r *Router) LastAnnounced(peer string) *bgp.Update {
 // by the federated forward-trace oracle to walk a route back toward the
 // neighbor that advertised it.
 func (r *Router) PeerNameByAddr(a netaddr.Addr) string {
-	for name, ps := range r.peers {
+	for _, ps := range r.order {
 		if ps.peer.Addr == a {
-			return name
+			return ps.peer.Name
 		}
 	}
 	return ""

@@ -42,14 +42,6 @@
 // and a node whose agent stays unreachable degrades to an in-process
 // replacement (reported after the run) without changing the findings.
 //
-// Distributed exploration can be offloaded to an elastic pool of
-// stateless replicas (cmd/dicereplica) over the checkpoint RPC — the
-// coordinator ships each target's checkpointed state and scenario seed,
-// and shards are work-stolen across the pool:
-//
-//	dice -topology topo.json -distributed ... -replicas 4
-//	dice -topology topo.json -distributed ... -replica-addrs 127.0.0.1:7421,127.0.0.1:7422
-//
 // AS-relationship topologies (customer/provider/peer tiers with
 // Gao-Rexford export policies, 8..10000 nodes, deterministic by seed)
 // are generated with -asgen (see examples/asgen/README.md):
@@ -112,8 +104,6 @@ func main() {
 		propSteps     = flag.Int("propagation-steps", 0, "federated mode: max shadow propagation steps per witness (0 = 4096)")
 		propsFlag     = flag.String("properties", "", "federated mode: comma-separated .prop files with declarative cross-node properties (merged over the built-in oracles by kind)")
 		distributed   = flag.String("distributed", "", "distributed mode: comma-separated dicenode agent addresses (requires -topology; one agent per node)")
-		replicasN     = flag.Int("replicas", 0, "distributed mode: offload exploration to this many in-process replicas (an elastic pool over the checkpoint RPC)")
-		replicaAddrs  = flag.String("replica-addrs", "", "distributed mode: comma-separated dicereplica addresses to offload exploration to")
 		asgenNodes    = flag.Int("asgen", 0, "generate an AS-relationship topology with this many nodes (customer/provider/peer tiers, Gao-Rexford export policies) and explore it as the federated topology")
 		asgenSeed     = flag.Int64("asgen-seed", 1, "asgen: generator seed (the same seed always yields the identical topology)")
 		asgenClauses  = flag.Int("asgen-clauses", 0, "asgen: extra policy clauses per customer-import filter (deepens the concolic search space)")
@@ -154,9 +144,6 @@ func main() {
 	}
 	if *distributed != "" && *topologyFile == "" {
 		log.Fatal("-distributed requires -topology (the coordinator resolves targets and links from the topology file)")
-	}
-	if (*replicasN > 0 || *replicaAddrs != "") && *distributed == "" {
-		log.Fatal("-replicas and -replica-addrs require -distributed (replicas offload the agents' exploration phase)")
 	}
 	if *asgenNodes > 0 && *topologyFile != "" {
 		log.Fatal("-asgen and -topology are exclusive (asgen generates the topology)")
@@ -259,8 +246,6 @@ func main() {
 			updateGolden:   *updateGolden,
 			rpcTimeout:     *rpcTimeout,
 			dialTimeout:    *dialTimeout,
-			replicas:       *replicasN,
-			replicaAddrs:   *replicaAddrs,
 			metricsAddr:    *metricsAddr,
 			traceOut:       *traceOut,
 		}
@@ -412,8 +397,6 @@ type fedRun struct {
 	updateGolden    bool
 	rpcTimeout      time.Duration
 	dialTimeout     time.Duration
-	replicas        int
-	replicaAddrs    string
 	metricsAddr     string
 	traceOut        string
 }
@@ -648,22 +631,6 @@ func runDistributed(run fedRun, addrs string) {
 	if tracer != nil {
 		copts = append(copts, dist.WithTracer(tracer))
 	}
-	var pool *dist.ReplicaPool
-	if run.replicas > 0 || run.replicaAddrs != "" {
-		var rdialers []dist.Dialer
-		for i := 0; i < run.replicas; i++ {
-			rdialers = append(rdialers, dist.ReplicaLoopback{Replica: dist.NewReplica()})
-		}
-		for _, addr := range strings.Split(run.replicaAddrs, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			rdialers = append(rdialers, dist.TCPDialer{Addr: addr, Timeout: run.dialTimeout})
-		}
-		pool = &dist.ReplicaPool{Dialers: rdialers}
-		copts = append(copts, dist.WithReplicas(pool))
-	}
 	coord, err := dist.Connect(topo, run.options(), dialers, copts...)
 	if err != nil {
 		log.Fatal(err)
@@ -721,11 +688,6 @@ func runDistributed(run fedRun, addrs string) {
 	}
 	if run.rounds > 1 {
 		fmt.Printf("\n%d violation(s) confirmed across %d rounds\n", confirmed, run.rounds)
-	}
-	if pool != nil {
-		st := pool.Stats()
-		fmt.Printf("\nreplica pool: %d worker(s) started (%d by autoscale), %d shard(s) explored, %d stolen, %d reconnect(s)\n",
-			st.Started, st.Scaled, st.Completed, st.Requeues, st.Reconnects)
 	}
 	printFleetHealth(last.Health)
 	run.writeTrace(tracer)

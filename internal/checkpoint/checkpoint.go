@@ -11,15 +11,6 @@
 // set of pages fork's COW would share — so the §4.1 unique-page and
 // clone-overhead measurements are computed from real structural sharing,
 // not estimates.
-//
-// A Snapshot is also the one off-node form of a checkpoint. Its page
-// identity — where a page starts and what it is called — is decided once,
-// by the TakeChunks that ingested it, and every later hop keeps it: a
-// sender ships the ordered Keys plus whichever Page bodies the receiver
-// lacks, and the receiver's own Store either assembles the same snapshot
-// from them or names the keys it is missing. Because page boundaries
-// follow the node's stable regions rather than byte offsets, the pages a
-// receiver already holds stay valid when the node's state grows.
 package checkpoint
 
 import (
@@ -31,8 +22,7 @@ import (
 // DefaultPageSize matches the 4 KiB pages of the paper's Linux testbed.
 const DefaultPageSize = 4096
 
-// Key is a page's content address (SHA-256 of its bytes): the page's
-// identity in every store and on the wire.
+// Key is a page's content address (SHA-256 of its bytes).
 type Key [sha256.Size]byte
 
 type page struct {
@@ -103,71 +93,21 @@ func (st *Store) TakeChunks(label string, chunks [][]byte) *Snapshot {
 	}
 	for _, state := range chunks {
 		for off := 0; off < len(state); off += st.pageSize {
-			end := off + st.pageSize
-			if end > len(state) {
-				end = len(state)
+			data := state[off:min(off+st.pageSize, len(state))]
+			key := sha256.Sum256(data)
+			st.ingested++
+			if p, ok := st.pages[key]; ok {
+				p.refs++
+				st.shared++
+			} else {
+				st.pages[key] = &page{data: append([]byte(nil), data...), refs: 1}
+				st.resident += len(data)
 			}
-			st.hold(snap, sha256.Sum256(state[off:end]), state[off:end])
+			snap.keys = append(snap.keys, key)
+			snap.size += len(data)
 		}
 	}
 	return snap
-}
-
-// hold appends the page named key to snap, taking one reference on it;
-// data is copied in when the store does not have the page yet. Callers
-// hold st.mu.
-func (st *Store) hold(snap *Snapshot, key Key, data []byte) {
-	st.ingested++
-	p, ok := st.pages[key]
-	if ok {
-		p.refs++
-		st.shared++
-	} else {
-		p = &page{data: append([]byte(nil), data...), refs: 1}
-		st.pages[key] = p
-		st.resident += len(data)
-	}
-	snap.keys = append(snap.keys, key)
-	snap.size += len(p.data)
-}
-
-// Assemble is TakeChunks on the receiving side of a shipment: keys is a
-// snapshot's ordered manifest (Snapshot.Keys) and pages are the page
-// bodies the sender chose to ship, in any order — a page is identified by
-// its content, so no index travels with it. When every key resolves,
-// against the store or against pages, the result is a snapshot equal to
-// the sender's, holding references like any other. Otherwise nothing is
-// stored and missing names the unresolved keys, each once, in manifest
-// order, for the sender to ship. Shipped pages the manifest does not name
-// are dropped.
-func (st *Store) Assemble(label string, keys []Key, pages [][]byte) (snap *Snapshot, missing []Key) {
-	shipped := make(map[Key][]byte, len(pages))
-	for _, pg := range pages {
-		shipped[sha256.Sum256(pg)] = pg
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var named map[Key]bool
-	for _, k := range keys {
-		_, stored := st.pages[k]
-		_, sent := shipped[k]
-		if stored || sent || named[k] {
-			continue
-		}
-		if named == nil {
-			named = make(map[Key]bool)
-		}
-		named[k] = true
-		missing = append(missing, k)
-	}
-	if len(missing) > 0 {
-		return nil, missing
-	}
-	snap = &Snapshot{store: st, keys: make([]Key, 0, len(keys)), label: label}
-	for _, k := range keys {
-		st.hold(snap, k, shipped[k])
-	}
-	return snap, nil
 }
 
 // Bytes reassembles the checkpointed state.
@@ -175,27 +115,14 @@ func (s *Snapshot) Bytes() []byte {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
 	out := make([]byte, 0, s.size)
-	for i := range s.keys {
-		out = append(out, s.page(i)...)
+	for _, k := range s.keys {
+		p, ok := s.store.pages[k]
+		if !ok {
+			panic(fmt.Sprintf("checkpoint: snapshot %q references evicted page", s.label))
+		}
+		out = append(out, p.data...)
 	}
 	return out
-}
-
-// Page returns the body of the snapshot's i-th page. The bytes are the
-// store's own; callers must not modify them.
-func (s *Snapshot) Page(i int) []byte {
-	s.store.mu.Lock()
-	defer s.store.mu.Unlock()
-	return s.page(i)
-}
-
-// page resolves the i-th key; callers hold the store's lock.
-func (s *Snapshot) page(i int) []byte {
-	p, ok := s.store.pages[s.keys[i]]
-	if !ok {
-		panic(fmt.Sprintf("checkpoint: snapshot %q references evicted page", s.label))
-	}
-	return p.data
 }
 
 // Release drops the snapshot's page references; pages reaching zero
@@ -222,12 +149,6 @@ func (s *Snapshot) Pages() int { return len(s.keys) }
 
 // Size returns the logical byte size of the snapshot.
 func (s *Snapshot) Size() int { return s.size }
-
-// Keys returns the snapshot's manifest: its pages' keys in state order
-// (a page that occurs twice is listed twice). Together with the page
-// bodies it is everything Store.Assemble needs. The slice is the
-// snapshot's own; callers must not modify it.
-func (s *Snapshot) Keys() []Key { return s.keys }
 
 // SharedPages counts pages of s that are physically shared with o
 // (identical content at any position). This is the set fork's COW would

@@ -68,15 +68,6 @@ func (sm *StateMap) For(nodeID string) *ExploreState {
 	return st
 }
 
-// Attach installs st as the node's state, replacing any existing one —
-// the warm-handoff path: a replacement member inherits a frontier that
-// was decoded off the wire rather than grown in this process.
-func (sm *StateMap) Attach(nodeID string, st *ExploreState) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	sm.m[nodeID] = st
-}
-
 // Peek returns the node's state without allocating (nil if none).
 func (sm *StateMap) Peek(nodeID string) *ExploreState {
 	sm.mu.Lock()

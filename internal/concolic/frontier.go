@@ -29,54 +29,29 @@ func (it *workItem) conjunction() []sym.Expr {
 
 // pathRec pins the constraints behind a path-signature entry so a
 // fingerprint collision is detected structurally instead of silently
-// merging two distinct paths. A record imported from the wire
-// (state_wire.go) carries the canonical rendering instead of expression
-// references — verification then compares renderings, with the same
-// soundness: a collision can cost a duplicate solve, never lose a path.
+// merging two distinct paths.
 type pathRec struct {
 	assumes, path []sym.Expr
-	rendered      string // set on imported records; exprs are nil
 }
 
 func (r pathRec) equals(assumes, path []sym.Expr) bool {
-	if r.rendered != "" {
-		return r.rendered == renderPathRec(assumes, path)
-	}
 	return sym.PathsEqual(r.assumes, assumes) && sym.PathsEqual(r.path, path)
 }
 
-func (r pathRec) render() string {
-	if r.rendered != "" {
-		return r.rendered
-	}
-	return renderPathRec(r.assumes, r.path)
-}
-
 // negRec pins the query behind a negation-key entry, same soundness
-// contract as pathRec (including the imported-record rendering form).
+// contract as pathRec.
 type negRec struct {
-	assumes  []sym.Expr
-	path     []sym.Expr
-	depth    int
-	negated  sym.Expr
-	rendered string // set on imported records; exprs are nil
+	assumes []sym.Expr
+	path    []sym.Expr
+	depth   int
+	negated sym.Expr
 }
 
 func (r negRec) equals(assumes, path []sym.Expr, depth int, neg sym.Expr) bool {
-	if r.rendered != "" {
-		return r.depth == depth && r.rendered == renderNegRec(assumes, path[:depth], neg)
-	}
 	return r.depth == depth &&
 		sym.PathsEqual(r.assumes, assumes) &&
 		sym.PathsEqual(r.path[:r.depth], path[:depth]) &&
 		sym.Equal(r.negated, neg)
-}
-
-func (r negRec) render() string {
-	if r.rendered != "" {
-		return r.rendered
-	}
-	return renderNegRec(r.assumes, r.path[:r.depth], r.negated)
 }
 
 // pathSigSep separates the assumption constraints from the branch

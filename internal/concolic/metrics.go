@@ -3,7 +3,7 @@ package concolic
 import "dice/internal/telemetry"
 
 // Metrics is the concolic engine's telemetry bundle: one instance per
-// process (agent, replica, or in-process run), shared by every engine
+// process (agent or in-process run), shared by every engine
 // attached to the same registry. Recording happens once per round when
 // the scheduler drains, so exploration's hot path is untouched. A nil
 // *Metrics is a safe no-op.

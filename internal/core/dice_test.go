@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"dice/internal/bgp"
@@ -322,49 +321,6 @@ func TestFindingsAreActionable(t *testing.T) {
 	}
 	if fd.String() == "" {
 		t.Fatal("empty finding string")
-	}
-}
-
-// TestExploreSnapshotMatchesLive: the §2.4 remote-exploration path — a
-// node checkpoints, the checkpoint is restored elsewhere (capture-sink
-// transport), and exploration over the restored state finds the same
-// hijacks as exploring the live node.
-func TestExploreSnapshotMatchesLive(t *testing.T) {
-	f, err := NewFig2(Fig2Options{CustomerFilter: BrokenCustomerFilter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := append(smallTrace(200, 0), victimRecord("10.6.0.0/16", 64999))
-	if _, err := f.LoadTable(recs); err != nil {
-		t.Fatal(err)
-	}
-	seed := f.Provider.LastObserved(NodeCustomer)
-
-	// Live exploration.
-	live, err := New(f.Provider, Options{Engine: concolic.Options{MaxRuns: 2000}}).ExplorePeer(NodeCustomer)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Ship the checkpoint, restore, explore remotely.
-	state := bytes.Join(f.Provider.EncodeStateChunks(), nil)
-	remote, err := exploreRestored(f, state, seed, concolic.Options{MaxRuns: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(remote.Findings) != len(live.Findings) {
-		t.Fatalf("remote found %d, live found %d", len(remote.Findings), len(live.Findings))
-	}
-	for i := range live.Findings {
-		if live.Findings[i].VictimPrefix != remote.Findings[i].VictimPrefix {
-			t.Fatalf("finding %d differs: %v vs %v", i, live.Findings[i], remote.Findings[i])
-		}
-	}
-	// Live network untouched by the remote round (trivially true: the
-	// restored router only has a capture sink).
-	if f.Net.Pending() != 0 {
-		t.Fatal("remote exploration leaked deliveries")
 	}
 }
 

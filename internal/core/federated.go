@@ -240,10 +240,9 @@ func (e *SeedUnavailableError) Unwrap() error { return e.Err }
 // checkpoint clone of the live node, the scenario seed, and a declared
 // engine whose handler executes against COW forks of the checkpoint and
 // whose judge is the scenario's per-path oracle.
-// Every Fleet's phase 1 — FederatedExperiment.Explore, the distributed
-// node agent and the replica (internal/dist) — prepares targets through
-// PrepareTarget / PrepareRestored, so the per-target pipeline lives in
-// exactly one place.
+// Every Fleet's phase 1 — FederatedExperiment.Explore and the distributed
+// node agent (internal/dist) — prepares targets through PrepareTarget, so
+// the per-target pipeline lives in exactly one place.
 type TargetPrep struct {
 	Target     ResolvedTarget
 	Scenario   Scenario
@@ -290,8 +289,8 @@ func seedOf(live *router.Router, tg ResolvedTarget) (Scenario, any, error) {
 }
 
 // WarmKey names one target's cross-round exploration state wherever it
-// is kept: a concolic.StateMap in process or on an agent, the
-// coordinator's warm cache of replica shards.
+// is kept — a concolic.StateMap in process or on an agent — and the
+// target's finding keys in the coordinator's degraded-replacement filter.
 func WarmKey(node, scenario, peer string) string {
 	return node + "/" + scenario + "/" + peer
 }
@@ -314,8 +313,8 @@ func checkpointOf(live *router.Router, lock sync.Locker) (*router.Router, *netsi
 }
 
 // prepareSeeded is handler → judge → declare over a checkpoint whose
-// sends go to sink, written once for the federated backends, single-node
-// DiCE and the replica alike. Every exploration clone forks from ckpt,
+// sends go to sink, written once for the federated backends and
+// single-node DiCE alike. Every exploration clone forks from ckpt,
 // never from a live router. Cross-round state, when any, arrives on
 // engOpts.State.
 func prepareSeeded(ckpt *router.Router, sink *netsim.CaptureSink, tg ResolvedTarget, sc Scenario, seed any, engOpts concolic.Options, decorate runDecorator) (*TargetPrep, error) {

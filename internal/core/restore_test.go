@@ -9,22 +9,34 @@ import (
 	"dice/internal/bgp"
 	"dice/internal/checkpoint"
 	"dice/internal/concolic"
+	"dice/internal/netsim"
+	"dice/internal/router"
 )
 
-// These tests pin down the serialization contracts the distributed wire
-// protocol (internal/dist) depends on: a node's state must round-trip
-// bytes-exactly through the page-deduplicating checkpoint store, the
-// restored router must explore like the original, and warm cross-round
-// ExploreState must compose with snapshot restoration — the agent keeps
-// state server-side across Explore calls while every round runs over a
-// freshly restored clone.
+// These tests pin down what a node's serialized state must hold: it
+// round-trips bytes-exactly through the page-deduplicating checkpoint
+// store, and a router restored from it (router.DecodeState) explores
+// like the original — so EncodeStateChunks captures the node's whole
+// state, and the pages the E1 accounting counts are that state. Warm
+// cross-round ExploreState composes with restoration: state lives
+// across rounds while every round runs over a freshly restored router.
 
-// exploreRestored explores provider←customer over a shipped checkpoint
-// the way a replica does (dist.Replica.explore): PrepareRestored, then
-// the prepared engine's exploration and the scenario's fold.
+// exploreRestored explores provider←customer over a router restored from
+// state: router.DecodeState onto a capture sink, then the one per-target
+// prep (prepareSeeded), the prepared engine's exploration and the
+// scenario's fold.
 func exploreRestored(f *Fig2, state []byte, seed *bgp.Update, engOpts concolic.Options) (*Result, error) {
 	tg := ResolvedTarget{Node: NodeProvider, Peer: NodeCustomer, Scenario: ScenarioUpdate, Explicit: true}
-	tp, err := PrepareRestored(NodeProvider, f.Provider.Config(), state, tg, seed, engOpts)
+	sc, err := LookupScenario(tg.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	sink := netsim.NewCaptureSink()
+	ckpt, err := router.DecodeState(NodeProvider, f.Provider.Config(), sink, state)
+	if err != nil {
+		return nil, err
+	}
+	tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +46,7 @@ func exploreRestored(f *Fig2, state []byte, seed *bgp.Update, engOpts concolic.O
 // TestCheckpointChunksRoundTrip: EncodeStateChunks through a checkpoint
 // store reassembles to the exact concatenated chunks, restores to an
 // equivalent router, and re-encodes identically (a stable fixpoint —
-// what lets snapshots be shipped, stored and compared by content).
+// what lets snapshots be stored and compared by content).
 func TestCheckpointChunksRoundTrip(t *testing.T) {
 	f, err := NewFig2(Fig2Options{CustomerFilter: BrokenCustomerFilter})
 	if err != nil {
@@ -60,7 +72,7 @@ func TestCheckpointChunksRoundTrip(t *testing.T) {
 	}
 
 	// Unchanged state re-ingested must share every page (the fork-COW
-	// property the agent's Checkpoint RPC reports as UniquePages 0).
+	// property E1 counts as no unique pages).
 	before := store.Stats()
 	snap2 := store.TakeChunks("provider-again", f.Provider.EncodeStateChunks())
 	after := store.Stats()
@@ -69,6 +81,48 @@ func TestCheckpointChunksRoundTrip(t *testing.T) {
 	}
 	if got := snap2.SharedPages(snap); got != snap.Pages() {
 		t.Errorf("snapshots share %d of %d pages", got, snap.Pages())
+	}
+}
+
+// TestExploreSnapshotMatchesLive: a node's serialized state, restored
+// onto a capture sink, explores to the same hijacks as the live node —
+// the state holds everything exploration reads.
+func TestExploreSnapshotMatchesLive(t *testing.T) {
+	f, err := NewFig2(Fig2Options{CustomerFilter: BrokenCustomerFilter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := append(smallTrace(200, 0), victimRecord("10.6.0.0/16", 64999))
+	if _, err := f.LoadTable(recs); err != nil {
+		t.Fatal(err)
+	}
+	seed := f.Provider.LastObserved(NodeCustomer)
+
+	// Live exploration.
+	live, err := New(f.Provider, Options{Engine: concolic.Options{MaxRuns: 2000}}).ExplorePeer(NodeCustomer)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Serialize, restore, explore the restored router.
+	state := bytes.Join(f.Provider.EncodeStateChunks(), nil)
+	restored, err := exploreRestored(f, state, seed, concolic.Options{MaxRuns: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(restored.Findings) != len(live.Findings) {
+		t.Fatalf("restored found %d, live found %d", len(restored.Findings), len(live.Findings))
+	}
+	for i := range live.Findings {
+		if live.Findings[i].VictimPrefix != restored.Findings[i].VictimPrefix {
+			t.Fatalf("finding %d differs: %v vs %v", i, live.Findings[i], restored.Findings[i])
+		}
+	}
+	// Live network untouched by the restored round (trivially true: the
+	// restored router only has a capture sink).
+	if f.Net.Pending() != 0 {
+		t.Fatal("restored exploration leaked deliveries")
 	}
 }
 

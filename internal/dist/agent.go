@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"dice/internal/bgp"
-	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/core"
 	"dice/internal/prop"
@@ -42,7 +41,6 @@ type Agent struct {
 	sharedFabric bool
 
 	states *concolic.StateMap // per-(scenario, peer) warm exploration state
-	store  *checkpoint.Store  // page-deduplicating snapshot store
 
 	// Telemetry (nil unless EnableTelemetry ran): handler-level counters
 	// and the per-round concolic metrics threaded into every explore.
@@ -55,10 +53,8 @@ type Agent struct {
 	props []*prop.Compiled
 
 	// shadows are the open witness-propagation clones, by the ids the
-	// coordinator minted; lastSnap is the latest checkpoint, retained so
-	// the next one shares its unchanged pages.
-	shadows  map[uint64]*core.NodeShadow
-	lastSnap *checkpoint.Snapshot
+	// coordinator minted.
+	shadows map[uint64]*core.NodeShadow
 }
 
 // noShadowMarker is the stable substring of the agent's missing-shadow
@@ -121,10 +117,9 @@ func newAgent(topo *core.Topology, node string, fabric *core.Fabric, boundary ui
 		boundary:     boundary,
 		sharedFabric: shared,
 		states:       concolic.NewStateMap(),
-		store:        checkpoint.NewStore(0),
 		shadows:      make(map[uint64]*core.NodeShadow),
 	}
-	a.rpcServer = rpcServer{handler: a, name: node, role: "agent"}
+	a.rpcServer = rpcServer{handler: a, name: node}
 	return a, nil
 }
 
@@ -132,30 +127,13 @@ func newAgent(topo *core.Topology, node string, fabric *core.Fabric, boundary ui
 func (a *Agent) Node() string { return a.node }
 
 // EnableTelemetry registers this agent's metric families on reg and
-// starts recording: RPC server counters, checkpoint pages, memo hits,
-// open shadows, and the concolic engine's per-round exploration metrics.
+// starts recording: RPC server counters, memo hits, open shadows, and
+// the concolic engine's per-round exploration metrics.
 // Call it before serving; a nil registry leaves telemetry off.
 func (a *Agent) EnableTelemetry(reg *telemetry.Registry) {
 	a.rpcServer.tm = newServerMetrics(reg)
 	a.am = newAgentMetrics(reg)
 	a.concolicM = concolic.NewMetrics(reg)
-}
-
-// SeedExploreState attaches serialized cross-round exploration memory
-// (concolic ExploreState wire encoding) to the agent's warm-state slot
-// for one (scenario, peer) target — the coordinator's warm handoff: a
-// replacement agent establishing cold inherits the frontier its dead
-// predecessor had shipped, so its first warm round skips every path the
-// fleet already explored instead of rediscovering them.
-func (a *Agent) SeedExploreState(scenario, peer string, data []byte) error {
-	st, err := concolic.DecodeExploreState(data)
-	if err != nil {
-		return fmt.Errorf("dist: %s warm state for %s/%s: %w", a.node, scenario, peer, err)
-	}
-	a.reqMu.Lock()
-	defer a.reqMu.Unlock()
-	a.states.Attach(core.WarmKey(a.node, scenario, peer), st)
-	return nil
 }
 
 // handle dispatches one decoded request; the server runs one at a time.
@@ -174,13 +152,6 @@ func (a *Agent) handle(method string, params message) (message, error) {
 		return a.queryOracle(p)
 	case *ReplayParams:
 		return a.replay(p)
-	case *SeedParams:
-		return a.seed(p)
-	case nil:
-		switch method {
-		case MethodCheckpoint:
-			return a.checkpoint()
-		}
 	}
 	return nil, fmt.Errorf("dist: agent does not serve %q", method)
 }
@@ -226,25 +197,6 @@ func (a *Agent) memoHit(method string) {
 	a.am.noteMemoHit(kind)
 }
 
-// checkpoint serializes the node's state as its stable regions, pages
-// them into the agent's store for the §4.1 accounting and returns the
-// regions; the receiver pages them the same way (CheckpointResult.Chunks).
-// Successive checkpoints share unchanged pages; only the latest snapshot
-// is retained.
-func (a *Agent) checkpoint() (*CheckpointResult, error) {
-	before := a.store.Stats()
-	chunks := a.self.EncodeStateChunks()
-	snap := a.store.TakeChunks(a.node, chunks)
-	after := a.store.Stats()
-	if a.lastSnap != nil {
-		a.lastSnap.Release()
-	}
-	a.lastSnap = snap
-	unique := int(after.Ingested-before.Ingested) - int(after.SharedHits-before.SharedHits)
-	a.am.noteCheckpoint(snap.Pages(), unique)
-	return &CheckpointResult{Chunks: chunks, Pages: snap.Pages(), UniquePages: unique}, nil
-}
-
 // explore runs one concolic exploration round on the agent's node
 // through the same per-target pipeline the in-process federated
 // backend uses (core.PrepareTarget / Analyze / WitnessRefs — the
@@ -261,15 +213,7 @@ func (a *Agent) explore(p *ExploreParams) (*ExploreResult, error) {
 		}
 		return nil, fmt.Errorf("dist: %s/%s: %w", a.node, p.Peer, err)
 	}
-	rep := tp.Engine.Explore()
-	return encodeExploreResult(tp, tp.Analyze(a.self, engOpts, a.boundary, rep))
-}
-
-// encodeExploreResult renders one explored target for the wire: the
-// report's counters, the findings as core reports them, and the validated
-// findings' concrete witness announcements. Agents and replicas answer
-// through here, so a shard reads the same wherever it ran.
-func encodeExploreResult(tp *core.TargetPrep, r *core.Result) (*ExploreResult, error) {
+	r := tp.Analyze(a.self, engOpts, a.boundary, tp.Engine.Explore())
 	rep := r.Report
 	out := &ExploreResult{
 		Scenario:          r.Scenario,
@@ -286,38 +230,15 @@ func encodeExploreResult(tp *core.TargetPrep, r *core.Result) (*ExploreResult, e
 		WitnessesRejected: r.WitnessesRejected,
 		Findings:          r.Findings,
 	}
+	// The validated findings' concrete witness announcements.
 	for _, wr := range tp.WitnessRefs(r) {
 		wire, err := bgp.Encode(wr.Update)
 		if err != nil {
-			return nil, fmt.Errorf("dist: %s/%s: encode witness for %s: %w", tp.Target.Node, tp.Target.Peer, wr.Update.NLRI[0], err)
+			return nil, fmt.Errorf("dist: %s/%s: encode witness for %s: %w", a.node, p.Peer, wr.Update.NLRI[0], err)
 		}
 		out.Witnesses = append(out.Witnesses, WireWitness{Finding: wr.Finding, Msg: wire})
 	}
 	return out, nil
-}
-
-// seed derives the target's scenario seed in replica-shippable form — a
-// concrete BGP UPDATE — or reports why none ships: Missing (nothing
-// observed yet, the defaulted-target skip condition) or Unsupported (the
-// scenario's seed is not an UPDATE, so the target explores on the node).
-func (a *Agent) seed(p *SeedParams) (*SeedResult, error) {
-	tg := core.ResolvedTarget{Node: a.node, Peer: p.Peer, Scenario: p.Scenario}
-	u, err := core.ShippableSeed(a.self, tg)
-	if err != nil {
-		var seedErr *core.SeedUnavailableError
-		if errors.As(err, &seedErr) {
-			return &SeedResult{Missing: seedErr.Err.Error()}, nil
-		}
-		if errors.Is(err, core.ErrSeedNotShippable) {
-			return &SeedResult{Unsupported: true}, nil
-		}
-		return nil, err
-	}
-	wire, err := bgp.Encode(u)
-	if err != nil {
-		return nil, fmt.Errorf("dist: %s encode seed for %s: %w", a.node, p.Peer, err)
-	}
-	return &SeedResult{Msg: wire}, nil
 }
 
 // replay feeds a recorded trace into the agent's live local fabric. The

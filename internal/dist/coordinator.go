@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dice/internal/bgp"
-	"dice/internal/checkpoint"
 	"dice/internal/core"
 	"dice/internal/minimize"
 	"dice/internal/netaddr"
@@ -27,10 +26,10 @@ import (
 // them, so core.Driver — the same driver that runs
 // core.FederatedExperiment in-process — runs distributed rounds. None of
 // the round algorithm lives here. What does: connections and their
-// fault-recovery ladder, the phase-1 fan-out (agents or the replica
-// pool), shadow sets and their relay step — core.Relay schedules a
-// witness group's waves, and a step here is one pipelined inject_witness
-// per agent — replay, and telemetry.
+// fault-recovery ladder, the phase-1 fan-out to the agents, shadow sets
+// and their relay step — core.Relay schedules a witness group's waves,
+// and a step here is one pipelined inject_witness per agent — replay,
+// and telemetry.
 //
 // Fault tolerance (health.go, fault.go): every RPC carries the client's
 // per-call deadline, a broken or timed-out connection is re-dialed with
@@ -68,19 +67,6 @@ type Coordinator struct {
 	metrics *Metrics
 	tracer  *telemetry.Tracer
 
-	// replicas, when set, offloads phase-1 exploration to a pool of
-	// stateless workers: each round the coordinator checkpoints the node
-	// over MethodCheckpoint, derives the scenario seed over MethodSeed,
-	// and ships both to whichever replica pulls the shard. configs holds
-	// each node's config lines for the shipment; warm holds the
-	// per-shard frontier memory the replicas return (ReuseState only) —
-	// it both keeps rounds incremental as shards migrate between
-	// replicas and seeds degraded replacement agents warm.
-	replicas *ReplicaPool
-	configs  map[string][]string
-	warmMu   sync.Mutex
-	warm     map[string][]byte // core.WarmKey → ExploreState wire encoding
-
 	// session is a random nonce minted once per Connect and sent in every
 	// hello. Servers scope their memos to it: keys restart at 1 per
 	// session, so without the nonce a long-lived agent would answer a
@@ -88,10 +74,9 @@ type Coordinator struct {
 	// nonce, so retried RPCs still hit the memos within the session.
 	session uint64
 	// keys is the session's one sequence: it mints the idempotency key of
-	// every explore, explore_checkpoint (the replica pool draws from it
-	// too), inject_witness and replay call, and every shadow id, from 1 —
-	// 0 on the wire means unkeyed. A retry resends its call's key; no new
-	// call reuses one.
+	// every explore, inject_witness and replay call, and every shadow id,
+	// from 1 — 0 on the wire means unkeyed. A retry resends its call's
+	// key; no new call reuses one.
 	keys atomic.Uint64
 
 	// explored holds the latest Explore's raw per-target answers for Round
@@ -99,6 +84,11 @@ type Coordinator struct {
 	// reentrant.
 	explored []*ExploreResult
 	rounds   int
+
+	// returned is the degraded-replacement filter's memory (ReuseState
+	// only; Explore alone touches it): by core.WarmKey, the finding keys
+	// each target has returned (dropKnown).
+	returned map[string]*returnedKeys
 
 	replayMu      sync.Mutex
 	replayHistory []ReplayParams // keyed, successful replays; re-shipped to replacement agents
@@ -120,6 +110,9 @@ type nodeConn struct {
 	health  NodeHealth
 	failErr error      // sticky, set when State == HealthFailed
 	rng     *rand.Rand // deterministic backoff jitter, guarded by mu
+	// splices counts the degraded replacement agents spliced in for the
+	// node; each explores its first round cold (dropKnown).
+	splices int
 }
 
 // current returns the live client and its generation. A nil client
@@ -128,6 +121,12 @@ func (nc *nodeConn) current() (*Client, uint64) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	return nc.client, nc.gen
+}
+
+func (nc *nodeConn) spliced() int {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	return nc.splices
 }
 
 func (nc *nodeConn) failedErr() error {
@@ -158,8 +157,8 @@ func WithRetryPolicy(p RetryPolicy) ConnOption {
 
 // WithTelemetry instruments the coordinator and every connection it
 // dials with the given metrics bundle (build one with NewMetrics). Round
-// accounting, per-method RPC counters/latency, node health gauges and
-// replica-pool gauges all record into it; nil disables telemetry.
+// accounting, per-method RPC counters/latency and node health gauges all
+// record into it; nil disables telemetry.
 func WithTelemetry(m *Metrics) ConnOption {
 	return func(c *Coordinator) { c.metrics = m }
 }
@@ -168,16 +167,6 @@ func WithTelemetry(m *Metrics) ConnOption {
 // Chrome-trace export (`dice -trace-out`). nil disables tracing.
 func WithTracer(tr *telemetry.Tracer) ConnOption {
 	return func(c *Coordinator) { c.tracer = tr }
-}
-
-// WithReplicas offloads each round's exploration phase to a pool of
-// stateless replicas over the checkpoint RPC. The pool binds to this
-// coordinator's session and retry policy at Connect and closes with it.
-// Targets whose scenario seed cannot ship (SeedResult.Unsupported)
-// explore on their agent as before; a pool whose replicas all die
-// degrades the same way instead of failing the round.
-func WithReplicas(pool *ReplicaPool) ConnOption {
-	return func(c *Coordinator) { c.replicas = pool }
 }
 
 // Health reports each node's fault-tolerance record: state (healthy /
@@ -264,10 +253,11 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 		return nil, err
 	}
 	c := &Coordinator{
-		Topo:   topo,
-		driver: driver,
-		conns:  make(map[string]*nodeConn, len(dialers)),
-		nodeAS: make(map[string]uint16, len(topo.Nodes)),
+		Topo:     topo,
+		driver:   driver,
+		conns:    make(map[string]*nodeConn, len(dialers)),
+		nodeAS:   make(map[string]uint16, len(topo.Nodes)),
+		returned: make(map[string]*returnedKeys),
 	}
 	for _, p := range driver.Props {
 		c.propSrcs = append(c.propSrcs, p.Source())
@@ -277,24 +267,13 @@ func Connect(topo *core.Topology, opts core.FederatedOptions, dialers []Dialer, 
 	}
 	c.policy = c.policy.withDefaults()
 	c.session = newSessionNonce()
-	if c.replicas != nil {
-		c.replicas.setMetrics(c.metrics)
-		if err := c.replicas.bind(c.session, &c.keys, c.policy); err != nil {
-			return nil, err
-		}
-		c.configs = make(map[string][]string, len(topo.Nodes))
-		for _, n := range topo.Nodes {
-			c.configs[n.Name] = n.Config
-		}
-		c.warm = make(map[string][]byte)
-	}
 	crng := rand.New(rand.NewSource(c.policy.Seed))
 	for _, d := range dialers {
 		var (
 			cl    *Client
 			hello HelloResult
 		)
-		err := c.policy.redial(crng, true, nil, func() (err error) {
+		err := c.policy.redial(crng, true, func() (err error) {
 			cl, hello, err = c.dialAndHello(d)
 			return err
 		}, identityErr)
@@ -370,12 +349,9 @@ func (c *Coordinator) dialAndHello(d Dialer) (*Client, HelloResult, error) {
 	return cl, hello, nil
 }
 
-// Close closes every agent connection and shuts down the replica pool.
+// Close closes every agent connection.
 func (c *Coordinator) Close() error {
 	var first error
-	if c.replicas != nil {
-		c.replicas.Close()
-	}
 	for _, nc := range c.conns {
 		cl, _ := nc.current()
 		if cl == nil {
@@ -467,7 +443,7 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 		return nc.failErr
 	}
 	failed.Close()
-	lastErr := c.policy.redial(nc.rng, false, nil, func() error {
+	lastErr := c.policy.redial(nc.rng, false, func() error {
 		cl, hello, err := c.dialAndHello(nc.dialer)
 		if err != nil {
 			return err
@@ -502,8 +478,9 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 	// agent for this node and splice it in over a loopback pipe. The
 	// replacement runs the identical deterministic pipeline the remote
 	// did (same topology build, same PrepareTarget/Analyze path), and
-	// reestablish replays the coordinator's replay history into it, so
-	// findings are unaffected — parity with the all-healthy run holds.
+	// reestablish replays the coordinator's replay history into it; its
+	// first explore runs cold, and dropKnown drops what that re-reports —
+	// parity with the all-healthy run holds.
 	local, err := NewAgent(c.Topo, nc.node)
 	if err != nil {
 		nc.client = nil
@@ -512,7 +489,6 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 		nc.failErr = fmt.Errorf("dist: degraded fallback for %q: %w", nc.node, err)
 		return nc.failErr
 	}
-	c.seedWarmState(local, nc.node)
 	cl, _, err := c.dialAndHello(Loopback{Agent: local})
 	if err == nil {
 		err = c.reestablish(cl)
@@ -529,28 +505,9 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 	}
 	nc.client = cl
 	nc.gen++
+	nc.splices++
 	nc.health.State = HealthDegraded
 	return nil
-}
-
-// seedWarmState hands a degraded replacement agent the frontier memory
-// the dead node's shards accumulated on the replicas: the replacement's
-// next ReuseState explore runs warm instead of cold, closing the one
-// gap reestablish's comment concedes. Without a replica pool (or
-// without ReuseState) there is nothing cached and the replacement
-// explores cold, exactly as before.
-func (c *Coordinator) seedWarmState(local *Agent, node string) {
-	if c.replicas == nil || !c.driver.Opts.ReuseState {
-		return
-	}
-	c.warmMu.Lock()
-	defer c.warmMu.Unlock()
-	for _, tg := range c.Topo.ResolveTargets(c.driver.Opts.DefaultScenario) {
-		if data, ok := c.warm[core.WarmKey(tg.Node, tg.Scenario, tg.Peer)]; ok && tg.Node == node {
-			// Best effort: an undecodable entry just leaves that shard cold.
-			_ = local.SeedExploreState(tg.Scenario, tg.Peer, data)
-		}
-	}
 }
 
 // reestablish brings a (re)connected agent up to date: the coordinator's
@@ -561,10 +518,10 @@ func (c *Coordinator) seedWarmState(local *Agent, node string) {
 // memo and applies nothing twice, while a fresh replacement (restarted
 // process, degraded in-process agent) replays the lot and converges
 // onto the fleet's deterministic post-replay state. Exploration warm
-// state (ReuseState) is the one thing a replacement cannot recover —
-// its next explore runs cold, which is correct but may re-report known
-// paths; the explore keys keep retries of the *current* round exact
-// either way.
+// state (ReuseState) is the one thing a replacement cannot recover — its
+// next explore runs cold and re-reports known findings, which dropKnown
+// drops for a degraded replacement; the explore keys keep retries of the
+// *current* round exact either way.
 func (c *Coordinator) reestablish(cl *Client) error {
 	c.replayMu.Lock()
 	history := append([]ReplayParams(nil), c.replayHistory...)
@@ -642,15 +599,14 @@ func (c *Coordinator) NodeAS(name string) (uint16, bool) {
 }
 
 // Explore is phase 1 over the wire (core.Fleet): fan the targets out to
-// the owning agents — or the replica pool — one goroutine per target
-// (calls to the same agent serialize on its connection), then reassemble
-// each answer's findings and concrete witnesses. Every target's call
-// carries its own key, which makes retried explores exact: a server that
-// already ran it answers from its memo.
+// the owning agents, one goroutine per target (calls to the same agent
+// serialize on its connection), then reassemble each answer's findings
+// and concrete witnesses. Every target's call carries its own key, which
+// makes retried explores exact: an agent that already ran it answers
+// from its memo.
 func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutcome, error) {
 	raw := make([]*ExploreResult, len(targets))
 	errs := make([]error, len(targets))
-	ckpts := newCheckpointCache()
 	for _, tg := range targets {
 		if _, ok := c.conns[tg.Node]; !ok {
 			return nil, fmt.Errorf("dist: no agent for node %q", tg.Node)
@@ -662,8 +618,17 @@ func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutco
 		go func() {
 			defer wg.Done()
 			sp := c.tracer.Start("explore/"+tg.Node, tg.Scenario+"/"+tg.Peer)
-			raw[i], errs[i] = c.exploreTarget(tg, ckpts)
-			sp.End()
+			defer sp.End()
+			params := ExploreParams{
+				Peer:        tg.Peer,
+				Scenario:    tg.Scenario,
+				Explicit:    tg.Explicit,
+				EngineKnobs: knobsOf(&c.driver.Opts),
+				ReuseState:  c.driver.Opts.ReuseState,
+				Key:         c.keys.Add(1),
+			}
+			raw[i] = new(ExploreResult)
+			errs[i] = c.call(tg.Node, MethodExplore, &params, raw[i])
 		}()
 	}
 	wg.Wait()
@@ -672,6 +637,9 @@ func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutco
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
+		if c.driver.Opts.ReuseState {
+			c.dropKnown(tg, raw[i])
+		}
 		var err error
 		if outs[i], err = decodeOutcome(tg, raw[i]); err != nil {
 			return nil, err
@@ -679,6 +647,59 @@ func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutco
 	}
 	c.explored = raw
 	return outs, nil
+}
+
+// returnedKeys is one target's memory in the degraded-replacement filter:
+// the finding keys it has returned, and its node's splice count when it
+// last explored.
+type returnedKeys struct {
+	keys    map[core.FindingKey]bool
+	splices int
+}
+
+// dropKnown is the degraded-replacement filter, run on every ReuseState
+// answer. It records the finding keys tg returned. A degraded
+// replacement agent explores its first round cold and re-reports every
+// finding its dead predecessor already returned, where a warm agent
+// would report none of them; so on tg's first answer after its node was
+// spliced to a replacement, dropKnown first drops the findings whose keys
+// tg already returned, with their witnesses, re-indexing the rest. A
+// node never spliced passes through untouched.
+func (c *Coordinator) dropKnown(tg core.ResolvedTarget, out *ExploreResult) {
+	splices := c.conns[tg.Node].spliced()
+	key := core.WarmKey(tg.Node, tg.Scenario, tg.Peer)
+	mem := c.returned[key]
+	if mem == nil {
+		mem = &returnedKeys{keys: make(map[core.FindingKey]bool), splices: splices}
+		c.returned[key] = mem
+	}
+	if mem.splices != splices {
+		mem.splices = splices
+		idx := make([]int, len(out.Findings)) // old index → kept index, -1 dropped
+		kept := out.Findings[:0]
+		for i, f := range out.Findings {
+			idx[i] = -1
+			if !mem.keys[f.Key()] {
+				idx[i] = len(kept)
+				kept = append(kept, f)
+			}
+		}
+		out.Findings = kept
+		ws := out.Witnesses[:0]
+		for _, w := range out.Witnesses {
+			if w.Finding >= 0 && w.Finding < len(idx) {
+				if idx[w.Finding] < 0 {
+					continue
+				}
+				w.Finding = idx[w.Finding] // out-of-range refs stay for decodeOutcome to refuse
+			}
+			ws = append(ws, w)
+		}
+		out.Witnesses = ws
+	}
+	for _, f := range out.Findings {
+		mem.keys[f.Key()] = true
+	}
 }
 
 // decodeOutcome reassembles one agent answer into the driver's terms. A
@@ -710,142 +731,6 @@ func decodeOutcome(tg core.ResolvedTarget, out *ExploreResult) (core.TargetOutco
 		refs = append(refs, core.WitnessRef{Finding: ww.Finding, Update: u})
 	}
 	return core.TargetOutcome{Result: r, Witnesses: refs}, nil
-}
-
-// exploreTarget runs one target's phase-1 exploration: on the replica
-// pool when one is configured (checkpoint + seed shipped over the
-// wire), on the owning agent otherwise — and on the agent again as the
-// fallback when the target's seed can't ship or the pool has died. Each
-// call's key makes it idempotent under retries.
-func (c *Coordinator) exploreTarget(tg core.ResolvedTarget, ckpts *checkpointCache) (*ExploreResult, error) {
-	if c.replicas != nil {
-		out, err := c.exploreOnReplica(tg, ckpts)
-		if err == nil {
-			return out, nil
-		}
-		if !errors.Is(err, errExploreLocally) && !errors.Is(err, ErrReplicaPoolDown) {
-			return nil, err
-		}
-		c.metrics.notePoolFallback()
-	}
-	params := ExploreParams{
-		Peer:        tg.Peer,
-		Scenario:    tg.Scenario,
-		Explicit:    tg.Explicit,
-		EngineKnobs: knobsOf(&c.driver.Opts),
-		ReuseState:  c.driver.Opts.ReuseState,
-		Key:         c.keys.Add(1),
-	}
-	var out ExploreResult
-	if err := c.call(tg.Node, MethodExplore, &params, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// errExploreLocally routes a target back to its agent: the shard cannot
-// ship to a replica, but the agent-side explore is exactly equivalent.
-var errExploreLocally = errors.New("dist: target explores on its agent")
-
-// exploreOnReplica ships one target to the replica pool: the node's
-// checkpoint (fetched once per node per round over MethodCheckpoint and
-// paged once in the round's checkpointCache), its scenario seed
-// (MethodSeed), config lines, engine knobs and — under ReuseState — the
-// shard's cached frontier memory. The replica's answer is the
-// agent-shaped ExploreResult; the frontier memory it returns refreshes
-// the warm cache.
-func (c *Coordinator) exploreOnReplica(tg core.ResolvedTarget, ckpts *checkpointCache) (*ExploreResult, error) {
-	var sr SeedResult
-	if err := c.call(tg.Node, MethodSeed, &SeedParams{Peer: tg.Peer, Scenario: tg.Scenario}, &sr); err != nil {
-		return nil, err
-	}
-	if sr.Unsupported {
-		return nil, errExploreLocally
-	}
-	if sr.Missing != "" {
-		if tg.Explicit {
-			// Mirror the agent's explicit-target seed failure exactly.
-			return nil, fmt.Errorf("dist: %s/%s: deriving scenario seed: %s", tg.Node, tg.Peer, sr.Missing)
-		}
-		return &ExploreResult{Skipped: sr.Missing, Scenario: tg.Scenario}, nil
-	}
-	snap, err := ckpts.get(tg.Node, func() ([][]byte, error) {
-		var ck CheckpointResult
-		if err := c.call(tg.Node, MethodCheckpoint, nil, &ck); err != nil {
-			return nil, err
-		}
-		return ck.Chunks, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	key := core.WarmKey(tg.Node, tg.Scenario, tg.Peer)
-	var warm []byte
-	if c.driver.Opts.ReuseState {
-		c.warmMu.Lock()
-		warm = c.warm[key]
-		c.warmMu.Unlock()
-	}
-	params := &ReplicaExploreParams{
-		Node:        tg.Node,
-		Config:      c.configs[tg.Node],
-		Peer:        tg.Peer,
-		Scenario:    tg.Scenario,
-		Explicit:    tg.Explicit,
-		EngineKnobs: knobsOf(&c.driver.Opts),
-		Boundary:    c.driver.Boundary,
-		Seed:        sr.Msg,
-		WarmState:   warm,
-		Key:         c.keys.Add(1),
-		Shard:       key,
-	}
-	out, err := c.replicas.submit(params, snap)
-	if err != nil {
-		return nil, err
-	}
-	if c.driver.Opts.ReuseState && len(out.WarmState) > 0 {
-		c.warmMu.Lock()
-		c.warm[key] = out.WarmState
-		c.warmMu.Unlock()
-	}
-	return &out.ExploreResult, nil
-}
-
-// checkpointCache deduplicates per-node checkpoint fetches within one
-// round: targets sharing a node ship the identical snapshot, fetched and
-// paged — so hashed — once, in the round's own store, exactly as the
-// node's agent paged it.
-type checkpointCache struct {
-	store *checkpoint.Store
-	mu    sync.Mutex
-	m     map[string]*ckptEntry
-}
-
-type ckptEntry struct {
-	once sync.Once
-	snap *checkpoint.Snapshot
-	err  error
-}
-
-func newCheckpointCache() *checkpointCache {
-	return &checkpointCache{store: checkpoint.NewStore(0), m: make(map[string]*ckptEntry)}
-}
-
-func (cc *checkpointCache) get(node string, fetch func() ([][]byte, error)) (*checkpoint.Snapshot, error) {
-	cc.mu.Lock()
-	e, ok := cc.m[node]
-	if !ok {
-		e = &ckptEntry{}
-		cc.m[node] = e
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() {
-		var chunks [][]byte
-		if chunks, e.err = fetch(); e.err == nil {
-			e.snap = cc.store.TakeChunks(node, chunks)
-		}
-	})
-	return e.snap, e.err
 }
 
 // Replay feeds a recorded trace (internal/trace file bytes) into every

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -193,64 +192,6 @@ func TestDistributedWarmRounds(t *testing.T) {
 	}
 	if ex.SkippedNegations == 0 {
 		t.Error("warm round skipped no negations")
-	}
-}
-
-// TestDistributedCheckpoint: the Checkpoint RPC's serialized state must
-// round-trip through core.PrepareRestored — restore off-node and explore
-// as a replica does. This is the §2.4
-// "process these messages in isolation over their checkpointed states"
-// surface of the protocol.
-func TestDistributedCheckpoint(t *testing.T) {
-	topo := leakTopo3()
-	ag, err := NewAgent(topo, "provider")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := Loopback{Agent: ag}.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := NewClient(conn)
-	defer cl.Close()
-
-	var ck CheckpointResult
-	if err := cl.Call(MethodCheckpoint, nil, &ck); err != nil {
-		t.Fatal(err)
-	}
-	state := bytes.Join(ck.Chunks, nil)
-	if len(state) == 0 || ck.Pages == 0 {
-		t.Fatalf("empty checkpoint: %d bytes, %d pages", len(state), ck.Pages)
-	}
-
-	// A second checkpoint of unchanged state must share every page.
-	var ck2 CheckpointResult
-	if err := cl.Call(MethodCheckpoint, nil, &ck2); err != nil {
-		t.Fatal(err)
-	}
-	if ck2.UniquePages != 0 {
-		t.Errorf("unchanged node re-checkpointed with %d unique pages, want 0", ck2.UniquePages)
-	}
-
-	// Restore the snapshot off-node and explore it.
-	var ex ExploreResult
-	err = cl.Call(MethodExplore, &ExploreParams{
-		Peer: "customer", Scenario: core.ScenarioRouteLeak, Explicit: true, EngineKnobs: EngineKnobs{MaxRuns: 1000},
-	}, &ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := ag.self.LastObserved("customer")
-	if seed == nil {
-		t.Fatal("no observed seed on the provider←customer peering")
-	}
-	tg := core.ResolvedTarget{Node: "provider", Peer: "customer", Scenario: core.ScenarioUpdate, Explicit: true}
-	tp, err := core.PrepareRestored("provider", ag.self.Config(), state, tg, seed, concolic.Options{MaxRuns: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.Engine.Explore().Runs == 0 {
-		t.Error("snapshot exploration ran nothing")
 	}
 }
 

@@ -9,15 +9,15 @@
 //   - An Agent administers ONE node of a topology. It instantiates the
 //     topology locally (netsim convergence is deterministic, so every
 //     agent's picture of the converged fabric is identical) but owns and
-//     serves only its own node: its checkpoint snapshots, its concolic
-//     exploration shard with per-node cross-round ExploreState, its
+//     serves only its own node: its concolic exploration shard, run on
+//     checkpoint clones with per-node cross-round ExploreState, its
 //     shadow clones for witness propagation, and the narrow per-node
 //     oracle queries. Nothing else about the node — its RIB, its policy
 //     configuration object, its engine — crosses the wire.
 //
 //   - A Coordinator reaches the agents over the wire protocol and is a
-//     core.Fleet: Explore fans phase 1 out to the owning agents (or a
-//     replica pool), OpenShadows mints a shadow id, and the shadow set
+//     core.Fleet: Explore fans phase 1 out to the owning agents,
+//     OpenShadows mints a shadow id, and the shadow set
 //     it returns is a core.Shadows — Propagate hands a witness group to
 //     core.Relay, the wave scheduler the in-process backend runs too, and
 //     executes each of its virtual time steps as one inject_witness per
@@ -31,20 +31,21 @@
 //     backends to the same snapshot, fleet shape by fleet shape.
 //
 // Wire protocol: one binary format — wire.go holds framing, envelope,
-// the nine-row method table and every payload's layout, each stated once
+// the six-row method table and every payload's layout, each stated once
 // over internal/codec's pass, and encodes core's and netaddr's own types
 // directly — and one call discipline: pipelined
 // requests, each relay step's deliveries batched into one inject_witness
 // per agent, all in flight at once. Every connection opens with a hello
-// carrying ProtoVersion; agent, replica and coordinator each refuse a
-// peer whose version differs, so a fleet is one build. Changing a message
+// carrying ProtoVersion; agent and coordinator each refuse a peer whose
+// version differs, so a fleet is one build. Changing a message
 // layout means bumping ProtoVersion, nothing else.
 //
 // Exactly once: delivery is at least once — a call that timed out or
 // lost its connection is sent again once its connection is recovered
-// (Coordinator.wait) — and every effect happens once. One rule in rpcServer (server.go), the
-// engine both servers embed, keeps that promise: requests execute one at
-// a time; a hello with a new session nonce clears the memo; a keyed
+// (Coordinator.wait) — and every effect happens once. One rule in
+// rpcServer (server.go), the engine the Agent embeds, keeps that
+// promise: requests execute one at a time; a hello with a new session
+// nonce clears the memo; a keyed
 // request (wire.go) names a slot and a key, and one whose key is its
 // slot's latest answered key gets that answer again instead of running.
 // The coordinator mints every key, and every shadow id, from one
@@ -57,16 +58,13 @@
 // after the set's shadow_close reopens the id until the session ends.
 // Each method's row (TestExactlyOnceTable holds the method table to it):
 //
-//	method              slot              key
-//	hello               none              read-only; a new session nonce clears the memo
-//	checkpoint          none              read-only
-//	explore             peer, scenario    the call's key
-//	inject_witness      shadow id         the call's key
-//	shadow_close        none              idempotent: closes the shadow id if it exists, retiring its slot
-//	query_oracle        none              idempotent: Open opens the shadow id unless it exists; the rest is read-only
-//	replay              its key           the call's key
-//	seed                none              read-only
-//	explore_checkpoint  shard             the call's key
+//	method          slot              key
+//	hello           none              read-only; a new session nonce clears the memo
+//	explore         peer, scenario    the call's key
+//	inject_witness  shadow id         the call's key
+//	shadow_close    none              idempotent: closes the shadow id if it exists, retiring its slot
+//	query_oracle    none              idempotent: Open opens the shadow id unless it exists; the rest is read-only
+//	replay          its key           the call's key
 //
 // Transports: the protocol runs over any io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
 // gives deterministic single-process tests; TCP gives real process

@@ -217,47 +217,3 @@ func frameBytes(payload []byte) []byte {
 	copy(out[4:], payload)
 	return out
 }
-
-// LatencyDialer wraps an inner Dialer and stalls every inbound frame by
-// RTT — a deterministic stand-in for a wide-area link. Replica pools
-// exist to push exploration outside the node's administrative domain,
-// so their realistic cost model is "every call pays a WAN round trip";
-// the replica-scaling benchmark runs its pool behind this dialer, and
-// the speedup it measures is the pool hiding those round trips behind
-// each other, which survives even a single-core host. Like faultConn,
-// the stall lands on exact frame boundaries regardless of transport
-// chunking; writes pass through untouched.
-type LatencyDialer struct {
-	Inner Dialer
-	RTT   time.Duration
-}
-
-// Dial implements Dialer.
-func (d LatencyDialer) Dial() (io.ReadWriteCloser, error) {
-	conn, err := d.Inner.Dial()
-	if err != nil {
-		return nil, err
-	}
-	return &latencyConn{inner: conn, rtt: d.RTT}, nil
-}
-
-type latencyConn struct {
-	inner io.ReadWriteCloser
-	rtt   time.Duration
-	buf   bytes.Reader
-}
-
-func (l *latencyConn) Read(p []byte) (int, error) {
-	for l.buf.Len() == 0 {
-		payload, err := readPayload(l.inner)
-		if err != nil {
-			return 0, err
-		}
-		time.Sleep(l.rtt)
-		l.buf.Reset(frameBytes(payload))
-	}
-	return l.buf.Read(p)
-}
-
-func (l *latencyConn) Write(p []byte) (int, error) { return l.inner.Write(p) }
-func (l *latencyConn) Close() error                { return l.inner.Close() }

@@ -606,37 +606,33 @@ func TestAgentDiesInsideRelayStep(t *testing.T) {
 }
 
 // TestRedialBudgetPerEpisode: one recovery episode re-dials at most
-// RetryPolicy.MaxReconnects times, on an agent connection and on a
-// replica connection alike. Each doomed dialer lets its first dial
+// RetryPolicy.MaxReconnects times. The doomed dialer lets its first dial
 // through, drops that connection at its first answer after the hello and
-// refuses every dial after it, so each episode spends its whole budget
-// (the agent then degrades, the replica pool dies and its shard explores
-// on the agent).
+// refuses every dial after it, so the episode spends its whole budget
+// and the agent then degrades.
 func TestRedialBudgetPerEpisode(t *testing.T) {
 	leakCheck(t)
 	policy := chaosPolicy()
-	doomed := func(inner Dialer) *FaultDialer {
-		return &FaultDialer{Inner: inner, Plan: &FaultPlan{
-			Specs:         []FaultSpec{{Conn: 0, Frame: 2, Kind: FaultDrop}},
-			FailDialsFrom: 1,
-		}}
-	}
 	var agent *FaultDialer
-	replica := doomed(ReplicaLoopback{Replica: NewReplica()})
 	coord := fleetCoordinator(t, leakTopo3(), fedOpts(), func(node string, d Dialer) Dialer {
 		if node != "provider" {
 			return d
 		}
-		agent = doomed(d)
+		agent = &FaultDialer{Inner: d, Plan: &FaultPlan{
+			Specs:         []FaultSpec{{Conn: 0, Frame: 2, Kind: FaultDrop}},
+			FailDialsFrom: 1,
+		}}
 		return agent
-	}, WithReplicas(&ReplicaPool{Dialers: []Dialer{replica}}), WithRetryPolicy(policy))
-	if _, err := coord.Round(); err != nil {
+	}, WithRetryPolicy(policy))
+	res, err := coord.Round()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, d := range map[string]*FaultDialer{"agent": agent, "replica": replica} {
-		if redials := d.Dials() - 1; redials != policy.MaxReconnects {
-			t.Errorf("%s: %d re-dials in one recovery episode, budget %d", name, redials, policy.MaxReconnects)
-		}
+	if redials := agent.Dials() - 1; redials != policy.MaxReconnects {
+		t.Errorf("%d re-dials in one recovery episode, budget %d", redials, policy.MaxReconnects)
+	}
+	if h := res.Health["provider"]; h.State != HealthDegraded {
+		t.Errorf("provider ended %q after its budget ran out, want degraded", h.State)
 	}
 }
 
@@ -655,6 +651,75 @@ func TestNoFallbackFailsClosed(t *testing.T) {
 	}
 	if h := coord.Health()["provider"]; h.State != HealthFailed {
 		t.Errorf("provider health %+v, want failed", h)
+	}
+}
+
+// deadAfterFirstDial passes one dial through and refuses the rest — the
+// "agent stays dead" schedule.
+func deadAfterFirstDial(inner Dialer) *FaultDialer {
+	return &FaultDialer{Inner: inner, Plan: &FaultPlan{FailDialsFrom: 1}}
+}
+
+// TestWarmHandoffAfterDegrade: under ReuseState, a node whose agent dies
+// between rounds, past the reconnect budget, explores round 2 on a
+// degraded in-process replacement — cold, since its warm state died with
+// the agent — and the round still reads as an all-healthy fleet's warm
+// round: the coordinator drops the findings the dead agent already
+// returned (dropKnown), so no known route leak, witness or violation is
+// reported twice. Round 3 runs on the now-warm replacement and matches
+// too.
+func TestWarmHandoffAfterDegrade(t *testing.T) {
+	leakCheck(t)
+	opts := fedOpts()
+	opts.ReuseState = true
+	round := func(c *Coordinator) (string, *RoundResult) {
+		t.Helper()
+		res, err := c.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(res.Snapshot(), "\n"), res
+	}
+
+	// Reference: three healthy rounds.
+	ref := loopbackCoordinator(t, leakTopo3(), opts)
+	var want [3]string
+	for i := range want {
+		want[i], _ = round(ref)
+	}
+	if want[1] == want[0] {
+		t.Fatal("the healthy warm round repeats the cold one — nothing for the filter to drop")
+	}
+
+	// Provider's connection 0 is clean; once it dies, every redial is
+	// refused — the agent stays dead.
+	providerStaysDead := func(node string, d Dialer) Dialer {
+		if node == "provider" {
+			return deadAfterFirstDial(d)
+		}
+		return d
+	}
+	coord := fleetCoordinator(t, leakTopo3(), opts, providerStaysDead, WithRetryPolicy(chaosPolicy()))
+	var got [3]string
+	got[0], _ = round(coord)
+
+	// Between rounds provider's agent connection drops with no redial
+	// allowed: round 2 degrades provider to an in-process replacement.
+	cl, _ := coord.conns["provider"].current()
+	cl.Close()
+	var res *RoundResult
+	got[1], res = round(coord)
+	if h := res.Health["provider"]; h.State != HealthDegraded {
+		t.Fatalf("provider ended %q, want degraded: %+v", h.State, h)
+	}
+	if ex := res.Targets[0].Explore; ex.NewPaths == 0 {
+		t.Fatal("the replacement explored warm — the degraded case is vacuous")
+	}
+	got[2], _ = round(coord)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("round %d diverged from the healthy fleet's:\n--- healthy ---\n%s\n--- degraded ---\n%s", i+1, want[i], got[i])
+		}
 	}
 }
 

@@ -96,10 +96,8 @@ func backoffDelay(attempt int, base, cap time.Duration, rng *rand.Rand) time.Dur
 // follows: an initial dial goes out at once, and after it (or from the
 // start, for a recovery) come at most MaxReconnects re-dials, re-dial n
 // after backoffDelay(n). An error fatal reports ends the sequence at
-// once; nil fatal retries everything. Closing stop ends it before the
-// next dial or during a backoff pause (errStopped); a nil stop never
-// does. It returns try's last error.
-func (p RetryPolicy) redial(rng *rand.Rand, initial bool, stop <-chan struct{}, try func() error, fatal func(error) bool) error {
+// once; nil fatal retries everything. It returns try's last error.
+func (p RetryPolicy) redial(rng *rand.Rand, initial bool, try func() error, fatal func(error) bool) error {
 	n := 1
 	if initial {
 		n = 0
@@ -107,17 +105,7 @@ func (p RetryPolicy) redial(rng *rand.Rand, initial bool, stop <-chan struct{}, 
 	err := errors.New("dist: reconnect budget exhausted")
 	for ; n <= p.MaxReconnects; n++ {
 		if n > 0 {
-			pause := time.NewTimer(backoffDelay(n, p.BackoffBase, p.BackoffCap, rng))
-			select {
-			case <-pause.C:
-			case <-stop:
-				pause.Stop()
-			}
-		}
-		select {
-		case <-stop:
-			return errStopped
-		default:
+			time.Sleep(backoffDelay(n, p.BackoffBase, p.BackoffCap, rng))
 		}
 		if err = try(); err == nil || fatal != nil && fatal(err) {
 			break
@@ -148,9 +136,6 @@ func (p RetryPolicy) handshake(d Dialer, session uint64, props []string) (*Clien
 
 // errDial classifies Dial-level failures for the retry decision.
 var errDial = errors.New("dist: dial failed")
-
-// errStopped reports a redial sequence its owner stopped.
-var errStopped = errors.New("dist: redial stopped")
 
 // identityErr reports a failure no re-dial can fix: the far end answered,
 // and refused — a protocol version it does not speak, another topology —

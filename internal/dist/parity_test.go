@@ -20,8 +20,8 @@ import (
 // options and preparation run once through the in-process
 // core.FederatedExperiment and once through a distributed fleet, and the
 // two rounds must render the same Snapshot(). What varies per row is the
-// fleet — plain loopback agents, a replica pool, scheduled or random
-// connection faults — never the expectation.
+// fleet — plain loopback agents, scheduled or random connection
+// faults — never the expectation.
 type parityCase struct {
 	// test names the Test function that runs the row and name the subtest
 	// under it ("" runs in the function itself). The entry points at the
@@ -44,7 +44,7 @@ type parityCase struct {
 	refused *WitnessSpec
 
 	// wrap decorates one node's loopback dialer (a fault plan); connOpts
-	// builds the row's connection options (replica pool, retry policy).
+	// builds the row's connection options (retry policy).
 	// Both nil is a fault-free loopback fleet.
 	wrap     func(node string, d Dialer) Dialer
 	connOpts func(t *testing.T) []ConnOption
@@ -275,39 +275,6 @@ func minimalWitnessPerFinding(t *testing.T, inproc *core.FederatedResult, dist *
 	}
 }
 
-// replicaRow is a row whose exploration phase runs on a replica pool.
-// The pool, not the agents, must have explored every non-skipped target —
-// otherwise the parity is the fallback path shadowing a broken replica
-// path — and no agent's health may be touched.
-func replicaRow(example exampleRef, transport string, newPool func(*testing.T) *ReplicaPool) parityCase {
-	var pool *ReplicaPool
-	return parityCase{
-		test: "TestReplicaRoundParity", name: example.topoName + "/v2-" + transport,
-		topo: exampleTopo(example.dir), opts: fedOpts(),
-		connOpts: func(t *testing.T) []ConnOption {
-			pool = newPool(t)
-			return []ConnOption{WithReplicas(pool)}
-		},
-		nonVacuous: hasViolations,
-		extra: func(t *testing.T, _ *core.FederatedResult, dist *RoundResult) {
-			ran := 0
-			for _, tr := range dist.Targets {
-				if tr.Skipped == "" {
-					ran++
-				}
-			}
-			if st := pool.Stats(); st.Completed != ran {
-				t.Errorf("pool completed %d shards, want %d (one per explored target)", st.Completed, ran)
-			}
-			for n, h := range dist.Health {
-				if h.State != HealthHealthy {
-					t.Errorf("node %s ended %q, want healthy", n, h.State)
-				}
-			}
-		},
-	}
-}
-
 // parityTable is every backend-parity row.
 func parityTable() []parityCase {
 	federated := exampleTopo("federated")
@@ -358,14 +325,12 @@ func parityTable() []parityCase {
 	}
 	// On both committed examples: the bundled .prop re-expressions of the
 	// built-in oracles, shipped in hello, against the hard-coded in-process
-	// round; and exploration on a replica pool over both transports.
+	// round.
 	for _, example := range committedExamples {
 		rows = append(rows,
 			parityCase{test: "TestDistributedPropertyGoldenParity", name: example.topoName + "/binary",
 				topo: exampleTopo(example.dir), opts: fedOpts(), nonVacuous: hasViolations,
-				distProps: []string{prop.BuiltinRouteLeakSource, prop.BuiltinStaleRouteSource}},
-			replicaRow(example, "loopback", func(*testing.T) *ReplicaPool { return replicaPool(2) }),
-			replicaRow(example, "tcp", func(t *testing.T) *ReplicaPool { return tcpReplicaPool(t, 2) }))
+				distProps: []string{prop.BuiltinRouteLeakSource, prop.BuiltinStaleRouteSource}})
 	}
 	// Degraded fallback: provider's first connection drops at one frame of
 	// a minimized round and every redial is refused, so the node runs on an
@@ -453,7 +418,6 @@ func TestDistributedParityMinimization(t *testing.T)     { runParity(t) }
 func TestDistributedReplayParity(t *testing.T)           { runParity(t) }
 func TestDistributedPropertyGoldenParity(t *testing.T)   { runParity(t) }
 func TestDistributedPropertyAtParity(t *testing.T)       { runParity(t) }
-func TestReplicaRoundParity(t *testing.T)                { runParity(t) }
 func TestDegradedFallbackParity(t *testing.T)            { runParity(t) }
 func TestChaosParityFederated(t *testing.T)              { runParity(t) }
 func TestChaosParityReplay(t *testing.T)                 { runParity(t) }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dice/internal/bgp"
 	"dice/internal/netaddr"
 )
 
@@ -20,8 +21,7 @@ func writePayload(w io.Writer, body []byte) error {
 	return sendFrame(w, append(newFrame(), body...))
 }
 
-// dialCounter counts the dials Connect or a replica pool spends on one
-// peer.
+// dialCounter counts the dials Connect spends on one peer.
 type dialCounter struct {
 	Dialer
 	n atomic.Int64
@@ -97,10 +97,9 @@ func (c *skewConn) Write(p []byte) (int, error) {
 
 // TestHelloVersionMismatch is the fail-fast contract that replaced
 // negotiation: a peer one protocol version off — a stub answering the
-// hello with the wrong version, or a real agent or replica receiving
-// one — fails Connect with both versions in the error after exactly one
-// dial (an application error burns no reconnect budget), and costs a
-// replica pool exactly one dial before the round degrades to its agents.
+// hello with the wrong version, or a real agent receiving one — fails
+// Connect with both versions in the error after exactly one dial (an
+// application error burns no reconnect budget).
 func TestHelloVersionMismatch(t *testing.T) {
 	leakCheck(t)
 	topo := leakTopo3()
@@ -117,7 +116,6 @@ func TestHelloVersionMismatch(t *testing.T) {
 		}{
 			{"stub", helloStub{node: "provider", topology: topo.Name, version: ProtoVersion + delta}, "answered " + theirs},
 			{"agent", skewDialer{Loopback{Agent: ag}, delta}, "this agent speaks " + mine},
-			{"replica", skewDialer{ReplicaLoopback{Replica: NewReplica()}, delta}, "this replica speaks " + mine},
 		}
 		for _, p := range peers {
 			t.Run(p.name+map[int]string{-1: "-older", +1: "-newer"}[delta], func(t *testing.T) {
@@ -134,63 +132,40 @@ func TestHelloVersionMismatch(t *testing.T) {
 				if n := dials.n.Load(); n != 1 {
 					t.Errorf("Connect dialed the mismatched peer %d times, want 1", n)
 				}
-
-				dials = &dialCounter{Dialer: p.d}
-				pool := &ReplicaPool{Dialers: []Dialer{dials}}
-				coord := loopbackCoordinator(t, topo, fedOpts(), WithReplicas(pool), WithRetryPolicy(chaosPolicy()))
-				res, err := coord.Round()
-				if err != nil {
-					t.Fatalf("round over a refused replica pool: %v", err)
-				}
-				if len(res.Violations) == 0 {
-					t.Error("degraded round found no violations")
-				}
-				if n, st := dials.n.Load(), pool.Stats(); n != 1 || st.Completed != 0 {
-					t.Errorf("pool dialed the mismatched peer %d times and completed %d shards, want 1 and 0", n, st.Completed)
-				}
 			})
 		}
 	}
 }
 
 // TestProtoRejectsJSONFirstFrame: a pre-binary build opens with a JSON
-// document. Agent and replica must end that connection with a
-// malformed-frame error — not answer, hang or panic.
+// document. The agent must end that connection with a malformed-frame
+// error — not answer, hang or panic.
 func TestProtoRejectsJSONFirstFrame(t *testing.T) {
 	leakCheck(t)
 	ag, err := NewAgent(leakTopo3(), "provider")
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := []struct {
-		name  string
-		serve func(io.ReadWriteCloser) error
-	}{
-		{"agent", ag.ServeConn},
-		{"replica", NewReplica().ServeConn},
-	}
-	for _, srv := range servers {
-		t.Run(srv.name, func(t *testing.T) {
-			cli, far := net.Pipe()
-			defer cli.Close()
-			served := make(chan error, 1)
-			go func() { served <- srv.serve(far) }()
-			if err := writePayload(cli, []byte(`{"id":1,"method":"hello","params":{"max_version":4}}`)); err != nil {
-				t.Fatal(err)
+	t.Run("agent", func(t *testing.T) {
+		cli, far := net.Pipe()
+		defer cli.Close()
+		served := make(chan error, 1)
+		go func() { served <- ag.ServeConn(far) }()
+		if err := writePayload(cli, []byte(`{"id":1,"method":"hello","params":{"max_version":4}}`)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-served:
+			if !errors.Is(err, errFrame) {
+				t.Errorf("ServeConn returned %v, want a malformed-frame error", err)
 			}
-			select {
-			case err := <-served:
-				if !errors.Is(err, errFrame) {
-					t.Errorf("ServeConn returned %v, want a malformed-frame error", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("ServeConn still serving a connection that opened with JSON")
-			}
-			if _, err := cli.Read(make([]byte, 1)); err == nil {
-				t.Error("server answered a JSON first frame")
-			}
-		})
-	}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ServeConn still serving a connection that opened with JSON")
+		}
+		if _, err := cli.Read(make([]byte, 1)); err == nil {
+			t.Error("server answered a JSON first frame")
+		}
+	})
 }
 
 // misbehavingServer answers every frame through respond, exercising the
@@ -316,7 +291,7 @@ func (c *ioCountingConn) Write(p []byte) (int, error) {
 // together, through the small frame buffer) — while a frame larger than
 // that buffer still round-trips intact.
 func TestFrameCostsOneWriteOneRead(t *testing.T) {
-	ag, err := NewAgent(fatLeakTopo3(), "provider")
+	ag, err := NewAgent(leakTopo3(), "provider")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,21 +321,35 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 		t.Errorf("%d calls cost %d writes and %d reads, want %d and at most %d", n, w, r, n, n+1)
 	}
 
-	// A checkpoint is far larger than frameReadBuffer.
-	var cp CheckpointResult
-	if err := cl.Call(MethodCheckpoint, nil, &cp); err != nil {
+	// A batch of 32 witness deliveries is far larger than frameReadBuffer
+	// both ways, and must answer exactly what the agent's own handler
+	// answers for it on a second shadow.
+	u := *ag.self.LastObserved("customer")
+	batch := &InjectBatchParams{ShadowID: 2, Open: true}
+	for i := 0; i < 32; i++ {
+		u.NLRI = []netaddr.Prefix{netaddr.PrefixFrom(netaddr.AddrFrom4(10, 9, 0, byte(i)), 32)}
+		wire, err := bgp.Encode(&u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch.Deliveries = append(batch.Deliveries, BatchDelivery{From: "customer", Msg: wire, Watch: u.NLRI[0]})
+	}
+	var got InjectBatchResult
+	if err := cl.Call(MethodInjectWitness, batch, &got); err != nil {
 		t.Fatal(err)
 	}
-	state := bytes.Join(cp.Chunks, nil)
-	if len(state) <= frameReadBuffer {
-		t.Errorf("checkpoint of %d bytes does not exercise the large-frame path", len(state))
+	req, resp := encodeBody(nil, batch), encodeBody(nil, &got)
+	if len(req) <= frameReadBuffer || len(resp) <= frameReadBuffer {
+		t.Errorf("a %d-byte request and %d-byte answer do not exercise the large-frame path", len(req), len(resp))
 	}
-	direct, err := ag.handle(MethodCheckpoint, nil)
+	direct := *batch
+	direct.ShadowID = 3
+	want, err := ag.handle(MethodInjectWitness, &direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(state, bytes.Join(direct.(*CheckpointResult).Chunks, nil)) {
-		t.Error("checkpoint mangled by the buffered reader")
+	if !bytes.Equal(resp, encodeBody(nil, want)) {
+		t.Error("inject_witness batch mangled by the buffered reader")
 	}
 
 	if allocs := testing.AllocsPerRun(100, func() {

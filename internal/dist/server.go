@@ -10,11 +10,10 @@ import (
 )
 
 // rpcHandler executes one request whose params the server has already
-// decoded through the method table (nil for a parameterless method) and
-// returns the result message (nil for an empty result). Implementations
-// (the node Agent, the exploration Replica) are plain functions of their
-// state and the params: rpcServer.execute serializes them and answers
-// retries, so a handler holds no lock and no memo.
+// decoded through the method table and returns the result message (nil
+// for an empty result). The node Agent is a plain function of its state
+// and the params: rpcServer.execute serializes it and answers retries,
+// so a handler holds no lock and no memo.
 type rpcHandler interface {
 	handle(method string, params message) (message, error)
 	// newSession drops the previous coordinator session's state.
@@ -23,16 +22,14 @@ type rpcHandler interface {
 	memoHit(method string)
 }
 
-// rpcServer is the shared connection engine behind every wire-protocol
-// server: per-connection reader/worker pairs, connection tracking,
-// graceful drain, and the one exactly-once rule of the dist wire
-// (execute). The Agent and the Replica both embed one and plug in their
-// handler.
+// rpcServer is the connection engine behind the Agent: per-connection
+// reader/worker pairs, connection tracking, graceful drain, and the one
+// exactly-once rule of the dist wire (execute). The Agent embeds one and
+// plugs in its handler.
 type rpcServer struct {
 	handler rpcHandler
-	// name labels shutdown errors (the agent's node, "replica"); role is
-	// how the hello's version refusal names this side ("agent", "replica").
-	name, role string
+	// name labels shutdown errors (the agent's node).
+	name string
 
 	// tm instruments served requests and the drain state; nil (the
 	// default) records nothing. Set via EnableTelemetry before serving.
@@ -214,7 +211,7 @@ func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, 
 // response frame. Decode and handler errors become error responses.
 func (s *rpcServer) respond(cr connReq) []byte {
 	var result message
-	params, err := decodeParams(cr.method, cr.body, s.role)
+	params, err := decodeParams(cr.method, cr.body)
 	if err == nil {
 		result, err = s.execute(cr.method, params)
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // Metrics is the coordinator-side telemetry bundle: RPC client counters,
-// round accounting, relay and replica-pool gauges, per-node health. One
-// instance is shared by every client and the pool of one coordinator —
-// attach it with WithTelemetry. A nil *Metrics is a safe no-op
+// round accounting, relay gauges, per-node health. One instance is
+// shared by every client of one coordinator — attach it with
+// WithTelemetry. A nil *Metrics is a safe no-op
 // everywhere, so the instrumented hot paths never branch on "telemetry
 // enabled?" (the mechanism behind the <5% overhead bound).
 type Metrics struct {
@@ -31,12 +31,6 @@ type Metrics struct {
 	propagationSteps  *telemetry.Counter
 	nodeHealth        *telemetry.GaugeVec   // node, state
 	nodeFaults        *telemetry.CounterVec // node
-
-	poolDepth      *telemetry.Gauge
-	poolWorkers    *telemetry.Gauge
-	poolSteals     *telemetry.Counter
-	poolReconnects *telemetry.Counter
-	poolFallbacks  *telemetry.Counter
 }
 
 // NewMetrics registers the coordinator's metric families on reg. A nil
@@ -83,17 +77,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Per-node health state (1 = node is in this state).", "node", "state"),
 		nodeFaults: reg.CounterVec("dice_node_faults_total",
 			"Connection faults (broken streams, call timeouts), by node.", "node"),
-
-		poolDepth: reg.Gauge("dice_replica_pool_queue_depth",
-			"Shards queued for the replica pool."),
-		poolWorkers: reg.Gauge("dice_replica_pool_workers",
-			"Live replica pool workers."),
-		poolSteals: reg.Counter("dice_replica_pool_steals_total",
-			"Shards re-enqueued after their replica died mid-explore."),
-		poolReconnects: reg.Counter("dice_replica_pool_reconnects_total",
-			"Successful replica re-dial + re-handshake cycles."),
-		poolFallbacks: reg.Counter("dice_replica_pool_agent_fallbacks_total",
-			"Targets that fell back from the replica pool to their agent."),
 	}
 }
 
@@ -188,42 +171,7 @@ func (m *Metrics) noteRelayStep(calls []*InjectBatchParams) {
 	}
 }
 
-func (m *Metrics) setPoolDepth(depth int) {
-	if m == nil {
-		return
-	}
-	m.poolDepth.Set(float64(depth))
-}
-
-func (m *Metrics) setPoolWorkers(n int) {
-	if m == nil {
-		return
-	}
-	m.poolWorkers.Set(float64(n))
-}
-
-func (m *Metrics) notePoolSteal() {
-	if m == nil {
-		return
-	}
-	m.poolSteals.Inc()
-}
-
-func (m *Metrics) notePoolReconnect() {
-	if m == nil {
-		return
-	}
-	m.poolReconnects.Inc()
-}
-
-func (m *Metrics) notePoolFallback() {
-	if m == nil {
-		return
-	}
-	m.poolFallbacks.Inc()
-}
-
-// serverMetrics instruments one rpcServer (agent or replica side). A nil
+// serverMetrics instruments the agent's rpcServer. A nil
 // *serverMetrics is a safe no-op.
 type serverMetrics struct {
 	requests *telemetry.CounterVec // method
@@ -268,11 +216,9 @@ func (m *serverMetrics) setDraining(v bool) {
 
 // agentMetrics instruments the Agent's handlers. Nil-safe like the rest.
 type agentMetrics struct {
-	checkpointPages  *telemetry.Counter
-	checkpointUnique *telemetry.Counter
-	memoHits         *telemetry.CounterVec // kind (explore | replay | inject)
-	shadowsOpen      *telemetry.Gauge
-	shadowsOpened    *telemetry.Counter
+	memoHits      *telemetry.CounterVec // kind (explore | replay | inject)
+	shadowsOpen   *telemetry.Gauge
+	shadowsOpened *telemetry.Counter
 }
 
 func newAgentMetrics(reg *telemetry.Registry) *agentMetrics {
@@ -280,10 +226,6 @@ func newAgentMetrics(reg *telemetry.Registry) *agentMetrics {
 		return nil
 	}
 	return &agentMetrics{
-		checkpointPages: reg.Counter("dice_agent_checkpoint_pages_total",
-			"Checkpoint pages serialized (shared and unique)."),
-		checkpointUnique: reg.Counter("dice_agent_checkpoint_unique_pages_total",
-			"Checkpoint pages newly ingested (not shared with a prior snapshot)."),
 		memoHits: reg.CounterVec("dice_agent_memo_hits_total",
 			"Requests answered from an idempotency memo, by kind.", "kind"),
 		shadowsOpen: reg.Gauge("dice_agent_shadows_open",
@@ -291,14 +233,6 @@ func newAgentMetrics(reg *telemetry.Registry) *agentMetrics {
 		shadowsOpened: reg.Counter("dice_agent_shadows_opened_total",
 			"Shadow clones opened (one per shadow set that called the agent)."),
 	}
-}
-
-func (m *agentMetrics) noteCheckpoint(pages, unique int) {
-	if m == nil {
-		return
-	}
-	m.checkpointPages.Add(uint64(pages))
-	m.checkpointUnique.Add(uint64(unique))
 }
 
 func (m *agentMetrics) noteMemoHit(kind string) {
@@ -321,38 +255,6 @@ func (m *agentMetrics) noteShadowClosed() {
 		return
 	}
 	m.shadowsOpen.Dec()
-}
-
-// replicaMetrics instruments the Replica's explore handler.
-type replicaMetrics struct {
-	explores *telemetry.Counter
-	memoHits *telemetry.Counter
-}
-
-func newReplicaMetrics(reg *telemetry.Registry) *replicaMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &replicaMetrics{
-		explores: reg.Counter("dice_replica_explores_total",
-			"Checkpoint explores executed (memo hits excluded)."),
-		memoHits: reg.Counter("dice_replica_memo_hits_total",
-			"Checkpoint explores answered from the shard memo."),
-	}
-}
-
-func (m *replicaMetrics) noteExplore() {
-	if m == nil {
-		return
-	}
-	m.explores.Inc()
-}
-
-func (m *replicaMetrics) noteMemoHit() {
-	if m == nil {
-		return
-	}
-	m.memoHits.Inc()
 }
 
 // ChaosFaultCounter registers the chaos-injection counter family: assign

@@ -98,10 +98,10 @@ func TestHealthzDuringDrain(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsEndpoint is the observability acceptance: a 3-agent +
-// 2-replica fleet over real TCP sockets, a traced round, and a GET
-// /metrics that returns valid exposition covering the RPC, coordinator,
-// replica-pool and health families.
+// TestFleetMetricsEndpoint is the observability acceptance: a 3-agent
+// fleet over real TCP sockets, a traced round, and a GET /metrics that
+// returns valid exposition covering the RPC, coordinator, agent and
+// health families.
 func TestFleetMetricsEndpoint(t *testing.T) {
 	topo := leakTopo3()
 	reg := telemetry.NewRegistry()
@@ -122,21 +122,9 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 		go ag.ListenAndServe(ln) //nolint:errcheck // ends when ln closes
 		dialers = append(dialers, TCPDialer{Addr: ln.Addr().String()})
 	}
-	pool := &ReplicaPool{}
-	for i := 0; i < 2; i++ {
-		r := NewReplica()
-		r.EnableTelemetry(reg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		go r.ListenAndServe(ln) //nolint:errcheck // ends when ln closes
-		pool.Dialers = append(pool.Dialers, TCPDialer{Addr: ln.Addr().String()})
-	}
 	tracer := telemetry.NewTracer()
 	coord, err := Connect(topo, fedOpts(), dialers,
-		WithTelemetry(NewMetrics(reg)), WithTracer(tracer), WithReplicas(pool))
+		WithTelemetry(NewMetrics(reg)), WithTracer(tracer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +162,7 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 		"dice_coordinator_relay_steps_total",
 		"dice_coordinator_relay_step_width_bucket",
 		"dice_coordinator_relay_queue_depth 0",
-		"dice_replica_pool_workers",
-		"dice_agent_checkpoint_pages_total",
-		"dice_replica_explores_total",
+		"dice_agent_shadows_opened_total",
 		`dice_node_health{node="provider",state="healthy"} 1`,
 	} {
 		if !strings.Contains(text, family) {

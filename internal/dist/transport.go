@@ -33,20 +33,6 @@ func (l Loopback) Dial() (io.ReadWriteCloser, error) {
 	return client, nil
 }
 
-// ReplicaLoopback connects to an in-process exploration replica through
-// a synchronous pipe — the testing and single-process transport for
-// replica pools, exactly as Loopback is for agents.
-type ReplicaLoopback struct {
-	Replica *Replica
-}
-
-// Dial implements Dialer: the replica serves the far end of a net.Pipe.
-func (l ReplicaLoopback) Dial() (io.ReadWriteCloser, error) {
-	client, server := net.Pipe()
-	go l.Replica.ServeConn(server) //nolint:errcheck // ends with the pipe
-	return client, nil
-}
-
 // TCPDialer connects to a dicenode agent listening on Addr.
 type TCPDialer struct {
 	Addr string

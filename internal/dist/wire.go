@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 
-	"dice/internal/checkpoint"
 	"dice/internal/codec"
 	"dice/internal/concolic"
 	"dice/internal/core"
@@ -29,7 +28,7 @@ import (
 // of internal/bgp's message codec: fixed-width fields where the domain
 // fixes the width (AS numbers, addresses, prefixes as 4+1 octets, the
 // search strategy as one), uvarints for counts, IDs and route tokens,
-// length-prefixed byte strings — router state and BGP messages travel as
+// length-prefixed byte strings — BGP messages and replay traces travel as
 // raw bytes, and a dense ExploreResult costs bytes proportional to its
 // content. Each payload struct below sits next to its layout: one wire
 // method that encodes or decodes, depending on the pass it is handed.
@@ -50,18 +49,17 @@ import (
 // hello carries it in both directions and either side refuses a peer
 // whose version differs — there is no negotiation and no down-encoding.
 // Any change to a message layout bumps it, and so does one to the raw
-// bytes payloads carry (router checkpoints, replay traces). Fields that
-// only some calls use (HelloParams.Properties, InjectBatchParams.WantProps,
-// ReplicaExploreResult.MissingPages) are encoded as tails that are absent
-// when unused; that keeps the common frames small, it is not a
-// compatibility mechanism.
-const ProtoVersion = 12
+// bytes payloads carry (BGP messages, replay traces). Fields that only
+// some calls use (HelloParams.Properties, InjectBatchParams.WantProps)
+// are encoded as tails that are absent when unused; that keeps the
+// common frames small, it is not a compatibility mechanism.
+const ProtoVersion = 13
 
 // --- Framing -----------------------------------------------------------------
 
-// maxFrame bounds a single frame; a full-table router checkpoint is a
-// few MB, so 64 MiB leaves ample headroom while still catching a
-// corrupted length prefix before it turns into an OOM.
+// maxFrame bounds a single frame; a full-table replay trace is a few MB,
+// so 64 MiB leaves ample headroom while still catching a corrupted
+// length prefix before it turns into an OOM.
 const maxFrame = 64 << 20
 
 // frameHeader is the big-endian payload length that opens every frame.
@@ -145,9 +143,6 @@ func decodeBody(body []byte, msg message) error {
 	return c.Finish()
 }
 
-// key is a checkpoint page key, its 32 raw octets.
-func (c *coder) key(k *checkpoint.Key) { c.Fixed(k[:]) }
-
 // input is a finding's name→value map, entries in sorted name order: the
 // encoding is canonical, so encode→decode→encode is byte-stable (the
 // fuzz harness leans on this the way internal/trace's does).
@@ -219,8 +214,8 @@ func (c *coder) envelope(kind uint8, id *uint64, code *uint8) {
 	c.U8(code)
 }
 
-// appendRequest encodes one request payload. params may be nil for
-// parameterless methods.
+// appendRequest encodes one request payload; nil params encode an empty
+// body.
 func appendRequest(dst []byte, id uint64, method string, params message) ([]byte, error) {
 	code, err := methodCode(method)
 	if err != nil {
@@ -296,12 +291,6 @@ func parseResponse(payload []byte) (id uint64, errMsg string, body []byte, err e
 const (
 	// MethodHello identifies the agent: which node it administers.
 	MethodHello = "hello"
-	// MethodCheckpoint snapshots the agent's node state (serialized as
-	// stable regions, page-deduplicated in the agent's store) and returns
-	// the regions — the §2.4 "checkpoint their state and process these
-	// messages in isolation" surface; their concatenation restores through
-	// router.DecodeState.
-	MethodCheckpoint = "checkpoint"
 	// MethodExplore runs one concolic exploration round on the agent's
 	// node (checkpoint clone, scenario seed, per-node warm state) and
 	// returns findings plus materialized witness announcements.
@@ -324,21 +313,10 @@ const (
 	// fabrics are deterministic, so all agents converge on identical
 	// post-replay state without any node state crossing the wire.
 	MethodReplay = "replay"
-	// MethodSeed derives the target's scenario seed on the agent in the
-	// one form a stateless replica can consume: a concrete BGP UPDATE.
-	// Together with MethodCheckpoint it is everything the coordinator
-	// ships when it offloads exploration to a replica pool.
-	MethodSeed = "seed"
-	// MethodExploreCheckpoint is the replica-side explore: restore a
-	// shipped checkpoint (the node's config and serialized state), run
-	// the same per-target pipeline the node agent runs, and return the
-	// same ExploreResult — plus the exploration's frontier memory, so
-	// the coordinator can keep rounds warm and reseed replacements.
-	MethodExploreCheckpoint = "explore_checkpoint"
 )
 
 // methodTable is the protocol's schema: every method with its params and
-// result types (nil where a method has none). A method's wire code is its
+// result types (nil where a method has no result). A method's wire code is its
 // index plus one. It is the only place a params type is named for
 // decoding — servers decode request bodies through decodeParams, and the
 // codec tests and the fuzz harness take their message lists from here.
@@ -348,14 +326,11 @@ var methodTable = [...]struct {
 	newResult func() message
 }{
 	{MethodHello, func() message { return new(HelloParams) }, func() message { return new(HelloResult) }},
-	{MethodCheckpoint, nil, func() message { return new(CheckpointResult) }},
 	{MethodExplore, func() message { return new(ExploreParams) }, func() message { return new(ExploreResult) }},
 	{MethodInjectWitness, func() message { return new(InjectBatchParams) }, func() message { return new(InjectBatchResult) }},
 	{MethodShadowClose, func() message { return new(ShadowCloseParams) }, nil},
 	{MethodQueryOracle, func() message { return new(QueryOracleParams) }, func() message { return new(QueryOracleResult) }},
 	{MethodReplay, func() message { return new(ReplayParams) }, func() message { return new(ReplayResult) }},
-	{MethodSeed, func() message { return new(SeedParams) }, func() message { return new(SeedResult) }},
-	{MethodExploreCheckpoint, func() message { return new(ReplicaExploreParams) }, func() message { return new(ReplicaExploreResult) }},
 }
 
 // --- Exactly once ------------------------------------------------------------
@@ -369,8 +344,8 @@ type keyed interface {
 }
 
 // memoSlot names one remembered answer: the method plus a number (shadow
-// id, replay key) or names (peer and scenario, shard). It is comparable,
-// so a slot costs no allocation per call.
+// id, replay key) or names (peer and scenario). It is comparable, so a
+// slot costs no allocation per call.
 type memoSlot struct {
 	method string
 	num    uint64
@@ -382,10 +357,6 @@ func shadowSlot(id uint64) memoSlot { return memoSlot{method: MethodInjectWitnes
 
 func (p *ExploreParams) memo() (memoSlot, uint64) {
 	return memoSlot{method: MethodExplore, name: [2]string{p.Peer, p.Scenario}}, p.Key
-}
-
-func (p *ReplicaExploreParams) memo() (memoSlot, uint64) {
-	return memoSlot{method: MethodExploreCheckpoint, name: [2]string{p.Shard}}, p.Key
 }
 
 func (p *InjectBatchParams) memo() (memoSlot, uint64) { return shadowSlot(p.ShadowID), p.Key }
@@ -414,13 +385,11 @@ func methodName(code uint8) (string, error) {
 	return methodTable[code-1].name, nil
 }
 
-// decodeParams decodes a request body into the method's params type (nil
-// for a parameterless method, whose body must be empty). role names the
-// serving side ("agent", "replica") for the hello's version refusal: the
+// decodeParams decodes a request body into the method's params type. The
 // hello's version is read first, and a client speaking another version
 // gets an error naming both while the rest of its body — whose layout
 // this build may not know — is not interpreted.
-func decodeParams(method string, body []byte, role string) (message, error) {
+func decodeParams(method string, body []byte) (message, error) {
 	code, err := methodCode(method)
 	if err != nil {
 		return nil, err
@@ -433,14 +402,10 @@ func decodeParams(method string, body []byte, role string) (message, error) {
 			return nil, err
 		}
 		if ver != ProtoVersion {
-			return nil, fmt.Errorf("dist: wire protocol v%d, this %s speaks v%d", ver, role, ProtoVersion)
+			return nil, fmt.Errorf("dist: wire protocol v%d, this agent speaks v%d", ver, ProtoVersion)
 		}
 	}
-	newParams := methodTable[code-1].newParams
-	if newParams == nil {
-		return nil, decodeBody(body, nil)
-	}
-	p := newParams()
+	p := methodTable[code-1].newParams()
 	return p, decodeBody(body, p)
 }
 
@@ -503,34 +468,10 @@ func (r *HelloResult) wire(c coder) coder {
 	return c
 }
 
-// --- checkpoint --------------------------------------------------------------
-
-// CheckpointResult is one serialized node snapshot.
-type CheckpointResult struct {
-	// Chunks is the complete serialized node state as the node's stable
-	// regions (router.EncodeStateChunks; their concatenation is what
-	// router.DecodeState restores). The receiver
-	// pages them with checkpoint.Store.TakeChunks — the discipline the
-	// agent's own store used — so both sides name the same pages.
-	Chunks [][]byte
-	// Pages/UniquePages account the snapshot in the agent's page store:
-	// pages it holds, and how many were new vs shared with earlier
-	// snapshots of this node (the fork-COW accounting of §4.1).
-	Pages       int
-	UniquePages int
-}
-
-func (r *CheckpointResult) wire(c coder) coder {
-	codec.List(&c.C, &r.Chunks, 1, c.Bytes)
-	c.Uint(&r.Pages)
-	c.Uint(&r.UniquePages)
-	return c
-}
-
 // --- explore -----------------------------------------------------------------
 
 // EngineKnobs is the serializable subset of concolic.Options, embedded
-// in both explore requests (Connect rejects the process-local rest:
+// in the explore request (Connect rejects the process-local rest:
 // State, Cancel). Workers is the fleet's shared pool size.
 type EngineKnobs struct {
 	MaxRuns  int
@@ -658,133 +599,6 @@ func (r *ExploreResult) wire(c coder) coder {
 	codec.List(&c.C, &r.Witnesses, 2, func(w *WireWitness) {
 		c.Uint(&w.Finding)
 		c.Bytes(&w.Msg)
-	})
-	return c
-}
-
-// --- seed / explore_checkpoint -----------------------------------------------
-
-// SeedParams selects which target's scenario seed to derive.
-type SeedParams struct {
-	Peer     string
-	Scenario string
-}
-
-func (p *SeedParams) wire(c coder) coder {
-	c.Str(&p.Peer)
-	c.Str(&p.Scenario)
-	return c
-}
-
-// SeedResult is the derived seed, or why none shipped. Exactly one of
-// the three outcomes holds: Msg set (a concrete UPDATE in BGP wire
-// encoding), Unsupported (the scenario's seed is not an UPDATE — the
-// target must explore on the node itself), or Missing (the node has
-// observed nothing usable yet — the same condition PrepareTarget
-// reports as SeedUnavailableError).
-type SeedResult struct {
-	Msg         []byte
-	Unsupported bool
-	Missing     string
-}
-
-func (r *SeedResult) wire(c coder) coder {
-	c.Bytes(&r.Msg)
-	c.Bool(&r.Unsupported)
-	c.Str(&r.Missing)
-	return c
-}
-
-// ReplicaExploreParams ships one exploration target to a stateless
-// replica: the node's identity and configuration, its checkpoint, the
-// scenario seed, the engine knobs, and the shard and key that make the
-// call idempotent. Nothing here refers back to the coordinator's fabric —
-// the replica reconstructs the target entirely from the message.
-//
-// The checkpoint travels in its one off-node form, a checkpoint.Snapshot:
-// Keys is the snapshot's manifest (every page's 32-byte content key, in
-// state order, paged as the node's own agent paged it) and Pages carries
-// the bodies of the pages this connection's replica has not acknowledged
-// — all of them on first contact, on a warm round only those the node's
-// live traffic changed, because a page's boundaries follow the node's
-// stable regions and do not move when another region grows. A page body
-// is identified by its content, so no index travels with it. The replica
-// assembles the snapshot in its own checkpoint.Store and answers
-// MissingPages for any key it cannot resolve, at which point the sender
-// re-sends once with every page.
-type ReplicaExploreParams struct {
-	// Node names the checkpointed node; Config is its topology config
-	// (one line per element, config.Parse grammar).
-	Node   string
-	Config []string
-	// Peer/Scenario/Explicit select the target, as in ExploreParams.
-	Peer     string
-	Scenario string
-	Explicit bool
-	EngineKnobs
-	// Boundary is the topology's leak-boundary community (the replica
-	// has no topology to derive it from).
-	Boundary uint32
-	// Seed is the scenario seed UPDATE in BGP wire encoding (from
-	// MethodSeed).
-	Seed []byte
-	// WarmState, when set, is serialized cross-round exploration memory
-	// (concolic ExploreState wire encoding): the replica resumes from it
-	// instead of exploring cold, which is how ReuseState survives the
-	// shard moving between replicas.
-	WarmState []byte
-	// Key is the call's idempotency key and Shard its slot (keyed). Shard
-	// also names the slot the replica retains the assembled snapshot
-	// under.
-	Key   uint64
-	Shard string
-	// Keys and Pages are the checkpoint (see above).
-	Keys  []checkpoint.Key
-	Pages [][]byte
-}
-
-func (p *ReplicaExploreParams) wire(c coder) coder {
-	c.Str(&p.Node)
-	codec.List(&c.C, &p.Config, 1, c.Str)
-	c.Str(&p.Peer)
-	c.Str(&p.Scenario)
-	c.Bool(&p.Explicit)
-	c = p.EngineKnobs.wire(c)
-	c.U32(&p.Boundary)
-	c.Bytes(&p.Seed)
-	c.Bytes(&p.WarmState)
-	c.Uvarint(&p.Key)
-	c.Str(&p.Shard)
-	codec.List(&c.C, &p.Keys, len(checkpoint.Key{}), c.key)
-	codec.List(&c.C, &p.Pages, 1, c.Bytes)
-	return c
-}
-
-// ReplicaExploreResult is the replica's answer: the agent-shaped
-// ExploreResult plus the post-exploration frontier memory.
-type ReplicaExploreResult struct {
-	ExploreResult
-	// WarmState is the exploration's frontier memory after this round
-	// (concolic ExploreState wire encoding) — ship it back in the next
-	// round's WarmState to explore incrementally, or seed a replacement
-	// agent with it.
-	WarmState []byte
-	// MissingPages, when non-empty, means the request's Keys named pages
-	// the replica's store could not resolve (a restarted replica, or a
-	// snapshot released to stay under the byte budget): no exploration
-	// ran, and the sender must send again, as a new call with a new key,
-	// with the named pages in Pages. It is a result field, not an error, because
-	// transport errors trigger worker failover — a miss must stay on the
-	// same replica connection.
-	MissingPages []checkpoint.Key
-}
-
-func (r *ReplicaExploreResult) wire(c coder) coder {
-	c = r.ExploreResult.wire(c)
-	c.Bytes(&r.WarmState)
-	// Conditional tail: only miss answers carry it.
-	c.Tail(func() bool { return len(r.MissingPages) > 0 }, "missing_pages", func() {
-		codec.List(&c.C, &r.MissingPages, len(checkpoint.Key{}), c.key)
 	})
 	return c
 }

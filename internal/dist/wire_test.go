@@ -12,23 +12,19 @@ import (
 	"sync"
 	"testing"
 
-	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/core"
 	"dice/internal/netaddr"
 )
 
 // paramsFor returns a fresh instance of the method's params type from
-// the method table (nil for a parameterless method).
+// the method table.
 func paramsFor(method string) message {
 	code, err := methodCode(method)
 	if err != nil {
 		panic(err)
 	}
-	if np := methodTable[code-1].newParams; np != nil {
-		return np()
-	}
-	return nil
+	return methodTable[code-1].newParams()
 }
 
 // resultTypes returns a fresh instance of every result type in the
@@ -56,7 +52,6 @@ func sampleMessages() []message {
 				`property "converge" { eventually converges within 64 steps }`,
 			}},
 		&HelloResult{Node: "as65002", Topology: "line-3-dense-256", AS: 65002, Prefixes: 771, Version: ProtoVersion},
-		&CheckpointResult{Chunks: [][]byte{{'R', 'T', 'R', '1'}, {0xca, 0xfe, 0x00, 0x01}}, Pages: 12, UniquePages: 3},
 		&ExploreParams{
 			Peer: "as65001", Scenario: "route-leak", Explicit: true,
 			EngineKnobs: EngineKnobs{MaxRuns: 200, Workers: 4, Strategy: concolic.DFS},
@@ -102,22 +97,6 @@ func sampleMessages() []message {
 		&QueryOracleParams{ShadowID: 8, Prefix: netaddr.MustParsePrefix("10.80.3.0/24")},
 		&QueryOracleResult{BestToken: 42, HasCovering: true, CoveringLocal: false, CoveringNextPeer: "as65002",
 			PropMatch: []bool{true, false, true}},
-		&ReplicaExploreParams{
-			Node: "as65002", Config: []string{"router bgp 65002", " neighbor up"},
-			Peer: "as65001", Scenario: "route-leak",
-			Explicit:    true,
-			EngineKnobs: EngineKnobs{MaxRuns: 120, Workers: 2, Strategy: concolic.BFS},
-			Boundary:    0xFFFF_FF01, Seed: []byte{0x02, 0x00, 0x17}, WarmState: []byte{0x7a}, Key: 4, Shard: "as65002/as65001#0",
-			Keys:  []checkpoint.Key{{0x6c, 0xd5}, {0xa0, 0x01}, {0x6c, 0xd5}},
-			Pages: [][]byte{{0xca, 0xfe}, {0x00}},
-		},
-		&ReplicaExploreResult{
-			ExploreResult: ExploreResult{Scenario: "route-leak", Runs: 17, ElapsedNS: 99},
-			WarmState:     []byte{0x7b, 0x7c},
-			MissingPages:  []checkpoint.Key{{0xa0, 0x01}, {0x6c, 0xd5}},
-		},
-		&SeedParams{Peer: "as65001", Scenario: "route-leak"},
-		&SeedResult{Msg: []byte{0x02, 0x00, 0x17}, Missing: "no observed seed"},
 	}
 }
 
@@ -145,9 +124,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	inTable := map[reflect.Type]bool{}
 	for _, m := range methodTable {
-		if p := paramsFor(m.name); p != nil {
-			inTable[reflect.TypeOf(p)] = true
-		}
+		inTable[reflect.TypeOf(paramsFor(m.name))] = true
 	}
 	for _, r := range resultTypes() {
 		inTable[reflect.TypeOf(r)] = true
@@ -230,8 +207,8 @@ func TestWireGolden(t *testing.T) {
 	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
 		t.Errorf("wire encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if ProtoVersion != 12 {
-		t.Errorf("ProtoVersion %d: the golden was written at 12", ProtoVersion)
+	if ProtoVersion != 13 {
+		t.Errorf("ProtoVersion %d: the golden was written at 13", ProtoVersion)
 	}
 }
 
@@ -402,8 +379,8 @@ func TestDecodeRejections(t *testing.T) {
 	if _, _, _, err := parseRequest([]byte{frameRequest, 0x01, uint8(len(methodTable) + 1)}); !errors.Is(err, errFrame) {
 		t.Errorf("method code %d past the table parsed: %v", len(methodTable)+1, err)
 	}
-	if len(methodTable) != 9 {
-		t.Errorf("method table has %d rows, want 9", len(methodTable))
+	if len(methodTable) != 6 {
+		t.Errorf("method table has %d rows, want 6", len(methodTable))
 	}
 }
 

@@ -144,10 +144,10 @@ func (r *Router) EncodeStateChunks() [][]byte {
 }
 
 // DecodeState reconstructs a router from a checkpoint: the concatenation
-// of EncodeStateChunks' regions. This is what makes the §2.4 vision
-// concrete: a remote node can checkpoint its state, ship the
-// (self-contained) bytes, and exploration can "process these messages in
-// isolation over their checkpointed states" on another machine. The
+// of EncodeStateChunks' regions. It is the check that those regions hold
+// the node's whole state — the pages E1's memory accounting counts (the
+// checkpoint store, MeasureMemory): a router restored from them explores
+// to the live node's findings and re-encodes to the same bytes. The
 // restored router comes up with all sessions in Established (the state a
 // forked process would be in) and its transport set to tr, normally a
 // capture sink so restored state stays isolated.

@@ -59,13 +59,13 @@ type Spec struct {
 	// PolicyClauses adds that many extra prefix-guard clauses (each over
 	// a distinct /16 of the generated network space) ahead of the
 	// catch-all in every in_customer filter, 0..32. Each clause is one
-	// more branch the concolic engine explores per target — the knob the
-	// replica-scaling benchmarks turn to size per-target work.
+	// more branch the concolic engine explores per target — the knob that
+	// sizes per-target work (dice -asgen-clauses).
 	PolicyClauses int
 }
 
 // Generated node count bounds. The floor keeps all three tiers populated;
-// the ceiling is the 10k-node scale the replica benchmarks run at.
+// the ceiling is the 10k-node scale TestGenerateAtScale holds valid.
 const (
 	MinNodes = 8
 	MaxNodes = 10000

@@ -41,10 +41,12 @@ type SessionConfig struct {
 // SessionHooks is what a Session calls on its owner: one value per
 // peering (the router's per-peer state implements it), so a session costs
 // no closures. Send must deliver a complete wire-encoded message to the
-// peer; the bytes may be shared with other sessions and must be treated
-// as read-only, so a transport that keeps them copies them. OnEstablished,
-// OnUpdate and OnDown notify the owner. A nil SessionHooks discards
-// everything.
+// peer. The bytes are handed over: nothing writes them again, so the
+// transport may keep them without copying, but they may be shared with
+// other sessions, so it must not write them either. OnEstablished,
+// OnUpdate and OnDown notify the owner; the UPDATE of a session with a
+// Decoder is valid only until OnUpdate returns. A nil SessionHooks
+// discards everything.
 type SessionHooks interface {
 	Send(wire []byte)
 	OnEstablished()
@@ -59,6 +61,7 @@ type SessionHooks interface {
 type Session struct {
 	cfg   SessionConfig
 	hooks SessionHooks
+	dec   *Decoder // nil: every UPDATE is decoded into a new Update
 
 	state    State
 	peerOpen *Open
@@ -84,6 +87,10 @@ func NewSession(cfg SessionConfig, hooks SessionHooks) *Session {
 	}
 	return &Session{cfg: cfg, hooks: hooks, state: StateIdle}
 }
+
+// SetDecoder makes the session decode the UPDATEs it receives through
+// dec (Decoder).
+func (s *Session) SetDecoder(dec *Decoder) { s.dec = dec }
 
 // State returns the current FSM state.
 func (s *Session) State() State { return s.state }
@@ -168,7 +175,7 @@ func (s *Session) Recv(now time.Time, data []byte) error {
 }
 
 func (s *Session) handleWire(now time.Time, wire []byte) error {
-	m, err := Decode(wire)
+	m, err := decode(wire, s.dec)
 	if err != nil {
 		s.notifyAndClose(err)
 		return err

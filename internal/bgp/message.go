@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dice/internal/concolic"
 	"dice/internal/netaddr"
@@ -82,10 +83,31 @@ var marker = [16]byte{
 
 // Encode serializes a full message including the header.
 func Encode(m Message) ([]byte, error) {
-	buf := make([]byte, HeaderLen, 64)
+	if u, ok := m.(*Update); ok {
+		return EncodeUpdate(u)
+	}
+	buf, err := m.encodeBody(header(m.Type(), 64))
+	return finish(buf, err)
+}
+
+// EncodeUpdate is Encode for an UPDATE. It keeps nothing of u, so an
+// Update built only to be encoded costs no allocation of its own.
+func EncodeUpdate(u *Update) ([]byte, error) {
+	buf, err := u.encodeBody(header(MsgUpdate, 96))
+	return finish(buf, err)
+}
+
+// header starts a message of type typ in a buffer of capacity size.
+func header(typ uint8, size int) []byte {
+	buf := make([]byte, HeaderLen, size)
 	copy(buf, marker[:])
-	buf[18] = m.Type()
-	buf, err := m.encodeBody(buf)
+	buf[18] = typ
+	return buf
+}
+
+// finish checks an encoded message's length and writes it into the
+// header.
+func finish(buf []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +120,11 @@ func Encode(m Message) ([]byte, error) {
 
 // Decode parses one complete message from wire bytes. It validates the
 // header per RFC 4271 §6.1 and the body per the per-type rules.
-func Decode(wire []byte) (Message, error) {
+func Decode(wire []byte) (Message, error) { return decode(wire, nil) }
+
+// decode is Decode, with an UPDATE decoded through dec when there is one
+// (Decoder.update).
+func decode(wire []byte, dec *Decoder) (Message, error) {
 	if len(wire) < HeaderLen {
 		return nil, protoErr(ErrCodeMessageHeader, 2, "short message: %d bytes", len(wire))
 	}
@@ -116,7 +142,14 @@ func Decode(wire []byte) (Message, error) {
 	case MsgOpen:
 		return decodeOpen(body)
 	case MsgUpdate:
-		return decodeUpdate(body)
+		if dec != nil {
+			return dec.update(body)
+		}
+		u := &Update{}
+		if err := u.decode(body, nil); err != nil {
+			return nil, err
+		}
+		return u, nil
 	case MsgNotification:
 		return decodeNotification(body)
 	case MsgKeepalive:
@@ -325,44 +358,56 @@ func patchLen(dst []byte, at int, tooLong string) error {
 	return nil
 }
 
-func decodeUpdate(body []byte) (*Update, error) {
+// decode parses an UPDATE body into u, overwriting every field: the
+// prefix lists reuse u's backing arrays, and the attribute set comes from
+// tab when there is one (AttrTable.decode), fresh otherwise.
+func (u *Update) decode(body []byte, tab *AttrTable) error {
 	if len(body) < 4 {
-		return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "short UPDATE body")
+		return protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "short UPDATE body")
 	}
-	u := &Update{}
 	wdLen := int(binary.BigEndian.Uint16(body[0:2]))
 	rest := body[2:]
 	if len(rest) < wdLen {
-		return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "withdrawn length overruns body")
+		return protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "withdrawn length overruns body")
 	}
 	var err error
-	u.Withdrawn, err = decodePrefixes(rest[:wdLen])
+	u.Withdrawn, err = decodePrefixes(u.Withdrawn, rest[:wdLen])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rest = rest[wdLen:]
 	if len(rest) < 2 {
-		return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "missing attribute length")
+		return protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "missing attribute length")
 	}
 	atLen := int(binary.BigEndian.Uint16(rest[0:2]))
 	rest = rest[2:]
 	if len(rest) < atLen {
-		return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "attribute length overruns body")
+		return protoErr(ErrCodeUpdateMessage, ErrSubMalformedAttrList, "attribute length overruns body")
 	}
-	u.Attrs, err = decodeAttrs(rest[:atLen])
-	if err != nil {
-		return nil, err
+	if u.Attrs, err = tab.decode(rest[:atLen]); err != nil {
+		return err
 	}
-	u.NLRI, err = decodePrefixes(rest[atLen:])
+	u.NLRI, err = decodePrefixes(u.NLRI, rest[atLen:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(u.NLRI) > 0 {
-		if err := u.Attrs.checkMandatory(); err != nil {
-			return nil, err
-		}
+		return u.Attrs.checkMandatory()
 	}
-	return u, nil
+	return nil
+}
+
+// Clone returns a copy of u that owns its prefix lists (an empty one is
+// nil). The attribute set is shared: a decoded set is never written.
+func (u *Update) Clone() *Update {
+	return &Update{Withdrawn: clonePrefixes(u.Withdrawn), Attrs: u.Attrs, NLRI: clonePrefixes(u.NLRI)}
+}
+
+func clonePrefixes(ps []netaddr.Prefix) []netaddr.Prefix {
+	if len(ps) == 0 {
+		return nil
+	}
+	return slices.Clone(ps)
 }
 
 // encodePrefixes appends NLRI-encoded prefixes (RFC 4271 §4.3): a length
@@ -383,11 +428,12 @@ func encodePrefixes(dst []byte, ps []netaddr.Prefix) ([]byte, error) {
 	return dst, nil
 }
 
-// decodePrefixes parses NLRI-encoded prefixes, rejecting lengths > 32,
-// truncated prefixes, and non-zero host bits (non-canonical encodings).
-// A first pass validates and counts, so the result is allocated once;
-// an empty block decodes to nil.
-func decodePrefixes(b []byte) ([]netaddr.Prefix, error) {
+// decodePrefixes parses NLRI-encoded prefixes into dst's backing array,
+// rejecting lengths > 32, truncated prefixes, and non-zero host bits
+// (non-canonical encodings). A first pass validates and counts, so a
+// result that does not fit is allocated once; an empty block decodes to
+// dst[:0], nil for a nil dst.
+func decodePrefixes(dst []netaddr.Prefix, b []byte) ([]netaddr.Prefix, error) {
 	n := 0
 	for rest := b; len(rest) > 0; n++ {
 		_, size, err := decodePrefix(rest)
@@ -396,10 +442,7 @@ func decodePrefixes(b []byte) ([]netaddr.Prefix, error) {
 		}
 		rest = rest[size:]
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]netaddr.Prefix, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	for i := range out {
 		p, size, _ := decodePrefix(b)
 		out[i] = p

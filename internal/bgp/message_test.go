@@ -216,20 +216,20 @@ func TestDecodeHeaderErrors(t *testing.T) {
 func TestDecodePrefixValidation(t *testing.T) {
 	// prefix length 33
 	u := []byte{33, 1, 2, 3, 4, 5}
-	if _, err := decodePrefixes(u); err == nil {
+	if _, err := decodePrefixes(nil, u); err == nil {
 		t.Error("prefix length 33 accepted")
 	}
 	// truncated
-	if _, err := decodePrefixes([]byte{24, 1, 2}); err == nil {
+	if _, err := decodePrefixes(nil, []byte{24, 1, 2}); err == nil {
 		t.Error("truncated prefix accepted")
 	}
 	// host bits set: 10.0.0.1/8 encoded non-canonically is impossible in
 	// 1 byte, use /24 with low bit garbage in third byte
-	if _, err := decodePrefixes([]byte{23, 10, 0, 1}); err == nil {
+	if _, err := decodePrefixes(nil, []byte{23, 10, 0, 1}); err == nil {
 		t.Error("host bits accepted")
 	}
 	// valid default route
-	ps, err := decodePrefixes([]byte{0})
+	ps, err := decodePrefixes(nil, []byte{0})
 	if err != nil || len(ps) != 1 || ps[0].Bits() != 0 {
 		t.Errorf("default route: %v %v", ps, err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -467,9 +468,14 @@ func (fe *FederatedExperiment) Explore(targets []ResolvedTarget) ([]TargetOutcom
 
 // OpenShadows starts a shadow set (Fleet): a node is cloned
 // (OpenShadow) on the set's first delivery to it or query about it, as
-// an agent clones on a set's first call.
+// an agent clones on a set's first call. The set's shadows decode through
+// one bgp.Decoder and its attribute table, so an attribute set that
+// reaches several of its nodes is decoded once.
 func (fe *FederatedExperiment) OpenShadows() Shadows {
-	return &FabricShadows{fe: fe, relay: fe.driver.NewRelay(), nodes: make(map[string]*NodeShadow, len(fe.nodes))}
+	return &FabricShadows{
+		fe: fe, relay: fe.driver.AcquireRelay(), dec: bgp.Decoder{Table: bgp.NewAttrTable()},
+		nodes: make(map[string]*NodeShadow, len(fe.nodes)),
+	}
 }
 
 // ShadowsOpened counts the node shadows opened here, as the agents'
@@ -481,6 +487,7 @@ func (fe *FederatedExperiment) ShadowsOpened() int64 { return fe.shadowsOpened.L
 type FabricShadows struct {
 	fe    *FederatedExperiment
 	relay *Relay
+	dec   bgp.Decoder // every shadow's, with the set's attribute table
 	nodes map[string]*NodeShadow
 	props []*prop.Compiled // the running Propagate's `at` properties
 }
@@ -494,7 +501,7 @@ func (s *FabricShadows) node(name string) *NodeShadow {
 		if live == nil {
 			return nil
 		}
-		sh = OpenShadow(live, s.fe.Fabric.Net.Now())
+		sh = OpenShadow(live, s.fe.Fabric.Net.Now(), &s.dec)
 		s.nodes[name] = sh
 		s.fe.shadowsOpened.Add(1)
 	}
@@ -540,8 +547,14 @@ func (s *FabricShadows) Step(step []Delivery, _ int, emit func(d *Delivery, to s
 	return nil
 }
 
-// Close releases nothing: the shadows are garbage once the set is.
-func (*FabricShadows) Close() {}
+// Close hands the relay back to the driver; the shadows and their
+// attribute table are garbage once the set is.
+func (s *FabricShadows) Close() {
+	if s.relay != nil {
+		s.fe.driver.ReleaseRelay(s.relay)
+		s.relay, s.dec, s.nodes = nil, bgp.Decoder{}, nil
+	}
+}
 
 // WitnessOutcome is one candidate injection's verdict.
 type WitnessOutcome struct {
@@ -612,18 +625,17 @@ type ForwardHop struct {
 // names no peer), or a forwarding loop. It models where traffic for the
 // prefix actually goes — the multi-hop blackhole oracle's core. path
 // lists every node visited, origin first and terminal last, feeding
-// `never reachable via` property assertions. lookup reads what the UPDATE
-// wave reported about each node it touched (Driver.CollectFacts); its
-// error aborts the walk.
-func TraceForward(from string, lookup func(node string) (ForwardHop, error)) (terminal string, hops int, delivered bool, path []string, err error) {
-	cur := from
-	visited := map[string]bool{}
+// `never reachable via` property assertions; it is written from the
+// start of buf, whose capacity the caller lends. lookup reads what the
+// UPDATE wave reported about each node it touched (Driver.CollectFacts);
+// its error aborts the walk.
+func TraceForward(buf []string, from string, lookup func(node string) (ForwardHop, error)) (terminal string, hops int, delivered bool, path []string, err error) {
+	cur, path := from, buf[:0]
 	for {
-		path = append(path, cur)
-		if visited[cur] {
-			return cur, hops, false, path, nil // forwarding loop
+		if slices.Contains(path, cur) {
+			return cur, hops, false, append(path, cur), nil // forwarding loop
 		}
-		visited[cur] = true
+		path = append(path, cur)
 		hop, err := lookup(cur)
 		if err != nil || !hop.HasCovering || (!hop.Local && hop.NextPeer == "") {
 			return cur, hops, false, path, err // dead end: no covering route, or one toward no peer

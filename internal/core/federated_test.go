@@ -441,7 +441,7 @@ func TestTraceForward(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			asked := map[string]int{}
-			terminal, hops, delivered, path, err := TraceForward("a", func(node string) (ForwardHop, error) {
+			terminal, hops, delivered, path, err := TraceForward(nil, "a", func(node string) (ForwardHop, error) {
 				asked[node]++
 				if node == tc.failAt {
 					return ForwardHop{}, boom

@@ -81,21 +81,25 @@ type Injection struct {
 }
 
 // Wave is what one injection did to the shadows: the propagation
-// telemetry, and per node that received at least one of the wave's
-// deliveries how its route for the watched prefix changed. A node absent
-// from Touched has, by construction, not changed.
+// telemetry, and per node how its route for the watched prefix changed.
+// Touched is indexed like Fleet.Nodes(); a node none of the wave's
+// deliveries reached reads Seen false and has, by construction, not
+// changed. Touched belongs to the Shadows: it is valid until their next
+// Propagate or Close.
 type Wave struct {
 	prop.Phase
-	Touched map[string]RouteChange
+	Touched []RouteChange
 }
 
 // churning reports a wave that hit its step budget with deliveries pending.
 func (w Wave) churning() bool { return w.Pending > 0 }
 
-// RouteChange brackets one node's share of a wave: the watched prefix's
-// best-route token before the node's first delivery of the wave (0 for
-// none) and the node's view after its last.
+// RouteChange brackets one node's share of a wave: whether the wave
+// reached the node, and if so the watched prefix's best-route token
+// before the node's first delivery of the wave (0 for none) and the
+// node's view after its last.
 type RouteChange struct {
+	Seen   bool
 	Before uint64
 	After  RouteView
 }
@@ -162,8 +166,12 @@ type Driver struct {
 	Props []*prop.Compiled
 
 	topo    *Topology
-	needsAt bool          // some property has an `at` clause
-	links   *netsim.Links // the topology's links, for every Relay
+	needsAt bool           // some property has an `at` clause
+	links   *netsim.Links  // the topology's links, for every Relay
+	index   map[string]int // node name → index into the sorted node names
+
+	relayMu sync.Mutex
+	relays  []*Relay // released by the round's closed shadow sets (ReleaseRelay)
 }
 
 // NewDriver resolves a topology and options into a round driver.
@@ -198,6 +206,15 @@ func NewDriver(t *Topology, opts FederatedOptions) (*Driver, error) {
 	if err := t.Link(d.links); err != nil {
 		return nil, fmt.Errorf("federated: %w", err)
 	}
+	names := make([]string, len(t.Nodes))
+	for i, n := range t.Nodes {
+		names[i] = n.Name
+	}
+	slices.Sort(names)
+	d.index = make(map[string]int, len(names))
+	for i, name := range names {
+		d.index[name] = i
+	}
 	for _, p := range d.Props {
 		d.needsAt = d.needsAt || p.HasAt()
 	}
@@ -209,6 +226,7 @@ func NewDriver(t *Topology, opts FederatedOptions) (*Driver, error) {
 // property set over what each one did.
 func (d *Driver) Round(f Fleet) (*FederatedResult, error) {
 	start := time.Now()
+	defer d.dropRelays()
 	targets := d.topo.ResolveTargets(d.Opts.DefaultScenario)
 	outs, err := f.Explore(targets)
 	if err != nil {
@@ -542,30 +560,35 @@ func (d *Driver) CollectFacts(f Fleet, sh Shadows, group []WitnessSpec) ([]*prop
 	// explored node and the sending peer are excluded from every oracle.
 	nodes := f.Nodes()
 	reached := make([][]string, len(group)) // witness-installed nodes, sorted
+	var free []string                       // room for the next forward trace's path
 	for i, w := range group {
 		touched := waves[i].Touched
 		lookup := func(name string) (ForwardHop, error) {
-			ch, known := touched[name]
-			if !known {
-				v, err := sh.Query(name, inject[i].Watch)
-				if err != nil {
-					return ForwardHop{}, err
-				}
-				ch = RouteChange{Before: v.Token, After: v} // asked once; unchanged
-				touched[name] = ch
+			k, known := slices.BinarySearch(nodes, name)
+			if known && touched[k].Seen {
+				return touched[k].After.Hop, nil
 			}
-			return ch.After.Hop, nil
+			v, err := sh.Query(name, inject[i].Watch)
+			if err != nil || !known {
+				return v.Hop, err
+			}
+			touched[k] = RouteChange{Seen: true, Before: v.Token, After: v} // asked once; unchanged
+			return v.Hop, nil
 		}
-		for _, name := range nodes {
-			ch := touched[name]
+		for k, name := range nodes {
+			ch := touched[k]
 			if name == w.Node || name == w.Peer || ch.After.Token == 0 || ch.After.Token == ch.Before {
 				continue // excluded, or the witness never took hold here
 			}
 			reached[i] = append(reached[i], name)
-			terminal, hops, delivered, path, err := TraceForward(name, lookup)
+			if cap(free) < 8 {
+				free = make([]string, 0, 128) // the paths of many traces, back to back
+			}
+			terminal, hops, delivered, path, err := TraceForward(free, name, lookup)
 			if err != nil {
 				return nil, err
 			}
+			path, free = slices.Clip(path), path[len(path):]
 			facts[i].Nodes = append(facts[i].Nodes, prop.NodeFacts{
 				Name: name, Hops: hops, Terminal: terminal, Delivered: delivered, Path: path,
 				AtMatch: ch.After.AtMatch,
@@ -592,7 +615,8 @@ func (d *Driver) CollectFacts(f Fleet, sh Shadows, group []WitnessSpec) ([]*prop
 	}
 	for i := range group {
 		for _, name := range reached[i] {
-			if ch, touched := waves[i].Touched[name]; !touched || ch.After.Token == ch.Before {
+			k, _ := slices.BinarySearch(nodes, name)
+			if ch := waves[i].Touched[k]; !ch.Seen || ch.After.Token == ch.Before {
 				facts[i].Stale = append(facts[i].Stale, name)
 			}
 		}

@@ -84,22 +84,56 @@ func TestRoundEqualsPerWitnessChecks(t *testing.T) {
 // (netsim → session → codec → router pipeline → RIB overlay) with
 // allocations reported.
 func BenchmarkWitnessWave(b *testing.B) {
+	d, fe, specs := witnessWave(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.CheckWitnesses(fe, specs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// witnessWaveAllocs bounds what BenchmarkWitnessWave's op allocates: a
+// wave allocates the routes, emissions and facts it keeps (28 566 objects
+// when the bound was set) and 10 % of headroom.
+const witnessWaveAllocs = 31_400
+
+// TestWitnessWaveAllocBudget holds the witness checks of a 64-AS round,
+// at Workers 1, to witnessWaveAllocs.
+func TestWitnessWaveAllocBudget(t *testing.T) {
+	d, fe, specs := witnessWave(t)
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := d.CheckWitnesses(fe, specs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per round's witness checks", got)
+	if got > witnessWaveAllocs {
+		t.Errorf("a round's witness checks allocate %.0f objects, budget %d", got, witnessWaveAllocs)
+	}
+}
+
+// witnessWave runs one round of the 64-AS generated topology at Workers 1
+// and returns its driver, fleet and confirmed witnesses.
+func witnessWave(tb testing.TB) (*core.Driver, *core.FederatedExperiment, []core.WitnessSpec) {
+	tb.Helper()
 	tp, _, err := topo.Generate(topo.Spec{Seed: 64, Nodes: 64, ExploreTargets: 12, PolicyClauses: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := core.FederatedOptions{Engine: concolic.Options{MaxRuns: 1000}, Workers: 1, MaxWitnesses: 1 << 20}
 	fe, err := core.NewFederatedExperiment(tp, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d, err := core.NewDriver(tp, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := fe.Round()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var specs []core.WitnessSpec
 	for _, tr := range res.Targets {
@@ -113,13 +147,7 @@ func BenchmarkWitnessWave(b *testing.B) {
 		}
 	}
 	if len(specs) == 0 {
-		b.Fatal("the round confirmed no witness to check")
+		tb.Fatal("the round confirmed no witness to check")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.CheckWitnesses(fe, specs); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return d, fe, specs
 }

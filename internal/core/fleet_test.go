@@ -45,6 +45,7 @@ type fakeFleet struct {
 }
 
 func (f *fakeFleet) Nodes() []string              { return f.nodes }
+func (f *fakeFleet) index(node string) int        { return slices.Index(f.nodes, node) }
 func (f *fakeFleet) NodeAS(string) (uint16, bool) { return 0, false }
 func (f *fakeFleet) logf(format string, args ...any) {
 	f.log = append(f.log, fmt.Sprintf(format, args...))
@@ -103,9 +104,9 @@ func (s *fakeShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([
 			return nil, fmt.Errorf("agent restarted: %w", ErrShadowLost)
 		}
 		w := s.f.waves[p]
-		touched := map[string]RouteChange{}
+		touched := make([]RouteChange, len(s.f.nodes))
 		for _, n := range append([]string{in.To}, w.reach...) {
-			touched[n] = RouteChange{Before: s.view(n, p).Token}
+			touched[s.f.index(n)] = RouteChange{Seen: true, Before: s.view(n, p).Token}
 		}
 		for _, n := range w.reach {
 			if s.best[n] == nil {
@@ -119,9 +120,10 @@ func (s *fakeShadows) Propagate(group []Injection, maxSteps int, wantAt bool) ([
 				delete(s.best[n], p)
 			}
 		}
-		for n, ch := range touched {
-			ch.After = s.view(n, p)
-			touched[n] = ch
+		for k, n := range s.f.nodes {
+			if touched[k].Seen {
+				touched[k].After = s.view(n, p)
+			}
 		}
 		waves[i] = Wave{Phase: prop.Phase{Steps: w.steps, Waves: []int{w.steps}}, Touched: touched}
 		if !withdraw {
@@ -459,7 +461,7 @@ func (s *untouchedOnWithdraw) Propagate(group []Injection, maxSteps int, wantAt 
 	waves, err := s.fakeShadows.Propagate(group, maxSteps, wantAt)
 	if err == nil && len(group[0].Update.NLRI) == 0 && had {
 		s.best[s.node][p] = kept
-		delete(waves[0].Touched, s.node)
+		waves[0].Touched[s.f.index(s.node)] = RouteChange{}
 	}
 	return waves, err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dice/internal/bgp"
@@ -40,16 +41,47 @@ func NoPeerError(node, from string) error {
 // Shadows.Propagate hand it a witness group and supply only how a step
 // reaches the node shadows — a direct call in process
 // (FabricShadows.Step), one pipelined inject_witness per agent over RPC.
-// It keeps the per-wave books on a netsim.Loop over the topology's
-// links, reused across calls.
+// Its books — a netsim.Loop over the topology's links, the step buffers
+// and every wave's Touched — are reused across its Runs, and across the
+// shadow sets of a round: a set takes a relay from its Driver when it
+// opens (AcquireRelay) and hands it back when it closes (ReleaseRelay),
+// so a round's groups regrow none of them. The driver lets go of them
+// when the round ends, so nothing is kept between rounds.
 type Relay struct {
-	loop   *netsim.Loop
-	events []netsim.Event
-	step   []Delivery
+	loop    *netsim.Loop
+	index   map[string]int // node name → index into the fleet's Nodes()
+	events  []netsim.Event
+	step    []Delivery
+	touched []RouteChange // the waves' Touched, back to back
 }
 
-// NewRelay returns a relay over the driver's topology links.
-func (d *Driver) NewRelay() *Relay { return &Relay{loop: netsim.NewLoop(d.links)} }
+// AcquireRelay returns a relay over the driver's topology links, one a
+// closed shadow set released when there is one. Safe for concurrent use.
+func (d *Driver) AcquireRelay() *Relay {
+	d.relayMu.Lock()
+	defer d.relayMu.Unlock()
+	if n := len(d.relays); n > 0 {
+		r := d.relays[n-1]
+		d.relays = d.relays[:n-1]
+		return r
+	}
+	return &Relay{loop: netsim.NewLoop(d.links), index: d.index}
+}
+
+// ReleaseRelay hands r back for a later set of the round. Nothing of it
+// may be used after, the Touched of the waves it ran included.
+func (d *Driver) ReleaseRelay(r *Relay) {
+	d.relayMu.Lock()
+	d.relays = append(d.relays, r)
+	d.relayMu.Unlock()
+}
+
+// dropRelays lets go of the released relays.
+func (d *Driver) dropRelays() {
+	d.relayMu.Lock()
+	d.relays = nil
+	d.relayMu.Unlock()
+}
 
 // Run injects every member of the group at To as if From had sent it and
 // relays the resulting waves to quiescence, together, one loop step at a
@@ -60,9 +92,13 @@ func (d *Driver) NewRelay() *Relay { return &Relay{loop: netsim.NewLoop(d.links)
 // count are kept per wave: a wave that has spent its budget stops being
 // delivered, what is queued for it stays counted as pending, and the
 // waves beside it run on. Touched keeps, per wave and node, the first
-// delivery's Before and the last one's After.
+// delivery's Before and the last one's After; it is the relay's, valid
+// until its next Run.
 func (r *Relay) Run(group []Injection, maxSteps int, exec StepFunc) ([]Wave, error) {
 	r.loop.Reset() // what a wave that hit its budget left queued
+	n := len(r.index)
+	r.touched = slices.Grow(r.touched[:0], len(group)*n)[:len(group)*n]
+	clear(r.touched)
 	waves := make([]Wave, len(group))
 	last := make([]time.Duration, len(group)) // each wave's current timestamp
 	for i, in := range group {
@@ -73,7 +109,7 @@ func (r *Relay) Run(group []Injection, maxSteps int, exec StepFunc) ([]Wave, err
 		if !r.loop.Send(0, i, in.From, in.To, wire) {
 			return nil, fmt.Errorf("federated: no %s→%s link for witness injection", in.From, in.To)
 		}
-		waves[i] = Wave{Phase: prop.Phase{Pending: 1}, Touched: make(map[string]RouteChange)}
+		waves[i] = Wave{Phase: prop.Phase{Pending: 1}, Touched: r.touched[i*n : (i+1)*n : (i+1)*n]}
 	}
 	emit := func(d *Delivery, to string, msg []byte) {
 		if r.loop.Send(d.At, d.Tag, d.To, to, msg) {
@@ -106,13 +142,11 @@ func (r *Relay) Run(group []Injection, maxSteps int, exec StepFunc) ([]Wave, err
 		}
 		for i := range r.step {
 			d := &r.step[i]
-			touched := waves[d.Tag].Touched
-			ch, seen := touched[d.To]
-			if !seen { // the wave's first delivery to d.To
-				ch.Before = d.Before
+			ch := &waves[d.Tag].Touched[r.index[d.To]] // links join only the topology's nodes
+			if !ch.Seen {                              // the wave's first delivery to d.To
+				ch.Seen, ch.Before = true, d.Before
 			}
 			ch.After = d.After
-			touched[d.To] = ch
 		}
 	}
 	return waves, nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -429,22 +428,25 @@ type NodeShadow struct {
 	// a backward scan over an inline array beats a map.
 	routes []*rib.Route
 	inline [8]*rib.Route
+	// sentInline holds what most deliveries make a node send.
+	sentInline [4]netsim.CapturedMessage
 }
 
 // OpenShadow clones live at the live clock now, in O(peers): a witness
-// only dirties the prefixes it touches. The live node must stay quiescent
-// while shadows are alive (nothing runs the live network during witness
-// propagation).
-func OpenShadow(live *router.Router, now time.Time) *NodeShadow {
+// only dirties the prefixes it touches (router.CloneShadow). The clone
+// decodes through dec, its shadow set's, when there is one. The live node
+// must stay quiescent while shadows are alive (nothing runs the live
+// network during witness propagation).
+func OpenShadow(live *router.Router, now time.Time, dec *bgp.Decoder) *NodeShadow {
 	s := &NodeShadow{now: now}
-	s.r, s.routes = live.CloneCOW(s), s.inline[:0]
+	s.r, s.routes, s.sent = live.CloneShadow(s, dec), s.inline[:0], s.sentInline[:0]
 	return s
 }
 
-// Send is the clone's transport (netsim.Transport): it captures a copy
-// of what the node sends, for Deliver to report.
+// Send is the clone's transport (netsim.Transport): it captures what the
+// node sends, handed over, for Deliver to report.
 func (s *NodeShadow) Send(from, to string, data []byte) {
-	s.sent = append(s.sent, netsim.CapturedMessage{From: from, To: to, Data: bytes.Clone(data)})
+	s.sent = append(s.sent, netsim.CapturedMessage{From: from, To: to, Data: data})
 }
 
 // Router is the clone itself, for tests that inspect it; rounds go
@@ -528,7 +530,7 @@ func (f *Fabric) Shadow() (map[string]*NodeShadow, error) {
 	now := f.Net.Now()
 	s := make(map[string]*NodeShadow, len(f.Routers))
 	for name, r := range f.Routers {
-		s[name] = OpenShadow(r, now)
+		s[name] = OpenShadow(r, now, nil)
 	}
 	return s, nil
 }

@@ -40,7 +40,7 @@ type Agent struct {
 	// (replay) are refused.
 	sharedFabric bool
 
-	states *concolic.StateMap // per-(scenario, peer) warm exploration state
+	states *concolic.StateMap // per-(scenario, peer) warm exploration state, per session
 
 	// Telemetry (nil unless EnableTelemetry ran): handler-level counters
 	// and the per-round concolic metrics threaded into every explore.
@@ -179,12 +179,16 @@ func (a *Agent) hello(p *HelloParams) (*HelloResult, error) {
 	}, nil
 }
 
-// newSession closes the previous session's shadows: their ids came from
-// that session's sequence, and the new one will mint the same ids again.
+// newSession closes the previous session's shadows — their ids came from
+// that session's sequence, and the new one will mint the same ids again —
+// and drops its warm exploration state: a new coordinator starts cold, as
+// an in-process experiment does, while one that reconnects keeps its
+// nonce, and with it its warm state.
 func (a *Agent) newSession() {
 	for id := range a.shadows {
 		a.shadowClose(id)
 	}
+	a.states = concolic.NewStateMap()
 }
 
 // memoHit counts a memo answer under the kind label its method has on
@@ -275,7 +279,7 @@ func (a *Agent) shadow(id uint64, open bool) (*core.NodeShadow, error) {
 	if !open {
 		return nil, fmt.Errorf("dist: %s %s %d", a.node, noShadowMarker, id)
 	}
-	sh := core.OpenShadow(a.self, a.fabric.Net.Now())
+	sh := core.OpenShadow(a.self, a.fabric.Net.Now(), nil) // one node per set: a table would never hit
 	a.shadows[id] = sh
 	a.am.noteShadowOpened()
 	return sh, nil

@@ -848,7 +848,7 @@ func (c *Coordinator) fanOut(nodes []string, params []*InjectBatchParams, outs [
 func (c *Coordinator) OpenShadows() core.Shadows {
 	return &shadowSet{
 		c: c, id: c.keys.Add(1), span: c.tracer.Start("coordinator", "shadow set"),
-		relay: c.driver.NewRelay(), called: make(map[string]bool, len(c.nodes)), slot: make(map[string]int, len(c.nodes)),
+		relay: c.driver.AcquireRelay(), called: make(map[string]bool, len(c.nodes)), slot: make(map[string]int, len(c.nodes)),
 	}
 }
 
@@ -866,6 +866,10 @@ func (s *shadowSet) Close() {
 	}
 	for _, a := range calls {
 		_ = a.p.Wait()
+	}
+	if s.relay != nil {
+		s.c.driver.ReleaseRelay(s.relay)
+		s.relay = nil
 	}
 	s.span.End()
 }

@@ -195,6 +195,50 @@ func TestDistributedWarmRounds(t *testing.T) {
 	}
 }
 
+// TestNewCoordinatorStartsCold: warm exploration state is the session's.
+// Two ReuseState coordinators in turn over one set of agents: the second
+// one's first round reports what the first one's did, where keeping the
+// agents' warm state across sessions would have it skip every known path
+// and report no finding. Its second round is warm again.
+func TestNewCoordinatorStartsCold(t *testing.T) {
+	topo := leakTopo3()
+	opts := fedOpts()
+	opts.ReuseState = true
+	agents := map[string]*Agent{}
+	for _, n := range topo.Nodes {
+		ag, err := NewAgent(topo, n.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[n.Name] = ag
+	}
+	var first string
+	for run := 0; run < 2; run++ {
+		coord := connectAgents(t, topo, agents, opts, nil)
+		cold, err := coord.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := strings.Join(cold.Snapshot(), "\n")
+		if run == 0 {
+			first = snap
+			if len(cold.Violations) == 0 {
+				t.Fatal("the first coordinator's round confirmed no violation")
+			}
+		} else if snap != first {
+			t.Errorf("the second coordinator's first round:\n%s\nwant the first coordinator's:\n%s", snap, first)
+		}
+		warm, err := coord.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := warm.Targets[0].Explore; ex.NewPaths != 0 || ex.SkippedNegations == 0 {
+			t.Errorf("coordinator %d's second round: %d new paths, %d negations skipped; want a warm round", run+1, ex.NewPaths, ex.SkippedNegations)
+		}
+		coord.Close()
+	}
+}
+
 // TestConnectValidation: the coordinator refuses mismatched topologies,
 // doubled agents, and uncovered nodes.
 func TestConnectValidation(t *testing.T) {

@@ -160,7 +160,7 @@ func relayWaves(t *testing.T, d *core.Driver, fe *core.FederatedExperiment, w Wi
 		out    []waveDelivery
 		phases [2]prop.Phase
 	)
-	relay := d.NewRelay()
+	relay := d.AcquireRelay()
 	for phase, u := range lifecycle(w) {
 		in := []core.Injection{{From: w.Peer, To: w.Node, Update: u, Watch: w.Update.NLRI[0]}}
 		waves, err := relay.Run(in, maxSteps, func(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte)) error {

@@ -18,7 +18,6 @@
 package netsim
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -27,8 +26,11 @@ import (
 
 // Transport lets a protocol stack send bytes toward a named peer. Both
 // the Network (live) and CaptureSink (exploration) implement it. Send
-// copies data before it returns: a sender may hand the same bytes to
-// several peers, or reuse them, without affecting what was sent.
+// hands data over: the sender never writes those bytes again, so a
+// transport keeps them as they are, without a copy. A sender may hand the
+// same bytes to several peers (one encoding of an UPDATE goes to every
+// peer whose export policy leaves it unmodified), so neither a transport
+// nor anything it hands the bytes on to writes them either.
 type Transport interface {
 	Send(from, to string, data []byte)
 }
@@ -36,8 +38,8 @@ type Transport interface {
 // Receiver is implemented by node protocol stacks.
 type Receiver interface {
 	// Deliver hands the node bytes that arrived from a peer at virtual
-	// time now. The receiver treats them as read-only and copies what it
-	// keeps past the call.
+	// time now: the bytes a Transport was handed, shared and read-only.
+	// What the receiver keeps past the call it decodes out of them.
 	Deliver(now time.Time, from string, data []byte)
 }
 
@@ -59,24 +61,45 @@ type Event struct {
 	Data     []byte
 }
 
-// queue is a binary min-heap of Event values in (At, Seq) order, total
-// because Seq is unique per loop. Events are stored by value: a push
-// allocates nothing beyond amortized growth of the slice.
-type queue []Event
+// queue is a binary min-heap of events in (At, Seq) order, total because
+// Seq is unique per loop. The heap holds only each event's order and the
+// slot its event is stored in, so a sift moves no pointer (and pays no
+// write barrier while the collector runs); the events stay put in their
+// slots. A push allocates nothing beyond amortized growth of the slices.
+type queue struct {
+	heap  []queued
+	slots []Event
+	free  []int32 // vacated slots
+}
 
-func (q queue) less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
+// queued is one heap entry: an event's order and slot.
+type queued struct {
+	at   time.Duration
+	seq  uint64
+	slot int32
+}
+
+func (q *queue) less(i, j int) bool {
+	if q.heap[i].at != q.heap[j].at {
+		return q.heap[i].at < q.heap[j].at
 	}
-	return q[i].Seq < q[j].Seq
+	return q.heap[i].seq < q.heap[j].seq
 }
 
 func (q *queue) push(e Event) {
-	*q = append(*q, e)
-	h := *q
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot, q.free = q.free[n-1], q.free[:n-1]
+		q.slots[slot] = e
+	} else {
+		slot = int32(len(q.slots))
+		q.slots = append(q.slots, e)
+	}
+	q.heap = append(q.heap, queued{e.At, e.Seq, slot})
+	h := q.heap
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !q.less(i, parent) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -86,28 +109,42 @@ func (q *queue) push(e Event) {
 
 // pop removes and returns the earliest event of a non-empty queue.
 func (q *queue) pop() Event {
-	h := *q
+	h := q.heap
 	last := len(h) - 1
-	e := h[0]
+	top := h[0]
 	h[0] = h[last]
-	h[last] = Event{} // the vacated slot must not keep the payload alive
 	h = h[:last]
+	q.heap = h
 	for i := 0; ; {
 		child := 2*i + 1
 		if child >= last {
 			break
 		}
-		if r := child + 1; r < last && h.less(r, child) {
+		if r := child + 1; r < last && q.less(r, child) {
 			child = r
 		}
-		if !h.less(child, i) {
+		if !q.less(child, i) {
 			break
 		}
 		h[i], h[child] = h[child], h[i]
 		i = child
 	}
-	*q = h
+	e := q.slots[top.slot]
+	q.slots[top.slot] = Event{} // the vacated slot must not keep the payload alive
+	q.free = append(q.free, top.slot)
 	return e
+}
+
+// len returns the number of queued events.
+func (q *queue) len() int { return len(q.heap) }
+
+// earliest returns the time of the earliest event of a non-empty queue.
+func (q *queue) earliest() time.Duration { return q.heap[0].at }
+
+// reset empties the queue, keeping its buffers.
+func (q *queue) reset() {
+	clear(q.slots)
+	q.heap, q.slots, q.free = q.heap[:0], q.slots[:0], q.free[:0]
 }
 
 // Links is a link table: each link's latency under both orders of its
@@ -158,23 +195,24 @@ func (l *Loop) Send(at time.Duration, tag int, from, to string, data []byte) boo
 // Step appends the next step to buf in delivery order: every event within
 // the lookahead of the earliest, none later than until.
 func (l *Loop) Step(buf []Event, until time.Duration) []Event {
-	if len(l.queue) == 0 || l.queue[0].At > until {
+	if l.queue.len() == 0 || l.queue.earliest() > until {
 		return buf
 	}
-	horizon := l.queue[0].At + min(l.links.lookahead, until-l.queue[0].At)
-	for len(l.queue) > 0 && l.queue[0].At <= horizon {
+	first := l.queue.earliest()
+	horizon := first + min(l.links.lookahead, until-first)
+	for l.queue.len() > 0 && l.queue.earliest() <= horizon {
 		buf = append(buf, l.queue.pop())
 	}
 	return buf
 }
 
 // Len returns the number of queued events.
-func (l *Loop) Len() int { return len(l.queue) }
+func (l *Loop) Len() int { return l.queue.len() }
 
 // Reset empties the queue and restarts the sequence numbers.
 func (l *Loop) Reset() {
-	clear(l.queue)
-	l.queue, l.seq = l.queue[:0], 0
+	l.queue.reset()
+	l.seq = 0
 }
 
 // LinkStats counts traffic over one direction of a link.
@@ -248,16 +286,16 @@ func (n *Network) Stats(from, to string) LinkStats {
 	return LinkStats{}
 }
 
-// Send implements Transport: it queues a copy of data for delivery across
-// the link. Sends over missing links are dropped (like an unplugged
-// cable), keeping exploration safe.
+// Send implements Transport: it queues data, handed over, for delivery
+// across the link. Sends over missing links are dropped (like an
+// unplugged cable), keeping exploration safe.
 func (n *Network) Send(from, to string, data []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if st := n.stats[[2]string{from, to}]; st != nil {
 		st.Messages++
 		st.Bytes += uint64(len(data))
-		n.loop.Send(n.now, 0, from, to, bytes.Clone(data))
+		n.loop.Send(n.now, 0, from, to, data)
 	}
 }
 
@@ -301,9 +339,18 @@ func (n *Network) run(limit int, until time.Duration) (count int) {
 		}
 		clear(n.step) // the payloads are not the buffer's to keep
 	}
+	if n.loop.Len() == 0 && cap(n.step) > burstStep {
+		n.loop.queue, n.step = queue{}, nil // a burst's buffers, kept for nothing
+	}
 	n.mu.Unlock()
 	return count
 }
+
+// burstStep is the step capacity past which a drained Network lets go of
+// its queue and step buffers. Live traffic makes steps of a few events;
+// only a burst — a fabric converging, a trace replayed — grows them past
+// it, and the network would otherwise keep that memory for its life.
+const burstStep = 256
 
 // Pending returns the number of queued deliveries.
 func (n *Network) Pending() int {
@@ -331,12 +378,10 @@ func NewCaptureSink() *CaptureSink {
 	return &CaptureSink{}
 }
 
-// Send implements Transport by capturing.
+// Send implements Transport by capturing data, handed over.
 func (s *CaptureSink) Send(from, to string, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.mu.Lock()
-	s.msgs = append(s.msgs, CapturedMessage{From: from, To: to, Data: cp})
+	s.msgs = append(s.msgs, CapturedMessage{From: from, To: to, Data: data})
 	s.mu.Unlock()
 }
 

@@ -158,12 +158,14 @@ func TestCaptureSinkStandalone(t *testing.T) {
 	if sink.Count() != 1 {
 		t.Fatal("capture failed")
 	}
-	// Transport's contract: a sender that reuses its buffer after Send
-	// does not change what was sent.
-	buf[0] = 'X'
+	// Transport's contract: Send hands the bytes over, so the sink keeps
+	// the sender's bytes themselves.
 	msgs := sink.Drain(nil)
 	if len(msgs) != 1 || msgs[0].From != "clone" || msgs[0].To != "peer" || string(msgs[0].Data) != "explore" {
 		t.Fatalf("captured %+v, want clone→peer \"explore\"", msgs)
+	}
+	if &msgs[0].Data[0] != &buf[0] {
+		t.Error("the sink copied bytes it was handed")
 	}
 }
 
@@ -195,20 +197,23 @@ func TestCaptureSinkDrain(t *testing.T) {
 	}
 }
 
-func TestDataIsolation(t *testing.T) {
-	// The network must copy payloads: sender reuse of the buffer must not
-	// corrupt in-flight messages.
+// TestSendHandsOverBytes: the network delivers the bytes a sender handed
+// it, not a copy, and one buffer handed to two peers reaches both.
+func TestSendHandsOverBytes(t *testing.T) {
 	n := New(start())
-	b := &recorder{}
+	var got [][]byte
+	keep := ReceiverFunc(func(_ time.Time, _ string, data []byte) { got = append(got, data) })
 	n.AddNode("a", &recorder{})
-	n.AddNode("b", b)
+	n.AddNode("b", keep)
+	n.AddNode("c", keep)
 	n.Connect("a", "b", time.Millisecond)
+	n.Connect("a", "c", time.Millisecond)
 	buf := []byte("AAAA")
 	n.Send("a", "b", buf)
-	buf[0] = 'Z'
+	n.Send("a", "c", buf)
 	n.Run(0)
-	if b.got[0] != "a:AAAA" {
-		t.Fatalf("payload corrupted: %v", b.got)
+	if len(got) != 2 || &got[0][0] != &buf[0] || &got[1][0] != &buf[0] {
+		t.Fatalf("delivered %q, want the sent buffer itself, twice", got)
 	}
 }
 
@@ -235,10 +240,10 @@ func BenchmarkSendDeliver(b *testing.B) {
 	}
 }
 
-// TestSendStepAllocatesOnlyTheCopy: a message through the loop costs the
-// isolation copy Send makes and nothing else — events are heap values,
+// TestSendStepAllocatesNothing: a message through the loop allocates
+// nothing — Send keeps the bytes it is handed, events are heap values,
 // not one allocation each, and the step buffer is reused.
-func TestSendStepAllocatesOnlyTheCopy(t *testing.T) {
+func TestSendStepAllocatesNothing(t *testing.T) {
 	n := New(start())
 	sinkNode := ReceiverFunc(func(time.Time, string, []byte) {})
 	n.AddNode("a", sinkNode)
@@ -248,8 +253,34 @@ func TestSendStepAllocatesOnlyTheCopy(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() {
 		n.Send("a", "b", payload)
 		n.Run(0)
-	}); got != 1 {
-		t.Fatalf("Send + Run allocates %v objects, want exactly the 1 copy", got)
+	}); got != 0 {
+		t.Fatalf("Send + Run allocates %v objects, want none", got)
+	}
+}
+
+// TestDrainedBurstReleasesBuffers: a burst grows the network's queue and
+// step buffers; once it has drained they are let go, while a trickle of
+// traffic keeps its small ones for reuse.
+func TestDrainedBurstReleasesBuffers(t *testing.T) {
+	n := New(start())
+	sinkNode := ReceiverFunc(func(time.Time, string, []byte) {})
+	n.AddNode("a", sinkNode)
+	n.AddNode("b", sinkNode)
+	n.Connect("a", "b", time.Millisecond)
+	payload := []byte("x")
+	n.Send("a", "b", payload)
+	n.Run(0)
+	if cap(n.step) == 0 {
+		t.Fatal("a one-message step let its buffer go")
+	}
+	for i := 0; i <= burstStep; i++ {
+		n.Send("a", "b", payload)
+	}
+	if got := n.Run(0); got != burstStep+1 {
+		t.Fatalf("delivered %d of %d", got, burstStep+1)
+	}
+	if cap(n.step) != 0 || cap(n.loop.queue.slots) != 0 || cap(n.loop.queue.heap) != 0 {
+		t.Errorf("a drained burst kept step %d, slots %d, heap %d", cap(n.step), cap(n.loop.queue.slots), cap(n.loop.queue.heap))
 	}
 }
 

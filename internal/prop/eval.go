@@ -2,6 +2,8 @@ package prop
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"dice/internal/bgp"
 	"dice/internal/filter"
@@ -145,14 +147,39 @@ func OscillationDetail(phase string, maxSteps, pending int, waves []int) string 
 // RouteLeakDetail renders the boundary-escape verdict — the exact
 // string the hard-coded route-leak oracle produced, emitted when a
 // `never installed` property is guarded by `when community boundary`.
+// A round renders one per leak, so it is built in one allocation.
 func RouteLeakDetail(boundary uint32, source, at string) string {
-	return fmt.Sprintf("advertisement carrying the no-export community (%d:%d) escaped AS boundary %s and was installed at %s",
-		boundary>>16, boundary&0xffff, source, at)
+	var b strings.Builder
+	b.Grow(128 + len(source) + len(at))
+	b.WriteString("advertisement carrying the no-export community (")
+	writeInt(&b, int(boundary>>16))
+	b.WriteByte(':')
+	writeInt(&b, int(boundary&0xffff))
+	b.WriteString(") escaped AS boundary ")
+	b.WriteString(source)
+	b.WriteString(" and was installed at ")
+	b.WriteString(at)
+	return b.String()
 }
 
-// BlackholeDetail renders the forward-trace dead-end verdict.
+// BlackholeDetail renders the forward-trace dead-end verdict, in one
+// allocation like RouteLeakDetail.
 func BlackholeDetail(from string, hops int, terminal string) string {
-	return fmt.Sprintf("traffic from %s forward-traces %d hops and dead-ends at %s", from, hops, terminal)
+	var b strings.Builder
+	b.Grow(64 + len(from) + len(terminal))
+	b.WriteString("traffic from ")
+	b.WriteString(from)
+	b.WriteString(" forward-traces ")
+	writeInt(&b, hops)
+	b.WriteString(" hops and dead-ends at ")
+	b.WriteString(terminal)
+	return b.String()
+}
+
+// writeInt writes v in decimal, as %d does.
+func writeInt(b *strings.Builder, v int) {
+	var digits [20]byte
+	b.Write(strconv.AppendInt(digits[:0], int64(v), 10))
 }
 
 // StaleDetail renders the survived-WITHDRAW verdict over the sorted
@@ -229,9 +256,11 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 			}
 			switch a := c.Assert.(type) {
 			case *NeverInstalledAssertion:
-				detail := fmt.Sprintf("witness route was installed at %s, forbidden by property %s", n.Name, c.Name)
+				var detail string
 				if c.boundaryWhen {
 					detail = RouteLeakDetail(f.Boundary, f.Node, n.Name)
+				} else {
+					detail = fmt.Sprintf("witness route was installed at %s, forbidden by property %s", n.Name, c.Name)
 				}
 				out = append(out, Violation{Kind: c.Kind, Node: n.Name, Hops: n.Hops, Detail: detail})
 			case *NeverBlackholedAssertion:

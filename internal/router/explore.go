@@ -139,7 +139,7 @@ func (r *Router) explore(peerName string, u *bgp.Update, lf lift, br filter.Bran
 	} else {
 		out.Prefix = u.Withdrawn[0]
 	}
-	r.process(peerName, u, lf, br, &out)
+	r.process(r.peer(peerName), u, lf, br, &out)
 	return out
 }
 
@@ -149,7 +149,7 @@ func (r *Router) explore(peerName string, u *bgp.Update, lf lift, br filter.Bran
 // messages are decoded from mutated wire bytes and only the surviving
 // valid ones reach policy code.
 func (r *Router) HandleUpdateConcrete(peerName string, u *bgp.Update) Outcome {
-	if r.peers[peerName] == nil || len(u.NLRI) == 0 {
+	if r.peer(peerName) == nil || len(u.NLRI) == 0 {
 		return Outcome{Peer: peerName}
 	}
 	if len(u.NLRI) > 1 || len(u.Withdrawn) > 0 {
@@ -215,7 +215,7 @@ var UpdateInputs = InputModel[*bgp.Update]{
 // ExploreUpdate processes one exploratory announcement built from the
 // seed with the symbolic fields replaced by engine-chosen values.
 func (r *Router) ExploreUpdate(rc *concolic.RunContext, peerName string, seed *bgp.Update) Outcome {
-	ps := r.peers[peerName]
+	ps := r.peer(peerName)
 	if ps == nil {
 		return Outcome{Peer: peerName}
 	}

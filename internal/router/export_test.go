@@ -65,7 +65,7 @@ func newShareHub(t *testing.T) (*Router, *wireRecorder) {
 	hub := New("hub", cfg, rec)
 	for _, pc := range cfg.Peers {
 		if pc.Name != "down" {
-			hub.peers[pc.Name].sess.RestoreEstablished(0, 0)
+			hub.Session(pc.Name).RestoreEstablished(0, 0)
 		}
 	}
 	seed := parityAttrs("10.0.0.1", 3, []uint32{bgp.MakeCommunity(65001, 9)}, 65001, 65010)
@@ -237,8 +237,8 @@ func TestExportCountersOnlyCountWhatWentOut(t *testing.T) {
 			hub, rec := newShareHub(t)
 			type counts struct{ updates, msgs uint64 }
 			before := map[string]counts{}
-			for name, ps := range hub.peers {
-				before[name] = counts{ps.sess.UpdatesOut, ps.sess.MsgsOut}
+			for _, ps := range hub.order {
+				before[ps.peer.Name] = counts{ps.sess.UpdatesOut, ps.sess.MsgsOut}
 			}
 			sentBefore := hub.Counters().UpdatesSent
 			rt := testRoute("10.66.0.0/16")
@@ -255,7 +255,8 @@ func TestExportCountersOnlyCountWhatWentOut(t *testing.T) {
 			for _, m := range rec.msgs {
 				received[m.to]++
 			}
-			for name, ps := range hub.peers {
+			for _, ps := range hub.order {
+				name := ps.peer.Name
 				b, n := before[name], received[name]
 				if ps.sess.UpdatesOut != b.updates+n || ps.sess.MsgsOut != b.msgs+n {
 					t.Errorf("%s: UpdatesOut %d → %d, MsgsOut %d → %d", name, b.updates, ps.sess.UpdatesOut, b.msgs, ps.sess.MsgsOut)
@@ -286,7 +287,7 @@ func TestExportAllocationsPerPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pc := range cfg.Peers {
-			hub.peers[pc.Name].sess.RestoreEstablished(0, 0)
+			hub.Session(pc.Name).RestoreEstablished(0, 0)
 			if pc.Name == "src" {
 				continue
 			}

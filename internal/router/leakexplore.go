@@ -73,7 +73,7 @@ func withoutCommunity(comms []uint32, c uint32, seed *bgp.Attrs) []uint32 {
 // ExploreLeak processes one exploratory announcement whose prefix, path
 // origin and community are engine-chosen.
 func (r *Router) ExploreLeak(rc *concolic.RunContext, peerName string, seed *bgp.Update) Outcome {
-	ps := r.peers[peerName]
+	ps := r.peer(peerName)
 	if ps == nil {
 		return Outcome{Peer: peerName}
 	}

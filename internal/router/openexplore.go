@@ -50,8 +50,8 @@ var OpenInputs = InputModel[*bgp.Open]{
 // the NOTIFICATION the first failing check would send, or Established.
 func (r *Router) HandleOpenConcolic(rc *concolic.RunContext, peerName string) OpenOutcome {
 	out := OpenOutcome{Peer: peerName}
-	ps, ok := r.peers[peerName]
-	if !ok {
+	ps := r.peer(peerName)
+	if ps == nil {
 		return out
 	}
 	h := bgp.OpenHeader{

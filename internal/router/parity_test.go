@@ -85,7 +85,7 @@ func newParityCheckpoint(t testing.TB) *Router {
 	}
 	hub := New("hub", cfg, netsim.NewCaptureSink())
 	for _, n := range []string{"a", "b", "c"} {
-		hub.peers[n].sess.RestoreEstablished(0, 0)
+		hub.Session(n).RestoreEstablished(0, 0)
 	}
 	load := []struct {
 		peer   string

@@ -16,6 +16,7 @@ package router
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -40,11 +41,41 @@ type Counters struct {
 
 // peerState couples a configured peer with its live session, and is the
 // session's bgp.SessionHooks: one value per peer carries everything the
-// session calls back with.
+// session calls back with. A COW clone builds a peer's session on its
+// first use (session), from the parent's (base); until then it reads the
+// parent's (view), which the CloneCOW contract keeps still.
 type peerState struct {
 	r    *Router
 	peer *config.Peer
-	sess *bgp.Session
+	sess *bgp.Session // nil until session builds it
+	base *bgp.Session // what session copies the state of; nil: a fresh Idle session
+}
+
+// session returns the peer's session, building it on the first call.
+func (ps *peerState) session() *bgp.Session {
+	if ps.sess == nil {
+		ps.sess = bgp.NewSession(bgp.SessionConfig{
+			LocalAS:  ps.r.cfg.LocalAS,
+			PeerAS:   ps.peer.AS,
+			RouterID: ps.r.cfg.RouterID,
+			HoldTime: ps.peer.HoldTime,
+		}, ps)
+		ps.sess.SetDecoder(ps.r.dec)
+		if ps.base != nil {
+			ps.sess.CloneStateFrom(ps.base)
+			ps.base = nil
+		}
+	}
+	return ps.sess
+}
+
+// view returns the session to read: the peer's own, or before session
+// built it, the parent's it will copy.
+func (ps *peerState) view() *bgp.Session {
+	if ps.sess != nil {
+		return ps.sess
+	}
+	return ps.base
 }
 
 // Send implements bgp.SessionHooks: the wire goes to the peer's node.
@@ -71,24 +102,30 @@ type Router struct {
 	name      string
 	transport netsim.Transport
 	loc       rib.RouteTable
-	peers     map[string]*peerState // keyed by peer (node) name
 	counters  Counters
 
-	// order holds the peers sorted by name. Every loop whose body sends
-	// messages walks peers through it instead of the map: map iteration
-	// order would leak into the netsim enqueue sequence — the tie-break
-	// between same-timestamp deliveries — and the same witness injected
-	// into the same fabric could take a different number of deliveries to
-	// converge run to run, which the trace-replay golden harness (and the
-	// distributed parity contract on PropagationSteps) cannot tolerate.
-	// The peer set is fixed at construction, so the hot callers —
-	// propagate on every best-route change, Tick on every timer advance —
-	// pay no per-call sort or allocation.
+	// order holds the peers sorted by name, and is how a peer is found by
+	// name (peer). Every loop whose body sends messages walks it, so the
+	// netsim enqueue sequence — the tie-break between same-timestamp
+	// deliveries — is the same run to run: the same witness injected into
+	// the same fabric takes the same number of deliveries to converge,
+	// which the trace-replay golden harness (and the distributed parity
+	// contract on PropagationSteps) cannot do without. The peer set is
+	// fixed at construction, so the hot callers — propagate on every
+	// best-route change, Tick on every timer advance — pay no per-call
+	// sort or allocation.
 	order []*peerState
 
 	// subj is the filter subject every import and export run lifts the
 	// route into (filter.Subject.Lift): one per router, not one per run.
 	subj filter.Subject
+
+	// dec is where the router's sessions decode UPDATEs (bgp.Decoder): one
+	// Update, reused, so an UPDATE outlives its delivery only when
+	// onUpdate keeps it as a seed. A COW clone has none, and decodes each
+	// into a new Update: exploration clones share a checkpoint, not a
+	// goroutine.
+	dec *bgp.Decoder
 
 	// LastObserved retains the most recent UPDATE per peer; DiCE derives
 	// its symbolic input templates from these (§2.3 "feeds it with a
@@ -99,7 +136,17 @@ type Router struct {
 	// usable seed.
 	lastObserved  map[string]*bgp.Update
 	lastAnnounced map[string]*bgp.Update
+	seeds         seedMode
 }
+
+// seedMode is what onUpdate does with an UPDATE.
+type seedMode uint8
+
+const (
+	ownSeeds    seedMode = iota // keep a copy in the router's seed maps
+	sharedSeeds                 // the maps are a COW parent's: copy them first
+	noSeeds                     // keep nothing: a witness shadow is never explored
+)
 
 // New creates a router from its configuration. name is its netsim node
 // name; peers' config names must match their node names.
@@ -122,36 +169,44 @@ func New(name string, cfg *config.Config, tr netsim.Transport) *Router {
 }
 
 // newRouter builds a router over loc with a fresh (Idle) session per
-// configured peer. Checkpoint clones are built here too, hundreds per
-// round, so every map is sized up front and the peer states share one
-// allocation.
+// configured peer and empty seed maps.
 func newRouter(name string, cfg *config.Config, tr netsim.Transport, loc rib.RouteTable) *Router {
-	n := len(cfg.Peers)
-	r := &Router{
-		cfg:           cfg,
-		name:          name,
-		transport:     tr,
-		loc:           loc,
-		peers:         make(map[string]*peerState, n),
-		order:         make([]*peerState, n),
-		lastObserved:  make(map[string]*bgp.Update, n),
-		lastAnnounced: make(map[string]*bgp.Update, n),
+	r := newPeers(name, cfg, tr, loc)
+	r.dec = new(bgp.Decoder)
+	for _, ps := range r.order {
+		ps.session()
 	}
+	r.lastObserved = make(map[string]*bgp.Update, len(r.order))
+	r.lastAnnounced = make(map[string]*bgp.Update, len(r.order))
+	return r
+}
+
+// newPeers builds a router over loc with its peer states and no session
+// or seed map yet. Checkpoint and shadow clones are built here too,
+// hundreds per round, so the peer states share one allocation.
+func newPeers(name string, cfg *config.Config, tr netsim.Transport, loc rib.RouteTable) *Router {
+	n := len(cfg.Peers)
+	r := &Router{cfg: cfg, name: name, transport: tr, loc: loc, order: make([]*peerState, n)}
 	states := make([]peerState, n)
 	for i, pc := range cfg.Peers {
 		ps := &states[i]
 		ps.r, ps.peer = r, pc
-		ps.sess = bgp.NewSession(bgp.SessionConfig{
-			LocalAS:  cfg.LocalAS,
-			PeerAS:   pc.AS,
-			RouterID: cfg.RouterID,
-			HoldTime: pc.HoldTime,
-		}, ps)
-		r.peers[pc.Name] = ps
 		r.order[i] = ps
 	}
 	slices.SortFunc(r.order, func(a, b *peerState) int { return strings.Compare(a.peer.Name, b.peer.Name) })
 	return r
+}
+
+// peer returns the configured peer named name, nil for none. A node has
+// a handful of peers, so a scan beats both a map, which every clone would
+// have to build, and a binary search's ordered compares.
+func (r *Router) peer(name string) *peerState {
+	for _, ps := range r.order {
+		if ps.peer.Name == name {
+			return ps
+		}
+	}
+	return nil
 }
 
 func boolToU64(b bool) uint64 {
@@ -175,8 +230,8 @@ func (r *Router) Counters() Counters { return r.counters }
 
 // Session returns the session for a peer name (nil if unknown).
 func (r *Router) Session(peer string) *bgp.Session {
-	if ps, ok := r.peers[peer]; ok {
-		return ps.sess
+	if ps := r.peer(peer); ps != nil {
+		return ps.session()
 	}
 	return nil
 }
@@ -208,8 +263,8 @@ func (r *Router) PeerNameByAddr(a netaddr.Addr) string {
 // Start begins all peering sessions at virtual time now.
 func (r *Router) Start(now time.Time) error {
 	for _, ps := range r.order {
-		ps.sess.Start(now)
-		if err := ps.sess.ConnUp(now); err != nil {
+		ps.session().Start(now)
+		if err := ps.session().ConnUp(now); err != nil {
 			return fmt.Errorf("router %s: peer %s: %w", r.name, ps.peer.Name, err)
 		}
 	}
@@ -218,18 +273,18 @@ func (r *Router) Start(now time.Time) error {
 
 // Deliver implements netsim.Receiver: bytes arriving from a peer node.
 func (r *Router) Deliver(now time.Time, from string, data []byte) {
-	ps, ok := r.peers[from]
-	if !ok {
+	ps := r.peer(from)
+	if ps == nil {
 		return // not a configured peer; drop
 	}
-	_ = ps.sess.Recv(now, data) // protocol errors already notified peer
+	_ = ps.session().Recv(now, data) // protocol errors already notified peer
 }
 
 // Tick advances all session timers (sorted: a timer firing can emit a
 // KEEPALIVE, and emission order is part of the deterministic contract).
 func (r *Router) Tick(now time.Time) {
 	for _, ps := range r.order {
-		ps.sess.Tick(now)
+		ps.session().Tick(now)
 	}
 }
 
@@ -238,7 +293,7 @@ func (r *Router) onEstablished(ps *peerState) {
 	r.loc.Walk(func(rt *rib.Route) bool {
 		var shared [2][]byte
 		if wire, ok := r.exportWire(ps, rt, nil, filter.ConcreteBrancher{}, &shared); ok && wire != nil {
-			_ = ps.sess.SendUpdateWire(wire)
+			_ = ps.session().SendUpdateWire(wire)
 		}
 		return true
 	})
@@ -251,13 +306,22 @@ func (r *Router) onDown(ps *peerState) {
 }
 
 // onUpdate is the session's UPDATE hook: normal operation, no
-// instrumentation.
+// instrumentation. u may be the decoder's (dec): what is kept of it is
+// a copy.
 func (r *Router) onUpdate(ps *peerState, u *bgp.Update) {
-	r.lastObserved[ps.peer.Name] = u
-	if len(u.NLRI) > 0 {
-		r.lastAnnounced[ps.peer.Name] = u
+	switch r.seeds {
+	case sharedSeeds:
+		r.lastObserved, r.lastAnnounced = maps.Clone(r.lastObserved), maps.Clone(r.lastAnnounced)
+		r.seeds = ownSeeds
+		fallthrough
+	case ownSeeds:
+		kept := u.Clone()
+		r.lastObserved[ps.peer.Name] = kept
+		if len(kept.NLRI) > 0 {
+			r.lastAnnounced[ps.peer.Name] = kept
+		}
 	}
-	r.process(ps.peer.Name, u, nil, filter.ConcreteBrancher{}, nil)
+	r.process(ps, u, nil, filter.ConcreteBrancher{}, nil)
 }
 
 // lift marks, on a filter subject built from a route's concrete data,
@@ -268,14 +332,14 @@ func (r *Router) onUpdate(ps *peerState, u *bgp.Update) {
 type lift func(subj *filter.Subject, attrs *bgp.Attrs, export bool)
 
 // process is the one UPDATE pipeline — counters, import policy, RIB
-// update, propagation, export policy — for the live node and for
-// exploration alike. br is the instrumentation seam: ConcreteBrancher in
-// normal operation, the run's RunContext during exploration, where lf
-// lifts the subjects of the explored route. obs, when non-nil, receives
-// what the pipeline observed; explored messages carry one prefix.
-func (r *Router) process(from string, u *bgp.Update, lf lift, br filter.Brancher, obs *Outcome) {
+// update, propagation, export policy — for an UPDATE from ps, for the
+// live node and for exploration alike. br is the instrumentation seam:
+// ConcreteBrancher in normal operation, the run's RunContext during
+// exploration, where lf lifts the subjects of the explored route. obs,
+// when non-nil, receives what the pipeline observed; explored messages
+// carry one prefix.
+func (r *Router) process(ps *peerState, u *bgp.Update, lf lift, br filter.Brancher, obs *Outcome) {
 	r.counters.UpdatesProcessed++
-	ps := r.peers[from]
 	for _, w := range u.Withdrawn {
 		r.apply(ps, w, nil, lf, br, obs)
 	}
@@ -295,8 +359,8 @@ func (r *Router) apply(ps *peerState, prefix netaddr.Prefix, attrs *bgp.Attrs, l
 				Prefix:       prefix,
 				Attrs:        final,
 				PeerRouterID: ps.peer.Addr,
-				PeerAS:       ps.sess.PeerAS(),
-				EBGP:         ps.sess.PeerAS() != r.cfg.LocalAS,
+				PeerAS:       ps.view().PeerAS(),
+				EBGP:         ps.view().PeerAS() != r.cfg.LocalAS,
 			}
 		} else {
 			r.counters.RoutesRejected++
@@ -345,7 +409,11 @@ func (r *Router) importRoute(ps *peerState, prefix netaddr.Prefix, attrs *bgp.At
 	if verdict.Disposition != filter.Accept {
 		return bgp.Attrs{}, false
 	}
-	out := attrs.Clone()
+	// A shallow copy: attrs may be a shared set (bgp.AttrTable), so the
+	// verdict's added communities go to a clipped list, which append
+	// copies.
+	out := *attrs
+	out.Communities = slices.Clip(out.Communities)
 	verdict.Apply(&out)
 	return out, true
 }
@@ -368,7 +436,7 @@ func (r *Router) propagate(fromPeer string, ch rib.Change, lf lift, br filter.Br
 	var withdrawal []byte
 	for _, ps := range r.order {
 		name := ps.peer.Name
-		if name == fromPeer || ps.sess.State() != bgp.StateEstablished {
+		if name == fromPeer || ps.view().State() != bgp.StateEstablished {
 			continue
 		}
 		var wire []byte
@@ -386,12 +454,12 @@ func (r *Router) propagate(fromPeer string, ch rib.Change, lf lift, br filter.Br
 			// No best route left, or export policy dropped it: withdraw any
 			// previous announcement of this prefix to the peer.
 			if withdrawal == nil {
-				withdrawal, _ = bgp.Encode(&bgp.Update{Withdrawn: []netaddr.Prefix{ch.Prefix}})
+				withdrawal, _ = bgp.EncodeUpdate(&bgp.Update{Withdrawn: []netaddr.Prefix{ch.Prefix}})
 			}
 			wire = withdrawal
 		}
 		if wire != nil {
-			_ = ps.sess.SendUpdateWire(wire)
+			_ = ps.session().SendUpdateWire(wire)
 		}
 	}
 }
@@ -449,7 +517,7 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 	if !attrs.HasOrigin {
 		attrs.HasOrigin, attrs.Origin = true, bgp.OriginIGP
 	}
-	wire, err := bgp.Encode(&bgp.Update{Attrs: attrs, NLRI: []netaddr.Prefix{rt.Prefix}})
+	wire, err := bgp.EncodeUpdate(&bgp.Update{Attrs: attrs, NLRI: []netaddr.Prefix{rt.Prefix}})
 	if err != nil {
 		return nil
 	}
@@ -459,18 +527,32 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 // --- Checkpoint support ------------------------------------------------------
 
 // CloneCOW produces an isolated copy-on-write clone: the RIB is an
-// overlay over this router's table, so creation is O(peers), independent
-// of table size — exactly fork()'s cost model, which the §4.1 overhead
+// overlay over this router's table, each session is built from this
+// router's on its first use and the seed maps are shared until the
+// clone's first write, so creation is O(peers), independent of table
+// size — exactly fork()'s cost model, which the §4.1 overhead
 // measurements depend on. The receiver MUST NOT be mutated while COW
 // clones are alive; DiCE guarantees this by only COW-cloning the frozen
-// checkpoint router.
+// checkpoint router (and the quiescent live nodes, for witness shadows).
 func (r *Router) CloneCOW(tr netsim.Transport) *Router {
 	base, ok := r.loc.(*rib.Table)
 	if !ok {
 		// Already an overlay (clone of a clone): fall back to deep copy.
 		return r.Clone(tr)
 	}
-	return r.fork(tr, rib.NewOverlay(base))
+	c := r.fork(tr, rib.NewOverlay(base))
+	c.lastObserved, c.lastAnnounced, c.seeds = r.lastObserved, r.lastAnnounced, sharedSeeds
+	return c
+}
+
+// CloneShadow is CloneCOW for a witness shadow: the clone decodes
+// through dec, which the shadows of one set share (nil decodes each
+// UPDATE into a new one), and records no seeds, since a shadow is never
+// explored, so no UPDATE it receives outlives its delivery.
+func (r *Router) CloneShadow(tr netsim.Transport, dec *bgp.Decoder) *Router {
+	c := r.CloneCOW(tr)
+	c.dec, c.seeds = dec, noSeeds
+	return c
 }
 
 // Clone produces an isolated deep copy of the router over the given
@@ -489,24 +571,24 @@ func (r *Router) Clone(tr netsim.Transport) *Router {
 		}
 		return true
 	})
-	return r.fork(tr, loc)
+	c := r.fork(tr, loc)
+	c.dec = new(bgp.Decoder)
+	for _, ps := range c.order {
+		ps.session()
+	}
+	c.lastObserved, c.lastAnnounced = maps.Clone(r.lastObserved), maps.Clone(r.lastAnnounced)
+	return c
 }
 
-// fork builds the clone around its RIB: counters and observed messages
-// (treated as immutable) carried over, and every session in the state a
-// forked BIRD's would be in — the clone processes exploration messages as
-// if the sessions were live, but its sends go to tr only.
+// fork builds the clone around its RIB: counters carried over, and every
+// session to be built in the state a forked BIRD's would be in — the
+// clone processes exploration messages as if the sessions were live, but
+// its sends go to tr only. The caller sets the seed maps.
 func (r *Router) fork(tr netsim.Transport, loc rib.RouteTable) *Router {
-	c := newRouter(r.name, r.cfg, tr, loc)
+	c := newPeers(r.name, r.cfg, tr, loc)
 	c.counters = r.counters
-	for k, v := range r.lastObserved {
-		c.lastObserved[k] = v
-	}
-	for k, v := range r.lastAnnounced {
-		c.lastAnnounced[k] = v
-	}
-	for name, ps := range r.peers {
-		c.peers[name].sess.CloneStateFrom(ps.sess)
+	for i, ps := range c.order {
+		ps.base = r.order[i].view()
 	}
 	return c
 }

@@ -69,7 +69,8 @@ func twoRouterConfigs() map[string]string {
 func TestSessionsEstablish(t *testing.T) {
 	tn := newTestNet(t, twoRouterConfigs(), [][2]string{{"a", "b"}})
 	for name, r := range tn.routers {
-		for peer := range r.peers {
+		for _, ps := range r.order {
+			peer := ps.peer.Name
 			if st := r.Session(peer).State(); st != bgp.StateEstablished {
 				t.Fatalf("%s->%s state %v", name, peer, st)
 			}

@@ -44,14 +44,14 @@ func (r *Router) meta(c *codec.C, prefixes *int) {
 		c.Fail("checkpoint of %d peers, config has %d (config drift?)", peers, len(r.order))
 	}
 	for _, ps := range r.order {
-		name, in, out := ps.peer.Name, ps.sess.UpdatesIn, ps.sess.UpdatesOut
+		name, in, out := ps.peer.Name, ps.view().UpdatesIn, ps.view().UpdatesOut
 		c.Str(&name)
 		c.Uvarint(&in)
 		c.Uvarint(&out)
 		if name != ps.peer.Name {
 			c.Fail("checkpoint peer %q where config has %q (config drift?)", name, ps.peer.Name)
 		} else if c.Decoding() {
-			ps.sess.RestoreEstablished(in, out)
+			ps.session().RestoreEstablished(in, out)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func (r *Router) routesFromPeer(peerRouterID netaddr.Addr, limit int) []netaddr.
 // prefix names each one, and the pipeline's observed effect then has to
 // confirm the prediction.
 func (r *Router) ExploreWithdraw(rc *concolic.RunContext, peerName string, seed *bgp.Update) Outcome {
-	ps := r.peers[peerName]
+	ps := r.peer(peerName)
 	if ps == nil {
 		return Outcome{Peer: peerName}
 	}

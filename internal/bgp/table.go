@@ -34,7 +34,9 @@ func (t *AttrTable) decode(block []byte) (Attrs, error) {
 }
 
 // Each calls fn with every stored set and the block it was decoded from,
-// in no particular order.
+// in no particular order. It exists for the check that no code path
+// writes a shared set (core's TestSharedAttrSetsStayImmutable re-decodes
+// every block and compares); sessions look sets up through a Decoder.
 func (t *AttrTable) Each(fn func(block []byte, a Attrs)) {
 	for k, a := range t.sets {
 		fn([]byte(k), a)

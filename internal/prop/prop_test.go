@@ -388,3 +388,23 @@ func TestBundledSourcesMatchBuiltins(t *testing.T) {
 		t.Error("bundled route-leak lost its boundary guard flag")
 	}
 }
+
+// TestDetailsMatchSprintf pins the concatenated leak and blackhole
+// details to the fmt.Sprintf strings they replaced, which the goldens
+// and the parity tests compare verbatim.
+func TestDetailsMatchSprintf(t *testing.T) {
+	for _, boundary := range []uint32{0, 0xffffff01, 0xffffffff, 65000<<16 | 666} {
+		got := RouteLeakDetail(boundary, "src", "dst")
+		want := fmt.Sprintf("advertisement carrying the no-export community (%d:%d) escaped AS boundary %s and was installed at %s",
+			boundary>>16, boundary&0xffff, "src", "dst")
+		if got != want {
+			t.Errorf("RouteLeakDetail(%#x) = %q, want %q", boundary, got, want)
+		}
+	}
+	for _, hops := range []int{0, 7, 123, -1} {
+		got := BlackholeDetail("a", hops, "b")
+		if want := fmt.Sprintf("traffic from %s forward-traces %d hops and dead-ends at %s", "a", hops, "b"); got != want {
+			t.Errorf("BlackholeDetail(%d) = %q, want %q", hops, got, want)
+		}
+	}
+}

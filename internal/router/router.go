@@ -197,16 +197,17 @@ func newPeers(name string, cfg *config.Config, tr netsim.Transport, loc rib.Rout
 	return r
 }
 
-// peer returns the configured peer named name, nil for none. A node has
-// a handful of peers, so a scan beats both a map, which every clone would
-// have to build, and a binary search's ordered compares.
+// peer returns the configured peer named name, nil for none: a binary
+// search of order, which a clone shares the layout of instead of
+// building a map.
 func (r *Router) peer(name string) *peerState {
-	for _, ps := range r.order {
-		if ps.peer.Name == name {
-			return ps
-		}
+	i, ok := slices.BinarySearchFunc(r.order, name, func(ps *peerState, name string) int {
+		return strings.Compare(ps.peer.Name, name)
+	})
+	if !ok {
+		return nil
 	}
-	return nil
+	return r.order[i]
 }
 
 func boolToU64(b bool) uint64 {

@@ -304,8 +304,8 @@ type runDecorator func(ckpt *router.Router, sink *netsim.CaptureSink, exec func(
 
 // checkpointOf takes the checkpoint exploration forks from. Like the
 // paper's fork(), it is the only operation that touches the live process:
-// one deep clone onto a fresh capture sink, under lock when the live node
-// has a state lock.
+// one Router.Clone (the RIB's trie copied, its routes shared) onto a
+// fresh capture sink, under lock when the live node has a state lock.
 func checkpointOf(live *router.Router, lock sync.Locker) (*router.Router, *netsim.CaptureSink) {
 	sink := netsim.NewCaptureSink()
 	var ckpt *router.Router

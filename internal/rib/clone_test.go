@@ -1,0 +1,291 @@
+package rib
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"dice/internal/bgp"
+	"dice/internal/netaddr"
+)
+
+// cloneOp is one step of the clone differential. Addresses come from a
+// 256-value grid and lengths from /0 to /20, so prefixes nest and sit
+// next to each other in the trie's pre-order, which is the order of
+// Clone's candidate slab: an insert on a clone that wrote past its own
+// candidates would land in a neighbour's.
+type cloneOp struct {
+	Kind uint8 // bits 0-1: 0, 1 insert, 2 withdraw, 3 WithdrawPeer; bits 2-3: the side after the clone (0 source, 1 clone, else both)
+	Addr uint8
+	Bits uint8
+	Src  uint8 // bits 0-1: peer 10.0.0.1-4; 0b111 in bits 0-2: a local route; bits 3-7: LOCAL_PREF
+}
+
+func (op cloneOp) prefix() netaddr.Prefix {
+	a := uint32(op.Addr)
+	return netaddr.PrefixFrom(netaddr.Addr((a&0xF0)<<24|(a&0x0F)<<20), int(op.Bits%21))
+}
+
+func (op cloneOp) peer() netaddr.Addr { return netaddr.AddrFrom4(10, 0, 0, op.Src&3+1) }
+
+// route builds a fresh route for an insert: each insert is a new value,
+// as the router's pipeline makes one per accepted announcement.
+func (op cloneOp) route() *Route {
+	r := &Route{
+		Prefix: op.prefix(),
+		Attrs: bgp.Attrs{
+			HasOrigin: true, Origin: bgp.OriginIGP,
+			ASPath:       bgp.ASPath{{Type: bgp.ASSequence, ASNs: []uint16{65001 + uint16(op.Src&3)}}},
+			HasLocalPref: true, LocalPref: uint32(op.Src >> 3),
+		},
+		PeerRouterID: op.peer(),
+		PeerAS:       65001 + uint16(op.Src&3),
+		EBGP:         true,
+	}
+	if op.Src&7 == 7 {
+		r.Local, r.PeerRouterID = true, 0
+	}
+	return r
+}
+
+// decodeCloneOps reads four bytes per op.
+func decodeCloneOps(data []byte) []cloneOp {
+	ops := make([]cloneOp, 0, len(data)/4)
+	for ; len(data) >= 4; data = data[4:] {
+		ops = append(ops, cloneOp{data[0], data[1], data[2], data[3]})
+	}
+	return ops
+}
+
+// ribModel is the reference a table is held to: each prefix's candidates
+// in arrival order, a same-source arrival replacing its predecessor in
+// place (RFC 4271 §3.1's implicit withdraw), a withdrawal removing the
+// peer's learned route.
+type ribModel map[netaddr.Prefix][]*Route
+
+func (m ribModel) insert(r *Route) {
+	cs := m[r.Prefix]
+	for i, c := range cs {
+		if c.Local == r.Local && (r.Local || c.PeerRouterID == r.PeerRouterID) {
+			cs[i] = r
+			return
+		}
+	}
+	m[r.Prefix] = append(cs, r)
+}
+
+func (m ribModel) withdraw(p netaddr.Prefix, peer netaddr.Addr) {
+	cs := m[p]
+	i := slices.IndexFunc(cs, func(c *Route) bool { return !c.Local && c.PeerRouterID == peer })
+	if i < 0 {
+		return
+	}
+	if cs = slices.Delete(cs, i, i+1); len(cs) == 0 {
+		delete(m, p)
+	} else {
+		m[p] = cs
+	}
+}
+
+func (m ribModel) withdrawPeer(peer netaddr.Addr) {
+	for p := range m {
+		m.withdraw(p, peer)
+	}
+}
+
+func (m ribModel) clone() ribModel {
+	c := make(ribModel, len(m))
+	for p, cs := range m {
+		c[p] = slices.Clone(cs)
+	}
+	return c
+}
+
+// best is the first candidate no later one beats, the decision process
+// applied to the model's order.
+func (m ribModel) best(p netaddr.Prefix) *Route {
+	var best *Route
+	for _, c := range m[p] {
+		if best == nil || better(c, best) {
+			best = c
+		}
+	}
+	return best
+}
+
+func (m ribModel) covering(p netaddr.Prefix) *Route {
+	for bits := p.Bits(); bits >= 0; bits-- {
+		if b := m.best(netaddr.PrefixFrom(p.Addr(), bits)); b != nil {
+			return b
+		}
+	}
+	return nil
+}
+
+// apply runs op on tb and on its model.
+func (m ribModel) apply(tb RouteTable, op cloneOp) {
+	switch op.Kind & 3 {
+	case 0, 1:
+		r := op.route()
+		tb.Insert(r)
+		m.insert(r)
+	case 2:
+		tb.Withdraw(op.prefix(), op.peer())
+		m.withdraw(op.prefix(), op.peer())
+	case 3:
+		tb.WithdrawPeer(op.peer())
+		m.withdrawPeer(op.peer())
+	}
+}
+
+// check holds tb to m: counts, Dump, WalkAll with candidate order, and
+// Best and CoveringBest at every probe. Routes compare by identity: a
+// clone shares them.
+func (m ribModel) check(tb RouteTable, probes []netaddr.Prefix) error {
+	keys := make([]netaddr.Prefix, 0, len(m))
+	routes := 0
+	for p, cs := range m {
+		keys = append(keys, p)
+		routes += len(cs)
+	}
+	slices.SortFunc(keys, netaddr.Prefix.Compare)
+	if tb.Prefixes() != len(keys) || tb.Routes() != routes {
+		return fmt.Errorf("counts %d/%d, model %d/%d", tb.Prefixes(), tb.Routes(), len(keys), routes)
+	}
+	dump := tb.Dump()
+	if len(dump) != len(keys) {
+		return fmt.Errorf("Dump has %d routes, model %d prefixes", len(dump), len(keys))
+	}
+	for i, p := range keys {
+		if dump[i] != m.best(p) {
+			return fmt.Errorf("Dump[%d] = %v, model best of %s %v", i, dump[i], p, m.best(p))
+		}
+	}
+	i := 0
+	var err error
+	tb.WalkAll(func(p netaddr.Prefix, cs []*Route) bool {
+		if i >= len(keys) || p != keys[i] || !slices.Equal(cs, m[p]) {
+			err = fmt.Errorf("WalkAll visit %d: %s %v, model %v", i, p, cs, m[p])
+			return false
+		}
+		i++
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	if i != len(keys) {
+		return fmt.Errorf("WalkAll visited %d prefixes, model has %d", i, len(keys))
+	}
+	for _, p := range probes {
+		if got, want := tb.Best(p), m.best(p); got != want {
+			return fmt.Errorf("Best(%s) = %v, model %v", p, got, want)
+		}
+		if got, want := tb.CoveringBest(p), m.covering(p); got != want {
+			return fmt.Errorf("CoveringBest(%s) = %v, model %v", p, got, want)
+		}
+	}
+	return nil
+}
+
+// cloneDifferential builds a source from the first part of ops, clones
+// it with Clone, then applies the rest to the source, the clone or both,
+// checking each side against a model of its own history after every op.
+// With overlay set, the source is an Overlay: its base is built from the
+// first third, the overlay takes the second, and the base is never
+// written again.
+func cloneDifferential(ops []cloneOp, overlay bool) error {
+	probes := []netaddr.Prefix{{}}
+	for _, op := range ops {
+		probes = append(probes, op.prefix(), netaddr.PrefixFrom(op.prefix().Addr(), 32))
+	}
+	base, m := New(), ribModel{}
+	var src RouteTable = base
+	split := len(ops) / 2
+	if overlay {
+		split = len(ops) / 3
+	}
+	for _, op := range ops[:split] {
+		m.apply(base, op)
+	}
+	ops = ops[split:]
+	if overlay {
+		src = NewOverlay(base)
+		for _, op := range ops[:split] {
+			m.apply(src, op)
+		}
+		ops = ops[split:]
+	}
+	sides := [2]RouteTable{src, src.Clone()}
+	models := [2]ribModel{m, m.clone()}
+	check := func(step int) error {
+		for s, name := range []string{"source", "clone"} {
+			if err := models[s].check(sides[s], probes); err != nil {
+				return fmt.Errorf("%s after %d ops past the clone: %w", name, step, err)
+			}
+		}
+		return nil
+	}
+	if err := check(0); err != nil {
+		return err
+	}
+	for i, op := range ops {
+		for s := range sides {
+			if side := int(op.Kind>>2) & 3; side == s || side >= 2 {
+				models[s].apply(sides[s], op)
+			}
+		}
+		if err := check(i + 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestTableCloneMatchesModel: a Table and its Clone each behave as a
+// model of their own history, whatever is written to either afterwards.
+func TestTableCloneMatchesModel(t *testing.T) {
+	f := func(ops []cloneOp) bool {
+		if err := cloneDifferential(ops, false); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestOverlayCloneMatchesModel is the same property for Overlay.Clone,
+// the flattening CloneCOW's clone-of-a-clone falls back to.
+func TestOverlayCloneMatchesModel(t *testing.T) {
+	f := func(ops []cloneOp) bool {
+		if err := cloneDifferential(ops, true); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzTableClone runs both clone differentials over op bytes.
+func FuzzTableClone(f *testing.F) {
+	// Two peers on nested, adjacent prefixes, cloned; then a third peer
+	// on the first of them, on the clone only.
+	f.Add([]byte{0, 0x11, 8, 0, 0, 0x11, 9, 1, 0, 0x11, 8, 1, 0, 0x12, 12, 0, 4, 0x11, 8, 2, 4, 0x12, 12, 2})
+	f.Add([]byte{0, 0, 0, 7, 0, 0x80, 1, 8, 3, 0, 0, 0, 7, 0, 0, 1, 2, 0x80, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := decodeCloneOps(data)
+		if err := cloneDifferential(ops, false); err != nil {
+			t.Fatalf("Table: %v", err)
+		}
+		if err := cloneDifferential(ops, true); err != nil {
+			t.Fatalf("Overlay: %v", err)
+		}
+	})
+}

@@ -21,6 +21,9 @@ type RouteTable interface {
 	Dump() []*Route
 	Prefixes() int
 	Routes() int
+	// Clone returns an independent Table with the same candidates and
+	// best routes, sharing the routes.
+	Clone() *Table
 }
 
 var (
@@ -56,8 +59,7 @@ func NewOverlay(base *Table) *Overlay {
 }
 
 // own returns the private entry for p, copying the base's candidate set
-// into it on first use (the routes themselves are shared: they are
-// immutable once inserted).
+// into it on first use (the routes themselves are shared: see Route).
 func (o *Overlay) own(p netaddr.Prefix) *entry {
 	if e, ok := o.entries[p]; ok {
 		return e
@@ -217,6 +219,20 @@ func (o *Overlay) Dump() []*Route {
 		return true
 	})
 	return out
+}
+
+// Clone implements RouteTable: the overlay flattened into a fresh Table.
+// Inserting each prefix's candidates in order leaves the order as it is,
+// and selection over that order picks the best route the overlay has.
+func (o *Overlay) Clone() *Table {
+	t := New()
+	o.WalkAll(func(_ netaddr.Prefix, candidates []*Route) bool {
+		for _, r := range candidates {
+			t.Insert(r)
+		}
+		return true
+	})
+	return t
 }
 
 // Prefixes implements RouteTable.

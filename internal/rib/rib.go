@@ -15,6 +15,12 @@ import (
 
 // Route is one path to a prefix as learned from a peer (or injected
 // locally).
+//
+// A route is immutable once inserted; its attribute slices are only
+// read. Every table that holds it — the live Loc-RIB, a checkpoint
+// (Table.Clone), an exploration overlay (Overlay.own), a witness shadow —
+// shares the one value, and a change to a route is a new Route that
+// replaces it (the implicit withdraw of Insert).
 type Route struct {
 	Prefix netaddr.Prefix
 	Attrs  bgp.Attrs
@@ -102,13 +108,14 @@ func (e *entry) withdraw(peerRouterID netaddr.Addr) (removed bool) {
 // selection. Not safe for concurrent use; the router serializes access.
 type Table struct {
 	root     *node
+	nodes    int // trie nodes, root included; nodes are never pruned
 	prefixes int // number of prefixes with at least one candidate
 	routes   int // total candidate routes
 }
 
 // New creates an empty table.
 func New() *Table {
-	return &Table{root: &node{}}
+	return &Table{root: &node{}, nodes: 1}
 }
 
 // Prefixes returns the number of distinct prefixes present.
@@ -127,10 +134,57 @@ func (t *Table) find(p netaddr.Prefix, create bool) *node {
 				return nil
 			}
 			n.children[b] = &node{}
+			t.nodes++
 		}
 		n = n.children[b]
 	}
 	return n
+}
+
+// Clone returns an independent copy of the table: the trie copied node
+// for node in one pre-order pass, each node, entry and candidate list
+// written into one of three slices sized exactly by the counters, so a
+// clone is four allocations whatever the table size. Best routes and
+// candidate order are copied as they are, not reselected; the routes
+// themselves are shared (see Route). Each copied candidate list is
+// clipped to its own length, so an insert on the clone reallocates it
+// rather than writing into the next prefix's candidates.
+func (t *Table) Clone() *Table {
+	s := slabs{
+		nodes:   make([]node, t.nodes),
+		entries: make([]entry, t.prefixes),
+		routes:  make([]*Route, t.routes),
+	}
+	return &Table{root: s.copy(t.root), nodes: t.nodes, prefixes: t.prefixes, routes: t.routes}
+}
+
+// slabs is what is left of Clone's three slices; copy takes from their
+// fronts.
+type slabs struct {
+	nodes   []node
+	entries []entry
+	routes  []*Route
+}
+
+// copy copies the subtrie at n into the slabs and returns its root.
+func (s *slabs) copy(n *node) *node {
+	c := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	if e := n.entry; e != nil {
+		k := len(e.candidates)
+		ce := &s.entries[0]
+		s.entries = s.entries[1:]
+		*ce = entry{prefix: e.prefix, candidates: s.routes[:k:k], best: e.best}
+		copy(ce.candidates, e.candidates)
+		s.routes = s.routes[k:]
+		c.entry = ce
+	}
+	for b, child := range n.children {
+		if child != nil {
+			c.children[b] = s.copy(child)
+		}
+	}
+	return c
 }
 
 // Change describes the effect of an insert/withdraw on the best route.

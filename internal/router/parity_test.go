@@ -127,7 +127,7 @@ type parityInput struct {
 	med, lp   uint32
 	originAS  uint16
 	community uint32
-	cow       bool // fork CloneCOW overlays (as exploration does) or deep clones
+	cow       bool // fork CloneCOW overlays (as exploration does) or full Clones
 }
 
 func (in parityInput) prefix() netaddr.Prefix {

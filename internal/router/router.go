@@ -499,9 +499,9 @@ func (r *Router) exportWire(ps *peerState, rt *rib.Route, lf lift, br filter.Bra
 // encodeExport encodes the UPDATE announcing rt with the verdict's
 // modifications (none when v is nil) and, toward an eBGP peer, the
 // RFC 4271 rewrite. The route's attributes are copied shallowly: its
-// slices are only read, the AS_PATH prepend copies what it changes, and
-// the community list is clipped so an added community is appended to a
-// copy. nil means the result cannot be encoded.
+// slices are only read (see rib.Route), the AS_PATH prepend copies what
+// it changes, and the community list is clipped so an added community is
+// appended to a copy. nil means the result cannot be encoded.
 func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byte {
 	attrs := rt.Attrs
 	if v != nil {
@@ -538,7 +538,8 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 func (r *Router) CloneCOW(tr netsim.Transport) *Router {
 	base, ok := r.loc.(*rib.Table)
 	if !ok {
-		// Already an overlay (clone of a clone): fall back to deep copy.
+		// Already an overlay (clone of a clone): fall back to Clone, which
+		// flattens it.
 		return r.Clone(tr)
 	}
 	c := r.fork(tr, rib.NewOverlay(base))
@@ -556,23 +557,18 @@ func (r *Router) CloneShadow(tr netsim.Transport, dec *bgp.Decoder) *Router {
 	return c
 }
 
-// Clone produces an isolated deep copy of the router over the given
+// Clone produces an independent copy of the router over the given
 // transport (normally a netsim.CaptureSink): the fork() analogue with
-// eager copying, used where the clone must be fully independent (taking
-// the checkpoint itself, memory accounting). The clone shares no mutable
-// state with the parent; configuration is shared because it is immutable
-// after parse.
+// eager copying, used where the clone must not depend on the parent
+// staying still (taking the checkpoint itself, memory accounting). It
+// copies the RIB (rib.RouteTable.Clone: for a Table, a linear copy of
+// the trie into three slabs, its allocation count independent of table
+// size), the sessions and the seed maps, and shares the routes, which
+// are immutable once inserted (see rib.Route), and the configuration,
+// immutable after parse. Nothing the parent does afterwards reaches the
+// clone, and the reverse.
 func (r *Router) Clone(tr netsim.Transport) *Router {
-	loc := rib.New()
-	r.loc.WalkAll(func(p netaddr.Prefix, candidates []*rib.Route) bool {
-		for _, rt := range candidates {
-			cp := *rt
-			cp.Attrs = rt.Attrs.Clone()
-			loc.Insert(&cp)
-		}
-		return true
-	})
-	c := r.fork(tr, loc)
+	c := r.fork(tr, r.loc.Clone())
 	c.dec = new(bgp.Decoder)
 	for _, ps := range c.order {
 		ps.session()

@@ -127,19 +127,25 @@ func withLock(l sync.Locker, fn func()) {
 }
 
 // ExploreScenario runs one exploration round of the named scenario
-// against peerName, seeding from the live router's observed state.
+// against peerName. It takes the live node's state lock once, for the
+// checkpoint, and reads the seed from the checkpoint, so the seed and the
+// state explored are of one instant. A round that fails for want of a
+// seed (SeedUnavailableError) has still paid for its checkpoint: an O(1)
+// clone, after which the live table copies each trie path it next writes.
 func (d *DiCE) ExploreScenario(name, peerName string) (*Result, error) {
+	start := time.Now()
 	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: name, Boundary: d.opts.LeakBoundaryCommunity}
-	var (
-		sc   Scenario
-		seed any
-		err  error
-	)
-	withLock(d.opts.CloneLock, func() { sc, seed, err = seedOf(d.live, tg) })
+	ckpt, sink := checkpointOf(d.live, d.opts.CloneLock)
+	sc, seed, err := seedOf(ckpt, tg)
 	if err != nil {
 		return nil, err
 	}
-	return d.exploreRound(tg, sc, seed)
+	res, err := d.exploreRound(ckpt, sink, tg, sc, seed)
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // ExplorePeer runs one UPDATE exploration round using the most recent
@@ -148,14 +154,13 @@ func (d *DiCE) ExplorePeer(peerName string) (*Result, error) {
 	return d.ExploreScenario(ScenarioUpdate, peerName)
 }
 
-// exploreRound is the scenario-independent round machinery: the shared
-// checkpoint → declare pipeline (prepareSeeded — the federated backends'
-// per-target prep, here with the live node's state lock and optional
-// memory accounting), exploration with the scenario's per-path oracle
-// running inside it against the checkpoint-time state (witness
-// validation included), then the scenario's fold.
-func (d *DiCE) exploreRound(tg ResolvedTarget, sc Scenario, seed any) (*Result, error) {
-	start := time.Now()
+// exploreRound is the scenario-independent round machinery over a taken
+// checkpoint: the shared declare pipeline (prepareSeeded — the federated
+// backends' per-target prep, here with optional memory accounting),
+// exploration with the scenario's per-path oracle running inside it
+// against the checkpoint-time state (witness validation included), then
+// the scenario's fold.
+func (d *DiCE) exploreRound(ckpt *router.Router, sink *netsim.CaptureSink, tg ResolvedTarget, sc Scenario, seed any) (*Result, error) {
 	engOpts := d.opts.Engine
 	if engOpts.State == nil && d.opts.ReuseState {
 		engOpts.State = d.states.For(WarmKey(tg.Node, tg.Scenario, tg.Peer))
@@ -168,7 +173,6 @@ func (d *DiCE) exploreRound(tg ResolvedTarget, sc Scenario, seed any) (*Result, 
 		meter = &memoryMeter{store: checkpoint.NewStore(0)}
 		decorate = meter.decorate
 	}
-	ckpt, sink := checkpointOf(d.live, d.opts.CloneLock)
 	tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, decorate)
 	if err != nil {
 		return nil, err
@@ -177,7 +181,6 @@ func (d *DiCE) exploreRound(tg ResolvedTarget, sc Scenario, seed any) (*Result, 
 	if meter != nil {
 		meter.finish(d, &res.Memory)
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -275,14 +275,15 @@ func PrepareTarget(live *router.Router, tg ResolvedTarget, engOpts concolic.Opti
 	return prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, nil)
 }
 
-// seedOf looks tg's scenario up and derives its seed from the live node;
-// a scenario with nothing to seed from returns *SeedUnavailableError.
-func seedOf(live *router.Router, tg ResolvedTarget) (Scenario, any, error) {
+// seedOf looks tg's scenario up and derives its seed from r — the live
+// node, or a checkpoint of it (Router.Clone copies the seed maps); a
+// scenario with nothing to seed from returns *SeedUnavailableError.
+func seedOf(r *router.Router, tg ResolvedTarget) (Scenario, any, error) {
 	sc, err := LookupScenario(tg.Scenario)
 	if err != nil {
 		return nil, nil, err
 	}
-	seed, err := sc.Seed(live, tg.Peer)
+	seed, err := sc.Seed(r, tg.Peer)
 	if err != nil {
 		return nil, nil, &SeedUnavailableError{Err: err}
 	}
@@ -303,9 +304,10 @@ func WarmKey(node, scenario, peer string) string {
 type runDecorator func(ckpt *router.Router, sink *netsim.CaptureSink, exec func(*concolic.RunContext, *router.Router) any) func(*concolic.RunContext) any
 
 // checkpointOf takes the checkpoint exploration forks from. Like the
-// paper's fork(), it is the only operation that touches the live process:
-// one Router.Clone (the RIB's trie copied, its routes shared) onto a
-// fresh capture sink, under lock when the live node has a state lock.
+// paper's fork(), it is the only operation that touches the live process,
+// and it costs O(1) in the table size: one Router.Clone (the RIB's trie
+// root shared, see rib.Table) onto a fresh capture sink, under lock when
+// the live node has a state lock.
 func checkpointOf(live *router.Router, lock sync.Locker) (*router.Router, *netsim.CaptureSink) {
 	sink := netsim.NewCaptureSink()
 	var ckpt *router.Router

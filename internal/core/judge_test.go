@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -13,8 +14,11 @@ import (
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
+	"dice/internal/netaddr"
+	"dice/internal/rib"
 	"dice/internal/router"
 	"dice/internal/solver"
+	"dice/internal/sym"
 )
 
 // These tests pin the judge/fold seam: the per-path half of a scenario's
@@ -392,4 +396,84 @@ func TestAnalyzeRefusesAnotherBoundary(t *testing.T) {
 		}
 	}()
 	tp.Analyze(fe.Fabric.Routers[tg.Node], fedOpts().Engine, 0, rep)
+}
+
+// dumpScan is a RouteTable whose WalkRange is the hijack judge's scan as
+// it was before RouteTable.WalkRange: every best route of Dump, skipped
+// unless its address span meets [lo, hi] and its length is at most
+// maxBits.
+type dumpScan struct{ rib.RouteTable }
+
+func (d dumpScan) WalkRange(lo, hi netaddr.Addr, maxBits int, fn func(*rib.Route) bool) {
+	for _, vic := range d.Dump() {
+		vLo := uint64(uint32(vic.Prefix.Addr()))
+		vHi := uint64(uint32(vic.Prefix.Addr() | ^netaddr.Mask(vic.Prefix.Bits())))
+		if vHi < uint64(uint32(lo)) || vLo > uint64(uint32(hi)) || maxBits < vic.Prefix.Bits() {
+			continue
+		}
+		if !fn(vic) {
+			return
+		}
+	}
+}
+
+// TestJudgeRangeWalkMatchesDumpScan: judgeHijacks walking only the
+// announced range of the checkpoint's trie reaches the verdicts of the
+// full Dump scan it replaced — findings, their order and the filtered
+// count — on every path of a Fig. 2 round, and on one of its accepted
+// paths re-conditioned to regions spanning one /32, 10/8 (at every
+// length and at /16 at most) and the whole space.
+func TestJudgeRangeWalkMatchesDumpScan(t *testing.T) {
+	f := loadedFig2(t, BrokenCustomerFilter)
+	tg := ResolvedTarget{Node: NodeProvider, Peer: NodeCustomer, Scenario: ScenarioUpdate}
+	tp, err := PrepareTarget(f.Provider, tg, concolic.Options{MaxRuns: 300}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := tp.Checkpoint
+	paths := tp.Engine.Explore().Paths
+	var accepted *concolic.PathResult
+	for i := range paths {
+		if out, ok := paths[i].Output.(router.Outcome); ok && out.Accepted {
+			accepted = &paths[i]
+			break
+		}
+	}
+	if accepted == nil {
+		t.Fatal("no accepted path to re-condition")
+	}
+	addr, bits := router.UpdateInputs.Var(router.UpdateAddr), router.UpdateInputs.Var(router.UpdateLen)
+	c := func(v uint64, w int) sym.Expr { return sym.NewConst(v, w) }
+	regions := []struct {
+		name string
+		path []sym.Expr
+		env  [2]uint64 // a point of the region: address, length
+	}{
+		{"10.153.113.7/32", []sym.Expr{sym.NewCmp(sym.OpEq, addr, c(0x0a997107, 32)), sym.NewCmp(sym.OpEq, bits, c(32, 8))}, [2]uint64{0x0a997107, 32}},
+		{"10/8", []sym.Expr{sym.NewCmp(sym.OpEq, sym.NewBin(sym.OpAnd, addr, c(0xff000000, 32)), c(0x0a000000, 32))}, [2]uint64{0x0a000000, 8}},
+		{"10/8 up to /16", []sym.Expr{sym.NewCmp(sym.OpEq, sym.NewBin(sym.OpAnd, addr, c(0xff000000, 32)), c(0x0a000000, 32)), sym.NewCmp(sym.OpLe, bits, c(16, 8))}, [2]uint64{0x0a000000, 8}},
+		{"0/0", nil, [2]uint64{0, 0}},
+	}
+	for _, rg := range regions {
+		p := *accepted
+		p.Path = rg.path
+		p.Env = maps.Clone(accepted.Env)
+		p.Env[addr.ID], p.Env[bits.ID] = rg.env[0], rg.env[1]
+		paths = append(paths, p)
+	}
+	hijacks := 0
+	for i := range paths {
+		p := &paths[i]
+		got := judgeHijacks(ckpt.Config(), ckpt.RIB(), p, solver.New(solver.Options{}))
+		want := judgeHijacks(ckpt.Config(), dumpScan{ckpt.RIB()}, p, solver.New(solver.Options{}))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("path %d (%v): the range walk judges %+v, the Dump scan %+v", i, p.Path, got, want)
+		}
+		if got != nil {
+			hijacks += len(got.findings)
+		}
+	}
+	if hijacks == 0 {
+		t.Fatal("no path judged a hijack: nothing was compared")
+	}
 }

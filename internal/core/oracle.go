@@ -99,18 +99,20 @@ func (f Finding) Key() FindingKey {
 //
 // The path condition of a path whose route was accepted describes the
 // *set* of announcements the peer could make down that code path. The
-// oracle intersects that region with the checkpoint-time routing table:
-// for each existing best route (victims, in prefix order), it asks the
-// constraint solver whether the accepted region contains an announcement
-// that is equal to or more specific than the route's prefix — i.e. one
-// that would override ("hijack") its traffic with a different origin AS.
-// Prefixes in configured anycast space are hijackable by nature and
-// counted as filtered false positives. It returns nil for a path that
-// threatens nothing. The region and every containment query start from
-// the path condition's snapshot on sv, the worker's solver; a victim's
-// conjuncts are never cached, so a scan of a large table leaves the
-// snapshot chain as it found it.
-func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResult, sv *solver.Solver) *verdict {
+// oracle intersects that region with the checkpoint-time routing table
+// rt. It visits, in prefix order, only the best routes (victims) the
+// region can reach — rt.WalkRange over the region's address interval, up
+// to its longest length — and for each asks the constraint solver
+// whether the accepted region contains an announcement that is equal to
+// or more specific than the victim's prefix, i.e. one that would
+// override ("hijack") its traffic with a different origin AS. Prefixes in
+// configured anycast space are hijackable by nature and counted as
+// filtered false positives. It returns nil for a path that threatens
+// nothing. The region and every containment query start from the path
+// condition's snapshot on sv, the worker's solver; a victim's conjuncts
+// are never cached, so a scan of a large table leaves the snapshot chain
+// as it found it.
+func judgeHijacks(cfg *config.Config, rt rib.RouteTable, p *concolic.PathResult, sv *solver.Solver) *verdict {
 	out, ok := p.Output.(router.Outcome)
 	if !ok || !out.Accepted {
 		return nil
@@ -124,22 +126,10 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 	region := regionFrom(info, addrVar.ID, lenVar.ID)
 
 	v := &verdict{}
-	for _, vic := range victims {
+	rt.WalkRange(region.AddrLo, region.AddrHi, region.LenHi, func(vic *rib.Route) bool {
 		if vic.OriginAS() == out.OriginAS {
-			continue // same origin: re-announcement, not a hijack
+			return true // same origin: re-announcement, not a hijack
 		}
-		// Cheap pre-filter: the victim's address range must intersect
-		// the region's address interval, and the region must admit a
-		// length >= the victim's.
-		vLo := uint64(uint32(vic.Prefix.Addr()))
-		vHi := uint64(uint32(vic.Prefix.Addr() | ^netaddr.Mask(vic.Prefix.Bits())))
-		if vHi < uint64(uint32(region.AddrLo)) || vLo > uint64(uint32(region.AddrHi)) {
-			continue
-		}
-		if region.LenHi < vic.Prefix.Bits() {
-			continue
-		}
-
 		// Exact check: path condition ∧ (announcement ⊆ victim).
 		env, res := sv.SolveExtended(cs, []sym.Expr{
 			sym.NewCmp(sym.OpEq,
@@ -148,13 +138,13 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 			sym.NewCmp(sym.OpGe, lenVar, sym.NewConst(uint64(vic.Prefix.Bits()), 8)),
 		}, p.Env)
 		if res != solver.Sat {
-			continue
+			return true
 		}
 		witness := netaddr.PrefixFrom(netaddr.Addr(uint32(env[addrVar.ID])), int(env[lenVar.ID]))
 
 		if cfg.IsAnycast(vic.Prefix) || cfg.IsAnycast(witness) {
 			v.filtered++
-			continue
+			return true
 		}
 		v.findings = append(v.findings, Finding{
 			Kind:         "prefix-hijack",
@@ -166,7 +156,8 @@ func judgeHijacks(cfg *config.Config, victims []*rib.Route, p *concolic.PathResu
 			VictimPrefix: vic.Prefix,
 			Input:        router.UpdateInputs.Named(env),
 		})
-	}
+		return true
+	})
 	if len(v.findings) == 0 && v.filtered == 0 {
 		return nil
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"dice/internal/concolic"
-	"dice/internal/rib"
 	"dice/internal/router"
 	"dice/internal/solver"
 )
@@ -84,17 +83,6 @@ type Round struct {
 	// Boundary is the community the routeleak oracle treats as the
 	// no-export policy boundary, resolved (never 0).
 	Boundary uint32
-
-	victimsOnce sync.Once
-	victims     []*rib.Route
-}
-
-// Victims returns the checkpoint's best routes — the routes whose traffic
-// an announcement can steal — in prefix order. The walk is taken once per
-// round, on first use: judges of several paths share it.
-func (r *Round) Victims() []*rib.Route {
-	r.victimsOnce.Do(func() { r.victims = r.Checkpoint.RIB().Dump() })
-	return r.victims
 }
 
 // verdict is what a judge concluded from one path: the findings the path

@@ -37,7 +37,7 @@ func (updateScenario) Execute(rc *concolic.RunContext, clone *router.Router, pee
 // prior to starting exploration", §4.2, which is exactly the checkpoint
 // process's RIB).
 func (updateScenario) Judge(round *Round, p *concolic.PathResult, sv *solver.Solver) any {
-	return judgeHijacks(round.Checkpoint.Config(), round.Victims(), p, sv)
+	return judgeHijacks(round.Checkpoint.Config(), round.Checkpoint.RIB(), p, sv)
 }
 
 // Analyze keeps one hijack per (victim prefix, victim origin, hijacking

@@ -11,10 +11,9 @@ import (
 )
 
 // cloneOp is one step of the clone differential. Addresses come from a
-// 256-value grid and lengths from /0 to /20, so prefixes nest and sit
-// next to each other in the trie's pre-order, which is the order of
-// Clone's candidate slab: an insert on a clone that wrote past its own
-// candidates would land in a neighbour's.
+// 256-value grid and lengths from /0 to /20, so prefixes nest and share
+// trie paths: a write on one side of a clone must copy every node and
+// candidate list it changes that the other side still reaches.
 type cloneOp struct {
 	Kind uint8 // bits 0-1: 0, 1 insert, 2 withdraw, 3 WithdrawPeer; bits 2-3: the side after the clone (0 source, 1 clone, else both)
 	Addr uint8
@@ -139,17 +138,82 @@ func (m ribModel) apply(tb RouteTable, op cloneOp) {
 	}
 }
 
-// check holds tb to m: counts, Dump, WalkAll with candidate order, and
-// Best and CoveringBest at every probe. Routes compare by identity: a
-// clone shares them.
-func (m ribModel) check(tb RouteTable, probes []netaddr.Prefix) error {
+// walkRange returns the model's best routes WalkRange must visit, in
+// prefix order; keys are the model's prefixes, sorted. A prefix's span
+// meets a non-empty [lo, hi] when it holds lo or starts inside it.
+func (m ribModel) walkRange(keys []netaddr.Prefix, rg addrRange) []*Route {
+	var out []*Route
+	for _, p := range keys {
+		meets := rg.lo <= rg.hi && (p.Contains(rg.lo) || (rg.lo <= p.Addr() && p.Addr() <= rg.hi))
+		if meets && p.Bits() <= rg.maxBits {
+			out = append(out, m.best(p))
+		}
+	}
+	return out
+}
+
+// sorted returns the model's prefixes in prefix order.
+func (m ribModel) sorted() []netaddr.Prefix {
 	keys := make([]netaddr.Prefix, 0, len(m))
-	routes := 0
-	for p, cs := range m {
+	for p := range m {
 		keys = append(keys, p)
-		routes += len(cs)
 	}
 	slices.SortFunc(keys, netaddr.Prefix.Compare)
+	return keys
+}
+
+// addrRange is one WalkRange query.
+type addrRange struct {
+	lo, hi  netaddr.Addr
+	maxBits int
+}
+
+// rangesOf returns the fixed WalkRange queries — the whole space at
+// maxBits −1, 0, 32 and 40, a single address, ranges running to
+// 255.255.255.255, an empty one — and three per op, around the op's
+// prefix p: p's own span, up to a length taken from its source byte; one
+// starting on p's last address and one ending on p's first, whose other
+// ends, drawn from all of the op's bytes, need not fall on any prefix's
+// boundary (one that would wrap round the address space stays a single
+// address).
+func rangesOf(ops []cloneOp) []addrRange {
+	top := netaddr.Addr(0xffffffff)
+	out := []addrRange{
+		{0, top, 0}, {0, top, 32}, {0, top, 40}, {0, top, -1},
+		{0x81000000, 0x81000000, 32}, {0x80000000, top, 32}, {0x80000000, top, 4},
+		{0x90000000, 0x8fffffff, 32},
+	}
+	for _, op := range ops {
+		p := op.prefix()
+		first, last := p.Addr(), p.Addr()|^netaddr.Mask(p.Bits())
+		span := netaddr.Addr(uint32(op.Bits)<<20 | uint32(op.Src)<<4 | uint32(op.Kind))
+		out = append(out,
+			addrRange{first, last, int(op.Src % 33)},
+			addrRange{last, max(last+span, last), int(op.Kind % 34)},
+			addrRange{min(first-span, first), first, int(op.Addr % 34)})
+	}
+	return out
+}
+
+// check holds tb to m: counts, Dump, WalkAll with candidate order, Best
+// and CoveringBest at every probe, and WalkRange over every range.
+// Routes compare by identity: a clone shares them.
+func (m ribModel) check(tb RouteTable, probes []netaddr.Prefix, ranges []addrRange) error {
+	keys := m.sorted()
+	for _, rg := range ranges {
+		var got []*Route
+		tb.WalkRange(rg.lo, rg.hi, rg.maxBits, func(r *Route) bool {
+			got = append(got, r)
+			return true
+		})
+		if want := m.walkRange(keys, rg); !slices.Equal(got, want) {
+			return fmt.Errorf("WalkRange(%s, %s, %d) = %v, model %v", rg.lo, rg.hi, rg.maxBits, got, want)
+		}
+	}
+	routes := 0
+	for _, cs := range m {
+		routes += len(cs)
+	}
 	if tb.Prefixes() != len(keys) || tb.Routes() != routes {
 		return fmt.Errorf("counts %d/%d, model %d/%d", tb.Prefixes(), tb.Routes(), len(keys), routes)
 	}
@@ -191,7 +255,8 @@ func (m ribModel) check(tb RouteTable, probes []netaddr.Prefix) error {
 
 // cloneDifferential builds a source from the first part of ops, clones
 // it with Clone, then applies the rest to the source, the clone or both,
-// checking each side against a model of its own history after every op.
+// checking each side against a model of its own history after every op
+// (WalkRange over rangesOf(ops) included).
 // With overlay set, the source is an Overlay: its base is built from the
 // first third, the overlay takes the second, and the base is never
 // written again.
@@ -200,6 +265,7 @@ func cloneDifferential(ops []cloneOp, overlay bool) error {
 	for _, op := range ops {
 		probes = append(probes, op.prefix(), netaddr.PrefixFrom(op.prefix().Addr(), 32))
 	}
+	ranges := rangesOf(ops)
 	base, m := New(), ribModel{}
 	var src RouteTable = base
 	split := len(ops) / 2
@@ -221,7 +287,7 @@ func cloneDifferential(ops []cloneOp, overlay bool) error {
 	models := [2]ribModel{m, m.clone()}
 	check := func(step int) error {
 		for s, name := range []string{"source", "clone"} {
-			if err := models[s].check(sides[s], probes); err != nil {
+			if err := models[s].check(sides[s], probes, ranges); err != nil {
 				return fmt.Errorf("%s after %d ops past the clone: %w", name, step, err)
 			}
 		}
@@ -288,4 +354,67 @@ func FuzzTableClone(f *testing.F) {
 			t.Fatalf("Overlay: %v", err)
 		}
 	})
+}
+
+// TestWalkRangeStops: fn returning false ends the walk on both tables.
+func TestWalkRangeStops(t *testing.T) {
+	base, m := New(), ribModel{}
+	for a := uint8(0); a < 8; a++ {
+		m.apply(base, cloneOp{Addr: a << 4, Bits: 8})
+	}
+	for _, tb := range []RouteTable{base, NewOverlay(base)} {
+		visits := 0
+		tb.WalkRange(0, 0xffffffff, 32, func(*Route) bool {
+			visits++
+			return visits < 3
+		})
+		if visits != 3 {
+			t.Errorf("%T: %d visits after fn returned false on the third", tb, visits)
+		}
+	}
+}
+
+// loadTable returns a table of n /24s, one route each.
+func loadTable(n int) *Table {
+	tb := New()
+	for i := 0; i < n; i++ {
+		tb.Insert(&Route{
+			Prefix:       netaddr.PrefixFrom(netaddr.Addr(0x0A000000+uint32(i)<<8), 24),
+			PeerRouterID: netaddr.AddrFrom4(10, 0, 0, 1),
+			PeerAS:       65001,
+			EBGP:         true,
+		})
+	}
+	return tb
+}
+
+// TestTableCloneIsConstant: Table.Clone allocates the same, and at most
+// two objects, at 1k and at 100k prefixes: it shares the root.
+func TestTableCloneIsConstant(t *testing.T) {
+	const bound = 2
+	for _, n := range []int{1000, 100000} {
+		tb := loadTable(n)
+		var c *Table
+		if got := testing.AllocsPerRun(10, func() { c = tb.Clone() }); got > bound {
+			t.Errorf("Clone of %d prefixes allocates %v objects, want ≤ %d", n, got, bound)
+		}
+		if c.Prefixes() != n || c.Routes() != n {
+			t.Errorf("the clone holds %d routes over %d prefixes, want %d over %d", c.Routes(), c.Prefixes(), n, n)
+		}
+	}
+}
+
+var cloneSink *Table
+
+func BenchmarkTableClone(b *testing.B) {
+	for _, n := range []int{1000, 20000, 100000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			tb := loadTable(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cloneSink = tb.Clone()
+			}
+		})
+	}
 }

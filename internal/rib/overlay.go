@@ -17,6 +17,9 @@ type RouteTable interface {
 	Candidates(p netaddr.Prefix) []*Route
 	CoveringBest(p netaddr.Prefix) *Route
 	Walk(fn func(*Route) bool)
+	// WalkRange is Walk restricted to the prefixes of at most maxBits
+	// bits whose address span meets [lo, hi].
+	WalkRange(lo, hi netaddr.Addr, maxBits int, fn func(*Route) bool)
 	WalkAll(fn func(p netaddr.Prefix, candidates []*Route) bool)
 	Dump() []*Route
 	Prefixes() int
@@ -68,7 +71,7 @@ func (o *Overlay) own(p netaddr.Prefix) *entry {
 		o.entries = make(map[netaddr.Prefix]*entry)
 	}
 	e := &entry{prefix: p}
-	if n := o.base.find(p, false); n != nil && n.entry != nil {
+	if n := o.base.find(p); n != nil && n.entry != nil {
 		base := n.entry.candidates
 		e.candidates = append(make([]*Route, 0, len(base)+1), base...)
 		e.best = n.entry.best
@@ -208,6 +211,13 @@ func (o *Overlay) Walk(fn func(*Route) bool) {
 			return fn(best)
 		}
 		return true
+	})
+}
+
+// WalkRange implements RouteTable: Walk, filtered.
+func (o *Overlay) WalkRange(lo, hi netaddr.Addr, maxBits int, fn func(*Route) bool) {
+	o.Walk(func(r *Route) bool {
+		return !inRange(r.Prefix, lo, hi, maxBits) || fn(r)
 	})
 }
 

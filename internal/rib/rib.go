@@ -3,11 +3,20 @@
 // decision process. Prefix storage is a binary radix trie, so exact
 // lookups, longest-prefix matches and covered/covering scans are all
 // O(prefix length).
+//
+// The trie is persistent. Table.Clone is O(1) whatever the table size:
+// the clone shares the source's root, and each side copies a path the
+// first time it writes it afterwards (edit tokens; see Table). A
+// checkpoint of a live node is such a clone, taken like fork() in the
+// time it takes to allocate one Table. Overlay is the other way to fork a
+// table: a copy-on-write map of private entries over a frozen base, the
+// exploration clone.
 package rib
 
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"dice/internal/bgp"
 	"dice/internal/netaddr"
@@ -20,7 +29,9 @@ import (
 // read. Every table that holds it — the live Loc-RIB, a checkpoint
 // (Table.Clone), an exploration overlay (Overlay.own), a witness shadow —
 // shares the one value, and a change to a route is a new Route that
-// replaces it (the implicit withdraw of Insert).
+// replaces it (the implicit withdraw of Insert). The same rule, one level
+// up: a trie node or entry, which a Table shares with its clones, is
+// written only by the table whose edit token it carries.
 type Route struct {
 	Prefix netaddr.Prefix
 	Attrs  bgp.Attrs
@@ -55,19 +66,24 @@ func (r *Route) String() string {
 }
 
 // node is a binary radix-trie node. Entries live at the node whose depth
-// equals the prefix length.
+// equals the prefix length. edit is the token of the table that created
+// it (see Table.edit); only that table writes it, and only until its next
+// Clone.
 type node struct {
 	children [2]*node
 	entry    *entry
+	edit     uint64
 }
 
 // entry keeps all candidate routes for one prefix plus the selected best.
 // Table stores entries in its trie and Overlay in its map; both mutate
-// them only through insert and withdraw.
+// them only through insert and withdraw, and a Table only the entries
+// that carry its edit token (an Overlay's carry none: 0 is no table's).
 type entry struct {
 	prefix     netaddr.Prefix
 	candidates []*Route
 	best       *Route
+	edit       uint64
 }
 
 // insert adds r — or replaces the candidate from the same source, the
@@ -89,16 +105,24 @@ func (e *entry) insert(r *Route) (added bool) {
 	return added
 }
 
+// learnedFrom returns the index of the candidate learned from the peer,
+// or -1.
+func (e *entry) learnedFrom(peerRouterID netaddr.Addr) int {
+	for i, c := range e.candidates {
+		if c.PeerRouterID == peerRouterID && !c.Local {
+			return i
+		}
+	}
+	return -1
+}
+
 // withdraw removes the route learned from the peer, if any, and reruns
 // selection (best is nil once no candidate is left). It reports whether a
 // candidate was removed.
 func (e *entry) withdraw(peerRouterID netaddr.Addr) (removed bool) {
-	for i, c := range e.candidates {
-		if c.PeerRouterID == peerRouterID && !c.Local {
-			e.candidates = append(e.candidates[:i], e.candidates[i+1:]...)
-			removed = true
-			break
-		}
+	if i := e.learnedFrom(peerRouterID); i >= 0 {
+		e.candidates = append(e.candidates[:i], e.candidates[i+1:]...)
+		removed = true
 	}
 	e.selectBest()
 	return removed
@@ -106,16 +130,32 @@ func (e *entry) withdraw(peerRouterID netaddr.Addr) (removed bool) {
 
 // Table is a Loc-RIB: all candidate routes per prefix with best-path
 // selection. Not safe for concurrent use; the router serializes access.
+// A frozen table (one nothing writes any more, such as a checkpoint) may
+// be read and cloned from any number of goroutines at once.
+//
+// The trie is persistent: Clone shares the root, and a write copies the
+// nodes on its path that the table does not own before it changes them.
+// Ownership is an edit token: every node and entry carries the token of
+// the table that made it, every Clone hands both tables fresh ones, and
+// a table writes only what carries its current token. So after a Clone
+// neither side owns anything; each copies what it writes, once, and
+// writes its copies in place from then on.
 type Table struct {
 	root     *node
-	nodes    int // trie nodes, root included; nodes are never pruned
-	prefixes int // number of prefixes with at least one candidate
-	routes   int // total candidate routes
+	edit     atomic.Uint64 // this table's token; Clone replaces it
+	prefixes int           // number of prefixes with at least one candidate
+	routes   int           // total candidate routes
 }
+
+// edits issues edit tokens; 0 is never issued.
+var edits atomic.Uint64
 
 // New creates an empty table.
 func New() *Table {
-	return &Table{root: &node{}, nodes: 1}
+	t := &Table{}
+	t.edit.Store(edits.Add(1))
+	t.root = &node{edit: t.edit.Load()}
+	return t
 }
 
 // Prefixes returns the number of distinct prefixes present.
@@ -124,66 +164,74 @@ func (t *Table) Prefixes() int { return t.prefixes }
 // Routes returns the total number of candidate routes.
 func (t *Table) Routes() int { return t.routes }
 
-// find walks to the node for p, optionally creating missing nodes.
-func (t *Table) find(p netaddr.Prefix, create bool) *node {
+// find returns the node for p, or nil.
+func (t *Table) find(p netaddr.Prefix) *node {
 	n := t.root
-	for i := 0; i < p.Bits(); i++ {
-		b := p.Bit(i)
-		if n.children[b] == nil {
-			if !create {
-				return nil
-			}
-			n.children[b] = &node{}
-			t.nodes++
-		}
-		n = n.children[b]
+	for i := 0; i < p.Bits() && n != nil; i++ {
+		n = n.children[p.Bit(i)]
 	}
 	return n
 }
 
-// Clone returns an independent copy of the table: the trie copied node
-// for node in one pre-order pass, each node, entry and candidate list
-// written into one of three slices sized exactly by the counters, so a
-// clone is four allocations whatever the table size. Best routes and
-// candidate order are copied as they are, not reselected; the routes
-// themselves are shared (see Route). Each copied candidate list is
-// clipped to its own length, so an insert on the clone reallocates it
-// rather than writing into the next prefix's candidates.
-func (t *Table) Clone() *Table {
-	s := slabs{
-		nodes:   make([]node, t.nodes),
-		entries: make([]entry, t.prefixes),
-		routes:  make([]*Route, t.routes),
+// path returns the node for p, writable by t: each node on the way that
+// t does not own is replaced by a copy it does, and a missing one is
+// created. A child pointer is stored only where it changes, so a path t
+// already owns costs no pointer writes.
+func (t *Table) path(p netaddr.Prefix) *node {
+	edit := t.edit.Load()
+	if t.root.edit != edit {
+		t.root = t.root.owned(edit)
 	}
-	return &Table{root: s.copy(t.root), nodes: t.nodes, prefixes: t.prefixes, routes: t.routes}
-}
-
-// slabs is what is left of Clone's three slices; copy takes from their
-// fronts.
-type slabs struct {
-	nodes   []node
-	entries []entry
-	routes  []*Route
-}
-
-// copy copies the subtrie at n into the slabs and returns its root.
-func (s *slabs) copy(n *node) *node {
-	c := &s.nodes[0]
-	s.nodes = s.nodes[1:]
-	if e := n.entry; e != nil {
-		k := len(e.candidates)
-		ce := &s.entries[0]
-		s.entries = s.entries[1:]
-		*ce = entry{prefix: e.prefix, candidates: s.routes[:k:k], best: e.best}
-		copy(ce.candidates, e.candidates)
-		s.routes = s.routes[k:]
-		c.entry = ce
-	}
-	for b, child := range n.children {
-		if child != nil {
-			c.children[b] = s.copy(child)
+	n := t.root
+	for i := 0; i < p.Bits(); i++ {
+		b := p.Bit(i)
+		c := n.children[b]
+		if c == nil {
+			c = &node{edit: edit}
+			n.children[b] = c
+		} else if c.edit != edit {
+			c = c.owned(edit)
+			n.children[b] = c
 		}
+		n = c
 	}
+	return n
+}
+
+// owned returns n if it carries edit, else a copy of n that does, sharing
+// n's children and entry.
+func (n *node) owned(edit uint64) *node {
+	if n.edit == edit {
+		return n
+	}
+	c := *n
+	c.edit = edit
+	return &c
+}
+
+// ownEntry returns n's entry writable by the table whose token n carries
+// (n's own, or a copy n now points at). The copy gets its own candidate
+// slice: insert writes a slot in place and withdraw shifts in place, so
+// a candidate list is never shared between writers.
+func (n *node) ownEntry() *entry {
+	e := n.entry
+	if e.edit != n.edit {
+		e = &entry{prefix: e.prefix, candidates: append(make([]*Route, 0, len(e.candidates)+1), e.candidates...), best: e.best, edit: n.edit}
+		n.entry = e
+	}
+	return e
+}
+
+// Clone returns an independent copy of the table in O(1): both tables
+// get fresh edit tokens and share the root, so neither owns a node the
+// other can reach, and each copies a path the first time it writes it
+// (see Table). Best routes and candidate order are the source's, not
+// reselected; the routes themselves are shared (see Route). A frozen
+// table may be cloned from several goroutines at once.
+func (t *Table) Clone() *Table {
+	c := &Table{root: t.root, prefixes: t.prefixes, routes: t.routes}
+	c.edit.Store(edits.Add(1))
+	t.edit.Store(edits.Add(1))
 	return c
 }
 
@@ -199,12 +247,12 @@ func (c Change) Changed() bool { return c.Old != c.New }
 // Insert adds (or replaces — the implicit withdraw of RFC 4271 §3.1) the
 // route from the given peer and reruns selection for the prefix.
 func (t *Table) Insert(r *Route) Change {
-	n := t.find(r.Prefix, true)
+	n := t.path(r.Prefix)
 	if n.entry == nil {
-		n.entry = &entry{prefix: r.Prefix}
+		n.entry = &entry{prefix: r.Prefix, edit: n.edit}
 		t.prefixes++
 	}
-	e := n.entry
+	e := n.ownEntry()
 	old := e.best
 	if e.insert(r) {
 		t.routes++
@@ -212,17 +260,21 @@ func (t *Table) Insert(r *Route) Change {
 	return Change{Prefix: r.Prefix, Old: old, New: e.best}
 }
 
-// Withdraw removes the route for p learned from the given peer.
+// Withdraw removes the route for p learned from the given peer. A
+// withdrawal of a route the table does not hold writes nothing.
 func (t *Table) Withdraw(p netaddr.Prefix, peerRouterID netaddr.Addr) Change {
-	n := t.find(p, false)
+	n := t.find(p)
 	if n == nil || n.entry == nil {
 		return Change{Prefix: p}
 	}
-	e := n.entry
-	old := e.best
-	if e.withdraw(peerRouterID) {
-		t.routes--
+	old := n.entry.best
+	if n.entry.learnedFrom(peerRouterID) < 0 {
+		return Change{Prefix: p, Old: old, New: old}
 	}
+	n = t.path(p)
+	e := n.ownEntry()
+	e.withdraw(peerRouterID)
+	t.routes--
 	if len(e.candidates) == 0 {
 		n.entry = nil
 		t.prefixes--
@@ -231,19 +283,25 @@ func (t *Table) Withdraw(p netaddr.Prefix, peerRouterID netaddr.Addr) Change {
 }
 
 // WithdrawPeer removes every route learned from a peer (session down).
-// It returns the changes for prefixes whose best route changed.
+// It returns the changes for prefixes whose best route changed, in
+// prefix order. Only the paths to prefixes that held such a route are
+// copied.
 func (t *Table) WithdrawPeer(peerRouterID netaddr.Addr) []Change {
 	var changes []Change
-	var walk func(n *node)
-	walk = func(n *node) {
+	edit := t.edit.Load()
+	// walk returns n, or the copy of n that t owns once anything below
+	// it changed.
+	var walk func(n *node) *node
+	walk = func(n *node) *node {
 		if n == nil {
-			return
+			return nil
 		}
-		if e := n.entry; e != nil {
+		if e := n.entry; e != nil && e.learnedFrom(peerRouterID) >= 0 {
+			n = n.owned(edit)
+			e = n.ownEntry()
 			old := e.best
-			if e.withdraw(peerRouterID) {
-				t.routes--
-			}
+			e.withdraw(peerRouterID)
+			t.routes--
 			if len(e.candidates) == 0 {
 				n.entry = nil
 				t.prefixes--
@@ -252,10 +310,15 @@ func (t *Table) WithdrawPeer(peerRouterID netaddr.Addr) []Change {
 				changes = append(changes, Change{Prefix: e.prefix, Old: old, New: e.best})
 			}
 		}
-		walk(n.children[0])
-		walk(n.children[1])
+		for b, child := range n.children {
+			if c := walk(child); c != child {
+				n = n.owned(edit)
+				n.children[b] = c
+			}
+		}
+		return n
 	}
-	walk(t.root)
+	t.root = walk(t.root)
 	return changes
 }
 
@@ -273,7 +336,7 @@ func sameSource(a, b *Route) bool {
 
 // Best returns the selected route for exactly prefix p, or nil.
 func (t *Table) Best(p netaddr.Prefix) *Route {
-	n := t.find(p, false)
+	n := t.find(p)
 	if n == nil || n.entry == nil {
 		return nil
 	}
@@ -282,7 +345,7 @@ func (t *Table) Best(p netaddr.Prefix) *Route {
 
 // Candidates returns all candidate routes for exactly prefix p.
 func (t *Table) Candidates(p netaddr.Prefix) []*Route {
-	n := t.find(p, false)
+	n := t.find(p)
 	if n == nil || n.entry == nil {
 		return nil
 	}
@@ -342,6 +405,34 @@ func (t *Table) Walk(fn func(*Route) bool) {
 		return walk(n.children[0]) && walk(n.children[1])
 	}
 	walk(t.root)
+}
+
+// WalkRange visits, in Walk's order, the best route of every prefix of
+// at most maxBits bits whose address span meets [lo, hi] (inRange). A
+// subtrie whose own prefix fails inRange is skipped whole: every prefix
+// in it is longer, and its span lies inside the subtrie's.
+func (t *Table) WalkRange(lo, hi netaddr.Addr, maxBits int, fn func(*Route) bool) {
+	var walk func(n *node, p netaddr.Prefix) bool
+	walk = func(n *node, p netaddr.Prefix) bool {
+		if n == nil || !inRange(p, lo, hi, maxBits) {
+			return true
+		}
+		if n.entry != nil && n.entry.best != nil && !fn(n.entry.best) {
+			return false
+		}
+		if p.Bits() == 32 {
+			return true
+		}
+		a, bits := p.Addr(), p.Bits()+1
+		return walk(n.children[0], netaddr.PrefixFrom(a, bits)) && walk(n.children[1], netaddr.PrefixFrom(a|1<<(31-p.Bits()), bits))
+	}
+	walk(t.root, netaddr.Prefix{})
+}
+
+// inRange is WalkRange's filter: p has at most maxBits bits and its
+// address span meets [lo, hi]. An empty range (lo > hi) meets nothing.
+func inRange(p netaddr.Prefix, lo, hi netaddr.Addr, maxBits int) bool {
+	return p.Bits() <= maxBits && lo <= hi && p.Addr() <= hi && p.Addr()|^netaddr.Mask(p.Bits()) >= lo
 }
 
 // WalkAll visits every prefix with its full candidate set in trie

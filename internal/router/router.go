@@ -561,12 +561,12 @@ func (r *Router) CloneShadow(tr netsim.Transport, dec *bgp.Decoder) *Router {
 // transport (normally a netsim.CaptureSink): the fork() analogue with
 // eager copying, used where the clone must not depend on the parent
 // staying still (taking the checkpoint itself, memory accounting). It
-// copies the RIB (rib.RouteTable.Clone: for a Table, a linear copy of
-// the trie into three slabs, its allocation count independent of table
-// size), the sessions and the seed maps, and shares the routes, which
-// are immutable once inserted (see rib.Route), and the configuration,
-// immutable after parse. Nothing the parent does afterwards reaches the
-// clone, and the reverse.
+// copies the RIB (rib.RouteTable.Clone: for a Table, O(1) — the trie
+// is shared, and each side copies what it writes later), the sessions
+// and the seed maps, and shares the routes, which are immutable once
+// inserted (see rib.Route), and the configuration, immutable after
+// parse. Nothing the parent does afterwards reaches the clone, and the
+// reverse.
 func (r *Router) Clone(tr netsim.Transport) *Router {
 	c := r.fork(tr, r.loc.Clone())
 	c.dec = new(bgp.Decoder)

@@ -14,9 +14,10 @@ import (
 	"dice/internal/rib"
 )
 
-// TestCheckpointStaysFrozen: a checkpoint shares its routes with the live
-// node (router.Clone copies the trie, not the routes), so nothing either
-// side does afterwards may write one. On Fig. 2 with a loaded table, the
+// TestCheckpointStaysFrozen: a checkpoint shares its trie and its routes
+// with the live node (router.Clone shares the RIB trie's root; each side
+// copies a path before it writes it), so nothing either side does
+// afterwards may write a node, an entry or a route the other reaches. On Fig. 2 with a loaded table, the
 // checkpoint's rendering just after checkpointOf must be byte-identical
 // after an update-scenario round explored from it — over COW clones, and
 // over the memory meter's Clones of it — and after the live node took

@@ -196,9 +196,15 @@ func rangesOf(ops []cloneOp) []addrRange {
 }
 
 // check holds tb to m: counts, Dump, WalkAll with candidate order, Best
-// and CoveringBest at every probe, and WalkRange over every range.
-// Routes compare by identity: a clone shares them.
+// and CoveringBest at every probe, and WalkRange over every range; a
+// Table's trie to its shape (trieShape) as well. Routes compare by
+// identity: a clone shares them.
 func (m ribModel) check(tb RouteTable, probes []netaddr.Prefix, ranges []addrRange) error {
+	if t, ok := tb.(*Table); ok {
+		if _, err := trieShape(t); err != nil {
+			return err
+		}
+	}
 	keys := m.sorted()
 	for _, rg := range ranges {
 		var got []*Route
@@ -251,6 +257,51 @@ func (m ribModel) check(tb RouteTable, probes []netaddr.Prefix, ranges []addrRan
 		}
 	}
 	return nil
+}
+
+// trieShape holds t's trie to the node invariant and returns its node
+// count: the root is /0; every other node holds a non-empty entry for its
+// own prefix or has two children; each child's prefix is longer than its
+// parent's, covered by it, sits under the parent's bit at the parent's
+// length, and has the length the parent's lens records for it; and there
+// are at most 2 × Prefixes() + 1 nodes.
+func trieShape(t *Table) (int, error) {
+	if t.root.prefix != (netaddr.Prefix{}) {
+		return 0, fmt.Errorf("the root is %s, not /0", t.root.prefix)
+	}
+	nodes := 0
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		nodes++
+		if e := n.entry; e != nil && (e.prefix != n.prefix || len(e.candidates) == 0) {
+			return fmt.Errorf("node %s holds an entry for %s with %d candidates", n.prefix, e.prefix, len(e.candidates))
+		}
+		if n != t.root && n.entry == nil && (n.children[0] == nil || n.children[1] == nil) {
+			return fmt.Errorf("node %s has no entry and fewer than two children", n.prefix)
+		}
+		for b, c := range n.children {
+			if c == nil {
+				continue
+			}
+			if c.prefix.Bits() <= n.prefix.Bits() || !n.prefix.Covers(c.prefix) || c.prefix.Bit(n.prefix.Bits()) != b {
+				return fmt.Errorf("node %s hangs under %s's bit %d", c.prefix, n.prefix, b)
+			}
+			if int(n.lens[b]) != c.prefix.Bits() {
+				return fmt.Errorf("node %s records its child %s as a /%d", n.prefix, c.prefix, n.lens[b])
+			}
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root); err != nil {
+		return 0, err
+	}
+	if nodes > 2*t.Prefixes()+1 {
+		return 0, fmt.Errorf("%d nodes for %d prefixes", nodes, t.Prefixes())
+	}
+	return nodes, nil
 }
 
 // cloneDifferential builds a source from the first part of ops, clones
@@ -370,6 +421,44 @@ func TestWalkRangeStops(t *testing.T) {
 		})
 		if visits != 3 {
 			t.Errorf("%T: %d visits after fn returned false on the third", tb, visits)
+		}
+	}
+}
+
+// TestTableNodesTrackLiveTable: a full table costs at most two nodes per
+// prefix plus the root, and withdrawing every route, one by one or by
+// WithdrawPeer, leaves only the root; a clone taken before the
+// withdrawals still holds the whole table.
+func TestTableNodesTrackLiveTable(t *testing.T) {
+	routes := traceRoutes(20000)
+	sorted := slices.Clone(routes)
+	slices.SortFunc(sorted, func(a, b *Route) int { return a.Prefix.Compare(b.Prefix) })
+	for _, byPeer := range []bool{false, true} {
+		tb := New()
+		for _, r := range routes {
+			tb.Insert(r)
+		}
+		nodes, err := trieShape(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d prefixes in %d nodes", tb.Prefixes(), nodes)
+		frozen := tb.Clone()
+		if byPeer {
+			tb.WithdrawPeer(routes[0].PeerRouterID)
+		} else {
+			for _, r := range routes {
+				tb.Withdraw(r.Prefix, r.PeerRouterID)
+			}
+		}
+		if nodes, err := trieShape(tb); err != nil || nodes != 1 || tb.Prefixes() != 0 || tb.Routes() != 0 {
+			t.Errorf("WithdrawPeer %v: %d nodes (%v), %d prefixes and %d routes left, want the root alone", byPeer, nodes, err, tb.Prefixes(), tb.Routes())
+		}
+		if _, err := trieShape(frozen); err != nil {
+			t.Errorf("the clone: %v", err)
+		}
+		if !slices.Equal(frozen.Dump(), sorted) {
+			t.Errorf("WithdrawPeer %v: the clone taken before the withdrawals lost routes", byPeer)
 		}
 	}
 }

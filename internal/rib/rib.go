@@ -1,8 +1,11 @@
 // Package rib implements the Routing Information Bases of a BGP speaker:
 // per-peer Adj-RIB-In tables and the Loc-RIB with the RFC 4271 §9.1
-// decision process. Prefix storage is a binary radix trie, so exact
-// lookups, longest-prefix matches and covered/covering scans are all
-// O(prefix length).
+// decision process. Prefix storage is a path-compressed (PATRICIA)
+// trie: it holds a node only where a prefix has an entry or where two
+// subtries branch, plus the root /0, so a table of n prefixes has at most
+// 2n+1 nodes and exact lookups, longest-prefix matches and
+// covered/covering scans are all O(branch depth), the number of such
+// nodes on the way down, never more than the prefix length.
 //
 // The trie is persistent. Table.Clone is O(1) whatever the table size:
 // the clone shares the source's root, and each side copies a path the
@@ -15,6 +18,7 @@ package rib
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 
@@ -65,14 +69,51 @@ func (r *Route) String() string {
 	return b.String()
 }
 
-// node is a binary radix-trie node. Entries live at the node whose depth
-// equals the prefix length. edit is the token of the table that created
-// it (see Table.edit); only that table writes it, and only until its next
-// Clone.
+// node is a trie node for its own prefix. The trie keeps the invariant
+// that every node but the root /0 holds an entry or has two children; a
+// child's prefix is longer than its parent's, covered by it, and hangs
+// under the parent's bit at the parent's length (slot). lens holds each
+// child's prefix length, so a descent knows which bit of the key picks
+// the next child without first reading the child's own prefix. edit is
+// the token of the table that created it (see Table.edit); only that
+// table writes it, and only until its next Clone.
 type node struct {
+	prefix   netaddr.Prefix
+	lens     [2]uint8
 	children [2]*node
 	entry    *entry
 	edit     uint64
+}
+
+// set hangs c (nil for none) under n at index b.
+func (n *node) set(b int, c *node) {
+	n.children[b] = c
+	if c != nil {
+		n.lens[b] = uint8(c.prefix.Bits())
+	}
+}
+
+// slot is the index of n's child whose subtrie holds p, a prefix longer
+// than n's and covered by it.
+func (n *node) slot(p netaddr.Prefix) int { return p.Bit(n.prefix.Bits()) }
+
+// collapse returns what takes n's place under its parent once n may have
+// lost its entry or a child: n itself while it holds an entry, has two
+// children or is the root, else its only child, or nil.
+func (n *node) collapse() *node {
+	switch {
+	case n.entry != nil || n.prefix.Bits() == 0 || n.children[0] != nil && n.children[1] != nil:
+		return n
+	case n.children[0] != nil:
+		return n.children[0]
+	}
+	return n.children[1]
+}
+
+// commonBits returns the length of the longest prefix covering both a and
+// b.
+func commonBits(a, b netaddr.Prefix) int {
+	return min(a.Bits(), b.Bits(), bits.LeadingZeros32(uint32(a.Addr()^b.Addr())))
 }
 
 // entry keeps all candidate routes for one prefix plus the selected best.
@@ -133,6 +174,11 @@ func (e *entry) withdraw(peerRouterID netaddr.Addr) (removed bool) {
 // A frozen table (one nothing writes any more, such as a checkpoint) may
 // be read and cloned from any number of goroutines at once.
 //
+// The trie is path-compressed (see node): an insert adds at most two
+// nodes, a prefix and the branch point above it, and a withdrawal that
+// empties a prefix prunes what the invariant no longer allows, so the
+// node count tracks the live table, not its history.
+//
 // The trie is persistent: Clone shares the root, and a write copies the
 // nodes on its path that the table does not own before it changes them.
 // Ownership is an edit token: every node and entry carries the token of
@@ -164,38 +210,55 @@ func (t *Table) Prefixes() int { return t.prefixes }
 // Routes returns the total number of candidate routes.
 func (t *Table) Routes() int { return t.routes }
 
-// find returns the node for p, or nil.
+// find returns the node for p, or nil. The descent stops at the first
+// node that does not cover p: nothing below it does either. Like every
+// descent it carries the next node's length from its parent's lens.
 func (t *Table) find(p netaddr.Prefix) *node {
-	n := t.root
-	for i := 0; i < p.Bits() && n != nil; i++ {
-		n = n.children[p.Bit(i)]
+	n, bits := t.root, 0
+	for bits < p.Bits() {
+		b := p.Bit(bits)
+		if n, bits = n.children[b], int(n.lens[b]); n == nil || !n.prefix.Covers(p) {
+			return nil
+		}
 	}
 	return n
 }
 
-// path returns the node for p, writable by t: each node on the way that
-// t does not own is replaced by a copy it does, and a missing one is
-// created. A child pointer is stored only where it changes, so a path t
-// already owns costs no pointer writes.
-func (t *Table) path(p netaddr.Prefix) *node {
+// path returns the node for p, writable by t, with its parent and
+// grandparent (nil above the root), both writable too: each node on the
+// way that t does not own is replaced by a copy it does. Where the child
+// to descend into does not cover p, a new node at their common length
+// takes its place and the child hangs under it: that node is p itself
+// when p covers the child, else a branch point, under which p's own node
+// is created next. The shared child is only re-pointed, never written. A
+// child pointer is stored only where it changes, so a path t already
+// owns costs no pointer writes.
+func (t *Table) path(p netaddr.Prefix) (n, parent, grand *node) {
 	edit := t.edit.Load()
 	if t.root.edit != edit {
 		t.root = t.root.owned(edit)
 	}
-	n := t.root
-	for i := 0; i < p.Bits(); i++ {
-		b := p.Bit(i)
+	n = t.root
+	for n.prefix.Bits() < p.Bits() {
+		b := n.slot(p)
 		c := n.children[b]
-		if c == nil {
-			c = &node{edit: edit}
-			n.children[b] = c
-		} else if c.edit != edit {
+		switch {
+		case c == nil:
+			c = &node{prefix: p, edit: edit}
+		case !c.prefix.Covers(p):
+			k := commonBits(c.prefix, p)
+			m := &node{prefix: netaddr.PrefixFrom(p.Addr(), k), edit: edit}
+			m.set(c.prefix.Bit(k), c)
+			c = m
+		case c.edit != edit:
 			c = c.owned(edit)
-			n.children[b] = c
 		}
-		n = c
+		if n.children[b] != c {
+			n.set(b, c)
+		}
+		n, parent, grand = c, n, parent
 	}
-	return n
+	return n, parent, grand
 }
 
 // owned returns n if it carries edit, else a copy of n that does, sharing
@@ -247,7 +310,7 @@ func (c Change) Changed() bool { return c.Old != c.New }
 // Insert adds (or replaces — the implicit withdraw of RFC 4271 §3.1) the
 // route from the given peer and reruns selection for the prefix.
 func (t *Table) Insert(r *Route) Change {
-	n := t.path(r.Prefix)
+	n, _, _ := t.path(r.Prefix)
 	if n.entry == nil {
 		n.entry = &entry{prefix: r.Prefix, edit: n.edit}
 		t.prefixes++
@@ -261,7 +324,9 @@ func (t *Table) Insert(r *Route) Change {
 }
 
 // Withdraw removes the route for p learned from the given peer. A
-// withdrawal of a route the table does not hold writes nothing.
+// withdrawal of a route the table does not hold writes nothing. One that
+// empties p prunes its node, and then its parent, where the node
+// invariant no longer allows them.
 func (t *Table) Withdraw(p netaddr.Prefix, peerRouterID netaddr.Addr) Change {
 	n := t.find(p)
 	if n == nil || n.entry == nil {
@@ -271,13 +336,19 @@ func (t *Table) Withdraw(p netaddr.Prefix, peerRouterID netaddr.Addr) Change {
 	if n.entry.learnedFrom(peerRouterID) < 0 {
 		return Change{Prefix: p, Old: old, New: old}
 	}
-	n = t.path(p)
+	n, parent, grand := t.path(p)
 	e := n.ownEntry()
 	e.withdraw(peerRouterID)
 	t.routes--
 	if len(e.candidates) == 0 {
 		n.entry = nil
 		t.prefixes--
+		if c := n.collapse(); c != n {
+			parent.set(parent.slot(p), c)
+			if c := parent.collapse(); c != parent {
+				grand.set(grand.slot(parent.prefix), c)
+			}
+		}
 	}
 	return Change{Prefix: p, Old: old, New: e.best}
 }
@@ -285,12 +356,12 @@ func (t *Table) Withdraw(p netaddr.Prefix, peerRouterID netaddr.Addr) Change {
 // WithdrawPeer removes every route learned from a peer (session down).
 // It returns the changes for prefixes whose best route changed, in
 // prefix order. Only the paths to prefixes that held such a route are
-// copied.
+// copied, and the nodes it empties are pruned on the way back up.
 func (t *Table) WithdrawPeer(peerRouterID netaddr.Addr) []Change {
 	var changes []Change
 	edit := t.edit.Load()
-	// walk returns n, or the copy of n that t owns once anything below
-	// it changed.
+	// walk returns what takes n's place: n, or the copy of n that t owns
+	// once anything below it changed, or what collapse leaves of that.
 	var walk func(n *node) *node
 	walk = func(n *node) *node {
 		if n == nil {
@@ -313,10 +384,10 @@ func (t *Table) WithdrawPeer(peerRouterID netaddr.Addr) []Change {
 		for b, child := range n.children {
 			if c := walk(child); c != child {
 				n = n.owned(edit)
-				n.children[b] = c
+				n.set(b, c)
 			}
 		}
-		return n
+		return n.collapse()
 	}
 	t.root = walk(t.root)
 	return changes
@@ -355,36 +426,33 @@ func (t *Table) Candidates(p netaddr.Prefix) []*Route {
 // CoveringBest returns the best route for the longest prefix that covers p
 // (including p itself), or nil.
 func (t *Table) CoveringBest(p netaddr.Prefix) *Route {
-	n := t.root
 	var last *Route
-	for i := 0; ; i++ {
+	for n, bits := t.root, 0; ; {
 		if n.entry != nil && n.entry.best != nil {
 			last = n.entry.best
 		}
-		if i >= p.Bits() {
-			break
+		if bits == p.Bits() {
+			return last
 		}
-		b := p.Bit(i)
-		if n.children[b] == nil {
-			break
+		b := p.Bit(bits)
+		if n, bits = n.children[b], int(n.lens[b]); n == nil || !n.prefix.Covers(p) {
+			return last
 		}
-		n = n.children[b]
 	}
-	return last
 }
 
 // bestsAlong sets along[i] to the best route of p's covering /i, for
 // every i ≤ p.Bits() at which the table holds one.
 func (t *Table) bestsAlong(p netaddr.Prefix, along *[33]*Route) {
-	n := t.root
-	for i := 0; ; i++ {
+	for n, bits := t.root, 0; ; {
 		if n.entry != nil {
-			along[i] = n.entry.best
+			along[bits] = n.entry.best
 		}
-		if i >= p.Bits() {
+		if bits == p.Bits() {
 			return
 		}
-		if n = n.children[p.Bit(i)]; n == nil {
+		b := p.Bit(bits)
+		if n, bits = n.children[b], int(n.lens[b]); n == nil || !n.prefix.Covers(p) {
 			return
 		}
 	}
@@ -409,24 +477,20 @@ func (t *Table) Walk(fn func(*Route) bool) {
 
 // WalkRange visits, in Walk's order, the best route of every prefix of
 // at most maxBits bits whose address span meets [lo, hi] (inRange). A
-// subtrie whose own prefix fails inRange is skipped whole: every prefix
-// in it is longer, and its span lies inside the subtrie's.
+// subtrie whose node's own prefix fails inRange is skipped whole: every
+// prefix in it is longer, and its span lies inside the node's.
 func (t *Table) WalkRange(lo, hi netaddr.Addr, maxBits int, fn func(*Route) bool) {
-	var walk func(n *node, p netaddr.Prefix) bool
-	walk = func(n *node, p netaddr.Prefix) bool {
-		if n == nil || !inRange(p, lo, hi, maxBits) {
+	var walk func(n *node) bool
+	walk = func(n *node) bool {
+		if n == nil || !inRange(n.prefix, lo, hi, maxBits) {
 			return true
 		}
 		if n.entry != nil && n.entry.best != nil && !fn(n.entry.best) {
 			return false
 		}
-		if p.Bits() == 32 {
-			return true
-		}
-		a, bits := p.Addr(), p.Bits()+1
-		return walk(n.children[0], netaddr.PrefixFrom(a, bits)) && walk(n.children[1], netaddr.PrefixFrom(a|1<<(31-p.Bits()), bits))
+		return walk(n.children[0]) && walk(n.children[1])
 	}
-	walk(t.root, netaddr.Prefix{})
+	walk(t.root)
 }
 
 // inRange is WalkRange's filter: p has at most maxBits bits and its

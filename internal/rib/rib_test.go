@@ -7,6 +7,7 @@ import (
 
 	"dice/internal/bgp"
 	"dice/internal/netaddr"
+	"dice/internal/trace"
 )
 
 func pfx(s string) netaddr.Prefix { return netaddr.MustParsePrefix(s) }
@@ -426,3 +427,60 @@ func BenchmarkLongestMatch(b *testing.B) {
 		tb.CoveringBest(netaddr.PrefixFrom(netaddr.Addr(uint32(i)*2654435761), 32))
 	}
 }
+
+// traceRoutes returns the first n records of a trace.Generate full table
+// as routes from one peer, the shape of a loaded Loc-RIB: realistic
+// prefix lengths over the whole unicast space.
+func traceRoutes(n int) []*Route {
+	cfg := trace.DefaultGenConfig()
+	cfg.TableSize, cfg.UpdateCount = n, 0
+	routes := make([]*Route, 0, n)
+	for _, rec := range trace.Generate(cfg) {
+		routes = append(routes, &Route{
+			Prefix:       rec.Prefix,
+			Attrs:        rec.Attrs,
+			PeerRouterID: netaddr.AddrFrom4(10, 0, 0, 1),
+			PeerAS:       cfg.PeerAS,
+			EBGP:         true,
+		})
+	}
+	return routes
+}
+
+// BenchmarkLoadTable20k loads a 20k trace.Generate table into a fresh
+// Table, as a router does when its first peer dumps its table.
+func BenchmarkLoadTable20k(b *testing.B) {
+	routes := traceRoutes(20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb := New()
+		for _, r := range routes {
+			tb.Insert(r)
+		}
+	}
+}
+
+// BenchmarkCoveringBestTable looks up covering routes on that table:
+// every other probe one of its own prefixes, the rest random addresses.
+func BenchmarkCoveringBestTable(b *testing.B) {
+	routes := traceRoutes(20000)
+	tb := New()
+	for _, r := range routes {
+		tb.Insert(r)
+	}
+	probes := make([]netaddr.Prefix, 4096)
+	for i := range probes {
+		if i%2 == 0 {
+			probes[i] = routes[i*7919%len(routes)].Prefix
+		} else {
+			probes[i] = netaddr.PrefixFrom(netaddr.Addr(uint32(i)*2654435761), 32)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		routeSink = tb.CoveringBest(probes[i%len(probes)])
+	}
+}
+
+var routeSink *Route

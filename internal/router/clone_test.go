@@ -54,7 +54,7 @@ func loadedRouter(t testing.TB, n int) *Router {
 
 // TestCheckpointCloneAllocs: taking a checkpoint (Router.Clone) costs the
 // same number of allocations at 1k and 20k prefixes, and twenty at most:
-// the RIB is copied into slabs, never route by route.
+// the RIB's Clone shares the trie's root, never copying a node or a route.
 func TestCheckpointCloneAllocs(t *testing.T) {
 	const bound = 20
 	allocs := func(n int) float64 {

@@ -166,9 +166,9 @@ func routeleak(s core.Scale) error {
 }
 
 func warmState(s core.Scale) error {
-	fmt.Println("S1 — cross-round exploration state (the paper's continuous online mode)")
+	fmt.Println("S2 — cross-round exploration state (the paper's continuous online mode)")
 	fmt.Println()
-	res, err := core.RunS1WarmState(s, 3)
+	res, err := core.RunS2WarmState(s, 3)
 	if err != nil {
 		return err
 	}
@@ -204,9 +204,6 @@ func ablationCheckpoint(s core.Scale) error {
 	fmt.Printf("A2 — §2.3 ablation: explore-from-checkpoint vs replay-from-initial-state\n\n")
 	fmt.Printf("  %-14s %16s %16s %10s\n", "history (msgs)", "checkpoint", "replay", "speedup")
 	for _, h := range []int{1000, 5000, 20000} {
-		if h > s.TableSize*2 && s.TableSize > 0 {
-			// keep runtime sane at small scales
-		}
 		res, err := core.RunA2CheckpointVsReplay(h, s.Seed)
 		if err != nil {
 			return err

@@ -6,7 +6,7 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory) with binaries under cmd/ and runnable walkthroughs under
-// examples/. The root package only anchors the module and hosts the
-// benchmark harness (bench_test.go) that regenerates every number in the
-// paper's evaluation.
+// examples/. The root package only anchors the module; cmd/experiments
+// prints the paper's evaluation beside the measured numbers, and
+// benchmark/ is the tracked performance harness.
 package dice

@@ -17,11 +17,12 @@ import (
 // TestCheckpointStaysFrozen: a checkpoint shares its trie and its routes
 // with the live node (router.Clone shares the RIB trie's root; each side
 // copies a path before it writes it), so nothing either side does
-// afterwards may write a node, an entry or a route the other reaches. On Fig. 2 with a loaded table, the
-// checkpoint's rendering just after checkpointOf must be byte-identical
-// after an update-scenario round explored from it — over COW clones, and
-// over the memory meter's Clones of it — and after the live node took
-// attribute flaps and withdrawals of the routes it shares.
+// afterwards may write a node, an entry or a route the other reaches. On
+// Fig. 2 with a loaded table, the checkpoint's rendering just after
+// checkpointOf must be byte-identical after an update-scenario round
+// explored from it over COW clones, once without and once with the memory
+// meter observing them, and after the live node took attribute flaps and
+// withdrawals of the routes it shares.
 func TestCheckpointStaysFrozen(t *testing.T) {
 	f, err := NewFig2(Fig2Options{CustomerFilter: BrokenCustomerFilter})
 	if err != nil {
@@ -40,9 +41,8 @@ func TestCheckpointStaysFrozen(t *testing.T) {
 	render := func() []byte { return bytes.Join(ckpt.EncodeStateChunks(), nil) }
 	before := render()
 
-	meter := &memoryMeter{store: checkpoint.NewStore(0)}
-	for _, decorate := range []runDecorator{nil, meter.decorate} {
-		tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, concolic.Options{MaxRuns: 300}, decorate)
+	for _, meter := range []*memoryMeter{nil, {store: checkpoint.NewStore(0)}} {
+		tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, concolic.Options{MaxRuns: 300}, meter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +118,8 @@ func TestOneHoldPerRound(t *testing.T) {
 // (rib.Table.Clone shares the root), so what the live node writes after
 // it must land on nodes the checkpoint cannot reach. Under -race, one
 // goroutine takes checkpoints under the node's lock and, outside it,
-// explores from them over COW clones and over the memory meter's Clones
-// of one checkpoint from two workers at once, walks, dumps and
+// explores from them over COW clones from two workers at once, once
+// without and once with the memory meter observing them, walks, dumps and
 // range-walks them, and holds each to its rendering when taken, while
 // another pushes live UPDATEs, withdrawals and session flaps
 // (WithdrawPeer) through the node under the lock.
@@ -185,9 +185,8 @@ func TestCheckpointsRaceLiveWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		meter := &memoryMeter{store: checkpoint.NewStore(0)}
-		for _, decorate := range []runDecorator{nil, meter.decorate} {
-			tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, engine, decorate)
+		for _, meter := range []*memoryMeter{nil, {store: checkpoint.NewStore(0)}} {
+			tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, engine, meter)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,6 @@ import (
 	"dice/internal/checkpoint"
 	"dice/internal/concolic"
 	"dice/internal/minimize"
-	"dice/internal/netsim"
 	"dice/internal/router"
 )
 
@@ -129,20 +128,30 @@ func withLock(l sync.Locker, fn func()) {
 // ExploreScenario runs one exploration round of the named scenario
 // against peerName. It takes the live node's state lock once, for the
 // checkpoint, and reads the seed from the checkpoint, so the seed and the
-// state explored are of one instant. A round that fails for want of a
-// seed (SeedUnavailableError) has still paid for its checkpoint: an O(1)
+// state explored are of one instant (prepare, as every fleet target).
+// The round explores with the scenario's per-path oracle running inside
+// it against the checkpoint-time state (witness validation included),
+// then folds. A round that fails for want of a seed
+// (SeedUnavailableError) has still paid for its checkpoint: an O(1)
 // clone, after which the live table copies each trie path it next writes.
 func (d *DiCE) ExploreScenario(name, peerName string) (*Result, error) {
 	start := time.Now()
 	tg := ResolvedTarget{Node: d.live.Name(), Peer: peerName, Scenario: name, Boundary: d.opts.LeakBoundaryCommunity}
-	ckpt, sink := checkpointOf(d.live, d.opts.CloneLock)
-	sc, seed, err := seedOf(ckpt, tg)
+	var states *concolic.StateMap
+	if d.opts.Engine.State == nil && d.opts.ReuseState {
+		states = d.states
+	}
+	var meter *memoryMeter
+	if d.opts.MeasureMemory {
+		meter = &memoryMeter{store: checkpoint.NewStore(0)}
+	}
+	tp, err := prepare(d.live, d.opts.CloneLock, tg, d.opts.Engine, states, meter)
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.exploreRound(ckpt, sink, tg, sc, seed)
-	if err != nil {
-		return nil, err
+	res := tp.analyze(tp.Engine.Explore())
+	if meter != nil {
+		meter.finish(d, &res.Memory)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -154,41 +163,11 @@ func (d *DiCE) ExplorePeer(peerName string) (*Result, error) {
 	return d.ExploreScenario(ScenarioUpdate, peerName)
 }
 
-// exploreRound is the scenario-independent round machinery over a taken
-// checkpoint: the shared declare pipeline (prepareSeeded — the federated
-// backends' per-target prep, here with optional memory accounting),
-// exploration with the scenario's per-path oracle running inside it
-// against the checkpoint-time state (witness validation included), then
-// the scenario's fold.
-func (d *DiCE) exploreRound(ckpt *router.Router, sink *netsim.CaptureSink, tg ResolvedTarget, sc Scenario, seed any) (*Result, error) {
-	engOpts := d.opts.Engine
-	if engOpts.State == nil && d.opts.ReuseState {
-		engOpts.State = d.states.For(WarmKey(tg.Node, tg.Scenario, tg.Peer))
-	}
-	var (
-		meter    *memoryMeter
-		decorate runDecorator
-	)
-	if d.opts.MeasureMemory {
-		meter = &memoryMeter{store: checkpoint.NewStore(0)}
-		decorate = meter.decorate
-	}
-	tp, err := prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, decorate)
-	if err != nil {
-		return nil, err
-	}
-	res := tp.analyze(tp.Engine.Explore())
-	if meter != nil {
-		meter.finish(d, &res.Memory)
-	}
-	return res, nil
-}
-
-// memoryMeter is the §4.1 memory experiment (Options.MeasureMemory) as a
-// decorator on the run handler: it serializes the checkpoint and every
-// exploration clone into a page store and compares them. Serializing
-// and hashing full state is itself costly, and needs eager clones where
-// exploration otherwise forks O(1) COW ones — which is why it is opt-in.
+// memoryMeter is the §4.1 memory experiment (Options.MeasureMemory) as an
+// observer of a round's clones: it serializes the checkpoint and every
+// exploration clone, after its run, into a page store and compares them.
+// Serializing and hashing full state is itself costly, which is why it is
+// opt-in.
 type memoryMeter struct {
 	store *checkpoint.Store
 	ckpt  *checkpoint.Snapshot
@@ -197,19 +176,19 @@ type memoryMeter struct {
 	overheads []float64 // per clone, extra pages relative to the checkpoint
 }
 
-func (m *memoryMeter) decorate(ckpt *router.Router, sink *netsim.CaptureSink, exec func(*concolic.RunContext, *router.Router) any) func(*concolic.RunContext) any {
+// prepared serializes the round's checkpoint, once, before any run.
+func (m *memoryMeter) prepared(ckpt *router.Router) {
 	m.ckpt = m.store.TakeChunks("checkpoint", ckpt.EncodeStateChunks())
-	return func(rc *concolic.RunContext) any {
-		clone := ckpt.Clone(sink)
-		out := exec(rc, clone)
-		snap := m.store.TakeChunks("clone", clone.EncodeStateChunks())
-		over := snap.OverheadFraction(m.ckpt)
-		snap.Release()
-		m.mu.Lock()
-		m.overheads = append(m.overheads, over)
-		m.mu.Unlock()
-		return out
-	}
+}
+
+// observe serializes one run's clone and records its extra pages.
+func (m *memoryMeter) observe(clone *router.Router) {
+	snap := m.store.TakeChunks("clone", clone.EncodeStateChunks())
+	over := snap.OverheadFraction(m.ckpt)
+	snap.Release()
+	m.mu.Lock()
+	m.overheads = append(m.overheads, over)
+	m.mu.Unlock()
 }
 
 // finish compares the checkpoint against the live node's current state

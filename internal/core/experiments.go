@@ -17,7 +17,7 @@ import (
 
 // This file contains the runners that regenerate the paper's evaluation
 // (§4.1 and §4.2) plus the two design-choice ablations from DESIGN.md.
-// cmd/experiments and the root bench_test.go call these.
+// cmd/experiments calls these.
 
 // Scale parameterizes experiment size. The paper runs at TableSize=319355
 // on a 48-core machine; Scale lets the same experiments run at laptop
@@ -359,10 +359,10 @@ func RunE4RouteLeak(s Scale, filterSrc string, anycast []netaddr.Prefix) (*E4Res
 	return out, nil
 }
 
-// --- S1: cross-round exploration state --------------------------------------------
+// --- S2: cross-round exploration state --------------------------------------------
 
-// S1RoundStats is one round's cost in the warm-state experiment.
-type S1RoundStats struct {
+// S2RoundStats is one round's cost in the warm-state experiment.
+type S2RoundStats struct {
 	Scenario         string
 	Round            int
 	Runs             int
@@ -371,17 +371,17 @@ type S1RoundStats struct {
 	SkippedNegations int
 }
 
-// S1Result reports per-round exploration cost with shared cross-round
+// S2Result reports per-round exploration cost with shared cross-round
 // state, for every registered scenario.
-type S1Result struct {
-	Rounds []S1RoundStats
+type S2Result struct {
+	Rounds []S2RoundStats
 }
 
-// RunS1WarmState runs `rounds` consecutive online rounds per registered
+// RunS2WarmState runs `rounds` consecutive online rounds per registered
 // scenario on one DiCE instance with ReuseState, measuring how much work
 // each round repeats. With an unchanged seed, warm rounds must skip all
 // known paths and negations.
-func RunS1WarmState(s Scale, rounds int) (*S1Result, error) {
+func RunS2WarmState(s Scale, rounds int) (*S2Result, error) {
 	f, err := NewFig2(Fig2Options{CustomerFilter: BrokenCustomerFilter})
 	if err != nil {
 		return nil, err
@@ -394,7 +394,7 @@ func RunS1WarmState(s Scale, rounds int) (*S1Result, error) {
 		Engine:     concolic.Options{MaxRuns: s.ExploreRuns},
 		ReuseState: true,
 	})
-	out := &S1Result{}
+	out := &S2Result{}
 	for _, name := range ScenarioNames() {
 		for round := 1; round <= rounds; round++ {
 			res, err := d.ExploreScenario(name, NodeCustomer)
@@ -402,7 +402,7 @@ func RunS1WarmState(s Scale, rounds int) (*S1Result, error) {
 				return nil, err
 			}
 			rep := res.Report
-			out.Rounds = append(out.Rounds, S1RoundStats{
+			out.Rounds = append(out.Rounds, S2RoundStats{
 				Scenario:         name,
 				Round:            round,
 				Runs:             rep.Runs,

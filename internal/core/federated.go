@@ -255,28 +255,40 @@ type TargetPrep struct {
 	round *Round // what the scenario's judge and fold both see
 }
 
-// PrepareTarget performs the shared per-target prep: scenario lookup,
-// seed derivation from the live node (a missing seed returns
-// *SeedUnavailableError), checkpoint clone with capture sink, handler
-// over COW clones, the scenario's judge, warm cross-round state
-// attachment (states keyed by WarmKey when reuse is set), and
-// symbolic declaration.
+// PrepareTarget performs the shared per-target prep (prepare): scenario
+// lookup, checkpoint clone with capture sink, seed derivation from the
+// checkpoint (a missing seed returns *SeedUnavailableError), handler over
+// COW clones, the scenario's judge, warm cross-round state attachment
+// (states keyed by WarmKey when reuse is set), and symbolic declaration.
 // The returned engine is ready to explore — solo (Engine.Explore, the
 // agent's path) or as a fleet member (the in-process path).
 func PrepareTarget(live *router.Router, tg ResolvedTarget, engOpts concolic.Options, states *concolic.StateMap, reuse bool) (*TargetPrep, error) {
-	sc, seed, err := seedOf(live, tg)
+	if !reuse {
+		states = nil
+	}
+	return prepare(live, nil, tg, engOpts, states, nil)
+}
+
+// prepare is the one round prep, every target's and single-node DiCE's:
+// it takes the checkpoint (under lock, when the live node has one), reads
+// the seed from the checkpoint, so the two are of one instant, and, once
+// there is a seed, attaches the target's warm state from states (nil: keep
+// engOpts.State) before prepareSeeded. meter, when set, observes the
+// round's clones.
+func prepare(live *router.Router, lock sync.Locker, tg ResolvedTarget, engOpts concolic.Options, states *concolic.StateMap, meter *memoryMeter) (*TargetPrep, error) {
+	ckpt, sink := checkpointOf(live, lock)
+	sc, seed, err := seedOf(ckpt, tg)
 	if err != nil {
 		return nil, err
 	}
-	if reuse {
+	if states != nil {
 		engOpts.State = states.For(WarmKey(tg.Node, tg.Scenario, tg.Peer))
 	}
-	ckpt, sink := checkpointOf(live, nil)
-	return prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, nil)
+	return prepareSeeded(ckpt, sink, tg, sc, seed, engOpts, meter)
 }
 
-// seedOf looks tg's scenario up and derives its seed from r — the live
-// node, or a checkpoint of it (Router.Clone copies the seed maps); a
+// seedOf looks tg's scenario up and derives its seed from r — a
+// checkpoint of the live node (Router.Clone copies the seed maps); a
 // scenario with nothing to seed from returns *SeedUnavailableError.
 func seedOf(r *router.Router, tg ResolvedTarget) (Scenario, any, error) {
 	sc, err := LookupScenario(tg.Scenario)
@@ -297,12 +309,6 @@ func WarmKey(node, scenario, peer string) string {
 	return node + "/" + scenario + "/" + peer
 }
 
-// runDecorator replaces a target's default run handler — fork an O(1)
-// COW clone of the checkpoint, execute — with one that forks and
-// observes clones its own way. exec is the scenario's execution over
-// whatever clone the decorator hands it.
-type runDecorator func(ckpt *router.Router, sink *netsim.CaptureSink, exec func(*concolic.RunContext, *router.Router) any) func(*concolic.RunContext) any
-
 // checkpointOf takes the checkpoint exploration forks from. Like the
 // paper's fork(), it is the only operation that touches the live process,
 // and it costs O(1) in the table size: one Router.Clone (the RIB's trie
@@ -316,17 +322,20 @@ func checkpointOf(live *router.Router, lock sync.Locker) (*router.Router, *netsi
 }
 
 // prepareSeeded is handler → judge → declare over a checkpoint whose
-// sends go to sink, written once for the federated backends and
-// single-node DiCE alike. Every exploration clone forks from ckpt,
-// never from a live router. Cross-round state, when any, arrives on
-// engOpts.State.
-func prepareSeeded(ckpt *router.Router, sink *netsim.CaptureSink, tg ResolvedTarget, sc Scenario, seed any, engOpts concolic.Options, decorate runDecorator) (*TargetPrep, error) {
-	exec := func(rc *concolic.RunContext, clone *router.Router) any {
-		return sc.Execute(rc, clone, tg.Peer, seed)
+// sends go to sink. Every run forks an O(1) COW clone of ckpt, never of a
+// live router, executes the scenario on it and, when meter is set, hands
+// it to the meter. Cross-round state, when any, arrives on engOpts.State.
+func prepareSeeded(ckpt *router.Router, sink *netsim.CaptureSink, tg ResolvedTarget, sc Scenario, seed any, engOpts concolic.Options, meter *memoryMeter) (*TargetPrep, error) {
+	if meter != nil {
+		meter.prepared(ckpt)
 	}
-	handler := func(rc *concolic.RunContext) any { return exec(rc, ckpt.CloneCOW(sink)) }
-	if decorate != nil {
-		handler = decorate(ckpt, sink, exec)
+	handler := func(rc *concolic.RunContext) any {
+		clone := ckpt.CloneCOW(sink)
+		out := sc.Execute(rc, clone, tg.Peer, seed)
+		if meter != nil {
+			meter.observe(clone)
+		}
+		return out
 	}
 	eng := concolic.NewEngine(handler, engOpts)
 	round := &Round{Peer: tg.Peer, Seed: seed, Engine: eng, Checkpoint: ckpt, Boundary: leakBoundary(tg.Boundary)}

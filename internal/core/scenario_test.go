@@ -139,9 +139,12 @@ func TestWithdrawScenario(t *testing.T) {
 }
 
 // TestWarmRoundIssuesFewerSolverCalls is the online-mode acceptance
-// check: with ReuseState, a second round on the same peer and seed skips
-// every already-explored path and negation, so it issues (measurably —
-// here: zero vs. many) fewer solver queries.
+// check, for every registered scenario: with ReuseState, a round on the
+// same peer and seed after the first skips every already-explored path
+// and negation, so it reports no new path and issues no solver query
+// (cmd/experiments -exp warmstate prints the same rounds). One DiCE runs
+// them all, so each scenario's first round being cold also checks that
+// state is kept per (scenario, peer).
 func TestWarmRoundIssuesFewerSolverCalls(t *testing.T) {
 	f, err := NewFig2(Fig2Options{CustomerFilter: BrokenCustomerFilter})
 	if err != nil {
@@ -152,45 +155,33 @@ func TestWarmRoundIssuesFewerSolverCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := New(f.Provider, Options{Engine: concolic.Options{MaxRuns: 2000}, ReuseState: true})
-
-	cold, err := d.ExplorePeer(NodeCustomer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Report.SolverCalls == 0 || len(cold.Report.Paths) == 0 {
-		t.Fatalf("cold round did no work: %d calls, %d paths",
-			cold.Report.SolverCalls, len(cold.Report.Paths))
-	}
-
-	warm, err := d.ExplorePeer(NodeCustomer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmQueries := warm.Report.SolverCalls
-	if warmQueries >= cold.Report.SolverCalls {
-		t.Fatalf("warm round issued %d queries, cold issued %d", warmQueries, cold.Report.SolverCalls)
-	}
-	if warm.Report.SkippedNegations == 0 {
-		t.Fatal("warm round skipped no negations")
-	}
-	if len(warm.Report.Paths) != 0 {
-		t.Fatalf("warm round re-reported %d known paths", len(warm.Report.Paths))
-	}
-
-	st := d.State(ScenarioUpdate, NodeCustomer)
-	if st == nil {
-		t.Fatal("no accumulated state for the update scenario")
-	}
-	if stats := st.Stats(); stats.Rounds != 2 || stats.Paths != len(cold.Report.Paths) {
-		t.Fatalf("state stats = %+v, want 2 rounds / %d paths", stats, len(cold.Report.Paths))
-	}
-
-	// Per-(scenario, peer) isolation: an open-scenario round must not see
-	// the update scenario's state.
-	if _, err := d.ExploreScenario(ScenarioOpen, NodeCustomer); err != nil {
-		t.Fatal(err)
-	}
-	if open := d.State(ScenarioOpen, NodeCustomer); open == nil || open.Stats().Paths == 0 {
-		t.Fatal("open scenario accumulated no state of its own")
+	for _, name := range ScenarioNames() {
+		t.Run(name, func(t *testing.T) {
+			cold, err := d.ExploreScenario(name, NodeCustomer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Report.SolverCalls == 0 || len(cold.Report.Paths) == 0 {
+				t.Fatalf("cold round did no work: %d calls, %d paths",
+					cold.Report.SolverCalls, len(cold.Report.Paths))
+			}
+			for round := 2; round <= 3; round++ {
+				warm, err := d.ExploreScenario(name, NodeCustomer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep := warm.Report; rep.SolverCalls != 0 || len(rep.Paths) != 0 || rep.SkippedNegations == 0 {
+					t.Fatalf("round %d: %d solver calls, %d new paths, %d negations skipped; want 0, 0, some",
+						round, rep.SolverCalls, len(rep.Paths), rep.SkippedNegations)
+				}
+			}
+			st := d.State(name, NodeCustomer)
+			if st == nil {
+				t.Fatal("no accumulated state")
+			}
+			if stats := st.Stats(); stats.Rounds != 3 || stats.Paths != len(cold.Report.Paths) {
+				t.Fatalf("state stats = %+v, want 3 rounds / %d paths", stats, len(cold.Report.Paths))
+			}
+		})
 	}
 }

@@ -304,13 +304,13 @@ func trieShape(t *Table) (int, error) {
 	return nodes, nil
 }
 
-// cloneDifferential builds a source from the first part of ops, clones
-// it with Clone, then applies the rest to the source, the clone or both,
-// checking each side against a model of its own history after every op
-// (WalkRange over rangesOf(ops) included).
-// With overlay set, the source is an Overlay: its base is built from the
-// first third, the overlay takes the second, and the base is never
-// written again.
+// cloneDifferential builds a source Table from the first half of ops,
+// clones it with Clone, then applies the rest to the source, the clone or
+// both, checking each side against a model of its own history after every
+// op (WalkRange over rangesOf(ops) included).
+// With overlay set, the two sides are sibling Overlays over the source —
+// the RIBs of two COW clones of one checkpoint — and the source, never
+// written again, is held to its own model at the end.
 func cloneDifferential(ops []cloneOp, overlay bool) error {
 	probes := []netaddr.Prefix{{}}
 	for _, op := range ops {
@@ -318,26 +318,20 @@ func cloneDifferential(ops []cloneOp, overlay bool) error {
 	}
 	ranges := rangesOf(ops)
 	base, m := New(), ribModel{}
-	var src RouteTable = base
 	split := len(ops) / 2
-	if overlay {
-		split = len(ops) / 3
-	}
 	for _, op := range ops[:split] {
 		m.apply(base, op)
 	}
 	ops = ops[split:]
+	sides, names := [2]RouteTable{base, base.Clone()}, [2]string{"source", "clone"}
+	var frozen ribModel
 	if overlay {
-		src = NewOverlay(base)
-		for _, op := range ops[:split] {
-			m.apply(src, op)
-		}
-		ops = ops[split:]
+		sides, names = [2]RouteTable{NewOverlay(base), NewOverlay(base)}, [2]string{"overlay", "sibling overlay"}
+		frozen = m.clone()
 	}
-	sides := [2]RouteTable{src, src.Clone()}
 	models := [2]ribModel{m, m.clone()}
 	check := func(step int) error {
-		for s, name := range []string{"source", "clone"} {
+		for s, name := range names {
 			if err := models[s].check(sides[s], probes, ranges); err != nil {
 				return fmt.Errorf("%s after %d ops past the clone: %w", name, step, err)
 			}
@@ -355,6 +349,11 @@ func cloneDifferential(ops []cloneOp, overlay bool) error {
 		}
 		if err := check(i + 1); err != nil {
 			return err
+		}
+	}
+	if overlay {
+		if err := frozen.check(base, probes, ranges); err != nil {
+			return fmt.Errorf("base under the overlays: %w", err)
 		}
 	}
 	return nil
@@ -375,8 +374,9 @@ func TestTableCloneMatchesModel(t *testing.T) {
 	}
 }
 
-// TestOverlayCloneMatchesModel is the same property for Overlay.Clone,
-// the flattening CloneCOW's clone-of-a-clone falls back to.
+// TestOverlayCloneMatchesModel is the same property for two overlays
+// over one Table, as CloneCOW forks them from a checkpoint: each behaves
+// as a model of its own history, and the Table under them as its own.
 func TestOverlayCloneMatchesModel(t *testing.T) {
 	f := func(ops []cloneOp) bool {
 		if err := cloneDifferential(ops, true); err != nil {

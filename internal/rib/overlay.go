@@ -24,9 +24,6 @@ type RouteTable interface {
 	Dump() []*Route
 	Prefixes() int
 	Routes() int
-	// Clone returns an independent Table with the same candidates and
-	// best routes, sharing the routes.
-	Clone() *Table
 }
 
 var (
@@ -229,20 +226,6 @@ func (o *Overlay) Dump() []*Route {
 		return true
 	})
 	return out
-}
-
-// Clone implements RouteTable: the overlay flattened into a fresh Table.
-// Inserting each prefix's candidates in order leaves the order as it is,
-// and selection over that order picks the best route the overlay has.
-func (o *Overlay) Clone() *Table {
-	t := New()
-	o.WalkAll(func(_ netaddr.Prefix, candidates []*Route) bool {
-		for _, r := range candidates {
-			t.Insert(r)
-		}
-		return true
-	})
-	return t
 }
 
 // Prefixes implements RouteTable.

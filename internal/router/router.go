@@ -534,15 +534,10 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 // size — exactly fork()'s cost model, which the §4.1 overhead
 // measurements depend on. The receiver MUST NOT be mutated while COW
 // clones are alive; DiCE guarantees this by only COW-cloning the frozen
-// checkpoint router (and the quiescent live nodes, for witness shadows).
+// checkpoint router (and the quiescent live nodes, for witness shadows),
+// never a COW clone: nothing clones an overlay.
 func (r *Router) CloneCOW(tr netsim.Transport) *Router {
-	base, ok := r.loc.(*rib.Table)
-	if !ok {
-		// Already an overlay (clone of a clone): fall back to Clone, which
-		// flattens it.
-		return r.Clone(tr)
-	}
-	c := r.fork(tr, rib.NewOverlay(base))
+	c := r.fork(tr, rib.NewOverlay(r.loc.(*rib.Table)))
 	c.lastObserved, c.lastAnnounced, c.seeds = r.lastObserved, r.lastAnnounced, sharedSeeds
 	return c
 }
@@ -557,18 +552,16 @@ func (r *Router) CloneShadow(tr netsim.Transport, dec *bgp.Decoder) *Router {
 	return c
 }
 
-// Clone produces an independent copy of the router over the given
-// transport (normally a netsim.CaptureSink): the fork() analogue with
-// eager copying, used where the clone must not depend on the parent
-// staying still (taking the checkpoint itself, memory accounting). It
-// copies the RIB (rib.RouteTable.Clone: for a Table, O(1) — the trie
-// is shared, and each side copies what it writes later), the sessions
-// and the seed maps, and shares the routes, which are immutable once
-// inserted (see rib.Route), and the configuration, immutable after
-// parse. Nothing the parent does afterwards reaches the clone, and the
-// reverse.
+// Clone produces an independent copy of a live node, or of a Clone of
+// one (never of a COW clone), over the given transport (normally a
+// netsim.CaptureSink): the fork() analogue that takes the checkpoint. It
+// copies the RIB (rib.Table.Clone, O(1): the trie is shared, and each
+// side copies what it writes later), the sessions and the seed maps, and
+// shares the routes, which are immutable once inserted (see rib.Route),
+// and the configuration, immutable after parse. Nothing the parent does
+// afterwards reaches the clone, and the reverse.
 func (r *Router) Clone(tr netsim.Transport) *Router {
-	c := r.fork(tr, r.loc.Clone())
+	c := r.fork(tr, r.loc.(*rib.Table).Clone())
 	c.dec = new(bgp.Decoder)
 	for _, ps := range c.order {
 		ps.session()

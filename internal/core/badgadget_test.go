@@ -89,8 +89,8 @@ func TestBadGadgetOscillation(t *testing.T) {
 			if last := v.WaveTail[len(v.WaveTail)-1]; last > steady {
 				t.Errorf("truncated final wave exceeds the steady rate: %v", v.WaveTail)
 			}
-			if !strings.Contains(v.Detail, "waves, tail deliveries") {
-				t.Errorf("oscillation detail does not surface the wave telemetry: %s", v.Detail)
+			if !strings.Contains(v.Detail(), "waves, tail deliveries") {
+				t.Errorf("oscillation detail does not surface the wave telemetry: %s", v.Detail())
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,8 +112,9 @@ type FederatedViolation struct {
 	Peer   string
 	Prefix netaddr.Prefix
 	// Hops is the forwarding distance from Node to the trace terminal.
-	Hops   int
-	Detail string
+	Hops int
+	// Cause holds the detail's operands; AppendDetail renders it.
+	Cause prop.Cause
 	// Waves counts the distinct virtual-time delivery waves the bounded
 	// propagation ran (persistent-oscillation only); WaveTail holds the
 	// per-wave delivery counts of the final waves (up to prop.WaveTailLen).
@@ -122,9 +124,29 @@ type FederatedViolation struct {
 	WaveTail []int
 }
 
+// String renders the violation the way reports and the CLI print it.
 func (v FederatedViolation) String() string {
-	return fmt.Sprintf("%s: %s at %s (witness from %s via %s, %d hops): %s",
-		v.Kind, v.Prefix, v.Node, v.Peer, v.Source, v.Hops, v.Detail)
+	return string(v.AppendTo(nil))
+}
+
+// AppendTo appends the violation's report text to dst.
+func (v *FederatedViolation) AppendTo(dst []byte) []byte {
+	dst = append(append(dst, v.Kind...), ": "...)
+	dst = append(append(v.Prefix.AppendTo(dst), " at "...), v.Node...)
+	dst = append(append(dst, " (witness from "...), v.Peer...)
+	dst = append(append(dst, " via "...), v.Source...)
+	dst = append(strconv.AppendInt(append(dst, ", "...), int64(v.Hops), 10), " hops): "...)
+	return v.AppendDetail(dst)
+}
+
+// Detail renders the violation's detail text.
+func (v FederatedViolation) Detail() string {
+	return string(v.AppendDetail(nil))
+}
+
+// AppendDetail appends the violation's detail text to dst.
+func (v *FederatedViolation) AppendDetail(dst []byte) []byte {
+	return v.Cause.AppendTo(dst, v.Node, v.Hops, v.Waves, v.WaveTail)
 }
 
 // FederatedResult is the outcome of one federated round.
@@ -417,7 +439,16 @@ func (p *TargetPrep) WitnessRefs(r *Result) []WitnessRef {
 // the explored (node, peer) edge plus the announcement's leading prefix
 // and community set.
 func WitnessKey(node, peer string, u *bgp.Update) string {
-	return fmt.Sprintf("%s|%s|%s|%v", node, peer, u.NLRI[0], u.Attrs.Communities)
+	dst := make([]byte, 0, len(node)+len(peer)+24+11*len(u.Attrs.Communities))
+	dst = append(append(append(append(dst, node...), '|'), peer...), '|')
+	dst = append(u.NLRI[0].AppendTo(dst), "|["...)
+	for i, c := range u.Attrs.Communities {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendUint(dst, uint64(c), 10)
+	}
+	return string(append(dst, ']'))
 }
 
 // Round runs one federated exploration round: per-node concolic

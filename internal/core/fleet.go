@@ -481,6 +481,11 @@ func disjoint(a, b []netaddr.Prefix) bool {
 // can be trusted.
 var errGroupChurn = errors.New("federated: a group member did not converge")
 
+// verdictBufs recycles prop.Evaluate's output buffer: a witness's
+// verdicts (≈ 80 on a 64-AS round) are copied out at once, so growing a
+// fresh slice for each cost more than the copies.
+var verdictBufs = sync.Pool{New: func() any { return new([]prop.Violation) }}
+
 // checkGroup runs one group's lifecycle on a fresh shadow set and judges
 // each member: the collected facts go through prop.Evaluate, which is the
 // entire oracle logic. The set never hosts a second group, so a
@@ -493,12 +498,19 @@ func (d *Driver) checkGroup(f Fleet, group []WitnessSpec) ([]*WitnessOutcome, er
 		return nil, err
 	}
 	outs := make([]*WitnessOutcome, len(group))
+	buf := verdictBufs.Get().(*[]prop.Violation)
+	defer func() {
+		clear((*buf)[:cap(*buf)]) // drop the verdicts' references to this round's facts
+		verdictBufs.Put(buf)
+	}()
+	vs := (*buf)[:0]
 	for i, w := range group {
 		fa := facts[i]
 		if len(group) > 1 && fa.Update.Pending+fa.Withdraw.Pending > 0 {
 			return nil, errGroupChurn
 		}
-		vs := prop.Evaluate(d.Props, fa)
+		vs = prop.Evaluate(vs[:0], d.Props, fa)
+		*buf = vs
 		out := &WitnessOutcome{Steps: fa.Update.Steps + fa.Withdraw.Steps}
 		if len(vs) > 0 {
 			out.Violations = make([]FederatedViolation, 0, len(vs))
@@ -506,7 +518,7 @@ func (d *Driver) checkGroup(f Fleet, group []WitnessSpec) ([]*WitnessOutcome, er
 		for _, v := range vs {
 			out.Violations = append(out.Violations, FederatedViolation{
 				Kind: v.Kind, Node: v.Node, Source: w.Node, Peer: w.Peer, Prefix: w.Update.NLRI[0],
-				Hops: v.Hops, Detail: v.Detail, Waves: v.Waves, WaveTail: v.WaveTail,
+				Hops: v.Hops, Cause: v.Cause, Waves: v.Waves, WaveTail: v.WaveTail,
 			})
 		}
 		outs[i] = out

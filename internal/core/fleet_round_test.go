@@ -84,7 +84,7 @@ func TestRoundEqualsPerWitnessChecks(t *testing.T) {
 // (netsim → session → codec → router pipeline → RIB overlay) with
 // allocations reported.
 func BenchmarkWitnessWave(b *testing.B) {
-	d, fe, specs := witnessWave(b)
+	d, fe, specs, _ := witnessWave(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,14 +95,14 @@ func BenchmarkWitnessWave(b *testing.B) {
 }
 
 // witnessWaveAllocs bounds what BenchmarkWitnessWave's op allocates: a
-// wave allocates the routes, emissions and facts it keeps (28 566 objects
+// wave allocates the routes, emissions and facts it keeps (24 698 objects
 // when the bound was set) and 10 % of headroom.
-const witnessWaveAllocs = 31_400
+const witnessWaveAllocs = 27_200
 
 // TestWitnessWaveAllocBudget holds the witness checks of a 64-AS round,
 // at Workers 1, to witnessWaveAllocs.
 func TestWitnessWaveAllocBudget(t *testing.T) {
-	d, fe, specs := witnessWave(t)
+	d, fe, specs, _ := witnessWave(t)
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := d.CheckWitnesses(fe, specs); err != nil {
 			t.Fatal(err)
@@ -114,9 +114,41 @@ func TestWitnessWaveAllocBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkSnapshotRound renders a 64-AS round's report the way the
+// regression harness and the benchmark hash it: 24 findings with their
+// witness lines and ≈ 1 900 sorted violation lines.
+func BenchmarkSnapshotRound(b *testing.B) {
+	_, _, _, res := witnessWave(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res.Snapshot()
+	}
+}
+
+// snapshotRoundAllocs bounds what BenchmarkSnapshotRound's op allocates:
+// a buffer, its string and a line slice per target and for the violation
+// lines, none per line (40 objects when the bound was set), and 10 % of
+// headroom.
+const snapshotRoundAllocs = 44
+
+// TestSnapshotRoundAllocBudget holds the rendering of a 64-AS round's
+// report to snapshotRoundAllocs: no allocation per line.
+func TestSnapshotRoundAllocBudget(t *testing.T) {
+	_, _, _, res := witnessWave(t)
+	if len(res.Violations) < 1000 {
+		t.Fatalf("vacuous: the round reports %d violations", len(res.Violations))
+	}
+	got := testing.AllocsPerRun(5, func() { res.Snapshot() })
+	t.Logf("%.0f allocations per round's report (%d violations)", got, len(res.Violations))
+	if got > snapshotRoundAllocs {
+		t.Errorf("rendering a round's report allocates %.0f objects, budget %d", got, snapshotRoundAllocs)
+	}
+}
+
 // witnessWave runs one round of the 64-AS generated topology at Workers 1
-// and returns its driver, fleet and confirmed witnesses.
-func witnessWave(tb testing.TB) (*core.Driver, *core.FederatedExperiment, []core.WitnessSpec) {
+// and returns its driver, fleet, confirmed witnesses and the round.
+func witnessWave(tb testing.TB) (*core.Driver, *core.FederatedExperiment, []core.WitnessSpec, *core.FederatedResult) {
 	tb.Helper()
 	tp, _, err := topo.Generate(topo.Spec{Seed: 64, Nodes: 64, ExploreTargets: 12, PolicyClauses: 1})
 	if err != nil {
@@ -149,5 +181,5 @@ func witnessWave(tb testing.TB) (*core.Driver, *core.FederatedExperiment, []core
 	if len(specs) == 0 {
 		tb.Fatal("the round confirmed no witness to check")
 	}
-	return d, fe, specs
+	return d, fe, specs, res
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"dice/internal/bgp"
 	"dice/internal/concolic"
 	"dice/internal/config"
 	"dice/internal/netaddr"
+	"dice/internal/prop"
 	"dice/internal/rib"
 	"dice/internal/router"
 	"dice/internal/solver"
@@ -58,7 +60,15 @@ type RangeDesc struct {
 }
 
 func (r RangeDesc) String() string {
-	return fmt.Sprintf("[%s..%s]/{%d..%d}", r.AddrLo, r.AddrHi, r.LenLo, r.LenHi)
+	return string(r.AppendTo(nil))
+}
+
+// AppendTo appends r's "[lo..hi]/{min..max}" form to dst.
+func (r RangeDesc) AppendTo(dst []byte) []byte {
+	dst = append(r.AddrLo.AppendTo(append(dst, '[')), ".."...)
+	dst = append(r.AddrHi.AppendTo(dst), "]/{"...)
+	dst = append(strconv.AppendInt(dst, int64(r.LenLo), 10), ".."...)
+	return append(strconv.AppendInt(dst, int64(r.LenHi), 10), '}')
 }
 
 // String renders a finding the way an operator report would.
@@ -91,7 +101,16 @@ func (f Finding) Key() FindingKey {
 	if f.Kind == "prefix-hijack" {
 		p = f.VictimPrefix
 	}
-	return FindingKey{Kind: f.Kind, Peer: f.Peer, Prefix: p, OriginAS: f.OriginAS, VictimAS: f.VictimAS, Spread: fmt.Sprint(f.SpreadTo)}
+	return FindingKey{Kind: f.Kind, Peer: f.Peer, Prefix: p, OriginAS: f.OriginAS, VictimAS: f.VictimAS, Spread: spreadKey(f.SpreadTo)}
+}
+
+// spreadKey renders a spread list the way fmt's %v prints it.
+func spreadKey(spread []string) string {
+	if len(spread) == 0 {
+		return "[]"
+	}
+	var buf [64]byte
+	return string(prop.AppendList(buf[:0], spread))
 }
 
 // judgeHijacks is the §4.2 origin-misconfiguration oracle for one

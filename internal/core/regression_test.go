@@ -8,6 +8,7 @@ import (
 	"dice/internal/bgp"
 	"dice/internal/minimize"
 	"dice/internal/netaddr"
+	"dice/internal/prop"
 	"dice/internal/trace"
 )
 
@@ -147,14 +148,15 @@ func TestMinimizeOffLeavesFindingsBare(t *testing.T) {
 
 func TestViolationFingerprint(t *testing.T) {
 	base := FederatedViolation{Kind: "route-leak", Node: "upstream", Source: "provider", Peer: "customer",
-		Prefix: netaddr.MustParsePrefix("10.7.0.0/16"), Hops: 2, Detail: "escaped"}
+		Prefix: netaddr.MustParsePrefix("10.7.0.0/16"), Hops: 2,
+		Cause: prop.Cause{Kind: prop.CauseRouteLeak, Boundary: 65001<<16 | 666, Name: "provider"}}
 
 	// Witness-dependent fields (prefix span, hop count, detail text)
 	// legitimately change as the witness shrinks — same fingerprint.
 	shrunkForm := base
 	shrunkForm.Prefix = netaddr.MustParsePrefix("10.0.0.0/8")
 	shrunkForm.Hops = 1
-	shrunkForm.Detail = "escaped (wider)"
+	shrunkForm.Cause.Boundary = 65001<<16 | 667
 	if ViolationFingerprint(base) != ViolationFingerprint(shrunkForm) {
 		t.Error("fingerprint depends on witness-dependent fields")
 	}

@@ -14,7 +14,7 @@ package minimize
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"dice/internal/bgp"
 	"dice/internal/netaddr"
@@ -338,45 +338,50 @@ pass:
 // and operator reports: prefix, AS path, communities and the surviving
 // optional attributes, in a fixed order.
 func Render(u *bgp.Update) string {
-	var b strings.Builder
+	return string(AppendRender(nil, u))
+}
+
+// AppendRender appends Render's text for u to dst.
+func AppendRender(dst []byte, u *bgp.Update) []byte {
 	if len(u.NLRI) > 0 {
-		b.WriteString(u.NLRI[0].String())
+		dst = u.NLRI[0].AppendTo(dst)
 	} else {
-		b.WriteString("<no-nlri>")
+		dst = append(dst, "<no-nlri>"...)
 	}
-	b.WriteString(" path=[")
+	dst = append(dst, " path=["...)
 	first := true
 	for _, seg := range u.Attrs.ASPath {
 		for _, as := range seg.ASNs {
 			if !first {
-				b.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
 			first = false
-			fmt.Fprintf(&b, "%d", as)
+			dst = strconv.AppendUint(dst, uint64(as), 10)
 		}
 	}
-	b.WriteString("]")
+	dst = append(dst, ']')
 	if len(u.Attrs.Communities) > 0 {
-		b.WriteString(" communities=[")
+		dst = append(dst, " communities=["...)
 		for i, c := range u.Attrs.Communities {
 			if i > 0 {
-				b.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
-			fmt.Fprintf(&b, "%d:%d", c>>16, c&0xffff)
+			dst = strconv.AppendUint(dst, uint64(c>>16), 10)
+			dst = strconv.AppendUint(append(dst, ':'), uint64(c&0xffff), 10)
 		}
-		b.WriteString("]")
+		dst = append(dst, ']')
 	}
 	if u.Attrs.HasMED {
-		fmt.Fprintf(&b, " med=%d", u.Attrs.MED)
+		dst = strconv.AppendUint(append(dst, " med="...), uint64(u.Attrs.MED), 10)
 	}
 	if u.Attrs.HasLocalPref {
-		fmt.Fprintf(&b, " local_pref=%d", u.Attrs.LocalPref)
+		dst = strconv.AppendUint(append(dst, " local_pref="...), uint64(u.Attrs.LocalPref), 10)
 	}
 	if u.Attrs.AtomicAggregate || u.Attrs.Aggregator != nil {
-		b.WriteString(" aggregate")
+		dst = append(dst, " aggregate"...)
 	}
 	if n := len(u.Attrs.Unknown); n > 0 {
-		fmt.Fprintf(&b, " unknown_attrs=%d", n)
+		dst = strconv.AppendInt(append(dst, " unknown_attrs="...), int64(n), 10)
 	}
-	return b.String()
+	return dst
 }

@@ -63,8 +63,17 @@ func (a Addr) Octets() (byte, byte, byte, byte) {
 
 // String renders a in dotted-quad form.
 func (a Addr) String() string {
+	var buf [15]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends a's dotted-quad form to dst.
+func (a Addr) AppendTo(dst []byte) []byte {
 	b0, b1, b2, b3 := a.Octets()
-	return fmt.Sprintf("%d.%d.%d.%d", b0, b1, b2, b3)
+	dst = strconv.AppendUint(dst, uint64(b0), 10)
+	dst = strconv.AppendUint(append(dst, '.'), uint64(b1), 10)
+	dst = strconv.AppendUint(append(dst, '.'), uint64(b2), 10)
+	return strconv.AppendUint(append(dst, '.'), uint64(b3), 10)
 }
 
 // Mask returns the network mask with the given prefix length (0..32).
@@ -138,7 +147,13 @@ func (p Prefix) Bits() int { return int(p.bits) }
 
 // String renders p in CIDR notation.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", p.addr, p.bits)
+	var buf [18]byte
+	return string(p.AppendTo(buf[:0]))
+}
+
+// AppendTo appends p's CIDR notation to dst.
+func (p Prefix) AppendTo(dst []byte) []byte {
+	return strconv.AppendUint(append(p.addr.AppendTo(dst), '/'), uint64(p.bits), 10)
 }
 
 // Contains reports whether address a is inside prefix p.

@@ -110,14 +110,129 @@ type Facts struct {
 
 // Violation is one property violation. The caller owns witness
 // attribution (source node, peer, prefix); Evaluate reports the
-// violating node and rendered detail.
+// violating node and the detail's operands (Cause), which AppendDetail
+// renders only when a report line is.
 type Violation struct {
 	Kind     string
 	Node     string
 	Hops     int
-	Detail   string
+	Cause    Cause
 	Waves    int
 	WaveTail []int
+}
+
+// CauseKind names which verdict a violation's detail renders.
+type CauseKind uint8
+
+// The verdicts, one per detail format. A Cause's N, M, Name, Property
+// and Nodes mean what each comment says; the rest of a detail comes from
+// its Violation (Node, Hops, Waves, WaveTail).
+const (
+	CauseNone            CauseKind = iota
+	CauseNoConvergence             // UPDATE pending at the budget: M steps, N deliveries pending
+	CauseWithdrawPending           // the same for WITHDRAW
+	CauseSlowConvergence           // converged in N steps, over the M-step bound
+	CauseNotQuiet                  // deliveries continued past wave M
+	CauseRouteLeak                 // Boundary escaped AS boundary Name, installed at Node
+	CauseInstalled                 // installed at Node, forbidden by Property
+	CauseBlackhole                 // from Node, Hops hops, dead-ends at Name
+	CauseVia                       // from Node, traverses Name (AS N), forbidden by Property
+	CauseStale                     // survived its own WITHDRAW at Nodes
+)
+
+// Cause is a violation's detail kept as its operands, rendered
+// (AppendTo) only when a report line is: a 64-AS round reports ≈ 1 900
+// violations, and rendering each detail as Evaluate found it cost a
+// string and fmt's boxed arguments apiece. The names it holds are the
+// facts' own, so building one allocates nothing.
+type Cause struct {
+	Kind     CauseKind
+	N, M     int
+	Boundary uint32
+	Name     string
+	Property string
+	Nodes    []string
+}
+
+// Detail renders the violation's detail text.
+func (v Violation) Detail() string {
+	return string(v.AppendDetail(nil))
+}
+
+// AppendDetail appends the violation's detail text to dst.
+func (v *Violation) AppendDetail(dst []byte) []byte {
+	return v.Cause.AppendTo(dst, v.Node, v.Hops, v.Waves, v.WaveTail)
+}
+
+// AppendTo appends the detail text of a violation at node with the
+// given hop count and wave telemetry to dst: one format per CauseKind,
+// the exact text the parity tests and goldens compare.
+func (c *Cause) AppendTo(dst []byte, node string, hops, waves int, tail []int) []byte {
+	switch c.Kind {
+	case CauseNoConvergence, CauseWithdrawPending:
+		if c.Kind == CauseNoConvergence {
+			dst = append(dst, "no convergence"...)
+		} else {
+			dst = append(dst, "WITHDRAW did not converge"...)
+		}
+		dst = append(strconv.AppendInt(append(dst, " after "...), int64(c.M), 10), " propagation steps ("...)
+		dst = append(strconv.AppendInt(dst, int64(c.N), 10), " deliveries still pending); "...)
+		return appendWaves(dst, waves, tail)
+	case CauseSlowConvergence:
+		dst = append(strconv.AppendInt(append(dst, "converged in "...), int64(c.N), 10), " propagation steps, exceeding the "...)
+		dst = append(strconv.AppendInt(dst, int64(c.M), 10), "-step bound; "...)
+		return appendWaves(dst, waves, tail)
+	case CauseNotQuiet:
+		dst = append(strconv.AppendInt(append(dst, "deliveries continued past wave "...), int64(c.M), 10), ": "...)
+		return appendWaves(dst, waves, tail)
+	case CauseRouteLeak:
+		dst = append(dst, "advertisement carrying the no-export community ("...)
+		dst = strconv.AppendUint(dst, uint64(c.Boundary>>16), 10)
+		dst = strconv.AppendUint(append(dst, ':'), uint64(c.Boundary&0xffff), 10)
+		dst = append(append(dst, ") escaped AS boundary "...), c.Name...)
+		return append(append(dst, " and was installed at "...), node...)
+	case CauseInstalled:
+		dst = append(append(dst, "witness route was installed at "...), node...)
+		return append(append(dst, ", forbidden by property "...), c.Property...)
+	case CauseBlackhole:
+		dst = append(append(dst, "traffic from "...), node...)
+		dst = append(strconv.AppendInt(append(dst, " forward-traces "...), int64(hops), 10), " hops and dead-ends at "...)
+		return append(dst, c.Name...)
+	case CauseVia:
+		dst = append(append(dst, "forwarding path from "...), node...)
+		dst = append(append(dst, " traverses "...), c.Name...)
+		dst = append(strconv.AppendInt(append(dst, " (AS "...), int64(c.N), 10), "), forbidden by property "...)
+		return append(dst, c.Property...)
+	case CauseStale:
+		return AppendList(append(dst, "witness route survived its own WITHDRAW at "...), c.Nodes)
+	}
+	return dst
+}
+
+// appendWaves appends the wave telemetry the convergence details end
+// with: the wave count and the retained tail.
+func appendWaves(dst []byte, waves int, tail []int) []byte {
+	dst = append(strconv.AppendInt(dst, int64(waves), 10), " waves, tail deliveries ["...)
+	for i, n := range tail {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	return append(dst, ']')
+}
+
+// AppendList appends ss the way fmt's %v prints a []string: bracketed,
+// space-separated ("[]" for nil or empty).
+func AppendList(dst []byte, ss []string) []byte {
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, s...)
+	}
+	return append(dst, ']')
 }
 
 // WaveTailLen bounds the per-wave delivery counts kept on a
@@ -136,37 +251,6 @@ func WaveTail(waves []int) []int {
 	return append([]int(nil), waves...)
 }
 
-// OscillationDetail renders the bounded-propagation verdict one way for
-// both backends (the parity tests compare violation strings verbatim).
-func OscillationDetail(phase string, maxSteps, pending int, waves []int) string {
-	return fmt.Sprintf("%s after %d propagation steps (%d deliveries still pending); %d waves, tail deliveries %v",
-		phase, maxSteps, pending, len(waves), WaveTail(waves))
-}
-
-// RouteLeakDetail renders the boundary-escape verdict — the exact
-// string the hard-coded route-leak oracle produced, emitted when a
-// `never installed` property is guarded by `when community boundary`.
-// It and BlackholeDetail concatenate instead of calling fmt.Sprintf,
-// whose boxed arguments cost a 64-AS round's witness checks 6.6k of
-// their 35k allocations; the community is formatted on the stack.
-func RouteLeakDetail(boundary uint32, source, at string) string {
-	var buf [11]byte
-	c := strconv.AppendUint(buf[:0], uint64(boundary>>16), 10)
-	c = strconv.AppendUint(append(c, ':'), uint64(boundary&0xffff), 10)
-	return "advertisement carrying the no-export community (" + string(c) + ") escaped AS boundary " + source + " and was installed at " + at
-}
-
-// BlackholeDetail renders the forward-trace dead-end verdict.
-func BlackholeDetail(from string, hops int, terminal string) string {
-	return "traffic from " + from + " forward-traces " + strconv.Itoa(hops) + " hops and dead-ends at " + terminal
-}
-
-// StaleDetail renders the survived-WITHDRAW verdict over the sorted
-// stale node list.
-func StaleDetail(stale []string) string {
-	return fmt.Sprintf("witness route survived its own WITHDRAW at %v", stale)
-}
-
 // Evaluate runs every property over the collected facts, in four stages
 // that reproduce the hard-coded oracle order exactly: (1) UPDATE
 // convergence — when deliveries are still pending, only convergence
@@ -177,9 +261,10 @@ func StaleDetail(stale []string) string {
 // WITHDRAW convergence, then staleness. Within a stage, properties
 // apply in list order — Merge puts the builtin kinds first, which is
 // what makes property-produced snapshots byte-identical to the
-// originals.
-func Evaluate(props []*Compiled, f *Facts) []Violation {
-	var out []Violation
+// originals. The violations are appended to dst, so a caller judging
+// many witnesses can reuse one buffer.
+func Evaluate(dst []Violation, props []*Compiled, f *Facts) []Violation {
+	out := dst
 	holds := make([]bool, len(props))
 	for i, c := range props {
 		holds[i] = c.WhenHolds(f.Witness)
@@ -193,8 +278,8 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 			if _, ok := c.Assert.(*ConvergesAssertion); ok {
 				out = append(out, Violation{
 					Kind: c.Kind, Node: f.Node,
-					Detail: OscillationDetail("no convergence", f.MaxSteps, f.Update.Pending, f.Update.Waves),
-					Waves:  len(f.Update.Waves), WaveTail: WaveTail(f.Update.Waves),
+					Cause: Cause{Kind: CauseNoConvergence, N: f.Update.Pending, M: f.MaxSteps},
+					Waves: len(f.Update.Waves), WaveTail: WaveTail(f.Update.Waves),
 				})
 			}
 		}
@@ -210,8 +295,7 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 			if a.Within > 0 && f.Update.Steps > a.Within {
 				out = append(out, Violation{
 					Kind: c.Kind, Node: f.Node,
-					Detail: fmt.Sprintf("converged in %d propagation steps, exceeding the %d-step bound; %d waves, tail deliveries %v",
-						f.Update.Steps, a.Within, len(f.Update.Waves), WaveTail(f.Update.Waves)),
+					Cause: Cause{Kind: CauseSlowConvergence, N: f.Update.Steps, M: a.Within},
 					Waves: len(f.Update.Waves), WaveTail: WaveTail(f.Update.Waves),
 				})
 			}
@@ -219,8 +303,7 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 			if len(f.Update.Waves) > a.Wave {
 				out = append(out, Violation{
 					Kind: c.Kind, Node: f.Node,
-					Detail: fmt.Sprintf("deliveries continued past wave %d: %d waves, tail deliveries %v",
-						a.Wave, len(f.Update.Waves), WaveTail(f.Update.Waves)),
+					Cause: Cause{Kind: CauseNotQuiet, M: a.Wave},
 					Waves: len(f.Update.Waves), WaveTail: WaveTail(f.Update.Waves),
 				})
 			}
@@ -235,18 +318,16 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 			}
 			switch a := c.Assert.(type) {
 			case *NeverInstalledAssertion:
-				var detail string
+				cause := Cause{Kind: CauseInstalled, Property: c.Name}
 				if c.boundaryWhen {
-					detail = RouteLeakDetail(f.Boundary, f.Node, n.Name)
-				} else {
-					detail = fmt.Sprintf("witness route was installed at %s, forbidden by property %s", n.Name, c.Name)
+					cause = Cause{Kind: CauseRouteLeak, Boundary: f.Boundary, Name: f.Node}
 				}
-				out = append(out, Violation{Kind: c.Kind, Node: n.Name, Hops: n.Hops, Detail: detail})
+				out = append(out, Violation{Kind: c.Kind, Node: n.Name, Hops: n.Hops, Cause: cause})
 			case *NeverBlackholedAssertion:
 				if !n.Delivered && n.Hops >= 2 {
 					out = append(out, Violation{
 						Kind: c.Kind, Node: n.Name, Hops: n.Hops,
-						Detail: BlackholeDetail(n.Name, n.Hops, n.Terminal),
+						Cause: Cause{Kind: CauseBlackhole, Name: n.Terminal},
 					})
 				}
 			case *NeverViaAssertion:
@@ -257,8 +338,7 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 					if as, ok := f.NodeAS(hop); ok && as == a.AS {
 						out = append(out, Violation{
 							Kind: c.Kind, Node: n.Name, Hops: n.Hops,
-							Detail: fmt.Sprintf("forwarding path from %s traverses %s (AS %d), forbidden by property %s",
-								n.Name, hop, a.AS, c.Name),
+							Cause: Cause{Kind: CauseVia, Name: hop, N: int(a.AS), Property: c.Name},
 						})
 						break
 					}
@@ -275,8 +355,8 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 			if _, ok := c.Assert.(*ConvergesAssertion); ok {
 				out = append(out, Violation{
 					Kind: c.Kind, Node: f.Node,
-					Detail: OscillationDetail("WITHDRAW did not converge", f.MaxSteps, f.Withdraw.Pending, f.Withdraw.Waves),
-					Waves:  len(f.Withdraw.Waves), WaveTail: WaveTail(f.Withdraw.Waves),
+					Cause: Cause{Kind: CauseWithdrawPending, N: f.Withdraw.Pending, M: f.MaxSteps},
+					Waves: len(f.Withdraw.Waves), WaveTail: WaveTail(f.Withdraw.Waves),
 				})
 			}
 		}
@@ -289,7 +369,7 @@ func Evaluate(props []*Compiled, f *Facts) []Violation {
 				continue
 			}
 			if _, ok := c.Assert.(*NeverStaleAssertion); ok {
-				out = append(out, Violation{Kind: c.Kind, Node: f.Stale[0], Detail: StaleDetail(f.Stale)})
+				out = append(out, Violation{Kind: c.Kind, Node: f.Stale[0], Cause: Cause{Kind: CauseStale, Nodes: f.Stale}})
 			}
 		}
 	}

@@ -231,30 +231,31 @@ func factsFixture(t *testing.T) *Facts {
 // exact detail strings — against a hand-built fact set.
 func TestEvaluateBuiltins(t *testing.T) {
 	f := factsFixture(t)
-	vs := Evaluate(Builtins(), f)
+	vs := Evaluate(nil, Builtins(), f)
 	if len(vs) != 4 {
 		t.Fatalf("got %d violations, want 4: %+v", len(vs), vs)
 	}
 	leak1, leak2, hole, stale := vs[0], vs[1], vs[2], vs[3]
 	if leak1.Kind != "route-leak" || leak1.Node != "r2" ||
-		leak1.Detail != RouteLeakDetail(f.Boundary, "r1", "r2") {
+		leak1.Detail() != fmt.Sprintf("advertisement carrying the no-export community (%d:%d) escaped AS boundary r1 and was installed at r2",
+			f.Boundary>>16, f.Boundary&0xffff) {
 		t.Errorf("leak1 = %+v", leak1)
 	}
 	if leak2.Kind != "route-leak" || leak2.Node != "r3" {
 		t.Errorf("leak2 = %+v", leak2)
 	}
 	if hole.Kind != "multi-hop-blackhole" || hole.Node != "r3" || hole.Hops != 2 ||
-		hole.Detail != "traffic from r3 forward-traces 2 hops and dead-ends at r9" {
+		hole.Detail() != "traffic from r3 forward-traces 2 hops and dead-ends at r9" {
 		t.Errorf("hole = %+v", hole)
 	}
 	if stale.Kind != "stale-route" || stale.Node != "r2" ||
-		stale.Detail != "witness route survived its own WITHDRAW at [r2 r3]" {
+		stale.Detail() != "witness route survived its own WITHDRAW at [r2 r3]" {
 		t.Errorf("stale = %+v", stale)
 	}
 
 	// Without the boundary community the route-leak guard gates out.
 	f.Witness = witnessEnv(t, nil, []uint16{65002})
-	vs = Evaluate(Builtins(), f)
+	vs = Evaluate(nil, Builtins(), f)
 	for _, v := range vs {
 		if v.Kind == "route-leak" {
 			t.Fatalf("route-leak fired without boundary community: %+v", v)
@@ -265,20 +266,22 @@ func TestEvaluateBuiltins(t *testing.T) {
 func TestEvaluateOscillationShortCircuits(t *testing.T) {
 	f := factsFixture(t)
 	f.Update.Pending = 3
-	vs := Evaluate(Builtins(), f)
+	vs := Evaluate(nil, Builtins(), f)
 	if len(vs) != 1 || vs[0].Kind != "persistent-oscillation" || vs[0].Node != "r1" {
 		t.Fatalf("got %+v, want single oscillation at r1", vs)
 	}
-	if vs[0].Detail != OscillationDetail("no convergence", 64, 3, f.Update.Waves) {
-		t.Errorf("detail = %q", vs[0].Detail)
+	if want := fmt.Sprintf("no convergence after 64 propagation steps (3 deliveries still pending); %d waves, tail deliveries %v",
+		len(f.Update.Waves), WaveTail(f.Update.Waves)); vs[0].Detail() != want {
+		t.Errorf("detail = %q, want %q", vs[0].Detail(), want)
 	}
 
 	f = factsFixture(t)
 	f.Withdraw.Pending = 2
-	vs = Evaluate(Builtins(), f)
+	vs = Evaluate(nil, Builtins(), f)
 	last := vs[len(vs)-1]
 	if last.Kind != "persistent-oscillation" ||
-		last.Detail != OscillationDetail("WITHDRAW did not converge", 64, 2, f.Withdraw.Waves) {
+		last.Detail() != fmt.Sprintf("WITHDRAW did not converge after 64 propagation steps (2 deliveries still pending); %d waves, tail deliveries %v",
+			len(f.Withdraw.Waves), WaveTail(f.Withdraw.Waves)) {
 		t.Fatalf("got %+v, want withdraw oscillation last", vs)
 	}
 	for _, v := range vs {
@@ -296,14 +299,14 @@ func TestEvaluateTemporalAssertions(t *testing.T) {
 		mustCompile(t, `property roomy { kind "fine"; assert eventually converges within 100 steps; }`),
 		mustCompile(t, `property loose { kind "fine2"; assert always quiet after wave 3; }`),
 	}
-	vs := Evaluate(props, f)
+	vs := Evaluate(nil, props, f)
 	if len(vs) != 2 {
 		t.Fatalf("got %+v, want slow-convergence and noisy", vs)
 	}
-	if vs[0].Kind != "slow-convergence" || !strings.Contains(vs[0].Detail, "exceeding the 10-step bound") {
+	if vs[0].Kind != "slow-convergence" || !strings.Contains(vs[0].Detail(), "exceeding the 10-step bound") {
 		t.Errorf("vs[0] = %+v", vs[0])
 	}
-	if vs[1].Kind != "noisy" || !strings.Contains(vs[1].Detail, "past wave 2") {
+	if vs[1].Kind != "noisy" || !strings.Contains(vs[1].Detail(), "past wave 2") {
 		t.Errorf("vs[1] = %+v", vs[1])
 	}
 }
@@ -313,8 +316,8 @@ func TestEvaluateViaAndAt(t *testing.T) {
 	props := []*Compiled{
 		mustCompile(t, `property avoid { kind "via-leak"; assert never reachable via 65009; }`),
 	}
-	vs := Evaluate(props, f)
-	if len(vs) != 1 || vs[0].Node != "r3" || !strings.Contains(vs[0].Detail, "traverses r9 (AS 65009)") {
+	vs := Evaluate(nil, props, f)
+	if len(vs) != 1 || vs[0].Node != "r3" || !strings.Contains(vs[0].Detail(), "traverses r9 (AS 65009)") {
 		t.Fatalf("via: got %+v", vs)
 	}
 
@@ -326,14 +329,14 @@ func TestEvaluateViaAndAt(t *testing.T) {
 	}
 	f.Nodes[0].AtMatch = []bool{props[0].AtMatches(witnessEnv(t, []uint32{bgp.MakeCommunity(2, 2)}, []uint16{65002}))}
 	f.Nodes[1].AtMatch = []bool{props[0].AtMatches(witnessEnv(t, nil, []uint16{65002}))}
-	vs = Evaluate(props, f)
+	vs = Evaluate(nil, props, f)
 	if len(vs) != 1 || vs[0].Node != "r2" {
 		t.Fatalf("at: got %+v", vs)
 	}
 
 	f.Nodes[0].AtMatch = []bool{false}
 	f.Nodes[1].AtMatch = []bool{true}
-	vs = Evaluate(props, f)
+	vs = Evaluate(nil, props, f)
 	if len(vs) != 1 || vs[0].Node != "r3" {
 		t.Fatalf("AtMatch: got %+v", vs)
 	}
@@ -389,22 +392,25 @@ func TestBundledSourcesMatchBuiltins(t *testing.T) {
 	}
 }
 
-// TestDetailsMatchSprintf pins the concatenated leak and blackhole
-// details to the fmt.Sprintf strings they replaced, which the goldens
-// and the parity tests compare verbatim.
+// TestDetailsMatchSprintf pins the appended leak and blackhole details
+// to the fmt.Sprintf strings they replaced, which the goldens and the
+// parity tests compare verbatim (core's report-line reference test
+// covers every CauseKind).
 func TestDetailsMatchSprintf(t *testing.T) {
 	for _, boundary := range []uint32{0, 0xffffff01, 0xffffffff, 65000<<16 | 666} {
-		got := RouteLeakDetail(boundary, "src", "dst")
+		v := Violation{Node: "dst", Cause: Cause{Kind: CauseRouteLeak, Boundary: boundary, Name: "src"}}
+		got := v.Detail()
 		want := fmt.Sprintf("advertisement carrying the no-export community (%d:%d) escaped AS boundary %s and was installed at %s",
 			boundary>>16, boundary&0xffff, "src", "dst")
 		if got != want {
-			t.Errorf("RouteLeakDetail(%#x) = %q, want %q", boundary, got, want)
+			t.Errorf("route-leak detail (%#x) = %q, want %q", boundary, got, want)
 		}
 	}
 	for _, hops := range []int{0, 7, 123, -1} {
-		got := BlackholeDetail("a", hops, "b")
+		v := Violation{Node: "a", Hops: hops, Cause: Cause{Kind: CauseBlackhole, Name: "b"}}
+		got := v.Detail()
 		if want := fmt.Sprintf("traffic from %s forward-traces %d hops and dead-ends at %s", "a", hops, "b"); got != want {
-			t.Errorf("BlackholeDetail(%d) = %q, want %q", hops, got, want)
+			t.Errorf("blackhole detail (%d) = %q, want %q", hops, got, want)
 		}
 	}
 }

@@ -38,7 +38,8 @@ var (
 // the property the paper's §4.1 overhead numbers depend on.
 //
 // The private entries live in a map keyed by prefix, so a first write
-// costs one entry and one candidate slice whatever the prefix length.
+// costs one entry (and a candidate slice past two candidates) whatever
+// the prefix length.
 // An entry left with no candidates shadows the base's: the prefix was
 // withdrawn in the overlay.
 //
@@ -67,12 +68,14 @@ func (o *Overlay) own(p netaddr.Prefix) *entry {
 	if o.entries == nil {
 		o.entries = make(map[netaddr.Prefix]*entry)
 	}
-	e := &entry{prefix: p}
+	var (
+		candidates []*Route
+		best       *Route
+	)
 	if n := o.base.find(p); n != nil && n.entry != nil {
-		base := n.entry.candidates
-		e.candidates = append(make([]*Route, 0, len(base)+1), base...)
-		e.best = n.entry.best
+		candidates, best = n.entry.candidates, n.entry.best
 	}
+	e := newEntry(p, 0, candidates, best)
 	o.entries[p] = e
 	o.lens |= 1 << p.Bits()
 	return e

@@ -120,11 +120,29 @@ func commonBits(a, b netaddr.Prefix) int {
 // Table stores entries in its trie and Overlay in its map; both mutate
 // them only through insert and withdraw, and a Table only the entries
 // that carry its edit token (an Overlay's carry none: 0 is no table's).
+//
+// Almost every prefix holds one or two candidates, so candidates starts
+// out in the entry's own slots and moves to the heap only past them. An
+// entry is therefore never copied by value to be written: newEntry
+// points the copy's candidates at its own slots.
 type entry struct {
 	prefix     netaddr.Prefix
 	candidates []*Route
+	slots      [2]*Route
 	best       *Route
 	edit       uint64
+}
+
+// newEntry returns an entry for p carrying edit, holding a copy of
+// candidates (in its slots when they fit) and best.
+func newEntry(p netaddr.Prefix, edit uint64, candidates []*Route, best *Route) *entry {
+	e := &entry{prefix: p, best: best, edit: edit}
+	if len(candidates) <= len(e.slots) {
+		e.candidates = append(e.slots[:0], candidates...)
+	} else {
+		e.candidates = append(make([]*Route, 0, len(candidates)+1), candidates...)
+	}
+	return e
 }
 
 // insert adds r — or replaces the candidate from the same source, the
@@ -279,7 +297,7 @@ func (n *node) owned(edit uint64) *node {
 func (n *node) ownEntry() *entry {
 	e := n.entry
 	if e.edit != n.edit {
-		e = &entry{prefix: e.prefix, candidates: append(make([]*Route, 0, len(e.candidates)+1), e.candidates...), best: e.best, edit: n.edit}
+		e = newEntry(e.prefix, n.edit, e.candidates, e.best)
 		n.entry = e
 	}
 	return e
@@ -312,7 +330,7 @@ func (c Change) Changed() bool { return c.Old != c.New }
 func (t *Table) Insert(r *Route) Change {
 	n, _, _ := t.path(r.Prefix)
 	if n.entry == nil {
-		n.entry = &entry{prefix: r.Prefix, edit: n.edit}
+		n.entry = newEntry(r.Prefix, n.edit, nil, nil)
 		t.prefixes++
 	}
 	e := n.ownEntry()

@@ -93,7 +93,6 @@ func main() {
 		tableSize     = flag.Int("table", 20000, "synthetic table size when no -trace given")
 		runs          = flag.Int("runs", 2000, "concolic run budget")
 		workers       = flag.Int("workers", 1, "parallel exploration workers; also the witness groups checked at once")
-		strategy      = flag.String("strategy", "generational", "search strategy: generational|dfs|bfs")
 		scenarioFlag  = flag.String("scenario", "update", "comma-separated scenarios to explore (see -list-scenarios), or 'all'")
 		rounds        = flag.Int("rounds", 1, "exploration rounds per scenario; >1 reuses cross-round state (online mode)")
 		anycastStr    = flag.String("anycast", "", "comma-free anycast prefix to suppress as FP (repeat not supported; use config for more)")
@@ -130,11 +129,6 @@ func main() {
 	}
 
 	scenarios, err := resolveScenarios(*scenarioFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	strat, err := strategyByName(*strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -231,8 +225,7 @@ func main() {
 			defaultScenario: defaultScenario,
 			properties:      properties,
 			engOpts: concolic.Options{
-				MaxRuns:  *runs,
-				Strategy: strat,
+				MaxRuns: *runs,
 			},
 			workers:        *workers,
 			rounds:         *rounds,
@@ -331,9 +324,8 @@ func main() {
 
 	d := core.New(fig.Provider, core.Options{
 		Engine: concolic.Options{
-			MaxRuns:  *runs,
-			Workers:  *workers,
-			Strategy: strat,
+			MaxRuns: *runs,
+			Workers: *workers,
 		},
 		ReuseState: *rounds > 1,
 	})
@@ -361,19 +353,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// strategyByName maps the -strategy flag to the engine constant.
-func strategyByName(name string) (concolic.Strategy, error) {
-	switch name {
-	case "generational":
-		return concolic.Generational, nil
-	case "dfs":
-		return concolic.DFS, nil
-	case "bfs":
-		return concolic.BFS, nil
-	}
-	return 0, fmt.Errorf("unknown -strategy %q", name)
 }
 
 // fedRun carries the federated/distributed mode configuration: the

@@ -14,10 +14,11 @@
 //   - engine.go — the public surface: declare symbolic inputs (Var),
 //     replay one input concretely (RunOnce), or explore exhaustively
 //     (Explore).
-//   - frontier.go — what to try next: the strategy-ordered queue of
-//     pending predicate negations, with fingerprint-keyed dedup of paths
-//     and negation queries (collision-verified, so a fingerprint clash
-//     can cost a duplicate solve but never lose a path).
+//   - frontier.go — what to try next: every suffix predicate of each new
+//     path, negated one at a time (§2.3) from one stack — the newest
+//     path's deepest negation first — with fingerprint-keyed dedup of
+//     paths and negation queries (collision-verified, so a fingerprint
+//     clash can cost a duplicate solve but never lose a path).
 //   - scheduler.go — who tries it: a worker pool draining one frontier
 //     shard per explored node. A single-node Explore is a fleet of one;
 //     ExploreFleet (fleet.go) runs one shard per federation node over the

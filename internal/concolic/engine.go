@@ -119,36 +119,8 @@ func (p *PathResult) Constraints() []sym.Expr {
 	return append(out, p.Path...)
 }
 
-// Strategy selects the order in which branch negations are attempted.
-type Strategy int
-
-// Exploration strategies.
-const (
-	// Generational negates every suffix predicate of each new path (the
-	// CREST/SAGE default the paper uses: attempt full coverage of paths
-	// reachable from the controlled inputs).
-	Generational Strategy = iota
-	// DFS negates the deepest predicate first.
-	DFS
-	// BFS negates the shallowest predicate first.
-	BFS
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case Generational:
-		return "generational"
-	case DFS:
-		return "dfs"
-	case BFS:
-		return "bfs"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
 // Options configures an exploration.
 type Options struct {
-	Strategy Strategy
 	// MaxRuns bounds the number of handler executions (0 = 10000).
 	MaxRuns int
 	// Workers is the number of parallel exploration goroutines (0 = 1).

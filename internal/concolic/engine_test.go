@@ -231,26 +231,23 @@ func TestConcretizeOpaque(t *testing.T) {
 	}
 }
 
-// TestStrategiesAllCover: all strategies fully cover a small path space.
+// TestStrategiesAllCover: exploration fully covers a small path space.
 func TestStrategiesAllCover(t *testing.T) {
-	for _, strat := range []Strategy{Generational, DFS, BFS} {
-		handler := func(rc *RunContext) any {
-			x := rc.Input("x")
-			n := 0
-			if rc.Branch(Lt(x, Concrete(100, 32))) {
-				n++
-			}
-			if rc.Branch(Eq(Mod(x, Concrete(2, 32)), Concrete(0, 32))) {
-				n += 2
-			}
-			return n
+	handler := func(rc *RunContext) any {
+		x := rc.Input("x")
+		n := 0
+		if rc.Branch(Lt(x, Concrete(100, 32))) {
+			n++
 		}
-		eng := NewEngine(handler, Options{Strategy: strat})
-		eng.Var("x", 32, 7)
-		rep := eng.Explore()
-		if len(rep.Paths) != 4 {
-			t.Errorf("%v: want 4 paths, got %d", strat, len(rep.Paths))
+		if rc.Branch(Eq(Mod(x, Concrete(2, 32)), Concrete(0, 32))) {
+			n += 2
 		}
+		return n
+	}
+	eng := NewEngine(handler, Options{})
+	eng.Var("x", 32, 7)
+	if rep := eng.Explore(); len(rep.Paths) != 4 {
+		t.Errorf("want 4 paths, got %d", len(rep.Paths))
 	}
 }
 

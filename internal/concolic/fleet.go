@@ -13,9 +13,9 @@ type FleetMember struct {
 	// member's frontier shard and keys per-node cross-round state.
 	ID string
 	// Engine is the member's fully prepared engine (handler + declared
-	// symbolic inputs). Its per-engine options (MaxRuns, Strategy,
-	// State, Cancel) apply to this member alone; Workers is
-	// ignored in fleet mode — the pool is shared.
+	// symbolic inputs). Its per-engine options (MaxRuns, State, Cancel)
+	// apply to this member alone; Workers is ignored in fleet mode — the
+	// pool is shared.
 	Engine *Engine
 }
 

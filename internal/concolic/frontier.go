@@ -1,10 +1,6 @@
 package concolic
 
-import (
-	"sort"
-
-	"dice/internal/sym"
-)
+import "dice/internal/sym"
 
 // workItem is a pending negation: solve assumes ∧ path[:depth] ∧ ¬path[depth],
 // run if sat. The prefix is kept as (assumes, path, depth) references —
@@ -58,10 +54,10 @@ func (r negRec) equals(assumes, path []sym.Expr, depth int, neg sym.Expr) bool {
 // constraints inside a PathSig, so ([a], []) and ([], [a]) sign apart.
 const pathSigSep = 0x70617468 // "path"
 
-// frontier is the exploration frontier: the strategy-ordered queue of
-// pending negations plus the dedup sets that keep the engine from
-// re-running paths or re-issuing negation queries. When cross-round
-// ExploreState is attached, the dedup extends over every prior round.
+// frontier is the exploration frontier: the pending negations plus the
+// dedup sets that keep the engine from re-running paths or re-issuing
+// negation queries. When cross-round ExploreState is attached, the dedup
+// extends over every prior round.
 //
 // All dedup keys are rolling fingerprints computed incrementally along
 // the path — O(1) per branch point, where the seed code rebuilt an
@@ -73,14 +69,16 @@ const pathSigSep = 0x70617468 // "path"
 // scheduler serializes access and keeps handler runs and solver searches
 // outside its critical sections.
 type frontier struct {
-	strategy Strategy
-	state    *ExploreState // cross-round memory; may be nil
+	state *ExploreState // cross-round memory; may be nil
 
 	seen      map[PathSig][]pathRec        // path signatures executed this round
 	attempts  map[sym.Fingerprint][]negRec // negation queries issued this round
 	branches  map[uint64][]sym.Expr        // distinct oriented constraints, by node hash
 	nbranches int
 
+	// queue is a stack in generation order: fold pushes a path's suffix
+	// negations shallowest first and pop takes from the back, so the
+	// newest path's deepest negation goes next.
 	queue []workItem
 	peak  int // high-water mark of len(queue) this round
 
@@ -88,9 +86,8 @@ type frontier struct {
 	skippedNegations int // negations suppressed because a prior round attempted them
 }
 
-func newFrontier(strategy Strategy, state *ExploreState) *frontier {
+func newFrontier(state *ExploreState) *frontier {
 	f := &frontier{
-		strategy: strategy,
 		state:    state,
 		seen:     make(map[PathSig][]pathRec),
 		attempts: make(map[sym.Fingerprint][]negRec),
@@ -105,7 +102,6 @@ func newFrontier(strategy Strategy, state *ExploreState) *frontier {
 			f.attempts[it.key] = append(f.attempts[it.key],
 				negRec{assumes: it.assumes, path: it.path, depth: it.depth, negated: it.negated})
 		}
-		f.order()
 	}
 	return f
 }
@@ -206,12 +202,10 @@ func (f *frontier) fold(assumes, path []sym.Expr, env sym.Env, bound int) (fresh
 	if n := len(f.queue); n > f.peak {
 		f.peak = n
 	}
-	f.order()
 	return fresh
 }
 
-// pop removes and returns the next work item. The queue is drained from
-// the back; order arranges it so the strategy's preferred item sits last.
+// pop removes and returns the next work item: the most recently pushed.
 func (f *frontier) pop() (workItem, bool) {
 	if len(f.queue) == 0 {
 		return workItem{}, false
@@ -232,18 +226,4 @@ func (f *frontier) clear() {
 		f.state.savePending(f.queue)
 	}
 	f.queue = nil
-}
-
-// order arranges pending work according to the strategy. The queue is
-// drained from the back, so DFS wants deepest-last, BFS shallowest-last.
-func (f *frontier) order() {
-	switch f.strategy {
-	case DFS:
-		sort.SliceStable(f.queue, func(i, j int) bool { return f.queue[i].depth < f.queue[j].depth })
-	case BFS:
-		sort.SliceStable(f.queue, func(i, j int) bool { return f.queue[i].depth > f.queue[j].depth })
-	case Generational:
-		// FIFO-ish: keep insertion order, drain oldest last for breadth
-		// across generations while still finishing each generation.
-	}
 }

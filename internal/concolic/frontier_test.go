@@ -1,64 +1,41 @@
 package concolic
 
 import (
+	"slices"
 	"testing"
 
 	"dice/internal/sym"
 )
 
-// foldTwoPaths folds two independent two-predicate paths into a frontier
-// and returns the negated-constraint names in pop (drain) order.
-func foldTwoPaths(strategy Strategy) []string {
-	f := newFrontier(strategy, nil)
+// TestFrontierDrainOrder pins the one drain order: two independent
+// two-predicate paths folded into a frontier pop the newest path's
+// negations first, deepest-first within it.
+func TestFrontierDrainOrder(t *testing.T) {
+	f := newFrontier(nil)
 	mk := func(id int, name string) sym.Expr {
 		return sym.NewCmp(sym.OpEq, &sym.Var{ID: id, Name: name, W: 8}, sym.NewConst(1, 8))
 	}
-	pathA := []sym.Expr{mk(0, "a0"), mk(1, "a1")}
-	pathB := []sym.Expr{mk(2, "b0"), mk(3, "b1")}
-	f.fold(nil, pathA, sym.Env{}, 0)
-	f.fold(nil, pathB, sym.Env{}, 0)
+	f.fold(nil, []sym.Expr{mk(0, "a0"), mk(1, "a1")}, sym.Env{}, 0)
+	f.fold(nil, []sym.Expr{mk(2, "b0"), mk(3, "b1")}, sym.Env{}, 0)
 
-	var order []string
+	var got []string
 	for {
 		it, ok := f.pop()
 		if !ok {
-			return order
+			break
 		}
 		// The negation of (var == 1) folds to (var != 1); recover the name.
-		order = append(order, it.negated.(*sym.Cmp).X.(*sym.Var).Name)
+		got = append(got, it.negated.(*sym.Cmp).X.(*sym.Var).Name)
 	}
-}
-
-// TestFrontierDrainOrder pins the strategy semantics: DFS drains deepest
-// predicates first (globally), BFS shallowest first, and Generational
-// drains the newest generation first, deepest-first within it.
-func TestFrontierDrainOrder(t *testing.T) {
-	cases := []struct {
-		strategy Strategy
-		want     []string
-	}{
-		{DFS, []string{"b1", "a1", "b0", "a0"}},
-		{BFS, []string{"b0", "a0", "b1", "a1"}},
-		{Generational, []string{"b1", "b0", "a1", "a0"}},
-	}
-	for _, c := range cases {
-		got := foldTwoPaths(c.strategy)
-		if len(got) != len(c.want) {
-			t.Fatalf("%v: drained %v, want %v", c.strategy, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%v: drain order %v, want %v", c.strategy, got, c.want)
-				break
-			}
-		}
+	if want := []string{"b1", "b0", "a1", "a0"}; !slices.Equal(got, want) {
+		t.Errorf("drain order %v, want %v", got, want)
 	}
 }
 
 // TestFrontierDedupsAttempts: folding the same path twice schedules its
 // negations only once, and a duplicate path is not fresh.
 func TestFrontierDedupsAttempts(t *testing.T) {
-	f := newFrontier(Generational, nil)
+	f := newFrontier(nil)
 	path := []sym.Expr{
 		sym.NewCmp(sym.OpEq, &sym.Var{ID: 0, Name: "x", W: 8}, sym.NewConst(1, 8)),
 	}
@@ -93,7 +70,7 @@ func BenchmarkFrontierFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := newFrontier(Generational, nil)
+		f := newFrontier(nil)
 		f.fold(nil, path, env, 0)
 	}
 }

@@ -15,7 +15,7 @@ func keyCmp(id int, v uint64) sym.Expr {
 // chain verification turns a collision into a duplicate entry, never a
 // lost path. Same contract for negation attempts.
 func TestFrontierDedupSurvivesForcedCollision(t *testing.T) {
-	f := newFrontier(Generational, nil)
+	f := newFrontier(nil)
 	p1 := []sym.Expr{keyCmp(0, 1)}
 	p2 := []sym.Expr{keyCmp(0, 2)}
 	sig := PathSig{Hi: 7, Lo: 7} // deliberately shared key
@@ -87,7 +87,7 @@ func TestExploreStateSurvivesForcedCollision(t *testing.T) {
 // TestBranchSetExact: the aggregate branch set counts distinct oriented
 // constraints exactly, including under a shared node hash.
 func TestBranchSetExact(t *testing.T) {
-	f := newFrontier(Generational, nil)
+	f := newFrontier(nil)
 	a, b := keyCmp(0, 1), keyCmp(0, 2)
 	f.addBranch(a)
 	f.addBranch(b)

@@ -100,7 +100,7 @@ func newScheduler(ids []string, engines []*Engine, workers int) *scheduler {
 		shards[i] = &shard{
 			id:    id,
 			e:     e,
-			front: newFrontier(e.opts.Strategy, e.opts.State),
+			front: newFrontier(e.opts.State),
 		}
 	}
 	if workers <= 0 {

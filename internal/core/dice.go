@@ -33,7 +33,7 @@ import (
 
 // Options configures DiCE exploration rounds.
 type Options struct {
-	// Engine tunes the concolic engine (strategies, budgets, workers).
+	// Engine tunes the concolic engine (budgets, workers).
 	Engine concolic.Options
 	// ReuseState keeps per-(scenario, peer) exploration state across
 	// rounds on this DiCE instance: repeated online rounds skip paths

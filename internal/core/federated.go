@@ -55,7 +55,7 @@ type FederatedScenario interface {
 
 // FederatedOptions configures a FederatedExperiment.
 type FederatedOptions struct {
-	// Engine tunes every node's engine (budgets, strategy). Workers is
+	// Engine tunes every node's engine (budgets). Workers is
 	// ignored here: the pool is shared, sized by Workers below.
 	Engine concolic.Options
 	// Workers is the shared exploration worker pool (0 = 1). It also

@@ -85,7 +85,7 @@ type Coordinator struct {
 	explored []*ExploreResult
 	rounds   int
 
-	// returned is the degraded-replacement filter's memory (ReuseState
+	// returned is the cold-agent filter's memory (ReuseState
 	// only; Explore alone touches it): by core.WarmKey, the finding keys
 	// each target has returned (dropKnown).
 	returned map[string]*returnedKeys
@@ -110,9 +110,10 @@ type nodeConn struct {
 	health  NodeHealth
 	failErr error      // sticky, set when State == HealthFailed
 	rng     *rand.Rand // deterministic backoff jitter, guarded by mu
-	// splices counts the degraded replacement agents spliced in for the
-	// node; each explores its first round cold (dropKnown).
-	splices int
+	// colds counts the clients installed by a hello that did not resume
+	// the session: the agent behind each holds none of the node's warm
+	// state, so its targets' next explores run cold (dropKnown).
+	colds int
 }
 
 // current returns the live client and its generation. A nil client
@@ -123,10 +124,30 @@ func (nc *nodeConn) current() (*Client, uint64) {
 	return nc.client, nc.gen
 }
 
-func (nc *nodeConn) spliced() int {
+func (nc *nodeConn) coldHellos() int {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	return nc.splices
+	return nc.colds
+}
+
+// install swaps in a recovered client under a new generation.
+func (nc *nodeConn) install(cl *Client, hello HelloResult, state string) {
+	nc.client = cl
+	nc.gen++
+	nc.health.State = state
+	if !hello.Resumed {
+		nc.colds++
+	}
+}
+
+// fail is the one "node failed" exit: no client, a new generation, and
+// err as the sticky error every later call on the node returns.
+func (nc *nodeConn) fail(err error) error {
+	nc.client = nil
+	nc.gen++
+	nc.health.State = HealthFailed
+	nc.failErr = err
+	return err
 }
 
 func (nc *nodeConn) failedErr() error {
@@ -443,71 +464,59 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 		return nc.failErr
 	}
 	failed.Close()
-	lastErr := c.policy.redial(nc.rng, false, func() error {
-		cl, hello, err := c.dialAndHello(nc.dialer)
-		if err != nil {
-			return err
-		}
-		if hello.Node != nc.node {
-			cl.Close()
-			return fmt.Errorf("dist: reconnect for %q reached agent for %q", nc.node, hello.Node)
-		}
-		if err := c.reestablish(cl); err != nil {
-			cl.Close()
-			return err
-		}
-		nc.client = cl
-		return nil
+	var (
+		cl    *Client
+		hello HelloResult
+	)
+	lastErr := c.policy.redial(nc.rng, false, func() (err error) {
+		cl, hello, err = c.rejoin(nc.dialer, nc.node)
+		return err
 	}, nil)
 	if lastErr == nil {
-		nc.gen++
+		nc.install(cl, hello, HealthHealthy)
 		nc.health.Reconnects++
-		nc.health.State = HealthHealthy
 		c.metrics.noteClientReconnect(nc.node)
 		return nil
 	}
 	if c.policy.NoFallback {
-		nc.client = nil
-		nc.gen++
-		nc.health.State = HealthFailed
-		nc.failErr = fmt.Errorf("dist: node %q failed after %d reconnect attempts: %w",
-			nc.node, c.policy.MaxReconnects, lastErr)
-		return nc.failErr
+		return nc.fail(fmt.Errorf("dist: node %q failed after %d reconnect attempts: %w",
+			nc.node, c.policy.MaxReconnects, lastErr))
 	}
 	// Degraded mixed-fleet fallback: build an in-process replacement
 	// agent for this node and splice it in over a loopback pipe. The
 	// replacement runs the identical deterministic pipeline the remote
 	// did (same topology build, same PrepareTarget/Analyze path), and
-	// reestablish replays the coordinator's replay history into it; its
-	// first explore runs cold, and dropKnown drops what that re-reports —
-	// parity with the all-healthy run holds.
+	// rejoin replays the coordinator's replay history into it; its hello
+	// resumes no session, so its first explores are filtered like any
+	// cold agent's (dropKnown) — parity with the all-healthy run holds.
 	local, err := NewAgent(c.Topo, nc.node)
-	if err != nil {
-		nc.client = nil
-		nc.gen++
-		nc.health.State = HealthFailed
-		nc.failErr = fmt.Errorf("dist: degraded fallback for %q: %w", nc.node, err)
-		return nc.failErr
-	}
-	cl, _, err := c.dialAndHello(Loopback{Agent: local})
 	if err == nil {
+		cl, hello, err = c.rejoin(Loopback{Agent: local}, nc.node)
+	}
+	if err != nil {
+		return nc.fail(fmt.Errorf("dist: degraded fallback for %q: %w", nc.node, err))
+	}
+	nc.install(cl, hello, HealthDegraded)
+	return nil
+}
+
+// rejoin dials node's agent for a recovery: the hello, the node identity
+// and the replay history (reestablish).
+func (c *Coordinator) rejoin(d Dialer, node string) (*Client, HelloResult, error) {
+	cl, hello, err := c.dialAndHello(d)
+	if err != nil {
+		return nil, HelloResult{}, err
+	}
+	if hello.Node != node {
+		err = fmt.Errorf("dist: reconnect for %q reached agent for %q", node, hello.Node)
+	} else {
 		err = c.reestablish(cl)
 	}
 	if err != nil {
-		if cl != nil {
-			cl.Close()
-		}
-		nc.client = nil
-		nc.gen++
-		nc.health.State = HealthFailed
-		nc.failErr = fmt.Errorf("dist: degraded fallback for %q: %w", nc.node, err)
-		return nc.failErr
+		cl.Close()
+		return nil, HelloResult{}, err
 	}
-	nc.client = cl
-	nc.gen++
-	nc.splices++
-	nc.health.State = HealthDegraded
-	return nil
+	return cl, hello, nil
 }
 
 // reestablish brings a (re)connected agent up to date: the coordinator's
@@ -520,8 +529,8 @@ func (c *Coordinator) recover(nc *nodeConn, gen uint64, failed *Client) error {
 // onto the fleet's deterministic post-replay state. Exploration warm
 // state (ReuseState) is the one thing a replacement cannot recover — its
 // next explore runs cold and re-reports known findings, which dropKnown
-// drops for a degraded replacement; the explore keys keep retries of the
-// *current* round exact either way.
+// drops for any agent whose hello did not resume the session; the
+// explore keys keep retries of the *current* round exact either way.
 func (c *Coordinator) reestablish(cl *Client) error {
 	c.replayMu.Lock()
 	history := append([]ReplayParams(nil), c.replayHistory...)
@@ -649,32 +658,33 @@ func (c *Coordinator) Explore(targets []core.ResolvedTarget) ([]core.TargetOutco
 	return outs, nil
 }
 
-// returnedKeys is one target's memory in the degraded-replacement filter:
-// the finding keys it has returned, and its node's splice count when it
+// returnedKeys is one target's memory in the cold-agent filter: the
+// finding keys it has returned, and its node's cold-hello count when it
 // last explored.
 type returnedKeys struct {
-	keys    map[core.FindingKey]bool
-	splices int
+	keys  map[core.FindingKey]bool
+	colds int
 }
 
-// dropKnown is the degraded-replacement filter, run on every ReuseState
-// answer. It records the finding keys tg returned. A degraded
-// replacement agent explores its first round cold and re-reports every
-// finding its dead predecessor already returned, where a warm agent
-// would report none of them; so on tg's first answer after its node was
-// spliced to a replacement, dropKnown first drops the findings whose keys
-// tg already returned, with their witnesses, re-indexing the rest. A
-// node never spliced passes through untouched.
+// dropKnown is the cold-agent filter, run on every ReuseState answer. It
+// records the finding keys tg returned. An agent whose hello did not
+// resume the session — a restarted process, a degraded replacement —
+// explores its first round cold and re-reports every finding the session
+// already returned, where a warm agent would report none of them; so on
+// tg's first answer after such a hello on its node, dropKnown first drops
+// the findings whose keys tg already returned, with their witnesses,
+// re-indexing the rest. A node whose every hello resumed passes through
+// untouched.
 func (c *Coordinator) dropKnown(tg core.ResolvedTarget, out *ExploreResult) {
-	splices := c.conns[tg.Node].spliced()
+	colds := c.conns[tg.Node].coldHellos()
 	key := core.WarmKey(tg.Node, tg.Scenario, tg.Peer)
 	mem := c.returned[key]
 	if mem == nil {
-		mem = &returnedKeys{keys: make(map[core.FindingKey]bool), splices: splices}
+		mem = &returnedKeys{keys: make(map[core.FindingKey]bool), colds: colds}
 		c.returned[key] = mem
 	}
-	if mem.splices != splices {
-		mem.splices = splices
+	if mem.colds != colds {
+		mem.colds = colds
 		idx := make([]int, len(out.Findings)) // old index → kept index, -1 dropped
 		kept := out.Findings[:0]
 		for i, f := range out.Findings {

@@ -36,8 +36,8 @@
 // directly — and one call discipline: pipelined
 // requests, each relay step's deliveries batched into one inject_witness
 // per agent, all in flight at once. Every connection opens with a hello
-// carrying ProtoVersion; agent and coordinator each refuse a peer whose
-// version differs, so a fleet is one build. Changing a message
+// carrying ProtoVersion (14); agent and coordinator each refuse a peer
+// whose version differs, so a fleet is one build. Changing a message
 // layout means bumping ProtoVersion, nothing else.
 //
 // Exactly once: delivery is at least once — a call that timed out or
@@ -59,12 +59,19 @@
 // Each method's row (TestExactlyOnceTable holds the method table to it):
 //
 //	method          slot              key
-//	hello           none              read-only; a new session nonce clears the memo
+//	hello           none              read-only; a new session nonce clears the memo; answers Resumed
 //	explore         peer, scenario    the call's key
 //	inject_witness  shadow id         the call's key
 //	shadow_close    none              idempotent: closes the shadow id if it exists, retiring its slot
 //	query_oracle    none              idempotent: Open opens the shadow id unless it exists; the rest is read-only
 //	replay          its key           the call's key
+//
+// Cold agents: a hello's answer says whether the server already held
+// the session (HelloResult.Resumed). One that did not — a restarted
+// agent process, a degraded in-process replacement — explores cold, so
+// under ReuseState the coordinator drops, from each target's first
+// answer after such a hello, the findings the session already returned
+// (Coordinator.dropKnown): its warm rounds read as a healthy fleet's.
 //
 // Transports: the protocol runs over any io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
 // gives deterministic single-process tests; TCP gives real process

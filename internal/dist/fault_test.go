@@ -656,7 +656,7 @@ func TestNoFallbackFailsClosed(t *testing.T) {
 
 // deadAfterFirstDial passes one dial through and refuses the rest — the
 // "agent stays dead" schedule.
-func deadAfterFirstDial(inner Dialer) *FaultDialer {
+func deadAfterFirstDial(inner Dialer) Dialer {
 	return &FaultDialer{Inner: inner, Plan: &FaultPlan{FailDialsFrom: 1}}
 }
 
@@ -664,11 +664,49 @@ func deadAfterFirstDial(inner Dialer) *FaultDialer {
 // between rounds, past the reconnect budget, explores round 2 on a
 // degraded in-process replacement — cold, since its warm state died with
 // the agent — and the round still reads as an all-healthy fleet's warm
-// round: the coordinator drops the findings the dead agent already
-// returned (dropKnown), so no known route leak, witness or violation is
-// reported twice. Round 3 runs on the now-warm replacement and matches
-// too.
+// round: the replacement's hello resumes no session, so the coordinator
+// drops the findings the dead agent already returned (dropKnown), and no
+// known route leak, witness or violation is reported twice. Round 3 runs
+// on the now-warm replacement and matches too.
 func TestWarmHandoffAfterDegrade(t *testing.T) {
+	// Provider's connection 0 is clean; once it dies, every redial is
+	// refused — the agent stays dead.
+	warmHandoff(t, deadAfterFirstDial, HealthDegraded)
+}
+
+// TestWarmHandoffAfterRestart: the same handoff through a reconnect
+// instead of the fallback — the redial reaches a freshly started agent
+// process, whose hello resumes no session either — reads as the healthy
+// fleet's rounds too.
+func TestWarmHandoffAfterRestart(t *testing.T) {
+	warmHandoff(t, func(d Dialer) Dialer { return &restartingDialer{first: d} }, HealthHealthy)
+}
+
+// restartingDialer serves its first connection from the agent it wraps
+// and every later one from a freshly started agent — a process restart.
+type restartingDialer struct {
+	first Dialer
+	dials int
+}
+
+func (d *restartingDialer) Dial() (io.ReadWriteCloser, error) {
+	d.dials++
+	if d.dials == 1 {
+		return d.first.Dial()
+	}
+	ag, err := NewAgent(leakTopo3(), "provider")
+	if err != nil {
+		return nil, err
+	}
+	return Loopback{Agent: ag}.Dial()
+}
+
+// warmHandoff runs three ReuseState rounds on leakTopo3 with provider's
+// dialer wrapped by provider, its connection closed between rounds 1 and
+// 2, and holds every round to a healthy fleet's snapshot and provider's
+// final health to want.
+func warmHandoff(t *testing.T, provider func(Dialer) Dialer, want string) {
+	t.Helper()
 	leakCheck(t)
 	opts := fedOpts()
 	opts.ReuseState = true
@@ -683,42 +721,39 @@ func TestWarmHandoffAfterDegrade(t *testing.T) {
 
 	// Reference: three healthy rounds.
 	ref := loopbackCoordinator(t, leakTopo3(), opts)
-	var want [3]string
-	for i := range want {
-		want[i], _ = round(ref)
+	var healthy [3]string
+	for i := range healthy {
+		healthy[i], _ = round(ref)
 	}
-	if want[1] == want[0] {
+	if healthy[1] == healthy[0] {
 		t.Fatal("the healthy warm round repeats the cold one — nothing for the filter to drop")
 	}
 
-	// Provider's connection 0 is clean; once it dies, every redial is
-	// refused — the agent stays dead.
-	providerStaysDead := func(node string, d Dialer) Dialer {
+	coord := fleetCoordinator(t, leakTopo3(), opts, func(node string, d Dialer) Dialer {
 		if node == "provider" {
-			return deadAfterFirstDial(d)
+			return provider(d)
 		}
 		return d
-	}
-	coord := fleetCoordinator(t, leakTopo3(), opts, providerStaysDead, WithRetryPolicy(chaosPolicy()))
+	}, WithRetryPolicy(chaosPolicy()))
 	var got [3]string
 	got[0], _ = round(coord)
 
-	// Between rounds provider's agent connection drops with no redial
-	// allowed: round 2 degrades provider to an in-process replacement.
+	// Between rounds provider's agent connection drops: round 2's first
+	// call to it recovers onto an agent that holds no warm state.
 	cl, _ := coord.conns["provider"].current()
 	cl.Close()
 	var res *RoundResult
 	got[1], res = round(coord)
-	if h := res.Health["provider"]; h.State != HealthDegraded {
-		t.Fatalf("provider ended %q, want degraded: %+v", h.State, h)
+	if h := res.Health["provider"]; h.State != want || h.Faults == 0 {
+		t.Fatalf("provider ended %q after %d faults, want %q after a fault: %+v", h.State, h.Faults, want, h)
 	}
 	if ex := res.Targets[0].Explore; ex.NewPaths == 0 {
-		t.Fatal("the replacement explored warm — the degraded case is vacuous")
+		t.Fatal("the new agent explored warm — the cold case is vacuous")
 	}
 	got[2], _ = round(coord)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("round %d diverged from the healthy fleet's:\n--- healthy ---\n%s\n--- degraded ---\n%s", i+1, want[i], got[i])
+	for i := range healthy {
+		if got[i] != healthy[i] {
+			t.Errorf("round %d diverged from the healthy fleet's:\n--- healthy ---\n%s\n--- %s ---\n%s", i+1, healthy[i], want, got[i])
 		}
 	}
 }

@@ -224,21 +224,28 @@ func (s *rpcServer) respond(cr connReq) []byte {
 
 // execute runs one decoded request under the request lock, exactly once
 // per key. A hello with a new session nonce clears the memo and the
-// handler's old session. A keyed request (wire.go) whose key is its
-// slot's latest answered key is a retry — after a timeout, a reconnect,
-// or on a second connection while the original ran — and gets the
-// remembered answer; checking under the lock the original holds is what
-// makes that last case wait for it. A shadow_close retires its slot.
+// handler's old session; its answer says whether the server already held
+// the session (HelloResult.Resumed). A keyed request (wire.go) whose key
+// is its slot's latest answered key is a retry — after a timeout, a
+// reconnect, or on a second connection while the original ran — and gets
+// the remembered answer; checking under the lock the original holds is
+// what makes that last case wait for it. A shadow_close retires its slot.
 func (s *rpcServer) execute(method string, params message) (message, error) {
 	s.reqMu.Lock()
 	defer s.reqMu.Unlock()
 	switch p := params.(type) {
 	case *HelloParams:
-		if p.Session != 0 && p.Session != s.session {
+		resumed := p.Session != 0 && p.Session == s.session
+		if p.Session != 0 && !resumed {
 			s.session = p.Session
 			clear(s.memo)
 			s.handler.newSession()
 		}
+		result, err := s.handler.handle(method, params)
+		if hr, ok := result.(*HelloResult); ok {
+			hr.Resumed = resumed
+		}
+		return result, err
 	case *ShadowCloseParams:
 		delete(s.memo, shadowSlot(p.ShadowID))
 	}

@@ -26,20 +26,19 @@ import (
 //
 // The codec encodes core's and netaddr's own types directly, in the style
 // of internal/bgp's message codec: fixed-width fields where the domain
-// fixes the width (AS numbers, addresses, prefixes as 4+1 octets, the
-// search strategy as one), uvarints for counts, IDs and route tokens,
-// length-prefixed byte strings — BGP messages and replay traces travel as
-// raw bytes, and a dense ExploreResult costs bytes proportional to its
-// content. Each payload struct below sits next to its layout: one wire
+// fixes the width (AS numbers, addresses, prefixes as 4+1 octets),
+// uvarints for counts, IDs and route tokens, length-prefixed byte strings
+// — BGP messages and replay traces travel as raw bytes, and a dense
+// ExploreResult costs bytes proportional to its content. Each payload struct below sits next to its layout: one wire
 // method that encodes or decodes, depending on the pass it is handed.
 //
 // The leading kind octet is not printable ASCII, so a peer speaking
 // anything else (a JSON document from a pre-binary build, say) fails
 // loudly on its first frame instead of desynchronizing the stream. The
 // decoder checks remaining length before consuming, rejects out-of-range
-// values (prefix lengths over 32, unknown strategies, lying counts) and
-// rejects trailing bytes — malformed input errors, it never panics, and
-// truncation at any byte offset is an error (FuzzDecodeFrame pins this).
+// values (prefix lengths over 32, lying counts) and trailing bytes —
+// malformed input errors, it never panics, and truncation at any byte
+// offset is an error (FuzzDecodeFrame pins this).
 //
 // Requests pipeline: a client may keep many requests in flight per
 // connection, and responses are matched by ID (the agent preserves
@@ -53,7 +52,7 @@ import (
 // some calls use (HelloParams.Properties, InjectBatchParams.WantProps)
 // are encoded as tails that are absent when unused; that keeps the
 // common frames small, it is not a compatibility mechanism.
-const ProtoVersion = 13
+const ProtoVersion = 14
 
 // --- Framing -----------------------------------------------------------------
 
@@ -457,6 +456,13 @@ type HelloResult struct {
 	// Version is the server's ProtoVersion; the client refuses any value
 	// but its own.
 	Version int
+	// Resumed reports that the server already held the hello's session:
+	// its memo and warm exploration state are the coordinator's. False
+	// means the node came back cold — a restarted process, a degraded
+	// replacement, an agent another coordinator reached in between — and
+	// its targets' next explores re-report what the session already
+	// returned (Coordinator.dropKnown). Set by rpcServer.execute.
+	Resumed bool
 }
 
 func (r *HelloResult) wire(c coder) coder {
@@ -465,6 +471,7 @@ func (r *HelloResult) wire(c coder) coder {
 	c.U16(&r.AS)
 	c.Uint(&r.Prefixes)
 	c.Uint(&r.Version)
+	c.Bool(&r.Resumed)
 	return c
 }
 
@@ -474,31 +481,23 @@ func (r *HelloResult) wire(c coder) coder {
 // in the explore request (Connect rejects the process-local rest:
 // State, Cancel). Workers is the fleet's shared pool size.
 type EngineKnobs struct {
-	MaxRuns  int
-	Workers  int
-	Strategy concolic.Strategy
+	MaxRuns int
+	Workers int
 }
 
 // knobsOf flattens a round's options into their wire form.
 func knobsOf(o *core.FederatedOptions) EngineKnobs {
-	return EngineKnobs{MaxRuns: o.Engine.MaxRuns, Workers: o.Workers, Strategy: o.Engine.Strategy}
+	return EngineKnobs{MaxRuns: o.Engine.MaxRuns, Workers: o.Workers}
 }
 
 // options is knobsOf's inverse, on the serving side.
 func (k EngineKnobs) options(m *concolic.Metrics) concolic.Options {
-	return concolic.Options{Strategy: k.Strategy, MaxRuns: k.MaxRuns, Workers: k.Workers, Metrics: m}
+	return concolic.Options{MaxRuns: k.MaxRuns, Workers: k.Workers, Metrics: m}
 }
 
 func (k *EngineKnobs) wire(c coder) coder {
 	c.Uint(&k.MaxRuns)
 	c.Uint(&k.Workers)
-	s := uint8(k.Strategy)
-	c.U8(&s)
-	if s > uint8(concolic.BFS) {
-		c.Fail("unknown strategy %d", s)
-	} else if c.Decoding() {
-		k.Strategy = concolic.Strategy(s)
-	}
 	return c
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"dice/internal/concolic"
 	"dice/internal/core"
 	"dice/internal/netaddr"
 )
@@ -51,10 +50,10 @@ func sampleMessages() []message {
 				`property "leak" { never carries community boundary at node behind boundary }`,
 				`property "converge" { eventually converges within 64 steps }`,
 			}},
-		&HelloResult{Node: "as65002", Topology: "line-3-dense-256", AS: 65002, Prefixes: 771, Version: ProtoVersion},
+		&HelloResult{Node: "as65002", Topology: "line-3-dense-256", AS: 65002, Prefixes: 771, Version: ProtoVersion, Resumed: true},
 		&ExploreParams{
 			Peer: "as65001", Scenario: "route-leak", Explicit: true,
-			EngineKnobs: EngineKnobs{MaxRuns: 200, Workers: 4, Strategy: concolic.DFS},
+			EngineKnobs: EngineKnobs{MaxRuns: 200, Workers: 4},
 			ReuseState:  true, Key: 3,
 		},
 		&ExploreResult{
@@ -207,8 +206,8 @@ func TestWireGolden(t *testing.T) {
 	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
 		t.Errorf("wire encodings moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if ProtoVersion != 13 {
-		t.Errorf("ProtoVersion %d: the golden was written at 13", ProtoVersion)
+	if ProtoVersion != 14 {
+		t.Errorf("ProtoVersion %d: the golden was written at 14", ProtoVersion)
 	}
 }
 
@@ -333,8 +332,8 @@ func TestResponseEnvelope(t *testing.T) {
 // TestDecodeRejections: out-of-range values from the peer are errors in
 // the malformed-frame class, each pinned by corrupting one octet of a
 // valid encoding — a prefix (a query's, a delivery's watch) longer than
-// /32 or with host bits set, a leak range's LenHi over 32, a strategy
-// past BFS, and the method code past the table's nine rows.
+// /32 or with host bits set, a leak range's LenHi over 32, and the
+// method code past the table's six rows.
 func TestDecodeRejections(t *testing.T) {
 	query := encodeBody(nil, &QueryOracleParams{ShadowID: 7, Prefix: netaddr.MustParsePrefix("10.200.0.0/24")})
 	inject := encodeBody(nil, &InjectBatchParams{ShadowID: 7, Key: 6, Deliveries: []BatchDelivery{
@@ -342,7 +341,6 @@ func TestDecodeRejections(t *testing.T) {
 	finding := core.Finding{Kind: "k", Peer: "p", Prefix: netaddr.MustParsePrefix("10.0.0.0/8"),
 		LeakRange: core.RangeDesc{LenLo: 8, LenHi: 32}}
 	explore := encodeBody(nil, &ExploreResult{Findings: []core.Finding{finding}})
-	knobs := encodeBody(nil, &ExploreParams{Peer: "p", Scenario: "s", EngineKnobs: EngineKnobs{Strategy: concolic.BFS}})
 
 	// flip returns body with octet at, which must hold from, set to to.
 	flip := func(body []byte, at int, from, to byte) []byte {
@@ -369,7 +367,6 @@ func TestDecodeRejections(t *testing.T) {
 		{"watch-host-bits", flip(inject, len(inject)-3, 0, 1), &InjectBatchParams{}},
 		{"finding-prefix-bits-33", flip(explore, findingAt+4, 8, 33), &ExploreResult{}},
 		{"leak-range-lenhi-33", flip(explore, findingAt+5+8+1, 32, 33), &ExploreResult{}},
-		{"strategy-3", flip(knobs, 2+2+1+2, uint8(concolic.BFS), 3), &ExploreParams{}},
 	}
 	for _, tc := range cases {
 		if err := decodeBody(tc.body, tc.into); !errors.Is(err, errFrame) {

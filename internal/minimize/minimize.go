@@ -33,24 +33,17 @@ type Options struct {
 	// Hitting the bound returns the best witness found so far — a
 	// truncated minimization is still a valid (just not minimal) witness.
 	MaxCandidates int
-	// MinPrefixBits floors prefix widening (0 = 1: the loop never
-	// proposes the /0 default route, which tests nothing an operator
-	// could act on).
-	MinPrefixBits int
 }
+
+// minPrefixBits floors prefix widening: the loop never proposes the /0
+// default route, which tests nothing an operator could act on.
+const minPrefixBits = 1
 
 func (o Options) maxCandidates() int {
 	if o.MaxCandidates <= 0 {
 		return 256
 	}
 	return o.MaxCandidates
-}
-
-func (o Options) minPrefixBits() int {
-	if o.MinPrefixBits <= 0 {
-		return 1
-	}
-	return o.MinPrefixBits
 }
 
 // Size measures a witness along the dimensions minimization shrinks.
@@ -288,7 +281,7 @@ pass:
 		// first — the first accepted length IS the coarsest, so one
 		// linear scan settles the dimension for this pass.
 		curBits := cur.NLRI[0].Bits()
-		for bits := opts.minPrefixBits(); bits < curBits; bits++ {
+		for bits := minPrefixBits; bits < curBits; bits++ {
 			cand := clone(cur)
 			cand.NLRI[0] = netaddr.PrefixFrom(cand.NLRI[0].Addr(), bits)
 			ok, err := try(cand)

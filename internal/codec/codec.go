@@ -239,6 +239,26 @@ func (c *C) Bytes(v *[]byte) {
 	}
 }
 
+// View is Bytes whose decoding aliases the input instead of copying it:
+// the value is valid only while the buffer it was read from stays
+// unchanged. Its encoding, and every decoding error, are Bytes'.
+func (c *C) View(v *[]byte) {
+	if !c.dec {
+		c.Bytes(v)
+		return
+	}
+	var n int
+	c.Uint(&n)
+	b := c.take(n)
+	if c.err != nil {
+		return
+	}
+	*v = nil
+	if n > 0 {
+		*v = b[:n:n]
+	}
+}
+
 // Str is a length-prefixed string.
 func (c *C) Str(v *string) {
 	if !c.dec {

@@ -124,3 +124,36 @@ func TestPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestView: View encodes as Bytes; decoding aliases the input without
+// copying, and fails where Bytes fails with the same error.
+func TestView(t *testing.T) {
+	raw := []byte{1, 2, 3}
+	enc, ref := Encoder(nil), Encoder(nil)
+	enc.View(&raw)
+	ref.Bytes(&raw)
+	b := enc.Buf()
+	if !bytes.Equal(b, ref.Buf()) {
+		t.Fatalf("View encodes %x, Bytes %x", b, ref.Buf())
+	}
+	var got []byte
+	dec := Decoder(b, errTest)
+	dec.View(&got)
+	if err := dec.Finish(); err != nil || !bytes.Equal(got, raw) || &got[0] != &b[1] || cap(got) != len(raw) {
+		t.Fatalf("decoded %x (cap %d), err %v: want an alias of the input capped at its length", got, cap(got), err)
+	}
+	empty := Decoder([]byte{0}, errTest)
+	empty.View(&got)
+	if err := empty.Finish(); err != nil || got != nil {
+		t.Fatalf("empty view decoded %x, err %v", got, err)
+	}
+	for k := 0; k < len(b); k++ {
+		var v, w []byte
+		dv, db := Decoder(b[:k], errTest), Decoder(b[:k], errTest)
+		dv.View(&v)
+		db.Bytes(&w)
+		if ev, eb := dv.Finish(), db.Finish(); ev == nil || eb == nil || ev.Error() != eb.Error() {
+			t.Errorf("cut at %d: View err %v, Bytes err %v", k, ev, eb)
+		}
+	}
+}

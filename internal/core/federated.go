@@ -604,6 +604,9 @@ type WitnessOutcome struct {
 	// Steps counts the shadow deliveries the bounded propagation ran
 	// (UPDATE and WITHDRAW waves together).
 	Steps int
+	// verdicts are the violations as prop.Evaluate found them, in a
+	// pooled buffer, until layOut renders them into Violations.
+	verdicts []prop.Violation
 }
 
 // ViolationFingerprint identifies a violation for witness minimization:

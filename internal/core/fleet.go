@@ -283,10 +283,11 @@ func (d *Driver) Round(f Fleet) (*FederatedResult, error) {
 		specs[i] = w.WitnessSpec
 		w.finding.Witness = w.Update
 	}
-	outcomes, err := d.CheckWitnesses(f, specs)
+	outcomes, violations, err := d.checkWitnesses(f, specs)
 	if err != nil {
 		return nil, err
 	}
+	res.Violations = violations
 	mins := make([]*bgp.Update, len(witnesses))
 	stats := make([]*minimize.Stats, len(witnesses))
 	if d.Opts.Minimize {
@@ -311,15 +312,8 @@ func (d *Driver) Round(f Fleet) (*FederatedResult, error) {
 			return nil, err
 		}
 	}
-	total := 0
-	for _, out := range outcomes {
-		total += len(out.Violations)
-	}
-	res.Violations = slices.Grow(res.Violations, total)
 	for i, w := range witnesses {
-		out := outcomes[i]
-		res.PropagationSteps += out.Steps
-		res.Violations = append(res.Violations, out.Violations...)
+		res.PropagationSteps += outcomes[i].Steps
 		if stats[i] == nil {
 			continue
 		}
@@ -336,21 +330,36 @@ func (d *Driver) Round(f Fleet) (*FederatedResult, error) {
 // CheckWitness re-executes one concrete witness end to end on fresh
 // shadows — injection, bounded propagation, the property set, withdraw
 // check — and reports what it triggered: a group of one. Witness
-// minimization calls it for every candidate. A lost shadow set replays
-// the lifecycle in full; the partial run's steps are discarded, so step
-// totals match a fault-free run.
+// minimization calls it for every candidate.
 func (d *Driver) CheckWitness(f Fleet, w WitnessSpec) (*WitnessOutcome, error) {
+	out, buf, err := d.checkAlone(f, w)
+	if err != nil {
+		return nil, err
+	}
+	layOut([]WitnessSpec{w}, []*WitnessOutcome{out})
+	putVerdicts(buf)
+	return out, nil
+}
+
+// checkAlone is CheckWitness but for the layout: the outcome's verdicts
+// are still buf's. A lost shadow set replays the lifecycle in full; the
+// partial run's steps are discarded, so step totals match a fault-free
+// run.
+func (d *Driver) checkAlone(f Fleet, w WitnessSpec) (*WitnessOutcome, *[]prop.Violation, error) {
 	var err error
 	for attempt := 0; attempt <= maxWitnessReplays; attempt++ {
-		var outs []*WitnessOutcome
-		if outs, err = d.checkGroup(f, []WitnessSpec{w}); err == nil {
-			return outs[0], nil
+		var (
+			outs []*WitnessOutcome
+			buf  *[]prop.Violation
+		)
+		if outs, buf, err = d.checkGroup(f, []WitnessSpec{w}); err == nil {
+			return outs[0], buf, nil
 		}
 		if !errors.Is(err, ErrShadowLost) {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return nil, err
+	return nil, nil, err
 }
 
 // CheckWitnesses checks a sequence of witnesses, each with exactly the
@@ -370,6 +379,14 @@ func (d *Driver) CheckWitness(f Fleet, w WitnessSpec) (*WitnessOutcome, error) {
 // error no further group starts, the running ones finish and close their
 // shadows, and the error is the lowest-index failed group's.
 func (d *Driver) CheckWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome, error) {
+	outs, _, err := d.checkWitnesses(f, specs)
+	return outs, err
+}
+
+// checkWitnesses is CheckWitnesses, also returning every outcome's
+// violations in witness order as one slice, the one each outcome's
+// Violations views (layOut): a round's violations are built once.
+func (d *Driver) checkWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome, []FederatedViolation, error) {
 	// First fit: a witness joins the first group whose footprint its
 	// prefixes are disjoint from, so the groups come out as few and as
 	// wide as the prefixes allow whatever order the witnesses arrive in.
@@ -389,21 +406,39 @@ func (d *Driver) CheckWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome
 		footprints[g] = append(footprints[g], w.Update.NLRI...)
 	}
 	outs := make([]*WitnessOutcome, len(specs))
+	// The verdict buffers the outcomes' violations sit in until layOut.
+	var (
+		mu   sync.Mutex
+		bufs []*[]prop.Violation
+	)
+	keep := func(buf *[]prop.Violation) {
+		mu.Lock()
+		bufs = append(bufs, buf)
+		mu.Unlock()
+	}
+	defer func() {
+		for _, buf := range bufs {
+			putVerdicts(buf)
+		}
+	}()
 	err := d.parallel(len(groups), func(g int) error {
 		members := make([]WitnessSpec, len(groups[g]))
 		for k, i := range groups[g] {
 			members[k] = specs[i]
 		}
-		got, err := d.checkGroup(f, members)
+		got, buf, err := d.checkGroup(f, members)
 		if errors.Is(err, ErrShadowLost) || errors.Is(err, errGroupChurn) {
 			got = make([]*WitnessOutcome, len(members))
 			for k, w := range members {
-				if got[k], err = d.CheckWitness(f, w); err != nil {
+				if got[k], buf, err = d.checkAlone(f, w); err != nil {
 					return err
 				}
+				keep(buf)
 			}
 		} else if err != nil {
 			return err
+		} else {
+			keep(buf)
 		}
 		for k, i := range groups[g] {
 			outs[i] = got[k]
@@ -411,9 +446,9 @@ func (d *Driver) CheckWitnesses(f Fleet, specs []WitnessSpec) ([]*WitnessOutcome
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return outs, nil
+	return outs, layOut(specs, outs), nil
 }
 
 // parallel runs fn(0) … fn(n-1) on a pool of up to Opts.Workers
@@ -481,49 +516,83 @@ func disjoint(a, b []netaddr.Prefix) bool {
 // can be trusted.
 var errGroupChurn = errors.New("federated: a group member did not converge")
 
-// verdictBufs recycles prop.Evaluate's output buffer: a witness's
-// verdicts (≈ 80 on a 64-AS round) are copied out at once, so growing a
-// fresh slice for each cost more than the copies.
+// verdictBufs recycles prop.Evaluate's output buffer: a group's
+// verdicts (≈ 80 per witness on a 64-AS round) stay in it until layOut
+// renders them, so growing a fresh slice for each cost more than the
+// copies.
 var verdictBufs = sync.Pool{New: func() any { return new([]prop.Violation) }}
+
+// maxPooledVerdicts caps the buffers verdictBufs keeps: one witness's
+// verdicts fit, but a wide group's buffer holds hundreds of its members'
+// at once, and pooling those kept ≈ 2 MB more resident on `fleet_inproc`.
+const maxPooledVerdicts = 256
+
+// putVerdicts recycles a verdict buffer once layOut has read it.
+func putVerdicts(buf *[]prop.Violation) {
+	if cap(*buf) > maxPooledVerdicts {
+		return
+	}
+	clear((*buf)[:cap(*buf)]) // drop the verdicts' references to this round's facts
+	verdictBufs.Put(buf)
+}
 
 // checkGroup runs one group's lifecycle on a fresh shadow set and judges
 // each member: the collected facts go through prop.Evaluate, which is the
 // entire oracle logic. The set never hosts a second group, so a
-// non-converging wave retires it by construction.
-func (d *Driver) checkGroup(f Fleet, group []WitnessSpec) ([]*WitnessOutcome, error) {
+// non-converging wave retires it by construction. Each outcome's verdicts
+// stay in the returned buffer until layOut renders them, and the caller
+// recycles it (putVerdicts) after that; on an error there is none.
+func (d *Driver) checkGroup(f Fleet, group []WitnessSpec) ([]*WitnessOutcome, *[]prop.Violation, error) {
 	sh := f.OpenShadows()
 	defer sh.Close()
 	facts, err := d.CollectFacts(f, sh, group)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	outs := make([]*WitnessOutcome, len(group))
 	buf := verdictBufs.Get().(*[]prop.Violation)
-	defer func() {
-		clear((*buf)[:cap(*buf)]) // drop the verdicts' references to this round's facts
-		verdictBufs.Put(buf)
-	}()
 	vs := (*buf)[:0]
-	for i, w := range group {
+	for i := range group {
 		fa := facts[i]
 		if len(group) > 1 && fa.Update.Pending+fa.Withdraw.Pending > 0 {
-			return nil, errGroupChurn
+			*buf = vs
+			putVerdicts(buf)
+			return nil, nil, errGroupChurn
 		}
-		vs = prop.Evaluate(vs[:0], d.Props, fa)
-		*buf = vs
-		out := &WitnessOutcome{Steps: fa.Update.Steps + fa.Withdraw.Steps}
-		if len(vs) > 0 {
-			out.Violations = make([]FederatedViolation, 0, len(vs))
-		}
-		for _, v := range vs {
-			out.Violations = append(out.Violations, FederatedViolation{
+		n := len(vs)
+		vs = prop.Evaluate(vs, d.Props, fa)
+		outs[i] = &WitnessOutcome{Steps: fa.Update.Steps + fa.Withdraw.Steps, verdicts: vs[n:len(vs):len(vs)]}
+	}
+	*buf = vs
+	return outs, buf, nil
+}
+
+// layOut renders the outcomes' verdicts as violations of the witnesses
+// they judged (specs, the same order), all of them in one slice, and
+// points each outcome's Violations at its own share of it.
+func layOut(specs []WitnessSpec, outs []*WitnessOutcome) []FederatedViolation {
+	total := 0
+	for _, out := range outs {
+		total += len(out.verdicts)
+	}
+	if total == 0 {
+		return nil
+	}
+	all := make([]FederatedViolation, 0, total)
+	for i, out := range outs {
+		w, lo := &specs[i], len(all)
+		for _, v := range out.verdicts {
+			all = append(all, FederatedViolation{
 				Kind: v.Kind, Node: v.Node, Source: w.Node, Peer: w.Peer, Prefix: w.Update.NLRI[0],
 				Hops: v.Hops, Cause: v.Cause, Waves: v.Waves, WaveTail: v.WaveTail,
 			})
 		}
-		outs[i] = out
+		if len(all) > lo {
+			out.Violations = all[lo:len(all):len(all)]
+		}
+		out.verdicts = nil
 	}
-	return outs, nil
+	return all
 }
 
 // CollectFacts plays a disjoint-prefix group's witness lifecycle over sh

@@ -78,6 +78,37 @@ func benchWitnessSpecs(tb testing.TB, k int) []WitnessSpec {
 	return specs
 }
 
+// wireStorm connects a coordinator to one loopback agent per node of
+// topo, every connection counting its bytes into wireBytes, and returns
+// it with BenchmarkWireRound's 16-witness storm, checked once: the
+// witnesses must actually propagate and leak, or the storm measures
+// nothing. Fabric build and convergence are setup.
+func wireStorm(tb testing.TB, topo *core.Topology, wireBytes *int64) (*Coordinator, []WitnessSpec) {
+	tb.Helper()
+	dialers := make([]Dialer, 0, len(topo.Nodes))
+	for _, n := range topo.Nodes {
+		ag, err := NewAgent(topo, n.Name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		dialers = append(dialers, countingDialer{inner: Loopback{Agent: ag}, bytes: wireBytes})
+	}
+	coord, err := Connect(topo, core.FederatedOptions{}, dialers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { coord.Close() })
+	specs := benchWitnessSpecs(tb, 16)
+	outs, err := coord.CheckWitnesses(specs[:1])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if outs[0].Steps < 2 || len(outs[0].Violations) == 0 {
+		tb.Fatalf("bench witness inert: %d steps, %d violations", outs[0].Steps, len(outs[0].Violations))
+	}
+	return coord, specs
+}
+
 // BenchmarkWireRound measures the wire-dominated phase of a distributed
 // round — a 16-witness cross-domain check storm — over loopback agents.
 // Exploration is excluded on purpose: it would only dilute the transport
@@ -91,37 +122,11 @@ func BenchmarkWireRound(b *testing.B) {
 		{"mesh-5", core.MeshTopology(5)},
 	}
 	for _, sh := range shapes {
-		// Fabric build and convergence are setup.
-		agents := make([]*Agent, 0, len(sh.topo.Nodes))
-		for _, n := range sh.topo.Nodes {
-			ag, err := NewAgent(sh.topo, n.Name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			agents = append(agents, ag)
-		}
-		specs := benchWitnessSpecs(b, 16)
 		b.Run(sh.name, func(b *testing.B) {
 			var wireBytes int64
-			dialers := make([]Dialer, len(agents))
-			for i, ag := range agents {
-				dialers[i] = countingDialer{inner: Loopback{Agent: ag}, bytes: &wireBytes}
-			}
-			coord, err := Connect(sh.topo, core.FederatedOptions{}, dialers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer coord.Close()
-			// Sanity: the witnesses must actually propagate and leak,
-			// or the storm measures nothing.
-			outs, err := coord.CheckWitnesses(specs[:1])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if outs[0].Steps < 2 || len(outs[0].Violations) == 0 {
-				b.Fatalf("bench witness inert: %d steps, %d violations", outs[0].Steps, len(outs[0].Violations))
-			}
+			coord, specs := wireStorm(b, sh.topo, &wireBytes)
 			violations := 0
+			b.ReportAllocs()
 			b.ResetTimer()
 			atomic.StoreInt64(&wireBytes, 0)
 			for i := 0; i < b.N; i++ {
@@ -137,6 +142,30 @@ func BenchmarkWireRound(b *testing.B) {
 			b.ReportMetric(float64(atomic.LoadInt64(&wireBytes))/float64(b.N), "wire-B/op")
 			b.ReportMetric(float64(violations), "violations")
 		})
+	}
+}
+
+// wireRoundAllocs bounds what BenchmarkWireRound/mesh-5's op allocates,
+// both ends of the wire together: the steady-state RPC allocates only
+// what its caller keeps (5 347 objects when the bound was set, against
+// 9 482 with a fresh buffer per frame and a copy per message and name)
+// and 10 % of headroom.
+const wireRoundAllocs = 5_880
+
+// TestWireRoundAllocBudget holds BenchmarkWireRound/mesh-5's storm to
+// wireRoundAllocs. Under the race detector the pool drops a share of
+// its buffers (raceEnabled), so there the storm runs unmeasured.
+func TestWireRoundAllocBudget(t *testing.T) {
+	var wireBytes int64
+	coord, specs := wireStorm(t, core.MeshTopology(5), &wireBytes)
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := coord.CheckWitnesses(specs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per storm", got)
+	if got > wireRoundAllocs && !raceEnabled {
+		t.Errorf("a mesh-5 witness storm allocates %.0f objects, budget %d", got, wireRoundAllocs)
 	}
 }
 

@@ -70,6 +70,17 @@ type Pending struct {
 // the deadline passes) and returns the call's error.
 func (p *Pending) Wait() error { return <-p.errc }
 
+// reset readies p for a new call, keeping its channel. p's previous call,
+// if any, has been waited for: every call completes exactly once, so the
+// channel is empty again and nothing else still refers to p.
+func (p *Pending) reset(method string, result any) {
+	errc := p.errc
+	if errc == nil {
+		errc = make(chan error, 1)
+	}
+	*p = Pending{method: method, result: result, errc: errc}
+}
+
 // Client speaks the wire protocol to one agent. Calls are pipelined:
 // any number of requests may be in flight per connection, a reader
 // goroutine matches responses to callers by ID. Call gives the
@@ -110,6 +121,9 @@ type Client struct {
 	node   string
 
 	readerOnce sync.Once
+	// names interns the node names of decoded responses; only the read
+	// loop touches it.
+	names nameTable
 }
 
 // setTelemetry attaches metrics, tracing and the node identity to this
@@ -127,6 +141,7 @@ func NewClient(conn io.ReadWriteCloser) *Client {
 		conn:      conn,
 		pending:   make(map[uint64]*Pending),
 		abandoned: make(map[uint64]struct{}),
+		names:     make(nameTable),
 	}
 }
 
@@ -158,13 +173,22 @@ func (c *Client) Call(method string, params, result any) error {
 // non-nil) is written before Wait returns; it must not be read until
 // then. params and result must be wire message types.
 func (c *Client) Go(method string, params, result any) *Pending {
-	p := &Pending{method: method, result: result, errc: make(chan error, 1)}
+	p := new(Pending)
+	c.send(p, method, params, result)
+	return p
+}
+
+// send is Go on a Pending the caller owns and may send again once it has
+// been waited for (Pending.reset): the coordinator keeps one per call it
+// can have in flight, so a steady-state call allocates no Pending.
+func (c *Client) send(p *Pending, method string, params, result any) {
+	p.reset(method, result)
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
 		c.mu.Unlock()
 		p.errc <- err
-		return p
+		return
 	}
 	c.next++
 	id := c.next
@@ -181,25 +205,29 @@ func (c *Client) Go(method string, params, result any) *Pending {
 	// race back before this goroutine regains the CPU.
 	c.readerOnce.Do(func() { go c.readLoop() })
 
-	frame, err := encodeRequest(id, method, params)
+	fp := getFrame()
+	frame, err := encodeRequest(*fp, id, method, params)
 	if err != nil {
 		// An unencodable request is a caller bug, not stream corruption:
 		// nothing hit the wire, so the connection stays healthy.
+		putFrame(fp)
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
 		p.errc <- err
-		return p
+		return
 	}
 	tm.clientSent(method, len(frame)-frameHeader)
 	c.writeMu.Lock()
 	werr := sendFrame(c.conn, frame)
 	c.writeMu.Unlock()
+	*fp = frame
+	putFrame(fp)
 	if werr != nil {
 		// fail delivers the broken error to every pending call,
 		// including this one.
 		c.fail(id, fmt.Errorf("send %s: %v", method, werr))
-		return p
+		return
 	}
 	if d := c.Timeout; d > 0 {
 		c.mu.Lock()
@@ -211,7 +239,6 @@ func (c *Client) Go(method string, params, result any) *Pending {
 		}
 		c.mu.Unlock()
 	}
-	return p
 }
 
 // maxAbandoned caps the abandoned-ID set. Entries normally leave when
@@ -281,49 +308,64 @@ func (c *Client) fail(frameID uint64, cause error) {
 }
 
 // readLoop drains response frames and completes pending calls. Any
-// framing-level problem poisons the connection and stops the loop.
+// framing-level problem poisons the connection and stops the loop. Each
+// frame is read into a pooled buffer, which goes back to the pool once
+// the frame is decoded: the decoded result holds none of it.
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, frameReadBuffer)
+	var fp *[]byte
+	pooled := func(n int) []byte {
+		fp = getBuf(n)
+		return *fp
+	}
 	for {
-		payload, err := readPayload(br)
+		payload, err := readPayload(br, pooled)
 		if err != nil {
 			c.fail(0, fmt.Errorf("recv: %v", err))
 			return
 		}
-		id, errMsg, body, err := parseResponse(payload)
-		if err != nil {
-			c.fail(id, fmt.Errorf("garbled response: %v", err))
+		if !c.dispatch(payload) {
 			return
 		}
-		c.mu.Lock()
-		p, ok := c.pending[id]
-		delete(c.pending, id)
-		tm := c.tm
-		if !ok {
-			// A late answer to a timed-out call is expected and harmless:
-			// drop the body undecoded and keep reading. Any other unknown
-			// ID means the stream is desynchronized.
-			if _, late := c.abandoned[id]; late {
-				delete(c.abandoned, id)
-				c.mu.Unlock()
-				continue
-			}
+		putFrame(fp)
+	}
+}
+
+// dispatch completes the pending call one response payload answers and
+// reports whether the read loop goes on. Nothing it leaves behind aliases
+// payload.
+func (c *Client) dispatch(payload []byte) bool {
+	id, errMsg, body, err := parseResponse(payload)
+	if err != nil {
+		c.fail(id, fmt.Errorf("garbled response: %v", err))
+		return false
+	}
+	c.mu.Lock()
+	p, ok := c.pending[id]
+	delete(c.pending, id)
+	tm := c.tm
+	if !ok {
+		// A late answer to a timed-out call is expected and harmless:
+		// drop the body undecoded and keep reading. Any other unknown
+		// ID means the stream is desynchronized.
+		if _, late := c.abandoned[id]; late {
+			delete(c.abandoned, id)
 			c.mu.Unlock()
-			c.fail(id, fmt.Errorf("response id %d matches no pending request", id))
-			return
+			return true
 		}
 		c.mu.Unlock()
-		if p.timer != nil {
-			p.timer.Stop()
-		}
-		tm.clientDone(p.method, p.start, len(payload))
-		p.span.End()
-		callErr := c.complete(p, errMsg, body)
-		p.errc <- callErr
-		if callErr != nil && errors.Is(callErr, ErrClientBroken) {
-			return
-		}
+		c.fail(id, fmt.Errorf("response id %d matches no pending request", id))
+		return false
 	}
+	c.mu.Unlock()
+	if p.timer != nil {
+		p.timer.Stop()
+	}
+	tm.clientDone(p.method, p.start, len(payload))
+	p.span.End()
+	callErr := c.complete(p, errMsg, body)
+	p.errc <- callErr
+	return callErr == nil || !errors.Is(callErr, ErrClientBroken)
 }
 
 // complete decodes one response into its pending call's result. A body
@@ -340,7 +382,9 @@ func (c *Client) complete(p *Pending, errMsg string, body []byte) error {
 	if !ok {
 		return fmt.Errorf("dist: %s result type %T has no wire decoding", p.method, p.result)
 	}
-	if err := decodeBody(body, msg); err != nil {
+	dec := decoder(body)
+	dec.names = c.names
+	if err := decodeWith(dec, msg); err != nil {
 		c.fail(p.id, fmt.Errorf("decode %s result: %v", p.method, err))
 		c.mu.Lock()
 		err = c.broken
@@ -350,9 +394,9 @@ func (c *Client) complete(p *Pending, errMsg string, body []byte) error {
 	return nil
 }
 
-// encodeRequest renders one request frame (see newFrame). params may be
-// nil for parameterless methods.
-func encodeRequest(id uint64, method string, params any) ([]byte, error) {
+// encodeRequest appends one request payload to frame, a getFrame buffer.
+// params may be nil for parameterless methods.
+func encodeRequest(frame []byte, id uint64, method string, params any) ([]byte, error) {
 	var msg message
 	if params != nil {
 		m, ok := params.(message)
@@ -361,5 +405,5 @@ func encodeRequest(id uint64, method string, params any) ([]byte, error) {
 		}
 		msg = m
 	}
-	return appendRequest(newFrame(), id, method, msg)
+	return appendRequest(frame, id, method, msg)
 }

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -395,28 +396,40 @@ func (c *Coordinator) call(node, method string, params, result any) error {
 }
 
 // attempt is one try of a call, on the client generation it was issued
-// on (cl nil: the node has failed).
+// on (cl nil: the node has failed). A waited-for attempt may be launched
+// again, its Pending with it (Client.send).
 type attempt struct {
 	node, method   string
 	params, result any
 	cl             *Client
 	gen            uint64
-	p              *Pending
+	p              Pending
 }
 
-// start issues an attempt on node's current client, result re-zeroed
-// first so a partial decode never leaks into a retry.
+// start launches a new attempt.
 func (c *Coordinator) start(node, method string, params, result any) *attempt {
-	nc := c.conns[node]
 	a := &attempt{node: node, method: method, params: params, result: result}
-	if a.cl, a.gen = nc.current(); a.cl == nil {
-		a.p = &Pending{method: method, errc: make(chan error, 1)}
-		a.p.errc <- nc.failedErr()
-		return a
-	}
-	zeroResult(result)
-	a.p = a.cl.Go(method, params, result)
+	c.launch(a)
 	return a
+}
+
+// launch sends a on its node's current client, result re-zeroed first so
+// a partial decode never leaks into a retry. An inject_witness answer
+// keeps its Results' capacity: a shadow set decodes each step's answers
+// into the last step's (list).
+func (c *Coordinator) launch(a *attempt) {
+	nc := c.conns[a.node]
+	if a.cl, a.gen = nc.current(); a.cl == nil {
+		a.p.reset(a.method, nil)
+		a.p.errc <- nc.failedErr()
+		return
+	}
+	if r, ok := a.result.(*InjectBatchResult); ok {
+		*r = InjectBatchResult{Results: r.Results[:0]}
+	} else {
+		zeroResult(a.result)
+	}
+	a.cl.send(&a.p, a.method, a.params, a.result)
 }
 
 // wait finishes a call under the one attempt-and-recover discipline: a
@@ -442,7 +455,7 @@ func (c *Coordinator) wait(a *attempt) error {
 		if tries == c.policy.MaxReconnects+2 {
 			return err
 		}
-		a = c.start(a.node, a.method, a.params, a.result)
+		c.launch(a)
 	}
 }
 
@@ -812,8 +825,16 @@ type shadowSet struct {
 	depth  int             // what this set adds to the relay-depth gauge
 	called map[string]bool // agents the set has called: Close's fan-out
 
-	agents []string       // a step's agents, in first-delivery order
-	slot   map[string]int // agent → index into agents
+	// A step's scratch, reused by the set's next step: its agents in
+	// first-delivery order, agent → index into them, and per agent the
+	// batch, its answer, its call and how many of the answer's results
+	// the step has mapped back.
+	agents []string
+	slot   map[string]int
+	params []InjectBatchParams
+	outs   []InjectBatchResult
+	calls  []attempt
+	taken  []int
 }
 
 // first records a call to node: true for the set's first, marked Open.
@@ -834,19 +855,18 @@ func shadowLost(err error) error {
 	return err
 }
 
-// fanOut issues one pipelined inject_witness per node — all in flight at
-// once; the agents sit on different connections, so the fan-out completes
-// in one RTT — and waits for every answer, each through the recovering
-// wait. It returns the first error; the answers of the nodes that
-// answered are filled in regardless.
-func (c *Coordinator) fanOut(nodes []string, params []*InjectBatchParams, outs []InjectBatchResult) error {
-	calls := make([]*attempt, len(nodes))
-	for i, n := range nodes {
-		calls[i] = c.start(n, MethodInjectWitness, params[i], &outs[i])
+// fanOut launches one pipelined call per attempt — all in flight at once;
+// the agents sit on different connections, so the fan-out completes in
+// one RTT — and waits for every answer, each through the recovering wait.
+// It returns the first error; the answers of the nodes that answered are
+// filled in regardless.
+func (c *Coordinator) fanOut(calls []attempt) error {
+	for i := range calls {
+		c.launch(&calls[i])
 	}
 	var firstErr error
-	for _, a := range calls {
-		if err := c.wait(a); err != nil && firstErr == nil {
+	for i := range calls {
+		if err := c.wait(&calls[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -933,12 +953,14 @@ func (s *shadowSet) setDepth(depth int) {
 // one pipelined inject_witness per agent under a fresh key (fanOut; a
 // retry after a transport fault resends the same params, so the same
 // key, and the agent's memo answers it), and the answers mapped back
-// onto the deliveries in order.
+// onto the deliveries in order. The step's slices are the set's scratch,
+// overwritten by its next step; what the relay keeps of an answer (the
+// emitted messages, the after-views' PropMatch) is decoded afresh for
+// every answer, so no later step writes over it.
 func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delivery, string, []byte), wantAt bool) error {
 	s.setDepth(depth)
 	s.agents = s.agents[:0]
 	clear(s.slot)
-	var params []*InjectBatchParams
 	for i := range step {
 		d := &step[i]
 		k, ok := s.slot[d.To]
@@ -946,25 +968,36 @@ func (s *shadowSet) step(step []core.Delivery, depth int, emit func(*core.Delive
 			k = len(s.agents)
 			s.slot[d.To] = k
 			s.agents = append(s.agents, d.To)
-			params = append(params, &InjectBatchParams{ShadowID: s.id, Open: s.first(d.To), Key: s.c.keys.Add(1), WantProps: wantAt})
+			if k == len(s.params) {
+				s.params = append(s.params, InjectBatchParams{})
+			}
+			s.params[k] = InjectBatchParams{ShadowID: s.id, Open: s.first(d.To), Key: s.c.keys.Add(1), WantProps: wantAt,
+				Deliveries: s.params[k].Deliveries[:0]}
 		}
-		params[k].Deliveries = append(params[k].Deliveries, BatchDelivery{From: d.From, Msg: d.Data, Watch: d.Watch})
+		s.params[k].Deliveries = append(s.params[k].Deliveries, BatchDelivery{From: d.From, Msg: d.Data, Watch: d.Watch})
 	}
+	n := len(s.agents)
+	params := s.params[:n]
 	s.c.metrics.noteRelayStep(params)
-	outs := make([]InjectBatchResult, len(s.agents))
-	if err := s.c.fanOut(s.agents, params, outs); err != nil {
+	s.outs = slices.Grow(s.outs[:0], n)[:n]
+	s.calls = slices.Grow(s.calls[:0], n)[:n]
+	for i, a := range s.agents {
+		s.calls[i] = attempt{node: a, method: MethodInjectWitness, params: &params[i], result: &s.outs[i], p: s.calls[i].p}
+	}
+	if err := s.c.fanOut(s.calls); err != nil {
 		return err
 	}
-	for i, out := range outs {
+	for i, out := range s.outs {
 		if len(out.Results) != len(params[i].Deliveries) {
 			return fmt.Errorf("dist: %s answered %d results for a batch of %d", s.agents[i], len(out.Results), len(params[i].Deliveries))
 		}
 	}
+	s.taken = append(s.taken[:0], make([]int, n)...)
 	for i := range step {
 		d := &step[i]
-		out := &outs[s.slot[d.To]]
-		res := &out.Results[0]
-		out.Results = out.Results[1:]
+		k := s.slot[d.To]
+		res := &s.outs[k].Results[s.taken[k]]
+		s.taken[k]++
 		var err error
 		if d.After, err = s.c.routeView(&res.After); err != nil {
 			return err

@@ -73,6 +73,28 @@
 // answer after such a hello, the findings the session already returned
 // (Coordinator.dropKnown): its warm rounds read as a healthy fleet's.
 //
+// Buffer ownership: an RPC allocates only what its caller keeps.
+//
+//   - A frame buffer comes from one pool (wire.go) and has one owner at a
+//     time. An outgoing frame's is the sender's until Write returns —
+//     Write retains nothing, by io.Writer's contract — and goes back to
+//     the pool then. A response the coordinator reads is its read loop's
+//     until the answer is decoded into the caller's result, and goes back
+//     then; the pool keeps no buffer over 16 KiB.
+//   - A decoded message never aliases a pooled buffer. A response's BGP
+//     messages are copied into one slab per frame and its node names are
+//     interned, so a result outlives its frame. The agent reads each
+//     request into a fresh body that nothing reuses, and the decoded
+//     params' messages alias it: a shadow may keep a delivery's bytes for
+//     as long as it lives. The params value itself is reused: each
+//     connection decodes every inject_witness into one (reqDecoder), and
+//     a shadow set decodes each step's answers into the last step's, so
+//     neither may be kept past the call.
+//   - Memo answers are never pooled or reused: rpcServer.execute keeps
+//     the handler's result itself, and a retry re-encodes it, so the
+//     answer must stay what it was when first sent. Only the frame it is
+//     encoded into is pooled.
+//
 // Transports: the protocol runs over any io.ReadWriteCloser. Loopback (net.Pipe against an in-process Agent)
 // gives deterministic single-process tests; TCP gives real process
 // separation (cmd/dicenode is the agent binary, cmd/dice -distributed

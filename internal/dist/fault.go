@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -142,7 +143,7 @@ func (d *FaultDialer) Dial() (io.ReadWriteCloser, error) {
 	}
 	for _, spec := range d.Plan.Specs {
 		if spec.Conn == idx && spec.Kind != FaultNone {
-			return &faultConn{inner: conn, spec: spec, delay: d.Plan.Delay, faults: d.Faults}, nil
+			return &faultConn{inner: conn, in: bufio.NewReaderSize(conn, frameReadBuffer), spec: spec, delay: d.Plan.Delay, faults: d.Faults}, nil
 		}
 	}
 	return conn, nil
@@ -156,6 +157,7 @@ func (d *FaultDialer) Dial() (io.ReadWriteCloser, error) {
 // how the transport chunks reads. Writes pass through untouched.
 type faultConn struct {
 	inner  io.ReadWriteCloser
+	in     *bufio.Reader // inner's read side, framed by readPayload
 	spec   FaultSpec
 	delay  time.Duration
 	faults *telemetry.CounterVec
@@ -170,7 +172,7 @@ func (f *faultConn) Read(p []byte) (int, error) {
 		if f.err != nil {
 			return 0, f.err
 		}
-		payload, err := readPayload(f.inner)
+		payload, err := readPayload(f.in, freshBody)
 		if err != nil {
 			return 0, err
 		}

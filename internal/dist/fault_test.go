@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"io"
@@ -192,7 +193,7 @@ func TestBrokenError(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	defer srvConn.Close()
 	go func() {
-		if _, err := readPayload(srvConn); err != nil {
+		if _, err := readPayload(bufio.NewReader(srvConn), freshBody); err != nil {
 			return
 		}
 		writePayload(srvConn, appendResponse(nil, 99, "", nil)) //nolint:errcheck // test server

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -18,7 +19,7 @@ import (
 // writePayload frames and sends an already-encoded payload, the way the
 // hand-rolled servers in these tests answer.
 func writePayload(w io.Writer, body []byte) error {
-	return sendFrame(w, append(newFrame(), body...))
+	return sendFrame(w, append(make([]byte, frameHeader), body...))
 }
 
 // dialCounter counts the dials Connect spends on one peer.
@@ -43,7 +44,7 @@ func (s helloStub) Dial() (io.ReadWriteCloser, error) {
 	cli, srv := net.Pipe()
 	go func() {
 		defer srv.Close()
-		payload, err := readPayload(srv)
+		payload, err := readPayload(bufio.NewReader(srv), freshBody)
 		if err != nil {
 			return
 		}
@@ -175,8 +176,9 @@ func misbehavingServer(t *testing.T, respond func(conn io.Writer, id uint64)) *C
 	cli, srv := net.Pipe()
 	t.Cleanup(func() { cli.Close(); srv.Close() })
 	go func() {
+		br := bufio.NewReader(srv)
 		for {
-			payload, err := readPayload(srv)
+			payload, err := readPayload(br, freshBody)
 			if err != nil {
 				return
 			}
@@ -287,9 +289,9 @@ func (c *ioCountingConn) Write(p []byte) (int, error) {
 }
 
 // TestFrameCostsOneWriteOneRead: a typical frame leaves in one Write
-// built with one allocation, and arrives in one Read (header and body
-// together, through the small frame buffer) — while a frame larger than
-// that buffer still round-trips intact.
+// built in a pooled buffer, without an allocation, and arrives in one
+// Read (header and body together, through the small frame buffer) —
+// while a frame larger than that buffer still round-trips intact.
 func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	ag, err := NewAgent(leakTopo3(), "provider")
 	if err != nil {
@@ -352,18 +354,99 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 		t.Error("inject_witness batch mangled by the buffered reader")
 	}
 
+	// Under the race detector the pool drops a share of what it is handed
+	// (raceEnabled), so there a frame may still cost its buffer.
+	maxAllocs := 0.0
+	if raceEnabled {
+		maxAllocs = 1
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		frame, err := encodeRequest(7, MethodQueryOracle, q)
+		fp := getFrame()
+		frame, err := encodeRequest(*fp, 7, MethodQueryOracle, q)
 		if err == nil {
 			err = sendFrame(io.Discard, frame)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 1 {
-		t.Errorf("an outgoing frame costs %.0f allocations, want 1", allocs)
+		*fp = frame
+		putFrame(fp)
+	}); allocs > maxAllocs {
+		t.Errorf("an outgoing frame costs %.0f allocations, want at most %.0f", allocs, maxAllocs)
 	}
 	if err := sendFrame(io.Discard, make([]byte, frameHeader+maxFrame+1)); err == nil {
 		t.Error("sendFrame accepted a frame over maxFrame")
+	}
+}
+
+// TestDecodedMessagesOutliveTheirFrame: a decoded answer owns its bytes.
+// Every pooled frame buffer is scribbled over as it goes back to the pool
+// (scribbleFrames), so an answer decoded from a buffer already returned,
+// or still aliasing one, shows at once. An inject_witness answer — its
+// emissions' To and Msg, CoveringNextPeer and PropMatch — must re-encode
+// to the bytes it had when its call returned after many more calls have
+// reused the buffers, and a retry of its keyed call must get the memo's
+// byte-identical answer.
+func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
+	scribbleFrames.Store(true)
+	t.Cleanup(func() { scribbleFrames.Store(false) })
+	ag, err := NewAgent(leakTopo3(), "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Loopback{Agent: ag}.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(conn)
+	cl.Session, cl.Properties = 1, atProps()
+	defer cl.Close()
+	if _, err := cl.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	u := *ag.self.LastObserved("customer")
+	batch := func(shadow uint64) *InjectBatchParams {
+		p := &InjectBatchParams{ShadowID: shadow, Open: true, Key: shadow, WantProps: true}
+		for i := 0; i < 8; i++ {
+			u.NLRI = []netaddr.Prefix{netaddr.PrefixFrom(netaddr.AddrFrom4(10, 9, byte(shadow), byte(i)), 32)}
+			wire, err := bgp.Encode(&u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Deliveries = append(p.Deliveries, BatchDelivery{From: "customer", Msg: wire, Watch: u.NLRI[0]})
+		}
+		return p
+	}
+	first := batch(1)
+	var got InjectBatchResult
+	if err := cl.Call(MethodInjectWitness, first, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := encodeBody(nil, &got)
+	r := got.Results[0]
+	if len(r.Emitted) == 0 || r.Emitted[0].To == "" || len(r.Emitted[0].Msg) == 0 || r.After.CoveringNextPeer == "" || len(r.After.PropMatch) == 0 {
+		t.Fatalf("answer %+v leaves a field this test guards empty", r)
+	}
+
+	for shadow := uint64(2); shadow < 34; shadow++ {
+		var other InjectBatchResult
+		if err := cl.Call(MethodInjectWitness, batch(shadow), &other); err != nil {
+			t.Fatal(err)
+		}
+		var q QueryOracleResult
+		if err := cl.Call(MethodQueryOracle, &QueryOracleParams{ShadowID: shadow, Prefix: netaddr.MustParsePrefix("10.7.0.0/16")}, &q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again := encodeBody(nil, &got); !bytes.Equal(again, want) {
+		t.Errorf("a decoded answer changed after its frame was reused:\nat return %x\nnow       %x", want, again)
+	}
+
+	var retried InjectBatchResult
+	if err := cl.Call(MethodInjectWitness, first, &retried); err != nil {
+		t.Fatal(err)
+	}
+	if again := encodeBody(nil, &retried); !bytes.Equal(again, want) {
+		t.Errorf("a retried keyed inject_witness answered\n%x\nnot the memo's\n%x", again, want)
 	}
 }

@@ -104,7 +104,8 @@ func (s *rpcServer) ServeConn(conn io.ReadWriteCloser) error {
 func (s *rpcServer) readRequests(conn io.ReadWriteCloser, reqs chan<- connReq, errc <-chan error) error {
 	br := bufio.NewReaderSize(conn, frameReadBuffer)
 	for !s.isDraining() {
-		payload, err := readPayload(br)
+		// A fresh body per request: the decoded request may alias it.
+		payload, err := readPayload(br, freshBody)
 		if err != nil {
 			select {
 			case werr := <-errc:
@@ -193,13 +194,19 @@ func (s *rpcServer) Shutdown(grace time.Duration) {
 	<-done
 }
 
-// serveRequests is the per-connection worker: it executes queued
-// requests in order and writes each response. On a write failure it
-// closes the connection so the reader unblocks, and parks the error for
-// the reader to return.
+// serveRequests is the per-connection worker: it decodes and executes
+// queued requests in order and writes each response, rendered into a
+// pooled frame that goes back to the pool once Write has returned. On a
+// write failure it closes the connection so the reader unblocks, and
+// parks the error for the reader to return.
 func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, errc chan<- error) {
+	dec := &reqDecoder{names: make(nameTable)}
 	for cr := range reqs {
-		if err := sendFrame(conn, s.respond(cr)); err != nil {
+		fp := getFrame()
+		*fp = s.respond(*fp, cr, dec)
+		err := sendFrame(conn, *fp)
+		putFrame(fp)
+		if err != nil {
 			errc <- err
 			conn.Close()
 			return
@@ -207,19 +214,20 @@ func (s *rpcServer) serveRequests(conn io.ReadWriteCloser, reqs <-chan connReq, 
 	}
 }
 
-// respond decodes one request's params, executes it and renders the
-// response frame. Decode and handler errors become error responses.
-func (s *rpcServer) respond(cr connReq) []byte {
+// respond decodes one request's params through the connection's dec,
+// executes it and appends the response payload to frame. Decode and
+// handler errors become error responses.
+func (s *rpcServer) respond(frame []byte, cr connReq, dec *reqDecoder) []byte {
 	var result message
-	params, err := decodeParams(cr.method, cr.body)
+	params, err := decodeParams(cr.method, cr.body, dec)
 	if err == nil {
 		result, err = s.execute(cr.method, params)
 	}
 	s.tm.noteRequest(cr.method, err != nil)
 	if err != nil {
-		return appendResponse(newFrame(), cr.id, err.Error(), nil)
+		return appendResponse(frame, cr.id, err.Error(), nil)
 	}
-	return appendResponse(newFrame(), cr.id, "", result)
+	return appendResponse(frame, cr.id, "", result)
 }
 
 // execute runs one decoded request under the request lock, exactly once

@@ -158,14 +158,14 @@ func (m *Metrics) addRelayDepth(delta int) {
 // noteRelayStep records one relay time step: its width is the number of
 // agents addressed, and each agent handed more than one delivery counts
 // as a batch.
-func (m *Metrics) noteRelayStep(calls []*InjectBatchParams) {
+func (m *Metrics) noteRelayStep(calls []InjectBatchParams) {
 	if m == nil {
 		return
 	}
 	m.relaySteps.Inc()
 	m.relayStepWidth.Observe(float64(len(calls)))
-	for _, p := range calls {
-		if len(p.Deliveries) > 1 {
+	for i := range calls {
+		if len(calls[i].Deliveries) > 1 {
 			m.witnessBatches.Inc()
 		}
 	}

@@ -1,12 +1,15 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"dice/internal/codec"
 	"dice/internal/concolic"
@@ -64,15 +67,68 @@ const maxFrame = 64 << 20
 // frameHeader is the big-endian payload length that opens every frame.
 const frameHeader = 4
 
-// newFrame starts an outgoing frame: the header is reserved up front so
-// the encoders append the payload behind it and sendFrame writes the
-// slice they built — one allocation per typical (≈75 B) frame.
-func newFrame() []byte { return make([]byte, frameHeader, 128) }
+// Frame buffers. An outgoing frame is encoded into a pooled buffer with
+// the header reserved up front (getFrame), so the encoders append the
+// payload behind it and sendFrame writes the slice they built; the buffer
+// goes back to the pool (putFrame) once Write has returned. The
+// coordinator reads each response into a pooled buffer too and returns
+// it once the response is decoded, which is why a decoded response owns
+// every byte it holds (coder.msg, coder.name). The agent reads each
+// request into a fresh body instead, which the decoded request may alias.
+// doc.go states who owns what.
 
-// sendFrame fills in a newFrame-built frame's length and sends it. The
-// header and body go out in a single Write so concurrent writers (the
-// pipelined client, the agent's per-connection worker) interleave only
-// at whole-frame granularity under their write locks.
+// framePool holds frame buffers. It stores *[]byte so that Put costs no
+// allocation.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// A new frame buffer starts at newFrameCap, room for a typical (≈ 75 B)
+// frame; the pool keeps none larger than maxPooledFrame, so a replay
+// trace or a dense explore answer goes back to the garbage collector
+// rather than pinning megabytes under the pool.
+const (
+	newFrameCap    = 128
+	maxPooledFrame = 16 << 10
+)
+
+// getFrame takes a buffer from the pool holding just the reserved header.
+func getFrame() *[]byte { return getBuf(frameHeader) }
+
+// getBuf takes a buffer from the pool, n bytes long.
+func getBuf(n int) *[]byte {
+	fp := framePool.Get().(*[]byte)
+	if cap(*fp) < n {
+		*fp = make([]byte, n, max(n, newFrameCap))
+	} else {
+		*fp = (*fp)[:n]
+	}
+	return fp
+}
+
+// putFrame returns a buffer to the pool; the caller must hold no slice of
+// it any more. *fp may have been grown since getFrame.
+func putFrame(fp *[]byte) {
+	if cap(*fp) > maxPooledFrame {
+		return
+	}
+	if scribbleFrames.Load() {
+		b := (*fp)[:cap(*fp)]
+		for i := range b {
+			b[i] = 0xa5
+		}
+	}
+	framePool.Put(fp)
+}
+
+// scribbleFrames makes putFrame overwrite every buffer it pools, so a
+// decoder still reading one, or a decoded message still aliasing one,
+// reads garbage at once instead of only when the buffer happens to be
+// reused. Tests set it; nothing else does.
+var scribbleFrames atomic.Bool
+
+// sendFrame fills in a frame's length and sends it. The header and body
+// go out in a single Write so concurrent writers (the pipelined client,
+// the agent's per-connection worker) interleave only at whole-frame
+// granularity under their write locks.
 func sendFrame(w io.Writer, frame []byte) error {
 	n := len(frame) - frameHeader
 	if n > maxFrame {
@@ -85,25 +141,37 @@ func sendFrame(w io.Writer, frame []byte) error {
 
 // frameReadBuffer sizes the bufio.Reader client and server read frames
 // through: a typical frame then costs one pipe rendezvous / read(2), not
-// two (header, body). Small on purpose — a fleet holds two per connection.
+// two (header, body), and readPayload peeks the header in it instead of
+// copying it out. Small on purpose — a fleet holds two per connection.
 const frameReadBuffer = 512
 
-// readPayload receives one length-prefixed payload.
-func readPayload(r io.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readPayload receives one length-prefixed payload into a buffer of
+// get's: the agent's get makes a fresh body per request, the
+// coordinator's takes one from the pool. The header is peeked in r's
+// buffer, so reading it allocates nothing, and get runs only once it has
+// arrived: a connection idle between frames holds no buffer.
+func readPayload(r *bufio.Reader, get func(n int) []byte) ([]byte, error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("dist: incoming frame of %d bytes exceeds the %d byte limit", n, maxFrame)
 	}
-	body := make([]byte, n)
+	r.Discard(frameHeader) //nolint:errcheck // the header is buffered: Peek returned it
+	body := get(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
 	return body, nil
 }
+
+// freshBody is readPayload's get for a body nothing else will use.
+func freshBody(n int) []byte { return make([]byte, n) }
 
 // --- The pass ----------------------------------------------------------------
 
@@ -126,20 +194,107 @@ type message interface {
 	wire(c coder) coder
 }
 
-// coder is the wire pass: codec.C plus the protocol's domain types.
-type coder struct{ codec.C }
+// coder is the wire pass: codec.C plus the protocol's domain types, and,
+// decoding, where a message's bytes and node names come from (msg, name).
+type coder struct {
+	codec.C
+	// alias lets BGP messages alias the input: set only over a body
+	// nothing will reuse (the agent's fresh request bodies).
+	alias bool
+	// slab is the frame's one copy of the BGP messages it carries when
+	// they may not alias the input.
+	slab []byte
+	// names interns node names; nil decodes each as a fresh string.
+	names nameTable
+}
 
-func encoder(dst []byte) coder { return coder{codec.Encoder(dst)} }
-func decoder(src []byte) coder { return coder{codec.Decoder(src, errFrame)} }
+func encoder(dst []byte) coder { return coder{C: codec.Encoder(dst)} }
+func decoder(src []byte) coder { return coder{C: codec.Decoder(src, errFrame)} }
 
-// decodeBody decodes a full method body into msg, rejecting trailing
-// bytes. A nil msg accepts only an empty body.
-func decodeBody(body []byte, msg message) error {
-	c := decoder(body)
+// decodeWith decodes a full method body, the input of c, into msg,
+// rejecting trailing bytes. A nil msg accepts only an empty body.
+func decodeWith(c coder, msg message) error {
 	if msg != nil {
 		c = msg.wire(c)
 	}
 	return c.Finish()
+}
+
+// msg is a BGP message's bytes, Bytes on the wire. Decoding aliases the
+// input under alias, and otherwise copies into the frame's slab, sized at
+// the first message to everything left in the input: one allocation per
+// frame, however many messages it carries.
+func (c *coder) msg(v *[]byte) {
+	c.View(v)
+	if !c.Decoding() || c.alias || len(*v) == 0 {
+		return
+	}
+	if cap(c.slab)-len(c.slab) < len(*v) {
+		c.slab = make([]byte, 0, len(*v)+len(c.Buf()))
+	}
+	n := len(c.slab)
+	c.slab = append(c.slab, *v...)
+	*v = c.slab[n:len(c.slab):len(c.slab)]
+}
+
+// name is a node name, Str on the wire, decoded through the pass's
+// intern table.
+func (c *coder) name(v *string) {
+	if !c.Decoding() {
+		c.Str(v)
+		return
+	}
+	var b []byte
+	c.View(&b)
+	if c.Err() == nil {
+		*v = c.names.intern(b)
+	}
+}
+
+// nameTable interns the node names one connection decodes: the sending
+// peers of the requests an agent serves, the emission targets and next
+// peers of the answers a coordinator reads. A node's neighbours are few,
+// so a handful of strings serves every frame. It is bounded, and owned by
+// the connection's one decoding goroutine, so it takes no lock.
+type nameTable map[string]string
+
+// A nameTable keeps at most maxNames names of at most maxNameLen bytes;
+// any other name decodes as a fresh string.
+const (
+	maxNames   = 256
+	maxNameLen = 64
+)
+
+func (t nameTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil && len(t) < maxNames && len(s) <= maxNameLen {
+		t[s] = s
+	}
+	return s
+}
+
+// list is codec.List whose decoding reuses the capacity *s already has,
+// for a slice its owner decodes into again and again and keeps nothing
+// of but what its elements hold. Elements are zeroed before they are
+// decoded; a slice without capacity decodes as codec.List's does.
+func list[T any](c *coder, s *[]T, min int, elem func(*T)) {
+	if !c.Decoding() || cap(*s) == 0 {
+		codec.List(&c.C, s, min, elem)
+		return
+	}
+	n := 0
+	c.Count(&n, min)
+	if c.Err() != nil {
+		return
+	}
+	*s = slices.Grow((*s)[:0], n)[:n]
+	clear(*s)
+	for i := range *s {
+		elem(&(*s)[i])
+	}
 }
 
 // input is a finding's name→value map, entries in sorted name order: the
@@ -384,11 +539,23 @@ func methodName(code uint8) (string, error) {
 	return methodTable[code-1].name, nil
 }
 
+// reqDecoder is what one connection's request decoding keeps from one
+// request to the next: its intern table, and the inject_witness params
+// every such request is decoded into — the handler keeps nothing of them
+// but the bytes and names they point to.
+type reqDecoder struct {
+	names  nameTable
+	inject InjectBatchParams
+}
+
 // decodeParams decodes a request body into the method's params type. The
 // hello's version is read first, and a client speaking another version
 // gets an error naming both while the rest of its body — whose layout
-// this build may not know — is not interpreted.
-func decodeParams(method string, body []byte) (message, error) {
+// this build may not know — is not interpreted. The params' BGP messages
+// alias body, which must therefore be the request's own (readPayload's
+// fresh body on the agent); an inject_witness request is decoded into
+// d.inject, valid until d's next decode.
+func decodeParams(method string, body []byte, d *reqDecoder) (message, error) {
 	code, err := methodCode(method)
 	if err != nil {
 		return nil, err
@@ -404,8 +571,16 @@ func decodeParams(method string, body []byte) (message, error) {
 			return nil, fmt.Errorf("dist: wire protocol v%d, this agent speaks v%d", ver, ProtoVersion)
 		}
 	}
-	p := methodTable[code-1].newParams()
-	return p, decodeBody(body, p)
+	var p message
+	if method == MethodInjectWitness {
+		d.inject = InjectBatchParams{Deliveries: d.inject.Deliveries[:0]}
+		p = &d.inject
+	} else {
+		p = methodTable[code-1].newParams()
+	}
+	c := decoder(body)
+	c.alias, c.names = true, d.names
+	return p, decodeWith(c, p)
 }
 
 // --- hello -------------------------------------------------------------------
@@ -597,7 +772,7 @@ func (r *ExploreResult) wire(c coder) coder {
 	codec.List(&c.C, &r.Findings, 25, c.finding)
 	codec.List(&c.C, &r.Witnesses, 2, func(w *WireWitness) {
 		c.Uint(&w.Finding)
-		c.Bytes(&w.Msg)
+		c.msg(&w.Msg)
 	})
 	return c
 }
@@ -685,9 +860,9 @@ type InjectBatchParams struct {
 func (p *InjectBatchParams) wire(c coder) coder {
 	c.Uvarint(&p.ShadowID)
 	c.Bool(&p.Open)
-	codec.List(&c.C, &p.Deliveries, 7, func(dl *BatchDelivery) {
-		c.Str(&dl.From)
-		c.Bytes(&dl.Msg)
+	list(&c, &p.Deliveries, 7, func(dl *BatchDelivery) {
+		c.name(&dl.From)
+		c.msg(&dl.Msg)
 		c.Prefix(&dl.Watch)
 	})
 	c.Uvarint(&p.Key)
@@ -724,10 +899,10 @@ type InjectBatchResult struct {
 }
 
 func (r *InjectBatchResult) wire(c coder) coder {
-	codec.List(&c.C, &r.Results, 7, func(res *InjectResult) {
+	list(&c, &r.Results, 7, func(res *InjectResult) {
 		codec.List(&c.C, &res.Emitted, 2, func(e *WireEmission) {
-			c.Str(&e.To)
-			c.Bytes(&e.Msg)
+			c.name(&e.To)
+			c.msg(&e.Msg)
 		})
 		c.Uvarint(&res.Before)
 		c = res.After.wire(c)
@@ -792,7 +967,7 @@ func (r *QueryOracleResult) wire(c coder) coder {
 	c.Uvarint(&r.BestToken)
 	c.Bool(&r.HasCovering)
 	c.Bool(&r.CoveringLocal)
-	c.Str(&r.CoveringNextPeer)
+	c.name(&r.CoveringNextPeer)
 	codec.List(&c.C, &r.PropMatch, 1, c.Bool)
 	return c
 }

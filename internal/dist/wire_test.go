@@ -99,6 +99,10 @@ func sampleMessages() []message {
 	}
 }
 
+// decodeBody decodes a full method body into msg as a response is
+// decoded: the message owns every byte it holds.
+func decodeBody(body []byte, msg message) error { return decodeWith(decoder(body), msg) }
+
 // encodeBody appends msg's body to dst.
 func encodeBody(dst []byte, msg message) []byte {
 	c := msg.wire(encoder(dst))
@@ -186,7 +190,7 @@ func TestWireGolden(t *testing.T) {
 	}
 	var lines []string
 	for i, msg := range sampleMessages() {
-		req, err := appendRequest(newFrame(), 99, methodOf(msg), msg)
+		req, err := appendRequest(make([]byte, frameHeader), 99, methodOf(msg), msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +198,7 @@ func TestWireGolden(t *testing.T) {
 		if err := sendFrame(&reqFrame, req); err != nil {
 			t.Fatal(err)
 		}
-		if err := sendFrame(&respFrame, appendResponse(newFrame(), 99, "", msg)); err != nil {
+		if err := sendFrame(&respFrame, appendResponse(make([]byte, frameHeader), 99, "", msg)); err != nil {
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("%02d %T", i, msg)

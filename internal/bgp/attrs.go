@@ -260,25 +260,43 @@ const sortOnStack = 32
 // encode appends the attribute set to dst in canonical (ascending type
 // code) order, every value written in place: the AS_PATH length is
 // computed before its segments are written, and communities go out in
-// ascending order without copying a list that is already sorted.
-func (a *Attrs) encode(dst []byte) ([]byte, error) {
+// ascending order without copying a list that is already sorted. With
+// prepend set, the AS_PATH goes out with lead prepended by
+// ASPath.Prepend's rule: into the leading AS_SEQUENCE while it has room,
+// else in a one-AS segment of its own.
+func (a *Attrs) encode(dst []byte, lead uint16, prepend bool) ([]byte, error) {
 	if a.HasOrigin {
 		if a.Origin > OriginIncomplete {
 			return nil, protoErr(ErrCodeUpdateMessage, ErrSubInvalidOrigin, "origin %d", a.Origin)
 		}
 		dst = append(appendAttrHeader(dst, FlagTransitive, AttrOrigin, 1), a.Origin)
 	}
-	if a.ASPath != nil {
+	if path := a.ASPath; path != nil || prepend {
+		merge := prepend && len(path) > 0 && path[0].Type == ASSequence && len(path[0].ASNs) < 255
 		n := 0
-		for _, seg := range a.ASPath {
-			if len(seg.ASNs) == 0 || len(seg.ASNs) > 255 {
-				return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedASPath, "segment with %d ASNs", len(seg.ASNs))
+		if prepend && !merge {
+			n = 4 // the one-AS segment
+		}
+		for i, seg := range path {
+			k := len(seg.ASNs)
+			if merge && i == 0 {
+				k++
 			}
-			n += 2 + 2*len(seg.ASNs)
+			if k == 0 || k > 255 {
+				return nil, protoErr(ErrCodeUpdateMessage, ErrSubMalformedASPath, "segment with %d ASNs", k)
+			}
+			n += 2 + 2*k
 		}
 		dst = appendAttrHeader(dst, FlagTransitive, AttrASPath, n)
-		for _, seg := range a.ASPath {
-			dst = append(dst, seg.Type, uint8(len(seg.ASNs)))
+		if prepend && !merge {
+			dst = binary.BigEndian.AppendUint16(append(dst, ASSequence, 1), lead)
+		}
+		for i, seg := range path {
+			if merge && i == 0 {
+				dst = binary.BigEndian.AppendUint16(append(dst, ASSequence, uint8(len(seg.ASNs)+1)), lead)
+			} else {
+				dst = append(dst, seg.Type, uint8(len(seg.ASNs)))
+			}
 			for _, as := range seg.ASNs {
 				dst = binary.BigEndian.AppendUint16(dst, as)
 			}
@@ -477,7 +495,7 @@ func (a *Attrs) checkMandatory() error {
 // no encoding, and writes nothing; decoding records its errors on c.
 func AttrBlock(c *codec.C, a *Attrs) error {
 	if !c.Decoding() {
-		b, err := a.encode(make([]byte, 0, 64))
+		b, err := a.encode(make([]byte, 0, 64), 0, false)
 		if err == nil {
 			c.Bytes(&b)
 		}
@@ -491,7 +509,7 @@ func AttrBlock(c *codec.C, a *Attrs) error {
 	}
 	if err != nil {
 		c.Fail("attribute block: %v", err)
-	} else if again, _ := got.encode(nil); !bytes.Equal(again, b) {
+	} else if again, _ := got.encode(nil, 0, false); !bytes.Equal(again, b) {
 		c.Fail("attribute block is not in canonical form")
 	} else {
 		*a = got

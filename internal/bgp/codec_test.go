@@ -205,3 +205,58 @@ func FuzzUpdateCodec(f *testing.F) {
 		}
 	})
 }
+
+// fuzzPath reads an AS path from b: nil for an empty b, else a segment
+// per octet pair after the first — a type octet (AS_SET when its low bit
+// is set, else AS_SEQUENCE; a set second bit adds 255 to the count, so
+// overlong segments occur) and a count octet. A segment's ASNs are made
+// up from its position, not read, so long segments cost few octets.
+func fuzzPath(b []byte) ASPath {
+	if len(b) == 0 {
+		return nil
+	}
+	p := ASPath{}
+	for b = b[1:]; len(b) >= 2; b = b[2:] {
+		seg := ASPathSegment{Type: ASSequence}
+		if b[0]&1 != 0 {
+			seg.Type = ASSet
+		}
+		n := int(b[1])
+		if b[0]&2 != 0 {
+			n += 255
+		}
+		for i := 0; i < n; i++ {
+			seg.ASNs = append(seg.ASNs, uint16(len(p)<<12|i))
+		}
+		p = append(p, seg)
+	}
+	return p
+}
+
+// FuzzPrependEncode: the encoder's AS_PATH prepend (EncodeUpdatePrepend)
+// writes the bytes EncodeUpdate writes for a copy whose path went through
+// ASPath.Prepend, and fails where that does; u itself is left as it was.
+func FuzzPrependEncode(f *testing.F) {
+	f.Add([]byte{}, uint16(65002))              // no AS_PATH
+	f.Add([]byte{0}, uint16(65002))             // an empty one
+	f.Add([]byte{0, 0, 2}, uint16(65002))       // a short AS_SEQUENCE
+	f.Add([]byte{0, 1, 3, 0, 2}, uint16(1))     // an AS_SET first
+	f.Add([]byte{0, 0, 254}, uint16(7))         // room for one more
+	f.Add([]byte{0, 0, 255}, uint16(7))         // full
+	f.Add([]byte{0, 0, 0, 1, 0}, uint16(7))     // empty segments
+	f.Add([]byte{0, 2, 1, 0, 4}, uint16(65535)) // an overlong segment first
+	f.Fuzz(func(t *testing.T, path []byte, as uint16) {
+		u := &Update{Attrs: baseAttrs(), NLRI: []netaddr.Prefix{pfx("203.0.113.0/24")}}
+		u.Attrs.ASPath = fuzzPath(path)
+		got, gotErr := EncodeUpdatePrepend(u, as)
+		ref := *u
+		ref.Attrs.ASPath = u.Attrs.ASPath.Prepend(as)
+		want, wantErr := EncodeUpdate(&ref)
+		if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("path %v, prepend %d:\nencoder %x (%v)\nPrepend %x (%v)", u.Attrs.ASPath, as, got, gotErr, want, wantErr)
+		}
+		if orig := fuzzPath(path); !reflect.DeepEqual(u.Attrs.ASPath, orig) {
+			t.Fatalf("encoding wrote the path: %v, was %v", u.Attrs.ASPath, orig)
+		}
+	})
+}

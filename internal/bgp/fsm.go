@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -44,13 +46,18 @@ type SessionConfig struct {
 // peer. The bytes are handed over: nothing writes them again, so the
 // transport may keep them without copying, but they may be shared with
 // other sessions, so it must not write them either. OnEstablished,
-// OnUpdate and OnDown notify the owner; the UPDATE of a session with a
-// Decoder is valid only until OnUpdate returns. A nil SessionHooks
+// OnUpdate and OnDown notify the owner. OnUpdate gets the decoded UPDATE
+// and its wire bytes. The UPDATE of a session with a Decoder is valid
+// only until OnUpdate returns. The bytes are read-only and the session
+// never writes them again: they are the bytes Recv was given, or the
+// session's own copy of a message it assembled across two deliveries. So
+// the owner may keep them as long as whoever delivered them leaves them
+// unwritten, as netsim.Receiver's caller does. A nil SessionHooks
 // discards everything.
 type SessionHooks interface {
 	Send(wire []byte)
 	OnEstablished()
-	OnUpdate(*Update)
+	OnUpdate(u *Update, wire []byte)
 	OnDown(reason string)
 }
 
@@ -145,15 +152,31 @@ func (s *Session) ConnDown(reason string) {
 
 // Recv feeds raw bytes from the transport. Complete messages are framed
 // and processed; a trailing partial message is buffered. data is only
-// read: when nothing is buffered, messages are framed straight from it
-// and only a partial tail is copied. A message that resets the session (a
-// NOTIFICATION, a protocol error) drops the rest of the delivery.
+// read, and its messages are framed where they lie: only a partial tail is
+// copied into the buffer, and only a message the buffer completes is
+// copied out of it, since the buffer is reused. A message that resets the
+// session (a NOTIFICATION, a protocol error) drops the rest of the
+// delivery.
 func (s *Session) Recv(now time.Time, data []byte) error {
-	if len(s.inbuf) > 0 {
-		s.inbuf = append(s.inbuf, data...)
-		data = s.inbuf
-	}
 	resets := s.resets
+	if len(s.inbuf) > 0 {
+		data = s.topUp(s.topUp(data)) // the header, then the rest of its message
+		msg, _, err := Frame(s.inbuf)
+		if err == ErrTruncated {
+			return nil // data is used up
+		}
+		if err != nil {
+			s.notifyAndClose(err)
+			return err
+		}
+		msg, s.inbuf = bytes.Clone(msg), s.inbuf[:0]
+		if err := s.handleWire(now, msg); err != nil {
+			return err
+		}
+		if s.resets != resets {
+			return nil
+		}
+	}
 	for {
 		msg, rest, err := Frame(data)
 		if err == ErrTruncated {
@@ -174,6 +197,19 @@ func (s *Session) Recv(now time.Time, data []byte) error {
 	}
 }
 
+// topUp moves what the buffered partial message lacks, up to the end of
+// its header while that is incomplete, from the front of data into the
+// buffer, and returns the rest of data.
+func (s *Session) topUp(data []byte) []byte {
+	want := HeaderLen
+	if len(s.inbuf) >= HeaderLen {
+		want = int(binary.BigEndian.Uint16(s.inbuf[16:18]))
+	}
+	n := min(max(want-len(s.inbuf), 0), len(data))
+	s.inbuf = append(s.inbuf, data[:n]...)
+	return data[n:]
+}
+
 func (s *Session) handleWire(now time.Time, wire []byte) error {
 	m, err := decode(wire, s.dec)
 	if err != nil {
@@ -187,7 +223,7 @@ func (s *Session) handleWire(now time.Time, wire []byte) error {
 	case *Keepalive:
 		return s.handleKeepalive(now)
 	case *Update:
-		return s.handleUpdate(now, msg)
+		return s.handleUpdate(now, msg, wire)
 	case *Notification:
 		prev := s.state
 		s.reset()
@@ -263,7 +299,7 @@ func (s *Session) handleKeepalive(now time.Time) error {
 	return nil
 }
 
-func (s *Session) handleUpdate(now time.Time, u *Update) error {
+func (s *Session) handleUpdate(now time.Time, u *Update, wire []byte) error {
 	if s.state != StateEstablished {
 		err := protoErr(ErrCodeFSM, 0, "UPDATE in state %v", s.state)
 		s.notifyAndClose(err)
@@ -274,7 +310,7 @@ func (s *Session) handleUpdate(now time.Time, u *Update) error {
 		s.holdDeadline = now.Add(s.holdTime)
 	}
 	if s.hooks != nil {
-		s.hooks.OnUpdate(u)
+		s.hooks.OnUpdate(u, wire)
 	}
 	return nil
 }

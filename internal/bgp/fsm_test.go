@@ -16,10 +16,10 @@ type hookFuncs struct {
 	down        func(string)
 }
 
-func (h hookFuncs) Send(w []byte)      { h.send(w) }
-func (h hookFuncs) OnEstablished()     { h.established() }
-func (h hookFuncs) OnUpdate(u *Update) { h.update(u) }
-func (h hookFuncs) OnDown(r string)    { h.down(r) }
+func (h hookFuncs) Send(w []byte)                { h.send(w) }
+func (h hookFuncs) OnEstablished()               { h.established() }
+func (h hookFuncs) OnUpdate(u *Update, _ []byte) { h.update(u) }
+func (h hookFuncs) OnDown(r string)              { h.down(r) }
 
 // pipePair wires two sessions back-to-back through in-memory buffers,
 // simulating the netsim transport.
@@ -416,10 +416,10 @@ func TestSendCountsOnlyWhatWentOut(t *testing.T) {
 // nopHooks is a SessionHooks that ignores everything.
 type nopHooks struct{}
 
-func (nopHooks) Send([]byte)      {}
-func (nopHooks) OnEstablished()   {}
-func (nopHooks) OnUpdate(*Update) {}
-func (nopHooks) OnDown(string)    {}
+func (nopHooks) Send([]byte)              {}
+func (nopHooks) OnEstablished()           {}
+func (nopHooks) OnUpdate(*Update, []byte) {}
+func (nopHooks) OnDown(string)            {}
 
 // TestRecvAllocatesNoMoreThanDecode: a whole UPDATE delivered to an idle
 // buffer is framed where it lies — Recv costs what decoding it costs.

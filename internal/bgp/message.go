@@ -93,7 +93,15 @@ func Encode(m Message) ([]byte, error) {
 // EncodeUpdate is Encode for an UPDATE. It keeps nothing of u, so an
 // Update built only to be encoded costs no allocation of its own.
 func EncodeUpdate(u *Update) ([]byte, error) {
-	buf, err := u.encodeBody(header(MsgUpdate, 96))
+	buf, err := u.encode(header(MsgUpdate, 96), 0, false)
+	return finish(buf, err)
+}
+
+// EncodeUpdatePrepend is EncodeUpdate of u with as prepended to its
+// AS_PATH by ASPath.Prepend's rule, as an eBGP export sends it. The
+// encoder writes as in front of the path: no prepended copy is built.
+func EncodeUpdatePrepend(u *Update, as uint16) ([]byte, error) {
+	buf, err := u.encode(header(MsgUpdate, 96), as, true)
 	return finish(buf, err)
 }
 
@@ -324,10 +332,13 @@ type Update struct {
 // Type implements Message.
 func (*Update) Type() uint8 { return MsgUpdate }
 
-// encodeBody writes the withdrawn routes and the attribute block straight
+func (u *Update) encodeBody(dst []byte) ([]byte, error) { return u.encode(dst, 0, false) }
+
+// encode writes the withdrawn routes and the attribute block straight
 // into dst behind a placeholder length each, then back-patches the
-// lengths: nothing is built in a temporary and copied.
-func (u *Update) encodeBody(dst []byte) ([]byte, error) {
+// lengths: nothing is built in a temporary and copied. With prepend set,
+// lead goes in front of the AS_PATH (Attrs.encode).
+func (u *Update) encode(dst []byte, lead uint16, prepend bool) ([]byte, error) {
 	at := len(dst)
 	dst, err := encodePrefixes(append(dst, 0, 0), u.Withdrawn)
 	if err != nil {
@@ -338,7 +349,7 @@ func (u *Update) encodeBody(dst []byte) ([]byte, error) {
 	}
 
 	at = len(dst)
-	if dst, err = u.Attrs.encode(append(dst, 0, 0)); err != nil {
+	if dst, err = u.Attrs.encode(append(dst, 0, 0), lead, prepend); err != nil {
 		return nil, err
 	}
 	if err := patchLen(dst, at, "attributes too long"); err != nil {
@@ -395,19 +406,6 @@ func (u *Update) decode(body []byte, tab *AttrTable) error {
 		return u.Attrs.checkMandatory()
 	}
 	return nil
-}
-
-// Clone returns a copy of u that owns its prefix lists (an empty one is
-// nil). The attribute set is shared: a decoded set is never written.
-func (u *Update) Clone() *Update {
-	return &Update{Withdrawn: clonePrefixes(u.Withdrawn), Attrs: u.Attrs, NLRI: clonePrefixes(u.NLRI)}
-}
-
-func clonePrefixes(ps []netaddr.Prefix) []netaddr.Prefix {
-	if len(ps) == 0 {
-		return nil
-	}
-	return slices.Clone(ps)
 }
 
 // encodePrefixes appends NLRI-encoded prefixes (RFC 4271 §4.3): a length

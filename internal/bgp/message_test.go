@@ -319,7 +319,7 @@ func TestASPathOps(t *testing.T) {
 func TestASPathEncodingErrors(t *testing.T) {
 	a := baseAttrs()
 	a.ASPath = ASPath{{Type: ASSequence, ASNs: nil}}
-	if _, err := a.encode(nil); err == nil {
+	if _, err := a.encode(nil, 0, false); err == nil {
 		t.Error("empty segment encoded")
 	}
 	// Decoding malformed segments.

@@ -46,7 +46,8 @@ func (t *AttrTable) Each(fn func(block []byte, a Attrs)) {
 // Decoder is where sessions decode the UPDATEs they receive
 // (Session.SetDecoder): into one Update it reuses, so the UPDATE a
 // session hands SessionHooks.OnUpdate is valid only until that call
-// returns, and an owner that keeps it keeps a Clone. Attribute sets go
+// returns, and an owner that keeps it keeps the wire bytes OnUpdate
+// gets with it. Attribute sets go
 // through Table when it is set. The sessions that share a Decoder must
 // receive one message at a time: one speaker's, or every witness shadow
 // of one set.

@@ -310,7 +310,7 @@ func prepare(live *router.Router, lock sync.Locker, tg ResolvedTarget, engOpts c
 }
 
 // seedOf looks tg's scenario up and derives its seed from r — a
-// checkpoint of the live node (Router.Clone copies the seed maps); a
+// checkpoint of the live node (Router.Clone shares the seeds' bytes); a
 // scenario with nothing to seed from returns *SeedUnavailableError.
 func seedOf(r *router.Router, tg ResolvedTarget) (Scenario, any, error) {
 	sc, err := LookupScenario(tg.Scenario)

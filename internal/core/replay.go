@@ -24,12 +24,14 @@ import (
 // virtual clock advanced between them, and the fabric is converged at
 // the end. It returns the number of records injected.
 func (f *Fabric) ReplayTrace(node, peer string, records []trace.Record) (int, error) {
-	dump, updates := trace.Split(records)
-	return f.replay(node, peer, dump, updates)
+	return f.replay(node, peer, records, records)
 }
 
-// replay is ReplayTrace over an already split trace; the Fig. 2 table
-// load and update replay are its dump-only and updates-only callers.
+// replay is ReplayTrace with the dump records taken from dump and the
+// update records from updates, each skipping the other kind in place;
+// the Fig. 2 table load and update replay pass nil for the part they do
+// not replay. Each record is encoded straight to the wire bytes the
+// session sends.
 func (f *Fabric) replay(node, peer string, dump, updates []trace.Record) (int, error) {
 	sender := f.Routers[peer]
 	if sender == nil {
@@ -44,27 +46,44 @@ func (f *Fabric) replay(node, peer string, dump, updates []trace.Record) (int, e
 	}
 
 	n := 0
-	for _, rec := range dump {
-		if err := sess.SendUpdate(trace.ToUpdate(rec)); err != nil {
+	for i := range dump {
+		rec := &dump[i]
+		if rec.Kind != trace.KindDump {
+			continue
+		}
+		if err := send(sess, rec); err != nil {
 			return n, fmt.Errorf("replay: dump record %d (%s): %w", n, rec.Prefix, err)
 		}
 		n++
 		if n%1024 == 0 {
-			f.Net.Run(0) // keep the delivery queue small during bulk load
+			f.Net.RunBatch() // keep the delivery queue small during bulk load
 		}
 	}
 	f.Net.Run(0)
 
 	start := f.Net.Now()
-	for _, rec := range updates {
+	for i := range updates {
+		rec := &updates[i]
+		if rec.Kind == trace.KindDump {
+			continue
+		}
 		f.Net.RunUntil(start.Add(rec.At))
-		if err := sess.SendUpdate(trace.ToUpdate(rec)); err != nil {
+		if err := send(sess, rec); err != nil {
 			return n, fmt.Errorf("replay: update record %d (%s %s): %w", n, rec.Kind, rec.Prefix, err)
 		}
 		n++
 	}
 	f.Net.Run(0) // converge the tail
 	return n, nil
+}
+
+// send encodes rec and sends it on sess.
+func send(sess *bgp.Session, rec *trace.Record) error {
+	wire, err := trace.EncodeUpdate(rec)
+	if err != nil {
+		return err
+	}
+	return sess.SendUpdateWire(wire)
 }
 
 // Replay feeds a recorded trace into the experiment's live fabric (see

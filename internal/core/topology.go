@@ -220,16 +220,14 @@ func newFig2WithProviderConfig(providerSrc string) (*Fig2, error) {
 // Internet side ("the DiCE-enabled router loads N prefixes from the rest
 // of the Internet"). Returns the number of updates delivered.
 func (f *Fig2) LoadTable(records []trace.Record) (int, error) {
-	dump, _ := trace.Split(records)
-	return f.fabric.replay(NodeProvider, NodeInternet, dump, nil)
+	return f.fabric.replay(NodeProvider, NodeInternet, records, nil)
 }
 
 // ReplayUpdates replays incremental trace records through the
 // internet→provider session, advancing virtual time to each record's
 // offset. Returns the number of updates delivered.
 func (f *Fig2) ReplayUpdates(records []trace.Record) (int, error) {
-	_, updates := trace.Split(records)
-	return f.fabric.replay(NodeProvider, NodeInternet, nil, updates)
+	return f.fabric.replay(NodeProvider, NodeInternet, nil, records)
 }
 
 // --- Federated topology files ------------------------------------------------
@@ -456,22 +454,24 @@ func (s *NodeShadow) Router() *router.Router { return s.r }
 // CheckSender fails with NoPeerError unless from is one of the node's
 // peers.
 func (s *NodeShadow) CheckSender(from string) error {
-	if s.r.Session(from) == nil {
+	if !s.r.HasPeer(from) {
 		return NoPeerError(s.r.Name(), from)
 	}
 	return nil
 }
 
-// Deliver runs msg into the shadow as if from had sent it, after
-// CheckSender, and reports the watched prefix's best-route token before
-// it, what the node sent since the last Deliver in send order (valid
-// until the next), and the node's view of watch after it (Query).
+// Deliver runs msg into the shadow as if from had sent it, failing as
+// CheckSender does when from is not a peer, and reports the watched
+// prefix's best-route token before it, what the node sent since the last
+// Deliver in send order (valid until the next), and the node's view of
+// watch after it (Query). The shadow may keep msg: it must not be written
+// again.
 func (s *NodeShadow) Deliver(from string, msg []byte, watch netaddr.Prefix, props []*prop.Compiled, boundary uint32) (before uint64, sent []netsim.CapturedMessage, after RouteView, err error) {
-	if err := s.CheckSender(from); err != nil {
-		return 0, nil, RouteView{}, err
+	best := s.r.RIB().Best(watch)
+	if !s.r.Receive(s.now, from, msg) {
+		return 0, nil, RouteView{}, NoPeerError(s.r.Name(), from)
 	}
-	before = s.token(s.r.RIB().Best(watch))
-	s.r.Deliver(s.now, from, msg)
+	before = s.token(best)
 	sent, s.sent = s.sent, s.sent[:0]
 	return before, sent, s.Query(watch, props, boundary), nil
 }

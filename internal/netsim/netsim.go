@@ -39,7 +39,9 @@ type Transport interface {
 type Receiver interface {
 	// Deliver hands the node bytes that arrived from a peer at virtual
 	// time now: the bytes a Transport was handed, shared and read-only.
-	// What the receiver keeps past the call it decodes out of them.
+	// Nothing writes them again, so the receiver may keep them as they are
+	// (a router keeps each peer's last UPDATE so), or decode out of them
+	// what it keeps.
 	Deliver(now time.Time, from string, data []byte)
 }
 
@@ -301,18 +303,23 @@ func (n *Network) Send(from, to string, data []byte) {
 
 // Run processes events until the queue drains or limit deliveries occur
 // (limit <= 0 means no limit). It returns the number of deliveries.
-func (n *Network) Run(limit int) int { return n.run(limit, math.MaxInt64) }
+func (n *Network) Run(limit int) int { return n.run(limit, math.MaxInt64, false) }
+
+// RunBatch is Run(0) between the batches of a bulk load: it drains the
+// queue but keeps the buffers it grew, since the next batch grows them as
+// far again. The load's last drain is a Run, which lets go of them.
+func (n *Network) RunBatch() int { return n.run(0, math.MaxInt64, true) }
 
 // RunUntil processes events with timestamps <= deadline, then advances the
 // clock to the deadline.
-func (n *Network) RunUntil(deadline time.Time) int { return n.run(0, deadline.Sub(n.epoch)) }
+func (n *Network) RunUntil(deadline time.Time) int { return n.run(0, deadline.Sub(n.epoch), false) }
 
 // run is the executor: it delivers the loop's steps, none later than
 // until, each event at its own time and without the lock, for a delivery
 // sends. After limit deliveries (<= 0: no limit) it requeues the rest;
 // having run dry by a deadline (until < MaxInt64), it moves the clock
-// there.
-func (n *Network) run(limit int, until time.Duration) (count int) {
+// there. Drained, it lets go of buffers a burst grew unless keep is set.
+func (n *Network) run(limit int, until time.Duration, keep bool) (count int) {
 	n.mu.Lock()
 	for limit <= 0 || count < limit {
 		if n.step = n.loop.Step(n.step[:0], until); len(n.step) == 0 {
@@ -339,7 +346,7 @@ func (n *Network) run(limit int, until time.Duration) (count int) {
 		}
 		clear(n.step) // the payloads are not the buffer's to keep
 	}
-	if n.loop.Len() == 0 && cap(n.step) > burstStep {
+	if !keep && n.loop.Len() == 0 && cap(n.step) > burstStep {
 		n.loop.queue, n.step = queue{}, nil // a burst's buffers, kept for nothing
 	}
 	n.mu.Unlock()

@@ -284,6 +284,55 @@ func TestDrainedBurstReleasesBuffers(t *testing.T) {
 	}
 }
 
+// TestBulkLoadKeepsBuffersAcrossBatches: a bulk load drains its batches
+// with RunBatch, which keeps the buffers the first batch grew, so later
+// batches reuse them; a converge before it and the load's last drain, by
+// Run, leave the network holding at most burstStep of capacity.
+func TestBulkLoadKeepsBuffersAcrossBatches(t *testing.T) {
+	n := New(start())
+	sinkNode := ReceiverFunc(func(time.Time, string, []byte) {})
+	n.AddNode("a", sinkNode)
+	n.AddNode("b", sinkNode)
+	n.Connect("a", "b", time.Millisecond)
+	payload := []byte("x")
+	burst := func(k int) {
+		for i := 0; i < k; i++ {
+			n.Send("a", "b", payload)
+		}
+	}
+	held := func() int {
+		q := &n.loop.queue
+		return max(cap(n.step), cap(q.heap), cap(q.slots), cap(q.free))
+	}
+	burst(4 * burstStep) // a fabric's converge
+	n.Run(0)
+	if held() > burstStep {
+		t.Fatalf("after the converge the network holds %d of capacity", held())
+	}
+	const batch = 1024
+	var step *Event
+	var slots *Event
+	for i := 0; i < 4; i++ {
+		burst(batch)
+		if got := n.RunBatch(); got != batch {
+			t.Fatalf("batch %d: delivered %d of %d", i, got, batch)
+		}
+		if cap(n.step) < batch {
+			t.Fatalf("batch %d: RunBatch let the step buffer go (cap %d)", i, cap(n.step))
+		}
+		s, q := &n.step[:1][0], &n.loop.queue.slots[:1][0]
+		if i == 0 {
+			step, slots = s, q
+		} else if s != step || q != slots {
+			t.Fatalf("batch %d regrew the buffers batch 0 grew", i)
+		}
+	}
+	n.Run(0) // the load's last drain
+	if held() > burstStep {
+		t.Errorf("after the load the network holds %d of capacity, burstStep is %d", held(), burstStep)
+	}
+}
+
 // TestZeroLatencyLoopEnds: a 0 ms link is legal and its lookahead is 0,
 // so a step holds only events of one timestamp, and the loop still ends.
 func TestZeroLatencyLoopEnds(t *testing.T) {

@@ -16,7 +16,6 @@ package router
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -49,6 +48,18 @@ type peerState struct {
 	peer *config.Peer
 	sess *bgp.Session // nil until session builds it
 	base *bgp.Session // what session copies the state of; nil: a fresh Idle session
+
+	// observed and announced are the peer's seeds: the wire bytes of the
+	// most recent UPDATE received from it, and of the most recent one
+	// carrying NLRI (nil before any). DiCE derives its symbolic input
+	// templates from them (§2.3 "feeds it with a previously observed
+	// input"); scenarios that need an announcement template (update,
+	// routeleak) seed from announced, so a replayed history that happens
+	// to end in a withdraw still leaves a usable seed. They are the bytes
+	// the session handed OnUpdate, kept as received: nothing writes them
+	// again, so a clone shares them, and a seed is decoded only when read
+	// (LastObserved, LastAnnounced), once per round.
+	observed, announced []byte
 }
 
 // session returns the peer's session, building it on the first call.
@@ -89,7 +100,7 @@ func (ps *peerState) Send(wire []byte) {
 func (ps *peerState) OnEstablished() { ps.r.onEstablished(ps) }
 
 // OnUpdate implements bgp.SessionHooks.
-func (ps *peerState) OnUpdate(u *bgp.Update) { ps.r.onUpdate(ps, u) }
+func (ps *peerState) OnUpdate(u *bgp.Update, wire []byte) { ps.r.onUpdate(ps, u, wire) }
 
 // OnDown implements bgp.SessionHooks.
 func (ps *peerState) OnDown(string) { ps.r.onDown(ps) }
@@ -121,32 +132,12 @@ type Router struct {
 	subj filter.Subject
 
 	// dec is where the router's sessions decode UPDATEs (bgp.Decoder): one
-	// Update, reused, so an UPDATE outlives its delivery only when
-	// onUpdate keeps it as a seed. A COW clone has none, and decodes each
-	// into a new Update: exploration clones share a checkpoint, not a
-	// goroutine.
+	// Update, reused, so no UPDATE outlives its delivery; what the router
+	// keeps of one is its wire bytes (peerState's seeds). A COW clone has
+	// none, and decodes each into a new Update: exploration clones share a
+	// checkpoint, not a goroutine.
 	dec *bgp.Decoder
-
-	// LastObserved retains the most recent UPDATE per peer; DiCE derives
-	// its symbolic input templates from these (§2.3 "feeds it with a
-	// previously observed input"). lastAnnounced additionally retains the
-	// most recent NLRI-carrying UPDATE: scenarios that need an
-	// announcement template (update, routeleak) seed from it, so a
-	// replayed history that happens to end in a withdraw still leaves a
-	// usable seed.
-	lastObserved  map[string]*bgp.Update
-	lastAnnounced map[string]*bgp.Update
-	seeds         seedMode
 }
-
-// seedMode is what onUpdate does with an UPDATE.
-type seedMode uint8
-
-const (
-	ownSeeds    seedMode = iota // keep a copy in the router's seed maps
-	sharedSeeds                 // the maps are a COW parent's: copy them first
-	noSeeds                     // keep nothing: a witness shadow is never explored
-)
 
 // New creates a router from its configuration. name is its netsim node
 // name; peers' config names must match their node names.
@@ -169,31 +160,30 @@ func New(name string, cfg *config.Config, tr netsim.Transport) *Router {
 }
 
 // newRouter builds a router over loc with a fresh (Idle) session per
-// configured peer and empty seed maps.
+// configured peer and no seeds.
 func newRouter(name string, cfg *config.Config, tr netsim.Transport, loc rib.RouteTable) *Router {
-	r := newPeers(name, cfg, tr, loc)
+	r := withPeers(name, cfg, tr, loc, len(cfg.Peers))
+	for i, pc := range cfg.Peers {
+		r.order[i].peer = pc
+	}
+	slices.SortFunc(r.order, func(a, b *peerState) int { return strings.Compare(a.peer.Name, b.peer.Name) })
 	r.dec = new(bgp.Decoder)
 	for _, ps := range r.order {
 		ps.session()
 	}
-	r.lastObserved = make(map[string]*bgp.Update, len(r.order))
-	r.lastAnnounced = make(map[string]*bgp.Update, len(r.order))
 	return r
 }
 
-// newPeers builds a router over loc with its peer states and no session
-// or seed map yet. Checkpoint and shadow clones are built here too,
-// hundreds per round, so the peer states share one allocation.
-func newPeers(name string, cfg *config.Config, tr netsim.Transport, loc rib.RouteTable) *Router {
-	n := len(cfg.Peers)
+// withPeers builds a router over loc with n blank peer states in order.
+// Checkpoint and shadow clones are built here too, hundreds per round, so
+// the peer states share one allocation.
+func withPeers(name string, cfg *config.Config, tr netsim.Transport, loc rib.RouteTable, n int) *Router {
 	r := &Router{cfg: cfg, name: name, transport: tr, loc: loc, order: make([]*peerState, n)}
 	states := make([]peerState, n)
-	for i, pc := range cfg.Peers {
-		ps := &states[i]
-		ps.r, ps.peer = r, pc
-		r.order[i] = ps
+	for i := range states {
+		states[i].r = r
+		r.order[i] = &states[i]
 	}
-	slices.SortFunc(r.order, func(a, b *peerState) int { return strings.Compare(a.peer.Name, b.peer.Name) })
 	return r
 }
 
@@ -237,15 +227,40 @@ func (r *Router) Session(peer string) *bgp.Session {
 	return nil
 }
 
-// LastObserved returns the most recent UPDATE received from peer.
+// HasPeer reports whether peer is one of the router's configured peers.
+// Unlike Session, it builds nothing.
+func (r *Router) HasPeer(peer string) bool { return r.peer(peer) != nil }
+
+// LastObserved returns the most recent UPDATE received from peer (nil
+// for none), decoded afresh from its bytes: the caller owns it.
 func (r *Router) LastObserved(peer string) *bgp.Update {
-	return r.lastObserved[peer]
+	if ps := r.peer(peer); ps != nil {
+		return decodeSeed(ps.observed)
+	}
+	return nil
 }
 
 // LastAnnounced returns the most recent NLRI-carrying UPDATE received
-// from peer — the seed for scenarios that explore announcements.
+// from peer — the seed for scenarios that explore announcements — decoded
+// afresh like LastObserved's.
 func (r *Router) LastAnnounced(peer string) *bgp.Update {
-	return r.lastAnnounced[peer]
+	if ps := r.peer(peer); ps != nil {
+		return decodeSeed(ps.announced)
+	}
+	return nil
+}
+
+// decodeSeed decodes a seed's bytes, nil for none. They decoded once
+// already, when they arrived, so they decode again.
+func decodeSeed(wire []byte) *bgp.Update {
+	if wire == nil {
+		return nil
+	}
+	m, err := bgp.Decode(wire)
+	if err != nil {
+		panic(fmt.Sprintf("router: a kept seed no longer decodes: %v", err))
+	}
+	return m.(*bgp.Update)
 }
 
 // PeerNameByAddr returns the configured peer whose remote address is a
@@ -273,12 +288,19 @@ func (r *Router) Start(now time.Time) error {
 }
 
 // Deliver implements netsim.Receiver: bytes arriving from a peer node.
-func (r *Router) Deliver(now time.Time, from string, data []byte) {
+// The router may keep them (see peerState's seeds): they must not be
+// written again.
+func (r *Router) Deliver(now time.Time, from string, data []byte) { r.Receive(now, from, data) }
+
+// Receive is Deliver, reporting whether from is a configured peer: bytes
+// from anyone else are dropped.
+func (r *Router) Receive(now time.Time, from string, data []byte) bool {
 	ps := r.peer(from)
 	if ps == nil {
-		return // not a configured peer; drop
+		return false
 	}
 	_ = ps.session().Recv(now, data) // protocol errors already notified peer
+	return true
 }
 
 // Tick advances all session timers (sorted: a timer firing can emit a
@@ -308,19 +330,11 @@ func (r *Router) onDown(ps *peerState) {
 
 // onUpdate is the session's UPDATE hook: normal operation, no
 // instrumentation. u may be the decoder's (dec): what is kept of it is
-// a copy.
-func (r *Router) onUpdate(ps *peerState, u *bgp.Update) {
-	switch r.seeds {
-	case sharedSeeds:
-		r.lastObserved, r.lastAnnounced = maps.Clone(r.lastObserved), maps.Clone(r.lastAnnounced)
-		r.seeds = ownSeeds
-		fallthrough
-	case ownSeeds:
-		kept := u.Clone()
-		r.lastObserved[ps.peer.Name] = kept
-		if len(kept.NLRI) > 0 {
-			r.lastAnnounced[ps.peer.Name] = kept
-		}
+// its wire bytes, which the session hands over unwritten.
+func (r *Router) onUpdate(ps *peerState, u *bgp.Update, wire []byte) {
+	ps.observed = wire
+	if len(u.NLRI) > 0 {
+		ps.announced = wire
 	}
 	r.process(ps, u, nil, filter.ConcreteBrancher{}, nil)
 }
@@ -499,9 +513,10 @@ func (r *Router) exportWire(ps *peerState, rt *rib.Route, lf lift, br filter.Bra
 // encodeExport encodes the UPDATE announcing rt with the verdict's
 // modifications (none when v is nil) and, toward an eBGP peer, the
 // RFC 4271 rewrite. The route's attributes are copied shallowly: its
-// slices are only read (see rib.Route), the AS_PATH prepend copies what
-// it changes, and the community list is clipped so an added community is
-// appended to a copy. nil means the result cannot be encoded.
+// slices are only read (see rib.Route), the encoder writes the AS_PATH
+// prepend (bgp.EncodeUpdatePrepend), and the community list is clipped
+// so an added community is appended to a copy. nil means the result
+// cannot be encoded.
 func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byte {
 	attrs := rt.Attrs
 	if v != nil {
@@ -509,7 +524,6 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 		v.Apply(&attrs)
 	}
 	if ebgp {
-		attrs.ASPath = attrs.ASPath.Prepend(r.cfg.LocalAS)
 		attrs.HasLocalPref = false // LOCAL_PREF is intra-AS only
 		attrs.LocalPref = 0
 		attrs.HasNextHop = true
@@ -518,7 +532,14 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 	if !attrs.HasOrigin {
 		attrs.HasOrigin, attrs.Origin = true, bgp.OriginIGP
 	}
-	wire, err := bgp.EncodeUpdate(&bgp.Update{Attrs: attrs, NLRI: []netaddr.Prefix{rt.Prefix}})
+	u := bgp.Update{Attrs: attrs, NLRI: []netaddr.Prefix{rt.Prefix}}
+	var wire []byte
+	var err error
+	if ebgp {
+		wire, err = bgp.EncodeUpdatePrepend(&u, r.cfg.LocalAS)
+	} else {
+		wire, err = bgp.EncodeUpdate(&u)
+	}
 	if err != nil {
 		return nil
 	}
@@ -528,27 +549,23 @@ func (r *Router) encodeExport(rt *rib.Route, v *filter.Verdict, ebgp bool) []byt
 // --- Checkpoint support ------------------------------------------------------
 
 // CloneCOW produces an isolated copy-on-write clone: the RIB is an
-// overlay over this router's table, each session is built from this
-// router's on its first use and the seed maps are shared until the
-// clone's first write, so creation is O(peers), independent of table
-// size — exactly fork()'s cost model, which the §4.1 overhead
+// overlay over this router's table and each session is built from this
+// router's on its first use, so creation is O(peers), independent of
+// table size — exactly fork()'s cost model, which the §4.1 overhead
 // measurements depend on. The receiver MUST NOT be mutated while COW
 // clones are alive; DiCE guarantees this by only COW-cloning the frozen
 // checkpoint router (and the quiescent live nodes, for witness shadows),
 // never a COW clone: nothing clones an overlay.
 func (r *Router) CloneCOW(tr netsim.Transport) *Router {
-	c := r.fork(tr, rib.NewOverlay(r.loc.(*rib.Table)))
-	c.lastObserved, c.lastAnnounced, c.seeds = r.lastObserved, r.lastAnnounced, sharedSeeds
-	return c
+	return r.fork(tr, rib.NewOverlay(r.loc.(*rib.Table)))
 }
 
 // CloneShadow is CloneCOW for a witness shadow: the clone decodes
 // through dec, which the shadows of one set share (nil decodes each
-// UPDATE into a new one), and records no seeds, since a shadow is never
-// explored, so no UPDATE it receives outlives its delivery.
+// UPDATE into a new one).
 func (r *Router) CloneShadow(tr netsim.Transport, dec *bgp.Decoder) *Router {
 	c := r.CloneCOW(tr)
-	c.dec, c.seeds = dec, noSeeds
+	c.dec = dec
 	return c
 }
 
@@ -556,29 +573,31 @@ func (r *Router) CloneShadow(tr netsim.Transport, dec *bgp.Decoder) *Router {
 // one (never of a COW clone), over the given transport (normally a
 // netsim.CaptureSink): the fork() analogue that takes the checkpoint. It
 // copies the RIB (rib.Table.Clone, O(1): the trie is shared, and each
-// side copies what it writes later), the sessions and the seed maps, and
-// shares the routes, which are immutable once inserted (see rib.Route),
-// and the configuration, immutable after parse. Nothing the parent does
-// afterwards reaches the clone, and the reverse.
+// side copies what it writes later) and the sessions, and shares the
+// routes, which are immutable once inserted (see rib.Route), the seeds'
+// bytes, never written, and the configuration, immutable after parse.
+// Nothing the parent does afterwards reaches the clone, and the reverse.
 func (r *Router) Clone(tr netsim.Transport) *Router {
 	c := r.fork(tr, r.loc.(*rib.Table).Clone())
 	c.dec = new(bgp.Decoder)
 	for _, ps := range c.order {
 		ps.session()
 	}
-	c.lastObserved, c.lastAnnounced = maps.Clone(r.lastObserved), maps.Clone(r.lastAnnounced)
 	return c
 }
 
-// fork builds the clone around its RIB: counters carried over, and every
-// session to be built in the state a forked BIRD's would be in — the
-// clone processes exploration messages as if the sessions were live, but
-// its sends go to tr only. The caller sets the seed maps.
+// fork builds the clone around its RIB: counters and seeds carried over,
+// the peer states laid out in the parent's order (sorted already), and
+// every session to be built in the state a forked BIRD's would be in —
+// the clone processes exploration messages as if the sessions were live,
+// but its sends go to tr only.
 func (r *Router) fork(tr netsim.Transport, loc rib.RouteTable) *Router {
-	c := newPeers(r.name, r.cfg, tr, loc)
+	c := withPeers(r.name, r.cfg, tr, loc, len(r.order))
 	c.counters = r.counters
-	for i, ps := range c.order {
-		ps.base = r.order[i].view()
+	for i, p := range r.order {
+		ps := c.order[i]
+		ps.peer, ps.base = p.peer, p.view()
+		ps.observed, ps.announced = p.observed, p.announced
 	}
 	return c
 }

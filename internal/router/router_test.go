@@ -198,6 +198,55 @@ func TestLastObservedRetained(t *testing.T) {
 	}
 }
 
+// TestSeedSurvivesSplitDelivery: an UPDATE the session assembles across
+// two deliveries is kept as a seed of its own, not as the session's
+// partial-message buffer, which the next partial message overwrites.
+func TestSeedSurvivesSplitDelivery(t *testing.T) {
+	tn := newTestNet(t, twoRouterConfigs(), [][2]string{{"a", "b"}})
+	b := tn.routers["b"]
+	announce := func(p string, path ...uint16) []byte {
+		wire, err := bgp.EncodeUpdate(&bgp.Update{
+			Attrs: bgp.Attrs{
+				HasOrigin: true, Origin: bgp.OriginIGP,
+				ASPath:     bgp.ASPath{{Type: bgp.ASSequence, ASNs: path}},
+				HasNextHop: true, NextHop: ip("10.0.0.1"),
+			},
+			NLRI: []netaddr.Prefix{pfx(p)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	// y differs from x from its length field on, so bytes of y written
+	// over x show.
+	x, y := announce("10.9.0.0/16", 65001, 64999), announce("10.10.0.0/16", 65001, 64998, 64997)
+	stream := append(append([]byte(nil), x...), y...)
+	cut1, cut2 := len(x)/2, len(x)+len(y)/2
+	now := tn.net.Now()
+	b.Deliver(now, "a", stream[:cut1])
+	b.Deliver(now, "a", stream[cut1:cut2]) // completes x, buffers y's head
+	if got := b.LastObserved("a"); got == nil || !bytes.Equal(mustEncodeUpdate(t, got), x) {
+		t.Fatalf("after the UPDATE completed and the next began, the seed is %+v, want the completed UPDATE", got)
+	}
+	b.Deliver(now, "a", stream[cut2:])
+	if got := b.LastAnnounced("a"); got == nil || !bytes.Equal(mustEncodeUpdate(t, got), y) {
+		t.Fatalf("after more traffic, the seed is %+v, want the last UPDATE", got)
+	}
+	if b.RIB().Best(pfx("10.9.0.0/16")) == nil || b.RIB().Best(pfx("10.10.0.0/16")) == nil {
+		t.Fatal("a split UPDATE was not processed")
+	}
+}
+
+func mustEncodeUpdate(t *testing.T, u *bgp.Update) []byte {
+	t.Helper()
+	wire, err := bgp.EncodeUpdate(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 func TestEncodeStateDeterministic(t *testing.T) {
 	tn := newTestNet(t, twoRouterConfigs(), [][2]string{{"a", "b"}})
 	b := tn.routers["b"]

@@ -305,6 +305,15 @@ func ToUpdate(r Record) *bgp.Update {
 	return &bgp.Update{Attrs: r.Attrs, NLRI: []netaddr.Prefix{r.Prefix}}
 }
 
+// EncodeUpdate encodes the UPDATE ToUpdate builds for r straight to wire
+// bytes: nothing but the encoding is allocated.
+func EncodeUpdate(r *Record) ([]byte, error) {
+	if r.Kind == KindWithdraw {
+		return bgp.EncodeUpdate(&bgp.Update{Withdrawn: []netaddr.Prefix{r.Prefix}})
+	}
+	return bgp.EncodeUpdate(&bgp.Update{Attrs: r.Attrs, NLRI: []netaddr.Prefix{r.Prefix}})
+}
+
 // Split separates a trace into the initial dump and the update stream.
 func Split(records []Record) (dump, updates []Record) {
 	n := 0
